@@ -356,8 +356,9 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 	if err := next.Validate(s.m.Book().Topology(), s.m.Catalog(), s.accepted); err != nil {
 		return nil, fmt.Errorf("horizon: epoch %d produced invalid schedule: %w", s.epoch, err)
 	}
-	if l := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next); len(l.AllOverflows()) > 0 {
-		return nil, fmt.Errorf("horizon: epoch %d leaves %d overflows unresolved", s.epoch, len(l.AllOverflows()))
+	l := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next)
+	if ovs := l.AllOverflows(); len(ovs) > 0 {
+		return nil, fmt.Errorf("horizon: epoch %d leaves %d overflows unresolved", s.epoch, len(ovs))
 	}
 
 	// Journal the epoch boundary only after the plan extension succeeded:

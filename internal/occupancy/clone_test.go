@@ -1,6 +1,7 @@
 package occupancy
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/simtime"
@@ -29,10 +30,10 @@ func equalSnapshots(a, b map[simtime.Time]float64) bool {
 	return true
 }
 
-// TestCloneCopyOnWrite drives every mutator against a clone and against the
-// source and checks the other side never observes the change — the
-// correctness contract the lazy Clone must preserve.
-func TestCloneCopyOnWrite(t *testing.T) {
+// TestCloneIndependence drives every mutator against a clone and against
+// the source and checks the other side never observes the change — the
+// contract of the deep copy.
+func TestCloneIndependence(t *testing.T) {
 	topo, cat := fixture(t)
 	is1, is2 := topology.NodeID(1), topology.NodeID(2)
 
@@ -73,9 +74,7 @@ func TestCloneCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestCloneOfClone checks independence through a chain of clones, the
-// shape the SORP loop produces when a winning candidate's ledger becomes
-// the next iteration's base.
+// TestCloneOfClone checks independence through a chain of clones.
 func TestCloneOfClone(t *testing.T) {
 	topo, cat := fixture(t)
 	is1 := topology.NodeID(1)
@@ -98,25 +97,42 @@ func TestCloneOfClone(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerClone measures the clone + single-video teardown pattern
-// of sorp.rescheduleFile: with copy-on-write this is O(nodes) plus copying
-// only the nodes that hold the victim.
-func BenchmarkLedgerClone(b *testing.B) {
-	topo, cat := fixture(b)
-	is1, is2 := topology.NodeID(1), topology.NodeID(2)
-	l := NewLedger(topo, cat)
-	for i := 0; i < 500; i++ {
-		node := is1
-		if i%2 == 0 {
-			node = is2
+// TestOverlayDeltaSizedByMaskedVideo pins what a view costs to build: its
+// per-node delta holds the masked video's own records, so its capacity and
+// the bytes OverlayWithout allocates must not grow with the number of
+// other videos' residencies on the node.
+func TestOverlayDeltaSizedByMaskedVideo(t *testing.T) {
+	topo, cat := fixture(t)
+	is1 := topology.NodeID(1)
+	build := func(others int) *Ledger {
+		l := NewLedger(topo, cat)
+		for i := 0; i < others; i++ {
+			l.Add(Ref{Video: 0, Index: i}, res(0, is1, simtime.Time(i), simtime.Time(i+50)))
 		}
-		l.Add(Ref{Video: 0, Index: i}, res(0, node, simtime.Time(i), simtime.Time(i+50)))
+		l.Add(Ref{Video: 1, Index: 0}, res(1, is1, 0, 100))
+		return l
 	}
-	l.Add(Ref{Video: 1, Index: 0}, res(1, is1, 0, 100))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tmp := l.Clone()
-		tmp.RemoveVideo(1)
+	cost := func(l *Ledger) (allocs float64, bytes uint64) {
+		l.OverlayWithout(1) // builds the base's snapshots once
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { l.OverlayWithout(1) })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+
+	big, small := build(500), build(5)
+	const copies = 1
+	if got := cap(big.OverlayWithout(1).nodes[is1].events); got > 2*3*copies {
+		t.Errorf("view delta capacity %d for %d masked copy; want <= %d", got, copies, 2*3*copies)
+	}
+	bigAllocs, bigBytes := cost(big)
+	smallAllocs, smallBytes := cost(small)
+	if bigAllocs != smallAllocs {
+		t.Errorf("OverlayWithout allocs depend on unrelated residencies: %v with 500, %v with 5", bigAllocs, smallAllocs)
+	}
+	if bigBytes > smallBytes+smallBytes/10 {
+		t.Errorf("OverlayWithout bytes depend on unrelated residencies: %d with 500, %d with 5", bigBytes, smallBytes)
 	}
 }

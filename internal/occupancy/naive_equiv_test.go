@@ -174,15 +174,17 @@ func TestPropertyNaiveIndexedEquivalence(t *testing.T) {
 
 // TestPropertyOverlayMatchesCloneRemove pins the overlay view to its
 // specification: for seeded random ledgers, OverlayWithout(v) must answer
-// SpaceAt and CanFit exactly like Clone-then-RemoveVideo(v), and Flatten
-// must reproduce the clone path's committed state byte for byte (entry
-// order and version counters included).
+// SpaceAt and CanFit exactly like Clone-then-RemoveVideo(v), and Commit
+// must leave the base in the clone path's committed state byte for byte
+// (entry order, event arrays and version counters included) while keeping
+// the prefix snapshot of every node the reschedule did not touch.
 func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 	defer SetNaiveForTesting(false)
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, indexed, topo, _ := randomLedgers(t, seed, 6, 120)
 			rng := rand.New(rand.NewSource(seed ^ 0x0f1a7))
+			touched, untouched := 0, 0
 			for vid := media.VideoID(0); vid < 6; vid++ {
 				view := indexed.OverlayWithout(vid)
 				ref := indexed.Clone()
@@ -205,20 +207,44 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 						}
 					}
 				}
-				// Mutate both identically, then compare the flattened view
-				// against the clone: same entries, same versions.
+				// Mutate both identically, then commit the view and compare
+				// its base against the clone: same entries, same versions.
 				add := res(vid, topology.NodeID(1+rng.Intn(topo.NumNodes()-1)), 100, 250)
 				r := Ref{Video: vid, Index: 9000 + int(vid)}
 				view.Add(r, add)
 				ref.Add(r, add)
-				flat := view.Flatten()
+				verBefore := make([]uint64, topo.NumNodes())
+				builtBefore := make([]uint64, topo.NumNodes())
+				for n := range verBefore {
+					verBefore[n], builtBefore[n] = indexed.nodes[n].ver, indexed.snap[n].builtAt
+				}
+				flat := view.Commit()
+				if flat != indexed {
+					t.Fatalf("vid %d: Commit returned a ledger other than the view's base", vid)
+				}
 				for n := 0; n < topo.NumNodes(); n++ {
 					node := topology.NodeID(n)
-					if got, want := flat.Version(node), ref.Version(node); got != want {
-						t.Fatalf("vid %d node %d version: flatten %d, clone %d", vid, node, got, want)
+					if got, want := flat.nodes[n].ver, ref.nodes[n].ver; got != want {
+						t.Fatalf("vid %d node %d version: commit %d, clone %d", vid, node, got, want)
+					}
+					if flat.nodes[n].ver == verBefore[n] {
+						untouched++
+						if got := flat.snap[n].builtAt; got != builtBefore[n] || got != verBefore[n]+1 {
+							t.Fatalf("vid %d node %d untouched by the commit but its snapshot is gone (builtAt %d, was %d)",
+								vid, node, got, builtBefore[n])
+						}
+					} else {
+						touched++
+						if flat.snap[n].builtAt == flat.nodes[n].ver+1 {
+							t.Fatalf("vid %d node %d mutated by the commit but its snapshot still reads as current", vid, node)
+						}
+						flat.SpaceAt(node, 0)
+						if flat.snap[n].builtAt != flat.nodes[n].ver+1 {
+							t.Fatalf("vid %d node %d snapshot not rebuilt on first query after the commit", vid, node)
+						}
 					}
 					if got, want := flat.NumEntries(node), ref.NumEntries(node); got != want {
-						t.Fatalf("vid %d node %d entries: flatten %d, clone %d", vid, node, got, want)
+						t.Fatalf("vid %d node %d entries: commit %d, clone %d", vid, node, got, want)
 					}
 					a, b := ref.nodes[n], flat.nodes[n]
 					for i := range a.entries {
@@ -236,6 +262,9 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 						}
 					}
 				}
+			}
+			if touched == 0 || untouched == 0 {
+				t.Fatalf("fixture bug: commits touched %d nodes and spared %d; need both", touched, untouched)
 			}
 		})
 	}

@@ -26,8 +26,7 @@
 // incrementally by Add/Update/Remove — each mutation inserts or deletes
 // that residency's records, recomputed bit-identically from the entry, so
 // deletion removes records exactly instead of subtracting floats (no
-// cancellation residue accumulates across mutations) — and is preserved
-// across the copy-on-write Clone.
+// cancellation residue accumulates across mutations).
 //
 // All per-node state lives in a dense slice indexed by NodeID (topology
 // IDs are dense builder-assigned indices), so the per-query bookkeeping is
@@ -57,11 +56,6 @@ const eps = 1e-3
 // is kept as the brute-force reference the property and byte-identity
 // tests compare the index against.
 var naiveMode bool
-
-// SetNaiveForTesting switches subsequently created ledgers to the
-// reference (index-free) query path. Testing only; not safe to flip while
-// ledgers are in use on other goroutines.
-func SetNaiveForTesting(v bool) { naiveMode = v }
 
 // Ref identifies a residency inside a global schedule.
 type Ref struct {
@@ -147,8 +141,7 @@ func entryEvents(e *entry) (evs [3]event, n int) {
 	return evs, 3
 }
 
-// insertEvent places e after every record at the same time. The caller must
-// own the slice (see Ledger.own).
+// insertEvent places e after every record at the same time.
 func insertEvent(evs []event, e event) []event {
 	i := sort.Search(len(evs), func(k int) bool { return evs[k].t > e.t })
 	evs = append(evs, event{})
@@ -175,18 +168,11 @@ type nodeState struct {
 	// entries holds the residencies registered at the node.
 	entries []entry
 	// events is the sweep-line index over the entries' profile breakpoints,
-	// maintained incrementally and shared with clones under the same
-	// copy-on-write protocol as entries.
+	// maintained incrementally.
 	events []event
-	// ver counts profile mutations. Clones inherit the counter, so along a
-	// Clone-and-commit lineage an unchanged counter proves the node's
-	// profile is unchanged (counters only ever increase).
+	// ver counts profile mutations (counters only ever increase); the
+	// prefix snapshot and the memoized overflow walk are keyed on it.
 	ver uint64
-	// shared marks slices whose backing arrays are shared with another
-	// ledger (the other side of a Clone). A shared slice is never mutated
-	// in place: own() copies it first. This makes Clone O(nodes) instead
-	// of O(residencies).
-	shared bool
 	// ovValid/ovVer/ovs memoize the node's Overflows walk at a version.
 	ovValid bool
 	ovVer   uint64
@@ -207,8 +193,8 @@ type sweepPt struct {
 // window, instead of integrating from the beginning of time. Rebuilt
 // lazily (O(E)) on first query after a mutation; the greedy's
 // query-heavy/mutation-light access pattern amortizes that to O(1) per
-// query. Never shared across clones, so rebuilds may reuse the backing
-// array in place.
+// query. Never copied by Clone, so rebuilds may reuse the backing array in
+// place.
 type nodeSnap struct {
 	builtAt uint64 // ver+1 at build time; 0 = never built
 	pts     []sweepPt
@@ -222,19 +208,16 @@ type Ledger struct {
 	// nodes holds the per-node state, indexed densely by NodeID.
 	nodes []nodeState
 	// snap holds the per-node prefix sweeps, lazily (re)built per version.
-	// Unlike the nodes array it is never inherited by Clone, so the slices
-	// inside are exclusively owned and rebuilt in place.
+	// A snapshot survives every mutation of other nodes, so committing a
+	// reschedule rebuilds only the nodes it touched.
 	snap []nodeSnap
-	// queried, when non-nil, records the nodes whose occupancy state
-	// influenced query answers (see TrackQueries).
-	queried []bool
 	// base, when non-nil, marks this ledger as an overlay view returned by
-	// OverlayWithout: the nodes array holds only the view's own delta
-	// (masked-out videos' negated records plus local additions) and queries
+	// OverlayWithout: the nodes array holds only the view's own delta (the
+	// masked video's negated records plus local additions) and queries
 	// merge that delta with the base's — never copied — state.
 	base *Ledger
-	// removed lists the videos an overlay view has masked out of its base.
-	removed map[media.VideoID]bool
+	// masked is the one video an overlay view hides from its base.
+	masked media.VideoID
 	// caps caches every node's capacity in float bytes and isWh its
 	// warehouse-kind flag, so the capacity check — the greedy's hottest
 	// query — skips the topology lookups. Shared read-only across clones
@@ -242,13 +225,12 @@ type Ledger struct {
 	caps []float64
 	isWh []bool
 	// vidNodes over-approximates, per video, the nodes that may hold one of
-	// its copies: Add appends, nothing removes. maskVideo visits only these
-	// nodes instead of scanning the whole ledger; a stale node costs one
-	// empty scan, never a wrong answer. Clones deep-copy the map (it is
-	// tiny: one short node list per video), overlay views never maintain it
+	// its copies: Add appends, nothing removes. OverlayWithout masks only
+	// these nodes instead of scanning the whole ledger; a stale node costs one
+	// empty scan, never a wrong answer. Overlay views never maintain it
 	// (they mask through the base's).
 	vidNodes map[media.VideoID][]topology.NodeID
-	// naive pins the reference query path (see SetNaiveForTesting).
+	// naive pins the reference query path (see naiveMode).
 	naive bool
 }
 
@@ -298,22 +280,6 @@ func FromSchedule(topo *topology.Topology, catalog *media.Catalog, s *schedule.S
 	return l
 }
 
-// own makes the node's slices safe to mutate: if their backing arrays are
-// shared with a clone, they are copied first.
-func (l *Ledger) own(node topology.NodeID) {
-	st := &l.nodes[node]
-	if !st.shared {
-		return
-	}
-	cp := make([]entry, len(st.entries))
-	copy(cp, st.entries)
-	st.entries = cp
-	ep := make([]event, len(st.events))
-	copy(ep, st.events)
-	st.events = ep
-	st.shared = false
-}
-
 // dirty records a mutation of the node: the version counter advances and
 // the memoized overflow walk is dropped.
 func (l *Ledger) dirty(node topology.NodeID) {
@@ -321,33 +287,6 @@ func (l *Ledger) dirty(node topology.NodeID) {
 	st.ver++
 	st.ovValid = false
 	st.ovs = nil
-}
-
-// Version returns the node's mutation counter. Along a Clone lineage an
-// equal counter proves the node's profile is unchanged; SORP uses this
-// to re-evaluate only candidate reschedules whose inputs moved.
-func (l *Ledger) Version(node topology.NodeID) uint64 { return l.nodes[node].ver }
-
-// TrackQueries starts recording the nodes whose occupancy state influences
-// subsequent query answers (CanFit, SpaceAt, Peak, Overflows, OverflowSet).
-// The trace is not inherited by clones.
-func (l *Ledger) TrackQueries() { l.queried = make([]bool, l.topo.NumNodes()) }
-
-// QueriedNodes returns the recorded trace in ascending node order.
-func (l *Ledger) QueriedNodes() []topology.NodeID {
-	var out []topology.NodeID
-	for n, q := range l.queried {
-		if q {
-			out = append(out, topology.NodeID(n))
-		}
-	}
-	return out
-}
-
-func (l *Ledger) touch(node topology.NodeID) {
-	if l.queried != nil {
-		l.queried[node] = true
-	}
 }
 
 // snapshot returns the node's prefix sweep, rebuilding it if the node has
@@ -391,8 +330,7 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 // the profile changed. A zero-value entry (γ=0 tentative) contributes no
 // records and leaves the profile — and hence the node's version — intact;
 // the greedy opens such tentatives on every request, so not invalidating
-// the node's snapshot and caches for them matters. The caller must already
-// own the node's slices.
+// the node's snapshot and caches for them matters.
 func (l *Ledger) addEntryEvents(node topology.NodeID, e *entry) bool {
 	evs, n := entryEvents(e)
 	st := &l.nodes[node]
@@ -417,7 +355,6 @@ func (l *Ledger) removeEntryEvents(node topology.NodeID, e *entry) bool {
 // Add registers a residency under the given reference.
 func (l *Ledger) Add(ref Ref, c schedule.Residency) {
 	v := l.catalog.Video(c.Video)
-	l.own(c.Loc)
 	e := newEntry(ref, c, v.Size.Float(), v.Playback)
 	st := &l.nodes[c.Loc]
 	st.entries = append(st.entries, e)
@@ -453,9 +390,6 @@ func (l *Ledger) updateAt(node topology.NodeID, ref Ref, c schedule.Residency) b
 		if es[i].ref != ref {
 			continue
 		}
-		l.own(node)
-		st := &l.nodes[node]
-		es = st.entries
 		changed := l.removeEntryEvents(node, &es[i])
 		if node == c.Loc {
 			v := l.catalog.Video(c.Video)
@@ -469,7 +403,7 @@ func (l *Ledger) updateAt(node topology.NodeID, ref Ref, c schedule.Residency) b
 			l.dirty(node)
 		}
 		// Relocated: drop here and re-add at the new node.
-		st.entries = append(es[:i], es[i+1:]...)
+		l.nodes[node].entries = append(es[:i], es[i+1:]...)
 		l.Add(ref, c)
 		return true
 	}
@@ -484,13 +418,10 @@ func (l *Ledger) Remove(ref Ref) bool {
 		es := l.nodes[n].entries
 		for i := range es {
 			if es[i].ref == ref {
-				l.own(node)
-				st := &l.nodes[n]
-				es = st.entries
 				if l.removeEntryEvents(node, &es[i]) {
 					l.dirty(node)
 				}
-				st.entries = append(es[:i], es[i+1:]...)
+				l.nodes[n].entries = append(es[:i], es[i+1:]...)
 				return true
 			}
 		}
@@ -498,22 +429,15 @@ func (l *Ledger) Remove(ref Ref) bool {
 	return false
 }
 
-// Clone returns an independent copy of the ledger. The rejective greedy
-// evaluates candidate reschedules against clones (or the cheaper overlay
-// views, see OverlayWithout) so rejected candidates leave the real ledger
-// untouched.
-//
-// The copy is lazy: the clone shares the per-node entry and event slices
-// with the source and both sides copy a slice only before first mutating
-// it, so Clone itself is O(nodes). Because Clone marks the source's slices
-// shared too, it counts as a mutation of the source: concurrent Clone
-// calls on the same ledger must be serialized by the caller.
-//
-// Version counters and memoized overflow walks carry over; a query trace
-// does not.
+// Clone returns an independent deep copy of the ledger: per-node entry and
+// event slices are copied, version counters and memoized overflow walks
+// carry over, prefix snapshots do not. The scheduler itself never clones —
+// it evaluates candidates on overlay views and commits the winner in place
+// (OverlayWithout, Commit); Clone backs the reference path's OverlayWithout
+// and the tests that compare against it.
 func (l *Ledger) Clone() *Ledger {
 	if l.base != nil {
-		panic("occupancy: Clone of an overlay view; Flatten it first")
+		panic("occupancy: Clone of an overlay view")
 	}
 	out := &Ledger{
 		topo:     l.topo,
@@ -527,10 +451,10 @@ func (l *Ledger) Clone() *Ledger {
 	for vid, ns := range l.vidNodes {
 		out.vidNodes[vid] = append([]topology.NodeID(nil), ns...)
 	}
-	copy(out.nodes, l.nodes)
-	for n := range l.nodes {
-		l.nodes[n].shared = true
-		out.nodes[n].shared = true
+	for n, st := range l.nodes {
+		st.entries = append([]entry(nil), st.entries...)
+		st.events = append([]event(nil), st.events...)
+		out.nodes[n] = st
 	}
 	return out
 }
@@ -539,24 +463,28 @@ func (l *Ledger) Clone() *Ledger {
 // candidate reschedule of one video. The view behaves like
 // Clone-then-RemoveVideo(vid), but the base's entry and event slices are
 // neither copied nor modified: the view keeps only its own delta — the
-// masked video's negated breakpoint records plus whatever the greedy adds
-// — and CanFit merges the base's prefix snapshot with that delta. A
-// candidate evaluation therefore costs the size of the candidate's own
-// footprint, not the size of the ledger: nothing is copied up front, the
-// base's snapshots stay valid and are shared by every live view, and only
-// the winning view is materialized back into a real ledger (Flatten).
+// masked video's negated breakpoint records (recomputed bit-identically
+// from the stored entries, each negated Load jump coinciding with the
+// base's positive one, so the merged profile has no downward jumps) plus
+// whatever the greedy adds — and CanFit merges the base's prefix snapshot
+// with that delta. A candidate evaluation therefore costs the size of the
+// candidate's own footprint, not the size of the ledger: nothing is copied
+// up front, the base's snapshots stay valid and are shared by every live
+// view, and only the winning view is applied back to the base (Commit).
 //
 // The view supports the rejective greedy's working set — Add, Update,
-// RemoveVideo, CanFit/CanFitExcluding, SpaceAt, TrackQueries/QueriedNodes
-// — and panics on whole-profile walks (Peak, Overflows, OverflowSet) and
-// on Clone. Mutations must be limited to residencies of videos the view
-// has removed, which is exactly the greedy's contract: it only places
+// RemoveVideo, CanFit/CanFitExcluding, SpaceAt — and panics on
+// whole-profile walks (Peak, Overflows, OverflowSet) and on Clone. A view
+// masks exactly one video and mutations must be limited to residencies of
+// that video, which is exactly the greedy's contract: it only places
 // copies of the file being rescheduled.
 //
 // OverlayWithout itself must be called sequentially (it builds the base's
 // snapshots in place), but the returned views may then be used
 // concurrently with each other and with base reads, provided the base is
-// not mutated while views are live.
+// not mutated while views are live. Committing one view mutates the base,
+// so it invalidates every other live view of the same base: drop them and
+// take fresh ones.
 //
 // In naive (reference) mode the view is a plain Clone with the video
 // removed, so both query paths keep identical semantics.
@@ -577,115 +505,63 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 		catalog: l.catalog,
 		nodes:   make([]nodeState, len(l.nodes)),
 		base:    l,
-		removed: map[media.VideoID]bool{vid: true},
+		masked:  vid,
 		caps:    l.caps,
 		isWh:    l.isWh,
 	}
-	o.maskVideo(vid)
-	return o
-}
-
-// maskVideo inserts the negated breakpoint records of every base copy of
-// the video into the overlay's delta, cancelling the copies out of the
-// merged profile exactly (the records are recomputed bit-identically from
-// the stored entries, and each negated Load jump coincides with the
-// base's positive one, so the merged profile has no downward jumps).
-func (l *Ledger) maskVideo(vid media.VideoID) {
-	for _, node := range l.base.vidNodes[vid] {
-		n := int(node)
-		es := l.base.nodes[n].entries
-		st := &l.nodes[n]
+	for _, node := range l.vidNodes[vid] {
+		es := l.nodes[node].entries
+		st := &o.nodes[node]
 		for i := range es {
 			if es[i].ref.Video != vid {
 				continue
 			}
 			evs, ne := entryEvents(&es[i])
-			if len(st.events) == 0 && cap(st.events) == 0 {
-				// Fresh delta (the OverlayWithout path): batch the negated
-				// records and sort once, instead of a sorted insert per
-				// record. The insertion sort is stable, so records at equal
-				// times keep insertion order exactly as insertEvent places
-				// them.
-				neg := make([]event, 0, 3*len(es))
-				for j := i; j < len(es); j++ {
-					if es[j].ref.Video != vid {
-						continue
-					}
-					ev, m := entryEvents(&es[j])
-					for k := 0; k < m; k++ {
-						neg = append(neg, event{t: ev[k].t, jump: -ev[k].jump, dslope: -ev[k].dslope})
-					}
-				}
-				for a := 1; a < len(neg); a++ {
-					for b := a; b > 0 && neg[b].t < neg[b-1].t; b-- {
-						neg[b], neg[b-1] = neg[b-1], neg[b]
-					}
-				}
-				st.events = neg
-				break
-			}
 			for k := 0; k < ne; k++ {
 				st.events = insertEvent(st.events,
 					event{t: evs[k].t, jump: -evs[k].jump, dslope: -evs[k].dslope})
 			}
 		}
 	}
+	return o
 }
 
-// Flatten materializes an overlay view into a standalone ledger: a clone
-// of the base with the masked videos removed and the view's own
-// residencies replayed on top — the committed result of a winning
-// candidate. On a non-overlay ledger it returns the receiver unchanged,
-// so callers treat the clone-based (naive) and overlay paths uniformly.
-// The replay performs the same per-node mutations the clone-based path
-// would have, so entry order, event arrays and Version counters come out
-// bit-identical to Clone-then-RemoveVideo-then-reschedule.
-func (l *Ledger) Flatten() *Ledger {
+// Commit applies an overlay view to its base in place — the masked video
+// is removed from the base and the view's own residencies are replayed on
+// top — and returns the base: the committed result of a winning candidate.
+// Only the nodes the reschedule touched advance their version, so every
+// other node keeps its prefix snapshot and memoized overflow walk. The
+// view itself, and every other live view of the same base, is invalid
+// afterwards. On a non-overlay ledger (the reference path's clone) Commit
+// returns the receiver unchanged, so callers treat both paths uniformly;
+// the replay performs the same per-node mutations the clone path did, so
+// entry order, event arrays and version counters come out bit-identical
+// to Clone-then-RemoveVideo-then-reschedule.
+func (l *Ledger) Commit() *Ledger {
 	if l.base == nil {
 		return l
 	}
-	out := l.base.Clone()
-	for vid := range l.removed {
-		out.RemoveVideo(vid)
-	}
+	b := l.base
+	b.RemoveVideo(l.masked)
 	for n := range l.nodes {
 		es := l.nodes[n].entries
 		for i := range es {
-			out.Add(es[i].ref, es[i].res)
+			b.Add(es[i].ref, es[i].res)
 		}
 	}
-	return out
+	return b
 }
 
 // RemoveVideo drops every residency of the given video from the ledger,
 // the first step of rescheduling a victim file. Nodes holding no copy of
-// the video are left untouched (and, on a clone, un-copied).
+// the video keep their version (and with it their snapshot). On an overlay
+// view it drops the copies the view itself has added; the base's copies are
+// already masked.
 func (l *Ledger) RemoveVideo(vid media.VideoID) {
-	if l.base != nil && !l.removed[vid] {
-		// Overlay view: mask the base's copies out of the delta once; the
-		// loop below then drops any copies the view itself has added.
-		if l.removed == nil {
-			l.removed = make(map[media.VideoID]bool)
-		}
-		l.removed[vid] = true
-		l.maskVideo(vid)
-	}
 	for n := range l.nodes {
 		node := topology.NodeID(n)
-		es := l.nodes[n].entries
-		holds := false
-		for i := range es {
-			if es[i].ref.Video == vid {
-				holds = true
-				break
-			}
-		}
-		if !holds {
-			continue
-		}
-		l.own(node)
 		st := &l.nodes[n]
-		es = st.entries
+		es := st.entries
 		kept := es[:0]
 		changed := false
 		for i := range es {
@@ -707,7 +583,6 @@ func (l *Ledger) NumEntries(node topology.NodeID) int { return len(l.nodes[node]
 
 // SpaceAt returns the total occupancy at the node at time t, in bytes.
 func (l *Ledger) SpaceAt(node topology.NodeID, t simtime.Time) float64 {
-	l.touch(node)
 	if l.base != nil {
 		// Overlay view: the base's value plus the delta integrated up to t.
 		total := l.base.SpaceAt(node, t)
@@ -780,9 +655,8 @@ func (l *Ledger) breakpoints(node topology.NodeID, window *simtime.Interval) []s
 // time at which it is attained.
 func (l *Ledger) Peak(node topology.NodeID) (float64, simtime.Time) {
 	if l.base != nil {
-		panic("occupancy: Peak on an overlay view; Flatten it first")
+		panic("occupancy: Peak on an overlay view")
 	}
-	l.touch(node)
 	best, when := 0.0, simtime.Time(0)
 	if l.naive {
 		for _, t := range l.breakpoints(node, nil) {
@@ -835,12 +709,11 @@ func (l *Ledger) jumpAt(node topology.NodeID, t simtime.Time) float64 {
 // must treat the returned slice as read-only.
 func (l *Ledger) Overflows(node topology.NodeID) []Overflow {
 	if l.base != nil {
-		panic("occupancy: Overflows on an overlay view; Flatten it first")
+		panic("occupancy: Overflows on an overlay view")
 	}
 	if l.topo.Node(node).Kind == topology.KindWarehouse {
 		return nil
 	}
-	l.touch(node)
 	st := &l.nodes[node]
 	if st.ovValid && st.ovVer == st.ver {
 		return st.ovs
@@ -1044,9 +917,8 @@ func (l *Ledger) AllOverflows() []Overflow {
 // and is not a candidate victim.
 func (l *Ledger) OverflowSet(node topology.NodeID, iv simtime.Interval) []Ref {
 	if l.base != nil {
-		panic("occupancy: OverflowSet on an overlay view; Flatten it first")
+		panic("occupancy: OverflowSet on an overlay view")
 	}
-	l.touch(node)
 	var out []Ref
 	es := l.nodes[node].entries
 	for i := range es {
@@ -1097,7 +969,6 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	if l.isWh[node] {
 		return true
 	}
-	l.touch(node)
 	if l.naive {
 		return l.canFitNaive(c, exclude)
 	}

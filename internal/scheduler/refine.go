@@ -62,7 +62,7 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 			candCost := m.FileCost(cand)
 			if candCost < curCost-eps {
 				s.Put(cand)
-				ledger = tmp.Flatten()
+				ledger = tmp.Commit()
 				res.moved++
 				res.savings += curCost - candCost
 				improved = true

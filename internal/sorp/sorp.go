@@ -70,10 +70,11 @@ type Options struct {
 	// runs, since rescheduling a victim may grow its residency count).
 	MaxIterations int
 	// Workers bounds the concurrent evaluation of candidate reschedules
-	// during victim selection: each candidate works on its own ledger
-	// clone, and the winner is picked by the same total order as a
-	// sequential run, so the victim sequence is byte-identical for any
-	// worker count. 0 means GOMAXPROCS, 1 forces the sequential path.
+	// during victim selection: each candidate works on its own overlay
+	// view of the one ledger, and the winner is picked by the same total
+	// order as a sequential run, so the victim sequence is byte-identical
+	// for any worker count. 0 means GOMAXPROCS, 1 forces the sequential
+	// path.
 	Workers int
 	// Seeds are the pre-placed standing copies per video (strategic
 	// replication). Rescheduling a victim re-seeds them: they are placed
@@ -149,7 +150,9 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 		CostBefore:       m.ScheduleCost(s),
 	}
 
-	cache := newResolveCache()
+	// fileCost holds each touched file's current Ψ contribution, so a
+	// candidate's overhead is a Ψ delta instead of a full re-costing.
+	fileCost := make(map[media.VideoID]units.Money)
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sorp: resolution aborted: %w", err)
@@ -162,108 +165,30 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 			return nil, fmt.Errorf("sorp: no resolution after %d iterations (%d overflows remain)",
 				iter, len(overflows))
 		}
-		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, cache)
+		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost)
 		if err != nil {
 			return nil, err
 		}
 		if !found {
 			return nil, fmt.Errorf("sorp: %d overflows but no reschedulable victim", len(overflows))
 		}
-		if best.schedule == nil {
-			// The winner was revalidated from the pair cache, which keeps
-			// only the decision-ranking fields. Replay the reschedule on a
-			// fresh view of the current ledger: the cache's validity
-			// conditions (unchanged file, unchanged touched-node profiles)
-			// guarantee the replay makes the identical placement decisions,
-			// and the replayed view reflects the current base state.
-			of := occupancy.Overflow{Node: best.record.Node, Interval: best.record.Window}
-			rs := rescheduleFile(m, ledger.OverlayWithout(best.record.Video), best.record.Video, of,
-				reqs[best.record.Video], opts, cache.fileCost[best.record.Video])
-			if !rs.ok {
-				return nil, fmt.Errorf("sorp: cached victim (video %d) failed to replay", best.record.Video)
-			}
-			best.schedule, best.ledger, best.newCost = rs.fs, rs.ledger, rs.newCost
-		}
-		// Commit the winning candidate: materializing its overlay view
-		// yields the ledger with the rescheduled file applied.
-		work.Put(best.schedule)
-		ledger = best.ledger.Flatten()
-		cache.fileVer[best.record.Video]++
-		cache.fileCost[best.record.Video] = best.newCost
+		// Commit the winning candidate in place; every losing view of this
+		// iteration is dead from here on.
+		work.Put(best.fs)
+		ledger = best.ledger.Commit()
+		fileCost[best.record.Video] = best.newCost
 		res.Victims = append(res.Victims, best.record)
 	}
 	res.CostAfter = m.ScheduleCost(work)
 	return res, nil
 }
 
+// candidate is one involved residency scored for victimhood: the
+// reschedule of its file plus the victim record (heat included) that
+// reschedule earns it.
 type candidate struct {
-	schedule *schedule.FileSchedule
-	ledger   *occupancy.Ledger
-	record   Victim
-	heat     float64
-	overhead units.Money
-	newCost  units.Money
-}
-
-// pairKey identifies one deduped reschedule evaluation: resolving overflow
-// (node, interval) by re-planning the whole file of one video.
-type pairKey struct {
-	node     topology.NodeID
-	interval simtime.Interval
-	video    media.VideoID
-}
-
-// pairEntry memoizes the outcome of one (overflow, video) evaluation
-// across resolution iterations. It stays valid while (a) the victim file
-// itself is unchanged (fileVer) and (b) every node whose occupancy answers
-// the evaluation read is at the same profile version (touched/vers) — the
-// rejective greedy's decisions depend on the base ledger only through
-// CanFit queries, so unchanged answers replay to an identical schedule and
-// identical overhead. heats memoizes computeHeat per involved residency
-// (ref.Index); the improvement term depends only on the residency and the
-// overflow window, both pinned by the validity conditions.
-type pairEntry struct {
-	ok       bool
-	overhead units.Money
-	fileVer  uint64
-	touched  []topology.NodeID
-	vers     []uint64
-	heats    map[int]float64
-}
-
-// resolveCache carries SORP's incremental state across iterations: the
-// (overflow, video) evaluation memos and, per video, the committed file's
-// version counter and Ψ contribution. Committing a victim bumps only that
-// file's version and only the rescheduled nodes' profile versions, so the
-// next iteration re-evaluates just the pairs the commit actually touched —
-// every other pair's heat and overhead are reused, and overheads are Ψ
-// deltas against the cached per-file cost instead of full re-costings.
-type resolveCache struct {
-	pairs    map[pairKey]*pairEntry
-	fileVer  map[media.VideoID]uint64
-	fileCost map[media.VideoID]units.Money
-}
-
-func newResolveCache() *resolveCache {
-	return &resolveCache{
-		pairs:    make(map[pairKey]*pairEntry),
-		fileVer:  make(map[media.VideoID]uint64),
-		fileCost: make(map[media.VideoID]units.Money),
-	}
-}
-
-// valid reports whether the memo may stand in for re-running the
-// evaluation against the current base ledger.
-func (pe *pairEntry) valid(ledger *occupancy.Ledger, fileVer uint64) bool {
-	if pe.fileVer != fileVer {
-		return false
-	}
-	for i, n := range pe.touched {
-		if ledger.Version(n) != pe.vers[i] {
-			return false
-		}
-	}
-	return true
+	reschedResult
+	record Victim
 }
 
 // iterationBound returns the safety valve for the resolution loop. An
@@ -313,82 +238,53 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // evaluated for its heat but the expensive reschedule is deduped by
 // (overflow, video) — the paper's loop is per c_i, yet for a given pair
 // the reschedule result is identical and only the improvement term
-// differs. Pairs whose memoized evaluation is still valid (see pairEntry)
-// are reused outright; the rest run fresh. The fresh reschedules are
-// independent — each works on its own ledger clone — so they are evaluated
-// across the worker pool; the clones are taken sequentially up front
-// (Ledger.Clone is a mutation of the source's sharing state) and the
-// winner is then picked by a sequential walk in overflow/ref order with
-// the better() total order. Both the memo state and the walk are
+// differs. The reschedules are independent — each works on its own overlay
+// view of the ledger — so they are evaluated across the worker pool; the
+// views are taken sequentially up front (Ledger.OverlayWithout builds the
+// base's snapshots in place) and the winner is then picked by a sequential
+// walk in overflow/ref order with the better() total order. The walk is
 // independent of worker count and completion order, so the selected victim
 // sequence stays byte-identical for any Workers setting.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
-	cache *resolveCache) (candidate, bool, error) {
+	fileCost map[media.VideoID]units.Money) (candidate, bool, error) {
 
 	type reschedJob struct {
 		overflow int
 		video    media.VideoID
 		tmp      *occupancy.Ledger
-		entry    *pairEntry
 		result   reschedResult
 	}
 	var jobs []reschedJob
-	pairOf := make([]map[media.VideoID]*pairEntry, len(overflows))
+	jobOf := make([]map[media.VideoID]int, len(overflows))
 	refsOf := make([][]occupancy.Ref, len(overflows))
 	for oi, of := range overflows {
 		refs := ledger.OverflowSet(of.Node, of.Interval)
 		refsOf[oi] = refs
-		pairOf[oi] = make(map[media.VideoID]*pairEntry, len(refs))
+		jobOf[oi] = make(map[media.VideoID]int, len(refs))
 		for _, ref := range refs {
 			if _, live, err := liveVictim(work, opts, ref); err != nil {
 				return candidate{}, false, err
 			} else if !live {
 				continue
 			}
-			if _, dup := pairOf[oi][ref.Video]; dup {
+			if _, dup := jobOf[oi][ref.Video]; dup {
 				continue
 			}
-			key := pairKey{node: of.Node, interval: of.Interval, video: ref.Video}
-			if pe := cache.pairs[key]; pe != nil && pe.valid(ledger, cache.fileVer[ref.Video]) {
-				pairOf[oi][ref.Video] = pe
-				continue
+			if _, ok := fileCost[ref.Video]; !ok {
+				fileCost[ref.Video] = m.FileCost(work.File(ref.Video))
 			}
-			if _, ok := cache.fileCost[ref.Video]; !ok {
-				cache.fileCost[ref.Video] = m.FileCost(work.File(ref.Video))
-			}
-			pe := &pairEntry{fileVer: cache.fileVer[ref.Video]}
-			cache.pairs[key] = pe
-			pairOf[oi][ref.Video] = pe
-			tmp := ledger.OverlayWithout(ref.Video)
-			tmp.TrackQueries()
-			jobs = append(jobs, reschedJob{overflow: oi, video: ref.Video, tmp: tmp, entry: pe})
+			jobOf[oi][ref.Video] = len(jobs)
+			jobs = append(jobs, reschedJob{overflow: oi, video: ref.Video, tmp: ledger.OverlayWithout(ref.Video)})
 		}
 	}
 
 	if err := parallel.Do(ctx, opts.Workers, len(jobs), func(i int) {
 		j := &jobs[i]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
-			cache.fileCost[j.video])
+			fileCost[j.video])
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
-	}
-	for i := range jobs {
-		j := &jobs[i]
-		j.entry.ok = j.result.ok
-		j.entry.overhead = j.result.overhead
-		j.entry.touched = j.tmp.QueriedNodes()
-		j.entry.vers = j.entry.vers[:0]
-		for _, n := range j.entry.touched {
-			j.entry.vers = append(j.entry.vers, ledger.Version(n))
-		}
-	}
-
-	// Fresh results (with a replayable schedule+ledger in hand) per pair,
-	// so a winning fresh pair commits without a replay.
-	fresh := make(map[*pairEntry]*reschedResult, len(jobs))
-	for i := range jobs {
-		fresh[jobs[i].entry] = &jobs[i].result
 	}
 
 	var best candidate
@@ -402,31 +298,19 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 			if !live {
 				continue
 			}
-			pe := pairOf[oi][ref.Video]
-			if !pe.ok {
+			rs := &jobs[jobOf[oi][ref.Video]].result
+			if !rs.ok {
 				continue
 			}
-			heat, cached := pe.heats[ref.Index]
-			if !cached {
-				heat = computeHeat(m, ci, of, pe.overhead, opts.Metric)
-				if pe.heats == nil {
-					pe.heats = make(map[int]float64, 4)
-				}
-				pe.heats[ref.Index] = heat
-			}
 			cand := candidate{
-				heat:     heat,
-				overhead: pe.overhead,
+				reschedResult: *rs,
 				record: Victim{
 					Video:    ref.Video,
 					Node:     of.Node,
 					Window:   of.Interval,
-					Heat:     heat,
-					Overhead: pe.overhead,
+					Heat:     computeHeat(m, ci, of, rs.overhead, opts.Metric),
+					Overhead: rs.overhead,
 				},
-			}
-			if rs := fresh[pe]; rs != nil {
-				cand.schedule, cand.ledger, cand.newCost = rs.fs, rs.ledger, rs.newCost
 			}
 			if !found || better(cand, best) {
 				best = cand
@@ -438,8 +322,8 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 }
 
 func better(a, b candidate) bool {
-	if a.heat != b.heat {
-		return a.heat > b.heat
+	if a.record.Heat != b.record.Heat {
+		return a.record.Heat > b.record.Heat
 	}
 	if a.overhead != b.overhead {
 		return a.overhead < b.overhead
@@ -459,8 +343,8 @@ type reschedResult struct {
 // ledger with the victim already removed (Ledger.OverlayWithout; taken by
 // the caller sequentially, so the concurrent evaluation path can fan the
 // views out afterwards). baseCost is the file's current Ψ contribution,
-// maintained incrementally by the resolve cache; the overhead is the Ψ
-// delta against it.
+// maintained incrementally by ResolveContext; the overhead is the Ψ delta
+// against it.
 func rescheduleFile(m *cost.Model, tmp *occupancy.Ledger,
 	vid media.VideoID, of occupancy.Overflow, rs []workload.Request, opts Options,
 	baseCost units.Money) (out reschedResult) {
