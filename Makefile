@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test vet bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
+.PHONY: all build test vet check-shell bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
 
 all: build vet test
 
@@ -15,8 +15,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet
+test: vet check-shell
 	$(GO) test ./...
+
+# One serving shell: the JSON reply helper, the JSON body decoder and the
+# signal/drain loop live once, in internal/httpkit. Fails when a second
+# non-test definition appears under internal/ or in the two serving
+# commands, so the per-tier copies cannot grow back.
+check-shell:
+	@for pat in 'func (\([^)]*\) )?[wW]riteJSON\(' 'func (\([^)]*\) )?[dD]ecodeBody\(' 'signal\.NotifyContext\('; do \
+		hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' "$$pat" internal cmd/vspserve cmd/vspgateway); \
+		if [ $$(printf '%s\n' "$$hits" | grep -c .) -gt 1 ]; then \
+			echo "check-shell: more than one definition of '$$pat' (internal/httpkit owns it):"; \
+			echo "$$hits"; exit 1; \
+		fi; \
+	done
 
 race:
 	$(GO) test -race ./...

@@ -26,24 +26,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/gateway"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 )
-
-const drainTimeout = 10 * time.Second
 
 // parseShard decodes one -shard value: "id=primaryURL[,standbyURL]".
 func parseShard(v string) (gateway.ShardConfig, error) {
@@ -120,19 +115,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("vspgateway: %v", err)
 	}
-	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      gw,
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 120 * time.Second,
-		IdleTimeout:  *idleTimeout,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	for _, sc := range shards {
 		standby := "no standby"
 		if sc.Standby != "" {
@@ -140,24 +122,9 @@ func main() {
 		}
 		log.Printf("vspgateway: shard %s -> %s (%s)", sc.ID, sc.Primary, standby)
 	}
-	log.Printf("vspgateway: routing %d shard(s) by %s; listening on %s", len(shards), policy.Name(), *addr)
-
-	select {
-	case err := <-errc:
+	log.Printf("vspgateway: routing %d shard(s) by %s", len(shards), policy.Name())
+	closeFn := func() error { gw.Close(); return nil }
+	if err := httpkit.Serve(context.Background(), "vspgateway", *addr, gw, *idleTimeout, closeFn); err != nil {
 		log.Fatalf("vspgateway: %v", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second signal kills hard
-		log.Printf("vspgateway: shutting down, draining for up to %v", drainTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("vspgateway: drain incomplete: %v", err)
-			os.Exit(1)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("vspgateway: %v", err)
-		}
-		gw.Close()
-		log.Print("vspgateway: stopped")
 	}
 }

@@ -14,7 +14,7 @@
 // diurnal cycle, premiere flash crowds, rate windows, rank drift,
 // catalog churn, regional cohorts — record by record through a
 // TraceWriter, so a million-request trace goes straight to disk without
-// ever being resident; replay it with vspload or vsphorizon.
+// ever being resident; replay it with vspload.
 package main
 
 import (

@@ -13,12 +13,8 @@
 // accumulated batch at every epoch boundary, reporting how much work the
 // incremental service saves and the cost premium it pays (if any).
 //
-// With -server the trace is replayed against a running vspserve instead
-// of an in-process service: reservations go to POST /v1/reservations and
-// epoch boundaries to POST /v1/advance, with jittered-backoff retries on
-// transient failures (an overloaded server's 429/Retry-After included).
-// The URL may also be a vspgateway fronting several shards — the replay
-// then reports per-shard routing counts next to the latency summary.
+// The replay is in-process; to drive a running vspserve or vspgateway
+// over HTTP use vspload.
 package main
 
 import (
@@ -27,18 +23,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/scheduler"
-	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
-	"github.com/vodsim/vsp/internal/stats"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -54,7 +46,6 @@ type options struct {
 	compare                    bool
 	outPath                    string
 	quiet                      bool
-	serverURL                  string
 }
 
 func main() {
@@ -74,30 +65,11 @@ func main() {
 	flag.BoolVar(&o.compare, "compare", false, "also run the full re-solve baseline at every epoch boundary")
 	flag.StringVar(&o.outPath, "out", "", "write the final committed schedule JSON here")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the per-epoch table")
-	flag.StringVar(&o.serverURL, "server", "", "replay against a running vspserve at this base URL instead of in-process (epoch triggers then come from the server's -horizon config)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "vsphorizon:", err)
 		os.Exit(1)
 	}
-}
-
-func parseMetric(s string) (sorp.HeatMetric, error) {
-	for _, m := range []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, sorp.SpacePerCost} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown heat metric %q", s)
-}
-
-func parsePolicy(s string) (ivs.Policy, error) {
-	for _, p := range []ivs.Policy{ivs.CacheOnRoute, ivs.CacheAtDestination, ivs.NoCaching} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown caching policy %q", s)
 }
 
 // arrival is one reservation and the instant it reaches the intake.
@@ -151,17 +123,11 @@ func run(o options) error {
 	}
 	lead := simtime.Duration(o.leadHours * float64(simtime.Hour))
 	trace := buildTrace(reqs, lead)
-	if o.serverURL != "" {
-		if o.compare {
-			return fmt.Errorf("-compare needs the in-process service; it cannot run against -server")
-		}
-		return runRemote(o, trace)
-	}
-	metric, err := parseMetric(o.metricName)
+	metric, err := sorp.ParseMetric(o.metricName)
 	if err != nil {
 		return err
 	}
-	policy, err := parsePolicy(o.policyName)
+	policy, err := ivs.ParsePolicy(o.policyName)
 	if err != nil {
 		return err
 	}
@@ -242,112 +208,6 @@ func run(o options) error {
 	}
 	if o.outPath != "" {
 		return cli.SaveJSON(o.outPath, svc.Committed())
-	}
-	return nil
-}
-
-
-// remoteStats is the slice of GET /v1/stats this command reports on. A
-// vspgateway answers with the per-shard rollup; a plain vspserve has no
-// "shards" array and decodes to an empty slice.
-type remoteStats struct {
-	Policy string `json:"policy"`
-	Shards []struct {
-		ID      string `json:"id"`
-		Primary string `json:"primary"`
-		Routed  uint64 `json:"routed"`
-		Shed    uint64 `json:"shed"`
-		Epoch   int    `json:"epoch"`
-	} `json:"shards"`
-}
-
-// runRemote replays the trace against a running vspserve — or a
-// vspgateway fronting several shards; the surface is the same — over
-// HTTP. The retryhttp loop absorbs transient faults: a shed request
-// (429 + Retry-After) or a brief outage is retried with jittered backoff
-// instead of aborting the replay. Epoch triggers come from the server's
-// own horizon configuration, so the local -epoch-* flags are ignored.
-// Against a gateway, the summary includes how the placement policy
-// spread the trace across shards.
-func runRemote(o options, trace []arrival) error {
-	ctx := context.Background()
-	base := strings.TrimRight(o.serverURL, "/")
-	var retry retryhttp.Options
-	if !o.quiet {
-		fmt.Printf("replaying against %s\n", base)
-		fmt.Printf("%-6s %-10s %9s %9s %8s %8s %9s %12s %10s\n",
-			"epoch", "horizon", "admitted", "replanned", "frozenD", "frozenC", "victims", "cost", "elapsed")
-	}
-	var (
-		elapsed time.Duration
-		planned int
-		epochs  int
-	)
-	flush := func(to simtime.Time) error {
-		t0 := time.Now()
-		var res horizon.EpochResult
-		if err := retryhttp.PostJSON(ctx, retry, base+"/v1/advance", server.AdvanceRequest{To: to}, &res); err != nil {
-			return fmt.Errorf("advance to %v: %w", to, err)
-		}
-		dt := time.Since(t0)
-		elapsed += dt
-		planned += res.Admitted
-		epochs = res.Epoch + 1
-		if !o.quiet {
-			fmt.Printf("%-6d %-10v %9d %9d %8d %8d %9d %12v %10v\n",
-				res.Epoch, res.Horizon, res.Admitted, res.Replanned,
-				res.FrozenDeliveries, res.FrozenResidencies, len(res.Victims), res.Cost, dt.Round(time.Millisecond))
-		}
-		return nil
-	}
-	pending := 0
-	samples := make([]time.Duration, 0, len(trace))
-	for _, a := range trace {
-		at := a.at
-		var ack server.ReservationResponse
-		t0 := time.Now()
-		err := retryhttp.PostJSON(ctx, retry, base+"/v1/reservations",
-			server.ReservationRequest{User: a.r.User, Video: a.r.Video, Start: a.r.Start, At: &at}, &ack)
-		if err != nil {
-			return fmt.Errorf("submit (user %d, video %d, %v): %w", a.r.User, a.r.Video, a.r.Start, err)
-		}
-		samples = append(samples, time.Since(t0))
-		pending = ack.Pending
-		if ack.EpochDue {
-			if err := flush(a.at); err != nil {
-				return err
-			}
-			pending = 0
-		}
-	}
-	if pending > 0 {
-		if err := flush(trace[len(trace)-1].at); err != nil {
-			return err
-		}
-	}
-	var plan server.PlanResponse
-	if err := retryhttp.GetJSON(ctx, retry, base+"/v1/plan", &plan); err != nil {
-		return fmt.Errorf("fetch final plan: %w", err)
-	}
-	fmt.Printf("\nreservations      %d (planned %d over %d epochs)\n", len(trace), planned, epochs)
-	fmt.Printf("committed cost    %v\n", plan.Cost)
-	fmt.Printf("round-trip time   %v\n", elapsed.Round(time.Millisecond))
-	// The summary uses the shared nearest-rank percentiles
-	// (internal/stats) — exact over the sorted sample set; a replay is
-	// thousands of submits at most, so there is no need to sketch.
-	ls := stats.SummarizeLatency(samples)
-	fmt.Printf("submit latency    p50=%v p99=%v max=%v (%d submits)\n",
-		ls.P50.Round(time.Microsecond), ls.P99.Round(time.Microsecond), ls.Max.Round(time.Microsecond), ls.N)
-	var st remoteStats
-	if err := retryhttp.GetJSON(ctx, retry, base+"/v1/stats", &st); err == nil && len(st.Shards) > 0 {
-		fmt.Printf("\nrouting (%s placement across %d shards)\n", st.Policy, len(st.Shards))
-		fmt.Printf("%-8s %9s %7s %6s  %s\n", "shard", "routed", "shed", "epoch", "primary")
-		for _, sh := range st.Shards {
-			fmt.Printf("%-8s %9d %7d %6d  %s\n", sh.ID, sh.Routed, sh.Shed, sh.Epoch, sh.Primary)
-		}
-	}
-	if o.outPath != "" {
-		return cli.SaveJSON(o.outPath, plan.Schedule)
 	}
 	return nil
 }

@@ -42,24 +42,6 @@ func main() {
 	}
 }
 
-func parseMetric(s string) (sorp.HeatMetric, error) {
-	for _, m := range []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, sorp.SpacePerCost} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown heat metric %q", s)
-}
-
-func parsePolicy(s string) (ivs.Policy, error) {
-	for _, p := range []ivs.Policy{ivs.CacheOnRoute, ivs.CacheAtDestination, ivs.NoCaching} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown caching policy %q", s)
-}
-
 func run(topoPath, catPath, reqPath string, srate, nrate float64, metricName, policyName, outPath string, quiet, analyze, bill bool, workers int) error {
 	if topoPath == "" || catPath == "" || reqPath == "" {
 		return fmt.Errorf("-topo, -catalog and -requests are required")
@@ -76,11 +58,11 @@ func run(topoPath, catPath, reqPath string, srate, nrate float64, metricName, po
 	if err != nil {
 		return err
 	}
-	metric, err := parseMetric(metricName)
+	metric, err := sorp.ParseMetric(metricName)
 	if err != nil {
 		return err
 	}
-	policy, err := parsePolicy(policyName)
+	policy, err := ivs.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}

@@ -92,21 +92,21 @@ func TestRunErrors(t *testing.T) {
 
 func TestParseHelpers(t *testing.T) {
 	for _, m := range []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, sorp.SpacePerCost} {
-		got, err := parseMetric(m.String())
+		got, err := sorp.ParseMetric(m.String())
 		if err != nil || got != m {
-			t.Errorf("parseMetric(%q) = %v, %v", m.String(), got, err)
+			t.Errorf("sorp.ParseMetric(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := parseMetric("x"); err == nil {
+	if _, err := sorp.ParseMetric("x"); err == nil {
 		t.Error("expected metric parse error")
 	}
 	for _, p := range []ivs.Policy{ivs.CacheOnRoute, ivs.CacheAtDestination, ivs.NoCaching} {
-		got, err := parsePolicy(p.String())
+		got, err := ivs.ParsePolicy(p.String())
 		if err != nil || got != p {
-			t.Errorf("parsePolicy(%q) = %v, %v", p.String(), got, err)
+			t.Errorf("ivs.ParsePolicy(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := parsePolicy("x"); err == nil {
+	if _, err := ivs.ParsePolicy("x"); err == nil {
 		t.Error("expected policy parse error")
 	}
 }

@@ -34,26 +34,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/wal"
 )
-
-// drainTimeout bounds how long shutdown waits for in-flight requests.
-const drainTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -153,45 +148,13 @@ func main() {
 		handler = inj.Middleware(handler)
 		log.Printf("vspserve: CHAOS ENABLED — %d fault rule(s), seed %d; this node will misbehave on purpose", len(rules), *chaosSeed)
 	}
-	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      handler,
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 120 * time.Second,
-		IdleTimeout:  *idleTimeout,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *replFrom != "" {
-		api.StartReplication(ctx)
+		// Shipping stops at promotion, or when Serve closes the API.
+		api.StartReplication(context.Background())
 		log.Printf("vspserve: shipping WAL from %s (GET /readyz reports catch-up; promote with POST /v1/replication/promote)", *replFrom)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("vspserve: %d storages, %d users, %d titles; listening on %s",
-		topo.NumStorages(), topo.NumUsers(), cat.Len(), *addr)
-
-	select {
-	case err := <-errc:
+	log.Printf("vspserve: %d storages, %d users, %d titles", topo.NumStorages(), topo.NumUsers(), cat.Len())
+	if err := httpkit.Serve(context.Background(), "vspserve", *addr, handler, *idleTimeout, api.Close); err != nil {
 		log.Fatalf("vspserve: %v", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second signal kills hard
-		log.Printf("vspserve: shutting down, draining for up to %v", drainTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("vspserve: drain incomplete: %v", err)
-			os.Exit(1)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("vspserve: %v", err)
-		}
-		if err := api.Close(); err != nil {
-			log.Printf("vspserve: journal close: %v", err)
-		}
-		log.Print("vspserve: stopped")
 	}
 }

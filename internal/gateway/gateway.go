@@ -19,12 +19,13 @@
 // dead-or-alive health check cannot see — is ejected from placement by a
 // per-shard circuit breaker (breaker.go) until a half-open probe clears
 // it. When every shard is ejected the gateway sheds with 503 +
-// Retry-After instead of queueing doomed work.
+// Retry-After instead of queueing doomed work. The mux sits behind
+// internal/httpkit's body cap, Retry-After decoration and panic recovery,
+// the same layers internal/server mounts.
 package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -145,9 +147,9 @@ func (sh *shard) view(i int) View {
 // Gateway fronts the shards. It is an http.Handler safe for concurrent
 // use; Close it after the HTTP server has drained.
 type Gateway struct {
-	shards      []*shard
-	policy      Placement
-	retry       retryhttp.Options
+	shards       []*shard
+	policy       Placement
+	retry        retryhttp.Options
 	autoAdvance  bool
 	advanceLag   simtime.Duration
 	shardTimeout time.Duration
@@ -159,7 +161,7 @@ type Gateway struct {
 
 	placeMu sync.Mutex // serializes Place with the outstanding bump
 
-	mux *http.ServeMux
+	handler http.Handler
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -209,13 +211,17 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Topo != nil {
 		g.regions = UserRegions(cfg.Topo, len(g.shards))
 	}
-	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("GET /healthz", g.handleHealth)
-	g.mux.HandleFunc("GET /readyz", g.handleReady)
-	g.mux.HandleFunc("GET /v1/stats", g.handleStats)
-	g.mux.HandleFunc("GET /v1/plan", g.handlePlan)
-	g.mux.HandleFunc("POST /v1/reservations", g.handleReservation)
-	g.mux.HandleFunc("POST /v1/advance", g.handleAdvance)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", g.handleHealth)
+	mux.HandleFunc("GET /readyz", g.handleReady)
+	mux.HandleFunc("GET /v1/stats", g.handleStats)
+	mux.HandleFunc("GET /v1/plan", g.handlePlan)
+	mux.HandleFunc("POST /v1/reservations", g.handleReservation)
+	mux.HandleFunc("POST /v1/advance", g.handleAdvance)
+	// No request timeout or limiter here: ShardTimeout/X-Request-Budget-Ms
+	// and the per-shard breakers already are this tier's deadline and shed.
+	g.handler = httpkit.RecoverPanics(httpkit.RetryAfter503(
+		httpkit.LimitBody(mux, server.DefaultMaxRequestBytes)))
 	if cfg.PollInterval > 0 {
 		g.wg.Add(1)
 		go g.pollLoop(cfg.PollInterval)
@@ -224,7 +230,7 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.handler.ServeHTTP(w, r) }
 
 // Policy returns the active placement policy's name.
 func (g *Gateway) Policy() string { return g.policy.Name() }
@@ -292,11 +298,11 @@ type ReservationResponse struct {
 
 func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	var req server.ReservationRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Start < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
 		return
 	}
 	info := RouteInfo{User: req.User, Video: req.Video, Start: req.Start, Region: -1}
@@ -308,8 +314,7 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 		// Degraded mode bottomed out: every shard's breaker is open.
 		// Shed like an overloaded shard would, naming when to come back.
 		g.sheds.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable,
+		httpkit.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("all shards ejected by circuit breakers; retry shortly"))
 		return
 	}
@@ -334,7 +339,7 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	if ack.EpochDue {
 		g.maybeAutoAdvance(sh)
 	}
-	writeJSON(w, http.StatusAccepted, ReservationResponse{ReservationResponse: ack, Shard: sh.id})
+	httpkit.WriteJSON(w, http.StatusAccepted, ReservationResponse{ReservationResponse: ack, Shard: sh.id})
 }
 
 // shardContext derives the per-forward deadline: the configured
@@ -419,20 +424,28 @@ func (g *Gateway) advanceShard(ctx context.Context, sh *shard) {
 	if int64(to) <= sh.lastAdvance.Load() {
 		return // nothing new to commit
 	}
+	// A failure is not fatal: the next EpochDue ack retries.
+	if _, dur, err := g.advanceOne(ctx, sh, to); err == nil {
+		sh.advances.Add(1)
+		sh.advanceNanos.Add(dur.Nanoseconds())
+	}
+}
+
+// advanceOne closes sh's epoch up to to, for the auto-advancer and the
+// broadcast alike, and returns the round-trip time. Epoch solves are
+// legitimately slow, so an advance feeds the breaker only its error
+// signal, never its duration.
+func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (horizon.EpochResult, time.Duration, error) {
 	t0 := time.Now()
 	var res horizon.EpochResult
 	err := g.forward(ctx, sh, func(base string) error {
 		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/advance", server.AdvanceRequest{To: to}, &res)
 	})
-	// Epoch solves are legitimately slow, so an advance feeds the breaker
-	// only its error signal, never its duration.
 	recordOutcome(sh, 0, err)
-	if err != nil {
-		return // not fatal: the next EpochDue ack retries
+	if err == nil {
+		storeMax(&sh.lastAdvance, int64(to))
 	}
-	storeMax(&sh.lastAdvance, int64(to))
-	sh.advances.Add(1)
-	sh.advanceNanos.Add(time.Since(t0).Nanoseconds())
+	return res, time.Since(t0), err
 }
 
 // ShardEpoch is one shard's slice of a broadcast advance.
@@ -453,10 +466,10 @@ type ShardFailure struct {
 
 // AdvanceResponse aggregates a broadcast epoch close. The top-level
 // fields mirror horizon.EpochResult's JSON, so single-server clients
-// (cmd/vsphorizon) decode it unchanged: counters are summed, Horizon is
-// the slowest (minimum) shard commit horizon, Epoch the largest shard
-// epoch index. LagMS is the epoch-advance lag — the spread between the
-// fastest and slowest shard's advance round-trip.
+// (internal/loadgen, behind cmd/vspload) decode it unchanged: counters
+// are summed, Horizon is the slowest (minimum) shard commit horizon,
+// Epoch the largest shard epoch index. LagMS is the epoch-advance lag —
+// the spread between the fastest and slowest shard's advance round-trip.
 //
 // A broadcast is not all-or-nothing: shards that advanced report their
 // results in Shards, shards that did not land in Failed, and only a
@@ -480,7 +493,7 @@ type AdvanceResponse struct {
 
 func (g *Gateway) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req server.AdvanceRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	res, sh, err := g.advanceAll(r.Context(), req.To)
@@ -488,7 +501,7 @@ func (g *Gateway) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeUpstreamErr(w, sh, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpkit.WriteJSON(w, http.StatusOK, res)
 }
 
 // advanceAll broadcasts one advance to every shard concurrently and
@@ -510,13 +523,7 @@ func (g *Gateway) advanceAll(ctx context.Context, to simtime.Time) (AdvanceRespo
 			defer wg.Done()
 			sh.outstanding.Add(1)
 			defer sh.outstanding.Add(-1)
-			t0 := time.Now()
-			var res horizon.EpochResult
-			err := g.forward(ctx, sh, func(base string) error {
-				return retryhttp.PostJSON(ctx, g.retry, base+"/v1/advance", server.AdvanceRequest{To: to}, &res)
-			})
-			recordOutcome(sh, 0, err)
-			outs[i] = outcome{res: res, dur: time.Since(t0), err: err}
+			outs[i].res, outs[i].dur, outs[i].err = g.advanceOne(ctx, sh, to)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -534,7 +541,6 @@ func (g *Gateway) advanceAll(ctx context.Context, to simtime.Time) (AdvanceRespo
 			agg.Failed = append(agg.Failed, f)
 			continue
 		}
-		storeMax(&sh.lastAdvance, int64(to))
 		if first || o.res.Horizon < agg.Horizon {
 			agg.Horizon = o.res.Horizon
 		}
@@ -570,7 +576,7 @@ func (g *Gateway) advanceAll(ctx context.Context, to simtime.Time) (AdvanceRespo
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": len(g.shards)})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": len(g.shards)})
 }
 
 // ReadyResponse is the GET /readyz reply: the tier is ready while at
@@ -602,7 +608,7 @@ func (g *Gateway) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if !resp.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	httpkit.WriteJSON(w, code, resp)
 }
 
 // pollLoop refreshes the polled stats snapshots on the configured
@@ -695,7 +701,7 @@ type StatsResponse struct {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	g.PollNow(r.Context())
-	writeJSON(w, http.StatusOK, g.Stats())
+	httpkit.WriteJSON(w, http.StatusOK, g.Stats())
 }
 
 // Stats assembles the gateway's view of the tier from the counters and
@@ -739,14 +745,6 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return false
-	}
-	return true
-}
-
 // writeUpstreamErr relays a shard failure: protocol answers keep their
 // status and message (a late-arrival 409 must reach the client intact);
 // transport-level failures become 502, which retrying clients treat as
@@ -758,21 +756,11 @@ func writeUpstreamErr(w http.ResponseWriter, sh *shard, err error) {
 	}
 	var se *retryhttp.StatusError
 	if errors.As(err, &se) {
-		writeJSON(w, se.Code, map[string]string{"error": se.Message, "shard": id})
+		httpkit.WriteJSON(w, se.Code, map[string]string{"error": se.Message, "shard": id})
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, map[string]string{
+	httpkit.WriteJSON(w, http.StatusBadGateway, map[string]string{
 		"error": fmt.Sprintf("shard %s: %v", id, err),
 		"shard": id,
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sync"
 
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/server"
@@ -90,7 +91,7 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeUpstreamErr(w, sh, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpkit.WriteJSON(w, http.StatusOK, res)
 }
 
 // planAll fetches every shard's plan concurrently and merges them. On

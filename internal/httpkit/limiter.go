@@ -1,4 +1,4 @@
-package server
+package httpkit
 
 import (
 	"math"
@@ -8,17 +8,17 @@ import (
 	"time"
 )
 
-// Admission control: a bounded in-flight limiter with a small wait queue.
-// Scheduling requests are CPU-heavy, so under overload the failure mode
-// of an unlimited server is the worst one — every request slows down
-// until all of them time out while the connection count (and memory)
-// grows without bound. The limiter instead admits up to maxInFlight
-// requests, parks up to maxQueue more for at most wait, and sheds the
-// rest immediately with 429 and a Retry-After header so well-behaved
-// clients back off instead of piling on. GET /healthz bypasses the
-// limiter: liveness probes must answer precisely when the server is
-// saturated.
-type limiter struct {
+// Limiter is admission control: a bounded in-flight limiter with a small
+// wait queue. Scheduling requests are CPU-heavy, so under overload the
+// failure mode of an unlimited server is the worst one — every request
+// slows down until all of them time out while the connection count (and
+// memory) grows without bound. The limiter instead admits up to
+// maxInFlight requests, parks up to maxQueue more for at most wait, and
+// sheds the rest immediately with 429 and a Retry-After header so
+// well-behaved clients back off instead of piling on. GET /healthz
+// bypasses the limiter: liveness probes must answer precisely when the
+// server is saturated.
+type Limiter struct {
 	slots      chan struct{} // in-flight tokens
 	queue      chan struct{} // wait-queue tokens
 	wait       time.Duration
@@ -26,8 +26,9 @@ type limiter struct {
 	shed       atomic.Uint64
 }
 
-func newLimiter(maxInFlight, maxQueue int, wait time.Duration) *limiter {
-	return &limiter{
+// NewLimiter builds a Limiter with the given bounds.
+func NewLimiter(maxInFlight, maxQueue int, wait time.Duration) *Limiter {
+	return &Limiter{
 		slots:      make(chan struct{}, maxInFlight),
 		queue:      make(chan struct{}, maxQueue),
 		wait:       wait,
@@ -36,15 +37,16 @@ func newLimiter(maxInFlight, maxQueue int, wait time.Duration) *limiter {
 }
 
 // Shed returns how many requests were rejected with 429.
-func (l *limiter) Shed() uint64 { return l.shed.Load() }
+func (l *Limiter) Shed() uint64 { return l.shed.Load() }
 
 // InFlight returns the number of requests currently admitted.
-func (l *limiter) InFlight() int { return len(l.slots) }
+func (l *Limiter) InFlight() int { return len(l.slots) }
 
 // Capacity returns the in-flight bound.
-func (l *limiter) Capacity() int { return cap(l.slots) }
+func (l *Limiter) Capacity() int { return cap(l.slots) }
 
-func (l *limiter) wrap(next http.Handler) http.Handler {
+// Wrap puts next behind the limiter.
+func (l *Limiter) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Liveness and readiness probes bypass admission control: a load
 		// balancer must get an answer precisely when the server is
@@ -85,9 +87,9 @@ func (l *limiter) wrap(next http.Handler) http.Handler {
 	})
 }
 
-func (l *limiter) reject(w http.ResponseWriter) {
+func (l *Limiter) reject(w http.ResponseWriter) {
 	l.shed.Add(1)
 	w.Header().Set("Retry-After", l.retryAfter)
-	writeJSON(w, http.StatusTooManyRequests,
+	WriteJSON(w, http.StatusTooManyRequests,
 		map[string]string{"error": "server overloaded; retry after backoff"})
 }

@@ -64,6 +64,16 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy resolves a policy name as String spells it.
+func ParsePolicy(s string) (Policy, error) {
+	for _, p := range []Policy{CacheOnRoute, CacheAtDestination, NoCaching} {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", s)
+}
+
 // Options configures one ScheduleFile run.
 type Options struct {
 	// Policy selects the caching behaviour (default CacheOnRoute).

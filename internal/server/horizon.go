@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -51,11 +52,11 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReservationRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Start < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
 		return
 	}
 	at := req.Start
@@ -65,13 +66,13 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	ack, err := s.horizon.Submit(at, workload.Request{User: req.User, Video: req.Video, Start: req.Start})
 	if err != nil {
 		if errors.Is(err, horizon.ErrLateArrival) {
-			writeErr(w, http.StatusConflict, err)
+			httpkit.WriteErr(w, http.StatusConflict, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, ReservationResponse{
+	httpkit.WriteJSON(w, http.StatusAccepted, ReservationResponse{
 		Accepted:     true,
 		Pending:      ack.Pending,
 		PendingBytes: ack.PendingBytes,
@@ -91,7 +92,7 @@ type PlanResponse struct {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, PlanResponse{
+	httpkit.WriteJSON(w, http.StatusOK, PlanResponse{
 		Schedule: s.horizon.Committed(),
 		Horizon:  s.horizon.Horizon(),
 		Epoch:    s.horizon.Epoch(),
@@ -110,7 +111,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AdvanceRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	t0 := time.Now()
@@ -121,11 +122,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if s.horizon.Horizon() > req.To {
-			writeErr(w, http.StatusBadRequest, err)
+			httpkit.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeErr(w, schedulingStatus(err), err)
+		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpkit.WriteJSON(w, http.StatusOK, res)
 }

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"log"
 	"net/http"
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
 )
 
@@ -111,80 +111,13 @@ func (o Options) withDefaults() Options {
 // wait does not consume the handling budget), the Retry-After decoration
 // of 503s, and outermost panic recovery (http.TimeoutHandler propagates
 // inner-handler panics to its caller, so recovery must sit outside it).
-func harden(h http.Handler, opts Options, lim *limiter) http.Handler {
-	h = limitBody(h, opts.MaxRequestBytes)
+func harden(h http.Handler, opts Options, lim *httpkit.Limiter) http.Handler {
+	h = httpkit.LimitBody(h, opts.MaxRequestBytes)
 	if opts.RequestTimeout > 0 {
 		h = http.TimeoutHandler(h, opts.RequestTimeout, `{"error":"request timed out"}`)
 	}
 	if lim != nil {
-		h = lim.wrap(h)
+		h = lim.Wrap(h)
 	}
-	return recoverPanics(retryAfter503(h))
-}
-
-// timeoutRetryAfter is the Retry-After value attached to 503 replies.
-const timeoutRetryAfter = "1"
-
-// retryAfter503 decorates every 503 reply — http.TimeoutHandler's, and
-// the handlers' own context-expiry 503s — with a Retry-After header, so
-// timed-out clients back off exactly like shed ones (whose 429 carries
-// the header already).
-func retryAfter503(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&retryAfterWriter{ResponseWriter: w}, r)
-	})
-}
-
-type retryAfterWriter struct {
-	http.ResponseWriter
-	wroteHeader bool
-}
-
-func (w *retryAfterWriter) WriteHeader(code int) {
-	if !w.wroteHeader {
-		w.wroteHeader = true
-		if code == http.StatusServiceUnavailable && w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", timeoutRetryAfter)
-		}
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *retryAfterWriter) Write(b []byte) (int, error) {
-	if !w.wroteHeader {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// limitBody caps the request body via http.MaxBytesReader; reads past the
-// limit fail with *http.MaxBytesError, which the JSON decode path maps to
-// 413.
-func limitBody(next http.Handler, limit int64) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// recoverPanics converts a handler panic into a 500 JSON error instead of
-// tearing down the connection, and logs the panic value. A panicking
-// handler may already have written a partial response; in that case the
-// write of the error body fails silently, which is the best that can be
-// done after the fact.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				log.Printf("server: panic serving %s %s: %v", r.Method, r.URL.Path, v)
-				writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return httpkit.RecoverPanics(httpkit.RetryAfter503(h))
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 )
@@ -100,7 +101,7 @@ func (s *Server) replStatus() (replica.Status, bool) {
 // node cannot honor it, and retrying here will not help.
 func (s *Server) checkLeader(w http.ResponseWriter) bool {
 	if err := s.lead.CheckPrimary(); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		httpkit.WriteErr(w, http.StatusConflict, err)
 		return false
 	}
 	return true
@@ -134,12 +135,12 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			resp.Reason = "follower without a replication source"
 		}
 	}
-	writeJSON(w, code, resp)
+	httpkit.WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
 	st, _ := s.replStatus()
-	writeJSON(w, http.StatusOK, st)
+	httpkit.WriteJSON(w, http.StatusOK, st)
 }
 
 // queryUint parses an optional unsigned query parameter.
@@ -164,32 +165,32 @@ func queryUint(r *http.Request, name string) (uint64, error) {
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	after, err := queryUint(r, "after")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	reqEpoch, err := queryUint(r, "epoch")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	max, err := queryUint(r, "max")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	s.lead.Observe(reqEpoch) // a newer epoch fences this node
 	if err := s.lead.CheckPrimary(); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
 	tail, err := s.horizon.TailAfter(after, int(max))
 	if err != nil {
 		if errors.Is(err, horizon.ErrNotDurable) {
-			writeErr(w, http.StatusNotImplemented,
+			httpkit.WriteErr(w, http.StatusNotImplemented,
 				fmt.Errorf("replication requires a durable primary (start it with -data-dir): %w", err))
 			return
 		}
-		writeErr(w, http.StatusInternalServerError, err)
+		httpkit.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	batch := replica.Batch{
@@ -201,7 +202,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range tail.Records {
 		batch.Records = append(batch.Records, replica.FromWAL(rec))
 	}
-	writeJSON(w, http.StatusOK, batch)
+	httpkit.WriteJSON(w, http.StatusOK, batch)
 }
 
 // FenceRequest is the POST /v1/replication/fence body.
@@ -221,14 +222,14 @@ type FenceResponse struct {
 // rejected, so an old primary cannot fence the node that replaced it.
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	var req FenceRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if err := s.lead.Fence(req.Epoch); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FenceResponse{Fenced: true, Epoch: req.Epoch})
+	httpkit.WriteJSON(w, http.StatusOK, FenceResponse{Fenced: true, Epoch: req.Epoch})
 }
 
 // drainForPromoteTimeout bounds the final catch-up drain a non-forced
@@ -264,11 +265,11 @@ type PromoteResponse struct {
 // a failed promotion leaves a functioning follower.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if s.lead.IsPrimary() {
-		writeErr(w, http.StatusConflict, fmt.Errorf("already primary at epoch %d", s.lead.Epoch()))
+		httpkit.WriteErr(w, http.StatusConflict, fmt.Errorf("already primary at epoch %d", s.lead.Epoch()))
 		return
 	}
 	wasShipping := s.stopReplication()
@@ -291,13 +292,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		cancel()
 		if err != nil {
 			restart()
-			writeErr(w, http.StatusConflict,
+			httpkit.WriteErr(w, http.StatusConflict,
 				fmt.Errorf("cannot confirm catch-up with primary (%v); retry, or pass force to promote anyway and lose the unreplicated suffix", err))
 			return
 		}
 		if st := s.shipper.Status(); !st.Synced || !st.CaughtUp {
 			restart()
-			writeErr(w, http.StatusConflict,
+			httpkit.WriteErr(w, http.StatusConflict,
 				fmt.Errorf("follower not caught up (applied seq %d, primary last seq %d, lag %d); retry or pass force",
 					st.AppliedSeq, st.PrimaryLastSeq, st.Lag))
 			return
@@ -305,14 +306,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.horizon.VerifyCommitted(); err != nil {
 		restart()
-		writeErr(w, http.StatusInternalServerError,
+		httpkit.WriteErr(w, http.StatusInternalServerError,
 			fmt.Errorf("refusing promotion: replicated state fails audit: %w", err))
 		return
 	}
 	epoch, err := s.lead.Promote()
 	if err != nil {
 		restart()
-		writeErr(w, http.StatusConflict, err)
+		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
 	resp := PromoteResponse{Promoted: true, Epoch: epoch, AppliedSeq: s.horizon.AppliedSeq()}
@@ -327,5 +328,5 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			resp.SourceFenced = true
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }

@@ -9,11 +9,13 @@
 //	POST /v1/schedule        {"requests": [...], "metric": "...", "policy": "..."}
 //	                          -> schedule + costs + cache statistics
 //	POST /v1/simulate        {"schedule": {...}} -> execution report
+//
+// The JSON helpers, protective middleware and admission limiter come from
+// internal/httpkit; harden (middleware.go) fixes the order they wrap in.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -26,6 +28,7 @@ import (
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/repair"
 	"github.com/vodsim/vsp/internal/replica"
@@ -47,7 +50,7 @@ type Server struct {
 	horizon *horizon.Service
 	workers int
 	shardID string
-	limiter *limiter
+	limiter *httpkit.Limiter
 	mux     *http.ServeMux
 	handler http.Handler
 
@@ -119,7 +122,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 		})
 	}
 	if opts.MaxInFlight > 0 {
-		s.limiter = newLimiter(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait)
+		s.limiter = httpkit.NewLimiter(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -155,33 +158,16 @@ func (s *Server) Close() error {
 	return s.horizon.Close()
 }
 
-// decodeBody decodes a JSON request body into v, writing the error reply
-// itself on failure: 413 when the hardening body cap was hit, 400 for any
-// other malformed payload.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.model.Book().Topology().ToSpec())
+	httpkit.WriteJSON(w, http.StatusOK, s.model.Book().Topology().ToSpec())
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.model.Catalog())
+	httpkit.WriteJSON(w, http.StatusOK, s.model.Catalog())
 }
 
 // StatsResponse is the GET /v1/stats reply: the infrastructure's shape
@@ -250,7 +236,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	repl, ready := s.replStatus()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	httpkit.WriteJSON(w, http.StatusOK, StatsResponse{
 		Topology: s.model.Book().Topology().ComputeStats(),
 		Titles:   s.model.Catalog().Len(),
 		MeanSize: s.model.Catalog().MeanSize(),
@@ -298,22 +284,28 @@ type ScheduleResponse struct {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("empty request batch"))
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("empty request batch"))
 		return
 	}
-	metric, err := parseMetric(req.Metric)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	// An empty metric or policy keeps the scheduler's default, which is
+	// the zero value of either field.
+	cfg := scheduler.Config{Workers: s.workers}
+	var err error
+	if req.Metric != "" {
+		if cfg.Metric, err = sorp.ParseMetric(req.Metric); err != nil {
+			httpkit.WriteErr(w, http.StatusBadRequest, err)
+			return
+		}
 	}
-	policy, err := parsePolicy(req.Policy)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if req.Policy != "" {
+		if cfg.Policy, err = ivs.ParsePolicy(req.Policy); err != nil {
+			httpkit.WriteErr(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	// Reject malformed reservations up front (unknown user/title/time):
 	// the scheduler validates its own output, so pre-validate inputs for a
@@ -321,32 +313,32 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	topo := s.model.Book().Topology()
 	for _, q := range req.Requests {
 		if int(q.User) < 0 || int(q.User) >= topo.NumUsers() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown user %d", q.User))
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown user %d", q.User))
 			return
 		}
 		if int(q.Video) < 0 || int(q.Video) >= s.model.Catalog().Len() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown video %d", q.Video))
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown video %d", q.Video))
 			return
 		}
 		if q.Start < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", q.Start))
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", q.Start))
 			return
 		}
 	}
 	// Scheduling respects the request context, so an abandoned connection
 	// or a tripped http.TimeoutHandler stops the computation too.
-	out, err := scheduler.Schedule(r.Context(), s.model, req.Requests, scheduler.Config{Metric: metric, Policy: policy, Workers: s.workers})
+	out, err := scheduler.Schedule(r.Context(), s.model, req.Requests, cfg)
 	if err != nil {
-		writeErr(w, schedulingStatus(err), err)
+		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
 	direct, err := scheduler.Schedule(r.Context(), s.model, req.Requests, scheduler.Config{Policy: ivs.NoCaching, Workers: s.workers})
 	if err != nil {
-		writeErr(w, schedulingStatus(err), err)
+		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
 	rep := analysis.Summarize(s.model, out.Schedule)
-	writeJSON(w, http.StatusOK, ScheduleResponse{
+	httpkit.WriteJSON(w, http.StatusOK, ScheduleResponse{
 		Schedule:   out.Schedule,
 		Phase1Cost: out.Phase1Cost,
 		FinalCost:  out.FinalCost,
@@ -403,21 +395,21 @@ type SimulateResponse struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Schedule == nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
 		return
 	}
 	for vid := range req.Schedule.Files {
 		if int(vid) < 0 || int(vid) >= s.model.Catalog().Len() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
 			return
 		}
 	}
 	if err := req.Faults.Validate(s.model.Book().Topology()); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	rep := vodsim.ExecuteScenario(s.model.Book(), s.model.Catalog(), req.Schedule, req.Faults)
@@ -439,12 +431,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Repair != "" {
 		pol, err := repair.ParsePolicy(req.Repair)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpkit.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		rres, err := repair.Repair(s.model, req.Schedule, req.Faults, repair.Options{Policy: pol})
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			httpkit.WriteErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		resp.Repair = &RepairSummary{
@@ -463,7 +455,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Schedule:   rres.Schedule,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
 // BillRequest is the POST /v1/bill body.
@@ -481,25 +473,25 @@ type BillResponse struct {
 
 func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 	var req BillRequest
-	if !decodeBody(w, r, &req) {
+	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Schedule == nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
 		return
 	}
 	for vid := range req.Schedule.Files {
 		if int(vid) < 0 || int(vid) >= s.model.Catalog().Len() {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
 			return
 		}
 	}
 	st, err := billing.Attribute(s.model, req.Schedule)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BillResponse{
+	httpkit.WriteJSON(w, http.StatusOK, BillResponse{
 		Lines:   st.Lines,
 		Network: st.Network,
 		Storage: st.Storage,
@@ -515,38 +507,4 @@ func schedulingStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-func parseMetric(s string) (sorp.HeatMetric, error) {
-	if s == "" {
-		return sorp.SpacePerCost, nil
-	}
-	for _, m := range []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, sorp.SpacePerCost} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown metric %q", s)
-}
-
-func parsePolicy(s string) (ivs.Policy, error) {
-	if s == "" {
-		return ivs.CacheOnRoute, nil
-	}
-	for _, p := range []ivs.Policy{ivs.CacheOnRoute, ivs.CacheAtDestination, ivs.NoCaching} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -57,6 +57,16 @@ func (h HeatMetric) String() string {
 	}
 }
 
+// ParseMetric resolves a metric name as String spells it.
+func ParseMetric(s string) (HeatMetric, error) {
+	for _, m := range []HeatMetric{Period, PeriodPerCost, Space, SpacePerCost} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown metric %q", s)
+}
+
 // Options configures a Resolve run.
 type Options struct {
 	// Metric ranks victims; defaults to SpacePerCost (Method 4).
