@@ -84,10 +84,11 @@ bench-json:
 
 # Quick regression smoke for CI: a short BenchmarkSchedule run (best of
 # 3 single iterations) must stay within 2x of the committed
-# BENCH_scheduler.json baseline. Catches order-of-magnitude hot-path
-# regressions without the cost or noise-sensitivity of a full bench run.
+# BENCH_scheduler.json baseline, in ns/op and in B/op. Catches
+# order-of-magnitude hot-path and allocation regressions without the cost
+# or noise-sensitivity of a full bench run.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$' -short -benchtime=1x -count=3 \
+	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 

@@ -74,7 +74,7 @@ type Report struct {
 func main() {
 	out := flag.String("out", "", "output path (default stdout)")
 	check := flag.String("check", "", "baseline JSON (a previous benchjson report) to compare against; exit nonzero on regression")
-	maxRatio := flag.Float64("max-ratio", 2, "with -check: maximum allowed ns/op ratio current/baseline")
+	maxRatio := flag.Float64("max-ratio", 2, "with -check: maximum allowed ns/op and B/op ratio current/baseline")
 	flag.Parse()
 	rep, err := parse(os.Stdin)
 	if err != nil {
@@ -225,12 +225,13 @@ func indexBenchmarks(bs []Benchmark) map[benchKey]Benchmark {
 
 // compare checks every benchmark configuration present in both the
 // baseline and the current report, and returns an error if any current
-// ns/op exceeds maxRatio times its baseline. This backs the CI bench
-// smoke: a quick `-benchtime=1x -count=3` run whose fastest iteration
-// (indexBenchmarks keeps the fastest per configuration) must stay within
-// the ratio of the committed BENCH_scheduler.json. Configurations only
-// one side measured are ignored — the smoke runs a subset of the full
-// bench suite.
+// ns/op — or B/op, where both sides measured it (-benchmem) — exceeds
+// maxRatio times its baseline. This backs the CI bench smoke: a quick
+// `-benchtime=1x -count=3` run whose fastest iteration (indexBenchmarks
+// keeps the fastest per configuration) must stay within the ratio of the
+// committed BENCH_scheduler.json, in time and in bytes allocated.
+// Configurations only one side measured are ignored — the smoke runs a
+// subset of the full bench suite.
 func compare(base, cur *Report, maxRatio float64) ([]string, error) {
 	bi, ci := indexBenchmarks(base.Benchmarks), indexBenchmarks(cur.Benchmarks)
 	keys := make([]benchKey, 0, len(ci))
@@ -250,19 +251,23 @@ func compare(base, cur *Report, maxRatio float64) ([]string, error) {
 	}
 	var lines []string
 	var regressed []string
-	for _, k := range keys {
-		b, c := bi[k], ci[k]
-		if b.NsPerOp <= 0 {
-			continue
+	check := func(k benchKey, unit string, cur, base float64) {
+		if base <= 0 || cur <= 0 {
+			return // not measured on one side
 		}
-		ratio := c.NsPerOp / b.NsPerOp
+		ratio := cur / base
 		verdict := "ok"
 		if ratio > maxRatio {
 			verdict = "REGRESSED"
-			regressed = append(regressed, fmt.Sprintf("%s-%d", k.name, k.cpu))
+			regressed = append(regressed, fmt.Sprintf("%s-%d %s", k.name, k.cpu, unit))
 		}
-		lines = append(lines, fmt.Sprintf("%s (cpu=%d): %.0f ns/op vs baseline %.0f (%.2fx, limit %.2fx) %s",
-			k.name, k.cpu, c.NsPerOp, b.NsPerOp, ratio, maxRatio, verdict))
+		lines = append(lines, fmt.Sprintf("%s (cpu=%d): %.0f %s vs baseline %.0f (%.2fx, limit %.2fx) %s",
+			k.name, k.cpu, cur, unit, base, ratio, maxRatio, verdict))
+	}
+	for _, k := range keys {
+		b, c := bi[k], ci[k]
+		check(k, "ns/op", c.NsPerOp, b.NsPerOp)
+		check(k, "B/op", float64(c.BytesPerOp), float64(b.BytesPerOp))
 	}
 	if len(regressed) > 0 {
 		return lines, fmt.Errorf("benchmark regression beyond %.2fx: %s", maxRatio, strings.Join(regressed, ", "))

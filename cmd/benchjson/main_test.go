@@ -198,6 +198,29 @@ func TestCompareFlagsRegression(t *testing.T) {
 	}
 }
 
+// -check holds B/op to the same ratio as ns/op, so an allocation
+// regression fails the smoke even when the clock does not show it; a side
+// that ran without -benchmem is not compared on bytes.
+func TestCompareFlagsAllocationRegression(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{{Name: "BenchmarkSchedule", NsPerOp: 100e6, BytesPerOp: 10e6}}}
+	cur := &Report{Benchmarks: []Benchmark{{Name: "BenchmarkSchedule", NsPerOp: 110e6, BytesPerOp: 19e6}}}
+	lines, err := compare(base, cur, 2)
+	if err != nil {
+		t.Fatalf("1.9x the baseline's bytes failed a 2x limit: %v", err)
+	}
+	if len(lines) != 2 || !strings.Contains(lines[1], "B/op") {
+		t.Fatalf("want an ns/op and a B/op line, got %q", lines)
+	}
+	cur.Benchmarks[0].BytesPerOp = 25e6
+	if _, err := compare(base, cur, 2); err == nil || !strings.Contains(err.Error(), "B/op") {
+		t.Fatalf("2.5x the baseline's bytes at unchanged ns/op passed a 2x limit (err %v)", err)
+	}
+	cur.Benchmarks[0].BytesPerOp = 0 // run without -benchmem
+	if lines, err := compare(base, cur, 2); err != nil || len(lines) != 1 {
+		t.Fatalf("a run without -benchmem must be compared on ns/op alone: %v %q", err, lines)
+	}
+}
+
 func TestParseRejectsEmptyInput(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\nok  pkg 0.1s\n")); err == nil {
 		t.Fatal("input without benchmark lines must fail")

@@ -83,6 +83,16 @@ func Attribute(m *cost.Model, s *schedule.Schedule) (*Statement, error) {
 				continue
 			}
 			if len(c.Services) == 0 {
+				// A rolling-horizon commit can leave one legitimately: a
+				// frozen copy whose only readers lay beyond the horizon is
+				// clipped to zero span, and overflow resolution may then
+				// re-plan those readers elsewhere (frozen records are never
+				// pruned). It books exactly nothing, so there is nothing to
+				// attribute; a reader-less copy that costs money is still an
+				// inconsistent schedule.
+				if m.ResidencyCost(c) == 0 {
+					continue
+				}
 				return nil, fmt.Errorf("billing: residency %d of video %d serves nobody", j, vid)
 			}
 			// Marginal split: services in chronological order; each pays

@@ -172,3 +172,40 @@ func TestAttributeRejectsCorruptSchedule(t *testing.T) {
 		t.Error("expected error for inconsistent LastService")
 	}
 }
+
+// A reader-less copy that books exactly nothing — what a rolling-horizon
+// commit leaves when a frozen copy is clipped to zero span and resolution
+// re-plans its readers elsewhere — is not an inconsistency: the statement
+// skips it and still sums to Ψ(S).
+func TestAttributeSkipsZeroCostReaderlessResidency(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := scheduler.Run(f.Model, f.Requests, scheduler.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.Schedule.Clone()
+	added := 0
+	for _, fs := range s.Files {
+		if len(fs.Residencies) == 0 {
+			continue
+		}
+		clipped := fs.Residencies[0]
+		clipped.LastService = clipped.Load
+		clipped.Services = []int{}
+		fs.Residencies = append(fs.Residencies, clipped)
+		added++
+	}
+	if added == 0 {
+		t.Fatal("fixture bug: no residency to clip")
+	}
+	st, err := Attribute(f.Model, s)
+	if err != nil {
+		t.Fatalf("zero-cost reader-less residency refused: %v", err)
+	}
+	if !st.Total().ApproxEqual(out.FinalCost, 1e-9) {
+		t.Fatalf("statement %v != Ψ(S) %v", st.Total(), out.FinalCost)
+	}
+}

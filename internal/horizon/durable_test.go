@@ -403,3 +403,73 @@ func TestDurableMatchesInMemory(t *testing.T) {
 		t.Fatalf("durable run diverged from in-memory run")
 	}
 }
+
+// Recovery must accept what the live path committed. With advances that
+// lag the intake, a copy loaded before the horizon whose readers all lie
+// beyond it freezes at zero span with no services; when overflow
+// resolution then re-plans those readers elsewhere the copy stays behind
+// (frozen records are never pruned), costing nothing. The audit Recover
+// applies used to refuse it ("residency N of video V serves nobody"), so
+// every durable shard that had resolved overflows failed to restart.
+func TestRecoverAfterOverflowResolvingEpochs(t *testing.T) {
+	for _, snapEvery := range []int{-1, 1} { // journal replay alone, snapshot + tail
+		t.Run(fmt.Sprintf("snapshotEvery=%d", snapEvery), func(t *testing.T) {
+			recoverAfterOverflowResolvingEpochs(t, snapEvery)
+		})
+	}
+}
+
+func recoverAfterOverflowResolvingEpochs(t *testing.T, snapEvery int) {
+	r := rig(t, experiment.Params{
+		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
+		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
+	})
+	reqs := append(workload.Set(nil), r.Requests...)
+	workload.SortChronological(reqs)
+	const perEpoch, lag = 10, simtime.Hour
+
+	cfg := horizon.Config{SnapshotEvery: snapEvery, Fsync: wal.FsyncNever}
+	dir := t.TempDir()
+	svc, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims, readerless := 0, 0
+	for i, rq := range reqs {
+		if _, err := svc.Submit(rq.Start, rq); err != nil {
+			t.Fatal(err)
+		}
+		to := rq.Start.Add(-lag)
+		if (i+1)%perEpoch != 0 || to < svc.Horizon() {
+			continue
+		}
+		res, err := svc.Advance(context.Background(), to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victims += len(res.Victims)
+	}
+	for _, fs := range svc.Committed().Files {
+		for _, c := range fs.Residencies {
+			if len(c.Services) == 0 {
+				readerless++
+			}
+		}
+	}
+	if victims == 0 || readerless == 0 {
+		t.Fatalf("fixture bug: %d victims, %d reader-less frozen copies; the run must produce both", victims, readerless)
+	}
+	want := fingerprint(t, svc)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatalf("recovery refuses state the live path committed: %v", err)
+	}
+	defer re.Close()
+	if got := fingerprint(t, re); got != want {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+}

@@ -142,6 +142,10 @@ type EpochResult struct {
 	Overflows int `json:"overflows"`
 	// Victims lists the SORP rescheduling decisions in order.
 	Victims []sorp.Victim `json:"victims,omitempty"`
+	// Resolution counts the SORP run's work: iterations, pairs rescheduled
+	// afresh and pairs reused from an earlier iteration (all zero when the
+	// epoch integrated without overflow).
+	Resolution sorp.Work `json:"resolution"`
 	// Cost is Ψ(S) of the committed schedule after this epoch.
 	Cost units.Money `json:"cost"`
 }
@@ -351,6 +355,7 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 		}
 		next = rr.Schedule
 		res.Victims = rr.Victims
+		res.Resolution = rr.Work
 	}
 
 	if err := next.Validate(s.m.Book().Topology(), s.m.Catalog(), s.accepted); err != nil {

@@ -140,8 +140,14 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	topo := m.Book().Topology()
 	v := m.Catalog().Video(video)
 	stream := v.StreamBytes().Float()
-	ordered := append([]workload.Request(nil), reqs...)
-	workload.SortChronological(ordered)
+	// Callers on the hot path (a horizon epoch, and SORP re-evaluating the
+	// same request list every iteration) hand over an already chronological
+	// slice; only an unordered one is copied and sorted.
+	ordered := reqs
+	if !workload.IsChronological(ordered) {
+		ordered = append([]workload.Request(nil), reqs...)
+		workload.SortChronological(ordered)
+	}
 
 	fs := &schedule.FileSchedule{Video: video}
 	if opts.Frozen != nil {
@@ -174,11 +180,11 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(fs.Residencies) - 1}, seed)
 		}
 	}
-	// One delivery per request, and rarely more than one tentative opened
-	// per delivery: sizing the slices up front keeps the serve loop's
+	// One delivery per request, and at most one tentative per storage its
+	// stream touches: sizing the slices up front keeps the serve loop's
 	// appends from repeatedly regrowing them.
 	fs.Deliveries = slices.Grow(fs.Deliveries, len(ordered))
-	fs.Residencies = slices.Grow(fs.Residencies, 2*len(ordered))
+	fs.Residencies = slices.Grow(fs.Residencies, tentativeBound(m, ordered, opts.Policy))
 	seen := make(map[copyKey]struct{}, len(fs.Residencies)+len(ordered))
 	for _, c := range fs.Residencies {
 		seen[copyKey{c.Loc, c.Load}] = struct{}{}
@@ -205,6 +211,31 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	}
 	prune(fs, video, opts.Ledger, opts.frozenRes)
 	return fs, nil
+}
+
+// tentativeBound bounds the tentatives the requests' deliveries can open
+// under the policy: one per storage on the route. The greedy only picks a
+// source whose stream is cheaper than the warehouse's, so the warehouse
+// route to each destination is the longest it takes (exactly so under
+// per-hop rates; a sizing hint, not a limit, under any other book).
+func tentativeBound(m *cost.Model, reqs []workload.Request, policy Policy) int {
+	switch policy {
+	case NoCaching:
+		return 0
+	case CacheAtDestination:
+		return len(reqs)
+	}
+	topo := m.Book().Topology()
+	n := 0
+	for _, r := range reqs {
+		if int(r.User) < 0 || int(r.User) >= topo.NumUsers() {
+			continue // rejected by the serve loop
+		}
+		if route, err := m.Table().Route(topo.Warehouse(), topo.User(r.User).Local); err == nil {
+			n += route.Hops()
+		}
+	}
+	return n
 }
 
 // serveOne schedules request r given the partial schedule fs, choosing the

@@ -177,12 +177,16 @@ func TestPropertyNaiveIndexedEquivalence(t *testing.T) {
 // SpaceAt and CanFit exactly like Clone-then-RemoveVideo(v), and Commit
 // must leave the base in the clone path's committed state byte for byte
 // (entry order, event arrays and version counters included) while keeping
-// the prefix snapshot of every node the reschedule did not touch.
+// the prefix snapshot of every node the reschedule did not touch. A twin
+// ledger fed the same history takes each reschedule through CommitFile —
+// the commit of a reused winner, whose view no longer exists — and must
+// come out identical to the view's Commit in all of those.
 func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 	defer SetNaiveForTesting(false)
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, indexed, topo, _ := randomLedgers(t, seed, 6, 120)
+			_, twin, _, _ := randomLedgers(t, seed, 6, 120)
 			rng := rand.New(rand.NewSource(seed ^ 0x0f1a7))
 			touched, untouched := 0, 0
 			for vid := media.VideoID(0); vid < 6; vid++ {
@@ -209,10 +213,18 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 				}
 				// Mutate both identically, then commit the view and compare
 				// its base against the clone: same entries, same versions.
-				add := res(vid, topology.NodeID(1+rng.Intn(topo.NumNodes()-1)), 100, 250)
-				r := Ref{Video: vid, Index: 9000 + int(vid)}
-				view.Add(r, add)
-				ref.Add(r, add)
+				// The reschedule: a file of three copies registered in index
+				// order the way the greedy's prune leaves them, nodes
+				// interleaved, one of them a zero-span copy with no records.
+				file := &schedule.FileSchedule{Video: vid}
+				for j := 0; j < 3; j++ {
+					load := simtime.Time(100 * (j + 1))
+					add := res(vid, topology.NodeID(1+rng.Intn(topo.NumNodes()-1)), load, load+simtime.Time(150*(j%2)))
+					file.Residencies = append(file.Residencies, add)
+					view.Add(Ref{Video: vid, Index: j}, add)
+					ref.Add(Ref{Video: vid, Index: j}, add)
+				}
+				twin.OverlayWithout(vid) // builds the twin's snapshots as the view built the base's
 				verBefore := make([]uint64, topo.NumNodes())
 				builtBefore := make([]uint64, topo.NumNodes())
 				for n := range verBefore {
@@ -221,6 +233,15 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 				flat := view.Commit()
 				if flat != indexed {
 					t.Fatalf("vid %d: Commit returned a ledger other than the view's base", vid)
+				}
+				twin.CommitFile(file)
+				for n := range flat.nodes {
+					if got, want := describe(&twin.nodes[n]), describe(&flat.nodes[n]); got != want {
+						t.Fatalf("vid %d node %d: CommitFile left\n %s\nview.Commit left\n %s", vid, n, got, want)
+					}
+					if got, want := twin.snap[n].builtAt, flat.snap[n].builtAt; got != want {
+						t.Fatalf("vid %d node %d: CommitFile leaves snapshot builtAt %d, view.Commit %d", vid, n, got, want)
+					}
 				}
 				for n := 0; n < topo.NumNodes(); n++ {
 					node := topology.NodeID(n)
@@ -268,4 +289,14 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 			}
 		})
 	}
+}
+
+// describe renders a node's state for commit comparisons.
+func describe(st *nodeState) string {
+	s := fmt.Sprintf("ver=%d events=%v entries=", st.ver, st.events)
+	for i := range st.entries {
+		e := &st.entries[i]
+		s += fmt.Sprintf("{%v %v %v %v}", e.ref, e.res, e.v, e.k)
+	}
+	return s
 }

@@ -33,6 +33,21 @@
 // array indexing rather than map hashing. Overflow results are memoized
 // per node under a mutation version counter, so AllOverflows between SORP
 // iterations re-walks only the nodes whose profile actually changed.
+//
+// # Probe logs
+//
+// A candidate reschedule runs on an overlay view (OverlayWithout) and reads
+// the base ledger through exactly one door: the yes/no answers of
+// CanFitExcluding's sweep. A view with a ProbeLog attached (Record) writes
+// each of those queries down with its answer, and ProbeLog.Replay later
+// tells whether the base — after any number of commits — would still give
+// every one of them the same answer, by running the same sweep routine on
+// the same operands. If so the reschedule would repeat itself exactly, and
+// SORP reuses its result instead of running it again (see internal/sorp).
+// Nothing else of an evaluation outlives its round: the view is scratch,
+// the log shares only the view's per-node delta slices (copy-on-write),
+// and a reused winner is committed from its file schedule (CommitFile).
+// The naive reference ledger records nothing.
 package occupancy
 
 import (
@@ -91,7 +106,7 @@ type entry struct {
 }
 
 // newEntry builds the registered form of a residency; v and k are
-// computed exactly as residencyEvents computes them for candidates, so
+// computed exactly as spanEvents computes them for replayed probes, so
 // records built from either source are bit-identical.
 func newEntry(ref Ref, c schedule.Residency, size float64, playback simtime.Duration) entry {
 	e := entry{ref: ref, res: c, size: size, playback: playback}
@@ -112,24 +127,37 @@ type event struct {
 	dslope float64
 }
 
-// residencyEvents returns a candidate residency's breakpoint records. A
-// copy that occupies nothing (zero span, or no playback) contributes none.
-func residencyEvents(c schedule.Residency, size float64, playback simtime.Duration) (evs [3]event, n int) {
+// spanEvents appends to extra[ne:] the breakpoint records of a copy of a
+// video (size, playback) cached over [load, last] — negated when negate is
+// set, the form an excluded copy takes in a capacity sweep — and returns
+// the new count. A copy that occupies nothing (zero span, or no playback)
+// contributes none. The live capacity check builds its candidate's records
+// with it and probe replay rebuilds a logged query's; the arithmetic is
+// newEntry's, operand for operand, so an excluded copy's records come out
+// bit-identical whether read back from its registered entry or rebuilt.
+func spanEvents(extra *[6]event, ne int, load, last simtime.Time, size float64, playback simtime.Duration, negate bool) int {
 	if playback <= 0 {
-		return
+		return ne
 	}
+	c := schedule.Residency{Load: load, LastService: last}
 	v := c.Gamma(playback) * size
 	if v == 0 {
-		return
+		return ne
 	}
 	k := v / playback.Seconds()
-	evs[0] = event{t: c.Load, jump: v}
-	evs[1] = event{t: c.LastService, dslope: -k}
-	evs[2] = event{t: c.LastService.Add(playback), dslope: k}
-	return evs, 3
+	evs := extra[ne : ne+3]
+	evs[0] = event{t: load, jump: v}
+	evs[1] = event{t: last, dslope: -k}
+	evs[2] = event{t: last.Add(playback), dslope: k}
+	if negate {
+		for i := range evs {
+			evs[i].jump, evs[i].dslope = -evs[i].jump, -evs[i].dslope
+		}
+	}
+	return ne + 3
 }
 
-// entryEvents is residencyEvents for a registered entry, reading the
+// entryEvents returns a registered entry's breakpoint records, reading the
 // precomputed v and k instead of re-evaluating γ.
 func entryEvents(e *entry) (evs [3]event, n int) {
 	if e.v == 0 {
@@ -173,6 +201,11 @@ type nodeState struct {
 	// ver counts profile mutations (counters only ever increase); the
 	// prefix snapshot and the memoized overflow walk are keyed on it.
 	ver uint64
+	// pin, on a recording overlay view, is 1 + the index of the probe-log
+	// delta snapshot that aliases events; 0 when no probe references the
+	// slice. A pinned slice is copied before its next mutation (ownEvents).
+	// It shares a word with ovValid, so the slot is no larger for it.
+	pin uint32
 	// ovValid/ovVer/ovs memoize the node's Overflows walk at a version.
 	ovValid bool
 	ovVer   uint64
@@ -218,6 +251,9 @@ type Ledger struct {
 	base *Ledger
 	// masked is the one video an overlay view hides from its base.
 	masked media.VideoID
+	// log, when non-nil, receives every base-dependent capacity query this
+	// overlay view answers (Record, ProbeLog).
+	log *ProbeLog
 	// caps caches every node's capacity in float bytes and isWh its
 	// warehouse-kind flag, so the capacity check — the greedy's hottest
 	// query — skips the topology lookups. Shared read-only across clones
@@ -326,6 +362,18 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 	return pts
 }
 
+// ownEvents gives the node a private copy of its event slice if a probe
+// log references the current one (copy-on-write): a logged probe replays
+// against the view's delta as it stood when the query was asked, so a
+// referenced slice is never mutated in place. The copy leaves room for one
+// residency's records, the unit every mutation inserts.
+func (st *nodeState) ownEvents() {
+	if st.pin != 0 {
+		st.events = append(make([]event, 0, len(st.events)+3), st.events...)
+		st.pin = 0
+	}
+}
+
 // addEntryEvents inserts the entry's breakpoint records, reporting whether
 // the profile changed. A zero-value entry (γ=0 tentative) contributes no
 // records and leaves the profile — and hence the node's version — intact;
@@ -333,11 +381,15 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 // the node's snapshot and caches for them matters.
 func (l *Ledger) addEntryEvents(node topology.NodeID, e *entry) bool {
 	evs, n := entryEvents(e)
+	if n == 0 {
+		return false
+	}
 	st := &l.nodes[node]
+	st.ownEvents()
 	for i := 0; i < n; i++ {
 		st.events = insertEvent(st.events, evs[i])
 	}
-	return n > 0
+	return true
 }
 
 // removeEntryEvents deletes the entry's breakpoint records, recomputed
@@ -345,11 +397,15 @@ func (l *Ledger) addEntryEvents(node topology.NodeID, e *entry) bool {
 // changed.
 func (l *Ledger) removeEntryEvents(node topology.NodeID, e *entry) bool {
 	evs, n := entryEvents(e)
+	if n == 0 {
+		return false
+	}
 	st := &l.nodes[node]
+	st.ownEvents()
 	for i := 0; i < n; i++ {
 		st.events = removeEvent(st.events, evs[i])
 	}
-	return n > 0
+	return true
 }
 
 // Add registers a residency under the given reference.
@@ -484,7 +540,11 @@ func (l *Ledger) Clone() *Ledger {
 // concurrently with each other and with base reads, provided the base is
 // not mutated while views are live. Committing one view mutates the base,
 // so it invalidates every other live view of the same base: drop them and
-// take fresh ones.
+// take fresh ones. A view is scratch space for one evaluation and nothing
+// may hold on to it past the round it was taken in; what may be kept is
+// the evaluation's result and, to tell later whether it would repeat, the
+// view's probe log (Record), which references the view's per-node delta
+// slices and nothing else of it.
 //
 // In naive (reference) mode the view is a plain Clone with the video
 // removed, so both query paths keep identical semantics.
@@ -532,8 +592,11 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 // Only the nodes the reschedule touched advance their version, so every
 // other node keeps its prefix snapshot and memoized overflow walk. The
 // view itself, and every other live view of the same base, is invalid
-// afterwards. On a non-overlay ledger (the reference path's clone) Commit
-// returns the receiver unchanged, so callers treat both paths uniformly;
+// afterwards. Only a live view — one taken from the base's current state
+// — can be committed; a result carried over from an earlier state of the
+// base has no view left and goes through CommitFile. On a non-overlay
+// ledger (the reference path's clone) Commit returns the receiver
+// unchanged, so callers treat both paths uniformly;
 // the replay performs the same per-node mutations the clone path did, so
 // entry order, event arrays and version counters come out bit-identical
 // to Clone-then-RemoveVideo-then-reschedule.
@@ -550,6 +613,27 @@ func (l *Ledger) Commit() *Ledger {
 		}
 	}
 	return b
+}
+
+// CommitFile replaces the video's residencies in the ledger with the file
+// schedule's: the commit of a reschedule whose view is gone — a winner
+// reused from an earlier iteration (ProbeLog). A view ends its greedy
+// holding exactly fs.Residencies, registered per node in index order under
+// Ref{fs.Video, index}, so this performs the same per-node mutations in the
+// same order as that view's Commit would: entry order, event arrays,
+// version counters and the surviving prefix snapshots come out identical.
+func (l *Ledger) CommitFile(fs *schedule.FileSchedule) {
+	if l.base != nil {
+		panic("occupancy: CommitFile on an overlay view")
+	}
+	l.RemoveVideo(fs.Video)
+	for n := range l.nodes {
+		for j, c := range fs.Residencies {
+			if int(c.Loc) == n {
+				l.Add(Ref{Video: fs.Video, Index: j}, c)
+			}
+		}
+	}
 }
 
 // RemoveVideo drops every residency of the given video from the ledger,
@@ -960,10 +1044,14 @@ func (l *Ledger) CanFit(c schedule.Residency) bool {
 // pre-extension profile is not double counted.
 //
 // This sits on the greedy's innermost path: a single chronological sweep
-// merges the node's event index with the candidate's (and the negated
-// excluded entry's) breakpoint records and tests the running total at
-// every breakpoint inside the candidate's support — O(E) per call instead
-// of the reference path's O(E²) per-breakpoint re-summation.
+// (sweepFits) merges the node's event index with the candidate's (and the
+// negated excluded entry's) breakpoint records and tests the running total
+// at every breakpoint inside the candidate's support — O(E) per call
+// instead of the reference path's O(E²) per-breakpoint re-summation.
+//
+// On an overlay view with a probe log attached (Record) every query that
+// reaches the sweep — the only point where the base's state enters an
+// answer — is logged with its answer.
 func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	node := c.Loc
 	if l.isWh[node] {
@@ -973,7 +1061,6 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 		return l.canFitNaive(c, exclude)
 	}
 	v := l.catalog.Video(c.Video)
-	capacity := l.caps[node]
 	size, playback := v.Size.Float(), v.Playback
 	sup := c.Support(playback)
 	if sup.Empty() {
@@ -986,8 +1073,42 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 		basel = l.base
 		ovs = l.nodes[node].events
 	}
-	pts := basel.snapshot(node)
 
+	// Up to six extra sweep records: the candidate's own breakpoints plus
+	// the excluded entry's, negated. A fixed array, filled in place, keeps
+	// this allocation-free (the call sits on the greedy's innermost loop).
+	var extra [6]event
+	ne := spanEvents(&extra, 0, c.Load, c.LastService, size, playback, false)
+	var excluded *entry
+	if exclude != nil {
+		es := l.nodes[node].entries
+		for i := range es {
+			if es[i].ref == *exclude {
+				excluded = &es[i]
+				eev, m := entryEvents(excluded)
+				for k := 0; k < m; k++ {
+					extra[ne] = event{t: eev[k].t, jump: -eev[k].jump, dslope: -eev[k].dslope}
+					ne++
+				}
+				break
+			}
+		}
+	}
+	fits := sweepFits(basel.snapshot(node), ovs, &extra, ne, sup, l.caps[node])
+	if l.log != nil {
+		l.log.record(l, c, excluded, fits)
+	}
+	return fits
+}
+
+// sweepFits is the capacity check's core, shared by the live query
+// (CanFitExcluding) and by the replay of a logged one (ProbeLog.Replay), so
+// a replayed probe runs the same arithmetic on the same operands as asking
+// the query afresh. pts is the base node's prefix sweep, ovs an overlay
+// view's per-node delta (nil on a plain ledger), extra[:ne] the candidate's
+// breakpoint records plus the negated excluded entry's, sup the candidate's
+// support.
+func sweepFits(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) bool {
 	// Manual binary search for the last breakpoint at or before sup.Start
 	// (sort.Search's indirect predicate call is measurable at this call
 	// rate).
@@ -1002,35 +1123,6 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	}
 	bk := lo - 1
 
-	// Up to six extra sweep records: the candidate's own breakpoints plus
-	// the excluded entry's, negated. Fixed array + insertion sort keeps
-	// this allocation-free (the call sits on the greedy's innermost loop);
-	// the candidate's records are built in place (residencyEvents unrolled,
-	// same arithmetic) to skip the call and array copy.
-	var extra [6]event
-	ne := 0
-	if playback > 0 {
-		if cv := c.Gamma(playback) * size; cv != 0 {
-			ck := cv / playback.Seconds()
-			extra[0] = event{t: c.Load, jump: cv}
-			extra[1] = event{t: c.LastService, dslope: -ck}
-			extra[2] = event{t: c.LastService.Add(playback), dslope: ck}
-			ne = 3
-		}
-	}
-	if exclude != nil {
-		es := l.nodes[node].entries
-		for i := range es {
-			if es[i].ref == *exclude {
-				eev, m := entryEvents(&es[i])
-				for k := 0; k < m; k++ {
-					extra[ne] = event{t: eev[k].t, jump: -eev[k].jump, dslope: -eev[k].dslope}
-					ne++
-				}
-				break
-			}
-		}
-	}
 	for i := 1; i < ne; i++ {
 		for j := i; j > 0 && extra[j].t < extra[j-1].t; j-- {
 			extra[j], extra[j-1] = extra[j-1], extra[j]

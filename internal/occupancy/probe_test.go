@@ -1,0 +1,259 @@
+package occupancy
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/topology"
+)
+
+// viewOp is one step of a scripted evaluation on an overlay view: a
+// capacity query (optionally an extension check excluding the view's own
+// copy ref), or a mutation registering or extending one of the masked
+// video's copies.
+type viewOp struct {
+	query   bool
+	c       schedule.Residency
+	ref     Ref
+	exclude bool
+	update  bool
+}
+
+// randomScript draws a fixed op sequence for the masked video: the
+// greedy's access pattern (probe a few candidates, register or extend one)
+// without its answer-dependent branching, so the same script can be run on
+// any view and the answers compared position by position.
+func randomScript(rng *rand.Rand, vid media.VideoID, stores []topology.NodeID, n int) []viewOp {
+	sec := simtime.Time(simtime.Second)
+	var own []viewOp // registered copies, by index
+	var ops []viewOp
+	for len(ops) < n {
+		switch k := rng.Intn(10); {
+		case k < 6 || len(own) == 0: // probe a fresh candidate
+			load := simtime.Time(rng.Intn(600)) * sec
+			c := res(vid, stores[rng.Intn(len(stores))], load, load.Add(simtime.Duration(rng.Intn(300))*simtime.Second))
+			ops = append(ops, viewOp{query: true, c: c})
+			if k < 2 { // and register it
+				op := viewOp{c: c, ref: Ref{Video: vid, Index: len(own)}}
+				own = append(own, op)
+				ops = append(ops, op)
+			}
+		default: // extension check of an own copy, sometimes applied
+			i := rng.Intn(len(own))
+			c := own[i].c
+			c.LastService = c.LastService.Add(simtime.Duration(1+rng.Intn(120)) * simtime.Second)
+			ops = append(ops, viewOp{query: true, c: c, ref: own[i].ref, exclude: true})
+			if k < 9 {
+				own[i].c = c
+				ops = append(ops, viewOp{c: c, ref: own[i].ref, update: true})
+			}
+		}
+	}
+	return ops
+}
+
+// runScript executes the script on a view and returns the query answers in
+// order; after is called after every query.
+func runScript(view *Ledger, ops []viewOp, after func(query int)) []bool {
+	var answers []bool
+	for _, op := range ops {
+		switch {
+		case op.query && op.exclude:
+			answers = append(answers, view.CanFitExcluding(op.c, &op.ref))
+		case op.query:
+			answers = append(answers, view.CanFit(op.c))
+		case op.update:
+			view.Update(op.ref, op.c)
+		default:
+			view.Add(op.ref, op.c)
+		}
+		if op.query && after != nil {
+			after(len(answers) - 1)
+		}
+	}
+	return answers
+}
+
+// TestPropertyReplayMatchesReasking pins ProbeLog.Replay to its
+// specification. A scripted evaluation is recorded on a view of a seeded
+// random ledger; the base is then mutated (other videos only — the masked
+// video's copies are the view's initial delta) and the log replayed. Replay
+// must report "holds" exactly when running the same script on a fresh view
+// of the mutated base — which re-asks every query against the same view
+// delta — returns the recorded answers, over several rounds of mutation
+// (a replay that holds re-bases the log's versions). Along the way every
+// delta snapshot a probe references must keep the contents it had when the
+// probe was logged, however the view mutated afterwards.
+func TestPropertyReplayMatchesReasking(t *testing.T) {
+	held, broke := 0, 0
+	for seed := int64(0); seed < 24; seed++ {
+		_, base, topo, _ := randomLedgers(t, seed, 6, 60)
+		rng := rand.New(rand.NewSource(seed ^ 0x9e37))
+		var stores []topology.NodeID
+		for n := 1; n < topo.NumNodes(); n++ {
+			stores = append(stores, topology.NodeID(n))
+		}
+		vid := media.VideoID(rng.Intn(6))
+		script := randomScript(rng, vid, stores, 80)
+
+		view := base.OverlayWithout(vid)
+		log := view.Record()
+		var pinned [][]event
+		want := runScript(view, script, func(q int) {
+			if log.n != q+1 {
+				t.Fatalf("seed %d: query %d logged %d probes", seed, q, log.n)
+			}
+			pinned = append(pinned, append([]event(nil), log.deltas[log.at(q).delta]...))
+		})
+		for q, snap := range pinned {
+			got := log.deltas[log.at(q).delta]
+			if len(got) != len(snap) {
+				t.Fatalf("seed %d: probe %d's delta snapshot changed length after the fact", seed, q)
+			}
+			for i := range snap {
+				if got[i] != snap[i] {
+					t.Fatalf("seed %d: probe %d's delta snapshot was mutated in place", seed, q)
+				}
+			}
+		}
+
+		next := 1000
+		for round := 0; round < 4; round++ {
+			// Small perturbations mostly keep the answers; the occasional
+			// long copy flips some.
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				other := media.VideoID((int(vid) + 1 + rng.Intn(5)) % 6)
+				load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
+				span := simtime.Duration(rng.Intn(20)) * simtime.Second
+				if rng.Intn(4) == 0 {
+					span = simtime.Duration(100+rng.Intn(200)) * simtime.Second
+				}
+				switch rng.Intn(3) {
+				case 0:
+					base.RemoveVideo(other)
+				default:
+					base.Add(Ref{Video: other, Index: next}, res(other, stores[rng.Intn(len(stores))], load, load.Add(span)))
+					next++
+				}
+			}
+			got := runScript(base.OverlayWithout(vid), script, nil)
+			holds := true
+			for i := range want {
+				holds = holds && got[i] == want[i]
+			}
+			if replay := log.Replay(base); replay != holds {
+				t.Fatalf("seed %d round %d: Replay = %v, but re-asking on a fresh view gives holds = %v", seed, round, replay, holds)
+			}
+			if !holds {
+				broke++
+				break
+			}
+			held++
+		}
+		log.Release()
+	}
+	t.Logf("replays: %d held, %d broke", held, broke)
+	if held == 0 || broke == 0 {
+		t.Fatalf("fixture bug: %d replays held and %d broke; need both", held, broke)
+	}
+}
+
+// TestProbePinsViewEvents pins the copy-on-write: once a probe references
+// a view's per-node event slice, the view's next mutation of that node must
+// leave the referenced slice untouched and continue on a copy.
+func TestProbePinsViewEvents(t *testing.T) {
+	topo, cat := fixture(t)
+	is1 := topology.NodeID(1)
+	base := NewLedger(topo, cat)
+	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 200))
+	base.Add(Ref{Video: 1, Index: 0}, res(1, is1, 50, 120))
+
+	view := base.OverlayWithout(1)
+	log := view.Record()
+	defer log.Release()
+	view.CanFit(res(1, is1, 300, 400))
+	ref := log.deltas[log.at(0).delta]
+	before := append([]event(nil), ref...)
+	if len(ref) == 0 || &ref[0] != &view.nodes[is1].events[0] {
+		t.Fatal("fixture bug: the probe does not alias the view's masked records")
+	}
+
+	view.Add(Ref{Video: 1, Index: 0}, res(1, is1, 300, 400))
+	if &view.nodes[is1].events[0] == &ref[0] {
+		t.Fatal("the view mutated an event slice a probe references in place")
+	}
+	if len(view.nodes[is1].events) != len(before)+3 {
+		t.Fatalf("view holds %d events after the add, want %d", len(view.nodes[is1].events), len(before)+3)
+	}
+	for i := range before {
+		if ref[i] != before[i] {
+			t.Fatalf("referenced event %d changed: %+v, was %+v", i, ref[i], before[i])
+		}
+	}
+
+	// The next probe snapshots the new state, and the one after shares it.
+	view.CanFit(res(1, is1, 500, 600))
+	view.CanFit(res(1, is1, 700, 800))
+	if log.at(1).delta == log.at(0).delta || log.at(2).delta != log.at(1).delta {
+		t.Fatalf("delta indices %d %d %d: want a new snapshot after the mutation, shared until the next",
+			log.at(0).delta, log.at(1).delta, log.at(2).delta)
+	}
+}
+
+// TestProbeLogFootprint pins what a log costs, in the style of
+// TestOverlayDeltaSizedByMaskedVideo: the layout decides whether reuse is
+// a net saving (a paced-epoch evaluation logs ~230 probes against ~14 KB
+// of its own allocations), so a probe stays within 32 bytes and a cold
+// 200-probe log within 8 KB beyond the delta snapshots it shares with the
+// view; released storage serves the next log without allocating.
+func TestProbeLogFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(probe{}); got > 32 {
+		t.Fatalf("probe is %d bytes, want <= 32", got)
+	}
+	topo, cat := fixture(t)
+	is1 := topology.NodeID(1)
+	base := NewLedger(topo, cat)
+	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 200))
+	base.Add(Ref{Video: 1, Index: 0}, res(1, is1, 50, 120))
+
+	// cost is the bytes one 200-probe log allocates, on an emptied free
+	// list when cold. The runtime's own bookkeeping can land in the window
+	// and only ever adds — restarting the world after ReadMemStats
+	// sometimes has to start a thread, 5 KB once per process — so the least
+	// of three attempts is the log's.
+	cost := func(cold bool) uint64 {
+		least := ^uint64(0)
+		for attempt := 0; attempt < 3; attempt++ {
+			if cold {
+				logPool.Lock()
+				logPool.chunks, logPool.logs = nil, nil
+				logPool.Unlock()
+			}
+			view := base.OverlayWithout(1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			log := view.Record()
+			for i := 0; i < 200; i++ {
+				view.CanFit(res(1, is1, simtime.Time(i), simtime.Time(i+40)))
+			}
+			runtime.ReadMemStats(&after)
+			if log.n != 200 {
+				t.Fatalf("%d probes logged, want 200", log.n)
+			}
+			log.Release()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if cold := cost(true); cold >= 8<<10 {
+		t.Errorf("a cold 200-probe log allocated %d bytes, want < 8 KB", cold)
+	}
+	if warm := cost(false); warm != 0 {
+		t.Errorf("a 200-probe log on recycled storage allocated %d bytes, want 0", warm)
+	}
+}

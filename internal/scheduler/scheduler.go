@@ -69,6 +69,9 @@ type Outcome struct {
 	Overflows int
 	// Victims lists the phase-2 rescheduling decisions in order.
 	Victims []sorp.Victim
+	// Resolution counts phase 2's work: iterations, pairs rescheduled
+	// afresh and pairs reused from an earlier iteration.
+	Resolution sorp.Work
 	// RefinedFiles counts files improved by the refinement sweep and
 	// RefineSavings the total cost it recovered (zero unless Config.Refine).
 	RefinedFiles  int
@@ -141,6 +144,7 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 		out.Schedule = res.Schedule
 		out.FinalCost = res.CostAfter
 		out.Victims = res.Victims
+		out.Resolution = res.Work
 	}
 
 	if cfg.Refine && !cfg.SkipResolution {

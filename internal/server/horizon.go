@@ -119,6 +119,9 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		s.advances.Add(1)
 		s.advanceNanos.Add(int64(time.Since(t0)))
+		s.resolutionMu.Lock()
+		s.resolution.Add(res.Resolution)
+		s.resolutionMu.Unlock()
 	}
 	if err != nil {
 		if s.horizon.Horizon() > req.To {

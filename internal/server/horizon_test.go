@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/testutil"
 )
 
@@ -180,5 +182,51 @@ func TestAdvanceCountersInStats(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 30})
 	if hs := readStats(); hs.Advances != 2 {
 		t.Fatalf("advances = %d, want 2 (regressing advance counted?)", hs.Advances)
+	}
+}
+
+// The stats advance block sums each committed epoch's overflow-resolution
+// work counts, so the reuse hit rate is readable from a running server.
+func TestResolutionCountersInStats(t *testing.T) {
+	r, err := experiment.Build(experiment.Params{
+		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
+		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithOptions(r.Model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	var want sorp.Work
+	for i, q := range r.Requests {
+		postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+		if (i+1)%40 != 0 {
+			continue
+		}
+		resp := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 0})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("advance: status %d", resp.StatusCode)
+		}
+		res := decode[horizon.EpochResult](t, resp)
+		if res.Resolution.Iterations != len(res.Victims) {
+			t.Fatalf("epoch %d: %d iterations for %d victims", res.Epoch, res.Resolution.Iterations, len(res.Victims))
+		}
+		want.Add(res.Resolution)
+	}
+	if want.Iterations == 0 || want.Reused == 0 {
+		t.Fatalf("fixture bug: the epochs resolved nothing or reused nothing: %+v", want)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode[StatsResponse](t, resp).Horizon.Resolution; got != want {
+		t.Fatalf("stats resolution block %+v, want the sum of the advance replies %+v", got, want)
 	}
 }

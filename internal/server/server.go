@@ -59,6 +59,9 @@ type Server struct {
 	// gateway's poller) can read advance lag without scraping logs.
 	advances     atomic.Uint64
 	advanceNanos atomic.Int64
+	// resolution sums the committed epochs' SORP work counts.
+	resolutionMu sync.Mutex
+	resolution   sorp.Work
 
 	// Replication & failover (see replication.go). lead is always set;
 	// shipper only on followers built with Options.ReplicateFrom.
@@ -215,6 +218,11 @@ type HorizonStats struct {
 	// divide one by the other).
 	Advances  uint64 `json:"advances"`
 	AdvanceMS int64  `json:"advance_ms"`
+	// Resolution sums, over those advances, what overflow resolution did:
+	// iterations, (overflow, file) pairs rescheduled afresh, and pairs
+	// reused from an earlier iteration — reused/(reused+evaluated) is the
+	// reuse hit rate.
+	Resolution sorp.Work `json:"resolution"`
 }
 
 // OverloadStats reports the admission-control counters.
@@ -236,6 +244,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	repl, ready := s.replStatus()
+	s.resolutionMu.Lock()
+	resolution := s.resolution
+	s.resolutionMu.Unlock()
 	httpkit.WriteJSON(w, http.StatusOK, StatsResponse{
 		Topology: s.model.Book().Topology().ComputeStats(),
 		Titles:   s.model.Catalog().Len(),
@@ -248,6 +259,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Durable:       s.horizon.Durable(),
 			Advances:      s.advances.Load(),
 			AdvanceMS:     time.Duration(s.advanceNanos.Load()).Milliseconds(),
+			Resolution:    resolution,
 		},
 		Overload:    ov,
 		Recovery:    s.horizon.Recovery(),

@@ -7,6 +7,21 @@
 // Rejective Greedy (§4.4): the victim may not occupy the overflowing
 // (interval, storage) pair and must respect the remaining capacity of every
 // other storage.
+//
+// # Reuse across iterations
+//
+// Every iteration re-scores every (overflow, file) pair, but a commit
+// almost never changes what a pair's reschedule would be: it moves a few
+// storages' profiles without flipping any of the yes/no capacity answers
+// the pair's greedy received. ResolveContext therefore keeps a per-run
+// table keyed by (overflow node, overflow interval, video) holding each
+// evaluation's result next to the log of those answers
+// (occupancy.ProbeLog), and the next iteration reuses an entry when the
+// file is unchanged and the log replays to the same answers on the
+// current ledger — which makes the reschedule identical by induction, so
+// victims, schedule and cost are the ones a table-free run produces. The
+// views the evaluations ran on are not kept: a reused winner is committed
+// from its file schedule (Ledger.CommitFile).
 package sorp
 
 import (
@@ -117,6 +132,25 @@ type Result struct {
 	InitialOverflows int
 	CostBefore       units.Money
 	CostAfter        units.Money
+	Work
+}
+
+// Work counts what a resolution run did: Iterations victim-selection
+// rounds, over which Evaluated (overflow, file) pairs were rescheduled
+// afresh and Reused pairs were answered from an earlier round's evaluation.
+// Read-only counters for operators and benchmarks; Reused / (Reused +
+// Evaluated) is the reuse hit rate.
+type Work struct {
+	Iterations int `json:"iterations"`
+	Evaluated  int `json:"evaluated"`
+	Reused     int `json:"reused"`
+}
+
+// Add accumulates another run's counts.
+func (w *Work) Add(o Work) {
+	w.Iterations += o.Iterations
+	w.Evaluated += o.Evaluated
+	w.Reused += o.Reused
 }
 
 // Delta returns the total cost increase caused by overflow resolution,
@@ -163,6 +197,8 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 	// fileCost holds each touched file's current Ψ contribution, so a
 	// candidate's overhead is a Ψ delta instead of a full re-costing.
 	fileCost := make(map[media.VideoID]units.Money)
+	table := pairTable{}
+	defer table.release()
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sorp: resolution aborted: %w", err)
@@ -175,7 +211,8 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 			return nil, fmt.Errorf("sorp: no resolution after %d iterations (%d overflows remain)",
 				iter, len(overflows))
 		}
-		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost)
+		res.Iterations++
+		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost, table, res)
 		if err != nil {
 			return nil, err
 		}
@@ -183,14 +220,63 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 			return nil, fmt.Errorf("sorp: %d overflows but no reschedulable victim", len(overflows))
 		}
 		// Commit the winning candidate in place; every losing view of this
-		// iteration is dead from here on.
+		// iteration is dead from here on, and so is every table entry for
+		// the winner's file, whose copies the others' logs took as given.
 		work.Put(best.fs)
-		ledger = best.ledger.Commit()
+		if best.ledger != nil {
+			ledger = best.ledger.Commit()
+		} else {
+			ledger.CommitFile(best.fs)
+		}
+		table.dropVideo(best.record.Video)
 		fileCost[best.record.Video] = best.newCost
 		res.Victims = append(res.Victims, best.record)
 	}
 	res.CostAfter = m.ScheduleCost(work)
 	return res, nil
+}
+
+// pairKey identifies one victim evaluation: the banned (storage, interval)
+// pair and the file rescheduled around it.
+type pairKey struct {
+	node   topology.NodeID
+	window simtime.Interval
+	video  media.VideoID
+}
+
+// pairEntry is a finished evaluation kept for reuse: its result and the
+// capacity answers it rested on. round is the iteration that last asked
+// for the key.
+type pairEntry struct {
+	fs      *schedule.FileSchedule
+	newCost units.Money
+	ok      bool
+	log     *occupancy.ProbeLog
+	round   int
+}
+
+// pairTable is one run's evaluations by key. Entries leave when their
+// file is committed, when their key drops out of the overflow set, or when
+// their log no longer replays; the log's storage is recycled each time.
+type pairTable map[pairKey]pairEntry
+
+func (t pairTable) drop(k pairKey) {
+	t[k].log.Release()
+	delete(t, k)
+}
+
+func (t pairTable) dropVideo(vid media.VideoID) {
+	for k := range t {
+		if k.video == vid {
+			t.drop(k)
+		}
+	}
+}
+
+func (t pairTable) release() {
+	for k := range t {
+		t.drop(k)
+	}
 }
 
 // candidate is one involved residency scored for victimhood: the
@@ -248,24 +334,28 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // evaluated for its heat but the expensive reschedule is deduped by
 // (overflow, video) — the paper's loop is per c_i, yet for a given pair
 // the reschedule result is identical and only the improvement term
-// differs. The reschedules are independent — each works on its own overlay
-// view of the ledger — so they are evaluated across the worker pool; the
-// views are taken sequentially up front (Ledger.OverlayWithout builds the
-// base's snapshots in place) and the winner is then picked by a sequential
-// walk in overflow/ref order with the better() total order. The walk is
-// independent of worker count and completion order, so the selected victim
-// sequence stays byte-identical for any Workers setting.
+// differs. A pair whose table entry still replays (see the package
+// comment) takes its result from the entry; the others are independent —
+// each works on its own overlay view of the ledger — so they are evaluated
+// across the worker pool. Replays and views are taken sequentially up front
+// (both build the base's snapshots in place) and the winner is then picked
+// by a sequential walk in overflow/ref order with the better() total order.
+// The walk is independent of worker count, completion order and of which
+// results were reused, so the selected victim sequence stays
+// byte-identical for any Workers setting.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
-	fileCost map[media.VideoID]units.Money) (candidate, bool, error) {
+	fileCost map[media.VideoID]units.Money, table pairTable, res *Result) (candidate, bool, error) {
 
 	type reschedJob struct {
 		overflow int
 		video    media.VideoID
-		tmp      *occupancy.Ledger
+		tmp      *occupancy.Ledger   // nil for a reused result
+		log      *occupancy.ProbeLog // nil on the reference ledger
 		result   reschedResult
 	}
 	var jobs []reschedJob
+	var fresh []int // indices into jobs
 	jobOf := make([]map[media.VideoID]int, len(overflows))
 	refsOf := make([][]occupancy.Ref, len(overflows))
 	for oi, of := range overflows {
@@ -285,16 +375,48 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 				fileCost[ref.Video] = m.FileCost(work.File(ref.Video))
 			}
 			jobOf[oi][ref.Video] = len(jobs)
-			jobs = append(jobs, reschedJob{overflow: oi, video: ref.Video, tmp: ledger.OverlayWithout(ref.Video)})
+			job := reschedJob{overflow: oi, video: ref.Video}
+			key := pairKey{of.Node, of.Interval, ref.Video}
+			e, hit := table[key]
+			if hit && e.log.Replay(ledger) {
+				e.round = res.Iterations
+				table[key] = e
+				job.result = reschedResult{fs: e.fs, newCost: e.newCost,
+					overhead: e.newCost - fileCost[ref.Video], ok: e.ok}
+				res.Reused++
+			} else {
+				if hit {
+					table.drop(key)
+				}
+				job.tmp = ledger.OverlayWithout(ref.Video)
+				job.log = job.tmp.Record()
+				fresh = append(fresh, len(jobs))
+			}
+			jobs = append(jobs, job)
 		}
 	}
 
-	if err := parallel.Do(ctx, opts.Workers, len(jobs), func(i int) {
-		j := &jobs[i]
+	if err := parallel.Do(ctx, opts.Workers, len(fresh), func(i int) {
+		j := &jobs[fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
 			fileCost[j.video])
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
+	}
+	res.Evaluated += len(fresh)
+	for _, i := range fresh {
+		j := &jobs[i]
+		if j.log == nil {
+			continue
+		}
+		of := overflows[j.overflow]
+		table[pairKey{of.Node, of.Interval, j.video}] = pairEntry{
+			fs: j.result.fs, newCost: j.result.newCost, ok: j.result.ok, log: j.log, round: res.Iterations}
+	}
+	for k, e := range table {
+		if e.round != res.Iterations {
+			table.drop(k) // the key left the overflow set
+		}
 	}
 
 	var best candidate
@@ -342,7 +464,9 @@ func better(a, b candidate) bool {
 }
 
 type reschedResult struct {
-	fs       *schedule.FileSchedule
+	fs *schedule.FileSchedule
+	// ledger is the view the reschedule ran on; nil for a result reused
+	// from an earlier iteration.
 	ledger   *occupancy.Ledger
 	overhead units.Money
 	newCost  units.Money

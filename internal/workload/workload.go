@@ -80,14 +80,23 @@ func (s Set) Window() (simtime.Time, simtime.Time) {
 	return lo, hi
 }
 
+// before is the chronological order: by start time, ties by user ID.
+func before(a, b Request) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.User < b.User
+}
+
 // SortChronological sorts requests by start time, breaking ties by user ID.
 func SortChronological(rs []Request) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Start != rs[j].Start {
-			return rs[i].Start < rs[j].Start
-		}
-		return rs[i].User < rs[j].User
-	})
+	sort.Slice(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
+}
+
+// IsChronological reports whether the requests are already in
+// SortChronological's order.
+func IsChronological(rs []Request) bool {
+	return sort.SliceIsSorted(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
 }
 
 // Zipf draws title ranks with P(rank r) ∝ 1/(r+1)^(1-α).
