@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test vet check-shell bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
+.PHONY: all build test vet check-shell check-solver bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
 
 all: build vet test
 
@@ -15,7 +15,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet check-shell
+test: vet check-shell check-solver
 	$(GO) test ./...
 
 # One serving shell: the JSON reply helper, the JSON body decoder and the
@@ -30,6 +30,25 @@ check-shell:
 			echo "$$hits"; exit 1; \
 		fi; \
 	done
+
+# One solver: the two-phase pipeline (phase-1 fan-out, integrate, SORP)
+# lives once, in internal/scheduler, and the rolling horizon's epoch close
+# is a call to it. Fails when non-test code outside the solver's own
+# packages, the experiments and bench/ calls a phase directly, or when
+# internal/horizon imports one again, so the second pipeline cannot grow
+# back.
+check-solver:
+	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'ivs\.ScheduleFile\(|sorp\.Resolve' *.go cmd examples internal \
+		| grep -vE '^internal/(scheduler|sorp|optimal|experiment)/'); \
+	if [ -n "$$hits" ]; then \
+		echo "check-solver: a phase is called outside internal/scheduler (scheduler.Solve owns the pipeline):"; \
+		echo "$$hits"; exit 1; \
+	fi; \
+	imps=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/horizon | grep -E '/internal/(ivs|sorp|occupancy|parallel)$$'); \
+	if [ -n "$$imps" ]; then \
+		echo "check-solver: internal/horizon imports a solver phase (it drives scheduler.Solve only):"; \
+		echo "$$imps"; exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...

@@ -52,13 +52,24 @@ func fixtures(t *testing.T) (topoP, catP, reqP string) {
 	return topoP, catP, reqP
 }
 
+// opts is the flag set every test starts from: the fixtures, the tariff and
+// a quiet batch run.
+func opts(topoP, catP, reqP string) options {
+	return options{
+		topoPath: topoP, catPath: catP, reqPath: reqP,
+		srate: 2, nrate: 400,
+		metricName: "space-per-cost", policyName: "cache-on-route",
+		quiet: true,
+	}
+}
+
 func TestRunSchedulesAndSaves(t *testing.T) {
-	topoP, catP, reqP := fixtures(t)
-	outP := filepath.Join(t.TempDir(), "schedule.json")
-	if err := run(topoP, catP, reqP, 2, 400, "space-per-cost", "cache-on-route", outP, true, false, false, 0); err != nil {
+	o := opts(fixtures(t))
+	o.outPath = filepath.Join(t.TempDir(), "schedule.json")
+	if err := run(o); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	sched, err := cli.LoadSchedule(outP)
+	sched, err := cli.LoadSchedule(o.outPath)
 	if err != nil {
 		t.Fatalf("saved schedule unreadable: %v", err)
 	}
@@ -68,25 +79,96 @@ func TestRunSchedulesAndSaves(t *testing.T) {
 }
 
 func TestRunWithReportAndAnalysis(t *testing.T) {
-	topoP, catP, reqP := fixtures(t)
-	if err := run(topoP, catP, reqP, 2, 400, "period", "cache-at-destination", "", false, true, true, 2); err != nil {
+	o := opts(fixtures(t))
+	o.metricName, o.policyName = "period", "cache-at-destination"
+	o.quiet, o.analyze, o.bill, o.workers = false, true, true, 2
+	if err := run(o); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	// The report, analysis and invoice apply to a rolling replay's
+	// committed schedule just the same.
+	o.epochTickHours = 1
+	if err := run(o); err != nil {
+		t.Fatalf("rolling run: %v", err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	topoP, catP, reqP := fixtures(t)
-	if err := run("", catP, reqP, 2, 400, "period", "cache-on-route", "", true, false, false, 0); err == nil {
-		t.Error("expected missing-flag error")
+	base := opts(fixtures(t))
+	for name, mutate := range map[string]func(*options){
+		"missing flag":            func(o *options) { o.topoPath = "" },
+		"bad metric":              func(o *options) { o.metricName = "bogus" },
+		"bad policy":              func(o *options) { o.policyName = "bogus" },
+		"unreadable topology":     func(o *options) { o.topoPath = filepath.Join(t.TempDir(), "none.json") },
+		"compare without trigger": func(o *options) { o.compare = true },
+	} {
+		o := base
+		mutate(&o)
+		if err := run(o); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
 	}
-	if err := run(topoP, catP, reqP, 2, 400, "bogus", "cache-on-route", "", true, false, false, 0); err == nil {
-		t.Error("expected bad-metric error")
+}
+
+// Replay the generated trace through the rolling horizon with a small
+// epoch trigger and verify the committed schedule lands on disk serving
+// every reservation.
+func TestRunReplaysTrace(t *testing.T) {
+	o := opts(fixtures(t))
+	o.leadHours, o.epochRequests, o.compare = 2, 2, true
+	o.outPath = filepath.Join(t.TempDir(), "plan.json")
+	if err := run(o); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if err := run(topoP, catP, reqP, 2, 400, "period", "bogus", "", true, false, false, 0); err == nil {
-		t.Error("expected bad-policy error")
+
+	got, err := cli.LoadSchedule(o.outPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run(filepath.Join(t.TempDir(), "none.json"), catP, reqP, 2, 400, "period", "cache-on-route", "", true, false, false, 0); err == nil {
-		t.Error("expected load error")
+	topo, err := cli.LoadTopology(o.topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := cli.LoadRequests(o.reqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumDeliveries() != len(reqs) {
+		t.Fatalf("committed plan has %d deliveries for %d reservations", got.NumDeliveries(), len(reqs))
+	}
+	cat, err := cli.LoadCatalog(o.catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(topo, cat, reqs); err != nil {
+		t.Fatalf("committed plan invalid: %v", err)
+	}
+}
+
+func TestRunRequiresFlags(t *testing.T) {
+	if err := run(options{}); err == nil {
+		t.Fatal("missing-flag run must fail")
+	}
+}
+
+// Arrivals are lead-time ahead of their starts, clamped at zero, and
+// replayed in arrival order whatever order the batch lists them in.
+func TestBuildTrace(t *testing.T) {
+	reqs := workload.Set{
+		{User: 2, Video: 1, Start: 3 * simtime.Time(simtime.Hour)},
+		{User: 1, Video: 0, Start: simtime.Time(simtime.Hour)},
+		{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)},
+	}
+	trace := buildTrace(reqs, 2*simtime.Hour)
+	want := []arrival{
+		{at: 0, r: reqs[2]},
+		{at: 0, r: reqs[1]},
+		{at: simtime.Time(simtime.Hour), r: reqs[0]},
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("trace[%d] = %+v, want %+v", i, trace[i], want[i])
+		}
 	}
 }
 

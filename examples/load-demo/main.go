@@ -189,4 +189,3 @@ func getJSON(url string, v any) {
 		log.Fatal(err)
 	}
 }
-

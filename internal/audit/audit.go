@@ -11,8 +11,8 @@ import (
 
 	"github.com/vodsim/vsp/internal/billing"
 	"github.com/vodsim/vsp/internal/cost"
-	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/vodsim"
 	"github.com/vodsim/vsp/internal/workload"
@@ -51,19 +51,16 @@ func (r *Report) add(check, format string, args ...any) {
 // rather than stopping at the first.
 func Run(m *cost.Model, s *schedule.Schedule, reqs workload.Set) *Report {
 	rep := &Report{}
-	topo := m.Book().Topology()
 
-	// 1. Structural validation + request coverage.
-	if err := s.Validate(topo, m.Catalog(), reqs); err != nil {
-		rep.add("validate", "%v", err)
+	// 1–2. The commit predicate, each half reported on its own: structural
+	// validation with request coverage, and capacity feasibility.
+	v := scheduler.Check(m.Book().Topology(), m.Catalog(), s, reqs)
+	if v.Invalid != nil {
+		rep.add("validate", "%v", v.Invalid)
 	}
-
-	// 2. Capacity feasibility.
-	ledger := occupancy.FromSchedule(topo, m.Catalog(), s)
-	ovs := ledger.AllOverflows()
-	rep.Overflows = len(ovs)
-	if len(ovs) > 0 {
-		rep.add("capacity", "%d storage overflow(s), first %v", len(ovs), ovs[0])
+	rep.Overflows = len(v.Overflows)
+	if rep.Overflows > 0 {
+		rep.add("capacity", "%d storage overflow(s), first %v", rep.Overflows, v.Overflows[0])
 	}
 
 	// 3. Event-driven execution and independent cost derivation.

@@ -13,7 +13,6 @@ import (
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
-	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -49,21 +48,6 @@ type walOp struct {
 	Video media.VideoID   `json:"video,omitempty"`
 	Start simtime.Time    `json:"start,omitempty"`
 	To    simtime.Time    `json:"to,omitempty"`
-}
-
-// persistentState is the snapshot payload: the full mutable state of a
-// Service. The cost model and config are reconstruction parameters, not
-// state, and are supplied again at Recover time.
-type persistentState struct {
-	Horizon      simtime.Time       `json:"horizon"`
-	Epoch        int                `json:"epoch"`
-	Clock        simtime.Time       `json:"clock"`
-	EpochClock   simtime.Time       `json:"epoch_clock"`
-	Cost         units.Money        `json:"cost"`
-	Committed    *schedule.Schedule `json:"committed"`
-	Accepted     workload.Set       `json:"accepted"`
-	Pending      workload.Set       `json:"pending"`
-	PendingBytes float64            `json:"pending_bytes"`
 }
 
 // RecoveryStats reports what a Recover reconstructed, and the durable
@@ -111,7 +95,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("horizon: recover %s: %w", dir, err)
 	}
 	if haveSnap {
-		if err := s.loadState(blob); err != nil {
+		if s.st, err = decodeState(blob); err != nil {
 			return nil, fmt.Errorf("horizon: recover %s: snapshot: %w", dir, err)
 		}
 		s.recovery.SnapshotLoaded = true
@@ -156,7 +140,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 	// Audit the reconstructed schedule against the reservations it claims
 	// to serve. Refusing to start beats serving a committed schedule the
 	// infrastructure cannot execute.
-	err = s.verifyCommittedLocked()
+	err = s.verify(&s.st)
 	s.mu.Unlock()
 	if err != nil {
 		log.Close()
@@ -228,17 +212,18 @@ func (s *Service) applyPayloadLocked(ctx context.Context, payload []byte) (walOp
 	return op, nil
 }
 
-// verifyCommittedLocked runs the full audit bundle (validation,
-// capacity, simulation with cost agreement, billing) over the committed
-// schedule against the reservations it claims to serve — everything
-// accepted minus the still-pending intake, which is planned only at the
-// next Advance. Callers hold s.mu.
-func (s *Service) verifyCommittedLocked() error {
-	planned := s.accepted[:len(s.accepted)-len(s.pending)]
-	if len(planned) == 0 && len(s.committed.Files) == 0 {
+// verify runs the full audit bundle (validation, capacity, simulation
+// with cost agreement, billing) over a state's committed schedule against
+// the reservations it claims to serve — everything accepted minus the
+// still-pending intake, which is planned only at the next Advance. This is
+// a higher bar than the commit predicate an epoch close applies
+// (scheduler.Check, the bundle's first two checks).
+func (s *Service) verify(st *state) error {
+	planned := st.Accepted[:len(st.Accepted)-len(st.Pending)]
+	if len(planned) == 0 && len(st.Committed.Files) == 0 {
 		return nil
 	}
-	if rep := audit.Run(s.m, s.committed, planned); !rep.OK() {
+	if rep := audit.Run(s.m, st.Committed, planned); !rep.OK() {
 		return fmt.Errorf("%s (%d finding(s))", rep.Findings[0], len(rep.Findings))
 	}
 	return nil
@@ -251,7 +236,7 @@ func (s *Service) verifyCommittedLocked() error {
 func (s *Service) VerifyCommitted() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.verifyCommittedLocked()
+	return s.verify(&s.st)
 }
 
 // journalOp appends one operation record; callers hold s.mu.
@@ -279,10 +264,10 @@ func (s *Service) maybeSnapshotLocked() {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	if every < 0 || s.epoch%every != 0 {
+	if every < 0 || s.st.Epoch%every != 0 {
 		return
 	}
-	blob, err := json.Marshal(s.stateLocked())
+	blob, err := json.Marshal(s.st)
 	if err == nil {
 		err = wal.WriteSnapshot(s.dir, s.lastSeq, blob)
 	}
@@ -294,38 +279,14 @@ func (s *Service) maybeSnapshotLocked() {
 	}
 }
 
-// stateLocked captures the full mutable state; callers hold s.mu.
-func (s *Service) stateLocked() persistentState {
-	return persistentState{
-		Horizon:      s.horizon,
-		Epoch:        s.epoch,
-		Clock:        s.clock,
-		EpochClock:   s.epochClock,
-		Cost:         s.cost,
-		Committed:    s.committed,
-		Accepted:     s.accepted,
-		Pending:      s.pending,
-		PendingBytes: s.pendingBytes,
-	}
-}
-
-// loadState restores a snapshot payload into a freshly built service.
-func (s *Service) loadState(blob []byte) error {
-	var st persistentState
+// decodeState reads a snapshot payload back into a state value.
+func decodeState(blob []byte) (state, error) {
+	var st state
 	if err := json.Unmarshal(blob, &st); err != nil {
-		return err
+		return state{}, err
 	}
 	if st.Committed == nil {
 		st.Committed = schedule.New()
 	}
-	s.horizon = st.Horizon
-	s.epoch = st.Epoch
-	s.clock = st.Clock
-	s.epochClock = st.EpochClock
-	s.cost = st.Cost
-	s.committed = st.Committed
-	s.accepted = st.Accepted
-	s.pending = st.Pending
-	s.pendingBytes = st.PendingBytes
-	return nil
+	return st, nil
 }

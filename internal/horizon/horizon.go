@@ -23,33 +23,31 @@
 //     includes the frozen occupancy, never selecting a frozen copy as a
 //     rescheduling victim.
 //
-// Per-file IVS inside an epoch fans out over a bounded worker pool:
-// individual file schedules are independent until SORP integration, which
-// is exactly the paper's phase boundary. A reservation whose start time
-// already lies inside the frozen window is rejected with ErrLateArrival.
+// The last two steps are not this package's code: an epoch close is one call
+// to scheduler.Solve — the same two-phase pipeline the batch scheduler runs —
+// with the frozen prefixes as its extra argument, followed by the same commit
+// predicate (scheduler.Check) against every reservation accepted so far. What
+// this package owns is the state around that call: the split, the journal
+// and the commit. A reservation whose start time already lies inside the
+// frozen window is rejected with ErrLateArrival.
 //
 // With everything submitted before the first epoch closes (all requests in
-// epoch 0, horizon 0), nothing freezes and the pipeline degenerates to the
-// one-shot scheduler: the incremental result is byte-identical to
-// scheduler.Schedule.
+// epoch 0, horizon 0), nothing freezes and the epoch close is the one-shot
+// scheduler: the result is byte-identical to scheduler.Schedule.
 package horizon
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/vodsim/vsp/internal/cost"
-	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/occupancy"
-	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
@@ -67,9 +65,9 @@ var ErrLateArrival = errors.New("horizon: reservation starts inside the frozen w
 // boundary on its own and the caller decides when to Advance.
 type Config struct {
 	// Policy is the caching policy for both scheduling phases.
-	Policy ivs.Policy
+	Policy scheduler.Policy
 	// Metric is the SORP victim-selection metric (default SpacePerCost).
-	Metric sorp.HeatMetric
+	Metric scheduler.HeatMetric
 	// EpochRequests closes the epoch after this many pending reservations.
 	EpochRequests int
 	// EpochBytes closes the epoch once the pending reservations' amortized
@@ -141,11 +139,11 @@ type EpochResult struct {
 	// incremental per-file schedules were integrated.
 	Overflows int `json:"overflows"`
 	// Victims lists the SORP rescheduling decisions in order.
-	Victims []sorp.Victim `json:"victims,omitempty"`
+	Victims []scheduler.Victim `json:"victims,omitempty"`
 	// Resolution counts the SORP run's work: iterations, pairs rescheduled
 	// afresh and pairs reused from an earlier iteration (all zero when the
 	// epoch integrated without overflow).
-	Resolution sorp.Work `json:"resolution"`
+	Resolution scheduler.Work `json:"resolution"`
 	// Cost is Ψ(S) of the committed schedule after this epoch.
 	Cost units.Money `json:"cost"`
 }
@@ -157,16 +155,7 @@ type Service struct {
 	m   *cost.Model
 	cfg Config
 
-	horizon    simtime.Time // commit horizon H
-	epoch      int          // epochs committed so far
-	clock      simtime.Time // latest arrival instant seen
-	epochClock simtime.Time // arrival clock at the last Advance
-
-	committed    *schedule.Schedule
-	cost         units.Money
-	accepted     workload.Set // every reservation ever accepted
-	pending      workload.Set // accepted but not yet planned
-	pendingBytes float64
+	st state // everything that changes; guarded by mu
 
 	// Durability (nil/zero for in-memory services; see durable.go).
 	journal  *wal.Log
@@ -175,47 +164,79 @@ type Service struct {
 	recovery RecoveryStats
 }
 
+// state is the full mutable state of a Service, declared once: the live
+// value under Service.mu is also, field for field, the snapshot payload and
+// the replication snapshot. Every field is exported and tagged because
+// encoding/json silently drops the rest. The cost model and config are
+// reconstruction parameters, not state, and are supplied again at Recover.
+//
+// An epoch close reads one state value and commit installs the next; the
+// Committed schedule is never modified once installed, and Accepted only
+// ever grows by append, so a copy of the struct stays a consistent reading
+// after the lock is released.
+type state struct {
+	Horizon      simtime.Time       `json:"horizon"`     // commit horizon H
+	Epoch        int                `json:"epoch"`       // epochs committed so far
+	Clock        simtime.Time       `json:"clock"`       // latest arrival instant seen
+	EpochClock   simtime.Time       `json:"epoch_clock"` // arrival clock at the last Advance
+	Cost         units.Money        `json:"cost"`        // Ψ(S) of Committed
+	Committed    *schedule.Schedule `json:"committed"`
+	Accepted     workload.Set       `json:"accepted"` // every reservation ever accepted
+	Pending      workload.Set       `json:"pending"`  // accepted but not yet planned; a suffix of Accepted
+	PendingBytes float64            `json:"pending_bytes"`
+}
+
 // New returns a service with an empty committed schedule and horizon 0.
 func New(m *cost.Model, cfg Config) *Service {
-	if cfg.Metric == 0 {
-		cfg.Metric = sorp.SpacePerCost
+	return &Service{m: m, cfg: cfg, st: state{Committed: schedule.New()}}
+}
+
+// Plan is one consistent reading of what the service has published: the
+// committed schedule with the horizon, epoch and cost it was committed
+// under, and the intake buffer size at that instant.
+type Plan struct {
+	// Schedule is the live committed schedule, not a copy. A committed
+	// schedule is never modified — every epoch installs a new one — so it
+	// may be read and encoded freely, but must not be written; Committed
+	// returns a copy to own.
+	Schedule *schedule.Schedule
+	Horizon  simtime.Time
+	Epoch    int
+	Pending  int
+	Cost     units.Money
+}
+
+// Plan returns the published plan from a single lock acquisition, so its
+// fields always belong to the same epoch.
+func (s *Service) Plan() Plan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Plan{
+		Schedule: s.st.Committed,
+		Horizon:  s.st.Horizon,
+		Epoch:    s.st.Epoch,
+		Pending:  len(s.st.Pending),
+		Cost:     s.st.Cost,
 	}
-	return &Service{m: m, cfg: cfg, committed: schedule.New()}
 }
 
 // Horizon returns the current commit horizon.
-func (s *Service) Horizon() simtime.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.horizon
-}
+func (s *Service) Horizon() simtime.Time { return s.Plan().Horizon }
 
 // Epoch returns the number of epochs committed so far.
-func (s *Service) Epoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
+func (s *Service) Epoch() int { return s.Plan().Epoch }
 
 // Pending returns the intake buffer size.
-func (s *Service) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
+func (s *Service) Pending() int { return s.Plan().Pending }
 
 // Cost returns Ψ(S) of the committed schedule.
-func (s *Service) Cost() units.Money {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cost
-}
+func (s *Service) Cost() units.Money { return s.Plan().Cost }
 
 // Committed returns a deep copy of the committed schedule.
 func (s *Service) Committed() *schedule.Schedule {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.committed.Clone()
+	return s.st.Committed.Clone()
 }
 
 // Accepted returns a copy of every reservation accepted so far, planned or
@@ -223,7 +244,7 @@ func (s *Service) Committed() *schedule.Schedule {
 func (s *Service) Accepted() workload.Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(workload.Set(nil), s.accepted...)
+	return append(workload.Set(nil), s.st.Accepted...)
 }
 
 // Submit offers one reservation arriving at instant at. It is rejected
@@ -247,9 +268,9 @@ func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error)
 	if int(r.User) < 0 || int(r.User) >= s.m.Book().Topology().NumUsers() {
 		return Ack{}, fmt.Errorf("horizon: unknown user %d", r.User)
 	}
-	if r.Start < s.horizon {
+	if r.Start < s.st.Horizon {
 		return Ack{}, fmt.Errorf("%w: start %v is before commit horizon %v",
-			ErrLateArrival, r.Start, s.horizon)
+			ErrLateArrival, r.Start, s.st.Horizon)
 	}
 	// Journal before mutating: a reservation is acknowledged only once it
 	// is on the log (per the configured fsync policy). A failed append
@@ -259,18 +280,19 @@ func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error)
 			return Ack{}, fmt.Errorf("horizon: journal submit: %w", err)
 		}
 	}
-	s.clock = simtime.Max(s.clock, at)
-	s.pending = append(s.pending, r)
-	s.accepted = append(s.accepted, r)
-	s.pendingBytes += s.m.Catalog().Video(r.Video).StreamBytes().Float()
+	st := &s.st
+	st.Clock = simtime.Max(st.Clock, at)
+	st.Pending = append(st.Pending, r)
+	st.Accepted = append(st.Accepted, r)
+	st.PendingBytes += s.m.Catalog().Video(r.Video).StreamBytes().Float()
 
-	ack := Ack{Pending: len(s.pending), PendingBytes: s.pendingBytes}
+	ack := Ack{Pending: len(st.Pending), PendingBytes: st.PendingBytes}
 	switch {
-	case s.cfg.EpochRequests > 0 && len(s.pending) >= s.cfg.EpochRequests:
+	case s.cfg.EpochRequests > 0 && len(st.Pending) >= s.cfg.EpochRequests:
 		ack.EpochDue, ack.Trigger = true, TriggerRequests
-	case s.cfg.EpochBytes > 0 && s.pendingBytes >= s.cfg.EpochBytes:
+	case s.cfg.EpochBytes > 0 && st.PendingBytes >= s.cfg.EpochBytes:
 		ack.EpochDue, ack.Trigger = true, TriggerBytes
-	case s.cfg.EpochTick > 0 && s.clock.Sub(s.epochClock) >= s.cfg.EpochTick:
+	case s.cfg.EpochTick > 0 && st.Clock.Sub(st.EpochClock) >= s.cfg.EpochTick:
 		ack.EpochDue, ack.Trigger = true, TriggerTick
 	}
 	return ack, nil
@@ -290,19 +312,76 @@ func (s *Service) Advance(ctx context.Context, to simtime.Time) (*EpochResult, e
 
 // advanceLocked is Advance's body; callers hold s.mu. Like submitLocked
 // it is shared by live traffic, recovery replay and replication apply.
+// The epoch is planned from one state value and committed by installing
+// the next: nothing in between writes the service.
 func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochResult, error) {
-	if to < s.horizon {
-		return nil, fmt.Errorf("horizon: cannot move horizon backwards from %v to %v", s.horizon, to)
+	if to < s.st.Horizon {
+		return nil, fmt.Errorf("horizon: cannot move horizon backwards from %v to %v", s.st.Horizon, to)
+	}
+	next, res, err := s.extend(ctx, s.st, to)
+	if err != nil {
+		return nil, fmt.Errorf("horizon: epoch %d: %w", s.st.Epoch, err)
 	}
 
-	// Split the committed schedule at the new horizon.
+	// Journal the epoch boundary only after the plan extension succeeded:
+	// replaying the log re-runs exactly the Advances that committed, and a
+	// failed append aborts the epoch with the previous state intact.
+	if s.journal != nil {
+		if err := s.journalOp(walOp{Op: opAdvance, To: to}); err != nil {
+			return nil, fmt.Errorf("horizon: journal advance: %w", err)
+		}
+	}
+	s.st = next
+	s.maybeSnapshotLocked()
+	return res, nil
+}
+
+// extend plans the epoch that moves st's horizon to the given time and
+// returns the state to commit. It reads st, the model and the config and
+// writes nothing: split the committed schedule, solve the un-frozen
+// requests plus the pending intake on top of the frozen prefixes, and keep
+// the result only if the commit predicate accepts it against every
+// reservation accepted so far.
+func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *EpochResult, error) {
+	frozen, reqs, res, err := st.split(to)
+	if err != nil {
+		return state{}, nil, err
+	}
+	out, err := scheduler.Solve(ctx, s.m, reqs, frozen,
+		scheduler.Config{Policy: s.cfg.Policy, Metric: s.cfg.Metric, Workers: s.cfg.Workers})
+	if err != nil {
+		return state{}, nil, err
+	}
+	if err := scheduler.Check(s.m.Book().Topology(), s.m.Catalog(), out.Schedule, st.Accepted).Err(); err != nil {
+		return state{}, nil, err
+	}
+	res.Overflows = out.Overflows
+	res.Victims = out.Victims
+	res.Resolution = out.Resolution
+	res.Cost = out.FinalCost
+	return state{
+		Horizon:    to,
+		Epoch:      st.Epoch + 1,
+		Clock:      st.Clock,
+		EpochClock: simtime.Max(st.Clock, to),
+		Cost:       out.FinalCost,
+		Committed:  out.Schedule,
+		Accepted:   st.Accepted,
+	}, res, nil
+}
+
+// split divides the committed schedule at the new horizon: per video, the
+// prefix that freezes and the requests to plan — the torn-up deliveries'
+// plus the pending intake, in chronological order. The returned result
+// carries the split's counts.
+func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedule, map[media.VideoID][]workload.Request, *EpochResult, error) {
 	frozen := make(map[media.VideoID]*schedule.FileSchedule)
 	reqs := make(map[media.VideoID][]workload.Request)
-	res := &EpochResult{Epoch: s.epoch, Horizon: to, Admitted: len(s.pending)}
-	for _, vid := range s.committed.VideoIDs() {
-		pre, replan, err := splitFile(s.committed.File(vid), to)
+	res := &EpochResult{Epoch: st.Epoch, Horizon: to, Admitted: len(st.Pending)}
+	for _, vid := range st.Committed.VideoIDs() {
+		pre, replan, err := splitFile(st.Committed.File(vid), to)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		if len(pre.Deliveries) > 0 || len(pre.Residencies) > 0 {
 			frozen[vid] = pre
@@ -314,107 +393,13 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 			res.Replanned += len(replan)
 		}
 	}
-	for _, r := range s.pending {
+	for _, r := range st.Pending {
 		reqs[r.Video] = append(reqs[r.Video], r)
 	}
 	for _, rs := range reqs {
 		workload.SortChronological(rs)
 	}
-
-	// Every file with frozen history or live requests needs a schedule;
-	// files with only frozen history carry their prefix through unchanged.
-	videoSet := make(map[media.VideoID]bool, len(frozen)+len(reqs))
-	for vid := range frozen {
-		videoSet[vid] = true
-	}
-	for vid := range reqs {
-		videoSet[vid] = true
-	}
-	videos := make([]media.VideoID, 0, len(videoSet))
-	for vid := range videoSet {
-		videos = append(videos, vid)
-	}
-	sort.Slice(videos, func(i, j int) bool { return videos[i] < videos[j] })
-
-	next, err := s.phase1(ctx, videos, reqs, frozen)
-	if err != nil {
-		return nil, err
-	}
-
-	ledger := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next)
-	res.Overflows = len(ledger.AllOverflows())
-	if res.Overflows > 0 {
-		rr, err := sorp.ResolveContext(ctx, s.m, next, reqs, sorp.Options{
-			Metric:  s.cfg.Metric,
-			Policy:  s.cfg.Policy,
-			Frozen:  frozen,
-			Workers: s.cfg.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("horizon: epoch %d resolution: %w", s.epoch, err)
-		}
-		next = rr.Schedule
-		res.Victims = rr.Victims
-		res.Resolution = rr.Work
-	}
-
-	if err := next.Validate(s.m.Book().Topology(), s.m.Catalog(), s.accepted); err != nil {
-		return nil, fmt.Errorf("horizon: epoch %d produced invalid schedule: %w", s.epoch, err)
-	}
-	l := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next)
-	if ovs := l.AllOverflows(); len(ovs) > 0 {
-		return nil, fmt.Errorf("horizon: epoch %d leaves %d overflows unresolved", s.epoch, len(ovs))
-	}
-
-	// Journal the epoch boundary only after the plan extension succeeded:
-	// replaying the log re-runs exactly the Advances that committed, and a
-	// failed append aborts the epoch with the previous state intact.
-	if s.journal != nil {
-		if err := s.journalOp(walOp{Op: opAdvance, To: to}); err != nil {
-			return nil, fmt.Errorf("horizon: journal advance: %w", err)
-		}
-	}
-
-	res.Cost = s.m.ScheduleCost(next)
-	s.committed = next
-	s.cost = res.Cost
-	s.horizon = to
-	s.epoch++
-	s.pending = nil
-	s.pendingBytes = 0
-	s.epochClock = simtime.Max(s.clock, to)
-	s.maybeSnapshotLocked()
-	return res, nil
-}
-
-// phase1 fans the per-file individual scheduling out over the shared
-// bounded worker pool (internal/parallel). File schedules are independent
-// in phase 1 (unbounded-storage assumption, paper §3.2), so this is safe;
-// results are assembled in video order, keeping the outcome byte-identical
-// to a sequential run.
-func (s *Service) phase1(ctx context.Context, videos []media.VideoID,
-	reqs map[media.VideoID][]workload.Request, frozen map[media.VideoID]*schedule.FileSchedule) (*schedule.Schedule, error) {
-
-	fss := make([]*schedule.FileSchedule, len(videos))
-	errs := make([]error, len(videos))
-	if err := parallel.Do(ctx, s.cfg.Workers, len(videos), func(i int) {
-		vid := videos[i]
-		fss[i], errs[i] = ivs.ScheduleFile(s.m, vid, reqs[vid], ivs.Options{
-			Policy: s.cfg.Policy,
-			Frozen: frozen[vid],
-		})
-	}); err != nil {
-		return nil, fmt.Errorf("horizon: epoch %d phase 1 aborted: %w", s.epoch, err)
-	}
-
-	next := schedule.New()
-	for i, vid := range videos {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("horizon: epoch %d phase 1 for video %d: %w", s.epoch, vid, errs[i])
-		}
-		next.Put(fss[i])
-	}
-	return next, nil
+	return frozen, reqs, res, nil
 }
 
 // splitFile divides one committed file schedule at the horizon. Deliveries
@@ -443,13 +428,13 @@ func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileS
 	// than assume: a violation means the commit invariant broke.
 	for i := fd; i < len(fs.Deliveries); i++ {
 		if fs.Deliveries[i].Start < horizon {
-			return nil, nil, fmt.Errorf("horizon: video %d delivery %d starts at %v behind frozen prefix ending before %v",
+			return nil, nil, fmt.Errorf("video %d delivery %d starts at %v behind frozen prefix ending before %v",
 				fs.Video, i, fs.Deliveries[i].Start, horizon)
 		}
 	}
 	for j := fr; j < len(fs.Residencies); j++ {
 		if fs.Residencies[j].Load < horizon {
-			return nil, nil, fmt.Errorf("horizon: video %d residency %d loads at %v behind frozen prefix ending before %v",
+			return nil, nil, fmt.Errorf("video %d residency %d loads at %v behind frozen prefix ending before %v",
 				fs.Video, j, fs.Residencies[j].Load, horizon)
 		}
 	}
@@ -458,7 +443,7 @@ func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileS
 	for i := 0; i < fd; i++ {
 		d := fs.Deliveries[i]
 		if d.SourceResidency != schedule.NoResidency && d.SourceResidency >= fr {
-			return nil, nil, fmt.Errorf("horizon: video %d frozen delivery %d draws from un-frozen residency %d",
+			return nil, nil, fmt.Errorf("video %d frozen delivery %d draws from un-frozen residency %d",
 				fs.Video, i, d.SourceResidency)
 		}
 		d.Route = d.Route.Clone()
@@ -467,7 +452,7 @@ func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileS
 	for j := 0; j < fr; j++ {
 		c := fs.Residencies[j]
 		if c.FedBy != schedule.PrePlacedFeed && c.FedBy >= fd {
-			return nil, nil, fmt.Errorf("horizon: video %d frozen residency %d fed by un-frozen delivery %d",
+			return nil, nil, fmt.Errorf("video %d frozen residency %d fed by un-frozen delivery %d",
 				fs.Video, j, c.FedBy)
 		}
 		kept := make([]int, 0, len(c.Services))

@@ -38,7 +38,7 @@ type ReplicationTail struct {
 	// than the requested resume point.
 	Records []wal.Record
 	// Snapshot, when non-nil, is the full-state payload at SnapshotSeq
-	// (the same persistentState layout Recover loads from disk).
+	// (the same state layout Recover loads from disk).
 	Snapshot    []byte
 	SnapshotSeq uint64
 	// LastSeq is the primary's latest journaled sequence, letting the
@@ -80,7 +80,7 @@ func (s *Service) TailAfter(after uint64, maxRecords int) (*ReplicationTail, err
 	if len(recs) == 0 || recs[0].Seq != after+1 {
 		// The records right after the resume point were compacted into a
 		// snapshot. Ship the live state instead of the unreachable diff.
-		blob, err := json.Marshal(s.stateLocked())
+		blob, err := json.Marshal(s.st)
 		if err != nil {
 			return nil, fmt.Errorf("horizon: snapshot state: %w", err)
 		}
@@ -133,26 +133,27 @@ func (s *Service) ApplyReplicated(ctx context.Context, rec wal.Record) (bool, er
 // local snapshot with the journal reset, so a restart recovers to the
 // same sequence. A snapshot that does not advance past the applied
 // sequence is rejected.
-func (s *Service) InstallSnapshot(seq uint64, state []byte) error {
+func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq <= s.lastSeq {
 		return fmt.Errorf("horizon: snapshot seq %d does not advance past applied seq %d", seq, s.lastSeq)
 	}
-	// Stage into a scratch service first: an undecodable or audit-failing
-	// snapshot must leave the live state untouched.
-	scratch := New(s.m, s.cfg)
-	if err := scratch.loadState(state); err != nil {
+	// Decode and audit the value before anything else happens: an
+	// undecodable or audit-failing snapshot must leave the live state
+	// untouched.
+	st, err := decodeState(blob)
+	if err != nil {
 		return fmt.Errorf("horizon: snapshot state: %w", err)
 	}
-	if err := scratch.verifyCommittedLocked(); err != nil {
+	if err := s.verify(&st); err != nil {
 		return fmt.Errorf("horizon: snapshot state fails audit: %w", err)
 	}
 	if s.journal != nil {
 		// Persist before adopting: if the snapshot cannot be made durable
 		// the install fails whole, so a restart never recovers a journal
 		// that contradicts the in-memory state.
-		if err := wal.WriteSnapshot(s.dir, seq, state); err != nil {
+		if err := wal.WriteSnapshot(s.dir, seq, blob); err != nil {
 			s.recovery.SnapshotFailures++
 			return fmt.Errorf("horizon: persist installed snapshot: %w", err)
 		}
@@ -161,9 +162,7 @@ func (s *Service) InstallSnapshot(seq uint64, state []byte) error {
 		}
 		s.journal.EnsureSeqAbove(seq)
 	}
-	if err := s.loadState(state); err != nil {
-		return fmt.Errorf("horizon: snapshot state: %w", err)
-	}
+	s.st = st
 	s.lastSeq = seq
 	s.recovery.SnapshotLoaded = true
 	return nil

@@ -34,6 +34,7 @@ import (
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
@@ -176,19 +177,16 @@ func Repair(m *cost.Model, s *schedule.Schedule, sc *faults.Scenario, opts Optio
 		}
 	}
 
-	if ovs := ledger.AllOverflows(); len(ovs) > 0 {
-		return nil, fmt.Errorf("repair: produced %d capacity overflows, first %v", len(ovs), ovs[0])
-	}
-	// Structural self-check against exactly the requests the repaired
-	// schedule claims to cover.
+	// Self-check with the commit predicate, against exactly the requests
+	// the repaired schedule claims to cover.
 	covered := make(workload.Set, 0, repaired.NumDeliveries())
 	for _, vid := range repaired.VideoIDs() {
 		for _, d := range repaired.Files[vid].Deliveries {
 			covered = append(covered, workload.Request{User: d.User, Video: d.Video, Start: d.Start})
 		}
 	}
-	if err := repaired.Validate(topo, m.Catalog(), covered); err != nil {
-		return nil, fmt.Errorf("repair: produced invalid schedule: %w", err)
+	if err := scheduler.Check(topo, m.Catalog(), repaired, covered).Err(); err != nil {
+		return nil, fmt.Errorf("repair: produced %w", err)
 	}
 	res.CostAfter = m.ScheduleCost(repaired)
 	summarize(m, res)

@@ -1,0 +1,54 @@
+package scheduler
+
+import (
+	"fmt"
+
+	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/occupancy"
+	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/topology"
+	"github.com/vodsim/vsp/internal/workload"
+)
+
+// Verdict is the commit predicate's answer for one schedule. A schedule may
+// be committed — returned by Schedule, published by a horizon epoch, handed
+// back by repair — only when both halves are empty.
+type Verdict struct {
+	// Invalid is schedule.Validate's complaint: a broken structural
+	// invariant, or a mismatch with the set of requests the schedule must
+	// serve (one unserved, one served twice, one nobody asked for).
+	Invalid error
+	// Overflows are the storage over-commit situations of the schedule.
+	Overflows []occupancy.Overflow
+}
+
+// Err returns nil for a committable schedule and otherwise names the first
+// failed half, wrapping Invalid.
+func (v Verdict) Err() error {
+	if v.Invalid != nil {
+		return fmt.Errorf("invalid schedule: %w", v.Invalid)
+	}
+	if len(v.Overflows) > 0 {
+		return fmt.Errorf("%d storage overflow(s) unresolved, first %v", len(v.Overflows), v.Overflows[0])
+	}
+	return nil
+}
+
+// Check is the commit predicate, the single statement of "valid and
+// overflow-free": the schedule passes schedule.Validate against exactly the
+// requests it must serve, and no storage is over-committed. Both halves
+// always run, so an auditor can report each.
+func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule, served workload.Set) Verdict {
+	return Verdict{
+		Invalid:   s.Validate(topo, catalog, served),
+		Overflows: Overflows(topo, catalog, s),
+	}
+}
+
+// Overflows is the capacity half of the predicate on its own. The ledger is
+// rebuilt from the schedule's residencies alone rather than taken from
+// whatever produced the schedule: an occupancy account that the solver
+// updated incrementally cannot vouch for itself.
+func Overflows(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule) []occupancy.Overflow {
+	return occupancy.FromSchedule(topo, catalog, s).AllOverflows()
+}

@@ -32,8 +32,9 @@ type refineResult struct {
 // residual capacity can undercut its phase-1 plan. Cost strictly
 // decreases every accepted move, so the sweep terminates.
 func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[media.VideoID][]workload.Request,
-	policy ivs.Policy, maxPasses int, seeds map[media.VideoID][]schedule.Residency) (refineResult, error) {
+	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config) (refineResult, error) {
 
+	maxPasses := cfg.RefinePasses
 	if maxPasses <= 0 {
 		maxPasses = 10
 	}
@@ -52,9 +53,10 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 			curCost := m.FileCost(cur)
 			tmp := ledger.OverlayWithout(vid)
 			cand, err := ivs.ScheduleFile(m, vid, parts[vid], ivs.Options{
-				Policy: policy,
+				Policy: cfg.Policy,
 				Ledger: tmp,
-				Seeds:  seeds[vid],
+				Seeds:  cfg.Seeds[vid],
+				Frozen: frozen[vid],
 			})
 			if err != nil {
 				return res, fmt.Errorf("scheduler: refine video %d: %w", vid, err)

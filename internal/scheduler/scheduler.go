@@ -2,16 +2,22 @@
 // phase 1 computes a minimum-cost schedule for every file individually,
 // assuming unbounded intermediate storage; phase 2 integrates them, detects
 // storage overflows, and resolves them by heat-ranked victim rescheduling.
+//
+// The pipeline exists once, as Solve, and so does the question "may this
+// schedule be committed", as Check. The batch entry points (Run, Schedule)
+// and the rolling-horizon service's epoch close (internal/horizon) are both
+// Solve followed by Check; they differ only in what they pass as frozen and
+// as the served set.
 package scheduler
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/sorp"
@@ -19,20 +25,30 @@ import (
 	"github.com/vodsim/vsp/internal/workload"
 )
 
+// The pipeline's vocabulary under the scheduler's name, so a caller that
+// only drives Solve (internal/horizon) configures it and reads its outcome
+// without importing the phases behind it.
+type (
+	Policy     = ivs.Policy
+	HeatMetric = sorp.HeatMetric
+	Victim     = sorp.Victim
+	Work       = sorp.Work
+)
+
 // Config selects the scheduler's policies.
 type Config struct {
 	// Policy is the caching policy for both phases (default CacheOnRoute).
-	Policy ivs.Policy
+	Policy Policy
 	// Metric is the victim-selection heat metric for phase 2 (default
 	// SpacePerCost, the paper's best performer).
-	Metric sorp.HeatMetric
+	Metric HeatMetric
 	// SkipResolution stops after phase 1, returning the possibly
 	// over-committed integrated schedule (used by studies that inspect
 	// raw overflows).
 	SkipResolution bool
-	// SkipValidation disables the final structural validation (the
-	// validation is cheap; this exists for benchmarks isolating pure
-	// scheduling time).
+	// SkipValidation makes Schedule return Solve's result without running
+	// the commit predicate (the predicate is cheap; this exists for
+	// benchmarks isolating pure scheduling time).
 	SkipValidation bool
 	// Refine enables the post-resolution improvement sweep: each file is
 	// rescheduled against the other files' actual disk usage and kept when
@@ -68,10 +84,10 @@ type Outcome struct {
 	// when the individual schedules were integrated.
 	Overflows int
 	// Victims lists the phase-2 rescheduling decisions in order.
-	Victims []sorp.Victim
+	Victims []Victim
 	// Resolution counts phase 2's work: iterations, pairs rescheduled
 	// afresh and pairs reused from an earlier iteration.
-	Resolution sorp.Work
+	Resolution Work
 	// RefinedFiles counts files improved by the refinement sweep and
 	// RefineSavings the total cost it recovered (zero unless Config.Refine).
 	RefinedFiles  int
@@ -87,26 +103,71 @@ func Run(m *cost.Model, reqs workload.Set, cfg Config) (*Outcome, error) {
 	return Schedule(context.Background(), m, reqs, cfg)
 }
 
-// Schedule is Run with cancellation: the context is checked before every
-// phase-1 file dispatch, every phase-2 victim iteration, and every
-// refinement pass, so a cancelled or timed-out ctx aborts the run promptly
-// with ctx.Err() wrapped in the returned error. Work done so far is
-// discarded — a partial schedule is not a schedule.
+// Schedule is Run with cancellation: Solve over the batch grouped by video
+// with nothing frozen, then the commit predicate (Check) against the batch.
+// A cancelled or timed-out ctx aborts the run promptly with ctx.Err()
+// wrapped in the returned error; work done so far is discarded — a partial
+// schedule is not a schedule.
+func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config) (*Outcome, error) {
+	out, err := Solve(ctx, m, reqs.ByVideo(), nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.SkipValidation {
+		v := Check(m.Book().Topology(), m.Catalog(), out.Schedule, reqs)
+		if cfg.SkipResolution {
+			v.Overflows = nil // the raw overflows are what the caller asked to see
+		}
+		if err := v.Err(); err != nil {
+			return nil, fmt.Errorf("scheduler: %w", err)
+		}
+	}
+	return out, nil
+}
+
+// Solve is the two-phase pipeline, the only one in the repository: the batch
+// scheduler and the rolling horizon's epoch close (internal/horizon) are
+// both this function. reqs holds, per video, the requests to plan; frozen
+// holds, per video, an immutable prefix committed by earlier epochs (nil for
+// a batch), which phase 1 extends and phase 2 never selects a victim from.
+// A file is scheduled for every video that is requested, frozen or seeded,
+// so history and standing copies nobody asks for this round still occupy
+// their space and money.
 //
 // Phase 1 fans the per-file individual scheduling out over the bounded
 // worker pool selected by Config.Workers. File schedules are independent
 // in phase 1 (unbounded-storage assumption, paper §3.2), so this is safe;
 // results are merged in video-ID order, keeping the outcome byte-identical
-// to a sequential run.
-func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config) (*Outcome, error) {
-	parts := reqs.ByVideo()
-	videos := reqs.Videos()
+// to a sequential run. The context is checked before every phase-1 file
+// dispatch, every phase-2 victim iteration and every refinement pass.
+//
+// Solve does not judge its own result: callers commit only what Check
+// accepts against the full set of requests the schedule must serve.
+func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload.Request,
+	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config) (*Outcome, error) {
+
+	videos := make([]media.VideoID, 0, len(reqs)+len(frozen))
+	for vid := range reqs {
+		videos = append(videos, vid)
+	}
+	for vid := range frozen {
+		videos = append(videos, vid)
+	}
+	for vid, seeds := range cfg.Seeds {
+		if len(seeds) > 0 {
+			videos = append(videos, vid)
+		}
+	}
+	slices.Sort(videos)
+	videos = slices.Compact(videos)
+
 	s := schedule.New()
 	fss := make([]*schedule.FileSchedule, len(videos))
 	errs := make([]error, len(videos))
 	if err := parallel.Do(ctx, cfg.Workers, len(videos), func(i int) {
-		fss[i], errs[i] = ivs.ScheduleFile(m, videos[i], parts[videos[i]],
-			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[videos[i]]})
+		vid := videos[i]
+		fss[i], errs[i] = ivs.ScheduleFile(m, vid, reqs[vid],
+			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[vid], Frozen: frozen[vid]})
 	}); err != nil {
 		return nil, fmt.Errorf("scheduler: phase 1 aborted: %w", err)
 	}
@@ -116,28 +177,14 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 		}
 		s.Put(fss[i])
 	}
-	// Seeded videos nobody requested still occupy space and money; carry
-	// them so costs and occupancy stay truthful.
-	for vid, seeds := range cfg.Seeds {
-		if s.File(vid) != nil || len(seeds) == 0 {
-			continue
-		}
-		fs, err := ivs.ScheduleFile(m, vid, nil, ivs.Options{Policy: cfg.Policy, Seeds: seeds})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: seeding video %d: %w", vid, err)
-		}
-		s.Put(fs)
-	}
 	out := &Outcome{Schedule: s, Phase1Cost: m.ScheduleCost(s)}
-
-	ledger := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), s)
-	out.Overflows = len(ledger.AllOverflows())
+	out.Overflows = len(Overflows(m.Book().Topology(), m.Catalog(), s))
 
 	if cfg.SkipResolution || out.Overflows == 0 {
 		out.FinalCost = out.Phase1Cost
 	} else {
-		res, err := sorp.ResolveContext(ctx, m, s, parts, sorp.Options{
-			Metric: cfg.Metric, Policy: cfg.Policy, Seeds: cfg.Seeds, Workers: cfg.Workers})
+		res, err := sorp.ResolveContext(ctx, m, s, reqs, sorp.Options{Metric: cfg.Metric,
+			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workers: cfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: phase 2: %w", err)
 		}
@@ -148,25 +195,13 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 	}
 
 	if cfg.Refine && !cfg.SkipResolution {
-		rr, err := refine(ctx, m, out.Schedule, parts, cfg.Policy, cfg.RefinePasses, cfg.Seeds)
+		rr, err := refine(ctx, m, out.Schedule, reqs, frozen, cfg)
 		if err != nil {
 			return nil, err
 		}
 		out.RefinedFiles = rr.moved
 		out.RefineSavings = rr.savings
 		out.FinalCost = m.ScheduleCost(out.Schedule)
-	}
-
-	if !cfg.SkipValidation {
-		if err := out.Schedule.Validate(m.Book().Topology(), m.Catalog(), reqs); err != nil {
-			return nil, fmt.Errorf("scheduler: produced invalid schedule: %w", err)
-		}
-		if !cfg.SkipResolution {
-			l := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), out.Schedule)
-			if ovs := l.AllOverflows(); len(ovs) > 0 {
-				return nil, fmt.Errorf("scheduler: %d overflows survive resolution, first %v", len(ovs), ovs[0])
-			}
-		}
 	}
 	return out, nil
 }

@@ -91,14 +91,10 @@ type PlanResponse struct {
 	Cost     units.Money        `json:"cost"`
 }
 
+// handlePlan answers from one reading of the horizon, so the schedule and
+// the epoch, horizon and cost beside it always belong to the same commit.
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	httpkit.WriteJSON(w, http.StatusOK, PlanResponse{
-		Schedule: s.horizon.Committed(),
-		Horizon:  s.horizon.Horizon(),
-		Epoch:    s.horizon.Epoch(),
-		Pending:  s.horizon.Pending(),
-		Cost:     s.horizon.Cost(),
-	})
+	httpkit.WriteJSON(w, http.StatusOK, PlanResponse(s.horizon.Plan()))
 }
 
 // AdvanceRequest is the POST /v1/advance body.
@@ -116,20 +112,18 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	res, err := s.horizon.Advance(r.Context(), req.To)
-	if err == nil {
-		s.advances.Add(1)
-		s.advanceNanos.Add(int64(time.Since(t0)))
-		s.resolutionMu.Lock()
-		s.resolution.Add(res.Resolution)
-		s.resolutionMu.Unlock()
-	}
 	if err != nil {
+		status := schedulingStatus(err)
 		if s.horizon.Horizon() > req.To {
-			httpkit.WriteErr(w, http.StatusBadRequest, err)
-			return
+			status = http.StatusBadRequest
 		}
-		httpkit.WriteErr(w, schedulingStatus(err), err)
+		httpkit.WriteErr(w, status, err)
 		return
 	}
+	s.advances.Add(1)
+	s.advanceNanos.Add(int64(time.Since(t0)))
+	s.resolutionMu.Lock()
+	s.resolution.Add(res.Resolution)
+	s.resolutionMu.Unlock()
 	httpkit.WriteJSON(w, http.StatusOK, res)
 }

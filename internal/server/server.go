@@ -244,6 +244,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	repl, ready := s.replStatus()
+	p := s.horizon.Plan() // one reading: horizon.epoch and shard.epoch cannot disagree
 	s.resolutionMu.Lock()
 	resolution := s.resolution
 	s.resolutionMu.Unlock()
@@ -252,10 +253,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Titles:   s.model.Catalog().Len(),
 		MeanSize: s.model.Catalog().MeanSize(),
 		Horizon: HorizonStats{
-			Epoch:         s.horizon.Epoch(),
-			Horizon:       s.horizon.Horizon(),
-			Pending:       s.horizon.Pending(),
-			CommittedCost: s.horizon.Cost(),
+			Epoch:         p.Epoch,
+			Horizon:       p.Horizon,
+			Pending:       p.Pending,
+			CommittedCost: p.Cost,
 			Durable:       s.horizon.Durable(),
 			Advances:      s.advances.Load(),
 			AdvanceMS:     time.Duration(s.advanceNanos.Load()).Milliseconds(),
@@ -268,7 +269,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Shard: ShardInfo{
 			ID:              s.shardID,
 			Role:            repl.Role,
-			Epoch:           s.horizon.Epoch(),
+			Epoch:           p.Epoch,
 			LeadershipEpoch: repl.Epoch,
 			ReplicationLag:  repl.Lag,
 		},

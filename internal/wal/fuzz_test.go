@@ -20,14 +20,14 @@ func fuzzStream(payloads ...[]byte) []byte {
 // from corruption (damage, refuse to serve).
 func FuzzWALDecode(f *testing.F) {
 	valid := fuzzStream([]byte("submit{user:1}"), []byte("advance{to:7200}"), nil)
-	f.Add(valid)                                    // pristine stream
-	f.Add(valid[:len(valid)-3])                     // torn final record
-	f.Add(valid[:len(logMagic)+5])                  // torn first header
-	f.Add(valid[:len(logMagic)])                    // header only
-	f.Add([]byte{})                                 // empty file
+	f.Add(valid)                                     // pristine stream
+	f.Add(valid[:len(valid)-3])                      // torn final record
+	f.Add(valid[:len(logMagic)+5])                   // torn first header
+	f.Add(valid[:len(logMagic)])                     // header only
+	f.Add([]byte{})                                  // empty file
 	f.Add([]byte("VSPWAL1\nnot a real record here")) // garbage after magic
-	f.Add([]byte("VSPSNAP1"))                       // foreign magic
-	f.Add(bytes.Repeat([]byte{0xff}, 64))           // all-ones noise
+	f.Add([]byte("VSPSNAP1"))                        // foreign magic
+	f.Add(bytes.Repeat([]byte{0xff}, 64))            // all-ones noise
 	flipped := append([]byte(nil), valid...)
 	flipped[len(logMagic)+recordHeaderSize+2] ^= 0x01
 	f.Add(flipped) // bit flip in a payload

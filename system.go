@@ -10,7 +10,6 @@ import (
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/horizon"
-	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/online"
 	"github.com/vodsim/vsp/internal/optimal"
 	"github.com/vodsim/vsp/internal/placement"
@@ -106,8 +105,7 @@ func (s *System) CostSplit(sched *Schedule) (storage, network Money) {
 // Overflows returns the storage over-commit situations of a schedule
 // (empty for schedules produced by Schedule, which resolves them).
 func (s *System) Overflows(sched *Schedule) []Overflow {
-	ledger := occupancy.FromSchedule(s.topo, s.catalog, sched)
-	return ledger.AllOverflows()
+	return scheduler.Overflows(s.topo, s.catalog, sched)
 }
 
 // Validate checks a schedule's structural invariants and that it serves
