@@ -232,3 +232,43 @@ func TestParseLineMalformedCount(t *testing.T) {
 		t.Fatal("malformed iteration count must fail")
 	}
 }
+
+// Regression: the committed report carried phase1_parallel_speedup 0.54 and
+// gateway_submit_speedup_3shards 1.2 from -cpu 4 runs on a 2-core sandbox —
+// two cores pass a "more than one" gate and still timeslice a GOMAXPROCS=4
+// run. Each ratio needs as many cores as the larger GOMAXPROCS of its pair;
+// the note names what was left out, and a pair the host can run for real
+// (the gateway's at -cpu 2) is still recorded.
+func TestParallelSpeedupsOmittedWhenOversubscribed(t *testing.T) {
+	const in = `BenchmarkSchedulePhase1               5         100000000 ns/op
+BenchmarkSchedulePhase1-4             9          54000000 ns/op
+BenchmarkGatewaySubmit1Server-4     100      1200000 ns/op
+BenchmarkGatewaySubmit3Shards-4     100      1000000 ns/op
+PASS
+`
+	rep, err := parseWithCPU(strings.NewReader(in), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Phase1ParallelSpeedup != 0 || rep.GatewaySubmitSpeedup != 0 {
+		t.Fatalf("-cpu 4 ratios recorded on a 2-core host: phase 1 %v, gateway %v",
+			rep.Phase1ParallelSpeedup, rep.GatewaySubmitSpeedup)
+	}
+	for _, field := range []string{"phase1_parallel_speedup (-cpu 4)", "gateway_submit_speedup_3shards (-cpu 4)", "2 core(s)"} {
+		if !strings.Contains(rep.ParallelNote, field) {
+			t.Errorf("parallel_speedup_note %q does not mention %q", rep.ParallelNote, field)
+		}
+	}
+
+	rep, err = parseWithCPU(strings.NewReader(strings.ReplaceAll(in, "Shards-4", "Shards-2")+
+		"BenchmarkGatewaySubmit1Server-2     100      3000000 ns/op\n"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3.0; math.Abs(rep.GatewaySubmitSpeedup-want) > 1e-9 {
+		t.Fatalf("gateway speedup at -cpu 2 on a 2-core host = %v, want %v", rep.GatewaySubmitSpeedup, want)
+	}
+	if rep.Phase1ParallelSpeedup != 0 || strings.Contains(rep.ParallelNote, "gateway") {
+		t.Fatalf("phase 1 %v, note %q: want only the -cpu 4 phase-1 ratio omitted", rep.Phase1ParallelSpeedup, rep.ParallelNote)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
@@ -95,13 +96,14 @@ type Config struct {
 
 // shardStats is one polled /v1/stats snapshot.
 type shardStats struct {
-	pending  int
-	inFlight int
-	shed     uint64
-	epoch    int
-	role     string
-	lag      uint64
-	err      string
+	pending    int
+	inFlight   int
+	shed       uint64
+	epoch      int
+	role       string
+	lag        uint64
+	resolution scheduler.Work
+	err        string
 }
 
 // shard is the gateway's live state for one partition.
@@ -466,10 +468,11 @@ type ShardFailure struct {
 
 // AdvanceResponse aggregates a broadcast epoch close. The top-level
 // fields mirror horizon.EpochResult's JSON, so single-server clients
-// (internal/loadgen, behind cmd/vspload) decode it unchanged: counters
-// are summed, Horizon is the slowest (minimum) shard commit horizon,
-// Epoch the largest shard epoch index. LagMS is the epoch-advance lag —
-// the spread between the fastest and slowest shard's advance round-trip.
+// (internal/loadgen, behind cmd/vspload) decode it unchanged: counters,
+// the Resolution work counts included, are summed, Horizon is the slowest
+// (minimum) shard commit horizon, Epoch the largest shard epoch index.
+// LagMS is the epoch-advance lag — the spread between the fastest and
+// slowest shard's advance round-trip.
 //
 // A broadcast is not all-or-nothing: shards that advanced report their
 // results in Shards, shards that did not land in Failed, and only a
@@ -486,6 +489,7 @@ type AdvanceResponse struct {
 	FrozenResidencies int            `json:"frozen_residencies"`
 	Overflows         int            `json:"overflows"`
 	Cost              units.Money    `json:"cost"`
+	Resolution        scheduler.Work `json:"resolution"`
 	Shards            []ShardEpoch   `json:"shards"`
 	Failed            []ShardFailure `json:"failed,omitempty"`
 	LagMS             int64          `json:"lag_ms"`
@@ -554,6 +558,7 @@ func (g *Gateway) advanceAll(ctx context.Context, to simtime.Time) (AdvanceRespo
 		agg.FrozenResidencies += o.res.FrozenResidencies
 		agg.Overflows += o.res.Overflows
 		agg.Cost += o.res.Cost
+		agg.Resolution.Add(o.res.Resolution)
 		agg.Shards = append(agg.Shards, ShardEpoch{Shard: sh.id, Result: o.res, ElapsedMS: o.dur.Milliseconds()})
 		if minDur < 0 || o.dur < minDur {
 			minDur = o.dur
@@ -649,12 +654,13 @@ func (g *Gateway) PollNow(ctx context.Context) {
 				return
 			}
 			sh.polled.Store(&shardStats{
-				pending:  st.Horizon.Pending,
-				inFlight: st.Overload.InFlight,
-				shed:     st.Overload.Shed,
-				epoch:    st.Shard.Epoch,
-				role:     st.Shard.Role,
-				lag:      st.Shard.ReplicationLag,
+				pending:    st.Horizon.Pending,
+				inFlight:   st.Overload.InFlight,
+				shed:       st.Overload.Shed,
+				epoch:      st.Shard.Epoch,
+				role:       st.Shard.Role,
+				lag:        st.Shard.ReplicationLag,
+				resolution: st.Horizon.Resolution,
 			})
 		}(sh)
 	}
@@ -697,6 +703,10 @@ type StatsResponse struct {
 	GatewayShed uint64 `json:"gateway_shed_total"`
 	// HealthyShards is the breaker view of the tier, as in /readyz.
 	HealthyShards int `json:"healthy_shards"`
+	// Resolution sums the shards' polled horizon.resolution: the tier's
+	// overflow-resolution work and, as reused/(reused+evaluated), its
+	// reuse hit rate.
+	Resolution scheduler.Work `json:"resolution"`
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -726,6 +736,7 @@ func (g *Gateway) Stats() StatsResponse {
 			row.Pending, row.InFlight, row.Shed = ps.pending, ps.inFlight, ps.shed
 			row.Epoch, row.Role, row.ReplicationLag = ps.epoch, ps.role, ps.lag
 			row.StatsError = ps.err
+			resp.Resolution.Add(ps.resolution)
 		}
 		resp.Routed += row.Routed
 		resp.Shed += row.Shed

@@ -16,6 +16,7 @@ import (
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
@@ -422,5 +423,53 @@ func TestDeadPrimaryWithoutStandby(t *testing.T) {
 	}
 	if !strings.Contains(se.Message, "no standby") {
 		t.Fatalf("502 message %q does not name the missing standby", se.Message)
+	}
+}
+
+// TestAdvanceAndStatsSumResolution pins the tier-wide view of SORP's work: a
+// broadcast advance's top-level resolution block is the sum of the shards',
+// and /v1/stats carries the same running total — on a rig tight enough that
+// the shards did resolve overflows and reuse evaluations, or the sums would
+// be of zeros.
+func TestAdvanceAndStatsSumResolution(t *testing.T) {
+	r, err := experiment.Build(experiment.Params{
+		Storages: 4, UsersPerStorage: 6, Titles: 6,
+		CapacityGB: 3, RequestsPerUser: 4, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []gateway.ShardConfig
+	for i := 0; i < 3; i++ {
+		url, _, _ := startShard(t, r, server.Options{})
+		shards = append(shards, gateway.ShardConfig{Primary: url})
+	}
+	_, base := startGateway(t, gateway.Config{Shards: shards, Retry: fastRetry})
+
+	reqs := append(workload.Set(nil), r.Requests...)
+	workload.SortChronological(reqs)
+	for _, req := range reqs {
+		submit(t, base, req)
+	}
+	var adv gateway.AdvanceResponse
+	if err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/advance",
+		server.AdvanceRequest{To: reqs[len(reqs)-1].Start.Add(simtime.Hour)}, &adv); err != nil {
+		t.Fatal(err)
+	}
+	if len(adv.Shards) != 3 {
+		t.Fatalf("advance reported %d shards, want 3", len(adv.Shards))
+	}
+	var sum scheduler.Work
+	for _, se := range adv.Shards {
+		sum.Add(se.Result.Resolution)
+	}
+	if adv.Resolution != sum {
+		t.Errorf("aggregate resolution %+v != per-shard sum %+v", adv.Resolution, sum)
+	}
+	if sum.Reused == 0 || sum.Rewindowed == 0 {
+		t.Fatalf("fixture bug: the shards' resolution sums to %+v; the rig must make them reuse", sum)
+	}
+	if st := gatewayStats(t, base); st.Resolution != sum {
+		t.Errorf("/v1/stats resolution %+v != the advance's %+v", st.Resolution, sum)
 	}
 }

@@ -95,7 +95,8 @@ type Options struct {
 	Seeds []schedule.Residency
 	// Frozen, when non-nil, is the immutable prefix of this file's
 	// schedule committed by earlier epochs of a rolling-horizon run (see
-	// internal/horizon). ScheduleFile starts from a deep copy of it:
+	// internal/horizon). ScheduleFile starts from a copy of it and never
+	// writes through it (only the immutable routes are shared):
 	// frozen deliveries are carried through untouched, and frozen
 	// residencies remain in the candidate pool as free cache-extension
 	// sources — their committed span is a sunk cost, so serving a new
@@ -149,21 +150,30 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		workload.SortChronological(ordered)
 	}
 
+	// One delivery per request, and at most one tentative per storage its
+	// stream touches: sizing the slices up front keeps the serve loop's
+	// appends from repeatedly regrowing them.
+	bound := tentativeBound(m, ordered, opts.Policy)
 	fs := &schedule.FileSchedule{Video: video}
-	if opts.Frozen != nil {
+	if pre := opts.Frozen; pre != nil {
 		if len(opts.Seeds) > 0 {
 			return nil, fmt.Errorf("ivs: Frozen and Seeds are mutually exclusive")
 		}
-		if opts.Frozen.Video != video {
-			return nil, fmt.Errorf("ivs: frozen prefix for video %d in schedule for video %d", opts.Frozen.Video, video)
+		if pre.Video != video {
+			return nil, fmt.Errorf("ivs: frozen prefix for video %d in schedule for video %d", pre.Video, video)
 		}
-		pre := opts.Frozen.Clone()
-		fs.Deliveries = pre.Deliveries
-		fs.Residencies = pre.Residencies
+		// The prefix is copied once, straight into slices with room for the
+		// serve loop's appends. A frozen delivery keeps sharing its Route
+		// (routes are immutable: writers Clone or replace, DESIGN.md §5); a
+		// frozen residency gets its own Services, which the greedy appends to.
+		fs.Deliveries = append(make([]schedule.Delivery, 0, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
+		fs.Residencies = append(make([]schedule.Residency, 0, len(pre.Residencies)+bound), pre.Residencies...)
 		opts.frozenRes = len(fs.Residencies)
-		if opts.Ledger != nil {
-			for j, c := range fs.Residencies {
-				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, c)
+		for j := range fs.Residencies {
+			c := &fs.Residencies[j]
+			c.Services = append([]int(nil), c.Services...)
+			if opts.Ledger != nil {
+				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, *c)
 			}
 		}
 	}
@@ -180,11 +190,8 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(fs.Residencies) - 1}, seed)
 		}
 	}
-	// One delivery per request, and at most one tentative per storage its
-	// stream touches: sizing the slices up front keeps the serve loop's
-	// appends from repeatedly regrowing them.
 	fs.Deliveries = slices.Grow(fs.Deliveries, len(ordered))
-	fs.Residencies = slices.Grow(fs.Residencies, tentativeBound(m, ordered, opts.Policy))
+	fs.Residencies = slices.Grow(fs.Residencies, bound)
 	seen := make(map[copyKey]struct{}, len(fs.Residencies)+len(ordered))
 	for _, c := range fs.Residencies {
 		seen[copyKey{c.Loc, c.Load}] = struct{}{}
@@ -290,7 +297,7 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		}
 		extended := *c
 		extended.LastService = newLast
-		if violatesAny(extended, v.Playback, opts.Banned) {
+		if violatesAny(opts, extended, v.Playback) {
 			continue
 		}
 		if opts.Ledger != nil {
@@ -363,7 +370,7 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 			Video: v.ID, Loc: node, Src: d.Src(),
 			Load: d.Start, LastService: d.Start, FedBy: di,
 		}
-		if violatesAny(cand, v.Playback, opts.Banned) {
+		if violatesAny(opts, cand, v.Playback) {
 			continue
 		}
 		fs.Residencies = append(fs.Residencies, cand)
@@ -378,9 +385,16 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 	}
 }
 
-func violatesAny(c schedule.Residency, playback simtime.Duration, banned []occupancy.Banned) bool {
-	for _, bn := range banned {
-		if bn.Violates(c, playback) {
+// violatesAny asks every ban about the copy — through the ledger when the
+// greedy is rejective, so that a recording view sees both kinds of question
+// its evaluation put to the outside (occupancy.ProbeLog).
+func violatesAny(opts Options, c schedule.Residency, playback simtime.Duration) bool {
+	for _, bn := range opts.Banned {
+		if opts.Ledger != nil {
+			if opts.Ledger.Violates(bn, c, playback) {
+				return true
+			}
+		} else if bn.Violates(c, playback) {
 			return true
 		}
 	}

@@ -1,6 +1,9 @@
 package ivs
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/cost"
@@ -530,6 +533,65 @@ func TestSeedHandling(t *testing.T) {
 		if d.SourceResidency != schedule.NoResidency &&
 			fs2.Residencies[d.SourceResidency].FedBy == schedule.PrePlacedFeed {
 			t.Error("request beyond the seed's span served from it")
+		}
+	}
+}
+
+// TestFrozenPrefixUnmodified pins what ScheduleFile may share with a frozen
+// prefix: it copies the prefix's records once and keeps the deliveries'
+// routes, so a run that extends a frozen copy — appending to its Services,
+// moving its LastService — must leave the prefix it was handed byte for
+// byte as it was, with and without a ledger, carry the frozen records
+// through at their indices, and hold no Services array in common with the
+// prefix (SORP evaluates a file's candidates from one prefix concurrently,
+// and an append into shared spare capacity would be theirs to race on).
+func TestFrozenPrefixUnmodified(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := ScheduleFile(f.Model, 0, f.Requests[:2], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range frozen.Residencies {
+		// Spare capacity, as an append-grown slice has: appending through a
+		// shared header would land in it instead of reallocating.
+		c := &frozen.Residencies[j]
+		c.Services = append(make([]int, 0, 8), c.Services...)
+	}
+	before, err := json.Marshal(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ledger := range []*occupancy.Ledger{nil, occupancy.NewLedger(f.Topo, f.Model.Catalog())} {
+		fs, err := ScheduleFile(f.Model, 0, f.Requests[2:], Options{Frozen: frozen, Ledger: ledger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extended := false
+		for j, c := range frozen.Residencies {
+			got := fs.Residencies[j]
+			if got.Loc != c.Loc || got.Load != c.Load || got.LastService < c.LastService || len(got.Services) < len(c.Services) {
+				t.Fatalf("frozen residency %d came through as %+v, was %+v", j, got, c)
+			}
+			if len(c.Services) > 0 && &got.Services[0] == &c.Services[0] {
+				t.Errorf("frozen residency %d shares its Services array with the result", j)
+			}
+			extended = extended || (got.LastService > c.LastService && len(got.Services) > len(c.Services))
+		}
+		if !extended {
+			t.Fatalf("fixture bug: the late request extended no frozen copy: %+v", fs.Residencies)
+		}
+		if len(fs.Deliveries) != 3 || !slices.Equal(fs.Deliveries[1].Route, frozen.Deliveries[1].Route) {
+			t.Fatalf("frozen deliveries not carried through: %+v", fs.Deliveries)
+		}
+		after, err := json.Marshal(frozen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("ScheduleFile wrote through its frozen prefix (ledger %v):\nbefore %s\nafter  %s", ledger != nil, before, after)
 		}
 	}
 }

@@ -37,13 +37,17 @@
 // # Probe logs
 //
 // A candidate reschedule runs on an overlay view (OverlayWithout) and reads
-// the base ledger through exactly one door: the yes/no answers of
-// CanFitExcluding's sweep. A view with a ProbeLog attached (Record) writes
-// each of those queries down with its answer, and ProbeLog.Replay later
-// tells whether the base — after any number of commits — would still give
-// every one of them the same answer, by running the same sweep routine on
-// the same operands. If so the reschedule would repeat itself exactly, and
-// SORP reuses its result instead of running it again (see internal/sorp).
+// the outside through exactly two doors: the yes/no answers of
+// CanFitExcluding's sweep, which depend on the base ledger, and the yes/no
+// answers of the banned pair (Violates), which depend on the overflow's
+// window. A view with a ProbeLog attached (Record) writes each capacity
+// query down with its answer, and narrows, per ban answer, the box of
+// windows that would have answered alike. ProbeLog.Replay later tells
+// whether the base — after any number of commits — would still give every
+// capacity query the same answer, by running the same sweep routine on the
+// same operands, and ProbeLog.Covers whether a window lies in the box. If
+// both hold the reschedule would repeat itself exactly, and SORP reuses its
+// result instead of running it again (see internal/sorp).
 // Nothing else of an evaluation outlives its round: the view is scratch,
 // the log shares only the view's per-node delta slices (copy-on-write),
 // and a reused winner is committed from its file schedule (CommitFile).
@@ -1268,4 +1272,19 @@ func (bn Banned) Violates(c schedule.Residency, playback simtime.Duration) bool 
 	sup := c.Support(playback)
 	// Endpoint-inclusive: an overflow interval may be a single instant.
 	return sup.Start <= bn.Interval.End && bn.Interval.Start < sup.End
+}
+
+// Violates is bn.Violates asked through the ledger, the way the rejective
+// greedy asks it. On an overlay view with a probe log attached (Record) an
+// answer at the banned node — the only ones the window enters — narrows the
+// log's box of windows that would have answered alike (ProbeLog.Covers).
+func (l *Ledger) Violates(bn Banned, c schedule.Residency, playback simtime.Duration) bool {
+	violates := bn.Violates(c, playback)
+	if g := l.log; g != nil && c.Loc == bn.Node {
+		if !g.box.contains(bn.Interval) {
+			g.broken = true // a second window, which the earlier answers do not cover
+		}
+		g.box.narrow(bn.Interval, c.Support(playback), violates)
+	}
+	return violates
 }

@@ -35,6 +35,41 @@ const chunkProbes = 32
 
 type probeChunk [chunkProbes]probe
 
+// windowBox is the set of banned windows under which a sequence of ban
+// answers repeats: those whose Start lies in [startLo, startHi] and whose
+// End lies in [endLo, endHi]. Banned.Violates compares the window's two
+// ends with a copy's support and nothing else, so each answer confines each
+// end to a half-line and the set is a box; four integers, narrowed per
+// answer, describe it exactly.
+type windowBox struct {
+	startLo, startHi, endLo, endHi simtime.Time
+}
+
+// anyWindow is the box before the first answer.
+var anyWindow = windowBox{math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64}
+
+func (b *windowBox) contains(w simtime.Interval) bool {
+	return b.startLo <= w.Start && w.Start <= b.startHi && b.endLo <= w.End && w.End <= b.endHi
+}
+
+// narrow confines the box to the windows that answer as w did for a copy at
+// the banned node with support sup = [a, b): violates is
+// a <= w.End && w.Start < b. A violating copy needs both conjuncts again; a
+// clear one keeps the conjunct that failed — it lies wholly after the window
+// (a > End) or wholly before it (Start >= b). The strict bounds are stored
+// closed, one lower: the comparison that produced them rules out MinInt64.
+func (b *windowBox) narrow(w, sup simtime.Interval, violates bool) {
+	switch {
+	case violates:
+		b.endLo = max(b.endLo, sup.Start)
+		b.startHi = min(b.startHi, sup.End-1)
+	case sup.Start > w.End:
+		b.endHi = min(b.endHi, sup.Start-1)
+	default:
+		b.startLo = max(b.startLo, sup.End)
+	}
+}
+
 // ProbeLog is the record of every base-dependent capacity query one
 // overlay view answered, in order. The rejective greedy reads the base
 // ledger only through those yes/no answers, so a reschedule evaluated on
@@ -45,10 +80,18 @@ type probeChunk [chunkProbes]probe
 // the same view delta, and so on. Replay checks exactly that, through the
 // sweep routine the live query used.
 //
+// The greedy's second door to the outside is the banned (storage, window)
+// pair, asked through Ledger.Violates. Those answers do not depend on the
+// base at all, only on the window, so the log keeps no record of them
+// beyond the box of windows under which every one of them repeats (Covers).
+// An evaluation is therefore reusable on a later base, around a different
+// window, iff the box covers the window and the log replays.
+//
 // The log assumes what the view's contract already demands — one masked
 // video, mutated only with that video's own copies — plus that an excluded
-// copy shares the candidate's Load (an extension check); a query outside
-// that shape marks the log unreplayable instead of being recorded wrongly.
+// copy shares the candidate's Load (an extension check) and that every ban
+// consulted carries one window; a query outside that shape marks the log
+// unreplayable instead of being recorded wrongly.
 //
 // A log references the view's per-node delta slices instead of copying
 // them; the view copies a referenced slice before mutating it. The view
@@ -62,7 +105,9 @@ type ProbeLog struct {
 	deltas [][]event
 	// vers holds, per node, the base version the answers were recorded or
 	// last replayed at — once per log, not per probe.
-	vers   []uint64
+	vers []uint64
+	// box is narrowed by every ban answer given at the banned node.
+	box    windowBox
 	broken bool
 }
 
@@ -107,6 +152,7 @@ func (l *Ledger) Record() *ProbeLog {
 		g = &ProbeLog{}
 	}
 	g.masked = l.masked
+	g.box = anyWindow
 	if cap(g.vers) < len(l.base.nodes) {
 		g.vers = make([]uint64, len(l.base.nodes))
 	}
@@ -171,6 +217,11 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, excluded *entry, fits
 		p.exclLast = excluded.res.LastService
 	}
 }
+
+// Covers reports whether every ban answer the recording view gave would
+// have been the same had the banned window been w. The window the
+// evaluation ran under is always covered.
+func (g *ProbeLog) Covers(w simtime.Interval) bool { return g.box.contains(w) }
 
 // Replay reports whether every logged answer still holds on base — the
 // ledger the recording view was taken from, in any later state — and so

@@ -205,15 +205,130 @@ func TestProbePinsViewEvents(t *testing.T) {
 	}
 }
 
+// TestWindowBoxSound is the soundness of reuse around a moved window, checked
+// exhaustively on small integers: for every window w (instants included),
+// every sequence of up to three supports at the banned node (empty and
+// inverted ones included) and every window w2, if the box narrowed by the
+// answers under w contains w2 then every one of those answers is the same
+// under w2 — and w is always in its own box, or a pair could never be reused
+// even around an unchanged window.
+func TestWindowBoxSound(t *testing.T) {
+	const n = 4 // times 0..n
+	var windows, supports []simtime.Interval
+	for a := simtime.Time(0); a <= n; a++ {
+		for b := simtime.Time(0); b <= n; b++ {
+			supports = append(supports, simtime.NewInterval(a, b))
+			if a <= b {
+				windows = append(windows, simtime.NewInterval(a, b))
+			}
+		}
+	}
+	// A support [a, b) stands for the copy whose Support is exactly it.
+	violates := func(w, sup simtime.Interval) bool {
+		c := schedule.Residency{Loc: 1, Load: sup.Start, LastService: sup.End}
+		return Banned{Node: 1, Interval: w}.Violates(c, 0)
+	}
+	covered, outside := 0, 0
+	var check func(w simtime.Interval, box windowBox, asked []simtime.Interval)
+	check = func(w simtime.Interval, box windowBox, asked []simtime.Interval) {
+		if !box.contains(w) {
+			t.Fatalf("window %v left its own box %+v after supports %v", w, box, asked)
+		}
+		for _, w2 := range windows {
+			if !box.contains(w2) {
+				outside++
+				continue
+			}
+			covered++
+			for _, sup := range asked {
+				if violates(w2, sup) != violates(w, sup) {
+					t.Fatalf("box %+v of window %v after supports %v contains %v, which answers support %v differently",
+						box, w, asked, w2, sup)
+				}
+			}
+		}
+		if len(asked) == 3 {
+			return
+		}
+		for _, sup := range supports {
+			next := box
+			next.narrow(w, sup, violates(w, sup))
+			check(w, next, append(asked, sup))
+		}
+	}
+	for _, w := range windows {
+		check(w, anyWindow, nil)
+	}
+	if covered == 0 || outside == 0 {
+		t.Fatalf("fixture bug: %d windows inside a box and %d outside; need both", covered, outside)
+	}
+}
+
+// TestViolatesNarrowsTheLog pins the wiring of the box: Ledger.Violates
+// answers as Banned.Violates does; on a recording view only answers at the
+// banned node narrow the log's box, a second window outside it breaks the
+// log, and a ledger without a log records nothing.
+func TestViolatesNarrowsTheLog(t *testing.T) {
+	topo, cat := fixture(t)
+	is1, is2 := topology.NodeID(1), topology.NodeID(2)
+	base := NewLedger(topo, cat)
+	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 200))
+	playback := cat.Video(1).Playback
+	w := simtime.NewInterval(200, 250)
+	bn := Banned{Node: is1, Interval: w}
+
+	view := base.OverlayWithout(1)
+	log := view.Record()
+	defer log.Release()
+	elsewhere := res(1, is2, 220, 230)
+	if view.Violates(bn, elsewhere, playback) || log.box != anyWindow {
+		t.Fatalf("a copy at another node violated the ban or narrowed the box to %+v", log.box)
+	}
+	before := res(1, is1, 0, 0) // support [0, playback), wholly before the window
+	inside := res(1, is1, 190, 220)
+	if bn.Violates(before, playback) || !bn.Violates(inside, playback) {
+		t.Fatalf("fixture bug: with playback %v the two copies do not straddle the answer", playback)
+	}
+	for _, c := range []schedule.Residency{before, inside} {
+		if got, want := view.Violates(bn, c, playback), bn.Violates(c, playback); got != want {
+			t.Fatalf("Ledger.Violates(%+v) = %v, Banned.Violates = %v", c, got, want)
+		}
+	}
+	shrunk := simtime.NewInterval(210, 240)
+	if !log.Covers(w) || !log.Covers(shrunk) {
+		t.Fatalf("box %+v does not cover the window it was narrowed under and a shrunken one", log.box)
+	}
+	early := simtime.NewInterval(50, 250)
+	if log.Covers(early) {
+		t.Fatalf("box %+v covers %v, under which the copy before the window violates", log.box, early)
+	}
+	if !log.Replay(base) {
+		t.Fatal("a log with ban answers only does not replay")
+	}
+	view.Violates(Banned{Node: is1, Interval: early}, inside, playback)
+	if log.Replay(base) {
+		t.Fatal("a second window outside the box left the log replayable")
+	}
+
+	plain := base.Clone()
+	if plain.Violates(bn, inside, playback) != bn.Violates(inside, playback) || plain.log != nil {
+		t.Fatal("a ledger without a log answered differently or grew one")
+	}
+}
+
 // TestProbeLogFootprint pins what a log costs, in the style of
 // TestOverlayDeltaSizedByMaskedVideo: the layout decides whether reuse is
 // a net saving (a paced-epoch evaluation logs ~230 probes against ~14 KB
-// of its own allocations), so a probe stays within 32 bytes and a cold
-// 200-probe log within 8 KB beyond the delta snapshots it shares with the
-// view; released storage serves the next log without allocating.
+// of its own allocations), so a probe stays within 32 bytes, the window box
+// costs 32 bytes per log and nothing per probe, and a cold 200-probe log
+// stays within 8 KB beyond the delta snapshots it shares with the view;
+// released storage serves the next log without allocating.
 func TestProbeLogFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(probe{}); got > 32 {
 		t.Fatalf("probe is %d bytes, want <= 32", got)
+	}
+	if got := unsafe.Sizeof(windowBox{}); got != 32 {
+		t.Fatalf("the window box is %d bytes, want 32", got)
 	}
 	topo, cat := fixture(t)
 	is1 := topology.NodeID(1)

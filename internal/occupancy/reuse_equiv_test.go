@@ -11,30 +11,36 @@ import (
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/pricing"
+	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/testutil"
+	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
 // reuseCase is one SORP input: an over-committed integrated schedule, the
 // reschedulable requests per file, and the options (Seeds or Frozen) it was
-// built under.
+// built under. A rolling case also carries what is still to come.
 type reuseCase struct {
 	m    *cost.Model
 	s    *schedule.Schedule
 	reqs map[media.VideoID][]workload.Request
 	opts sorp.Options
+	// seen is every request integrated so far, later the slices of the
+	// window still to be integrated on top (roll).
+	seen  workload.Set
+	later []workload.Set
 }
 
-// phase1 schedules every file individually on unbounded storage, on top of
-// its seeds or frozen prefix.
-func phase1(t *testing.T, c *reuseCase, videos []media.VideoID) {
+// phase1 schedules every file seen so far individually on unbounded
+// storage, on top of its seeds or frozen prefix.
+func phase1(t *testing.T, c *reuseCase) {
 	t.Helper()
 	c.s = schedule.New()
-	for _, vid := range videos {
+	for _, vid := range c.seen.Videos() {
 		fs, err := ivs.ScheduleFile(c.m, vid, c.reqs[vid], ivs.Options{Seeds: c.opts.Seeds[vid], Frozen: c.opts.Frozen[vid]})
 		if err != nil {
 			t.Fatal(err)
@@ -43,11 +49,24 @@ func phase1(t *testing.T, c *reuseCase, videos []media.VideoID) {
 	}
 }
 
+// roll advances a rolling case by one epoch: the resolved schedule is frozen
+// whole and the next slice of the window integrated on top of it — the
+// shape a rolling-horizon epoch hands to SORP.
+func (c *reuseCase) roll(t *testing.T, resolved *schedule.Schedule) *reuseCase {
+	t.Helper()
+	next := &reuseCase{m: c.m, reqs: c.later[0].ByVideo(), later: c.later[1:],
+		seen: append(c.seen[:len(c.seen):len(c.seen)], c.later[0]...)}
+	next.opts.Frozen = resolved.Files
+	phase1(t, next)
+	return next
+}
+
 // buildReuseCase draws a tight random rig. kind 0 is a plain batch; kind 1
 // pre-places standing copies of the most requested titles; kind 2 resolves
-// the first half of the window, freezes the result whole, and integrates
-// the second half on top of it — the shape a rolling-horizon epoch hands to
-// SORP.
+// the first half of the window and rolls once, so the second half is
+// integrated on top of a frozen prefix; kind 3 cuts the window in five and
+// returns the first fifth, for the caller to resolve and roll four times in
+// succession.
 func buildReuseCase(t *testing.T, seed int64, kind int) *reuseCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -61,7 +80,7 @@ func buildReuseCase(t *testing.T, seed int64, kind int) *reuseCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &reuseCase{m: rig.Model, reqs: all.ByVideo()}
+	c := &reuseCase{m: rig.Model, reqs: all.ByVideo(), seen: all}
 	switch kind {
 	case 1:
 		c.opts.Seeds = make(map[media.VideoID][]schedule.Residency)
@@ -72,96 +91,220 @@ func buildReuseCase(t *testing.T, seed int64, kind int) *reuseCase {
 				Load: 0, LastService: simtime.Time(window), FedBy: schedule.PrePlacedFeed,
 			}}
 		}
-	case 2:
-		half := simtime.Time(window / 2)
-		var early, late workload.Set
-		for _, r := range all {
-			if r.Start < half {
-				early = append(early, r)
-			} else {
-				late = append(late, r)
-			}
+	case 2, 3:
+		cuts := 2
+		if kind == 3 {
+			cuts = 5
 		}
-		first := &reuseCase{m: rig.Model, reqs: early.ByVideo()}
-		phase1(t, first, early.Videos())
-		res, err := sorp.Resolve(first.m, first.s, first.reqs, sorp.Options{})
+		parts := make([]workload.Set, cuts)
+		for _, r := range all {
+			i := min(int(r.Start)*cuts/int(window), cuts-1)
+			parts[i] = append(parts[i], r)
+		}
+		c.reqs, c.seen, c.later = parts[0].ByVideo(), parts[0], parts[1:]
+	}
+	phase1(t, c)
+	if kind == 2 {
+		res, err := sorp.Resolve(c.m, c.s, c.reqs, sorp.Options{})
 		if err != nil {
 			t.Skipf("first half unresolvable: %v", err)
 		}
-		c.opts.Frozen = res.Schedule.Files
-		c.reqs = late.ByVideo()
-		all = append(early, late...)
+		c = c.roll(t, res.Schedule)
 	}
-	phase1(t, c, all.Videos())
 	return c
+}
+
+// resolve runs SORP on the case, on the naive reference ledger or the
+// indexed one, and returns a fingerprint of everything it decided: victims
+// with heat and overhead, final cost, schedule bytes.
+func (c *reuseCase) resolve(t *testing.T, naive bool, workers int) (string, *sorp.Result, error) {
+	t.Helper()
+	occupancy.SetNaiveForTesting(naive)
+	defer occupancy.SetNaiveForTesting(false)
+	opts := c.opts
+	opts.Workers = workers
+	res, err := sorp.Resolve(c.m, c.s, c.reqs, opts)
+	if err != nil {
+		return "", nil, err
+	}
+	blob, err := json.Marshal(res.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Victims go through %v: a free reschedule's heat is +Inf, which JSON
+	// cannot carry.
+	return fmt.Sprintf("%v %v %s", res.Victims, res.CostAfter, blob), res, nil
+}
+
+// matchReference resolves the case on the naive, table-free reference and
+// then on the indexed ledger at every worker count, and fails unless the
+// indexed side decides the same, its work adds up to the reference's and —
+// given a second iteration to do it in — it reuses something. It returns
+// the reference's result, nil when the reference cannot resolve the case,
+// and the indexed side's work.
+func (c *reuseCase) matchReference(t *testing.T) (*sorp.Result, sorp.Work) {
+	t.Helper()
+	want, ref, err := c.resolve(t, true, 1)
+	if err != nil {
+		t.Logf("unresolvable on the reference: %v", err)
+		return nil, sorp.Work{}
+	}
+	if ref.Reused != 0 || ref.Rewindowed != 0 {
+		t.Fatalf("the naive reference reused %d evaluations; it must stay table-free", ref.Reused)
+	}
+	var indexed sorp.Work
+	for _, workers := range []int{0, 1, 4, 8} {
+		got, res, err := c.resolve(t, false, workers)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		work := res.Work
+		if got != want {
+			t.Errorf("Workers=%d: victims or schedule differ from the naive, table-free reference", workers)
+		}
+		if work.Reused == 0 && ref.Iterations >= 2 {
+			t.Errorf("Workers=%d: nothing reused over %d iterations; the comparison is vacuous", workers, work.Iterations)
+		}
+		if work.Iterations != ref.Iterations || work.Evaluated+work.Reused != ref.Evaluated || work.Rewindowed > work.Reused {
+			t.Errorf("Workers=%d: work %+v does not add up to the reference's %+v", workers, work, ref.Work)
+		}
+		if workers > 0 && work != indexed {
+			t.Errorf("Workers=%d: work %+v, but %+v at Workers=0", workers, work, indexed)
+		}
+		indexed = work
+	}
+	t.Logf("reference %+v, indexed %+v", ref.Work, indexed)
+	return ref, indexed
 }
 
 // TestPropertyReuseMatchesNaiveReference is the exactness property of
 // SORP's cross-iteration reuse: on seeded random rigs — plain, with
 // pre-placed Seeds, and with Frozen prefixes — the indexed ledger, which
-// reuses evaluations whose logged capacity answers replay, must select the
-// same victims with the same heat and overhead and produce the same
-// schedule bytes as the naive reference ledger, which records nothing and
-// so re-evaluates every pair every iteration, at every worker count. The
-// indexed side must actually have reused something, or the comparison
-// would pass vacuously. Run under -race in CI: replay runs between the
-// worker pool's fan-outs on the ledger the workers read.
+// reuses an evaluation when its box of windows covers the overflow's
+// current one and its logged capacity answers replay, must select the same
+// victims with the same heat and overhead and produce the same schedule
+// bytes as the naive reference ledger, which records nothing and so
+// re-evaluates every pair every iteration, at every worker count. The
+// indexed side must actually have reused something — and, for each kind of
+// rig, somewhere around a window other than the one evaluated under — or
+// the comparison would pass vacuously. Run under -race in CI: replay runs
+// between the worker pool's fan-outs on the ledger the workers read.
 func TestPropertyReuseMatchesNaiveReference(t *testing.T) {
-	defer occupancy.SetNaiveForTesting(false)
-	resolved := make([]int, 3)
-	for seed := int64(1); seed <= 9; seed++ {
+	resolved, rewindowed := make([]int, 3), make([]int, 3)
+	for seed := int64(1); seed <= 30; seed++ {
 		kind := int(seed % 3)
 		t.Run(fmt.Sprintf("seed=%d/kind=%d", seed, kind), func(t *testing.T) {
-			c := buildReuseCase(t, seed, kind)
-			run := func(naive bool, workers int) (string, sorp.Work, error) {
-				occupancy.SetNaiveForTesting(naive)
-				defer occupancy.SetNaiveForTesting(false)
-				opts := c.opts
-				opts.Workers = workers
-				res, err := sorp.Resolve(c.m, c.s, c.reqs, opts)
-				if err != nil {
-					return "", sorp.Work{}, err
-				}
-				blob, err := json.Marshal(res.Schedule)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Victims go through %v: a free reschedule's heat is +Inf,
-				// which JSON cannot carry.
-				return fmt.Sprintf("%v %v %s", res.Victims, res.CostAfter, blob), res.Work, nil
+			ref, work := buildReuseCase(t, seed, kind).matchReference(t)
+			if ref == nil || ref.Iterations < 2 {
+				t.Skip("nothing to reuse")
 			}
-			want, ref, err := run(true, 1)
-			if err != nil {
-				t.Skipf("unresolvable on the reference: %v", err)
-			}
-			if ref.Reused != 0 {
-				t.Fatalf("the naive reference reused %d evaluations; it must stay table-free", ref.Reused)
-			}
-			if ref.Iterations < 2 {
-				t.Skipf("only %d iterations: nothing to reuse", ref.Iterations)
-			}
-			for _, workers := range []int{0, 1, 4, 8} {
-				got, work, err := run(false, workers)
-				if err != nil {
-					t.Fatalf("Workers=%d: %v", workers, err)
-				}
-				if got != want {
-					t.Errorf("Workers=%d: victims or schedule differ from the naive, table-free reference", workers)
-				}
-				if work.Reused == 0 {
-					t.Errorf("Workers=%d: nothing reused over %d iterations; the comparison is vacuous", workers, work.Iterations)
-				}
-				if work.Iterations != ref.Iterations || work.Evaluated+work.Reused != ref.Evaluated {
-					t.Errorf("Workers=%d: work %+v does not add up to the reference's %+v", workers, work, ref)
-				}
-			}
-			t.Logf("reference %+v", ref)
 			resolved[kind]++
+			if work.Rewindowed > 0 {
+				rewindowed[kind]++
+			}
 		})
 	}
-	for kind, n := range resolved {
-		if n == 0 {
-			t.Errorf("no rig of kind %d reached the comparison; pick other seeds", kind)
+	for kind := range resolved {
+		if resolved[kind] == 0 || rewindowed[kind] == 0 {
+			t.Errorf("kind %d: %d rigs reached the comparison, %d reused around a moved window; pick other seeds",
+				kind, resolved[kind], rewindowed[kind])
 		}
+	}
+}
+
+// TestPropertyRollingReuseMatchesNaiveReference is the same property in the
+// shape the serving path has: resolve a fifth of the window, freeze the
+// result whole, integrate the next fifth on top, four times in succession,
+// comparing with the naive reference after every round — each round's
+// prefixes are the previous round's victims' reschedules, extended frozen
+// copies included.
+func TestPropertyRollingReuseMatchesNaiveReference(t *testing.T) {
+	whole, rewindowed := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := buildReuseCase(t, seed, 3)
+			for round := 0; ; round++ {
+				ref, work := c.matchReference(t)
+				if ref == nil {
+					t.Skipf("round %d of 5 unresolvable", round)
+				}
+				if round > 0 && work.Rewindowed > 0 {
+					rewindowed++
+				}
+				if len(c.later) == 0 {
+					break
+				}
+				c = c.roll(t, ref.Schedule)
+			}
+			whole++
+		})
+	}
+	if whole == 0 || rewindowed == 0 {
+		t.Errorf("%d rigs rolled four times and %d rounds on a frozen prefix reused around a moved window; pick other seeds",
+			whole, rewindowed)
+	}
+}
+
+// TestSplitOverflowReuseMatchesNaiveReference constructs the case the window
+// box exists for: one storage that fits a single copy, a long copy of title
+// 0 under three shorter ones whose tails chain into one overflow, of which
+// the middle title is the hottest victim — so the first commit leaves two
+// disjoint windows at the same storage inside the one just resolved. Title
+// 0's evaluation around the whole window must then answer for the halves its
+// box covers and be re-run for the others, and either way the run must
+// match the naive, table-free reference.
+func TestSplitOverflowReuseMatchesNaiveReference(t *testing.T) {
+	b := topology.NewBuilder()
+	vw := b.Warehouse("VW")
+	is1 := b.Storage("IS1", 3*units.GB)
+	b.Connect(vw, is1)
+	b.AttachUsers(is1, 12)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := media.Uniform(4, units.GBf(2.5), 90*simtime.Minute, units.Mbps(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := pricing.Uniform(topo, 0, testutil.CentsPerMbit(0.2))
+	if err := book.SetSRate(is1, testutil.PerGBHour(1)); err != nil {
+		t.Fatal(err)
+	}
+	m := cost.NewModel(book, routing.NewTable(book), cat)
+
+	var all workload.Set
+	users := topo.UsersAt(is1)
+	for vid, hours := range [][]float64{{0, 2, 4, 6, 8, 10}, {2, 3}, {4, 6}, {7, 8}} {
+		for _, h := range hours {
+			all = append(all, workload.Request{User: users[len(all)], Video: media.VideoID(vid),
+				Start: simtime.Time(h * float64(simtime.Hour))})
+		}
+	}
+	c := &reuseCase{m: m, reqs: all.ByVideo(), seen: all}
+	phase1(t, c)
+	before := occupancy.FromSchedule(topo, cat, c.s).AllOverflows()
+	if len(before) != 1 {
+		t.Fatalf("fixture bug: %d overflows to start with, want one: %v", len(before), before)
+	}
+
+	ref, work := c.matchReference(t)
+	if ref == nil {
+		t.Fatal("the reference cannot resolve the rig")
+	}
+	if len(ref.Victims) < 3 || ref.Victims[0].Video != 2 {
+		t.Fatalf("fixture bug: victims %v, want the middle title first and two more", ref.Victims)
+	}
+	// Title 2 is rescheduled once, so its final schedule is the first commit.
+	after := c.s.Clone()
+	after.Put(ref.Schedule.File(2))
+	halves := occupancy.FromSchedule(topo, cat, after).AllOverflows()
+	w := before[0].Interval
+	if len(halves) != 2 || halves[0].Node != is1 || halves[1].Node != is1 ||
+		halves[0].Interval.Start < w.Start || halves[0].Interval.End >= halves[1].Interval.Start || halves[1].Interval.End > w.End {
+		t.Fatalf("fixture bug: the first commit left %v, want two disjoint windows inside %v", halves, w)
+	}
+	if work.Rewindowed == 0 {
+		t.Errorf("work %+v: no evaluation around %v answered for one of %v", work, w, halves)
 	}
 }

@@ -13,12 +13,15 @@
 // Every iteration re-scores every (overflow, file) pair, but a commit
 // almost never changes what a pair's reschedule would be: it moves a few
 // storages' profiles without flipping any of the yes/no capacity answers
-// the pair's greedy received. ResolveContext therefore keeps a per-run
-// table keyed by (overflow node, overflow interval, video) holding each
-// evaluation's result next to the log of those answers
+// the pair's greedy received, and it shrinks or splits the overflow's
+// window without flipping any of the yes/no answers the ban gave it.
+// ResolveContext therefore keeps a per-run table keyed by (overflow node,
+// video) holding each evaluation's result next to the log of its capacity
+// answers and the box of windows over which its ban answers repeat
 // (occupancy.ProbeLog), and the next iteration reuses an entry when the
-// file is unchanged and the log replays to the same answers on the
-// current ledger — which makes the reschedule identical by induction, so
+// file is unchanged, the box covers the overflow's current window and the
+// log replays to the same answers on the current ledger — which makes the
+// reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
 // views the evaluations ran on are not kept: a reused winner is committed
 // from its file schedule (Ledger.CommitFile).
@@ -28,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
@@ -137,13 +141,15 @@ type Result struct {
 
 // Work counts what a resolution run did: Iterations victim-selection
 // rounds, over which Evaluated (overflow, file) pairs were rescheduled
-// afresh and Reused pairs were answered from an earlier round's evaluation.
-// Read-only counters for operators and benchmarks; Reused / (Reused +
-// Evaluated) is the reuse hit rate.
+// afresh and Reused pairs were answered from an earlier round's evaluation
+// — Rewindowed of those around a window other than the one the evaluation
+// ran under. Read-only counters for operators and benchmarks; Reused /
+// (Reused + Evaluated) is the reuse hit rate.
 type Work struct {
 	Iterations int `json:"iterations"`
 	Evaluated  int `json:"evaluated"`
 	Reused     int `json:"reused"`
+	Rewindowed int `json:"rewindowed"`
 }
 
 // Add accumulates another run's counts.
@@ -151,6 +157,7 @@ func (w *Work) Add(o Work) {
 	w.Iterations += o.Iterations
 	w.Evaluated += o.Evaluated
 	w.Reused += o.Reused
+	w.Rewindowed += o.Rewindowed
 }
 
 // Delta returns the total cost increase caused by overflow resolution,
@@ -197,7 +204,7 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 	// fileCost holds each touched file's current Ψ contribution, so a
 	// candidate's overhead is a Ψ delta instead of a full re-costing.
 	fileCost := make(map[media.VideoID]units.Money)
-	table := pairTable{}
+	table := pairTable{entries: make(map[pairKey][]pairEntry), jobOf: make(map[media.VideoID]int)}
 	defer table.release()
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -212,7 +219,7 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 				iter, len(overflows))
 		}
 		res.Iterations++
-		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost, table, res)
+		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost, &table, res)
 		if err != nil {
 			return nil, err
 		}
@@ -236,47 +243,115 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 	return res, nil
 }
 
-// pairKey identifies one victim evaluation: the banned (storage, interval)
-// pair and the file rescheduled around it.
+// pairKey names the evaluations of one file around one storage. The banned
+// window is not part of it: an overflow's window shrinks or splits with
+// every commit, while what an evaluation asked of it rarely changes.
 type pairKey struct {
-	node   topology.NodeID
-	window simtime.Interval
-	video  media.VideoID
+	node  topology.NodeID
+	video media.VideoID
 }
 
-// pairEntry is a finished evaluation kept for reuse: its result and the
-// capacity answers it rested on. round is the iteration that last asked
-// for the key.
+// pairEntry is a finished evaluation kept for reuse: its result, and in log
+// the capacity answers it rested on and the box of windows its ban answers
+// hold over. window is the one it ran under, round the iteration that last
+// used it.
 type pairEntry struct {
 	fs      *schedule.FileSchedule
 	newCost units.Money
 	ok      bool
 	log     *occupancy.ProbeLog
+	window  simtime.Interval
 	round   int
 }
 
-// pairTable is one run's evaluations by key. Entries leave when their
-// file is committed, when their key drops out of the overflow set, or when
-// their log no longer replays; the log's storage is recycled each time.
-type pairTable map[pairKey]pairEntry
-
-func (t pairTable) drop(k pairKey) {
-	t[k].log.Release()
-	delete(t, k)
+// reschedJob is one (overflow, file) pair of a round.
+type reschedJob struct {
+	overflow int
+	video    media.VideoID
+	tmp      *occupancy.Ledger   // nil for a reused result
+	log      *occupancy.ProbeLog // nil on the reference ledger
+	result   reschedResult
 }
 
-func (t pairTable) dropVideo(vid media.VideoID) {
-	for k := range t {
-		if k.video == vid {
-			t.drop(k)
+// pairTable is what a run carries from one iteration to the next: its
+// evaluations by key, oldest first under each — a split overflow can leave
+// several — and selectVictim's per-round scaffolding, reset instead of
+// reallocated. An entry leaves when its file is committed, when its log no
+// longer replays, or when no overflow used it for a round; the log's
+// storage is recycled each time.
+type pairTable struct {
+	entries map[pairKey][]pairEntry
+
+	jobs   []reschedJob
+	fresh  []int                 // indices into jobs
+	refsOf [][]occupancy.Ref     // per overflow
+	jobAt  []int                 // per ref in overflow/ref order: its job, -1 if not victimizable
+	jobOf  map[media.VideoID]int // the current overflow's jobs
+}
+
+// lookup returns the oldest entry under k whose evaluation would repeat
+// itself around window w on the ledger — its box covers w and its log
+// replays — stamped with the round, or nil. Order of insertion, never of a
+// map, decides between several, so a run's allocations repeat. Replay does
+// not depend on the window: an entry that fails it is dropped whichever
+// window matched it.
+func (t *pairTable) lookup(k pairKey, w simtime.Interval, ledger *occupancy.Ledger, round int) *pairEntry {
+	es := t.entries[k]
+	for i := 0; i < len(es); {
+		e := &es[i]
+		if !e.log.Covers(w) {
+			i++
+			continue
+		}
+		if e.log.Replay(ledger) {
+			e.round = round
+			return e
+		}
+		e.log.Release()
+		es = slices.Delete(es, i, i+1)
+		t.entries[k] = es
+	}
+	return nil
+}
+
+// evictUnused drops every entry no overflow used in the round.
+func (t *pairTable) evictUnused(round int) {
+	for k, es := range t.entries {
+		kept := es[:0]
+		for _, e := range es {
+			if e.round == round {
+				kept = append(kept, e)
+			} else {
+				e.log.Release()
+			}
+		}
+		clear(es[len(kept):])
+		if len(kept) == 0 {
+			delete(t.entries, k)
+		} else {
+			t.entries[k] = kept
 		}
 	}
 }
 
-func (t pairTable) release() {
-	for k := range t {
-		t.drop(k)
+func (t *pairTable) dropVideo(vid media.VideoID) {
+	for k, es := range t.entries {
+		if k.video == vid {
+			for _, e := range es {
+				e.log.Release()
+			}
+			delete(t.entries, k)
+		}
 	}
+}
+
+func (t *pairTable) release() {
+	for _, es := range t.entries {
+		for _, e := range es {
+			e.log.Release()
+		}
+	}
+	t.entries = nil
 }
 
 // candidate is one involved residency scored for victimhood: the
@@ -334,8 +409,8 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // evaluated for its heat but the expensive reschedule is deduped by
 // (overflow, video) — the paper's loop is per c_i, yet for a given pair
 // the reschedule result is identical and only the improvement term
-// differs. A pair whose table entry still replays (see the package
-// comment) takes its result from the entry; the others are independent —
+// differs. A pair with a table entry that still holds (pairTable.lookup)
+// takes its result from the entry; the others are independent —
 // each works on its own overlay view of the ledger — so they are evaluated
 // across the worker pool. Replays and views are taken sequentially up front
 // (both build the base's snapshots in place) and the winner is then picked
@@ -345,92 +420,78 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // byte-identical for any Workers setting.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
-	fileCost map[media.VideoID]units.Money, table pairTable, res *Result) (candidate, bool, error) {
+	fileCost map[media.VideoID]units.Money, t *pairTable, res *Result) (candidate, bool, error) {
 
-	type reschedJob struct {
-		overflow int
-		video    media.VideoID
-		tmp      *occupancy.Ledger   // nil for a reused result
-		log      *occupancy.ProbeLog // nil on the reference ledger
-		result   reschedResult
-	}
-	var jobs []reschedJob
-	var fresh []int // indices into jobs
-	jobOf := make([]map[media.VideoID]int, len(overflows))
-	refsOf := make([][]occupancy.Ref, len(overflows))
+	clear(t.jobs) // last round's views and logs are dead
+	t.jobs, t.fresh, t.refsOf, t.jobAt = t.jobs[:0], t.fresh[:0], t.refsOf[:0], t.jobAt[:0]
 	for oi, of := range overflows {
 		refs := ledger.OverflowSet(of.Node, of.Interval)
-		refsOf[oi] = refs
-		jobOf[oi] = make(map[media.VideoID]int, len(refs))
+		t.refsOf = append(t.refsOf, refs)
+		clear(t.jobOf)
 		for _, ref := range refs {
 			if _, live, err := liveVictim(work, opts, ref); err != nil {
 				return candidate{}, false, err
 			} else if !live {
+				t.jobAt = append(t.jobAt, -1)
 				continue
 			}
-			if _, dup := jobOf[oi][ref.Video]; dup {
+			if ji, dup := t.jobOf[ref.Video]; dup {
+				t.jobAt = append(t.jobAt, ji)
 				continue
 			}
 			if _, ok := fileCost[ref.Video]; !ok {
 				fileCost[ref.Video] = m.FileCost(work.File(ref.Video))
 			}
-			jobOf[oi][ref.Video] = len(jobs)
+			t.jobOf[ref.Video] = len(t.jobs)
+			t.jobAt = append(t.jobAt, len(t.jobs))
 			job := reschedJob{overflow: oi, video: ref.Video}
-			key := pairKey{of.Node, of.Interval, ref.Video}
-			e, hit := table[key]
-			if hit && e.log.Replay(ledger) {
-				e.round = res.Iterations
-				table[key] = e
+			if e := t.lookup(pairKey{of.Node, ref.Video}, of.Interval, ledger, res.Iterations); e != nil {
 				job.result = reschedResult{fs: e.fs, newCost: e.newCost,
 					overhead: e.newCost - fileCost[ref.Video], ok: e.ok}
 				res.Reused++
-			} else {
-				if hit {
-					table.drop(key)
+				if e.window != of.Interval {
+					res.Rewindowed++
 				}
+			} else {
 				job.tmp = ledger.OverlayWithout(ref.Video)
 				job.log = job.tmp.Record()
-				fresh = append(fresh, len(jobs))
+				t.fresh = append(t.fresh, len(t.jobs))
 			}
-			jobs = append(jobs, job)
+			t.jobs = append(t.jobs, job)
 		}
 	}
 
-	if err := parallel.Do(ctx, opts.Workers, len(fresh), func(i int) {
-		j := &jobs[fresh[i]]
+	if err := parallel.Do(ctx, opts.Workers, len(t.fresh), func(i int) {
+		j := &t.jobs[t.fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
 			fileCost[j.video])
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}
-	res.Evaluated += len(fresh)
-	for _, i := range fresh {
-		j := &jobs[i]
+	res.Evaluated += len(t.fresh)
+	for _, i := range t.fresh {
+		j := &t.jobs[i]
 		if j.log == nil {
 			continue
 		}
 		of := overflows[j.overflow]
-		table[pairKey{of.Node, of.Interval, j.video}] = pairEntry{
-			fs: j.result.fs, newCost: j.result.newCost, ok: j.result.ok, log: j.log, round: res.Iterations}
+		key := pairKey{of.Node, j.video}
+		t.entries[key] = append(t.entries[key], pairEntry{fs: j.result.fs, newCost: j.result.newCost,
+			ok: j.result.ok, log: j.log, window: of.Interval, round: res.Iterations})
 	}
-	for k, e := range table {
-		if e.round != res.Iterations {
-			table.drop(k) // the key left the overflow set
-		}
-	}
+	t.evictUnused(res.Iterations)
 
 	var best candidate
 	found := false
+	at := 0
 	for oi, of := range overflows {
-		for _, ref := range refsOf[oi] {
-			ci, live, err := liveVictim(work, opts, ref)
-			if err != nil {
-				return candidate{}, false, err
-			}
-			if !live {
+		for _, ref := range t.refsOf[oi] {
+			ji := t.jobAt[at]
+			at++
+			if ji < 0 {
 				continue
 			}
-			rs := &jobs[jobOf[oi][ref.Video]].result
+			rs := &t.jobs[ji].result
 			if !rs.ok {
 				continue
 			}
@@ -440,7 +501,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 					Video:    ref.Video,
 					Node:     of.Node,
 					Window:   of.Interval,
-					Heat:     computeHeat(m, ci, of, rs.overhead, opts.Metric),
+					Heat:     computeHeat(m, work.File(ref.Video).Residencies[ref.Index], of, rs.overhead, opts.Metric),
 					Overhead: rs.overhead,
 				},
 			}
