@@ -85,13 +85,15 @@ bench:
 
 # Machine-readable scheduler benchmark record (ns/op, allocs/op for the
 # one-shot solver and the rolling-horizon incremental extension, plus
-# their speedup ratio). The later runs exercise the parallel fan-out at
-# -cpu 1,4 — both the isolated phase 1 and the full 10k-request solve —
-# so benchjson can derive phase1_parallel_speedup from the matched pair,
-# and the gateway submit pair at -cpu 4 so it can derive
-# gateway_submit_speedup_3shards. Committed as BENCH_scheduler.json.
+# their speedup ratio, and one epoch close over 2 000 and 20 000 requests
+# of committed history, in memory and durable). The later runs exercise
+# the parallel fan-out at -cpu 1,4 — both the isolated phase 1 and the
+# full 10k-request solve — so benchjson can derive
+# phase1_parallel_speedup from the matched pair, and the gateway submit
+# pair at -cpu 4 so it can derive gateway_submit_speedup_3shards.
+# Committed as BENCH_scheduler.json.
 bench-json:
-	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$' \
+	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' \
 		-benchmem ./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
@@ -101,14 +103,16 @@ bench-json:
 		-timeout=60m -benchmem ./internal/scheduler ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_scheduler.json
 
-# Quick regression smoke for CI: a short BenchmarkSchedule run (best of
-# 3 single iterations) must stay within 2x of the committed
-# BENCH_scheduler.json baseline, in ns/op and in B/op. Catches
-# order-of-magnitude hot-path and allocation regressions without the cost
-# or noise-sensitivity of a full bench run.
+# Quick regression smoke for CI: short runs (best of 3 single iterations)
+# of BenchmarkSchedule and of BenchmarkHorizonAdvanceHistory — the batch
+# solve, which has no history, and one epoch close on top of a long one —
+# must stay within 2x of the committed BENCH_scheduler.json baseline, in
+# ns/op and in B/op. Catches order-of-magnitude hot-path and allocation
+# regressions, including a close that starts re-copying its history,
+# without the cost or noise-sensitivity of a full bench run.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$' -short -benchtime=1x -count=3 -benchmem \
-		./internal/scheduler \
+	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
+		./internal/scheduler ./internal/horizon \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 
 # Regenerate every paper figure/table as text (see EXPERIMENTS.md).

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -471,5 +473,63 @@ func TestAdvanceAndStatsSumResolution(t *testing.T) {
 	}
 	if st := gatewayStats(t, base); st.Resolution != sum {
 		t.Errorf("/v1/stats resolution %+v != the advance's %+v", st.Resolution, sum)
+	}
+}
+
+// A reschedule that costs nothing is infinitely hot (sorp.computeHeat), and
+// JSON has no number for that: the shard used to answer such an epoch with
+// an empty 200, which the gateway scored as a failed advance. The victim
+// list must cross both tiers intact — shard encode, gateway decode, gateway
+// encode, client decode — and equal what the same epoch yields in process.
+func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
+	r, err := experiment.Build(experiment.Params{
+		Storages: 4, UsersPerStorage: 3, Titles: 10,
+		CapacityGB: 4, RequestsPerUser: 1, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := append(workload.Set(nil), r.Requests...)
+	workload.SortChronological(reqs)
+	to := reqs[len(reqs)-1].Start.Add(simtime.Hour)
+
+	local := horizon.New(r.Model, horizon.Config{})
+	for _, req := range reqs {
+		if _, err := local.Submit(req.Start, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := local.Advance(context.Background(), to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := 0
+	for _, v := range want.Victims {
+		if math.IsInf(v.Heat, 1) {
+			hot++
+		}
+	}
+	if hot == 0 || hot == len(want.Victims) {
+		t.Fatalf("fixture bug: %d of %d victims infinitely hot; the rig must yield both kinds", hot, len(want.Victims))
+	}
+
+	url, _, _ := startShard(t, r, server.Options{})
+	_, base := startGateway(t, gateway.Config{Shards: []gateway.ShardConfig{{Primary: url}}, Retry: fastRetry})
+	for _, req := range reqs {
+		submit(t, base, req)
+	}
+	var adv gateway.AdvanceResponse
+	if err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/advance",
+		server.AdvanceRequest{To: to}, &adv); err != nil {
+		t.Fatal(err)
+	}
+	if len(adv.Failed) != 0 || len(adv.Shards) != 1 {
+		t.Fatalf("advance: %d shard results, failures %+v", len(adv.Shards), adv.Failed)
+	}
+	if got := adv.Shards[0].Result.Victims; !reflect.DeepEqual(got, want.Victims) {
+		t.Errorf("victims through shard and gateway\n got %+v\nwant %+v", got, want.Victims)
+	}
+	if br := gatewayStats(t, base).Shards[0].Breaker; br == nil || br.WindowFail != 0 {
+		t.Errorf("a committed epoch scored the shard's breaker a failure: %+v", br)
 	}
 }

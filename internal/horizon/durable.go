@@ -1,6 +1,7 @@
 package horizon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -267,7 +268,7 @@ func (s *Service) maybeSnapshotLocked() {
 	if every < 0 || s.st.Epoch%every != 0 {
 		return
 	}
-	blob, err := json.Marshal(s.st)
+	blob, err := encodeState(&s.snap, &s.st)
 	if err == nil {
 		err = wal.WriteSnapshot(s.dir, s.lastSeq, blob)
 	}
@@ -277,6 +278,19 @@ func (s *Service) maybeSnapshotLocked() {
 	if err != nil {
 		s.recovery.SnapshotFailures++
 	}
+}
+
+// encodeState writes a snapshot payload — json.Marshal(st), byte for byte —
+// into buf and returns buf's bytes, good until buf is next written. The
+// encoder hands its finished encoding over in one piece, so a buffer that
+// has grown to the state's size receives it without allocating.
+func encodeState(buf *bytes.Buffer, st *state) ([]byte, error) {
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(st); err != nil {
+		return nil, err
+	}
+	buf.Truncate(buf.Len() - 1) // Encode ends the value with a newline; Marshal does not
+	return buf.Bytes(), nil
 }
 
 // decodeState reads a snapshot payload back into a state value.

@@ -37,9 +37,11 @@
 package horizon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -162,6 +164,7 @@ type Service struct {
 	dir      string
 	lastSeq  uint64
 	recovery RecoveryStats
+	snap     bytes.Buffer // the snapshot encoding, reused from one snapshot to the next
 }
 
 // state is the full mutable state of a Service, declared once: the live
@@ -413,6 +416,13 @@ func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedul
 // and its span clamped to the latest surviving service (the discarded
 // future readers re-enter the pool, where the copy remains available as a
 // free extension source). Pre-placed copies keep their planned span.
+//
+// The prefix is handed on by reference. A committed schedule is never
+// modified once installed, and nothing downstream writes through a frozen
+// prefix (ivs.ScheduleFile copies what it extends), so the frozen
+// deliveries are the committed slice itself, capped at the split, and a
+// residency that loses no reader is shared as it stands; only a residency
+// whose readers are torn up gets a record and a service list of its own.
 func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileSchedule, []workload.Request, error) {
 	fd := 0
 	for fd < len(fs.Deliveries) && fs.Deliveries[fd].Start < horizon {
@@ -439,38 +449,54 @@ func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileS
 		}
 	}
 
-	pre := &schedule.FileSchedule{Video: fs.Video}
-	for i := 0; i < fd; i++ {
-		d := fs.Deliveries[i]
+	for i, d := range fs.Deliveries[:fd] {
 		if d.SourceResidency != schedule.NoResidency && d.SourceResidency >= fr {
 			return nil, nil, fmt.Errorf("video %d frozen delivery %d draws from un-frozen residency %d",
 				fs.Video, i, d.SourceResidency)
 		}
-		d.Route = d.Route.Clone()
-		pre.Deliveries = append(pre.Deliveries, d)
 	}
+	pre := &schedule.FileSchedule{
+		Video:       fs.Video,
+		Deliveries:  fs.Deliveries[:fd:fd],
+		Residencies: fs.Residencies[:fr:fr],
+	}
+	shared := true // pre.Residencies is still the committed array
 	for j := 0; j < fr; j++ {
 		c := fs.Residencies[j]
 		if c.FedBy != schedule.PrePlacedFeed && c.FedBy >= fd {
 			return nil, nil, fmt.Errorf("video %d frozen residency %d fed by un-frozen delivery %d",
 				fs.Video, j, c.FedBy)
 		}
-		kept := make([]int, 0, len(c.Services))
+		keep := 0
 		last := c.Load
 		for _, di := range c.Services {
 			if di >= fd {
 				continue // future reader: torn up and re-planned
 			}
-			kept = append(kept, di)
+			keep++
 			if fs.Deliveries[di].Start > last {
 				last = fs.Deliveries[di].Start
 			}
 		}
-		c.Services = kept
-		if c.FedBy != schedule.PrePlacedFeed {
-			c.LastService = last
+		if c.FedBy == schedule.PrePlacedFeed {
+			last = c.LastService
 		}
-		pre.Residencies = append(pre.Residencies, c)
+		if keep == len(c.Services) && last == c.LastService {
+			continue // loses nothing: shared
+		}
+		kept := make([]int, 0, keep)
+		for _, di := range c.Services {
+			if di < fd {
+				kept = append(kept, di)
+			}
+		}
+		c.Services = kept
+		c.LastService = last
+		if shared {
+			pre.Residencies = slices.Clone(pre.Residencies)
+			shared = false
+		}
+		pre.Residencies[j] = c
 	}
 
 	var replan []workload.Request

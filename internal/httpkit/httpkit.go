@@ -17,11 +17,35 @@ import (
 	"net/http"
 )
 
-// WriteJSON replies with v as a JSON body under the given status.
+// WriteJSON replies with v as a JSON body under the given status. The
+// status line waits for the body's first byte: json.Encoder encodes v whole
+// before it writes anything, so a value it cannot encode has sent nothing
+// yet and becomes a logged 500 with an error body, never a success status
+// over an empty one. A failed write to a client that has gone is dropped —
+// there is nobody left to tell.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	body := statusOnWrite{ResponseWriter: w, code: code}
+	if err := json.NewEncoder(&body).Encode(v); err != nil && !body.wrote {
+		log.Printf("httpkit: cannot encode %T reply: %v", v, err)
+		w.WriteHeader(http.StatusInternalServerError)
+		_ = json.NewEncoder(w).Encode(map[string]string{"error": "encode reply: " + err.Error()})
+	}
+}
+
+// statusOnWrite sends its status line with the first body byte.
+type statusOnWrite struct {
+	http.ResponseWriter
+	code  int
+	wrote bool
+}
+
+func (s *statusOnWrite) Write(b []byte) (int, error) {
+	if !s.wrote {
+		s.wrote = true
+		s.ResponseWriter.WriteHeader(s.code)
+	}
+	return s.ResponseWriter.Write(b)
 }
 
 // WriteErr replies with {"error": err.Error()} under the given status.

@@ -106,6 +106,12 @@ type Options struct {
 	// prefix so frozen records keep their indices. Mutually exclusive
 	// with Seeds (a committed prefix already carries its seeds).
 	Frozen *schedule.FileSchedule
+	// Spare, when non-nil, is a file schedule nobody reads any more. A run
+	// that starts from a Frozen prefix builds its result in Spare's record
+	// arrays where they are large enough instead of allocating its own, so
+	// a caller that re-plans the same file many times (sorp) pays for the
+	// prefix copy's storage once.
+	Spare *schedule.FileSchedule
 
 	// frozenRes is the number of leading residencies that belong to the
 	// frozen prefix, set internally by ScheduleFile.
@@ -162,12 +168,17 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		if pre.Video != video {
 			return nil, fmt.Errorf("ivs: frozen prefix for video %d in schedule for video %d", pre.Video, video)
 		}
-		// The prefix is copied once, straight into slices with room for the
-		// serve loop's appends. A frozen delivery keeps sharing its Route
-		// (routes are immutable: writers Clone or replace, DESIGN.md §5); a
-		// frozen residency gets its own Services, which the greedy appends to.
-		fs.Deliveries = append(make([]schedule.Delivery, 0, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
-		fs.Residencies = append(make([]schedule.Residency, 0, len(pre.Residencies)+bound), pre.Residencies...)
+		// The prefix is copied once — the only copy an epoch close makes of
+		// it (DESIGN.md §7) — straight into slices with room for the serve
+		// loop's appends. A frozen delivery keeps sharing its Route (routes
+		// are immutable: writers Clone or replace, DESIGN.md §5); a frozen
+		// residency gets its own Services, which the greedy appends to.
+		var spare schedule.FileSchedule
+		if opts.Spare != nil {
+			spare = *opts.Spare
+		}
+		fs.Deliveries = append(room(spare.Deliveries, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
+		fs.Residencies = append(room(spare.Residencies, len(pre.Residencies)+bound), pre.Residencies...)
 		opts.frozenRes = len(fs.Residencies)
 		for j := range fs.Residencies {
 			c := &fs.Residencies[j]
@@ -218,6 +229,15 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	}
 	prune(fs, video, opts.Ledger, opts.frozenRes)
 	return fs, nil
+}
+
+// room returns an empty, non-nil slice with capacity for n records: the
+// spare array when it is large enough, otherwise a new one.
+func room[T any](spare []T, n int) []T {
+	if cap(spare) > 0 && cap(spare) >= n {
+		return spare[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // tentativeBound bounds the tentatives the requests' deliveries can open

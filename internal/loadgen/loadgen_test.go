@@ -86,11 +86,14 @@ func TestRunSingleServer(t *testing.T) {
 	if res.ErrorsByCause != nil {
 		t.Fatalf("clean run reported error causes: %v", res.ErrorsByCause)
 	}
-	if res.Advances == 0 {
-		t.Fatal("epoch trigger never drove an advance")
+	// Epoch indices are 0-based and the four workers' EpochDue kicks may
+	// coalesce into a single advance, so FinalEpoch 0 is a correct answer;
+	// what the run must show is a committed epoch and its horizon.
+	if res.Advances == 0 || res.FinalHorizon <= 0 {
+		t.Fatalf("epoch trigger never drove an advance: %+v", res)
 	}
-	if res.FinalEpoch == 0 {
-		t.Fatalf("final epoch not captured: %+v", res)
+	if res.AdvanceErrors != 0 {
+		t.Fatalf("%d of the harness's advances failed: %+v", res.AdvanceErrors, res)
 	}
 	if res.ShardRouted != nil {
 		t.Fatalf("single server reported shard routing: %v", res.ShardRouted)
@@ -151,6 +154,9 @@ func TestRunTwoShardGateway(t *testing.T) {
 	}
 	if total != res.Accepted {
 		t.Fatalf("shard counts %v don't cover %d accepted", res.ShardRouted, res.Accepted)
+	}
+	if res.AdvanceErrors != 0 {
+		t.Fatalf("%d of the harness's advances failed: %+v", res.AdvanceErrors, res)
 	}
 }
 

@@ -20,6 +20,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/routing"
@@ -166,11 +167,7 @@ func (s *Schedule) VideoIDs() []media.VideoID {
 	for id := range s.Files {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -210,10 +207,11 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 		v media.VideoID
 		t simtime.Time
 	}
-	want := make(map[key]int)
+	want := make(map[key]int, len(requests))
 	for _, r := range requests {
 		want[key{r.User, r.Video, r.Start}]++
 	}
+	var idx readerIndex
 	for vid, fs := range s.Files {
 		if fs.Video != vid {
 			return fmt.Errorf("schedule: file map key %d holds schedule for %d", vid, fs.Video)
@@ -222,7 +220,7 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 			return fmt.Errorf("schedule: unknown video %d", vid)
 		}
 		video := catalog.Video(vid)
-		if err := validateFile(topo, video, fs); err != nil {
+		if err := validateFile(topo, video, fs, &idx); err != nil {
 			return err
 		}
 		for _, d := range fs.Deliveries {
@@ -241,7 +239,24 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 	return nil
 }
 
-func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule) error {
+// readerIndex is validateFile's account of who reads which copy, one per
+// Validate and reset from file to file: per residency the number of
+// deliveries drawing from it, per delivery whether the service list of the
+// residency it draws from has named it.
+type readerIndex struct {
+	readers []int
+	listed  []bool
+}
+
+func (x *readerIndex) reset(fs *FileSchedule) {
+	x.readers = slices.Grow(x.readers[:0], len(fs.Residencies))[:len(fs.Residencies)]
+	x.listed = slices.Grow(x.listed[:0], len(fs.Deliveries))[:len(fs.Deliveries)]
+	clear(x.readers)
+	clear(x.listed)
+}
+
+func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule, idx *readerIndex) error {
+	idx.reset(fs)
 	for i, d := range fs.Deliveries {
 		if d.Video != fs.Video {
 			return fmt.Errorf("schedule: delivery %d of file %d names video %d", i, fs.Video, d.Video)
@@ -279,6 +294,7 @@ func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule) 
 				return fmt.Errorf("schedule: delivery %d at %v outside residency window [%v, %v]",
 					i, d.Start, c.Load, c.LastService)
 			}
+			idx.readers[d.SourceResidency]++
 		}
 	}
 	for j, c := range fs.Residencies {
@@ -327,19 +343,20 @@ func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule) 
 		// own feed); a pre-placed copy's span is planned, so services only
 		// need to fall inside it.
 		last := c.Load
-		seen := make(map[int]bool, len(c.Services))
 		for _, di := range c.Services {
 			if di < 0 || di >= len(fs.Deliveries) {
 				return fmt.Errorf("schedule: residency %d lists unknown service %d", j, di)
 			}
-			if seen[di] {
+			// Only the residency a delivery draws from gets to mark it, so a
+			// marked reader of this copy was named by this list already.
+			src := fs.Deliveries[di].SourceResidency
+			if src == j && idx.listed[di] {
 				return fmt.Errorf("schedule: residency %d lists service %d twice", j, di)
 			}
-			seen[di] = true
-			if fs.Deliveries[di].SourceResidency != j {
-				return fmt.Errorf("schedule: residency %d lists service %d which draws from %d",
-					j, di, fs.Deliveries[di].SourceResidency)
+			if src != j {
+				return fmt.Errorf("schedule: residency %d lists service %d which draws from %d", j, di, src)
 			}
+			idx.listed[di] = true
 			if fs.Deliveries[di].Start > last {
 				last = fs.Deliveries[di].Start
 			}
@@ -351,9 +368,14 @@ func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule) 
 		} else if last != c.LastService {
 			return fmt.Errorf("schedule: residency %d LastService %v, but latest service starts at %v", j, c.LastService, last)
 		}
-		for di, d := range fs.Deliveries {
-			if d.SourceResidency == j && !seen[di] {
-				return fmt.Errorf("schedule: delivery %d draws from residency %d but is not in its service list", di, j)
+		// The list holds distinct readers of this copy; if it is as long as
+		// the copy's reader count it holds them all, and only otherwise is
+		// the missing one looked for.
+		if len(c.Services) != idx.readers[j] {
+			for di, d := range fs.Deliveries {
+				if d.SourceResidency == j && !idx.listed[di] {
+					return fmt.Errorf("schedule: delivery %d draws from residency %d but is not in its service list", di, j)
+				}
 			}
 		}
 	}

@@ -157,6 +157,76 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// The reader checks share one index per file (validateFile): these pin the
+// message and the order of each branch that reads it. twoCopies adds a
+// second copy at IS2, fed by delivery 1 and read by nobody.
+func TestValidateReaderIndex(t *testing.T) {
+	topo, cat := fixture(t)
+	is1, is2 := topology.NodeID(1), topology.NodeID(2)
+	twoCopies := func(s *Schedule) {
+		fs := s.File(0)
+		fs.Residencies = append(fs.Residencies,
+			Residency{Video: 0, Loc: is2, Src: is1, Load: 5400, LastService: 5400, FedBy: 1})
+	}
+	cases := []struct {
+		name string
+		mut  func(s *Schedule)
+		want string
+	}{
+		{"unlisted reader, span intact", func(s *Schedule) {
+			s.File(0).Residencies[0].Services = []int{2}
+		}, "delivery 1 draws from residency 0 but is not in its service list"},
+		{"unlisted reader behind a stale span reports the span", func(s *Schedule) {
+			s.File(0).Residencies[0].Services = []int{1}
+		}, "residency 0 LastService 03:00:00, but latest service starts at 01:30:00"},
+		{"duplicate after a distinct entry", func(s *Schedule) {
+			s.File(0).Residencies[0].Services = []int{1, 2, 2}
+		}, "residency 0 lists service 2 twice"},
+		{"second copy claims the first copy's reader", func(s *Schedule) {
+			twoCopies(s)
+			s.File(0).Residencies[1].Services = []int{1}
+		}, "residency 1 lists service 1 which draws from 0"},
+		{"reader listed by the wrong copy only", func(s *Schedule) {
+			twoCopies(s)
+			s.File(0).Residencies[0].Services = []int{2}
+			s.File(0).Residencies[1].Services = []int{1}
+		}, "delivery 1 draws from residency 0 but is not in its service list"},
+		{"claiming a warehouse-fed delivery", func(s *Schedule) {
+			s.File(0).Residencies[0].Services = []int{0, 1, 2}
+		}, "residency 0 lists service 0 which draws from -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, reqs := validSchedule(topo)
+			tc.mut(s)
+			err := s.Validate(topo, cat, reqs)
+			if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want ... %s", err, tc.want)
+			}
+		})
+	}
+
+	// A second file is checked on the same index, reset in between.
+	s, reqs := validSchedule(topo)
+	twoCopies(s)
+	other := s.File(0).Clone()
+	other.Video = 1
+	for i := range other.Deliveries {
+		other.Deliveries[i].Video = 1
+	}
+	for j := range other.Residencies {
+		other.Residencies[j].Video = 1
+	}
+	s.Put(other)
+	for _, r := range reqs[:3] {
+		r.Video = 1
+		reqs = append(reqs, r)
+	}
+	if err := s.Validate(topo, cat, reqs); err != nil {
+		t.Fatalf("two files on one index: %v", err)
+	}
+}
+
 func TestValidateUnknownVideo(t *testing.T) {
 	topo, cat := fixture(t)
 	s := New()

@@ -25,13 +25,22 @@
 // victims, schedule and cost are the ones a table-free run produces. The
 // views the evaluations ran on are not kept: a reused winner is committed
 // from its file schedule (Ledger.CommitFile).
+//
+// On a rolling horizon every evaluation starts by copying its file's frozen
+// prefix (ivs.ScheduleFile, the one place an epoch close copies history),
+// and an evaluation of the same file always needs the same room. An entry
+// that leaves the table therefore leaves its file behind as spare storage
+// for the video's next fresh evaluation (pairTable.retire) — except the
+// file a commit hands to the working schedule, which is never recycled.
 package sorp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
@@ -120,13 +129,65 @@ type Options struct {
 }
 
 // Victim records one rescheduling decision, for diagnostics and the
-// heat-metric study of Experiment 4.
+// heat-metric study of Experiment 4. Heat is +Inf for a reschedule that
+// cost nothing (computeHeat), which JSON has no number for: on the wire the
+// field is a number when finite and otherwise the string strconv gives it
+// ("+Inf"), so a victim list round-trips whatever its heats.
 type Victim struct {
 	Video    media.VideoID
 	Node     topology.NodeID
 	Window   simtime.Interval
 	Heat     float64
 	Overhead units.Money
+}
+
+// victimJSON is Victim's wire form: the same field names, Heat as wireHeat.
+type victimJSON struct {
+	Video    media.VideoID
+	Node     topology.NodeID
+	Window   simtime.Interval
+	Heat     wireHeat
+	Overhead units.Money
+}
+
+// wireHeat is a float64 that survives JSON when it is not finite.
+type wireHeat float64
+
+func (h wireHeat) MarshalJSON() ([]byte, error) {
+	f := float64(h)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 64)), nil
+	}
+	return json.Marshal(f)
+}
+
+func (h *wireHeat) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(h))
+	}
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(math.IsInf(f, 0) || math.IsNaN(f)) {
+		return fmt.Errorf("sorp: victim heat %q is neither a number nor a non-finite float's name", s)
+	}
+	*h = wireHeat(f)
+	return nil
+}
+
+func (v Victim) MarshalJSON() ([]byte, error) {
+	return json.Marshal(victimJSON{v.Video, v.Node, v.Window, wireHeat(v.Heat), v.Overhead})
+}
+
+func (v *Victim) UnmarshalJSON(b []byte) error {
+	var w victimJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*v = Victim{w.Video, w.Node, w.Window, float64(w.Heat), w.Overhead}
+	return nil
 }
 
 // Result summarizes a resolution run.
@@ -177,6 +238,14 @@ func Resolve(m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workl
 // the (potentially long) resolution loop promptly with ctx.Err() wrapped
 // in the returned error.
 func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request, opts Options) (*Result, error) {
+	return resolve(ctx, m, s, reqs, opts, nil)
+}
+
+// resolve is ResolveContext; committed, when non-nil, is shown the working
+// schedule and the table after every commit, which is how the tests check
+// what the two may share.
+func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request,
+	opts Options, committed func(work *schedule.Schedule, t *pairTable)) (*Result, error) {
 	if opts.Metric == 0 {
 		opts.Metric = SpacePerCost
 	}
@@ -204,7 +273,12 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 	// fileCost holds each touched file's current Ψ contribution, so a
 	// candidate's overhead is a Ψ delta instead of a full re-costing.
 	fileCost := make(map[media.VideoID]units.Money)
-	table := pairTable{entries: make(map[pairKey][]pairEntry), jobOf: make(map[media.VideoID]int)}
+	table := pairTable{
+		entries: make(map[pairKey][]pairEntry),
+		jobOf:   make(map[media.VideoID]int),
+		frozen:  opts.Frozen,
+		spare:   make(map[media.VideoID][]*schedule.FileSchedule),
+	}
 	defer table.release()
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -229,15 +303,19 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 		// Commit the winning candidate in place; every losing view of this
 		// iteration is dead from here on, and so is every table entry for
 		// the winner's file, whose copies the others' logs took as given.
+		// The winner's own entry goes with them, but its file is work's now.
 		work.Put(best.fs)
 		if best.ledger != nil {
 			ledger = best.ledger.Commit()
 		} else {
 			ledger.CommitFile(best.fs)
 		}
-		table.dropVideo(best.record.Video)
+		table.dropVideo(best.record.Video, best.fs)
 		fileCost[best.record.Video] = best.newCost
 		res.Victims = append(res.Victims, best.record)
+		if committed != nil {
+			committed(work, &table)
+		}
 	}
 	res.CostAfter = m.ScheduleCost(work)
 	return res, nil
@@ -268,8 +346,9 @@ type pairEntry struct {
 type reschedJob struct {
 	overflow int
 	video    media.VideoID
-	tmp      *occupancy.Ledger   // nil for a reused result
-	log      *occupancy.ProbeLog // nil on the reference ledger
+	tmp      *occupancy.Ledger      // nil for a reused result
+	log      *occupancy.ProbeLog    // nil on the reference ledger
+	spare    *schedule.FileSchedule // storage to build the result in, or nil
 	result   reschedResult
 }
 
@@ -278,9 +357,15 @@ type reschedJob struct {
 // several — and selectVictim's per-round scaffolding, reset instead of
 // reallocated. An entry leaves when its file is committed, when its log no
 // longer replays, or when no overflow used it for a round; the log's
-// storage is recycled each time.
+// storage is recycled each time, and so is the file's (retire).
 type pairTable struct {
 	entries map[pairKey][]pairEntry
+	// spare holds, per video, the files of entries that left: nobody reads
+	// them any more, and the next fresh evaluation of the same video needs
+	// exactly their room for its copy of the frozen prefix. Only files
+	// built on a prefix (frozen) are kept; the rest are the collector's.
+	frozen map[media.VideoID]*schedule.FileSchedule
+	spare  map[media.VideoID][]*schedule.FileSchedule
 
 	jobs   []reschedJob
 	fresh  []int                 // indices into jobs
@@ -307,7 +392,7 @@ func (t *pairTable) lookup(k pairKey, w simtime.Interval, ledger *occupancy.Ledg
 			e.round = round
 			return e
 		}
-		e.log.Release()
+		t.retire(*e)
 		es = slices.Delete(es, i, i+1)
 		t.entries[k] = es
 	}
@@ -322,7 +407,7 @@ func (t *pairTable) evictUnused(round int) {
 			if e.round == round {
 				kept = append(kept, e)
 			} else {
-				e.log.Release()
+				t.retire(e)
 			}
 		}
 		clear(es[len(kept):])
@@ -334,15 +419,42 @@ func (t *pairTable) evictUnused(round int) {
 	}
 }
 
-func (t *pairTable) dropVideo(vid media.VideoID) {
+// dropVideo drops every entry for the video, whose file committed the
+// working schedule has just taken: that file's entry gives up its log only.
+func (t *pairTable) dropVideo(vid media.VideoID, committed *schedule.FileSchedule) {
 	for k, es := range t.entries {
 		if k.video == vid {
 			for _, e := range es {
-				e.log.Release()
+				if e.fs == committed {
+					e.log.Release()
+				} else {
+					t.retire(e)
+				}
 			}
 			delete(t.entries, k)
 		}
 	}
+}
+
+// retire recycles what an entry leaving the table held: its log's storage,
+// and its file as spare room for the video's next fresh evaluation.
+func (t *pairTable) retire(e pairEntry) {
+	e.log.Release()
+	if e.fs != nil && t.frozen[e.fs.Video] != nil {
+		t.spare[e.fs.Video] = append(t.spare[e.fs.Video], e.fs)
+	}
+}
+
+// takeSpare hands out a retired file of the video, or nil.
+func (t *pairTable) takeSpare(vid media.VideoID) *schedule.FileSchedule {
+	fss := t.spare[vid]
+	if len(fss) == 0 {
+		return nil
+	}
+	fs := fss[len(fss)-1]
+	fss[len(fss)-1] = nil
+	t.spare[vid] = fss[:len(fss)-1]
+	return fs
 }
 
 func (t *pairTable) release() {
@@ -454,7 +566,9 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 				}
 			} else {
 				job.tmp = ledger.OverlayWithout(ref.Video)
-				job.log = job.tmp.Record()
+				if job.log = job.tmp.Record(); job.log != nil {
+					job.spare = t.takeSpare(ref.Video)
+				}
 				t.fresh = append(t.fresh, len(t.jobs))
 			}
 			t.jobs = append(t.jobs, job)
@@ -464,7 +578,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	if err := parallel.Do(ctx, opts.Workers, len(t.fresh), func(i int) {
 		j := &t.jobs[t.fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
-			fileCost[j.video])
+			fileCost[j.video], j.spare)
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}
@@ -539,16 +653,18 @@ type reschedResult struct {
 // the caller sequentially, so the concurrent evaluation path can fan the
 // views out afterwards). baseCost is the file's current Ψ contribution,
 // maintained incrementally by ResolveContext; the overhead is the Ψ delta
-// against it.
+// against it. spare, when non-nil, is a dead file whose storage the result
+// may be built in.
 func rescheduleFile(m *cost.Model, tmp *occupancy.Ledger,
 	vid media.VideoID, of occupancy.Overflow, rs []workload.Request, opts Options,
-	baseCost units.Money) (out reschedResult) {
+	baseCost units.Money, spare *schedule.FileSchedule) (out reschedResult) {
 	fs, err := ivs.ScheduleFile(m, vid, rs, ivs.Options{
 		Policy: opts.Policy,
 		Ledger: tmp,
 		Banned: []occupancy.Banned{{Node: of.Node, Interval: of.Interval}},
 		Seeds:  opts.Seeds[vid],
 		Frozen: opts.Frozen[vid],
+		Spare:  spare,
 	})
 	if err != nil {
 		return out // unreschedulable candidate; skip (ok=false)

@@ -36,7 +36,16 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	_, werr := f.Write(append([]byte(snapMagic), encodeRecord(seq, payload)...))
+	// Magic and record header go out ahead of the payload, which is written
+	// from the caller's slice: the file is snapMagic + encodeRecord(seq,
+	// payload) without the framed copy.
+	var head [len(snapMagic) + recordHeaderSize]byte
+	copy(head[:], snapMagic)
+	putRecordHeader(head[len(snapMagic):], seq, payload)
+	_, werr := f.Write(head[:])
+	if werr == nil {
+		_, werr = f.Write(payload)
+	}
 	if werr == nil {
 		werr = f.Sync()
 	}

@@ -222,12 +222,18 @@ func checksum(seq uint64, payload []byte) uint32 {
 	return h.Sum32()
 }
 
+// putRecordHeader fills the recordHeaderSize bytes that precede payload in
+// its record.
+func putRecordHeader(head []byte, seq uint64, payload []byte) {
+	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(head[4:8], checksum(seq, payload))
+	binary.LittleEndian.PutUint64(head[8:16], seq)
+}
+
 // encodeRecord frames one record.
 func encodeRecord(seq uint64, payload []byte) []byte {
 	buf := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], checksum(seq, payload))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
+	putRecordHeader(buf, seq, payload)
 	copy(buf[recordHeaderSize:], payload)
 	return buf
 }

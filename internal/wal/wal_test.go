@@ -220,6 +220,25 @@ func TestSnapshotRoundTripAndReset(t *testing.T) {
 	}
 }
 
+// The snapshot goes out as a header and the caller's payload, not as one
+// framed copy; on disk it is still the magic followed by exactly the record
+// Append would frame, down to an empty payload.
+func TestSnapshotFileIsMagicPlusOneRecord(t *testing.T) {
+	for _, payload := range [][]byte{[]byte(`{"epoch":3}`), bytes.Repeat([]byte("history "), 1<<16), nil} {
+		dir := t.TempDir()
+		if err := WriteSnapshot(dir, 41, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, SnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]byte(snapMagic), encodeRecord(41, payload)...); !bytes.Equal(got, want) {
+			t.Errorf("%d-byte payload: %d bytes on disk differ from magic + record (%d bytes)", len(payload), len(got), len(want))
+		}
+	}
+}
+
 // A crash between snapshot publication and log reset leaves covered
 // records in the log; their sequences are <= the snapshot's, so recovery
 // can skip them. This pins the invariant the horizon recovery relies on.
