@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test vet check-shell check-solver bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
+.PHONY: all build test vet check-shell check-solver check-bar bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
 
 all: build vet test
 
@@ -15,7 +15,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet check-shell check-solver
+test: vet check-shell check-solver check-bar
 	$(GO) test ./...
 
 # One serving shell: the JSON reply helper, the JSON body decoder and the
@@ -50,6 +50,26 @@ check-solver:
 		echo "$$imps"; exit 1; \
 	fi
 
+# One bar: what a horizon.Service may hold is decided by scheduler.Check and
+# nothing else — at the epoch commit, at Recover, at InstallSnapshot and at
+# promotion — and the audit bundle (simulator, billing) is an oracle for
+# tests, bench/ and operators. Fails when internal/horizon can reach the
+# bundle or one of its independent re-implementations again, or when non-test
+# code outside the facade and vspsim (and bench/) calls audit.Run, so a
+# second, higher bar cannot grow back into the serving path.
+check-bar:
+	@deps=$$($(GO) list -deps ./internal/horizon | grep -E '/internal/(audit|vodsim|billing|des|faults)$$'); \
+	if [ -n "$$deps" ]; then \
+		echo "check-bar: internal/horizon depends on the audit bundle (scheduler.Check is the only bar):"; \
+		echo "$$deps"; exit 1; \
+	fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'audit\.Run\(' *.go cmd examples internal \
+		| grep -vE '^(system\.go|cmd/vspsim/)'); \
+	if [ -n "$$hits" ]; then \
+		echo "check-bar: audit.Run is called outside system.go and cmd/vspsim (it is an oracle, not a gate):"; \
+		echo "$$hits"; exit 1; \
+	fi
+
 race:
 	$(GO) test -race ./...
 
@@ -72,10 +92,15 @@ chaos-bench:
 		-run TestGrayFailureBreakerBenefit -v -timeout 20m ./internal/gateway
 
 # Short fuzz passes over the parsers that face untrusted bytes: the WAL
-# decoder (crash/corruption trichotomy) and the schedule API decoder.
+# decoder (crash/corruption trichotomy), the schedule API decoder, the two
+# endpoints that take a whole schedule from the client, and the door every
+# snapshot payload takes. The last two start from multi-kilobyte seeds, which
+# the fuzzer would otherwise spend the whole pass minimizing.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
+	$(GO) test -fuzz=FuzzClientSchedule -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 
 cover:
 	$(GO) test -cover ./internal/... .

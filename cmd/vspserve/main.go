@@ -5,8 +5,8 @@
 // With -data-dir the rolling-horizon reservation intake is durable: every
 // accepted reservation and committed epoch is journaled to a write-ahead
 // log (fsync policy per -fsync) and compacted into snapshots, and a
-// restart recovers the committed schedule — re-verified by the audit
-// bundle — instead of losing it.
+// restart recovers the committed schedule — held to the same predicate an
+// epoch commit is — instead of losing it.
 //
 // With -replicate-from the node runs as a warm standby: it ships the
 // primary's WAL into its own (ideally durable) horizon service, answers

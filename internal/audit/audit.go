@@ -3,7 +3,12 @@
 // feasibility, event-simulator execution with cost agreement, and billing
 // attribution consistency. Operators call it before trusting a schedule
 // produced elsewhere (a file from disk, a response from the HTTP service);
-// the test suite uses the same bundle as its end-to-end oracle.
+// the test suite and the benchmark use the same bundle as their end-to-end
+// oracle. It is not a gate: the serving tier commits, recovers, installs and
+// promotes on scheduler.Check alone (the first two checks here), because the
+// simulator and billing are independent re-implementations whose every
+// disagreement so far has been their own bug — worth a report, not a shard
+// that will not restart. `make check-bar` keeps it that way.
 package audit
 
 import (
@@ -47,8 +52,11 @@ func (r *Report) add(check, format string, args ...any) {
 }
 
 // Run audits a schedule against the model and the request batch it claims
-// to serve. All checks always run; the report collects every failure
-// rather than stopping at the first.
+// to serve. A structurally invalid schedule is reported as that one
+// "validate" finding and nothing else: the ledger, the simulator and billing
+// all index by the IDs the structural check vouches for. On a well-formed
+// schedule every check runs, and the report collects every failure rather
+// than stopping at the first.
 func Run(m *cost.Model, s *schedule.Schedule, reqs workload.Set) *Report {
 	rep := &Report{}
 
@@ -57,6 +65,9 @@ func Run(m *cost.Model, s *schedule.Schedule, reqs workload.Set) *Report {
 	v := scheduler.Check(m.Book().Topology(), m.Catalog(), s, reqs)
 	if v.Invalid != nil {
 		rep.add("validate", "%v", v.Invalid)
+	}
+	if v.Malformed {
+		return rep
 	}
 	rep.Overflows = len(v.Overflows)
 	if rep.Overflows > 0 {

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -21,10 +21,10 @@ import (
 // Durability: a service opened with Recover journals every Submit and
 // Advance through a write-ahead log (internal/wal) in its data directory
 // and periodically compacts the log into a full-state snapshot. Crash
-// recovery loads the snapshot, replays the log's tail — re-running the
-// replayed epochs through the same deterministic planner — and refuses to
-// serve if the reconstructed committed schedule fails the audit bundle.
-// The layout of a data directory:
+// recovery loads the snapshot through decodeState, replays the log's tail —
+// re-running the replayed epochs through the same deterministic planner and
+// the same commit predicate — and refuses to serve a state an epoch commit
+// would not have produced. The layout of a data directory:
 //
 //	<dir>/wal.log    append-only operation journal
 //	<dir>/snapshot   atomically-replaced full state (may be absent)
@@ -78,13 +78,15 @@ type RecoveryStats struct {
 
 // Recover opens a durable rolling-horizon service on dir, creating the
 // directory on first use. Prior state is restored from the snapshot plus
-// a deterministic replay of the journaled operations after it; the
-// recovered committed schedule must pass the full audit bundle
-// (validation, capacity, simulation with cost agreement, billing) or
-// Recover refuses with an error — a checksum-valid log that replays into
-// an inconsistent schedule is treated as damage, not served. The model
-// and config must describe the same infrastructure and policies the
-// journal was written under.
+// a deterministic replay of the journaled operations after it, and is held
+// to exactly what a live epoch commit is held to: the snapshot enters
+// through decodeState (self-consistent, and its committed schedule passes
+// scheduler.Check against the reservations it claims to serve), and every
+// replayed epoch is checked by extend like any other. So what the live path
+// committed and acknowledged, Recover accepts, and a checksum-valid file that
+// decodes or replays into anything else is treated as damage, not served.
+// The model and config must describe the same infrastructure and policies
+// the journal was written under.
 func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("horizon: data dir: %w", err)
@@ -96,7 +98,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("horizon: recover %s: %w", dir, err)
 	}
 	if haveSnap {
-		if s.st, err = decodeState(blob); err != nil {
+		if s.st, err = s.decodeState(blob); err != nil {
 			return nil, fmt.Errorf("horizon: recover %s: snapshot: %w", dir, err)
 		}
 		s.recovery.SnapshotLoaded = true
@@ -137,16 +139,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		}
 	}
 	s.recovery.Recovered = haveSnap || s.recovery.ReplayedSubmits > 0 || s.recovery.ReplayedAdvances > 0
-
-	// Audit the reconstructed schedule against the reservations it claims
-	// to serve. Refusing to start beats serving a committed schedule the
-	// infrastructure cannot execute.
-	err = s.verify(&s.st)
 	s.mu.Unlock()
-	if err != nil {
-		log.Close()
-		return nil, fmt.Errorf("horizon: recover %s: recovered state fails audit: %w", dir, err)
-	}
 
 	log.EnsureSeqAbove(snapSeq)
 	if len(recs) > 0 {
@@ -213,31 +206,14 @@ func (s *Service) applyPayloadLocked(ctx context.Context, payload []byte) (walOp
 	return op, nil
 }
 
-// verify runs the full audit bundle (validation, capacity, simulation
-// with cost agreement, billing) over a state's committed schedule against
-// the reservations it claims to serve — everything accepted minus the
-// still-pending intake, which is planned only at the next Advance. This is
-// a higher bar than the commit predicate an epoch close applies
-// (scheduler.Check, the bundle's first two checks).
-func (s *Service) verify(st *state) error {
-	planned := st.Accepted[:len(st.Accepted)-len(st.Pending)]
-	if len(planned) == 0 && len(st.Committed.Files) == 0 {
-		return nil
-	}
-	if rep := audit.Run(s.m, st.Committed, planned); !rep.OK() {
-		return fmt.Errorf("%s (%d finding(s))", rep.Findings[0], len(rep.Findings))
-	}
-	return nil
-}
-
-// VerifyCommitted re-runs the audit bundle over the live committed
-// schedule. Failover promotion calls it before a caught-up follower
-// starts accepting traffic, mirroring the re-verification Recover
-// performs before serving recovered state.
+// VerifyCommitted re-applies the commit predicate to the live committed
+// schedule. Failover promotion calls it before a caught-up follower starts
+// accepting traffic; every state a service holds has already passed the same
+// check on its way in, so this is a cheap re-check, not a second bar.
 func (s *Service) VerifyCommitted() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.verify(&s.st)
+	return s.check(&s.st)
 }
 
 // journalOp appends one operation record; callers hold s.mu.
@@ -293,14 +269,40 @@ func encodeState(buf *bytes.Buffer, st *state) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeState reads a snapshot payload back into a state value.
-func decodeState(blob []byte) (state, error) {
+// decodeState is the one door by which a snapshot payload — read from disk by
+// Recover or shipped by a primary to InstallSnapshot — becomes a state. The
+// payload's checksum, where it has one, says the bytes are the bytes that
+// were written; the door establishes that what they decode to is a state this
+// service could have reached: the invariants the state type documents hold,
+// and the committed schedule passes the bar. It returns an error and never
+// panics, whatever the bytes, and it reads the service's model and nothing
+// else of it.
+func (s *Service) decodeState(blob []byte) (state, error) {
 	var st state
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return state{}, err
 	}
 	if st.Committed == nil {
 		st.Committed = schedule.New()
+	}
+	if st.Epoch < 0 || st.Horizon < 0 {
+		return state{}, fmt.Errorf("negative epoch %d or horizon %v", st.Epoch, st.Horizon)
+	}
+	if n := len(st.Accepted) - len(st.Pending); n < 0 || !slices.Equal(st.Pending, st.Accepted[n:]) {
+		return state{}, fmt.Errorf("the %d pending reservations are not the tail of the %d accepted", len(st.Pending), len(st.Accepted))
+	}
+	for i, r := range st.Accepted {
+		if err := s.known(r); err != nil {
+			return state{}, fmt.Errorf("accepted reservation %d names %w", i, err)
+		}
+	}
+	for i, r := range st.Pending {
+		if r.Start < st.Horizon {
+			return state{}, fmt.Errorf("pending reservation %d starts at %v, before the commit horizon %v", i, r.Start, st.Horizon)
+		}
+	}
+	if err := s.check(&st); err != nil {
+		return state{}, err
 	}
 	return st, nil
 }

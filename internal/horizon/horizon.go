@@ -177,6 +177,12 @@ type Service struct {
 // Committed schedule is never modified once installed, and Accepted only
 // ever grows by append, so a copy of the struct stays a consistent reading
 // after the lock is released.
+//
+// A Committed schedule gets into a state in two ways only: extend solved it
+// and check accepted it, or decodeState read the state from a snapshot
+// payload and admitted it — Epoch and Horizon not negative, every accepted
+// reservation naming a known user and video, Pending the tail of Accepted
+// with nothing starting before Horizon — and check accepted it.
 type state struct {
 	Horizon      simtime.Time       `json:"horizon"`     // commit horizon H
 	Epoch        int                `json:"epoch"`       // epochs committed so far
@@ -265,11 +271,8 @@ func (s *Service) Submit(at simtime.Time, r workload.Request) (Ack, error) {
 // replication applier all come through here, which is what makes replay
 // deterministic.
 func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error) {
-	if int(r.Video) < 0 || int(r.Video) >= s.m.Catalog().Len() {
-		return Ack{}, fmt.Errorf("horizon: unknown video %d", r.Video)
-	}
-	if int(r.User) < 0 || int(r.User) >= s.m.Book().Topology().NumUsers() {
-		return Ack{}, fmt.Errorf("horizon: unknown user %d", r.User)
+	if err := s.known(r); err != nil {
+		return Ack{}, fmt.Errorf("horizon: %w", err)
 	}
 	if r.Start < s.st.Horizon {
 		return Ack{}, fmt.Errorf("%w: start %v is before commit horizon %v",
@@ -299,6 +302,20 @@ func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error)
 		ack.EpochDue, ack.Trigger = true, TriggerTick
 	}
 	return ack, nil
+}
+
+// known reports whether a reservation names a video of the catalog and a user
+// of the topology: the part of intake screening that depends on the model
+// alone, applied to a live submission and to every reservation of a decoded
+// snapshot.
+func (s *Service) known(r workload.Request) error {
+	if int(r.Video) < 0 || int(r.Video) >= s.m.Catalog().Len() {
+		return fmt.Errorf("unknown video %d", r.Video)
+	}
+	if int(r.User) < 0 || int(r.User) >= s.m.Book().Topology().NumUsers() {
+		return fmt.Errorf("unknown user %d", r.User)
+	}
+	return nil
 }
 
 // Advance closes the current epoch: it moves the commit horizon to the
@@ -343,8 +360,8 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 // returns the state to commit. It reads st, the model and the config and
 // writes nothing: split the committed schedule, solve the un-frozen
 // requests plus the pending intake on top of the frozen prefixes, and keep
-// the result only if the commit predicate accepts it against every
-// reservation accepted so far.
+// the result only if the next state passes check — the commit predicate
+// against every reservation accepted so far.
 func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *EpochResult, error) {
 	frozen, reqs, res, err := st.split(to)
 	if err != nil {
@@ -355,14 +372,7 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 	if err != nil {
 		return state{}, nil, err
 	}
-	if err := scheduler.Check(s.m.Book().Topology(), s.m.Catalog(), out.Schedule, st.Accepted).Err(); err != nil {
-		return state{}, nil, err
-	}
-	res.Overflows = out.Overflows
-	res.Victims = out.Victims
-	res.Resolution = out.Resolution
-	res.Cost = out.FinalCost
-	return state{
+	next := state{
 		Horizon:    to,
 		Epoch:      st.Epoch + 1,
 		Clock:      st.Clock,
@@ -370,7 +380,28 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 		Cost:       out.FinalCost,
 		Committed:  out.Schedule,
 		Accepted:   st.Accepted,
-	}, res, nil
+	}
+	if err := s.check(&next); err != nil {
+		return state{}, nil, err
+	}
+	res.Overflows = out.Overflows
+	res.Victims = out.Victims
+	res.Resolution = out.Resolution
+	res.Cost = out.FinalCost
+	return next, res, nil
+}
+
+// check is the bar: the one predicate that decides whether a service may hold
+// a state's committed schedule. It is scheduler.Check against the
+// reservations the schedule must serve — everything accepted minus the
+// still-pending intake, which is planned only at the next Advance. An epoch
+// commit (extend), a decoded snapshot (decodeState) and promotion
+// (VerifyCommitted) all ask here, so whatever a commit accepted, recovery and
+// failover accept: it is the same call on the same arguments. Pending must be
+// no longer than Accepted.
+func (s *Service) check(st *state) error {
+	served := st.Accepted[:len(st.Accepted)-len(st.Pending)]
+	return scheduler.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, served).Err()
 }
 
 // split divides the committed schedule at the new horizon: per video, the

@@ -128,8 +128,8 @@ func (s *Service) ApplyReplicated(ctx context.Context, rec wal.Record) (bool, er
 // InstallSnapshot replaces the service state with a shipped full-state
 // snapshot — the path a fresh or far-behind follower takes when the
 // primary has compacted the records it would otherwise replay. The
-// state is audited before it is adopted (exactly like Recover's
-// re-verification), and on a durable follower it is persisted as the
+// payload enters through decodeState, the door Recover's snapshot takes,
+// before it is adopted, and on a durable follower it is persisted as the
 // local snapshot with the journal reset, so a restart recovers to the
 // same sequence. A snapshot that does not advance past the applied
 // sequence is rejected.
@@ -139,15 +139,11 @@ func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
 	if seq <= s.lastSeq {
 		return fmt.Errorf("horizon: snapshot seq %d does not advance past applied seq %d", seq, s.lastSeq)
 	}
-	// Decode and audit the value before anything else happens: an
-	// undecodable or audit-failing snapshot must leave the live state
-	// untouched.
-	st, err := decodeState(blob)
+	// Admit the value before anything else happens: a refused snapshot
+	// must leave the live state and the data directory untouched.
+	st, err := s.decodeState(blob)
 	if err != nil {
 		return fmt.Errorf("horizon: snapshot state: %w", err)
-	}
-	if err := s.verify(&st); err != nil {
-		return fmt.Errorf("horizon: snapshot state fails audit: %w", err)
 	}
 	if s.journal != nil {
 		// Persist before adopting: if the snapshot cannot be made durable

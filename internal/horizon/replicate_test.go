@@ -196,8 +196,11 @@ func TestSnapshotShippingAfterCompaction(t *testing.T) {
 	}
 }
 
-// A snapshot that does not advance the applied sequence, or whose state
-// fails the audit, must be rejected without touching live state.
+// A snapshot that does not advance the applied sequence, that does not
+// decode, or that decodes into a state the door refuses must be rejected with
+// an error — never a panic: the shipper installs snapshots from a goroutine
+// of its own — without touching live state, and the follower must go on
+// applying the primary's next good batch.
 func TestInstallSnapshotRejections(t *testing.T) {
 	r := rig(t, durableParams())
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
@@ -206,7 +209,9 @@ func TestInstallSnapshotRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	for _, op := range script(r, 2) {
+	ops := script(r, 3)
+	cut := len(ops) / 2
+	for _, op := range ops[:cut] {
 		applyOp(t, primary, op)
 	}
 
@@ -217,16 +222,39 @@ func TestInstallSnapshotRejections(t *testing.T) {
 	defer follower.Close()
 	shipAll(t, primary, follower)
 	before := fingerprint(t, follower)
+	next := follower.AppliedSeq() + 1
 
 	// Stale: the follower is already past seq 1.
 	if err := follower.InstallSnapshot(1, []byte(`{}`)); err == nil {
 		t.Fatal("stale snapshot accepted")
 	}
 	// Undecodable state.
-	if err := follower.InstallSnapshot(follower.AppliedSeq()+1, []byte(`{"`)); err == nil {
+	if err := follower.InstallSnapshot(next, []byte(`{"`)); err == nil {
 		t.Fatal("undecodable snapshot accepted")
+	}
+	for _, tc := range inconsistentSnapshots(t, goodSnapshot(t, r)) {
+		err := follower.InstallSnapshot(next, tc.blob)
+		if err == nil {
+			t.Fatalf("%s: snapshot accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refusal does not name %q: %v", tc.name, tc.want, err)
+		}
 	}
 	if got := fingerprint(t, follower); got != before {
 		t.Fatal("rejected snapshot mutated live state")
+	}
+	if follower.AppliedSeq() != next-1 {
+		t.Fatalf("rejected snapshots moved the applied sequence to %d", follower.AppliedSeq())
+	}
+
+	for _, op := range ops[cut:] {
+		applyOp(t, primary, op)
+	}
+	if recs, _ := shipAll(t, primary, follower); recs == 0 {
+		t.Fatal("fixture bug: nothing left to ship after the rejections")
+	}
+	if got, want := fingerprint(t, follower), fingerprint(t, primary); got != want {
+		t.Fatal("follower diverged after rejecting bad snapshots")
 	}
 }

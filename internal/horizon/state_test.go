@@ -42,7 +42,7 @@ func TestStateSurvivesItsEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeState(blob)
+	back, err := svc.decodeState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

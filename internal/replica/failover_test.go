@@ -238,10 +238,11 @@ func runFailover(t *testing.T, r *experiment.Rig, ops []op, boundary int, mode f
 	ts.Close()
 	primary.Close()
 
-	// Promotion re-verifies the replicated schedule with the audit bundle
-	// before the node takes leadership — the same gate Recover applies.
+	// Promotion re-applies the commit predicate to the replicated schedule
+	// before the node takes leadership — the bar every applied epoch and
+	// Recover already held it to.
 	if err := fsvc.VerifyCommitted(); err != nil {
-		t.Fatalf("promotion audit at boundary %d: %v", boundary, err)
+		t.Fatalf("promotion check at boundary %d: %v", boundary, err)
 	}
 	if _, err := lead.Promote(); err != nil {
 		t.Fatal(err)

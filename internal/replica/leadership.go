@@ -8,7 +8,7 @@
 // replication endpoint, resuming from the follower's applied sequence,
 // verifies each record's CRC, and applies it (idempotently by sequence)
 // to the local service. Failover promotes a caught-up follower — after
-// re-verifying its committed schedule with the audit bundle — and bumps
+// re-applying the commit predicate to its committed schedule — and bumps
 // the leadership epoch; the old primary, fenced with the new epoch,
 // rejects all further intake with ErrStaleLeadership.
 //

@@ -200,8 +200,44 @@ func (s *Schedule) Clone() *Schedule {
 
 // Validate checks every structural invariant of the schedule against the
 // topology and catalog, and that it serves exactly the given request set.
-// It returns the first violation found.
+// It returns the first violation found, structural ones first.
 func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, requests workload.Set) error {
+	if err := s.ValidateStructure(topo, catalog); err != nil {
+		return err
+	}
+	return s.Serves(requests)
+}
+
+// ValidateStructure is the half of Validate that asks no question about
+// requests: every file sits under its own key and names a catalog title, and
+// every record's references — nodes, users, routes, residency and delivery
+// indices, caching windows — resolve and agree with one another. It is total
+// on anything a decoder can produce (a nil file, an ID outside the topology),
+// and a schedule that passes may be indexed by the IDs it holds; one that
+// fails must not be handed to the ledger, the simulator or billing.
+func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Catalog) error {
+	var idx readerIndex
+	for vid, fs := range s.Files {
+		if fs == nil {
+			return fmt.Errorf("schedule: file map key %d holds no schedule", vid)
+		}
+		if fs.Video != vid {
+			return fmt.Errorf("schedule: file map key %d holds schedule for %d", vid, fs.Video)
+		}
+		if int(vid) < 0 || int(vid) >= catalog.Len() {
+			return fmt.Errorf("schedule: unknown video %d", vid)
+		}
+		if err := validateFile(topo, fs, &idx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Serves checks that the deliveries are exactly the given requests, as a
+// multiset of (user, video, start): none unserved, none served twice, none
+// that nobody asked for.
+func (s *Schedule) Serves(requests workload.Set) error {
 	type key struct {
 		u topology.UserID
 		v media.VideoID
@@ -211,18 +247,7 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 	for _, r := range requests {
 		want[key{r.User, r.Video, r.Start}]++
 	}
-	var idx readerIndex
-	for vid, fs := range s.Files {
-		if fs.Video != vid {
-			return fmt.Errorf("schedule: file map key %d holds schedule for %d", vid, fs.Video)
-		}
-		if int(vid) < 0 || int(vid) >= catalog.Len() {
-			return fmt.Errorf("schedule: unknown video %d", vid)
-		}
-		video := catalog.Video(vid)
-		if err := validateFile(topo, video, fs, &idx); err != nil {
-			return err
-		}
+	for _, fs := range s.Files {
 		for _, d := range fs.Deliveries {
 			k := key{d.User, d.Video, d.Start}
 			if want[k] == 0 {
@@ -255,7 +280,11 @@ func (x *readerIndex) reset(fs *FileSchedule) {
 	clear(x.listed)
 }
 
-func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule, idx *readerIndex) error {
+func hasNode(topo *topology.Topology, n topology.NodeID) bool {
+	return int(n) >= 0 && int(n) < topo.NumNodes()
+}
+
+func validateFile(topo *topology.Topology, fs *FileSchedule, idx *readerIndex) error {
 	idx.reset(fs)
 	for i, d := range fs.Deliveries {
 		if d.Video != fs.Video {
@@ -266,6 +295,11 @@ func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule, 
 		}
 		if d.Start < 0 {
 			return fmt.Errorf("schedule: delivery %d starts at negative time %v", i, d.Start)
+		}
+		// Each hop must be a link out of the node before it, so a route whose
+		// first node exists names existing nodes throughout.
+		if !hasNode(topo, d.Src()) {
+			return fmt.Errorf("schedule: delivery %d route starts at unknown node %d", i, d.Src())
 		}
 		for h := 1; h < len(d.Route); h++ {
 			if _, ok := topo.EdgeBetween(d.Route[h-1], d.Route[h]); !ok {
@@ -301,7 +335,7 @@ func validateFile(topo *topology.Topology, video media.Video, fs *FileSchedule, 
 		if c.Video != fs.Video {
 			return fmt.Errorf("schedule: residency %d of file %d names video %d", j, fs.Video, c.Video)
 		}
-		if topo.Node(c.Loc).Kind != topology.KindStorage {
+		if !hasNode(topo, c.Loc) || topo.Node(c.Loc).Kind != topology.KindStorage {
 			return fmt.Errorf("schedule: residency %d caches at non-storage node %d", j, c.Loc)
 		}
 		if c.Load > c.LastService {

@@ -141,6 +141,21 @@ func TestValidateRejections(t *testing.T) {
 			s.File(0).Deliveries[1].SourceResidency = NoResidency
 			s.File(0).Deliveries[1].Route = routing.Route{vw, is1, topology.NodeID(2)}
 		}, ""},
+		// What only a decoder can produce: Validate must answer, not index.
+		{"nil file", func(s *Schedule, reqs *workload.Set) {
+			s.Files[1] = nil
+		}, "holds no schedule"},
+		{"route from a node past the topology", func(s *Schedule, reqs *workload.Set) {
+			s.File(0).Deliveries[0].Route = routing.Route{9999, is1}
+		}, "unknown node 9999"},
+		{"route from a negative node", func(s *Schedule, reqs *workload.Set) {
+			s.File(0).Deliveries[0].Route = routing.Route{-3, is1}
+		}, "unknown node -3"},
+		{"reader-less residency at a node past the topology", func(s *Schedule, reqs *workload.Set) {
+			fs := s.File(0)
+			fs.Residencies = append(fs.Residencies,
+				Residency{Video: 0, Loc: 9999, Src: is1, Load: 5400, LastService: 5400, FedBy: 1})
+		}, "non-storage node 9999"},
 	}
 	for _, mcase := range mutations {
 		t.Run(mcase.name, func(t *testing.T) {
@@ -154,6 +169,28 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, mcase.want)
 			}
 		})
+	}
+}
+
+// Validate is its two halves in order: the structural one knows nothing of
+// requests, the coverage one nothing of structure.
+func TestValidateHalves(t *testing.T) {
+	topo, cat := fixture(t)
+	s, reqs := validSchedule(topo)
+	if err := s.ValidateStructure(topo, cat); err != nil {
+		t.Fatalf("ValidateStructure: %v", err)
+	}
+	if err := s.Serves(reqs); err != nil {
+		t.Fatalf("Serves: %v", err)
+	}
+	short := reqs[:2]
+	if err := s.Serves(short); err == nil || !strings.Contains(err.Error(), "matches no request") {
+		t.Errorf("Serves(two of three requests) = %v", err)
+	}
+	// Both broken: the structural violation is the one reported.
+	s.File(0).Deliveries[0].Route = nil
+	if err := s.Validate(topo, cat, short); err == nil || !strings.Contains(err.Error(), "empty route") {
+		t.Errorf("Validate = %v, want the structural violation first", err)
 	}
 }
 

@@ -18,6 +18,10 @@ type Verdict struct {
 	// invariant, or a mismatch with the set of requests the schedule must
 	// serve (one unserved, one served twice, one nobody asked for).
 	Invalid error
+	// Malformed reports that Invalid is a structural violation. The records
+	// of such a schedule cannot be trusted as indices, so the capacity half
+	// was not run, and nothing else should read the schedule either.
+	Malformed bool
 	// Overflows are the storage over-commit situations of the schedule.
 	Overflows []occupancy.Overflow
 }
@@ -36,11 +40,17 @@ func (v Verdict) Err() error {
 
 // Check is the commit predicate, the single statement of "valid and
 // overflow-free": the schedule passes schedule.Validate against exactly the
-// requests it must serve, and no storage is over-committed. Both halves
-// always run, so an auditor can report each.
+// requests it must serve, and no storage is over-committed. It is total: the
+// schedule may be any decoded value, because the ledger — which indexes by
+// the node and video IDs a structurally valid schedule vouches for — is
+// built only once the structural half has passed. On a well-formed schedule
+// request coverage and capacity both run, so an auditor can report each.
 func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule, served workload.Set) Verdict {
+	if err := s.ValidateStructure(topo, catalog); err != nil {
+		return Verdict{Invalid: err, Malformed: true}
+	}
 	return Verdict{
-		Invalid:   s.Validate(topo, catalog, served),
+		Invalid:   s.Serves(served),
 		Overflows: Overflows(topo, catalog, s),
 	}
 }

@@ -178,15 +178,85 @@ func FuzzScheduleDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"requests":[{"user":0,"video":99,"start":-5}],"metric":"bogus"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code == http.StatusInternalServerError {
-			t.Fatalf("body %q produced a 500: %s", body, rec.Body.Bytes())
+		neverA500(t, srv, "/v1/schedule", body)
+	})
+}
+
+// neverA500 posts body to path and requires a well-formed JSON reply that is
+// not a 500.
+func neverA500(t *testing.T, srv *Server, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code == http.StatusInternalServerError {
+		t.Fatalf("%s: body %q produced a 500: %s", path, body, rec.Body.Bytes())
+	}
+	var reply any
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("%s: body %q produced non-JSON reply %q (status %d)", path, body, rec.Body.Bytes(), rec.Code)
+	}
+	return rec
+}
+
+// malformedSchedules are request bodies whose schedule decodes but cannot be
+// indexed by: on the Fig. 2 rig (nodes 0–2, users 0–2, one title) the first
+// two used to panic a handler into a 500, the last two were simulated as
+// "ok" and billed — $64.80 to user 77 of 3.
+var malformedSchedules = []struct{ name, body, want string }{
+	{"nil file", `{"schedule":{"files":{"0":null}}}`, "holds no schedule"},
+	{"residency at node 9999", `{"schedule":{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[0,1],"source_residency":-1}],
+		"residencies":[{"video":0,"loc":9999,"src":0,"load":0,"last_service":0,"fed_by":0,"services":[]}]}}}}`, "node 9999"},
+	{"empty route", `{"schedule":{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[],"source_residency":-1}],"residencies":[]}}}}`, "empty route"},
+	{"user 77 of 3", `{"schedule":{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":77,"start":0,"route":[0,1],"source_residency":-1}],"residencies":[]}}}}`, "unknown user 77"},
+}
+
+// A schedule out of a request body is checked structurally before the
+// simulator or billing index by it: a malformed one is the client's error,
+// named in the reply.
+func TestMalformedClientScheduleIs400(t *testing.T) {
+	fig, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(fig.Model)
+	for _, tc := range malformedSchedules {
+		for _, path := range []string{"/v1/simulate", "/v1/bill"} {
+			rec := neverA500(t, srv, path, []byte(tc.body))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+				t.Errorf("%s %s: status %d body %s, want 400 naming %q", path, tc.name, rec.Code, rec.Body.Bytes(), tc.want)
+			}
 		}
-		var reply any
-		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-			t.Fatalf("body %q produced non-JSON reply %q (status %d)", body, rec.Body.Bytes(), rec.Code)
-		}
+	}
+}
+
+// FuzzClientSchedule is FuzzScheduleDecode's property on the two endpoints
+// that take a whole schedule from the client and hand it to the simulator,
+// the repairer and billing.
+func FuzzClientSchedule(f *testing.F) {
+	fig, err := testutil.NewFig2()
+	if err != nil {
+		f.Fatal(err)
+	}
+	out, err := scheduler.Run(fig.Model, fig.Requests, scheduler.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.Marshal(SimulateRequest{Schedule: out.Schedule, Repair: "reroute",
+		Faults: &faults.Scenario{Faults: []faults.Fault{{Kind: faults.NodeOutage, Node: fig.IS1, From: 0, Until: 3600}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, tc := range malformedSchedules {
+		f.Add([]byte(tc.body))
+	}
+	srv := New(fig.Model)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		neverA500(t, srv, "/v1/simulate", body)
+		neverA500(t, srv, "/v1/bill", body)
 	})
 }

@@ -30,9 +30,9 @@ type Options struct {
 	// DataDir makes the rolling-horizon service durable: every accepted
 	// reservation and committed epoch is journaled to a write-ahead log
 	// under this directory, and construction recovers prior state from it
-	// (refusing on a state that fails the audit bundle). Empty keeps the
-	// horizon in memory, as before. The fsync policy and snapshot period
-	// come from Horizon (Fsync, FsyncInterval, SnapshotEvery).
+	// (refusing a state an epoch commit would not have accepted). Empty
+	// keeps the horizon in memory, as before. The fsync policy and snapshot
+	// period come from Horizon (Fsync, FsyncInterval, SnapshotEvery).
 	DataDir string
 	// MaxInFlight bounds concurrently handled requests; excess requests
 	// wait briefly in a bounded queue and are then shed with 429 +

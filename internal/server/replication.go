@@ -259,10 +259,11 @@ type PromoteResponse struct {
 
 // handlePromote turns a caught-up follower into the serving primary:
 // shipping is stopped first (no batch may apply once promotion begins),
-// the recovered committed schedule is re-verified with the audit bundle
-// — the same trust-nothing gate Recover applies — and only then is the
-// leadership epoch bumped. On any refusal the shipper is restarted, so
-// a failed promotion leaves a functioning follower.
+// the replicated committed schedule is put to the commit predicate once
+// more — the bar every applied epoch and installed snapshot already passed,
+// and the one Recover applies — and only then is the leadership epoch
+// bumped. On any refusal the shipper is restarted, so a failed promotion
+// leaves a functioning follower.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
 	if !httpkit.DecodeBody(w, r, &req) {
@@ -307,7 +308,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if err := s.horizon.VerifyCommitted(); err != nil {
 		restart()
 		httpkit.WriteErr(w, http.StatusInternalServerError,
-			fmt.Errorf("refusing promotion: replicated state fails audit: %w", err))
+			fmt.Errorf("refusing promotion: replicated state fails the commit predicate: %w", err))
 		return
 	}
 	epoch, err := s.lead.Promote()

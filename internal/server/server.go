@@ -86,9 +86,9 @@ func New(model *cost.Model) *Server {
 
 // NewWithOptions builds a server with explicit hardening options. It
 // fails when Options.DataDir names a directory whose journaled state
-// cannot be recovered (corrupt log, or a recovered schedule that fails
-// the audit bundle) — a crashed service must not come back up serving a
-// schedule it cannot honor.
+// cannot be recovered (corrupt log, or a snapshot that contradicts itself
+// or holds a schedule the commit predicate refuses) — a crashed service
+// must not come back up serving a schedule it cannot honor.
 func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	var hz *horizon.Service
@@ -406,20 +406,29 @@ type SimulateResponse struct {
 	Repair          *RepairSummary `json:"repair,omitempty"`
 }
 
+// clientSchedule reports whether a schedule out of a request body may be
+// handed to the simulator, the repairer and billing, which index by the IDs
+// it holds: it must be there and structurally valid. Otherwise the request
+// has been answered 400 with the violation.
+func (s *Server) clientSchedule(w http.ResponseWriter, sched *schedule.Schedule) bool {
+	if sched == nil {
+		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
+		return false
+	}
+	if err := sched.ValidateStructure(s.model.Book().Topology(), s.model.Catalog()); err != nil {
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	if req.Schedule == nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
+	if !s.clientSchedule(w, req.Schedule) {
 		return
-	}
-	for vid := range req.Schedule.Files {
-		if int(vid) < 0 || int(vid) >= s.model.Catalog().Len() {
-			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
-			return
-		}
 	}
 	if err := req.Faults.Validate(s.model.Book().Topology()); err != nil {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
@@ -489,15 +498,8 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	if req.Schedule == nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
+	if !s.clientSchedule(w, req.Schedule) {
 		return
-	}
-	for vid := range req.Schedule.Files {
-		if int(vid) < 0 || int(vid) >= s.model.Catalog().Len() {
-			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("schedule references unknown video %d", vid))
-			return
-		}
 	}
 	st, err := billing.Attribute(s.model, req.Schedule)
 	if err != nil {

@@ -113,6 +113,13 @@ type nodeState struct {
 	unbounded  bool
 }
 
+// residue is how far from zero an accumulator may sit once everything it
+// summed has drained again and still count as empty. The level and physical
+// accounts add and subtract every copy a node ever held, so their rounding
+// error grows with what passed through them: a milli-byte for an idle node,
+// plus one part in 1e12 of the account's peak.
+func residue(peak float64) float64 { return 1e-3 + 1e-12*peak }
+
 func (ns *nodeState) advance(now simtime.Time) {
 	dt := now.Sub(ns.lastUpdate).Seconds()
 	if dt > 0 {
@@ -120,10 +127,10 @@ func (ns *nodeState) advance(now simtime.Time) {
 		ns.integral += (ns.level + next) / 2 * dt
 		ns.level = next
 		ns.phys += ns.physSlope * dt
-		if ns.level < 0 && ns.level > -1e-3 {
+		if ns.level < 0 && ns.level > -residue(ns.peak) {
 			ns.level = 0 // float cancellation guard
 		}
-		if ns.phys < 0 && ns.phys > -1e-3 {
+		if ns.phys < 0 && ns.phys > -residue(ns.physPeak) {
 			ns.phys = 0
 		}
 		ns.lastUpdate = now
@@ -467,11 +474,11 @@ func ExecuteScenario(book *pricing.Book, catalog *media.Catalog, s *schedule.Sch
 	for id := range nodes {
 		ns := &nodes[id]
 		ns.advance(eng.Now())
-		if ns.level > 1e-3 {
-			violate(eng.Now(), topology.NodeID(id), "residual reservation %.0fB at end of run", ns.level)
+		if ns.level > residue(ns.peak) {
+			violate(eng.Now(), topology.NodeID(id), "residual reservation %gB at end of run (peak %gB)", ns.level, ns.peak)
 		}
-		if ns.phys > 1e-3 {
-			violate(eng.Now(), topology.NodeID(id), "residual physical bytes %.0f at end of run", ns.phys)
+		if ns.phys > residue(ns.physPeak) {
+			violate(eng.Now(), topology.NodeID(id), "residual physical bytes %g at end of run (peak %g)", ns.phys, ns.physPeak)
 		}
 		if !ns.unbounded && ns.physPeak > ns.capacity+1e-3 {
 			rep.PhysicalNotes = append(rep.PhysicalNotes, fmt.Sprintf(

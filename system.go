@@ -133,9 +133,10 @@ func (s *System) OpenHorizon(cfg HorizonConfig) *Horizon {
 // reservation and committed epoch is journaled to a write-ahead log under
 // dir (fsync policy per cfg.Fsync) and periodically compacted into
 // snapshots, and opening an existing directory recovers the prior state —
-// replaying the journal deterministically and re-verifying the recovered
-// committed schedule with the audit bundle before serving. Close the
-// returned Horizon to release the journal.
+// replaying the journal deterministically and holding the snapshot and every
+// replayed epoch to the predicate a live epoch commit passes, so what was
+// committed and acknowledged always reloads. Close the returned Horizon to
+// release the journal.
 func (s *System) OpenDurableHorizon(dir string, cfg HorizonConfig) (*Horizon, error) {
 	return horizon.Recover(dir, s.fresh(), cfg)
 }
@@ -233,9 +234,13 @@ func (s *System) SetPreloadFactor(f float64) error {
 
 // Audit runs every independent check on a schedule — structural
 // validation, capacity feasibility, event-simulator execution with cost
-// agreement, and billing consistency — and returns the collected findings.
-// Use it before trusting a schedule that arrived from outside (a file, an
-// API response).
+// agreement, and billing consistency — and returns the collected findings;
+// a structurally invalid schedule is reported as that one finding, since the
+// other checks index by what it says is broken. Use it before trusting a
+// schedule that arrived from outside (a file, an API response). It is an
+// oracle, not a gate: the serving path commits, recovers and promotes on the
+// first two checks alone (Overflows, Validate), and a finding from the rest
+// is a bug report.
 func (s *System) Audit(sched *Schedule, reqs RequestSet) *AuditReport {
 	return audit.Run(s.fresh(), sched, reqs)
 }
