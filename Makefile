@@ -19,14 +19,19 @@ test: vet check-shell check-solver check-bar
 	$(GO) test ./...
 
 # One serving shell: the JSON reply helper, the JSON body decoder and the
-# signal/drain loop live once, in internal/httpkit. Fails when a second
-# non-test definition appears under internal/ or in the two serving
-# commands, so the per-tier copies cannot grow back.
+# signal/drain loop live once, in internal/httpkit, and the request deadline
+# is httpkit.Deadline — inline, on the connection's goroutine. Fails when a
+# second non-test definition appears under internal/ or in the two serving
+# commands, or when anything there calls http.TimeoutHandler (a goroutine, a
+# buffered body and a copied header map per request, and a 503 that disowns
+# work still running), so neither the per-tier copies nor the second
+# goroutine can grow back.
 check-shell:
-	@for pat in 'func (\([^)]*\) )?[wW]riteJSON\(' 'func (\([^)]*\) )?[dD]ecodeBody\(' 'signal\.NotifyContext\('; do \
+	@for rule in '1:func (\([^)]*\) )?[wW]riteJSON\(' '1:func (\([^)]*\) )?[dD]ecodeBody\(' '1:signal\.NotifyContext\(' '0:http\.TimeoutHandler\('; do \
+		max=$${rule%%:*}; pat=$${rule#*:}; \
 		hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' "$$pat" internal cmd/vspserve cmd/vspgateway); \
-		if [ $$(printf '%s\n' "$$hits" | grep -c .) -gt 1 ]; then \
-			echo "check-shell: more than one definition of '$$pat' (internal/httpkit owns it):"; \
+		if [ $$(printf '%s\n' "$$hits" | grep -c .) -gt $$max ]; then \
+			echo "check-shell: more than $$max non-test use(s) of '$$pat' (internal/httpkit owns the serving shell):"; \
 			echo "$$hits"; exit 1; \
 		fi; \
 	done
@@ -111,7 +116,8 @@ bench:
 # Machine-readable scheduler benchmark record (ns/op, allocs/op for the
 # one-shot solver and the rolling-horizon incremental extension, plus
 # their speedup ratio, and one epoch close over 2 000 and 20 000 requests
-# of committed history, in memory and durable). The later runs exercise
+# of committed history, in memory and durable, and what one reservation
+# allocates between Server.ServeHTTP and its ack). The later runs exercise
 # the parallel fan-out at -cpu 1,4 — both the isolated phase 1 and the
 # full 10k-request solve — so benchjson can derive
 # phase1_parallel_speedup from the matched pair, and the gateway submit
@@ -120,6 +126,8 @@ bench:
 bench-json:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' \
 		-benchmem ./internal/scheduler ./internal/horizon ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=20000x \
+		-benchmem ./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewaySubmit' -cpu 4 \
@@ -135,9 +143,15 @@ bench-json:
 # ns/op and in B/op. Catches order-of-magnitude hot-path and allocation
 # regressions, including a close that starts re-copying its history,
 # without the cost or noise-sensitivity of a full bench run.
+# BenchmarkReservationPath rides along at 2000 reservations a run, where
+# its B/op is steady: the per-request garbage http.TimeoutHandler used to
+# make alone was twice what a reservation allocates now, so its return
+# fails here.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
-		./internal/scheduler ./internal/horizon \
+	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
+		./internal/scheduler ./internal/horizon ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
+		./internal/server ) \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 
 # Regenerate every paper figure/table as text (see EXPERIMENTS.md).

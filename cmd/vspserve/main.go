@@ -58,7 +58,7 @@ func main() {
 		nrate       = flag.Float64("nrate", 500, "network charging rate ($/GB)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
-		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling budget (503 when exceeded)")
+		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling budget, set as the deadline on the request context: the handler itself notices it (the scheduling endpoints stop and answer 503 + Retry-After), and nothing is cut off and left running, so a reply always says what happened")
 		workers     = flag.Int("workers", 0, "scheduling worker pool size per request (0 = GOMAXPROCS, 1 = sequential; schedules are identical for any value)")
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
 		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost), interval, or never")

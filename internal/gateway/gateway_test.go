@@ -533,3 +533,27 @@ func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
 		t.Errorf("a committed epoch scored the shard's breaker a failure: %+v", br)
 	}
 }
+
+// The shard's /v1/stats overload block gained deadline_exceeded beside shed;
+// the gateway's poller decodes the whole reply into server.StatsResponse, so
+// the block it reads its load figures from must still arrive intact.
+func TestStatsPollerReadsTheOverloadBlock(t *testing.T) {
+	r := testRig(t)
+	url, _, _ := startShard(t, r, server.Options{MaxInFlight: 7})
+	_, base := startGateway(t, gateway.Config{Shards: []gateway.ShardConfig{{Primary: url}}, Retry: fastRetry})
+	submit(t, base, r.Requests[0])
+
+	var shard struct {
+		Overload map[string]float64 `json:"overload"`
+	}
+	if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/stats", &shard); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shard.Overload["deadline_exceeded"]; !ok || shard.Overload["max_in_flight"] != 7 {
+		t.Fatalf("shard overload block %v: want deadline_exceeded beside max_in_flight 7", shard.Overload)
+	}
+	row := gatewayStats(t, base).Shards[0]
+	if row.StatsError != "" || row.Pending != 1 || row.Role != "primary" {
+		t.Errorf("polled shard row %+v: want the one pending reservation and no stats error", row)
+	}
+}

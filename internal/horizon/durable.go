@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
@@ -216,18 +217,42 @@ func (s *Service) VerifyCommitted() error {
 	return s.check(&s.st)
 }
 
-// journalOp appends one operation record; callers hold s.mu.
+// journalOp appends one operation record; callers hold s.mu, which is what
+// makes the one record buffer theirs.
 func (s *Service) journalOp(op walOp) error {
-	blob, err := json.Marshal(op)
-	if err != nil {
-		return err
-	}
-	seq, err := s.journal.Append(blob)
+	s.rec = op.appendJSON(s.rec[:0])
+	seq, err := s.journal.Append(s.rec)
 	if err != nil {
 		return err
 	}
 	s.lastSeq = seq
 	return nil
+}
+
+// appendJSON appends json.Marshal(op), byte for byte: the fields in
+// declaration order, a zero one left out as omitempty leaves it out. Op is
+// one of the op constants and needs no escaping. Replay still decodes with
+// encoding/json, so the struct tags remain the format's definition and this
+// its one writer.
+func (op walOp) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"op":"`...)
+	dst = append(dst, op.Op...)
+	dst = append(dst, '"')
+	for _, f := range [...]struct {
+		key string
+		v   int64
+	}{
+		{`,"at":`, int64(op.At)},
+		{`,"user":`, int64(op.User)},
+		{`,"video":`, int64(op.Video)},
+		{`,"start":`, int64(op.Start)},
+		{`,"to":`, int64(op.To)},
+	} {
+		if f.v != 0 {
+			dst = strconv.AppendInt(append(dst, f.key...), f.v, 10)
+		}
+	}
+	return append(dst, '}')
 }
 
 // maybeSnapshotLocked compacts the journal after an epoch commit when the

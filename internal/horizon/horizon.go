@@ -165,6 +165,7 @@ type Service struct {
 	lastSeq  uint64
 	recovery RecoveryStats
 	snap     bytes.Buffer // the snapshot encoding, reused from one snapshot to the next
+	rec      []byte       // the journal record being appended, reused from one to the next
 }
 
 // state is the full mutable state of a Service, declared once: the live

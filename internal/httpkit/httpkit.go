@@ -1,7 +1,7 @@
 // Package httpkit is the serving shell both HTTP tiers mount
 // (internal/server behind vspserve, internal/gateway behind vspgateway):
 // the JSON reply and body-decode helpers, the protective middleware
-// (LimitBody, Limiter, RetryAfter503, RecoverPanics) and the listen →
+// (LimitBody, Deadline, Limiter, RetryAfter503, RecoverPanics) and the listen →
 // signal → drain → close loop (Serve). It imports no package of this
 // module, so a cross-cutting change to the serving path lands here once
 // and both tiers carry it. Which layers each tier composes, and why the
@@ -10,11 +10,14 @@
 package httpkit
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"sync"
 )
 
 // WriteJSON replies with v as a JSON body under the given status. The
@@ -24,28 +27,14 @@ import (
 // over an empty one. A failed write to a client that has gone is dropped —
 // there is nobody left to tell.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	body := statusOnWrite{ResponseWriter: w, code: code}
-	if err := json.NewEncoder(&body).Encode(v); err != nil && !body.wrote {
+	rw := wrap(w)
+	rw.Header().Set("Content-Type", "application/json")
+	rw.status = code
+	if err := json.NewEncoder(rw).Encode(v); err != nil && !rw.wrote {
 		log.Printf("httpkit: cannot encode %T reply: %v", v, err)
-		w.WriteHeader(http.StatusInternalServerError)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": "encode reply: " + err.Error()})
+		rw.status = http.StatusInternalServerError
+		_ = json.NewEncoder(rw).Encode(map[string]string{"error": "encode reply: " + err.Error()})
 	}
-}
-
-// statusOnWrite sends its status line with the first body byte.
-type statusOnWrite struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (s *statusOnWrite) Write(b []byte) (int, error) {
-	if !s.wrote {
-		s.wrote = true
-		s.ResponseWriter.WriteHeader(s.code)
-	}
-	return s.ResponseWriter.Write(b)
 }
 
 // WriteErr replies with {"error": err.Error()} under the given status.
@@ -53,11 +42,33 @@ func WriteErr(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// bodies holds the buffers DecodeBody reads request bodies into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer DecodeBody hands back to the pool; a
+// reservation is under a hundred bytes, and one 16 MiB batch must not pin
+// 16 MiB until the next collection.
+const maxPooledBody = 64 << 10
+
 // DecodeBody decodes a JSON request body into v, writing the error reply
 // itself on failure: 413 when the LimitBody cap was hit, 400 for any
-// other malformed payload.
+// other malformed payload. The body must hold exactly one JSON value —
+// whatever follows it other than whitespace is a 400, not a silently
+// dropped second request. It is read whole into a pooled buffer and
+// unmarshalled from there; encoding/json copies what v keeps.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			WriteErr(w, http.StatusRequestEntityTooLarge,
@@ -84,24 +95,39 @@ func LimitBody(next http.Handler, limit int64) http.Handler {
 // timeoutRetryAfter is the Retry-After value attached to 503 replies.
 const timeoutRetryAfter = "1"
 
-// RetryAfter503 decorates every 503 reply — http.TimeoutHandler's, a
-// handler's context-expiry 503, the gateway's all-shards-ejected shed or
-// relayed shard 503 — with a Retry-After header, so those clients back
-// off exactly like shed ones (whose 429 carries the header already).
+// RetryAfter503 decorates every 503 reply — Deadline's, a handler's
+// context-expiry 503, the gateway's all-shards-ejected shed or relayed
+// shard 503 — with a Retry-After header, so those clients back off
+// exactly like shed ones (whose 429 carries the header already). It is
+// the layer that gives a request its reply wrapper; everything inside it
+// shares that one.
 func RetryAfter503(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&retryAfterWriter{ResponseWriter: w}, r)
+		next.ServeHTTP(wrap(w), r)
 	})
 }
 
-type retryAfterWriter struct {
+// reply is the one response wrapper a request gets from this shell. It
+// remembers whether anything has been sent (Deadline answers only for a
+// handler that sent nothing), sends the first body byte under the status
+// WriteJSON asked for, and gives every 503 its Retry-After.
+type reply struct {
 	http.ResponseWriter
-	wroteHeader bool
+	status int // what a body's first byte goes out under; 0 is net/http's 200
+	wrote  bool
 }
 
-func (w *retryAfterWriter) WriteHeader(code int) {
-	if !w.wroteHeader {
-		w.wroteHeader = true
+// wrap returns w itself when an outer layer has wrapped it already.
+func wrap(w http.ResponseWriter) *reply {
+	if rw, ok := w.(*reply); ok {
+		return rw
+	}
+	return &reply{ResponseWriter: w}
+}
+
+func (w *reply) WriteHeader(code int) {
+	if !w.wrote {
+		w.wrote = true
 		if code == http.StatusServiceUnavailable && w.Header().Get("Retry-After") == "" {
 			w.Header().Set("Retry-After", timeoutRetryAfter)
 		}
@@ -109,9 +135,9 @@ func (w *retryAfterWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *retryAfterWriter) Write(b []byte) (int, error) {
-	if !w.wroteHeader {
-		w.WriteHeader(http.StatusOK)
+func (w *reply) Write(b []byte) (int, error) {
+	if !w.wrote {
+		w.WriteHeader(cmp.Or(w.status, http.StatusOK))
 	}
 	return w.ResponseWriter.Write(b)
 }

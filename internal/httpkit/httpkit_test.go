@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -34,5 +35,49 @@ func TestWriteJSONNeverSendsAnEmptySuccess(t *testing.T) {
 	WriteJSON(rec, http.StatusAccepted, map[string]int{"pending": 3})
 	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"pending\":3}\n" {
 		t.Errorf("encodable value: status %d body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// A body is exactly one JSON value: what follows it other than whitespace is
+// the client's error, not a second request silently dropped. The cap's 413
+// and the 400 for everything else malformed are unchanged.
+func TestDecodeBodyTakesExactlyOneValue(t *testing.T) {
+	type reservation struct {
+		User int `json:"user"`
+	}
+	const limit = 64
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"one value", `{"user":7}`, http.StatusOK},
+		{"value and whitespace", "{\"user\":7} \n\t\r\n", http.StatusOK},
+		{"two values", `{"user":7}` + "\n" + `{"user":8}`, http.StatusBadRequest},
+		{"value and garbage", `{"user":7}]`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		{"over the cap", `{"user":7,"pad":"` + strings.Repeat("x", limit) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		var got reservation
+		h := LimitBody(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if DecodeBody(w, r, &got) {
+				w.WriteHeader(http.StatusOK)
+			}
+		}), limit)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, rec.Body.String(), tc.want)
+		}
+		switch tc.want {
+		case http.StatusOK:
+			if got.User != 7 {
+				t.Errorf("%s: decoded user %d, want 7", tc.name, got.User)
+			}
+		case http.StatusBadRequest:
+			var reply map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || !strings.HasPrefix(reply["error"], "decode: ") {
+				t.Errorf("%s: body %q, want an error that begins \"decode: \"", tc.name, rec.Body.String())
+			}
+		}
 	}
 }

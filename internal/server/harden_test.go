@@ -113,6 +113,76 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// A reservation that outlives the request budget must be answered with what
+// happened to it. Behind http.TimeoutHandler the client was told 503 while
+// the handler's abandoned goroutine went on to journal and admit it (Submit
+// takes no context), so a client that retried as told was admitted twice.
+// The handler here holds a decoded reservation past the budget, as a wait
+// for the horizon lock behind an epoch close does, and then submits it:
+// status and state must agree — 202 and pending, or 503 and not.
+func TestReplyPastTheDeadlineMatchesTheState(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, f, Options{RequestTimeout: 20 * time.Millisecond, DataDir: t.TempDir()})
+	s.mux.HandleFunc("POST /held", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		time.Sleep(60 * time.Millisecond)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		s.handleReservation(w, r)
+	})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	q := f.Requests[0]
+	resp := postJSON(t, ts.URL+"/held", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	switch resp.StatusCode {
+	case http.StatusAccepted:
+		if n := s.horizon.Pending(); n != 1 {
+			t.Fatalf("202, but %d reservations pending", n)
+		}
+	case http.StatusServiceUnavailable:
+		// Whoever said 503 may have left the work running; give it time
+		// to land before believing that it did not.
+		for wait := time.Now().Add(500 * time.Millisecond); time.Now().Before(wait); time.Sleep(time.Millisecond) {
+			if n := s.horizon.Pending(); n != 0 {
+				t.Fatalf("503, and then %d reservation pending: the client was told to retry what was admitted", n)
+			}
+		}
+	default:
+		t.Fatalf("status %d, want 202 or 503", resp.StatusCode)
+	}
+}
+
+// A 503 the deadline layer writes itself — the handler came back on its
+// expired context with nothing written — shows in /v1/stats, once.
+func TestDeadline503sAreCounted(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, f, Options{RequestTimeout: 50 * time.Millisecond})
+	s.mux.HandleFunc("GET /slow", func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() })
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	exceeded := func() uint64 {
+		_, stats := getAs[StatsResponse](t, ts.URL+"/v1/stats")
+		return stats.Overload.DeadlineExceeded
+	}
+	before := exceeded()
+	if code, _ := getAs[map[string]string](t, ts.URL+"/slow"); code != http.StatusServiceUnavailable {
+		t.Fatalf("slow handler: status %d, want 503", code)
+	}
+	if after := exceeded(); before != 0 || after != 1 {
+		t.Errorf("overload.deadline_exceeded went %d -> %d over one timed-out request, want 0 -> 1", before, after)
+	}
+}
+
 // TestSimulateWithFaults: the simulate endpoint executes under a scenario
 // and, when asked, returns a repair summary with zero misses for a
 // recoverable outage.

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
@@ -82,7 +85,9 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 }
 
 // PlanResponse is the GET /v1/plan reply: the committed schedule and the
-// service's rolling-horizon state.
+// service's rolling-horizon state. The body is this struct through
+// encoding/json; handlePlan says how it gets there without encoding the
+// schedule at every read.
 type PlanResponse struct {
 	Schedule *schedule.Schedule `json:"schedule"`
 	Horizon  simtime.Time       `json:"horizon"`
@@ -93,8 +98,61 @@ type PlanResponse struct {
 
 // handlePlan answers from one reading of the horizon, so the schedule and
 // the epoch, horizon and cost beside it always belong to the same commit.
+// The body is json.Marshal(PlanResponse) plus a newline, byte for byte, put
+// together from the schedule's kept encoding and the few fields that move
+// between commits, so a read costs neither a walk over the schedule nor a
+// buffer of its size.
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	httpkit.WriteJSON(w, http.StatusOK, PlanResponse(s.horizon.Plan()))
+	p := s.horizon.Plan()
+	rest, err := json.Marshal(struct {
+		Horizon simtime.Time `json:"horizon"`
+		Epoch   int          `json:"epoch"`
+		Pending int          `json:"pending"`
+		Cost    units.Money  `json:"cost"`
+	}{p.Horizon, p.Epoch, p.Pending, p.Cost})
+	var sched []byte
+	if err == nil {
+		sched, err = s.encodedSchedule(p.Schedule)
+	}
+	if err != nil {
+		log.Printf("server: cannot encode the plan: %v", err)
+		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	for _, part := range [...][]byte{[]byte(`{"schedule":`), sched, []byte(`,`), rest[1:], []byte("\n")} {
+		if _, err := w.Write(part); err != nil {
+			return // the client has gone
+		}
+	}
+}
+
+// encodedPlan is a committed schedule and, once somebody has asked for it,
+// its JSON.
+type encodedPlan struct {
+	sched *schedule.Schedule
+	once  sync.Once
+	blob  []byte
+	err   error
+}
+
+// encodedSchedule returns json.Marshal(sched), encoded at the first call for
+// a schedule and kept for the later ones. A committed schedule is never
+// modified, and every commit, installed snapshot and recovery brings a new
+// one (horizon.Plan), so the pointer says whether the kept bytes are still
+// its encoding. They are never written again: a reply in flight across a
+// commit finishes with the bytes it started with. Readers that find a new
+// schedule at the same instant may each encode it once; the holder stored
+// last serves the reads that follow.
+func (s *Server) encodedSchedule(sched *schedule.Schedule) ([]byte, error) {
+	e := s.plan.Load()
+	if e == nil || e.sched != sched {
+		e = &encodedPlan{sched: sched}
+		s.plan.Store(e)
+	}
+	e.once.Do(func() { e.blob, e.err = json.Marshal(sched) })
+	return e.blob, e.err
 }
 
 // AdvanceRequest is the POST /v1/advance body.

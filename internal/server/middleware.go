@@ -11,9 +11,12 @@ import (
 
 // Options tunes the hardening middleware around the API handlers.
 type Options struct {
-	// RequestTimeout bounds each request's handling time; the client gets
-	// 503 with a JSON body when it elapses. 0 means DefaultRequestTimeout;
-	// negative disables the timeout (used by tests that need slow handlers).
+	// RequestTimeout bounds each request's handling time: it is the deadline
+	// on the request context, which the scheduling handlers notice and
+	// answer with 503; a handler that returns past it with nothing written
+	// gets a 503 JSON body written for it (httpkit.Deadline). 0 means
+	// DefaultRequestTimeout; negative disables the deadline (used by tests
+	// that need slow handlers).
 	RequestTimeout time.Duration
 	// MaxRequestBytes caps request body size; larger bodies get 413.
 	// 0 means DefaultMaxRequestBytes.
@@ -107,17 +110,17 @@ func (o Options) withDefaults() Options {
 
 // harden wraps the router with the protective layers, innermost first:
 // body-size capping (so handlers can never buffer an unbounded body), the
-// per-request timeout, admission control (outside the timeout, so queue
+// per-request deadline, admission control (outside the deadline, so queue
 // wait does not consume the handling budget), the Retry-After decoration
-// of 503s, and outermost panic recovery (http.TimeoutHandler propagates
-// inner-handler panics to its caller, so recovery must sit outside it).
-func harden(h http.Handler, opts Options, lim *httpkit.Limiter) http.Handler {
-	h = httpkit.LimitBody(h, opts.MaxRequestBytes)
+// of 503s, and outermost panic recovery, which so covers every layer.
+func (s *Server) harden(opts Options) http.Handler {
+	h := httpkit.LimitBody(s.mux, opts.MaxRequestBytes)
 	if opts.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, opts.RequestTimeout, `{"error":"request timed out"}`)
+		s.deadline = httpkit.Deadline(h, opts.RequestTimeout)
+		h = s.deadline
 	}
-	if lim != nil {
-		h = lim.Wrap(h)
+	if s.limiter != nil {
+		h = s.limiter.Wrap(h)
 	}
 	return httpkit.RecoverPanics(httpkit.RetryAfter503(h))
 }

@@ -9,11 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/workload"
 )
 
 // GET /v1/plan and GET /v1/stats each answer from one reading of the
@@ -25,13 +23,7 @@ import (
 // plan. Run under -race: the plan is encoded from the live committed
 // schedule while the next epoch is being planned.
 func TestPlanAndStatsAreNeverTorn(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
-		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
-		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, reqs := planRig(t)
 	s, err := NewWithOptions(r.Model, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +80,6 @@ func TestPlanAndStatsAreNeverTorn(t *testing.T) {
 	// stopped and joined before the test ends.
 	committed := map[int]tuple{0: {}} // by plan epoch; epoch 0 is the empty plan
 	drive := func() string {
-		reqs := append(workload.Set(nil), r.Requests...)
-		workload.SortChronological(reqs)
 		for i, q := range reqs {
 			var ack ReservationResponse
 			if code := call("POST", "/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, &ack); code != http.StatusAccepted {

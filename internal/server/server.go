@@ -46,13 +46,15 @@ import (
 // safe for concurrent use: the model is read-only after construction and
 // the rolling-horizon service does its own locking.
 type Server struct {
-	model   *cost.Model
-	horizon *horizon.Service
-	workers int
-	shardID string
-	limiter *httpkit.Limiter
-	mux     *http.ServeMux
-	handler http.Handler
+	model    *cost.Model
+	horizon  *horizon.Service
+	workers  int
+	shardID  string
+	limiter  *httpkit.Limiter
+	deadline *httpkit.DeadlineHandler // nil when Options.RequestTimeout is negative
+	mux      *http.ServeMux
+	handler  http.Handler
+	plan     atomic.Pointer[encodedPlan] // the last committed schedule /v1/plan served, with its encoding
 
 	// Epoch-advance telemetry for /v1/stats: how many advances committed
 	// and how long they took in aggregate, so a load harness (or the
@@ -142,7 +144,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/reservations", s.handleReservation)
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
-	s.handler = harden(s.mux, opts, s.limiter)
+	s.handler = s.harden(opts)
 	return s, nil
 }
 
@@ -232,6 +234,11 @@ type OverloadStats struct {
 	// InFlight and MaxInFlight describe current saturation.
 	InFlight    int `json:"in_flight"`
 	MaxInFlight int `json:"max_in_flight"`
+	// DeadlineExceeded counts requests whose handler came back past the
+	// request timeout with nothing written, which the deadline layer
+	// answered 503. A handler that noticed the expiry itself and replied
+	// 503 is not among them.
+	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -242,6 +249,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			InFlight:    s.limiter.InFlight(),
 			MaxInFlight: s.limiter.Capacity(),
 		}
+	}
+	if s.deadline != nil {
+		ov.DeadlineExceeded = s.deadline.Exceeded()
 	}
 	repl, ready := s.replStatus()
 	p := s.horizon.Plan() // one reading: horizon.epoch and shard.epoch cannot disagree
@@ -339,7 +349,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Scheduling respects the request context, so an abandoned connection
-	// or a tripped http.TimeoutHandler stops the computation too.
+	// or an expired request deadline stops the computation too.
 	out, err := scheduler.Schedule(r.Context(), s.model, req.Requests, cfg)
 	if err != nil {
 		httpkit.WriteErr(w, schedulingStatus(err), err)

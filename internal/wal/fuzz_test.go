@@ -9,7 +9,7 @@ import (
 func fuzzStream(payloads ...[]byte) []byte {
 	out := []byte(logMagic)
 	for i, p := range payloads {
-		out = append(out, encodeRecord(uint64(i+1), p)...)
+		out = append(out, appendRecord(nil, uint64(i+1), p)...)
 	}
 	return out
 }
@@ -46,7 +46,7 @@ func FuzzWALDecode(f *testing.F) {
 			enc = append(enc, logMagic...)
 		}
 		for _, r := range recs {
-			enc = append(enc, encodeRecord(r.Seq, r.Payload)...)
+			enc = append(enc, appendRecord(nil, r.Seq, r.Payload)...)
 		}
 		if len(recs) > 0 && !bytes.HasPrefix(data, enc) {
 			t.Fatalf("decoded records do not re-encode to an input prefix")

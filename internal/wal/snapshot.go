@@ -37,8 +37,8 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	// Magic and record header go out ahead of the payload, which is written
-	// from the caller's slice: the file is snapMagic + encodeRecord(seq,
-	// payload) without the framed copy.
+	// from the caller's slice: the file is snapMagic + the record Append
+	// would frame, without the framed copy.
 	var head [len(snapMagic) + recordHeaderSize]byte
 	copy(head[:], snapMagic)
 	putRecordHeader(head[len(snapMagic):], seq, payload)

@@ -230,12 +230,17 @@ func putRecordHeader(head []byte, seq uint64, payload []byte) {
 	binary.LittleEndian.PutUint64(head[8:16], seq)
 }
 
-// encodeRecord frames one record.
-func encodeRecord(seq uint64, payload []byte) []byte {
-	buf := make([]byte, recordHeaderSize+len(payload))
-	putRecordHeader(buf, seq, payload)
-	copy(buf[recordHeaderSize:], payload)
-	return buf
+// appendRecord frames one record onto dst. The sequence number sits right
+// before the payload, so the checksum's input — seq, then payload — is one
+// run of the frame itself.
+func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
+	var head [recordHeaderSize]byte
+	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(head[8:16], seq)
+	at := len(dst)
+	dst = append(append(dst, head[:]...), payload...)
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(dst[at+8:]))
+	return dst
 }
 
 // Log is an open write-ahead log. It is not safe for concurrent use; the
@@ -246,6 +251,7 @@ type Log struct {
 	opts     Options
 	nextSeq  uint64
 	lastSync time.Time
+	frame    []byte // the record being appended, header and payload; reused from one Append to the next
 }
 
 // Open opens (creating if absent) the log at path, decodes and returns
@@ -320,7 +326,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: %d-byte payload exceeds record cap %d", len(payload), int64(MaxRecordBytes))
 	}
 	seq := l.nextSeq
-	if _, err := l.f.Write(encodeRecord(seq, payload)); err != nil {
+	l.frame = appendRecord(l.frame[:0], seq, payload)
+	if _, err := l.f.Write(l.frame); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.nextSeq++

@@ -233,7 +233,7 @@ func TestSnapshotFileIsMagicPlusOneRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := append([]byte(snapMagic), encodeRecord(41, payload)...); !bytes.Equal(got, want) {
+		if want := append([]byte(snapMagic), appendRecord(nil, 41, payload)...); !bytes.Equal(got, want) {
 			t.Errorf("%d-byte payload: %d bytes on disk differ from magic + record (%d bytes)", len(payload), len(got), len(want))
 		}
 	}
@@ -309,5 +309,26 @@ func TestOversizedRecordRejected(t *testing.T) {
 	l, _, _ := openT(t, filepath.Join(t.TempDir(), "wal.log"), Options{})
 	if _, err := l.Append(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversized append accepted")
+	}
+}
+
+// Append frames header and payload into the Log's own buffer. Once that
+// buffer has grown to the record size, appending allocates nothing — under
+// every flush policy, the flush being a system call.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncNever, FsyncAlways} {
+		l, _, _ := openT(t, filepath.Join(t.TempDir(), "wal.log"), Options{Fsync: policy})
+		payload := []byte(`{"op":"submit","at":86400,"user":23,"video":49,"start":86400}`)
+		if _, err := l.Append(payload); err != nil { // grows the frame buffer
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("fsync %v: Append allocates %v times per record, want 0", policy, allocs)
+		}
 	}
 }
