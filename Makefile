@@ -20,18 +20,24 @@ test: vet check-shell check-solver check-bar
 
 # One serving shell: the JSON reply helper, the JSON body decoder and the
 # signal/drain loop live once, in internal/httpkit, and the request deadline
-# is httpkit.Deadline — inline, on the connection's goroutine. Fails when a
-# second non-test definition appears under internal/ or in the two serving
-# commands, or when anything there calls http.TimeoutHandler (a goroutine, a
-# buffered body and a copied header map per request, and a 503 that disowns
-# work still running), so neither the per-tier copies nor the second
-# goroutine can grow back.
+# is httpkit.Deadline — context.WithTimeout, inline, on the connection's
+# goroutine. Fails when a second non-test definition appears under internal/
+# or in the two serving commands, when anything there calls
+# http.TimeoutHandler (a goroutine, a buffered body and a copied header map
+# per request, and a 503 that disowns work still running) or declares a
+# Done() <-chan struct{} method (a hand-rolled context.Context: the one there
+# was existed to make a deadline cheap on routes that had no use for one), or
+# when the journal's third flush policy is named again (it weakened the ack
+# to amortise the fsync; group commit, ROADMAP item 4, is what may), so
+# neither the per-tier copies, the second goroutine, the custom context nor
+# the interval policy can grow back.
 check-shell:
-	@for rule in '1:func (\([^)]*\) )?[wW]riteJSON\(' '1:func (\([^)]*\) )?[dD]ecodeBody\(' '1:signal\.NotifyContext\(' '0:http\.TimeoutHandler\('; do \
+	@for rule in '1:func (\([^)]*\) )?[wW]riteJSON\(' '1:func (\([^)]*\) )?[dD]ecodeBody\(' '1:signal\.NotifyContext\(' '0:http\.TimeoutHandler\(' \
+		'0:func \([^)]*\) Done\(\) <-chan struct\{\}' '0:FsyncInterval|SyncEvery'; do \
 		max=$${rule%%:*}; pat=$${rule#*:}; \
 		hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' "$$pat" internal cmd/vspserve cmd/vspgateway); \
 		if [ $$(printf '%s\n' "$$hits" | grep -c .) -gt $$max ]; then \
-			echo "check-shell: more than $$max non-test use(s) of '$$pat' (internal/httpkit owns the serving shell):"; \
+			echo "check-shell: more than $$max non-test use(s) of '$$pat' (the comment on check-shell in the Makefile says who owns it, or why it went):"; \
 			echo "$$hits"; exit 1; \
 		fi; \
 	done

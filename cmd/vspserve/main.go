@@ -58,11 +58,10 @@ func main() {
 		nrate       = flag.Float64("nrate", 500, "network charging rate ($/GB)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
-		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling budget, set as the deadline on the request context: the handler itself notices it (the scheduling endpoints stop and answer 503 + Retry-After), and nothing is cut off and left running, so a reply always says what happened")
+		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "handling budget of the requests that can be stopped (/v1/schedule, /v1/advance, a promotion's drain), set as the deadline on their request context: the handler itself notices it and answers 503 + Retry-After, and nothing is cut off and left running, so a reply always says what happened")
 		workers     = flag.Int("workers", 0, "scheduling worker pool size per request (0 = GOMAXPROCS, 1 = sequential; schedules are identical for any value)")
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
-		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost), interval, or never")
-		fsyncEvery  = flag.Duration("fsync-interval", wal.DefaultSyncEvery, "max sync lag under -fsync interval")
+		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost) or never (flushing is left to the OS)")
 		snapEvery   = flag.Int("snapshot-every", horizon.DefaultSnapshotEvery, "journal compaction period in committed epochs (negative disables snapshots)")
 		epochReqs   = flag.Int("epoch-requests", 0, "report an epoch due after this many pending reservations (0 = no intake trigger); the intake ack carries epoch_due so clients like vspload or a vspgateway know when to advance")
 		maxInFlight = flag.Int("max-in-flight", server.DefaultMaxInFlight, "admission-control bound on concurrent requests; excess load is shed with 429 + Retry-After (negative disables)")
@@ -103,7 +102,6 @@ func main() {
 	model := cli.BuildModel(topo, cat, *srate, *nrate)
 	api, err := server.NewWithOptions(model, server.Options{
 		RequestTimeout: *reqTimeout,
-		Workers:        *workers,
 		DataDir:        *dataDir,
 		MaxInFlight:    *maxInFlight,
 		Role:           nodeRole,
@@ -113,7 +111,6 @@ func main() {
 		Horizon: horizon.Config{
 			Workers:       *workers,
 			Fsync:         fsyncPolicy,
-			FsyncInterval: *fsyncEvery,
 			SnapshotEvery: *snapEvery,
 			EpochRequests: *epochReqs,
 		},

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -101,5 +102,25 @@ func TestGracefulShutdown(t *testing.T) {
 	log := strings.Join(lines, "\n")
 	if !strings.Contains(log, "shutting down") || !strings.Contains(log, "stopped") {
 		t.Errorf("shutdown log incomplete:\n%s", log)
+	}
+}
+
+// TestFsyncFlagRefusesInterval: the journal has two flush policies, and a
+// command line still asking for the third does not start — it is told which
+// two there are.
+func TestFsyncFlagRefusesInterval(t *testing.T) {
+	topoP, catP := writeFixtures(t)
+	cmd := exec.Command(os.Args[0],
+		"-topo", topoP, "-catalog", catP, "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), "-fsync", "interval")
+	cmd.Env = append(os.Environ(), "VSPSERVE_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("vspserve -fsync interval started and exited cleanly; log:\n%s", out)
+	}
+	if exit := new(exec.ExitError); !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	if log := string(out); !strings.Contains(log, "always") || !strings.Contains(log, "never") || strings.Contains(log, "listening on") {
+		t.Errorf("refusal does not name the two policies, or the server came up first:\n%s", log)
 	}
 }

@@ -105,10 +105,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		s.recovery.SnapshotLoaded = true
 	}
 
-	log, recs, tail, err := wal.Open(filepath.Join(dir, LogName), wal.Options{
-		Fsync:     s.cfg.Fsync,
-		SyncEvery: s.cfg.FsyncInterval,
-	})
+	log, recs, tail, err := wal.Open(filepath.Join(dir, LogName), wal.Options{Fsync: s.cfg.Fsync})
 	if err != nil {
 		return nil, fmt.Errorf("horizon: recover %s: %w", dir, err)
 	}

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
@@ -92,8 +91,6 @@ type Config struct {
 	SnapshotEvery int
 	// Fsync is the journal flush policy (default wal.FsyncAlways).
 	Fsync wal.FsyncPolicy
-	// FsyncInterval bounds the sync lag under wal.FsyncInterval.
-	FsyncInterval time.Duration
 }
 
 // DefaultSnapshotEvery is the journal compaction period in epochs.

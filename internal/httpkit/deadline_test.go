@@ -55,27 +55,14 @@ func TestDeadlineDeliversALateReply(t *testing.T) {
 	}
 }
 
-// The deadline is on the context from the start, but its timer is armed by
-// the first Done or Err: a handler that asks neither leaves none behind,
-// and one that derives a context from it sees the deadline fire.
-func TestDeadlineArmsItsTimerOnDemand(t *testing.T) {
-	var ctx *deadlineCtx
-	quiet := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx = r.Context().(*deadlineCtx)
-		if at, ok := ctx.Deadline(); !ok || time.Until(at) > time.Hour {
-			t.Errorf("Deadline() = %v, %v: want one within the hour", at, ok)
+// A context the handler derives from the request's sees the deadline fire,
+// and the 503 the handler then writes itself is decorated and delivered, not
+// counted: the counter is for replies the layer had to make up.
+func TestDeadlineReachesADerivedContext(t *testing.T) {
+	h := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if at, ok := r.Context().Deadline(); !ok || time.Until(at) > 10*time.Millisecond {
+			t.Errorf("Deadline() = %v, %v: want one within the budget", at, ok)
 		}
-		if r.Context().Value(http.ServerContextKey) != nil {
-			t.Error("a recorder request has no server in its context")
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}), time.Hour)
-	quiet.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
-	if ctx.armed != nil {
-		t.Error("a handler that never asked Done or Err armed the timer")
-	}
-
-	derived := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		child, cancel := context.WithCancel(r.Context())
 		defer cancel()
 		select {
@@ -86,11 +73,11 @@ func TestDeadlineArmsItsTimerOnDemand(t *testing.T) {
 		WriteErr(w, http.StatusServiceUnavailable, child.Err())
 	}), 10*time.Millisecond)
 	rec := httptest.NewRecorder()
-	derived.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Errorf("status %d Retry-After %q, want the handler's 503 decorated", rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if n := derived.Exceeded(); n != 0 {
+	if n := h.Exceeded(); n != 0 {
 		t.Errorf("Exceeded() = %d, want 0: the handler answered itself", n)
 	}
 }

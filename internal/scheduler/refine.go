@@ -20,6 +20,9 @@ type refineResult struct {
 	savings units.Money
 }
 
+// refinePasses bounds the improvement sweep.
+const refinePasses = 10
+
 // refine runs an iterative-improvement sweep over the resolved schedule:
 // each file is rescheduled with the capacity-aware greedy against the
 // other files' actual disk usage, and the new schedule is kept when it is
@@ -34,16 +37,12 @@ type refineResult struct {
 func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[media.VideoID][]workload.Request,
 	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config) (refineResult, error) {
 
-	maxPasses := cfg.RefinePasses
-	if maxPasses <= 0 {
-		maxPasses = 10
-	}
 	topo := m.Book().Topology()
 	ledger := occupancy.FromSchedule(topo, m.Catalog(), s)
 	var res refineResult
 	const eps = 1e-9
 
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("scheduler: refine aborted: %w", err)
 		}

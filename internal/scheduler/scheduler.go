@@ -56,8 +56,6 @@ type Config struct {
 	// paper's two phases; never increases cost and never re-introduces
 	// overflows (the sweep is capacity-aware).
 	Refine bool
-	// RefinePasses bounds the improvement sweep (default 10).
-	RefinePasses int
 	// Seeds installs pre-placed standing copies per video (strategic
 	// replication; see internal/placement). The greedy serves from them at
 	// zero marginal storage cost, resolution treats them as immovable, and

@@ -28,7 +28,8 @@ func (s *sink) Write(b []byte) (int, error) { return len(b), nil }
 // shard between Server.ServeHTTP and the ack: every middleware layer, the
 // body decode, Submit, the journal record and its frame, and the reply
 // encoding. The request, its body reader and the response writer are
-// reused, so B/op is this repository's share alone (the intake's own
+// reused (the body is handed back before each call: LimitBody rewraps it in
+// place), so B/op is this repository's share alone (the intake's own
 // growing Accepted and Pending included — that is what it keeps). The
 // journal is not flushed per record; a flush allocates nothing.
 // `make bench-smoke` holds B/op to the figure in BENCH_scheduler.json.
@@ -49,10 +50,11 @@ func BenchmarkReservationPath(b *testing.B) {
 	payload := []byte(`{"user":1,"video":0,"start":86400}`)
 	body := bytes.NewReader(payload)
 	req := httptest.NewRequest(http.MethodPost, "/v1/reservations", nil)
-	req.Body = io.NopCloser(body)
+	closer := io.NopCloser(body)
 	w := &sink{header: make(http.Header)}
 	post := func() {
 		body.Reset(payload)
+		req.Body = closer
 		w.code = 0
 		clear(w.header)
 		srv.ServeHTTP(w, req)

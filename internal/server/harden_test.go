@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/faults"
+	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -85,12 +86,12 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustNew(t, f, Options{RequestTimeout: 50 * time.Millisecond})
-	s.mux.HandleFunc("GET /slow", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.Handle("GET /slow", s.timed(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 		case <-time.After(5 * time.Second):
 		}
-	})
+	}))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -166,7 +167,7 @@ func TestDeadline503sAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustNew(t, f, Options{RequestTimeout: 50 * time.Millisecond})
-	s.mux.HandleFunc("GET /slow", func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() })
+	s.mux.Handle("GET /slow", s.timed(func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -180,6 +181,89 @@ func TestDeadline503sAreCounted(t *testing.T) {
 	}
 	if after := exceeded(); before != 0 || after != 1 {
 		t.Errorf("overload.deadline_exceeded went %d -> %d over one timed-out request, want 0 -> 1", before, after)
+	}
+}
+
+// The request deadline is on the routes whose handlers can stop and on no
+// other. First half: what the router holds for each of the server's routes —
+// the handler itself, or the handler behind httpkit.Deadline. Second half:
+// what either registration means inside a handler, through every layer of
+// ServeHTTP — registered bare, it gets the very request ServeHTTP was given,
+// on a context with no deadline; registered through timed, a context whose
+// deadline is within RequestTimeout.
+func TestDeadlineIsOnTheRoutesThatCanStop(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = time.Minute
+	s := mustNew(t, f, Options{RequestTimeout: budget})
+
+	routes := []struct {
+		method, path string
+		timed        bool
+	}{
+		{http.MethodGet, "/healthz", false},
+		{http.MethodGet, "/readyz", false},
+		{http.MethodGet, "/v1/topology", false},
+		{http.MethodGet, "/v1/catalog", false},
+		{http.MethodGet, "/v1/stats", false},
+		{http.MethodPost, "/v1/schedule", true},
+		{http.MethodPost, "/v1/simulate", false},
+		{http.MethodPost, "/v1/bill", false},
+		{http.MethodPost, "/v1/reservations", false},
+		{http.MethodGet, "/v1/plan", false},
+		{http.MethodPost, "/v1/advance", true},
+		{http.MethodGet, "/v1/replication/wal", false},
+		{http.MethodGet, "/v1/replication/status", false},
+		{http.MethodPost, "/v1/replication/fence", false},
+		{http.MethodPost, "/v1/replication/promote", true},
+	}
+	timed := 0
+	for _, rt := range routes {
+		h, pattern := s.mux.Handler(httptest.NewRequest(rt.method, rt.path, nil))
+		if pattern != rt.method+" "+rt.path {
+			t.Errorf("%s %s is routed to %q", rt.method, rt.path, pattern)
+			continue
+		}
+		switch h.(type) {
+		case http.HandlerFunc:
+			if rt.timed {
+				t.Errorf("%s: the handler is registered bare, want it behind the deadline", pattern)
+			}
+		case *httpkit.DeadlineHandler:
+			timed++
+			if !rt.timed {
+				t.Errorf("%s: the handler is behind the deadline, which it cannot act on", pattern)
+			}
+		default:
+			t.Errorf("%s: registered as a %T, want the handler or the deadline layer around it", pattern, h)
+		}
+	}
+	if len(s.deadline) != timed {
+		t.Errorf("/v1/stats sums %d deadline layers, the router holds %d", len(s.deadline), timed)
+	}
+
+	var got *http.Request
+	probe := func(w http.ResponseWriter, r *http.Request) {
+		got = r
+		w.WriteHeader(http.StatusNoContent)
+	}
+	s.mux.HandleFunc("GET /probe/bare", probe)
+	s.mux.Handle("GET /probe/timed", s.timed(probe))
+
+	req := httptest.NewRequest(http.MethodGet, "/probe/bare", nil)
+	s.ServeHTTP(httptest.NewRecorder(), req)
+	if got != req {
+		t.Error("a bare route's handler got a copy of the request, not the one ServeHTTP was given")
+	}
+	if at, ok := got.Context().Deadline(); ok {
+		t.Errorf("a bare route's handler runs under a deadline (%v)", at)
+	}
+
+	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/probe/timed", nil))
+	if at, ok := got.Context().Deadline(); !ok || time.Until(at) > budget {
+		t.Errorf("a timed route's handler: Deadline() = %v, %v, want one within %v", at, ok, budget)
 	}
 }
 

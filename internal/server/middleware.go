@@ -11,12 +11,13 @@ import (
 
 // Options tunes the hardening middleware around the API handlers.
 type Options struct {
-	// RequestTimeout bounds each request's handling time: it is the deadline
-	// on the request context, which the scheduling handlers notice and
-	// answer with 503; a handler that returns past it with nothing written
-	// gets a 503 JSON body written for it (httpkit.Deadline). 0 means
-	// DefaultRequestTimeout; negative disables the deadline (used by tests
-	// that need slow handlers).
+	// RequestTimeout bounds the handling time of the requests whose work can
+	// be stopped — /v1/schedule, /v1/advance and a promotion's drain: it is
+	// the deadline on their request context, which those handlers notice and
+	// answer with 503; one that returns past it with nothing written gets a
+	// 503 JSON body written for it (httpkit.Deadline). The other routes do
+	// not carry it (see the package comment). 0 means DefaultRequestTimeout;
+	// negative disables the deadline (used by tests that need slow handlers).
 	RequestTimeout time.Duration
 	// MaxRequestBytes caps request body size; larger bodies get 413.
 	// 0 means DefaultMaxRequestBytes.
@@ -24,18 +25,14 @@ type Options struct {
 	// Horizon configures the rolling-horizon intake service behind
 	// /v1/reservations, /v1/plan and /v1/advance. The zero value is usable:
 	// no epoch trigger ever fires on its own and clients advance explicitly.
+	// Horizon.Workers is also the worker pool /v1/schedule solves on.
 	Horizon horizon.Config
-	// Workers bounds the scheduling worker pool used by /v1/schedule (the
-	// rolling-horizon endpoints take theirs from Horizon.Workers). The
-	// produced schedule is byte-identical for any value; 0 means GOMAXPROCS,
-	// 1 forces the sequential path.
-	Workers int
 	// DataDir makes the rolling-horizon service durable: every accepted
 	// reservation and committed epoch is journaled to a write-ahead log
 	// under this directory, and construction recovers prior state from it
 	// (refusing a state an epoch commit would not have accepted). Empty
 	// keeps the horizon in memory, as before. The fsync policy and snapshot
-	// period come from Horizon (Fsync, FsyncInterval, SnapshotEvery).
+	// period come from Horizon (Fsync, SnapshotEvery).
 	DataDir string
 	// MaxInFlight bounds concurrently handled requests; excess requests
 	// wait briefly in a bounded queue and are then shed with 429 +
@@ -108,17 +105,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// harden wraps the router with the protective layers, innermost first:
-// body-size capping (so handlers can never buffer an unbounded body), the
-// per-request deadline, admission control (outside the deadline, so queue
-// wait does not consume the handling budget), the Retry-After decoration
-// of 503s, and outermost panic recovery, which so covers every layer.
+// harden wraps the router with the protective layers every route carries,
+// innermost first: body-size capping (so handlers can never buffer an
+// unbounded body), admission control, the Retry-After decoration of 503s,
+// and outermost panic recovery, which so covers every layer. The request
+// deadline is not among them: it sits inside the router, on the routes
+// registered through timed, so queue wait does not consume the handling
+// budget.
 func (s *Server) harden(opts Options) http.Handler {
 	h := httpkit.LimitBody(s.mux, opts.MaxRequestBytes)
-	if opts.RequestTimeout > 0 {
-		s.deadline = httpkit.Deadline(h, opts.RequestTimeout)
-		h = s.deadline
-	}
 	if s.limiter != nil {
 		h = s.limiter.Wrap(h)
 	}

@@ -1,17 +1,41 @@
 // Package server exposes the scheduler as a JSON-over-HTTP service: the
 // form a Video-On-Reservation operator would actually deploy. A server is
-// bound to one priced infrastructure (topology + catalog + rates) and
-// schedules reservation batches on demand.
+// bound to one priced infrastructure (topology + catalog + rates); it
+// schedules reservation batches on demand and runs the rolling-horizon
+// reservation intake, durable and replicated when asked to be.
 //
-//	GET  /healthz            liveness
-//	GET  /v1/topology        the service network (topology.Spec JSON)
-//	GET  /v1/catalog         the title list
-//	POST /v1/schedule        {"requests": [...], "metric": "...", "policy": "..."}
-//	                          -> schedule + costs + cache statistics
-//	POST /v1/simulate        {"schedule": {...}} -> execution report
+// Every route is behind the four layers harden (middleware.go) wraps the
+// router in: panic recovery, Retry-After on 503s, admission control and the
+// body cap. The request deadline (httpkit.Deadline, Options.RequestTimeout)
+// is a fifth layer on the routes marked T and on no other: a route is timed
+// iff its handler hands r.Context() to work that returns when the context
+// expires. Anywhere else the deadline could stop nothing — the handler
+// would run to its end and be delivered late, as it is without the layer —
+// so those requests run on the connection's own context, uncopied.
+//
+//	   GET  /healthz                  liveness
+//	   GET  /readyz                   200 once serviceable, else 503 + lag
+//	   GET  /v1/topology              the service network (topology.Spec JSON)
+//	   GET  /v1/catalog               the title list
+//	   GET  /v1/stats                 shape, horizon, overload, recovery, replication
+//	T  POST /v1/schedule              batch -> schedule + costs + cache statistics;
+//	                                  both scheduler.Schedule calls stop on expiry
+//	   POST /v1/simulate              {"schedule": ...} -> execution report; the
+//	                                  simulator and the repairer take no context
+//	   POST /v1/bill                  {"schedule": ...} -> per-user statement; no context
+//	   POST /v1/reservations          intake ack; Submit takes no context, on purpose:
+//	                                  a journaled reservation is never cut off
+//	   GET  /v1/plan                  the committed plan, from one horizon reading
+//	T  POST /v1/advance               epoch close; horizon.Advance stops on expiry
+//	                                  and commits nothing
+//	   GET  /v1/replication/wal       journal tail or snapshot; a file read, no context
+//	   GET  /v1/replication/status    the node's replication status
+//	   POST /v1/replication/fence     demote under a newer epoch
+//	T  POST /v1/replication/promote   the catch-up drain and the source fence are
+//	                                  HTTP calls bounded by the request context
 //
 // The JSON helpers, protective middleware and admission limiter come from
-// internal/httpkit; harden (middleware.go) fixes the order they wrap in.
+// internal/httpkit.
 package server
 
 import (
@@ -48,10 +72,11 @@ import (
 type Server struct {
 	model    *cost.Model
 	horizon  *horizon.Service
-	workers  int
+	workers  int // Options.Horizon.Workers: /v1/schedule solves on the pool an epoch close does
 	shardID  string
 	limiter  *httpkit.Limiter
-	deadline *httpkit.DeadlineHandler // nil when Options.RequestTimeout is negative
+	timeout  time.Duration              // the timed routes' budget; 0 when Options.RequestTimeout is negative
+	deadline []*httpkit.DeadlineHandler // one per timed route
 	mux      *http.ServeMux
 	handler  http.Handler
 	plan     atomic.Pointer[encodedPlan] // the last committed schedule /v1/plan served, with its encoding
@@ -115,8 +140,9 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s := &Server{
 		model:   model,
 		horizon: hz,
-		workers: opts.Workers,
+		workers: opts.Horizon.Workers,
 		shardID: opts.ShardID,
+		timeout: opts.RequestTimeout,
 		mux:     http.NewServeMux(),
 		lead:    replica.NewLeadership(role, epoch),
 	}
@@ -134,18 +160,30 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/replication/wal", s.handleReplWAL)
 	s.mux.HandleFunc("GET /v1/replication/status", s.handleReplStatus)
 	s.mux.HandleFunc("POST /v1/replication/fence", s.handleFence)
-	s.mux.HandleFunc("POST /v1/replication/promote", s.handlePromote)
+	s.mux.Handle("POST /v1/replication/promote", s.timed(s.handlePromote))
 	s.mux.HandleFunc("GET /v1/topology", s.handleTopology)
 	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
+	s.mux.Handle("POST /v1/schedule", s.timed(s.handleSchedule))
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/bill", s.handleBill)
 	s.mux.HandleFunc("POST /v1/reservations", s.handleReservation)
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
+	s.mux.Handle("POST /v1/advance", s.timed(s.handleAdvance))
 	s.handler = s.harden(opts)
 	return s, nil
+}
+
+// timed puts h behind the request deadline. It is for handlers that pass
+// r.Context() on to work that stops when it expires (the package comment
+// lists them); with the deadline disabled it is h.
+func (s *Server) timed(h http.HandlerFunc) http.Handler {
+	if s.timeout <= 0 {
+		return h
+	}
+	d := httpkit.Deadline(h, s.timeout)
+	s.deadline = append(s.deadline, d)
+	return d
 }
 
 // ServeHTTP implements http.Handler.
@@ -250,8 +288,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			MaxInFlight: s.limiter.Capacity(),
 		}
 	}
-	if s.deadline != nil {
-		ov.DeadlineExceeded = s.deadline.Exceeded()
+	for _, d := range s.deadline {
+		ov.DeadlineExceeded += d.Exceeded()
 	}
 	repl, ready := s.replStatus()
 	p := s.horizon.Plan() // one reading: horizon.epoch and shard.epoch cannot disagree

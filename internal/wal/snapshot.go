@@ -76,16 +76,14 @@ func ReadSnapshot(dir string) (seq uint64, payload []byte, ok bool, err error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, false, fmt.Errorf("%w: snapshot bad magic", ErrCorrupt)
 	}
-	rem := data[len(snapMagic):]
-	recs, tail, _, derr := decode(append([]byte(logMagic), rem...))
-	if derr != nil {
-		return 0, nil, false, fmt.Errorf("wal: snapshot: %w", derr)
+	rec, n, tail, ferr := decodeFrame(data[len(snapMagic):], 0)
+	if ferr != nil {
+		return 0, nil, false, fmt.Errorf("wal: snapshot: %w: %v", ErrCorrupt, ferr)
 	}
-	if tail != TailClean || len(recs) != 1 {
-		return 0, nil, false, fmt.Errorf("%w: snapshot holds %d records with %s tail (want exactly 1, clean)",
-			ErrCorrupt, len(recs), tail)
+	if tail != TailClean || len(snapMagic)+n != len(data) {
+		return 0, nil, false, fmt.Errorf("%w: snapshot is not exactly one whole record", ErrCorrupt)
 	}
-	return recs[0].Seq, recs[0].Payload, true, nil
+	return rec.Seq, rec.Payload, true, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.

@@ -1,8 +1,10 @@
 package wal_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,6 +60,14 @@ func TestChecksumBindsSeqAndPayload(t *testing.T) {
 	}
 	if sum == wal.Checksum(7, []byte("payloae")) {
 		t.Fatal("checksum ignores the payload")
+	}
+	if want := crc32.ChecksumIEEE(append(binary.LittleEndian.AppendUint64(nil, 7), "payload"...)); sum != want {
+		t.Fatalf("checksum %08x, want CRC-32 (IEEE) over the little-endian seq then the payload, %08x", sum, want)
+	}
+	// It runs per record decoded and twice per record shipped.
+	payload := []byte("payload")
+	if allocs := testing.AllocsPerRun(100, func() { wal.Checksum(7, payload) }); allocs != 0 {
+		t.Errorf("Checksum allocates %v times per call, want 0", allocs)
 	}
 }
 

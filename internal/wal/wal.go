@@ -35,7 +35,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 )
 
 // logMagic begins every log file; a file that starts differently was not
@@ -58,9 +57,6 @@ const (
 	// FsyncAlways syncs after every append: no acknowledged record is
 	// ever lost, at the price of one fsync per operation.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs at most once per Options.SyncEvery: a crash
-	// loses at most the last interval's records, amortizing the fsync.
-	FsyncInterval
 	// FsyncNever leaves flushing to the operating system: fastest, and a
 	// crash may lose everything since the last incidental flush.
 	FsyncNever
@@ -71,43 +67,26 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncNever:
 		return "never"
 	}
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
-// ParseFsyncPolicy parses the flag spelling ("always", "interval",
-// "never").
+// ParseFsyncPolicy parses the flag spelling ("always", "never").
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, p := range []FsyncPolicy{FsyncAlways, FsyncNever} {
 		if p.String() == s {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 }
-
-// DefaultSyncEvery is the FsyncInterval flush period when
-// Options.SyncEvery is zero.
-const DefaultSyncEvery = 100 * time.Millisecond
 
 // Options configures a Log.
 type Options struct {
 	// Fsync is the flush policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// SyncEvery bounds the sync lag under FsyncInterval (default
-	// DefaultSyncEvery); ignored by the other policies.
-	SyncEvery time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
-	return o
 }
 
 // Record is one decoded log entry.
@@ -180,46 +159,61 @@ func decode(data []byte) (recs []Record, tail Tail, validLen int64, err error) {
 	}
 	off := int64(len(logMagic))
 	var prevSeq uint64
-	for {
-		rem := data[off:]
-		if len(rem) == 0 {
-			return recs, TailClean, off, nil
-		}
-		if len(rem) < recordHeaderSize {
+	for off < int64(len(data)) {
+		rec, n, tail, ferr := decodeFrame(data[off:], prevSeq)
+		switch tail {
+		case TailTruncated:
 			return recs, TailTruncated, off, nil
+		case TailCorrupt:
+			return recs, TailCorrupt, off, fmt.Errorf("%w: record %d %v", ErrCorrupt, len(recs), ferr)
 		}
-		ln := binary.LittleEndian.Uint32(rem[0:4])
-		crc := binary.LittleEndian.Uint32(rem[4:8])
-		seq := binary.LittleEndian.Uint64(rem[8:16])
-		if ln > MaxRecordBytes {
-			return recs, TailCorrupt, off, fmt.Errorf("%w: record %d declares %d-byte payload (cap %d)",
-				ErrCorrupt, len(recs), ln, MaxRecordBytes)
-		}
-		if int64(len(rem)) < recordHeaderSize+int64(ln) {
-			return recs, TailTruncated, off, nil
-		}
-		payload := rem[recordHeaderSize : recordHeaderSize+int64(ln)]
-		if got := checksum(seq, payload); got != crc {
-			return recs, TailCorrupt, off, fmt.Errorf("%w: record %d checksum mismatch (stored %08x, computed %08x)",
-				ErrCorrupt, len(recs), crc, got)
-		}
-		if seq <= prevSeq {
-			return recs, TailCorrupt, off, fmt.Errorf("%w: record %d sequence %d does not advance past %d",
-				ErrCorrupt, len(recs), seq, prevSeq)
-		}
-		prevSeq = seq
-		recs = append(recs, Record{Seq: seq, Payload: append([]byte(nil), payload...)})
-		off += recordHeaderSize + int64(ln)
+		prevSeq = rec.Seq
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		recs = append(recs, rec)
+		off += int64(n)
 	}
+	return recs, TailClean, off, nil
 }
 
+// decodeFrame reads the one record at the head of rem — the frame a log
+// holds many of and a snapshot exactly one. The record's payload aliases rem
+// and n is the frame's length. tail is TailClean for a whole record whose
+// sequence number is above prevSeq, TailTruncated when rem ends inside the
+// frame, and TailCorrupt, with err saying what is wrong with it, otherwise.
+func decodeFrame(rem []byte, prevSeq uint64) (rec Record, n int, tail Tail, err error) {
+	if len(rem) < recordHeaderSize {
+		return Record{}, 0, TailTruncated, nil
+	}
+	ln := binary.LittleEndian.Uint32(rem[0:4])
+	crc := binary.LittleEndian.Uint32(rem[4:8])
+	seq := binary.LittleEndian.Uint64(rem[8:16])
+	if ln > MaxRecordBytes {
+		return Record{}, 0, TailCorrupt, fmt.Errorf("declares %d-byte payload (cap %d)", ln, MaxRecordBytes)
+	}
+	n = recordHeaderSize + int(ln)
+	if len(rem) < n {
+		return Record{}, 0, TailTruncated, nil
+	}
+	payload := rem[recordHeaderSize:n]
+	if got := checksum(seq, payload); got != crc {
+		return Record{}, 0, TailCorrupt, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", crc, got)
+	}
+	if seq <= prevSeq {
+		return Record{}, 0, TailCorrupt, fmt.Errorf("sequence %d does not advance past %d", seq, prevSeq)
+	}
+	return Record{Seq: seq, Payload: payload}, n, TailClean, nil
+}
+
+// checksum is the CRC-32 (IEEE) a record carries: over the little-endian
+// seq, then the payload. The eight seq bytes go through the table here:
+// handed to package crc32 as a slice they would have to live on the heap (its
+// IEEE update is a function variable), an allocation per record.
 func checksum(seq uint64, payload []byte) uint32 {
-	var sb [8]byte
-	binary.LittleEndian.PutUint64(sb[:], seq)
-	h := crc32.NewIEEE()
-	h.Write(sb[:])
-	h.Write(payload)
-	return h.Sum32()
+	crc := ^uint32(0)
+	for shift := 0; shift < 64; shift += 8 {
+		crc = crc32.IEEETable[byte(crc)^byte(seq>>shift)] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, payload)
 }
 
 // putRecordHeader fills the recordHeaderSize bytes that precede payload in
@@ -230,28 +224,21 @@ func putRecordHeader(head []byte, seq uint64, payload []byte) {
 	binary.LittleEndian.PutUint64(head[8:16], seq)
 }
 
-// appendRecord frames one record onto dst. The sequence number sits right
-// before the payload, so the checksum's input — seq, then payload — is one
-// run of the frame itself.
+// appendRecord frames one record onto dst.
 func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
 	var head [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(head[8:16], seq)
-	at := len(dst)
-	dst = append(append(dst, head[:]...), payload...)
-	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(dst[at+8:]))
-	return dst
+	putRecordHeader(head[:], seq, payload)
+	return append(append(dst, head[:]...), payload...)
 }
 
 // Log is an open write-ahead log. It is not safe for concurrent use; the
 // horizon service serializes access under its own mutex.
 type Log struct {
-	f        *os.File
-	path     string
-	opts     Options
-	nextSeq  uint64
-	lastSync time.Time
-	frame    []byte // the record being appended, header and payload; reused from one Append to the next
+	f       *os.File
+	path    string
+	opts    Options
+	nextSeq uint64
+	frame   []byte // the record being appended, header and payload; reused from one Append to the next
 }
 
 // Open opens (creating if absent) the log at path, decodes and returns
@@ -259,7 +246,6 @@ type Log struct {
 // the log is append-ready. A corrupt log fails the open with an error
 // wrapping ErrCorrupt.
 func Open(path string, opts Options) (*Log, []Record, Tail, error) {
-	opts = opts.withDefaults()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, TailClean, fmt.Errorf("wal: open %s: %w", path, err)
@@ -274,7 +260,7 @@ func Open(path string, opts Options) (*Log, []Record, Tail, error) {
 		f.Close()
 		return nil, recs, tail, fmt.Errorf("wal: %s: %w", path, derr)
 	}
-	l := &Log{f: f, path: path, opts: opts, nextSeq: 1, lastSync: time.Now()}
+	l := &Log{f: f, path: path, opts: opts, nextSeq: 1}
 	if len(recs) > 0 {
 		l.nextSeq = recs[len(recs)-1].Seq + 1
 	}
@@ -320,7 +306,7 @@ func Open(path string, opts Options) (*Log, []Record, Tail, error) {
 
 // Append journals one payload and returns its sequence number. The
 // record is on stable storage when Append returns iff the policy is
-// FsyncAlways (or the interval elapsed under FsyncInterval).
+// FsyncAlways.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if int64(len(payload)) > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: %d-byte payload exceeds record cap %d", len(payload), int64(MaxRecordBytes))
@@ -331,16 +317,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.nextSeq++
-	switch l.opts.Fsync {
-	case FsyncAlways:
+	if l.opts.Fsync == FsyncAlways {
 		if err := l.Sync(); err != nil {
 			return 0, err
-		}
-	case FsyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.Sync(); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return seq, nil
@@ -351,7 +330,6 @@ func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.lastSync = time.Now()
 	return nil
 }
 

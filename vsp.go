@@ -259,12 +259,10 @@ const (
 )
 
 // Journal fsync policies for System.OpenDurableHorizon. FsyncAlways never
-// loses an acknowledged reservation; FsyncOnInterval bounds loss to the
-// configured sync lag; FsyncNever leaves syncing to the OS.
+// loses an acknowledged reservation; FsyncNever leaves syncing to the OS.
 const (
-	FsyncAlways     = wal.FsyncAlways
-	FsyncOnInterval = wal.FsyncInterval
-	FsyncNever      = wal.FsyncNever
+	FsyncAlways = wal.FsyncAlways
+	FsyncNever  = wal.FsyncNever
 )
 
 // ErrLateArrival is returned by Horizon.Submit for a reservation whose
