@@ -127,7 +127,9 @@ bench:
 # the parallel fan-out at -cpu 1,4 — both the isolated phase 1 and the
 # full 10k-request solve — so benchjson can derive
 # phase1_parallel_speedup from the matched pair, and the gateway submit
-# pair at -cpu 4 so it can derive gateway_submit_speedup_3shards.
+# pair at -cpu 4 so it can derive gateway_submit_speedup_3shards; the
+# gateway's plan read (unchanged, and after a commit on every shard) runs at
+# the default -cpu, where bench-smoke finds it.
 # Committed as BENCH_scheduler.json.
 bench-json:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' \
@@ -137,6 +139,8 @@ bench-json:
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewaySubmit' -cpu 4 \
+		-benchmem ./internal/gateway ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$' \
 		-benchmem ./internal/gateway ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedule10k$$' -cpu 1,4 -benchtime=1x \
 		-timeout=60m -benchmem ./internal/scheduler ) \
@@ -152,12 +156,16 @@ bench-json:
 # BenchmarkReservationPath rides along at 2000 reservations a run, where
 # its B/op is steady: the per-request garbage http.TimeoutHandler used to
 # make alone was twice what a reservation allocates now, so its return
-# fails here.
+# fails here. BenchmarkGatewayPlanRead/unchanged rides along too, 200 reads
+# of a 160 KB plan no shard has replaced: decoding, merging and encoding
+# per read again allocates a hundred times its B/op.
 bench-smoke:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
-		./internal/server ) \
+		./internal/server ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$/^unchanged$$' -benchtime=200x -count=3 -benchmem \
+		./internal/gateway ) \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 
 # Regenerate every paper figure/table as text (see EXPERIMENTS.md).

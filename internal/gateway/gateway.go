@@ -6,7 +6,8 @@
 //
 //	POST /v1/reservations    place on a shard per the Placement policy
 //	POST /v1/advance         broadcast; per-shard epoch results aggregated
-//	GET  /v1/plan            shard plans merged into one global schedule
+//	GET  /v1/plan            shard plans merged into one global schedule,
+//	                         decoded, merged and encoded once per change
 //	GET  /v1/stats           per-shard routing + breaker + polled counters
 //	GET  /healthz            gateway liveness
 //	GET  /readyz             tier readiness (≥1 shard routable)
@@ -118,7 +119,8 @@ type shard struct {
 	routed      atomic.Uint64
 	failovers   atomic.Uint64
 	polled      atomic.Pointer[shardStats]
-	brk         *breaker // nil when breakers are disabled
+	plan        atomic.Pointer[shardSchedule] // the schedule in the last /v1/plan reply (merge.go)
+	brk         *breaker                      // nil when breakers are disabled
 
 	// Auto-advance state: maxAt tracks the newest acked arrival instant,
 	// lastAdvance the last advance target (so targets never regress), and
@@ -160,6 +162,10 @@ type Gateway struct {
 	// sheds counts reservations the gateway itself refused because every
 	// shard's breaker was open (distinct from shard-side 429 sheds).
 	sheds atomic.Uint64
+
+	// The plan path's kept merge and its work counters (merge.go).
+	merged                             atomic.Pointer[mergedPlan]
+	planReads, planDecodes, planMerges atomic.Uint64
 
 	placeMu sync.Mutex // serializes Place with the outstanding bump
 
@@ -707,6 +713,9 @@ type StatsResponse struct {
 	// overflow-resolution work and, as reused/(reused+evaluated), its
 	// reuse hit rate.
 	Resolution scheduler.Work `json:"resolution"`
+	// Plan is the plan path's work: merges and shard_decodes over reads
+	// is the share of GET /v1/plan that found something changed.
+	Plan PlanStats `json:"plan"`
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -718,7 +727,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // the most recent poll (call PollNow first for fresh shard-side fields).
 func (g *Gateway) Stats() StatsResponse {
 	now := time.Now()
-	resp := StatsResponse{Policy: g.policy.Name(), GatewayShed: g.sheds.Load()}
+	resp := StatsResponse{Policy: g.policy.Name(), GatewayShed: g.sheds.Load(), Plan: PlanStats{
+		Reads: g.planReads.Load(), ShardDecodes: g.planDecodes.Load(), Merges: g.planMerges.Load(),
+	}}
 	for _, sh := range g.shards {
 		sh.mu.Lock()
 		row := ShardStatus{ID: sh.id, Primary: sh.primary, Standby: sh.standby}

@@ -45,7 +45,7 @@ func testRig(t *testing.T) *experiment.Rig {
 
 // startShard binds a fresh server to a loopback port, registering
 // cleanup. The caller gets the handles it needs to kill the node early.
-func startShard(t *testing.T, r *experiment.Rig, opts server.Options) (string, *server.Server, *httptest.Server) {
+func startShard(t testing.TB, r *experiment.Rig, opts server.Options) (string, *server.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := server.NewWithOptions(r.Model, opts)
 	if err != nil {
@@ -57,7 +57,7 @@ func startShard(t *testing.T, r *experiment.Rig, opts server.Options) (string, *
 }
 
 // startGateway serves gw over loopback with cleanup.
-func startGateway(t *testing.T, cfg gateway.Config) (*gateway.Gateway, string) {
+func startGateway(t testing.TB, cfg gateway.Config) (*gateway.Gateway, string) {
 	t.Helper()
 	gw, err := gateway.New(cfg)
 	if err != nil {
@@ -68,7 +68,7 @@ func startGateway(t *testing.T, cfg gateway.Config) (*gateway.Gateway, string) {
 	return gw, ts.URL
 }
 
-func submit(t *testing.T, base string, req workload.Request) gateway.ReservationResponse {
+func submit(t testing.TB, base string, req workload.Request) gateway.ReservationResponse {
 	t.Helper()
 	at := req.Start
 	var ack gateway.ReservationResponse

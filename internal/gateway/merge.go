@@ -1,14 +1,18 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
+	"slices"
 	"sync"
 
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/schedule"
-	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/units"
 )
@@ -85,19 +89,84 @@ type PlanResponse struct {
 	Shards   []ShardPlan        `json:"shards"`
 }
 
+// rawValue is json.RawMessage without the copy: it aliases the bytes being
+// decoded, here a pooled reply buffer, so whoever keeps it past the decode
+// clones it first.
+type rawValue []byte
+
+func (v *rawValue) UnmarshalJSON(b []byte) error { *v = b; return nil }
+
+// shardSchedule is the schedule value of a shard's last /v1/plan reply: its
+// bytes as the shard sent them and what they decode to (nil for null).
+// Immutable once published; the schedule is only ever read, by
+// MergeSchedules.
+type shardSchedule struct {
+	raw   []byte
+	sched *schedule.Schedule
+}
+
+// mergedPlan is the merged schedule's encoding beside the shard schedules it
+// was merged from, in shard order. Immutable once published; blob is never
+// written again, so a reply in flight across a commit finishes with the
+// bytes it started with.
+type mergedPlan struct {
+	from []*shardSchedule
+	blob []byte
+}
+
+// PlanStats counts the plan path's work since start: reads answered or
+// attempted, shard schedules decoded because their bytes differed from the
+// kept ones (summed over shards), and merged plans built and encoded. With
+// no commit between reads only Reads moves.
+type PlanStats struct {
+	Reads        uint64 `json:"reads"`
+	ShardDecodes uint64 `json:"shard_decodes"`
+	Merges       uint64 `json:"merges"`
+}
+
+// handlePlan answers json.Marshal(PlanResponse) plus a newline, byte for
+// byte, at the cost of what changed since the last read: a shard's schedule
+// is decoded when its bytes differ from the last ones that shard sent
+// (keepSchedule), the union is merged and encoded when some shard's schedule
+// was replaced (mergedSchedule), and the rest is the few fields that move
+// with every reservation. Nothing is invalidated: the validators are the
+// bytes and the pointers themselves, so a promoted standby serving the same
+// plan is a hit and a shard back with another plan under the same epoch is a
+// miss.
 func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
-	res, sh, err := g.planAll(r.Context())
+	g.planReads.Add(1)
+	from, rest, sh, err := g.fetchPlans(r.Context())
 	if err != nil {
 		writeUpstreamErr(w, sh, err)
 		return
 	}
-	httpkit.WriteJSON(w, http.StatusOK, res)
+	sched, err := g.mergedSchedule(from)
+	var tail []byte
+	if err == nil {
+		tail, err = json.Marshal(rest)
+	}
+	if err != nil {
+		log.Printf("gateway: cannot encode the plan: %v", err)
+		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
+		return
+	}
+	httpkit.WriteJSONParts(w, []byte(`{"schedule":`), sched, []byte(`,`), tail[1:], []byte("\n"))
 }
 
-// planAll fetches every shard's plan concurrently and merges them. On
-// failure it returns the offending shard.
-func (g *Gateway) planAll(ctx context.Context) (PlanResponse, *shard, error) {
-	plans := make([]server.PlanResponse, len(g.shards))
+// planRest is PlanResponse without the schedule, in its field order.
+type planRest struct {
+	Horizon simtime.Time `json:"horizon"`
+	Epoch   int          `json:"epoch"`
+	Pending int          `json:"pending"`
+	Cost    units.Money  `json:"cost"`
+	Shards  []ShardPlan  `json:"shards"`
+}
+
+// fetchPlans reads every shard's plan concurrently and sums the small
+// fields. On failure it returns the offending shard.
+func (g *Gateway) fetchPlans(ctx context.Context) ([]*shardSchedule, planRest, *shard, error) {
+	from := make([]*shardSchedule, len(g.shards))
+	rows := make([]ShardPlan, len(g.shards))
 	errs := make([]error, len(g.shards))
 	var wg sync.WaitGroup
 	for i, sh := range g.shards {
@@ -106,33 +175,93 @@ func (g *Gateway) planAll(ctx context.Context) (PlanResponse, *shard, error) {
 			defer wg.Done()
 			sh.outstanding.Add(1)
 			defer sh.outstanding.Add(-1)
-			errs[i] = g.forward(ctx, sh, func(base string) error {
-				return retryhttp.GetJSON(ctx, g.retry, base+"/v1/plan", &plans[i])
-			})
+			from[i], rows[i], errs[i] = g.fetchPlan(ctx, sh)
 		}(i, sh)
 	}
 	wg.Wait()
-	var out PlanResponse
-	parts := make([]*schedule.Schedule, len(g.shards))
+	rest := planRest{Shards: rows}
 	for i, err := range errs {
 		if err != nil {
-			return out, g.shards[i], err
+			return nil, planRest{}, g.shards[i], err
 		}
-		p := plans[i]
-		parts[i] = p.Schedule
-		if i == 0 || p.Horizon < out.Horizon {
-			out.Horizon = p.Horizon
+		p := rows[i]
+		if i == 0 || p.Horizon < rest.Horizon {
+			rest.Horizon = p.Horizon
 		}
-		if p.Epoch > out.Epoch {
-			out.Epoch = p.Epoch
+		if p.Epoch > rest.Epoch {
+			rest.Epoch = p.Epoch
 		}
-		out.Pending += p.Pending
-		out.Cost += p.Cost
-		out.Shards = append(out.Shards, ShardPlan{
-			Shard: g.shards[i].id, Epoch: p.Epoch, Horizon: p.Horizon,
-			Pending: p.Pending, Cost: p.Cost,
-		})
+		rest.Pending += p.Pending
+		rest.Cost += p.Cost
 	}
-	out.Schedule = MergeSchedules(parts...)
-	return out, nil, nil
+	return from, rest, nil, nil
+}
+
+// fetchPlan reads one shard's plan. The reply is split, not decoded: the
+// small fields into the shard's row, the schedule's bytes — still the reply
+// buffer's — to keepSchedule. A failed read stores nothing.
+func (g *Gateway) fetchPlan(ctx context.Context, sh *shard) (*shardSchedule, ShardPlan, error) {
+	var kept *shardSchedule
+	row := ShardPlan{Shard: sh.id}
+	err := g.forward(ctx, sh, func(base string) error {
+		return retryhttp.GetBody(ctx, g.retry, base+"/v1/plan", func(body []byte) error {
+			var reply struct {
+				Schedule rawValue     `json:"schedule"`
+				Horizon  simtime.Time `json:"horizon"`
+				Epoch    int          `json:"epoch"`
+				Pending  int          `json:"pending"`
+				Cost     units.Money  `json:"cost"`
+			}
+			err := json.Unmarshal(body, &reply)
+			if err == nil {
+				row.Epoch, row.Horizon, row.Pending, row.Cost = reply.Epoch, reply.Horizon, reply.Pending, reply.Cost
+				kept, err = g.keepSchedule(sh, reply.Schedule)
+			}
+			return err
+		})
+	})
+	return kept, row, err
+}
+
+// keepSchedule returns the holder of the schedule a shard just sent as raw.
+// Bytes equal to the ones kept from its last reply stand for the schedule
+// already decoded from them; different bytes are copied out of the reply
+// buffer, decoded once and kept in their place. Readers that find a new
+// schedule at the same instant may each decode it; the holder stored last
+// serves the reads that follow.
+func (g *Gateway) keepSchedule(sh *shard, raw []byte) (*shardSchedule, error) {
+	if kept := sh.plan.Load(); kept != nil && bytes.Equal(kept.raw, raw) {
+		return kept, nil
+	}
+	next := &shardSchedule{raw: bytes.Clone(raw)}
+	if len(raw) > 0 { // an absent schedule is a null one
+		if err := json.Unmarshal(next.raw, &next.sched); err != nil {
+			return nil, fmt.Errorf("schedule: %w", err)
+		}
+	}
+	g.planDecodes.Add(1)
+	sh.plan.Store(next)
+	return next, nil
+}
+
+// mergedSchedule returns json.Marshal(MergeSchedules(from...)), built at the
+// first call for a tuple of shard schedules and kept for the later ones.
+// Every holder in from is immutable and a changed shard schedule arrives in
+// a new one, so the pointers say whether the kept bytes still are their
+// merge.
+func (g *Gateway) mergedSchedule(from []*shardSchedule) ([]byte, error) {
+	if m := g.merged.Load(); m != nil && slices.Equal(m.from, from) {
+		return m.blob, nil
+	}
+	parts := make([]*schedule.Schedule, len(from))
+	for i, k := range from {
+		parts[i] = k.sched
+	}
+	blob, err := json.Marshal(MergeSchedules(parts...))
+	if err != nil {
+		return nil, err
+	}
+	g.planMerges.Add(1)
+	g.merged.Store(&mergedPlan{from: from, blob: blob})
+	return blob, nil
 }

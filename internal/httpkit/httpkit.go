@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -34,6 +35,27 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 		log.Printf("httpkit: cannot encode %T reply: %v", v, err)
 		rw.status = http.StatusInternalServerError
 		_ = json.NewEncoder(rw).Encode(map[string]string{"error": "encode reply: " + err.Error()})
+	}
+}
+
+// WriteJSONParts replies 200 with a JSON body its caller has already
+// encoded, handed over in parts so that an encoding kept between requests is
+// spliced into the reply, not copied. The parts' total goes out as
+// Content-Length: a megabyte body is not chunk-framed, and its reader can
+// size a buffer for it before the first byte. A failed write to a client
+// that has gone is dropped.
+func WriteJSONParts(w http.ResponseWriter, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return
+		}
 	}
 }
 

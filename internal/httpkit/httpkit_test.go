@@ -81,3 +81,28 @@ func TestDecodeBodyTakesExactlyOneValue(t *testing.T) {
 		}
 	}
 }
+
+// A body handed over in parts goes out whole, under its length: over a real
+// connection that is a Content-Length reply, not a chunked one, whose reader
+// can size a buffer before the first byte.
+func TestWriteJSONPartsSaysHowLongTheBodyIs(t *testing.T) {
+	ts := httptest.NewServer(RetryAfter503(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSONParts(w, []byte(`{"schedule":`), []byte(strings.Repeat(" ", 1<<16)+`null`), []byte(`,`), []byte(`"epoch":3}`), []byte("\n"))
+	})))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var plan struct{ Epoch int }
+	if err := json.NewDecoder(resp.Body).Decode(&plan); err != nil || plan.Epoch != 3 {
+		t.Fatalf("body decodes to epoch %d, %v", plan.Epoch, err)
+	}
+	want := int64(len(`{"schedule":`) + 1<<16 + len(`null,"epoch":3}`) + 1)
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != want || len(resp.TransferEncoding) != 0 ||
+		resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Length %d (want %d), Transfer-Encoding %v, Content-Type %q",
+			resp.StatusCode, resp.ContentLength, want, resp.TransferEncoding, resp.Header.Get("Content-Type"))
+	}
+}

@@ -8,6 +8,12 @@
 // It deliberately does not retry on other statuses: a 400 or 409 is a
 // protocol answer (a stale leadership epoch, a late arrival), not a
 // transient fault, and the caller must see it.
+//
+// GetJSON and PostJSON read a 2xx reply whole into a pooled buffer and
+// json.Unmarshal it from there, so a reply obeys the rule
+// httpkit.DecodeBody has for requests: the body is exactly one JSON value,
+// and anything but whitespace after it is a decode error, not a silently
+// dropped second value. GetBody hands the same whole body to its caller.
 package retryhttp
 
 import (
@@ -19,6 +25,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -85,7 +92,8 @@ func retryableStatus(code int) bool {
 }
 
 // Do issues the request produced by newReq, retrying transient failures.
-// newReq is called once per attempt so each try gets a fresh body. The
+// newReq is called once per attempt so each try gets a fresh body; a
+// request it did not build on ctx is copied onto it. The
 // returned response is the terminal one — a success, a non-retryable
 // status, or the last retryable status once attempts are exhausted — and
 // the caller owns its body. A non-nil error means no response was
@@ -111,7 +119,10 @@ func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error))
 		if err != nil {
 			return nil, fmt.Errorf("retryhttp: build request: %w", err)
 		}
-		resp, err := opts.Client.Do(req.WithContext(ctx))
+		if req.Context() != ctx {
+			req = req.WithContext(ctx)
+		}
+		resp, err := opts.Client.Do(req)
 		switch {
 		case err != nil:
 			// A failure caused by the context is terminal, not transient:
@@ -221,11 +232,32 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("retryhttp: status %d: %s", e.Code, e.Message)
 }
 
+// replies holds the buffers 2xx replies are read into.
+var replies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReply is the largest buffer handed back to the pool, and the
+// most a reply's Content-Length may reserve before a byte of it has
+// arrived. The replies that matter here are whole plans: the benchmark's
+// largest server.plan_bytes is intake_light's final 1.5 MB, so 4 MiB keeps
+// every plan the verified traffic produces in reused memory with room to
+// double, while one far larger reply is left to the collector instead of
+// pinning its size until the pool is next emptied.
+const maxPooledReply = 4 << 20
+
 // GetJSON GETs url and decodes a 2xx JSON body into out (which may be
 // nil to discard). Non-2xx replies become a *StatusError carrying the
 // body's "error" field when present.
 func GetJSON(ctx context.Context, opts Options, url string, out any) error {
 	return doJSON(ctx, opts, http.MethodGet, url, nil, out)
+}
+
+// GetBody GETs url and hands a 2xx reply's whole body to decode, for a
+// caller that takes the reply apart itself. The bytes belong to a pooled
+// buffer: decode must copy whatever it keeps past its return. Its error is
+// reported as a decode error naming the call; non-2xx replies are as for
+// GetJSON.
+func GetBody(ctx context.Context, opts Options, url string, decode func(body []byte) error) error {
+	return call(ctx, opts, http.MethodGet, url, nil, decode)
 }
 
 // PostJSON POSTs in (JSON-encoded; nil for an empty body) to url and
@@ -242,12 +274,21 @@ func PostJSON(ctx context.Context, opts Options, url string, in, out any) error 
 }
 
 func doJSON(ctx context.Context, opts Options, method, url string, body []byte, out any) error {
+	if out == nil {
+		return call(ctx, opts, method, url, body, nil)
+	}
+	return call(ctx, opts, method, url, body, func(reply []byte) error { return json.Unmarshal(reply, out) })
+}
+
+// call is the one exchange under the JSON helpers. A nil decode discards
+// the 2xx body unread.
+func call(ctx context.Context, opts Options, method, url string, body []byte, decode func([]byte) error) error {
 	resp, err := Do(ctx, opts, func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequest(method, url, rd)
+		req, err := http.NewRequestWithContext(ctx, method, url, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -270,11 +311,26 @@ func doJSON(ctx context.Context, opts Options, method, url string, body []byte, 
 		}
 		return &StatusError{Code: resp.StatusCode, Message: msg}
 	}
-	if out == nil {
+	if decode == nil {
 		drain(resp)
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	buf := replies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledReply {
+			buf.Reset()
+			replies.Put(buf)
+		}
+	}()
+	// A reply that says how long it is gets its room at once instead of by
+	// doubling; bytes.MinRead more lets ReadFrom meet EOF without growing.
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPooledReply)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("retryhttp: read %s %s reply: %w", method, url, err)
+	}
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("retryhttp: decode %s %s reply: %w", method, url, err)
 	}
 	return nil

@@ -101,7 +101,7 @@ type PlanResponse struct {
 // The body is json.Marshal(PlanResponse) plus a newline, byte for byte, put
 // together from the schedule's kept encoding and the few fields that move
 // between commits, so a read costs neither a walk over the schedule nor a
-// buffer of its size.
+// buffer of its size, and it goes out under its Content-Length.
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 	p := s.horizon.Plan()
 	rest, err := json.Marshal(struct {
@@ -119,13 +119,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	for _, part := range [...][]byte{[]byte(`{"schedule":`), sched, []byte(`,`), rest[1:], []byte("\n")} {
-		if _, err := w.Write(part); err != nil {
-			return // the client has gone
-		}
-	}
+	httpkit.WriteJSONParts(w, []byte(`{"schedule":`), sched, []byte(`,`), rest[1:], []byte("\n"))
 }
 
 // encodedPlan is a committed schedule and, once somebody has asked for it,

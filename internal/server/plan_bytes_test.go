@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -39,6 +40,9 @@ func planBody(t *testing.T, s *Server) []byte {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/plan", nil))
 	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("GET /v1/plan: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Fatalf("GET /v1/plan: Content-Length %q over a body of %s bytes", got, want)
 	}
 	return rec.Body.Bytes()
 }
