@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test vet check-shell check-solver check-bar bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
+.PHONY: all build test vet bench bench-json bench-smoke race soak chaos-soak chaos-bench cover fuzz figures results examples failover-demo sharded-demo load-demo bench-load clean
 
 all: build vet test
 
@@ -15,71 +15,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet check-shell check-solver check-bar
+# The layer boundary and the standing rules (one shell, one solver, one bar)
+# are layers_test.go, part of `go test ./...`.
+test: vet
 	$(GO) test ./...
-
-# One serving shell: the JSON reply helper, the JSON body decoder and the
-# signal/drain loop live once, in internal/httpkit, and the request deadline
-# is httpkit.Deadline — context.WithTimeout, inline, on the connection's
-# goroutine. Fails when a second non-test definition appears under internal/
-# or in the two serving commands, when anything there calls
-# http.TimeoutHandler (a goroutine, a buffered body and a copied header map
-# per request, and a 503 that disowns work still running) or declares a
-# Done() <-chan struct{} method (a hand-rolled context.Context: the one there
-# was existed to make a deadline cheap on routes that had no use for one), or
-# when the journal's third flush policy is named again (it weakened the ack
-# to amortise the fsync; group commit, ROADMAP item 4, is what may), so
-# neither the per-tier copies, the second goroutine, the custom context nor
-# the interval policy can grow back.
-check-shell:
-	@for rule in '1:func (\([^)]*\) )?[wW]riteJSON\(' '1:func (\([^)]*\) )?[dD]ecodeBody\(' '1:signal\.NotifyContext\(' '0:http\.TimeoutHandler\(' \
-		'0:func \([^)]*\) Done\(\) <-chan struct\{\}' '0:FsyncInterval|SyncEvery'; do \
-		max=$${rule%%:*}; pat=$${rule#*:}; \
-		hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' "$$pat" internal cmd/vspserve cmd/vspgateway); \
-		if [ $$(printf '%s\n' "$$hits" | grep -c .) -gt $$max ]; then \
-			echo "check-shell: more than $$max non-test use(s) of '$$pat' (the comment on check-shell in the Makefile says who owns it, or why it went):"; \
-			echo "$$hits"; exit 1; \
-		fi; \
-	done
-
-# One solver: the two-phase pipeline (phase-1 fan-out, integrate, SORP)
-# lives once, in internal/scheduler, and the rolling horizon's epoch close
-# is a call to it. Fails when non-test code outside the solver's own
-# packages, the experiments and bench/ calls a phase directly, or when
-# internal/horizon imports one again, so the second pipeline cannot grow
-# back.
-check-solver:
-	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'ivs\.ScheduleFile\(|sorp\.Resolve' *.go cmd examples internal \
-		| grep -vE '^internal/(scheduler|sorp|optimal|experiment)/'); \
-	if [ -n "$$hits" ]; then \
-		echo "check-solver: a phase is called outside internal/scheduler (scheduler.Solve owns the pipeline):"; \
-		echo "$$hits"; exit 1; \
-	fi; \
-	imps=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/horizon | grep -E '/internal/(ivs|sorp|occupancy|parallel)$$'); \
-	if [ -n "$$imps" ]; then \
-		echo "check-solver: internal/horizon imports a solver phase (it drives scheduler.Solve only):"; \
-		echo "$$imps"; exit 1; \
-	fi
-
-# One bar: what a horizon.Service may hold is decided by scheduler.Check and
-# nothing else — at the epoch commit, at Recover, at InstallSnapshot and at
-# promotion — and the audit bundle (simulator, billing) is an oracle for
-# tests, bench/ and operators. Fails when internal/horizon can reach the
-# bundle or one of its independent re-implementations again, or when non-test
-# code outside the facade and vspsim (and bench/) calls audit.Run, so a
-# second, higher bar cannot grow back into the serving path.
-check-bar:
-	@deps=$$($(GO) list -deps ./internal/horizon | grep -E '/internal/(audit|vodsim|billing|des|faults)$$'); \
-	if [ -n "$$deps" ]; then \
-		echo "check-bar: internal/horizon depends on the audit bundle (scheduler.Check is the only bar):"; \
-		echo "$$deps"; exit 1; \
-	fi; \
-	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'audit\.Run\(' *.go cmd examples internal \
-		| grep -vE '^(system\.go|cmd/vspsim/)'); \
-	if [ -n "$$hits" ]; then \
-		echo "check-bar: audit.Run is called outside system.go and cmd/vspsim (it is an oracle, not a gate):"; \
-		echo "$$hits"; exit 1; \
-	fi
 
 race:
 	$(GO) test -race ./...
@@ -210,16 +149,17 @@ sharded-demo:
 load-demo:
 	$(GO) run ./examples/load-demo
 
-# Closed-loop load measurement against an in-repo 2-shard gateway:
-# generate a structured trace with vspgen, replay it with vspload, and
-# record latency percentiles/shed rate as BENCH_load.json. Needs a
-# running target: `make bench-load TARGET=http://127.0.0.1:8080`.
+# Closed-loop load measurement: generate a structured trace with vspgen,
+# replay it with vspload, and merge latency percentiles/shed rate into
+# BENCH_load.json as the entry named "bench-load" (-name merges; without it
+# vspload overwrites the file, chaos-bench's pair included). Needs a running
+# target: `make bench-load TARGET=http://127.0.0.1:8080`.
 bench-load: build
 	$(BIN)/vspgen -kind topology -gen metro -storages 6 -users 4 > /tmp/vsp-load-topo.json
 	$(BIN)/vspgen -kind catalog -titles 50 > /tmp/vsp-load-catalog.json
 	$(BIN)/vspgen -kind trace -topo /tmp/vsp-load-topo.json -catalog /tmp/vsp-load-catalog.json \
 		-requests 20000 -diurnal 0.5 -flash 20h:3:0:0.7 -format jsonl -out /tmp/vsp-load-trace.jsonl
-	$(BIN)/vspload -target $(TARGET) -trace /tmp/vsp-load-trace.jsonl -c 16 -out BENCH_load.json
+	$(BIN)/vspload -target $(TARGET) -trace /tmp/vsp-load-trace.jsonl -c 16 -name bench-load -out BENCH_load.json
 
 clean:
 	rm -rf $(BIN) figures

@@ -27,8 +27,8 @@ import (
 )
 
 // benchBase is the reduced-scale configuration the figure benches sweep.
-func benchBase() experiment.Params {
-	return experiment.Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: 5}
+func benchBase() testutil.Params {
+	return testutil.Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: 5}
 }
 
 // BenchmarkFig5 regenerates Figure 5 (network charging rate sweep under
@@ -123,9 +123,9 @@ func reportGap(b *testing.B, fig *experiment.Figure) {
 
 // ---- pipeline stage microbenchmarks ----
 
-func buildRig(b *testing.B, p experiment.Params) *experiment.Rig {
+func buildRig(b *testing.B, p testutil.Params) *testutil.Rig {
 	b.Helper()
-	r, err := experiment.Build(p)
+	r, err := testutil.Build(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func BenchmarkRoutingTable(b *testing.B) {
 // BenchmarkOverflowDetection measures exact overflow-interval detection
 // over an integrated paper-scale schedule.
 func BenchmarkOverflowDetection(b *testing.B) {
-	p := experiment.Params{Seed: 1997}
+	p := testutil.Params{Seed: 1997}
 	r := buildRig(b, p)
 	raw, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{SkipResolution: true})
 	if err != nil {
@@ -257,7 +257,7 @@ func BenchmarkOverflowDetection(b *testing.B) {
 // BenchmarkSimulator measures event-driven execution of a paper-scale
 // schedule (190 streams plus cache machinery).
 func BenchmarkSimulator(b *testing.B) {
-	p := experiment.Params{Seed: 1997}
+	p := testutil.Params{Seed: 1997}
 	r := buildRig(b, p)
 	out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{})
 	if err != nil {
@@ -275,7 +275,7 @@ func BenchmarkSimulator(b *testing.B) {
 // BenchmarkPaperScaleRun measures one full paper-scale scheduling run
 // (19 storages, 190 users, 500 titles) end to end.
 func BenchmarkPaperScaleRun(b *testing.B) {
-	r := buildRig(b, experiment.Params{Seed: 1997})
+	r := buildRig(b, testutil.Params{Seed: 1997})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{})
@@ -332,7 +332,7 @@ func BenchmarkOnlineVsOffline(b *testing.B) {
 // optimum over a fixed family of small instances (paper §5.5 claims the
 // heuristic stays within ~30% of optimal on average).
 func BenchmarkOptimalityGap(b *testing.B) {
-	rig, err := testutil.NewPaperRig(6, 4, 8, 50*units.GB, testutil.PerGBHour(2), testutil.CentsPerMbit(0.1), 9)
+	rig, err := testutil.NewPaperRig(6, 4, 8, 50*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.1), 9)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func BenchmarkReplicationAblation(b *testing.B) {
 // storages × 20 users (1,000 reservations over 1,000 titles) through the
 // full two-phase pipeline, demonstrating headroom over the 1997 scale.
 func BenchmarkLargeScaleRun(b *testing.B) {
-	r := buildRig(b, experiment.Params{
+	r := buildRig(b, testutil.Params{
 		Storages:        50,
 		UsersPerStorage: 20,
 		Titles:          1000,

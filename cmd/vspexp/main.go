@@ -19,6 +19,7 @@ import (
 	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/plot"
 	"github.com/vodsim/vsp/internal/report"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 func main() {
@@ -40,12 +41,12 @@ func main() {
 }
 
 func run(w io.Writer, exp, format string, repeats, parallel int, scale string, seed int64, rpu int, outDir string) error {
-	var base experiment.Params
+	var base testutil.Params
 	switch scale {
 	case "paper":
-		base = experiment.Params{Seed: seed}
+		base = testutil.Params{Seed: seed}
 	case "small":
-		base = experiment.Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: seed}
+		base = testutil.Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: seed}
 	default:
 		return fmt.Errorf("unknown scale %q", scale)
 	}
@@ -53,7 +54,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 		base.RequestsPerUser = rpu
 	}
 
-	figures := map[string]func(experiment.Params, int, int) (*experiment.Figure, error){
+	figures := map[string]func(testutil.Params, int, int) (*experiment.Figure, error){
 		"fig5":         experiment.Fig5,
 		"fig6":         experiment.Fig6,
 		"fig7":         experiment.Fig7,
@@ -61,7 +62,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 		"fig9":         experiment.Fig9,
 		"fig-online":   experiment.FigOnline,
 		"fig-locality": experiment.FigLocality,
-		"fig-replication": func(b experiment.Params, r, p int) (*experiment.Figure, error) {
+		"fig-replication": func(b testutil.Params, r, p int) (*experiment.Figure, error) {
 			return experiment.FigReplication(b, 0.25, r, p)
 		},
 	}
@@ -121,7 +122,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 
 	emitGrid := func() error {
 		start := time.Now()
-		var ps []experiment.Params
+		var ps []testutil.Params
 		for _, sr := range experiment.SRateSweep {
 			for _, cap := range experiment.CapacitySweep {
 				for _, nr := range experiment.NRateSweep {

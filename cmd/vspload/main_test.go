@@ -8,10 +8,10 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -19,7 +19,7 @@ import (
 // in-process vspserve, and check the JSON result lands. This is the
 // CI short-mode equivalent of `make load-demo`.
 func TestSmokeAgainstServer(t *testing.T) {
-	rig, err := experiment.Build(experiment.Params{
+	rig, err := testutil.Build(testutil.Params{
 		Storages: 3, UsersPerStorage: 2, Titles: 8,
 		CapacityGB: 4, RequestsPerUser: 1, Seed: 9,
 	})

@@ -34,6 +34,7 @@ import (
 
 	vsp "github.com/vodsim/vsp"
 	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/loadgen"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -83,7 +84,7 @@ func main() {
 		pattern.Requests, premiere)
 
 	// Two in-memory shards behind an auto-advancing gateway.
-	var shards []vsp.GatewayShard
+	var shards []gateway.ShardConfig
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("s%d", i)
 		srv, err := server.NewWithOptions(model, server.Options{
@@ -96,11 +97,11 @@ func main() {
 		url, stop := serve(srv)
 		defer stop()
 		defer srv.Close()
-		shards = append(shards, vsp.GatewayShard{ID: id, Primary: url})
+		shards = append(shards, gateway.ShardConfig{ID: id, Primary: url})
 	}
-	gw, err := vsp.NewGateway(vsp.GatewayConfig{
+	gw, err := gateway.New(gateway.Config{
 		Shards:      shards,
-		Policy:      vsp.LocalityPlacement(),
+		Policy:      gateway.Locality(),
 		Topo:        topo,
 		AutoAdvance: true,
 		AdvanceLag:  2 * simtime.Hour,

@@ -113,13 +113,13 @@ func main() {
 	s2URL, stop2 := serve(s2)
 	defer stop2()
 
-	gw, err := vsp.NewGateway(vsp.GatewayConfig{
-		Shards: []vsp.GatewayShard{
+	gw, err := gateway.New(gateway.Config{
+		Shards: []gateway.ShardConfig{
 			{ID: "s0", Primary: s0URL},
 			{ID: "s1", Primary: s1URL, Standby: s1standbyURL},
 			{ID: "s2", Primary: s2URL},
 		},
-		Policy: vsp.LocalityPlacement(),
+		Policy: gateway.Locality(),
 		Topo:   topo,
 	})
 	if err != nil {

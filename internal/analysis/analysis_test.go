@@ -124,7 +124,7 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestWriteReport(t *testing.T) {
-	rig, err := testutil.NewPaperRig(6, 5, 15, 8*units.GB, testutil.PerGBHour(2), pricing.PerGB(400), 3)
+	rig, err := testutil.NewPaperRig(6, 5, 15, 8*units.GB, pricing.PerGBHour(2), pricing.PerGB(400), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // promotes on scheduler.Check alone (the first two checks here), because the
 // simulator and billing are independent re-implementations whose every
 // disagreement so far has been their own bug — worth a report, not a shard
-// that will not restart. `make check-bar` keeps it that way.
+// that will not restart. layers_test.go (the bar: rows) keeps it that way.
 package audit
 
 import (

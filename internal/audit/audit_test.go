@@ -12,7 +12,7 @@ import (
 )
 
 func TestAuditCleanSchedule(t *testing.T) {
-	rig, err := testutil.NewPaperRig(8, 7, 25, 5*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), 3)
+	rig, err := testutil.NewPaperRig(8, 7, 25, 5*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

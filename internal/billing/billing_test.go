@@ -59,7 +59,7 @@ func TestAttributeFig2(t *testing.T) {
 // non-negative.
 func TestAttributeSumsToPsiAtScale(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rig, err := testutil.NewPaperRig(9, 8, 30, 5*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed)
+		rig, err := testutil.NewPaperRig(9, 8, 30, 5*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

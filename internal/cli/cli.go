@@ -16,7 +16,6 @@ import (
 	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/topology"
-	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -112,8 +111,7 @@ func SaveJSON(path string, v any) error {
 // BuildModel wires a uniform-rate cost model over a topology and catalog.
 // Rates use the paper's quoted units: srate in $/(GB·hour), nrate in $/GB.
 func BuildModel(topo *topology.Topology, cat *media.Catalog, srateGBHour, nrateGB float64) *cost.Model {
-	srate := pricing.SRate(srateGBHour / (float64(units.GB) * 3600))
-	book := pricing.Uniform(topo, srate, pricing.PerGB(nrateGB))
+	book := pricing.Uniform(topo, pricing.PerGBHour(srateGBHour), pricing.PerGB(nrateGB))
 	table := routing.NewTable(book)
 	return cost.NewModel(book, table, cat)
 }

@@ -4,19 +4,9 @@
 // size (Fig. 9), and the heat-metric comparison across the full parameter
 // cross product (Table 5 and the §5.5 cost-increase statistics).
 //
-// Calibration notes (recorded per the reproduction rules):
-//
-//   - Table 4 quotes the storage charging rate as "3..8 (1Gbyte·sec)"; taken
-//     literally per GB·second a single cached hour would dwarf the network
-//     cost of the whole workload and no schedule would ever cache, which
-//     contradicts every figure. The figures are consistent with a per
-//     GB·HOUR rate (Fig. 7's sweep to 300 then saturating at the
-//     network-only cost pins this), so rates here are $/GB·hour.
-//   - The paper's Fig. 4 topology is unpublished; topology.Paper is a
-//     deterministic 20-node metro hierarchy at the same scale.
-//   - Each of the 190 users reserves one title per cycle over a 12-hour
-//     reservation window (the paper does not state the batch density; one
-//     request per user is the natural Video-On-Reservation reading).
+// Every configuration is a testutil.Params and every environment a
+// testutil.Build of it; the calibration notes live with them, in package
+// testutil.
 package experiment
 
 import (
@@ -24,125 +14,14 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/vodsim/vsp/internal/cost"
-	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/pricing"
-	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/scheduler"
-	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/sorp"
-	"github.com/vodsim/vsp/internal/topology"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/workload"
 )
-
-// Params is one experimental configuration. Zero fields take the paper's
-// §5.1 defaults.
-type Params struct {
-	Storages        int     // intermediate storages (default 19)
-	UsersPerStorage int     // users per neighborhood (default 10)
-	Titles          int     // catalog size (default 500)
-	CapacityGB      float64 // per-storage capacity in GB (default 5)
-	SRateGBHour     float64 // storage rate, $/(GB·hour) (default 5)
-	NRateGB         float64 // network rate, $/GB per hop (default 500)
-	Alpha           float64 // Zipf skew (default 0.271)
-	Locality        float64 // regional taste variation in [0,1] (default 0)
-	WindowHours     int     // reservation window (default 12)
-	RequestsPerUser int     // reservations per user (default 1)
-	Seed            int64   // master seed (default 1997)
-	Metric          sorp.HeatMetric
-	Policy          ivs.Policy
-}
-
-// WithDefaults fills zero fields with the paper's defaults.
-func (p Params) WithDefaults() Params {
-	if p.Storages == 0 {
-		p.Storages = 19
-	}
-	if p.UsersPerStorage == 0 {
-		p.UsersPerStorage = 10
-	}
-	if p.Titles == 0 {
-		p.Titles = 500
-	}
-	if p.CapacityGB == 0 {
-		p.CapacityGB = 5
-	}
-	if p.SRateGBHour == 0 {
-		p.SRateGBHour = 5
-	}
-	if p.NRateGB == 0 {
-		p.NRateGB = 500
-	}
-	if p.Alpha == 0 {
-		p.Alpha = 0.271
-	}
-	if p.WindowHours == 0 {
-		p.WindowHours = 12
-	}
-	if p.RequestsPerUser == 0 {
-		p.RequestsPerUser = 1
-	}
-	if p.Seed == 0 {
-		p.Seed = 1997
-	}
-	if p.Metric == 0 {
-		p.Metric = sorp.SpacePerCost
-	}
-	return p
-}
-
-// SRate converts the quoted per-GB·hour rate to the internal unit.
-func (p Params) SRate() pricing.SRate {
-	return pricing.SRate(p.SRateGBHour / (float64(units.GB) * 3600))
-}
-
-// NRate converts the quoted per-GB rate to the internal unit.
-func (p Params) NRate() pricing.NRate { return pricing.PerGB(p.NRateGB) }
-
-// Rig is a fully constructed experimental environment for one Params.
-type Rig struct {
-	Params   Params
-	Topo     *topology.Topology
-	Catalog  *media.Catalog
-	Book     *pricing.Book
-	Model    *cost.Model
-	Requests workload.Set
-}
-
-// Build constructs the rig: topology, catalog, rates, routing and the
-// request batch. Construction is deterministic in Params.
-func Build(p Params) (*Rig, error) {
-	p = p.WithDefaults()
-	topo := topology.Metro(topology.GenConfig{
-		Storages:        p.Storages,
-		UsersPerStorage: p.UsersPerStorage,
-		Capacity:        units.GBf(p.CapacityGB),
-	}, p.Seed)
-	cat, err := media.Generate(media.GenConfig{Titles: p.Titles, Seed: p.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	book := pricing.Uniform(topo, p.SRate(), p.NRate())
-	table := routing.NewTable(book)
-	model := cost.NewModel(book, table, cat)
-	reqs, err := workload.Generate(topo, cat, workload.Config{
-		Alpha:           p.Alpha,
-		Locality:        p.Locality,
-		Window:          simtime.Duration(p.WindowHours) * simtime.Hour,
-		RequestsPerUser: p.RequestsPerUser,
-		Seed:            p.Seed + 7919, // decouple workload stream from structural seed
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	return &Rig{Params: p, Topo: topo, Catalog: cat, Book: book, Model: model, Requests: reqs}, nil
-}
 
 // Result is the outcome of scheduling one configuration.
 type Result struct {
-	Params     Params
+	Params     testutil.Params
 	Phase1Cost units.Money
 	FinalCost  units.Money
 	DirectCost units.Money
@@ -169,30 +48,27 @@ func (r Result) SavingsPct() float64 {
 
 // RunOne builds and schedules one configuration, including the
 // network-only baseline.
-func RunOne(p Params) (Result, error) {
-	rig, err := Build(p)
+func RunOne(p testutil.Params) (Result, error) {
+	env, err := testutil.Build(p)
 	if err != nil {
 		return Result{}, err
 	}
-	out, err := scheduler.Run(rig.Model, rig.Requests, scheduler.Config{
-		Metric: rig.Params.Metric,
-		Policy: rig.Params.Policy,
-	})
+	out, err := scheduler.Run(env.Model, env.Requests, scheduler.Config{})
 	if err != nil {
 		return Result{}, fmt.Errorf("experiment: %v: %w", p, err)
 	}
-	direct, err := scheduler.RunDirect(rig.Model, rig.Requests)
+	direct, err := scheduler.RunDirect(env.Model, env.Requests)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Params:     rig.Params,
+		Params:     env.Params,
 		Phase1Cost: out.Phase1Cost,
 		FinalCost:  out.FinalCost,
 		DirectCost: direct.FinalCost,
 		Overflows:  out.Overflows,
 		Victims:    len(out.Victims),
-		Requests:   len(rig.Requests),
+		Requests:   len(env.Requests),
 	}, nil
 }
 
@@ -201,11 +77,11 @@ func RunOne(p Params) (Result, error) {
 // input order. The paper's curves are single draws of a 190-request
 // workload; averaging removes the sampling jitter so the reported shapes
 // are the distributional ones.
-func RunAveraged(ps []Params, repeats, parallelism int) ([]Result, error) {
+func RunAveraged(ps []testutil.Params, repeats, parallelism int) ([]Result, error) {
 	if repeats <= 1 {
 		return RunMany(ps, parallelism)
 	}
-	all := make([]Params, 0, len(ps)*repeats)
+	all := make([]testutil.Params, 0, len(ps)*repeats)
 	for r := 0; r < repeats; r++ {
 		for _, p := range ps {
 			q := p.WithDefaults()
@@ -243,7 +119,7 @@ func RunAveraged(ps []Params, repeats, parallelism int) ([]Result, error) {
 
 // RunMany schedules the configurations concurrently (bounded by
 // parallelism; <= 0 means GOMAXPROCS) and returns results in input order.
-func RunMany(ps []Params, parallelism int) ([]Result, error) {
+func RunMany(ps []testutil.Params, parallelism int) ([]Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -267,8 +143,4 @@ func RunMany(ps []Params, parallelism int) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-func (p Params) String() string {
-	return fmt.Sprintf("srate=%g/GBh nrate=%g/GB cap=%gGB alpha=%g", p.SRateGBHour, p.NRateGB, p.CapacityGB, p.Alpha)
 }

@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/sorp"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // small returns a scaled-down base configuration that keeps the test suite
 // fast while preserving the overflow-rich regime.
-func small() Params {
-	return Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: 5}
+func small() testutil.Params {
+	return testutil.Params{Storages: 9, UsersPerStorage: 6, Titles: 60, Seed: 5}
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.WithDefaults()
+	p := testutil.Params{}.WithDefaults()
 	if p.Storages != 19 || p.UsersPerStorage != 10 || p.Titles != 500 {
 		t.Errorf("scale defaults: %+v", p)
 	}
@@ -23,16 +24,13 @@ func TestParamsDefaults(t *testing.T) {
 	if p.Alpha != 0.271 || p.WindowHours != 12 || p.RequestsPerUser != 1 {
 		t.Errorf("workload defaults: %+v", p)
 	}
-	if p.Metric != sorp.SpacePerCost {
-		t.Errorf("metric default: %v", p.Metric)
-	}
 	if p.String() == "" {
 		t.Error("String empty")
 	}
 }
 
 func TestRateConversions(t *testing.T) {
-	p := Params{SRateGBHour: 3600e9, NRateGB: 1e9}.WithDefaults()
+	p := testutil.Params{SRateGBHour: 3600e9, NRateGB: 1e9}.WithDefaults()
 	if got := float64(p.SRate()); got != 1 {
 		t.Errorf("SRate = %g, want 1 $/byte·s", got)
 	}
@@ -42,11 +40,11 @@ func TestRateConversions(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, err := Build(small())
+	a, err := testutil.Build(small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(small())
+	b, err := testutil.Build(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,7 @@ func TestRunOne(t *testing.T) {
 }
 
 func TestRunManyMatchesRunOne(t *testing.T) {
-	ps := []Params{small(), func() Params { p := small(); p.Alpha = 0.7; return p }()}
+	ps := []testutil.Params{small(), func() testutil.Params { p := small(); p.Alpha = 0.7; return p }()}
 	many, err := RunMany(ps, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +98,7 @@ func TestRunManyMatchesRunOne(t *testing.T) {
 }
 
 func TestRunAveraged(t *testing.T) {
-	ps := []Params{small()}
+	ps := []testutil.Params{small()}
 	avg, err := RunAveraged(ps, 3, 0)
 	if err != nil {
 		t.Fatal(err)

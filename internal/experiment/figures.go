@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // Figure is a regenerated paper figure: named series over a swept x axis.
@@ -28,7 +29,7 @@ var (
 // Fig5 regenerates Figure 5: total service cost vs network charging rate,
 // one curve per storage charging rate, plus the system without
 // intermediate storage. (α = 0.271, storage size 5 GB.)
-func Fig5(base Params, repeats, parallelism int) (*Figure, error) {
+func Fig5(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig5",
@@ -37,7 +38,7 @@ func Fig5(base Params, repeats, parallelism int) (*Figure, error) {
 		YLabel: "total service cost ($)",
 	}
 	srates := []float64{3, 5, 7}
-	var ps []Params
+	var ps []testutil.Params
 	for _, sr := range srates {
 		for _, nr := range NRateSweep {
 			p := base
@@ -69,7 +70,7 @@ func Fig5(base Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig6 regenerates Figure 6: total service cost vs network charging rate
 // under different access patterns (Zipf α), fixed storage rate and size.
-func Fig6(base Params, repeats, parallelism int) (*Figure, error) {
+func Fig6(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig6",
@@ -77,7 +78,7 @@ func Fig6(base Params, repeats, parallelism int) (*Figure, error) {
 		XLabel: "network charging rate ($/GB)",
 		YLabel: "total service cost ($)",
 	}
-	var ps []Params
+	var ps []testutil.Params
 	for _, a := range AlphaSweep {
 		for _, nr := range NRateSweep {
 			p := base
@@ -103,7 +104,7 @@ func Fig6(base Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig7 regenerates Figure 7: total service cost vs storage charging rate,
 // against the network-only system (α = 0.271, 5 GB storages, nrate 300).
-func Fig7(base Params, repeats, parallelism int) (*Figure, error) {
+func Fig7(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	base.NRateGB = 300
 	fig := &Figure{
@@ -112,7 +113,7 @@ func Fig7(base Params, repeats, parallelism int) (*Figure, error) {
 		XLabel: "storage charging rate ($/GB·h)",
 		YLabel: "total service cost ($)",
 	}
-	var ps []Params
+	var ps []testutil.Params
 	for _, sr := range SRateWide {
 		p := base
 		p.SRateGBHour = sr
@@ -137,7 +138,7 @@ func Fig7(base Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig8 regenerates Figure 8: total service cost vs storage charging rate
 // under different network charging rates.
-func Fig8(base Params, repeats, parallelism int) (*Figure, error) {
+func Fig8(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig8",
@@ -146,7 +147,7 @@ func Fig8(base Params, repeats, parallelism int) (*Figure, error) {
 		YLabel: "total service cost ($)",
 	}
 	nrates := []float64{300, 500, 700, 900}
-	var ps []Params
+	var ps []testutil.Params
 	for _, nr := range nrates {
 		for _, sr := range SRateWide {
 			p := base
@@ -176,7 +177,7 @@ func Fig8(base Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig9 regenerates Figure 9: total service cost vs access pattern skew for
 // several intermediate storage sizes.
-func Fig9(base Params, repeats, parallelism int) (*Figure, error) {
+func Fig9(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	base.NRateGB = 300
 	fig := &Figure{
@@ -186,7 +187,7 @@ func Fig9(base Params, repeats, parallelism int) (*Figure, error) {
 		YLabel: "total service cost ($)",
 	}
 	caps := []float64{5, 8, 11}
-	var ps []Params
+	var ps []testutil.Params
 	for _, c := range caps {
 		for _, a := range AlphaWide {
 			p := base

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // LocalitySweep holds the x values for FigLocality.
@@ -15,7 +16,7 @@ var LocalitySweep = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 // Shared rankings let one cached copy at a hub serve several neighborhoods;
 // decorrelated tastes fragment that sharing, so total cost rises with
 // locality while the no-cache baseline stays flat.
-func FigLocality(base Params, repeats, parallelism int) (*Figure, error) {
+func FigLocality(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig-locality",
@@ -23,7 +24,7 @@ func FigLocality(base Params, repeats, parallelism int) (*Figure, error) {
 		XLabel: "locality (0 = shared ranking, 1 = independent per neighborhood)",
 		YLabel: "total service cost ($)",
 	}
-	var ps []Params
+	var ps []testutil.Params
 	for _, loc := range LocalitySweep {
 		p := base
 		p.Locality = loc

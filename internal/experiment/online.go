@@ -8,6 +8,7 @@ import (
 	"github.com/vodsim/vsp/internal/online"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // FigOnline is an extension beyond the paper's own figures: it quantifies
@@ -16,7 +17,7 @@ import (
 // online system (nearest-copy service with LRU caches) and the no-cache
 // direct baseline. The paper motivates VOR with this comparison in prose
 // (§1); this sweep puts numbers on it.
-func FigOnline(base Params, repeats, parallelism int) (*Figure, error) {
+func FigOnline(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -45,22 +46,22 @@ func FigOnline(base Params, repeats, parallelism int) (*Figure, error) {
 				p := base
 				p.Alpha = alpha
 				p.Seed = base.Seed + int64(r)*104729
-				rig, err := Build(p)
+				env, err := testutil.Build(p)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				off, err := scheduler.Run(rig.Model, rig.Requests, scheduler.Config{})
+				off, err := scheduler.Run(env.Model, env.Requests, scheduler.Config{})
 				if err != nil {
 					errs[i] = fmt.Errorf("experiment: online sweep offline leg: %w", err)
 					return
 				}
-				on, err := online.Run(rig.Model, rig.Requests)
+				on, err := online.Run(env.Model, env.Requests)
 				if err != nil {
 					errs[i] = fmt.Errorf("experiment: online sweep online leg: %w", err)
 					return
 				}
-				direct, err := scheduler.RunDirect(rig.Model, rig.Requests)
+				direct, err := scheduler.RunDirect(env.Model, env.Requests)
 				if err != nil {
 					errs[i] = err
 					return

@@ -9,6 +9,7 @@ import (
 	"github.com/vodsim/vsp/internal/placement"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // FigReplication is an extension sweep comparing caching architectures
@@ -25,7 +26,7 @@ import (
 // and combining them adds the standing copies' committed cost without
 // recovering it. PreloadFactor sets the off-peak bulk tariff for the
 // static legs.
-func FigReplication(base Params, preloadFactor float64, repeats, parallelism int) (*Figure, error) {
+func FigReplication(base testutil.Params, preloadFactor float64, repeats, parallelism int) (*Figure, error) {
 	base = base.WithDefaults()
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -55,16 +56,16 @@ func FigReplication(base Params, preloadFactor float64, repeats, parallelism int
 				p := base
 				p.Alpha = alpha
 				p.Seed = base.Seed + int64(rpt)*104729
-				rig, err := Build(p)
+				env, err := testutil.Build(p)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				if err := rig.Book.SetPreloadFactor(preloadFactor); err != nil {
+				if err := env.Book.SetPreloadFactor(preloadFactor); err != nil {
 					errs[i] = err
 					return
 				}
-				plan, err := placement.Build(rig.Model, placement.Config{
+				plan, err := placement.Build(env.Model, placement.Config{
 					Alpha:           alpha,
 					RequestsPerUser: p.RequestsPerUser,
 					// At the paper's 5 GB storages the default 50% budget
@@ -89,7 +90,7 @@ func FigReplication(base Params, preloadFactor float64, repeats, parallelism int
 					{&pts[i].both, scheduler.Config{Seeds: seeds}},
 				}
 				for _, rn := range runs {
-					out, err := scheduler.Run(rig.Model, rig.Requests, rn.cfg)
+					out, err := scheduler.Run(env.Model, env.Requests, rn.cfg)
 					if err != nil {
 						errs[i] = fmt.Errorf("experiment: replication leg: %w", err)
 						return

@@ -9,13 +9,14 @@ import (
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // Table5Config parameterizes the heat-metric study of Experiment 4: the
 // full cross product of the Table 4 parameter values. Empty slices take
 // the paper's values.
 type Table5Config struct {
-	Base        Params
+	Base        testutil.Params
 	SRates      []float64 // default {3..8} $/GB·h
 	Capacities  []float64 // default {5, 8, 11, 14} GB
 	NRates      []float64 // default {300..1000} $/GB
@@ -25,7 +26,7 @@ type Table5Config struct {
 
 // CaseResult is the outcome of one configuration under all four metrics.
 type CaseResult struct {
-	Params     Params
+	Params     testutil.Params
 	Phase1Cost float64
 	Overflows  int
 	// FinalCost[m] is Ψ(S_SORP) under metric m (indices 1..4 used).
@@ -94,7 +95,7 @@ var allMetrics = []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, 
 // integrated schedule.
 func RunTable5(cfg Table5Config) (*Table5Result, error) {
 	cfg = cfg.withDefaults()
-	var ps []Params
+	var ps []testutil.Params
 	for _, sr := range cfg.SRates {
 		for _, cap := range cfg.Capacities {
 			for _, nr := range cfg.NRates {
@@ -164,15 +165,12 @@ func RunTable5(cfg Table5Config) (*Table5Result, error) {
 	return res, nil
 }
 
-func runCase(p Params) (CaseResult, error) {
-	rig, err := Build(p)
+func runCase(p testutil.Params) (CaseResult, error) {
+	env, err := testutil.Build(p)
 	if err != nil {
 		return CaseResult{}, err
 	}
-	raw, err := scheduler.Run(rig.Model, rig.Requests, scheduler.Config{
-		Policy:         p.Policy,
-		SkipResolution: true,
-	})
+	raw, err := scheduler.Run(env.Model, env.Requests, scheduler.Config{SkipResolution: true})
 	if err != nil {
 		return CaseResult{}, fmt.Errorf("experiment: table5 %v: %w", p, err)
 	}
@@ -188,9 +186,9 @@ func runCase(p Params) (CaseResult, error) {
 		}
 		return out, nil
 	}
-	parts := rig.Requests.ByVideo()
+	parts := env.Requests.ByVideo()
 	for _, m := range allMetrics {
-		r, err := sorp.Resolve(rig.Model, raw.Schedule, parts, sorp.Options{Metric: m, Policy: p.Policy})
+		r, err := sorp.Resolve(env.Model, raw.Schedule, parts, sorp.Options{Metric: m})
 		if err != nil {
 			return CaseResult{}, fmt.Errorf("experiment: table5 %v metric %v: %w", p, m, err)
 		}

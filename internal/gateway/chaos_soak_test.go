@@ -17,13 +17,13 @@ import (
 
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/chaos"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/loadgen"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -86,7 +86,6 @@ func soak(t *testing.T, seed int64) {
 			MaxAttempts: 2,
 			BaseDelay:   2 * time.Millisecond,
 			MaxDelay:    10 * time.Millisecond,
-			MaxElapsed:  800 * time.Millisecond,
 		},
 		ShardTimeout: time.Second,
 		Breaker: gateway.BreakerConfig{
@@ -303,7 +302,7 @@ func soak(t *testing.T, seed int64) {
 // soakTrace generates the seed's trace: a diurnal pattern deduplicated
 // by (user, video, start) — the exactly-once accounting needs distinct
 // keys — and sorted chronologically so the low-watermark advance works.
-func soakTrace(t *testing.T, rig *experiment.Rig, seed int64, n int) workload.Set {
+func soakTrace(t *testing.T, rig *testutil.Rig, seed int64, n int) workload.Set {
 	t.Helper()
 	set, err := workload.GeneratePattern(rig.Topo, rig.Catalog, workload.Pattern{
 		Base:     workload.Config{Seed: seed},
@@ -379,7 +378,7 @@ func TestGrayFailureBreakerBenefit(t *testing.T) {
 
 // grayRun stands up a fresh 3-shard gateway whose middle shard is 2s
 // slow on the upstream link and replays the pattern through loadgen.
-func grayRun(t *testing.T, rig *experiment.Rig, pattern workload.Pattern, hardened bool) *loadgen.Result {
+func grayRun(t *testing.T, rig *testutil.Rig, pattern workload.Pattern, hardened bool) *loadgen.Result {
 	t.Helper()
 	var shards []gateway.ShardConfig
 	var hosts []string

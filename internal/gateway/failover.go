@@ -42,7 +42,7 @@ func (g *Gateway) forward(ctx context.Context, sh *shard, call func(base string)
 func failoverWorthy(err error) bool {
 	var se *retryhttp.StatusError
 	if errors.As(err, &se) {
-		return se.Code == http.StatusConflict && strings.Contains(se.Message, "stale leadership")
+		return se.Code == http.StatusConflict && strings.Contains(se.Message, replica.ErrStaleLeadership.Error())
 	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }

@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -28,8 +28,8 @@ import (
 // never failed. The hash placement makes routing deterministic, so the
 // interrupted and uninterrupted runs shard the stream identically.
 
-func failoverParams() experiment.Params {
-	return experiment.Params{
+func failoverParams() testutil.Params {
+	return testutil.Params{
 		Storages:        4,
 		UsersPerStorage: 3,
 		Titles:          10,
@@ -49,7 +49,7 @@ type op struct {
 
 // buildOps scripts the seeded workload: submissions in chronological
 // order with a broadcast Advance closing each epoch.
-func buildOps(r *experiment.Rig, epochs int) []op {
+func buildOps(r *testutil.Rig, epochs int) []op {
 	reqs := append(workload.Set(nil), r.Requests...)
 	workload.SortChronological(reqs)
 	window := simtime.Duration(r.Params.WindowHours) * simtime.Hour
@@ -121,7 +121,7 @@ func (n *node) kill() {
 	})
 }
 
-func startNode(t *testing.T, r *experiment.Rig, opts server.Options) *node {
+func startNode(t *testing.T, r *testutil.Rig, opts server.Options) *node {
 	t.Helper()
 	srv, err := server.NewWithOptions(r.Model, opts)
 	if err != nil {
@@ -137,7 +137,7 @@ func startNode(t *testing.T, r *experiment.Rig, opts server.Options) *node {
 // uninterrupted in-memory shards. The committed schedule is
 // byte-identical between in-memory and durable services, so this is the
 // plan every failover run must reproduce.
-func referencePlan(t *testing.T, r *experiment.Rig, ops []op) string {
+func referencePlan(t *testing.T, r *testutil.Rig, ops []op) string {
 	t.Helper()
 	var shards []gateway.ShardConfig
 	for i := 0; i < 3; i++ {
@@ -182,7 +182,7 @@ func waitCaughtUp(t *testing.T, primary, standby string) {
 	}
 }
 
-func runGatewayFailover(t *testing.T, r *experiment.Rig, ops []op, boundary int, want string) {
+func runGatewayFailover(t *testing.T, r *testutil.Rig, ops []op, boundary int, want string) {
 	t.Helper()
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
 	var shards []gateway.ShardConfig
@@ -247,7 +247,7 @@ func runGatewayFailover(t *testing.T, r *experiment.Rig, ops []op, boundary int,
 // standby itself and the merged committed plan is byte-identical to the
 // uninterrupted run.
 func TestGatewayFailoverAtRecordBoundaries(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,10 @@ type Config struct {
 	// instance must be exclusive to this gateway.
 	Policy Placement
 	// Topo enables region-aware placement: users are mapped onto
-	// len(Shards) contiguous regions of the metro ring (UserRegions) and
-	// the region reaches the policy via RouteInfo.Region. Optional;
-	// without it Locality degrades to the video hash.
+	// len(Shards) contiguous regions of the metro ring
+	// (topology.UserRegions) and the region reaches the policy via
+	// RouteInfo.Region. Optional; without it Locality degrades to the
+	// video hash.
 	Topo *topology.Topology
 	// PollInterval is the period of the background /v1/stats poll that
 	// feeds the polled View fields (0 disables the background poller;
@@ -217,7 +218,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.shards = append(g.shards, sh)
 	}
 	if cfg.Topo != nil {
-		g.regions = UserRegions(cfg.Topo, len(g.shards))
+		g.regions = topology.UserRegions(cfg.Topo, len(g.shards))
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", g.handleHealth)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/media"
@@ -21,6 +20,7 @@ import (
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/wal"
@@ -31,9 +31,9 @@ import (
 // milliseconds instead of the production backoff schedule.
 var fastRetry = retryhttp.Options{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
-func testRig(t *testing.T) *experiment.Rig {
+func testRig(t *testing.T) *testutil.Rig {
 	t.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 2, Titles: 8,
 		CapacityGB: 2, RequestsPerUser: 2, Seed: 5,
 	})
@@ -45,7 +45,7 @@ func testRig(t *testing.T) *experiment.Rig {
 
 // startShard binds a fresh server to a loopback port, registering
 // cleanup. The caller gets the handles it needs to kill the node early.
-func startShard(t testing.TB, r *experiment.Rig, opts server.Options) (string, *server.Server, *httptest.Server) {
+func startShard(t testing.TB, r *testutil.Rig, opts server.Options) (string, *server.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := server.NewWithOptions(r.Model, opts)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestLocalityRouting(t *testing.T) {
 	_, base := startGateway(t, gateway.Config{
 		Shards: shards, Policy: gateway.Locality(), Topo: r.Topo, Retry: fastRetry,
 	})
-	regions := gateway.UserRegions(r.Topo, 3)
+	regions := topology.UserRegions(r.Topo, 3)
 	for u := 0; u < r.Topo.NumUsers(); u++ {
 		ack := submit(t, base, workload.Request{User: topology.UserID(u), Video: 0, Start: simtime.Time(0).Add(simtime.Duration(u) * simtime.Hour)})
 		if want := fmt.Sprintf("s%d", regions[u]); ack.Shard != want {
@@ -217,7 +217,7 @@ func TestParsePlacement(t *testing.T) {
 
 func TestUserRegionsContiguousBalanced(t *testing.T) {
 	topo := topology.Metro(topology.GenConfig{Storages: 7, UsersPerStorage: 3, Capacity: units.GBf(2)}, 3)
-	regions := gateway.UserRegions(topo, 3)
+	regions := topology.UserRegions(topo, 3)
 	if len(regions) != topo.NumUsers() {
 		t.Fatalf("got %d regions for %d users", len(regions), topo.NumUsers())
 	}
@@ -434,7 +434,7 @@ func TestDeadPrimaryWithoutStandby(t *testing.T) {
 // the shards did resolve overflows and reuse evaluations, or the sums would
 // be of zeros.
 func TestAdvanceAndStatsSumResolution(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 4, UsersPerStorage: 6, Titles: 6,
 		CapacityGB: 3, RequestsPerUser: 4, Seed: 5,
 	})
@@ -482,7 +482,7 @@ func TestAdvanceAndStatsSumResolution(t *testing.T) {
 // list must cross both tiers intact — shard encode, gateway decode, gateway
 // encode, client decode — and equal what the same epoch yields in process.
 func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 4, UsersPerStorage: 3, Titles: 10,
 		CapacityGB: 4, RequestsPerUser: 1, Seed: 5,
 	})

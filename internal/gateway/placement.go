@@ -44,7 +44,8 @@ type RouteInfo struct {
 	Video media.VideoID
 	Start simtime.Time
 	// Region is the requesting neighborhood's region index (see
-	// UserRegions), or -1 when the gateway has no topology to derive it.
+	// topology.UserRegions), or -1 when the gateway has no topology to
+	// derive it.
 	Region int
 }
 
@@ -157,20 +158,4 @@ func ParsePlacement(name string) (Placement, error) {
 		return Hash(), nil
 	}
 	return nil, fmt.Errorf("gateway: unknown placement policy %q (want round-robin | least-loaded | locality | hash)", name)
-}
-
-// UserRegions partitions the topology's neighborhoods into n contiguous
-// regions of near-equal size — storages ordered by node ID, so adjacent
-// neighborhoods share a region — and returns each user's region index.
-func UserRegions(topo *topology.Topology, n int) []int {
-	storages := topo.Storages()
-	region := make(map[topology.NodeID]int, len(storages))
-	for i, s := range storages {
-		region[s] = i * n / len(storages)
-	}
-	out := make([]int, topo.NumUsers())
-	for i := range out {
-		out[i] = region[topo.User(topology.UserID(i)).Local]
-	}
-	return out
 }

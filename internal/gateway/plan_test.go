@@ -16,13 +16,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -35,7 +35,7 @@ import (
 
 // planTier is a round-robin gateway over three in-memory shards.
 type planTier struct {
-	rig  *experiment.Rig
+	rig  *testutil.Rig
 	reqs workload.Set // chronological
 	gw   *gateway.Gateway
 	base string
@@ -50,7 +50,7 @@ const tightGB = 2
 
 func newPlanTier(t testing.TB, requestsPerUser int, capacityGB float64) *planTier {
 	t.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
 		CapacityGB: capacityGB, RequestsPerUser: requestsPerUser, Seed: 1,
 	})

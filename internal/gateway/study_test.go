@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
+	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -34,7 +35,7 @@ import (
 // request stacked onto (advance + in-flight submit) is shed with 429.
 const studyShards = 3
 
-func studyRig(t *testing.T) *experiment.Rig {
+func studyRig(t *testing.T) *testutil.Rig {
 	t.Helper()
 	// Sized so an epoch close is real work: a deep request stream makes
 	// each advance hold an admission slot for a measurable scheduler run,
@@ -42,7 +43,7 @@ func studyRig(t *testing.T) *experiment.Rig {
 	// Locality 0.8 gives the regionally skewed demand the study needs:
 	// each neighborhood's Zipf ranking is permuted per storage, so every
 	// region hammers its own hot slice of the catalog.
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 30,
 		CapacityGB: 6, RequestsPerUser: 40, Seed: 11, Locality: 0.8,
 	})
@@ -70,7 +71,7 @@ func TestPlacementPolicyStudy(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	rig := studyRig(t)
-	regions := gateway.UserRegions(rig.Topo, studyShards)
+	regions := topology.UserRegions(rig.Topo, studyShards)
 
 	reqs := append(workload.Set(nil), rig.Requests...)
 	lo, hi := reqs.Window()
@@ -133,7 +134,7 @@ func TestPlacementPolicyStudy(t *testing.T) {
 
 // runPolicy drives the skewed workload through a fresh 3-shard tier
 // under one placement policy and returns the gateway's final view.
-func runPolicy(t *testing.T, rig *experiment.Rig, policyName string, byWave [][][]workload.Request, width simtime.Duration, end simtime.Time) policyRun {
+func runPolicy(t *testing.T, rig *testutil.Rig, policyName string, byWave [][][]workload.Request, width simtime.Duration, end simtime.Time) policyRun {
 	t.Helper()
 	var shards []gateway.ShardConfig
 	for i := 0; i < studyShards; i++ {

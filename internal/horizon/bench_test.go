@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -17,9 +17,9 @@ const benchEpochs = 10
 
 // benchRig is the 500-request workload the acceptance criterion names:
 // 10 storages × 5 users × 10 reservations each, replayed over 10 epochs.
-func benchRig(b *testing.B) *experiment.Rig {
+func benchRig(b *testing.B) *testutil.Rig {
 	b.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages:        10,
 		UsersPerStorage: 5,
 		RequestsPerUser: 10,
@@ -105,7 +105,7 @@ func BenchmarkFullResolve(b *testing.B) {
 // the commit predicate's two halves, the snapshot. BenchmarkHorizonAdvance
 // above has at most 500 requests of history and sees none of that.
 func BenchmarkHorizonAdvanceHistory(b *testing.B) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 50, CapacityGB: 1000,
 		WindowHours: 24, RequestsPerUser: 838, Seed: 1,
 	})

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/audit"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/scheduler"
@@ -27,7 +26,7 @@ import (
 // goodSnapshot runs the scripted workload on a primary that compacts every
 // epoch, stops with the second epoch's intake still pending, and returns the
 // snapshot the primary would ship to a fresh follower.
-func goodSnapshot(t testing.TB, r *experiment.Rig) []byte {
+func goodSnapshot(t testing.TB, r *testutil.Rig) []byte {
 	t.Helper()
 	primary, err := horizon.Recover(t.TempDir(), r.Model, horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever})
 	if err != nil {
@@ -161,7 +160,7 @@ func TestRecoverRefusesInconsistentSnapshot(t *testing.T) {
 // never a panic, and a state it admits must be a fixed point — re-encoded it
 // is admitted again and encodes to the same bytes.
 func FuzzSnapshotDoor(f *testing.F) {
-	r, err := experiment.Build(durableParams())
+	r, err := testutil.Build(durableParams())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func copyDataDir(t *testing.T, from string) string {
 // byte-identical plan, a fresh follower fed from sequence 0 (by snapshot once
 // the journal has been compacted, by records before) converges to it, and
 // the audit bundle — no longer consulted by either — has nothing to report.
-func assertReloadable(t *testing.T, svc *horizon.Service, dir string, r *experiment.Rig, cfg horizon.Config) {
+func assertReloadable(t *testing.T, svc *horizon.Service, dir string, r *testutil.Rig, cfg horizon.Config) {
 	t.Helper()
 	want := fingerprint(t, svc)
 
@@ -256,7 +255,7 @@ func TestCommitAcceptsImpliesRecoveryAccepts(t *testing.T) {
 		for _, snapEvery := range []int{1, 3, -1} {
 			t.Run(fmt.Sprintf("seed=%d/snapshotEvery=%d", seed, snapEvery), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := rig(t, experiment.Params{
+				r := rig(t, testutil.Params{
 					Storages:        4 + rng.Intn(3),
 					UsersPerStorage: 3 + rng.Intn(2),
 					Titles:          10 + rng.Intn(6),
@@ -314,7 +313,7 @@ func TestCommitAcceptsImpliesRecoveryAccepts(t *testing.T) {
 // (vodsim's TestExecuteResidueScalesWithThroughput, seed 4).
 func TestRecoverAcceptsTheBatchSchedule(t *testing.T) {
 	const seed = 4
-	pr, err := testutil.NewPaperRig(5, 40, 40, 1000*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), seed)
+	pr, err := testutil.NewPaperRig(5, 40, 40, 1000*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

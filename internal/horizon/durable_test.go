@@ -8,17 +8,17 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
 // durableParams is deliberately tiny: the crash property test below
 // recovers and replays the full workload once per journal record.
-func durableParams() experiment.Params {
-	return experiment.Params{
+func durableParams() testutil.Params {
+	return testutil.Params{
 		Storages:        4,
 		UsersPerStorage: 3,
 		Titles:          10,
@@ -51,7 +51,7 @@ func applyOp(t testing.TB, svc *horizon.Service, op walTestOp) {
 
 // script builds the seeded workload: submissions in chronological order,
 // with an Advance closing each of the epochs.
-func script(r *experiment.Rig, epochs int) []walTestOp {
+func script(r *testutil.Rig, epochs int) []walTestOp {
 	reqs := append(workload.Set(nil), r.Requests...)
 	workload.SortChronological(reqs)
 	window := simtime.Duration(r.Params.WindowHours) * simtime.Hour
@@ -394,7 +394,7 @@ func TestRecoverAfterOverflowResolvingEpochs(t *testing.T) {
 }
 
 func recoverAfterOverflowResolvingEpochs(t *testing.T, snapEvery int) {
-	r := rig(t, experiment.Params{
+	r := rig(t, testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
 		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
 	})

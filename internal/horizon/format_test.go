@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -49,7 +49,7 @@ func TestRecoverParentFormatFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := rig(t, experiment.Params{
+	r := rig(t, testutil.Params{
 		Storages: 4, UsersPerStorage: 3, Titles: 10, CapacityGB: 2, RequestsPerUser: 3, Seed: 7,
 	})
 	svc, err := horizon.Recover(dir, r.Model, horizon.Config{SnapshotEvery: 2, Fsync: wal.FsyncNever})

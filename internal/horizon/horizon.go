@@ -303,17 +303,11 @@ func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error)
 }
 
 // known reports whether a reservation names a video of the catalog and a user
-// of the topology: the part of intake screening that depends on the model
-// alone, applied to a live submission and to every reservation of a decoded
-// snapshot.
+// of the topology, at a non-negative start: the part of intake screening that
+// depends on the model alone, applied to a live submission and to every
+// reservation of a decoded snapshot.
 func (s *Service) known(r workload.Request) error {
-	if int(r.Video) < 0 || int(r.Video) >= s.m.Catalog().Len() {
-		return fmt.Errorf("unknown video %d", r.Video)
-	}
-	if int(r.User) < 0 || int(r.User) >= s.m.Book().Topology().NumUsers() {
-		return fmt.Errorf("unknown user %d", r.User)
-	}
-	return nil
+	return r.Validate(s.m.Book().Topology(), s.m.Catalog())
 }
 
 // Advance closes the current epoch: it moves the commit horizon to the

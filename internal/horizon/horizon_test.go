@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
@@ -17,12 +16,13 @@ import (
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
-func rig(t *testing.T, p experiment.Params) *experiment.Rig {
+func rig(t *testing.T, p testutil.Params) *testutil.Rig {
 	t.Helper()
-	r, err := experiment.Build(p)
+	r, err := testutil.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func rig(t *testing.T, p experiment.Params) *experiment.Rig {
 
 // smallParams is tight enough to force SORP activity, so the property tests
 // exercise the resolution path, not only the greedy.
-func smallParams() experiment.Params {
-	return experiment.Params{
+func smallParams() testutil.Params {
+	return testutil.Params{
 		Storages:        6,
 		UsersPerStorage: 5,
 		Titles:          25,

@@ -14,18 +14,18 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
 // sharingRig overflows its 2 GB storages, so its epochs run SORP as well as
 // phase 1, and its 120 reservations close 24 epochs of five.
-func sharingRig(t *testing.T) (*experiment.Rig, workload.Set) {
+func sharingRig(t *testing.T) (*testutil.Rig, workload.Set) {
 	t.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
 		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
 	})

@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -17,7 +17,7 @@ import (
 // Marshal → Unmarshal; a field added later that fails this would silently
 // vanish from every snapshot.
 func TestStateSurvivesItsEncoding(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 4, UsersPerStorage: 3, Titles: 10, CapacityGB: 2, RequestsPerUser: 2, Seed: 7,
 	})
 	if err != nil {

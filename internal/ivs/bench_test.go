@@ -31,7 +31,7 @@ func chainRig(b *testing.B, storages int) (*cost.Model, workload.Set) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(1), testutil.CentsPerMbit(0.1))
+	book := pricing.Uniform(topo, pricing.PerGBHour(1), testutil.CentsPerMbit(0.1))
 	model := cost.NewModel(book, routing.NewTable(book), cat)
 	return model, nil
 }

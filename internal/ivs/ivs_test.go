@@ -100,7 +100,7 @@ func TestDirectBaselineMatchesPaperS1(t *testing.T) {
 }
 
 func TestGreedyNeverWorseThanDirect(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 5, 40, 10*units.GB, testutil.PerGBHour(1), testutil.CentsPerMbit(0.2), 3)
+	rig, err := testutil.NewPaperRig(9, 5, 40, 10*units.GB, pricing.PerGBHour(1), testutil.CentsPerMbit(0.2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGreedyNeverWorseThanDirect(t *testing.T) {
 }
 
 func TestGreedySchedulesAreValid(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 5, 40, 10*units.GB, testutil.PerGBHour(1), testutil.CentsPerMbit(0.2), 7)
+	rig, err := testutil.NewPaperRig(9, 5, 40, 10*units.GB, pricing.PerGBHour(1), testutil.CentsPerMbit(0.2), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +409,10 @@ func TestGreedyPrefersCheapStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	book := pricing.Uniform(topo, 0, testutil.CentsPerMbit(0.2))
-	if err := book.SetSRate(is1, testutil.PerGBHour(10)); err != nil {
+	if err := book.SetSRate(is1, pricing.PerGBHour(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := book.SetSRate(is2, testutil.PerGBHour(1)); err != nil {
+	if err := book.SetSRate(is2, pricing.PerGBHour(1)); err != nil {
 		t.Fatal(err)
 	}
 	m := cost.NewModel(book, routing.NewTable(book), cat)
@@ -437,7 +437,7 @@ func TestGreedyPrefersCheapStorage(t *testing.T) {
 // yields byte-identical schedules across random scenarios.
 func TestPropertyGreedyDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, testutil.PerGBHour(2), testutil.CentsPerMbit(0.15), seed)
+		rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.15), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

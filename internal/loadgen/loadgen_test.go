@@ -9,19 +9,19 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/loadgen"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
-func testRig(t *testing.T) *experiment.Rig {
+func testRig(t *testing.T) *testutil.Rig {
 	t.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 4, UsersPerStorage: 3, Titles: 10,
 		CapacityGB: 4, RequestsPerUser: 1, Seed: 5,
 	})

@@ -71,7 +71,7 @@ func buildReuseCase(t *testing.T, seed int64, kind int) *reuseCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rig, err := testutil.NewPaperRig(5+rng.Intn(3), 6+rng.Intn(3), 10+rng.Intn(5),
-		units.GBf(5+2*rng.Float64()), testutil.PerGBHour(5), pricing.PerGB(500), seed)
+		units.GBf(5+2*rng.Float64()), pricing.PerGBHour(5), pricing.PerGB(500), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSplitOverflowReuseMatchesNaiveReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	book := pricing.Uniform(topo, 0, testutil.CentsPerMbit(0.2))
-	if err := book.SetSRate(is1, testutil.PerGBHour(1)); err != nil {
+	if err := book.SetSRate(is1, pricing.PerGBHour(1)); err != nil {
 		t.Fatal(err)
 	}
 	m := cost.NewModel(book, routing.NewTable(book), cat)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/sorp"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // TestScheduleNaiveIndexedByteIdentical is the rewrite-safety property for
@@ -22,7 +22,7 @@ func TestScheduleNaiveIndexedByteIdentical(t *testing.T) {
 	defer occupancy.SetNaiveForTesting(false)
 	for _, seed := range []int64{3, 77} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r, err := experiment.Build(experiment.Params{
+			r, err := testutil.Build(testutil.Params{
 				Storages:        6,
 				UsersPerStorage: 4,
 				RequestsPerUser: 3,

@@ -52,7 +52,7 @@ func TestOnlineFig2(t *testing.T) {
 
 func TestOnlineNeverBeatsOfflineAtScale(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rig, err := testutil.NewPaperRig(9, 8, 40, 6*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed)
+		rig, err := testutil.NewPaperRig(9, 8, 40, 6*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestOnlineEvictionUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(1), pricing.PerGB(300))
+	book := pricing.Uniform(topo, pricing.PerGBHour(1), pricing.PerGB(300))
 	model := cost.NewModel(book, routing.NewTable(book), cat)
 	users := topo.UsersAt(topo.Storages()[0])
 	h := simtime.Time(5 * simtime.Hour)
@@ -113,7 +113,7 @@ func TestOnlineEvictionUnderPressure(t *testing.T) {
 func TestOnlinePinnedCopiesBlockAdmission(t *testing.T) {
 	// Two concurrent playbacks of different titles at a one-slot storage:
 	// the second title cannot be admitted while the first is being read.
-	rig, err := testutil.NewPaperRig(2, 4, 2, 4*units.GB, testutil.PerGBHour(1), pricing.PerGB(300), 3)
+	rig, err := testutil.NewPaperRig(2, 4, 2, 4*units.GB, pricing.PerGBHour(1), pricing.PerGB(300), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestOnlinePinnedCopiesBlockAdmission(t *testing.T) {
 }
 
 func TestOnlineOversizedTitleSkipsAdmission(t *testing.T) {
-	rig, err := testutil.NewPaperRig(2, 2, 2, 1*units.GB, testutil.PerGBHour(1), pricing.PerGB(300), 3)
+	rig, err := testutil.NewPaperRig(2, 2, 2, 1*units.GB, pricing.PerGBHour(1), pricing.PerGB(300), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestOnlineEvictionTieBreakDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(1), pricing.PerGB(300))
+	book := pricing.Uniform(topo, pricing.PerGBHour(1), pricing.PerGB(300))
 	model := cost.NewModel(book, routing.NewTable(book), cat)
 	users := topo.UsersAt(topo.Storages()[0])
 	h := simtime.Time(5 * simtime.Hour)

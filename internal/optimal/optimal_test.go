@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/ivs"
+	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/stats"
@@ -82,7 +83,7 @@ func TestInputValidation(t *testing.T) {
 // implementations: over many random small instances the exhaustive search
 // must lower-bound the greedy, and the schedules of both must validate.
 func TestGreedyNeverBeatsOptimal(t *testing.T) {
-	rig, err := testutil.NewPaperRig(6, 4, 8, 50*units.GB, testutil.PerGBHour(2), testutil.CentsPerMbit(0.1), 9)
+	rig, err := testutil.NewPaperRig(6, 4, 8, 50*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.1), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

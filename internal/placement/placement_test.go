@@ -21,7 +21,7 @@ import (
 // where standing copies of the hottest titles pay for themselves.
 func rig(t *testing.T) *testutil.PaperRig {
 	t.Helper()
-	r, err := testutil.NewPaperRig(9, 10, 40, 10*units.GB, testutil.PerGBHour(1), pricing.PerGB(900), 13)
+	r, err := testutil.NewPaperRig(9, 10, 40, 10*units.GB, pricing.PerGBHour(1), pricing.PerGB(900), 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,10 @@ type NRate float64
 // the internal per-byte·sec rate.
 func PerGBSec(v float64) SRate { return SRate(v / float64(units.GB)) }
 
+// PerGBHour converts a storage rate quoted per GByte·hour — the calibration
+// the paper's figures imply — into the internal per-byte·sec rate.
+func PerGBHour(v float64) SRate { return SRate(v / (float64(units.GB) * 3600)) }
+
 // PerGB converts a paper-style network rate quoted per GByte into the
 // internal per-byte rate.
 func PerGB(v float64) NRate { return NRate(v / float64(units.GB)) }

@@ -136,7 +136,7 @@ func newTriangle(t *testing.T, directRate pricing.NRate) *triangle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(0.05), testutil.CentsPerMbit(0.1))
+	book := pricing.Uniform(topo, pricing.PerGBHour(0.05), testutil.CentsPerMbit(0.1))
 	e01, _ := topo.EdgeBetween(vw, is1)
 	e12, _ := topo.EdgeBetween(is1, is2)
 	e02, _ := topo.EdgeBetween(vw, is2)

@@ -13,12 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -29,8 +29,8 @@ import (
 // the standby, finish the workload on it, and require the promoted node's
 // final state to be byte-identical to an uninterrupted single-node run.
 
-func failoverParams() experiment.Params {
-	return experiment.Params{
+func failoverParams() testutil.Params {
+	return testutil.Params{
 		Storages:        4,
 		UsersPerStorage: 3,
 		Titles:          10,
@@ -51,7 +51,7 @@ type op struct {
 
 // buildOps scripts the seeded workload: submissions in chronological
 // order with an Advance closing each epoch.
-func buildOps(r *experiment.Rig, epochs int) []op {
+func buildOps(r *testutil.Rig, epochs int) []op {
 	reqs := append(workload.Set(nil), r.Requests...)
 	workload.SortChronological(reqs)
 	window := simtime.Duration(r.Params.WindowHours) * simtime.Hour
@@ -119,7 +119,7 @@ func driveHTTP(t *testing.T, base string, o op) {
 }
 
 // referenceRun replays every op on one uninterrupted in-memory service.
-func referenceRun(t *testing.T, r *experiment.Rig, ops []op) string {
+func referenceRun(t *testing.T, r *testutil.Rig, ops []op) string {
 	t.Helper()
 	ref := horizon.New(r.Model, horizon.Config{})
 	for _, o := range ops {
@@ -198,7 +198,7 @@ func (f *faultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // newFollower builds a durable follower service plus its shipper, with
 // the given transport fault mode against the primary at base.
-func newFollower(t *testing.T, r *experiment.Rig, cfg horizon.Config, base string, mode faultMode) (*horizon.Service, *replica.Shipper, *replica.Leadership) {
+func newFollower(t *testing.T, r *testutil.Rig, cfg horizon.Config, base string, mode faultMode) (*horizon.Service, *replica.Shipper, *replica.Leadership) {
 	t.Helper()
 	svc, err := horizon.Recover(t.TempDir(), r.Model, cfg)
 	if err != nil {
@@ -213,7 +213,7 @@ func newFollower(t *testing.T, r *experiment.Rig, cfg horizon.Config, base strin
 	return svc, sh, lead
 }
 
-func runFailover(t *testing.T, r *experiment.Rig, ops []op, boundary int, mode faultMode, want string) {
+func runFailover(t *testing.T, r *testutil.Rig, ops []op, boundary int, mode faultMode, want string) {
 	t.Helper()
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
 	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
@@ -262,7 +262,7 @@ func runFailover(t *testing.T, r *experiment.Rig, ops []op, boundary int, mode f
 // killing the primary there and failing over to the standby yields a
 // plan byte-identical to a run that never failed.
 func TestFailoverAtRecordBoundaries(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func (rt *recordingRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // A follower restarted mid-stream resumes shipping from its applied
 // sequence — never from zero — and still converges byte-identically.
 func TestFollowerRestartResumesMidStream(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 // A batch delivered twice applies exactly once: the second delivery is
 // skipped record-by-record and leaves both state and counters untouched.
 func TestDuplicateBatchDeliveryIdempotent(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestDuplicateBatchDeliveryIdempotent(t *testing.T) {
 // A corrupted record on the wire must be refused before it reaches the
 // applier.
 func TestShipperRefusesCorruptRecord(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestShipperRefusesCorruptRecord(t *testing.T) {
 // Replication from an in-memory primary is refused with a clear error:
 // there is no journal to ship.
 func TestShippingFromInMemoryPrimaryFails(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}

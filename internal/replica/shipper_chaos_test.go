@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/chaos"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -24,7 +24,7 @@ import (
 // windows, resume from AppliedSeq after the restart (never from zero),
 // and converge with every record applied exactly once.
 func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
-	r, err := experiment.Build(failoverParams())
+	r, err := testutil.Build(failoverParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,6 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 		MaxAttempts: 2,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
-		MaxElapsed:  50 * time.Millisecond,
 	}
 
 	fsvc, err := horizon.Recover(t.TempDir(), r.Model, cfg)
@@ -107,7 +106,6 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 			MaxAttempts: 2,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    2 * time.Millisecond,
-			MaxElapsed:  50 * time.Millisecond,
 		},
 	})
 	runCtx2, cancel2 := context.WithCancel(ctx)

@@ -7,6 +7,7 @@ import (
 	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/stats"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 func sampleFigure() *experiment.Figure {
@@ -98,7 +99,7 @@ func TestWriteTable5(t *testing.T) {
 
 func TestWriteResults(t *testing.T) {
 	rs := []experiment.Result{{
-		Params:     experiment.Params{SRateGBHour: 5, NRateGB: 300, CapacityGB: 5, Alpha: 0.271},
+		Params:     testutil.Params{SRateGBHour: 5, NRateGB: 300, CapacityGB: 5, Alpha: 0.271},
 		Phase1Cost: 100, FinalCost: 112, DirectCost: 150,
 		Overflows: 3, Victims: 4, Requests: 190,
 	}}
@@ -153,7 +154,7 @@ func TestHumanMoney(t *testing.T) {
 func TestWriteTable5CSV(t *testing.T) {
 	res := &experiment.Table5Result{TotalCases: 1}
 	c := experiment.CaseResult{
-		Params:     experiment.Params{SRateGBHour: 3, CapacityGB: 5, NRateGB: 300, Alpha: 0.1},
+		Params:     testutil.Params{SRateGBHour: 3, CapacityGB: 5, NRateGB: 300, Alpha: 0.1},
 		Phase1Cost: 1000,
 		Overflows:  2,
 		Resolved:   true,

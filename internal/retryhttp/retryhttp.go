@@ -49,15 +49,6 @@ type Options struct {
 	// MaxDelay caps the back-off, including server-supplied Retry-After
 	// values (default DefaultMaxDelay).
 	MaxDelay time.Duration
-	// MaxElapsed bounds the *total* time the retry loop may consume
-	// across attempts and back-off sleeps (0 = unbounded). When the
-	// next back-off would cross the budget the loop stops early and
-	// returns the terminal answer it has — the last retryable response,
-	// or an error if every attempt failed at the transport layer.
-	// Against a flapping peer that answers each attempt slowly,
-	// MaxAttempts alone cannot keep a caller inside its deadline; this
-	// can.
-	MaxElapsed time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -101,12 +92,6 @@ func retryableStatus(code int) bool {
 // context expired).
 func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error)) (*http.Response, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
-	// exhausted reports whether sleeping for wait would push the loop
-	// past its total-elapsed budget, in which case retrying must stop.
-	exhausted := func(wait time.Duration) bool {
-		return opts.MaxElapsed > 0 && time.Since(start)+wait > opts.MaxElapsed
-	}
 	delay := opts.BaseDelay
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -136,11 +121,6 @@ func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error))
 		default:
 			// Retryable status: honor Retry-After if present, then retry.
 			wait := retryAfter(resp, delay, opts.MaxDelay)
-			if exhausted(wait) {
-				// Out of elapsed budget: the retryable status becomes the
-				// terminal answer, exactly as if attempts had run out.
-				return resp, nil
-			}
 			drain(resp)
 			if err := sleep(ctx, wait); err != nil {
 				return nil, err
@@ -151,12 +131,7 @@ func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error))
 		if attempt == opts.MaxAttempts {
 			return nil, fmt.Errorf("retryhttp: %d attempts failed: %w", attempt, lastErr)
 		}
-		wait := jitter(delay)
-		if exhausted(wait) {
-			return nil, fmt.Errorf("retryhttp: elapsed budget %v exhausted after %d attempts: %w",
-				opts.MaxElapsed, attempt, lastErr)
-		}
-		if err := sleep(ctx, wait); err != nil {
+		if err := sleep(ctx, jitter(delay)); err != nil {
 			return nil, err
 		}
 		delay = nextDelay(delay, opts.MaxDelay)

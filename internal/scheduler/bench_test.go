@@ -3,15 +3,15 @@ package scheduler_test
 import (
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/scheduler"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // BenchmarkSchedule measures the one-shot two-phase scheduler on a
 // mid-size rig (500 requests). This is the number BENCH_scheduler.json
 // tracks across PRs; keep the parameters stable.
 func BenchmarkSchedule(b *testing.B) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages:        10,
 		UsersPerStorage: 5,
 		RequestsPerUser: 10,
@@ -36,7 +36,7 @@ func BenchmarkSchedule(b *testing.B) {
 // occupancy ledger or SORP would dominate; run it with `-cpu 1,4` (the
 // bench-json target does) to also track the multi-core win.
 func BenchmarkSchedule10k(b *testing.B) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages:        25,
 		UsersPerStorage: 20,
 		RequestsPerUser: 20,
@@ -61,7 +61,7 @@ func BenchmarkSchedule10k(b *testing.B) {
 // The output is byte-identical either way — only the wall clock moves, and
 // only when real hardware parallelism is available.
 func BenchmarkSchedulePhase1(b *testing.B) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages:        10,
 		UsersPerStorage: 5,
 		RequestsPerUser: 10,

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/audit"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -19,7 +19,7 @@ import (
 // A malformed schedule stops both at the structural finding: the capacity
 // half, the simulator and billing index by what that finding says is broken.
 func TestCheckIsTheCommitPredicate(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages:        6,
 		UsersPerStorage: 4,
 		RequestsPerUser: 3,

@@ -17,7 +17,7 @@ import (
 // run promptly (well under the time the full run would take on a sizeable
 // workload) and surface context.Canceled.
 func TestScheduleCancelledContext(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 8, 60, 5*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), 7)
+	rig, err := testutil.NewPaperRig(9, 8, 60, 5*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 )
 
 func TestRunEndToEnd(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 6, 30, 6*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 21)
+	rig, err := testutil.NewPaperRig(9, 6, 30, 6*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunBeatsDirectBaseline(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 6, 30, 8*units.GB, testutil.PerGBHour(1), pricing.PerGB(500), 31)
+	rig, err := testutil.NewPaperRig(9, 6, 30, 8*units.GB, pricing.PerGBHour(1), pricing.PerGB(500), 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunBeatsDirectBaseline(t *testing.T) {
 }
 
 func TestRunSkipResolution(t *testing.T) {
-	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 11)
+	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunSkipResolution(t *testing.T) {
 }
 
 func TestRunMetricsProduceDifferentSchedules(t *testing.T) {
-	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 11)
+	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunMetricsProduceDifferentSchedules(t *testing.T) {
 }
 
 func TestRunEmptyRequests(t *testing.T) {
-	rig, err := testutil.NewPaperRig(4, 2, 5, 5*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 1)
+	rig, err := testutil.NewPaperRig(4, 2, 5, 5*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRunEmptyRequests(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 11)
+	rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestRunPolicyAblation(t *testing.T) {
-	rig, err := testutil.NewPaperRig(9, 6, 30, 8*units.GB, testutil.PerGBHour(1), pricing.PerGB(500), 41)
+	rig, err := testutil.NewPaperRig(9, 6, 30, 8*units.GB, pricing.PerGBHour(1), pricing.PerGB(500), 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRunPolicyAblation(t *testing.T) {
 // validity.
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		rig, err := testutil.NewPaperRig(7, 5, 20, 6*units.GB, testutil.PerGBHour(2), pricing.PerGB(400), seed)
+		rig, err := testutil.NewPaperRig(7, 5, 20, 6*units.GB, pricing.PerGBHour(2), pricing.PerGB(400), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 
 func TestRefineNeverHurts(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		rig, err := testutil.NewPaperRig(8, 7, 16, 4*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed+80)
+		rig, err := testutil.NewPaperRig(8, 7, 16, 4*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed+80)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestRefineFindsImprovementOnTightRig(t *testing.T) {
 	// slack that the sweep should recover at least sometimes across seeds.
 	improvedSomewhere := false
 	for seed := int64(0); seed < 6; seed++ {
-		rig, err := testutil.NewPaperRig(8, 7, 12, 4*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed+70)
+		rig, err := testutil.NewPaperRig(8, 7, 12, 4*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed+70)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestZeroCapacityDegeneratesToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(1), pricing.PerGB(300))
+	book := pricing.Uniform(topo, pricing.PerGBHour(1), pricing.PerGB(300))
 	model := cost.NewModel(book, routing.NewTable(book), cat)
 	reqs, err := workload.Generate(topo, cat, workload.Config{Alpha: 0.1, Seed: 2})
 	if err != nil {

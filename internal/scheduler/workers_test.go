@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/sorp"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 // fingerprint serializes everything observable about an outcome so the
@@ -37,7 +37,7 @@ func fingerprint(t *testing.T, out *scheduler.Outcome) string {
 func TestScheduleWorkersByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1997} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r, err := experiment.Build(experiment.Params{
+			r, err := testutil.Build(testutil.Params{
 				Storages:        6,
 				UsersPerStorage: 4,
 				RequestsPerUser: 3,

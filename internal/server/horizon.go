@@ -58,10 +58,6 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	if req.Start < 0 {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
-		return
-	}
 	at := req.Start
 	if req.At != nil {
 		at = *req.At

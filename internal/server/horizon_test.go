@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
@@ -188,7 +187,7 @@ func TestAdvanceCountersInStats(t *testing.T) {
 // The stats advance block sums each committed epoch's overflow-resolution
 // work counts, so the reuse hit rate is readable from a running server.
 func TestResolutionCountersInStats(t *testing.T) {
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
 		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
 	})

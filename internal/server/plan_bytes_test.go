@@ -10,19 +10,19 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
 // planRig is the plan tests' rig: 120 reservations in chronological order on
 // storages tight enough that SORP has victims to reschedule.
-func planRig(t *testing.T) (*experiment.Rig, workload.Set) {
+func planRig(t *testing.T) (*testutil.Rig, workload.Set) {
 	t.Helper()
-	r, err := experiment.Build(experiment.Params{
+	r, err := testutil.Build(testutil.Params{
 		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
 		CapacityGB: 2, RequestsPerUser: 5, Seed: 1,
 	})

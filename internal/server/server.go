@@ -373,16 +373,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// 4xx rather than a 5xx.
 	topo := s.model.Book().Topology()
 	for _, q := range req.Requests {
-		if int(q.User) < 0 || int(q.User) >= topo.NumUsers() {
-			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown user %d", q.User))
-			return
-		}
-		if int(q.Video) < 0 || int(q.Video) >= s.model.Catalog().Len() {
-			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown video %d", q.Video))
-			return
-		}
-		if q.Start < 0 {
-			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", q.Start))
+		if err := q.Validate(topo, s.model.Catalog()); err != nil {
+			httpkit.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 	}

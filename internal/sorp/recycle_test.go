@@ -38,7 +38,7 @@ func TestRecycledStorageNeverAliasesWork(t *testing.T) {
 	recycled := 0
 	for _, seed := range []int64{3, 11, 12} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rig, err := testutil.NewPaperRig(6, 8, 12, 5*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), seed)
+			rig, err := testutil.NewPaperRig(6, 8, 12, 5*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), seed)
 			if err != nil {
 				t.Fatal(err)
 			}

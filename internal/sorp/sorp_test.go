@@ -38,7 +38,7 @@ func tightRig(t *testing.T) (*cost.Model, *topology.Topology, workload.Set) {
 		t.Fatal(err)
 	}
 	book := pricing.Uniform(topo, 0, testutil.CentsPerMbit(0.2))
-	if err := book.SetSRate(is1, testutil.PerGBHour(1)); err != nil {
+	if err := book.SetSRate(is1, pricing.PerGBHour(1)); err != nil {
 		t.Fatal(err)
 	}
 	table := routing.NewTable(book)
@@ -403,7 +403,7 @@ func TestResolveWithImmovableSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	book := pricing.Uniform(topo, testutil.PerGBHour(1), testutil.CentsPerMbit(0.2))
+	book := pricing.Uniform(topo, pricing.PerGBHour(1), testutil.CentsPerMbit(0.2))
 	m := cost.NewModel(book, routing.NewTable(book), cat)
 
 	seed := schedule.Residency{

@@ -1,6 +1,3 @@
-// Package testutil provides shared fixtures for the test suites of the
-// scheduling packages, most importantly the paper's Fig. 2 worked example,
-// whose published dollar figures pin down the whole cost model.
 package testutil
 
 import (
@@ -30,9 +27,6 @@ type Fig2 struct {
 // (Mbit/s · s), i.e. cents per megabit — to the internal $/byte rate.
 func CentsPerMbit(c float64) pricing.NRate { return pricing.NRate(c / 100 * 8 / 1e6) }
 
-// PerGBHour converts $ per gigabyte-hour to the internal $/(byte·s) rate.
-func PerGBHour(d float64) pricing.SRate { return pricing.SRate(d / (1e9 * 3600)) }
-
 // NewFig2 builds the example with the rates that reproduce the paper's
 // dollar figures: nrate(VW,IS1) = 0.2 ¢/Mbit, nrate(IS1,IS2) = 0.1 ¢/Mbit,
 // srate = $1/GB·h. Capacity is generous so phase 1 is unconstrained.
@@ -58,10 +52,10 @@ func NewFig2() (*Fig2, error) {
 	e12, _ := topo.EdgeBetween(is1, is2)
 	book.SetNRate(e01, CentsPerMbit(0.2))
 	book.SetNRate(e12, CentsPerMbit(0.1))
-	if err := book.SetSRate(is1, PerGBHour(1)); err != nil {
+	if err := book.SetSRate(is1, pricing.PerGBHour(1)); err != nil {
 		return nil, err
 	}
-	if err := book.SetSRate(is2, PerGBHour(1)); err != nil {
+	if err := book.SetSRate(is2, pricing.PerGBHour(1)); err != nil {
 		return nil, err
 	}
 	table := routing.NewTable(book)
@@ -75,34 +69,4 @@ func NewFig2() (*Fig2, error) {
 		{User: u23[1], Video: 0, Start: simtime.Time(180 * simtime.Minute)},
 	}
 	return &Fig2{Topo: topo, Model: model, Requests: reqs, VW: vw, IS1: is1, IS2: is2}, nil
-}
-
-// PaperRig bundles a full paper-scale experimental setup.
-type PaperRig struct {
-	Topo    *topology.Topology
-	Catalog *media.Catalog
-	Book    *pricing.Book
-	Table   *routing.Table
-	Model   *cost.Model
-}
-
-// NewPaperRig builds a (scaled-down if titles/storages are small) instance
-// of the paper's §5.1 environment with uniform rates.
-func NewPaperRig(storages, usersPer, titles int, capacity units.Bytes, srate pricing.SRate, nrate pricing.NRate, seed int64) (*PaperRig, error) {
-	topo := topology.Metro(topology.GenConfig{
-		Storages: storages, UsersPerStorage: usersPer, Capacity: capacity,
-	}, seed)
-	cat, err := media.Generate(media.GenConfig{Titles: titles, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	book := pricing.Uniform(topo, srate, nrate)
-	table := routing.NewTable(book)
-	return &PaperRig{
-		Topo:    topo,
-		Catalog: cat,
-		Book:    book,
-		Table:   table,
-		Model:   cost.NewModel(book, table, cat),
-	}, nil
 }

@@ -142,6 +142,25 @@ func (t *Topology) UsersAt(n NodeID) []UserID {
 	return out
 }
 
+// UserRegions partitions the neighborhoods into n contiguous regions of
+// near-equal size — storages ordered by node ID, so adjacent neighborhoods
+// share a region — and returns each user's region index. It is the
+// gateway's locality partition and the pattern generator's regional cohorts:
+// one definition, so a cohort's traffic lands on one shard. Users homed off
+// the storage set fall into region 0.
+func UserRegions(t *Topology, n int) []int {
+	storages := t.Storages()
+	region := make(map[NodeID]int, len(storages))
+	for i, s := range storages {
+		region[s] = i * n / len(storages)
+	}
+	out := make([]int, t.NumUsers())
+	for i := range out {
+		out[i] = region[t.User(UserID(i)).Local]
+	}
+	return out
+}
+
 // Lookup returns the node with the given name.
 func (t *Topology) Lookup(name string) (NodeID, bool) {
 	id, ok := t.byName[name]

@@ -20,7 +20,7 @@ import (
 // byte-identical report.
 func TestEmptyScenarioIsByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rig, err := testutil.NewPaperRig(9, 8, 40, 5*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed)
+		rig, err := testutil.NewPaperRig(9, 8, 40, 5*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func TestExecuteFig2MatchesAnalyticCost(t *testing.T) {
 // occur.
 func TestExecuteMatchesModelAtScale(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rig, err := testutil.NewPaperRig(9, 8, 40, 5*units.GB, testutil.PerGBHour(3), pricing.PerGB(500), seed)
+		rig, err := testutil.NewPaperRig(9, 8, 40, 5*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestExecuteEndToEndPricing(t *testing.T) {
 // schedule forgot. Every seed must execute clean and agree with Ψ(S).
 func TestExecuteResidueScalesWithThroughput(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		rig, err := testutil.NewPaperRig(5, 40, 40, 1000*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), seed)
+		rig, err := testutil.NewPaperRig(5, 40, 40, 1000*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

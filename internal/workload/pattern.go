@@ -248,23 +248,6 @@ func (p Pattern) flashBoost(t simtime.Time) []float64 {
 	return out
 }
 
-// userRegions mirrors the gateway's locality partition: neighborhoods
-// ordered by node ID are split into n contiguous near-equal regions and
-// every user inherits its neighborhood's region. Users homed off the
-// storage set fall into region 0.
-func userRegions(topo *topology.Topology, n int) []int {
-	storages := topo.Storages()
-	region := make(map[topology.NodeID]int, len(storages))
-	for i, s := range storages {
-		region[s] = i * n / len(storages)
-	}
-	out := make([]int, topo.NumUsers())
-	for i := range out {
-		out[i] = region[topo.User(topology.UserID(i)).Local]
-	}
-	return out
-}
-
 // patternState is the mutable popularity state the slot loop threads:
 // the rank-to-title assignment under drift and churn, and the next
 // pending mutation instants.
@@ -335,7 +318,7 @@ func (p Pattern) Stream(topo *topology.Topology, cat *media.Catalog, emit func(R
 	}
 	regionUsers := make([][]topology.UserID, nRegions)
 	if p.Regions > 0 {
-		regions := userRegions(topo, nRegions)
+		regions := topology.UserRegions(topo, nRegions)
 		for i, r := range regions {
 			regionUsers[r] = append(regionUsers[r], topology.UserID(i))
 		}

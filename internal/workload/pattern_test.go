@@ -238,7 +238,7 @@ func TestPatternCohortsDiverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := userRegions(topo, 4)
+	regions := topology.UserRegions(topo, 4)
 	counts := make([]map[media.VideoID]int, 4)
 	for i := range counts {
 		counts[i] = make(map[media.VideoID]int)

@@ -125,22 +125,20 @@ func (t *csvTraceReader) Next() (Request, error) {
 			Video: media.VideoID(video),
 			Start: simtime.Time(start),
 		}
-		if err := t.validateReq(req); err != nil {
+		if err := req.Validate(t.topo, t.cat); err != nil {
 			return Request{}, fmt.Errorf("workload: trace line %d: %w", t.line, err)
 		}
 		return req, nil
 	}
 }
 
-func (t *csvTraceReader) validateReq(r Request) error {
-	return validateRequest(r, t.topo, t.cat)
-}
-
-// validateRequest checks a decoded record. A nil topology or catalog
-// skips the respective bounds check (the load harness replays traces
-// against a remote service that enforces them itself); negative IDs and
-// start times are always rejected.
-func validateRequest(r Request, topo *topology.Topology, catalog *media.Catalog) error {
+// Validate checks that the reservation names a user of the topology and a
+// video of the catalog and starts at a non-negative time: the screening the
+// trace readers, the horizon's intake and snapshot door, and /v1/schedule
+// all apply. A nil topology or catalog skips the respective bounds check
+// (the load harness replays traces against a remote service that enforces
+// them itself); negative IDs and start times are always rejected.
+func (r Request) Validate(topo *topology.Topology, catalog *media.Catalog) error {
 	if int(r.User) < 0 || (topo != nil && int(r.User) >= topo.NumUsers()) {
 		return fmt.Errorf("unknown user %d", r.User)
 	}
@@ -204,7 +202,7 @@ func (t *jsonlTraceReader) Next() (Request, error) {
 		if err := json.Unmarshal(b, &req); err != nil {
 			return Request{}, fmt.Errorf("workload: trace line %d: %w", t.line, err)
 		}
-		if err := validateRequest(req, t.topo, t.cat); err != nil {
+		if err := req.Validate(t.topo, t.cat); err != nil {
 			return Request{}, fmt.Errorf("workload: trace line %d: %w", t.line, err)
 		}
 		return req, nil

@@ -13,15 +13,15 @@ import (
 
 	vsp "github.com/vodsim/vsp"
 	"github.com/vodsim/vsp/internal/audit"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/scheduler"
+	"github.com/vodsim/vsp/internal/testutil"
 )
 
 func TestSoakRandomScenarios(t *testing.T) {
 	alphas := []float64{0.1, 0.271, 0.5, 0.7, 0.9}
 	caps := []float64{4, 5, 8, 14}
 	for seed := int64(0); seed < 50; seed++ {
-		p := experiment.Params{
+		p := testutil.Params{
 			Storages:        9 + int(seed%11),
 			UsersPerStorage: 4 + int(seed%7),
 			Titles:          30 + int(seed%471),
@@ -32,7 +32,7 @@ func TestSoakRandomScenarios(t *testing.T) {
 			RequestsPerUser: 1 + int(seed%2),
 			Seed:            1000 + seed,
 		}
-		rig, err := experiment.Build(p)
+		rig, err := testutil.Build(p)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

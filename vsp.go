@@ -10,10 +10,14 @@
 // event-driven simulator executes schedules and independently verifies
 // feasibility and cost. See the examples directory for end-to-end usage.
 //
-// The root package is a façade: it re-exports the library's types and wires
-// the common flows together. The heavy lifting lives in internal packages
-// (topology, pricing, routing, media, workload, schedule, cost, occupancy,
-// ivs, sorp, scheduler, vodsim, bandwidth, experiment).
+// The root package is the library: it re-exports the model's types and wires
+// the flows that complete in one process — scheduling, cost, simulation,
+// faults and repair, billing, the lab's baselines and the rolling horizon.
+// The heavy lifting lives in internal packages (topology, pricing, routing,
+// media, workload, schedule, cost, occupancy, ivs, sorp, scheduler, horizon,
+// vodsim, bandwidth). The serving tier is not part of it: cmd/vspserve and
+// cmd/vspgateway are internal/server and internal/gateway, and the paper's
+// evaluation is cmd/vspexp over internal/experiment.
 package vsp
 
 import (
@@ -21,12 +25,9 @@ import (
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/bandwidth"
 	"github.com/vodsim/vsp/internal/billing"
-	"github.com/vodsim/vsp/internal/experiment"
 	"github.com/vodsim/vsp/internal/faults"
-	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/loadgen"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/online"
@@ -194,26 +195,6 @@ type (
 	SRate = pricing.SRate
 	// NRate is a network charging rate in $/byte.
 	NRate = pricing.NRate
-
-	// ExperimentParams is one configuration of the paper's evaluation.
-	ExperimentParams = experiment.Params
-	// ExperimentResult is the outcome of one configuration.
-	ExperimentResult = experiment.Result
-	// Figure is a regenerated paper figure.
-	Figure = experiment.Figure
-
-	// Gateway is the sharded-intake routing tier: one HTTP front end
-	// spreading reservation traffic across several horizon shards while
-	// presenting the single-server surface (see cmd/vspgateway).
-	Gateway = gateway.Gateway
-	// GatewayConfig parameterizes a Gateway (shards, placement policy,
-	// stats polling, auto-advance).
-	GatewayConfig = gateway.Config
-	// GatewayShard declares one shard: a primary base URL and an
-	// optional warm standby the gateway may promote on primary failure.
-	GatewayShard = gateway.ShardConfig
-	// Placement decides which shard serves a reservation.
-	Placement = gateway.Placement
 )
 
 // Heat metrics (paper Eqs. 8–11).
@@ -279,6 +260,9 @@ var (
 	PerGB = pricing.PerGB
 	// PerGBSec converts a quoted $/(GB·s) storage rate.
 	PerGBSec = pricing.PerGBSec
+	// PerGBHour converts a quoted $/(GB·hour) storage rate — the
+	// calibration the paper's figures imply.
+	PerGBHour = pricing.PerGBHour
 )
 
 // Time units.
@@ -288,10 +272,6 @@ const (
 	Hour   = simtime.Hour
 	Day    = simtime.Day
 )
-
-// PerGBHour converts a quoted $/(GB·hour) storage rate — the calibration
-// the paper's figures imply — to the internal $/(byte·s) unit.
-func PerGBHour(v float64) SRate { return SRate(v / (1e9 * 3600)) }
 
 // NewTopology returns a builder for a custom topology.
 func NewTopology() *TopologyBuilder { return topology.NewBuilder() }
@@ -325,9 +305,7 @@ var (
 )
 
 // Streaming trace pipeline: pattern generation and the record-at-a-time
-// writer/reader pair behind it (CSV and JSONL), plus the closed-loop
-// HTTP load harness that replays traces against vspserve/vspgateway
-// (see cmd/vspgen -kind trace and cmd/vspload).
+// writer/reader pair behind it (CSV and JSONL; see cmd/vspgen -kind trace).
 var (
 	GeneratePatternWorkload = workload.GeneratePattern
 	NewPatternReader        = workload.NewPatternReader
@@ -336,36 +314,4 @@ var (
 	NewJSONLTraceWriter     = workload.NewJSONLTraceWriter
 	NewJSONLTraceReader     = workload.NewJSONLTraceReader
 	ReadAllTrace            = workload.ReadAllTrace
-	RunLoad                 = loadgen.Run
-)
-
-// Load-harness configuration and result (internal/loadgen).
-type (
-	LoadConfig = loadgen.Config
-	LoadResult = loadgen.Result
-)
-
-// Sharded intake tier: the gateway constructor, the placement policies
-// it routes by, and the cross-shard plan merge (DESIGN.md §13).
-var (
-	NewGateway           = gateway.New
-	ParsePlacement       = gateway.ParsePlacement
-	RoundRobinPlacement  = gateway.RoundRobin
-	LeastLoadedPlacement = gateway.LeastLoaded
-	LocalityPlacement    = gateway.Locality
-	HashPlacement        = gateway.Hash
-	MergeSchedules       = gateway.MergeSchedules
-)
-
-// Experiment entry points (see EXPERIMENTS.md).
-var (
-	RunExperiment  = experiment.RunOne
-	RunExperiments = experiment.RunMany
-	Figure5        = experiment.Fig5
-	Figure6        = experiment.Fig6
-	Figure7        = experiment.Fig7
-	Figure8        = experiment.Fig8
-	Figure9        = experiment.Fig9
-	FigureOnline   = experiment.FigOnline
-	RunTable5      = experiment.RunTable5
 )

@@ -125,18 +125,6 @@ func TestNewSystemErrors(t *testing.T) {
 	}
 }
 
-func TestPublicExperimentFacade(t *testing.T) {
-	r, err := vsp.RunExperiment(vsp.ExperimentParams{
-		Storages: 6, UsersPerStorage: 4, Titles: 20, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FinalCost <= 0 || r.Requests != 24 {
-		t.Errorf("experiment result: %+v", r)
-	}
-}
-
 func TestPublicAPINodeBandwidth(t *testing.T) {
 	sys, reqs := newSystem(t)
 	out, err := sys.Schedule(reqs, vsp.SchedulerConfig{})
