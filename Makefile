@@ -86,12 +86,14 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_scheduler.json
 
 # Quick regression smoke for CI: short runs (best of 3 single iterations)
-# of BenchmarkSchedule and of BenchmarkHorizonAdvanceHistory — the batch
-# solve, which has no history, and one epoch close on top of a long one —
-# must stay within 2x of the committed BENCH_scheduler.json baseline, in
-# ns/op and in B/op. Catches order-of-magnitude hot-path and allocation
-# regressions, including a close that starts re-copying its history,
-# without the cost or noise-sensitivity of a full bench run.
+# of BenchmarkSchedule, BenchmarkFullResolve and BenchmarkHorizonAdvanceHistory
+# — the batch solve, which has no history, ten re-solves whose overflow
+# resolution does most of the work, and one epoch close on top of a long
+# history — must stay within 2x of the committed BENCH_scheduler.json
+# baseline, in ns/op and in B/op. Catches order-of-magnitude hot-path and
+# allocation regressions, including victim evaluations that go back to
+# allocating their working state and a close that starts re-copying its
+# history, without the cost or noise-sensitivity of a full bench run.
 # BenchmarkReservationPath rides along at 2000 reservations a run, where
 # its B/op is steady: the per-request garbage http.TimeoutHandler used to
 # make alone was twice what a reservation allocates now, so its return
@@ -99,7 +101,7 @@ bench-json:
 # of a 160 KB plan no shard has replaced: decoding, merging and encoding
 # per read again allocates a hundred times its B/op.
 bench-smoke:
-	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
+	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
 		./internal/server ; \

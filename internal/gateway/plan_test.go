@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -551,19 +550,6 @@ func (w *discardWriter) Header() http.Header         { return w.header }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
-// raceBuild reports whether the test binary was built with -race, under
-// which sync.Pool drops a share of what it is handed and a reused buffer is
-// sometimes a fresh one.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // (f) An unchanged read allocates what three loopback round trips and the
 // small fields cost and nothing that grows with the plan: under 32 KB and
 // 400 allocations through Gateway.ServeHTTP, shard handlers and transport
@@ -600,7 +586,7 @@ func TestGatewayPlanUnchangedReadAllocs(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("plan of %d bytes: %d allocations per unchanged read, want at most %d", sizes[len(sizes)-1], allocs, maxAllocs)
 		}
-		if perRead > maxBytes && !raceBuild() {
+		if perRead > maxBytes && !testutil.RaceBuild() {
 			t.Errorf("plan of %d bytes: %d B per unchanged read, want at most %d", sizes[len(sizes)-1], perRead, maxBytes)
 		}
 	}

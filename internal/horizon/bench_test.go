@@ -3,6 +3,7 @@ package horizon_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
@@ -152,6 +153,15 @@ func BenchmarkHorizonAdvanceHistory(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					// Two collections empty every sync.Pool, encoding/json's
+					// encode states among them, so every close pays for its
+					// snapshot's encode buffer: whether one survived from the
+					// close before depended on when the collector last ran, and
+					// moved B/op threefold between runs.
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					b.StartTimer()
 					rewind()
 					epoch(reqs[history : history+100])
 				}

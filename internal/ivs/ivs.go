@@ -20,8 +20,10 @@
 package ivs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
@@ -107,7 +109,7 @@ type Options struct {
 	// with Seeds (a committed prefix already carries its seeds).
 	Frozen *schedule.FileSchedule
 	// Spare, when non-nil, is a file schedule nobody reads any more. A run
-	// that starts from a Frozen prefix builds its result in Spare's record
+	// that starts from a Frozen prefix copies its result into Spare's record
 	// arrays where they are large enough instead of allocating its own, so
 	// a caller that re-plans the same file many times (sorp) pays for the
 	// prefix copy's storage once.
@@ -129,20 +131,118 @@ const moneyEps = 1e-9
 // different load times: a fresh copy loaded by a later stream offers
 // cheaper short-residency extensions than an old copy whose span has
 // already grown long.
-//
-// The set is maintained incrementally by ScheduleFile — residencies are
-// only ever appended during the greedy, so membership never goes stale —
-// replacing a per-candidate linear scan over all residencies that made
-// ScheduleFile quadratic in request count on long-route topologies.
 type copyKey struct {
 	loc  topology.NodeID
 	load simtime.Time
 }
 
+func compareKeys(a, b copyKey) int {
+	if a.loc != b.loc {
+		return cmp.Compare(a.loc, b.loc)
+	}
+	return cmp.Compare(a.load, b.load)
+}
+
+// scratch is the working state of one ScheduleFile run: everything the
+// greedy needs while it decides and nothing its result keeps. Runs take one
+// from scratchPool and hand it back, so the arrays grow to the largest run
+// they have served and stop allocating there; the result is copied out of
+// them at its exact size (prune).
+type scratch struct {
+	// res holds the file's residencies while the greedy runs: the frozen
+	// prefix, the seeds, then every tentative it opens, most of which
+	// prune drops.
+	res []schedule.Residency
+	// oldCosts[j] caches res[j]'s current span cost — the subtrahend of
+	// every candidate price (cost.CandidateCost). Maintained on extension
+	// and on tentative open, it halves the SpanCost work in the candidate
+	// loop.
+	oldCosts []units.Money
+	// remap is prune's old-to-new index map, -1 for a dropped residency.
+	remap []int
+	// pre and last are the set of (node, load) keys in res, maintained
+	// incrementally — residencies are only ever appended during the greedy,
+	// so membership never goes stale — where a per-candidate scan of res
+	// made ScheduleFile quadratic in request count on long-route
+	// topologies. pre holds the keys of the residencies the run starts
+	// with, sorted. last holds per node the load of the latest tentative
+	// opened there: tentatives are opened at the start of the request being
+	// served, and requests are served chronologically, so a node's
+	// tentatives have non-decreasing loads and the latest one tells whether
+	// one at the current start exists.
+	pre  []copyKey
+	last []lastTentative
+}
+
+type lastTentative struct {
+	load simtime.Time
+	ok   bool
+}
+
+// scratchPool recycles scratches across runs: a mutex and a LIFO free list,
+// so what a run allocates repeats exactly (a sync.Pool's reuse would depend
+// on GC timing). Bounded by count, enough for every worker of a parallel
+// phase; a scratch handed back beyond the bound is left to the collector.
+var scratchPool struct {
+	sync.Mutex
+	free []*scratch
+}
+
+const maxPooledScratch = 32
+
+func takeScratch() *scratch {
+	scratchPool.Lock()
+	defer scratchPool.Unlock()
+	k := len(scratchPool.free)
+	if k == 0 {
+		return new(scratch)
+	}
+	sc := scratchPool.free[k-1]
+	scratchPool.free = scratchPool.free[:k-1]
+	return sc
+}
+
+// release hands the scratch back. Only res holds pointers (its copies'
+// Services, which results own), and only the part this run used can hold
+// any, so that is all it clears.
+func (sc *scratch) release() {
+	clear(sc.res)
+	sc.res = sc.res[:0]
+	scratchPool.Lock()
+	if len(scratchPool.free) < maxPooledScratch {
+		scratchPool.free = append(scratchPool.free, sc)
+	}
+	scratchPool.Unlock()
+}
+
+// index builds the key set and the span-cost cache of the residencies the
+// run starts with.
+func (sc *scratch) index(m *cost.Model, v media.Video, nodes int) {
+	sc.pre, sc.oldCosts = sc.pre[:0], sc.oldCosts[:0]
+	for j := range sc.res {
+		c := &sc.res[j]
+		sc.pre = append(sc.pre, copyKey{c.Loc, c.Load})
+		sc.oldCosts = append(sc.oldCosts, cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span()))
+	}
+	slices.SortFunc(sc.pre, compareKeys)
+	sc.last = slices.Grow(sc.last[:0], nodes)[:nodes]
+	clear(sc.last)
+}
+
+// holds reports whether res already has a copy under the key.
+func (sc *scratch) holds(k copyKey) bool {
+	if t := sc.last[k.loc]; t.ok && t.load == k.load {
+		return true
+	}
+	_, found := slices.BinarySearchFunc(sc.pre, k, compareKeys)
+	return found
+}
+
 // ScheduleFile computes the schedule S_i for one file's request set. The
 // requests must all name the given video; they are served in chronological
 // order (the paper numbers users by service start time). The returned
-// schedule is pruned: every residency serves at least one delivery.
+// schedule is pruned: every residency serves at least one delivery. It owns
+// its record arrays, sized exactly unless they are Spare's.
 func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, opts Options) (*schedule.FileSchedule, error) {
 	topo := m.Book().Topology()
 	v := m.Catalog().Video(video)
@@ -156,11 +256,10 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		workload.SortChronological(ordered)
 	}
 
-	// One delivery per request, and at most one tentative per storage its
-	// stream touches: sizing the slices up front keeps the serve loop's
-	// appends from repeatedly regrowing them.
-	bound := tentativeBound(m, ordered, opts.Policy)
+	sc := takeScratch()
+	defer sc.release()
 	fs := &schedule.FileSchedule{Video: video}
+	var spare schedule.FileSchedule
 	if pre := opts.Frozen; pre != nil {
 		if len(opts.Seeds) > 0 {
 			return nil, fmt.Errorf("ivs: Frozen and Seeds are mutually exclusive")
@@ -168,25 +267,26 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		if pre.Video != video {
 			return nil, fmt.Errorf("ivs: frozen prefix for video %d in schedule for video %d", pre.Video, video)
 		}
-		// The prefix is copied once — the only copy an epoch close makes of
-		// it (DESIGN.md §7) — straight into slices with room for the serve
-		// loop's appends. A frozen delivery keeps sharing its Route (routes
-		// are immutable: writers Clone or replace, DESIGN.md §5); a frozen
-		// residency gets its own Services, which the greedy appends to.
-		var spare schedule.FileSchedule
+		// The prefix is copied once into the result — the only copy of it an
+		// epoch close keeps (DESIGN.md §7). A frozen delivery keeps sharing
+		// its Route (routes are immutable: writers Clone or replace,
+		// DESIGN.md §5); a frozen residency gets its own Services, which the
+		// greedy appends to.
 		if opts.Spare != nil {
 			spare = *opts.Spare
 		}
 		fs.Deliveries = append(room(spare.Deliveries, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
-		fs.Residencies = append(room(spare.Residencies, len(pre.Residencies)+bound), pre.Residencies...)
-		opts.frozenRes = len(fs.Residencies)
-		for j := range fs.Residencies {
-			c := &fs.Residencies[j]
+		sc.res = append(sc.res, pre.Residencies...)
+		opts.frozenRes = len(sc.res)
+		for j := range sc.res {
+			c := &sc.res[j]
 			c.Services = append([]int(nil), c.Services...)
 			if opts.Ledger != nil {
 				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, *c)
 			}
 		}
+	} else if len(ordered) > 0 {
+		fs.Deliveries = make([]schedule.Delivery, 0, len(ordered))
 	}
 	for _, seed := range opts.Seeds {
 		if seed.Video != video {
@@ -196,26 +296,12 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 			return nil, fmt.Errorf("ivs: seed at node %d is not marked pre-placed", seed.Loc)
 		}
 		seed.Services = nil
-		fs.Residencies = append(fs.Residencies, seed)
+		sc.res = append(sc.res, seed)
 		if opts.Ledger != nil {
-			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(fs.Residencies) - 1}, seed)
+			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(sc.res) - 1}, seed)
 		}
 	}
-	fs.Deliveries = slices.Grow(fs.Deliveries, len(ordered))
-	fs.Residencies = slices.Grow(fs.Residencies, bound)
-	seen := make(map[copyKey]struct{}, len(fs.Residencies)+len(ordered))
-	for _, c := range fs.Residencies {
-		seen[copyKey{c.Loc, c.Load}] = struct{}{}
-	}
-	// oldCosts[j] caches fs.Residencies[j]'s current span cost — the
-	// subtrahend of every candidate price (cost.CandidateCost). Maintained
-	// on extension and on tentative open, it halves the SpanCost work in
-	// the candidate loop.
-	oldCosts := make([]units.Money, len(fs.Residencies), cap(fs.Residencies))
-	for j := range fs.Residencies {
-		c := &fs.Residencies[j]
-		oldCosts[j] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
-	}
+	sc.index(m, v, topo.NumNodes())
 	for _, r := range ordered {
 		if r.Video != video {
 			return nil, fmt.Errorf("ivs: request for video %d in batch for video %d", r.Video, video)
@@ -223,16 +309,21 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		if int(r.User) < 0 || int(r.User) >= topo.NumUsers() {
 			return nil, fmt.Errorf("ivs: unknown user %d", r.User)
 		}
-		if err := serveOne(m, v, stream, fs, r, opts, seen, &oldCosts); err != nil {
+		if err := serveOne(m, v, stream, fs, r, opts, sc); err != nil {
 			return nil, err
 		}
 	}
-	prune(fs, video, opts.Ledger, opts.frozenRes)
+	// A file that could hold no copy at all — nothing frozen, no seeds, and
+	// no tentative to open — has no residency array; one whose copies were
+	// all pruned has an empty one. The two encode differently (null, []),
+	// and a plan's bytes must not depend on how the run was carried out.
+	none := opts.Frozen == nil && len(opts.Seeds) == 0 && (opts.Policy == NoCaching || len(ordered) == 0)
+	sc.prune(fs, spare.Residencies, none, opts.Ledger, opts.frozenRes)
 	return fs, nil
 }
 
 // room returns an empty, non-nil slice with capacity for n records: the
-// spare array when it is large enough, otherwise a new one.
+// spare array when it is large enough, otherwise a new one of exactly n.
 func room[T any](spare []T, n int) []T {
 	if cap(spare) > 0 && cap(spare) >= n {
 		return spare[:0]
@@ -240,38 +331,12 @@ func room[T any](spare []T, n int) []T {
 	return make([]T, 0, n)
 }
 
-// tentativeBound bounds the tentatives the requests' deliveries can open
-// under the policy: one per storage on the route. The greedy only picks a
-// source whose stream is cheaper than the warehouse's, so the warehouse
-// route to each destination is the longest it takes (exactly so under
-// per-hop rates; a sizing hint, not a limit, under any other book).
-func tentativeBound(m *cost.Model, reqs []workload.Request, policy Policy) int {
-	switch policy {
-	case NoCaching:
-		return 0
-	case CacheAtDestination:
-		return len(reqs)
-	}
-	topo := m.Book().Topology()
-	n := 0
-	for _, r := range reqs {
-		if int(r.User) < 0 || int(r.User) >= topo.NumUsers() {
-			continue // rejected by the serve loop
-		}
-		if route, err := m.Table().Route(topo.Warehouse(), topo.User(r.User).Local); err == nil {
-			n += route.Hops()
-		}
-	}
-	return n
-}
-
-// serveOne schedules request r given the partial schedule fs, choosing the
-// minimum-incremental-cost supply point (paper §3.2 steps 2–3). seen is
-// the incremental (node, load) index of fs.Residencies; stream is the
-// video's precomputed StreamBytes().Float(), hoisted out of the candidate
-// loop (every candidate is priced, so the per-candidate work is pure rate
-// arithmetic).
-func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSchedule, r workload.Request, opts Options, seen map[copyKey]struct{}, oldCosts *[]units.Money) error {
+// serveOne schedules request r given the partial schedule — fs's
+// deliveries and sc's residencies — choosing the minimum-incremental-cost
+// supply point (paper §3.2 steps 2–3). stream is the video's precomputed
+// StreamBytes().Float(), hoisted out of the candidate loop (every candidate
+// is priced, so the per-candidate work is pure rate arithmetic).
+func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSchedule, r workload.Request, opts Options, sc *scratch) error {
 	topo := m.Book().Topology()
 	dst := topo.User(r.User).Local
 
@@ -281,8 +346,8 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 	bestRes := schedule.NoResidency
 	bestCost := m.StreamCost(stream, topo.Warehouse(), dst)
 
-	for j := range fs.Residencies {
-		c := &fs.Residencies[j]
+	for j := range sc.res {
+		c := &sc.res[j]
 		if c.Load > r.Start {
 			continue // copy does not exist yet at service time
 		}
@@ -311,7 +376,7 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		// copy is a frozen-prefix record from an earlier epoch) extends
 		// nothing and pays zero marginal storage.
 		newLast := simtime.Max(c.LastService, r.Start)
-		candCost := m.CandidateCost(&v, stream, (*oldCosts)[j], c, newLast, dst)
+		candCost := m.CandidateCost(&v, stream, sc.oldCosts[j], c, newLast, dst)
 		if candCost >= bestCost-moneyEps {
 			continue
 		}
@@ -342,11 +407,11 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 	})
 
 	if bestRes != schedule.NoResidency {
-		c := &fs.Residencies[bestRes]
+		c := &sc.res[bestRes]
 		c.Services = append(c.Services, di)
 		if r.Start > c.LastService {
 			c.LastService = r.Start
-			(*oldCosts)[bestRes] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
+			sc.oldCosts[bestRes] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
 		}
 		if opts.Ledger != nil {
 			// Tentatives are not registered at open time (they occupy
@@ -359,14 +424,14 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		}
 	}
 
-	openTentative(m, v, fs, di, opts, seen, oldCosts)
+	openTentative(m, v, fs, di, opts, sc)
 	return nil
 }
 
 // openTentative opens zero-span residencies along the new delivery's route
 // per the caching policy. Zero-span copies cost nothing and occupy nothing,
 // so they are free options for later requests; unused ones are pruned.
-func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di int, opts Options, seen map[copyKey]struct{}, oldCosts *[]units.Money) {
+func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di int, opts Options, sc *scratch) {
 	if opts.Policy == NoCaching {
 		return
 	}
@@ -382,8 +447,7 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 		if topo.Node(node).Kind != topology.KindStorage {
 			continue
 		}
-		key := copyKey{node, d.Start}
-		if _, dup := seen[key]; dup {
+		if sc.holds(copyKey{node, d.Start}) {
 			continue
 		}
 		cand := schedule.Residency{
@@ -393,9 +457,9 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 		if violatesAny(opts, cand, v.Playback) {
 			continue
 		}
-		fs.Residencies = append(fs.Residencies, cand)
-		*oldCosts = append(*oldCosts, 0) // zero span: SpanCost is exactly 0
-		seen[key] = struct{}{}
+		sc.res = append(sc.res, cand)
+		sc.oldCosts = append(sc.oldCosts, 0) // zero span: SpanCost is exactly 0
+		sc.last[node] = lastTentative{load: d.Start, ok: true}
 		// The ledger is deliberately NOT told about the tentative: a
 		// zero-span copy peaks at γ=0 and occupies nothing, so registering
 		// it would change no query answer while costing an entry append on
@@ -421,34 +485,44 @@ func violatesAny(opts Options, c schedule.Residency, playback simtime.Duration) 
 	return false
 }
 
-// prune removes residencies that serve no deliveries, remapping the
-// surviving indices in Deliveries and the ledger. Pre-placed standing
-// copies survive even when unused: their cost is already committed and
-// the schedule must account for it truthfully. The same goes for the
-// first frozen residencies of a rolling-horizon prefix: they are
-// committed history, not tentative options (and since they lead the
-// slice, keeping them preserves their indices).
-func prune(fs *schedule.FileSchedule, video media.VideoID, ledger *occupancy.Ledger, frozen int) {
-	remap := make([]int, len(fs.Residencies))
-	kept := fs.Residencies[:0]
-	for j := range fs.Residencies {
-		if j >= frozen && len(fs.Residencies[j].Services) == 0 && fs.Residencies[j].FedBy != schedule.PrePlacedFeed {
-			remap[j] = -1
+// prune copies the residencies that serve a delivery out of the working
+// array into fs — into spare when it is large enough, otherwise into an
+// array of exactly their number, or into none at all when none is set —
+// remapping the surviving indices in Deliveries and the ledger. Pre-placed
+// standing copies survive even when unused: their cost is already committed
+// and the schedule must account for it truthfully. The same goes for the
+// first frozen residencies of a rolling-horizon prefix: they are committed
+// history, not tentative options (and since they lead the array, keeping
+// them preserves their indices).
+func (sc *scratch) prune(fs *schedule.FileSchedule, spare []schedule.Residency, none bool, ledger *occupancy.Ledger, frozen int) {
+	sc.remap = slices.Grow(sc.remap[:0], len(sc.res))[:len(sc.res)]
+	kept := 0
+	for j := range sc.res {
+		c := &sc.res[j]
+		if j >= frozen && len(c.Services) == 0 && c.FedBy != schedule.PrePlacedFeed {
+			sc.remap[j] = -1
 			continue
 		}
-		remap[j] = len(kept)
-		kept = append(kept, fs.Residencies[j])
+		sc.remap[j] = kept
+		kept++
 	}
-	fs.Residencies = kept
+	if !none {
+		fs.Residencies = room(spare, kept)
+		for j := range sc.res {
+			if sc.remap[j] >= 0 {
+				fs.Residencies = append(fs.Residencies, sc.res[j])
+			}
+		}
+	}
 	for i := range fs.Deliveries {
 		if sr := fs.Deliveries[i].SourceResidency; sr != schedule.NoResidency {
-			fs.Deliveries[i].SourceResidency = remap[sr]
+			fs.Deliveries[i].SourceResidency = sc.remap[sr]
 		}
 	}
 	if ledger != nil {
-		ledger.RemoveVideo(video)
+		ledger.RemoveVideo(fs.Video)
 		for j, c := range fs.Residencies {
-			ledger.Add(occupancy.Ref{Video: video, Index: j}, c)
+			ledger.Add(occupancy.Ref{Video: fs.Video, Index: j}, c)
 		}
 	}
 }

@@ -4,8 +4,9 @@
 package occupancy
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -158,34 +159,36 @@ func (l *Ledger) AllOverflows() []Overflow {
 	return out
 }
 
-// OverflowSet returns the references of the residencies at the node whose
-// space profile overlaps the interval — the candidate victims for the
-// overflow OF_{Δt, node} (paper §4.1).
+// OverflowSet appends to dst the references of the residencies at the node
+// whose space profile overlaps the interval — the candidate victims for the
+// overflow OF_{Δt, node} (paper §4.1) — in (video, index) order, and
+// returns the extended slice; a caller that keeps the result's storage
+// across calls passes it back as dst[:0].
 //
 // The overlap test is exact: the overflow interval is closed (it may be a
 // single instant) and a residency's support is half-open, so a copy whose
 // support merely abuts the interval — loading exactly at its end, or
 // fully decayed exactly at its start — holds no space inside the overflow
 // and is not a candidate victim.
-func (l *Ledger) OverflowSet(node topology.NodeID, iv simtime.Interval) []Ref {
+func (l *Ledger) OverflowSet(dst []Ref, node topology.NodeID, iv simtime.Interval) []Ref {
 	if l.base != nil {
 		panic("occupancy: OverflowSet on an overlay view")
 	}
-	var out []Ref
+	start := len(dst)
 	es := l.nodes[node].entries
 	for i := range es {
 		sup := es[i].res.Support(es[i].playback)
 		if overlapsOverflow(sup, iv) {
-			out = append(out, es[i].ref)
+			dst = append(dst, es[i].ref)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Video != out[j].Video {
-			return out[i].Video < out[j].Video
+	slices.SortFunc(dst[start:], func(a, b Ref) int {
+		if a.Video != b.Video {
+			return cmp.Compare(a.Video, b.Video)
 		}
-		return out[i].Index < out[j].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
-	return out
+	return dst
 }
 
 // overlapsOverflow reports whether the half-open support [sup.Start,

@@ -146,8 +146,8 @@ func TestPropertyNaiveIndexedEquivalence(t *testing.T) {
 						math.Abs(ofa[i].Peak-ofb[i].Peak) > equivTol*(1+ofa[i].Peak) {
 						t.Fatalf("Overflows(%d)[%d]: naive %v, indexed %v", node, i, ofa[i], ofb[i])
 					}
-					sa := naive.OverflowSet(node, ofa[i].Interval)
-					sb := indexed.OverflowSet(node, ofb[i].Interval)
+					sa := naive.OverflowSet(nil, node, ofa[i].Interval)
+					sb := indexed.OverflowSet(nil, node, ofb[i].Interval)
 					if len(sa) != len(sb) {
 						t.Fatalf("OverflowSet(%d): naive %v, indexed %v", node, sa, sb)
 					}

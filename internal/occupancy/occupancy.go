@@ -48,10 +48,11 @@
 // same operands, and ProbeLog.Covers whether a window lies in the box. If
 // both hold the reschedule would repeat itself exactly, and SORP reuses its
 // result instead of running it again (see internal/sorp).
-// Nothing else of an evaluation outlives its round: the view is scratch,
-// the log shares only the view's per-node delta slices (copy-on-write),
-// and a reused winner is committed from its file schedule (CommitFile).
-// The naive reference ledger records nothing.
+// Nothing else of an evaluation outlives its round: the view goes back to
+// its base for a later evaluation to reuse (Release), all of it but the
+// per-node delta slices the log shares (copy-on-write), which are never
+// reused; and a reused winner is committed from its file schedule
+// (CommitFile). The naive reference ledger records nothing.
 package occupancy
 
 import (
@@ -155,6 +156,9 @@ type Ledger struct {
 	// empty scan, never a wrong answer. Overlay views never maintain it
 	// (they mask through the base's).
 	vidNodes map[media.VideoID][]topology.NodeID
+	// views holds the overlay views handed back to this base (Release),
+	// for OverlayWithout to reuse.
+	views []*Ledger
 	// naive pins the reference query path (see naiveMode).
 	naive bool
 }

@@ -181,7 +181,7 @@ func TestOverflowSet(t *testing.T) {
 	l.Add(Ref{0, 0}, res(0, is1, 0, 200))   // support [0, 300]
 	l.Add(Ref{1, 0}, res(1, is1, 100, 350)) // support [100, 450]
 	l.Add(Ref{1, 1}, res(1, is1, 900, 950)) // support [900, 1050]
-	refs := l.OverflowSet(is1, simtime.NewInterval(100, 250))
+	refs := l.OverflowSet(nil, is1, simtime.NewInterval(100, 250))
 	if len(refs) != 2 {
 		t.Fatalf("OverflowSet = %v, want 2 refs", refs)
 	}
@@ -189,9 +189,19 @@ func TestOverflowSet(t *testing.T) {
 		t.Errorf("OverflowSet = %v", refs)
 	}
 	// Degenerate instant interval still matches overlapping supports.
-	refs = l.OverflowSet(is1, simtime.NewInterval(950, 950))
+	refs = l.OverflowSet(nil, is1, simtime.NewInterval(950, 950))
 	if len(refs) != 1 || refs[0] != (Ref{1, 1}) {
 		t.Errorf("instant OverflowSet = %v", refs)
+	}
+	// The set is appended after what dst holds, which stays where it is, and
+	// a buffer handed back is filled in place.
+	buf := append(make([]Ref, 0, 4), Ref{9, 9})
+	refs = l.OverflowSet(buf, is1, simtime.NewInterval(100, 250))
+	if len(refs) != 3 || refs[0] != (Ref{9, 9}) || refs[1] != (Ref{0, 0}) || refs[2] != (Ref{1, 0}) {
+		t.Errorf("OverflowSet after a prefix = %v", refs)
+	}
+	if again := l.OverflowSet(refs[:0], is1, simtime.NewInterval(950, 950)); len(again) != 1 || &again[0] != &buf[0] {
+		t.Errorf("OverflowSet into a reused buffer = %v, not in its storage", again)
 	}
 }
 
@@ -493,14 +503,14 @@ func TestBoundaryOverflowSetExcludesEndedSupport(t *testing.T) {
 	is1 := topology.NodeID(1)
 	l.Add(Ref{0, 0}, res(0, is1, 0, 100))   // support [0, 200)
 	l.Add(Ref{1, 0}, res(1, is1, 200, 400)) // support [200, 500)
-	refs := l.OverflowSet(is1, simtime.NewInterval(200, 250))
+	refs := l.OverflowSet(nil, is1, simtime.NewInterval(200, 250))
 	if len(refs) != 1 || refs[0] != (Ref{1, 0}) {
 		t.Errorf("OverflowSet = %v, want only the live copy", refs)
 	}
 	// An interval ending exactly at a support's start excludes it: the
 	// abutting copy loads at the overflow's closing instant and holds no
 	// space anywhere inside the overflow, so rescheduling it cannot help.
-	refs = l.OverflowSet(is1, simtime.NewInterval(150, 200))
+	refs = l.OverflowSet(nil, is1, simtime.NewInterval(150, 200))
 	if len(refs) != 1 || refs[0] != (Ref{0, 0}) {
 		t.Errorf("OverflowSet = %v, want only the overlapping copy", refs)
 	}
@@ -521,20 +531,20 @@ func TestOverflowSetAbuttingResidency(t *testing.T) {
 	// Non-degenerate window between the two supports, abutting both: the
 	// first copy's support ends exactly at its start (half-open, excluded)
 	// and the second loads exactly at its end (holds nothing inside).
-	if refs := l.OverflowSet(is1, simtime.NewInterval(200, 300)); len(refs) != 0 {
+	if refs := l.OverflowSet(nil, is1, simtime.NewInterval(200, 300)); len(refs) != 0 {
 		t.Errorf("OverflowSet(200,300) = %v, want none", refs)
 	}
 	// Degenerate instants are endpoint-inclusive on the left: the instant
 	// at a support's start matches, the instant at its (half-open) end
 	// does not.
-	if refs := l.OverflowSet(is1, simtime.NewInterval(300, 300)); len(refs) != 1 || refs[0] != (Ref{1, 0}) {
+	if refs := l.OverflowSet(nil, is1, simtime.NewInterval(300, 300)); len(refs) != 1 || refs[0] != (Ref{1, 0}) {
 		t.Errorf("OverflowSet(300,300) = %v, want the loading copy", refs)
 	}
-	if refs := l.OverflowSet(is1, simtime.NewInterval(200, 200)); len(refs) != 0 {
+	if refs := l.OverflowSet(nil, is1, simtime.NewInterval(200, 200)); len(refs) != 0 {
 		t.Errorf("OverflowSet(200,200) = %v, want none", refs)
 	}
 	// A window straddling a support edge by one second does overlap.
-	if refs := l.OverflowSet(is1, simtime.NewInterval(199, 300)); len(refs) != 1 || refs[0] != (Ref{0, 0}) {
+	if refs := l.OverflowSet(nil, is1, simtime.NewInterval(199, 300)); len(refs) != 1 || refs[0] != (Ref{0, 0}) {
 		t.Errorf("OverflowSet(199,300) = %v, want the decaying copy", refs)
 	}
 }

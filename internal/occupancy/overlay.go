@@ -64,11 +64,12 @@ func (l *Ledger) Clone() *Ledger {
 // concurrently with each other and with base reads, provided the base is
 // not mutated while views are live. Committing one view mutates the base,
 // so it invalidates every other live view of the same base: drop them and
-// take fresh ones. A view is scratch space for one evaluation and nothing
-// may hold on to it past the round it was taken in; what may be kept is
-// the evaluation's result and, to tell later whether it would repeat, the
-// view's probe log (Record), which references the view's per-node delta
-// slices and nothing else of it.
+// take fresh ones. A view serves one evaluation: once nothing will query
+// it again its owner hands it back (Release), and a later OverlayWithout of
+// the same base reuses its storage, so nothing may hold on to a view past
+// that. What may be kept is the evaluation's result and, to tell later
+// whether it would repeat, the view's probe log (Record), which references
+// the view's per-node delta slices — never reused — and nothing else of it.
 //
 // In naive (reference) mode the view is a plain Clone with the video
 // removed, so both query paths keep identical semantics.
@@ -84,15 +85,17 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	for n := range l.nodes {
 		l.snapshot(topology.NodeID(n))
 	}
-	o := &Ledger{
-		topo:    l.topo,
-		catalog: l.catalog,
-		nodes:   make([]nodeState, len(l.nodes)),
-		base:    l,
-		masked:  vid,
-		caps:    l.caps,
-		isWh:    l.isWh,
+	o := pop(&l.views)
+	if o == nil {
+		o = &Ledger{
+			topo:    l.topo,
+			catalog: l.catalog,
+			nodes:   make([]nodeState, len(l.nodes)),
+			caps:    l.caps,
+			isWh:    l.isWh,
+		}
 	}
+	o.base, o.masked = l, vid
 	for _, node := range l.vidNodes[vid] {
 		es := l.nodes[node].entries
 		st := &o.nodes[node]
@@ -108,6 +111,34 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 		}
 	}
 	return o
+}
+
+// maxPooledViews bounds the views a base keeps for reuse: more than a round
+// of SORP takes once its table is warm, fewer than its cold first round may
+// hand back.
+const maxPooledViews = 256
+
+// Release hands an overlay view nothing will query again back to its base,
+// whose next OverlayWithout reuses the view's per-node array and the
+// backing arrays of its entries. Its event slices are dropped, never
+// reused: a probe log recorded on the view may still reference them. On a
+// ledger that is not an indexed view — a base, the reference path's clone,
+// or a view already released — Release does nothing. Like OverlayWithout,
+// it must not run concurrently with other uses of the base.
+func (l *Ledger) Release() {
+	b := l.base
+	if b == nil {
+		return
+	}
+	for n := range l.nodes {
+		es := l.nodes[n].entries
+		clear(es)
+		l.nodes[n] = nodeState{entries: es[:0]}
+	}
+	l.base, l.log = nil, nil
+	if len(b.views) < maxPooledViews {
+		b.views = append(b.views, l)
+	}
 }
 
 // Commit applies an overlay view to its base in place — the masked video

@@ -1,8 +1,10 @@
 package occupancy
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -158,6 +160,94 @@ func TestPropertyReplayMatchesReasking(t *testing.T) {
 		log.Release()
 	}
 	t.Logf("replays: %d held, %d broke", held, broke)
+	if held == 0 || broke == 0 {
+		t.Fatalf("fixture bug: %d replays held and %d broke; need both", held, broke)
+	}
+}
+
+// A view handed back (Release) is reused by the next OverlayWithout of its
+// base, and that must break nothing. A log recorded on the view must keep
+// every delta snapshot it references while the recycled view serves another
+// video, and later replay exactly when re-asking its script does; the
+// recycled view must answer every CanFit of its script as a fresh view and
+// the naive reference's clone do, and SpaceAt as they do within the
+// naive-equivalence tolerance.
+func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
+	defer SetNaiveForTesting(false)
+	held, broke := 0, 0
+	for seed := int64(0); seed < 16; seed++ {
+		naive, base, topo, _ := randomLedgers(t, seed, 6, 60)
+		rng := rand.New(rand.NewSource(seed ^ 0x7ec1))
+		var stores []topology.NodeID
+		for n := 1; n < topo.NumNodes(); n++ {
+			stores = append(stores, topology.NodeID(n))
+		}
+		vidA := media.VideoID(rng.Intn(6))
+		vidB := (vidA + 1 + media.VideoID(rng.Intn(5))) % 6
+		scriptA := randomScript(rng, vidA, stores, 60)
+		scriptB := randomScript(rng, vidB, stores, 60)
+
+		view := base.OverlayWithout(vidA)
+		log := view.Record()
+		var pinned [][]event
+		want := runScript(view, scriptA, func(q int) {
+			pinned = append(pinned, append([]event(nil), log.deltas[log.at(q).delta]...))
+		})
+		view.Release()
+
+		recycled := base.OverlayWithout(vidB)
+		if recycled != view {
+			t.Fatalf("seed %d: OverlayWithout did not reuse the view handed back", seed)
+		}
+		fresh := base.OverlayWithout(vidB)
+		reference := naive.OverlayWithout(vidB)
+		got := runScript(recycled, scriptB, nil)
+		if f, r := runScript(fresh, scriptB, nil), runScript(reference, scriptB, nil); !slices.Equal(got, f) || !slices.Equal(got, r) {
+			t.Fatalf("seed %d: the recycled view answered %v, a fresh one %v, the naive reference %v", seed, got, f, r)
+		}
+		for _, node := range stores {
+			for ti := 0; ti <= 60; ti++ {
+				at := simtime.Time(ti*15) * simtime.Time(simtime.Second)
+				a, b, c := recycled.SpaceAt(node, at), fresh.SpaceAt(node, at), reference.SpaceAt(node, at)
+				if a != b || math.Abs(a-c) > equivTol*(1+math.Abs(c)) {
+					t.Fatalf("seed %d: SpaceAt(%d, %v) = %g on the recycled view, %g on a fresh one, %g on the naive reference",
+						seed, node, at, a, b, c)
+				}
+			}
+		}
+		for q, snap := range pinned {
+			if !slices.Equal(log.deltas[log.at(q).delta], snap) {
+				t.Fatalf("seed %d: probe %d's delta snapshot changed while its view served video %d", seed, q, vidB)
+			}
+		}
+		recycled.Release()
+		fresh.Release()
+
+		// Move the base under the log (never video A's copies, the log's
+		// initial delta) until an answer flips.
+		next := 1000
+		for round := 0; round < 4; round++ {
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				other := (vidA + 1 + media.VideoID(rng.Intn(5))) % 6
+				load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
+				span := simtime.Duration(100+rng.Intn(200)) * simtime.Second
+				base.Add(Ref{Video: other, Index: next}, res(other, stores[rng.Intn(len(stores))], load, load.Add(span)))
+				next++
+			}
+			again := base.OverlayWithout(vidA) // a recycled view again
+			holds := slices.Equal(runScript(again, scriptA, nil), want)
+			again.Release()
+			if replay := log.Replay(base); replay != holds {
+				t.Fatalf("seed %d round %d: Replay = %v, but re-asking the script gives holds = %v", seed, round, replay, holds)
+			}
+			if !holds {
+				broke++
+				break
+			}
+			held++
+		}
+		log.Release()
+	}
 	if held == 0 || broke == 0 {
 		t.Fatalf("fixture bug: %d replays held and %d broke; need both", held, broke)
 	}

@@ -68,6 +68,7 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 				res.savings += curCost - candCost
 				improved = true
 			}
+			tmp.Release()
 		}
 		if !improved {
 			break

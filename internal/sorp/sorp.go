@@ -23,15 +23,17 @@
 // log replays to the same answers on the current ledger — which makes the
 // reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
-// views the evaluations ran on are not kept: a reused winner is committed
-// from its file schedule (Ledger.CommitFile).
+// views the evaluations ran on are not kept — each goes back to the ledger
+// when the next round starts (Ledger.Release), for a fresh evaluation to
+// reuse — so a reused winner is committed from its file schedule
+// (Ledger.CommitFile).
 //
-// On a rolling horizon every evaluation starts by copying its file's frozen
-// prefix (ivs.ScheduleFile, the one place an epoch close copies history),
-// and an evaluation of the same file always needs the same room. An entry
-// that leaves the table therefore leaves its file behind as spare storage
-// for the video's next fresh evaluation (pairTable.retire) — except the
-// file a commit hands to the working schedule, which is never recycled.
+// On a rolling horizon every evaluation's result holds a copy of its file's
+// frozen prefix (ivs.ScheduleFile, the one place an epoch close copies
+// history), and an evaluation of the same file always needs the same room.
+// An entry that leaves the table therefore leaves its file behind as spare
+// storage for the video's next fresh evaluation (pairTable.retire) — except
+// the file a commit hands to the working schedule, which is never recycled.
 package sorp
 
 import (
@@ -369,7 +371,7 @@ type pairTable struct {
 
 	jobs   []reschedJob
 	fresh  []int                 // indices into jobs
-	refsOf [][]occupancy.Ref     // per overflow
+	refsOf [][]occupancy.Ref     // per overflow, each refilled in place every round
 	jobAt  []int                 // per ref in overflow/ref order: its job, -1 if not victimizable
 	jobOf  map[media.VideoID]int // the current overflow's jobs
 }
@@ -534,11 +536,18 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
 	fileCost map[media.VideoID]units.Money, t *pairTable, res *Result) (candidate, bool, error) {
 
-	clear(t.jobs) // last round's views and logs are dead
-	t.jobs, t.fresh, t.refsOf, t.jobAt = t.jobs[:0], t.fresh[:0], t.refsOf[:0], t.jobAt[:0]
+	for i := range t.jobs { // last round's views and logs are dead
+		if v := t.jobs[i].tmp; v != nil {
+			v.Release()
+		}
+	}
+	clear(t.jobs)
+	t.jobs, t.fresh, t.jobAt = t.jobs[:0], t.fresh[:0], t.jobAt[:0]
+	// Growing keeps every earlier overflow's buffer, so each is refilled in place.
+	t.refsOf = slices.Grow(t.refsOf[:0], len(overflows))[:len(overflows)]
 	for oi, of := range overflows {
-		refs := ledger.OverflowSet(of.Node, of.Interval)
-		t.refsOf = append(t.refsOf, refs)
+		refs := ledger.OverflowSet(t.refsOf[oi][:0], of.Node, of.Interval)
+		t.refsOf[oi] = refs
 		clear(t.jobOf)
 		for _, ref := range refs {
 			if _, live, err := liveVictim(work, opts, ref); err != nil {

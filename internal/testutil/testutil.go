@@ -1,6 +1,8 @@
 package testutil
 
 import (
+	"runtime/debug"
+
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/pricing"
@@ -69,4 +71,20 @@ func NewFig2() (*Fig2, error) {
 		{User: u23[1], Video: 0, Start: simtime.Time(180 * simtime.Minute)},
 	}
 	return &Fig2{Topo: topo, Model: model, Requests: reqs, VW: vw, IS1: is1, IS2: is2}, nil
+}
+
+// RaceBuild reports whether the running binary was built with -race, whose
+// instrumentation allocates for its own bookkeeping and makes sync.Pool
+// drop a share of what it is handed: allocation budgets skip under it.
+func RaceBuild() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
