@@ -42,14 +42,14 @@ chaos-bench:
 		-run TestGrayFailureBreakerBenefit -v -timeout 20m ./internal/gateway
 
 # Short fuzz passes over the parsers that face untrusted bytes: the WAL
-# decoder (crash/corruption trichotomy), the schedule API decoder, the two
-# endpoints that take a whole schedule from the client, and the door every
-# snapshot payload takes. The last two start from multi-kilobyte seeds, which
-# the fuzzer would otherwise spend the whole pass minimizing.
+# decoder (crash/corruption trichotomy), the schedule API decoder, vspsim's
+# -schedule file (the simulator, the repairer and billing behind it), and the
+# door every snapshot payload takes. The last two start from whole schedules,
+# which the fuzzer would otherwise spend the whole pass minimizing.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
-	$(GO) test -fuzz=FuzzClientSchedule -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 
 cover:

@@ -1,6 +1,11 @@
 // Command vspserve runs the Video-On-Reservation scheduling service over
-// HTTP for a fixed infrastructure. It shuts down gracefully on SIGINT or
-// SIGTERM, draining in-flight requests for up to 10 seconds.
+// HTTP for a fixed infrastructure: it takes reservations and answers with a
+// priced schedule (internal/server's package comment is the route table). It
+// shuts down gracefully on SIGINT or SIGTERM, draining in-flight requests for
+// up to 10 seconds.
+//
+// It serves no simulation or billing: to execute a schedule it returned,
+// inject faults into it, repair it or audit its bill, run vspsim on it.
 //
 // With -data-dir the rolling-horizon reservation intake is durable: every
 // accepted reservation and committed epoch is journaled to a write-ahead

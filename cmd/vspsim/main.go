@@ -22,6 +22,7 @@ import (
 	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/repair"
 	"github.com/vodsim/vsp/internal/vodsim"
+	"github.com/vodsim/vsp/internal/workload"
 )
 
 type options struct {
@@ -71,13 +72,19 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
+	// The simulator, the repairer and billing index by the IDs a schedule
+	// holds, so one that does not resolve against this topology and catalog
+	// is refused here, with its defect named.
+	if err := sched.ValidateStructure(topo, cat); err != nil {
+		return fmt.Errorf("schedule validation: %w", err)
+	}
 	model := cli.BuildModel(topo, cat, o.srate, o.nrate)
+	var reqs workload.Set
 	if o.reqPath != "" {
-		reqs, err := cli.LoadRequests(o.reqPath)
-		if err != nil {
+		if reqs, err = cli.LoadRequestsAuto(o.reqPath, topo, cat); err != nil {
 			return err
 		}
-		if err := sched.Validate(topo, cat, reqs); err != nil {
+		if err := sched.Serves(reqs); err != nil {
 			return fmt.Errorf("schedule validation: %w", err)
 		}
 		fmt.Fprintf(w, "validation        ok (%d requests)\n", len(reqs))
@@ -86,7 +93,7 @@ func run(w io.Writer, o options) error {
 	var sc *faults.Scenario
 	switch {
 	case o.faultsPath != "":
-		if sc, err = cli.LoadScenario(o.faultsPath); err != nil {
+		if sc, err = loadScenario(o.faultsPath); err != nil {
 			return err
 		}
 	case o.faultSeed != 0:
@@ -176,10 +183,6 @@ func run(w io.Writer, o options) error {
 		if o.reqPath == "" {
 			return fmt.Errorf("-audit needs -requests (coverage is part of the audit)")
 		}
-		reqs, err := cli.LoadRequestsAuto(o.reqPath, topo, cat)
-		if err != nil {
-			return err
-		}
 		arep := audit.Run(model, sched, reqs)
 		fmt.Fprintf(w, "audit             %d finding(s)\n", len(arep.Findings))
 		for _, fd := range arep.Findings {
@@ -193,4 +196,14 @@ func run(w io.Writer, o options) error {
 		return fmt.Errorf("%d violations", len(rep.Violations))
 	}
 	return nil
+}
+
+// loadScenario reads a fault scenario JSON file.
+func loadScenario(path string) (*faults.Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
+	}
+	defer f.Close()
+	return faults.Decode(f)
 }

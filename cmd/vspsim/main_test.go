@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,7 +98,7 @@ func TestSimulateWithoutRequests(t *testing.T) {
 // VW—IS2 edge) and a schedule whose 90m and 180m services hang off a cached
 // copy at IS2, so cutting the VW—IS2 link just before 90m knocks both out
 // while an alternate route survives.
-func faultFixtures(t *testing.T) (topoP, catP, reqP, schedP string, sc *faults.Scenario) {
+func faultFixtures(t testing.TB) (topoP, catP, reqP, schedP string, sc *faults.Scenario) {
 	t.Helper()
 	dir := t.TempDir()
 	b := topology.NewBuilder()
@@ -238,4 +239,64 @@ func TestSimulateErrors(t *testing.T) {
 	if err := run(&sb, o); err == nil {
 		t.Error("expected unknown-policy error")
 	}
+}
+
+// malformedSchedules are schedule files that decode but cannot be indexed by:
+// on faultFixtures' rig (nodes 0–2, users 0–2, one title) the first two used
+// to panic the simulator, and the last two were simulated as clean and priced
+// — user 77 of 3 included.
+var malformedSchedules = []struct{ name, body, want string }{
+	{"nil file", `{"files":{"0":null}}`, "holds no schedule"},
+	{"residency at node 9999", `{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[0,1],"source_residency":-1}],
+		"residencies":[{"video":0,"loc":9999,"src":0,"load":0,"last_service":0,"fed_by":0,"services":[]}]}}}`, "node 9999"},
+	{"empty route", `{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[],"source_residency":-1}],"residencies":[]}}}`, "empty route"},
+	{"user 77 of 3", `{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":77,"start":0,"route":[0,1],"source_residency":-1}],"residencies":[]}}}`, "unknown user 77"},
+}
+
+// A schedule file is checked structurally before the simulator indexes it,
+// with or without -requests: a malformed one is an error naming the defect.
+func TestMalformedScheduleIsAnError(t *testing.T) {
+	topoP, catP, _, _, _ := faultFixtures(t)
+	dir := t.TempDir()
+	for _, tc := range malformedSchedules {
+		schedP := filepath.Join(dir, "schedule.json")
+		if err := os.WriteFile(schedP, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(&sb, baseOptions(topoP, catP, schedP, "")); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run = %v, want an error naming %q\n%s", tc.name, err, tc.want, sb.String())
+		}
+	}
+}
+
+// FuzzScheduleFile feeds arbitrary bytes to vspsim as the -schedule file, run
+// once under a generated fault scenario with repair, and once against the
+// requests with the audit bundle: between them the simulator, the repairer
+// and billing see every input. run may refuse it; it must not panic.
+func FuzzScheduleFile(f *testing.F) {
+	topoP, catP, reqP, schedP, _ := faultFixtures(f)
+	good, err := os.ReadFile(schedP)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, tc := range malformedSchedules {
+		f.Add([]byte(tc.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		schedP := filepath.Join(t.TempDir(), "schedule.json")
+		if err := os.WriteFile(schedP, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		faulted := baseOptions(topoP, catP, schedP, "")
+		faulted.faultSeed, faulted.repairPolicy = 1, "reroute"
+		_ = run(io.Discard, faulted)
+		audited := baseOptions(topoP, catP, schedP, reqP)
+		audited.auditRun = true
+		_ = run(io.Discard, audited)
+	})
 }

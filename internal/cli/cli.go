@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"github.com/vodsim/vsp/internal/cost"
-	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/routing"
@@ -80,16 +79,6 @@ func LoadSchedule(path string) (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("schedule: decode: %w", err)
 	}
 	return s, nil
-}
-
-// LoadScenario reads a fault scenario JSON file.
-func LoadScenario(path string) (*faults.Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("faults: %w", err)
-	}
-	defer f.Close()
-	return faults.Decode(f)
 }
 
 // SaveJSON writes v as indented JSON to path ("-" or "" means stdout).

@@ -18,11 +18,8 @@
 //	   GET  /v1/topology              the service network (topology.Spec JSON)
 //	   GET  /v1/catalog               the title list
 //	   GET  /v1/stats                 shape, horizon, overload, recovery, replication
-//	T  POST /v1/schedule              batch -> schedule + costs + cache statistics;
-//	                                  both scheduler.Schedule calls stop on expiry
-//	   POST /v1/simulate              {"schedule": ...} -> execution report; the
-//	                                  simulator and the repairer take no context
-//	   POST /v1/bill                  {"schedule": ...} -> per-user statement; no context
+//	T  POST /v1/schedule              batch -> schedule + costs; both
+//	                                  scheduler.Schedule calls stop on expiry
 //	   POST /v1/reservations          intake ack; Submit takes no context, on purpose:
 //	                                  a journaled reservation is never cut off
 //	   GET  /v1/plan                  the committed plan, from one horizon reading
@@ -33,6 +30,10 @@
 //	   POST /v1/replication/fence     demote under a newer epoch
 //	T  POST /v1/replication/promote   the catch-up drain and the source fence are
 //	                                  HTTP calls bounded by the request context
+//
+// A client's own schedule is simulated, repaired and billed offline, by
+// cmd/vspsim or the library (System.SimulateUnder, Repair, Bill): those are
+// how the provider is evaluated, not what it serves.
 //
 // The JSON helpers, protective middleware and admission limiter come from
 // internal/httpkit.
@@ -47,14 +48,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/vodsim/vsp/internal/analysis"
-	"github.com/vodsim/vsp/internal/billing"
 	"github.com/vodsim/vsp/internal/cost"
-	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/repair"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
@@ -62,7 +59,6 @@ import (
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/vodsim"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -165,8 +161,6 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("POST /v1/schedule", s.timed(s.handleSchedule))
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/bill", s.handleBill)
 	s.mux.HandleFunc("POST /v1/reservations", s.handleReservation)
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
 	s.mux.Handle("POST /v1/advance", s.timed(s.handleAdvance))
@@ -339,8 +333,6 @@ type ScheduleResponse struct {
 	DirectCost units.Money        `json:"direct_cost"`
 	Overflows  int                `json:"overflows"`
 	Victims    int                `json:"victims"`
-	HitRatePct float64            `json:"hit_rate_pct"`
-	Copies     int                `json:"copies"`
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -390,7 +382,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
-	rep := analysis.Summarize(s.model, out.Schedule)
 	httpkit.WriteJSON(w, http.StatusOK, ScheduleResponse{
 		Schedule:   out.Schedule,
 		Phase1Cost: out.Phase1Cost,
@@ -398,159 +389,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		DirectCost: direct.FinalCost,
 		Overflows:  out.Overflows,
 		Victims:    len(out.Victims),
-		HitRatePct: 100 * rep.HitRate(),
-		Copies:     rep.Copies,
-	})
-}
-
-// SimulateRequest is the POST /v1/simulate body. Faults optionally injects
-// a failure scenario into the execution; Repair additionally asks for a
-// failure-aware repaired schedule ("reroute" or "vw-direct").
-type SimulateRequest struct {
-	Schedule *schedule.Schedule `json:"schedule"`
-	Faults   *faults.Scenario   `json:"faults,omitempty"`
-	Repair   string             `json:"repair,omitempty"`
-}
-
-// RepairSummary reports the repair pass of a faulted simulation.
-type RepairSummary struct {
-	Policy     string                 `json:"policy"`
-	Impacted   int                    `json:"impacted"`
-	Repaired   int                    `json:"repaired"`
-	FromCache  int                    `json:"from_cache"`
-	FromVW     int                    `json:"from_vw"`
-	Missed     []repair.MissedService `json:"missed,omitempty"`
-	DeadCopies int                    `json:"dead_copies"`
-	CostBefore units.Money            `json:"cost_before"`
-	CostAfter  units.Money            `json:"cost_after"`
-	CostDelta  units.Money            `json:"cost_delta"`
-	Copies     int                    `json:"copies"`
-	HitRatePct float64                `json:"hit_rate_pct"`
-	Schedule   *schedule.Schedule     `json:"schedule"`
-}
-
-// SimulateResponse is the POST /v1/simulate reply.
-type SimulateResponse struct {
-	OK          bool        `json:"ok"`
-	Streams     int         `json:"streams"`
-	CacheLoads  int         `json:"cache_loads"`
-	Violations  []string    `json:"violations,omitempty"`
-	TotalCost   units.Money `json:"total_cost"`
-	NetworkCost units.Money `json:"network_cost"`
-	StorageCost units.Money `json:"storage_cost"`
-	// Fault-injection outcome (zero when no scenario was supplied).
-	Missed          int            `json:"missed,omitempty"`
-	Severed         int            `json:"severed,omitempty"`
-	DeadResidencies int            `json:"dead_residencies,omitempty"`
-	FaultNotes      []string       `json:"fault_notes,omitempty"`
-	Repair          *RepairSummary `json:"repair,omitempty"`
-}
-
-// clientSchedule reports whether a schedule out of a request body may be
-// handed to the simulator, the repairer and billing, which index by the IDs
-// it holds: it must be there and structurally valid. Otherwise the request
-// has been answered 400 with the violation.
-func (s *Server) clientSchedule(w http.ResponseWriter, sched *schedule.Schedule) bool {
-	if sched == nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("missing schedule"))
-		return false
-	}
-	if err := sched.ValidateStructure(s.model.Book().Topology(), s.model.Catalog()); err != nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if !httpkit.DecodeBody(w, r, &req) {
-		return
-	}
-	if !s.clientSchedule(w, req.Schedule) {
-		return
-	}
-	if err := req.Faults.Validate(s.model.Book().Topology()); err != nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	rep := vodsim.ExecuteScenario(s.model.Book(), s.model.Catalog(), req.Schedule, req.Faults)
-	resp := SimulateResponse{
-		OK:              rep.OK(),
-		Streams:         rep.Streams,
-		CacheLoads:      rep.CacheLoads,
-		TotalCost:       rep.TotalCost(),
-		NetworkCost:     rep.NetworkCost,
-		StorageCost:     rep.StorageCost,
-		Missed:          rep.Missed,
-		Severed:         rep.Severed,
-		DeadResidencies: rep.DeadResidencies,
-		FaultNotes:      rep.FaultNotes,
-	}
-	for _, v := range rep.Violations {
-		resp.Violations = append(resp.Violations, v.String())
-	}
-	if req.Repair != "" {
-		pol, err := repair.ParsePolicy(req.Repair)
-		if err != nil {
-			httpkit.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-		rres, err := repair.Repair(s.model, req.Schedule, req.Faults, repair.Options{Policy: pol})
-		if err != nil {
-			httpkit.WriteErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp.Repair = &RepairSummary{
-			Policy:     pol.String(),
-			Impacted:   rres.Impacted,
-			Repaired:   rres.Repaired,
-			FromCache:  rres.FromCache,
-			FromVW:     rres.FromVW,
-			Missed:     rres.Missed,
-			DeadCopies: rres.DeadCopies,
-			CostBefore: rres.CostBefore,
-			CostAfter:  rres.CostAfter,
-			CostDelta:  rres.Delta(),
-			Copies:     rres.Copies,
-			HitRatePct: rres.HitRatePct,
-			Schedule:   rres.Schedule,
-		}
-	}
-	httpkit.WriteJSON(w, http.StatusOK, resp)
-}
-
-// BillRequest is the POST /v1/bill body.
-type BillRequest struct {
-	Schedule *schedule.Schedule `json:"schedule"`
-}
-
-// BillResponse is the POST /v1/bill reply.
-type BillResponse struct {
-	Lines   []billing.Line `json:"lines"`
-	Network units.Money    `json:"network"`
-	Storage units.Money    `json:"storage"`
-	Total   units.Money    `json:"total"`
-}
-
-func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
-	var req BillRequest
-	if !httpkit.DecodeBody(w, r, &req) {
-		return
-	}
-	if !s.clientSchedule(w, req.Schedule) {
-		return
-	}
-	st, err := billing.Attribute(s.model, req.Schedule)
-	if err != nil {
-		httpkit.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	httpkit.WriteJSON(w, http.StatusOK, BillResponse{
-		Lines:   st.Lines,
-		Network: st.Network,
-		Storage: st.Storage,
-		Total:   st.Total(),
 	})
 }
 

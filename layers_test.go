@@ -29,21 +29,23 @@ import (
 const module = "github.com/vodsim/vsp"
 
 // corePackages is `go list -deps ./cmd/vspserve ./cmd/vspgateway`, internal
-// packages only, by name. analysis, billing, des, faults, repair and vodsim
-// are here for /v1/schedule's extras, /v1/simulate and /v1/bill; gateway
-// links the solver through server's wire types (ROADMAP item 9).
+// packages only, by name. gateway links the solver through server's wire
+// types (ROADMAP item 9).
 var corePackages = []string{
-	"analysis", "billing", "chaos", "cli", "cost", "des", "faults", "gateway",
-	"horizon", "httpkit", "ivs", "media", "occupancy", "parallel", "pricing",
-	"repair", "replica", "retryhttp", "routing", "schedule", "scheduler",
-	"server", "simtime", "sorp", "topology", "units", "vodsim", "wal",
-	"workload",
+	"chaos", "cli", "cost", "gateway", "horizon", "httpkit", "ivs", "media",
+	"occupancy", "parallel", "pricing", "replica", "retryhttp", "routing",
+	"schedule", "scheduler", "server", "simtime", "sorp", "topology", "units",
+	"wal", "workload",
 }
 
-// labPackages is the rest of internal/. testutil is the rig package.
+// labPackages is the rest of internal/. testutil is the rig package. The
+// oracle — analysis, audit, billing, des, faults, repair, vodsim — is here,
+// so rows (a) and (b) also keep it from the horizon: what a horizon.Service
+// may hold is decided by scheduler.Check and nothing else.
 var labPackages = []string{
-	"audit", "bandwidth", "experiment", "loadgen", "online", "optimal",
-	"placement", "plot", "report", "stats", "testutil",
+	"analysis", "audit", "bandwidth", "billing", "des", "experiment", "faults",
+	"loadgen", "online", "optimal", "placement", "plot", "repair", "report",
+	"stats", "testutil", "vodsim",
 }
 
 // coreTestLab is every lab package a core _test.go imports, under any build
@@ -297,14 +299,6 @@ var depRules = []depRule{
 		forbidden: regexp.MustCompile(`^internal/(ivs|sorp|occupancy|parallel)$`),
 		hit:       "internal/sorp", miss: "internal/scheduler",
 		why: "internal/horizon imports a solver phase: the two-phase pipeline (phase-1 fan-out, integrate, SORP) lives once, in internal/scheduler, and an epoch close is a call to it",
-	},
-	{
-		name:       "bar: the horizon cannot reach the audit bundle",
-		from:       []string{"internal/horizon"},
-		transitive: true,
-		forbidden:  regexp.MustCompile(`^internal/(audit|vodsim|billing|des|faults)$`),
-		hit:        "internal/vodsim", miss: "internal/scheduler",
-		why: "internal/horizon depends on the audit bundle: what a horizon.Service may hold is decided by scheduler.Check and nothing else — at the epoch commit, at Recover, at InstallSnapshot and at promotion — and the simulator and billing are an oracle for tests, bench/ and operators",
 	},
 	{
 		name:       "façade: the library does not link the tier",
