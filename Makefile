@@ -45,7 +45,10 @@ chaos-bench:
 # decoder (crash/corruption trichotomy), the schedule API decoder, vspsim's
 # -schedule file (the simulator, the repairer and billing behind it), and the
 # door every snapshot payload takes. The last two start from whole schedules,
-# which the fuzzer would otherwise spend the whole pass minimizing.
+# which the fuzzer would otherwise spend the whole pass minimizing. Two of
+# them also hold the hand-written encoders to encoding/json: every schedule
+# FuzzScheduleDecode decodes must give Schedule.AppendJSON == json.Marshal,
+# and every state FuzzSnapshotDoor admits state.appendJSON == json.Marshal.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server

@@ -140,11 +140,8 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeUpstreamErr(w, sh, err)
 		return
 	}
-	sched, err := g.mergedSchedule(from)
-	var tail []byte
-	if err == nil {
-		tail, err = json.Marshal(rest)
-	}
+	sched := g.mergedSchedule(from)
+	tail, err := json.Marshal(rest)
 	if err != nil {
 		log.Printf("gateway: cannot encode the plan: %v", err)
 		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
@@ -248,20 +245,23 @@ func (g *Gateway) keepSchedule(sh *shard, raw []byte) (*shardSchedule, error) {
 // first call for a tuple of shard schedules and kept for the later ones.
 // Every holder in from is immutable and a changed shard schedule arrives in
 // a new one, so the pointers say whether the kept bytes still are their
-// merge.
-func (g *Gateway) mergedSchedule(from []*shardSchedule) ([]byte, error) {
-	if m := g.merged.Load(); m != nil && slices.Equal(m.from, from) {
-		return m.blob, nil
+// merge. A new merge is encoded into a buffer of its own, sized from the
+// last one's bytes with an eighth to spare.
+func (g *Gateway) mergedSchedule(from []*shardSchedule) []byte {
+	m := g.merged.Load()
+	if m != nil && slices.Equal(m.from, from) {
+		return m.blob
+	}
+	var last int
+	if m != nil {
+		last = len(m.blob)
 	}
 	parts := make([]*schedule.Schedule, len(from))
 	for i, k := range from {
 		parts[i] = k.sched
 	}
-	blob, err := json.Marshal(MergeSchedules(parts...))
-	if err != nil {
-		return nil, err
-	}
+	blob := MergeSchedules(parts...).AppendJSON(make([]byte, 0, last+last/8))
 	g.planMerges.Add(1)
 	g.merged.Store(&mergedPlan{from: from, blob: blob})
-	return blob, nil
+	return blob
 }

@@ -158,7 +158,8 @@ func TestRecoverRefusesInconsistentSnapshot(t *testing.T) {
 // FuzzSnapshotDoor feeds arbitrary bytes to the door every snapshot payload
 // takes, from disk or off the wire: it must answer with a state or an error,
 // never a panic, and a state it admits must be a fixed point — re-encoded it
-// is admitted again and encodes to the same bytes.
+// is admitted again and encodes to the same bytes — whose encoding by the
+// snapshot's writer is json.Marshal's, byte for byte.
 func FuzzSnapshotDoor(f *testing.F) {
 	r, err := testutil.Build(durableParams())
 	if err != nil {
@@ -175,11 +176,14 @@ func FuzzSnapshotDoor(f *testing.F) {
 	f.Add([]byte(`{"`))
 	svc := horizon.New(r.Model, horizon.Config{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		first, err := svc.AdmitSnapshot(blob)
+		first, marshalled, err := svc.AdmitSnapshot(blob)
 		if err != nil {
 			return
 		}
-		second, err := svc.AdmitSnapshot(first)
+		if !bytes.Equal(first, marshalled) {
+			t.Fatalf("payload %q was admitted, and its state encodes differently:\nappendJSON   %s\njson.Marshal %s", blob, first, marshalled)
+		}
+		second, _, err := svc.AdmitSnapshot(first)
 		if err != nil {
 			t.Fatalf("payload %q was admitted, its re-encoding %q is refused: %v", blob, first, err)
 		}

@@ -1,10 +1,10 @@
 package horizon
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -266,8 +266,13 @@ func (s *Service) maybeSnapshotLocked() {
 	if every < 0 || s.st.Epoch%every != 0 {
 		return
 	}
-	blob, err := encodeState(&s.snap, &s.st)
+	// The payload is appended to the last one's buffer, which doubles only
+	// when a state no longer fits in it: a shard whose history grows a
+	// little per epoch reallocates it once per doubling, not at every
+	// snapshot.
+	blob, err := s.st.appendJSON(s.snap[:0])
 	if err == nil {
+		s.snap = blob
 		err = wal.WriteSnapshot(s.dir, s.lastSeq, blob)
 	}
 	if err == nil {
@@ -278,17 +283,49 @@ func (s *Service) maybeSnapshotLocked() {
 	}
 }
 
-// encodeState writes a snapshot payload — json.Marshal(st), byte for byte —
-// into buf and returns buf's bytes, good until buf is next written. The
-// encoder hands its finished encoding over in one piece, so a buffer that
-// has grown to the state's size receives it without allocating.
-func encodeState(buf *bytes.Buffer, st *state) ([]byte, error) {
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(st); err != nil {
-		return nil, err
+// appendJSON appends the snapshot payload, json.Marshal(st) byte for byte, to
+// dst. A NaN or infinite Cost or PendingBytes is an error, as it is to
+// json.Marshal, and returns dst unextended. Recover and InstallSnapshot
+// decode the payload with encoding/json, so the struct tags remain the
+// format's definition and this its one writer.
+func (st *state) appendJSON(dst []byte) ([]byte, error) {
+	out := strconv.AppendInt(append(dst, `{"horizon":`...), int64(st.Horizon), 10)
+	out = strconv.AppendInt(append(out, `,"epoch":`...), int64(st.Epoch), 10)
+	out = strconv.AppendInt(append(out, `,"clock":`...), int64(st.Clock), 10)
+	out = strconv.AppendInt(append(out, `,"epoch_clock":`...), int64(st.EpochClock), 10)
+	out, err := appendFloat(append(out, `,"cost":`...), "cost", float64(st.Cost))
+	if err != nil {
+		return dst, err
 	}
-	buf.Truncate(buf.Len() - 1) // Encode ends the value with a newline; Marshal does not
-	return buf.Bytes(), nil
+	out = st.Committed.AppendJSON(append(out, `,"committed":`...))
+	out = st.Accepted.AppendJSON(append(out, `,"accepted":`...))
+	out = st.Pending.AppendJSON(append(out, `,"pending":`...))
+	if out, err = appendFloat(append(out, `,"pending_bytes":`...), "pending_bytes", st.PendingBytes); err != nil {
+		return dst, err
+	}
+	return append(out, '}'), nil
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent ("1e-7", not "1e-07"). JSON has no NaN
+// or infinity, so those are an error naming the field.
+func appendFloat(dst []byte, field string, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("%s is %v, which JSON cannot carry", field, f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 // decodeState is the one door by which a snapshot payload — read from disk by
@@ -297,8 +334,8 @@ func encodeState(buf *bytes.Buffer, st *state) ([]byte, error) {
 // were written; the door establishes that what they decode to is a state this
 // service could have reached: the invariants the state type documents hold,
 // and the committed schedule passes the bar. It returns an error and never
-// panics, whatever the bytes, and it reads the service's model and nothing
-// else of it.
+// panics, whatever the bytes. Of the service it reads the model and works in
+// the bar's kept memory (check), nothing else.
 func (s *Service) decodeState(blob []byte) (state, error) {
 	var st state
 	if err := json.Unmarshal(blob, &st); err != nil {

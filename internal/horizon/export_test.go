@@ -18,11 +18,20 @@ func (s *Service) Rewind() func() {
 }
 
 // AdmitSnapshot takes a payload through decodeState, the door, and returns
-// the admitted state encoded again.
-func (s *Service) AdmitSnapshot(blob []byte) ([]byte, error) {
+// the admitted state encoded again twice: by its one writer, state.appendJSON,
+// and by json.Marshal.
+func (s *Service) AdmitSnapshot(blob []byte) (appended, marshalled []byte, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, err := s.decodeState(blob)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return json.Marshal(st)
+	if appended, err = st.appendJSON(nil); err != nil {
+		return nil, nil, err
+	}
+	if marshalled, err = json.Marshal(st); err != nil {
+		return nil, nil, err
+	}
+	return appended, marshalled, nil
 }

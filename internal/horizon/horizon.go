@@ -37,7 +37,6 @@
 package horizon
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -156,13 +155,18 @@ type Service struct {
 
 	st state // everything that changes; guarded by mu
 
+	// checker is the bar's working memory, kept from one commit to the next
+	// (see check); guarded by mu. A field, not a sync.Pool: a collection
+	// empties a pool, and the map is the size of the whole history.
+	checker scheduler.Checker
+
 	// Durability (nil/zero for in-memory services; see durable.go).
 	journal  *wal.Log
 	dir      string
 	lastSeq  uint64
 	recovery RecoveryStats
-	snap     bytes.Buffer // the snapshot encoding, reused from one snapshot to the next
-	rec      []byte       // the journal record being appended, reused from one to the next
+	snap     []byte // the last snapshot's encoding; its array is the next one's buffer
+	rec      []byte // the journal record being appended, reused from one to the next
 }
 
 // state is the full mutable state of a Service, declared once: the live
@@ -390,10 +394,11 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 // commit (extend), a decoded snapshot (decodeState) and promotion
 // (VerifyCommitted) all ask here, so whatever a commit accepted, recovery and
 // failover accept: it is the same call on the same arguments. Pending must be
-// no longer than Accepted.
+// no longer than Accepted. Callers hold s.mu, or own s outright (Recover
+// before it returns), which is what makes s.checker theirs.
 func (s *Service) check(st *state) error {
 	served := st.Accepted[:len(st.Accepted)-len(st.Pending)]
-	return scheduler.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, served).Err()
+	return s.checker.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, served).Err()
 }
 
 // split divides the committed schedule at the new horizon: per video, the

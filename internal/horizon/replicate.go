@@ -2,7 +2,6 @@ package horizon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -80,7 +79,7 @@ func (s *Service) TailAfter(after uint64, maxRecords int) (*ReplicationTail, err
 	if len(recs) == 0 || recs[0].Seq != after+1 {
 		// The records right after the resume point were compacted into a
 		// snapshot. Ship the live state instead of the unreachable diff.
-		blob, err := json.Marshal(s.st)
+		blob, err := s.st.appendJSON(nil)
 		if err != nil {
 			return nil, fmt.Errorf("horizon: snapshot state: %w", err)
 		}

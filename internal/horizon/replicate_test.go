@@ -1,6 +1,7 @@
 package horizon_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -139,12 +140,14 @@ func TestApplyReplicatedIdempotencyAndGaps(t *testing.T) {
 }
 
 // When compaction has folded the requested records into a snapshot, the
-// tail arrives as a full-state snapshot instead, and installing it brings
-// a fresh follower to the primary's exact state.
+// tail arrives as a full-state snapshot instead — the bytes the primary's own
+// snapshot file holds at the same sequence, from the same writer — and
+// installing it brings a fresh follower to the primary's exact state.
 func TestSnapshotShippingAfterCompaction(t *testing.T) {
 	r := rig(t, durableParams())
 	cfg := horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever}
-	primary, err := horizon.Recover(t.TempDir(), r.Model, cfg)
+	primaryDir := t.TempDir()
+	primary, err := horizon.Recover(primaryDir, r.Model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +166,13 @@ func TestSnapshotShippingAfterCompaction(t *testing.T) {
 	}
 	if tail.SnapshotSeq != primary.AppliedSeq() {
 		t.Fatalf("snapshot at seq %d, primary at %d", tail.SnapshotSeq, primary.AppliedSeq())
+	}
+	onDiskSeq, onDisk, ok, err := wal.ReadSnapshot(primaryDir)
+	if err != nil || !ok || onDiskSeq != tail.SnapshotSeq {
+		t.Fatalf("the primary's snapshot file: seq %d, present %v, err %v; want seq %d", onDiskSeq, ok, err, tail.SnapshotSeq)
+	}
+	if !bytes.Equal(tail.Snapshot, onDisk) {
+		t.Fatalf("shipped snapshot (%d bytes) differs from the on-disk payload at the same seq (%d bytes)", len(tail.Snapshot), len(onDisk))
 	}
 
 	followerDir := t.TempDir()

@@ -197,9 +197,24 @@ func (l *Ledger) noteVideoNode(vid media.VideoID, node topology.NodeID) {
 }
 
 // FromSchedule builds a ledger holding every residency of the schedule,
-// the integration step of paper §3.3.
+// the integration step of paper §3.3. Every node's entries and events are
+// allocated once, at their final size — three records per residency — rather
+// than grown by append: an epoch close builds two such ledgers over the
+// shard's whole history, one for the solve and one for the bar.
 func FromSchedule(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule) *Ledger {
 	l := NewLedger(topo, catalog)
+	count := make([]int, len(l.nodes))
+	for _, fs := range s.Files {
+		for i := range fs.Residencies {
+			count[fs.Residencies[i].Loc]++
+		}
+	}
+	for n, k := range count {
+		if k > 0 {
+			l.nodes[n].entries = make([]entry, 0, k)
+			l.nodes[n].events = make([]event, 0, 3*k)
+		}
+	}
 	for _, vid := range s.VideoIDs() {
 		fs := s.Files[vid]
 		for i, c := range fs.Residencies {

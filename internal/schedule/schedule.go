@@ -238,18 +238,37 @@ func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Cat
 // multiset of (user, video, start): none unserved, none served twice, none
 // that nobody asked for.
 func (s *Schedule) Serves(requests workload.Set) error {
-	type key struct {
-		u topology.UserID
-		v media.VideoID
-		t simtime.Time
+	return new(Coverage).Serves(s, requests)
+}
+
+// Coverage is the multiset Serves counts requests in. A caller that checks
+// coverage at every commit keeps one, so the map it fills — one entry per
+// request, the size of the whole history — is allocated once and emptied with
+// clear instead of built afresh each time. The zero value is ready to use; a
+// Coverage is not safe for concurrent use.
+type Coverage struct {
+	want map[coverKey]int
+}
+
+type coverKey struct {
+	u topology.UserID
+	v media.VideoID
+	t simtime.Time
+}
+
+// Serves is Schedule.Serves, counting in c.
+func (c *Coverage) Serves(s *Schedule, requests workload.Set) error {
+	if c.want == nil {
+		c.want = make(map[coverKey]int, len(requests))
 	}
-	want := make(map[key]int, len(requests))
+	want := c.want
+	clear(want)
 	for _, r := range requests {
-		want[key{r.User, r.Video, r.Start}]++
+		want[coverKey{r.User, r.Video, r.Start}]++
 	}
 	for _, fs := range s.Files {
 		for _, d := range fs.Deliveries {
-			k := key{d.User, d.Video, d.Start}
+			k := coverKey{d.User, d.Video, d.Start}
 			if want[k] == 0 {
 				return fmt.Errorf("schedule: delivery for (%d,%d,%v) matches no request", d.User, d.Video, d.Start)
 			}

@@ -46,11 +46,24 @@ func (v Verdict) Err() error {
 // built only once the structural half has passed. On a well-formed schedule
 // request coverage and capacity both run, so an auditor can report each.
 func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule, served workload.Set) Verdict {
+	return new(Checker).Check(topo, catalog, s, served)
+}
+
+// Checker is Check for a caller that applies the predicate at every commit:
+// it keeps the coverage multiset from one call to the next, so the half that
+// counts every request served is not a fresh history-sized map each time. The
+// zero value is ready to use; a Checker is not safe for concurrent use.
+type Checker struct {
+	cov schedule.Coverage
+}
+
+// Check is the commit predicate; see the function Check.
+func (c *Checker) Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule, served workload.Set) Verdict {
 	if err := s.ValidateStructure(topo, catalog); err != nil {
 		return Verdict{Invalid: err, Malformed: true}
 	}
 	return Verdict{
-		Invalid:   s.Serves(served),
+		Invalid:   c.cov.Serves(s, served),
 		Overflows: Overflows(topo, catalog, s),
 	}
 }

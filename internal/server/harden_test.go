@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/httpkit"
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/testutil"
 )
 
@@ -266,7 +267,9 @@ func TestDeadlineIsOnTheRoutesThatCanStop(t *testing.T) {
 // whatever arrives, the server must answer with a well-formed JSON reply
 // and never panic (the recovery middleware turns a panic into a 500, which
 // the fuzz target also treats as a failure — handlers should reject, not
-// blow up).
+// blow up). Every schedule the input or the reply decodes to must encode by
+// Schedule.AppendJSON, the writer of plans and snapshots, exactly as
+// json.Marshal encodes it.
 func FuzzScheduleDecode(f *testing.F) {
 	fig, err := testutil.NewFig2()
 	if err != nil {
@@ -279,7 +282,22 @@ func FuzzScheduleDecode(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"requests":[{"user":0,"video":99,"start":-5}],"metric":"bogus"}`))
+	f.Add([]byte(`{"files":{"10":{"video":10,"deliveries":[{"route":[0,1],"source_residency":-1}],"residencies":[]},"2":null,"-1":{"residencies":[{"fed_by":-1,"services":null}]}}}`))
+	f.Add([]byte(`{"files":null}`))
+	sameBytes := func(t *testing.T, what string, sched *schedule.Schedule) {
+		want, err := json.Marshal(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s decodes to a schedule that encodes differently:\nAppendJSON   %s\njson.Marshal %s", what, got, want)
+		}
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var sched *schedule.Schedule
+		if json.Unmarshal(body, &sched) == nil {
+			sameBytes(t, "the body", sched)
+		}
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
 		if rec.Code == http.StatusInternalServerError {
@@ -288,6 +306,13 @@ func FuzzScheduleDecode(f *testing.F) {
 		var reply any
 		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 			t.Fatalf("body %q produced non-JSON reply %q (status %d)", body, rec.Body.Bytes(), rec.Code)
+		}
+		if rec.Code == http.StatusOK {
+			var ok ScheduleResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ok); err != nil {
+				t.Fatalf("body %q: the 200 reply does not decode: %v", body, err)
+			}
+			sameBytes(t, "the reply", ok.Schedule)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
@@ -106,25 +105,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 		Pending int          `json:"pending"`
 		Cost    units.Money  `json:"cost"`
 	}{p.Horizon, p.Epoch, p.Pending, p.Cost})
-	var sched []byte
-	if err == nil {
-		sched, err = s.encodedSchedule(p.Schedule)
-	}
 	if err != nil {
 		log.Printf("server: cannot encode the plan: %v", err)
 		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
 		return
 	}
-	httpkit.WriteJSONParts(w, []byte(`{"schedule":`), sched, []byte(`,`), rest[1:], []byte("\n"))
+	httpkit.WriteJSONParts(w, []byte(`{"schedule":`), s.encodedSchedule(p.Schedule), []byte(`,`), rest[1:], []byte("\n"))
 }
 
-// encodedPlan is a committed schedule and, once somebody has asked for it,
-// its JSON.
+// encodedPlan is a committed schedule and its JSON. Immutable once published.
 type encodedPlan struct {
 	sched *schedule.Schedule
-	once  sync.Once
 	blob  []byte
-	err   error
 }
 
 // encodedSchedule returns json.Marshal(sched), encoded at the first call for
@@ -132,17 +124,22 @@ type encodedPlan struct {
 // modified, and every commit, installed snapshot and recovery brings a new
 // one (horizon.Plan), so the pointer says whether the kept bytes are still
 // its encoding. They are never written again: a reply in flight across a
-// commit finishes with the bytes it started with. Readers that find a new
-// schedule at the same instant may each encode it once; the holder stored
-// last serves the reads that follow.
-func (s *Server) encodedSchedule(sched *schedule.Schedule) ([]byte, error) {
+// commit finishes with the bytes it started with, and the next encoding goes
+// into a buffer of its own, sized from them with an eighth to spare for what
+// the commit added. Readers that find a new schedule at the same instant may
+// each encode it once; the holder stored last serves the reads that follow.
+func (s *Server) encodedSchedule(sched *schedule.Schedule) []byte {
 	e := s.plan.Load()
-	if e == nil || e.sched != sched {
-		e = &encodedPlan{sched: sched}
-		s.plan.Store(e)
+	if e != nil && e.sched == sched {
+		return e.blob
 	}
-	e.once.Do(func() { e.blob, e.err = json.Marshal(sched) })
-	return e.blob, e.err
+	var last int
+	if e != nil {
+		last = len(e.blob)
+	}
+	blob := sched.AppendJSON(make([]byte, 0, last+last/8))
+	s.plan.Store(&encodedPlan{sched: sched, blob: blob})
+	return blob
 }
 
 // AdvanceRequest is the POST /v1/advance body.

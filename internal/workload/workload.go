@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -34,6 +36,32 @@ type Request struct {
 
 // Set is a batch of requests for one scheduling cycle.
 type Set []Request
+
+// AppendJSON appends json.Marshal(s) to dst, byte for byte: null for a nil
+// set, [] for an empty one. It is the writer of the accepted and pending sets
+// in a horizon snapshot, which grow with the service's history; encoding/json
+// stays their decoder.
+func (s Set) AppendJSON(dst []byte) []byte {
+	if s == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, r := range s {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		// Room for the longest request, doubling the buffer when it has to
+		// grow: append alone would grow a large one a quarter at a time.
+		if cap(dst)-len(dst) < 96 {
+			dst = slices.Grow(dst, len(dst)+96)
+		}
+		dst = strconv.AppendInt(append(dst, `{"user":`...), int64(r.User), 10)
+		dst = strconv.AppendInt(append(dst, `,"video":`...), int64(r.Video), 10)
+		dst = strconv.AppendInt(append(dst, `,"start":`...), int64(r.Start), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
 
 // ByVideo partitions the set into per-title request lists R_i, each sorted
 // chronologically (ties broken by user ID for determinism). This is the
