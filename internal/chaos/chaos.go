@@ -27,6 +27,7 @@
 package chaos
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -198,7 +199,12 @@ func (in *Injector) decide(host, path string) outcome {
 			}
 			d := lo
 			if hi > lo {
-				d += time.Duration(in.rnd.Int63n(int64(hi-lo) + 1))
+				// Closed range: one more than the span, unless that overflows.
+				n := int64(hi - lo)
+				if n < math.MaxInt64 {
+					n++
+				}
+				d += time.Duration(in.rnd.Int63n(n))
 			}
 			o.delay += d
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -311,15 +312,108 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("rule 1 = %+v", r1)
 	}
 
-	for _, bad := range []string{
-		"",
-		"bogus=1",
-		"latency=xyz",
-		"drop=1,period=5s", // flapping without duty
-		"err",
+	// Malformed specs, and specs that would panic the handler they wrap or
+	// never fire, are refused; the values at the edge of each range are not.
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"", false},
+		{"bogus=1", false},
+		{"latency=xyz", false},
+		{"drop=1,period=5s", false}, // flapping without duty
+		{"err", false},
+		{"err=1:99", false}, // WriteHeader panics on a code below 100
+		{"err=1:-1", false},
+		{"err=1:399", false},
+		{"err=1:600", false},
+		{"err=1:400", true},
+		{"err=1:599", true},
+		{"err=1.5", false},
+		{"err=-0.1", false},
+		{"drop=NaN", false},
+		{"drop=2", false},
+		{"drop=0", true},
+		{"drop=1", true},
+		{"cut=1:-3", false}, // never cuts
+		{"cut=Inf", false},
+		{"cut=1:0", true},
+		{"duty=NaN,period=1s", false}, // NaN fails every comparison, so the rule never flaps
+		{"duty=1.5", false},
+		{"duty=1,period=1s", true},
+		{"drop=1,period=-1s", false},
+		{"drop=1,from=-1s", false},
+		{"drop=1,until=-1s", false},
+		{"drop=1,period=1s,duty=0.5,phase=-1s", false},
+		{"latency=-5s", false},
+		{"latency=10ms..-5ms", false},
+		{"latency=50ms..10ms", false},
+		{"latency=5ms..5ms", true},
+		{"latency=0s", true},
 	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("spec %q should fail", bad)
+		_, err := ParseSpec(tc.spec)
+		if got := err == nil; got != tc.ok {
+			t.Errorf("ParseSpec(%q): accepted = %v, want %v (err: %v)", tc.spec, got, tc.ok, err)
 		}
 	}
 }
+
+// fuzzClock stands still at now and sleeps for no time, so a spec's
+// latency costs the fuzzer nothing.
+type fuzzClock struct{ now time.Time }
+
+func (c *fuzzClock) Now() time.Time                             { return c.now }
+func (c *fuzzClock) Sleep(context.Context, time.Duration) error { return nil }
+
+// FuzzParseSpec holds ParseSpec to what vspserve -chaos relies on: every
+// spec it accepts drives the middleware and the transport through one
+// request, at any point of its rules' windows, without a panic — other than
+// http.ErrAbortHandler, the middleware's documented way of severing a
+// connection.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"latency=50ms..200ms,from=10s,until=30s,host=a:1; err=0.3:502,period=2s,duty=0.5,path=/v1/plan",
+		"drop=1", "err=1:429", "cut=1:3", "cut=1:0;err=1", "latency=1ms,drop=0.5,period=100ms,duty=0.3,phase=20ms",
+		"err=1:99", "cut=1:-3", "duty=NaN,period=1s",
+	} {
+		f.Add(s, uint32(0))
+		f.Add(s, uint32(15000))
+	}
+	f.Fuzz(func(t *testing.T, spec string, elapsedMs uint32) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		clock := &fuzzClock{now: time.Unix(0, 0)}
+		in := NewWithClock(clock, 1, rules...)
+		clock.now = clock.now.Add(time.Duration(elapsedMs) * time.Millisecond)
+		const body = "{\"ok\":true}\n"
+
+		h := in.Middleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			io.WriteString(w, body)
+		}))
+		func() {
+			defer func() {
+				if p := recover(); p != nil && p != http.ErrAbortHandler {
+					t.Fatalf("spec %q: the middleware panicked: %v", spec, p)
+				}
+			}()
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "http://a:1/v1/plan", nil))
+		}()
+
+		tr := &Transport{Injector: in, Base: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Header: make(http.Header),
+				Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)), Request: r}, nil
+		})}
+		resp, err := tr.RoundTrip(httptest.NewRequest(http.MethodGet, "http://a:1/v1/plan", nil))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

@@ -100,8 +100,13 @@ func TestCloneOfClone(t *testing.T) {
 // TestOverlayDeltaSizedByMaskedVideo pins what a view costs to build: its
 // per-node delta holds the masked video's own records, so its capacity and
 // the bytes OverlayWithout allocates must not grow with the number of
-// other videos' residencies on the node.
+// other videos' residencies on the node. The views are built new, not
+// taken from the free list, whose arrays keep the capacity of whatever
+// they served before.
 func TestOverlayDeltaSizedByMaskedVideo(t *testing.T) {
+	viewPool.Lock()
+	viewPool.views = nil
+	viewPool.Unlock()
 	topo, cat := fixture(t)
 	is1 := topology.NodeID(1)
 	build := func(others int) *Ledger {

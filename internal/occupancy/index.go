@@ -94,10 +94,11 @@ type nodeState struct {
 	// ver counts profile mutations (counters only ever increase); the
 	// prefix snapshot and the memoized overflow walk are keyed on it.
 	ver uint64
-	// pin, on a recording overlay view, is 1 + the index of the probe-log
-	// delta snapshot that aliases events; 0 when no probe references the
-	// slice. A pinned slice is copied before its next mutation (ownEvents).
-	// It shares a word with ovValid, so the slot is no larger for it.
+	// pin, on a recording overlay view, is 1 + the index of the log's copy
+	// of events as they stand; 0 reads as stale — the delta changed since
+	// the log's last copy, or none was taken — and the next probe at the
+	// node copies it. Every mutation of events clears it. It shares a word
+	// with ovValid, so the slot is no larger for it.
 	pin uint32
 	// ovValid/ovVer/ovs memoize the node's Overflows walk at a version.
 	ovValid bool
@@ -172,18 +173,6 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 	return pts
 }
 
-// ownEvents gives the node a private copy of its event slice if a probe
-// log references the current one (copy-on-write): a logged probe replays
-// against the view's delta as it stood when the query was asked, so a
-// referenced slice is never mutated in place. The copy leaves room for one
-// residency's records, the unit every mutation inserts.
-func (st *nodeState) ownEvents() {
-	if st.pin != 0 {
-		st.events = append(make([]event, 0, len(st.events)+3), st.events...)
-		st.pin = 0
-	}
-}
-
 // addEntryEvents inserts the entry's breakpoint records, reporting whether
 // the profile changed. A zero-value entry (γ=0 tentative) contributes no
 // records and leaves the profile — and hence the node's version — intact;
@@ -195,7 +184,7 @@ func (l *Ledger) addEntryEvents(node topology.NodeID, e *entry) bool {
 		return false
 	}
 	st := &l.nodes[node]
-	st.ownEvents()
+	st.pin = 0 // a probe log's copy of the delta is stale from here on
 	for i := 0; i < n; i++ {
 		st.events = insertEvent(st.events, evs[i])
 	}
@@ -211,7 +200,7 @@ func (l *Ledger) removeEntryEvents(node topology.NodeID, e *entry) bool {
 		return false
 	}
 	st := &l.nodes[node]
-	st.ownEvents()
+	st.pin = 0
 	for i := 0; i < n; i++ {
 		st.events = removeEvent(st.events, evs[i])
 	}

@@ -48,10 +48,12 @@
 // same operands, and ProbeLog.Covers whether a window lies in the box. If
 // both hold the reschedule would repeat itself exactly, and SORP reuses its
 // result instead of running it again (see internal/sorp).
-// Nothing else of an evaluation outlives its round: the view goes back to
-// its base for a later evaluation to reuse (Release), all of it but the
-// per-node delta slices the log shares (copy-on-write), which are never
-// reused; and a reused winner is committed from its file schedule
+// A log owns what it replays: it copies the view's per-node delta into its
+// own pooled storage when it records against a delta that changed since its
+// last copy, so the view writes its delta in place. Nothing else of an
+// evaluation outlives its round: the view, event slices included, goes back
+// to a process-wide free list for a later evaluation on any ledger to reuse
+// (Release), and a reused winner is committed from its file schedule
 // (CommitFile). The naive reference ledger records nothing.
 package occupancy
 
@@ -156,9 +158,6 @@ type Ledger struct {
 	// empty scan, never a wrong answer. Overlay views never maintain it
 	// (they mask through the base's).
 	vidNodes map[media.VideoID][]topology.NodeID
-	// views holds the overlay views handed back to this base (Release),
-	// for OverlayWithout to reuse.
-	views []*Ledger
 	// naive pins the reference query path (see naiveMode).
 	naive bool
 }

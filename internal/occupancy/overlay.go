@@ -1,9 +1,14 @@
-// Copies and views of a ledger: Clone, the copy-on-write overlay a candidate
-// reschedule runs on, and the two ways its result reaches the base.
+// Copies and views of a ledger: Clone, the overlay a candidate reschedule
+// runs on (the base's state shared, the view's own delta on top), the
+// process-wide free list views return to, and the two ways a result reaches
+// the base.
 
 package occupancy
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/topology"
@@ -66,10 +71,10 @@ func (l *Ledger) Clone() *Ledger {
 // so it invalidates every other live view of the same base: drop them and
 // take fresh ones. A view serves one evaluation: once nothing will query
 // it again its owner hands it back (Release), and a later OverlayWithout of
-// the same base reuses its storage, so nothing may hold on to a view past
-// that. What may be kept is the evaluation's result and, to tell later
-// whether it would repeat, the view's probe log (Record), which references
-// the view's per-node delta slices — never reused — and nothing else of it.
+// any base in the process reuses its storage, so nothing may hold on to a
+// view past that. What may be kept is the evaluation's result and, to tell
+// later whether it would repeat, the view's probe log (Record), which owns
+// copies of the deltas it was asked against and holds nothing of the view.
 //
 // In naive (reference) mode the view is a plain Clone with the video
 // removed, so both query paths keep identical semantics.
@@ -85,16 +90,21 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	for n := range l.nodes {
 		l.snapshot(topology.NodeID(n))
 	}
-	o := pop(&l.views)
+	viewPool.Lock()
+	o := pop(&viewPool.views)
+	viewPool.Unlock()
 	if o == nil {
-		o = &Ledger{
-			topo:    l.topo,
-			catalog: l.catalog,
-			nodes:   make([]nodeState, len(l.nodes)),
-			caps:    l.caps,
-			isWh:    l.isWh,
-		}
+		o = new(Ledger)
 	}
+	// A handed-back view may come from another base, of another topology:
+	// every node slot up to the array's capacity is empty (Release), so
+	// the array is resliced to this base's node count, grown if short.
+	n := len(l.nodes)
+	if c := cap(o.nodes); c < n {
+		o.nodes = slices.Grow(o.nodes[:c], n-c)
+	}
+	o.nodes = o.nodes[:n]
+	o.topo, o.catalog, o.caps, o.isWh = l.topo, l.catalog, l.caps, l.isWh
 	o.base, o.masked = l, vid
 	for _, node := range l.vidNodes[vid] {
 		es := l.nodes[node].entries
@@ -113,32 +123,42 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	return o
 }
 
-// maxPooledViews bounds the views a base keeps for reuse: more than a round
-// of SORP takes once its table is warm, fewer than its cold first round may
-// hand back.
-const maxPooledViews = 256
+// viewPool holds the overlay views handed back (Release) for any later
+// OverlayWithout in the process to reuse: a mutex and a LIFO free list, like
+// logPool, shared by concurrent solves and by topologies of any size.
+var viewPool struct {
+	sync.Mutex
+	views []*Ledger
+}
 
-// Release hands an overlay view nothing will query again back to its base,
-// whose next OverlayWithout reuses the view's per-node array and the
-// backing arrays of its entries. Its event slices are dropped, never
-// reused: a probe log recorded on the view may still reference them. On a
-// ledger that is not an indexed view — a base, the reference path's clone,
-// or a view already released — Release does nothing. Like OverlayWithout,
-// it must not run concurrently with other uses of the base.
+// maxPooledViews bounds the views the process keeps for reuse: more than
+// the cold first round of a paper-scale batch solve hands back (≈ 600), and
+// than three shards' concurrent closes hold at once (≈ 250). Views handed
+// back beyond it are the collector's.
+const maxPooledViews = 1024
+
+// Release hands an overlay view nothing will query again to the process's
+// free list, where the next OverlayWithout of any base reuses its Ledger,
+// its per-node array and the backing arrays of its entries and event
+// slices: a probe log recorded on the view owns copies of what it needs. On
+// a ledger that is not an indexed view — a base, the reference path's
+// clone, or a view already released — Release does nothing. It touches
+// neither the base nor any other view.
 func (l *Ledger) Release() {
-	b := l.base
-	if b == nil {
+	if l.base == nil {
 		return
 	}
 	for n := range l.nodes {
-		es := l.nodes[n].entries
-		clear(es)
-		l.nodes[n] = nodeState{entries: es[:0]}
+		st := &l.nodes[n]
+		clear(st.entries)
+		*st = nodeState{entries: st.entries[:0], events: st.events[:0]}
 	}
-	l.base, l.log = nil, nil
-	if len(b.views) < maxPooledViews {
-		b.views = append(b.views, l)
+	*l = Ledger{nodes: l.nodes}
+	viewPool.Lock()
+	if len(viewPool.views) < maxPooledViews {
+		viewPool.views = append(viewPool.views, l)
 	}
+	viewPool.Unlock()
 }
 
 // Commit applies an overlay view to its base in place — the masked video

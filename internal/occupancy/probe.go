@@ -12,8 +12,8 @@ import (
 
 // probe is one logged capacity query: a candidate copy [load, last] of the
 // log's video at node, optionally disregarding the same copy's registered
-// span [load, exclLast], asked while the view's delta at the node was
-// snapshot delta of the log. 32 bytes: an evaluation logs a few hundred of
+// span [load, exclLast], asked while the view's delta at the node was the
+// log's copy number delta. 32 bytes: an evaluation logs a few hundred of
 // these against a few kilobytes of its own allocations, so the layout — not
 // the replay — decides whether reuse is a net saving (DESIGN.md §8).
 type probe struct {
@@ -34,6 +34,13 @@ const (
 const chunkProbes = 32
 
 type probeChunk [chunkProbes]probe
+
+// chunkEvents sizes the unit of a log's delta storage: the copies of the
+// view's per-node deltas are packed into 1.5 KB chunks, recycled like the
+// probe chunks. A delta larger than a chunk gets an array of its own.
+const chunkEvents = 64
+
+type eventChunk [chunkEvents]event
 
 // windowBox is the set of banned windows under which a sequence of ban
 // answers repeats: those whose Start lies in [startLo, startHi] and whose
@@ -93,16 +100,21 @@ func (b *windowBox) narrow(w, sup simtime.Interval, violates bool) {
 // consulted carries one window; a query outside that shape marks the log
 // unreplayable instead of being recorded wrongly.
 //
-// A log references the view's per-node delta slices instead of copying
-// them; the view copies a referenced slice before mutating it. The view
-// itself is not retained. Not safe for concurrent use.
+// A log owns copies of the view's per-node deltas, taken when it records
+// against a delta that changed since its last copy (nodeState.pin), so the
+// view mutates its delta in place and nothing of the view is retained. Not
+// safe for concurrent use.
 type ProbeLog struct {
 	masked media.VideoID
 	chunks []*probeChunk
 	n      int
 	// deltas holds the distinct per-node delta states probes were asked
-	// against, shared with the recording view (copy-on-write).
+	// against: the log's own copies, packed into events.
 	deltas [][]event
+	// events holds the chunks the copies live in; free is the unused tail
+	// of the last one.
+	events []*eventChunk
+	free   []event
 	// vers holds, per node, the base version the answers were recorded or
 	// last replayed at — once per log, not per probe.
 	vers []uint64
@@ -111,19 +123,21 @@ type ProbeLog struct {
 	broken bool
 }
 
-// logPool recycles probe storage across evaluations and runs: a mutex and
-// two LIFO free lists, so what a run allocates repeats exactly (a
-// sync.Pool's reuse would depend on GC timing). Bounded; storage beyond
+// logPool recycles probe and delta storage across evaluations and runs: a
+// mutex and three LIFO free lists, so what a run allocates repeats exactly
+// (a sync.Pool's reuse would depend on GC timing). Bounded; storage beyond
 // the bounds is left to the collector.
 var logPool struct {
 	sync.Mutex
 	chunks []*probeChunk
+	events []*eventChunk
 	logs   []*ProbeLog
 }
 
 const (
-	maxPooledChunks = 8192 // 8 MB
-	maxPooledLogs   = 1024
+	maxPooledChunks      = 8192 // 8 MB
+	maxPooledEventChunks = 4096 // 6 MB
+	maxPooledLogs        = 1024
 )
 
 // pop takes the last element off a free list, nil when it is empty.
@@ -174,8 +188,14 @@ func (g *ProbeLog) Release() {
 			logPool.chunks = append(logPool.chunks, c)
 		}
 	}
+	for _, c := range g.events {
+		if len(logPool.events) < maxPooledEventChunks {
+			logPool.events = append(logPool.events, c)
+		}
+	}
 	clear(g.chunks)
-	*g = ProbeLog{chunks: g.chunks[:0], deltas: g.deltas[:0], vers: g.vers[:0]}
+	clear(g.events)
+	*g = ProbeLog{chunks: g.chunks[:0], deltas: g.deltas[:0], events: g.events[:0], vers: g.vers[:0]}
 	if len(logPool.logs) < maxPooledLogs {
 		logPool.logs = append(logPool.logs, g)
 	}
@@ -183,6 +203,30 @@ func (g *ProbeLog) Release() {
 }
 
 func (g *ProbeLog) at(i int) *probe { return &g.chunks[i/chunkProbes][i%chunkProbes] }
+
+// copyDelta returns a copy of a view's per-node delta in storage the log
+// owns: the free tail of its last event chunk, a fresh chunk when the tail
+// is too short, or an exact-size array for a delta no chunk holds.
+func (g *ProbeLog) copyDelta(evs []event) []event {
+	n := len(evs)
+	switch {
+	case n > chunkEvents:
+		return append([]event(nil), evs...)
+	case n > len(g.free):
+		logPool.Lock()
+		ch := pop(&logPool.events)
+		logPool.Unlock()
+		if ch == nil {
+			ch = new(eventChunk)
+		}
+		g.events = append(g.events, ch)
+		g.free = ch[:]
+	}
+	d := g.free[:n:n]
+	copy(d, evs)
+	g.free = g.free[n:]
+	return d
+}
 
 // record logs one answered query of view l. excluded is the registered
 // copy the query disregarded, if any.
@@ -194,7 +238,7 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, excluded *entry, fits
 	}
 	st := &l.nodes[c.Loc]
 	if st.pin == 0 {
-		g.deltas = append(g.deltas, st.events)
+		g.deltas = append(g.deltas, g.copyDelta(st.events))
 		st.pin = uint32(len(g.deltas))
 	}
 	if g.n == len(g.chunks)*chunkProbes {

@@ -165,16 +165,16 @@ func TestPropertyReplayMatchesReasking(t *testing.T) {
 	}
 }
 
-// A view handed back (Release) is reused by the next OverlayWithout of its
-// base, and that must break nothing. A log recorded on the view must keep
-// every delta snapshot it references while the recycled view serves another
-// video, and later replay exactly when re-asking its script does; the
-// recycled view must answer every CanFit of its script as a fresh view and
-// the naive reference's clone do, and SpaceAt as they do within the
-// naive-equivalence tolerance.
+// A view handed back (Release) is reused by the next OverlayWithout, event
+// arrays included, and that must break nothing. A log recorded on the view
+// must keep every delta it copied while the recycled view writes another
+// video's delta into the same arrays, and later replay exactly when
+// re-asking its script does; the recycled view must answer every CanFit of
+// its script as a fresh view and the naive reference's clone do, and
+// SpaceAt as they do within the naive-equivalence tolerance.
 func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
 	defer SetNaiveForTesting(false)
-	held, broke := 0, 0
+	held, broke, kept := 0, 0, 0
 	for seed := int64(0); seed < 16; seed++ {
 		naive, base, topo, _ := randomLedgers(t, seed, 6, 60)
 		rng := rand.New(rand.NewSource(seed ^ 0x7ec1))
@@ -193,11 +193,25 @@ func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
 		want := runScript(view, scriptA, func(q int) {
 			pinned = append(pinned, append([]event(nil), log.deltas[log.at(q).delta]...))
 		})
+		arrays := make([][]event, len(view.nodes))
+		for n := range view.nodes {
+			arrays[n] = view.nodes[n].events
+		}
 		view.Release()
 
 		recycled := base.OverlayWithout(vidB)
 		if recycled != view {
 			t.Fatalf("seed %d: OverlayWithout did not reuse the view handed back", seed)
+		}
+		for n, a := range arrays {
+			evs := recycled.nodes[n].events
+			switch {
+			case cap(a) == 0:
+			case unsafe.SliceData(evs) == unsafe.SliceData(a):
+				kept++
+			case len(evs) <= cap(a):
+				t.Fatalf("seed %d: node %d's delta left an event array that had room for it", seed, n)
+			}
 		}
 		fresh := base.OverlayWithout(vidB)
 		reference := naive.OverlayWithout(vidB)
@@ -251,12 +265,18 @@ func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
 	if held == 0 || broke == 0 {
 		t.Fatalf("fixture bug: %d replays held and %d broke; need both", held, broke)
 	}
+	if kept == 0 {
+		t.Fatal("no recycled view wrote its delta into an event array it kept")
+	}
 }
 
-// TestProbePinsViewEvents pins the copy-on-write: once a probe references
-// a view's per-node event slice, the view's next mutation of that node must
-// leave the referenced slice untouched and continue on a copy.
-func TestProbePinsViewEvents(t *testing.T) {
+// TestProbeLogOwnsItsDeltas pins the ownership: a probe log copies the
+// view's per-node delta into storage of its own, so the view's next
+// mutation of the node writes in place, on the same backing array, and the
+// probe's delta keeps what it was asked against. Probes with no mutation
+// between them share one copy, and a released log's storage serves the
+// next log without allocating.
+func TestProbeLogOwnsItsDeltas(t *testing.T) {
 	topo, cat := fixture(t)
 	is1 := topology.NodeID(1)
 	base := NewLedger(topo, cat)
@@ -264,34 +284,67 @@ func TestProbePinsViewEvents(t *testing.T) {
 	base.Add(Ref{Video: 1, Index: 0}, res(1, is1, 50, 120))
 
 	view := base.OverlayWithout(1)
+	own := Ref{Video: 1, Index: 0}
+	view.Add(own, res(1, is1, 300, 400))
 	log := view.Record()
-	defer log.Release()
-	view.CanFit(res(1, is1, 300, 400))
-	ref := log.deltas[log.at(0).delta]
-	before := append([]event(nil), ref...)
-	if len(ref) == 0 || &ref[0] != &view.nodes[is1].events[0] {
-		t.Fatal("fixture bug: the probe does not alias the view's masked records")
-	}
-
-	view.Add(Ref{Video: 1, Index: 0}, res(1, is1, 300, 400))
-	if &view.nodes[is1].events[0] == &ref[0] {
-		t.Fatal("the view mutated an event slice a probe references in place")
-	}
-	if len(view.nodes[is1].events) != len(before)+3 {
-		t.Fatalf("view holds %d events after the add, want %d", len(view.nodes[is1].events), len(before)+3)
-	}
-	for i := range before {
-		if ref[i] != before[i] {
-			t.Fatalf("referenced event %d changed: %+v, was %+v", i, ref[i], before[i])
-		}
-	}
-
-	// The next probe snapshots the new state, and the one after shares it.
 	view.CanFit(res(1, is1, 500, 600))
+	evs := view.nodes[is1].events
+	got := log.deltas[log.at(0).delta]
+	before := slices.Clone(got)
+	if len(got) == 0 || !slices.Equal(got, evs) {
+		t.Fatalf("fixture bug: the probe's delta %v is not the view's %v", got, evs)
+	}
+	if &got[0] == &evs[0] {
+		t.Fatal("the probe's delta aliases the view's event slice instead of copying it")
+	}
+
+	// Extending the copy removes its three records and inserts three: the
+	// view's array has the room, and nothing stops it writing there.
+	view.Update(own, res(1, is1, 300, 450))
+	after := view.nodes[is1].events
+	if &after[0] != &evs[0] {
+		t.Fatal("the view moved its delta to a new array after a probe")
+	}
+	if slices.Equal(after, before) {
+		t.Fatal("fixture bug: the update left the view's delta as it was")
+	}
+	if !slices.Equal(got, before) {
+		t.Fatalf("the probe's delta changed with the view's: %v, was %v", got, before)
+	}
+
+	// The next probe copies the new state, and the one after shares it.
 	view.CanFit(res(1, is1, 700, 800))
+	view.CanFit(res(1, is1, 900, 1000))
 	if log.at(1).delta == log.at(0).delta || log.at(2).delta != log.at(1).delta {
-		t.Fatalf("delta indices %d %d %d: want a new snapshot after the mutation, shared until the next",
+		t.Fatalf("delta indices %d %d %d: want a new copy after the mutation, shared until the next",
 			log.at(0).delta, log.at(1).delta, log.at(2).delta)
+	}
+	if !slices.Equal(log.deltas[log.at(1).delta], after) {
+		t.Fatalf("the second copy %v is not the view's delta %v", log.deltas[log.at(1).delta], after)
+	}
+
+	// Released storage serves the next log: the same chunk, and a whole
+	// recorded evaluation on a recycled view and log allocates nothing.
+	chunk := log.events[0]
+	log.Release()
+	view.Release()
+	evaluate := func() *ProbeLog {
+		v := base.OverlayWithout(1)
+		g := v.Record()
+		v.Add(own, res(1, is1, 300, 400))
+		v.CanFit(res(1, is1, 500, 600))
+		v.Update(own, res(1, is1, 300, 450))
+		v.CanFit(res(1, is1, 700, 800))
+		v.Release()
+		return g
+	}
+	next := evaluate()
+	if len(next.deltas) != 2 || next.events[0] != chunk {
+		t.Fatal("the next log did not copy its deltas into the chunk the released log handed back")
+	}
+	next.Release()
+	if allocs := testing.AllocsPerRun(20, func() { evaluate().Release() }); allocs != 0 {
+		t.Errorf("a recorded evaluation on recycled storage allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -411,7 +464,8 @@ func TestViolatesNarrowsTheLog(t *testing.T) {
 // a net saving (a paced-epoch evaluation logs ~230 probes against ~14 KB
 // of its own allocations), so a probe stays within 32 bytes, the window box
 // costs 32 bytes per log and nothing per probe, and a cold 200-probe log
-// stays within 8 KB beyond the delta snapshots it shares with the view;
+// asked against one unchanged delta stays within 8 KB of probes and
+// bookkeeping plus the one event chunk its copy of that delta takes;
 // released storage serves the next log without allocating.
 func TestProbeLogFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(probe{}); got > 32 {
@@ -436,7 +490,7 @@ func TestProbeLogFootprint(t *testing.T) {
 		for attempt := 0; attempt < 3; attempt++ {
 			if cold {
 				logPool.Lock()
-				logPool.chunks, logPool.logs = nil, nil
+				logPool.chunks, logPool.events, logPool.logs = nil, nil, nil
 				logPool.Unlock()
 			}
 			view := base.OverlayWithout(1)
@@ -447,16 +501,19 @@ func TestProbeLogFootprint(t *testing.T) {
 				view.CanFit(res(1, is1, simtime.Time(i), simtime.Time(i+40)))
 			}
 			runtime.ReadMemStats(&after)
-			if log.n != 200 {
-				t.Fatalf("%d probes logged, want 200", log.n)
+			if log.n != 200 || len(log.deltas) != 1 || len(log.events) != 1 {
+				t.Fatalf("%d probes logged against %d copies in %d chunks, want 200 against 1 in 1",
+					log.n, len(log.deltas), len(log.events))
 			}
 			log.Release()
+			view.Release()
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
 		return least
 	}
-	if cold := cost(true); cold >= 8<<10 {
-		t.Errorf("a cold 200-probe log allocated %d bytes, want < 8 KB", cold)
+	const budget = 8<<10 + uint64(unsafe.Sizeof(eventChunk{}))
+	if cold := cost(true); cold >= budget {
+		t.Errorf("a cold 200-probe log allocated %d bytes, want < %d (8 KB and one event chunk)", cold, budget)
 	}
 	if warm := cost(false); warm != 0 {
 		t.Errorf("a 200-probe log on recycled storage allocated %d bytes, want 0", warm)

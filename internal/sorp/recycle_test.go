@@ -1,12 +1,17 @@
 package sorp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"github.com/vodsim/vsp/internal/ivs"
+	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -125,6 +130,112 @@ func TestRecycledStorageNeverAliasesWork(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Fatal("fixture bug: no live entry was ever built in a retired file's storage")
+	}
+}
+
+// sharedRig is one resolution case for TestFreeListsAreSharedAcrossLedgers.
+type sharedRig struct {
+	name string
+	rig  *testutil.Rig
+	s    *schedule.Schedule
+	reqs map[media.VideoID][]workload.Request
+	want []byte
+}
+
+// resolveJSON resolves the rig's phase-1 schedule and returns the whole
+// result as JSON; views, when non-nil, receives the last round's views.
+func (r *sharedRig) resolveJSON(t *testing.T, views *[]*occupancy.Ledger) []byte {
+	var hook func(*schedule.Schedule, *pairTable)
+	if views != nil {
+		hook = func(_ *schedule.Schedule, tab *pairTable) {
+			*views = (*views)[:0]
+			for _, j := range tab.jobs {
+				if j.tmp != nil {
+					*views = append(*views, j.tmp)
+				}
+			}
+		}
+	}
+	res, err := resolve(context.Background(), r.rig.Model, r.s, r.reqs, Options{Workers: 2}, hook)
+	if err != nil {
+		t.Errorf("%s: %v", r.name, err)
+		return nil
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Errorf("%s: %v", r.name, err)
+	}
+	return blob
+}
+
+// Overlay views, greedy scratch and probe and delta chunks come from free
+// lists the whole process shares, so a view one solve handed back serves
+// the next solve on any ledger, of any topology, on any goroutine. Two
+// resolutions on topologies of different node counts, run concurrently and
+// then interleaved (the large one after the small one and back), must each
+// give the bytes the same rig gives resolved alone; and a finished
+// resolution must have handed back the views of its last round, which no
+// later round released.
+func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
+	rigs := []*sharedRig{{name: "6 storages"}, {name: "14 storages"}}
+	for i, storages := range []int{6, 14} {
+		r := rigs[i]
+		rig, err := testutil.Build(testutil.Params{Storages: storages, UsersPerStorage: 3, RequestsPerUser: 6, Titles: 20, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.rig, r.s, r.reqs = rig, phase1(t, rig.Model, rig.Requests), rig.Requests.ByVideo()
+		var last []*occupancy.Ledger
+		r.want = r.resolveJSON(t, &last)
+		if len(last) == 0 {
+			t.Fatalf("fixture bug: %s resolved without a round of fresh evaluations", r.name)
+		}
+
+		// The free lists are LIFO, so the views handed back last come out
+		// first: the next OverlayWithout calls must return exactly those.
+		ledger := occupancy.FromSchedule(rig.Topo, rig.Catalog, r.s)
+		handed := make(map[*occupancy.Ledger]bool, len(last))
+		for _, v := range last {
+			handed[v] = true
+		}
+		var taken []*occupancy.Ledger
+		for range last {
+			v := ledger.OverlayWithout(0)
+			taken = append(taken, v)
+			if !handed[v] {
+				t.Errorf("%s: the free list's top holds a view the last round did not hand back", r.name)
+			}
+			delete(handed, v)
+		}
+		for _, v := range taken {
+			v.Release()
+		}
+	}
+	if rigs[0].rig.Topo.NumNodes() == rigs[1].rig.Topo.NumNodes() {
+		t.Fatal("fixture bug: the two rigs have the same node count")
+	}
+
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		got := make([][]byte, len(rigs))
+		for i, r := range rigs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = r.resolveJSON(t, nil)
+			}()
+		}
+		wg.Wait()
+		for i, r := range rigs {
+			if !bytes.Equal(got[i], r.want) {
+				t.Errorf("round %d: %s resolved beside the other differs from it resolved alone", round, r.name)
+			}
+		}
+	}
+	for _, i := range []int{0, 1, 0, 1, 1, 0} {
+		if r := rigs[i]; !bytes.Equal(r.resolveJSON(t, nil), r.want) {
+			t.Errorf("%s resolved after the other differs from it resolved alone", r.name)
+		}
 	}
 }
 

@@ -23,10 +23,10 @@
 // log replays to the same answers on the current ledger — which makes the
 // reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
-// views the evaluations ran on are not kept — each goes back to the ledger
-// when the next round starts (Ledger.Release), for a fresh evaluation to
-// reuse — so a reused winner is committed from its file schedule
-// (Ledger.CommitFile).
+// views the evaluations ran on are not kept — each goes back to the
+// process's free list when the next round starts or the run ends
+// (Ledger.Release), for a fresh evaluation of any run to reuse — so a reused
+// winner is committed from its file schedule (Ledger.CommitFile).
 //
 // On a rolling horizon every evaluation's result holds a copy of its file's
 // frozen prefix (ivs.ScheduleFile, the one place an epoch close copies
@@ -459,6 +459,8 @@ func (t *pairTable) takeSpare(vid media.VideoID) *schedule.FileSchedule {
 	return fs
 }
 
+// release hands back what the run still holds when it ends: every entry's
+// log, and the views of the last round, which no later round will.
 func (t *pairTable) release() {
 	for _, es := range t.entries {
 		for _, e := range es {
@@ -466,6 +468,16 @@ func (t *pairTable) release() {
 		}
 	}
 	t.entries = nil
+	t.releaseViews()
+}
+
+// releaseViews hands every view of the round's jobs back (Ledger.Release).
+func (t *pairTable) releaseViews() {
+	for i := range t.jobs {
+		if v := t.jobs[i].tmp; v != nil {
+			v.Release()
+		}
+	}
 }
 
 // candidate is one involved residency scored for victimhood: the
@@ -536,11 +548,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
 	fileCost map[media.VideoID]units.Money, t *pairTable, res *Result) (candidate, bool, error) {
 
-	for i := range t.jobs { // last round's views and logs are dead
-		if v := t.jobs[i].tmp; v != nil {
-			v.Release()
-		}
-	}
+	t.releaseViews() // last round's views and logs are dead
 	clear(t.jobs)
 	t.jobs, t.fresh, t.jobAt = t.jobs[:0], t.fresh[:0], t.jobAt[:0]
 	// Growing keeps every earlier overflow's buffer, so each is refilled in place.
