@@ -44,6 +44,7 @@ import (
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
+	"github.com/vodsim/vsp/internal/workload"
 )
 
 // ShardConfig names one shard: the serving primary and, optionally, the
@@ -310,12 +311,13 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	if req.Start < 0 {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("negative start time %v", req.Start))
+	// The shards' own screening, minus the bounds only the rig knows.
+	if err := (workload.Request{User: req.User, Video: req.Video, Start: req.Start}).Validate(nil, nil); err != nil {
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	info := RouteInfo{User: req.User, Video: req.Video, Start: req.Start, Region: -1}
-	if g.regions != nil && int(req.User) >= 0 && int(req.User) < len(g.regions) {
+	if int(req.User) < len(g.regions) {
 		info.Region = g.regions[req.User]
 	}
 	sh := g.place(info)

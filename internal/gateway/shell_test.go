@@ -12,6 +12,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/server"
+	"github.com/vodsim/vsp/internal/workload"
 )
 
 // The gateway mounts the same httpkit layers as the shards behind it;
@@ -56,6 +57,51 @@ func TestGatewayOversizedBodyRejected(t *testing.T) {
 	}
 	if reached.Load() {
 		t.Error("oversized reservation was forwarded to the shard")
+	}
+}
+
+// Intake is screened by the validator the shards apply, so a malformed
+// reservation is a 400 naming the defect in the shards' words, and it is
+// neither routed nor forwarded.
+func TestGatewayScreensIntake(t *testing.T) {
+	var reached atomic.Bool
+	shard := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { reached.Store(true) }))
+	t.Cleanup(shard.Close)
+	gw, base := startGateway(t, gateway.Config{
+		Shards: []gateway.ShardConfig{{ID: "s0", Primary: shard.URL}},
+		Retry:  fastRetry,
+	})
+
+	for _, c := range []struct {
+		body, want string
+	}{
+		{`{"user":0,"video":0,"start":-5}`, "negative start -5"},
+		{`{"user":-1,"video":0,"start":3600}`, "unknown user -1"},
+		{`{"user":0,"video":-1,"start":3600}`, "unknown video -1"},
+	} {
+		var req workload.Request
+		if err := json.Unmarshal([]byte(c.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Validate(nil, nil); err == nil || err.Error() != c.want {
+			t.Fatalf("fixture bug: workload.Request.Validate says %v for %s, want %q", err, c.body, c.want)
+		}
+		resp, err := http.Post(base+"/v1/reservations", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.body, resp.StatusCode)
+		}
+		if body := errorBody(t, resp); body["error"] != c.want {
+			t.Errorf("%s: error %q, want %q", c.body, body["error"], c.want)
+		}
+	}
+	if routed := gw.Stats().Routed; routed != 0 {
+		t.Errorf("routed_total %d after refused reservations, want 0", routed)
+	}
+	if reached.Load() {
+		t.Error("a refused reservation reached the shard")
 	}
 }
 

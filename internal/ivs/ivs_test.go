@@ -3,6 +3,7 @@ package ivs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"slices"
 	"testing"
 
@@ -303,12 +304,19 @@ func TestLedgerReflectsFinalSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
+	// Every registered copy holds space at some time, so the candidate
+	// victims over all of time are exactly the ledger's entries.
+	var refs []occupancy.Ref
 	for _, node := range f.Topo.Storages() {
-		total += ledger.NumEntries(node)
+		refs = ledger.OverflowSet(refs, node, simtime.NewInterval(math.MinInt64, math.MaxInt64))
 	}
-	if total != len(fs.Residencies) {
-		t.Errorf("ledger entries = %d, schedule residencies = %d", total, len(fs.Residencies))
+	if len(refs) != len(fs.Residencies) {
+		t.Errorf("ledger entries = %v, schedule residencies = %d", refs, len(fs.Residencies))
+	}
+	for _, r := range refs {
+		if r.Video != 0 || r.Index >= len(fs.Residencies) {
+			t.Errorf("ledger entry %v is not a residency of the schedule", r)
+		}
 	}
 	// The surviving residency occupies space in the ledger.
 	if got := ledger.SpaceAt(f.IS1, simtime.Time(simtime.Hour)); got != units.GBf(2.5).Float() {

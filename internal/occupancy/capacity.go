@@ -37,17 +37,13 @@ func (l *Ledger) Overflows(node topology.NodeID) []Overflow {
 	if st.ovValid && st.ovVer == st.ver {
 		return st.ovs
 	}
-	var ovs []Overflow
-	if l.naive {
-		ovs = l.overflowsNaive(node)
-	} else {
-		ovs = l.overflowsIndexed(node)
-	}
+	ovs := l.walkOverflows(node)
 	st.ovValid, st.ovVer, st.ovs = true, st.ver, ovs
 	return ovs
 }
 
-func (l *Ledger) overflowsIndexed(node topology.NodeID) []Overflow {
+// walkOverflows is Overflows' walk over the node's prefix sweep.
+func (l *Ledger) walkOverflows(node topology.NodeID) []Overflow {
 	pts := l.snapshot(node)
 	if len(pts) == 0 {
 		return nil
@@ -202,23 +198,18 @@ func overlapsOverflow(sup, iv simtime.Interval) bool {
 	return sup.Start < iv.End && iv.Start < sup.End
 }
 
-// CanFit reports whether adding the candidate residency to the node would
-// keep total occupancy within capacity at all times. The check is exact:
-// the combined profile is piecewise linear, so it suffices to test every
+// CanFitExcluding reports whether adding the candidate residency to its
+// node would keep total occupancy within capacity at all times, with one
+// registered residency disregarded: the check for extending an existing
+// copy passes the copy's own ref so its pre-extension profile is not double
+// counted, and a fresh candidate passes nil. The check is exact: the
+// combined profile is piecewise linear, so it suffices to test every
 // breakpoint inside the candidate's support.
-func (l *Ledger) CanFit(c schedule.Residency) bool {
-	return l.CanFitExcluding(c, nil)
-}
-
-// CanFitExcluding is CanFit with one registered residency disregarded: the
-// check for extending an existing copy passes the copy's own ref so its
-// pre-extension profile is not double counted.
 //
 // This sits on the greedy's innermost path: a single chronological sweep
 // (sweepFits) merges the node's event index with the candidate's (and the
 // negated excluded entry's) breakpoint records and tests the running total
-// at every breakpoint inside the candidate's support — O(E) per call
-// instead of the reference path's O(E²) per-breakpoint re-summation.
+// at every breakpoint inside the candidate's support — O(E) per call.
 //
 // On an overlay view with a probe log attached (Record) every query that
 // reaches the sweep — the only point where the base's state enters an
@@ -227,9 +218,6 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	node := c.Loc
 	if l.isWh[node] {
 		return true
-	}
-	if l.naive {
-		return l.canFitNaive(c, exclude)
 	}
 	v := l.catalog.Video(c.Video)
 	size, playback := v.Size.Float(), v.Playback

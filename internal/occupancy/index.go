@@ -120,7 +120,7 @@ type sweepPt struct {
 // window, instead of integrating from the beginning of time. Rebuilt
 // lazily (O(E)) on first query after a mutation; the greedy's
 // query-heavy/mutation-light access pattern amortizes that to O(1) per
-// query. Never copied by Clone, so rebuilds may reuse the backing array in
+// query. Owned by its ledger alone, so rebuilds reuse the backing array in
 // place.
 type nodeSnap struct {
 	builtAt uint64 // ver+1 at build time; 0 = never built

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/media"
@@ -13,17 +14,24 @@ import (
 	"github.com/vodsim/vsp/internal/units"
 )
 
-// equivTol absorbs the accumulation-order difference between the two query
-// paths: the naive path re-sums Eq. 6 per entry while the index sweeps
-// jumps and integrates slopes, so results may differ by float rounding but
-// never by more than a few ulps of the byte totals involved.
+// equivTol absorbs the accumulation-order difference between the ledger
+// and its reference: the reference re-sums Eq. 6 per entry while the index
+// sweeps jumps and integrates slopes, so results may differ by float
+// rounding but never by more than a few ulps of the byte totals involved.
 const equivTol = 1e-6
 
-// randomLedgers builds a naive and an indexed ledger over the same topology
+// slot is one residency a random history left registered.
+type slot struct {
+	ref Ref
+	c   schedule.Residency
+}
+
+// randomLedgers builds a ledger and its reference over the same topology
 // and feeds both the identical seeded mutation sequence: adds, extensions,
-// relocations, removals and whole-video removals, with spans from zero
-// (γ=0 tentatives) through short to long residencies.
-func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*Ledger, *Ledger, *topology.Topology, *media.Catalog) {
+// relocations and whole-video removals, with spans from zero (γ=0
+// tentatives) through short to long residencies. It also returns what is
+// left registered.
+func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*refLedger, *Ledger, []slot, *topology.Topology) {
 	t.Helper()
 	b := topology.NewBuilder()
 	vw := b.Warehouse("VW")
@@ -44,20 +52,9 @@ func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*Ledger, *Ledge
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	SetNaiveForTesting(true)
-	naive := NewLedger(topo, cat)
-	SetNaiveForTesting(false)
-	indexed := NewLedger(topo, cat)
-	if naive.naive == indexed.naive {
-		t.Fatal("fixture bug: both ledgers on the same query path")
-	}
+	ref, indexed := newRefLedger(topo, cat), NewLedger(topo, cat)
 
 	rng := rand.New(rand.NewSource(seed))
-	type slot struct {
-		ref Ref
-		c   schedule.Residency
-	}
 	var live []slot
 	randRes := func(vid media.VideoID) schedule.Residency {
 		loc := stores[rng.Intn(len(stores))]
@@ -71,15 +68,15 @@ func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*Ledger, *Ledge
 	nextIdx := make(map[media.VideoID]int)
 	for m := 0; m < muts; m++ {
 		switch op := rng.Intn(10); {
-		case op < 5 || len(live) == 0: // add
+		case op < 6 || len(live) == 0: // add
 			vid := media.VideoID(rng.Intn(nvideos))
-			ref := Ref{Video: vid, Index: nextIdx[vid]}
+			r := Ref{Video: vid, Index: nextIdx[vid]}
 			nextIdx[vid]++
 			c := randRes(vid)
-			naive.Add(ref, c)
-			indexed.Add(ref, c)
-			live = append(live, slot{ref, c})
-		case op < 7: // extend or relocate
+			ref.Add(r, c)
+			indexed.Add(r, c)
+			live = append(live, slot{r, c})
+		case op < 9: // extend or relocate
 			i := rng.Intn(len(live))
 			c := live[i].c
 			if rng.Intn(2) == 0 {
@@ -87,86 +84,99 @@ func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*Ledger, *Ledge
 			} else {
 				c.Loc = stores[rng.Intn(len(stores))]
 			}
-			if got, want := naive.Update(live[i].ref, c), indexed.Update(live[i].ref, c); got != want {
-				t.Fatalf("Update found mismatch: naive=%v indexed=%v", got, want)
+			if got, want := indexed.Update(live[i].ref, c), ref.Update(live[i].ref, c); got != want {
+				t.Fatalf("Update found mismatch: reference=%v indexed=%v", want, got)
 			}
 			live[i].c = c
-		case op < 9: // remove one
-			i := rng.Intn(len(live))
-			if got, want := naive.Remove(live[i].ref), indexed.Remove(live[i].ref); got != want {
-				t.Fatalf("Remove found mismatch: naive=%v indexed=%v", got, want)
-			}
-			live = append(live[:i], live[i+1:]...)
 		default: // remove a whole video
 			vid := media.VideoID(rng.Intn(nvideos))
-			naive.RemoveVideo(vid)
+			ref.RemoveVideo(vid)
 			indexed.RemoveVideo(vid)
-			kept := live[:0]
-			for _, s := range live {
-				if s.ref.Video != vid {
-					kept = append(kept, s)
-				}
-			}
-			live = kept
+			live = slices.DeleteFunc(live, func(s slot) bool { return s.ref.Video == vid })
 		}
 	}
-	return naive, indexed, topo, cat
+	return ref, indexed, live, topo
 }
 
-// TestPropertyNaiveIndexedEquivalence drives both query paths through the
-// same seeded random mutation sequences and demands they agree on every
-// query the scheduler uses: SpaceAt over a time grid, Peak, Overflows,
-// OverflowSet and CanFit/CanFitExcluding for random candidates.
+// fitQueries asks a ledger or view and its reference the same capacity
+// questions at the node — k random candidates of the given videos, and an
+// extension in place of every registered copy in own, excluding the copy's
+// own profile as the greedy's extension check does — and fails on the
+// first answer they disagree on.
+func fitQueries(t *testing.T, rng *rand.Rand, ref *refLedger, l *Ledger, node topology.NodeID,
+	k int, video func() media.VideoID, own []slot) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
+		span := simtime.Duration(rng.Intn(300)) * simtime.Second
+		cand := res(video(), node, load, load.Add(span))
+		if a, b := ref.CanFitExcluding(cand, nil), l.CanFitExcluding(cand, nil); a != b {
+			t.Fatalf("CanFitExcluding(%v, nil): reference %v, indexed %v", cand, a, b)
+		}
+	}
+	for _, s := range own {
+		if s.c.Loc != node {
+			continue
+		}
+		ext := s.c
+		ext.LastService = ext.LastService.Add(simtime.Duration(1+rng.Intn(200)) * simtime.Second)
+		if a, b := ref.CanFitExcluding(ext, &s.ref), l.CanFitExcluding(ext, &s.ref); a != b {
+			t.Fatalf("CanFitExcluding(%v, %v): reference %v, indexed %v", ext, s.ref, a, b)
+		}
+	}
+}
+
+// spaceGrid fails unless the ledger or view answers SpaceAt at every point
+// of a time grid like the reference does.
+func spaceGrid(t *testing.T, ref *refLedger, l *Ledger, node topology.NodeID, step, points int) {
+	t.Helper()
+	for ti := 0; ti <= points; ti++ {
+		at := simtime.Time(ti*step) * simtime.Time(simtime.Second)
+		if a, b := ref.SpaceAt(node, at), l.SpaceAt(node, at); math.Abs(a-b) > equivTol*(1+math.Abs(a)) {
+			t.Fatalf("SpaceAt(%d, %v): reference %g, indexed %g", node, at, a, b)
+		}
+	}
+}
+
+// TestPropertyNaiveIndexedEquivalence drives the ledger and its brute-force
+// reference through the same seeded random mutation sequences and demands
+// they agree on every query the scheduler uses: SpaceAt over a time grid,
+// Peak, Overflows, OverflowSet, and CanFitExcluding for random fresh
+// candidates and for an extension of every registered copy.
 func TestPropertyNaiveIndexedEquivalence(t *testing.T) {
-	defer SetNaiveForTesting(false)
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			naive, indexed, topo, _ := randomLedgers(t, seed, 6, 120)
+			ref, indexed, live, topo := randomLedgers(t, seed, 6, 120)
 			rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 			for n := 1; n < topo.NumNodes(); n++ {
 				node := topology.NodeID(n)
-				for ti := 0; ti <= 90; ti++ {
-					at := simtime.Time(ti*10) * simtime.Time(simtime.Second)
-					a, b := naive.SpaceAt(node, at), indexed.SpaceAt(node, at)
-					if math.Abs(a-b) > equivTol*(1+math.Abs(a)) {
-						t.Fatalf("SpaceAt(%d, %v): naive %g, indexed %g", node, at, a, b)
-					}
-				}
-				pa, ta := naive.Peak(node)
+				spaceGrid(t, ref, indexed, node, 10, 90)
+				pa, ta := ref.Peak(node)
 				pb, tb := indexed.Peak(node)
 				if math.Abs(pa-pb) > equivTol*(1+math.Abs(pa)) {
-					t.Fatalf("Peak(%d): naive %g@%v, indexed %g@%v", node, pa, ta, pb, tb)
+					t.Fatalf("Peak(%d): reference %g@%v, indexed %g@%v", node, pa, ta, pb, tb)
 				}
-				ofa, ofb := naive.Overflows(node), indexed.Overflows(node)
+				ofa, ofb := ref.Overflows(node), indexed.Overflows(node)
 				if len(ofa) != len(ofb) {
-					t.Fatalf("Overflows(%d): naive %v, indexed %v", node, ofa, ofb)
+					t.Fatalf("Overflows(%d): reference %v, indexed %v", node, ofa, ofb)
 				}
 				for i := range ofa {
-					if ofa[i].Interval != ofb[i].Interval ||
+					// A capacity crossing is rounded outward to the second, so
+					// one that falls on a whole second may land either side of
+					// it on float rounding.
+					a, b := ofa[i].Interval, ofb[i].Interval
+					if max(a.Start-b.Start, b.Start-a.Start, a.End-b.End, b.End-a.End) > simtime.Time(simtime.Second) ||
 						math.Abs(ofa[i].Peak-ofb[i].Peak) > equivTol*(1+ofa[i].Peak) {
-						t.Fatalf("Overflows(%d)[%d]: naive %v, indexed %v", node, i, ofa[i], ofb[i])
+						t.Fatalf("Overflows(%d)[%d]: reference %v, indexed %v", node, i, ofa[i], ofb[i])
 					}
-					sa := naive.OverflowSet(nil, node, ofa[i].Interval)
-					sb := indexed.OverflowSet(nil, node, ofb[i].Interval)
-					if len(sa) != len(sb) {
-						t.Fatalf("OverflowSet(%d): naive %v, indexed %v", node, sa, sb)
-					}
-					for j := range sa {
-						if sa[j] != sb[j] {
-							t.Fatalf("OverflowSet(%d)[%d]: naive %v, indexed %v", node, j, sa[j], sb[j])
-						}
+					sa := ref.OverflowSet(node, b)
+					if sb := indexed.OverflowSet(nil, node, b); !slices.Equal(sa, sb) {
+						t.Fatalf("OverflowSet(%d, %v): reference %v, indexed %v", node, b, sa, sb)
 					}
 				}
 				// Random candidates, including some that barely fit or barely
 				// overflow around the shared capacity.
-				for k := 0; k < 40; k++ {
-					load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
-					span := simtime.Duration(rng.Intn(300)) * simtime.Second
-					cand := res(media.VideoID(rng.Intn(6)), node, load, load.Add(span))
-					if a, b := naive.CanFit(cand), indexed.CanFit(cand); a != b {
-						t.Fatalf("CanFit(%v): naive %v, indexed %v", cand, a, b)
-					}
-				}
+				fitQueries(t, rng, ref, indexed, node, 40, func() media.VideoID { return media.VideoID(rng.Intn(6)) }, live)
 			}
 		})
 	}
@@ -174,57 +184,48 @@ func TestPropertyNaiveIndexedEquivalence(t *testing.T) {
 
 // TestPropertyOverlayMatchesCloneRemove pins the overlay view to its
 // specification: for seeded random ledgers, OverlayWithout(v) must answer
-// SpaceAt and CanFit exactly like Clone-then-RemoveVideo(v), and Commit
-// must leave the base in the clone path's committed state byte for byte
-// (entry order, event arrays and version counters included) while keeping
-// the prefix snapshot of every node the reschedule did not touch. A twin
-// ledger fed the same history takes each reschedule through CommitFile —
-// the commit of a reused winner, whose view no longer exists — and must
-// come out identical to the view's Commit in all of those.
+// SpaceAt and CanFitExcluding exactly like a copy of the reference with v
+// removed, before and after the reschedule registers its copies, and Commit
+// must leave the base holding what that copy holds, entry for entry in the
+// same order, while keeping the prefix snapshot of every node the
+// reschedule did not touch. A twin ledger fed the same history takes each
+// reschedule through CommitFile — the commit of a reused winner, whose view
+// no longer exists — and must come out identical to the view's Commit, byte
+// for byte (entry order, event arrays and version counters included).
 func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
-	defer SetNaiveForTesting(false)
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			_, indexed, topo, _ := randomLedgers(t, seed, 6, 120)
+			ref, indexed, _, topo := randomLedgers(t, seed, 6, 120)
 			_, twin, _, _ := randomLedgers(t, seed, 6, 120)
 			rng := rand.New(rand.NewSource(seed ^ 0x0f1a7))
 			touched, untouched := 0, 0
 			for vid := media.VideoID(0); vid < 6; vid++ {
 				view := indexed.OverlayWithout(vid)
-				ref := indexed.Clone()
-				ref.RemoveVideo(vid)
+				want := ref.without(vid)
 				for n := 1; n < topo.NumNodes(); n++ {
 					node := topology.NodeID(n)
-					for ti := 0; ti <= 60; ti++ {
-						at := simtime.Time(ti*15) * simtime.Time(simtime.Second)
-						a, b := ref.SpaceAt(node, at), view.SpaceAt(node, at)
-						if math.Abs(a-b) > equivTol*(1+math.Abs(a)) {
-							t.Fatalf("vid %d SpaceAt(%d,%v): clone %g, overlay %g", vid, node, at, a, b)
-						}
-					}
-					for k := 0; k < 25; k++ {
-						load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
-						span := simtime.Duration(rng.Intn(300)) * simtime.Second
-						cand := res(vid, node, load, load.Add(span))
-						if a, b := ref.CanFit(cand), view.CanFit(cand); a != b {
-							t.Fatalf("vid %d CanFit(%v): clone %v, overlay %v", vid, cand, a, b)
-						}
-					}
+					spaceGrid(t, want, view, node, 15, 60)
+					fitQueries(t, rng, want, view, node, 25, func() media.VideoID { return vid }, nil)
 				}
-				// Mutate both identically, then commit the view and compare
-				// its base against the clone: same entries, same versions.
 				// The reschedule: a file of three copies registered in index
 				// order the way the greedy's prune leaves them, nodes
 				// interleaved, one of them a zero-span copy with no records.
 				file := &schedule.FileSchedule{Video: vid}
+				var own []slot
 				for j := 0; j < 3; j++ {
 					load := simtime.Time(100 * (j + 1))
 					add := res(vid, topology.NodeID(1+rng.Intn(topo.NumNodes()-1)), load, load+simtime.Time(150*(j%2)))
 					file.Residencies = append(file.Residencies, add)
-					view.Add(Ref{Video: vid, Index: j}, add)
-					ref.Add(Ref{Video: vid, Index: j}, add)
+					own = append(own, slot{Ref{Video: vid, Index: j}, add})
+					view.Add(own[j].ref, add)
+					want.Add(own[j].ref, add)
 				}
-				twin.OverlayWithout(vid) // builds the twin's snapshots as the view built the base's
+				for n := 1; n < topo.NumNodes(); n++ {
+					node := topology.NodeID(n)
+					spaceGrid(t, want, view, node, 15, 60)
+					fitQueries(t, rng, want, view, node, 5, func() media.VideoID { return vid }, own)
+				}
+				twin.OverlayWithout(vid).Release() // builds the twin's snapshots as the view built the base's
 				verBefore := make([]uint64, topo.NumNodes())
 				builtBefore := make([]uint64, topo.NumNodes())
 				for n := range verBefore {
@@ -245,9 +246,6 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 				}
 				for n := 0; n < topo.NumNodes(); n++ {
 					node := topology.NodeID(n)
-					if got, want := flat.nodes[n].ver, ref.nodes[n].ver; got != want {
-						t.Fatalf("vid %d node %d version: commit %d, clone %d", vid, node, got, want)
-					}
 					if flat.nodes[n].ver == verBefore[n] {
 						untouched++
 						if got := flat.snap[n].builtAt; got != builtBefore[n] || got != verBefore[n]+1 {
@@ -264,25 +262,20 @@ func TestPropertyOverlayMatchesCloneRemove(t *testing.T) {
 							t.Fatalf("vid %d node %d snapshot not rebuilt on first query after the commit", vid, node)
 						}
 					}
-					if got, want := flat.NumEntries(node), ref.NumEntries(node); got != want {
-						t.Fatalf("vid %d node %d entries: commit %d, clone %d", vid, node, got, want)
+					got := flat.nodes[n].entries
+					if len(got) != len(want.entries[n]) {
+						t.Fatalf("vid %d node %d: commit holds %d entries, the reference %d", vid, node, len(got), len(want.entries[n]))
 					}
-					a, b := ref.nodes[n], flat.nodes[n]
-					for i := range a.entries {
-						if a.entries[i].ref != b.entries[i].ref || a.entries[i].res.Loc != b.entries[i].res.Loc ||
-							a.entries[i].v != b.entries[i].v || a.entries[i].k != b.entries[i].k {
-							t.Fatalf("vid %d node %d entry %d differs", vid, node, i)
+					for i, e := range want.entries[n] {
+						if g := got[i].res; got[i].ref != e.ref || g.Loc != e.res.Loc || g.Load != e.res.Load || g.LastService != e.res.LastService {
+							t.Fatalf("vid %d node %d entry %d: commit %v %v, reference %v %v", vid, node, i, got[i].ref, got[i].res, e.ref, e.res)
 						}
 					}
-					if len(a.events) != len(b.events) {
-						t.Fatalf("vid %d node %d: %d events vs %d", vid, node, len(a.events), len(b.events))
-					}
-					for i := range a.events {
-						if a.events[i] != b.events[i] {
-							t.Fatalf("vid %d node %d event %d: %+v vs %+v", vid, node, i, a.events[i], b.events[i])
-						}
+					if n > 0 {
+						spaceGrid(t, want, flat, node, 15, 60)
 					}
 				}
+				ref = want
 			}
 			if touched == 0 || untouched == 0 {
 				t.Fatalf("fixture bug: commits touched %d nodes and spared %d; need both", touched, untouched)

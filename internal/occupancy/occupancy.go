@@ -9,12 +9,12 @@
 // # Event index
 //
 // The scheduler's hot path queries the ledger far more often than it
-// mutates it: the rejective greedy runs one CanFit per candidate supply
-// point per request, and SORP re-detects overflows every iteration. A
-// naive evaluation answers each query by re-summing Eq. 6 over every
-// entry at every breakpoint — O(E²) per query. The ledger therefore
-// maintains, per node, a sweep-line event index: a time-sorted list of
-// breakpoint records, up to three per residency,
+// mutates it: the rejective greedy runs one capacity check per candidate
+// supply point per request, and SORP re-detects overflows every iteration.
+// Re-summing Eq. 6 over every entry at every breakpoint would cost O(E²)
+// per query. The ledger therefore maintains, per node, a sweep-line event
+// index: a time-sorted list of breakpoint records, up to three per
+// residency,
 //
 //	{Load,          jump: +γ·size}          copy reserves its peak space
 //	{LastService,   dslope: -γ·size/P}      linear decay begins
@@ -22,8 +22,8 @@
 //
 // so the node's total profile is recovered by a single chronological sweep
 // accumulating jumps and integrating the running slope. SpaceAt, Peak,
-// Overflows and CanFit are all one O(E) sweep. The index is updated
-// incrementally by Add/Update/Remove — each mutation inserts or deletes
+// Overflows and CanFitExcluding are all one O(E) sweep. The index is updated
+// incrementally by Add/Update/RemoveVideo — each mutation inserts or deletes
 // that residency's records, recomputed bit-identically from the entry, so
 // deletion removes records exactly instead of subtracting floats (no
 // cancellation residue accumulates across mutations).
@@ -54,7 +54,7 @@
 // evaluation outlives its round: the view, event slices included, goes back
 // to a process-wide free list for a later evaluation on any ledger to reuse
 // (Release), and a reused winner is committed from its file schedule
-// (CommitFile). The naive reference ledger records nothing.
+// (CommitFile).
 package occupancy
 
 import (
@@ -71,12 +71,6 @@ import (
 // are products of ~1e9-byte sizes and unit-free coefficients, so anything
 // below a milli-byte is noise.
 const eps = 1e-3
-
-// naiveMode disables the event index for ledgers created while it is set:
-// every query falls back to the original per-entry re-scan. The slow path
-// is kept as the brute-force reference the property and byte-identity
-// tests compare the index against.
-var naiveMode bool
 
 // Ref identifies a residency inside a global schedule.
 type Ref struct {
@@ -148,8 +142,7 @@ type Ledger struct {
 	log *ProbeLog
 	// caps caches every node's capacity in float bytes and isWh its
 	// warehouse-kind flag, so the capacity check — the greedy's hottest
-	// query — skips the topology lookups. Shared read-only across clones
-	// and views.
+	// query — skips the topology lookups. Shared read-only with views.
 	caps []float64
 	isWh []bool
 	// vidNodes over-approximates, per video, the nodes that may hold one of
@@ -158,8 +151,6 @@ type Ledger struct {
 	// empty scan, never a wrong answer. Overlay views never maintain it
 	// (they mask through the base's).
 	vidNodes map[media.VideoID][]topology.NodeID
-	// naive pins the reference query path (see naiveMode).
-	naive bool
 }
 
 // NewLedger returns an empty ledger for the topology.
@@ -170,7 +161,6 @@ func NewLedger(topo *topology.Topology, catalog *media.Catalog) *Ledger {
 		nodes:   make([]nodeState, topo.NumNodes()),
 		caps:    make([]float64, topo.NumNodes()),
 		isWh:    make([]bool, topo.NumNodes()),
-		naive:   naiveMode,
 	}
 	for n := range l.caps {
 		node := topo.Node(topology.NodeID(n))
@@ -281,25 +271,6 @@ func (l *Ledger) updateAt(node topology.NodeID, ref Ref, c schedule.Residency) b
 	return false
 }
 
-// Remove drops the residency registered under ref, reporting whether it was
-// found.
-func (l *Ledger) Remove(ref Ref) bool {
-	for n := range l.nodes {
-		node := topology.NodeID(n)
-		es := l.nodes[n].entries
-		for i := range es {
-			if es[i].ref == ref {
-				if l.removeEntryEvents(node, &es[i]) {
-					l.dirty(node)
-				}
-				l.nodes[n].entries = append(es[:i], es[i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // RemoveVideo drops every residency of the given video from the ledger,
 // the first step of rescheduling a victim file. Nodes holding no copy of
 // the video keep their version (and with it their snapshot). On an overlay
@@ -326,9 +297,6 @@ func (l *Ledger) RemoveVideo(vid media.VideoID) {
 	}
 }
 
-// NumEntries returns the number of residencies registered at the node.
-func (l *Ledger) NumEntries(node topology.NodeID) int { return len(l.nodes[node].entries) }
-
 // SpaceAt returns the total occupancy at the node at time t, in bytes.
 func (l *Ledger) SpaceAt(node topology.NodeID, t simtime.Time) float64 {
 	if l.base != nil {
@@ -351,14 +319,6 @@ func (l *Ledger) SpaceAt(node topology.NodeID, t simtime.Time) float64 {
 		}
 		return total + val
 	}
-	if l.naive {
-		total := 0.0
-		es := l.nodes[node].entries
-		for i := range es {
-			total += es[i].res.SpaceAt(t, es[i].size, es[i].playback)
-		}
-		return total
-	}
 	pts := l.snapshot(node)
 	i := sort.Search(len(pts), func(k int) bool { return pts[k].t > t }) - 1
 	if i < 0 {
@@ -373,19 +333,10 @@ func (l *Ledger) Peak(node topology.NodeID) (float64, simtime.Time) {
 	if l.base != nil {
 		panic("occupancy: Peak on an overlay view")
 	}
-	best, when := 0.0, simtime.Time(0)
-	if l.naive {
-		for _, t := range l.breakpoints(node, nil) {
-			if s := l.SpaceAt(node, t); s > best {
-				best, when = s, t
-			}
-		}
-		return best, when
-	}
 	// The total profile only jumps upward and decays between jumps (the
 	// running slope is never positive), so the maximum is attained at a
-	// post-jump breakpoint value; the earliest attaining time wins, as in
-	// the reference walk.
+	// post-jump breakpoint value; the earliest attaining time wins.
+	best, when := 0.0, simtime.Time(0)
 	pts := l.snapshot(node)
 	for i := range pts {
 		if pts[i].val > best {

@@ -42,6 +42,9 @@ func res(video media.VideoID, loc topology.NodeID, load, last simtime.Time) sche
 	return schedule.Residency{Video: video, Loc: loc, Src: 0, Load: load, LastService: last}
 }
 
+// numEntries is the number of residencies registered at the node.
+func numEntries(l *Ledger, node topology.NodeID) int { return len(l.nodes[node].entries) }
+
 func TestSpaceAtSumsEntries(t *testing.T) {
 	topo, cat := fixture(t)
 	l := NewLedger(topo, cat)
@@ -60,8 +63,8 @@ func TestSpaceAtSumsEntries(t *testing.T) {
 	if got := l.SpaceAt(topology.NodeID(2), 50); got != 0 {
 		t.Errorf("other node: %g", got)
 	}
-	if l.NumEntries(is1) != 2 {
-		t.Error("NumEntries wrong")
+	if numEntries(l, is1) != 2 {
+		t.Error("entry count wrong")
 	}
 }
 
@@ -213,8 +216,8 @@ func TestRemoveVideo(t *testing.T) {
 	l.Add(Ref{1, 0}, res(1, is1, 100, 350))
 	l.Add(Ref{1, 1}, res(1, is2, 0, 100))
 	l.RemoveVideo(1)
-	if l.NumEntries(is1) != 1 || l.NumEntries(is2) != 0 {
-		t.Errorf("entries after remove: %d, %d", l.NumEntries(is1), l.NumEntries(is2))
+	if numEntries(l, is1) != 1 || numEntries(l, is2) != 0 {
+		t.Errorf("entries after remove: %d, %d", numEntries(l, is1), numEntries(l, is2))
 	}
 	if got := l.SpaceAt(is1, 120); got != 1000 {
 		t.Errorf("space after remove = %g", got)
@@ -228,7 +231,7 @@ func TestFromSchedule(t *testing.T) {
 	fs.Residencies = append(fs.Residencies, res(0, 1, 0, 200))
 	s.Put(fs)
 	l := FromSchedule(topo, cat, s)
-	if l.NumEntries(1) != 1 {
+	if numEntries(l, 1) != 1 {
 		t.Error("FromSchedule missed residency")
 	}
 }
@@ -239,23 +242,23 @@ func TestCanFit(t *testing.T) {
 	is1 := topology.NodeID(1)
 	l.Add(Ref{0, 0}, res(0, is1, 0, 200))
 	// A second full copy overlapping the plateau: 2000 > 1500.
-	if l.CanFit(res(1, is1, 100, 350)) {
+	if l.CanFitExcluding(res(1, is1, 100, 350), nil) {
 		t.Error("overlapping full copy must not fit")
 	}
 	// Same copy after the first one's support ends (t >= 300).
-	if !l.CanFit(res(1, is1, 300, 500)) {
+	if !l.CanFitExcluding(res(1, is1, 300, 500), nil) {
 		t.Error("disjoint copy must fit")
 	}
 	// A short copy with γ=0.5 (500 bytes) fits alongside 1000.
-	if !l.CanFit(res(1, is1, 100, 150)) {
+	if !l.CanFitExcluding(res(1, is1, 100, 150), nil) {
 		t.Error("short copy within headroom must fit")
 	}
 	// Zero-span tentative cache always fits.
-	if !l.CanFit(res(1, is1, 100, 100)) {
+	if !l.CanFitExcluding(res(1, is1, 100, 100), nil) {
 		t.Error("zero-span cache must fit")
 	}
 	// Warehouse is unbounded.
-	if !l.CanFit(res(1, topo.Warehouse(), 0, 10000)) {
+	if !l.CanFitExcluding(res(1, topo.Warehouse(), 0, 10000), nil) {
 		t.Error("warehouse must always fit")
 	}
 }
@@ -356,7 +359,7 @@ func TestPropertyCanFitMatchesPointwise(t *testing.T) {
 		load := simtime.Time(rng.Intn(300))
 		span := simtime.Duration(rng.Intn(250))
 		cand := res(media.VideoID(rng.Intn(2)), is1, load, load.Add(span))
-		got := l.CanFit(cand)
+		got := l.CanFitExcluding(cand, nil)
 
 		// Dense check at every second of the candidate's support. The
 		// profile is piecewise linear with integer breakpoints, so unit
@@ -377,7 +380,7 @@ func TestPropertyCanFitMatchesPointwise(t *testing.T) {
 	}
 }
 
-func TestUpdateRemoveClone(t *testing.T) {
+func TestUpdate(t *testing.T) {
 	topo, cat := fixture(t)
 	is1, is2 := topology.NodeID(1), topology.NodeID(2)
 	l := NewLedger(topo, cat)
@@ -396,33 +399,16 @@ func TestUpdateRemoveClone(t *testing.T) {
 	if !l.Update(ref, res(0, is2, 0, 400)) {
 		t.Fatal("relocating Update returned false")
 	}
-	if l.NumEntries(is1) != 0 || l.NumEntries(is2) != 1 {
-		t.Errorf("entries after relocation: %d, %d", l.NumEntries(is1), l.NumEntries(is2))
+	if numEntries(l, is1) != 0 || numEntries(l, is2) != 1 {
+		t.Errorf("entries after relocation: %d, %d", numEntries(l, is1), numEntries(l, is2))
+	}
+	if got := l.SpaceAt(is1, 350); got != 0 {
+		t.Errorf("space left behind by the relocation = %g, want 0", got)
 	}
 
 	// Unknown ref.
 	if l.Update(Ref{9, 9}, res(0, is1, 0, 10)) {
 		t.Error("Update returned true for unknown ref")
-	}
-
-	// Clone independence.
-	c := l.Clone()
-	if !c.Remove(ref) {
-		t.Fatal("Remove on clone failed")
-	}
-	if c.NumEntries(is2) != 0 {
-		t.Error("clone entry not removed")
-	}
-	if l.NumEntries(is2) != 1 {
-		t.Error("Remove on clone affected the original")
-	}
-
-	// Remove on original.
-	if !l.Remove(ref) {
-		t.Error("Remove returned false for existing ref")
-	}
-	if l.Remove(ref) {
-		t.Error("double Remove returned true")
 	}
 }
 
@@ -471,9 +457,9 @@ func TestBoundarySpaceAtSupportEnd(t *testing.T) {
 	}
 }
 
-// CanFit across a handoff boundary: a full-size candidate loading exactly
-// when a registered copy's decay ends must fit — their profiles never
-// coexist, even for one instant.
+// A capacity check across a handoff boundary: a full-size candidate loading
+// exactly when a registered copy's decay ends must fit — their profiles
+// never coexist, even for one instant.
 func TestBoundaryCanFitAtHandoff(t *testing.T) {
 	topo, cat := fixture(t)
 	l := NewLedger(topo, cat)
@@ -481,16 +467,16 @@ func TestBoundaryCanFitAtHandoff(t *testing.T) {
 	l.Add(Ref{0, 0}, res(0, is1, 0, 100)) // support [0, 200)
 	// 1000 (candidate) + 1000 (copy 0, if double-counted at t=200) would
 	// exceed the 1500 capacity; the correct answer is 1000 <= 1500.
-	if !l.CanFit(res(1, is1, 200, 400)) {
+	if !l.CanFitExcluding(res(1, is1, 200, 400), nil) {
 		t.Error("candidate loading at the exact support end must fit")
 	}
 	// One second earlier the decay tail (10 bytes) still fits within the
 	// 500-byte headroom...
-	if !l.CanFit(res(1, is1, 199, 399)) {
+	if !l.CanFitExcluding(res(1, is1, 199, 399), nil) {
 		t.Error("candidate overlapping only the thin decay tail must fit")
 	}
 	// ...but overlapping the full plateau does not.
-	if l.CanFit(res(1, is1, 50, 250)) {
+	if l.CanFitExcluding(res(1, is1, 50, 250), nil) {
 		t.Error("candidate overlapping the plateau must not fit")
 	}
 }

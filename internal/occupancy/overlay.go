@@ -1,7 +1,6 @@
-// Copies and views of a ledger: Clone, the overlay a candidate reschedule
-// runs on (the base's state shared, the view's own delta on top), the
-// process-wide free list views return to, and the two ways a result reaches
-// the base.
+// The overlay a candidate reschedule runs on (the base's state shared, the
+// view's own delta on top), the process-wide free list views return to, and
+// the two ways a result reaches the base.
 
 package occupancy
 
@@ -14,55 +13,25 @@ import (
 	"github.com/vodsim/vsp/internal/topology"
 )
 
-// Clone returns an independent deep copy of the ledger: per-node entry and
-// event slices are copied, version counters and memoized overflow walks
-// carry over, prefix snapshots do not. The scheduler itself never clones —
-// it evaluates candidates on overlay views and commits the winner in place
-// (OverlayWithout, Commit); Clone backs the reference path's OverlayWithout
-// and the tests that compare against it.
-func (l *Ledger) Clone() *Ledger {
-	if l.base != nil {
-		panic("occupancy: Clone of an overlay view")
-	}
-	out := &Ledger{
-		topo:     l.topo,
-		catalog:  l.catalog,
-		nodes:    make([]nodeState, len(l.nodes)),
-		caps:     l.caps,
-		isWh:     l.isWh,
-		vidNodes: make(map[media.VideoID][]topology.NodeID, len(l.vidNodes)),
-		naive:    l.naive,
-	}
-	for vid, ns := range l.vidNodes {
-		out.vidNodes[vid] = append([]topology.NodeID(nil), ns...)
-	}
-	for n, st := range l.nodes {
-		st.entries = append([]entry(nil), st.entries...)
-		st.events = append([]event(nil), st.events...)
-		out.nodes[n] = st
-	}
-	return out
-}
-
 // OverlayWithout returns a lightweight view of the ledger for evaluating a
-// candidate reschedule of one video. The view behaves like
-// Clone-then-RemoveVideo(vid), but the base's entry and event slices are
-// neither copied nor modified: the view keeps only its own delta — the
-// masked video's negated breakpoint records (recomputed bit-identically
-// from the stored entries, each negated Load jump coinciding with the
-// base's positive one, so the merged profile has no downward jumps) plus
-// whatever the greedy adds — and CanFit merges the base's prefix snapshot
-// with that delta. A candidate evaluation therefore costs the size of the
+// candidate reschedule of one video. The view answers like a copy of the
+// ledger with RemoveVideo(vid) applied, but the base's entry and event
+// slices are neither copied nor modified: the view keeps only its own
+// delta — the masked video's negated breakpoint records (recomputed
+// bit-identically from the stored entries, each negated Load jump
+// coinciding with the base's positive one, so the merged profile has no
+// downward jumps) plus whatever the greedy adds — and CanFitExcluding
+// merges the base's prefix snapshot with that delta. A candidate evaluation therefore costs the size of the
 // candidate's own footprint, not the size of the ledger: nothing is copied
 // up front, the base's snapshots stay valid and are shared by every live
 // view, and only the winning view is applied back to the base (Commit).
 //
 // The view supports the rejective greedy's working set — Add, Update,
-// RemoveVideo, CanFit/CanFitExcluding, SpaceAt — and panics on
-// whole-profile walks (Peak, Overflows, OverflowSet) and on Clone. A view
-// masks exactly one video and mutations must be limited to residencies of
-// that video, which is exactly the greedy's contract: it only places
-// copies of the file being rescheduled.
+// RemoveVideo, CanFitExcluding, SpaceAt — and panics on whole-profile
+// walks (Peak, Overflows, OverflowSet). A view masks exactly one video and
+// mutations must be limited to residencies of that video, which is exactly
+// the greedy's contract: it only places copies of the file being
+// rescheduled.
 //
 // OverlayWithout itself must be called sequentially (it builds the base's
 // snapshots in place), but the returned views may then be used
@@ -75,17 +44,9 @@ func (l *Ledger) Clone() *Ledger {
 // view past that. What may be kept is the evaluation's result and, to tell
 // later whether it would repeat, the view's probe log (Record), which owns
 // copies of the deltas it was asked against and holds nothing of the view.
-//
-// In naive (reference) mode the view is a plain Clone with the video
-// removed, so both query paths keep identical semantics.
 func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	if l.base != nil {
 		panic("occupancy: OverlayWithout of an overlay view")
-	}
-	if l.naive {
-		c := l.Clone()
-		c.RemoveVideo(vid)
-		return c
 	}
 	for n := range l.nodes {
 		l.snapshot(topology.NodeID(n))
@@ -141,8 +102,7 @@ const maxPooledViews = 1024
 // free list, where the next OverlayWithout of any base reuses its Ledger,
 // its per-node array and the backing arrays of its entries and event
 // slices: a probe log recorded on the view owns copies of what it needs. On
-// a ledger that is not an indexed view — a base, the reference path's
-// clone, or a view already released — Release does nothing. It touches
+// a base, or a view already released, Release does nothing. It touches
 // neither the base nor any other view.
 func (l *Ledger) Release() {
 	if l.base == nil {
@@ -169,17 +129,13 @@ func (l *Ledger) Release() {
 // view itself, and every other live view of the same base, is invalid
 // afterwards. Only a live view — one taken from the base's current state
 // — can be committed; a result carried over from an earlier state of the
-// base has no view left and goes through CommitFile. On a non-overlay
-// ledger (the reference path's clone) Commit returns the receiver
-// unchanged, so callers treat both paths uniformly;
-// the replay performs the same per-node mutations the clone path did, so
-// entry order, event arrays and version counters come out bit-identical
-// to Clone-then-RemoveVideo-then-reschedule.
+// base has no view left and goes through CommitFile, which performs the
+// same per-node mutations in the same order.
 func (l *Ledger) Commit() *Ledger {
-	if l.base == nil {
-		return l
-	}
 	b := l.base
+	if b == nil {
+		panic("occupancy: Commit of a ledger that is not an overlay view")
+	}
 	b.RemoveVideo(l.masked)
 	for n := range l.nodes {
 		es := l.nodes[n].entries

@@ -152,12 +152,10 @@ func pop[T any](free *[]*T) *T {
 }
 
 // Record attaches a fresh probe log to an overlay view and returns it;
-// call it before the view answers its first query. On a ledger that is not
-// an indexed overlay view — the naive reference's clone — it records
-// nothing and returns nil, so the reference path stays free of reuse.
+// call it before the view answers its first query.
 func (l *Ledger) Record() *ProbeLog {
 	if l.base == nil {
-		return nil
+		panic("occupancy: Record on a ledger that is not an overlay view")
 	}
 	logPool.Lock()
 	g := pop(&logPool.logs)

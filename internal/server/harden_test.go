@@ -62,10 +62,12 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(mustNew(t, f, Options{MaxRequestBytes: 1 << 10}))
+	ts := httptest.NewServer(mustNew(t, f, Options{}))
 	t.Cleanup(ts.Close)
 
-	big := `{"requests": [` + strings.Repeat(`{"user":0,"video":0,"start":0},`, 200) + `{"user":0,"video":0,"start":0}]}`
+	// A valid JSON prefix, so the decoder keeps reading until the cap
+	// stops it (garbage would fail at byte 0 with 400).
+	big := `{"requests": [{"user":0,"video":0,"start":0}], "pad":"` + strings.Repeat("x", DefaultMaxRequestBytes) + `"}`
 	resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,6 @@ type Options struct {
 	// not carry it (see the package comment). 0 means DefaultRequestTimeout;
 	// negative disables the deadline (used by tests that need slow handlers).
 	RequestTimeout time.Duration
-	// MaxRequestBytes caps request body size; larger bodies get 413.
-	// 0 means DefaultMaxRequestBytes.
-	MaxRequestBytes int64
 	// Horizon configures the rolling-horizon intake service behind
 	// /v1/reservations, /v1/plan and /v1/advance. The zero value is usable:
 	// no epoch trigger ever fires on its own and clients advance explicitly.
@@ -67,8 +64,9 @@ type Options struct {
 const (
 	// DefaultRequestTimeout is the per-request handling budget.
 	DefaultRequestTimeout = 30 * time.Second
-	// DefaultMaxRequestBytes caps POST bodies at 16 MiB — far above any
-	// legitimate reservation batch, far below a memory-exhaustion payload.
+	// DefaultMaxRequestBytes caps request bodies at 16 MiB — far above any
+	// legitimate reservation batch, far below a memory-exhaustion payload;
+	// larger bodies get 413. The gateway mounts the same cap.
 	DefaultMaxRequestBytes = 16 << 20
 	// DefaultMaxInFlight bounds concurrently handled requests. Scheduling
 	// is CPU-bound, so admitting far beyond the core count only adds
@@ -86,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
-	}
-	if o.MaxRequestBytes == 0 {
-		o.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = DefaultMaxInFlight
@@ -113,7 +108,7 @@ func (o Options) withDefaults() Options {
 // registered through timed, so queue wait does not consume the handling
 // budget.
 func (s *Server) harden(opts Options) http.Handler {
-	h := httpkit.LimitBody(s.mux, opts.MaxRequestBytes)
+	h := httpkit.LimitBody(s.mux, DefaultMaxRequestBytes)
 	if s.limiter != nil {
 		h = s.limiter.Wrap(h)
 	}

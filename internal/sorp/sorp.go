@@ -103,12 +103,6 @@ type Options struct {
 	Metric HeatMetric
 	// Policy is the caching policy handed to the rejective greedy.
 	Policy ivs.Policy
-	// MaxIterations bounds the resolution loop as a safety valve; 0 means
-	// a generous default proportional to the LIVE schedule size plus the
-	// reschedulable request total, re-evaluated every iteration (a bound
-	// frozen from the input schedule can trip on legitimately convergent
-	// runs, since rescheduling a victim may grow its residency count).
-	MaxIterations int
 	// Workers bounds the concurrent evaluation of candidate reschedules
 	// during victim selection: each candidate works on its own overlay
 	// view of the one ledger, and the winner is picked by the same total
@@ -290,7 +284,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		if len(overflows) == 0 {
 			break
 		}
-		if iter >= iterationBound(opts.MaxIterations, work, nreq) {
+		if iter >= iterationBound(work, nreq) {
 			return nil, fmt.Errorf("sorp: no resolution after %d iterations (%d overflows remain)",
 				iter, len(overflows))
 		}
@@ -349,7 +343,7 @@ type reschedJob struct {
 	overflow int
 	video    media.VideoID
 	tmp      *occupancy.Ledger      // nil for a reused result
-	log      *occupancy.ProbeLog    // nil on the reference ledger
+	log      *occupancy.ProbeLog    // tmp's log; nil for a reused result
 	spare    *schedule.FileSchedule // storage to build the result in, or nil
 	result   reschedResult
 }
@@ -488,18 +482,14 @@ type candidate struct {
 	record Victim
 }
 
-// iterationBound returns the safety valve for the resolution loop. An
-// explicit Options.MaxIterations always wins; the default is proportional
-// to the live schedule plus the reschedulable request total. It must be
-// re-evaluated against the LIVE schedule each iteration: rescheduling a
-// victim may legitimately grow its residency count (the rejective greedy
-// spreads copies across storages the banned one can't hold), so a bound
-// frozen from the input schedule's residency count can trip on convergent
-// runs.
-func iterationBound(configured int, work *schedule.Schedule, nreq int) int {
-	if configured > 0 {
-		return configured
-	}
+// iterationBound returns the safety valve for the resolution loop: a
+// generous bound proportional to the live schedule plus the reschedulable
+// request total. It must be re-evaluated against the LIVE schedule each
+// iteration: rescheduling a victim may legitimately grow its residency
+// count (the rejective greedy spreads copies across storages the banned one
+// can't hold), so a bound frozen from the input schedule's residency count
+// can trip on convergent runs.
+func iterationBound(work *schedule.Schedule, nreq int) int {
 	return 10 * (work.NumResidencies() + nreq + 1)
 }
 
@@ -583,9 +573,8 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 				}
 			} else {
 				job.tmp = ledger.OverlayWithout(ref.Video)
-				if job.log = job.tmp.Record(); job.log != nil {
-					job.spare = t.takeSpare(ref.Video)
-				}
+				job.log = job.tmp.Record()
+				job.spare = t.takeSpare(ref.Video)
 				t.fresh = append(t.fresh, len(t.jobs))
 			}
 			t.jobs = append(t.jobs, job)
@@ -602,9 +591,6 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	res.Evaluated += len(t.fresh)
 	for _, i := range t.fresh {
 		j := &t.jobs[i]
-		if j.log == nil {
-			continue
-		}
 		of := overflows[j.overflow]
 		key := pairKey{of.Node, j.video}
 		t.entries[key] = append(t.entries[key], pairEntry{fs: j.result.fs, newCost: j.result.newCost,

@@ -153,17 +153,6 @@ func TestResolveRequestMismatch(t *testing.T) {
 	}
 }
 
-func TestResolveMaxIterations(t *testing.T) {
-	m, _, reqs := tightRig(t)
-	s := phase1(t, m, reqs)
-	// One iteration is enough on this rig; but force an absurdly small cap
-	// of... 1 should still succeed or fail gracefully. Use a run with cap 1
-	// and accept either outcome, then cap 100 must succeed.
-	if _, err := Resolve(m, s, reqs.ByVideo(), Options{MaxIterations: 100}); err != nil {
-		t.Fatalf("Resolve with generous cap: %v", err)
-	}
-}
-
 func TestVictimAvoidsBannedWindow(t *testing.T) {
 	m, topo, reqs := tightRig(t)
 	s := phase1(t, m, reqs)
@@ -281,11 +270,7 @@ func TestIterationBoundTracksLiveSchedule(t *testing.T) {
 	s := phase1(t, m, reqs)
 	nreq := len(reqs)
 
-	// An explicit cap always wins, regardless of schedule size.
-	if got := iterationBound(7, s, nreq); got != 7 {
-		t.Errorf("configured bound = %d, want 7", got)
-	}
-	before := iterationBound(0, s, nreq)
+	before := iterationBound(s, nreq)
 	if want := 10 * (s.NumResidencies() + nreq + 1); before != want {
 		t.Errorf("default bound = %d, want %d", before, want)
 	}
@@ -298,14 +283,14 @@ func TestIterationBoundTracksLiveSchedule(t *testing.T) {
 		Video: 0, Loc: fs.Residencies[0].Loc, Src: fs.Residencies[0].Src,
 		Load: simtime.Time(20 * simtime.Hour), LastService: simtime.Time(21 * simtime.Hour),
 	})
-	after := iterationBound(0, grown, nreq)
+	after := iterationBound(grown, nreq)
 	if after <= before {
 		t.Errorf("default bound did not track live schedule: %d -> %d", before, after)
 	}
 }
 
 // TestResolveDefaultBoundSurvivesResidencyGrowth runs resolution with the
-// default (unset) MaxIterations on rigs tight enough that victims get
+// iteration bound on rigs tight enough that victims get
 // re-spread into more residencies than phase 1 produced; the run must
 // converge, not trip the safety valve.
 func TestResolveDefaultBoundSurvivesResidencyGrowth(t *testing.T) {
