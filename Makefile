@@ -44,9 +44,11 @@ chaos-bench:
 # Short fuzz passes over the parsers that face untrusted bytes: the WAL
 # decoder (crash/corruption trichotomy), the schedule API decoder, vspsim's
 # -schedule file (the simulator, the repairer and billing behind it), the
-# door every snapshot payload takes, and vspserve's -chaos spec (every spec
+# door every snapshot payload takes, a follower's replication payload
+# applier (a refused record changes nothing, an applied one leaves a state
+# promotion accepts), and vspserve's -chaos spec (every spec
 # ParseSpec accepts must drive the middleware and the transport without a
-# panic). The last two start from whole schedules,
+# panic). The snapshot door and vspsim's file start from whole schedules,
 # which the fuzzer would otherwise spend the whole pass minimizing. Two of
 # them also hold the hand-written encoders to encoding/json: every schedule
 # FuzzScheduleDecode decodes must give Schedule.AppendJSON == json.Marshal,
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
+	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/chaos
 
 cover:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -267,4 +268,76 @@ func TestInstallSnapshotRejections(t *testing.T) {
 	if got, want := fingerprint(t, follower), fingerprint(t, primary); got != want {
 		t.Fatal("follower diverged after rejecting bad snapshots")
 	}
+}
+
+// FuzzApplyReplicated feeds arbitrary payloads to a follower's
+// ApplyReplicated at the next sequence, on an in-memory follower that has
+// installed a primary's snapshot (one epoch committed, the next one's
+// intake pending). The applier must answer, never panic. A record it
+// refuses must leave the applied sequence and the whole state as they were;
+// a record it applies must advance the sequence by one and leave a state
+// that passes the commit predicate a promotion applies (VerifyCommitted).
+func FuzzApplyReplicated(f *testing.F) {
+	r, err := testutil.Build(durableParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := goodSnapshot(f, r)
+	primary, err := horizon.Recover(f.TempDir(), r.Model, horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, op := range script(r, 3) {
+		applyOp(f, primary, op)
+	}
+	tail, err := primary.TailAfter(0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := primary.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range tail.Records {
+		f.Add(rec.Payload)
+	}
+	for _, p := range []string{
+		`{"op":"advance","to":-1}`,
+		`{"op":"advance","to":9223372036854775807}`,
+		`{"op":"submit","at":0,"user":-1,"video":0,"start":0}`,
+		`{"op":"submit","at":0,"user":0,"video":9999,"start":0}`,
+		`{"op":"submit","at":-5,"user":0,"video":0,"start":-5}`,
+		`{"op":"rewind"}`, `{}`, `null`, `[`, ``,
+	} {
+		f.Add([]byte(p))
+	}
+	const installed = 1
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		svc := horizon.New(r.Model, horizon.Config{})
+		if err := svc.InstallSnapshot(installed, snap); err != nil {
+			t.Fatal(err)
+		}
+		before := fingerprint(t, svc)
+		ok, err := svc.ApplyReplicated(context.Background(), wal.Record{Seq: installed + 1, Payload: payload})
+		if err != nil {
+			if ok {
+				t.Fatalf("payload %q refused (%v) and reported applied", payload, err)
+			}
+			if seq := svc.AppliedSeq(); seq != installed {
+				t.Fatalf("payload %q refused (%v), applied seq moved to %d", payload, err, seq)
+			}
+			if after := fingerprint(t, svc); after != before {
+				t.Fatalf("payload %q refused (%v), state changed:\nbefore %.300s\nafter  %.300s", payload, err, before, after)
+			}
+			return
+		}
+		if !ok {
+			t.Fatalf("payload %q at the next seq skipped as a duplicate", payload)
+		}
+		if seq := svc.AppliedSeq(); seq != installed+1 {
+			t.Fatalf("payload %q applied, applied seq %d, want %d", payload, seq, installed+1)
+		}
+		if err := svc.VerifyCommitted(); err != nil {
+			t.Fatalf("payload %q applied into a state promotion would refuse: %v", payload, err)
+		}
+	})
 }

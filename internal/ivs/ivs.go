@@ -85,6 +85,8 @@ type Options struct {
 	// capacity admits. The ledger must hold the residencies of all OTHER
 	// files; this file's own copies are registered into it as scheduling
 	// proceeds, so on return the ledger reflects the produced schedule.
+	// A rejective run builds its result in a file of its video handed
+	// back with Recycle, when there is one.
 	Ledger *occupancy.Ledger
 	// Banned lists (interval, storage) pairs the file must not occupy,
 	// the constraint imposed on the overflow victim (paper §4.2).
@@ -108,12 +110,6 @@ type Options struct {
 	// prefix so frozen records keep their indices. Mutually exclusive
 	// with Seeds (a committed prefix already carries its seeds).
 	Frozen *schedule.FileSchedule
-	// Spare, when non-nil, is a file schedule nobody reads any more. A run
-	// that starts from a Frozen prefix copies its result into Spare's record
-	// arrays where they are large enough instead of allocating its own, so
-	// a caller that re-plans the same file many times (sorp) pays for the
-	// prefix copy's storage once.
-	Spare *schedule.FileSchedule
 
 	// frozenRes is the number of leading residencies that belong to the
 	// frozen prefix, set internally by ScheduleFile.
@@ -215,6 +211,56 @@ func (sc *scratch) release() {
 	scratchPool.Unlock()
 }
 
+// filePool holds the files of dead results, per video, for rejective runs to
+// build their results in (Recycle). Like scratchPool it is a mutex and a LIFO
+// list, not a sync.Pool, and it is bounded by count: a file handed back
+// beyond the bound is left to the collector.
+var filePool struct {
+	sync.Mutex
+	free map[media.VideoID][]*schedule.FileSchedule
+	n    int
+}
+
+const maxPooledFiles = 1024
+
+// Recycle hands back a file schedule nobody reads any more: not its owner,
+// not a schedule that holds it, not a caller that kept one of its slices. A
+// later rejective run of the same video (Options.Ledger set) builds its
+// result in the file's storage, overwriting it. Only the record arrays are
+// reused; what their records point to (routes, service lists) is not written.
+// A nil file is ignored.
+func Recycle(fs *schedule.FileSchedule) {
+	if fs == nil {
+		return
+	}
+	filePool.Lock()
+	defer filePool.Unlock()
+	if filePool.n >= maxPooledFiles {
+		return
+	}
+	if filePool.free == nil {
+		filePool.free = make(map[media.VideoID][]*schedule.FileSchedule)
+	}
+	filePool.free[fs.Video] = append(filePool.free[fs.Video], fs)
+	filePool.n++
+}
+
+// takeFile returns the file of the video handed back last, or nil.
+func takeFile(video media.VideoID) *schedule.FileSchedule {
+	filePool.Lock()
+	defer filePool.Unlock()
+	fss := filePool.free[video]
+	k := len(fss)
+	if k == 0 {
+		return nil
+	}
+	fs := fss[k-1]
+	fss[k-1] = nil
+	filePool.free[video] = fss[:k-1]
+	filePool.n--
+	return fs
+}
+
 // index builds the key set and the span-cost cache of the residencies the
 // run starts with.
 func (sc *scratch) index(m *cost.Model, v media.Video, nodes int) {
@@ -242,7 +288,9 @@ func (sc *scratch) holds(k copyKey) bool {
 // requests must all name the given video; they are served in chronological
 // order (the paper numbers users by service start time). The returned
 // schedule is pruned: every residency serves at least one delivery. It owns
-// its record arrays, sized exactly unless they are Spare's.
+// its record arrays, sized exactly unless it was built in a recycled file.
+// A frozen residency no new delivery reads keeps the prefix's service list,
+// capped so that nothing appends into it.
 func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, opts Options) (*schedule.FileSchedule, error) {
 	topo := m.Book().Topology()
 	v := m.Catalog().Video(video)
@@ -259,7 +307,19 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	sc := takeScratch()
 	defer sc.release()
 	fs := &schedule.FileSchedule{Video: video}
-	var spare schedule.FileSchedule
+	// A rejective run's result is usually scored and thrown away (sorp
+	// evaluates every candidate victim with one), so it is built in the
+	// storage of a dead result of the video when one was handed back. Phase
+	// 1's results are all kept, and take nothing.
+	var dead schedule.FileSchedule
+	recycled := false
+	if opts.Ledger != nil {
+		if f := takeFile(video); f != nil {
+			dead, recycled = *f, true
+			*f = schedule.FileSchedule{Video: video}
+			fs = f
+		}
+	}
 	if pre := opts.Frozen; pre != nil {
 		if len(opts.Seeds) > 0 {
 			return nil, fmt.Errorf("ivs: Frozen and Seeds are mutually exclusive")
@@ -270,23 +330,20 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		// The prefix is copied once into the result — the only copy of it an
 		// epoch close keeps (DESIGN.md §7). A frozen delivery keeps sharing
 		// its Route (routes are immutable: writers Clone or replace,
-		// DESIGN.md §5); a frozen residency gets its own Services, which the
-		// greedy appends to.
-		if opts.Spare != nil {
-			spare = *opts.Spare
-		}
-		fs.Deliveries = append(room(spare.Deliveries, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
+		// DESIGN.md §5), and a frozen residency its Services, capped at their
+		// length so that the greedy's first append to them reallocates.
+		fs.Deliveries = append(room(dead.Deliveries, recycled, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
 		sc.res = append(sc.res, pre.Residencies...)
 		opts.frozenRes = len(sc.res)
 		for j := range sc.res {
 			c := &sc.res[j]
-			c.Services = append([]int(nil), c.Services...)
+			c.Services = c.Services[:len(c.Services):len(c.Services)]
 			if opts.Ledger != nil {
 				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, *c)
 			}
 		}
 	} else if len(ordered) > 0 {
-		fs.Deliveries = make([]schedule.Delivery, 0, len(ordered))
+		fs.Deliveries = room(dead.Deliveries, recycled, len(ordered))
 	}
 	for _, seed := range opts.Seeds {
 		if seed.Video != video {
@@ -318,15 +375,20 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	// all pruned has an empty one. The two encode differently (null, []),
 	// and a plan's bytes must not depend on how the run was carried out.
 	none := opts.Frozen == nil && len(opts.Seeds) == 0 && (opts.Policy == NoCaching || len(ordered) == 0)
-	sc.prune(fs, spare.Residencies, none, opts.Ledger, opts.frozenRes)
+	sc.prune(fs, dead.Residencies, recycled, none, opts.Ledger, opts.frozenRes)
 	return fs, nil
 }
 
-// room returns an empty, non-nil slice with capacity for n records: the
-// spare array when it is large enough, otherwise a new one of exactly n.
-func room[T any](spare []T, n int) []T {
-	if cap(spare) > 0 && cap(spare) >= n {
-		return spare[:0]
+// room returns an empty, non-nil slice with capacity for n records: a dead
+// file's array when it is large enough, otherwise a new one — of exactly n,
+// or with a quarter of headroom when the run is recycling (the video's next
+// evaluation, a close later, carries a slightly longer prefix).
+func room[T any](dead []T, recycled bool, n int) []T {
+	if cap(dead) > 0 && cap(dead) >= n {
+		return dead[:0]
+	}
+	if recycled {
+		return make([]T, 0, n+n/4)
 	}
 	return make([]T, 0, n)
 }
@@ -486,15 +548,15 @@ func violatesAny(opts Options, c schedule.Residency, playback simtime.Duration) 
 }
 
 // prune copies the residencies that serve a delivery out of the working
-// array into fs — into spare when it is large enough, otherwise into an
-// array of exactly their number, or into none at all when none is set —
-// remapping the surviving indices in Deliveries and the ledger. Pre-placed
-// standing copies survive even when unused: their cost is already committed
+// array into fs — into dead when it is large enough, otherwise into a new
+// array (room), or into none at all when none is set — remapping the
+// surviving indices in Deliveries and the ledger. Pre-placed standing
+// copies survive even when unused: their cost is already committed
 // and the schedule must account for it truthfully. The same goes for the
 // first frozen residencies of a rolling-horizon prefix: they are committed
 // history, not tentative options (and since they lead the array, keeping
 // them preserves their indices).
-func (sc *scratch) prune(fs *schedule.FileSchedule, spare []schedule.Residency, none bool, ledger *occupancy.Ledger, frozen int) {
+func (sc *scratch) prune(fs *schedule.FileSchedule, dead []schedule.Residency, recycled, none bool, ledger *occupancy.Ledger, frozen int) {
 	sc.remap = slices.Grow(sc.remap[:0], len(sc.res))[:len(sc.res)]
 	kept := 0
 	for j := range sc.res {
@@ -507,7 +569,7 @@ func (sc *scratch) prune(fs *schedule.FileSchedule, spare []schedule.Residency, 
 		kept++
 	}
 	if !none {
-		fs.Residencies = room(spare, kept)
+		fs.Residencies = room(dead, recycled, kept)
 		for j := range sc.res {
 			if sc.remap[j] >= 0 {
 				fs.Residencies = append(fs.Residencies, sc.res[j])

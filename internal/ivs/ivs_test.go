@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/cost"
@@ -547,12 +549,14 @@ func TestSeedHandling(t *testing.T) {
 
 // TestFrozenPrefixUnmodified pins what ScheduleFile may share with a frozen
 // prefix: it copies the prefix's records once and keeps the deliveries'
-// routes, so a run that extends a frozen copy — appending to its Services,
-// moving its LastService — must leave the prefix it was handed byte for
-// byte as it was, with and without a ledger, carry the frozen records
-// through at their indices, and hold no Services array in common with the
-// prefix (SORP evaluates a file's candidates from one prefix concurrently,
-// and an append into shared spare capacity would be theirs to race on).
+// routes and the residencies' Services, capped at their length, so a run
+// that extends a frozen copy — appending to its Services, moving its
+// LastService — must leave the prefix it was handed byte for byte as it
+// was, with and without a ledger, carry the frozen records through at their
+// indices, and hold a Services array in common with the prefix only where
+// no new delivery reads the copy (SORP evaluates a file's candidates from
+// one prefix concurrently, and an append into shared spare capacity would be
+// theirs to race on).
 func TestFrozenPrefixUnmodified(t *testing.T) {
 	f, err := testutil.NewFig2()
 	if err != nil {
@@ -583,8 +587,11 @@ func TestFrozenPrefixUnmodified(t *testing.T) {
 			if got.Loc != c.Loc || got.Load != c.Load || got.LastService < c.LastService || len(got.Services) < len(c.Services) {
 				t.Fatalf("frozen residency %d came through as %+v, was %+v", j, got, c)
 			}
-			if len(c.Services) > 0 && &got.Services[0] == &c.Services[0] {
-				t.Errorf("frozen residency %d shares its Services array with the result", j)
+			shared := len(c.Services) > 0 && &got.Services[0] == &c.Services[0]
+			if untouched := len(got.Services) == len(c.Services); shared != untouched || cap(got.Services) < len(c.Services) ||
+				untouched && cap(got.Services) != len(got.Services) {
+				t.Errorf("frozen residency %d: %d of the prefix's %d services (cap %d), shared %v",
+					j, len(got.Services), len(c.Services), cap(got.Services), shared)
 			}
 			extended = extended || (got.LastService > c.LastService && len(got.Services) > len(c.Services))
 		}
@@ -601,5 +608,76 @@ func TestFrozenPrefixUnmodified(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Errorf("ScheduleFile wrote through its frozen prefix (ledger %v):\nbefore %s\nafter  %s", ledger != nil, before, after)
 		}
+	}
+}
+
+// SORP evaluates one file from one prefix on several workers at once, and
+// the results share the prefix's service lists. Rejective runs from four
+// goroutines (under -race in CI), each adding a video's last request to a
+// prefix holding all the others, their results handed back for the next
+// runs to be built in, must leave the prefixes' JSON as it was, and each
+// result must share the array of every frozen list that gained no reader
+// and own the array of every list that gained one.
+func TestFrozenServiceListsShareThePrefix(t *testing.T) {
+	rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.15), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.2, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byVideo := reqs.ByVideo()
+	prefixes := make(map[media.VideoID]*schedule.FileSchedule)
+	for _, vid := range reqs.Videos() {
+		rs := byVideo[vid]
+		if prefixes[vid], err = ScheduleFile(rig.Model, vid, rs[:len(rs)-1], Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := json.Marshal(prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared, own atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for _, vid := range reqs.Videos() {
+					rs, pre := byVideo[vid], prefixes[vid]
+					fs, err := ScheduleFile(rig.Model, vid, rs[len(rs)-1:], Options{Frozen: pre, Ledger: occupancy.NewLedger(rig.Topo, rig.Catalog)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for j, c := range pre.Residencies {
+						got := fs.Residencies[j].Services
+						same := len(c.Services) > 0 && &got[0] == &c.Services[0]
+						if untouched := len(got) == len(c.Services); same != untouched {
+							t.Errorf("video %d frozen residency %d: %d of the prefix's %d services, shared %v", vid, j, len(got), len(c.Services), same)
+						} else if same {
+							shared.Add(1)
+						} else {
+							own.Add(1)
+						}
+					}
+					Recycle(fs)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after, err := json.Marshal(prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("concurrent runs wrote through their frozen prefixes")
+	}
+	if shared.Load() == 0 || own.Load() == 0 {
+		t.Fatalf("fixture bug: %d frozen lists shared, %d gained a reader; the runs must produce both", shared.Load(), own.Load())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -19,13 +20,15 @@ import (
 
 // A run works in a recycled scratch and copies its result out, so a result
 // must own all of its storage: runs interleaved from several goroutines —
-// frozen, seeded, plain and NoCaching, short and long request lists — must
-// each return the bytes the same run returns alone, every earlier result
-// must keep its bytes however many runs reuse the scratch after it, and a
-// result not built in a spare must have record arrays of exactly its size.
-// A frozen run is sometimes handed the previous frozen result of its video
-// as Spare, which gives that result away. Run under -race in CI: a result
-// that aliased a scratch would be read here while another run writes it.
+// frozen, seeded, plain and NoCaching, short and long request lists, with a
+// ledger and without — must each return the bytes the same run returns
+// alone, and every earlier result must keep its bytes however many runs
+// reuse the scratch after it. Before a run with a ledger the goroutine hands
+// its previous result of the video back (Recycle), and the run may be built
+// in that file or in any other goroutine's, so only a run without a ledger,
+// which never takes one, must have record arrays of exactly its size. Run
+// under -race in CI: a result that aliased a scratch, or a file handed back
+// while still read, would be read here while another run writes it.
 func TestResultsOwnTheirStorage(t *testing.T) {
 	rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.15), 5)
 	if err != nil {
@@ -39,11 +42,11 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 	storages := rig.Topo.Storages()
 
 	type call struct {
-		name  string
-		video media.VideoID
-		reqs  []workload.Request
-		opts  Options
-		spare bool // hand over the video's previous frozen result as Spare
+		name      string
+		video     media.VideoID
+		reqs      []workload.Request
+		opts      Options
+		rejective bool // run with a ledger of its own, after handing back the video's previous result
 	}
 	var calls []call
 	for _, vid := range reqs.Videos() {
@@ -60,7 +63,9 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 				call{name: "plain", video: vid, reqs: rs[:n]},
 				call{name: "no-caching", video: vid, reqs: rs[:n], opts: Options{Policy: NoCaching}},
 				call{name: "seeded", video: vid, reqs: rs[:n], opts: Options{Seeds: []schedule.Residency{seed}}},
-				call{name: "frozen", video: vid, reqs: rs[half:], opts: Options{Frozen: prefix}, spare: n == 1},
+				call{name: "frozen", video: vid, reqs: rs[half:], opts: Options{Frozen: prefix}},
+				call{name: "rejective", video: vid, reqs: rs[:n], rejective: true},
+				call{name: "rejective frozen", video: vid, reqs: rs[half:], opts: Options{Frozen: prefix}, rejective: n == 1},
 			)
 		}
 	}
@@ -71,9 +76,11 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 		}
 		return b
 	}
-	run := func(c call, spare *schedule.FileSchedule) *schedule.FileSchedule {
+	run := func(c call) *schedule.FileSchedule {
 		opts := c.opts
-		opts.Spare = spare
+		if c.rejective {
+			opts.Ledger = occupancy.NewLedger(rig.Topo, rig.Catalog)
+		}
 		fs, err := ScheduleFile(rig.Model, c.video, c.reqs, opts)
 		if err != nil {
 			t.Errorf("%s run of video %d: %v", c.name, c.video, err)
@@ -83,12 +90,13 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 	// What each run returns alone, on a scratch no other run is using.
 	want := make([][]byte, len(calls))
 	for i, c := range calls {
-		want[i] = encode(run(c, nil))
+		want[i] = encode(run(c))
 	}
 
 	const goroutines = 4
 	var wg sync.WaitGroup
-	var spared atomic.Int64
+	var handedBack sync.Map // every file given to Recycle, kept alive so no address repeats
+	var rebuilt atomic.Int64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -99,7 +107,7 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 				bytes []byte
 			}
 			var results []kept
-			lastFrozen := make(map[media.VideoID]int) // index into results
+			last := make(map[media.VideoID]int) // index into results
 			check := func(k kept) {
 				if got := encode(k.fs); !bytes.Equal(got, k.bytes) {
 					t.Errorf("goroutine %d: %s changed after later runs:\nwas %s\nnow %s", g, k.name, k.bytes, got)
@@ -112,12 +120,12 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 					i := (j + g*len(calls)/goroutines) % len(calls)
 					c := calls[i]
 					name := fmt.Sprintf("%s run %d of video %d (%d requests)", c.name, i, c.video, len(c.reqs))
-					var spare *schedule.FileSchedule
-					if k, ok := lastFrozen[c.video]; ok && c.spare && results[k].fs != nil {
-						spare, results[k].fs = results[k].fs, nil // given away
-						spared.Add(1)
+					if k, ok := last[c.video]; ok && c.rejective && results[k].fs != nil {
+						handedBack.Store(results[k].fs, true)
+						Recycle(results[k].fs)
+						results[k].fs = nil // given away
 					}
-					fs := run(c, spare)
+					fs := run(c)
 					if fs == nil {
 						return
 					}
@@ -125,16 +133,18 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 					if !bytes.Equal(b, want[i]) {
 						t.Errorf("goroutine %d: %s differs from the same run alone:\nalone %s\nhere  %s", g, name, want[i], b)
 					}
-					if spare == nil && (cap(fs.Deliveries) != len(fs.Deliveries) || cap(fs.Residencies) != len(fs.Residencies)) {
-						t.Errorf("goroutine %d: %s has %d/%d deliveries and %d/%d residencies (len/cap), want exact arrays",
-							g, name, len(fs.Deliveries), cap(fs.Deliveries), len(fs.Residencies), cap(fs.Residencies))
+					_, recycled := handedBack.Load(fs)
+					if recycled {
+						rebuilt.Add(1)
+					}
+					if !c.rejective && (recycled || cap(fs.Deliveries) != len(fs.Deliveries) || cap(fs.Residencies) != len(fs.Residencies)) {
+						t.Errorf("goroutine %d: %s has %d/%d deliveries and %d/%d residencies (len/cap), in a handed-back file: %v; want exact new arrays",
+							g, name, len(fs.Deliveries), cap(fs.Deliveries), len(fs.Residencies), cap(fs.Residencies), recycled)
 					}
 					if n := len(results); n > 0 && results[n-1].fs != nil {
 						check(results[n-1])
 					}
-					if c.opts.Frozen != nil {
-						lastFrozen[c.video] = len(results)
-					}
+					last[c.video] = len(results)
 					results = append(results, kept{name, fs, b})
 				}
 			}
@@ -146,7 +156,7 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if spared.Load() == 0 {
-		t.Fatal("fixture bug: no run was handed a spare")
+	if rebuilt.Load() == 0 {
+		t.Fatal("fixture bug: no run was built in a handed-back file")
 	}
 }

@@ -67,6 +67,8 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 				res.moved++
 				res.savings += curCost - candCost
 				improved = true
+			} else {
+				ivs.Recycle(cand)
 			}
 			tmp.Release()
 		}

@@ -8,20 +8,22 @@ import (
 	"github.com/vodsim/vsp/internal/testutil"
 )
 
-// What a resolution allocates is what its victim evaluations keep: the
-// greedy works in recycled scratch, overflow sets are reused from round to
-// round, views (event arrays included) come from a process-wide free list,
-// and probe logs copy the deltas they replay into recycled chunks. On
-// BenchmarkSchedule's rig (500 requests, 50 titles) a warm ResolveContext
-// allocates 1.15 MB. It allocated 1.98 MB while logs shared the views'
-// event slices copy-on-write and views were recycled per ledger, and 5.18 MB
-// when each evaluation allocated its own working state. The budget is 1.25
-// times the first figure, which the second exceeds.
+// What a resolution allocates is little more than its winners: the greedy
+// works in recycled scratch, overflow sets are reused from round to round,
+// views (event arrays included) come from a process-wide free list, probe
+// logs copy the deltas they replay into recycled chunks, and every
+// evaluation that is not committed hands its file back for a later one to
+// be built in. On BenchmarkSchedule's rig (500 requests, 50 titles) a warm
+// ResolveContext allocates 0.42 MB. It allocated 1.15 MB while those files
+// went to the collector, 1.98 MB while logs shared the views' event slices
+// copy-on-write and views were recycled per ledger, and 5.18 MB when each
+// evaluation allocated its own working state. The budget is 1.25 times the
+// first figure, which the second exceeds.
 func TestResolveAllocationBudget(t *testing.T) {
 	if testutil.RaceBuild() {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const budget = 1.25 * 1.15e6
+	const budget = 1.25 * 0.42e6
 	r, err := testutil.Build(testutil.Params{
 		Storages:        10,
 		UsersPerStorage: 5,

@@ -9,14 +9,10 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/occupancy"
-	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/schedule"
-	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
-	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -32,105 +28,204 @@ func arrays(fs *schedule.FileSchedule) (d, r unsafe.Pointer) {
 	return d, r
 }
 
-// A fresh evaluation on a frozen prefix is built in the arrays of a file an
-// entry retired with, so after every commit the storage in circulation —
-// live entries' files and spares — must be disjoint from the files the
-// working schedule holds, from the frozen prefixes, and each array must have
-// one owner. The run is the shape a rolling-horizon epoch hands to SORP: the
-// resolved first half of a window frozen whole, the second half integrated
-// on top.
+// fileTracker follows the files of table entries from commit to commit, and
+// from one resolution to the next: a file that was an entry's and is neither
+// an entry's nor the working schedule's any more was retired, and a retired
+// file that is an entry's again holds a later evaluation, built in its
+// storage.
+type fileTracker struct {
+	live     map[*schedule.FileSchedule]bool
+	retired  map[*schedule.FileSchedule]bool
+	recycled int
+}
+
+func newFileTracker() *fileTracker {
+	return &fileTracker{retired: make(map[*schedule.FileSchedule]bool)}
+}
+
+func (ft *fileTracker) observe(work *schedule.Schedule, tab *pairTable) {
+	now := make(map[*schedule.FileSchedule]bool)
+	for _, es := range tab.entries {
+		for _, e := range es {
+			if e.fs == nil {
+				continue
+			}
+			now[e.fs] = true
+			if ft.retired[e.fs] {
+				ft.recycled++
+				delete(ft.retired, e.fs)
+			}
+		}
+	}
+	for fs := range ft.live {
+		if !now[fs] && work.Files[fs.Video] != fs {
+			ft.retired[fs] = true
+		}
+	}
+	ft.live = now
+}
+
+// end retires what the table held at the last commit: the run's end hands
+// back every file still in it.
+func (ft *fileTracker) end(work *schedule.Schedule) {
+	for fs := range ft.live {
+		if work.Files[fs.Video] != fs {
+			ft.retired[fs] = true
+		}
+	}
+	ft.live = nil
+}
+
+// resolveTracked runs the case and checks, after every commit, that the
+// storage in circulation — live entries' files — is disjoint from the files
+// the working schedule holds and from the frozen prefixes, and that each
+// array has one owner. It returns nil when the case cannot be resolved.
+func (c *reuseCase) resolveTracked(t *testing.T, ft *fileTracker) *Result {
+	t.Helper()
+	commits := 0
+	res, err := resolve(context.Background(), c.m, c.s, c.reqs, c.opts,
+		func(work *schedule.Schedule, tab *pairTable) {
+			commits++
+			owner := make(map[unsafe.Pointer]string)
+			claim := func(who string, fs *schedule.FileSchedule) {
+				if fs == nil {
+					return
+				}
+				d, r := arrays(fs)
+				for _, p := range []unsafe.Pointer{d, r} {
+					if p == nil {
+						continue
+					}
+					if prev, taken := owner[p]; taken {
+						t.Fatalf("commit %d: %s shares a backing array with %s", commits, who, prev)
+					}
+					owner[p] = who
+				}
+			}
+			for vid, fs := range work.Files {
+				claim(fmt.Sprintf("work's file %d", vid), fs)
+			}
+			for vid, fs := range c.opts.Frozen {
+				if fs != work.Files[vid] {
+					claim(fmt.Sprintf("frozen prefix %d", vid), fs)
+				}
+			}
+			for k, es := range tab.entries {
+				for i, e := range es {
+					claim(fmt.Sprintf("entry %d of (node %d, video %d)", i, k.node, k.video), e.fs)
+				}
+			}
+			ft.observe(work, tab)
+		})
+	if err != nil {
+		t.Logf("unresolvable: %v", err)
+		return nil
+	}
+	ft.end(res.Schedule)
+	return res
+}
+
+// A fresh evaluation is built in the storage of a file the table retired, in
+// the same resolution or an earlier one, so the storage in circulation must
+// never reach a file the working schedule holds: checked after every commit
+// of a batch and of a rolling resolution, and across two resolutions in one
+// process — the first Result must keep its bytes while the second builds its
+// evaluations in what the first handed back.
 func TestRecycledStorageNeverAliasesWork(t *testing.T) {
-	recycled := 0
+	recycled := make(map[string]int)
 	for _, seed := range []int64{3, 11, 12} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rig, err := testutil.NewPaperRig(6, 8, 12, 5*units.GB, pricing.PerGBHour(5), pricing.PerGB(500), seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			window := 6 * simtime.Hour
-			all, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.1, Window: window, RequestsPerUser: 3, Seed: seed + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var halves [2]workload.Set
-			for _, r := range all {
-				i := min(int(r.Start)*2/int(window), 1)
-				halves[i] = append(halves[i], r)
-			}
-			first, err := Resolve(rig.Model, phase1(t, rig.Model, halves[0]), halves[0].ByVideo(), Options{})
-			if err != nil {
-				t.Skipf("first half unresolvable: %v", err)
-			}
-			frozen := first.Schedule.Files
-			reqs := halves[1].ByVideo()
-			s := schedule.New()
-			for _, vid := range all.Videos() {
-				fs, err := ivs.ScheduleFile(rig.Model, vid, reqs[vid], ivs.Options{Frozen: frozen[vid]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Put(fs)
-			}
-
-			retired := make(map[unsafe.Pointer]bool) // delivery arrays seen on the spare lists
-			commits := 0
-			_, err = resolve(context.Background(), rig.Model, s, reqs, Options{Frozen: frozen},
-				func(work *schedule.Schedule, tab *pairTable) {
-					commits++
-					owner := make(map[unsafe.Pointer]string)
-					claim := func(who string, fs *schedule.FileSchedule) {
-						if fs == nil {
-							return
-						}
-						d, r := arrays(fs)
-						for _, p := range []unsafe.Pointer{d, r} {
-							if p == nil {
-								continue
-							}
-							if prev, taken := owner[p]; taken {
-								t.Fatalf("commit %d: %s shares a backing array with %s", commits, who, prev)
-							}
-							owner[p] = who
-						}
+			for name, kind := range map[string]int{"batch": 0, "rolling": 2} {
+				t.Run(name, func(t *testing.T) {
+					c := buildReuseCase(t, seed, kind)
+					ft := newFileTracker()
+					first := c.resolveTracked(t, ft)
+					if first == nil {
+						t.Skip("unresolvable")
 					}
-					for vid, fs := range work.Files {
-						claim(fmt.Sprintf("work's file %d", vid), fs)
+					want := mustJSON(t, first)
+					second := c.resolveTracked(t, ft)
+					if second == nil {
+						t.Fatal("resolved once, then not")
 					}
-					for vid, fs := range frozen {
-						if fs != work.Files[vid] {
-							claim(fmt.Sprintf("frozen prefix %d", vid), fs)
-						}
+					if !bytes.Equal(mustJSON(t, second), want) {
+						t.Error("the second resolution differs from the first")
 					}
-					for k, es := range tab.entries {
-						for i, e := range es {
-							claim(fmt.Sprintf("entry %d of (node %d, video %d)", i, k.node, k.video), e.fs)
-							if d, _ := arrays(e.fs); e.fs != nil && retired[d] {
-								recycled++
-								delete(retired, d)
-							}
-						}
+					if !bytes.Equal(mustJSON(t, first), want) {
+						t.Error("the first Result changed while the second resolution ran")
 					}
-					for vid, fss := range tab.spare {
-						for i, fs := range fss {
-							claim(fmt.Sprintf("spare %d of video %d", i, vid), fs)
-							if fs.Video != vid || frozen[vid] == nil {
-								t.Fatalf("commit %d: spare list of video %d holds a file of video %d (frozen: %v)",
-									commits, vid, fs.Video, frozen[vid] != nil)
-							}
-							d, _ := arrays(fs)
-							retired[d] = true
-						}
-					}
+					recycled[name] += ft.recycled
+					t.Logf("%d evaluations built in retired files", ft.recycled)
 				})
-			if err != nil {
-				t.Skipf("second half unresolvable: %v", err)
 			}
-			t.Logf("%d commits, %d evaluations built in recycled storage so far", commits, recycled)
 		})
 	}
-	if recycled == 0 {
-		t.Fatal("fixture bug: no live entry was ever built in a retired file's storage")
+	for _, name := range []string{"batch", "rolling"} {
+		if recycled[name] == 0 {
+			t.Errorf("no %s evaluation was ever built in a retired file's storage", name)
+		}
 	}
+}
+
+// A batch has no frozen prefix to copy, yet its evaluations are thrown away
+// as often: later fresh evaluations of one resolution are built in the files
+// earlier ones retired.
+func TestBatchEvaluationsReuseRetiredFiles(t *testing.T) {
+	r, err := testutil.Build(testutil.Params{Storages: 10, UsersPerStorage: 5, RequestsPerUser: 10, Titles: 50, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &reuseCase{m: r.Model, s: phase1(t, r.Model, r.Requests), reqs: r.Requests.ByVideo()}
+	ft := newFileTracker()
+	if c.resolveTracked(t, ft) == nil {
+		t.Fatal("fixture bug: the rig does not resolve")
+	}
+	if ft.recycled == 0 {
+		t.Error("no fresh evaluation was built in a retired file")
+	}
+}
+
+// The working schedule starts as a copy of the input's file map, not of its
+// files: the input must encode the same after the resolution, the Result
+// must share every file no victim replaced, and hold its own for every
+// victim's.
+func TestResolveLeavesItsInputAlone(t *testing.T) {
+	for _, seed := range []int64{3, 11} {
+		for name, kind := range map[string]int{"batch": 0, "rolling": 2} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
+				c := buildReuseCase(t, seed, kind)
+				before := mustJSON(t, c.s)
+				res := c.resolveTracked(t, newFileTracker())
+				if res == nil {
+					t.Skip("unresolvable")
+				}
+				if !bytes.Equal(mustJSON(t, c.s), before) {
+					t.Error("the input schedule changed")
+				}
+				victim := make(map[media.VideoID]bool)
+				for _, v := range res.Victims {
+					victim[v.Video] = true
+				}
+				if len(victim) == 0 {
+					t.Fatal("fixture bug: no victim")
+				}
+				for vid, fs := range c.s.Files {
+					if shared := res.Schedule.Files[vid] == fs; shared == victim[vid] {
+						t.Errorf("video %d: shared with the input %v, a victim %v", vid, shared, victim[vid])
+					}
+				}
+			})
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // sharedRig is one resolution case for TestFreeListsAreSharedAcrossLedgers.
@@ -236,22 +331,5 @@ func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 		if r := rigs[i]; !bytes.Equal(r.resolveJSON(t, nil), r.want) {
 			t.Errorf("%s resolved after the other differs from it resolved alone", r.name)
 		}
-	}
-}
-
-// The batch path has no prefix to copy, so it keeps nothing back: retired
-// files go to the collector, not onto spare lists nobody would read.
-func TestNoSparesWithoutFrozenPrefix(t *testing.T) {
-	m, _, reqs := tightRig(t)
-	_, err := resolve(context.Background(), m, phase1(t, m, reqs), reqs.ByVideo(), Options{},
-		func(_ *schedule.Schedule, tab *pairTable) {
-			for vid, fss := range tab.spare {
-				if len(fss) > 0 {
-					t.Errorf("%d spare file(s) kept for video %d in a run without frozen prefixes", len(fss), vid)
-				}
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

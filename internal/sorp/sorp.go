@@ -28,18 +28,21 @@
 // (Ledger.Release), for a fresh evaluation of any run to reuse — so a reused
 // winner is committed from its file schedule (Ledger.CommitFile).
 //
-// On a rolling horizon every evaluation's result holds a copy of its file's
-// frozen prefix (ivs.ScheduleFile, the one place an epoch close copies
-// history), and an evaluation of the same file always needs the same room.
-// An entry that leaves the table therefore leaves its file behind as spare
-// storage for the video's next fresh evaluation (pairTable.retire) — except
-// the file a commit hands to the working schedule, which is never recycled.
+// Almost every evaluation's result is thrown away, and an evaluation of the
+// same file needs the same room — on a rolling horizon, a copy of its frozen
+// prefix (ivs.ScheduleFile, the one place an epoch close copies history). An
+// entry that leaves the table, or is still in it when the run ends, therefore
+// hands its file back to ivs's process-wide free list (pairTable.retire,
+// ivs.Recycle), where the next evaluation of the video, in this run or a
+// later one, builds its result — except the file a commit hands to the
+// working schedule, which is never recycled.
 package sorp
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -224,7 +227,8 @@ func (r *Result) Delta() units.Money { return r.CostAfter - r.CostBefore }
 // Resolve runs the SORP loop on the integrated schedule s. The request
 // partition must be the one the schedule was built from (rescheduling a
 // victim re-serves its whole request list R_i). The input schedule is not
-// modified; the resolved schedule is returned in the Result.
+// modified; the resolved schedule is returned in the Result, and shares with
+// it every file no victim's reschedule replaced.
 func Resolve(m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request, opts Options) (*Result, error) {
 	return ResolveContext(context.Background(), m, s, reqs, opts)
 }
@@ -257,7 +261,9 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		}
 		nreq += len(reqs[vid])
 	}
-	work := s.Clone()
+	// Files are replaced (Put), never written in place, so the working
+	// schedule shares every file it does not reschedule with s.
+	work := &schedule.Schedule{Files: maps.Clone(s.Files)}
 	ledger := occupancy.FromSchedule(topo, m.Catalog(), work)
 
 	res := &Result{
@@ -272,8 +278,6 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 	table := pairTable{
 		entries: make(map[pairKey][]pairEntry),
 		jobOf:   make(map[media.VideoID]int),
-		frozen:  opts.Frozen,
-		spare:   make(map[media.VideoID][]*schedule.FileSchedule),
 	}
 	defer table.release()
 	for iter := 0; ; iter++ {
@@ -342,9 +346,8 @@ type pairEntry struct {
 type reschedJob struct {
 	overflow int
 	video    media.VideoID
-	tmp      *occupancy.Ledger      // nil for a reused result
-	log      *occupancy.ProbeLog    // tmp's log; nil for a reused result
-	spare    *schedule.FileSchedule // storage to build the result in, or nil
+	tmp      *occupancy.Ledger   // nil for a reused result
+	log      *occupancy.ProbeLog // tmp's log; nil for a reused result
 	result   reschedResult
 }
 
@@ -356,12 +359,6 @@ type reschedJob struct {
 // storage is recycled each time, and so is the file's (retire).
 type pairTable struct {
 	entries map[pairKey][]pairEntry
-	// spare holds, per video, the files of entries that left: nobody reads
-	// them any more, and the next fresh evaluation of the same video needs
-	// exactly their room for its copy of the frozen prefix. Only files
-	// built on a prefix (frozen) are kept; the rest are the collector's.
-	frozen map[media.VideoID]*schedule.FileSchedule
-	spare  map[media.VideoID][]*schedule.FileSchedule
 
 	jobs   []reschedJob
 	fresh  []int                 // indices into jobs
@@ -433,32 +430,19 @@ func (t *pairTable) dropVideo(vid media.VideoID, committed *schedule.FileSchedul
 }
 
 // retire recycles what an entry leaving the table held: its log's storage,
-// and its file as spare room for the video's next fresh evaluation.
+// and its file, for the video's next fresh evaluation to be built in.
 func (t *pairTable) retire(e pairEntry) {
 	e.log.Release()
-	if e.fs != nil && t.frozen[e.fs.Video] != nil {
-		t.spare[e.fs.Video] = append(t.spare[e.fs.Video], e.fs)
-	}
-}
-
-// takeSpare hands out a retired file of the video, or nil.
-func (t *pairTable) takeSpare(vid media.VideoID) *schedule.FileSchedule {
-	fss := t.spare[vid]
-	if len(fss) == 0 {
-		return nil
-	}
-	fs := fss[len(fss)-1]
-	fss[len(fss)-1] = nil
-	t.spare[vid] = fss[:len(fss)-1]
-	return fs
+	ivs.Recycle(e.fs)
 }
 
 // release hands back what the run still holds when it ends: every entry's
-// log, and the views of the last round, which no later round will.
+// log and file — a commit has already taken its winner's entries out — and
+// the views of the last round, which no later round will.
 func (t *pairTable) release() {
 	for _, es := range t.entries {
 		for _, e := range es {
-			e.log.Release()
+			t.retire(e)
 		}
 	}
 	t.entries = nil
@@ -574,7 +558,6 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 			} else {
 				job.tmp = ledger.OverlayWithout(ref.Video)
 				job.log = job.tmp.Record()
-				job.spare = t.takeSpare(ref.Video)
 				t.fresh = append(t.fresh, len(t.jobs))
 			}
 			t.jobs = append(t.jobs, job)
@@ -584,7 +567,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	if err := parallel.Do(ctx, opts.Workers, len(t.fresh), func(i int) {
 		j := &t.jobs[t.fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
-			fileCost[j.video], j.spare)
+			fileCost[j.video])
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}
@@ -656,18 +639,16 @@ type reschedResult struct {
 // the caller sequentially, so the concurrent evaluation path can fan the
 // views out afterwards). baseCost is the file's current Ψ contribution,
 // maintained incrementally by ResolveContext; the overhead is the Ψ delta
-// against it. spare, when non-nil, is a dead file whose storage the result
-// may be built in.
+// against it.
 func rescheduleFile(m *cost.Model, tmp *occupancy.Ledger,
 	vid media.VideoID, of occupancy.Overflow, rs []workload.Request, opts Options,
-	baseCost units.Money, spare *schedule.FileSchedule) (out reschedResult) {
+	baseCost units.Money) (out reschedResult) {
 	fs, err := ivs.ScheduleFile(m, vid, rs, ivs.Options{
 		Policy: opts.Policy,
 		Ledger: tmp,
 		Banned: []occupancy.Banned{{Node: of.Node, Interval: of.Interval}},
 		Seeds:  opts.Seeds[vid],
 		Frozen: opts.Frozen[vid],
-		Spare:  spare,
 	})
 	if err != nil {
 		return out // unreschedulable candidate; skip (ok=false)
