@@ -53,6 +53,9 @@ chaos-bench:
 # them also hold the hand-written encoders to encoding/json: every schedule
 # FuzzScheduleDecode decodes must give Schedule.AppendJSON == json.Marshal,
 # and every state FuzzSnapshotDoor admits state.appendJSON == json.Marshal.
+# FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
+# decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
+# -shard parser to what gateway.New accepts.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
@@ -60,6 +63,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/chaos
+	$(GO) test -fuzz=FuzzMergeEncodings -fuzztime=10s -fuzzminimizetime=1s ./internal/gateway
+	$(GO) test -fuzz=FuzzParseShard -fuzztime=10s ./cmd/vspgateway
 
 cover:
 	$(GO) test -cover ./internal/... .
@@ -106,15 +111,18 @@ bench-json:
 # BenchmarkReservationPath rides along at 2000 reservations a run, where
 # its B/op is steady: the per-request garbage http.TimeoutHandler used to
 # make alone was twice what a reservation allocates now, so its return
-# fails here. BenchmarkGatewayPlanRead/unchanged rides along too, 200 reads
-# of a 160 KB plan no shard has replaced: decoding, merging and encoding
-# per read again allocates a hundred times its B/op.
+# fails here. BenchmarkGatewayPlanRead rides along too, 200 reads of a
+# 160 KB plan each: /unchanged with no shard's schedule replaced, where
+# decoding, merging and encoding per read again allocates a hundred times
+# its B/op, and /after_commit with all three replaced before every read,
+# where decoding the shard schedules into structs and cloning them to merge
+# allocates three times its B/op.
 bench-smoke:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
 		./internal/server ; \
-	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$/^unchanged$$' -benchtime=200x -count=3 -benchmem \
+	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$/^(unchanged|after_commit)$$' -benchtime=200x -count=3 -benchmem \
 		./internal/gateway ) \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 

@@ -53,7 +53,11 @@ func parseShard(v string) (gateway.ShardConfig, error) {
 	if strings.Contains(standby, ",") {
 		return gateway.ShardConfig{}, fmt.Errorf("shard %q: at most one standby per shard", v)
 	}
-	return gateway.ShardConfig{ID: id, Primary: primary, Standby: standby}, nil
+	sc := gateway.ShardConfig{ID: id, Primary: primary, Standby: standby}
+	if err := sc.CheckURLs(); err != nil {
+		return gateway.ShardConfig{}, fmt.Errorf("shard %q: %w", v, err)
+	}
+	return sc, nil
 }
 
 func main() {

@@ -223,11 +223,11 @@ func main() {
 	fmt.Println("merged schedule validates against the full workload — nothing lost ✓")
 
 	// A second read with no commit between finds every shard's schedule
-	// bytes unchanged: nothing is decoded, merged or encoded again.
+	// bytes unchanged: nothing is indexed or merged again.
 	if err := retryhttp.GetJSON(ctx, retry, gwURL+"/v1/plan", nil); err != nil {
 		log.Fatal(err)
 	}
 	ps := stats().Plan
-	fmt.Printf("plan reads: %d, of which %d shard schedules decoded and %d merges — a read costs what changed since the last\n",
+	fmt.Printf("plan reads: %d, %d shard schedules replaced and %d merges — a read costs what changed since the last\n",
 		ps.Reads, ps.ShardDecodes, ps.Merges)
 }

@@ -7,7 +7,7 @@
 //	POST /v1/reservations    place on a shard per the Placement policy
 //	POST /v1/advance         broadcast; per-shard epoch results aggregated
 //	GET  /v1/plan            shard plans merged into one global schedule,
-//	                         decoded, merged and encoded once per change
+//	                         as bytes, once per change
 //	GET  /v1/stats           per-shard routing + breaker + polled counters
 //	GET  /healthz            gateway liveness
 //	GET  /readyz             tier readiness (≥1 shard routable)
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +40,7 @@ import (
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -53,6 +55,34 @@ type ShardConfig struct {
 	ID      string
 	Primary string
 	Standby string
+}
+
+// CheckURLs reports whether the primary, and the standby when there is one,
+// are absolute http or https URLs with a host: the bases every forward
+// appends a path to. New refuses a shard whose URLs fail it.
+func (sc ShardConfig) CheckURLs() error {
+	if err := checkBaseURL(sc.Primary); err != nil {
+		return fmt.Errorf("primary %w", err)
+	}
+	if sc.Standby == "" {
+		return nil
+	}
+	if err := checkBaseURL(sc.Standby); err != nil {
+		return fmt.Errorf("standby %w", err)
+	}
+	return nil
+}
+
+func checkBaseURL(s string) error {
+	u, err := url.Parse(s)
+	if err != nil {
+		return fmt.Errorf("URL: %w", err)
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Hostname() == "" || u.Opaque != "" ||
+		u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return fmt.Errorf("URL %q: want http://host[:port] or https://host[:port], optionally with a path", s)
+	}
+	return nil
 }
 
 // Config assembles a Gateway.
@@ -121,8 +151,8 @@ type shard struct {
 	routed      atomic.Uint64
 	failovers   atomic.Uint64
 	polled      atomic.Pointer[shardStats]
-	plan        atomic.Pointer[shardSchedule] // the schedule in the last /v1/plan reply (merge.go)
-	brk         *breaker                      // nil when breakers are disabled
+	plan        atomic.Pointer[schedule.Encoding] // the schedule in the last /v1/plan reply (merge.go)
+	brk         *breaker                          // nil when breakers are disabled
 
 	// Auto-advance state: maxAt tracks the newest acked arrival instant,
 	// lastAdvance the last advance target (so targets never regress), and
@@ -166,8 +196,8 @@ type Gateway struct {
 	sheds atomic.Uint64
 
 	// The plan path's kept merge and its work counters (merge.go).
-	merged                             atomic.Pointer[mergedPlan]
-	planReads, planDecodes, planMerges atomic.Uint64
+	merged                              atomic.Pointer[mergedPlan]
+	planReads, planReplaced, planMerges atomic.Uint64
 
 	placeMu sync.Mutex // serializes Place with the outstanding bump
 
@@ -206,8 +236,8 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate shard id %q", id)
 		}
 		seen[id] = true
-		if sc.Primary == "" {
-			return nil, fmt.Errorf("gateway: shard %q has no primary URL", id)
+		if err := sc.CheckURLs(); err != nil {
+			return nil, fmt.Errorf("gateway: shard %q: %w", id, err)
 		}
 		sh := &shard{
 			id:      id,
@@ -716,8 +746,8 @@ type StatsResponse struct {
 	// overflow-resolution work and, as reused/(reused+evaluated), its
 	// reuse hit rate.
 	Resolution scheduler.Work `json:"resolution"`
-	// Plan is the plan path's work: merges and shard_decodes over reads
-	// is the share of GET /v1/plan that found something changed.
+	// Plan is the plan path's work: merges over reads is the share of GET
+	// /v1/plan that found some shard's schedule replaced.
 	Plan PlanStats `json:"plan"`
 }
 
@@ -731,7 +761,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) Stats() StatsResponse {
 	now := time.Now()
 	resp := StatsResponse{Policy: g.policy.Name(), GatewayShed: g.sheds.Load(), Plan: PlanStats{
-		Reads: g.planReads.Load(), ShardDecodes: g.planDecodes.Load(), Merges: g.planMerges.Load(),
+		Reads: g.planReads.Load(), ShardDecodes: g.planReplaced.Load(), Merges: g.planMerges.Load(),
 	}}
 	for _, sh := range g.shards {
 		sh.mu.Lock()

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 
 	"github.com/vodsim/vsp/internal/httpkit"
@@ -16,55 +18,6 @@ import (
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/units"
 )
-
-// The merged plan: shards partition the reservation stream, not the
-// catalog, so two shards may both have scheduled copies of one title.
-// Merging a file therefore concatenates record lists and rebases every
-// index-valued cross-reference by the receiving file's offsets.
-
-// MergeSchedules unions per-shard committed schedules into one global
-// schedule. Parts are merged in the order given, so the result is
-// deterministic in shard order; sentinel references (NoResidency,
-// PrePlacedFeed) are preserved. The inputs are not mutated.
-func MergeSchedules(parts ...*schedule.Schedule) *schedule.Schedule {
-	out := schedule.New()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for _, vid := range p.VideoIDs() {
-			mergeFile(out, p.Files[vid])
-		}
-	}
-	return out
-}
-
-func mergeFile(dst *schedule.Schedule, fs *schedule.FileSchedule) {
-	cur := dst.File(fs.Video)
-	if cur == nil {
-		dst.Put(fs.Clone())
-		return
-	}
-	dOff, rOff := len(cur.Deliveries), len(cur.Residencies)
-	for _, d := range fs.Deliveries {
-		d.Route = d.Route.Clone()
-		if d.SourceResidency != schedule.NoResidency {
-			d.SourceResidency += rOff
-		}
-		cur.Deliveries = append(cur.Deliveries, d)
-	}
-	for _, c := range fs.Residencies {
-		services := make([]int, len(c.Services))
-		for i, s := range c.Services {
-			services[i] = s + dOff
-		}
-		c.Services = services
-		if c.FedBy != schedule.PrePlacedFeed {
-			c.FedBy += dOff
-		}
-		cur.Residencies = append(cur.Residencies, c)
-	}
-}
 
 // ShardPlan is one shard's slice of the gateway's GET /v1/plan reply.
 type ShardPlan struct {
@@ -79,7 +32,10 @@ type ShardPlan struct {
 // schedule with the same top-level shape a single server answers
 // (Horizon is the slowest shard's commit horizon, Epoch the largest
 // shard epoch, Pending and Cost tier totals — Ψ is additive across the
-// partition), plus the per-shard breakdown.
+// partition), plus the per-shard breakdown. Shards partition the
+// reservation stream, not the catalog, so two may both have scheduled a
+// title: the schedule is the shards' files merged by schedule.AppendMerged,
+// in shard order.
 type PlanResponse struct {
 	Schedule *schedule.Schedule `json:"schedule"`
 	Horizon  simtime.Time       `json:"horizon"`
@@ -89,35 +45,20 @@ type PlanResponse struct {
 	Shards   []ShardPlan        `json:"shards"`
 }
 
-// rawValue is json.RawMessage without the copy: it aliases the bytes being
-// decoded, here a pooled reply buffer, so whoever keeps it past the decode
-// clones it first.
-type rawValue []byte
-
-func (v *rawValue) UnmarshalJSON(b []byte) error { *v = b; return nil }
-
-// shardSchedule is the schedule value of a shard's last /v1/plan reply: its
-// bytes as the shard sent them and what they decode to (nil for null).
-// Immutable once published; the schedule is only ever read, by
-// MergeSchedules.
-type shardSchedule struct {
-	raw   []byte
-	sched *schedule.Schedule
-}
-
 // mergedPlan is the merged schedule's encoding beside the shard schedules it
 // was merged from, in shard order. Immutable once published; blob is never
 // written again, so a reply in flight across a commit finishes with the
 // bytes it started with.
 type mergedPlan struct {
-	from []*shardSchedule
+	from []*schedule.Encoding
 	blob []byte
 }
 
 // PlanStats counts the plan path's work since start: reads answered or
-// attempted, shard schedules decoded because their bytes differed from the
-// kept ones (summed over shards), and merged plans built and encoded. With
-// no commit between reads only Reads moves.
+// attempted, shard schedules replaced because their bytes differed from the
+// kept ones (summed over shards; the JSON name is from when each was
+// decoded), and merged plans built. With no commit between reads only Reads
+// moves.
 type PlanStats struct {
 	Reads        uint64 `json:"reads"`
 	ShardDecodes uint64 `json:"shard_decodes"`
@@ -126,12 +67,12 @@ type PlanStats struct {
 
 // handlePlan answers json.Marshal(PlanResponse) plus a newline, byte for
 // byte, at the cost of what changed since the last read: a shard's schedule
-// is decoded when its bytes differ from the last ones that shard sent
-// (keepSchedule), the union is merged and encoded when some shard's schedule
-// was replaced (mergedSchedule), and the rest is the few fields that move
-// with every reservation. Nothing is invalidated: the validators are the
-// bytes and the pointers themselves, so a promoted standby serving the same
-// plan is a hit and a shard back with another plan under the same epoch is a
+// is indexed when its bytes differ from the last ones that shard sent
+// (keepSchedule), the shards' encodings are merged when some shard's was
+// replaced (mergedSchedule), and the rest is the few fields that move with
+// every reservation. Nothing is invalidated: the validators are the bytes
+// and the pointers themselves, so a promoted standby serving the same plan
+// is a hit and a shard back with another plan under the same epoch is a
 // miss.
 func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	g.planReads.Add(1)
@@ -161,8 +102,8 @@ type planRest struct {
 
 // fetchPlans reads every shard's plan concurrently and sums the small
 // fields. On failure it returns the offending shard.
-func (g *Gateway) fetchPlans(ctx context.Context) ([]*shardSchedule, planRest, *shard, error) {
-	from := make([]*shardSchedule, len(g.shards))
+func (g *Gateway) fetchPlans(ctx context.Context) ([]*schedule.Encoding, planRest, *shard, error) {
+	from := make([]*schedule.Encoding, len(g.shards))
 	rows := make([]ShardPlan, len(g.shards))
 	errs := make([]error, len(g.shards))
 	var wg sync.WaitGroup
@@ -197,22 +138,14 @@ func (g *Gateway) fetchPlans(ctx context.Context) ([]*shardSchedule, planRest, *
 // fetchPlan reads one shard's plan. The reply is split, not decoded: the
 // small fields into the shard's row, the schedule's bytes — still the reply
 // buffer's — to keepSchedule. A failed read stores nothing.
-func (g *Gateway) fetchPlan(ctx context.Context, sh *shard) (*shardSchedule, ShardPlan, error) {
-	var kept *shardSchedule
+func (g *Gateway) fetchPlan(ctx context.Context, sh *shard) (*schedule.Encoding, ShardPlan, error) {
+	var kept *schedule.Encoding
 	row := ShardPlan{Shard: sh.id}
 	err := g.forward(ctx, sh, func(base string) error {
 		return retryhttp.GetBody(ctx, g.retry, base+"/v1/plan", func(body []byte) error {
-			var reply struct {
-				Schedule rawValue     `json:"schedule"`
-				Horizon  simtime.Time `json:"horizon"`
-				Epoch    int          `json:"epoch"`
-				Pending  int          `json:"pending"`
-				Cost     units.Money  `json:"cost"`
-			}
-			err := json.Unmarshal(body, &reply)
+			sched, err := splitPlan(body, &row)
 			if err == nil {
-				row.Epoch, row.Horizon, row.Pending, row.Cost = reply.Epoch, reply.Horizon, reply.Pending, reply.Cost
-				kept, err = g.keepSchedule(sh, reply.Schedule)
+				kept, err = g.keepSchedule(sh, sched)
 			}
 			return err
 		})
@@ -220,47 +153,152 @@ func (g *Gateway) fetchPlan(ctx context.Context, sh *shard) (*shardSchedule, Sha
 	return kept, row, err
 }
 
-// keepSchedule returns the holder of the schedule a shard just sent as raw.
-// Bytes equal to the ones kept from its last reply stand for the schedule
-// already decoded from them; different bytes are copied out of the reply
-// buffer, decoded once and kept in their place. Readers that find a new
-// schedule at the same instant may each decode it; the holder stored last
-// serves the reads that follow.
-func (g *Gateway) keepSchedule(sh *shard, raw []byte) (*shardSchedule, error) {
-	if kept := sh.plan.Load(); kept != nil && bytes.Equal(kept.raw, raw) {
-		return kept, nil
+// splitPlan takes a shard's plan reply apart as the shard writes it —
+// {"schedule":S,"horizon":H,"epoch":E,"pending":P,"cost":C} and a newline —
+// and returns S, which the last ,"horizon": ends; the small fields go into
+// row. Anything else is an error: a reply is one value with its fields in
+// that order, and S is a canonical encoding, which keepSchedule checks.
+func splitPlan(body []byte, row *ShardPlan) ([]byte, error) {
+	const head = `{"schedule":`
+	body, _ = bytes.CutSuffix(body, []byte("\n"))
+	at := bytes.LastIndex(body, []byte(`,"horizon":`))
+	if !bytes.HasPrefix(body, []byte(head)) || at < len(head) {
+		return nil, errors.New(`want {"schedule":…,"horizon":…}`)
 	}
-	next := &shardSchedule{raw: bytes.Clone(raw)}
-	if len(raw) > 0 { // an absent schedule is a null one
-		if err := json.Unmarshal(next.raw, &next.sched); err != nil {
-			return nil, fmt.Errorf("schedule: %w", err)
+	t := planTail{b: body[at:]}
+	row.Horizon = simtime.Time(t.int(`,"horizon":`))
+	row.Epoch = int(t.int(`,"epoch":`))
+	row.Pending = int(t.int(`,"pending":`))
+	row.Cost = units.Money(t.float(`,"cost":`))
+	if t.err == nil && string(t.b) != "}" {
+		t.err = fmt.Errorf("want } after the cost, not %q", t.b)
+	}
+	return body[len(head):at], t.err
+}
+
+// planTail reads the small fields after a shard plan's schedule, each a
+// name and a JSON number. Its first failure sticks.
+type planTail struct {
+	b   []byte
+	err error
+}
+
+// number consumes name and the JSON number after it and returns the number.
+func (t *planTail) number(name string) string {
+	if t.err != nil {
+		return ""
+	}
+	rest, ok := bytes.CutPrefix(t.b, []byte(name))
+	n := numberLen(rest)
+	if !ok || n == 0 {
+		t.err = fmt.Errorf("want %s and a number", name)
+		return ""
+	}
+	t.b = rest[n:]
+	return string(rest[:n])
+}
+
+func (t *planTail) int(name string) int64 {
+	s := t.number(name)
+	if t.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.err = fmt.Errorf("%s: %w", name, err)
+	}
+	return v
+}
+
+func (t *planTail) float(name string) float64 {
+	s := t.number(name)
+	if t.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.err = fmt.Errorf("%s: %w", name, err)
+	}
+	return v
+}
+
+// numberLen is the length of the JSON number b starts with, 0 if none.
+func numberLen(b []byte) int {
+	digits := func(i int) int {
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(i)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		if j := digits(i + 1); j > i+1 {
+			i = j
+		} else {
+			return 0
 		}
 	}
-	g.planDecodes.Add(1)
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if k := digits(j); k > j {
+			i = k
+		} else {
+			return 0
+		}
+	}
+	return i
+}
+
+// keepSchedule returns the encoding of the schedule a shard just sent as raw.
+// Bytes equal to the ones kept from its last reply stand for the encoding
+// already indexed; different bytes are copied out of the reply buffer,
+// indexed once and kept in their place, and bytes that are not a canonical
+// encoding are refused with nothing kept. Readers that find a new schedule at
+// the same instant may each index it; the one stored last serves the reads
+// that follow.
+func (g *Gateway) keepSchedule(sh *shard, raw []byte) (*schedule.Encoding, error) {
+	if kept := sh.plan.Load(); kept != nil && bytes.Equal(kept.Bytes(), raw) {
+		return kept, nil
+	}
+	next, err := schedule.NewEncoding(bytes.Clone(raw))
+	if err != nil {
+		return nil, err
+	}
+	g.planReplaced.Add(1)
 	sh.plan.Store(next)
 	return next, nil
 }
 
-// mergedSchedule returns json.Marshal(MergeSchedules(from...)), built at the
-// first call for a tuple of shard schedules and kept for the later ones.
-// Every holder in from is immutable and a changed shard schedule arrives in
-// a new one, so the pointers say whether the kept bytes still are their
-// merge. A new merge is encoded into a buffer of its own, sized from the
-// last one's bytes with an eighth to spare.
-func (g *Gateway) mergedSchedule(from []*shardSchedule) []byte {
+// mergedSchedule returns schedule.AppendMerged of from, built at the first
+// call for a tuple of shard encodings and kept for the later ones. Every
+// encoding in from is immutable and a changed shard schedule arrives in a
+// new one, so the pointers say whether the kept bytes still are their merge.
+// A new merge goes into a buffer of its own, sized from the shards' bytes
+// with an eighth to spare for the rebased references.
+func (g *Gateway) mergedSchedule(from []*schedule.Encoding) []byte {
 	m := g.merged.Load()
 	if m != nil && slices.Equal(m.from, from) {
 		return m.blob
 	}
-	var last int
-	if m != nil {
-		last = len(m.blob)
+	var n int
+	for _, e := range from {
+		n += len(e.Bytes())
 	}
-	parts := make([]*schedule.Schedule, len(from))
-	for i, k := range from {
-		parts[i] = k.sched
-	}
-	blob := MergeSchedules(parts...).AppendJSON(make([]byte, 0, last+last/8))
+	blob := schedule.AppendMerged(make([]byte, 0, n+n/8), from...)
 	g.planMerges.Add(1)
 	g.merged.Store(&mergedPlan{from: from, blob: blob})
 	return blob

@@ -140,7 +140,7 @@ func referencePlanBody(t *testing.T, ids, urls []string) []byte {
 			Shard: ids[i], Epoch: p.Epoch, Horizon: p.Horizon, Pending: p.Pending, Cost: p.Cost,
 		})
 	}
-	out.Schedule = gateway.MergeSchedules(parts...)
+	out.Schedule = mergeSchedules(parts...)
 	blob, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)
@@ -409,9 +409,13 @@ func TestGatewayPlanFollowsTheBytes(t *testing.T) {
 		}
 	}
 	for when, bad := range map[string]string{
-		"a truncated reply":             `{"schedule":{"files":`,
-		"a second value after the plan": reply(first) + `{}`,
-		"a schedule that is no object":  reply(`[1,2]`),
+		"a truncated reply":                `{"schedule":{"files":`,
+		"a second value after the plan":    reply(first) + `{}`,
+		"a schedule that is no object":     reply(`[1,2]`),
+		"a null file":                      reply(`{"files":{"5":null}}`),
+		"a file keyed under another video": reply(`{"files":{"5":{"video":6,"deliveries":[],"residencies":[]}}}`),
+		"whitespace in the schedule":       reply(`{"files": {}}`),
+		"bytes after the schedule":         reply(`{"files":{}}}`),
 	} {
 		stub.body.Store(&bad)
 		refuse(when, "shard stub: retryhttp: decode GET "+stubURL+"/v1/plan reply: ")

@@ -371,6 +371,14 @@ var grepRules = []grepRule{
 		hit:     "rep := audit.Run(model, sched, reqs)", miss: "err := scheduler.Check(m, sched, reqs)",
 		why: "audit.Run is called outside the façade and vspsim: a second, higher bar must not grow back into the serving path",
 	},
+	{
+		name:    "plan: the gateway merges shard plans as bytes",
+		pattern: regexp.MustCompile(`\bschedule\.(Schedule|FileSchedule|New)\b|json\.(Unmarshal|NewDecoder)\(|[mM]ergeSchedules\(`),
+		in:      regexp.MustCompile(`^internal/gateway/`),
+		want:    1,
+		hit:     "if err := json.Unmarshal(next.raw, &next.sched); err != nil {", miss: "next, err := schedule.NewEncoding(bytes.Clone(raw))",
+		why: "the gateway decodes a schedule or merges decoded ones: shard plans are split without encoding/json and merged as bytes by schedule.AppendMerged, and decode–merge–encode is the tests' oracle; the one line allowed is PlanResponse's Schedule field, the wire type clients decode",
+	},
 }
 
 // standingRules is row (d): what `make check-shell`, `check-solver` and
