@@ -55,7 +55,10 @@ chaos-bench:
 # and every state FuzzSnapshotDoor admits state.appendJSON == json.Marshal.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
-# -shard parser to what gateway.New accepts.
+# -shard parser to what gateway.New accepts. FuzzReservationRequest holds
+# both intake doors' screening to the API (no arrival after the start), and
+# the trace readers (CSV, JSONL) and the topology spec parser behind the
+# command-line tools accept only what they validate.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
@@ -65,6 +68,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzMergeEncodings -fuzztime=10s -fuzzminimizetime=1s ./internal/gateway
 	$(GO) test -fuzz=FuzzParseShard -fuzztime=10s ./cmd/vspgateway
+	$(GO) test -fuzz=FuzzReservationRequest -fuzztime=10s ./internal/api
+	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload
+	$(GO) test -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/workload
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/topology
 
 cover:
 	$(GO) test -cover ./internal/... .

@@ -117,7 +117,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	model := cli.BuildModel(topo, cat, o.srate, o.nrate)
+	model := cost.NewUniformModel(topo, cat, o.srate, o.nrate)
 	cfg := scheduler.Config{Metric: metric, Policy: policy, Workers: o.workers}
 
 	var sched *schedule.Schedule

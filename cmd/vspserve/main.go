@@ -48,6 +48,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
@@ -104,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("vspserve: %v", err)
 	}
-	model := cli.BuildModel(topo, cat, *srate, *nrate)
+	model := cost.NewUniformModel(topo, cat, *srate, *nrate)
 	api, err := server.NewWithOptions(model, server.Options{
 		RequestTimeout: *reqTimeout,
 		DataDir:        *dataDir,

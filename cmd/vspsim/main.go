@@ -19,6 +19,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/repair"
 	"github.com/vodsim/vsp/internal/vodsim"
@@ -78,7 +79,7 @@ func run(w io.Writer, o options) error {
 	if err := sched.ValidateStructure(topo, cat); err != nil {
 		return fmt.Errorf("schedule validation: %w", err)
 	}
-	model := cli.BuildModel(topo, cat, o.srate, o.nrate)
+	model := cost.NewUniformModel(topo, cat, o.srate, o.nrate)
 	var reqs workload.Set
 	if o.reqPath != "" {
 		if reqs, err = cli.LoadRequestsAuto(o.reqPath, topo, cat); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/faults"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/scheduler"
@@ -29,7 +30,7 @@ func fixtures(t *testing.T) (topoP, catP, reqP, schedP string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cli.BuildModel(topo, cat, 2, 400)
+	model := cost.NewUniformModel(topo, cat, 2, 400)
 	out, err := scheduler.Run(model, reqs, scheduler.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func faultFixtures(t testing.TB) (topoP, catP, reqP, schedP string, sc *faults.S
 		{User: u2[0], Video: 0, Start: simtime.Time(90 * simtime.Minute)},
 		{User: u2[1], Video: 0, Start: simtime.Time(180 * simtime.Minute)},
 	}
-	model := cli.BuildModel(topo, cat, 2, 400)
+	model := cost.NewUniformModel(topo, cat, 2, 400)
 	out, err := scheduler.Run(model, reqs, scheduler.Config{})
 	if err != nil {
 		t.Fatal(err)

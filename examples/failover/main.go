@@ -28,7 +28,8 @@ import (
 	"time"
 
 	vsp "github.com/vodsim/vsp"
-	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/api"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
@@ -65,7 +66,7 @@ func main() {
 		}
 		return reqs[i].User < reqs[j].User
 	})
-	model := cli.BuildModel(topo, catalog, 5, 500)
+	model := cost.NewUniformModel(topo, catalog, 5, 500)
 
 	primaryDir, err := os.MkdirTemp("", "vsp-primary-*")
 	if err != nil {
@@ -105,9 +106,9 @@ func main() {
 	// committed in two epochs, split exactly where the failover will be.
 	reference := horizon.New(model, horizon.Config{})
 	submit := func(base string, r workload.Request) {
-		var ack server.ReservationResponse
+		var ack api.ReservationResponse
 		err := retryhttp.PostJSON(ctx, retry, base+"/v1/reservations",
-			server.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, &ack)
+			api.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, &ack)
 		if err != nil {
 			log.Fatalf("submit: %v", err)
 		}
@@ -116,8 +117,8 @@ func main() {
 		}
 	}
 	advance := func(base string, to simtime.Time) {
-		var res horizon.EpochResult
-		if err := retryhttp.PostJSON(ctx, retry, base+"/v1/advance", server.AdvanceRequest{To: to}, &res); err != nil {
+		var res api.EpochResult
+		if err := retryhttp.PostJSON(ctx, retry, base+"/v1/advance", api.AdvanceRequest{To: to}, &res); err != nil {
 			log.Fatalf("advance: %v", err)
 		}
 		if _, err := reference.Advance(ctx, to); err != nil {
@@ -146,9 +147,9 @@ func main() {
 	}
 
 	fmt.Println("\npromoting the standby (fencing the old primary)...")
-	var prom server.PromoteResponse
+	var prom api.PromoteResponse
 	err = retryhttp.PostJSON(ctx, retry, standbyURL+"/v1/replication/promote",
-		server.PromoteRequest{FenceSource: true}, &prom)
+		api.PromoteRequest{FenceSource: true}, &prom)
 	if err != nil {
 		log.Fatalf("promote: %v", err)
 	}
@@ -159,7 +160,7 @@ func main() {
 	// at it gets the stale-leadership error instead of a silent fork.
 	r0 := reqs[split]
 	err = retryhttp.PostJSON(ctx, retry, primaryURL+"/v1/reservations",
-		server.ReservationRequest{User: r0.User, Video: r0.Video, Start: r0.Start}, nil)
+		api.ReservationRequest{User: r0.User, Video: r0.Video, Start: r0.Start}, nil)
 	fmt.Printf("  old primary rejects intake: %v\n", err)
 
 	fmt.Printf("\nphase 2: %d reservations to the new primary (%s)\n", len(reqs)-split, standbyURL)
@@ -168,7 +169,7 @@ func main() {
 	}
 	advance(standbyURL, reqs[len(reqs)-1].Start)
 
-	var plan server.PlanResponse
+	var plan api.PlanResponse
 	if err := retryhttp.GetJSON(ctx, retry, standbyURL+"/v1/plan", &plan); err != nil {
 		log.Fatal(err)
 	}

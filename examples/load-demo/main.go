@@ -33,7 +33,7 @@ import (
 	"time"
 
 	vsp "github.com/vodsim/vsp"
-	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/loadgen"
 	"github.com/vodsim/vsp/internal/server"
@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := cli.BuildModel(topo, catalog, 5, 500)
+	model := cost.NewUniformModel(topo, catalog, 5, 500)
 
 	// An evening of demand: prime-time diurnal swell, and at hour 20 a
 	// premiere triples the arrival rate with 70% of the crowd watching

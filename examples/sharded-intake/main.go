@@ -30,9 +30,9 @@ import (
 	"time"
 
 	vsp "github.com/vodsim/vsp"
-	"github.com/vodsim/vsp/internal/cli"
+	"github.com/vodsim/vsp/internal/api"
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/gateway"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/workload"
@@ -67,7 +67,7 @@ func main() {
 		}
 		return reqs[i].User < reqs[j].User
 	})
-	model := cli.BuildModel(topo, catalog, 5, 500)
+	model := cost.NewUniformModel(topo, catalog, 5, 500)
 	ctx := context.Background()
 	var retry retryhttp.Options
 
@@ -132,14 +132,14 @@ func main() {
 
 	submit := func(r vsp.Request) {
 		err := retryhttp.PostJSON(ctx, retry, gwURL+"/v1/reservations",
-			server.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, nil)
+			api.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, nil)
 		if err != nil {
 			log.Fatalf("submit: %v", err)
 		}
 	}
 	advance := func(to vsp.Time) gateway.AdvanceResponse {
 		var res gateway.AdvanceResponse
-		if err := retryhttp.PostJSON(ctx, retry, gwURL+"/v1/advance", server.AdvanceRequest{To: to}, &res); err != nil {
+		if err := retryhttp.PostJSON(ctx, retry, gwURL+"/v1/advance", api.AdvanceRequest{To: to}, &res); err != nil {
 			log.Fatalf("advance: %v", err)
 		}
 		return res
@@ -170,12 +170,12 @@ func main() {
 	// before pulling the plug — exactly what an operator's runbook (or
 	// the gateway's non-forced promote) would check.
 	fmt.Println("\nwaiting for s1's standby to catch up, then killing s1's primary...")
-	var pst replica.Status
+	var pst api.ReplicationStatus
 	if err := retryhttp.GetJSON(ctx, retry, s1URL+"/v1/replication/status", &pst); err != nil {
 		log.Fatal(err)
 	}
 	for {
-		var st replica.Status
+		var st api.ReplicationStatus
 		if err := retryhttp.GetJSON(ctx, retry, s1standbyURL+"/v1/replication/status", &st); err == nil &&
 			st.Synced && st.AppliedSeq >= pst.AppliedSeq {
 			fmt.Printf("  standby caught up: applied seq %d of %d\n", st.AppliedSeq, pst.AppliedSeq)

@@ -1,4 +1,4 @@
-package sorp
+package api
 
 import (
 	"encoding/json"

@@ -1,5 +1,5 @@
-// Package cli holds the file-loading and model-wiring helpers shared by
-// the command-line tools.
+// Package cli holds the file-loading helpers shared by the command-line
+// tools.
 package cli
 
 import (
@@ -9,10 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/pricing"
-	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/workload"
@@ -95,12 +92,4 @@ func SaveJSON(path string, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// BuildModel wires a uniform-rate cost model over a topology and catalog.
-// Rates use the paper's quoted units: srate in $/(GB·hour), nrate in $/GB.
-func BuildModel(topo *topology.Topology, cat *media.Catalog, srateGBHour, nrateGB float64) *cost.Model {
-	book := pricing.Uniform(topo, pricing.PerGBHour(srateGBHour), pricing.PerGB(nrateGB))
-	table := routing.NewTable(book)
-	return cost.NewModel(book, table, cat)
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -26,7 +27,7 @@ func writeFixtures(t *testing.T, dir string) (topoP, catP, reqP, schedP string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := BuildModel(topo, cat, 2, 400)
+	model := cost.NewUniformModel(topo, cat, 2, 400)
 	out, err := scheduler.Run(model, reqs, scheduler.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestRoundTripLoaders(t *testing.T) {
 		t.Fatalf("round-tripped schedule invalid: %v", err)
 	}
 	// And cost identically.
-	model := BuildModel(topo, cat, 2, 400)
+	model := cost.NewUniformModel(topo, cat, 2, 400)
 	orig, err := scheduler.Run(model, reqs, scheduler.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func TestBuildModelRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := BuildModel(topo, cat, 3600e9, 1e9)
+	m := cost.NewUniformModel(topo, cat, 3600e9, 1e9)
 	is1, _ := topo.Lookup("IS1")
 	if got := float64(m.Book().SRate(is1)); got != 1 {
 		t.Errorf("srate = %g, want 1 $/byte·s", got)

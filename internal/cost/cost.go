@@ -33,6 +33,14 @@ func NewModel(book *pricing.Book, table *routing.Table, catalog *media.Catalog) 
 	return &Model{book: book, table: table, catalog: catalog}
 }
 
+// NewUniformModel wires a uniform-rate cost model over a topology and
+// catalog. Rates use the paper's quoted units: srate in $/(GB·hour), nrate
+// in $/GB.
+func NewUniformModel(topo *topology.Topology, catalog *media.Catalog, srateGBHour, nrateGB float64) *Model {
+	book := pricing.Uniform(topo, pricing.PerGBHour(srateGBHour), pricing.PerGB(nrateGB))
+	return NewModel(book, routing.NewTable(book), catalog)
+}
+
 // Book returns the model's rate book.
 func (m *Model) Book() *pricing.Book { return m.book }
 

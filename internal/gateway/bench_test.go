@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
@@ -59,7 +60,7 @@ func benchSubmit(b *testing.B, shardCount int) {
 		for pb.Next() {
 			q := reqs[int(next.Add(1))%len(reqs)]
 			err := retryhttp.PostJSON(ctx, fastRetry, gts.URL+"/v1/reservations",
-				server.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, nil)
+				api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func alternatingShards(b *testing.B, r *testutil.Rig, reqs workload.Set) (*gatew
 		}
 	}
 	reserve := func(h http.Handler, q workload.Request) {
-		call(h, "/v1/reservations", server.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start, At: &q.Start})
+		call(h, "/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start, At: &q.Start})
 	}
 	last := reqs[len(reqs)-1].Start
 	var shards []gateway.ShardConfig
@@ -180,12 +181,12 @@ func alternatingShards(b *testing.B, r *testutil.Rig, reqs workload.Set) (*gatew
 			for j := i; j < len(reqs); j += 3 {
 				reserve(srv, reqs[j])
 			}
-			call(srv, "/v1/advance", server.AdvanceRequest{To: last})
+			call(srv, "/v1/advance", api.AdvanceRequest{To: last})
 			if k == 1 {
 				q := reqs[i]
 				q.Start = last.Add(simtime.Hour)
 				reserve(srv, q)
-				call(srv, "/v1/advance", server.AdvanceRequest{To: last.Add(10 * simtime.Minute)})
+				call(srv, "/v1/advance", api.AdvanceRequest{To: last.Add(10 * simtime.Minute)})
 			}
 			*h = srv
 		}

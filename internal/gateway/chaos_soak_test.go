@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/gateway"
@@ -128,7 +129,7 @@ func soak(t *testing.T, seed int64) {
 						t0 := time.Now()
 						err := retryhttp.PostJSON(ctx, retryhttp.Options{MaxAttempts: 1},
 							base+"/v1/reservations",
-							server.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
+							api.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
 						cancel()
 						if time.Since(t0) > attemptBudget+grace {
 							blown.Add(1)
@@ -168,7 +169,7 @@ func soak(t *testing.T, seed int64) {
 	// failures are expected here and tolerated.
 	if target := trace[split].Start.Add(-simtime.Hour); target > 0 {
 		_ = retryhttp.PostJSON(context.Background(), retryhttp.Options{MaxAttempts: 1},
-			base+"/v1/advance", server.AdvanceRequest{To: target}, nil)
+			base+"/v1/advance", api.AdvanceRequest{To: target}, nil)
 	}
 
 	// Let every chaos window and every breaker cool-off expire.
@@ -201,7 +202,7 @@ func soak(t *testing.T, seed int64) {
 	for {
 		var adv gateway.AdvanceResponse
 		err := retryhttp.PostJSON(context.Background(), fastRetry,
-			base+"/v1/advance", server.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv)
+			base+"/v1/advance", api.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv)
 		if err == nil && len(adv.Failed) == 0 && len(adv.Shards) == 3 {
 			break
 		}
@@ -238,7 +239,7 @@ func soak(t *testing.T, seed int64) {
 	}
 	counts := make(map[soakKey]int)
 	for i, url := range shardURLs {
-		var plan server.PlanResponse
+		var plan api.PlanResponse
 		if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &plan); err != nil {
 			t.Fatalf("shard %d plan: %v", i, err)
 		}

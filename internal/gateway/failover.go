@@ -7,9 +7,8 @@ import (
 	"net/http"
 	"strings"
 
-	"github.com/vodsim/vsp/internal/replica"
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/retryhttp"
-	"github.com/vodsim/vsp/internal/server"
 )
 
 // Shard-level failure handling: a forwarded call that finds the shard's
@@ -42,7 +41,7 @@ func (g *Gateway) forward(ctx context.Context, sh *shard, call func(base string)
 func failoverWorthy(err error) bool {
 	var se *retryhttp.StatusError
 	if errors.As(err, &se) {
-		return se.Code == http.StatusConflict && strings.Contains(se.Message, replica.ErrStaleLeadership.Error())
+		return se.Code == http.StatusConflict && strings.Contains(se.Message, api.StaleLeadership)
 	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
@@ -63,24 +62,24 @@ func (g *Gateway) failover(ctx context.Context, sh *shard, failed string) error 
 		return fmt.Errorf("no standby configured")
 	}
 	standby := sh.standby
-	var st replica.Status
+	var st api.ReplicationStatus
 	if err := retryhttp.GetJSON(ctx, g.retry, standby+"/v1/replication/status", &st); err != nil {
 		return fmt.Errorf("standby unreachable: %w", err)
 	}
-	if st.Role != replica.RolePrimary.String() {
+	if st.Role != api.RolePrimary {
 		if !st.Synced {
 			return fmt.Errorf("standby never synced with the primary; promoting it would serve an empty shard")
 		}
-		var prom server.PromoteResponse
+		var prom api.PromoteResponse
 		err := retryhttp.PostJSON(ctx, g.retry, standby+"/v1/replication/promote",
-			server.PromoteRequest{FenceSource: true}, &prom)
+			api.PromoteRequest{FenceSource: true}, &prom)
 		var se *retryhttp.StatusError
 		if errors.As(err, &se) && se.Code == http.StatusConflict {
 			// The planned promote could not confirm catch-up — the primary
 			// really is gone. The standby has synced, so force the promotion
 			// and accept whatever unreplicated suffix died with the primary.
 			err = retryhttp.PostJSON(ctx, g.retry, standby+"/v1/replication/promote",
-				server.PromoteRequest{Force: true, FenceSource: true}, &prom)
+				api.PromoteRequest{Force: true, FenceSource: true}, &prom)
 		}
 		if err != nil {
 			return fmt.Errorf("promote standby: %w", err)

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -75,9 +75,9 @@ func driveOp(t *testing.T, base string, o op) {
 	var err error
 	if o.submit {
 		err = retryhttp.PostJSON(ctx, fastRetry, base+"/v1/reservations",
-			server.ReservationRequest{User: o.req.User, Video: o.req.Video, Start: o.req.Start}, nil)
+			api.ReservationRequest{User: o.req.User, Video: o.req.Video, Start: o.req.Start}, nil)
 	} else {
-		err = retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance", server.AdvanceRequest{To: o.to}, nil)
+		err = retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance", api.AdvanceRequest{To: o.to}, nil)
 	}
 	if err != nil {
 		t.Fatalf("drive %+v: %v", o, err)
@@ -163,13 +163,13 @@ func referencePlan(t *testing.T, r *testutil.Rig, ops []op) string {
 func waitCaughtUp(t *testing.T, primary, standby string) {
 	t.Helper()
 	ctx := context.Background()
-	var pst replica.Status
+	var pst api.ReplicationStatus
 	if err := retryhttp.GetJSON(ctx, fastRetry, primary+"/v1/replication/status", &pst); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var st replica.Status
+		var st api.ReplicationStatus
 		err := retryhttp.GetJSON(ctx, fastRetry, standby+"/v1/replication/status", &st)
 		if err == nil && st.Synced && st.AppliedSeq >= pst.AppliedSeq {
 			return

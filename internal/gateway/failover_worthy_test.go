@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -36,7 +37,7 @@ func TestFailoverWorthyReadsTheFencedPrimarysOwnAnswer(t *testing.T) {
 		t.Helper()
 		q := f.Requests[0]
 		err := retryhttp.PostJSON(ctx, once, ts.URL+"/v1/reservations",
-			server.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, nil)
+			api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, nil)
 		var se *retryhttp.StatusError
 		if !errors.As(err, &se) || se.Code != http.StatusConflict {
 			t.Fatalf("reservation answered %v, want a 409", err)
@@ -45,7 +46,7 @@ func TestFailoverWorthyReadsTheFencedPrimarysOwnAnswer(t *testing.T) {
 	}
 
 	to := f.Requests[0].Start.Add(simtime.Hour)
-	if err := retryhttp.PostJSON(ctx, once, ts.URL+"/v1/advance", server.AdvanceRequest{To: to}, nil); err != nil {
+	if err := retryhttp.PostJSON(ctx, once, ts.URL+"/v1/advance", api.AdvanceRequest{To: to}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if late := reserve(); failoverWorthy(late) {

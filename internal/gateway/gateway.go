@@ -37,16 +37,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/schedule"
-	"github.com/vodsim/vsp/internal/scheduler"
-	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/workload"
 )
 
 // ShardConfig names one shard: the serving primary and, optionally, the
@@ -127,16 +124,10 @@ type Config struct {
 	ShardTimeout time.Duration
 }
 
-// shardStats is one polled /v1/stats snapshot.
+// shardStats is one polled /v1/stats reply, or the poll's failure.
 type shardStats struct {
-	pending    int
-	inFlight   int
-	shed       uint64
-	epoch      int
-	role       string
-	lag        uint64
-	resolution scheduler.Work
-	err        string
+	api.StatsResponse
+	err string
 }
 
 // shard is the gateway's live state for one partition.
@@ -175,7 +166,7 @@ func (sh *shard) view(i int) View {
 	v := View{Index: i, ID: sh.id, Outstanding: sh.outstanding.Load(), Routed: sh.routed.Load()}
 	if ps := sh.polled.Load(); ps != nil && ps.err == "" {
 		v.HasStats = true
-		v.Pending, v.InFlight, v.Shed, v.Epoch = ps.pending, ps.inFlight, ps.shed, ps.epoch
+		v.Pending, v.InFlight, v.Shed, v.Epoch = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed, ps.Shard.Epoch
 	}
 	return v
 }
@@ -261,7 +252,7 @@ func New(cfg Config) (*Gateway, error) {
 	// No request timeout or limiter here: ShardTimeout/X-Request-Budget-Ms
 	// and the per-shard breakers already are this tier's deadline and shed.
 	g.handler = httpkit.RecoverPanics(httpkit.RetryAfter503(
-		httpkit.LimitBody(mux, server.DefaultMaxRequestBytes)))
+		httpkit.LimitBody(mux, api.DefaultMaxRequestBytes)))
 	if cfg.PollInterval > 0 {
 		g.wg.Add(1)
 		go g.pollLoop(cfg.PollInterval)
@@ -332,17 +323,18 @@ func (g *Gateway) place(info RouteInfo) *shard {
 // ReservationResponse is the gateway's POST /v1/reservations reply: the
 // shard's ack plus which shard served it.
 type ReservationResponse struct {
-	server.ReservationResponse
+	api.ReservationResponse
 	Shard string `json:"shard"`
 }
 
 func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
-	var req server.ReservationRequest
+	var req api.ReservationRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	// The shards' own screening, minus the bounds only the rig knows.
-	if err := (workload.Request{User: req.User, Video: req.Video, Start: req.Start}).Validate(nil, nil); err != nil {
+	// The shards' own screening, so a refusal moves neither a shard nor maxAt.
+	_, at, err := req.Screen()
+	if err != nil {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -362,19 +354,15 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	defer sh.outstanding.Add(-1)
 	ctx, cancel := g.shardContext(r)
 	defer cancel()
-	var ack server.ReservationResponse
+	var ack api.ReservationResponse
 	t0 := time.Now()
-	err := g.forward(ctx, sh, func(base string) error {
+	err = g.forward(ctx, sh, func(base string) error {
 		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/reservations", req, &ack)
 	})
 	recordOutcome(sh, time.Since(t0), err)
 	if err != nil {
 		writeUpstreamErr(w, sh, err)
 		return
-	}
-	at := req.Start
-	if req.At != nil {
-		at = *req.At
 	}
 	storeMax(&sh.maxAt, int64(at))
 	if ack.EpochDue {
@@ -476,11 +464,11 @@ func (g *Gateway) advanceShard(ctx context.Context, sh *shard) {
 // broadcast alike, and returns the round-trip time. Epoch solves are
 // legitimately slow, so an advance feeds the breaker only its error
 // signal, never its duration.
-func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (horizon.EpochResult, time.Duration, error) {
+func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (api.EpochResult, time.Duration, error) {
 	t0 := time.Now()
-	var res horizon.EpochResult
+	var res api.EpochResult
 	err := g.forward(ctx, sh, func(base string) error {
-		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/advance", server.AdvanceRequest{To: to}, &res)
+		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/advance", api.AdvanceRequest{To: to}, &res)
 	})
 	recordOutcome(sh, 0, err)
 	if err == nil {
@@ -491,9 +479,9 @@ func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (h
 
 // ShardEpoch is one shard's slice of a broadcast advance.
 type ShardEpoch struct {
-	Shard     string              `json:"shard"`
-	Result    horizon.EpochResult `json:"result"`
-	ElapsedMS int64               `json:"elapsed_ms"`
+	Shard     string          `json:"shard"`
+	Result    api.EpochResult `json:"result"`
+	ElapsedMS int64           `json:"elapsed_ms"`
 }
 
 // ShardFailure is one shard's slot in a partially failed broadcast:
@@ -506,7 +494,7 @@ type ShardFailure struct {
 }
 
 // AdvanceResponse aggregates a broadcast epoch close. The top-level
-// fields mirror horizon.EpochResult's JSON, so single-server clients
+// fields mirror api.EpochResult's JSON, so single-server clients
 // (internal/loadgen, behind cmd/vspload) decode it unchanged: counters,
 // the Resolution work counts included, are summed, Horizon is the slowest
 // (minimum) shard commit horizon, Epoch the largest shard epoch index.
@@ -528,14 +516,14 @@ type AdvanceResponse struct {
 	FrozenResidencies int            `json:"frozen_residencies"`
 	Overflows         int            `json:"overflows"`
 	Cost              units.Money    `json:"cost"`
-	Resolution        scheduler.Work `json:"resolution"`
+	Resolution        api.Work       `json:"resolution"`
 	Shards            []ShardEpoch   `json:"shards"`
 	Failed            []ShardFailure `json:"failed,omitempty"`
 	LagMS             int64          `json:"lag_ms"`
 }
 
 func (g *Gateway) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	var req server.AdvanceRequest
+	var req api.AdvanceRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
@@ -554,7 +542,7 @@ func (g *Gateway) handleAdvance(w http.ResponseWriter, r *http.Request) {
 // shard, for the error reply).
 func (g *Gateway) advanceAll(ctx context.Context, to simtime.Time) (AdvanceResponse, *shard, error) {
 	type outcome struct {
-		res horizon.EpochResult
+		res api.EpochResult
 		dur time.Duration
 		err error
 	}
@@ -687,20 +675,11 @@ func (g *Gateway) PollNow(ctx context.Context) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			var st server.StatsResponse
-			if err := retryhttp.GetJSON(ctx, g.retry, sh.current()+"/v1/stats", &st); err != nil {
-				sh.polled.Store(&shardStats{err: err.Error()})
-				return
+			ps := new(shardStats)
+			if err := retryhttp.GetJSON(ctx, g.retry, sh.current()+"/v1/stats", &ps.StatsResponse); err != nil {
+				ps = &shardStats{err: err.Error()}
 			}
-			sh.polled.Store(&shardStats{
-				pending:    st.Horizon.Pending,
-				inFlight:   st.Overload.InFlight,
-				shed:       st.Overload.Shed,
-				epoch:      st.Shard.Epoch,
-				role:       st.Shard.Role,
-				lag:        st.Shard.ReplicationLag,
-				resolution: st.Horizon.Resolution,
-			})
+			sh.polled.Store(ps)
 		}(sh)
 	}
 	wg.Wait()
@@ -745,7 +724,7 @@ type StatsResponse struct {
 	// Resolution sums the shards' polled horizon.resolution: the tier's
 	// overflow-resolution work and, as reused/(reused+evaluated), its
 	// reuse hit rate.
-	Resolution scheduler.Work `json:"resolution"`
+	Resolution api.Work `json:"resolution"`
 	// Plan is the plan path's work: merges over reads is the share of GET
 	// /v1/plan that found some shard's schedule replaced.
 	Plan PlanStats `json:"plan"`
@@ -777,10 +756,10 @@ func (g *Gateway) Stats() StatsResponse {
 			resp.HealthyShards++
 		}
 		if ps := sh.polled.Load(); ps != nil {
-			row.Pending, row.InFlight, row.Shed = ps.pending, ps.inFlight, ps.shed
-			row.Epoch, row.Role, row.ReplicationLag = ps.epoch, ps.role, ps.lag
+			row.Pending, row.InFlight, row.Shed = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed
+			row.Epoch, row.Role, row.ReplicationLag = ps.Shard.Epoch, ps.Shard.Role, ps.Shard.ReplicationLag
 			row.StatsError = ps.err
-			resp.Resolution.Add(ps.resolution)
+			resp.Resolution.Add(ps.Horizon.Resolution)
 		}
 		resp.Routed += row.Routed
 		resp.Shed += row.Shed

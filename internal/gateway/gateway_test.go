@@ -12,12 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
-	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -73,7 +73,7 @@ func submit(t testing.TB, base string, req workload.Request) gateway.Reservation
 	at := req.Start
 	var ack gateway.ReservationResponse
 	err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/reservations",
-		server.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
+		api.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
 	if err != nil {
 		t.Fatalf("submit (user %d, video %d, %v): %v", req.User, req.Video, req.Start, err)
 	}
@@ -261,7 +261,7 @@ func TestAdvanceBroadcastAndPlanMerge(t *testing.T) {
 	ctx := context.Background()
 	var adv gateway.AdvanceResponse
 	if err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv); err != nil {
+		api.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv); err != nil {
 		t.Fatal(err)
 	}
 	if adv.Admitted != len(reqs) {
@@ -279,9 +279,9 @@ func TestAdvanceBroadcastAndPlanMerge(t *testing.T) {
 	}
 	// The aggregate must also decode as a plain EpochResult, so the
 	// single-server driver works against a gateway unchanged.
-	var er horizon.EpochResult
+	var er api.EpochResult
 	if err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: end.Add(2 * simtime.Hour)}, &er); err != nil {
+		api.AdvanceRequest{To: end.Add(2 * simtime.Hour)}, &er); err != nil {
 		t.Fatal(err)
 	}
 	if er.Horizon != end.Add(2*simtime.Hour) {
@@ -325,12 +325,12 @@ func TestLateArrivalPassesThroughWithoutFailover(t *testing.T) {
 	submit(t, base, reqs[len(reqs)-1])
 	ctx := context.Background()
 	to := reqs[len(reqs)-1].Start.Add(simtime.Hour)
-	if err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance", server.AdvanceRequest{To: to}, nil); err != nil {
+	if err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance", api.AdvanceRequest{To: to}, nil); err != nil {
 		t.Fatal(err)
 	}
 	early := simtime.Time(0)
 	err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/reservations",
-		server.ReservationRequest{User: reqs[0].User, Video: reqs[0].Video, Start: early}, nil)
+		api.ReservationRequest{User: reqs[0].User, Video: reqs[0].Video, Start: early}, nil)
 	var se *retryhttp.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusConflict || !strings.Contains(se.Message, "frozen") {
 		t.Fatalf("late arrival answered %v, want 409 frozen-window conflict", err)
@@ -418,7 +418,7 @@ func TestDeadPrimaryWithoutStandby(t *testing.T) {
 	srv.Close()
 	err := retryhttp.PostJSON(context.Background(), retryhttp.Options{MaxAttempts: 1},
 		base+"/v1/reservations",
-		server.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)}, nil)
+		api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)}, nil)
 	var se *retryhttp.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadGateway {
 		t.Fatalf("dead shard answered %v, want 502", err)
@@ -455,13 +455,13 @@ func TestAdvanceAndStatsSumResolution(t *testing.T) {
 	}
 	var adv gateway.AdvanceResponse
 	if err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: reqs[len(reqs)-1].Start.Add(simtime.Hour)}, &adv); err != nil {
+		api.AdvanceRequest{To: reqs[len(reqs)-1].Start.Add(simtime.Hour)}, &adv); err != nil {
 		t.Fatal(err)
 	}
 	if len(adv.Shards) != 3 {
 		t.Fatalf("advance reported %d shards, want 3", len(adv.Shards))
 	}
-	var sum scheduler.Work
+	var sum api.Work
 	for _, se := range adv.Shards {
 		sum.Add(se.Result.Resolution)
 	}
@@ -520,7 +520,7 @@ func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
 	}
 	var adv gateway.AdvanceResponse
 	if err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: to}, &adv); err != nil {
+		api.AdvanceRequest{To: to}, &adv); err != nil {
 		t.Fatal(err)
 	}
 	if len(adv.Failed) != 0 || len(adv.Shards) != 1 {
@@ -535,7 +535,7 @@ func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
 }
 
 // The shard's /v1/stats overload block gained deadline_exceeded beside shed;
-// the gateway's poller decodes the whole reply into server.StatsResponse, so
+// the gateway's poller decodes the whole reply into api.StatsResponse, so
 // the block it reads its load figures from must still arrive intact.
 func TestStatsPollerReadsTheOverloadBlock(t *testing.T) {
 	r := testRig(t)

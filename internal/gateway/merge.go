@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -19,7 +20,9 @@ import (
 	"github.com/vodsim/vsp/internal/units"
 )
 
-// ShardPlan is one shard's slice of the gateway's GET /v1/plan reply.
+// ShardPlan is one shard's slice of the gateway's GET /v1/plan reply. It
+// names api.PlanState's fields itself because its rows have always put the
+// epoch before the horizon, and embedding would reorder bytes on the wire.
 type ShardPlan struct {
 	Shard   string       `json:"shard"`
 	Epoch   int          `json:"epoch"`
@@ -37,12 +40,8 @@ type ShardPlan struct {
 // title: the schedule is the shards' files merged by schedule.AppendMerged,
 // in shard order.
 type PlanResponse struct {
-	Schedule *schedule.Schedule `json:"schedule"`
-	Horizon  simtime.Time       `json:"horizon"`
-	Epoch    int                `json:"epoch"`
-	Pending  int                `json:"pending"`
-	Cost     units.Money        `json:"cost"`
-	Shards   []ShardPlan        `json:"shards"`
+	api.PlanResponse
+	Shards []ShardPlan `json:"shards"`
 }
 
 // mergedPlan is the merged schedule's encoding beside the shard schedules it
@@ -93,11 +92,8 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // planRest is PlanResponse without the schedule, in its field order.
 type planRest struct {
-	Horizon simtime.Time `json:"horizon"`
-	Epoch   int          `json:"epoch"`
-	Pending int          `json:"pending"`
-	Cost    units.Money  `json:"cost"`
-	Shards  []ShardPlan  `json:"shards"`
+	api.PlanState
+	Shards []ShardPlan `json:"shards"`
 }
 
 // fetchPlans reads every shard's plan concurrently and sums the small

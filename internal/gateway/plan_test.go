@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
@@ -88,7 +89,7 @@ func (tier *planTier) advance(t testing.TB, to simtime.Time) gateway.AdvanceResp
 	t.Helper()
 	var adv gateway.AdvanceResponse
 	if err := retryhttp.PostJSON(context.Background(), fastRetry, tier.base+"/v1/advance",
-		server.AdvanceRequest{To: to}, &adv); err != nil {
+		api.AdvanceRequest{To: to}, &adv); err != nil {
 		t.Fatal(err)
 	}
 	if len(adv.Failed) != 0 || len(adv.Shards) != 3 {
@@ -115,7 +116,7 @@ func (tier *planTier) drive(t *testing.T, reqs workload.Set, each func(when stri
 
 // referencePlanBody is the plan body as the gateway defined it before it
 // kept anything: every shard's reply decoded whole into
-// server.PlanResponse, the schedules merged, and the union through
+// api.PlanResponse, the schedules merged, and the union through
 // encoding/json with the newline json.Encoder ends a value with. The
 // decode-per-read path lives on here, as the oracle, and nowhere else.
 func referencePlanBody(t *testing.T, ids, urls []string) []byte {
@@ -123,7 +124,7 @@ func referencePlanBody(t *testing.T, ids, urls []string) []byte {
 	var out gateway.PlanResponse
 	parts := make([]*schedule.Schedule, len(urls))
 	for i, url := range urls {
-		var p server.PlanResponse
+		var p api.PlanResponse
 		if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &p); err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +223,9 @@ func TestGatewayPlanReadWork(t *testing.T) {
 	for _, q := range tier.reqs[6:12] {
 		submit(t, tier.base, q)
 	}
-	var res horizon.EpochResult
+	var res api.EpochResult
 	if err := retryhttp.PostJSON(context.Background(), fastRetry, tier.urls[1]+"/v1/advance",
-		server.AdvanceRequest{To: simtime.Max(0, tier.reqs[11].Start.Add(-simtime.Hour))}, &res); err != nil || res.Admitted == 0 {
+		api.AdvanceRequest{To: simtime.Max(0, tier.reqs[11].Start.Add(-simtime.Hour))}, &res); err != nil || res.Admitted == 0 {
 		t.Fatalf("advance at shard 1 alone: admitted %d, %v", res.Admitted, err)
 	}
 	expect("the read after one shard's commit", 1, 1)
@@ -285,7 +286,7 @@ func TestGatewayPlanHitAcrossFailover(t *testing.T) {
 		submit(t, base, req)
 	}
 	if err := retryhttp.PostJSON(ctx, fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: reqs[2].Start.Add(simtime.Hour)}, nil); err != nil {
+		api.AdvanceRequest{To: reqs[2].Start.Add(simtime.Hour)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var last gateway.PlanStats

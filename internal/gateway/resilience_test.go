@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/retryhttp"
@@ -28,7 +29,7 @@ func trySubmit(t *testing.T, opts retryhttp.Options, base string, req workload.R
 	at := req.Start
 	var ack gateway.ReservationResponse
 	err := retryhttp.PostJSON(context.Background(), opts, base+"/v1/reservations",
-		server.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
+		api.ReservationRequest{User: req.User, Video: req.Video, Start: req.Start, At: &at}, &ack)
 	return ack.Shard, err
 }
 
@@ -58,7 +59,7 @@ func TestAdvancePartialFailure(t *testing.T) {
 
 	var adv gateway.AdvanceResponse
 	if err := retryhttp.PostJSON(context.Background(), fastRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv); err != nil {
+		api.AdvanceRequest{To: end.Add(simtime.Hour)}, &adv); err != nil {
 		t.Fatalf("partial broadcast should answer 200, got %v", err)
 	}
 	if len(adv.Shards) != 2 {
@@ -77,7 +78,7 @@ func TestAdvancePartialFailure(t *testing.T) {
 	victims[0].Close()
 	victims[2].Close()
 	err := retryhttp.PostJSON(context.Background(), retryhttp.Options{MaxAttempts: 1},
-		base+"/v1/advance", server.AdvanceRequest{To: end.Add(2 * simtime.Hour)}, nil)
+		base+"/v1/advance", api.AdvanceRequest{To: end.Add(2 * simtime.Hour)}, nil)
 	var se *retryhttp.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadGateway {
 		t.Fatalf("all-shards-dead broadcast answered %v, want 502", err)
@@ -212,7 +213,7 @@ func TestGatewayShedsWhenAllShardsEjected(t *testing.T) {
 	}
 
 	body := func() *bytes.Reader {
-		b, _ := json.Marshal(server.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)})
+		b, _ := json.Marshal(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)})
 		return bytes.NewReader(b)
 	}
 	// Two failures trip the only shard's breaker.
@@ -313,7 +314,7 @@ func TestShardTimeoutBoundsSlowShard(t *testing.T) {
 	}
 
 	// The client can tighten the budget below ShardTimeout per request.
-	reqBody, _ := json.Marshal(server.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)})
+	reqBody, _ := json.Marshal(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)})
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/reservations", bytes.NewReader(reqBody))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-Budget-Ms", "50")

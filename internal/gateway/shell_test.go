@@ -1,6 +1,8 @@
 package gateway_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,9 +11,14 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
+	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
+	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
@@ -44,7 +51,7 @@ func TestGatewayOversizedBodyRejected(t *testing.T) {
 
 	// A valid JSON prefix, so the decoder keeps reading until the cap
 	// stops it (garbage would fail at byte 0 with 400).
-	big := `{"user":0,"video":0,"start":3600,"pad":"` + strings.Repeat("x", server.DefaultMaxRequestBytes) + `"}`
+	big := `{"user":0,"video":0,"start":3600,"pad":"` + strings.Repeat("x", api.DefaultMaxRequestBytes) + `"}`
 	resp, err := http.Post(base+"/v1/reservations", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +109,62 @@ func TestGatewayScreensIntake(t *testing.T) {
 	}
 	if reached.Load() {
 		t.Error("a refused reservation reached the shard")
+	}
+}
+
+// A reservation that arrives after it starts is refused at the door, before
+// it can move the auto-advancer: one such request must not push a shard's
+// horizon a thousand hours on and turn away every valid reservation after it.
+func TestGatewayRefusesArrivalAfterStart(t *testing.T) {
+	r := testRig(t)
+	url, _, _ := startShard(t, r, server.Options{Horizon: horizon.Config{EpochRequests: 1}})
+	gw, base := startGateway(t, gateway.Config{
+		Shards:      []gateway.ShardConfig{{ID: "s0", Primary: url}},
+		Retry:       fastRetry,
+		AutoAdvance: true,
+		AdvanceLag:  simtime.Hour,
+	})
+	post := func(req api.ReservationRequest) *http.Response {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/reservations", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	late := simtime.Time(1000 * simtime.Hour)
+	resp := post(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(8*simtime.Minute + 8), At: &late})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("arrival after start: status %d, want 400", resp.StatusCode)
+	}
+	if body := errorBody(t, resp); !strings.Contains(body["error"], "after start") {
+		t.Errorf("arrival after start: error %q does not name the defect", body["error"])
+	}
+
+	resp = post(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(30*simtime.Minute + 40)})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("the next valid reservation: status %d, want 202", resp.StatusCode)
+	}
+	// Its ack fired the trigger; once that advance lands, the horizon is
+	// still an hour behind the valid reservation.
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.Stats().Shards[0].Advances == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the valid reservation's auto-advance never landed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var plan api.PlanResponse
+	if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Horizon != 0 || gw.Stats().Routed != 1 {
+		t.Fatalf("shard horizon %v after %d routed reservations, want 0 after 1", plan.Horizon, gw.Stats().Routed)
 	}
 }
 

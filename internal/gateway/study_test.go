@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
@@ -177,7 +178,7 @@ func runPolicy(t *testing.T, rig *testutil.Rig, policyName string, byWave [][][]
 				for _, q := range batch {
 					at := q.Start
 					err := retryhttp.PostJSON(ctx, workerRetry, base+"/v1/reservations",
-						server.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start, At: &at}, nil)
+						api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start, At: &at}, nil)
 					if err != nil {
 						select {
 						case errc <- fmt.Errorf("submit (user %d, %v): %w", q.User, q.Start, err):
@@ -200,7 +201,7 @@ func runPolicy(t *testing.T, rig *testutil.Rig, policyName string, byWave [][][]
 	// remaining pending reservations on every shard.
 	var run policyRun
 	if err := retryhttp.PostJSON(ctx, workerRetry, base+"/v1/advance",
-		server.AdvanceRequest{To: end.Add(simtime.Hour)}, &run.adv); err != nil {
+		api.AdvanceRequest{To: end.Add(simtime.Hour)}, &run.adv); err != nil {
 		t.Fatalf("%s: final advance: %v", policyName, err)
 	}
 	var plan gateway.PlanResponse

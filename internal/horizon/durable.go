@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -50,31 +51,6 @@ type walOp struct {
 	Video media.VideoID   `json:"video,omitempty"`
 	Start simtime.Time    `json:"start,omitempty"`
 	To    simtime.Time    `json:"to,omitempty"`
-}
-
-// RecoveryStats reports what a Recover reconstructed, and the durable
-// service's ongoing snapshot health.
-type RecoveryStats struct {
-	// Recovered is true when any prior state was found on disk.
-	Recovered bool `json:"recovered"`
-	// SnapshotLoaded is true when a snapshot seeded the state.
-	SnapshotLoaded bool `json:"snapshot_loaded"`
-	// ReplayedSubmits and ReplayedAdvances count the journal records
-	// re-executed after the snapshot.
-	ReplayedSubmits  int `json:"replayed_submits"`
-	ReplayedAdvances int `json:"replayed_advances"`
-	// TailTruncated is true when the journal ended mid-record (a torn
-	// crash write) and the torn bytes were discarded.
-	TailTruncated bool `json:"tail_truncated"`
-	// TailTruncations counts torn-tail truncations observed when the
-	// journal was opened. Operationally it should stay at 0 or 1 per
-	// process life; exported so monitoring can see silent torn-tail
-	// repair instead of it living only in a startup log line.
-	TailTruncations int `json:"tail_truncations"`
-	// SnapshotFailures counts snapshot writes that failed since open.
-	// The journal is left un-compacted on failure, so durability is
-	// unaffected; a growing count means the data directory needs care.
-	SnapshotFailures int `json:"snapshot_failures"`
 }
 
 // Recover opens a durable rolling-horizon service on dir, creating the
@@ -151,7 +127,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 
 // Recovery returns what Recover reconstructed (zero for in-memory
 // services) plus the current snapshot-failure count.
-func (s *Service) Recovery() RecoveryStats {
+func (s *Service) Recovery() api.RecoveryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovery

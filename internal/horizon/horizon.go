@@ -43,6 +43,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -118,34 +119,6 @@ type Ack struct {
 	Trigger Trigger
 }
 
-// EpochResult reports one Advance.
-type EpochResult struct {
-	// Epoch is the 0-based index of the epoch just committed.
-	Epoch int `json:"epoch"`
-	// Horizon is the new commit horizon.
-	Horizon simtime.Time `json:"horizon"`
-	// Admitted counts the pending reservations planned this epoch.
-	Admitted int `json:"admitted"`
-	// Replanned counts previously committed requests that were still ahead
-	// of the new horizon and were torn up and rescheduled.
-	Replanned int `json:"replanned"`
-	// FrozenDeliveries and FrozenResidencies count the records carried
-	// through untouched.
-	FrozenDeliveries  int `json:"frozen_deliveries"`
-	FrozenResidencies int `json:"frozen_residencies"`
-	// Overflows is the number of storage overflows detected when the
-	// incremental per-file schedules were integrated.
-	Overflows int `json:"overflows"`
-	// Victims lists the SORP rescheduling decisions in order.
-	Victims []scheduler.Victim `json:"victims,omitempty"`
-	// Resolution counts the SORP run's work: iterations, pairs rescheduled
-	// afresh and pairs reused from an earlier iteration (all zero when the
-	// epoch integrated without overflow).
-	Resolution scheduler.Work `json:"resolution"`
-	// Cost is Ψ(S) of the committed schedule after this epoch.
-	Cost units.Money `json:"cost"`
-}
-
 // Service is the rolling-horizon scheduler. All methods are safe for
 // concurrent use.
 type Service struct {
@@ -164,7 +137,7 @@ type Service struct {
 	journal  *wal.Log
 	dir      string
 	lastSeq  uint64
-	recovery RecoveryStats
+	recovery api.RecoveryStats
 	snap     []byte // the last snapshot's encoding; its array is the next one's buffer
 	rec      []byte // the journal record being appended, reused from one to the next
 }
@@ -202,33 +175,23 @@ func New(m *cost.Model, cfg Config) *Service {
 	return &Service{m: m, cfg: cfg, st: state{Committed: schedule.New()}}
 }
 
-// Plan is one consistent reading of what the service has published: the
-// committed schedule with the horizon, epoch and cost it was committed
-// under, and the intake buffer size at that instant.
-type Plan struct {
-	// Schedule is the live committed schedule, not a copy. A committed
-	// schedule is never modified — every epoch installs a new one — so it
-	// may be read and encoded freely, but must not be written; Committed
-	// returns a copy to own.
-	Schedule *schedule.Schedule
-	Horizon  simtime.Time
-	Epoch    int
-	Pending  int
-	Cost     units.Money
-}
-
-// Plan returns the published plan from a single lock acquisition, so its
-// fields always belong to the same epoch.
-func (s *Service) Plan() Plan {
+// Plan returns one consistent reading of what the service has published,
+// taken under a single lock acquisition so its fields always belong to the
+// same epoch: the committed schedule with the horizon, epoch and cost it was
+// committed under, and the intake buffer size at that instant — the GET
+// /v1/plan body. The schedule is the live committed one, not a copy. A
+// committed schedule is never modified — every epoch installs a new one — so
+// it may be read and encoded freely, but must not be written; Committed
+// returns a copy to own.
+func (s *Service) Plan() api.PlanResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Plan{
-		Schedule: s.st.Committed,
-		Horizon:  s.st.Horizon,
-		Epoch:    s.st.Epoch,
-		Pending:  len(s.st.Pending),
-		Cost:     s.st.Cost,
-	}
+	return api.PlanResponse{Schedule: s.st.Committed, PlanState: api.PlanState{
+		Horizon: s.st.Horizon,
+		Epoch:   s.st.Epoch,
+		Pending: len(s.st.Pending),
+		Cost:    s.st.Cost,
+	}}
 }
 
 // Horizon returns the current commit horizon.
@@ -320,7 +283,7 @@ func (s *Service) known(r workload.Request) error {
 // success the committed schedule reflects every accepted reservation and
 // is free of storage overflows; on error the previous committed state is
 // left untouched.
-func (s *Service) Advance(ctx context.Context, to simtime.Time) (*EpochResult, error) {
+func (s *Service) Advance(ctx context.Context, to simtime.Time) (*api.EpochResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.advanceLocked(ctx, to)
@@ -330,7 +293,7 @@ func (s *Service) Advance(ctx context.Context, to simtime.Time) (*EpochResult, e
 // it is shared by live traffic, recovery replay and replication apply.
 // The epoch is planned from one state value and committed by installing
 // the next: nothing in between writes the service.
-func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochResult, error) {
+func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*api.EpochResult, error) {
 	if to < s.st.Horizon {
 		return nil, fmt.Errorf("horizon: cannot move horizon backwards from %v to %v", s.st.Horizon, to)
 	}
@@ -358,7 +321,7 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 // requests plus the pending intake on top of the frozen prefixes, and keep
 // the result only if the next state passes check — the commit predicate
 // against every reservation accepted so far.
-func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *EpochResult, error) {
+func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *api.EpochResult, error) {
 	frozen, reqs, res, err := st.split(to)
 	if err != nil {
 		return state{}, nil, err
@@ -405,10 +368,10 @@ func (s *Service) check(st *state) error {
 // prefix that freezes and the requests to plan — the torn-up deliveries'
 // plus the pending intake, in chronological order. The returned result
 // carries the split's counts.
-func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedule, map[media.VideoID][]workload.Request, *EpochResult, error) {
+func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedule, map[media.VideoID][]workload.Request, *api.EpochResult, error) {
 	frozen := make(map[media.VideoID]*schedule.FileSchedule)
 	reqs := make(map[media.VideoID][]workload.Request)
-	res := &EpochResult{Epoch: st.Epoch, Horizon: to, Admitted: len(st.Pending)}
+	res := &api.EpochResult{Epoch: st.Epoch, Horizon: to, Admitted: len(st.Pending)}
 	for _, vid := range st.Committed.VideoIDs() {
 		pre, replan, err := splitFile(st.Committed.File(vid), to)
 		if err != nil {

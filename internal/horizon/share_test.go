@@ -14,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -40,7 +41,7 @@ func sharingRig(t *testing.T) (*testutil.Rig, workload.Set) {
 // driveEpochs submits the trace and closes an epoch after every fifth
 // reservation, the horizon lagging an hour behind intake so every epoch both
 // freezes a prefix and re-plans a window; closed runs after each close.
-func driveEpochs(t *testing.T, svc *Service, reqs workload.Set, closed func(*EpochResult)) {
+func driveEpochs(t *testing.T, svc *Service, reqs workload.Set, closed func(*api.EpochResult)) {
 	t.Helper()
 	for i, q := range reqs {
 		if _, err := svc.Submit(q.Start, q); err != nil {
@@ -85,7 +86,7 @@ func TestSplitSharesTheFrozenPrefix(t *testing.T) {
 	}
 	var history []installed
 	shared, clamped, extended := 0, 0, 0
-	driveEpochs(t, svc, reqs, func(*EpochResult) {
+	driveEpochs(t, svc, reqs, func(*api.EpochResult) {
 		st := svc.st
 		history = append(history, installed{st.Committed, mustMarshal(t, st.Committed)})
 
@@ -159,7 +160,7 @@ func TestPlansStayByteStableWhileEpochsAdvance(t *testing.T) {
 	svc := New(r.Model, Config{Workers: 2})
 
 	type reading struct {
-		plan Plan
+		plan api.PlanResponse
 		blob []byte
 	}
 	done := make(chan struct{})
@@ -192,7 +193,7 @@ func TestPlansStayByteStableWhileEpochsAdvance(t *testing.T) {
 	// The next epoch is not closed before both readers hold this one, so
 	// every plan is re-read while all its successors are planned.
 	overflowing := 0
-	driveEpochs(t, svc, reqs, func(res *EpochResult) {
+	driveEpochs(t, svc, reqs, func(res *api.EpochResult) {
 		if len(res.Victims) > 0 {
 			overflowing++
 		}
@@ -233,7 +234,7 @@ func TestSnapshotFileBytes(t *testing.T) {
 	defer svc.Close()
 
 	snapshots := 0
-	driveEpochs(t, svc, reqs[:40], func(*EpochResult) {
+	driveEpochs(t, svc, reqs[:40], func(*api.EpochResult) {
 		payload := mustMarshal(t, svc.st)
 		var seq [8]byte
 		binary.LittleEndian.PutUint64(seq[:], svc.lastSeq)

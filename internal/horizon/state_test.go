@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -231,7 +232,7 @@ func TestSnapshotOfAnUnencodableStateFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	driveEpochs(t, svc, reqs[:10], func(*EpochResult) {})
+	driveEpochs(t, svc, reqs[:10], func(*api.EpochResult) {})
 
 	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		svc.mu.Lock()

@@ -588,20 +588,3 @@ func (sc *scratch) prune(fs *schedule.FileSchedule, dead []schedule.Residency, r
 		}
 	}
 }
-
-// Direct returns the no-caching baseline schedule for one file: every
-// request served by a direct warehouse stream (the "network only system").
-func Direct(m *cost.Model, video media.VideoID, reqs []workload.Request) (*schedule.FileSchedule, error) {
-	return ScheduleFile(m, video, reqs, Options{Policy: NoCaching})
-}
-
-// Cost is a convenience wrapper returning Ψ(S_i) for a file schedule,
-// guarding against the NaN/Inf poisoning that would silently corrupt
-// greedy comparisons.
-func Cost(m *cost.Model, fs *schedule.FileSchedule) (units.Money, error) {
-	c := m.FileCost(fs)
-	if !c.IsFinite() || c < 0 {
-		return 0, fmt.Errorf("ivs: non-finite or negative schedule cost %v", c)
-	}
-	return c, nil
-}

@@ -84,7 +84,7 @@ func TestDirectBaselineMatchesPaperS1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Direct(f.Model, 0, f.Requests)
+	fs, err := ScheduleFile(f.Model, 0, f.Requests, Options{Policy: NoCaching})
 	if err != nil {
 		t.Fatalf("Direct: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestGreedyNeverWorseThanDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := Direct(rig.Model, vid, rs)
+		direct, err := ScheduleFile(rig.Model, vid, rs, Options{Policy: NoCaching})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestPartialBanShiftsCache(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// Must still beat all-direct: cache at IS2 saves U3's remote stream.
-	direct, _ := Direct(f.Model, 0, f.Requests)
+	direct, _ := ScheduleFile(f.Model, 0, f.Requests, Options{Policy: NoCaching})
 	if f.Model.FileCost(fs) >= f.Model.FileCost(direct) {
 		t.Errorf("banned-IS1 schedule %v not cheaper than direct %v",
 			f.Model.FileCost(fs), f.Model.FileCost(direct))
@@ -371,18 +371,6 @@ func TestUnsortedRequestsAreSorted(t *testing.T) {
 	got := f.Model.FileCost(fs)
 	if !got.ApproxEqual(units.Money(108.45), 1e-6) {
 		t.Errorf("cost with unsorted input = %v", got)
-	}
-}
-
-func TestCostWrapper(t *testing.T) {
-	f, err := testutil.NewFig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, _ := ScheduleFile(f.Model, 0, f.Requests, Options{})
-	c, err := Cost(f.Model, fs)
-	if err != nil || c <= 0 {
-		t.Errorf("Cost = %v, %v", c, err)
 	}
 }
 

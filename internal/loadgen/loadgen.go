@@ -28,6 +28,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
+	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/stats"
 	"github.com/vodsim/vsp/internal/workload"
@@ -116,22 +118,6 @@ type Result struct {
 	// gateway (its acks carry a "shard" field); empty for a single
 	// server.
 	ShardRouted map[string]int `json:"shard_routed,omitempty"`
-}
-
-// ack is the superset of the server's and the gateway's reservation
-// replies the harness cares about.
-type ack struct {
-	Accepted bool   `json:"accepted"`
-	EpochDue bool   `json:"epoch_due"`
-	Shard    string `json:"shard"`
-}
-
-// advanceReply is the slice of the (server or gateway) advance response
-// the harness reads; the gateway adds lag_ms.
-type advanceReply struct {
-	Epoch   int          `json:"epoch"`
-	Horizon simtime.Time `json:"horizon"`
-	LagMS   int64        `json:"lag_ms"`
 }
 
 type worker struct {
@@ -317,7 +303,7 @@ func submit(ctx context.Context, cfg Config, client *http.Client, adv *advancer,
 	switch resp.StatusCode {
 	case http.StatusAccepted:
 		w.accepted++
-		var a ack
+		var a gateway.ReservationResponse // a server's ack is the same, without the shard
 		if json.NewDecoder(resp.Body).Decode(&a) == nil {
 			if a.Shard != "" {
 				w.shards[a.Shard]++
@@ -432,7 +418,7 @@ func (a *advancer) advance(ctx context.Context) {
 	a.lastTo = to
 	a.mu.Unlock()
 
-	body, _ := json.Marshal(map[string]simtime.Time{"to": to})
+	body, _ := json.Marshal(api.AdvanceRequest{To: to})
 	t0 := time.Now()
 	resp, err := post(ctx, a.client, a.cfg.Target+"/v1/advance", body)
 	took := time.Since(t0)
@@ -451,7 +437,7 @@ func (a *advancer) advance(ctx context.Context) {
 		a.errors++
 		return
 	}
-	var rep advanceReply
+	var rep gateway.AdvanceResponse // a server's epoch result has the same epoch and horizon, and no lag
 	if json.NewDecoder(resp.Body).Decode(&rep) != nil {
 		a.errors++
 		return

@@ -147,7 +147,7 @@ func TestOptimalFindsCrossNeighborhoodPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := ivs.Direct(f.Model, 0, reqs)
+	direct, err := ivs.ScheduleFile(f.Model, 0, reqs, ivs.Options{Policy: ivs.NoCaching})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
@@ -109,9 +110,9 @@ func driveHTTP(t *testing.T, base string, o op) {
 	var err error
 	if o.submit {
 		err = retryhttp.PostJSON(ctx, opts, base+"/v1/reservations",
-			server.ReservationRequest{User: o.req.User, Video: o.req.Video, Start: o.req.Start}, nil)
+			api.ReservationRequest{User: o.req.User, Video: o.req.Video, Start: o.req.Start}, nil)
 	} else {
-		err = retryhttp.PostJSON(ctx, opts, base+"/v1/advance", server.AdvanceRequest{To: o.to}, nil)
+		err = retryhttp.PostJSON(ctx, opts, base+"/v1/advance", api.AdvanceRequest{To: o.to}, nil)
 	}
 	if err != nil {
 		t.Fatalf("drive %+v: %v", o, err)

@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"github.com/vodsim/vsp/internal/api"
 )
 
 // Role is a node's serving role.
@@ -42,7 +44,7 @@ const (
 func (r Role) String() string {
 	switch r {
 	case RolePrimary:
-		return "primary"
+		return api.RolePrimary
 	case RoleFollower:
 		return "follower"
 	}
@@ -62,7 +64,7 @@ func ParseRole(s string) (Role, error) {
 // ErrStaleLeadership rejects an operation made under a superseded
 // leadership epoch: a submit to a fenced ex-primary, or a fence/
 // replication request carrying an epoch the node has already moved past.
-var ErrStaleLeadership = errors.New("replica: stale leadership epoch")
+var ErrStaleLeadership = errors.New(api.StaleLeadership)
 
 // Leadership is a node's view of who leads: its role plus the highest
 // leadership epoch it has observed. Epochs only grow; promotion bumps

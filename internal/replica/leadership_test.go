@@ -2,8 +2,10 @@ package replica
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -115,5 +117,17 @@ func TestRecordVerify(t *testing.T) {
 	tampered.Seq = 10
 	if err := tampered.Verify(); err == nil {
 		t.Fatal("sequence tampering passed verification")
+	}
+}
+
+// The role name and the refusal text the gateway matches, declared in
+// internal/api, are the ones this package speaks.
+func TestLeadershipWordsAreTheWire(t *testing.T) {
+	if got := RolePrimary.String(); got != api.RolePrimary {
+		t.Errorf("RolePrimary is %q on the wire as %q", got, api.RolePrimary)
+	}
+	err := NewLeadership(RoleFollower, 0).CheckPrimary()
+	if !errors.Is(err, ErrStaleLeadership) || !strings.Contains(err.Error(), api.StaleLeadership) {
+		t.Errorf("a follower refuses with %v, which does not hold %q", err, api.StaleLeadership)
 	}
 }

@@ -58,30 +58,3 @@ type Batch struct {
 	Snapshot    []byte `json:"snapshot,omitempty"`
 	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
 }
-
-// Status is a node's replication status, served on the status endpoint
-// and folded into /v1/stats and /readyz.
-type Status struct {
-	Role  string `json:"role"`
-	Epoch uint64 `json:"epoch"`
-	// AppliedSeq is the local service's applied journal sequence.
-	AppliedSeq uint64 `json:"applied_seq"`
-	// Source is the primary URL a follower ships from (empty on primaries
-	// and detached followers).
-	Source string `json:"source,omitempty"`
-	// PrimaryLastSeq is the primary's LastSeq at the latest successful
-	// poll; Lag is PrimaryLastSeq - AppliedSeq at that instant.
-	PrimaryLastSeq uint64 `json:"primary_last_seq,omitempty"`
-	Lag            uint64 `json:"lag"`
-	// Synced reports that at least one poll succeeded; CaughtUp that the
-	// latest successful poll left no lag. A follower is serviceable —
-	// promotable, and ready per /readyz — only when both hold.
-	Synced   bool `json:"synced"`
-	CaughtUp bool `json:"caught_up"`
-	// SnapshotsInstalled counts full-state snapshot installs (vs record
-	// replay); RecordsApplied counts applied records.
-	RecordsApplied     uint64 `json:"records_applied"`
-	SnapshotsInstalled uint64 `json:"snapshots_installed"`
-	// LastError is the most recent poll failure (cleared on success).
-	LastError string `json:"last_error,omitempty"`
-}

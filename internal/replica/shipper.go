@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/wal"
@@ -74,11 +75,11 @@ func (sh *Shipper) Source() string { return sh.cfg.Source }
 
 // Status returns the shipper's replication status combined with the
 // node's leadership view.
-func (sh *Shipper) Status() Status {
+func (sh *Shipper) Status() api.ReplicationStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	applied := sh.svc.AppliedSeq()
-	st := Status{
+	st := api.ReplicationStatus{
 		Role:               sh.lead.Role().String(),
 		Epoch:              sh.lead.Epoch(),
 		AppliedSeq:         applied,

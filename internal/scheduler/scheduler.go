@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
@@ -31,8 +32,6 @@ import (
 type (
 	Policy     = ivs.Policy
 	HeatMetric = sorp.HeatMetric
-	Victim     = sorp.Victim
-	Work       = sorp.Work
 )
 
 // Config selects the scheduler's policies.
@@ -82,10 +81,10 @@ type Outcome struct {
 	// when the individual schedules were integrated.
 	Overflows int
 	// Victims lists the phase-2 rescheduling decisions in order.
-	Victims []Victim
+	Victims []api.Victim
 	// Resolution counts phase 2's work: iterations, pairs rescheduled
 	// afresh and pairs reused from an earlier iteration.
-	Resolution Work
+	Resolution api.Work
 	// RefinedFiles counts files improved by the refinement sweep and
 	// RefineSavings the total cost it recovered (zero unless Config.Refine).
 	RefinedFiles  int

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/scheduler"
-	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/testutil"
 )
 
@@ -20,7 +20,7 @@ func fingerprint(t *testing.T, out *scheduler.Outcome) string {
 		Phase1Cost interface{}
 		FinalCost  interface{}
 		Overflows  int
-		Victims    []sorp.Victim
+		Victims    []api.Victim
 	}{out.Schedule, out.Phase1Cost, out.FinalCost, out.Overflows, out.Victims})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -74,7 +75,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := decode[StatsResponse](t, sresp)
+	stats := decode[api.StatsResponse](t, sresp)
 	if stats.Overload.Shed != 1 {
 		t.Errorf("stats shed = %d, want 1", stats.Overload.Shed)
 	}
@@ -99,12 +100,12 @@ func TestServerDurableRestart(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(srv1)
 	for _, q := range f.Requests {
-		resp := postJSON(t, ts1.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+		resp := postJSON(t, ts1.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("reservation: %d", resp.StatusCode)
 		}
 	}
-	resp := postJSON(t, ts1.URL+"/v1/advance", AdvanceRequest{To: 0})
+	resp := postJSON(t, ts1.URL+"/v1/advance", api.AdvanceRequest{To: 0})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: %d", resp.StatusCode)
 	}
@@ -112,7 +113,7 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := decode[PlanResponse](t, planResp)
+	before := decode[api.PlanResponse](t, planResp)
 	ts1.Close()
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := decode[PlanResponse](t, planResp2)
+	after := decode[api.PlanResponse](t, planResp2)
 	if after.Epoch != before.Epoch || after.Cost != before.Cost ||
 		len(after.Schedule.Files) != len(before.Schedule.Files) {
 		t.Fatalf("plan did not survive restart:\nbefore %+v\nafter  %+v", before, after)
@@ -140,7 +141,7 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := decode[StatsResponse](t, statsResp)
+	stats := decode[api.StatsResponse](t, statsResp)
 	if !stats.Recovery.Recovered {
 		t.Errorf("stats recovery does not report the restart: %+v", stats.Recovery)
 	}
@@ -150,7 +151,7 @@ func TestServerDurableRestart(t *testing.T) {
 
 	// The recovered service keeps accepting and planning.
 	q := workload.Request{User: f.Requests[0].User, Video: f.Requests[0].Video, Start: f.Requests[0].Start + 7200}
-	r2 := postJSON(t, ts2.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	r2 := postJSON(t, ts2.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
 	if r2.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-recovery reservation: %d", r2.StatusCode)
 	}

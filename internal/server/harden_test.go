@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -67,7 +68,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 	// A valid JSON prefix, so the decoder keeps reading until the cap
 	// stops it (garbage would fail at byte 0 with 400).
-	big := `{"requests": [{"user":0,"video":0,"start":0}], "pad":"` + strings.Repeat("x", DefaultMaxRequestBytes) + `"}`
+	big := `{"requests": [{"user":0,"video":0,"start":0}], "pad":"` + strings.Repeat("x", api.DefaultMaxRequestBytes) + `"}`
 	resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +141,7 @@ func TestReplyPastTheDeadlineMatchesTheState(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	q := f.Requests[0]
-	resp := postJSON(t, ts.URL+"/held", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	resp := postJSON(t, ts.URL+"/held", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
 	switch resp.StatusCode {
 	case http.StatusAccepted:
 		if n := s.horizon.Pending(); n != 1 {
@@ -172,7 +173,7 @@ func TestDeadline503sAreCounted(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	exceeded := func() uint64 {
-		_, stats := getAs[StatsResponse](t, ts.URL+"/v1/stats")
+		_, stats := getAs[api.StatsResponse](t, ts.URL+"/v1/stats")
 		return stats.Overload.DeadlineExceeded
 	}
 	before := exceeded()

@@ -8,14 +8,10 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
-	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/topology"
-	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/workload"
 )
 
 // Rolling-horizon intake endpoints. Unlike the batch /v1/schedule handler,
@@ -27,25 +23,6 @@ import (
 //	GET  /v1/plan            -> committed schedule + horizon + cost
 //	POST /v1/advance         {"to": T} -> epoch result
 
-// ReservationRequest is the POST /v1/reservations body. At is the arrival
-// instant on the service's reservation clock; it defaults to the start
-// time (a reservation can never arrive later than it starts).
-type ReservationRequest struct {
-	User  topology.UserID `json:"user"`
-	Video media.VideoID   `json:"video"`
-	Start simtime.Time    `json:"start"`
-	At    *simtime.Time   `json:"at,omitempty"`
-}
-
-// ReservationResponse is the POST /v1/reservations reply.
-type ReservationResponse struct {
-	Accepted     bool    `json:"accepted"`
-	Pending      int     `json:"pending"`
-	PendingBytes float64 `json:"pending_bytes"`
-	EpochDue     bool    `json:"epoch_due"`
-	Trigger      string  `json:"trigger,omitempty"`
-}
-
 func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	// Fencing: only the leader may accept reservations — a fenced
 	// ex-primary or a follower answers with the stale-leadership error
@@ -53,15 +30,16 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	if !s.checkLeader(w) {
 		return
 	}
-	var req ReservationRequest
+	var req api.ReservationRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	at := req.Start
-	if req.At != nil {
-		at = *req.At
+	q, at, err := req.Screen()
+	if err != nil {
+		httpkit.WriteErr(w, http.StatusBadRequest, err)
+		return
 	}
-	ack, err := s.horizon.Submit(at, workload.Request{User: req.User, Video: req.Video, Start: req.Start})
+	ack, err := s.horizon.Submit(at, q)
 	if err != nil {
 		if errors.Is(err, horizon.ErrLateArrival) {
 			httpkit.WriteErr(w, http.StatusConflict, err)
@@ -70,7 +48,7 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	httpkit.WriteJSON(w, http.StatusAccepted, ReservationResponse{
+	httpkit.WriteJSON(w, http.StatusAccepted, api.ReservationResponse{
 		Accepted:     true,
 		Pending:      ack.Pending,
 		PendingBytes: ack.PendingBytes,
@@ -79,32 +57,19 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// PlanResponse is the GET /v1/plan reply: the committed schedule and the
-// service's rolling-horizon state. The body is this struct through
-// encoding/json; handlePlan says how it gets there without encoding the
-// schedule at every read.
-type PlanResponse struct {
-	Schedule *schedule.Schedule `json:"schedule"`
-	Horizon  simtime.Time       `json:"horizon"`
-	Epoch    int                `json:"epoch"`
-	Pending  int                `json:"pending"`
-	Cost     units.Money        `json:"cost"`
-}
+// PlanResponse is api.PlanResponse under the name bench/ reads; ROADMAP item 8
+// retires the alias.
+type PlanResponse = api.PlanResponse
 
 // handlePlan answers from one reading of the horizon, so the schedule and
 // the epoch, horizon and cost beside it always belong to the same commit.
-// The body is json.Marshal(PlanResponse) plus a newline, byte for byte, put
+// The body is json.Marshal(api.PlanResponse) plus a newline, byte for byte, put
 // together from the schedule's kept encoding and the few fields that move
 // between commits, so a read costs neither a walk over the schedule nor a
 // buffer of its size, and it goes out under its Content-Length.
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 	p := s.horizon.Plan()
-	rest, err := json.Marshal(struct {
-		Horizon simtime.Time `json:"horizon"`
-		Epoch   int          `json:"epoch"`
-		Pending int          `json:"pending"`
-		Cost    units.Money  `json:"cost"`
-	}{p.Horizon, p.Epoch, p.Pending, p.Cost})
+	rest, err := json.Marshal(p.PlanState)
 	if err != nil {
 		log.Printf("server: cannot encode the plan: %v", err)
 		httpkit.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err))
@@ -142,16 +107,11 @@ func (s *Server) encodedSchedule(sched *schedule.Schedule) []byte {
 	return blob
 }
 
-// AdvanceRequest is the POST /v1/advance body.
-type AdvanceRequest struct {
-	To simtime.Time `json:"to"`
-}
-
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if !s.checkLeader(w) {
 		return
 	}
-	var req AdvanceRequest
+	var req api.AdvanceRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}

@@ -5,9 +5,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/testutil"
 )
 
@@ -45,20 +45,20 @@ func TestHorizonEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	plan := decode[PlanResponse](t, resp)
+	plan := decode[api.PlanResponse](t, resp)
 	if plan.Epoch != 0 || plan.Pending != 0 || len(plan.Schedule.Files) != 0 {
 		t.Fatalf("fresh plan not empty: %+v", plan)
 	}
 
 	// Submit the three Fig. 2 reservations.
 	for i, q := range f.Requests {
-		resp := postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{
+		resp := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{
 			User: q.User, Video: q.Video, Start: q.Start,
 		})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("reservation %d: status %d", i, resp.StatusCode)
 		}
-		ack := decode[ReservationResponse](t, resp)
+		ack := decode[api.ReservationResponse](t, resp)
 		if !ack.Accepted || ack.Pending != i+1 {
 			t.Fatalf("reservation %d ack: %+v", i, ack)
 		}
@@ -66,7 +66,7 @@ func TestHorizonEndpoints(t *testing.T) {
 
 	// Advance past the second reservation: the first two freeze.
 	h := simtime.Time(120 * int64(simtime.Minute))
-	resp2 := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: h})
+	resp2 := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: h})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("advance: status %d", resp2.StatusCode)
 	}
@@ -81,7 +81,7 @@ func TestHorizonEndpoints(t *testing.T) {
 	// A second advance freezes the two reservations behind it and re-plans
 	// the one still ahead.
 	h2 := simtime.Time(150 * int64(simtime.Minute))
-	respAdv := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: h2})
+	respAdv := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: h2})
 	if respAdv.StatusCode != http.StatusOK {
 		t.Fatalf("second advance: status %d", respAdv.StatusCode)
 	}
@@ -100,7 +100,7 @@ func TestHorizonEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp3.Body.Close()
-	plan = decode[PlanResponse](t, resp3)
+	plan = decode[api.PlanResponse](t, resp3)
 	if plan.Epoch != 2 || plan.Horizon != h || plan.Schedule.NumDeliveries() != 3 {
 		t.Fatalf("plan after advance: epoch=%d horizon=%v deliveries=%d",
 			plan.Epoch, plan.Horizon, plan.Schedule.NumDeliveries())
@@ -110,7 +110,7 @@ func TestHorizonEndpoints(t *testing.T) {
 	}
 
 	// A reservation starting inside the frozen window is a 409.
-	resp4 := postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{
+	resp4 := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{
 		User: f.Requests[0].User, Video: 0, Start: h - 1,
 	})
 	if resp4.StatusCode != http.StatusConflict {
@@ -118,7 +118,7 @@ func TestHorizonEndpoints(t *testing.T) {
 	}
 
 	// Moving the horizon backwards is a 400.
-	resp5 := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: h - 1})
+	resp5 := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: h - 1})
 	if resp5.StatusCode != http.StatusBadRequest {
 		t.Fatalf("backwards advance: status %d, want 400", resp5.StatusCode)
 	}
@@ -127,7 +127,7 @@ func TestHorizonEndpoints(t *testing.T) {
 // Unknown users and titles are rejected up front with 400.
 func TestHorizonRejectsMalformedReservation(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, body := range []ReservationRequest{
+	for _, body := range []api.ReservationRequest{
 		{User: 99, Video: 0, Start: 0},
 		{User: 0, Video: 99, Start: 0},
 		{User: 0, Video: 0, Start: -1},
@@ -139,17 +139,45 @@ func TestHorizonRejectsMalformedReservation(t *testing.T) {
 	}
 }
 
+// A reservation cannot arrive after it starts: "at" past "start" is a 400
+// before the journal sees it, so the service's clock does not move either.
+func TestHorizonRejectsArrivalAfterStart(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, f, Options{DataDir: t.TempDir()})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	start, late := simtime.Time(8*simtime.Minute+8), simtime.Time(1000*simtime.Hour)
+	resp := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: 0, Video: 0, Start: start, At: &late})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("arrival after start: status %d, want 400", resp.StatusCode)
+	}
+	if seq, pending := s.horizon.AppliedSeq(), s.horizon.Pending(); seq != 0 || pending != 0 {
+		t.Fatalf("a refused reservation was journaled: applied seq %d, %d pending", seq, pending)
+	}
+	resp = postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: 0, Video: 0, Start: start, At: &start})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("arrival at start: status %d, want 202", resp.StatusCode)
+	}
+	if seq := s.horizon.AppliedSeq(); seq != 1 {
+		t.Fatalf("applied seq %d after one accepted reservation, want 1", seq)
+	}
+}
+
 // Epoch triggers configured via Options surface in the intake ack.
 func TestHorizonEpochTriggerViaOptions(t *testing.T) {
 	ts, f := newTestServerWithOptions(t, Options{Horizon: horizonConfigN(2)})
 	q := f.Requests[0]
-	resp := postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
-	if ack := decode[ReservationResponse](t, resp); ack.EpochDue {
+	resp := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	if ack := decode[api.ReservationResponse](t, resp); ack.EpochDue {
 		t.Fatalf("epoch due after one reservation: %+v", ack)
 	}
 	q = f.Requests[1]
-	resp = postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
-	ack := decode[ReservationResponse](t, resp)
+	resp = postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	ack := decode[api.ReservationResponse](t, resp)
 	if !ack.EpochDue || ack.Trigger != "requests" {
 		t.Fatalf("count trigger not reported: %+v", ack)
 	}
@@ -159,26 +187,26 @@ func TestHorizonEpochTriggerViaOptions(t *testing.T) {
 // lag is observable from /v1/stats; failed advances don't count.
 func TestAdvanceCountersInStats(t *testing.T) {
 	ts, f := newTestServer(t)
-	readStats := func() HorizonStats {
+	readStats := func() api.HorizonStats {
 		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return decode[StatsResponse](t, resp).Horizon
+		return decode[api.StatsResponse](t, resp).Horizon
 	}
 	if hs := readStats(); hs.Advances != 0 {
 		t.Fatalf("fresh server reports %d advances", hs.Advances)
 	}
 	q := f.Requests[0]
-	postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
-	if resp := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 60}); resp.StatusCode != http.StatusOK {
+	postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	if resp := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: 60}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: status %d", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 120}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: 120}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: status %d", resp.StatusCode)
 	}
 	// A regressing advance fails and must not count.
-	postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 30})
+	postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: 30})
 	if hs := readStats(); hs.Advances != 2 {
 		t.Fatalf("advances = %d, want 2 (regressing advance counted?)", hs.Advances)
 	}
@@ -202,17 +230,17 @@ func TestResolutionCountersInStats(t *testing.T) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
-	var want sorp.Work
+	var want api.Work
 	for i, q := range r.Requests {
-		postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+		postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
 		if (i+1)%40 != 0 {
 			continue
 		}
-		resp := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: 0})
+		resp := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: 0})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("advance: status %d", resp.StatusCode)
 		}
-		res := decode[horizon.EpochResult](t, resp)
+		res := decode[api.EpochResult](t, resp)
 		if res.Resolution.Iterations != len(res.Victims) {
 			t.Fatalf("epoch %d: %d iterations for %d victims", res.Epoch, res.Resolution.Iterations, len(res.Victims))
 		}
@@ -225,7 +253,7 @@ func TestResolutionCountersInStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decode[StatsResponse](t, resp).Horizon.Resolution; got != want {
+	if got := decode[api.StatsResponse](t, resp).Horizon.Resolution; got != want {
 		t.Fatalf("stats resolution block %+v, want the sum of the advance replies %+v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
@@ -64,10 +65,6 @@ type Options struct {
 const (
 	// DefaultRequestTimeout is the per-request handling budget.
 	DefaultRequestTimeout = 30 * time.Second
-	// DefaultMaxRequestBytes caps request bodies at 16 MiB — far above any
-	// legitimate reservation batch, far below a memory-exhaustion payload;
-	// larger bodies get 413. The gateway mounts the same cap.
-	DefaultMaxRequestBytes = 16 << 20
 	// DefaultMaxInFlight bounds concurrently handled requests. Scheduling
 	// is CPU-bound, so admitting far beyond the core count only adds
 	// queueing delay dressed up as work in progress.
@@ -108,7 +105,7 @@ func (o Options) withDefaults() Options {
 // registered through timed, so queue wait does not consume the handling
 // budget.
 func (s *Server) harden(opts Options) http.Handler {
-	h := httpkit.LimitBody(s.mux, DefaultMaxRequestBytes)
+	h := httpkit.LimitBody(s.mux, api.DefaultMaxRequestBytes)
 	if s.limiter != nil {
 		h = s.limiter.Wrap(h)
 	}

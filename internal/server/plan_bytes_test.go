@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -47,11 +48,11 @@ func planBody(t *testing.T, s *Server) []byte {
 	return rec.Body.Bytes()
 }
 
-// uncachedPlanBody is the body as it is defined: PlanResponse through
+// uncachedPlanBody is the body as it is defined: api.PlanResponse through
 // encoding/json, and the newline json.Encoder ends a value with.
 func uncachedPlanBody(t *testing.T, s *Server) []byte {
 	t.Helper()
-	blob, err := json.Marshal(PlanResponse(s.horizon.Plan()))
+	blob, err := json.Marshal(api.PlanResponse(s.horizon.Plan()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func uncachedPlanBody(t *testing.T, s *Server) []byte {
 // submitThenAdvance posts reqs and closes an epoch after every fifth, the
 // horizon an hour behind intake (as plan_consistency_test drives it);
 // each runs after every reply.
-func submitThenAdvance(t *testing.T, s *Server, reqs workload.Set, each func(res *horizon.EpochResult)) {
+func submitThenAdvance(t *testing.T, s *Server, reqs workload.Set, each func(res *api.EpochResult)) {
 	t.Helper()
 	post := func(path string, body, into any) {
 		blob, err := json.Marshal(body)
@@ -78,19 +79,19 @@ func submitThenAdvance(t *testing.T, s *Server, reqs workload.Set, each func(res
 		}
 	}
 	for i, q := range reqs {
-		var ack ReservationResponse
-		post("/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, &ack)
+		var ack api.ReservationResponse
+		post("/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, &ack)
 		each(nil)
 		if (i+1)%5 == 0 {
-			var res horizon.EpochResult
-			post("/v1/advance", AdvanceRequest{To: simtime.Max(0, q.Start.Add(-simtime.Hour))}, &res)
+			var res api.EpochResult
+			post("/v1/advance", api.AdvanceRequest{To: simtime.Max(0, q.Start.Add(-simtime.Hour))}, &res)
 			each(&res)
 		}
 	}
 }
 
 // The plan body is put together from the committed schedule's kept encoding
-// and must still be, byte for byte, what encoding/json makes of PlanResponse:
+// and must still be, byte for byte, what encoding/json makes of api.PlanResponse:
 // after every submit (only pending moves, the kept bytes are served again)
 // and after every one of 24 commits (a new schedule, encoded afresh).
 func TestPlanBodyBytesUnchanged(t *testing.T) {
@@ -109,7 +110,7 @@ func TestPlanBodyBytesUnchanged(t *testing.T) {
 	}
 	check("before anything is submitted")
 	epochs, victims := 0, 0
-	submitThenAdvance(t, s, reqs, func(res *horizon.EpochResult) {
+	submitThenAdvance(t, s, reqs, func(res *api.EpochResult) {
 		if res == nil {
 			check("after a submit")
 			return
@@ -173,7 +174,7 @@ func TestPlanBodiesHeldAcrossCommits(t *testing.T) {
 	}
 	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
 	defer stop() // also when the driver gives up with t.Fatal
-	submitThenAdvance(t, s, reqs, func(*horizon.EpochResult) {})
+	submitThenAdvance(t, s, reqs, func(*api.EpochResult) {})
 	stop()
 
 	epochs := make(map[int]bool)
@@ -184,7 +185,7 @@ func TestPlanBodiesHeldAcrossCommits(t *testing.T) {
 					t.Fatalf("bytes the server had sent were written again:\n sent %s\n now  %s", w.kept[i], w.aliased[i])
 				}
 			}
-			var plan PlanResponse
+			var plan api.PlanResponse
 			if err := json.Unmarshal(bytes.Join(w.aliased, nil), &plan); err != nil || plan.Schedule == nil {
 				t.Fatalf("a held body is no longer a plan: %v", err)
 			}
@@ -220,7 +221,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 
 	// Two epochs on the primary end in a snapshot and an emptied journal,
 	// so a follower at sequence 0 is sent the state whole.
-	submitThenAdvance(t, primary, reqs[:10], func(*horizon.EpochResult) {})
+	submitThenAdvance(t, primary, reqs[:10], func(*api.EpochResult) {})
 	tail, err := primary.horizon.TailAfter(follower.horizon.AppliedSeq(), 0)
 	if err != nil || tail.Snapshot == nil {
 		t.Fatalf("fixture bug: TailAfter = %+v, %v; want a snapshot", tail, err)
@@ -234,7 +235,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 	}
 
 	// A third epoch reaches the follower record by record.
-	submitThenAdvance(t, primary, reqs[10:15], func(*horizon.EpochResult) {})
+	submitThenAdvance(t, primary, reqs[10:15], func(*api.EpochResult) {})
 	tail, err = primary.horizon.TailAfter(follower.horizon.AppliedSeq(), 0)
 	if err != nil || len(tail.Records) != 6 {
 		t.Fatalf("fixture bug: TailAfter = %+v, %v; want five submits and an advance", tail, err)

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/units"
 )
@@ -64,11 +64,11 @@ func TestPlanAndStatsAreNeverTorn(t *testing.T) {
 					return
 				default:
 				}
-				var plan PlanResponse
+				var plan api.PlanResponse
 				if call("GET", "/v1/plan", nil, &plan) == http.StatusOK {
 					seen[g] = append(seen[g], tuple{plan.Epoch, plan.Cost, plan.Schedule.NumDeliveries()})
 				}
-				var stats StatsResponse
+				var stats api.StatsResponse
 				if call("GET", "/v1/stats", nil, &stats) == http.StatusOK && stats.Horizon.Epoch != stats.Shard.Epoch {
 					t.Errorf("torn stats: horizon.epoch %d beside shard.epoch %d", stats.Horizon.Epoch, stats.Shard.Epoch)
 				}
@@ -81,8 +81,8 @@ func TestPlanAndStatsAreNeverTorn(t *testing.T) {
 	committed := map[int]tuple{0: {}} // by plan epoch; epoch 0 is the empty plan
 	drive := func() string {
 		for i, q := range reqs {
-			var ack ReservationResponse
-			if code := call("POST", "/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, &ack); code != http.StatusAccepted {
+			var ack api.ReservationResponse
+			if code := call("POST", "/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start}, &ack); code != http.StatusAccepted {
 				return fmt.Sprintf("reservation %d: status %d", i, code)
 			}
 			if (i+1)%5 != 0 {
@@ -91,8 +91,8 @@ func TestPlanAndStatsAreNeverTorn(t *testing.T) {
 			// Lag the horizon an hour behind intake so epochs both freeze
 			// a prefix and re-plan a window.
 			to := simtime.Max(0, q.Start.Add(-simtime.Hour))
-			var res horizon.EpochResult
-			if code := call("POST", "/v1/advance", AdvanceRequest{To: to}, &res); code != http.StatusOK {
+			var res api.EpochResult
+			if code := call("POST", "/v1/advance", api.AdvanceRequest{To: to}, &res); code != http.StatusOK {
 				return fmt.Sprintf("advance after reservation %d: status %d", i, code)
 			}
 			committed[res.Epoch+1] = tuple{res.Epoch + 1, res.Cost, i + 1}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/replica"
@@ -75,12 +76,12 @@ func (s *Server) stopReplication() bool {
 // serviceable: a primary always is (recovery completed at construction
 // or the server would not exist); a follower only once its shipper has
 // synced and left no lag.
-func (s *Server) replStatus() (replica.Status, bool) {
+func (s *Server) replStatus() (api.ReplicationStatus, bool) {
 	if s.shipper != nil && !s.lead.IsPrimary() {
 		st := s.shipper.Status()
 		return st, st.Synced && st.CaughtUp
 	}
-	st := replica.Status{
+	st := api.ReplicationStatus{
 		Role:       s.lead.Role().String(),
 		Epoch:      s.lead.Epoch(),
 		AppliedSeq: s.horizon.AppliedSeq(),
@@ -109,9 +110,9 @@ func (s *Server) checkLeader(w http.ResponseWriter) bool {
 
 // ReadyResponse is the GET /readyz body.
 type ReadyResponse struct {
-	Ready  bool           `json:"ready"`
-	Reason string         `json:"reason,omitempty"`
-	Status replica.Status `json:"status"`
+	Ready  bool                  `json:"ready"`
+	Reason string                `json:"reason,omitempty"`
+	Status api.ReplicationStatus `json:"status"`
 }
 
 // handleReady is the load-balancer readiness probe: distinct from
@@ -236,27 +237,6 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // promotion performs against the primary.
 const drainForPromoteTimeout = 10 * time.Second
 
-// PromoteRequest is the POST /v1/replication/promote body. Force skips
-// the final drain and caught-up check (for when the primary is
-// unreachable and the operator accepts losing the unreplicated suffix —
-// acknowledged reservations included, which is why it is never the
-// default).
-// FenceSource additionally fences the old primary, best-effort, under
-// the new epoch.
-type PromoteRequest struct {
-	Force       bool `json:"force,omitempty"`
-	FenceSource bool `json:"fence_source,omitempty"`
-}
-
-// PromoteResponse is the POST /v1/replication/promote reply.
-type PromoteResponse struct {
-	Promoted         bool   `json:"promoted"`
-	Epoch            uint64 `json:"epoch"`
-	AppliedSeq       uint64 `json:"applied_seq"`
-	SourceFenced     bool   `json:"source_fenced,omitempty"`
-	SourceFenceError string `json:"source_fence_error,omitempty"`
-}
-
 // handlePromote turns a caught-up follower into the serving primary:
 // shipping is stopped first (no batch may apply once promotion begins),
 // the replicated committed schedule is put to the commit predicate once
@@ -265,7 +245,7 @@ type PromoteResponse struct {
 // bumped. On any refusal the shipper is restarted, so a failed promotion
 // leaves a functioning follower.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	var req PromoteRequest
+	var req api.PromoteRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
@@ -317,7 +297,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	resp := PromoteResponse{Promoted: true, Epoch: epoch, AppliedSeq: s.horizon.AppliedSeq()}
+	resp := api.PromoteResponse{Promoted: true, Epoch: epoch, AppliedSeq: s.horizon.AppliedSeq()}
 	if req.FenceSource && s.shipper != nil {
 		ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 		defer cancel()

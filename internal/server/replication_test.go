@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -51,7 +52,7 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	t.Cleanup(sts.Close)
 
 	// A follower refuses stateful intake outright.
-	resp := postJSON(t, sts.URL+"/v1/reservations", ReservationRequest{
+	resp := postJSON(t, sts.URL+"/v1/reservations", api.ReservationRequest{
 		User: f.Requests[0].User, Video: f.Requests[0].Video, Start: f.Requests[0].Start,
 	})
 	if resp.StatusCode != http.StatusConflict {
@@ -75,13 +76,13 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 
 	// Load the primary, then start shipping.
 	for _, q := range f.Requests {
-		if resp := postJSON(t, pts.URL+"/v1/reservations", ReservationRequest{
+		if resp := postJSON(t, pts.URL+"/v1/reservations", api.ReservationRequest{
 			User: q.User, Video: q.Video, Start: q.Start,
 		}); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("primary reservation: status %d", resp.StatusCode)
 		}
 	}
-	if resp := postJSON(t, pts.URL+"/v1/advance", AdvanceRequest{
+	if resp := postJSON(t, pts.URL+"/v1/advance", api.AdvanceRequest{
 		To: simtime.Time(120 * int64(simtime.Minute)),
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("primary advance: status %d", resp.StatusCode)
@@ -107,17 +108,17 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	}
 
 	// /v1/stats carries the same replication status and readiness.
-	if _, stats := getAs[StatsResponse](t, sts.URL+"/v1/stats"); !stats.Ready ||
+	if _, stats := getAs[api.StatsResponse](t, sts.URL+"/v1/stats"); !stats.Ready ||
 		stats.Replication.Role != "follower" || stats.Replication.AppliedSeq != ready.Status.AppliedSeq {
 		t.Fatalf("stats replication block: ready=%v %+v", stats.Ready, stats.Replication)
 	}
 
 	// Promote the standby, fencing the old primary under the new epoch.
-	resp = postJSON(t, sts.URL+"/v1/replication/promote", PromoteRequest{FenceSource: true})
+	resp = postJSON(t, sts.URL+"/v1/replication/promote", api.PromoteRequest{FenceSource: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: status %d", resp.StatusCode)
 	}
-	prom := decode[PromoteResponse](t, resp)
+	prom := decode[api.PromoteResponse](t, resp)
 	if !prom.Promoted || !prom.SourceFenced || prom.Epoch != 2 {
 		t.Fatalf("promotion reply: %+v", prom)
 	}
@@ -127,7 +128,7 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 
 	// The deposed primary is fenced: intake answers the stale-leadership
 	// conflict and readiness drops, so a balancer drains it.
-	resp = postJSON(t, pts.URL+"/v1/advance", AdvanceRequest{
+	resp = postJSON(t, pts.URL+"/v1/advance", api.AdvanceRequest{
 		To: simtime.Time(240 * int64(simtime.Minute)),
 	})
 	if resp.StatusCode != http.StatusConflict {
@@ -145,7 +146,7 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	if code, _ := getAs[ReadyResponse](t, sts.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("promoted node readyz = %d, want 200", code)
 	}
-	if resp := postJSON(t, sts.URL+"/v1/advance", AdvanceRequest{
+	if resp := postJSON(t, sts.URL+"/v1/advance", api.AdvanceRequest{
 		To: simtime.Time(240 * int64(simtime.Minute)),
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("promoted node advance: status %d", resp.StatusCode)
@@ -168,7 +169,7 @@ func TestPromoteRefusedUntilSynced(t *testing.T) {
 	sts := httptest.NewServer(standby)
 	t.Cleanup(sts.Close)
 
-	resp := postJSON(t, sts.URL+"/v1/replication/promote", PromoteRequest{})
+	resp := postJSON(t, sts.URL+"/v1/replication/promote", api.PromoteRequest{})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("unsynced promotion: status %d, want 409", resp.StatusCode)
 	}
@@ -176,11 +177,11 @@ func TestPromoteRefusedUntilSynced(t *testing.T) {
 		t.Fatalf("refusal %q does not explain the catch-up failure", e["error"])
 	}
 
-	resp = postJSON(t, sts.URL+"/v1/replication/promote", PromoteRequest{Force: true})
+	resp = postJSON(t, sts.URL+"/v1/replication/promote", api.PromoteRequest{Force: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forced promotion: status %d", resp.StatusCode)
 	}
-	if prom := decode[PromoteResponse](t, resp); !prom.Promoted {
+	if prom := decode[api.PromoteResponse](t, resp); !prom.Promoted {
 		t.Fatalf("forced promotion reply: %+v", prom)
 	}
 }
@@ -205,7 +206,7 @@ func TestReplicationWALObservesEpoch(t *testing.T) {
 	if code != http.StatusConflict || !strings.Contains(e["error"], "stale leadership") {
 		t.Fatalf("superseded poll: status %d body %v", code, e)
 	}
-	if resp := postJSON(t, pts.URL+"/v1/reservations", ReservationRequest{
+	if resp := postJSON(t, pts.URL+"/v1/reservations", api.ReservationRequest{
 		User: f.Requests[0].User, Video: f.Requests[0].Video, Start: f.Requests[0].Start,
 	}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("demoted primary accepted intake: status %d", resp.StatusCode)

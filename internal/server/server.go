@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
@@ -55,9 +56,7 @@ import (
 	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
-	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
-	"github.com/vodsim/vsp/internal/topology"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -84,7 +83,7 @@ type Server struct {
 	advanceNanos atomic.Int64
 	// resolution sums the committed epochs' SORP work counts.
 	resolutionMu sync.Mutex
-	resolution   sorp.Work
+	resolution   api.Work
 
 	// Replication & failover (see replication.go). lead is always set;
 	// shipper only on followers built with Options.ReplicateFrom.
@@ -185,7 +184,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 
 // Recovery reports what the horizon service recovered at construction
 // (zero for in-memory servers).
-func (s *Server) Recovery() horizon.RecoveryStats { return s.horizon.Recovery() }
+func (s *Server) Recovery() api.RecoveryStats { return s.horizon.Recovery() }
 
 // Close stops background replication, then flushes and closes the
 // horizon journal (no-op without DataDir). Call it after the HTTP
@@ -207,76 +206,14 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 	httpkit.WriteJSON(w, http.StatusOK, s.model.Catalog())
 }
 
-// StatsResponse is the GET /v1/stats reply: the infrastructure's shape
-// and tariff summary, the live rolling-horizon state, the overload
-// counters and what recovery reconstructed at startup.
-type StatsResponse struct {
-	Topology topology.Stats        `json:"topology"`
-	Titles   int                   `json:"titles"`
-	MeanSize units.Bytes           `json:"mean_title_bytes"`
-	Horizon  HorizonStats          `json:"horizon"`
-	Overload OverloadStats         `json:"overload"`
-	Recovery horizon.RecoveryStats `json:"recovery"`
-	// Replication reports the node's role, leadership epoch, applied
-	// sequence and (on followers) shipping lag; Ready mirrors /readyz.
-	Replication replica.Status `json:"replication"`
-	Ready       bool           `json:"ready"`
-	// Shard condenses the node's place in a sharded intake tier into the
-	// one block a routing gateway's load poller needs (see
-	// internal/gateway); present even when unsharded, with an empty ID.
-	Shard ShardInfo `json:"shard"`
-}
-
-// ShardInfo is the shard block of /v1/stats: the label the node was
-// started with (-shard-id), its leadership role, the committed horizon
-// epoch and the replication position behind it — everything a placement
-// policy needs, in one request per shard.
-type ShardInfo struct {
-	ID              string `json:"id,omitempty"`
-	Role            string `json:"role"`
-	Epoch           int    `json:"epoch"`
-	LeadershipEpoch uint64 `json:"leadership_epoch"`
-	ReplicationLag  uint64 `json:"replication_lag"`
-}
-
-// HorizonStats is the rolling-horizon service's live state.
-type HorizonStats struct {
-	Epoch         int          `json:"epoch"`
-	Horizon       simtime.Time `json:"horizon"`
-	Pending       int          `json:"pending"`
-	CommittedCost units.Money  `json:"committed_cost"`
-	Durable       bool         `json:"durable"`
-	// Advances counts committed POST /v1/advance epoch closes and
-	// AdvanceMS their cumulative in-handler time, so advance lag is
-	// observable per node (the load harness and the gateway poller
-	// divide one by the other).
-	Advances  uint64 `json:"advances"`
-	AdvanceMS int64  `json:"advance_ms"`
-	// Resolution sums, over those advances, what overflow resolution did:
-	// iterations, (overflow, file) pairs rescheduled afresh, and pairs
-	// reused from an earlier iteration — reused/(reused+evaluated) is the
-	// reuse hit rate.
-	Resolution sorp.Work `json:"resolution"`
-}
-
-// OverloadStats reports the admission-control counters.
-type OverloadStats struct {
-	// Shed counts requests rejected with 429 since startup.
-	Shed uint64 `json:"shed"`
-	// InFlight and MaxInFlight describe current saturation.
-	InFlight    int `json:"in_flight"`
-	MaxInFlight int `json:"max_in_flight"`
-	// DeadlineExceeded counts requests whose handler came back past the
-	// request timeout with nothing written, which the deadline layer
-	// answered 503. A handler that noticed the expiry itself and replied
-	// 503 is not among them.
-	DeadlineExceeded uint64 `json:"deadline_exceeded"`
-}
+// StatsResponse is api.StatsResponse under the name bench/ reads; ROADMAP item 8
+// retires the alias.
+type StatsResponse = api.StatsResponse
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var ov OverloadStats
+	var ov api.OverloadStats
 	if s.limiter != nil {
-		ov = OverloadStats{
+		ov = api.OverloadStats{
 			Shed:        s.limiter.Shed(),
 			InFlight:    s.limiter.InFlight(),
 			MaxInFlight: s.limiter.Capacity(),
@@ -290,11 +227,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.resolutionMu.Lock()
 	resolution := s.resolution
 	s.resolutionMu.Unlock()
-	httpkit.WriteJSON(w, http.StatusOK, StatsResponse{
+	httpkit.WriteJSON(w, http.StatusOK, api.StatsResponse{
 		Topology: s.model.Book().Topology().ComputeStats(),
 		Titles:   s.model.Catalog().Len(),
 		MeanSize: s.model.Catalog().MeanSize(),
-		Horizon: HorizonStats{
+		Horizon: api.HorizonStats{
 			Epoch:         p.Epoch,
 			Horizon:       p.Horizon,
 			Pending:       p.Pending,
@@ -308,7 +245,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Recovery:    s.horizon.Recovery(),
 		Replication: repl,
 		Ready:       ready,
-		Shard: ShardInfo{
+		Shard: api.ShardInfo{
 			ID:              s.shardID,
 			Role:            repl.Role,
 			Epoch:           p.Epoch,

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
@@ -182,7 +183,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var st StatsResponse
+	var st api.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/simtime"
 )
 
@@ -13,13 +14,13 @@ import (
 func TestStatsShardBlock(t *testing.T) {
 	ts, f := newTestServerWithOptions(t, Options{ShardID: "s9"})
 
-	getStats := func() ShardInfo {
+	getStats := func() api.ShardInfo {
 		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return decode[StatsResponse](t, resp).Shard
+		return decode[api.StatsResponse](t, resp).Shard
 	}
 
 	sh := getStats()
@@ -36,8 +37,8 @@ func TestStatsShardBlock(t *testing.T) {
 	// The block tracks the committed epoch, so a gateway can spot a shard
 	// that is falling behind the tier from this one poll.
 	q := f.Requests[0]
-	postJSON(t, ts.URL+"/v1/reservations", ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
-	resp := postJSON(t, ts.URL+"/v1/advance", AdvanceRequest{To: simtime.Time(120 * int64(simtime.Minute))})
+	postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	resp := postJSON(t, ts.URL+"/v1/advance", api.AdvanceRequest{To: simtime.Time(120 * int64(simtime.Minute))})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: status %d", resp.StatusCode)
 	}
@@ -56,7 +57,7 @@ func TestStatsShardBlockUnlabeled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sh := decode[StatsResponse](t, resp).Shard
+	sh := decode[api.StatsResponse](t, resp).Shard
 	if sh.ID != "" {
 		t.Fatalf("unlabeled node reports shard id %q, want empty", sh.ID)
 	}

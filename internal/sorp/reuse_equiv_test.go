@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
@@ -152,17 +153,17 @@ func (c *reuseCase) run(t *testing.T, tableFree bool, workers int) (string, *Res
 // their work adds up to the reference's and — given a second iteration to do
 // it in — they reuse something. It returns the reference's result, nil when
 // the reference cannot resolve the case, and the table's work.
-func (c *reuseCase) matchReference(t *testing.T) (*Result, Work) {
+func (c *reuseCase) matchReference(t *testing.T) (*Result, api.Work) {
 	t.Helper()
 	want, ref, err := c.run(t, true, 1)
 	if err != nil {
 		t.Logf("unresolvable on the reference: %v", err)
-		return nil, Work{}
+		return nil, api.Work{}
 	}
 	if ref.Reused != 0 || ref.Rewindowed != 0 {
 		t.Fatalf("the reference reused %d evaluations; it must stay table-free", ref.Reused)
 	}
-	var reusing Work
+	var reusing api.Work
 	for _, workers := range []int{0, 1, 4, 8} {
 		got, res, err := c.run(t, false, workers)
 		if err != nil {

@@ -40,13 +40,12 @@ package sorp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"strconv"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
@@ -127,97 +126,14 @@ type Options struct {
 	Frozen map[media.VideoID]*schedule.FileSchedule
 }
 
-// Victim records one rescheduling decision, for diagnostics and the
-// heat-metric study of Experiment 4. Heat is +Inf for a reschedule that
-// cost nothing (computeHeat), which JSON has no number for: on the wire the
-// field is a number when finite and otherwise the string strconv gives it
-// ("+Inf"), so a victim list round-trips whatever its heats.
-type Victim struct {
-	Video    media.VideoID
-	Node     topology.NodeID
-	Window   simtime.Interval
-	Heat     float64
-	Overhead units.Money
-}
-
-// victimJSON is Victim's wire form: the same field names, Heat as wireHeat.
-type victimJSON struct {
-	Video    media.VideoID
-	Node     topology.NodeID
-	Window   simtime.Interval
-	Heat     wireHeat
-	Overhead units.Money
-}
-
-// wireHeat is a float64 that survives JSON when it is not finite.
-type wireHeat float64
-
-func (h wireHeat) MarshalJSON() ([]byte, error) {
-	f := float64(h)
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 64)), nil
-	}
-	return json.Marshal(f)
-}
-
-func (h *wireHeat) UnmarshalJSON(b []byte) error {
-	if len(b) == 0 || b[0] != '"' {
-		return json.Unmarshal(b, (*float64)(h))
-	}
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || !(math.IsInf(f, 0) || math.IsNaN(f)) {
-		return fmt.Errorf("sorp: victim heat %q is neither a number nor a non-finite float's name", s)
-	}
-	*h = wireHeat(f)
-	return nil
-}
-
-func (v Victim) MarshalJSON() ([]byte, error) {
-	return json.Marshal(victimJSON{v.Video, v.Node, v.Window, wireHeat(v.Heat), v.Overhead})
-}
-
-func (v *Victim) UnmarshalJSON(b []byte) error {
-	var w victimJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*v = Victim{w.Video, w.Node, w.Window, float64(w.Heat), w.Overhead}
-	return nil
-}
-
 // Result summarizes a resolution run.
 type Result struct {
 	Schedule         *schedule.Schedule
-	Victims          []Victim
+	Victims          []api.Victim
 	InitialOverflows int
 	CostBefore       units.Money
 	CostAfter        units.Money
-	Work
-}
-
-// Work counts what a resolution run did: Iterations victim-selection
-// rounds, over which Evaluated (overflow, file) pairs were rescheduled
-// afresh and Reused pairs were answered from an earlier round's evaluation
-// — Rewindowed of those around a window other than the one the evaluation
-// ran under. Read-only counters for operators and benchmarks; Reused /
-// (Reused + Evaluated) is the reuse hit rate.
-type Work struct {
-	Iterations int `json:"iterations"`
-	Evaluated  int `json:"evaluated"`
-	Reused     int `json:"reused"`
-	Rewindowed int `json:"rewindowed"`
-}
-
-// Add accumulates another run's counts.
-func (w *Work) Add(o Work) {
-	w.Iterations += o.Iterations
-	w.Evaluated += o.Evaluated
-	w.Reused += o.Reused
-	w.Rewindowed += o.Rewindowed
+	api.Work
 }
 
 // Delta returns the total cost increase caused by overflow resolution,
@@ -463,7 +379,7 @@ func (t *pairTable) releaseViews() {
 // reschedule earns it.
 type candidate struct {
 	reschedResult
-	record Victim
+	record api.Victim
 }
 
 // iterationBound returns the safety valve for the resolution loop: a
@@ -597,7 +513,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 			}
 			cand := candidate{
 				reschedResult: *rs,
-				record: Victim{
+				record: api.Victim{
 					Video:    ref.Video,
 					Node:     of.Node,
 					Window:   of.Interval,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -50,7 +51,7 @@ func TestResolveWorkersByteIdentical(t *testing.T) {
 				}
 				blob, err := json.Marshal(struct {
 					Schedule interface{}
-					Victims  []Victim
+					Victims  []api.Victim
 				}{res.Schedule, res.Victims})
 				if err != nil {
 					t.Fatal(err)

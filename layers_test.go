@@ -29,14 +29,17 @@ import (
 const module = "github.com/vodsim/vsp"
 
 // corePackages is `go list -deps ./cmd/vspserve ./cmd/vspgateway`, internal
-// packages only, by name. gateway links the solver through server's wire
-// types (ROADMAP item 9).
+// packages only, by name.
 var corePackages = []string{
-	"chaos", "cli", "cost", "gateway", "horizon", "httpkit", "ivs", "media",
-	"occupancy", "parallel", "pricing", "replica", "retryhttp", "routing",
-	"schedule", "scheduler", "server", "simtime", "sorp", "topology", "units",
-	"wal", "workload",
+	"api", "chaos", "cli", "cost", "gateway", "horizon", "httpkit", "ivs",
+	"media", "occupancy", "parallel", "pricing", "replica", "retryhttp",
+	"routing", "schedule", "scheduler", "server", "simtime", "sorp", "topology",
+	"units", "wal", "workload",
 }
+
+// apiVocabulary is what internal/api's bodies are made of, and so all it
+// may import.
+var apiVocabulary = []string{"media", "schedule", "simtime", "topology", "units", "workload"}
 
 // labPackages is the rest of internal/. testutil is the rig package. The
 // oracle — analysis, audit, billing, des, faults, repair, vodsim — is here,
@@ -308,6 +311,21 @@ var depRules = []depRule{
 		hit:        "internal/gateway", miss: "internal/horizon",
 		why: "the root package reaches the serving tier or a harness: the façade is the library — flows that complete in one process — and the tier is its binaries, which import internal/server and internal/gateway themselves",
 	},
+	{
+		name:       "wire: the gateway links no solver, journal or server",
+		from:       []string{"internal/gateway", "cmd/vspgateway"},
+		transitive: true,
+		forbidden:  regexp.MustCompile(`^internal/(cost|ivs|occupancy|parallel|sorp|scheduler|horizon|wal|replica|server|chaos)$`),
+		hit:        "internal/server", miss: "internal/api",
+		why: "the gateway reaches a package behind the shard protocol: it routes reservations and merges plans, so what it decodes is declared in internal/api and nothing it links solves, journals or serves a shard",
+	},
+	{
+		name:      "wire: internal/api is a leaf",
+		from:      []string{"internal/api"},
+		forbidden: regexp.MustCompile(`^internal/(` + strings.Join(slices.DeleteFunc(slices.Clone(corePackages), func(p string) bool { return slices.Contains(apiVocabulary, p) }), "|") + `)$`),
+		hit:       "internal/horizon", miss: "internal/schedule",
+		why: "internal/api imports a package its bodies are not made of: the shard protocol is declared once, in a leaf every producer and reader can import without linking the others",
+	},
 }
 
 var grepRules = []grepRule{
@@ -375,9 +393,9 @@ var grepRules = []grepRule{
 		name:    "plan: the gateway merges shard plans as bytes",
 		pattern: regexp.MustCompile(`\bschedule\.(Schedule|FileSchedule|New)\b|json\.(Unmarshal|NewDecoder)\(|[mM]ergeSchedules\(`),
 		in:      regexp.MustCompile(`^internal/gateway/`),
-		want:    1,
+		want:    0,
 		hit:     "if err := json.Unmarshal(next.raw, &next.sched); err != nil {", miss: "next, err := schedule.NewEncoding(bytes.Clone(raw))",
-		why: "the gateway decodes a schedule or merges decoded ones: shard plans are split without encoding/json and merged as bytes by schedule.AppendMerged, and decode–merge–encode is the tests' oracle; the one line allowed is PlanResponse's Schedule field, the wire type clients decode",
+		why: "the gateway decodes a schedule or merges decoded ones: shard plans are split without encoding/json and merged as bytes by schedule.AppendMerged, and decode–merge–encode is the tests' oracle; the Schedule field clients decode is api.PlanResponse's",
 	},
 }
 

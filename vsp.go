@@ -22,6 +22,7 @@ package vsp
 
 import (
 	"github.com/vodsim/vsp/internal/analysis"
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/bandwidth"
 	"github.com/vodsim/vsp/internal/billing"
@@ -153,11 +154,11 @@ type (
 	// HorizonTrigger names the condition that closed an epoch.
 	HorizonTrigger = horizon.Trigger
 	// EpochResult reports one committed epoch of a Horizon.
-	EpochResult = horizon.EpochResult
+	EpochResult = api.EpochResult
 	// HorizonRecoveryStats reports what System.OpenDurableHorizon found
 	// on disk: whether state was recovered, from snapshot or journal
 	// replay, and whether a torn final record was truncated.
-	HorizonRecoveryStats = horizon.RecoveryStats
+	HorizonRecoveryStats = api.RecoveryStats
 	// FsyncPolicy selects how eagerly the durable horizon's write-ahead
 	// log is synced to stable storage (see HorizonConfig.Fsync).
 	FsyncPolicy = wal.FsyncPolicy
