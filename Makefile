@@ -49,10 +49,15 @@ chaos-bench:
 # promotion accepts), and vspserve's -chaos spec (every spec
 # ParseSpec accepts must drive the middleware and the transport without a
 # panic). The snapshot door and vspsim's file start from whole schedules,
-# which the fuzzer would otherwise spend the whole pass minimizing. Two of
-# them also hold the hand-written encoders to encoding/json: every schedule
-# FuzzScheduleDecode decodes must give Schedule.AppendJSON == json.Marshal,
-# and every state FuzzSnapshotDoor admits state.appendJSON == json.Marshal.
+# which the fuzzer would otherwise spend the whole pass minimizing. Three of
+# them also hold the hand-written schedule encoder and decoder to
+# encoding/json on a mirror that stores every service list
+# (testutil.WireSchedule): every schedule FuzzScheduleDecode decodes must give
+# Schedule.AppendJSON == json.Marshal of its mirror, every state
+# FuzzSnapshotDoor admits state.appendJSON == json.Marshal of its mirror, and
+# FuzzFileScheduleDecode holds a file's decoder to accept exactly the service
+# lists that name a copy's readers, and to encode what it accepts as the
+# mirror does.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
 # -shard parser to what gateway.New accepts. FuzzReservationRequest holds
@@ -62,6 +67,7 @@ chaos-bench:
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
+	$(GO) test -fuzz=FuzzFileScheduleDecode -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon

@@ -242,10 +242,11 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
-// malformedSchedules are schedule files that decode but cannot be indexed by:
-// on faultFixtures' rig (nodes 0–2, users 0–2, one title) the first two used
-// to panic the simulator, and the last two were simulated as clean and priced
-// — user 77 of 3 included.
+// malformedSchedules are schedule files that cannot be indexed by: on
+// faultFixtures' rig (nodes 0–2, users 0–2, one title) the first two used to
+// panic the simulator, the next two were simulated as clean and priced — user
+// 77 of 3 included — and the last two carry a service list that is not the
+// copy's readers, which the decoder refuses.
 var malformedSchedules = []struct{ name, body, want string }{
 	{"nil file", `{"files":{"0":null}}`, "holds no schedule"},
 	{"residency at node 9999", `{"files":{"0":{"video":0,
@@ -255,6 +256,13 @@ var malformedSchedules = []struct{ name, body, want string }{
 		"deliveries":[{"video":0,"user":0,"start":0,"route":[],"source_residency":-1}],"residencies":[]}}}`, "empty route"},
 	{"user 77 of 3", `{"files":{"0":{"video":0,
 		"deliveries":[{"video":0,"user":77,"start":0,"route":[0,1],"source_residency":-1}],"residencies":[]}}}`, "unknown user 77"},
+	{"copy claiming a warehouse-fed delivery", `{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[0,1],"source_residency":-1}],
+		"residencies":[{"video":0,"loc":1,"src":0,"load":0,"last_service":0,"fed_by":0,"services":[0]}]}}}`, "residency 0 lists services [0], but deliveries [] draw from it"},
+	{"copy leaving out its reader", `{"files":{"0":{"video":0,
+		"deliveries":[{"video":0,"user":0,"start":0,"route":[0,1],"source_residency":-1},
+			{"video":0,"user":0,"start":0,"route":[1],"source_residency":0}],
+		"residencies":[{"video":0,"loc":1,"src":0,"load":0,"last_service":0,"fed_by":0,"services":[]}]}}}`, "residency 0 lists services [], but deliveries [1] draw from it"},
 }
 
 // A schedule file is checked structurally before the simulator indexes it,

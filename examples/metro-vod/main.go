@@ -61,7 +61,8 @@ func main() {
 	}
 	bySite := map[string]*siteStat{}
 	for _, fs := range out.Schedule.Files {
-		for _, c := range fs.Residencies {
+		readers := fs.Readers()
+		for j, c := range fs.Residencies {
 			name := topo.Node(c.Loc).Name
 			st := bySite[name]
 			if st == nil {
@@ -69,7 +70,7 @@ func main() {
 				bySite[name] = st
 			}
 			st.copies++
-			st.served += len(c.Services)
+			st.served += len(readers[j])
 		}
 	}
 	sites := make([]*siteStat, 0, len(bySite))

@@ -64,9 +64,10 @@ func main() {
 
 	fmt.Println("\ncached copies:")
 	for _, fs := range out.Schedule.Files {
-		for _, c := range fs.Residencies {
+		readers := fs.Readers()
+		for j, c := range fs.Residencies {
 			fmt.Printf("  title %d at %s: loaded %v, last read %v, serves %d request(s)\n",
-				c.Video, topo.Node(c.Loc).Name, c.Load, c.LastService, len(c.Services))
+				c.Video, topo.Node(c.Loc).Name, c.Load, c.LastService, len(readers[j]))
 		}
 	}
 

@@ -179,7 +179,7 @@ func filterNodeResolved(ovs, unresolved []NodeOverload) []NodeOverload {
 
 // moveOneDelivery re-points the cheapest-to-move delivery reading from the
 // overloaded node during the window at the warehouse, maintaining every
-// schedule invariant (service lists, LastService, residency pruning).
+// schedule invariant (LastService, residency pruning).
 func moveOneDelivery(m *cost.Model, work *schedule.Schedule, of NodeOverload) bool {
 	topo := m.Book().Topology()
 	bestDelta := math.Inf(1)
@@ -234,25 +234,21 @@ func moveDelta(m *cost.Model, fs *schedule.FileSchedule, v media.Video, di int) 
 
 	oldStorage := m.ResidencyCost(c)
 	shrunk := c
-	shrunk.LastService = lastServiceWithout(fs, d.SourceResidency, di)
+	shrunk.LastService, _ = lastServiceWithout(fs, d.SourceResidency, di)
 	newStorage := m.ResidencyCost(shrunk)
 	return newNet - oldNet + newStorage - oldStorage
 }
 
 // lastServiceWithout recomputes a residency's LastService with one service
-// removed.
-func lastServiceWithout(fs *schedule.FileSchedule, resIdx, di int) simtime.Time {
-	c := fs.Residencies[resIdx]
-	last := c.Load
-	for _, svc := range c.Services {
-		if svc == di {
-			continue
-		}
-		if fs.Deliveries[svc].Start > last {
-			last = fs.Deliveries[svc].Start
+// removed, and counts the services left.
+func lastServiceWithout(fs *schedule.FileSchedule, resIdx, di int) (simtime.Time, int) {
+	last, n := fs.Residencies[resIdx].Load, 0
+	for svc, d := range fs.Deliveries {
+		if svc != di && d.SourceResidency == resIdx {
+			last, n = max(last, d.Start), n+1
 		}
 	}
-	return last
+	return last, n
 }
 
 // applyMove performs the surgery: route from the warehouse, detach from
@@ -268,16 +264,9 @@ func applyMove(m *cost.Model, topo *topology.Topology, fs *schedule.FileSchedule
 	d.Route = route
 	d.SourceResidency = schedule.NoResidency
 
-	c := &fs.Residencies[resIdx]
-	kept := c.Services[:0]
-	for _, svc := range c.Services {
-		if svc != di {
-			kept = append(kept, svc)
-		}
-	}
-	c.Services = kept
-	c.LastService = lastServiceWithout(fs, resIdx, di)
-	if len(c.Services) == 0 {
+	last, left := lastServiceWithout(fs, resIdx, di)
+	fs.Residencies[resIdx].LastService = last
+	if left == 0 {
 		pruneResidency(fs, resIdx)
 	}
 }

@@ -75,6 +75,7 @@ func Attribute(m *cost.Model, s *schedule.Schedule) (*Statement, error) {
 			}
 			st.Network += lines[i].Network
 		}
+		readers := fs.Readers()
 		for j, c := range fs.Residencies {
 			if c.FedBy == schedule.PrePlacedFeed {
 				// Standing copy: operator-borne, already committed before
@@ -82,14 +83,15 @@ func Attribute(m *cost.Model, s *schedule.Schedule) (*Statement, error) {
 				st.Infrastructure += m.ResidencyCost(c) + m.PrePlacementCost(c)
 				continue
 			}
-			if len(c.Services) == 0 {
+			if len(readers[j]) == 0 {
 				// A rolling-horizon commit can leave one legitimately: a
 				// frozen copy whose only readers lay beyond the horizon is
 				// clipped to zero span, and overflow resolution may then
 				// re-plan those readers elsewhere (frozen records are never
 				// pruned). It books exactly nothing, so there is nothing to
-				// attribute; a reader-less copy that costs money is still an
-				// inconsistent schedule.
+				// attribute; ValidateStructure refuses a reader-less
+				// stream-fed copy that costs money, so only an unvalidated
+				// schedule holds one.
 				if m.ResidencyCost(c) == 0 {
 					continue
 				}
@@ -97,7 +99,7 @@ func Attribute(m *cost.Model, s *schedule.Schedule) (*Statement, error) {
 			}
 			// Marginal split: services in chronological order; each pays
 			// the span-cost increment its service caused.
-			order := append([]int(nil), c.Services...)
+			order := readers[j]
 			sort.Slice(order, func(a, b int) bool {
 				da, db := fs.Deliveries[order[a]], fs.Deliveries[order[b]]
 				if da.Start != db.Start {
@@ -109,9 +111,6 @@ func Attribute(m *cost.Model, s *schedule.Schedule) (*Statement, error) {
 			prev := simtime.Duration(0)
 			prevCost := units.Money(0)
 			for _, di := range order {
-				if di < 0 || di >= len(fs.Deliveries) {
-					return nil, fmt.Errorf("billing: residency %d of video %d lists unknown service %d", j, vid, di)
-				}
 				span := fs.Deliveries[di].Start.Sub(c.Load)
 				if span < prev {
 					span = prev

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/vodsim/vsp/internal/pricing"
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/units"
@@ -155,8 +156,10 @@ func TestAttributeRejectsCorruptSchedule(t *testing.T) {
 	}
 	bad := out.Schedule.Clone()
 	for _, fs := range bad.Files {
-		if len(fs.Residencies) > 0 {
-			fs.Residencies[0].Services = nil // orphan the copy
+		for di, d := range fs.Deliveries {
+			if d.SourceResidency == 0 {
+				fs.Deliveries[di].SourceResidency = schedule.NoResidency // orphan the copy
+			}
 		}
 	}
 	if _, err := Attribute(f.Model, bad); err == nil {
@@ -194,7 +197,6 @@ func TestAttributeSkipsZeroCostReaderlessResidency(t *testing.T) {
 		}
 		clipped := fs.Residencies[0]
 		clipped.LastService = clipped.Load
-		clipped.Services = []int{}
 		fs.Residencies = append(fs.Residencies, clipped)
 		added++
 	}

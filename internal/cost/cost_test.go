@@ -154,7 +154,7 @@ func TestPaperFig2ScheduleS2(t *testing.T) {
 	fs.Residencies = append(fs.Residencies, schedule.Residency{
 		Video: 0, Loc: is1, Src: vw,
 		Load: tU1, LastService: tU3,
-		FedBy: 0, Services: []int{1, 2},
+		FedBy: 0,
 	})
 	s := schedule.New()
 	s.Put(fs)

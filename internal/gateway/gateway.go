@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -378,7 +379,9 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) shardContext(r *http.Request) (context.Context, context.CancelFunc) {
 	budget := g.shardTimeout
 	if h := r.Header.Get("X-Request-Budget-Ms"); h != "" {
-		if ms, err := strconv.Atoi(h); err == nil && ms > 0 {
+		// Bounded in milliseconds first: a Duration that overflowed could
+		// come out negative and switch the deadline off.
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 			if d := time.Duration(ms) * time.Millisecond; budget == 0 || d < budget {
 				budget = d
 			}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -18,18 +20,22 @@ import (
 // later parts' records appended with their index-valued references rebased
 // by the receiving file's offsets, sentinels left alone. The gateway merges
 // the shards' encodings instead (schedule.AppendMerged); this is its oracle.
-func mergeSchedules(parts ...*schedule.Schedule) *schedule.Schedule {
-	out := schedule.New()
+// It works on the encoding's mirror, which stores every service list as the
+// parts spell it, so encoding/json writes the merge without the schedule
+// encoder's help: the clone keeps an empty route or service list null (and
+// makes both record lists arrays), and an appended empty service list is [].
+func mergeSchedules(parts ...*testutil.WireSchedule) *testutil.WireSchedule {
+	out := &testutil.WireSchedule{Files: make(map[media.VideoID]*testutil.WireFile)}
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		for _, vid := range p.VideoIDs() {
-			fs := p.Files[vid]
-			cur := out.File(fs.Video)
-			if cur == nil {
-				out.Put(fs.Clone())
-				continue
+		for _, fs := range p.Files {
+			cur := out.Files[fs.Video]
+			first := cur == nil
+			if first {
+				cur = &testutil.WireFile{Video: fs.Video, Deliveries: []schedule.Delivery{}, Residencies: []testutil.WireResidency{}}
+				out.Files[fs.Video] = cur
 			}
 			dOff, rOff := len(cur.Deliveries), len(cur.Residencies)
 			for _, d := range fs.Deliveries {
@@ -40,9 +46,12 @@ func mergeSchedules(parts ...*schedule.Schedule) *schedule.Schedule {
 				cur.Deliveries = append(cur.Deliveries, d)
 			}
 			for _, c := range fs.Residencies {
-				services := make([]int, len(c.Services))
-				for i, s := range c.Services {
-					services[i] = s + dOff
+				var services []int
+				if !first {
+					services = make([]int, 0, len(c.Services))
+				}
+				for _, s := range c.Services {
+					services = append(services, s+dOff)
 				}
 				c.Services = services
 				if c.FedBy != schedule.PrePlacedFeed {
@@ -85,7 +94,7 @@ func TestMergeSchedulesRebasesIndexes(t *testing.T) {
 			{Video: 7, User: 1, SourceResidency: 0},
 		},
 		Residencies: []schedule.Residency{
-			{Video: 7, FedBy: 0, Services: []int{1}},
+			{Video: 7, FedBy: 0},
 		},
 	})
 	a.Put(&schedule.FileSchedule{
@@ -104,13 +113,13 @@ func TestMergeSchedulesRebasesIndexes(t *testing.T) {
 			{Video: 7, User: 5, SourceResidency: 0},
 		},
 		Residencies: []schedule.Residency{
-			{Video: 7, FedBy: schedule.PrePlacedFeed, Services: []int{1, 2}},
-			{Video: 7, FedBy: 1, Services: []int{}},
+			{Video: 7, FedBy: schedule.PrePlacedFeed},
+			{Video: 7, FedBy: 1},
 		},
 	})
 
 	merged, blob := mergeEncoded(t, a, b)
-	if want, err := json.Marshal(mergeSchedules(a, b)); err != nil || !bytes.Equal(blob, want) {
+	if want, err := json.Marshal(mergeSchedules(testutil.Wire(a), testutil.Wire(b))); err != nil || !bytes.Equal(blob, want) {
 		t.Fatalf("the merge is\n %s\nthe oracle's\n %s (%v)", blob, want, err)
 	}
 
@@ -129,17 +138,17 @@ func TestMergeSchedulesRebasesIndexes(t *testing.T) {
 	if got := fs.Deliveries[3].SourceResidency; got != 1 {
 		t.Fatalf("b.Deliveries[1].SourceResidency = %d after merge, want 1 (0 + residency offset)", got)
 	}
-	rc := fs.Residencies[1]
+	rc, readers := fs.Residencies[1], fs.Readers()
 	if rc.FedBy != schedule.PrePlacedFeed {
 		t.Fatalf("pre-placed FedBy sentinel rewritten to %d", rc.FedBy)
 	}
-	if len(rc.Services) != 2 || rc.Services[0] != 3 || rc.Services[1] != 4 {
-		t.Fatalf("b residency services = %v after merge, want [3 4]", rc.Services)
+	if !slices.Equal(readers[1], []int{3, 4}) {
+		t.Fatalf("b residency services = %v after merge, want [3 4]", readers[1])
 	}
 	if fed := fs.Residencies[2].FedBy; fed != 3 {
 		t.Fatalf("b residency fed by delivery 1 is fed by %d after merge, want 3", fed)
 	}
-	if fs.Residencies[0].Services[0] != 1 || fs.Residencies[0].FedBy != 0 {
+	if !slices.Equal(readers[0], []int{1}) || fs.Residencies[0].FedBy != 0 {
 		t.Fatal("part A's residency cross-references were disturbed")
 	}
 	if merged.File(9) == nil || len(merged.File(9).Deliveries) != 1 {
@@ -199,8 +208,8 @@ func rollingEncodings(t testing.TB) [][3][]byte {
 
 // FuzzMergeEncodings holds schedule.AppendMerged to the decode–merge–encode
 // it replaces, over one to three parts: whenever every part is accepted by
-// schedule.NewEncoding, the merge is json.Marshal(mergeSchedules(decoded
-// parts)), byte for byte. Inputs that decode to a schedule whose files are
+// schedule.NewEncoding, the merge is json.Marshal(mergeSchedules(parts
+// decoded into the mirror)), byte for byte. Inputs that decode to a schedule whose files are
 // non-nil and keyed by their own video are also re-encoded by AppendJSON,
 // which NewEncoding must always accept, and merged again in that form.
 func FuzzMergeEncodings(f *testing.F) {
@@ -218,7 +227,7 @@ func FuzzMergeEncodings(f *testing.F) {
 		inputs := [][]byte{a, b, c}[:1+n%3]
 		check := func(what string, raws [][]byte) {
 			encs := make([]*schedule.Encoding, len(raws))
-			parts := make([]*schedule.Schedule, len(raws))
+			parts := make([]*testutil.WireSchedule, len(raws))
 			for i, raw := range raws {
 				var err error
 				if encs[i], err = schedule.NewEncoding(raw); err != nil {

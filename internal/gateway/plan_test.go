@@ -19,7 +19,6 @@ import (
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/retryhttp"
-	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -116,15 +115,24 @@ func (tier *planTier) drive(t *testing.T, reqs workload.Set, each func(when stri
 
 // referencePlanBody is the plan body as the gateway defined it before it
 // kept anything: every shard's reply decoded whole into
-// api.PlanResponse, the schedules merged, and the union through
+// gateway.PlanResponse's fields, the schedules merged, and the union through
 // encoding/json with the newline json.Encoder ends a value with. The
-// decode-per-read path lives on here, as the oracle, and nowhere else.
+// decode-per-read path lives on here, as the oracle, and nowhere else. The
+// schedules are decoded into, merged and encoded as the encoding's mirror, so
+// the body owes nothing to the schedule encoder.
 func referencePlanBody(t *testing.T, ids, urls []string) []byte {
 	t.Helper()
-	var out gateway.PlanResponse
-	parts := make([]*schedule.Schedule, len(urls))
+	var out struct {
+		Schedule *testutil.WireSchedule `json:"schedule"`
+		api.PlanState
+		Shards []gateway.ShardPlan `json:"shards"`
+	}
+	parts := make([]*testutil.WireSchedule, len(urls))
 	for i, url := range urls {
-		var p api.PlanResponse
+		var p struct {
+			Schedule *testutil.WireSchedule `json:"schedule"`
+			api.PlanState
+		}
 		if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &p); err != nil {
 			t.Fatal(err)
 		}

@@ -313,21 +313,25 @@ func TestShardTimeoutBoundsSlowShard(t *testing.T) {
 		t.Fatalf("deadline did not propagate: submit pinned for %v", elapsed)
 	}
 
-	// The client can tighten the budget below ShardTimeout per request.
+	// The client can tighten the budget below ShardTimeout per request, and
+	// no budget it names loosens it: one too large for a time.Duration still
+	// leaves ShardTimeout in force.
 	reqBody, _ := json.Marshal(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(simtime.Hour)})
-	req, _ := http.NewRequest(http.MethodPost, base+"/v1/reservations", bytes.NewReader(reqBody))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-Budget-Ms", "50")
-	start = time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("budget-header submit: status %d, want 502", resp.StatusCode)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("50ms client budget took %v", el)
+	for _, budget := range []string{"50", "10000000000000"} {
+		req, _ := http.NewRequest(http.MethodPost, base+"/v1/reservations", bytes.NewReader(reqBody))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-Budget-Ms", budget)
+		start = time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("budget-header %s submit: status %d, want 502", budget, resp.StatusCode)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("client budget %sms with a 150ms ShardTimeout took %v", budget, el)
+		}
 	}
 }

@@ -3,9 +3,14 @@ package horizon
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/workload"
@@ -128,5 +133,89 @@ func TestCensusOfUntouchedHistory(t *testing.T) {
 		if got := takeCensus(t, r, reqs, workers); got != want {
 			t.Errorf("Workers=%d: census %+v, with one worker %+v", workers, got, want)
 		}
+	}
+}
+
+// The rule the schedule encoder rests on, read off the encoded bytes: in every
+// plan and snapshot of a rolling run, and in a batch with pre-placed copies,
+// each residency's service list is the ascending list of the deliveries that
+// draw from the copy, and an empty list is null exactly when the copy is
+// pre-placed. A shard's plan, that is: the gateway's merge writes null for a
+// file's first part by a rule of its own.
+func TestEncodedServiceListsAreTheReaders(t *testing.T) {
+	var lists, nulls, empties int
+	check := func(what string, blob []byte, into any, s **testutil.WireSchedule) {
+		t.Helper()
+		if err := json.Unmarshal(blob, into); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for vid, w := range (*s).Files {
+			want := testutil.WireFileOf(w.File())
+			for j, c := range w.Residencies {
+				if got, want := c.Services, want.Residencies[j].Services; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: video %d residency %d (fed by %d) lists %#v, its readers are %#v", what, vid, j, c.FedBy, got, want)
+				}
+				lists++
+				if c.Services == nil {
+					nulls++
+				} else if len(c.Services) == 0 {
+					empties++
+				}
+			}
+		}
+	}
+
+	r, reqs := censusRig(t)
+	svc := New(r.Model, Config{})
+	for i, q := range reqs {
+		if _, err := svc.Submit(q.Start, q); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%20 != 0 {
+			continue
+		}
+		if _, err := svc.Advance(context.Background(), simtime.Max(svc.Horizon(), q.Start.Add(-simtime.Hour))); err != nil {
+			t.Fatal(err)
+		}
+		var plan *testutil.WireSchedule
+		check(fmt.Sprintf("epoch %d plan", svc.Epoch()), svc.Plan().Schedule.AppendJSON(nil), &plan, &plan)
+		blob, err := svc.st.appendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Committed *testutil.WireSchedule `json:"committed"`
+		}
+		check(fmt.Sprintf("epoch %d snapshot", svc.Epoch()), blob, &snap, &snap.Committed)
+	}
+	rolled := lists
+
+	// A roomy rig with a standing copy at every storage, of a title its users
+	// may or may not ask for.
+	b, err := testutil.Build(testutil.Params{
+		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
+		CapacityGB: 50, RequestsPerUser: 5, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make(map[media.VideoID][]schedule.Residency)
+	for k, n := range b.Topo.Storages() {
+		vid := media.VideoID(k % b.Catalog.Len())
+		seeds[vid] = append(seeds[vid], schedule.Residency{
+			Video: vid, Loc: n, Src: b.Topo.Warehouse(),
+			Load: 0, LastService: simtime.Time(9 * simtime.Hour), FedBy: schedule.PrePlacedFeed,
+		})
+	}
+	out, err := scheduler.Run(b.Model, b.Requests, scheduler.Config{Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch *testutil.WireSchedule
+	check("seeded batch", out.Schedule.AppendJSON(nil), &batch, &batch)
+
+	t.Logf("%d service lists (%d from the rolling run), %d null, %d []", lists, rolled, nulls, empties)
+	if rolled == 0 || nulls == 0 || empties == 0 || lists == nulls+empties {
+		t.Fatalf("fixture bug: want lists from both runs, and null, [] and non-empty lists among them")
 	}
 }

@@ -95,6 +95,17 @@ func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 		t.Fatalf("fixture bug: no file has %s", kind)
 		return nil
 	}
+	// listed returns a residency record with readers, of the lowest-numbered
+	// file that has one.
+	listed := func(st map[string]any) map[string]any {
+		for _, rec := range firstWith(st, "residencies") {
+			if c := rec.(map[string]any); len(c["services"].([]any)) > 0 {
+				return c
+			}
+		}
+		t.Fatal("fixture bug: the first file with residencies has no reader")
+		return nil
+	}
 	return []inconsistentSnapshot{
 		{"more pending than accepted", edit(func(st map[string]any) {
 			accepted := st["accepted"].([]any)
@@ -128,6 +139,18 @@ func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 		{"schedule that serves nothing it accepted", edit(func(st map[string]any) {
 			delete(st, "committed")
 		}), "not served"},
+		{"service list that leaves out a reader", edit(func(st map[string]any) {
+			c := listed(st)
+			c["services"] = c["services"].([]any)[1:]
+		}), "draw from it"},
+		{"service list that names a reader twice", edit(func(st map[string]any) {
+			c := listed(st)
+			c["services"] = append(c["services"].([]any), c["services"].([]any)[0])
+		}), "draw from it"},
+		{"service list that names no delivery", edit(func(st map[string]any) {
+			c := listed(st)
+			c["services"] = append(c["services"].([]any), 99999)
+		}), " 99999], but deliveries ["},
 	}
 }
 

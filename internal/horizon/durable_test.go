@@ -424,8 +424,8 @@ func recoverAfterOverflowResolvingEpochs(t *testing.T, snapEvery int) {
 		victims += len(res.Victims)
 	}
 	for _, fs := range svc.Committed().Files {
-		for _, c := range fs.Residencies {
-			if len(c.Services) == 0 {
+		for _, readers := range fs.Readers() {
+			if len(readers) == 0 {
 				readerless++
 			}
 		}

@@ -1,6 +1,13 @@
 package horizon
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"github.com/vodsim/vsp/internal/simtime"
+	"github.com/vodsim/vsp/internal/testutil"
+	"github.com/vodsim/vsp/internal/units"
+	"github.com/vodsim/vsp/internal/workload"
+)
 
 // Rewind returns a function that puts the service's state back to what it is
 // now, so a benchmark can close the same epoch again and again. Only the
@@ -17,9 +24,29 @@ func (s *Service) Rewind() func() {
 	}
 }
 
+// wireState is a state as its snapshot payload spells it, the committed
+// schedule as testutil's mirror, so that json.Marshal of it owes nothing to
+// the payload's writer or to Schedule.AppendJSON.
+type wireState struct {
+	Horizon      simtime.Time           `json:"horizon"`
+	Epoch        int                    `json:"epoch"`
+	Clock        simtime.Time           `json:"clock"`
+	EpochClock   simtime.Time           `json:"epoch_clock"`
+	Cost         units.Money            `json:"cost"`
+	Committed    *testutil.WireSchedule `json:"committed"`
+	Accepted     workload.Set           `json:"accepted"`
+	Pending      workload.Set           `json:"pending"`
+	PendingBytes float64                `json:"pending_bytes"`
+}
+
+func wire(st state) wireState {
+	return wireState{st.Horizon, st.Epoch, st.Clock, st.EpochClock, st.Cost,
+		testutil.Wire(st.Committed), st.Accepted, st.Pending, st.PendingBytes}
+}
+
 // AdmitSnapshot takes a payload through decodeState, the door, and returns
 // the admitted state encoded again twice: by its one writer, state.appendJSON,
-// and by json.Marshal.
+// and by json.Marshal of its mirror (wireState).
 func (s *Service) AdmitSnapshot(blob []byte) (appended, marshalled []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -30,7 +57,7 @@ func (s *Service) AdmitSnapshot(blob []byte) (appended, marshalled []byte, err e
 	if appended, err = st.appendJSON(nil); err != nil {
 		return nil, nil, err
 	}
-	if marshalled, err = json.Marshal(st); err != nil {
+	if marshalled, err = json.Marshal(wire(st)); err != nil {
 		return nil, nil, err
 	}
 	return appended, marshalled, nil

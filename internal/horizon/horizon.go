@@ -403,17 +403,17 @@ func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedul
 // time and is therefore frozen, and a frozen delivery's source residency
 // loads no later than the delivery starts and is therefore frozen — so the
 // frozen records form a stable index prefix. A frozen residency keeps only
-// its frozen readers: its service list is filtered to frozen deliveries
-// and its span clamped to the latest surviving service (the discarded
-// future readers re-enter the pool, where the copy remains available as a
-// free extension source). Pre-placed copies keep their planned span.
+// its frozen readers: its span is clamped to the latest of them (the
+// discarded future readers re-enter the pool, where the copy remains
+// available as a free extension source). Pre-placed copies keep their
+// planned span.
 //
 // The prefix is handed on by reference. A committed schedule is never
 // modified once installed, and nothing downstream writes through a frozen
 // prefix (ivs.ScheduleFile copies what it extends), so the frozen
-// deliveries are the committed slice itself, capped at the split, and a
-// residency that loses no reader is shared as it stands; only a residency
-// whose readers are torn up gets a record and a service list of its own.
+// deliveries are the committed slice itself, capped at the split, and so are
+// the frozen residencies unless one is clamped: only a copy read at or after
+// the horizon is, and then the residencies are copied.
 func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileSchedule, []workload.Request, error) {
 	fd := 0
 	for fd < len(fs.Deliveries) && fs.Deliveries[fd].Start < horizon {
@@ -440,54 +440,38 @@ func splitFile(fs *schedule.FileSchedule, horizon simtime.Time) (*schedule.FileS
 		}
 	}
 
-	for i, d := range fs.Deliveries[:fd] {
-		if d.SourceResidency != schedule.NoResidency && d.SourceResidency >= fr {
-			return nil, nil, fmt.Errorf("video %d frozen delivery %d draws from un-frozen residency %d",
-				fs.Video, i, d.SourceResidency)
-		}
-	}
 	pre := &schedule.FileSchedule{
 		Video:       fs.Video,
 		Deliveries:  fs.Deliveries[:fd:fd],
 		Residencies: fs.Residencies[:fr:fr],
 	}
-	shared := true // pre.Residencies is still the committed array
-	for j := 0; j < fr; j++ {
-		c := fs.Residencies[j]
+	// A copy held into the horizon falls back to its load and is pushed out
+	// again by its frozen readers. No other copy moves: every reader starts
+	// inside its copy's span.
+	var clamped []schedule.Residency
+	for j, c := range pre.Residencies {
 		if c.FedBy != schedule.PrePlacedFeed && c.FedBy >= fd {
 			return nil, nil, fmt.Errorf("video %d frozen residency %d fed by un-frozen delivery %d",
 				fs.Video, j, c.FedBy)
 		}
-		keep := 0
-		last := c.Load
-		for _, di := range c.Services {
-			if di >= fd {
-				continue // future reader: torn up and re-planned
+		if c.FedBy != schedule.PrePlacedFeed && c.LastService >= horizon {
+			if clamped == nil {
+				clamped = slices.Clone(pre.Residencies)
 			}
-			keep++
-			if fs.Deliveries[di].Start > last {
-				last = fs.Deliveries[di].Start
-			}
+			clamped[j].LastService = c.Load
 		}
-		if c.FedBy == schedule.PrePlacedFeed {
-			last = c.LastService
+	}
+	for i, d := range pre.Deliveries {
+		switch sr := d.SourceResidency; {
+		case sr == schedule.NoResidency:
+		case sr >= fr:
+			return nil, nil, fmt.Errorf("video %d frozen delivery %d draws from un-frozen residency %d", fs.Video, i, sr)
+		case clamped != nil:
+			clamped[sr].LastService = simtime.Max(clamped[sr].LastService, d.Start)
 		}
-		if keep == len(c.Services) && last == c.LastService {
-			continue // loses nothing: shared
-		}
-		kept := make([]int, 0, keep)
-		for _, di := range c.Services {
-			if di < fd {
-				kept = append(kept, di)
-			}
-		}
-		c.Services = kept
-		c.LastService = last
-		if shared {
-			pre.Residencies = slices.Clone(pre.Residencies)
-			shared = false
-		}
-		pre.Residencies[j] = c
+	}
+	if clamped != nil {
+		pre.Residencies = clamped
 	}
 
 	var replan []workload.Request

@@ -106,12 +106,13 @@ func snapshotFrozen(s *schedule.Schedule, h simtime.Time) frozenSnapshot {
 		}
 		var cs []schedule.Residency
 		var svs [][]int
-		for _, c := range fs.Residencies {
+		readers := fs.Readers()
+		for j, c := range fs.Residencies {
 			if c.Load >= h {
 				break
 			}
 			var kept []int
-			for _, di := range c.Services {
+			for _, di := range readers[j] {
 				if di < len(ds) {
 					kept = append(kept, di)
 				}
@@ -150,6 +151,7 @@ func checkFrozenPreserved(t *testing.T, snap frozenSnapshot, s *schedule.Schedul
 			}
 		}
 		cs := snap.residencies[vid]
+		readers := fs.Readers()
 		if len(fs.Residencies) < len(cs) {
 			t.Fatalf("video %d: %d frozen residencies but only %d committed", vid, len(cs), len(fs.Residencies))
 		}
@@ -170,8 +172,8 @@ func checkFrozenPreserved(t *testing.T, snap frozenSnapshot, s *schedule.Schedul
 			if got.FedBy != schedule.PrePlacedFeed && got.LastService < lo {
 				t.Errorf("video %d: frozen residency %d span shrank below its frozen readers: %v < %v", vid, j, got.LastService, lo)
 			}
-			have := make(map[int]bool, len(got.Services))
-			for _, di := range got.Services {
+			have := make(map[int]bool, len(readers[j]))
+			for _, di := range readers[j] {
 				have[di] = true
 			}
 			for _, di := range snap.services[vid][j] {

@@ -79,7 +79,9 @@ func TestStateSurvivesItsEncoding(t *testing.T) {
 // The snapshot payload, the plan bodies and the replication snapshot are
 // written by hand and read by encoding/json, so the struct tags stay the
 // format's definition: Schedule.AppendJSON, Set.AppendJSON and
-// state.appendJSON must each equal json.Marshal byte for byte. The corners
+// state.appendJSON must each equal json.Marshal byte for byte — of the
+// schedule's and the state's mirrors (testutil.Wire, wireState), which carry
+// the service lists a scan of every delivery finds. The corners
 // are the ones encoding/json treats specially — nil against empty slices and
 // maps, a nil file, map keys whose decimal order is not their numeric order,
 // the negative sentinels, floats at the edges of exponent form — and a seeded
@@ -90,8 +92,8 @@ func TestStateBytesEqualMarshal(t *testing.T) {
 		v    any
 		want int
 	}{
-		{state{}, 9}, {schedule.Schedule{}, 1}, {schedule.FileSchedule{}, 3},
-		{schedule.Delivery{}, 5}, {schedule.Residency{}, 7}, {workload.Request{}, 3},
+		{state{}, 9}, {wireState{}, 9}, {schedule.Schedule{}, 1}, {schedule.FileSchedule{}, 3},
+		{schedule.Delivery{}, 5}, {schedule.Residency{}, 6}, {workload.Request{}, 3},
 	} {
 		if n := reflect.TypeOf(tc.v).NumField(); n != tc.want {
 			t.Fatalf("%T has %d fields; its appender and this sweep know %d", tc.v, n, tc.want)
@@ -172,7 +174,7 @@ func TestStateBytesEqualMarshal(t *testing.T) {
 		for i := range fs.Residencies {
 			fs.Residencies[i] = schedule.Residency{
 				Video: media.VideoID(integer()), Loc: topology.NodeID(integer()), Src: topology.NodeID(integer()),
-				Load: simtime.Time(integer()), LastService: simtime.Time(integer()), FedBy: int(integer()), Services: ints(),
+				Load: simtime.Time(integer()), LastService: simtime.Time(integer()), FedBy: int(integer()),
 			}
 		}
 		return fs
@@ -206,9 +208,9 @@ func TestStateBytesEqualMarshal(t *testing.T) {
 			v      any
 			append func([]byte) ([]byte, error)
 		}{
-			{"Schedule.AppendJSON", st.Committed, func(b []byte) ([]byte, error) { return st.Committed.AppendJSON(b), nil }},
+			{"Schedule.AppendJSON", testutil.Wire(st.Committed), func(b []byte) ([]byte, error) { return st.Committed.AppendJSON(b), nil }},
 			{"Set.AppendJSON", st.Accepted, func(b []byte) ([]byte, error) { return st.Accepted.AppendJSON(b), nil }},
-			{"state.appendJSON", st, st.appendJSON},
+			{"state.appendJSON", wire(st), st.appendJSON},
 		} {
 			want, err := json.Marshal(enc.v)
 			if err != nil {

@@ -154,6 +154,8 @@ type scratch struct {
 	// and on tentative open, it halves the SpanCost work in the candidate
 	// loop.
 	oldCosts []units.Money
+	// readers[j] counts the run's deliveries drawing from res[j] (prune).
+	readers []int
 	// remap is prune's old-to-new index map, -1 for a dropped residency.
 	remap []int
 	// pre and last are the set of (node, load) keys in res, maintained
@@ -198,11 +200,9 @@ func takeScratch() *scratch {
 	return sc
 }
 
-// release hands the scratch back. Only res holds pointers (its copies'
-// Services, which results own), and only the part this run used can hold
-// any, so that is all it clears.
+// release hands the scratch back, its residencies dropped for the next run
+// to start from. The scratch holds no pointers, so nothing needs clearing.
 func (sc *scratch) release() {
-	clear(sc.res)
 	sc.res = sc.res[:0]
 	scratchPool.Lock()
 	if len(scratchPool.free) < maxPooledScratch {
@@ -227,7 +227,7 @@ const maxPooledFiles = 1024
 // not a schedule that holds it, not a caller that kept one of its slices. A
 // later rejective run of the same video (Options.Ledger set) builds its
 // result in the file's storage, overwriting it. Only the record arrays are
-// reused; what their records point to (routes, service lists) is not written.
+// reused; what their records point to (routes) is not written.
 // A nil file is ignored.
 func Recycle(fs *schedule.FileSchedule) {
 	if fs == nil {
@@ -261,9 +261,11 @@ func takeFile(video media.VideoID) *schedule.FileSchedule {
 	return fs
 }
 
-// index builds the key set and the span-cost cache of the residencies the
-// run starts with.
+// index builds the key set, the span-cost cache and the zeroed reader
+// counts of the residencies the run starts with.
 func (sc *scratch) index(m *cost.Model, v media.Video, nodes int) {
+	sc.readers = slices.Grow(sc.readers[:0], len(sc.res))[:len(sc.res)]
+	clear(sc.readers)
 	sc.pre, sc.oldCosts = sc.pre[:0], sc.oldCosts[:0]
 	for j := range sc.res {
 		c := &sc.res[j]
@@ -289,8 +291,6 @@ func (sc *scratch) holds(k copyKey) bool {
 // order (the paper numbers users by service start time). The returned
 // schedule is pruned: every residency serves at least one delivery. It owns
 // its record arrays, sized exactly unless it was built in a recycled file.
-// A frozen residency no new delivery reads keeps the prefix's service list,
-// capped so that nothing appends into it.
 func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, opts Options) (*schedule.FileSchedule, error) {
 	topo := m.Book().Topology()
 	v := m.Catalog().Video(video)
@@ -330,16 +330,13 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		// The prefix is copied once into the result — the only copy of it an
 		// epoch close keeps (DESIGN.md §7). A frozen delivery keeps sharing
 		// its Route (routes are immutable: writers Clone or replace,
-		// DESIGN.md §5), and a frozen residency its Services, capped at their
-		// length so that the greedy's first append to them reallocates.
+		// DESIGN.md §5).
 		fs.Deliveries = append(room(dead.Deliveries, recycled, len(pre.Deliveries)+len(ordered)), pre.Deliveries...)
 		sc.res = append(sc.res, pre.Residencies...)
 		opts.frozenRes = len(sc.res)
-		for j := range sc.res {
-			c := &sc.res[j]
-			c.Services = c.Services[:len(c.Services):len(c.Services)]
-			if opts.Ledger != nil {
-				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, *c)
+		if opts.Ledger != nil {
+			for j, c := range sc.res {
+				opts.Ledger.Add(occupancy.Ref{Video: video, Index: j}, c)
 			}
 		}
 	} else if len(ordered) > 0 {
@@ -352,7 +349,6 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		if seed.FedBy != schedule.PrePlacedFeed {
 			return nil, fmt.Errorf("ivs: seed at node %d is not marked pre-placed", seed.Loc)
 		}
-		seed.Services = nil
 		sc.res = append(sc.res, seed)
 		if opts.Ledger != nil {
 			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(sc.res) - 1}, seed)
@@ -470,7 +466,7 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 
 	if bestRes != schedule.NoResidency {
 		c := &sc.res[bestRes]
-		c.Services = append(c.Services, di)
+		sc.readers[bestRes]++
 		if r.Start > c.LastService {
 			c.LastService = r.Start
 			sc.oldCosts[bestRes] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
@@ -521,6 +517,7 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 		}
 		sc.res = append(sc.res, cand)
 		sc.oldCosts = append(sc.oldCosts, 0) // zero span: SpanCost is exactly 0
+		sc.readers = append(sc.readers, 0)
 		sc.last[node] = lastTentative{load: d.Start, ok: true}
 		// The ledger is deliberately NOT told about the tentative: a
 		// zero-span copy peaks at γ=0 and occupies nothing, so registering
@@ -561,7 +558,7 @@ func (sc *scratch) prune(fs *schedule.FileSchedule, dead []schedule.Residency, r
 	kept := 0
 	for j := range sc.res {
 		c := &sc.res[j]
-		if j >= frozen && len(c.Services) == 0 && c.FedBy != schedule.PrePlacedFeed {
+		if j >= frozen && sc.readers[j] == 0 && c.FedBy != schedule.PrePlacedFeed {
 			sc.remap[j] = -1
 			continue
 		}

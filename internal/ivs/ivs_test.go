@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/cost"
@@ -74,8 +72,8 @@ func TestGreedyBeatsPaperS2(t *testing.T) {
 	if c2.Load != simtime.Time(90*simtime.Minute) || c2.LastService != simtime.Time(180*simtime.Minute) {
 		t.Errorf("IS2 window [%v, %v]", c2.Load, c2.LastService)
 	}
-	if len(c1.Services) != 1 || len(c2.Services) != 1 {
-		t.Errorf("service lists: %v, %v", c1.Services, c2.Services)
+	if readers := fs.Readers(); len(readers[0]) != 1 || len(readers[1]) != 1 {
+		t.Errorf("service lists: %v", readers)
 	}
 }
 
@@ -144,8 +142,8 @@ func TestGreedySchedulesAreValid(t *testing.T) {
 		}
 		s.Put(fs)
 		// Pruned: every residency serves someone.
-		for _, c := range fs.Residencies {
-			if len(c.Services) == 0 {
+		for _, readers := range fs.Readers() {
+			if len(readers) == 0 {
 				t.Errorf("video %d: unpruned tentative residency", vid)
 			}
 		}
@@ -510,11 +508,11 @@ func TestSeedHandling(t *testing.T) {
 	}
 	// Seed survives pruning and serves all three requests.
 	seedFound := false
-	for _, c := range fs.Residencies {
+	for j, c := range fs.Residencies {
 		if c.FedBy == schedule.PrePlacedFeed {
 			seedFound = true
-			if len(c.Services) != 3 {
-				t.Errorf("seed services = %v, want all three requests", c.Services)
+			if readers := fs.Readers()[j]; len(readers) != 3 {
+				t.Errorf("seed services = %v, want all three requests", readers)
 			}
 		}
 	}
@@ -537,14 +535,10 @@ func TestSeedHandling(t *testing.T) {
 
 // TestFrozenPrefixUnmodified pins what ScheduleFile may share with a frozen
 // prefix: it copies the prefix's records once and keeps the deliveries'
-// routes and the residencies' Services, capped at their length, so a run
-// that extends a frozen copy — appending to its Services, moving its
+// routes, so a run that extends a frozen copy — a new reader, a later
 // LastService — must leave the prefix it was handed byte for byte as it
-// was, with and without a ledger, carry the frozen records through at their
-// indices, and hold a Services array in common with the prefix only where
-// no new delivery reads the copy (SORP evaluates a file's candidates from
-// one prefix concurrently, and an append into shared spare capacity would be
-// theirs to race on).
+// was, with and without a ledger, and carry the frozen records through at
+// their indices.
 func TestFrozenPrefixUnmodified(t *testing.T) {
 	f, err := testutil.NewFig2()
 	if err != nil {
@@ -553,12 +547,6 @@ func TestFrozenPrefixUnmodified(t *testing.T) {
 	frozen, err := ScheduleFile(f.Model, 0, f.Requests[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for j := range frozen.Residencies {
-		// Spare capacity, as an append-grown slice has: appending through a
-		// shared header would land in it instead of reallocating.
-		c := &frozen.Residencies[j]
-		c.Services = append(make([]int, 0, 8), c.Services...)
 	}
 	before, err := json.Marshal(frozen)
 	if err != nil {
@@ -570,18 +558,14 @@ func TestFrozenPrefixUnmodified(t *testing.T) {
 			t.Fatal(err)
 		}
 		extended := false
+		was, now := frozen.Readers(), fs.Readers()
 		for j, c := range frozen.Residencies {
 			got := fs.Residencies[j]
-			if got.Loc != c.Loc || got.Load != c.Load || got.LastService < c.LastService || len(got.Services) < len(c.Services) {
-				t.Fatalf("frozen residency %d came through as %+v, was %+v", j, got, c)
+			if got.Loc != c.Loc || got.Load != c.Load || got.LastService < c.LastService ||
+				len(now[j]) < len(was[j]) || !slices.Equal(now[j][:len(was[j])], was[j]) {
+				t.Fatalf("frozen residency %d came through as %+v read by %v, was %+v read by %v", j, got, now[j], c, was[j])
 			}
-			shared := len(c.Services) > 0 && &got.Services[0] == &c.Services[0]
-			if untouched := len(got.Services) == len(c.Services); shared != untouched || cap(got.Services) < len(c.Services) ||
-				untouched && cap(got.Services) != len(got.Services) {
-				t.Errorf("frozen residency %d: %d of the prefix's %d services (cap %d), shared %v",
-					j, len(got.Services), len(c.Services), cap(got.Services), shared)
-			}
-			extended = extended || (got.LastService > c.LastService && len(got.Services) > len(c.Services))
+			extended = extended || (got.LastService > c.LastService && len(now[j]) > len(was[j]))
 		}
 		if !extended {
 			t.Fatalf("fixture bug: the late request extended no frozen copy: %+v", fs.Residencies)
@@ -596,76 +580,5 @@ func TestFrozenPrefixUnmodified(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Errorf("ScheduleFile wrote through its frozen prefix (ledger %v):\nbefore %s\nafter  %s", ledger != nil, before, after)
 		}
-	}
-}
-
-// SORP evaluates one file from one prefix on several workers at once, and
-// the results share the prefix's service lists. Rejective runs from four
-// goroutines (under -race in CI), each adding a video's last request to a
-// prefix holding all the others, their results handed back for the next
-// runs to be built in, must leave the prefixes' JSON as it was, and each
-// result must share the array of every frozen list that gained no reader
-// and own the array of every list that gained one.
-func TestFrozenServiceListsShareThePrefix(t *testing.T) {
-	rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.15), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.2, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byVideo := reqs.ByVideo()
-	prefixes := make(map[media.VideoID]*schedule.FileSchedule)
-	for _, vid := range reqs.Videos() {
-		rs := byVideo[vid]
-		if prefixes[vid], err = ScheduleFile(rig.Model, vid, rs[:len(rs)-1], Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := json.Marshal(prefixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shared, own atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				for _, vid := range reqs.Videos() {
-					rs, pre := byVideo[vid], prefixes[vid]
-					fs, err := ScheduleFile(rig.Model, vid, rs[len(rs)-1:], Options{Frozen: pre, Ledger: occupancy.NewLedger(rig.Topo, rig.Catalog)})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for j, c := range pre.Residencies {
-						got := fs.Residencies[j].Services
-						same := len(c.Services) > 0 && &got[0] == &c.Services[0]
-						if untouched := len(got) == len(c.Services); same != untouched {
-							t.Errorf("video %d frozen residency %d: %d of the prefix's %d services, shared %v", vid, j, len(got), len(c.Services), same)
-						} else if same {
-							shared.Add(1)
-						} else {
-							own.Add(1)
-						}
-					}
-					Recycle(fs)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	after, err := json.Marshal(prefixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("concurrent runs wrote through their frozen prefixes")
-	}
-	if shared.Load() == 0 || own.Load() == 0 {
-		t.Fatalf("fixture bug: %d frozen lists shared, %d gained a reader; the runs must produce both", shared.Load(), own.Load())
 	}
 }

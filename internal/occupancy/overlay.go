@@ -110,7 +110,6 @@ func (l *Ledger) Release() {
 	}
 	for n := range l.nodes {
 		st := &l.nodes[n]
-		clear(st.entries)
 		*st = nodeState{entries: st.entries[:0], events: st.events[:0]}
 	}
 	*l = Ledger{nodes: l.nodes}

@@ -214,7 +214,6 @@ func (s *searcher) replay() (*schedule.FileSchedule, error) {
 		})
 		if srcRes != schedule.NoResidency {
 			c := &fs.Residencies[srcRes]
-			c.Services = append(c.Services, di)
 			if r.Start > c.LastService {
 				c.LastService = r.Start
 			}
@@ -252,10 +251,11 @@ func (s *searcher) replay() (*schedule.FileSchedule, error) {
 
 // pruneUnused removes residencies without services, as ivs does.
 func pruneUnused(fs *schedule.FileSchedule) {
+	readers := fs.Readers()
 	remap := make([]int, len(fs.Residencies))
 	kept := fs.Residencies[:0]
 	for j := range fs.Residencies {
-		if len(fs.Residencies[j].Services) == 0 {
+		if len(readers[j]) == 0 {
 			remap[j] = -1
 			continue
 		}

@@ -201,9 +201,10 @@ func TestStaticReplicationBeatsNoCaching(t *testing.T) {
 	// Seeds actually serve requests in this mode.
 	served := 0
 	for _, fs := range static.Schedule.Files {
-		for _, c := range fs.Residencies {
+		readers := fs.Readers()
+		for j, c := range fs.Residencies {
 			if c.FedBy == schedule.PrePlacedFeed {
-				served += len(c.Services)
+				served += len(readers[j])
 			}
 		}
 	}

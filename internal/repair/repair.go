@@ -227,9 +227,16 @@ func skeleton(s *schedule.Schedule, imp *faults.Impact) (*schedule.Schedule, []w
 			nf.Deliveries = append(nf.Deliveries, d)
 		}
 
-		// Keep residencies whose data survives, dropping services that
-		// were missed and truncating spans accordingly. resMap remaps old
-		// residency indices.
+		// Keep residencies whose data survives, truncating spans to the
+		// latest surviving reader. resMap remaps old residency indices.
+		readers := make([]int, len(fs.Residencies))
+		lastRead := make([]simtime.Time, len(fs.Residencies))
+		for di, d := range fs.Deliveries {
+			if sr := d.SourceResidency; sr != schedule.NoResidency && delMap[di] != -1 {
+				readers[sr]++
+				lastRead[sr] = max(lastRead[sr], d.Start)
+			}
+		}
 		resMap := make([]int, len(fs.Residencies))
 		for j, c := range fs.Residencies {
 			resMap[j] = -1
@@ -241,29 +248,17 @@ func skeleton(s *schedule.Schedule, imp *faults.Impact) (*schedule.Schedule, []w
 			if !preplaced && delMap[c.FedBy] == -1 {
 				continue // feed never flows; nothing to keep
 			}
-			var kept []int
-			last := c.Load
-			for _, di := range c.Services {
-				if delMap[di] == -1 {
-					continue
-				}
-				kept = append(kept, delMap[di])
-				if fs.Deliveries[di].Start > last {
-					last = fs.Deliveries[di].Start
-				}
-			}
 			if preplaced {
 				// A standing copy's span is planned infrastructure: keep
 				// it (served or not), truncated to the death instant if
 				// the scenario kills it.
 				c.LastService = min(c.LastService, lastOr(ri, c.LastService))
 			} else {
-				if len(kept) == 0 {
+				if readers[j] == 0 {
 					continue // no surviving reader; drop like prune would
 				}
-				c.LastService = last
+				c.LastService = max(c.Load, lastRead[j])
 			}
-			c.Services = kept
 			if !preplaced {
 				c.FedBy = delMap[c.FedBy]
 			}
@@ -292,13 +287,6 @@ func lastOr(ri faults.ResidencyImpact, fallback simtime.Time) simtime.Time {
 		return ri.DeadAt
 	}
 	return fallback
-}
-
-func min(a, b simtime.Time) simtime.Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // resource serves one knocked-out request from the cheapest surviving
@@ -393,7 +381,6 @@ func resource(m *cost.Model, repaired *schedule.Schedule, ledger *occupancy.Ledg
 		return "no surviving source: warehouse unavailable and no reachable cached copy", false
 	}
 
-	di := len(fs.Deliveries)
 	fs.Deliveries = append(fs.Deliveries, schedule.Delivery{
 		Video: r.Video, User: r.User, Start: r.Start,
 		Route: best.route, SourceResidency: best.resj,
@@ -402,7 +389,6 @@ func resource(m *cost.Model, repaired *schedule.Schedule, ledger *occupancy.Ledg
 		res.FromVW++
 	} else {
 		c := &fs.Residencies[best.resj]
-		c.Services = append(c.Services, di)
 		if c.FedBy != schedule.PrePlacedFeed && r.Start > c.LastService {
 			c.LastService = r.Start
 		}

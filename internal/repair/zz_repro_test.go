@@ -38,7 +38,7 @@ func TestCascadeDeadCopyAsRepairSource(t *testing.T) {
 	})
 	fs.Residencies = append(fs.Residencies, schedule.Residency{
 		Video: 0, Loc: tr.is1, Src: tr.vw, Load: 0, LastService: minutes(90),
-		FedBy: 0, Services: []int{1, 2},
+		FedBy: 0,
 	})
 	s.Put(fs)
 

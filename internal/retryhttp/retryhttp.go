@@ -164,15 +164,15 @@ func retryAfter(resp *http.Response, fallback, max time.Duration) time.Duration 
 	if h == "" {
 		return jitter(fallback)
 	}
-	secs, err := strconv.Atoi(h)
+	secs, err := strconv.ParseInt(h, 10, 64)
 	if err != nil || secs < 0 {
 		return jitter(fallback)
 	}
-	d := time.Duration(secs) * time.Second
-	if d > max {
+	// Capped in seconds, before the conversion can overflow.
+	if time.Duration(secs) > max/time.Second {
 		return max
 	}
-	return d
+	return time.Duration(secs) * time.Second
 }
 
 func sleep(ctx context.Context, d time.Duration) error {

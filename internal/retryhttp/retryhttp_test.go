@@ -88,28 +88,37 @@ func TestExhaustionReturnsLastStatus(t *testing.T) {
 }
 
 // A server-supplied Retry-After longer than MaxDelay is capped: the
-// client backs off, but never for longer than its own ceiling.
+// client backs off, but never for longer than its own ceiling — nor for
+// less, however many seconds the header names.
 func TestRetryAfterIsCapped(t *testing.T) {
-	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "3600")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
+	for _, header := range []string{"3600", "10000000000"} {
+		t.Run(header, func(t *testing.T) {
+			var hits atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if hits.Add(1) == 1 {
+					w.Header().Set("Retry-After", header)
+					w.WriteHeader(http.StatusTooManyRequests)
+					return
+				}
+				w.Write([]byte(`{}`))
+			}))
+			defer ts.Close()
 
-	start := time.Now()
-	if err := retryhttp.GetJSON(context.Background(), fastOpts(), ts.URL, nil); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("waited %v; Retry-After was not capped at MaxDelay", elapsed)
-	}
-	if hits.Load() != 2 {
-		t.Fatalf("%d attempts, want 2", hits.Load())
+			opts := fastOpts()
+			opts.MaxDelay = 200 * time.Millisecond
+			start := time.Now()
+			if err := retryhttp.GetJSON(context.Background(), opts, ts.URL, nil); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("waited %v; Retry-After was not capped at MaxDelay", elapsed)
+			} else if elapsed < opts.MaxDelay {
+				t.Fatalf("waited %v; Retry-After %s should have held the retry back for MaxDelay %v", elapsed, header, opts.MaxDelay)
+			}
+			if hits.Load() != 2 {
+				t.Fatalf("%d attempts, want 2", hits.Load())
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -12,10 +14,12 @@ import (
 // extended slice. A schedule is encoded at every snapshot and for every plan
 // a shard or the gateway serves, at the size of the shard's history, so the
 // caller chooses the buffer: one it keeps, or one sized from the last
-// encoding. encoding/json stays the decoder, so the struct tags remain the
-// format's definition and this its writer: fields in declaration order, file
-// keys ordered as their decimal strings (video 10 before video 2), nil slices
-// and maps as null, a nil file as null.
+// encoding. The struct tags are the format's definition and this its writer:
+// fields in declaration order, file keys ordered as their decimal strings
+// (video 10 before video 2), nil slices and maps as null, a nil file as null.
+// A residency's "services", which the types do not store, are the deliveries
+// drawing from it in ascending order, built in one buffer sized by the largest
+// file; an empty list is null for a pre-placed copy.
 func (s *Schedule) AppendJSON(dst []byte) []byte {
 	if s == nil {
 		return append(dst, "null"...)
@@ -24,15 +28,57 @@ func (s *Schedule) AppendJSON(dst []byte) []byte {
 	if s.Files == nil {
 		return append(dst, "null}"...)
 	}
+	n := 0
+	for _, fs := range s.Files {
+		if fs != nil {
+			n = max(n, readersLen(fs))
+		}
+	}
+	buf := make([]int, n)
 	dst = append(dst, '{')
 	for i, vid := range keyOrder(s.Files) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(strconv.AppendInt(append(dst, '"'), int64(vid), 10), `":`...)
-		dst = s.Files[vid].appendJSON(dst)
+		dst = s.Files[vid].appendJSON(dst, buf)
 	}
 	return append(dst, "}}"...)
+}
+
+// MarshalJSON is AppendJSON's encoding of one file, so that encoding/json
+// writes a schedule as AppendJSON does.
+func (fs FileSchedule) MarshalJSON() ([]byte, error) { return fs.appendJSON(nil, nil), nil }
+
+// UnmarshalJSON decodes a file as AppendJSON writes it. A residency's
+// service list is the encoding's claim about who reads the copy: it is
+// refused unless it names, in any order and once each, exactly the deliveries
+// drawing from the copy, and then dropped.
+func (fs *FileSchedule) UnmarshalJSON(b []byte) error {
+	var w struct {
+		Video       media.VideoID `json:"video"`
+		Deliveries  []Delivery    `json:"deliveries"`
+		Residencies []struct {
+			Residency
+			Services []int `json:"services"`
+		} `json:"residencies"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*fs = FileSchedule{Video: w.Video, Deliveries: w.Deliveries}
+	if w.Residencies != nil {
+		fs.Residencies = make([]Residency, len(w.Residencies))
+	}
+	at, idx := fs.readers(nil)
+	for j, c := range w.Residencies {
+		fs.Residencies[j] = c.Residency
+		slices.Sort(c.Services)
+		if readers := idx[at[j]:at[j+1]]; !slices.Equal(c.Services, readers) {
+			return fmt.Errorf("schedule: video %d residency %d lists services %v, but deliveries %v draw from it", w.Video, j, c.Services, readers)
+		}
+	}
+	return nil
 }
 
 // keyOrder returns the map's keys in the order encoding/json writes them: by
@@ -49,14 +95,18 @@ func keyOrder(files map[media.VideoID]*FileSchedule) []media.VideoID {
 	return keys
 }
 
-func (fs *FileSchedule) appendJSON(dst []byte) []byte {
+func (fs *FileSchedule) appendJSON(dst []byte, buf []int) []byte {
 	if fs == nil {
 		return append(dst, "null"...)
 	}
 	dst = strconv.AppendInt(append(dst, `{"video":`...), int64(fs.Video), 10)
 	dst = appendList(append(dst, `,"deliveries":`...), fs.Deliveries, (*Delivery).appendJSON)
-	dst = appendList(append(dst, `,"residencies":`...), fs.Residencies, (*Residency).appendJSON)
-	return append(dst, '}')
+	at, idx := fs.readers(buf)
+	j := 0
+	return append(appendList(append(dst, `,"residencies":`...), fs.Residencies, func(c *Residency, dst []byte) []byte {
+		j++
+		return c.appendJSON(dst, idx[at[j-1]:at[j]])
+	}), '}')
 }
 
 func (d *Delivery) appendJSON(dst []byte) []byte {
@@ -68,14 +118,17 @@ func (d *Delivery) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-func (c *Residency) appendJSON(dst []byte) []byte {
+func (c *Residency) appendJSON(dst []byte, services []int) []byte {
+	if len(services) == 0 && c.FedBy == PrePlacedFeed {
+		services = nil
+	}
 	dst = strconv.AppendInt(append(dst, `{"video":`...), int64(c.Video), 10)
 	dst = strconv.AppendInt(append(dst, `,"loc":`...), int64(c.Loc), 10)
 	dst = strconv.AppendInt(append(dst, `,"src":`...), int64(c.Src), 10)
 	dst = strconv.AppendInt(append(dst, `,"load":`...), int64(c.Load), 10)
 	dst = strconv.AppendInt(append(dst, `,"last_service":`...), int64(c.LastService), 10)
 	dst = strconv.AppendInt(append(dst, `,"fed_by":`...), int64(c.FedBy), 10)
-	dst = appendList(append(dst, `,"services":`...), c.Services, appendInt)
+	dst = appendList(append(dst, `,"services":`...), services, appendInt)
 	return append(dst, '}')
 }
 

@@ -15,7 +15,9 @@
 //     an on-going delivery stream. A residency records the caching interval
 //     [Load, LastService] — Load is when the copy starts being written,
 //     LastService is the start time of the last service reading from it —
-//     plus the feeding delivery and the deliveries it supplies.
+//     plus the feeding delivery. The deliveries it supplies, the paper's
+//     service list, are those whose SourceResidency names it: AppendJSON
+//     writes the list and decoding checks it.
 package schedule
 
 import (
@@ -68,7 +70,6 @@ type Residency struct {
 	Load        simtime.Time    `json:"load"`         // t_s: copy starts being written
 	LastService simtime.Time    `json:"last_service"` // t_f: start of the last service
 	FedBy       int             `json:"fed_by"`       // delivery index writing the copy
-	Services    []int           `json:"services"`     // delivery indices reading the copy
 }
 
 // Span returns the caching interval length Δ = LastService − Load.
@@ -136,13 +137,53 @@ func (fs *FileSchedule) Clone() *FileSchedule {
 		d.Route = d.Route.Clone()
 		out.Deliveries[i] = d
 	}
-	out.Residencies = make([]Residency, len(fs.Residencies))
-	for i, c := range fs.Residencies {
-		c.Services = append([]int(nil), c.Services...)
-		out.Residencies[i] = c
+	out.Residencies = append(make([]Residency, 0, len(fs.Residencies)), fs.Residencies...)
+	return out
+}
+
+// Readers returns each residency's service list: the ascending indices of the
+// deliveries whose SourceResidency names it.
+func (fs *FileSchedule) Readers() [][]int {
+	at, idx := fs.readers(nil)
+	out := make([][]int, len(fs.Residencies))
+	for j := range out {
+		out[j] = idx[at[j]:at[j+1]:at[j+1]]
 	}
 	return out
 }
+
+// readers groups the deliveries by the residency they draw from, in one
+// counting pass: residency j's readers, ascending, are idx[at[j]:at[j+1]]. Both
+// are carved out of buf when it holds readersLen(fs) ints, out of a new array
+// otherwise.
+func (fs *FileSchedule) readers(buf []int) (at, idx []int) {
+	nr, n := len(fs.Residencies), readersLen(fs)
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	at, idx = buf[:nr+2], buf[nr+2:n]
+	clear(at)
+	for _, d := range fs.Deliveries {
+		if sr := d.SourceResidency; sr >= 0 && sr < nr {
+			at[sr+2]++
+		}
+	}
+	// Summed, at[j+1] is where residency j's readers start. Written at it as
+	// a cursor, they move it on to where they end, which is where residency
+	// j+1's start: at[j] then holds residency j's start.
+	for j := 2; j < nr+2; j++ {
+		at[j] += at[j-1]
+	}
+	for di, d := range fs.Deliveries {
+		if sr := d.SourceResidency; sr >= 0 && sr < nr {
+			idx[at[sr+1]] = di
+			at[sr+1]++
+		}
+	}
+	return at[:nr+1], idx
+}
+
+func readersLen(fs *FileSchedule) int { return len(fs.Residencies) + 2 + len(fs.Deliveries) }
 
 // Schedule is the global service schedule S: the union of per-file
 // schedules (paper §2.3).
@@ -216,7 +257,7 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 // and a schedule that passes may be indexed by the IDs it holds; one that
 // fails must not be handed to the ledger, the simulator or billing.
 func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Catalog) error {
-	var idx readerIndex
+	var last []simtime.Time
 	for vid, fs := range s.Files {
 		if fs == nil {
 			return fmt.Errorf("schedule: file map key %d holds no schedule", vid)
@@ -227,7 +268,7 @@ func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Cat
 		if int(vid) < 0 || int(vid) >= catalog.Len() {
 			return fmt.Errorf("schedule: unknown video %d", vid)
 		}
-		if err := validateFile(topo, fs, &idx); err != nil {
+		if err := validateFile(topo, fs, &last); err != nil {
 			return err
 		}
 	}
@@ -283,28 +324,17 @@ func (c *Coverage) Serves(s *Schedule, requests workload.Set) error {
 	return nil
 }
 
-// readerIndex is validateFile's account of who reads which copy, one per
-// Validate and reset from file to file: per residency the number of
-// deliveries drawing from it, per delivery whether the service list of the
-// residency it draws from has named it.
-type readerIndex struct {
-	readers []int
-	listed  []bool
-}
-
-func (x *readerIndex) reset(fs *FileSchedule) {
-	x.readers = slices.Grow(x.readers[:0], len(fs.Residencies))[:len(fs.Residencies)]
-	x.listed = slices.Grow(x.listed[:0], len(fs.Deliveries))[:len(fs.Deliveries)]
-	clear(x.readers)
-	clear(x.listed)
-}
-
 func hasNode(topo *topology.Topology, n topology.NodeID) bool {
 	return int(n) >= 0 && int(n) < topo.NumNodes()
 }
 
-func validateFile(topo *topology.Topology, fs *FileSchedule, idx *readerIndex) error {
-	idx.reset(fs)
+// validateFile checks one file. last, refilled from file to file, holds each
+// residency's latest reader start, its Load when it has none.
+func validateFile(topo *topology.Topology, fs *FileSchedule, last *[]simtime.Time) error {
+	*last = (*last)[:0]
+	for _, c := range fs.Residencies {
+		*last = append(*last, c.Load)
+	}
 	for i, d := range fs.Deliveries {
 		if d.Video != fs.Video {
 			return fmt.Errorf("schedule: delivery %d of file %d names video %d", i, fs.Video, d.Video)
@@ -347,7 +377,7 @@ func validateFile(topo *topology.Topology, fs *FileSchedule, idx *readerIndex) e
 				return fmt.Errorf("schedule: delivery %d at %v outside residency window [%v, %v]",
 					i, d.Start, c.Load, c.LastService)
 			}
-			idx.readers[d.SourceResidency]++
+			(*last)[d.SourceResidency] = simtime.Max((*last)[d.SourceResidency], d.Start)
 		}
 	}
 	for j, c := range fs.Residencies {
@@ -360,8 +390,8 @@ func validateFile(topo *topology.Topology, fs *FileSchedule, idx *readerIndex) e
 		if c.Load > c.LastService {
 			return fmt.Errorf("schedule: residency %d has Load %v after LastService %v", j, c.Load, c.LastService)
 		}
-		prePlaced := c.FedBy == PrePlacedFeed
-		if prePlaced {
+		if c.FedBy == PrePlacedFeed {
+			// Its span is planned; its readers were checked to start inside it.
 			if c.Src != topo.Warehouse() {
 				return fmt.Errorf("schedule: pre-placed residency %d must be sourced at the warehouse", j)
 			}
@@ -389,46 +419,8 @@ func validateFile(topo *topology.Topology, fs *FileSchedule, idx *readerIndex) e
 			if !onRoute {
 				return fmt.Errorf("schedule: residency %d at node %d is not on its feed's route %v", j, c.Loc, feed.Route)
 			}
-		}
-		// The service list must be exactly the deliveries drawing from this
-		// copy. For stream-fed copies LastService must equal the latest
-		// service start (or Load when the copy serves nothing beyond its
-		// own feed); a pre-placed copy's span is planned, so services only
-		// need to fall inside it.
-		last := c.Load
-		for _, di := range c.Services {
-			if di < 0 || di >= len(fs.Deliveries) {
-				return fmt.Errorf("schedule: residency %d lists unknown service %d", j, di)
-			}
-			// Only the residency a delivery draws from gets to mark it, so a
-			// marked reader of this copy was named by this list already.
-			src := fs.Deliveries[di].SourceResidency
-			if src == j && idx.listed[di] {
-				return fmt.Errorf("schedule: residency %d lists service %d twice", j, di)
-			}
-			if src != j {
-				return fmt.Errorf("schedule: residency %d lists service %d which draws from %d", j, di, src)
-			}
-			idx.listed[di] = true
-			if fs.Deliveries[di].Start > last {
-				last = fs.Deliveries[di].Start
-			}
-		}
-		if prePlaced {
-			if last > c.LastService {
-				return fmt.Errorf("schedule: pre-placed residency %d serves at %v beyond its span end %v", j, last, c.LastService)
-			}
-		} else if last != c.LastService {
-			return fmt.Errorf("schedule: residency %d LastService %v, but latest service starts at %v", j, c.LastService, last)
-		}
-		// The list holds distinct readers of this copy; if it is as long as
-		// the copy's reader count it holds them all, and only otherwise is
-		// the missing one looked for.
-		if len(c.Services) != idx.readers[j] {
-			for di, d := range fs.Deliveries {
-				if d.SourceResidency == j && !idx.listed[di] {
-					return fmt.Errorf("schedule: delivery %d draws from residency %d but is not in its service list", di, j)
-				}
+			if (*last)[j] != c.LastService {
+				return fmt.Errorf("schedule: residency %d LastService %v, but latest service starts at %v", j, c.LastService, (*last)[j])
 			}
 		}
 	}

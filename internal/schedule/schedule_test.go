@@ -1,6 +1,9 @@
 package schedule
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +55,7 @@ func validSchedule(topo *topology.Topology) (*Schedule, workload.Set) {
 		{Video: 0, User: 2, Start: 10800, Route: routing.Route{is1, is2}, SourceResidency: 0},
 	}
 	fs.Residencies = []Residency{
-		{Video: 0, Loc: is1, Src: vw, Load: 0, LastService: 10800, FedBy: 0, Services: []int{1, 2}},
+		{Video: 0, Loc: is1, Src: vw, Load: 0, LastService: 10800, FedBy: 0},
 	}
 	s := New()
 	s.Put(fs)
@@ -67,101 +70,132 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// withServices returns the encoding blob with the service list of its j-th
+// residency record replaced by list.
+func withServices(blob []byte, j int, list string) []byte {
+	key := []byte(`"services":`)
+	at := 0
+	for ; j >= 0; j-- {
+		at += bytes.Index(blob[at:], key) + len(key)
+	}
+	end := at + bytes.IndexByte(blob[at:], '}')
+	return slices.Concat(blob[:at], []byte(list), blob[end:])
+}
+
+// decodeValidate takes s the way a schedule from outside the process comes
+// in: encoded, residency 0's service list replaced by services unless that is
+// empty, decoded, and validated.
+func decodeValidate(topo *topology.Topology, cat *media.Catalog, s *Schedule, services string, reqs workload.Set) error {
+	blob := s.AppendJSON(nil)
+	if services != "" {
+		blob = withServices(blob, 0, services)
+	}
+	var in *Schedule
+	if err := json.Unmarshal(blob, &in); err != nil {
+		return err
+	}
+	return in.Validate(topo, cat, reqs)
+}
+
+// Every mutation is made to a schedule that then comes in from outside: an
+// inconsistent service list is refused by the decoder, everything else by
+// Validate.
 func TestValidateRejections(t *testing.T) {
 	topo, cat := fixture(t)
 	vw := topology.NodeID(0)
 	is1 := topology.NodeID(1)
 
 	mutations := []struct {
-		name string
-		mut  func(s *Schedule, reqs *workload.Set)
-		want string
+		name     string
+		mut      func(s *Schedule, reqs *workload.Set)
+		want     string
+		services string // residency 0's list as it comes in, when not its readers
 	}{
 		{"unserved request", func(s *Schedule, reqs *workload.Set) {
 			*reqs = append(*reqs, workload.Request{User: 0, Video: 1, Start: 99})
-		}, "not served"},
+		}, "not served", ""},
 		{"spurious delivery", func(s *Schedule, reqs *workload.Set) {
 			fs := s.File(0)
 			fs.Deliveries = append(fs.Deliveries, Delivery{
 				Video: 0, User: 0, Start: 7777, Route: routing.Route{vw, is1}, SourceResidency: NoResidency,
 			})
-		}, "matches no request"},
+		}, "matches no request", ""},
 		{"empty route", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[0].Route = nil
-		}, "empty route"},
+		}, "empty route", ""},
 		{"negative start", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[0].Start = -5
 			(*reqs)[0].Start = -5
-		}, "negative time"},
+		}, "negative time", ""},
 		{"non-adjacent hop", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[0].Route = routing.Route{vw, topology.NodeID(2)}
-		}, "not a link"},
+		}, "not a link", ""},
 		{"wrong destination", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[1].Route = routing.Route{is1}
-		}, "local to"},
+		}, "local to", ""},
 		{"warehouse-claim from storage", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[1].SourceResidency = NoResidency
-		}, "warehouse supply"},
+		}, "warehouse supply", ""},
 		{"residency index out of range", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[1].SourceResidency = 5
-		}, "references residency"},
+		}, "references residency", ""},
 		{"service before load", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].Load = 10
 			s.File(0).Deliveries[0].Start = 10
 			(*reqs)[0].Start = 10
 			s.File(0).Deliveries[1].Start = 5
 			(*reqs)[1].Start = 5
-		}, "outside residency window"},
+		}, "outside residency window", ""},
 		{"load after last service", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].Load = 99999
-		}, ""},
+		}, "", ""},
 		{"residency at warehouse", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].Loc = vw
-		}, ""},
+		}, "", ""},
 		{"bad feed index", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].FedBy = 9
-		}, "fed by"},
+		}, "fed by", ""},
 		{"feed start mismatch", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].FedBy = 1
-		}, ""},
+		}, "", ""},
 		{"off-route residency", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].Loc = topology.NodeID(2)
-		}, ""},
+		}, "", ""},
 		{"stale last service", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Residencies[0].LastService = 20000
-		}, ""},
-		{"orphan service claim", func(s *Schedule, reqs *workload.Set) {
-			s.File(0).Residencies[0].Services = []int{1}
-			// delivery 2 still points at residency 0 but is unlisted.
-		}, ""},
-		{"duplicate service entry", func(s *Schedule, reqs *workload.Set) {
-			s.File(0).Residencies[0].Services = []int{1, 1, 2}
-		}, "twice"},
+		}, "", ""},
+		// Delivery 2 still points at residency 0 but is unlisted.
+		{"orphan service claim", func(s *Schedule, reqs *workload.Set) {}, "residency 0 lists services [1], but deliveries [1 2] draw from it", "[1]"},
+		{"duplicate service entry", func(s *Schedule, reqs *workload.Set) {}, "residency 0 lists services [1 1 2], but deliveries [1 2] draw from it", "[1,1,2]"},
 		{"service list references foreign delivery", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[1].SourceResidency = NoResidency
 			s.File(0).Deliveries[1].Route = routing.Route{vw, is1, topology.NodeID(2)}
-		}, ""},
+		}, "residency 0 lists services [1 2], but deliveries [2] draw from it", "[1,2]"},
+		{"reader lost, span kept", func(s *Schedule, reqs *workload.Set) {
+			s.File(0).Deliveries[2].SourceResidency = NoResidency
+			s.File(0).Deliveries[2].Route = routing.Route{vw, is1, topology.NodeID(2)}
+		}, "residency 0 LastService 03:00:00, but latest service starts at 01:30:00", ""},
 		// What only a decoder can produce: Validate must answer, not index.
 		{"nil file", func(s *Schedule, reqs *workload.Set) {
 			s.Files[1] = nil
-		}, "holds no schedule"},
+		}, "holds no schedule", ""},
 		{"route from a node past the topology", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[0].Route = routing.Route{9999, is1}
-		}, "unknown node 9999"},
+		}, "unknown node 9999", ""},
 		{"route from a negative node", func(s *Schedule, reqs *workload.Set) {
 			s.File(0).Deliveries[0].Route = routing.Route{-3, is1}
-		}, "unknown node -3"},
+		}, "unknown node -3", ""},
 		{"reader-less residency at a node past the topology", func(s *Schedule, reqs *workload.Set) {
 			fs := s.File(0)
 			fs.Residencies = append(fs.Residencies,
 				Residency{Video: 0, Loc: 9999, Src: is1, Load: 5400, LastService: 5400, FedBy: 1})
-		}, "non-storage node 9999"},
+		}, "non-storage node 9999", ""},
 	}
 	for _, mcase := range mutations {
 		t.Run(mcase.name, func(t *testing.T) {
 			s, reqs := validSchedule(topo)
 			mcase.mut(s, &reqs)
-			err := s.Validate(topo, cat, reqs)
+			err := decodeValidate(topo, cat, s, mcase.services, reqs)
 			if err == nil {
 				t.Fatal("expected validation error")
 			}
@@ -194,56 +228,74 @@ func TestValidateHalves(t *testing.T) {
 	}
 }
 
-// The reader checks share one index per file (validateFile): these pin the
-// message and the order of each branch that reads it. twoCopies adds a
-// second copy at IS2, fed by delivery 1 and read by nobody.
+// Who reads a copy is checked at two doors: decoding refuses a service list
+// that is not exactly the deliveries drawing from the copy, and
+// ValidateStructure a span that does not end at the latest of them, working
+// in one memory per file. These pin the message of each refusal. twoCopies
+// adds a second copy at IS2, fed by delivery 1 and read by nobody; the lists
+// are residency 0's and 1's as they come in.
 func TestValidateReaderIndex(t *testing.T) {
 	topo, cat := fixture(t)
-	is1, is2 := topology.NodeID(1), topology.NodeID(2)
+	vw, is1, is2 := topology.NodeID(0), topology.NodeID(1), topology.NodeID(2)
 	twoCopies := func(s *Schedule) {
 		fs := s.File(0)
 		fs.Residencies = append(fs.Residencies,
 			Residency{Video: 0, Loc: is2, Src: is1, Load: 5400, LastService: 5400, FedBy: 1})
 	}
 	cases := []struct {
-		name string
-		mut  func(s *Schedule)
-		want string
+		name  string
+		mut   func(s *Schedule)
+		lists []string
+		want  string
 	}{
-		{"unlisted reader, span intact", func(s *Schedule) {
-			s.File(0).Residencies[0].Services = []int{2}
-		}, "delivery 1 draws from residency 0 but is not in its service list"},
+		{"unlisted reader, span intact", nil, []string{"[2]"},
+			"residency 0 lists services [2], but deliveries [1 2] draw from it"},
 		{"unlisted reader behind a stale span reports the span", func(s *Schedule) {
-			s.File(0).Residencies[0].Services = []int{1}
-		}, "residency 0 LastService 03:00:00, but latest service starts at 01:30:00"},
-		{"duplicate after a distinct entry", func(s *Schedule) {
-			s.File(0).Residencies[0].Services = []int{1, 2, 2}
-		}, "residency 0 lists service 2 twice"},
-		{"second copy claims the first copy's reader", func(s *Schedule) {
-			twoCopies(s)
-			s.File(0).Residencies[1].Services = []int{1}
-		}, "residency 1 lists service 1 which draws from 0"},
-		{"reader listed by the wrong copy only", func(s *Schedule) {
-			twoCopies(s)
-			s.File(0).Residencies[0].Services = []int{2}
-			s.File(0).Residencies[1].Services = []int{1}
-		}, "delivery 1 draws from residency 0 but is not in its service list"},
-		{"claiming a warehouse-fed delivery", func(s *Schedule) {
-			s.File(0).Residencies[0].Services = []int{0, 1, 2}
-		}, "residency 0 lists service 0 which draws from -1"},
+			s.File(0).Deliveries[2].SourceResidency = NoResidency
+			s.File(0).Deliveries[2].Route = routing.Route{vw, is1, is2}
+		}, []string{"[1]"}, "residency 0 LastService 03:00:00, but latest service starts at 01:30:00"},
+		{"duplicate after a distinct entry", nil, []string{"[1,2,2]"}, "residency 0 lists services [1 2 2], but deliveries [1 2] draw from it"},
+		{"second copy claims the first copy's reader", twoCopies, []string{"[1,2]", "[1]"},
+			"residency 1 lists services [1], but deliveries [] draw from it"},
+		{"reader listed by the wrong copy only", twoCopies, []string{"[2]", "[1]"},
+			"residency 0 lists services [2], but deliveries [1 2] draw from it"},
+		{"claiming a warehouse-fed delivery", nil, []string{"[0,1,2]"}, "residency 0 lists services [0 1 2], but deliveries [1 2] draw from it"},
+		{"unknown service", nil, []string{"[1,2,3]"}, "residency 0 lists services [1 2 3], but deliveries [1 2] draw from it"},
+		{"negative service", nil, []string{"[-1,1,2]"}, "residency 0 lists services [-1 1 2], but deliveries [1 2] draw from it"},
+		{"unlisted last reader", nil, []string{"[1]"}, "residency 0 lists services [1], but deliveries [1 2] draw from it"},
+		// Any order of the readers comes in, and an empty list null or [].
+		{"readers out of order", twoCopies, []string{"[2,1]", "[]"}, ""},
+		{"reader-less copy listed null", twoCopies, []string{"[1,2]", "null"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, reqs := validSchedule(topo)
-			tc.mut(s)
-			err := s.Validate(topo, cat, reqs)
-			if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
-				t.Fatalf("Validate = %v, want ... %s", err, tc.want)
+			if tc.mut != nil {
+				tc.mut(s)
+			}
+			blob := s.AppendJSON(nil)
+			for j, l := range tc.lists {
+				blob = withServices(blob, j, l)
+			}
+			var in *Schedule
+			err := json.Unmarshal(blob, &in)
+			if err == nil {
+				err = in.Validate(topo, cat, reqs)
+			}
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("%s: %v", blob, err)
+				}
+				if got, want := in.AppendJSON(nil), s.AppendJSON(nil); !bytes.Equal(got, want) {
+					t.Fatalf("%s comes in, and encodes as\n%s, not\n%s", blob, got, want)
+				}
+			} else if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("%s: decode and Validate = %v, want ... %s", blob, err, tc.want)
 			}
 		})
 	}
 
-	// A second file is checked on the same index, reset in between.
+	// A second file is checked in the same memory, refilled in between.
 	s, reqs := validSchedule(topo)
 	twoCopies(s)
 	other := s.File(0).Clone()
@@ -260,7 +312,7 @@ func TestValidateReaderIndex(t *testing.T) {
 		reqs = append(reqs, r)
 	}
 	if err := s.Validate(topo, cat, reqs); err != nil {
-		t.Fatalf("two files on one index: %v", err)
+		t.Fatalf("two files in one memory: %v", err)
 	}
 }
 
@@ -354,15 +406,30 @@ func TestCloneIndependence(t *testing.T) {
 	s, _ := validSchedule(topo)
 	c := s.Clone()
 	c.File(0).Deliveries[0].Start = 999
-	c.File(0).Residencies[0].Services[0] = 99
+	c.File(0).Residencies[0].Load = 99
 	c.File(0).Deliveries[0].Route[0] = 99
 	if s.File(0).Deliveries[0].Start == 999 {
 		t.Error("Clone shares deliveries")
 	}
-	if s.File(0).Residencies[0].Services[0] == 99 {
-		t.Error("Clone shares service lists")
+	if s.File(0).Residencies[0].Load == 99 {
+		t.Error("Clone shares residencies")
 	}
 	if s.File(0).Deliveries[0].Route[0] == 99 {
 		t.Error("Clone shares routes")
+	}
+}
+
+// Readers is the service list the encoding carries, one per residency; a
+// delivery drawing from a residency that does not exist reads none.
+func TestReaders(t *testing.T) {
+	topo, _ := fixture(t)
+	s, _ := validSchedule(topo)
+	fs := s.File(0)
+	fs.Residencies = append(fs.Residencies,
+		Residency{Video: 0, Loc: 2, Src: 1, Load: 5400, LastService: 5400, FedBy: 1})
+	fs.Deliveries = append(fs.Deliveries, Delivery{Video: 0, User: 1, Start: 10800, Route: routing.Route{2}, SourceResidency: 9})
+	got := fs.Readers()
+	if len(got) != 2 || !slices.Equal(got[0], []int{1, 2}) || len(got[1]) != 0 {
+		t.Fatalf("Readers = %v, want [[1 2] []]", got)
 	}
 }

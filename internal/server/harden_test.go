@@ -272,7 +272,7 @@ func TestDeadlineIsOnTheRoutesThatCanStop(t *testing.T) {
 // the fuzz target also treats as a failure — handlers should reject, not
 // blow up). Every schedule the input or the reply decodes to must encode by
 // Schedule.AppendJSON, the writer of plans and snapshots, exactly as
-// json.Marshal encodes it.
+// json.Marshal encodes its mirror, testutil.Wire.
 func FuzzScheduleDecode(f *testing.F) {
 	fig, err := testutil.NewFig2()
 	if err != nil {
@@ -288,12 +288,12 @@ func FuzzScheduleDecode(f *testing.F) {
 	f.Add([]byte(`{"files":{"10":{"video":10,"deliveries":[{"route":[0,1],"source_residency":-1}],"residencies":[]},"2":null,"-1":{"residencies":[{"fed_by":-1,"services":null}]}}}`))
 	f.Add([]byte(`{"files":null}`))
 	sameBytes := func(t *testing.T, what string, sched *schedule.Schedule) {
-		want, err := json.Marshal(sched)
+		want, err := json.Marshal(testutil.Wire(sched))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sched.AppendJSON(nil); !bytes.Equal(got, want) {
-			t.Fatalf("%s decodes to a schedule that encodes differently:\nAppendJSON   %s\njson.Marshal %s", what, got, want)
+			t.Fatalf("%s decodes to a schedule that encodes differently:\nAppendJSON   %s\nits mirror   %s", what, got, want)
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

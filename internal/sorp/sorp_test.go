@@ -432,10 +432,10 @@ func TestResolveWithImmovableSeeds(t *testing.T) {
 	// The seed survived and still serves video 0.
 	fs0 := res.Schedule.File(0)
 	foundSeed := false
-	for _, c := range fs0.Residencies {
+	for j, c := range fs0.Residencies {
 		if c.FedBy == schedule.PrePlacedFeed {
 			foundSeed = true
-			if len(c.Services) == 0 {
+			if len(fs0.Readers()[j]) == 0 {
 				t.Error("seed lost its services during resolution")
 			}
 		}

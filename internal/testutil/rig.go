@@ -1,9 +1,10 @@
 // Package testutil is the rig package: it builds the environments tests,
 // benchmarks and the experiment harness run on — the paper's Fig. 2 worked
 // example, whose published dollar figures pin down the whole cost model, and
-// the §5.1 evaluation setup at any scale. It imports the model and workload
-// packages only, so a core package's tests build a rig without compiling the
-// rest of the lab (layers_test.go).
+// the §5.1 evaluation setup at any scale — and the schedule encoding's mirror
+// (WireSchedule) the encoder and decoder are tested against. It imports the
+// model, workload and schedule packages only, so a core package's tests build
+// a rig without compiling the rest of the lab (layers_test.go).
 //
 // Calibration notes (recorded per the reproduction rules):
 //

@@ -191,7 +191,7 @@ func TestExecuteContinuityViolation(t *testing.T) {
 		{Video: 0, User: f.Topo.UsersAt(f.IS2)[0], Start: 1000, Route: r2, SourceResidency: 0},
 	}
 	fs.Residencies = []schedule.Residency{
-		{Video: 0, Loc: f.IS1, Src: f.VW, Load: 5000, LastService: 6000, FedBy: 0, Services: []int{1}},
+		{Video: 0, Loc: f.IS1, Src: f.VW, Load: 5000, LastService: 6000, FedBy: 0},
 	}
 	s := schedule.New()
 	s.Put(fs)
