@@ -51,7 +51,6 @@ import (
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/wal"
 )
@@ -83,14 +82,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vspserve: -topo and -catalog are required")
 		os.Exit(1)
 	}
-	nodeRole, err := replica.ParseRole(*role)
+	nodeRole, err := server.ParseRole(*role)
 	if err != nil {
 		log.Fatalf("vspserve: %v", err)
 	}
-	if nodeRole == replica.RolePrimary && *replFrom != "" {
+	if nodeRole == server.RolePrimary && *replFrom != "" {
 		// Not an error worth dying over, but worth being explicit about:
 		// shipping another node's WAL makes this node a follower.
-		nodeRole = replica.RoleFollower
+		nodeRole = server.RoleFollower
 		log.Printf("vspserve: -replicate-from set; running as follower of %s", *replFrom)
 	}
 	fsyncPolicy, err := wal.ParseFsyncPolicy(*fsync)

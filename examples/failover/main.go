@@ -137,7 +137,7 @@ func main() {
 
 	fmt.Println("\nwaiting for the standby to catch up...")
 	for {
-		var ready server.ReadyResponse
+		var ready api.ReadyResponse
 		if err := retryhttp.GetJSON(ctx, retry, standbyURL+"/readyz", &ready); err == nil && ready.Ready {
 			fmt.Printf("  standby ready: applied seq %d, lag %d\n",
 				ready.Status.AppliedSeq, ready.Status.Lag)

@@ -1,8 +1,8 @@
 // Package api is the shard protocol: every HTTP body a vspserve shard
 // produces and the gateway, the load harness or a client reads. It declares
 // bodies and nothing else, so a reader of the wire links no solver, journal
-// or server. The producers — server, horizon, sorp, replica — fill these
-// types in directly.
+// or server. The producers — server, horizon, sorp — fill these types in
+// directly.
 package api
 
 import (
@@ -102,6 +102,52 @@ type PromoteResponse struct {
 	AppliedSeq       uint64 `json:"applied_seq"`
 	SourceFenced     bool   `json:"source_fenced,omitempty"`
 	SourceFenceError string `json:"source_fence_error,omitempty"`
+}
+
+// FenceRequest is the POST /v1/replication/fence body.
+type FenceRequest struct {
+	Epoch uint64 `json:"epoch"`
+}
+
+// FenceResponse is the POST /v1/replication/fence reply.
+type FenceResponse struct {
+	Fenced bool   `json:"fenced"`
+	Epoch  uint64 `json:"epoch"`
+}
+
+// Batch is the GET /v1/replication/wal reply: either the journal records
+// after the requested sequence, or — when compaction has folded those into
+// a snapshot — the full state at SnapshotSeq.
+type Batch struct {
+	// LeaderEpoch is the primary's leadership epoch; the follower adopts
+	// it so a later promotion supersedes it correctly.
+	LeaderEpoch uint64 `json:"leader_epoch"`
+	// LastSeq is the primary's latest journaled sequence.
+	LastSeq uint64 `json:"last_seq"`
+	// Records are the journal records after the requested sequence, in
+	// order. Empty when the follower is caught up or a snapshot is sent.
+	Records []Record `json:"records,omitempty"`
+	// Snapshot, when non-empty, is the full-state payload at SnapshotSeq,
+	// the layout a snapshot file holds.
+	Snapshot    []byte `json:"snapshot,omitempty"`
+	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
+}
+
+// Record is one shipped journal record.
+type Record struct {
+	Seq uint64 `json:"seq"`
+	// CRC is the record's WAL checksum (CRC-32 IEEE over seq + payload),
+	// which the follower checks before it applies the record.
+	CRC uint32 `json:"crc"`
+	// Payload is the journaled operation (base64 in JSON transit).
+	Payload []byte `json:"payload"`
+}
+
+// ReadyResponse is the GET /readyz body.
+type ReadyResponse struct {
+	Ready  bool              `json:"ready"`
+	Reason string            `json:"reason,omitempty"`
+	Status ReplicationStatus `json:"status"`
 }
 
 const (
@@ -329,8 +375,8 @@ type ReplicationStatus struct {
 	PrimaryLastSeq uint64 `json:"primary_last_seq,omitempty"`
 	Lag            uint64 `json:"lag"`
 	// Synced reports that at least one poll succeeded; CaughtUp that the
-	// latest successful poll left no lag. A follower is serviceable —
-	// promotable, and ready per /readyz — only when both hold.
+	// latest successful poll left no lag. A follower is ready per /readyz
+	// only while its shipper runs and both hold.
 	Synced   bool `json:"synced"`
 	CaughtUp bool `json:"caught_up"`
 	// SnapshotsInstalled counts full-state snapshot installs (vs record

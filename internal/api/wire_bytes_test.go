@@ -12,7 +12,7 @@ import (
 
 // goldenWork and goldenEpoch are the fixtures the golden bodies below were
 // encoded from, when these bodies were still declared in internal/server,
-// internal/horizon, internal/sorp and internal/replica.
+// internal/horizon, internal/sorp and a replication package of their own.
 var (
 	goldenWork  = Work{Iterations: 1, Evaluated: 2, Reused: 3, Rewindowed: 4}
 	goldenEpoch = EpochResult{Epoch: 1, Horizon: 3600, Admitted: 5, Replanned: 2, FrozenDeliveries: 3,
@@ -64,6 +64,18 @@ func TestWireBytesUnchanged(t *testing.T) {
 			`{"epoch":0,"horizon":60,"admitted":1,"replanned":0,"frozen_deliveries":0,"frozen_residencies":0,"overflows":0,"resolution":{"iterations":0,"evaluated":0,"reused":0,"rewindowed":0},"cost":0.5}`},
 		{"primary status", ReplicationStatus{Role: RolePrimary, Epoch: 1, AppliedSeq: 3, Synced: true, CaughtUp: true},
 			`{"role":"primary","epoch":1,"applied_seq":3,"lag":0,"synced":true,"caught_up":true,"records_applied":0,"snapshots_installed":0}`},
+		{"fence request", FenceRequest{Epoch: 3}, `{"epoch":3}`},
+		{"fence response", FenceResponse{Fenced: true, Epoch: 3}, `{"fenced":true,"epoch":3}`},
+		{"batch of records", Batch{LeaderEpoch: 2, LastSeq: 9, Records: []Record{{Seq: 8, CRC: 4022250974, Payload: []byte(`{"op":"submit"}`)}}},
+			`{"leader_epoch":2,"last_seq":9,"records":[{"seq":8,"crc":4022250974,"payload":"eyJvcCI6InN1Ym1pdCJ9"}]}`},
+		{"batch with a snapshot", Batch{LeaderEpoch: 2, LastSeq: 9, Snapshot: []byte(`{}`), SnapshotSeq: 9},
+			`{"leader_epoch":2,"last_seq":9,"snapshot":"e30=","snapshot_seq":9}`},
+		{"caught-up batch", Batch{LeaderEpoch: 1, LastSeq: 3}, `{"leader_epoch":1,"last_seq":3}`},
+		{"ready response", ReadyResponse{Ready: false, Reason: "replaying journal: 2 records behind",
+			Status: ReplicationStatus{Role: "follower", Epoch: 1, AppliedSeq: 1, Source: "http://a", PrimaryLastSeq: 3, Lag: 2, Synced: true, RecordsApplied: 1}},
+			`{"ready":false,"reason":"replaying journal: 2 records behind","status":{"role":"follower","epoch":1,"applied_seq":1,"source":"http://a","primary_last_seq":3,"lag":2,"synced":true,"caught_up":false,"records_applied":1,"snapshots_installed":0}}`},
+		{"ready response without reason", ReadyResponse{Ready: true, Status: ReplicationStatus{Role: RolePrimary, Epoch: 1, Synced: true, CaughtUp: true}},
+			`{"ready":true,"status":{"role":"primary","epoch":1,"applied_seq":0,"lag":0,"synced":true,"caught_up":true,"records_applied":0,"snapshots_installed":0}}`},
 	} {
 		got, err := json.Marshal(c.v)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 	"github.com/vodsim/vsp/internal/workload"
 )
 
-// The gateway failover property, in the style of internal/replica's
+// The gateway failover property, in the style of internal/server's
 // TestFailoverAtRecordBoundaries but with the whole tier in the loop:
 // kill one shard's primary at a record boundary mid-load, and the
 // gateway must promote that shard's standby on its own and finish the

@@ -17,7 +17,7 @@ import (
 // failoverWorthy reads a shard's own words: the 409 a really fenced server
 // writes, relayed as the StatusError forward sees, is failover-worthy, and the
 // 409 the same server writes for a late arrival is not. The needle is
-// replica.ErrStaleLeadership itself, so rewording that error cannot silently
+// server.ErrStaleLeadership itself, so rewording that error cannot silently
 // stop automated failover.
 func TestFailoverWorthyReadsTheFencedPrimarysOwnAnswer(t *testing.T) {
 	f, err := testutil.NewFig2()
@@ -53,7 +53,7 @@ func TestFailoverWorthyReadsTheFencedPrimarysOwnAnswer(t *testing.T) {
 		t.Fatalf("a late arrival's 409 is failover-worthy: %v", late)
 	}
 
-	if err := retryhttp.PostJSON(ctx, once, ts.URL+"/v1/replication/fence", server.FenceRequest{Epoch: 2}, nil); err != nil {
+	if err := retryhttp.PostJSON(ctx, once, ts.URL+"/v1/replication/fence", api.FenceRequest{Epoch: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fenced := reserve(); !failoverWorthy(fenced) {

@@ -1,7 +1,7 @@
 // Package gateway is the routing front end of the sharded intake tier:
 // it partitions the reservation stream across N independent horizon
 // shards (each one a primary + warm standby pair replicated by
-// internal/replica) while exposing the same intake surface as a single
+// internal/server) while exposing the same intake surface as a single
 // server —
 //
 //	POST /v1/reservations    place on a shard per the Placement policy

@@ -16,7 +16,6 @@ import (
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -315,7 +314,7 @@ func TestAdvanceBroadcastAndPlanMerge(t *testing.T) {
 func TestLateArrivalPassesThroughWithoutFailover(t *testing.T) {
 	r := testRig(t)
 	primaryURL, _, _ := startShard(t, r, server.Options{})
-	standbyURL, _, _ := startShard(t, r, server.Options{Role: replica.RoleFollower})
+	standbyURL, _, _ := startShard(t, r, server.Options{Role: server.RoleFollower})
 	_, base := startGateway(t, gateway.Config{
 		Shards: []gateway.ShardConfig{{ID: "s0", Primary: primaryURL, Standby: standbyURL}},
 		Retry:  fastRetry,
@@ -345,7 +344,7 @@ func waitReady(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		var ready server.ReadyResponse
+		var ready api.ReadyResponse
 		if err := retryhttp.GetJSON(context.Background(), fastRetry, base+"/readyz", &ready); err == nil && ready.Ready {
 			return
 		}
@@ -380,7 +379,7 @@ func TestFencedPrimaryAutoFailover(t *testing.T) {
 	waitReady(t, standbyURL)
 
 	if err := retryhttp.PostJSON(ctx, fastRetry, primaryURL+"/v1/replication/fence",
-		server.FenceRequest{Epoch: 2}, nil); err != nil {
+		api.FenceRequest{Epoch: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ack := submit(t, base, reqs[3]) // hits the fenced primary, fails over, retries

@@ -306,7 +306,7 @@ func TestGatewayPlanHitAcrossFailover(t *testing.T) {
 	waitCaughtUp(t, primaryURL, standbyURL)
 
 	if err := retryhttp.PostJSON(ctx, fastRetry, primaryURL+"/v1/replication/fence",
-		server.FenceRequest{Epoch: 2}, nil); err != nil {
+		api.FenceRequest{Epoch: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	late := reqs[len(reqs)-1]

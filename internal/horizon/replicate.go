@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -27,24 +28,6 @@ import (
 // journaled primary has a WAL to ship.
 var ErrNotDurable = errors.New("horizon: service has no journal (in-memory)")
 
-// ReplicationTail is one shipper round's worth of journal, assembled by
-// the primary. Either Records carries the journal records directly after
-// the requested sequence, or — when compaction has already folded those
-// records into a snapshot — Snapshot carries the full state at
-// SnapshotSeq and the follower installs it instead of replaying.
-type ReplicationTail struct {
-	// Records are journal records in sequence order, all with Seq greater
-	// than the requested resume point.
-	Records []wal.Record
-	// Snapshot, when non-nil, is the full-state payload at SnapshotSeq
-	// (the same state layout Recover loads from disk).
-	Snapshot    []byte
-	SnapshotSeq uint64
-	// LastSeq is the primary's latest journaled sequence, letting the
-	// follower compute its replication lag.
-	LastSeq uint64
-}
-
 // AppliedSeq returns the latest journal sequence this service has
 // durably applied: on a primary, the last sequence it journaled; on a
 // follower, the last replicated record it applied. Shipping resumes
@@ -55,22 +38,24 @@ func (s *Service) AppliedSeq() uint64 {
 	return s.lastSeq
 }
 
-// TailAfter assembles the replication records following the given
-// sequence, reading the journal back from disk under the service lock
-// (appends are serialized under the same lock, so the read observes
-// whole records only). maxRecords caps the batch; 0 means no cap. When
-// the journal has been compacted past after+1 the full live state is
-// returned as a snapshot instead — byte-identical to what a crash
-// recovery at this instant would reload.
-func (s *Service) TailAfter(after uint64, maxRecords int) (*ReplicationTail, error) {
+// TailAfter assembles the replication batch following the given sequence,
+// reading the journal back from disk under the service lock (appends are
+// serialized under the same lock, so the read observes whole records only):
+// either the records directly after it, each with its WAL checksum, or —
+// when compaction has already folded those records into a snapshot — the
+// full live state at the last sequence, byte-identical to what a crash
+// recovery at this instant would reload. maxRecords caps the records; 0
+// means no cap. LastSeq is the latest journaled sequence, which lets the
+// follower compute its lag; the caller sets LeaderEpoch.
+func (s *Service) TailAfter(after uint64, maxRecords int) (*api.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return nil, ErrNotDurable
 	}
-	tail := &ReplicationTail{LastSeq: s.lastSeq}
+	batch := &api.Batch{LastSeq: s.lastSeq}
 	if after >= s.lastSeq {
-		return tail, nil // follower is caught up
+		return batch, nil // follower is caught up
 	}
 	recs, _, err := wal.ReadLogAfter(filepath.Join(s.dir, LogName), after)
 	if err != nil {
@@ -83,15 +68,18 @@ func (s *Service) TailAfter(after uint64, maxRecords int) (*ReplicationTail, err
 		if err != nil {
 			return nil, fmt.Errorf("horizon: snapshot state: %w", err)
 		}
-		tail.Snapshot = blob
-		tail.SnapshotSeq = s.lastSeq
-		return tail, nil
+		batch.Snapshot = blob
+		batch.SnapshotSeq = s.lastSeq
+		return batch, nil
 	}
 	if maxRecords > 0 && len(recs) > maxRecords {
 		recs = recs[:maxRecords]
 	}
-	tail.Records = recs
-	return tail, nil
+	batch.Records = make([]api.Record, len(recs))
+	for i, rec := range recs {
+		batch.Records[i] = api.Record{Seq: rec.Seq, CRC: wal.Checksum(rec.Seq, rec.Payload), Payload: rec.Payload}
+	}
+	return batch, nil
 }
 
 // ApplyReplicated applies one shipped journal record. It returns

@@ -33,7 +33,7 @@ func shipAll(t *testing.T, primary, follower *horizon.Service) (records, snapsho
 			return records, snapshots
 		}
 		for _, rec := range tail.Records {
-			ok, err := follower.ApplyReplicated(ctx, rec)
+			ok, err := follower.ApplyReplicated(ctx, wal.Record{Seq: rec.Seq, Payload: rec.Payload})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestApplyReplicatedIdempotencyAndGaps(t *testing.T) {
 	ctx := context.Background()
 
 	// A gap — record 2 before record 1 — must be refused.
-	if _, err := follower.ApplyReplicated(ctx, tail.Records[1]); err == nil {
+	if _, err := follower.ApplyReplicated(ctx, wal.Record{Seq: tail.Records[1].Seq, Payload: tail.Records[1].Payload}); err == nil {
 		t.Fatal("gap accepted")
 	} else if !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap refusal does not name the gap: %v", err)
@@ -121,7 +121,8 @@ func TestApplyReplicatedIdempotencyAndGaps(t *testing.T) {
 
 	// Every record applied twice: the duplicate must report not-applied
 	// and leave the state identical.
-	for _, rec := range tail.Records {
+	for _, shipped := range tail.Records {
+		rec := wal.Record{Seq: shipped.Seq, Payload: shipped.Payload}
 		ok, err := follower.ApplyReplicated(ctx, rec)
 		if err != nil || !ok {
 			t.Fatalf("first apply of seq %d: ok=%v err=%v", rec.Seq, ok, err)

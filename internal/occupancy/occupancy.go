@@ -53,7 +53,7 @@
 // last copy, so the view writes its delta in place. Nothing else of an
 // evaluation outlives its round: the view, event slices included, goes back
 // to a process-wide free list for a later evaluation on any ledger to reuse
-// (Release), and a reused winner is committed from its file schedule
+// (Release), and a winner is committed from its file schedule
 // (CommitFile).
 package occupancy
 

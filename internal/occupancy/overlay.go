@@ -1,6 +1,6 @@
 // The overlay a candidate reschedule runs on (the base's state shared, the
 // view's own delta on top), the process-wide free list views return to, and
-// the two ways a result reaches the base.
+// the commit that takes a result to the base.
 
 package occupancy
 
@@ -24,7 +24,7 @@ import (
 // merges the base's prefix snapshot with that delta. A candidate evaluation therefore costs the size of the
 // candidate's own footprint, not the size of the ledger: nothing is copied
 // up front, the base's snapshots stay valid and are shared by every live
-// view, and only the winning view is applied back to the base (Commit).
+// view, and only the winner's file is applied back to the base (CommitFile).
 //
 // The view supports the rejective greedy's working set — Add, Update,
 // RemoveVideo, CanFitExcluding, SpaceAt — and panics on whole-profile
@@ -36,9 +36,9 @@ import (
 // OverlayWithout itself must be called sequentially (it builds the base's
 // snapshots in place), but the returned views may then be used
 // concurrently with each other and with base reads, provided the base is
-// not mutated while views are live. Committing one view mutates the base,
-// so it invalidates every other live view of the same base: drop them and
-// take fresh ones. A view serves one evaluation: once nothing will query
+// not mutated while views are live. Committing a result mutates the base,
+// so it invalidates every live view of the base: drop them and take fresh
+// ones. A view serves one evaluation: once nothing will query
 // it again its owner hands it back (Release), and a later OverlayWithout of
 // any base in the process reuses its storage, so nothing may hold on to a
 // view past that. What may be kept is the evaluation's result and, to tell
@@ -120,38 +120,16 @@ func (l *Ledger) Release() {
 	viewPool.Unlock()
 }
 
-// Commit applies an overlay view to its base in place — the masked video
-// is removed from the base and the view's own residencies are replayed on
-// top — and returns the base: the committed result of a winning candidate.
-// Only the nodes the reschedule touched advance their version, so every
-// other node keeps its prefix snapshot and memoized overflow walk. The
-// view itself, and every other live view of the same base, is invalid
-// afterwards. Only a live view — one taken from the base's current state
-// — can be committed; a result carried over from an earlier state of the
-// base has no view left and goes through CommitFile, which performs the
-// same per-node mutations in the same order.
-func (l *Ledger) Commit() *Ledger {
-	b := l.base
-	if b == nil {
-		panic("occupancy: Commit of a ledger that is not an overlay view")
-	}
-	b.RemoveVideo(l.masked)
-	for n := range l.nodes {
-		es := l.nodes[n].entries
-		for i := range es {
-			b.Add(es[i].ref, es[i].res)
-		}
-	}
-	return b
-}
-
 // CommitFile replaces the video's residencies in the ledger with the file
-// schedule's: the commit of a reschedule whose view is gone — a winner
-// reused from an earlier iteration (ProbeLog). A view ends its greedy
-// holding exactly fs.Residencies, registered per node in index order under
-// Ref{fs.Video, index}, so this performs the same per-node mutations in the
-// same order as that view's Commit would: entry order, event arrays,
-// version counters and the surviving prefix snapshots come out identical.
+// schedule's, in place: the commit of a winning reschedule, whether its view
+// is still live or gone — a winner reused from an earlier iteration
+// (ProbeLog). A view ends its greedy holding exactly fs.Residencies,
+// registered per node in index order under Ref{fs.Video, index}, so the
+// ledger ends holding what a copy of it with the video removed and the
+// view's residencies added would. Only the nodes whose profile the commit
+// changes advance their version, so every other node keeps its prefix
+// snapshot and memoized overflow walk. Every live
+// view of the ledger is invalid afterwards.
 func (l *Ledger) CommitFile(fs *schedule.FileSchedule) {
 	if l.base != nil {
 		panic("occupancy: CommitFile on an overlay view")

@@ -63,7 +63,7 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 			candCost := m.FileCost(cand)
 			if candCost < curCost-eps {
 				s.Put(cand)
-				ledger = tmp.Commit()
+				ledger.CommitFile(cand)
 				res.moved++
 				res.savings += curCost - candCost
 				improved = true

@@ -1,4 +1,4 @@
-package replica_test
+package server
 
 import (
 	"bytes"
@@ -15,9 +15,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
-	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
@@ -150,7 +148,7 @@ type faultRT struct {
 
 	mu   sync.Mutex
 	n    int
-	seen []replica.Record
+	seen []api.Record
 }
 
 func (f *faultRT) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -177,10 +175,10 @@ func (f *faultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	var batch replica.Batch
+	var batch api.Batch
 	if json.Unmarshal(body, &batch) == nil {
 		f.mu.Lock()
-		dup := append(append([]replica.Record(nil), f.seen...), batch.Records...)
+		dup := append(append([]api.Record(nil), f.seen...), batch.Records...)
 		f.seen = append(f.seen, batch.Records...)
 		if len(f.seen) > 8 {
 			f.seen = f.seen[len(f.seen)-8:]
@@ -197,27 +195,28 @@ func (f *faultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// status is the replication status a follower shipping with sh reports.
+func status(sh *Shipper) api.ReplicationStatus { return replStatus(sh.lead, sh.svc, sh) }
+
 // newFollower builds a durable follower service plus its shipper, with
 // the given transport fault mode against the primary at base.
-func newFollower(t *testing.T, r *testutil.Rig, cfg horizon.Config, base string, mode faultMode) (*horizon.Service, *replica.Shipper, *replica.Leadership) {
+func newFollower(t *testing.T, r *testutil.Rig, cfg horizon.Config, base string, mode faultMode) (*horizon.Service, *Shipper, *Leadership) {
 	t.Helper()
 	svc, err := horizon.Recover(t.TempDir(), r.Model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lead := replica.NewLeadership(replica.RoleFollower, 0)
+	lead := NewLeadership(RoleFollower, 0)
 	client := &http.Client{Transport: &faultRT{base: http.DefaultTransport, mode: mode}}
-	sh := replica.NewShipper(svc, lead, replica.ShipperConfig{
-		Source: base,
-		Retry:  retryhttp.Options{Client: client, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-	})
+	sh := NewShipper(svc, lead, base, 0)
+	sh.retry = retryhttp.Options{Client: client, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	return svc, sh, lead
 }
 
 func runFailover(t *testing.T, r *testutil.Rig, ops []op, boundary int, mode faultMode, want string) {
 	t.Helper()
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
-	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
+	primary, err := NewWithOptions(r.Model, Options{DataDir: t.TempDir(), Horizon: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func runFailover(t *testing.T, r *testutil.Rig, ops []op, boundary int, mode fau
 	if err := sh.Drain(context.Background()); err != nil {
 		t.Fatalf("drain at boundary %d: %v", boundary, err)
 	}
-	if st := sh.Status(); !st.Synced || !st.CaughtUp || st.Lag != 0 {
+	if st := status(sh); !st.Synced || !st.CaughtUp || st.Lag != 0 {
 		t.Fatalf("follower not caught up after drain: %+v", st)
 	}
 
@@ -317,7 +316,7 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 	want := referenceRun(t, r, ops)
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
 
-	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
+	primary, err := NewWithOptions(r.Model, Options{DataDir: t.TempDir(), Horizon: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +329,8 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lead := replica.NewLeadership(replica.RoleFollower, 0)
-	sh := replica.NewShipper(fsvc, lead, replica.ShipperConfig{Source: ts.URL})
+	lead := NewLeadership(RoleFollower, 0)
+	sh := NewShipper(fsvc, lead, ts.URL, 0)
 
 	// First half of the stream, then the follower process "restarts".
 	half := len(ops) / 2
@@ -361,10 +360,8 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 		t.Fatalf("restart lost applied seq: %d, want %d", re.AppliedSeq(), applied)
 	}
 	rec := &recordingRT{base: http.DefaultTransport}
-	sh2 := replica.NewShipper(re, replica.NewLeadership(replica.RoleFollower, 0), replica.ShipperConfig{
-		Source: ts.URL,
-		Retry:  retryhttp.Options{Client: &http.Client{Transport: rec}},
-	})
+	sh2 := NewShipper(re, NewLeadership(RoleFollower, 0), ts.URL, 0)
+	sh2.retry = retryhttp.Options{Client: &http.Client{Transport: rec}}
 	for _, o := range ops[half:] {
 		driveHTTP(t, ts.URL, o)
 	}
@@ -400,7 +397,7 @@ func TestDuplicateBatchDeliveryIdempotent(t *testing.T) {
 	}
 	ops := buildOps(r, 2)
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
-	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
+	primary, err := NewWithOptions(r.Model, Options{DataDir: t.TempDir(), Horizon: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +411,7 @@ func TestDuplicateBatchDeliveryIdempotent(t *testing.T) {
 	fsvc, sh, _ := newFollower(t, r, cfg, ts.URL, faultNone)
 	defer fsvc.Close()
 	ctx := context.Background()
-	var batch replica.Batch
+	var batch api.Batch
 	if err := retryhttp.GetJSON(ctx, retryhttp.Options{},
 		ts.URL+"/v1/replication/wal?after=0&epoch=0&max=0", &batch); err != nil {
 		t.Fatal(err)
@@ -435,7 +432,7 @@ func TestDuplicateBatchDeliveryIdempotent(t *testing.T) {
 	if got := fingerprint(t, fsvc); got != before {
 		t.Fatal("duplicate delivery mutated state")
 	}
-	if st := sh.Status(); st.RecordsApplied != uint64(len(ops)) {
+	if st := status(sh); st.RecordsApplied != uint64(len(ops)) {
 		t.Fatalf("RecordsApplied %d after duplicate delivery, want %d", st.RecordsApplied, len(ops))
 	}
 }
@@ -448,7 +445,7 @@ func TestShipperRefusesCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
-	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
+	primary, err := NewWithOptions(r.Model, Options{DataDir: t.TempDir(), Horizon: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +457,7 @@ func TestShipperRefusesCorruptRecord(t *testing.T) {
 	fsvc, sh, _ := newFollower(t, r, cfg, ts.URL, faultNone)
 	defer fsvc.Close()
 	ctx := context.Background()
-	var batch replica.Batch
+	var batch api.Batch
 	if err := retryhttp.GetJSON(ctx, retryhttp.Options{},
 		ts.URL+"/v1/replication/wal?after=0&epoch=0&max=0", &batch); err != nil {
 		t.Fatal(err)
@@ -481,7 +478,7 @@ func TestShippingFromInMemoryPrimaryFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary, err := server.NewWithOptions(r.Model, server.Options{})
+	primary, err := NewWithOptions(r.Model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

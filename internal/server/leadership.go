@@ -1,24 +1,4 @@
-// Package replica implements the replicated-intake tier: WAL shipping
-// from a serving primary to a warm standby, the follower-side applier
-// that feeds shipped records through the horizon service's deterministic
-// replay path, and the epoch-numbered leadership token that fences a
-// demoted primary so two nodes never both accept submits.
-//
-// Shipping is follower-driven: the shipper polls the primary's
-// replication endpoint, resuming from the follower's applied sequence,
-// verifies each record's CRC, and applies it (idempotently by sequence)
-// to the local service. Failover promotes a caught-up follower — after
-// re-applying the commit predicate to its committed schedule — and bumps
-// the leadership epoch; the old primary, fenced with the new epoch,
-// rejects all further intake with ErrStaleLeadership.
-//
-// Split-brain is out of scope by design: fencing is cooperative (the
-// old primary must be reachable to learn it was deposed). An
-// unreachable old primary keeps accepting submits until an operator or
-// load balancer cuts it off; preventing that without reachability needs
-// leases or quorum, which this tier deliberately does not implement.
-// DESIGN.md §12 records the non-goals.
-package replica
+package server
 
 import (
 	"errors"
@@ -58,7 +38,7 @@ func ParseRole(s string) (Role, error) {
 			return r, nil
 		}
 	}
-	return 0, fmt.Errorf("replica: unknown role %q (want primary or follower)", s)
+	return 0, fmt.Errorf("server: unknown role %q (want primary or follower)", s)
 }
 
 // ErrStaleLeadership rejects an operation made under a superseded
@@ -76,9 +56,10 @@ type Leadership struct {
 	epoch uint64
 }
 
-// NewLeadership returns a node's leadership state. A primary must start
-// at epoch >= 1; a follower conventionally starts at 0 and adopts the
-// primary's epoch from the replication stream.
+// NewLeadership returns a node's leadership state at the given epoch. A
+// primary given 0 starts at epoch 1, the first any node leads under; a
+// follower conventionally starts at 0 and adopts the primary's epoch from
+// the replication stream.
 func NewLeadership(role Role, epoch uint64) *Leadership {
 	if role == RolePrimary && epoch == 0 {
 		epoch = 1
@@ -152,7 +133,7 @@ func (l *Leadership) Promote() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.role == RolePrimary {
-		return 0, fmt.Errorf("replica: already primary at epoch %d", l.epoch)
+		return 0, fmt.Errorf("already primary at epoch %d", l.epoch)
 	}
 	l.epoch++
 	l.role = RolePrimary

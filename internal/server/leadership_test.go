@@ -1,4 +1,4 @@
-package replica
+package server
 
 import (
 	"errors"
@@ -101,21 +101,21 @@ func TestPromoteBumpsEpoch(t *testing.T) {
 	}
 }
 
-// Wire records carry the WAL checksum; Verify must catch any bit flip in
+// Wire records carry the WAL checksum; verifyRecord must catch any bit flip in
 // payload or sequence.
 func TestRecordVerify(t *testing.T) {
-	rec := FromWAL(wal.Record{Seq: 9, Payload: []byte("op")})
-	if err := rec.Verify(); err != nil {
+	rec := api.Record{Seq: 9, CRC: wal.Checksum(9, []byte("op")), Payload: []byte("op")}
+	if err := verifyRecord(rec); err != nil {
 		t.Fatal(err)
 	}
 	tampered := rec
 	tampered.Payload = []byte("oq")
-	if err := tampered.Verify(); err == nil {
+	if err := verifyRecord(tampered); err == nil {
 		t.Fatal("payload tampering passed verification")
 	}
 	tampered = rec
 	tampered.Seq = 10
-	if err := tampered.Verify(); err == nil {
+	if err := verifyRecord(tampered); err == nil {
 		t.Fatal("sequence tampering passed verification")
 	}
 }

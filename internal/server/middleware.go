@@ -7,7 +7,6 @@ import (
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/replica"
 )
 
 // Options tunes the hardening middleware around the API handlers.
@@ -46,15 +45,15 @@ type Options struct {
 	// Role is the node's serving role (default RolePrimary). Followers
 	// reject stateful intake with the stale-leadership error until
 	// promoted via POST /v1/replication/promote.
-	Role replica.Role
+	Role Role
 	// ReplicateFrom is a primary's base URL; setting it makes the node a
 	// follower that ships the primary's WAL into its own horizon service
 	// once StartReplication is called. Combine with DataDir so the
 	// applied position survives a follower restart.
 	ReplicateFrom string
 	// ReplicateEvery is the shipper's poll period when idle (0 =
-	// replica.DefaultInterval); a backlogged follower drains
-	// continuously regardless.
+	// DefaultReplicateEvery); a backlogged follower drains continuously
+	// regardless.
 	ReplicateEvery time.Duration
 	// ShardID labels this node's shard in a sharded intake tier; it is
 	// echoed in the /v1/stats shard block so a routing gateway can match
@@ -73,6 +72,8 @@ const (
 	DefaultMaxQueue = 256
 	// DefaultQueueWait is how long a queued request may wait for a slot.
 	DefaultQueueWait = time.Second
+	// DefaultReplicateEvery is a follower's idle poll period.
+	DefaultReplicateEvery = 250 * time.Millisecond
 )
 
 func (o Options) withDefaults() Options {
@@ -93,6 +94,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueWait <= 0 {
 		o.QueueWait = DefaultQueueWait
+	}
+	if o.ReplicateEvery <= 0 {
+		o.ReplicateEvery = DefaultReplicateEvery
 	}
 	return o
 }

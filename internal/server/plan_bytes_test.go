@@ -12,7 +12,6 @@ import (
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
@@ -211,7 +210,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	follower, err := NewWithOptions(r.Model, Options{Role: replica.RoleFollower})
+	follower, err := NewWithOptions(r.Model, Options{Role: RoleFollower})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 		t.Fatalf("fixture bug: TailAfter = %+v, %v; want five submits and an advance", tail, err)
 	}
 	for _, rec := range tail.Records {
-		if _, err := follower.horizon.ApplyReplicated(context.Background(), rec); err != nil {
+		if _, err := follower.horizon.ApplyReplicated(context.Background(), wal.Record{Seq: rec.Seq, Payload: rec.Payload}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,22 +11,40 @@ import (
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
 )
 
-// Replication & failover endpoints. A primary serves its WAL tail; a
-// follower ships it in the background (StartReplication) and reports
-// readiness only once caught up. Leadership is fenced by epoch: every
-// stateful intake handler refuses on a non-primary with the
-// stale-leadership error, and the fence endpoint demotes a node under a
-// newer epoch.
+// Replication & failover: WAL shipping from a serving primary to a warm
+// standby, and the epoch-numbered leadership (leadership.go) that fences a
+// demoted primary so two nodes never both accept submits. A primary serves
+// its WAL tail; a follower's Shipper (shipper.go) polls it in the
+// background (StartReplication), resuming from the follower's applied
+// sequence, checks each record's CRC and applies it, idempotently by
+// sequence, through the horizon service's replay path. Every stateful
+// intake handler refuses on a non-primary with the stale-leadership error.
+// Promotion re-applies the commit predicate to the replicated schedule and
+// bumps the epoch; the old primary, fenced under the new epoch, rejects
+// all further intake.
 //
-//	GET  /readyz                    200 once serviceable, else 503 + lag
-//	GET  /v1/replication/wal        ?after=N&epoch=E&max=M -> record batch
+//	GET  /readyz                    200 while serviceable, else 503 + reason
+//	GET  /v1/replication/wal        ?after=N&epoch=E&max=M -> api.Batch
 //	GET  /v1/replication/status     node's replication status
 //	POST /v1/replication/fence      {"epoch": E} -> demote under E
 //	POST /v1/replication/promote    {"force": bool, "fence_source": bool}
+//
+// The epoch parameter of a WAL poll is the fencing token: a primary that
+// sees a request carrying a higher epoch has provably been superseded and
+// demotes itself before refusing it; a node that is not primary refuses
+// with the stale-leadership error and its current epoch, which the
+// follower observes. Records travel with their WAL CRCs, so transport
+// corruption is caught by the checksum that guards the disk format.
+//
+// Split-brain is out of scope by design: fencing is cooperative (the old
+// primary must be reachable to learn it was deposed). An unreachable old
+// primary keeps accepting submits until an operator or load balancer cuts
+// it off; preventing that without reachability needs leases or quorum,
+// which this tier deliberately does not implement. DESIGN.md §12 records
+// the non-goals.
 
 // StartReplication launches the background WAL shipper on a follower
 // built with Options.ReplicateFrom. It is a no-op on other nodes.
@@ -72,28 +90,62 @@ func (s *Server) stopReplication() bool {
 	return true
 }
 
-// replStatus assembles the node's replication status and whether it is
-// serviceable: a primary always is (recovery completed at construction
-// or the server would not exist); a follower only once its shipper has
-// synced and left no lag.
-func (s *Server) replStatus() (api.ReplicationStatus, bool) {
-	if s.shipper != nil && !s.lead.IsPrimary() {
-		st := s.shipper.Status()
-		return st, st.Synced && st.CaughtUp
+// replStatus builds a node's replication status: the one builder of
+// api.ReplicationStatus, for every role. sh is the node's shipper, nil on a
+// node built without a source. A primary reports itself synced and caught
+// up; a follower with a shipper, what the shipper's last poll found.
+func replStatus(lead *Leadership, hz *horizon.Service, sh *Shipper) api.ReplicationStatus {
+	role := lead.Role()
+	st := api.ReplicationStatus{Role: role.String(), Epoch: lead.Epoch()}
+	if sh != nil {
+		st.Source = sh.source
 	}
-	st := api.ReplicationStatus{
-		Role:       s.lead.Role().String(),
-		Epoch:      s.lead.Epoch(),
-		AppliedSeq: s.horizon.AppliedSeq(),
+	if role == RolePrimary || sh == nil {
+		st.AppliedSeq = hz.AppliedSeq()
+		st.Synced, st.CaughtUp = role == RolePrimary, role == RolePrimary
+		return st
 	}
-	if s.shipper != nil {
-		st.Source = s.shipper.Source()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st.AppliedSeq = hz.AppliedSeq()
+	st.PrimaryLastSeq = sh.primaryLastSeq
+	st.Synced = sh.synced
+	st.CaughtUp = sh.caughtUp && st.AppliedSeq >= sh.primaryLastSeq
+	st.RecordsApplied = sh.recordsApplied
+	st.SnapshotsInstalled = sh.snapshotsInstalled
+	st.LastError = sh.lastErr
+	if sh.primaryLastSeq > st.AppliedSeq {
+		st.Lag = sh.primaryLastSeq - st.AppliedSeq
 	}
-	if s.lead.IsPrimary() {
-		st.Synced, st.CaughtUp = true, true
+	return st
+}
+
+// readiness returns the node's replication status and whether the node is
+// serviceable: a primary always is (recovery completed at construction or
+// the server would not exist); a follower only while its shipper runs and
+// its last poll left no lag. A fenced ex-standby ships nothing — promotion
+// stopped its shipper — so it is not ready, whatever its last poll found.
+func (s *Server) readiness() (api.ReplicationStatus, bool) {
+	st := replStatus(s.lead, s.horizon, s.shipper)
+	if st.Role == api.RolePrimary {
 		return st, true
 	}
-	return st, false
+	return st, s.shipping() && st.Synced && st.CaughtUp
+}
+
+// shipping reports whether the shipper goroutine is running.
+func (s *Server) shipping() bool {
+	s.replMu.Lock()
+	defer s.replMu.Unlock()
+	if s.replDone == nil {
+		return false
+	}
+	select {
+	case <-s.replDone:
+		return false
+	default:
+		return true
+	}
 }
 
 // checkLeader writes the stale-leadership rejection for stateful intake
@@ -108,20 +160,13 @@ func (s *Server) checkLeader(w http.ResponseWriter) bool {
 	return true
 }
 
-// ReadyResponse is the GET /readyz body.
-type ReadyResponse struct {
-	Ready  bool                  `json:"ready"`
-	Reason string                `json:"reason,omitempty"`
-	Status api.ReplicationStatus `json:"status"`
-}
-
 // handleReady is the load-balancer readiness probe: distinct from
 // /healthz (liveness), it answers 503 while the node is alive but not
 // serviceable — a follower still replaying the primary's journal — so
 // traffic is not routed to a node that would reject or misserve it.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	st, ready := s.replStatus()
-	resp := ReadyResponse{Ready: ready, Status: st}
+	st, ready := s.readiness()
+	resp := api.ReadyResponse{Ready: ready, Status: st}
 	code := http.StatusOK
 	if !ready {
 		code = http.StatusServiceUnavailable
@@ -132,6 +177,8 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			resp.Reason = "replication not yet synced with primary"
 		case !st.CaughtUp:
 			resp.Reason = fmt.Sprintf("replaying journal: %d records behind", st.Lag)
+		case st.Source != "":
+			resp.Reason = fmt.Sprintf("not shipping from %s", st.Source)
 		default:
 			resp.Reason = "follower without a replication source"
 		}
@@ -140,8 +187,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
-	st, _ := s.replStatus()
-	httpkit.WriteJSON(w, http.StatusOK, st)
+	httpkit.WriteJSON(w, http.StatusOK, replStatus(s.lead, s.horizon, s.shipper))
 }
 
 // queryUint parses an optional unsigned query parameter.
@@ -184,7 +230,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	tail, err := s.horizon.TailAfter(after, int(max))
+	batch, err := s.horizon.TailAfter(after, int(max))
 	if err != nil {
 		if errors.Is(err, horizon.ErrNotDurable) {
 			httpkit.WriteErr(w, http.StatusNotImplemented,
@@ -194,27 +240,8 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	batch := replica.Batch{
-		LeaderEpoch: s.lead.Epoch(),
-		LastSeq:     tail.LastSeq,
-		Snapshot:    tail.Snapshot,
-		SnapshotSeq: tail.SnapshotSeq,
-	}
-	for _, rec := range tail.Records {
-		batch.Records = append(batch.Records, replica.FromWAL(rec))
-	}
+	batch.LeaderEpoch = s.lead.Epoch()
 	httpkit.WriteJSON(w, http.StatusOK, batch)
-}
-
-// FenceRequest is the POST /v1/replication/fence body.
-type FenceRequest struct {
-	Epoch uint64 `json:"epoch"`
-}
-
-// FenceResponse is the POST /v1/replication/fence reply.
-type FenceResponse struct {
-	Fenced bool   `json:"fenced"`
-	Epoch  uint64 `json:"epoch"`
 }
 
 // handleFence demotes this node under a newer leadership epoch: its
@@ -222,7 +249,7 @@ type FenceResponse struct {
 // A fence that does not supersede the node's epoch is itself stale and
 // rejected, so an old primary cannot fence the node that replaced it.
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	var req FenceRequest
+	var req api.FenceRequest
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
@@ -230,7 +257,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	httpkit.WriteJSON(w, http.StatusOK, FenceResponse{Fenced: true, Epoch: req.Epoch})
+	httpkit.WriteJSON(w, http.StatusOK, api.FenceResponse{Fenced: true, Epoch: req.Epoch})
 }
 
 // drainForPromoteTimeout bounds the final catch-up drain a non-forced
@@ -277,7 +304,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("cannot confirm catch-up with primary (%v); retry, or pass force to promote anyway and lose the unreplicated suffix", err))
 			return
 		}
-		if st := s.shipper.Status(); !st.Synced || !st.CaughtUp {
+		if st := replStatus(s.lead, s.horizon, s.shipper); !st.Synced || !st.CaughtUp {
 			restart()
 			httpkit.WriteErr(w, http.StatusConflict,
 				fmt.Errorf("follower not caught up (applied seq %d, primary last seq %d, lag %d); retry or pass force",
@@ -302,7 +329,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 		defer cancel()
 		err := retryhttp.PostJSON(ctx, retryhttp.Options{MaxAttempts: 3},
-			s.shipper.Source()+"/v1/replication/fence", FenceRequest{Epoch: epoch}, nil)
+			s.shipper.source+"/v1/replication/fence", api.FenceRequest{Epoch: epoch}, nil)
 		if err != nil {
 			resp.SourceFenceError = err.Error()
 		} else {

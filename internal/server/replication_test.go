@@ -66,7 +66,7 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	if code, _ := getAs[map[string]any](t, sts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("follower healthz = %d, want 200", code)
 	}
-	code, ready := getAs[ReadyResponse](t, sts.URL+"/readyz")
+	code, ready := getAs[api.ReadyResponse](t, sts.URL+"/readyz")
 	if code != http.StatusServiceUnavailable || ready.Ready {
 		t.Fatalf("unsynced follower readyz = %d ready=%v, want 503", code, ready.Ready)
 	}
@@ -91,7 +91,7 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		code, ready = getAs[ReadyResponse](t, sts.URL+"/readyz")
+		code, ready = getAs[api.ReadyResponse](t, sts.URL+"/readyz")
 		if code == http.StatusOK {
 			break
 		}
@@ -137,19 +137,30 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	if e := decode[map[string]string](t, resp); !strings.Contains(e["error"], "stale leadership") {
 		t.Fatalf("fenced rejection %q does not name stale leadership", e["error"])
 	}
-	if code, _ := getAs[ReadyResponse](t, pts.URL+"/readyz"); code != http.StatusServiceUnavailable {
+	if code, _ := getAs[api.ReadyResponse](t, pts.URL+"/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("fenced primary readyz = %d, want 503", code)
 	}
 
 	// The new primary serves: ready, and accepting the advance the old
 	// one just refused.
-	if code, _ := getAs[ReadyResponse](t, sts.URL+"/readyz"); code != http.StatusOK {
+	if code, _ := getAs[api.ReadyResponse](t, sts.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("promoted node readyz = %d, want 200", code)
 	}
 	if resp := postJSON(t, sts.URL+"/v1/advance", api.AdvanceRequest{
 		To: simtime.Time(240 * int64(simtime.Minute)),
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("promoted node advance: status %d", resp.StatusCode)
+	}
+
+	// Fenced in turn under a newer epoch, the ex-standby is a follower
+	// again, and one that ships nothing: promotion stopped its shipper.
+	// Whatever its last poll found, it is not serviceable.
+	if resp := postJSON(t, sts.URL+"/v1/replication/fence", api.FenceRequest{Epoch: 3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fence of the promoted node: status %d", resp.StatusCode)
+	}
+	code, ready = getAs[api.ReadyResponse](t, sts.URL+"/readyz")
+	if code != http.StatusServiceUnavailable || ready.Ready || ready.Status.Role != "follower" || ready.Status.Epoch != 3 {
+		t.Fatalf("fenced ex-standby readyz = %d %+v, want 503 as a follower at epoch 3", code, ready)
 	}
 }
 

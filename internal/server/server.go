@@ -53,7 +53,6 @@ import (
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/sorp"
@@ -87,8 +86,8 @@ type Server struct {
 
 	// Replication & failover (see replication.go). lead is always set;
 	// shipper only on followers built with Options.ReplicateFrom.
-	lead    *replica.Leadership
-	shipper *replica.Shipper
+	lead    *Leadership
+	shipper *Shipper
 
 	replMu     sync.Mutex
 	replCtx    context.Context
@@ -126,11 +125,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	role := opts.Role
 	if opts.ReplicateFrom != "" {
 		// A node shipping another's WAL is a follower by definition.
-		role = replica.RoleFollower
-	}
-	var epoch uint64
-	if role == replica.RolePrimary {
-		epoch = 1
+		role = RoleFollower
 	}
 	s := &Server{
 		model:   model,
@@ -139,13 +134,10 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 		shardID: opts.ShardID,
 		timeout: opts.RequestTimeout,
 		mux:     http.NewServeMux(),
-		lead:    replica.NewLeadership(role, epoch),
+		lead:    NewLeadership(role, 0),
 	}
 	if opts.ReplicateFrom != "" {
-		s.shipper = replica.NewShipper(hz, s.lead, replica.ShipperConfig{
-			Source:   opts.ReplicateFrom,
-			Interval: opts.ReplicateEvery,
-		})
+		s.shipper = NewShipper(hz, s.lead, opts.ReplicateFrom, opts.ReplicateEvery)
 	}
 	if opts.MaxInFlight > 0 {
 		s.limiter = httpkit.NewLimiter(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait)
@@ -222,7 +214,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, d := range s.deadline {
 		ov.DeadlineExceeded += d.Exceeded()
 	}
-	repl, ready := s.replStatus()
+	repl, ready := s.readiness()
 	p := s.horizon.Plan() // one reading: horizon.epoch and shard.epoch cannot disagree
 	s.resolutionMu.Lock()
 	resolution := s.resolution

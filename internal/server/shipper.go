@@ -1,4 +1,4 @@
-package replica
+package server
 
 import (
 	"context"
@@ -12,36 +12,8 @@ import (
 	"github.com/vodsim/vsp/internal/wal"
 )
 
-// Shipper defaults.
-const (
-	DefaultInterval = 250 * time.Millisecond
-	DefaultBatchMax = 1024
-)
-
-// ShipperConfig configures WAL shipping from a primary.
-type ShipperConfig struct {
-	// Source is the primary's base URL (e.g. "http://primary:8080").
-	Source string
-	// Interval is Run's poll period (default DefaultInterval). A poll
-	// that applied a full batch re-polls immediately, so the interval
-	// only paces an idle or caught-up follower.
-	Interval time.Duration
-	// BatchMax caps records per poll (default DefaultBatchMax).
-	BatchMax int
-	// Retry tunes the transport retry loop (jittered exponential backoff
-	// honoring Retry-After; see internal/retryhttp).
-	Retry retryhttp.Options
-}
-
-func (c ShipperConfig) withDefaults() ShipperConfig {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = DefaultBatchMax
-	}
-	return c
-}
+// shipBatchMax caps the records one poll asks for.
+const shipBatchMax = 1024
 
 // Shipper ships the primary's WAL into a local follower service. It is
 // the client half of the replication protocol: it resumes from the
@@ -51,9 +23,11 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 // single deterministic round (the fault-injection harness drives Poll
 // directly).
 type Shipper struct {
-	svc  *horizon.Service
-	lead *Leadership
-	cfg  ShipperConfig
+	svc    *horizon.Service
+	lead   *Leadership
+	source string        // the primary's base URL (e.g. "http://primary:8080")
+	every  time.Duration // Run's poll period; a backlog re-polls at once
+	retry  retryhttp.Options
 
 	mu                 sync.Mutex
 	primaryLastSeq     uint64
@@ -64,37 +38,10 @@ type Shipper struct {
 	lastErr            string
 }
 
-// NewShipper builds a shipper feeding svc from cfg.Source under the
-// node's leadership view.
-func NewShipper(svc *horizon.Service, lead *Leadership, cfg ShipperConfig) *Shipper {
-	return &Shipper{svc: svc, lead: lead, cfg: cfg.withDefaults()}
-}
-
-// Source returns the primary base URL this shipper pulls from.
-func (sh *Shipper) Source() string { return sh.cfg.Source }
-
-// Status returns the shipper's replication status combined with the
-// node's leadership view.
-func (sh *Shipper) Status() api.ReplicationStatus {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	applied := sh.svc.AppliedSeq()
-	st := api.ReplicationStatus{
-		Role:               sh.lead.Role().String(),
-		Epoch:              sh.lead.Epoch(),
-		AppliedSeq:         applied,
-		Source:             sh.cfg.Source,
-		PrimaryLastSeq:     sh.primaryLastSeq,
-		Synced:             sh.synced,
-		CaughtUp:           sh.caughtUp && applied >= sh.primaryLastSeq,
-		RecordsApplied:     sh.recordsApplied,
-		SnapshotsInstalled: sh.snapshotsInstalled,
-		LastError:          sh.lastErr,
-	}
-	if sh.primaryLastSeq > applied {
-		st.Lag = sh.primaryLastSeq - applied
-	}
-	return st
+// NewShipper builds a shipper feeding svc from the primary at source under
+// the node's leadership view, polling every period while idle.
+func NewShipper(svc *horizon.Service, lead *Leadership, source string, every time.Duration) *Shipper {
+	return &Shipper{svc: svc, lead: lead, source: source, every: every}
 }
 
 // Poll performs one shipping round: fetch the tail after the applied
@@ -112,14 +59,14 @@ func (sh *Shipper) Poll(ctx context.Context) (applied int, err error) {
 		sh.mu.Unlock()
 	}()
 	if sh.lead.IsPrimary() {
-		return 0, fmt.Errorf("replica: node is primary; shipping from %s stopped", sh.cfg.Source)
+		return 0, fmt.Errorf("server: node is primary; shipping from %s stopped", sh.source)
 	}
 	after := sh.svc.AppliedSeq()
 	u := fmt.Sprintf("%s/v1/replication/wal?after=%d&epoch=%d&max=%d",
-		sh.cfg.Source, after, sh.lead.Epoch(), sh.cfg.BatchMax)
-	var batch Batch
-	if err := retryhttp.GetJSON(ctx, sh.cfg.Retry, u, &batch); err != nil {
-		return 0, fmt.Errorf("replica: fetch tail from %s: %w", sh.cfg.Source, err)
+		sh.source, after, sh.lead.Epoch(), shipBatchMax)
+	var batch api.Batch
+	if err := retryhttp.GetJSON(ctx, sh.retry, u, &batch); err != nil {
+		return 0, fmt.Errorf("server: fetch tail from %s: %w", sh.source, err)
 	}
 	return sh.ApplyBatch(ctx, batch)
 }
@@ -127,9 +74,11 @@ func (sh *Shipper) Poll(ctx context.Context) (applied int, err error) {
 // ApplyBatch verifies and applies one batch. Records at or before the
 // applied sequence are skipped (idempotency by sequence), so a
 // duplicated delivery — a retried request whose first attempt did reach
-// the applier — converges instead of diverging. Exported so tests can
-// inject duplicate and reordered deliveries directly.
-func (sh *Shipper) ApplyBatch(ctx context.Context, batch Batch) (applied int, err error) {
+// the applier — converges instead of diverging. A record whose checksum
+// does not match — corrupted in transit, or by a disagreeing
+// implementation — is refused before it reaches the applier. Exported so
+// tests can inject duplicate and reordered deliveries directly.
+func (sh *Shipper) ApplyBatch(ctx context.Context, batch api.Batch) (applied int, err error) {
 	sh.lead.Observe(batch.LeaderEpoch)
 	if len(batch.Snapshot) > 0 && batch.SnapshotSeq > sh.svc.AppliedSeq() {
 		if err := sh.svc.InstallSnapshot(batch.SnapshotSeq, batch.Snapshot); err != nil {
@@ -141,7 +90,7 @@ func (sh *Shipper) ApplyBatch(ctx context.Context, batch Batch) (applied int, er
 		applied++
 	}
 	for _, rec := range batch.Records {
-		if err := rec.Verify(); err != nil {
+		if err := verifyRecord(rec); err != nil {
 			return applied, err
 		}
 		ok, err := sh.svc.ApplyReplicated(ctx, wal.Record{Seq: rec.Seq, Payload: rec.Payload})
@@ -163,11 +112,19 @@ func (sh *Shipper) ApplyBatch(ctx context.Context, batch Batch) (applied int, er
 	return applied, nil
 }
 
+// verifyRecord checks a shipped record against its WAL checksum.
+func verifyRecord(rec api.Record) error {
+	if got := wal.Checksum(rec.Seq, rec.Payload); got != rec.CRC {
+		return fmt.Errorf("server: record seq %d checksum mismatch (shipped %08x, computed %08x)", rec.Seq, rec.CRC, got)
+	}
+	return nil
+}
+
 // Drain polls until a round ships nothing new, leaving the follower
 // caught up with the primary's tail as observed by that final round. The
-// shipper's Status is point-in-time — it reports the primary's last seq
+// shipper's status is point-in-time — it reports the primary's last seq
 // as of the previous poll, which may be stale the moment a new record is
-// journaled — so promotion MUST drain rather than trust Status, or a
+// journaled — so promotion MUST drain rather than trust it, or a
 // planned failover can silently drop the records acknowledged since the
 // last poll.
 func (sh *Shipper) Drain(ctx context.Context) error {
@@ -183,11 +140,11 @@ func (sh *Shipper) Drain(ctx context.Context) error {
 }
 
 // Run polls until the context is cancelled or the node is promoted.
-// Transient failures are recorded in Status and retried on the next
+// Transient failures are recorded in the status and retried on the next
 // tick (on top of the per-request retry loop); a backlogged follower
-// polls continuously until it drains, then settles to the interval.
+// polls continuously until it drains, then settles to the period.
 func (sh *Shipper) Run(ctx context.Context) {
-	t := time.NewTicker(sh.cfg.Interval)
+	t := time.NewTicker(sh.every)
 	defer t.Stop()
 	for {
 		if sh.lead.IsPrimary() {
@@ -195,7 +152,7 @@ func (sh *Shipper) Run(ctx context.Context) {
 		}
 		n, err := sh.Poll(ctx)
 		if err == nil && n > 0 {
-			// Backlog: keep draining without waiting out the interval.
+			// Backlog: keep draining without waiting out the period.
 			select {
 			case <-ctx.Done():
 				return

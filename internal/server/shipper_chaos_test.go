@@ -1,4 +1,4 @@
-package replica_test
+package server
 
 import (
 	"context"
@@ -11,9 +11,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/horizon"
-	"github.com/vodsim/vsp/internal/replica"
 	"github.com/vodsim/vsp/internal/retryhttp"
-	"github.com/vodsim/vsp/internal/server"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/wal"
 )
@@ -32,7 +30,7 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	want := referenceRun(t, r, ops)
 	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
 
-	primary, err := server.NewWithOptions(r.Model, server.Options{DataDir: t.TempDir(), Horizon: cfg})
+	primary, err := NewWithOptions(r.Model, Options{DataDir: t.TempDir(), Horizon: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +65,9 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fsvc.Close()
-	lead := replica.NewLeadership(replica.RoleFollower, 0)
-	sh1 := replica.NewShipper(fsvc, lead, replica.ShipperConfig{
-		Source: ts.URL, Interval: 2 * time.Millisecond, Retry: retry,
-	})
+	lead := NewLeadership(RoleFollower, 0)
+	sh1 := NewShipper(fsvc, lead, ts.URL, 2*time.Millisecond)
+	sh1.retry = retry
 	ctx := context.Background()
 	runCtx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
@@ -87,7 +84,7 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	for fsvc.AppliedSeq() == 0 {
 		if time.Now().After(progress) {
 			t.Fatalf("no replication progress through the flapping link: %+v, chaos %+v",
-				sh1.Status(), inj.Stats())
+				status(sh1), inj.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -98,16 +95,13 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	// the applied sequence, not refetch from zero.
 	resumeSeq := fsvc.AppliedSeq()
 	rec := &recordingRT{base: &chaos.Transport{Injector: inj}}
-	sh2 := replica.NewShipper(fsvc, lead, replica.ShipperConfig{
-		Source:   ts.URL,
-		Interval: 2 * time.Millisecond,
-		Retry: retryhttp.Options{
-			Client:      &http.Client{Transport: rec},
-			MaxAttempts: 2,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    2 * time.Millisecond,
-		},
-	})
+	sh2 := NewShipper(fsvc, lead, ts.URL, 2*time.Millisecond)
+	sh2.retry = retryhttp.Options{
+		Client:      &http.Client{Transport: rec},
+		MaxAttempts: 2,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    2 * time.Millisecond,
+	}
 	runCtx2, cancel2 := context.WithCancel(ctx)
 	done2 := make(chan struct{})
 	go func() { defer close(done2); sh2.Run(runCtx2) }()
@@ -131,13 +125,13 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	if got := fsvc.AppliedSeq(); got != uint64(len(ops)) {
 		t.Fatalf("applied seq %d, want %d", got, len(ops))
 	}
-	st := sh2.Status()
+	st := status(sh2)
 	if !st.Synced || !st.CaughtUp || st.Lag != 0 {
 		t.Fatalf("not caught up after chaos cleared: %+v", st)
 	}
 	// No duplicates: the two pollers' apply counts partition the stream
 	// exactly — torn and duplicated deliveries were all skipped by seq.
-	applied := sh1.Status().RecordsApplied + st.RecordsApplied
+	applied := status(sh1).RecordsApplied + st.RecordsApplied
 	if applied != uint64(len(ops)) {
 		t.Fatalf("records applied %d across both pollers, want exactly %d", applied, len(ops))
 	}

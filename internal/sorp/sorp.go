@@ -25,8 +25,9 @@
 // victims, schedule and cost are the ones a table-free run produces. The
 // views the evaluations ran on are not kept — each goes back to the
 // process's free list when the next round starts or the run ends
-// (Ledger.Release), for a fresh evaluation of any run to reuse — so a reused
-// winner is committed from its file schedule (Ledger.CommitFile).
+// (Ledger.Release), for a fresh evaluation of any run to reuse — and every
+// winner, evaluated this round or reused, is committed from its file
+// schedule (Ledger.CommitFile).
 //
 // Almost every evaluation's result is thrown away, and an evaluation of the
 // same file needs the same room — on a rolling horizon, a copy of its frozen
@@ -216,16 +217,12 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		if !found {
 			return nil, fmt.Errorf("sorp: %d overflows but no reschedulable victim", len(overflows))
 		}
-		// Commit the winning candidate in place; every losing view of this
+		// Commit the winning candidate's file in place; every view of this
 		// iteration is dead from here on, and so is every table entry for
 		// the winner's file, whose copies the others' logs took as given.
 		// The winner's own entry goes with them, but its file is work's now.
 		work.Put(best.fs)
-		if best.ledger != nil {
-			ledger = best.ledger.Commit()
-		} else {
-			ledger.CommitFile(best.fs)
-		}
+		ledger.CommitFile(best.fs)
 		table.dropVideo(best.record.Video, best.fs)
 		fileCost[best.record.Video] = best.newCost
 		res.Victims = append(res.Victims, best.record)
@@ -541,10 +538,7 @@ func better(a, b candidate) bool {
 }
 
 type reschedResult struct {
-	fs *schedule.FileSchedule
-	// ledger is the view the reschedule ran on; nil for a result reused
-	// from an earlier iteration.
-	ledger   *occupancy.Ledger
+	fs       *schedule.FileSchedule
 	overhead units.Money
 	newCost  units.Money
 	ok       bool
@@ -570,7 +564,6 @@ func rescheduleFile(m *cost.Model, tmp *occupancy.Ledger,
 		return out // unreschedulable candidate; skip (ok=false)
 	}
 	out.fs = fs
-	out.ledger = tmp
 	out.newCost = m.FileCost(fs)
 	out.overhead = out.newCost - baseCost
 	out.ok = true

@@ -32,9 +32,9 @@ const module = "github.com/vodsim/vsp"
 // packages only, by name.
 var corePackages = []string{
 	"api", "chaos", "cli", "cost", "gateway", "horizon", "httpkit", "ivs",
-	"media", "occupancy", "parallel", "pricing", "replica", "retryhttp",
-	"routing", "schedule", "scheduler", "server", "simtime", "sorp", "topology",
-	"units", "wal", "workload",
+	"media", "occupancy", "parallel", "pricing", "retryhttp", "routing",
+	"schedule", "scheduler", "server", "simtime", "sorp", "topology", "units",
+	"wal", "workload",
 }
 
 // apiVocabulary is what internal/api's bodies are made of, and so all it
@@ -307,7 +307,7 @@ var depRules = []depRule{
 		name:       "façade: the library does not link the tier",
 		from:       []string{"."},
 		transitive: true,
-		forbidden:  regexp.MustCompile(`^internal/(gateway|server|replica|retryhttp|httpkit|loadgen|experiment|stats)$`),
+		forbidden:  regexp.MustCompile(`^internal/(gateway|server|retryhttp|httpkit|loadgen|experiment|stats)$`),
 		hit:        "internal/gateway", miss: "internal/horizon",
 		why: "the root package reaches the serving tier or a harness: the façade is the library — flows that complete in one process — and the tier is its binaries, which import internal/server and internal/gateway themselves",
 	},
@@ -315,7 +315,7 @@ var depRules = []depRule{
 		name:       "wire: the gateway links no solver, journal or server",
 		from:       []string{"internal/gateway", "cmd/vspgateway"},
 		transitive: true,
-		forbidden:  regexp.MustCompile(`^internal/(cost|ivs|occupancy|parallel|sorp|scheduler|horizon|wal|replica|server|chaos)$`),
+		forbidden:  regexp.MustCompile(`^internal/(cost|ivs|occupancy|parallel|sorp|scheduler|horizon|wal|server|chaos)$`),
 		hit:        "internal/server", miss: "internal/api",
 		why: "the gateway reaches a package behind the shard protocol: it routes reservations and merges plans, so what it decodes is declared in internal/api and nothing it links solves, journals or serves a shard",
 	},
