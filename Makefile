@@ -176,8 +176,8 @@ sharded-demo:
 	$(GO) run ./examples/sharded-intake
 
 # Load harness demo: a flash-crowd Pattern trace streamed straight into
-# the closed-loop harness against a 2-shard auto-advancing gateway
-# (examples/load-demo).
+# the closed-loop harness against a 2-shard gateway whose shards close
+# their own epochs (examples/load-demo).
 load-demo:
 	$(GO) run ./examples/load-demo
 

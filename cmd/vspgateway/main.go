@@ -36,7 +36,6 @@ import (
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/gateway"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 )
 
@@ -66,8 +65,6 @@ func main() {
 		policyName  = flag.String("policy", "round-robin", "placement policy: round-robin, least-loaded, locality, or hash")
 		topoPath    = flag.String("topo", "", "topology JSON; required by -policy locality, optional otherwise")
 		pollEvery   = flag.Duration("poll-interval", 2*time.Second, "period of the background shard stats poll feeding least-loaded placement (0 disables)")
-		autoAdvance = flag.Bool("auto-advance", true, "close a shard's epoch in the background when its intake trigger fires")
-		advanceLagH = flag.Float64("advance-lag-hours", 1, "hold auto-advance targets this many hours behind the newest acked arrival, so stragglers never land inside the frozen window")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
 
 		breakerOn    = flag.Bool("breaker", true, "eject gray-failing shards with per-shard circuit breakers")
@@ -107,8 +104,6 @@ func main() {
 		Policy:       policy,
 		Topo:         topo,
 		PollInterval: *pollEvery,
-		AutoAdvance:  *autoAdvance,
-		AdvanceLag:   simtime.Duration(*advanceLagH * float64(simtime.Hour)),
 		ShardTimeout: *shardTimeout,
 		Breaker: gateway.BreakerConfig{
 			Disabled: !*breakerOn,

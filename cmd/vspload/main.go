@@ -1,16 +1,15 @@
 // Command vspload is the closed-loop load harness for the reservation
 // intake tier. It replays a workload trace (CSV or JSONL, as emitted by
 // vspgen) against the HTTP surface of a running vspserve or vspgateway:
-// a fixed worker pool submits reservations back-to-back, a coalescing
-// advancer closes epochs when the service reports them due, and the run
-// is summarized as submit-latency percentiles (p50/p95/p99/max), shed
-// (429) and late-arrival (409) rates, epoch advance lag and per-shard
-// routing counts.
+// a fixed worker pool submits reservations back-to-back, and the run is
+// summarized as submit-latency percentiles (p50/p95/p99/max), shed (429)
+// and late-arrival (409) rates and per-shard routing counts. Epochs close
+// on the shards' own triggers (vspserve -epoch-requests); the harness never
+// posts /v1/advance, and the shards' /v1/stats count what they closed.
 //
 // Usage:
 //
-//	vspload -target http://127.0.0.1:8080 -trace trace.jsonl -c 16 \
-//	        -advance-lag-hours 2 -out load.json
+//	vspload -target http://127.0.0.1:8080 -trace trace.jsonl -c 16 -out load.json
 //
 // Shed requests are counted, never retried: a 429 is the admission
 // controller doing its job and the harness's business is to measure it.
@@ -31,21 +30,18 @@ import (
 	"time"
 
 	"github.com/vodsim/vsp/internal/loadgen"
-	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/workload"
 )
 
 type options struct {
-	target          string
-	tracePath       string
-	format          string
-	name            string
-	concurrency     int
-	advanceLagHours float64
-	noAdvance       bool
-	timeout         time.Duration
-	outPath         string
-	quiet           bool
+	target      string
+	tracePath   string
+	format      string
+	name        string
+	concurrency int
+	timeout     time.Duration
+	outPath     string
+	quiet       bool
 }
 
 func main() {
@@ -55,8 +51,6 @@ func main() {
 	flag.StringVar(&o.format, "format", "", "trace format: csv | jsonl (default: by file extension)")
 	flag.StringVar(&o.name, "name", "", "label this run; with -out, merge into an array keyed by name instead of overwriting")
 	flag.IntVar(&o.concurrency, "c", 8, "closed-loop worker count")
-	flag.Float64Var(&o.advanceLagHours, "advance-lag-hours", 2, "hold epoch advance targets this many hours behind the newest submitted arrival")
-	flag.BoolVar(&o.noAdvance, "no-advance", false, "never POST /v1/advance (the target advances itself, e.g. a gateway with -auto-advance)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request HTTP timeout")
 	flag.StringVar(&o.outPath, "out", "", "write the JSON result here")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the human-readable summary")
@@ -104,11 +98,9 @@ func run(o options) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 	res, err := loadgen.Run(ctx, loadgen.Config{
-		Target:         o.target,
-		Concurrency:    o.concurrency,
-		Timeout:        o.timeout,
-		DisableAdvance: o.noAdvance,
-		AdvanceLag:     simtime.Duration(o.advanceLagHours * float64(simtime.Hour)),
+		Target:      o.target,
+		Concurrency: o.concurrency,
+		Timeout:     o.timeout,
 	}, tr)
 	if err != nil {
 		return err
@@ -209,10 +201,6 @@ func printSummary(res *loadgen.Result) {
 	}
 	fmt.Printf("submit      p50 %s  p95 %s  p99 %s  max %s\n",
 		res.Submit.P50, res.Submit.P95, res.Submit.P99, res.Submit.Max)
-	if res.Advances > 0 {
-		fmt.Printf("advance     %d epochs closed, p50 %s max %s, shard lag <= %dms, final epoch %d horizon %v\n",
-			res.Advances, res.Advance.P50, res.Advance.Max, res.MaxShardLagMS, res.FinalEpoch, res.FinalHorizon)
-	}
 	if len(res.ShardRouted) > 0 {
 		shards := make([]string, 0, len(res.ShardRouted))
 		for s := range res.ShardRouted {

@@ -27,7 +27,8 @@ func TestSmokeAgainstServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := server.NewWithOptions(rig.Model, server.Options{
-		Horizon: horizon.Config{EpochRequests: 20},
+		Horizon:    horizon.Config{EpochRequests: 20},
+		AdvanceLag: simtime.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,12 +60,11 @@ func TestSmokeAgainstServer(t *testing.T) {
 	}
 
 	err = run(options{
-		target:          ts.URL,
-		tracePath:       tracePath,
-		concurrency:     4,
-		advanceLagHours: 1,
-		outPath:         outPath,
-		quiet:           true,
+		target:      ts.URL,
+		tracePath:   tracePath,
+		concurrency: 4,
+		outPath:     outPath,
+		quiet:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,6 +52,7 @@ import (
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
 	"github.com/vodsim/vsp/internal/server"
+	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/wal"
 )
 
@@ -68,7 +69,8 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
 		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost) or never (flushing is left to the OS)")
 		snapEvery   = flag.Int("snapshot-every", horizon.DefaultSnapshotEvery, "journal compaction period in committed epochs (negative disables snapshots)")
-		epochReqs   = flag.Int("epoch-requests", 0, "report an epoch due after this many pending reservations (0 = no intake trigger); the intake ack carries epoch_due so clients like vspload or a vspgateway know when to advance")
+		epochReqs   = flag.Int("epoch-requests", 0, "close an epoch after this many pending reservations (0 = no intake trigger: epochs close only on POST /v1/advance); the close targets the newest arrival less -advance-lag-hours, and the intake ack reports the trigger as epoch_due")
+		advanceLagH = flag.Float64("advance-lag-hours", 1, "hold the target of a triggered epoch close this many hours behind the newest accepted arrival, so stragglers never land inside the frozen window")
 		maxInFlight = flag.Int("max-in-flight", server.DefaultMaxInFlight, "admission-control bound on concurrent requests; excess load is shed with 429 + Retry-After (negative disables)")
 		role        = flag.String("role", "primary", "serving role: primary or follower (forced to follower by -replicate-from)")
 		shardID     = flag.String("shard-id", "", "shard label reported in the /v1/stats shard block when this node serves behind a vspgateway tier")
@@ -113,6 +115,7 @@ func main() {
 		ShardID:        *shardID,
 		ReplicateFrom:  *replFrom,
 		ReplicateEvery: *replEvery,
+		AdvanceLag:     simtime.Duration(*advanceLagH * float64(simtime.Hour)),
 		Horizon: horizon.Config{
 			Workers:       *workers,
 			Fsync:         fsyncPolicy,

@@ -6,13 +6,13 @@
 //     demand as a workload Pattern — a diurnal cycle with a premiere
 //     flash crowd tripling the rate at hour 20 and funneling most of
 //     the surge onto the premiered title,
-//  2. start two horizon shards behind a routing gateway that advances
-//     epochs itself (auto-advance with a lagged target),
+//  2. start two horizon shards behind a routing gateway; each shard
+//     closes its own epochs when its trigger fires, at a lagged target,
 //  3. stream the generated trace straight from the generator into the
 //     closed-loop load harness (loadgen) — no trace file, no in-memory
 //     request set — and replay it against the gateway,
 //  4. report what the run measured: submit latency percentiles, shed
-//     and late rates, per-shard routing, epoch advances,
+//     and late rates, per-shard routing and epoch closes,
 //  5. check the flash crowd actually reached the tier: the premiered
 //     title must dominate the committed plans around the premiere.
 //
@@ -29,7 +29,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
 	"time"
 
 	vsp "github.com/vodsim/vsp"
@@ -83,13 +82,15 @@ func main() {
 	fmt.Printf("%d reservations over 24h; diurnal strength 0.5; premiere of video %d at 20h (boost 2x, share 0.7)\n\n",
 		pattern.Requests, premiere)
 
-	// Two in-memory shards behind an auto-advancing gateway.
+	// Two in-memory shards that close their own epochs, two hours behind
+	// their newest arrival, behind a routing gateway.
 	var shards []gateway.ShardConfig
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("s%d", i)
 		srv, err := server.NewWithOptions(model, server.Options{
-			ShardID: id,
-			Horizon: vsp.HorizonConfig{EpochRequests: 60},
+			ShardID:    id,
+			Horizon:    vsp.HorizonConfig{EpochRequests: 60},
+			AdvanceLag: 2 * simtime.Hour,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -100,11 +101,9 @@ func main() {
 		shards = append(shards, gateway.ShardConfig{ID: id, Primary: url})
 	}
 	gw, err := gateway.New(gateway.Config{
-		Shards:      shards,
-		Policy:      gateway.Locality(),
-		Topo:        topo,
-		AutoAdvance: true,
-		AdvanceLag:  2 * simtime.Hour,
+		Shards: shards,
+		Policy: gateway.Locality(),
+		Topo:   topo,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -114,13 +113,12 @@ func main() {
 	defer gw.Close()
 
 	// Stream the generator straight into the closed-loop harness. The
-	// gateway advances epochs itself, so the harness only submits.
+	// shards close epochs themselves, so the harness only submits.
 	trace := workload.NewPatternReader(topo, catalog, pattern, 0)
 	defer trace.Close()
 	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:         gwURL,
-		Concurrency:    8,
-		DisableAdvance: true,
+		Target:      gwURL,
+		Concurrency: 8,
 	}, trace)
 	if err != nil {
 		log.Fatal(err)
@@ -132,18 +130,15 @@ func main() {
 		res.Accepted, res.Shed, 100*res.ShedRate, res.Late, res.Errors)
 	fmt.Printf("submit latency: p50 %v  p95 %v  p99 %v  max %v\n",
 		res.Submit.P50, res.Submit.P95, res.Submit.P99, res.Submit.Max)
-	shardNames := make([]string, 0, len(res.ShardRouted))
-	for s := range res.ShardRouted {
-		shardNames = append(shardNames, s)
-	}
-	sort.Strings(shardNames)
-	for _, s := range shardNames {
-		fmt.Printf("  shard %s served %d reservations\n", s, res.ShardRouted[s])
+	var stats gateway.StatsResponse
+	getJSON(gwURL+"/v1/stats", &stats)
+	for _, sh := range stats.Shards {
+		fmt.Printf("  shard %s served %d reservations and closed %d epochs itself\n",
+			sh.ID, res.ShardRouted[sh.ID], sh.Advances)
 	}
 
-	// The gateway advanced epochs on its own; give in-flight closes a
-	// moment, then force the tail of the trace through.
-	time.Sleep(50 * time.Millisecond)
+	// Force the tail of the trace through. A close still running on a
+	// shard holds its horizon, and the broadcast waits for it.
 	finalAdvance(gwURL, simtime.Time(simtime.Day))
 
 	// Did the premiere register? Count committed deliveries of the

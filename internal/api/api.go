@@ -308,10 +308,10 @@ type HorizonStats struct {
 	Pending       int          `json:"pending"`
 	CommittedCost units.Money  `json:"committed_cost"`
 	Durable       bool         `json:"durable"`
-	// Advances counts committed POST /v1/advance epoch closes and
-	// AdvanceMS their cumulative in-handler time, so advance lag is
-	// observable per node (the load harness and the gateway poller
-	// divide one by the other).
+	// Advances counts the epoch closes the node committed, on POST
+	// /v1/advance and on its own trigger, and AdvanceMS their cumulative
+	// time, so advance lag is observable per node (the gateway's stats
+	// report both per shard).
 	Advances  uint64 `json:"advances"`
 	AdvanceMS int64  `json:"advance_ms"`
 	// Resolution sums, over those advances, what overflow resolution did:

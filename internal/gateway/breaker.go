@@ -19,13 +19,18 @@ import (
 // wedge open: after OpenFor the next reservation is admitted as the
 // probe, and its outcome decides.
 
-// Breaker defaults for the zero BreakerConfig value.
+// DefaultBreakerOpenFor is the cool-off of the zero BreakerConfig value.
+const DefaultBreakerOpenFor = 5 * time.Second
+
+// The other defaults of the zero BreakerConfig value, and the two settings
+// every breaker shares: the window is counted in breakerBuckets rotating
+// sub-spans, so old outcomes age out incrementally, and a breaker trips when
+// (failures+slow)/total over the window reaches breakerFailureRate.
 const (
-	DefaultBreakerWindow      = 10 * time.Second
-	DefaultBreakerBuckets     = 10
-	DefaultBreakerMinSamples  = 5
-	DefaultBreakerFailureRate = 0.5
-	DefaultBreakerOpenFor     = 5 * time.Second
+	defaultBreakerWindow     = 10 * time.Second
+	defaultBreakerMinSamples = 5
+	breakerBuckets           = 10
+	breakerFailureRate       = 0.5
 )
 
 // BreakerConfig tunes the per-shard circuit breakers. The zero value
@@ -33,18 +38,12 @@ const (
 type BreakerConfig struct {
 	// Disabled turns circuit breaking off entirely.
 	Disabled bool
-	// Window is the sliding observation window (default 10s), counted
-	// in Buckets rotating sub-spans (default 10) so old outcomes age
-	// out incrementally.
-	Window  time.Duration
-	Buckets int
+	// Window is the sliding observation window (default 10s).
+	Window time.Duration
 	// MinSamples is the minimum number of window outcomes before the
 	// breaker may trip (default 5) — a single failed call on an idle
 	// shard is not a statement about the shard.
 	MinSamples int
-	// FailureRate trips the breaker when (failures+slow)/total over the
-	// window reaches it (default 0.5).
-	FailureRate float64
 	// SlowCall counts an intake call slower than this as bad even if it
 	// succeeded — the gray-failure signal (0 disables slow accounting).
 	SlowCall time.Duration
@@ -55,16 +54,10 @@ type BreakerConfig struct {
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
-		c.Window = DefaultBreakerWindow
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBreakerBuckets
+		c.Window = defaultBreakerWindow
 	}
 	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultBreakerMinSamples
-	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = DefaultBreakerFailureRate
+		c.MinSamples = defaultBreakerMinSamples
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = DefaultBreakerOpenFor
@@ -106,7 +99,7 @@ type breaker struct {
 
 	mu         sync.Mutex
 	state      breakerState
-	buckets    []brkBucket
+	buckets    [breakerBuckets]brkBucket
 	openedAt   time.Time
 	lastChange time.Time
 	probing    bool
@@ -118,18 +111,18 @@ func newBreaker(cfg BreakerConfig) *breaker {
 		return nil
 	}
 	cfg = cfg.withDefaults()
-	return &breaker{cfg: cfg, buckets: make([]brkBucket, cfg.Buckets)}
+	return &breaker{cfg: cfg}
 }
 
 func (b *breaker) bucketWidth() time.Duration {
-	return b.cfg.Window / time.Duration(b.cfg.Buckets)
+	return b.cfg.Window / breakerBuckets
 }
 
 // bucketAt returns the live bucket for now, resetting it if it still
 // holds an aged-out span. Callers hold b.mu.
 func (b *breaker) bucketAt(now time.Time) *brkBucket {
 	idx := now.UnixNano() / int64(b.bucketWidth())
-	bk := &b.buckets[idx%int64(b.cfg.Buckets)]
+	bk := &b.buckets[idx%breakerBuckets]
 	if bk.idx != idx {
 		*bk = brkBucket{idx: idx}
 	}
@@ -138,7 +131,7 @@ func (b *breaker) bucketAt(now time.Time) *brkBucket {
 
 // windowTotals sums the still-fresh buckets. Callers hold b.mu.
 func (b *breaker) windowTotals(now time.Time) (ok, fail int) {
-	oldest := now.UnixNano()/int64(b.bucketWidth()) - int64(b.cfg.Buckets) + 1
+	oldest := now.UnixNano()/int64(b.bucketWidth()) - breakerBuckets + 1
 	for _, bk := range b.buckets {
 		if bk.idx >= oldest {
 			ok += bk.ok
@@ -214,9 +207,7 @@ func (b *breaker) record(now time.Time, dur time.Duration, failed bool) {
 		} else {
 			b.state = stateClosed
 			b.lastChange = now
-			for i := range b.buckets {
-				b.buckets[i] = brkBucket{}
-			}
+			b.buckets = [breakerBuckets]brkBucket{}
 		}
 		return
 	}
@@ -228,7 +219,7 @@ func (b *breaker) record(now time.Time, dur time.Duration, failed bool) {
 	}
 	ok, fail := b.windowTotals(now)
 	if total := ok + fail; total >= b.cfg.MinSamples &&
-		float64(fail)/float64(total) >= b.cfg.FailureRate {
+		float64(fail)/float64(total) >= breakerFailureRate {
 		b.trip(now)
 	}
 }

@@ -7,12 +7,10 @@ import (
 
 func testBreaker() *breaker {
 	return newBreaker(BreakerConfig{
-		Window:      time.Second,
-		Buckets:     10,
-		MinSamples:  4,
-		FailureRate: 0.5,
-		SlowCall:    100 * time.Millisecond,
-		OpenFor:     time.Second,
+		Window:     time.Second,
+		MinSamples: 4,
+		SlowCall:   100 * time.Millisecond,
+		OpenFor:    time.Second,
 	})
 }
 

@@ -90,12 +90,10 @@ func soak(t *testing.T, seed int64) {
 		},
 		ShardTimeout: time.Second,
 		Breaker: gateway.BreakerConfig{
-			Window:      2 * time.Second,
-			Buckets:     8,
-			MinSamples:  4,
-			FailureRate: 0.5,
-			SlowCall:    300 * time.Millisecond,
-			OpenFor:     250 * time.Millisecond,
+			Window:     2 * time.Second,
+			MinSamples: 4,
+			SlowCall:   300 * time.Millisecond,
+			OpenFor:    250 * time.Millisecond,
 		},
 	})
 
@@ -405,12 +403,10 @@ func grayRun(t *testing.T, rig *testutil.Rig, pattern workload.Pattern, hardened
 		name = "gray-failure breakers on"
 		cfg.ShardTimeout = 300 * time.Millisecond
 		cfg.Breaker = gateway.BreakerConfig{
-			Window:      2 * time.Second,
-			Buckets:     8,
-			MinSamples:  3,
-			FailureRate: 0.5,
-			SlowCall:    250 * time.Millisecond,
-			OpenFor:     10 * time.Second, // outlive the run: no mid-run re-probe
+			Window:     2 * time.Second,
+			MinSamples: 3,
+			SlowCall:   250 * time.Millisecond,
+			OpenFor:    10 * time.Second, // outlive the run: no mid-run re-probe
 		}
 	}
 	_, base := startGateway(t, cfg)
@@ -418,10 +414,9 @@ func grayRun(t *testing.T, rig *testutil.Rig, pattern workload.Pattern, hardened
 	pr := workload.NewPatternReader(rig.Topo, rig.Catalog, pattern, 0)
 	defer pr.Close()
 	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:         base,
-		Concurrency:    16,
-		Timeout:        30 * time.Second,
-		DisableAdvance: true,
+		Target:      base,
+		Concurrency: 16,
+		Timeout:     30 * time.Second,
 	}, pr)
 	if err != nil {
 		t.Fatal(err)

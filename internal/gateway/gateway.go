@@ -103,16 +103,6 @@ type Config struct {
 	PollInterval time.Duration
 	// Retry tunes the forwarding client shared by every upstream call.
 	Retry retryhttp.Options
-	// AutoAdvance makes the gateway close a shard's epoch in the
-	// background whenever that shard's intake ack reports its trigger
-	// fired. With N shards no client can know per-shard trigger state, so
-	// epoch management moves into the tier itself.
-	AutoAdvance bool
-	// AdvanceLag holds each auto-advance target this far behind the
-	// shard's newest acked arrival instant. It is the guard against
-	// cross-client arrival skew: a straggler up to AdvanceLag behind the
-	// fastest client never lands inside the frozen window.
-	AdvanceLag simtime.Duration
 	// Breaker tunes the per-shard circuit breakers that eject failing
 	// or gray-slow shards from placement (see BreakerConfig). The zero
 	// value enables breakers with defaults; set Disabled to opt out.
@@ -145,16 +135,6 @@ type shard struct {
 	polled      atomic.Pointer[shardStats]
 	plan        atomic.Pointer[schedule.Encoding] // the schedule in the last /v1/plan reply (merge.go)
 	brk         *breaker                          // nil when breakers are disabled
-
-	// Auto-advance state: maxAt tracks the newest acked arrival instant,
-	// lastAdvance the last advance target (so targets never regress), and
-	// advancing coalesces concurrent triggers.
-	advMu        sync.Mutex
-	advancing    bool
-	maxAt        atomic.Int64
-	lastAdvance  atomic.Int64
-	advances     atomic.Uint64
-	advanceNanos atomic.Int64
 }
 
 func (sh *shard) current() string {
@@ -178,8 +158,6 @@ type Gateway struct {
 	shards       []*shard
 	policy       Placement
 	retry        retryhttp.Options
-	autoAdvance  bool
-	advanceLag   simtime.Duration
 	shardTimeout time.Duration
 	regions      []int // user -> region, nil without Config.Topo
 
@@ -213,8 +191,6 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		policy:       policy,
 		retry:        cfg.Retry,
-		autoAdvance:  cfg.AutoAdvance,
-		advanceLag:   cfg.AdvanceLag,
 		shardTimeout: cfg.ShardTimeout,
 		stop:         make(chan struct{}),
 	}
@@ -237,7 +213,6 @@ func New(cfg Config) (*Gateway, error) {
 			standby: strings.TrimRight(sc.Standby, "/"),
 			brk:     newBreaker(cfg.Breaker),
 		}
-		sh.lastAdvance.Store(-1)
 		g.shards = append(g.shards, sh)
 	}
 	if cfg.Topo != nil {
@@ -267,20 +242,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.handler.
 // Policy returns the active placement policy's name.
 func (g *Gateway) Policy() string { return g.policy.Name() }
 
-// Close stops the background poller and waits for in-flight
-// auto-advances to finish. Call it after the HTTP server has drained.
+// Close stops the background poller. Call it after the HTTP server has
+// drained.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
-}
-
-func (g *Gateway) closed() bool {
-	select {
-	case <-g.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // place runs the policy and bumps the chosen shard's counters in one
@@ -333,9 +299,8 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	if !httpkit.DecodeBody(w, r, &req) {
 		return
 	}
-	// The shards' own screening, so a refusal moves neither a shard nor maxAt.
-	_, at, err := req.Screen()
-	if err != nil {
+	// The shards' own screening, so a refusal never reaches a shard.
+	if _, _, err := req.Screen(); err != nil {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -357,17 +322,13 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var ack api.ReservationResponse
 	t0 := time.Now()
-	err = g.forward(ctx, sh, func(base string) error {
+	err := g.forward(ctx, sh, func(base string) error {
 		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/reservations", req, &ack)
 	})
 	recordOutcome(sh, time.Since(t0), err)
 	if err != nil {
 		writeUpstreamErr(w, sh, err)
 		return
-	}
-	storeMax(&sh.maxAt, int64(at))
-	if ack.EpochDue {
-		g.maybeAutoAdvance(sh)
 	}
 	httpkit.WriteJSON(w, http.StatusAccepted, ReservationResponse{ReservationResponse: ack, Shard: sh.id})
 }
@@ -418,55 +379,9 @@ func recordOutcome(sh *shard, dur time.Duration, err error) {
 	sh.brk.record(now, dur, true)
 }
 
-// maybeAutoAdvance closes sh's epoch in the background. Concurrent
-// triggers coalesce: while one advance is in flight the next EpochDue
-// ack re-arms it.
-func (g *Gateway) maybeAutoAdvance(sh *shard) {
-	if !g.autoAdvance || g.closed() {
-		return
-	}
-	sh.advMu.Lock()
-	if sh.advancing {
-		sh.advMu.Unlock()
-		return
-	}
-	sh.advancing = true
-	sh.advMu.Unlock()
-	// The advance occupies the shard like any forwarded call, so live
-	// policies (least-loaded) steer new reservations away from it.
-	sh.outstanding.Add(1)
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer sh.outstanding.Add(-1)
-		defer func() {
-			sh.advMu.Lock()
-			sh.advancing = false
-			sh.advMu.Unlock()
-		}()
-		g.advanceShard(context.Background(), sh)
-	}()
-}
-
-func (g *Gateway) advanceShard(ctx context.Context, sh *shard) {
-	to := simtime.Time(sh.maxAt.Load()).Add(-g.advanceLag)
-	if to < 0 {
-		to = 0
-	}
-	if int64(to) <= sh.lastAdvance.Load() {
-		return // nothing new to commit
-	}
-	// A failure is not fatal: the next EpochDue ack retries.
-	if _, dur, err := g.advanceOne(ctx, sh, to); err == nil {
-		sh.advances.Add(1)
-		sh.advanceNanos.Add(dur.Nanoseconds())
-	}
-}
-
-// advanceOne closes sh's epoch up to to, for the auto-advancer and the
-// broadcast alike, and returns the round-trip time. Epoch solves are
-// legitimately slow, so an advance feeds the breaker only its error
-// signal, never its duration.
+// advanceOne closes sh's epoch up to to for the broadcast and returns the
+// round-trip time. Epoch solves are legitimately slow, so an advance feeds
+// the breaker only its error signal, never its duration.
 func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (api.EpochResult, time.Duration, error) {
 	t0 := time.Now()
 	var res api.EpochResult
@@ -474,9 +389,6 @@ func (g *Gateway) advanceOne(ctx context.Context, sh *shard, to simtime.Time) (a
 		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/advance", api.AdvanceRequest{To: to}, &res)
 	})
 	recordOutcome(sh, 0, err)
-	if err == nil {
-		storeMax(&sh.lastAdvance, int64(to))
-	}
 	return res, time.Since(t0), err
 }
 
@@ -696,8 +608,11 @@ type ShardStatus struct {
 	Routed      uint64 `json:"routed"`
 	Outstanding int64  `json:"outstanding"`
 	Failovers   uint64 `json:"failovers"`
-	Advances    uint64 `json:"advances"`
-	AdvanceMS   int64  `json:"advance_ms"`
+	// Advances and AdvanceMS are polled, like the counters after Breaker:
+	// the epochs the shard committed, explicit and triggered, and their
+	// time.
+	Advances  uint64 `json:"advances"`
+	AdvanceMS int64  `json:"advance_ms"`
 	// Breaker is the shard's circuit-breaker snapshot (absent when
 	// breakers are disabled).
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
@@ -752,8 +667,6 @@ func (g *Gateway) Stats() StatsResponse {
 		row.Routed = sh.routed.Load()
 		row.Outstanding = sh.outstanding.Load()
 		row.Failovers = sh.failovers.Load()
-		row.Advances = sh.advances.Load()
-		row.AdvanceMS = time.Duration(sh.advanceNanos.Load()).Milliseconds()
 		row.Breaker = sh.brk.status(now)
 		if sh.brk.viable(now) {
 			resp.HealthyShards++
@@ -761,6 +674,7 @@ func (g *Gateway) Stats() StatsResponse {
 		if ps := sh.polled.Load(); ps != nil {
 			row.Pending, row.InFlight, row.Shed = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed
 			row.Epoch, row.Role, row.ReplicationLag = ps.Shard.Epoch, ps.Shard.Role, ps.Shard.ReplicationLag
+			row.Advances, row.AdvanceMS = ps.Horizon.Advances, ps.Horizon.AdvanceMS
 			row.StatsError = ps.err
 			resp.Resolution.Add(ps.Horizon.Resolution)
 		}
@@ -770,16 +684,6 @@ func (g *Gateway) Stats() StatsResponse {
 		resp.Shards = append(resp.Shards, row)
 	}
 	return resp
-}
-
-// storeMax raises a to at least v.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // writeUpstreamErr relays a shard failure: protocol answers keep their

@@ -19,7 +19,7 @@ type View struct {
 	// ID is the shard's label.
 	ID string
 	// Outstanding is the gateway's live count of calls currently forwarded
-	// to the shard and not yet answered (auto-advances included). Unlike
+	// to the shard and not yet answered (broadcast advances included). Unlike
 	// the polled fields it is never stale, which is what makes collision
 	// avoidance possible at sub-poll-interval timescales.
 	Outstanding int64

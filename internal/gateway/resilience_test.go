@@ -113,11 +113,9 @@ func TestBreakerEjectsFailingShardAndRecovers(t *testing.T) {
 		Shards: shards,
 		Retry:  upstream,
 		Breaker: gateway.BreakerConfig{
-			Window:      2 * time.Second,
-			Buckets:     10,
-			MinSamples:  3,
-			FailureRate: 0.5,
-			OpenFor:     150 * time.Millisecond,
+			Window:     2 * time.Second,
+			MinSamples: 3,
+			OpenFor:    150 * time.Millisecond,
 		},
 	})
 
@@ -200,10 +198,9 @@ func TestGatewayShedsWhenAllShardsEjected(t *testing.T) {
 			MaxAttempts: 1,
 		},
 		Breaker: gateway.BreakerConfig{
-			Window:      2 * time.Second,
-			MinSamples:  2,
-			FailureRate: 0.5,
-			OpenFor:     200 * time.Millisecond,
+			Window:     2 * time.Second,
+			MinSamples: 2,
+			OpenFor:    200 * time.Millisecond,
 		},
 	})
 

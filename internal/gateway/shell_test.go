@@ -113,16 +113,15 @@ func TestGatewayScreensIntake(t *testing.T) {
 }
 
 // A reservation that arrives after it starts is refused at the door, before
-// it can move the auto-advancer: one such request must not push a shard's
-// horizon a thousand hours on and turn away every valid reservation after it.
+// it can move the shard's close target: one such request must not push a
+// shard's horizon a thousand hours on and turn away every valid reservation
+// after it.
 func TestGatewayRefusesArrivalAfterStart(t *testing.T) {
 	r := testRig(t)
-	url, _, _ := startShard(t, r, server.Options{Horizon: horizon.Config{EpochRequests: 1}})
+	url, _, _ := startShard(t, r, server.Options{Horizon: horizon.Config{EpochRequests: 1}, AdvanceLag: simtime.Hour})
 	gw, base := startGateway(t, gateway.Config{
-		Shards:      []gateway.ShardConfig{{ID: "s0", Primary: url}},
-		Retry:       fastRetry,
-		AutoAdvance: true,
-		AdvanceLag:  simtime.Hour,
+		Shards: []gateway.ShardConfig{{ID: "s0", Primary: url}},
+		Retry:  fastRetry,
 	})
 	post := func(req api.ReservationRequest) *http.Response {
 		t.Helper()
@@ -145,26 +144,33 @@ func TestGatewayRefusesArrivalAfterStart(t *testing.T) {
 		t.Errorf("arrival after start: error %q does not name the defect", body["error"])
 	}
 
-	resp = post(api.ReservationRequest{User: 0, Video: 0, Start: simtime.Time(30*simtime.Minute + 40)})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("the next valid reservation: status %d, want 202", resp.StatusCode)
-	}
-	// Its ack fired the trigger; once that advance lands, the horizon is
-	// still an hour behind the valid reservation.
-	deadline := time.Now().Add(5 * time.Second)
-	for gw.Stats().Shards[0].Advances == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the valid reservation's auto-advance never landed")
+	// Both valid reservations fire the trigger. At the first the shard's
+	// newest arrival is still inside the lag, so nothing closes; the close
+	// the second brings lands an hour behind it. Had the refused request
+	// moved the shard's clock, the first would have closed the epoch at
+	// 999 h and the second would be late.
+	second := simtime.Time(2*simtime.Hour + 30*simtime.Minute)
+	for _, start := range []simtime.Time{simtime.Time(30*simtime.Minute + 40), second} {
+		resp = post(api.ReservationRequest{User: 0, Video: 0, Start: start})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("valid reservation at %v: status %d, want 202", start, resp.StatusCode)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	var plan api.PlanResponse
-	if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &plan); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for plan.Epoch == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second reservation's close never landed")
+		}
+		time.Sleep(5 * time.Millisecond)
+		if err := retryhttp.GetJSON(context.Background(), fastRetry, url+"/v1/plan", &plan); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if plan.Horizon != 0 || gw.Stats().Routed != 1 {
-		t.Fatalf("shard horizon %v after %d routed reservations, want 0 after 1", plan.Horizon, gw.Stats().Routed)
+	if want := second.Add(-simtime.Hour); plan.Epoch != 1 || plan.Horizon != want || gw.Stats().Routed != 2 {
+		t.Fatalf("shard at epoch %d, horizon %v after %d routed reservations, want epoch 1 at %v after 2",
+			plan.Epoch, plan.Horizon, gw.Stats().Routed, want)
 	}
 }
 

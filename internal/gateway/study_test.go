@@ -25,21 +25,21 @@ import (
 //
 // The collision source is epoch management itself. Each shard runs with
 // two admission slots and no wait queue — one slot's worth of headroom
-// for the scheduler, one for intake — and the gateway auto-closes a
-// shard's epoch when its trigger fires, so for the length of a scheduler
-// run an advance occupies one of the two slots. Locality pins each
-// region's worker to its own shard: a shard's intake is then one
-// sequential stream plus its own advance, which fits the two slots
-// exactly, so locality never sheds. Least-loaded sees the in-flight
-// advance in the live Outstanding counter and steers around it. Only
-// round-robin keeps routing everyone into the advancing shard — a third
-// request stacked onto (advance + in-flight submit) is shed with 429.
+// for the scheduler, one for intake — and a shard closes its own epoch
+// when its trigger fires, so for the length of a scheduler run the close
+// occupies one of the two slots. Locality pins each region's worker to
+// its own shard: a shard's intake is then one sequential stream plus its
+// own close, which fits the two slots exactly, so locality never sheds.
+// Least-loaded sees the submit waiting on a closing shard in the live
+// Outstanding counter and steers around it. Only round-robin keeps
+// routing everyone into the closing shard — a third request stacked onto
+// (close + waiting submit) is shed with 429.
 const studyShards = 3
 
 func studyRig(t *testing.T) *testutil.Rig {
 	t.Helper()
 	// Sized so an epoch close is real work: a deep request stream makes
-	// each advance hold an admission slot for a measurable scheduler run,
+	// each close hold an admission slot for a measurable scheduler run,
 	// which is the window reservations collide with.
 	// Locality 0.8 gives the regionally skewed demand the study needs:
 	// each neighborhood's Zipf ranking is permuted per storage, so every
@@ -79,8 +79,8 @@ func TestPlacementPolicyStudy(t *testing.T) {
 
 	// Partition into per-region worker streams, sliced into arrival waves.
 	// Workers barrier between waves, so no straggler is ever more than one
-	// wave behind — which is why AdvanceLag = one wave width guarantees
-	// zero late arrivals.
+	// wave behind — which is why the shards' AdvanceLag = one wave width
+	// guarantees zero late arrivals.
 	const waves = 6
 	width := hi.Sub(lo)/waves + 1
 	byWave := make([][][]workload.Request, studyShards)
@@ -141,7 +141,8 @@ func runPolicy(t *testing.T, rig *testutil.Rig, policyName string, byWave [][][]
 	for i := 0; i < studyShards; i++ {
 		url, _, _ := startShard(t, rig, server.Options{
 			MaxInFlight: 2, MaxQueue: -1,
-			Horizon: horizon.Config{EpochRequests: 8},
+			Horizon:    horizon.Config{EpochRequests: 8},
+			AdvanceLag: width,
 		})
 		shards = append(shards, gateway.ShardConfig{ID: fmt.Sprintf("s%d", i), Primary: url})
 	}
@@ -157,9 +158,7 @@ func runPolicy(t *testing.T, rig *testutil.Rig, policyName string, byWave [][][]
 		// on a sub-millisecond cadence until the advance releases the slot.
 		// Every rejected attempt counts in the shard's shed total — the
 		// study's measure of how often a policy routed into a busy shard.
-		Retry:       retryhttp.Options{MaxAttempts: 500, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond},
-		AutoAdvance: true,
-		AdvanceLag:  width,
+		Retry: retryhttp.Options{MaxAttempts: 500, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond},
 	})
 
 	workerRetry := retryhttp.Options{MaxAttempts: 20, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}

@@ -100,7 +100,6 @@ const DefaultSnapshotEvery = 4
 type Trigger string
 
 const (
-	TriggerNone     Trigger = ""
 	TriggerRequests Trigger = "requests"
 	TriggerBytes    Trigger = "bytes"
 	TriggerTick     Trigger = "tick"
@@ -286,6 +285,20 @@ func (s *Service) known(r workload.Request) error {
 func (s *Service) Advance(ctx context.Context, to simtime.Time) (*api.EpochResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.advanceLocked(ctx, to)
+}
+
+// AdvanceBehind closes the epoch at the arrival clock less lag, read under the
+// same lock the close holds: the close a primary runs itself when a trigger
+// fires. A target not past the commit horizon closes nothing, and the result
+// is nil.
+func (s *Service) AdvanceBehind(ctx context.Context, lag simtime.Duration) (*api.EpochResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	to := s.st.Clock.Add(-lag)
+	if to <= s.st.Horizon {
+		return nil, nil
+	}
 	return s.advanceLocked(ctx, to)
 }
 

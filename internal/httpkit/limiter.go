@@ -1,6 +1,7 @@
 package httpkit
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"strconv"
@@ -44,6 +45,21 @@ func (l *Limiter) InFlight() int { return len(l.slots) }
 
 // Capacity returns the in-flight bound.
 func (l *Limiter) Capacity() int { return cap(l.slots) }
+
+// Acquire takes an in-flight slot for work that is not a request, waiting
+// for one as long as ctx lasts — ahead of the requests that arrive meanwhile
+// — and reports whether it got one. Release returns it.
+func (l *Limiter) Acquire(ctx context.Context) bool {
+	select {
+	case l.slots <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// Release returns a slot Acquire took.
+func (l *Limiter) Release() { <-l.slots }
 
 // Wrap puts next behind the limiter.
 func (l *Limiter) Wrap(next http.Handler) http.Handler {

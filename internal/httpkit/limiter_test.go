@@ -1,6 +1,7 @@
 package httpkit
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -154,5 +155,31 @@ func TestHealthzBypassesLimiter(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz at saturation: %d", resp.StatusCode)
+	}
+}
+
+// Work that is not a request holds a slot like one: while it does, a
+// request at saturation is shed; a second Acquire waits until the context
+// ends, and gets the slot once the first is released.
+func TestLimiterAcquire(t *testing.T) {
+	lim := NewLimiter(1, 0, time.Second)
+	if !lim.Acquire(context.Background()) {
+		t.Fatal("Acquire on a free limiter failed")
+	}
+	w := httptest.NewRecorder()
+	lim.Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		t.Error("a request ran while Acquire held the only slot")
+	})).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/work", nil))
+	if w.Code != http.StatusTooManyRequests || lim.InFlight() != 1 {
+		t.Fatalf("request beside an acquired slot: status %d, %d in flight; want 429, 1", w.Code, lim.InFlight())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if lim.Acquire(ctx) {
+		t.Fatal("Acquire at saturation took a slot")
+	}
+	lim.Release()
+	if !lim.Acquire(context.Background()) || lim.InFlight() != 1 {
+		t.Fatalf("Acquire after Release: %d in flight, want 1", lim.InFlight())
 	}
 }

@@ -3,14 +3,15 @@
 // single vspserve node or a vspgateway shard tier: a fixed pool of
 // workers submits reservations back-to-back (each worker issues its next
 // request as soon as the previous ack returns — closed-loop, so offered
-// concurrency is the knob, not an open arrival rate), while a dedicated
-// advancer closes epochs whenever the service reports one due.
+// concurrency is the knob, not an open arrival rate). Epochs are the
+// service's own business: a shard closes its epoch when its trigger fires,
+// and the harness never posts /v1/advance.
 //
 // The harness deliberately does NOT retry shed requests: a 429 is a
 // measurement (the admission controller working), not a transient to
 // paper over, so submits go through a plain http.Client rather than
 // retryhttp. The result quantifies the run — submit latency percentiles,
-// shed and late-arrival rates, epoch advance lag — and marshals to JSON
+// shed and late-arrival rates, per-shard routing — and marshals to JSON
 // for the benchmark trajectory.
 package loadgen
 
@@ -25,12 +26,9 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
-	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/stats"
 	"github.com/vodsim/vsp/internal/workload"
 )
@@ -44,15 +42,6 @@ type Config struct {
 	Concurrency int
 	// Timeout bounds each HTTP call (default 30s).
 	Timeout time.Duration
-	// Advance drives POST /v1/advance whenever a submit ack reports an
-	// epoch due (default true — set DisableAdvance to turn it off when
-	// the target advances itself, e.g. a gateway with -advance-lag).
-	DisableAdvance bool
-	// AdvanceLag holds each advance target this far behind the highest
-	// arrival instant submitted so far, absorbing cross-worker skew the
-	// same way the gateway's auto-advance does. 0 advances to the
-	// highest arrival seen.
-	AdvanceLag simtime.Duration
 	// Client overrides the HTTP client (tests); nil builds one from
 	// Timeout.
 	Client *http.Client
@@ -101,18 +90,6 @@ type Result struct {
 
 	// Submit summarizes per-request submit latency (p50/p95/p99/max).
 	Submit stats.LatencySummary `json:"submit_latency"`
-
-	// Advances counts epoch closes the harness drove; Advance summarizes
-	// their round-trips, and MaxShardLagMS is the worst fastest-to-
-	// slowest shard spread a gateway reported for one advance (0 against
-	// a single server).
-	Advances      int                  `json:"advances"`
-	AdvanceErrors int                  `json:"advance_errors"`
-	Advance       stats.LatencySummary `json:"advance_latency"`
-	MaxShardLagMS int64                `json:"max_shard_lag_ms"`
-
-	FinalEpoch   int          `json:"final_epoch"`
-	FinalHorizon simtime.Time `json:"final_horizon"`
 
 	// ShardRouted counts acks per shard label when the target is a
 	// gateway (its acks carry a "shard" field); empty for a single
@@ -185,16 +162,6 @@ func Run(ctx context.Context, cfg Config, trace workload.TraceReader) (*Result, 
 		}
 	}()
 
-	adv := &advancer{
-		cfg:    cfg,
-		client: client,
-		kick:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	if !cfg.DisableAdvance {
-		go adv.loop(ctx)
-	}
-
 	workers := make([]worker, cfg.Concurrency)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -205,7 +172,7 @@ func Run(ctx context.Context, cfg Config, trace workload.TraceReader) (*Result, 
 			w.shards = make(map[string]int)
 			w.causes = make(map[string]int)
 			for req := range feed {
-				submit(ctx, cfg, client, adv, w, req)
+				submit(ctx, cfg, client, w, req)
 				if ctx.Err() != nil {
 					return
 				}
@@ -214,9 +181,6 @@ func Run(ctx context.Context, cfg Config, trace workload.TraceReader) (*Result, 
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if !cfg.DisableAdvance {
-		adv.close()
-	}
 	if readErr != nil {
 		return nil, readErr
 	}
@@ -230,11 +194,6 @@ func Run(ctx context.Context, cfg Config, trace workload.TraceReader) (*Result, 
 		ElapsedMS:     elapsed.Milliseconds(),
 		ShardRouted:   make(map[string]int),
 		ErrorsByCause: make(map[string]int),
-		Advances:      adv.count,
-		AdvanceErrors: adv.errors,
-		MaxShardLagMS: adv.maxLagMS,
-		FinalEpoch:    adv.lastEpoch,
-		FinalHorizon:  adv.lastHorizon,
 	}
 	var lat []time.Duration
 	for i := range workers {
@@ -272,14 +231,13 @@ func Run(ctx context.Context, cfg Config, trace workload.TraceReader) (*Result, 
 		res.AcceptedPerSec = float64(res.Accepted) / secs
 	}
 	res.Submit = stats.SummarizeLatency(lat)
-	res.Advance = stats.SummarizeLatency(adv.latencies)
 	return res, nil
 }
 
 // submit posts one reservation and classifies the outcome. Arrival time
 // is the request's start instant (the trace is chronological, so the
 // service's reservation clock moves with the replay).
-func submit(ctx context.Context, cfg Config, client *http.Client, adv *advancer, w *worker, req workload.Request) {
+func submit(ctx context.Context, cfg Config, client *http.Client, w *worker, req workload.Request) {
 	w.submitted++
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -304,14 +262,8 @@ func submit(ctx context.Context, cfg Config, client *http.Client, adv *advancer,
 	case http.StatusAccepted:
 		w.accepted++
 		var a gateway.ReservationResponse // a server's ack is the same, without the shard
-		if json.NewDecoder(resp.Body).Decode(&a) == nil {
-			if a.Shard != "" {
-				w.shards[a.Shard]++
-			}
-			adv.observe(req.Start)
-			if a.EpochDue {
-				adv.trigger()
-			}
+		if json.NewDecoder(resp.Body).Decode(&a) == nil && a.Shard != "" {
+			w.shards[a.Shard]++
 		}
 	case http.StatusTooManyRequests:
 		w.shed++
@@ -338,119 +290,4 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (*h
 	}
 	req.Header.Set("Content-Type", "application/json")
 	return client.Do(req)
-}
-
-// advancer serializes epoch closes: workers that see an EpochDue ack
-// kick it, concurrent kicks coalesce, and each advance targets the
-// highest arrival instant observed so far minus the configured lag —
-// mirroring the gateway's auto-advance so the harness never pushes the
-// commit horizon past in-flight arrivals.
-type advancer struct {
-	cfg    Config
-	client *http.Client
-
-	maxAt atomic.Int64 // highest arrival instant submitted
-	kick  chan struct{}
-	done  chan struct{}
-
-	mu          sync.Mutex
-	count       int
-	errors      int
-	latencies   []time.Duration
-	maxLagMS    int64
-	lastEpoch   int
-	lastHorizon simtime.Time
-	lastTo      simtime.Time
-}
-
-func (a *advancer) observe(at simtime.Time) {
-	for {
-		cur := a.maxAt.Load()
-		if int64(at) <= cur || a.maxAt.CompareAndSwap(cur, int64(at)) {
-			return
-		}
-	}
-}
-
-func (a *advancer) trigger() {
-	select {
-	case a.kick <- struct{}{}:
-	default: // an advance is already pending; it will observe our maxAt
-	}
-}
-
-func (a *advancer) loop(ctx context.Context) {
-	for {
-		select {
-		case <-a.kick:
-			a.advance(ctx)
-		case <-a.done:
-			// Drain one final pending kick so EpochDue state observed
-			// just before shutdown still closes its epoch.
-			select {
-			case <-a.kick:
-				a.advance(ctx)
-			default:
-			}
-			close(a.kick)
-			return
-		case <-ctx.Done():
-			close(a.kick)
-			return
-		}
-	}
-}
-
-func (a *advancer) close() {
-	close(a.done)
-	// Wait for the loop to drain: kick is closed by the loop on exit.
-	for range a.kick {
-	}
-}
-
-func (a *advancer) advance(ctx context.Context) {
-	to := simtime.Time(a.maxAt.Load()) - simtime.Time(a.cfg.AdvanceLag)
-	a.mu.Lock()
-	if to <= a.lastTo {
-		a.mu.Unlock()
-		return
-	}
-	a.lastTo = to
-	a.mu.Unlock()
-
-	body, _ := json.Marshal(api.AdvanceRequest{To: to})
-	t0 := time.Now()
-	resp, err := post(ctx, a.client, a.cfg.Target+"/v1/advance", body)
-	took := time.Since(t0)
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err != nil {
-		a.errors++
-		return
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		a.errors++
-		return
-	}
-	var rep gateway.AdvanceResponse // a server's epoch result has the same epoch and horizon, and no lag
-	if json.NewDecoder(resp.Body).Decode(&rep) != nil {
-		a.errors++
-		return
-	}
-	a.count++
-	a.latencies = append(a.latencies, took)
-	if rep.LagMS > a.maxLagMS {
-		a.maxLagMS = rep.LagMS
-	}
-	if rep.Epoch > a.lastEpoch {
-		a.lastEpoch = rep.Epoch
-	}
-	if rep.Horizon > a.lastHorizon {
-		a.lastHorizon = rep.Horizon
-	}
 }

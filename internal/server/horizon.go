@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,9 @@ import (
 //	                          -> 202 intake ack (409 for late arrivals)
 //	GET  /v1/plan            -> committed schedule + horizon + cost
 //	POST /v1/advance         {"to": T} -> epoch result
+//
+// A primary also closes epochs itself: when an intake ack reports a trigger
+// fired, the closer advances to the newest arrival less Options.AdvanceLag.
 
 func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 	// Fencing: only the leader may accept reservations — a fenced
@@ -47,6 +51,9 @@ func (s *Server) handleReservation(w http.ResponseWriter, r *http.Request) {
 		}
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
+	}
+	if ack.EpochDue {
+		s.epochDue()
 	}
 	httpkit.WriteJSON(w, http.StatusAccepted, api.ReservationResponse{
 		Accepted:     true,
@@ -125,10 +132,76 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, status, err)
 		return
 	}
+	s.committed(res, t0)
+	httpkit.WriteJSON(w, http.StatusOK, res)
+}
+
+// committed counts an epoch that began at t0 in /v1/stats.
+func (s *Server) committed(res *api.EpochResult, t0 time.Time) {
 	s.advances.Add(1)
 	s.advanceNanos.Add(int64(time.Since(t0)))
 	s.resolutionMu.Lock()
 	s.resolution.Add(res.Resolution)
 	s.resolutionMu.Unlock()
-	httpkit.WriteJSON(w, http.StatusOK, res)
+}
+
+// epochDue starts a close when a trigger fires, or, while one runs, marks
+// another due after it: at most one close is in flight, and the triggers
+// that fire during it fold into the next.
+func (s *Server) epochDue() {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.closeCtx.Err() != nil {
+		return // closed
+	}
+	if s.closing {
+		s.closeAgain = true
+		return
+	}
+	s.closing = true
+	s.closeWG.Add(1)
+	go func() {
+		defer s.closeWG.Done()
+		for {
+			s.closeEpoch()
+			s.closeMu.Lock()
+			again := s.closeAgain && s.closeCtx.Err() == nil
+			s.closing, s.closeAgain = again, false
+			s.closeMu.Unlock()
+			if !again {
+				return
+			}
+		}
+	}()
+}
+
+// closeEpoch closes the epoch at the newest arrival less the lag the way POST
+// /v1/advance closes one: in an admission slot, under the request budget,
+// journaled, shipped to the followers and counted in /v1/stats. A follower
+// closes nothing: its epochs are its primary's advance records. A failed
+// close commits nothing, and the next trigger tries again.
+func (s *Server) closeEpoch() {
+	if !s.lead.IsPrimary() {
+		return
+	}
+	if s.limiter != nil {
+		if !s.limiter.Acquire(s.closeCtx) {
+			return
+		}
+		defer s.limiter.Release()
+	}
+	ctx := s.closeCtx
+	if s.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		defer cancel()
+	}
+	t0 := time.Now()
+	res, err := s.horizon.AdvanceBehind(ctx, s.advanceLag)
+	switch {
+	case err != nil && s.closeCtx.Err() == nil:
+		log.Printf("server: epoch close: %v", err)
+	case res != nil:
+		s.committed(res, t0)
+	}
 }

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
+	"github.com/vodsim/vsp/internal/workload"
 )
 
 func mustNew(t *testing.T, f *testutil.Fig2, opts Options) *Server {
@@ -255,5 +260,135 @@ func TestResolutionCountersInStats(t *testing.T) {
 	}
 	if got := decode[api.StatsResponse](t, resp).Horizon.Resolution; got != want {
 		t.Fatalf("stats resolution block %+v, want the sum of the advance replies %+v", got, want)
+	}
+}
+
+// horizonStats reads a server's /v1/stats horizon block.
+func horizonStats(t *testing.T, url string) api.HorizonStats {
+	t.Helper()
+	_, st := getAs[api.StatsResponse](t, url+"/v1/stats")
+	return st.Horizon
+}
+
+// A primary closes its own epoch when a trigger fires, at the newest arrival
+// less the lag. While every arrival lies inside the lag the target is not
+// past horizon 0, so the trigger closes nothing — no solve that freezes
+// nothing — and the reservations stay pending; the first arrival past the lag
+// closes the epoch an hour behind it, counted in /v1/stats like an explicit
+// advance.
+func TestTriggerClosesBehindTheLag(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, f, Options{Horizon: horizonConfigN(1), AdvanceLag: simtime.Hour})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	reserve := func(start simtime.Time) {
+		t.Helper()
+		q := f.Requests[0]
+		resp := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: start})
+		if ack := decode[api.ReservationResponse](t, resp); resp.StatusCode != http.StatusAccepted || !ack.EpochDue {
+			t.Fatalf("reservation at %v: status %d, ack %+v; want 202 with the trigger fired", start, resp.StatusCode, ack)
+		}
+		s.closeWG.Wait()
+	}
+
+	reserve(simtime.Time(10 * simtime.Minute))
+	reserve(simtime.Time(50 * simtime.Minute))
+	if hs := horizonStats(t, ts.URL); hs.Epoch != 0 || hs.Horizon != 0 || hs.Pending != 2 || hs.Advances != 0 {
+		t.Fatalf("triggers inside the lag closed an epoch: %+v", hs)
+	}
+
+	reserve(simtime.Time(150 * simtime.Minute))
+	if hs := horizonStats(t, ts.URL); hs.Epoch != 1 || hs.Horizon != simtime.Time(90*simtime.Minute) || hs.Pending != 0 || hs.Advances != 1 {
+		t.Fatalf("the trigger past the lag: %+v, want epoch 1 at %v with nothing pending", hs, simtime.Time(90*simtime.Minute))
+	}
+}
+
+// Triggers that fire while a close runs are not lost: once every close has
+// ended, the horizon stands at the newest accepted arrival less the lag, and
+// every close that committed is counted. Four workers keep the closes busy
+// enough for triggers to land during one.
+func TestTriggeredClosesCatchUp(t *testing.T) {
+	r, err := testutil.Build(testutil.Params{
+		Storages: 4, UsersPerStorage: 3, Titles: 10, WindowHours: 6, RequestsPerUser: 10, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lag = 30 * simtime.Minute
+	s, err := NewWithOptions(r.Model, Options{Horizon: horizonConfigN(1), AdvanceLag: lag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	reqs := append(workload.Set(nil), r.Requests...)
+	workload.SortChronological(reqs)
+
+	const workers = 4
+	newest := make([]simtime.Time, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(reqs); i += workers {
+				q := reqs[i]
+				body, _ := json.Marshal(api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+				resp, err := http.Post(ts.URL+"/v1/reservations", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusAccepted:
+					newest[w] = max(newest[w], q.Start)
+				case http.StatusConflict: // a close overtook this worker
+				default:
+					t.Errorf("reservation at %v: status %d", q.Start, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	s.closeWG.Wait()
+	want := slices.Max(newest).Add(-lag)
+	if hs := horizonStats(t, ts.URL); hs.Horizon != want || hs.Epoch == 0 || hs.Advances != uint64(hs.Epoch) {
+		t.Fatalf("after the triggers: %+v, want the horizon at %v and every epoch counted", hs, want)
+	}
+}
+
+// Close stops the closer before it closes the journal: the close the last
+// reservation triggered is committed or cancelled whole, never cut off by a
+// closed journal, and the directory recovers to one or the other.
+func TestCloseStopsTheCloser(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := replCfg()
+	cfg.EpochRequests = 1
+	s, err := NewWithOptions(f.Model, Options{DataDir: dir, Horizon: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := f.Requests[1]
+	body, _ := json.Marshal(api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/reservations", bytes.NewReader(body)))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("reservation: status %d", w.Code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := mustNew(t, f, Options{DataDir: dir, Horizon: replCfg()}).horizon.Plan()
+	if closed, open := p.Epoch == 1 && p.Pending == 0, p.Epoch == 0 && p.Pending == 1; !closed && !open {
+		t.Fatalf("recovered epoch %d with %d pending, want the close committed or not begun", p.Epoch, p.Pending)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
+	"github.com/vodsim/vsp/internal/simtime"
 )
 
 // Options tunes the hardening middleware around the API handlers.
@@ -24,6 +25,11 @@ type Options struct {
 	// no epoch trigger ever fires on its own and clients advance explicitly.
 	// Horizon.Workers is also the worker pool /v1/schedule solves on.
 	Horizon horizon.Config
+	// AdvanceLag holds the target of the epoch closes a primary runs itself,
+	// when one of Horizon's triggers fires, this far behind the newest
+	// arrival instant it has accepted, so a straggler up to AdvanceLag behind
+	// never lands inside the frozen window.
+	AdvanceLag simtime.Duration
 	// DataDir makes the rolling-horizon service durable: every accepted
 	// reservation and committed epoch is journaled to a write-ahead log
 	// under this directory, and construction recovers prior state from it

@@ -233,3 +233,73 @@ func TestReplicationWALRequiresDurability(t *testing.T) {
 		t.Fatalf("in-memory WAL endpoint: status %d body %v", code, e)
 	}
 }
+
+// A follower's replicated submits fire its trigger, but it never closes an
+// epoch on its own: its epochs are the primary's advance records. Promoted,
+// it closes one at its next trigger.
+func TestOnlyThePrimaryClosesOnATrigger(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	triggered := replCfg()
+	triggered.EpochRequests = 1
+	// The primary's lag outlasts the test, so every epoch it has is one it
+	// was told to close; the follower would close at every arrival.
+	primary := mustNew(t, f, Options{DataDir: t.TempDir(), Horizon: triggered, AdvanceLag: 1000 * simtime.Hour})
+	pts := httptest.NewServer(primary)
+	t.Cleanup(pts.Close)
+	follower := mustNew(t, f, Options{
+		DataDir:        t.TempDir(),
+		Horizon:        triggered,
+		ReplicateFrom:  pts.URL,
+		ReplicateEvery: 2 * time.Millisecond,
+	})
+	fts := httptest.NewServer(follower)
+	t.Cleanup(fts.Close)
+	follower.StartReplication(context.Background())
+	caughtUp := func(seq uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for follower.horizon.AppliedSeq() < seq {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck at seq %d, want %d", follower.horizon.AppliedSeq(), seq)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		follower.closeWG.Wait()
+	}
+
+	for _, q := range f.Requests {
+		resp := postJSON(t, pts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
+		if ack := decode[api.ReservationResponse](t, resp); !ack.EpochDue {
+			t.Fatalf("primary ack %+v: the trigger did not fire", ack)
+		}
+	}
+	caughtUp(uint64(len(f.Requests)))
+	if hs := horizonStats(t, fts.URL); hs.Epoch != 0 || hs.Pending != len(f.Requests) || hs.Advances != 0 {
+		t.Fatalf("follower after the replicated submits: %+v, want epoch 0 with all %d pending", hs, len(f.Requests))
+	}
+
+	to := simtime.Time(60 * simtime.Minute)
+	if resp := postJSON(t, pts.URL+"/v1/advance", api.AdvanceRequest{To: to}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("primary advance: status %d", resp.StatusCode)
+	}
+	caughtUp(uint64(len(f.Requests)) + 1)
+	if hs := horizonStats(t, fts.URL); hs.Epoch != 1 || hs.Horizon != to || hs.Pending != 0 {
+		t.Fatalf("follower after the primary's advance: %+v, want epoch 1 at %v", hs, to)
+	}
+
+	if resp := postJSON(t, fts.URL+"/v1/replication/promote", api.PromoteRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote: status %d", resp.StatusCode)
+	}
+	q, start := f.Requests[0], simtime.Time(300*simtime.Minute)
+	resp := postJSON(t, fts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: start})
+	if ack := decode[api.ReservationResponse](t, resp); resp.StatusCode != http.StatusAccepted || !ack.EpochDue {
+		t.Fatalf("promoted node: status %d, ack %+v", resp.StatusCode, ack)
+	}
+	follower.closeWG.Wait()
+	if hs := horizonStats(t, fts.URL); hs.Epoch != 2 || hs.Horizon != start || hs.Advances != 1 {
+		t.Fatalf("promoted node after its trigger: %+v, want epoch 2 at %v, closed by itself", hs, start)
+	}
+}

@@ -55,6 +55,7 @@ import (
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
+	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/units"
 	"github.com/vodsim/vsp/internal/workload"
@@ -75,9 +76,20 @@ type Server struct {
 	handler  http.Handler
 	plan     atomic.Pointer[encodedPlan] // the last committed schedule /v1/plan served, with its encoding
 
-	// Epoch-advance telemetry for /v1/stats: how many advances committed
-	// and how long they took in aggregate, so a load harness (or the
-	// gateway's poller) can read advance lag without scraping logs.
+	// The epoch closer (horizon.go): a primary closes its own epoch when a
+	// trigger fires, one close at a time. closeCtx ends at Close.
+	advanceLag  simtime.Duration
+	closeCtx    context.Context
+	stopClosing context.CancelFunc
+	closeMu     sync.Mutex
+	closing     bool // a close is running
+	closeAgain  bool // a trigger fired during it
+	closeWG     sync.WaitGroup
+
+	// Epoch-advance telemetry for /v1/stats: how many advances committed,
+	// explicit and triggered, and how long they took in aggregate, so a
+	// load harness (or the gateway's poller) can read advance lag without
+	// scraping logs.
 	advances     atomic.Uint64
 	advanceNanos atomic.Int64
 	// resolution sums the committed epochs' SORP work counts.
@@ -128,14 +140,16 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 		role = RoleFollower
 	}
 	s := &Server{
-		model:   model,
-		horizon: hz,
-		workers: opts.Horizon.Workers,
-		shardID: opts.ShardID,
-		timeout: opts.RequestTimeout,
-		mux:     http.NewServeMux(),
-		lead:    NewLeadership(role, 0),
+		model:      model,
+		horizon:    hz,
+		workers:    opts.Horizon.Workers,
+		shardID:    opts.ShardID,
+		timeout:    opts.RequestTimeout,
+		mux:        http.NewServeMux(),
+		lead:       NewLeadership(role, 0),
+		advanceLag: opts.AdvanceLag,
 	}
+	s.closeCtx, s.stopClosing = context.WithCancel(context.Background())
 	if opts.ReplicateFrom != "" {
 		s.shipper = NewShipper(hz, s.lead, opts.ReplicateFrom, opts.ReplicateEvery)
 	}
@@ -178,10 +192,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // (zero for in-memory servers).
 func (s *Server) Recovery() api.RecoveryStats { return s.horizon.Recovery() }
 
-// Close stops background replication, then flushes and closes the
-// horizon journal (no-op without DataDir). Call it after the HTTP
-// server has drained.
+// Close stops the epoch closer, cancelling a close in flight, and background
+// replication, then flushes and closes the horizon journal (no-op without
+// DataDir). Call it after the HTTP server has drained.
 func (s *Server) Close() error {
+	s.closeMu.Lock()
+	s.stopClosing()
+	s.closeMu.Unlock()
+	s.closeWG.Wait()
 	s.stopReplication()
 	return s.horizon.Close()
 }

@@ -390,6 +390,15 @@ var grepRules = []grepRule{
 		why: "audit.Run is called outside the façade and vspsim: a second, higher bar must not grow back into the serving path",
 	},
 	{
+		name:    "closer: the gateway's broadcast is the one client of /v1/advance",
+		pattern: regexp.MustCompile(`"(%s)?/v1/advance"`),
+		in:      regexp.MustCompile(`^(internal|cmd)/`),
+		except:  regexp.MustCompile(`^internal/gateway/`),
+		want:    0,
+		hit:     `resp, err := post(ctx, a.client, a.cfg.Target+"/v1/advance", body)`, miss: `s.mux.Handle("POST /v1/advance", s.timed(s.handleAdvance))`,
+		why: "a second epoch-closing driver posts /v1/advance: a primary closes its own epoch when its trigger fires (internal/server), and the tier's one client of the route is the gateway's broadcast of an explicit close (the examples and bench/ post explicit closes of a trace's tail)",
+	},
+	{
 		name:    "plan: the gateway merges shard plans as bytes",
 		pattern: regexp.MustCompile(`\bschedule\.(Schedule|FileSchedule|New)\b|json\.(Unmarshal|NewDecoder)\(|[mM]ergeSchedules\(`),
 		in:      regexp.MustCompile(`^internal/gateway/`),
