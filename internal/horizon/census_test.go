@@ -74,7 +74,7 @@ func takeCensus(t *testing.T, r *testutil.Rig, reqs workload.Set, workers int) c
 		c.closes++
 		c.victims += len(res.Victims)
 		pending := make(map[media.VideoID]bool)
-		for _, p := range before.Pending {
+		for _, p := range before.Accepted[before.planned:] {
 			pending[p.Video] = true
 		}
 		for vid, was := range before.Committed.Files {

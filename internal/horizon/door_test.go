@@ -58,8 +58,8 @@ type inconsistentSnapshot struct {
 
 // inconsistentSnapshots edits a good payload into states no service could have
 // reached. The first five are the ones that used to panic inside the gate
-// that was there to distrust them; the last decodes into a schedule that
-// serves none of what it accepted.
+// that was there to distrust them; the rest decode into a schedule, service
+// lists or cached sums that disagree with what the state accepted.
 func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 	t.Helper()
 	edit := func(fn func(st map[string]any)) []byte {
@@ -151,6 +151,12 @@ func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 			c := listed(st)
 			c["services"] = append(c["services"].([]any), 99999)
 		}), " 99999], but deliveries ["},
+		{"cost that is not the committed schedule's", edit(func(st map[string]any) {
+			st["cost"] = 12345.5
+		}), "cost 12345.5 is not"},
+		{"pending_bytes that is not the pending reservations'", edit(func(st map[string]any) {
+			st["pending_bytes"] = 1
+		}), "pending_bytes 1 is not"},
 	}
 }
 

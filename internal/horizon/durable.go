@@ -259,11 +259,11 @@ func (s *Service) maybeSnapshotLocked() {
 	}
 }
 
-// appendJSON appends the snapshot payload, json.Marshal(st) byte for byte, to
-// dst. A NaN or infinite Cost or PendingBytes is an error, as it is to
-// json.Marshal, and returns dst unextended. Recover and InstallSnapshot
-// decode the payload with encoding/json, so the struct tags remain the
-// format's definition and this its one writer.
+// appendJSON appends the snapshot payload to dst: json.Marshal of the tagged
+// fields, byte for byte, with the intake buffer as "pending". A NaN or
+// infinite Cost or PendingBytes is an error, as it is to json.Marshal, and
+// returns dst unextended. Recover and InstallSnapshot decode the payload with
+// encoding/json, so the struct tags remain the format's definition.
 func (st *state) appendJSON(dst []byte) ([]byte, error) {
 	out := strconv.AppendInt(append(dst, `{"horizon":`...), int64(st.Horizon), 10)
 	out = strconv.AppendInt(append(out, `,"epoch":`...), int64(st.Epoch), 10)
@@ -275,7 +275,11 @@ func (st *state) appendJSON(dst []byte) ([]byte, error) {
 	}
 	out = st.Committed.AppendJSON(append(out, `,"committed":`...))
 	out = st.Accepted.AppendJSON(append(out, `,"accepted":`...))
-	out = st.Pending.AppendJSON(append(out, `,"pending":`...))
+	pending := st.Accepted[st.planned:]
+	if len(pending) == 0 {
+		pending = nil // an emptied buffer has always been written null
+	}
+	out = pending.AppendJSON(append(out, `,"pending":`...))
 	if out, err = appendFloat(append(out, `,"pending_bytes":`...), "pending_bytes", st.PendingBytes); err != nil {
 		return dst, err
 	}
@@ -305,15 +309,16 @@ func appendFloat(dst []byte, field string, f float64) ([]byte, error) {
 }
 
 // decodeState is the one door by which a snapshot payload — read from disk by
-// Recover or shipped by a primary to InstallSnapshot — becomes a state. The
-// payload's checksum, where it has one, says the bytes are the bytes that
-// were written; the door establishes that what they decode to is a state this
-// service could have reached: the invariants the state type documents hold,
-// and the committed schedule passes the bar. It returns an error and never
-// panics, whatever the bytes. Of the service it reads the model and works in
-// the bar's kept memory (check), nothing else.
+// Recover or shipped by a primary to InstallSnapshot — becomes a state. A
+// checksum says the bytes are the ones written; the door establishes that they
+// decode to a state this service could have reached, one refusal per way they
+// could not, and never panics, whatever the bytes. Of the service it reads
+// the model and works in the bar's kept memory (check), nothing else.
 func (s *Service) decodeState(blob []byte) (state, error) {
-	var st state
+	var st struct {
+		state
+		Pending workload.Set `json:"pending"` // sets planned; not kept
+	}
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return state{}, err
 	}
@@ -323,21 +328,31 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 	if st.Epoch < 0 || st.Horizon < 0 {
 		return state{}, fmt.Errorf("negative epoch %d or horizon %v", st.Epoch, st.Horizon)
 	}
-	if n := len(st.Accepted) - len(st.Pending); n < 0 || !slices.Equal(st.Pending, st.Accepted[n:]) {
+	if st.planned = len(st.Accepted) - len(st.Pending); st.planned < 0 || !slices.Equal(st.Pending, st.Accepted[st.planned:]) {
 		return state{}, fmt.Errorf("the %d pending reservations are not the tail of the %d accepted", len(st.Pending), len(st.Accepted))
 	}
+	var pendingBytes float64 // in order from zero, as submitLocked sums it: bit-exact
 	for i, r := range st.Accepted {
 		if err := s.known(r); err != nil {
 			return state{}, fmt.Errorf("accepted reservation %d names %w", i, err)
 		}
-	}
-	for i, r := range st.Pending {
-		if r.Start < st.Horizon {
-			return state{}, fmt.Errorf("pending reservation %d starts at %v, before the commit horizon %v", i, r.Start, st.Horizon)
+		if i < st.planned {
+			continue
 		}
+		if r.Start < st.Horizon {
+			return state{}, fmt.Errorf("pending reservation %d starts at %v, before the commit horizon %v", i-st.planned, r.Start, st.Horizon)
+		}
+		pendingBytes += s.m.Catalog().Video(r.Video).StreamBytes().Float()
 	}
-	if err := s.check(&st); err != nil {
+	if pendingBytes != st.PendingBytes {
+		return state{}, fmt.Errorf("pending_bytes %v is not the %v the %d pending reservations stream", st.PendingBytes, pendingBytes, len(st.Pending))
+	}
+	if err := s.check(&st.state); err != nil {
 		return state{}, err
 	}
-	return st, nil
+	// scheduler.Solve stores Ψ as this very sum, so the comparison is exact.
+	if c := s.m.ScheduleCost(st.Committed); st.Cost != c {
+		return state{}, fmt.Errorf("cost %v is not %v, what the committed schedule costs", float64(st.Cost), float64(c))
+	}
+	return st.state, nil
 }

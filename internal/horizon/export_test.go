@@ -39,9 +39,15 @@ type wireState struct {
 	PendingBytes float64                `json:"pending_bytes"`
 }
 
+// wire spells the intake buffer, Accepted[planned:], as the snapshot does:
+// null when it is empty.
 func wire(st state) wireState {
+	pending := st.Accepted[st.planned:]
+	if len(pending) == 0 {
+		pending = nil
+	}
 	return wireState{st.Horizon, st.Epoch, st.Clock, st.EpochClock, st.Cost,
-		testutil.Wire(st.Committed), st.Accepted, st.Pending, st.PendingBytes}
+		testutil.Wire(st.Committed), st.Accepted, pending, st.PendingBytes}
 }
 
 // AdmitSnapshot takes a payload through decodeState, the door, and returns

@@ -142,21 +142,19 @@ type Service struct {
 }
 
 // state is the full mutable state of a Service, declared once: the live
-// value under Service.mu is also, field for field, the snapshot payload and
-// the replication snapshot. Every field is exported and tagged because
-// encoding/json silently drops the rest. The cost model and config are
-// reconstruction parameters, not state, and are supplied again at Recover.
+// value under Service.mu is also the snapshot and replication payload. Every
+// field but planned is exported and tagged, because encoding/json silently
+// drops the rest; planned is carried by the "pending" list, the tail it
+// leaves. The cost model and config are not state, supplied again at Recover.
 //
-// An epoch close reads one state value and commit installs the next; the
-// Committed schedule is never modified once installed, and Accepted only
-// ever grows by append, so a copy of the struct stays a consistent reading
-// after the lock is released.
+// Accepted holds every reservation once: Committed serves Accepted[:planned],
+// and the tail Accepted[planned:] is the pending intake buffer. Committed is
+// never modified once installed and Accepted only grows by append, so a copy
+// of the struct stays a consistent reading after the lock is released.
 //
 // A Committed schedule gets into a state in two ways only: extend solved it
-// and check accepted it, or decodeState read the state from a snapshot
-// payload and admitted it — Epoch and Horizon not negative, every accepted
-// reservation naming a known user and video, Pending the tail of Accepted
-// with nothing starting before Horizon — and check accepted it.
+// and check accepted it, or decodeState admitted the state from a snapshot
+// payload and check accepted it.
 type state struct {
 	Horizon      simtime.Time       `json:"horizon"`     // commit horizon H
 	Epoch        int                `json:"epoch"`       // epochs committed so far
@@ -165,8 +163,8 @@ type state struct {
 	Cost         units.Money        `json:"cost"`        // Ψ(S) of Committed
 	Committed    *schedule.Schedule `json:"committed"`
 	Accepted     workload.Set       `json:"accepted"` // every reservation ever accepted
-	Pending      workload.Set       `json:"pending"`  // accepted but not yet planned; a suffix of Accepted
-	PendingBytes float64            `json:"pending_bytes"`
+	planned      int                // how many of Accepted Committed serves
+	PendingBytes float64            `json:"pending_bytes"` // stream bytes of Accepted[planned:]
 }
 
 // New returns a service with an empty committed schedule and horizon 0.
@@ -188,7 +186,7 @@ func (s *Service) Plan() api.PlanResponse {
 	return api.PlanResponse{Schedule: s.st.Committed, PlanState: api.PlanState{
 		Horizon: s.st.Horizon,
 		Epoch:   s.st.Epoch,
-		Pending: len(s.st.Pending),
+		Pending: len(s.st.Accepted) - s.st.planned,
 		Cost:    s.st.Cost,
 	}}
 }
@@ -252,13 +250,12 @@ func (s *Service) submitLocked(at simtime.Time, r workload.Request) (Ack, error)
 	}
 	st := &s.st
 	st.Clock = simtime.Max(st.Clock, at)
-	st.Pending = append(st.Pending, r)
 	st.Accepted = append(st.Accepted, r)
 	st.PendingBytes += s.m.Catalog().Video(r.Video).StreamBytes().Float()
 
-	ack := Ack{Pending: len(st.Pending), PendingBytes: st.PendingBytes}
+	ack := Ack{Pending: len(st.Accepted) - st.planned, PendingBytes: st.PendingBytes}
 	switch {
-	case s.cfg.EpochRequests > 0 && len(st.Pending) >= s.cfg.EpochRequests:
+	case s.cfg.EpochRequests > 0 && ack.Pending >= s.cfg.EpochRequests:
 		ack.EpochDue, ack.Trigger = true, TriggerRequests
 	case s.cfg.EpochBytes > 0 && st.PendingBytes >= s.cfg.EpochBytes:
 		ack.EpochDue, ack.Trigger = true, TriggerBytes
@@ -352,6 +349,7 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 		Cost:       out.FinalCost,
 		Committed:  out.Schedule,
 		Accepted:   st.Accepted,
+		planned:    len(st.Accepted),
 	}
 	if err := s.check(&next); err != nil {
 		return state{}, nil, err
@@ -364,17 +362,15 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 }
 
 // check is the bar: the one predicate that decides whether a service may hold
-// a state's committed schedule. It is scheduler.Check against the
-// reservations the schedule must serve — everything accepted minus the
-// still-pending intake, which is planned only at the next Advance. An epoch
-// commit (extend), a decoded snapshot (decodeState) and promotion
-// (VerifyCommitted) all ask here, so whatever a commit accepted, recovery and
-// failover accept: it is the same call on the same arguments. Pending must be
-// no longer than Accepted. Callers hold s.mu, or own s outright (Recover
-// before it returns), which is what makes s.checker theirs.
+// a state's committed schedule. It is scheduler.Check against what the
+// schedule must serve, Accepted[:planned]: the pending intake is planned only
+// at the next Advance. An epoch commit (extend), a decoded snapshot
+// (decodeState) and promotion (VerifyCommitted) all ask here, so whatever a
+// commit accepted, recovery and failover accept: it is the same call on the
+// same arguments. Callers hold s.mu, or own s outright (Recover before it
+// returns), which is what makes s.checker theirs.
 func (s *Service) check(st *state) error {
-	served := st.Accepted[:len(st.Accepted)-len(st.Pending)]
-	return s.checker.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, served).Err()
+	return s.checker.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, st.Accepted[:st.planned]).Err()
 }
 
 // split divides the committed schedule at the new horizon: per video, the
@@ -384,7 +380,7 @@ func (s *Service) check(st *state) error {
 func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedule, map[media.VideoID][]workload.Request, *api.EpochResult, error) {
 	frozen := make(map[media.VideoID]*schedule.FileSchedule)
 	reqs := make(map[media.VideoID][]workload.Request)
-	res := &api.EpochResult{Epoch: st.Epoch, Horizon: to, Admitted: len(st.Pending)}
+	res := &api.EpochResult{Epoch: st.Epoch, Horizon: to, Admitted: len(st.Accepted) - st.planned}
 	for _, vid := range st.Committed.VideoIDs() {
 		pre, replan, err := splitFile(st.Committed.File(vid), to)
 		if err != nil {
@@ -400,7 +396,7 @@ func (st *state) split(to simtime.Time) (map[media.VideoID]*schedule.FileSchedul
 			res.Replanned += len(replan)
 		}
 	}
-	for _, r := range st.Pending {
+	for _, r := range st.Accepted[st.planned:] {
 		reqs[r.Video] = append(reqs[r.Video], r)
 	}
 	for _, rs := range reqs {

@@ -235,7 +235,7 @@ func TestSnapshotFileBytes(t *testing.T) {
 
 	snapshots := 0
 	driveEpochs(t, svc, reqs[:40], func(*api.EpochResult) {
-		payload := mustMarshal(t, svc.st)
+		payload := mustMarshal(t, wire(svc.st))
 		var seq [8]byte
 		binary.LittleEndian.PutUint64(seq[:], svc.lastSeq)
 		want := []byte("VSPSNAP1")

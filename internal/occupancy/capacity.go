@@ -48,7 +48,7 @@ func (l *Ledger) walkOverflows(node topology.NodeID) []Overflow {
 	if len(pts) == 0 {
 		return nil
 	}
-	capacity := l.topo.Node(node).Capacity.Float()
+	capacity := l.caps[node]
 	over := func(s float64) bool { return s > capacity+eps }
 
 	var out []Overflow
