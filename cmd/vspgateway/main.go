@@ -16,7 +16,7 @@
 //	vspgateway -addr :8070 \
 //	    -shard s0=http://localhost:8080,http://localhost:8081 \
 //	    -shard s1=http://localhost:8090 \
-//	    -policy least-loaded -poll-interval 2s
+//	    -policy least-loaded
 //
 // Region-aware placement needs the same topology the shards serve:
 //
@@ -64,7 +64,6 @@ func main() {
 		addr        = flag.String("addr", ":8070", "listen address")
 		policyName  = flag.String("policy", "round-robin", "placement policy: round-robin, least-loaded, locality, or hash")
 		topoPath    = flag.String("topo", "", "topology JSON; required by -policy locality, optional otherwise")
-		pollEvery   = flag.Duration("poll-interval", 2*time.Second, "period of the background shard stats poll feeding least-loaded placement (0 disables)")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
 
 		breakerOn    = flag.Bool("breaker", true, "eject gray-failing shards with per-shard circuit breakers")
@@ -103,7 +102,6 @@ func main() {
 		Shards:       shards,
 		Policy:       policy,
 		Topo:         topo,
-		PollInterval: *pollEvery,
 		ShardTimeout: *shardTimeout,
 		Breaker: gateway.BreakerConfig{
 			Disabled: !*breakerOn,

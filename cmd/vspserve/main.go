@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -98,6 +99,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("vspserve: %v", err)
 	}
+	// A lag is whole seconds in an int64; a negative one the server refuses.
+	lagSeconds := *advanceLagH * float64(simtime.Hour)
+	if math.IsNaN(lagSeconds) || math.Abs(lagSeconds) >= math.MaxInt64 {
+		log.Fatalf("vspserve: -advance-lag-hours %v is out of range: a lag is a finite number of hours, at most %.3g", *advanceLagH, math.MaxInt64/float64(simtime.Hour))
+	}
 	topo, err := cli.LoadTopology(*topoPath)
 	if err != nil {
 		log.Fatalf("vspserve: %v", err)
@@ -115,7 +121,7 @@ func main() {
 		ShardID:        *shardID,
 		ReplicateFrom:  *replFrom,
 		ReplicateEvery: *replEvery,
-		AdvanceLag:     simtime.Duration(*advanceLagH * float64(simtime.Hour)),
+		AdvanceLag:     simtime.Duration(lagSeconds),
 		Horizon: horizon.Config{
 			Workers:       *workers,
 			Fsync:         fsyncPolicy,

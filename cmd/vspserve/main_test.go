@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -122,5 +123,34 @@ func TestFsyncFlagRefusesInterval(t *testing.T) {
 	}
 	if log := string(out); !strings.Contains(log, "always") || !strings.Contains(log, "never") || strings.Contains(log, "listening on") {
 		t.Errorf("refusal does not name the two policies, or the server came up first:\n%s", log)
+	}
+}
+
+// TestAdvanceLagFlagRefusesBadValues: a lag that is not a finite number of
+// hours, one too large to hold in seconds, or a negative one does not start
+// the server — it exits 1 saying which.
+func TestAdvanceLagFlagRefusesBadValues(t *testing.T) {
+	topoP, catP := writeFixtures(t)
+	for value, want := range map[string]string{
+		"NaN":  "-advance-lag-hours NaN",
+		"+Inf": "-advance-lag-hours +Inf",
+		"-Inf": "-advance-lag-hours -Inf",
+		"3e15": "-advance-lag-hours 3e+15",
+		"-1":   "negative advance lag",
+	} {
+		// A server that did start is killed at the deadline, and fails below.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0],
+			"-topo", topoP, "-catalog", catP, "-addr", "127.0.0.1:0", "-advance-lag-hours", value)
+		cmd.Env = append(os.Environ(), "VSPSERVE_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-advance-lag-hours %s: %v, want exit status 1; log:\n%s", value, err, out)
+		}
+		if log := string(out); !strings.Contains(log, want) || strings.Contains(log, "listening on") {
+			t.Errorf("-advance-lag-hours %s: refusal does not name %q, or the server came up first:\n%s", value, want, log)
+		}
 	}
 }

@@ -21,8 +21,8 @@ import (
 // placement policy, each shard's plan must hold no overflow; the merged plan's
 // overflows and largest excess are logged, the numbers a per-shard capacity
 // budget must bring to zero. With one submit at a time every shard ties under
-// least-loaded, which routes them all to the first: its merged plan is one
-// shard's.
+// least-loaded, which rotates among ties: it routes like round-robin, and its
+// merged plan is round-robin's.
 func TestMergedPlanCapacity(t *testing.T) {
 	resolved, merged, worst := 0, 0, 0.0
 	for seed := int64(1); seed <= 3; seed++ {

@@ -8,7 +8,8 @@
 //	POST /v1/advance         broadcast; per-shard epoch results aggregated
 //	GET  /v1/plan            shard plans merged into one global schedule,
 //	                         as bytes, once per change
-//	GET  /v1/stats           per-shard routing + breaker + polled counters
+//	GET  /v1/stats           per-shard routing + breaker counters, and
+//	                         each shard's /v1/stats polled for the reply
 //	GET  /healthz            gateway liveness
 //	GET  /readyz             tier readiness (≥1 shard routable)
 //
@@ -97,10 +98,6 @@ type Config struct {
 	// RouteInfo.Region. Optional; without it Locality degrades to the
 	// video hash.
 	Topo *topology.Topology
-	// PollInterval is the period of the background /v1/stats poll that
-	// feeds the polled View fields (0 disables the background poller;
-	// GET /v1/stats still refreshes on demand).
-	PollInterval time.Duration
 	// Retry tunes the forwarding client shared by every upstream call.
 	Retry retryhttp.Options
 	// Breaker tunes the per-shard circuit breakers that eject failing
@@ -115,12 +112,6 @@ type Config struct {
 	ShardTimeout time.Duration
 }
 
-// shardStats is one polled /v1/stats reply, or the poll's failure.
-type shardStats struct {
-	api.StatsResponse
-	err string
-}
-
 // shard is the gateway's live state for one partition.
 type shard struct {
 	id string
@@ -132,7 +123,6 @@ type shard struct {
 	outstanding atomic.Int64
 	routed      atomic.Uint64
 	failovers   atomic.Uint64
-	polled      atomic.Pointer[shardStats]
 	plan        atomic.Pointer[schedule.Encoding] // the schedule in the last /v1/plan reply (merge.go)
 	brk         *breaker                          // nil when breakers are disabled
 }
@@ -143,17 +133,8 @@ func (sh *shard) current() string {
 	return sh.primary
 }
 
-func (sh *shard) view(i int) View {
-	v := View{Index: i, ID: sh.id, Outstanding: sh.outstanding.Load(), Routed: sh.routed.Load()}
-	if ps := sh.polled.Load(); ps != nil && ps.err == "" {
-		v.HasStats = true
-		v.Pending, v.InFlight, v.Shed, v.Epoch = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed, ps.Shard.Epoch
-	}
-	return v
-}
-
 // Gateway fronts the shards. It is an http.Handler safe for concurrent
-// use; Close it after the HTTP server has drained.
+// use, and it keeps no goroutine running between requests.
 type Gateway struct {
 	shards       []*shard
 	policy       Placement
@@ -172,14 +153,9 @@ type Gateway struct {
 	placeMu sync.Mutex // serializes Place with the outstanding bump
 
 	handler http.Handler
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// New builds a gateway and, when Config.PollInterval is set, starts its
-// background stats poller.
+// New builds a gateway.
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("gateway: no shards configured")
@@ -192,7 +168,6 @@ func New(cfg Config) (*Gateway, error) {
 		policy:       policy,
 		retry:        cfg.Retry,
 		shardTimeout: cfg.ShardTimeout,
-		stop:         make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(cfg.Shards))
 	for i, sc := range cfg.Shards {
@@ -229,10 +204,6 @@ func New(cfg Config) (*Gateway, error) {
 	// and the per-shard breakers already are this tier's deadline and shed.
 	g.handler = httpkit.RecoverPanics(httpkit.RetryAfter503(
 		httpkit.LimitBody(mux, api.DefaultMaxRequestBytes)))
-	if cfg.PollInterval > 0 {
-		g.wg.Add(1)
-		go g.pollLoop(cfg.PollInterval)
-	}
 	return g, nil
 }
 
@@ -242,12 +213,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.handler.
 // Policy returns the active placement policy's name.
 func (g *Gateway) Policy() string { return g.policy.Name() }
 
-// Close stops the background poller. Call it after the HTTP server has
-// drained.
-func (g *Gateway) Close() {
-	g.stopOnce.Do(func() { close(g.stop) })
-	g.wg.Wait()
-}
+// Close releases nothing: the gateway holds no goroutine or file between
+// requests. It is kept so a caller can close the gateway with what it serves.
+func (g *Gateway) Close() {}
 
 // place runs the policy and bumps the chosen shard's counters in one
 // critical section, so two concurrent placements can never both observe
@@ -262,11 +230,11 @@ func (g *Gateway) place(info RouteInfo) *shard {
 	defer g.placeMu.Unlock()
 	views := make([]View, 0, len(g.shards))
 	eligible := make([]*shard, 0, len(g.shards))
-	for i, sh := range g.shards {
+	for _, sh := range g.shards {
 		if !sh.brk.allow(now) {
 			continue
 		}
-		views = append(views, sh.view(i))
+		views = append(views, View{Outstanding: sh.outstanding.Load(), Routed: sh.routed.Load()})
 		eligible = append(eligible, sh)
 	}
 	if len(eligible) == 0 {
@@ -304,7 +272,7 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	info := RouteInfo{User: req.User, Video: req.Video, Start: req.Start, Region: -1}
+	info := RouteInfo{Video: req.Video, Region: -1}
 	if int(req.User) < len(g.regions) {
 		info.Region = g.regions[req.User]
 	}
@@ -558,48 +526,6 @@ func (g *Gateway) handleReady(w http.ResponseWriter, _ *http.Request) {
 	httpkit.WriteJSON(w, code, resp)
 }
 
-// pollLoop refreshes the polled stats snapshots on the configured
-// interval until the gateway is closed.
-func (g *Gateway) pollLoop(every time.Duration) {
-	defer g.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	timeout := every
-	if timeout < time.Second {
-		timeout = time.Second
-	}
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			g.PollNow(ctx)
-			cancel()
-		}
-	}
-}
-
-// PollNow refreshes every shard's stats snapshot from its /v1/stats —
-// exactly one request per shard, thanks to the shard block the servers
-// expose. Polls never trigger failover: a poll failure is recorded, and
-// only real intake traffic may promote a standby.
-func (g *Gateway) PollNow(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			ps := new(shardStats)
-			if err := retryhttp.GetJSON(ctx, g.retry, sh.current()+"/v1/stats", &ps.StatsResponse); err != nil {
-				ps = &shardStats{err: err.Error()}
-			}
-			sh.polled.Store(ps)
-		}(sh)
-	}
-	wg.Wait()
-}
-
 // ShardStatus is one shard's row in the gateway's GET /v1/stats reply.
 type ShardStatus struct {
 	ID          string `json:"id"`
@@ -608,7 +534,7 @@ type ShardStatus struct {
 	Routed      uint64 `json:"routed"`
 	Outstanding int64  `json:"outstanding"`
 	Failovers   uint64 `json:"failovers"`
-	// Advances and AdvanceMS are polled, like the counters after Breaker:
+	// Advances and AdvanceMS are polled, like the fields after Breaker:
 	// the epochs the shard committed, explicit and triggered, and their
 	// time.
 	Advances  uint64 `json:"advances"`
@@ -616,7 +542,7 @@ type ShardStatus struct {
 	// Breaker is the shard's circuit-breaker snapshot (absent when
 	// breakers are disabled).
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
-	// Polled shard-side counters (zero until a poll succeeds).
+	// Polled shard-side counters (zero when the poll failed, and in Stats).
 	Pending        int    `json:"pending"`
 	InFlight       int    `json:"in_flight"`
 	Shed           uint64 `json:"shed"`
@@ -648,13 +574,39 @@ type StatsResponse struct {
 	Plan PlanStats `json:"plan"`
 }
 
+// handleStats answers with the gateway's counters and one /v1/stats poll of
+// every shard, made for this reply and kept by nothing. A poll never
+// triggers failover: only intake traffic may promote a standby.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	g.PollNow(r.Context())
-	httpkit.WriteJSON(w, http.StatusOK, g.Stats())
+	polls := make([]api.StatsResponse, len(g.shards))
+	errs := make([]error, len(g.shards))
+	var wg sync.WaitGroup
+	for i, sh := range g.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = retryhttp.GetJSON(r.Context(), g.retry, sh.current()+"/v1/stats", &polls[i])
+		}()
+	}
+	wg.Wait()
+	resp := g.Stats()
+	for i, ps := range polls {
+		row := &resp.Shards[i]
+		if errs[i] != nil {
+			row.StatsError = errs[i].Error()
+			continue
+		}
+		row.Pending, row.InFlight, row.Shed = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed
+		row.Epoch, row.Role, row.ReplicationLag = ps.Shard.Epoch, ps.Shard.Role, ps.Shard.ReplicationLag
+		row.Advances, row.AdvanceMS = ps.Horizon.Advances, ps.Horizon.AdvanceMS
+		resp.Shed += row.Shed
+		resp.Resolution.Add(ps.Horizon.Resolution)
+	}
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
-// Stats assembles the gateway's view of the tier from the counters and
-// the most recent poll (call PollNow first for fresh shard-side fields).
+// Stats assembles the gateway's own view of the tier: its counters and
+// breakers. The polled fields are zero; GET /v1/stats fills them.
 func (g *Gateway) Stats() StatsResponse {
 	now := time.Now()
 	resp := StatsResponse{Policy: g.policy.Name(), GatewayShed: g.sheds.Load(), Plan: PlanStats{
@@ -671,15 +623,7 @@ func (g *Gateway) Stats() StatsResponse {
 		if sh.brk.viable(now) {
 			resp.HealthyShards++
 		}
-		if ps := sh.polled.Load(); ps != nil {
-			row.Pending, row.InFlight, row.Shed = ps.Horizon.Pending, ps.Overload.InFlight, ps.Overload.Shed
-			row.Epoch, row.Role, row.ReplicationLag = ps.Shard.Epoch, ps.Shard.Role, ps.Shard.ReplicationLag
-			row.Advances, row.AdvanceMS = ps.Horizon.Advances, ps.Horizon.AdvanceMS
-			row.StatsError = ps.err
-			resp.Resolution.Add(ps.Horizon.Resolution)
-		}
 		resp.Routed += row.Routed
-		resp.Shed += row.Shed
 		resp.Failovers += row.Failovers
 		resp.Shards = append(resp.Shards, row)
 	}

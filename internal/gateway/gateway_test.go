@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,19 +179,77 @@ func TestHashRoutingDeterministic(t *testing.T) {
 
 func TestLeastLoadedPolicyOrdering(t *testing.T) {
 	p := gateway.LeastLoaded()
-	views := []gateway.View{
-		{Index: 0, Outstanding: 2},
-		{Index: 1, Outstanding: 0, HasStats: true, Pending: 9},
-		{Index: 2, Outstanding: 0, HasStats: true, Pending: 1},
-	}
+	views := []gateway.View{{Outstanding: 2}, {Outstanding: 1}, {Outstanding: 0, Routed: 9}}
 	if got := p.Place(gateway.RouteInfo{}, views); got != 2 {
-		t.Fatalf("least-loaded picked %d, want 2 (fewest outstanding, lightest backlog)", got)
+		t.Fatalf("least-loaded picked %d, want 2 (fewest outstanding)", got)
 	}
-	// Full tie keeps configuration order.
-	views = []gateway.View{{Index: 0}, {Index: 1}, {Index: 2}}
-	if got := p.Place(gateway.RouteInfo{}, views); got != 0 {
-		t.Fatalf("least-loaded tie-break picked %d, want 0", got)
+	// Ties rotate in configuration order from the shard after the last
+	// pick, whatever each shard was routed before.
+	views = []gateway.View{{Routed: 5}, {Routed: 0}, {Routed: 9}}
+	for i, want := range []int{0, 1, 2, 0} {
+		if got := p.Place(gateway.RouteInfo{}, views); got != want {
+			t.Fatalf("tie %d: least-loaded picked %d, want %d", i, got, want)
+		}
 	}
+	// A lighter shard wins over the rotation, which then resumes after it.
+	views = []gateway.View{{Outstanding: 1}, {Outstanding: 1}, {Outstanding: 0}}
+	if got := p.Place(gateway.RouteInfo{}, views); got != 2 {
+		t.Fatalf("least-loaded picked %d, want 2 (fewest outstanding)", got)
+	}
+	if got := p.Place(gateway.RouteInfo{}, make([]gateway.View, 3)); got != 0 {
+		t.Fatalf("tie after shard 2: least-loaded picked %d, want 0", got)
+	}
+}
+
+// One submit at a time leaves every shard with nothing outstanding, so each
+// placement is a full tie: least-loaded must spread them evenly, not send
+// them all to the first shard.
+func TestLeastLoadedSpreadsSerialTraffic(t *testing.T) {
+	r, err := testutil.Build(testutil.Params{
+		Storages: 6, UsersPerStorage: 4, Titles: 12,
+		CapacityGB: 3, RequestsPerUser: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Requests) != 192 {
+		t.Fatalf("fixture bug: %d requests, want 192", len(r.Requests))
+	}
+	var shards []gateway.ShardConfig
+	for i := 0; i < 3; i++ {
+		url, _, _ := startShard(t, r, server.Options{})
+		shards = append(shards, gateway.ShardConfig{ID: fmt.Sprintf("s%d", i), Primary: url})
+	}
+	_, base := startGateway(t, gateway.Config{Shards: shards, Policy: gateway.LeastLoaded(), Retry: fastRetry})
+	routed := make(map[string]int)
+	for _, req := range r.Requests {
+		routed[submit(t, base, req).Shard]++
+	}
+	if want := map[string]int{"s0": 64, "s1": 64, "s2": 64}; !reflect.DeepEqual(routed, want) {
+		t.Fatalf("192 serial submits routed %v, want %v", routed, want)
+	}
+}
+
+// The gateway runs no goroutine of its own: building one and closing it
+// leaves the goroutine count where it was. A goroutine another test left
+// winding down can move the count by itself, so a few tries are allowed.
+func TestGatewayStartsNoGoroutine(t *testing.T) {
+	cfg := gateway.Config{Shards: []gateway.ShardConfig{{Primary: "http://127.0.0.1:1"}, {Primary: "http://127.0.0.1:2"}}}
+	var before, during, after int
+	for try := 0; try < 5; try++ {
+		before = runtime.NumGoroutine()
+		gw, err := gateway.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		during = runtime.NumGoroutine()
+		gw.Close()
+		if after = runtime.NumGoroutine(); during == before && after == before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines %d before New, %d after it, %d after Close; want no change", before, during, after)
 }
 
 func TestParsePlacement(t *testing.T) {
@@ -534,8 +593,8 @@ func TestInfinitelyHotVictimCrossesBothTiers(t *testing.T) {
 }
 
 // The shard's /v1/stats overload block gained deadline_exceeded beside shed;
-// the gateway's poller decodes the whole reply into api.StatsResponse, so
-// the block it reads its load figures from must still arrive intact.
+// the gateway's GET /v1/stats polls each shard and decodes the whole reply
+// into api.StatsResponse, so the block its rows read must still arrive intact.
 func TestStatsPollerReadsTheOverloadBlock(t *testing.T) {
 	r := testRig(t)
 	url, _, _ := startShard(t, r, server.Options{MaxInFlight: 7})

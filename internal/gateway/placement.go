@@ -6,43 +6,21 @@ import (
 	"hash/fnv"
 
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/topology"
 )
 
 // View is the per-shard state offered to a placement policy at decision
-// time: the gateway's own live counters plus the shard's last polled
-// /v1/stats shard block.
+// time: counters the gateway updates itself, so never stale.
 type View struct {
-	// Index is the shard's position in the gateway configuration.
-	Index int
-	// ID is the shard's label.
-	ID string
 	// Outstanding is the gateway's live count of calls currently forwarded
-	// to the shard and not yet answered (broadcast advances included). Unlike
-	// the polled fields it is never stale, which is what makes collision
-	// avoidance possible at sub-poll-interval timescales.
+	// to the shard and not yet answered (broadcast advances included).
 	Outstanding int64
 	// Routed counts reservations ever placed on the shard.
 	Routed uint64
-	// HasStats reports whether the polled fields below are populated (the
-	// most recent /v1/stats poll of this shard succeeded).
-	HasStats bool
-	// Pending is the shard's un-planned reservation backlog.
-	Pending int
-	// InFlight is the shard's admission-control saturation.
-	InFlight int
-	// Shed counts requests the shard rejected with 429 since it started.
-	Shed uint64
-	// Epoch is the shard's committed horizon epoch.
-	Epoch int
 }
 
 // RouteInfo describes the reservation being placed.
 type RouteInfo struct {
-	User  topology.UserID
 	Video media.VideoID
-	Start simtime.Time
 	// Region is the requesting neighborhood's region index (see
 	// topology.UserRegions), or -1 when the gateway has no topology to
 	// derive it.
@@ -76,34 +54,26 @@ func (p *roundRobin) Place(_ RouteInfo, shards []View) int {
 }
 
 // LeastLoaded prefers the shard with the fewest outstanding gateway
-// calls, breaking ties by the polled backlog (pending + in-flight) and
-// then by configuration order. The live Outstanding counter leads
-// because the polled stats are one poll interval stale — routing on them
-// alone sends bursts into a shard that is already busy.
-func LeastLoaded() Placement { return leastLoaded{} }
+// calls and rotates among ties in configuration order, so serial traffic,
+// where every shard ties, spreads like round-robin. Ties do not break by
+// Routed: a shard back from a breaker ejection would then take every tied
+// request until it caught up.
+func LeastLoaded() Placement { return &leastLoaded{} }
 
-type leastLoaded struct{}
+type leastLoaded struct{ next int }
 
-func (leastLoaded) Name() string { return "least-loaded" }
+func (p *leastLoaded) Name() string { return "least-loaded" }
 
-func (leastLoaded) Place(_ RouteInfo, shards []View) int {
-	best := 0
-	for i := 1; i < len(shards); i++ {
-		if lighter(shards[i], shards[best]) {
+func (p *leastLoaded) Place(_ RouteInfo, shards []View) int {
+	n := len(shards)
+	best := p.next % n
+	for k := 1; k < n; k++ {
+		if i := (p.next + k) % n; shards[i].Outstanding < shards[best].Outstanding {
 			best = i
 		}
 	}
+	p.next = (best + 1) % n
 	return best
-}
-
-func lighter(a, b View) bool {
-	if a.Outstanding != b.Outstanding {
-		return a.Outstanding < b.Outstanding
-	}
-	if la, lb := a.Pending+a.InFlight, b.Pending+b.InFlight; la != lb {
-		return la < lb
-	}
-	return false // full tie: keep the earlier shard
 }
 
 // Locality routes by the requesting neighborhood's region: users of

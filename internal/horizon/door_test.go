@@ -49,7 +49,7 @@ func goodSnapshot(t testing.TB, r *testutil.Rig) []byte {
 	return tail.Snapshot
 }
 
-// inconsistentSnapshot is a payload that decodes and must not be admitted.
+// inconsistentSnapshot is a well-formed payload that must not be admitted.
 type inconsistentSnapshot struct {
 	name string
 	blob []byte
@@ -59,7 +59,8 @@ type inconsistentSnapshot struct {
 // inconsistentSnapshots edits a good payload into states no service could have
 // reached. The first five are the ones that used to panic inside the gate
 // that was there to distrust them; the rest decode into a schedule, service
-// lists or cached sums that disagree with what the state accepted.
+// lists or cached sums that disagree with what the state accepted, and the
+// last carries a field no version of the state declares.
 func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 	t.Helper()
 	edit := func(fn func(st map[string]any)) []byte {
@@ -157,6 +158,9 @@ func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 		{"pending_bytes that is not the pending reservations'", edit(func(st map[string]any) {
 			st["pending_bytes"] = 1
 		}), "pending_bytes 1 is not"},
+		{"field this version does not declare", edit(func(st map[string]any) {
+			st["id"] = "k"
+		}), `unknown field "id"`},
 	}
 }
 

@@ -1,6 +1,7 @@
 package horizon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -76,7 +77,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 	}
 	if haveSnap {
 		if s.st, err = s.decodeState(blob); err != nil {
-			return nil, fmt.Errorf("horizon: recover %s: snapshot: %w", dir, err)
+			return nil, fmt.Errorf("horizon: recover %s: snapshot seq %d: %w", dir, snapSeq, err)
 		}
 		s.recovery.SnapshotLoaded = true
 	}
@@ -95,7 +96,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 	// afterwards, so replayed operations are not re-journaled and never
 	// snapshot.
 	s.mu.Lock()
-	for i, rec := range recs {
+	for _, rec := range recs {
 		if rec.Seq <= snapSeq {
 			continue // compacted into the snapshot; left by a crash before Reset
 		}
@@ -109,7 +110,7 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		if err != nil {
 			s.mu.Unlock()
 			log.Close()
-			return nil, fmt.Errorf("horizon: recover %s: replay record %d: %w", dir, i, err)
+			return nil, fmt.Errorf("horizon: recover %s: replay record seq %d: %w", dir, rec.Seq, err)
 		}
 	}
 	s.recovery.Recovered = haveSnap || s.recovery.ReplayedSubmits > 0 || s.recovery.ReplayedAdvances > 0
@@ -162,7 +163,7 @@ func (s *Service) Close() error {
 // returned even on failure so callers can attribute the error.
 func (s *Service) applyPayloadLocked(ctx context.Context, payload []byte) (walOp, error) {
 	var op walOp
-	if err := json.Unmarshal(payload, &op); err != nil {
+	if err := decodeStrict(payload, &op); err != nil {
 		return op, fmt.Errorf("undecodable operation: %w", err)
 	}
 	var err error
@@ -319,7 +320,7 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 		state
 		Pending workload.Set `json:"pending"` // sets planned; not kept
 	}
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := decodeStrict(blob, &st); err != nil {
 		return state{}, err
 	}
 	if st.Committed == nil {
@@ -355,4 +356,20 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 		return state{}, fmt.Errorf("cost %v is not %v, what the committed schedule costs", float64(st.Cost), float64(c))
 	}
 	return st.state, nil
+}
+
+// decodeStrict decodes data, which must be exactly one JSON value, into v and
+// refuses a field v does not declare: a journal record or snapshot written by
+// a version that knows more must not be applied as though the field were not
+// there. Both doors, applyPayloadLocked and decodeState, decode through it.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("%d bytes after the JSON value", len(rest))
+	}
+	return nil
 }

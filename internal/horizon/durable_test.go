@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
@@ -107,6 +108,53 @@ func TestRecoverFreshDir(t *testing.T) {
 	}
 	if _, err := svc.Advance(context.Background(), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A journal record carrying a field this version does not declare is refused
+// by both doors a record enters by, recovery and a follower's apply, with an
+// error that names the field and the record's seq. Applying it as though the
+// field were not there would serve a state the writer did not mean.
+func TestRecordWithUnknownFieldRefused(t *testing.T) {
+	r := rig(t, durableParams())
+	q := r.Requests[0]
+	good := fmt.Sprintf(`{"op":"submit","at":%d,"user":%d,"video":%d,"start":%d}`, q.Start, q.User, q.Video, q.Start)
+	bad := []byte(good[:len(good)-1] + `,"id":"k"}`)
+	named := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), `"id"`) && strings.Contains(err.Error(), "seq 2")
+	}
+
+	dir := t.TempDir()
+	log, _, _, err := wal.Open(filepath.Join(dir, horizon.LogName), wal.Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{[]byte(good), bad} {
+		if _, err := log.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if svc, err := horizon.Recover(dir, r.Model, horizon.Config{}); !named(err) {
+		if err == nil {
+			svc.Close()
+		}
+		t.Fatalf("recovery of %s: %v; want a refusal naming \"id\" and seq 2", bad, err)
+	}
+
+	follower := horizon.New(r.Model, horizon.Config{})
+	ctx := context.Background()
+	if _, err := follower.ApplyReplicated(ctx, wal.Record{Seq: 1, Payload: []byte(good)}); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := follower.ApplyReplicated(ctx, wal.Record{Seq: 2, Payload: bad})
+	if ok || !named(err) {
+		t.Fatalf("follower applied %s: ok %v, %v; want a refusal naming \"id\" and seq 2", bad, ok, err)
+	}
+	if seq, pending := follower.AppliedSeq(), follower.Pending(); seq != 1 || pending != 1 {
+		t.Fatalf("refused record moved the follower: applied seq %d, %d pending; want 1 and 1", seq, pending)
 	}
 }
 

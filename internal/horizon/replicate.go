@@ -130,7 +130,7 @@ func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
 	// must leave the live state and the data directory untouched.
 	st, err := s.decodeState(blob)
 	if err != nil {
-		return fmt.Errorf("horizon: snapshot state: %w", err)
+		return fmt.Errorf("horizon: snapshot seq %d: %w", seq, err)
 	}
 	if s.journal != nil {
 		// Persist before adopting: if the snapshot cannot be made durable

@@ -307,6 +307,7 @@ func FuzzApplyReplicated(f *testing.F) {
 		`{"op":"submit","at":0,"user":-1,"video":0,"start":0}`,
 		`{"op":"submit","at":0,"user":0,"video":9999,"start":0}`,
 		`{"op":"submit","at":-5,"user":0,"video":0,"start":-5}`,
+		`{"op":"submit","at":0,"user":0,"video":0,"start":0,"id":"k"}`,
 		`{"op":"rewind"}`, `{}`, `null`, `[`, ``,
 	} {
 		f.Add([]byte(p))

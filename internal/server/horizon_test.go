@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,6 +305,28 @@ func TestTriggerClosesBehindTheLag(t *testing.T) {
 	reserve(simtime.Time(150 * simtime.Minute))
 	if hs := horizonStats(t, ts.URL); hs.Epoch != 1 || hs.Horizon != simtime.Time(90*simtime.Minute) || hs.Pending != 0 || hs.Advances != 1 {
 		t.Fatalf("the trigger past the lag: %+v, want epoch 1 at %v with nothing pending", hs, simtime.Time(90*simtime.Minute))
+	}
+}
+
+// A negative lag would close epochs ahead of the newest arrival, so the
+// reservations after it would be refused as late: construction refuses it,
+// before a data directory is opened.
+func TestNegativeAdvanceLagRefused(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := NewWithOptions(f.Model, Options{DataDir: dir, AdvanceLag: -simtime.Second})
+	if err == nil {
+		s.Close()
+		t.Fatal("negative advance lag accepted")
+	}
+	if !strings.Contains(err.Error(), "negative advance lag") {
+		t.Fatalf("refusal does not say what is wrong: %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("refused construction left %d file(s) in the data directory", len(entries))
 	}
 }
 

@@ -28,7 +28,7 @@ type Options struct {
 	// AdvanceLag holds the target of the epoch closes a primary runs itself,
 	// when one of Horizon's triggers fires, this far behind the newest
 	// arrival instant it has accepted, so a straggler up to AdvanceLag behind
-	// never lands inside the frozen window.
+	// never lands inside the frozen window. Negative is refused.
 	AdvanceLag simtime.Duration
 	// DataDir makes the rolling-horizon service durable: every accepted
 	// reservation and committed epoch is journaled to a write-ahead log

@@ -121,8 +121,13 @@ func New(model *cost.Model) *Server {
 // fails when Options.DataDir names a directory whose journaled state
 // cannot be recovered (corrupt log, or a snapshot that contradicts itself
 // or holds a schedule the commit predicate refuses) — a crashed service
-// must not come back up serving a schedule it cannot honor.
+// must not come back up serving a schedule it cannot honor. A negative
+// Options.AdvanceLag is refused too: a triggered close would land ahead of
+// the newest arrival and refuse the reservations after it as late.
 func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
+	if opts.AdvanceLag < 0 {
+		return nil, fmt.Errorf("server: negative advance lag %v", opts.AdvanceLag)
+	}
 	opts = opts.withDefaults()
 	var hz *horizon.Service
 	if opts.DataDir != "" {

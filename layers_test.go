@@ -372,6 +372,13 @@ var grepRules = []grepRule{
 		why: "the journal's third flush policy weakened the ack to amortise the fsync; group commit (ROADMAP item 4) is what may",
 	},
 	{
+		name:    "wire: placement reads live counters only",
+		pattern: regexp.MustCompile(`time\.NewTicker\(|PollInterval`),
+		in:      regexp.MustCompile(`^(internal/gateway|cmd/vspgateway)/`), want: 0,
+		hit: "t := time.NewTicker(every)", miss: "resp := g.Stats()",
+		why: "a background refresh keeps shard state the gateway did not update itself; the polled /v1/stats fields proved too stale to steer by, so placement reads the live Outstanding and Routed counters and GET /v1/stats polls once per request, keeping nothing",
+	},
+	{
 		name:    "solver: one pipeline",
 		pattern: regexp.MustCompile(`ivs\.ScheduleFile\(|sorp\.Resolve`),
 		in:      wholeProgram,
