@@ -68,7 +68,7 @@ func (g *Gateway) failover(ctx context.Context, sh *shard, failed string) error 
 	}
 	if st.Role != api.RolePrimary {
 		if !st.Synced {
-			return fmt.Errorf("standby never synced with the primary; promoting it would serve an empty shard")
+			return fmt.Errorf("standby not synced with the primary (last error %q); promoting it would serve an empty or diverged shard", st.LastError)
 		}
 		var prom api.PromoteResponse
 		err := retryhttp.PostJSON(ctx, g.retry, standby+"/v1/replication/promote",

@@ -39,7 +39,7 @@ func goodSnapshot(t testing.TB, r *testutil.Rig) []byte {
 		}
 		applyOp(t, primary, op)
 	}
-	tail, err := primary.TailAfter(0, 0)
+	tail, err := primary.TailAfter(0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

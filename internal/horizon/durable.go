@@ -1,9 +1,7 @@
 package horizon
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -121,6 +119,9 @@ func Recover(dir string, m *cost.Model, cfg Config) (*Service, error) {
 		log.EnsureSeqAbove(recs[len(recs)-1].Seq)
 	}
 	s.lastSeq = log.NextSeq() - 1
+	if n := len(recs); n > 0 && recs[n-1].Seq == s.lastSeq {
+		s.lastCRC, s.haveCRC = wal.Checksum(s.lastSeq, recs[n-1].Payload), true
+	}
 	s.journal = log
 	s.dir = dir
 	return s, nil
@@ -163,7 +164,7 @@ func (s *Service) Close() error {
 // returned even on failure so callers can attribute the error.
 func (s *Service) applyPayloadLocked(ctx context.Context, payload []byte) (walOp, error) {
 	var op walOp
-	if err := decodeStrict(payload, &op); err != nil {
+	if err := api.DecodeStrict(payload, &op); err != nil {
 		return op, fmt.Errorf("undecodable operation: %w", err)
 	}
 	var err error
@@ -199,7 +200,7 @@ func (s *Service) journalOp(op walOp) error {
 	if err != nil {
 		return err
 	}
-	s.lastSeq = seq
+	s.lastSeq, s.lastCRC, s.haveCRC = seq, wal.Checksum(seq, s.rec), true
 	return nil
 }
 
@@ -320,7 +321,7 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 		state
 		Pending workload.Set `json:"pending"` // sets planned; not kept
 	}
-	if err := decodeStrict(blob, &st); err != nil {
+	if err := api.DecodeStrict(blob, &st); err != nil {
 		return state{}, err
 	}
 	if st.Committed == nil {
@@ -356,20 +357,4 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 		return state{}, fmt.Errorf("cost %v is not %v, what the committed schedule costs", float64(st.Cost), float64(c))
 	}
 	return st.state, nil
-}
-
-// decodeStrict decodes data, which must be exactly one JSON value, into v and
-// refuses a field v does not declare: a journal record or snapshot written by
-// a version that knows more must not be applied as though the field were not
-// there. Both doors, applyPayloadLocked and decodeState, decode through it.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
-		return fmt.Errorf("%d bytes after the JSON value", len(rest))
-	}
-	return nil
 }

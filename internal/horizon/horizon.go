@@ -136,6 +136,8 @@ type Service struct {
 	journal  *wal.Log
 	dir      string
 	lastSeq  uint64
+	lastCRC  uint32 // the checksum of the record at lastSeq, when haveCRC
+	haveCRC  bool   // false after a snapshot install, or a recovery with no record after the snapshot
 	recovery api.RecoveryStats
 	snap     []byte // the last snapshot's encoding; its array is the next one's buffer
 	rec      []byte // the journal record being appended, reused from one to the next

@@ -28,6 +28,10 @@ import (
 // journaled primary has a WAL to ship.
 var ErrNotDurable = errors.New("horizon: service has no journal (in-memory)")
 
+// ErrDiverged is wrapped by TailAfter's refusal of a follower whose resume
+// point is not in this service's history.
+var ErrDiverged = errors.New(api.Diverged)
+
 // AppliedSeq returns the latest journal sequence this service has
 // durably applied: on a primary, the last sequence it journaled; on a
 // follower, the last replicated record it applied. Shipping resumes
@@ -36,6 +40,17 @@ func (s *Service) AppliedSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastSeq
+}
+
+// ResumePoint returns AppliedSeq and, when ok, the checksum of the record at
+// it, which a follower's poll carries so the primary can tell whether the
+// two histories agree there. ok is false when the service holds no such
+// record: at seq 0, after a snapshot install, or after a recovery that
+// replayed nothing past its snapshot.
+func (s *Service) ResumePoint() (seq uint64, crc uint32, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastSeq, s.lastCRC, s.haveCRC
 }
 
 // TailAfter assembles the replication batch following the given sequence,
@@ -47,19 +62,46 @@ func (s *Service) AppliedSeq() uint64 {
 // recovery at this instant would reload. maxRecords caps the records; 0
 // means no cap. LastSeq is the latest journaled sequence, which lets the
 // follower compute its lag; the caller sets LeaderEpoch.
-func (s *Service) TailAfter(after uint64, maxRecords int) (*api.Batch, error) {
+//
+// crc, when non-nil, is the checksum of the follower's own record at after
+// (ResumePoint). A follower whose record there differs from this service's,
+// or whose after is past this service's last sequence, holds a history this
+// one does not: the refusal wraps ErrDiverged and names both sequences. The
+// comparison is skipped when this service no longer holds the record (it
+// was compacted into a snapshot, or arrived in one).
+func (s *Service) TailAfter(after uint64, crc *uint32, maxRecords int) (*api.Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return nil, ErrNotDurable
 	}
+	diverged := func(mine uint32) error {
+		return fmt.Errorf("horizon: follower's record seq %d has crc %08x, this node's %08x (last seq %d): %w",
+			after, *crc, mine, s.lastSeq, ErrDiverged)
+	}
+	switch {
+	case after > s.lastSeq:
+		return nil, fmt.Errorf("horizon: follower at seq %d is past this node's last seq %d: %w", after, s.lastSeq, ErrDiverged)
+	case crc != nil && after == s.lastSeq && s.haveCRC && *crc != s.lastCRC:
+		return nil, diverged(s.lastCRC)
+	}
 	batch := &api.Batch{LastSeq: s.lastSeq}
-	if after >= s.lastSeq {
+	if after == s.lastSeq {
 		return batch, nil // follower is caught up
 	}
-	recs, _, err := wal.ReadLogAfter(filepath.Join(s.dir, LogName), after)
+	from := after
+	if crc != nil && after > 0 {
+		from = after - 1 // read the record at after too, to compare
+	}
+	recs, _, err := wal.ReadLogAfter(filepath.Join(s.dir, LogName), from)
 	if err != nil {
 		return nil, fmt.Errorf("horizon: read journal tail: %w", err)
+	}
+	if from < after && len(recs) > 0 && recs[0].Seq == after {
+		if mine := wal.Checksum(after, recs[0].Payload); mine != *crc {
+			return nil, diverged(mine)
+		}
+		recs = recs[1:]
 	}
 	if len(recs) == 0 || recs[0].Seq != after+1 {
 		// The records right after the resume point were compacted into a
@@ -109,6 +151,7 @@ func (s *Service) ApplyReplicated(ctx context.Context, rec wal.Record) (bool, er
 	} else {
 		s.lastSeq = rec.Seq
 	}
+	s.lastCRC, s.haveCRC = wal.Checksum(rec.Seq, rec.Payload), true
 	return true, nil
 }
 
@@ -146,7 +189,7 @@ func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
 		s.journal.EnsureSeqAbove(seq)
 	}
 	s.st = st
-	s.lastSeq = seq
+	s.lastSeq, s.haveCRC = seq, false
 	s.recovery.SnapshotLoaded = true
 	return nil
 }

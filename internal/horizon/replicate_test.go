@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,7 +19,12 @@ func shipAll(t *testing.T, primary, follower *horizon.Service) (records, snapsho
 	t.Helper()
 	ctx := context.Background()
 	for {
-		tail, err := primary.TailAfter(follower.AppliedSeq(), 0)
+		after, crc, ok := follower.ResumePoint()
+		var check *uint32
+		if ok {
+			check = &crc
+		}
+		tail, err := primary.TailAfter(after, check, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +53,53 @@ func shipAll(t *testing.T, primary, follower *horizon.Service) (records, snapsho
 func TestTailAfterRequiresDurability(t *testing.T) {
 	r := rig(t, durableParams())
 	svc := horizon.New(r.Model, horizon.Config{})
-	if _, err := svc.TailAfter(0, 0); !errors.Is(err, horizon.ErrNotDurable) {
+	if _, err := svc.TailAfter(0, nil, 0); !errors.Is(err, horizon.ErrNotDurable) {
 		t.Fatalf("in-memory TailAfter: %v, want ErrNotDurable", err)
+	}
+}
+
+// A poll carries the checksum of the follower's record at its resume point,
+// and the primary refuses a follower whose history is not its own there —
+// at its last seq or behind it — or whose seq is past its last; it skips the
+// comparison when the poll carries no checksum.
+func TestTailAfterRefusesDivergedFollower(t *testing.T) {
+	r := rig(t, durableParams())
+	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
+	primary, err := horizon.Recover(t.TempDir(), r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	for _, op := range script(r, 3) {
+		applyOp(t, primary, op)
+	}
+	all, err := primary.TailAfter(0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := primary.AppliedSeq()
+	if last < 3 {
+		t.Fatalf("fixture bug: %d records", last)
+	}
+	crcAt := func(seq uint64) uint32 { return all.Records[seq-1].CRC }
+	bad := func(seq uint64) *uint32 { c := crcAt(seq) + 1; return &c }
+	for _, after := range []uint64{1, last - 1, last} {
+		good := crcAt(after)
+		tail, err := primary.TailAfter(after, &good, 0)
+		if err != nil || uint64(len(tail.Records)) != last-after {
+			t.Fatalf("agreeing follower at seq %d: %d records, %v; want %d", after, len(tail.Records), err, last-after)
+		}
+		if _, err := primary.TailAfter(after, nil, 0); err != nil {
+			t.Fatalf("follower at seq %d without a checksum: %v", after, err)
+		}
+		_, err = primary.TailAfter(after, bad(after), 0)
+		if !errors.Is(err, horizon.ErrDiverged) || !strings.Contains(err.Error(), fmt.Sprintf("seq %d ", after)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("last seq %d", last)) {
+			t.Fatalf("diverged follower at seq %d: %v, want ErrDiverged naming seqs %d and %d", after, err, after, last)
+		}
+	}
+	if _, err := primary.TailAfter(last+1, nil, 0); !errors.Is(err, horizon.ErrDiverged) {
+		t.Fatalf("follower past the primary: %v, want ErrDiverged", err)
 	}
 }
 
@@ -106,7 +157,7 @@ func TestApplyReplicatedIdempotencyAndGaps(t *testing.T) {
 	for _, op := range ops {
 		applyOp(t, primary, op)
 	}
-	tail, err := primary.TailAfter(0, 0)
+	tail, err := primary.TailAfter(0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +210,7 @@ func TestSnapshotShippingAfterCompaction(t *testing.T) {
 	for _, op := range ops {
 		applyOp(t, primary, op)
 	}
-	tail, err := primary.TailAfter(0, 0)
+	tail, err := primary.TailAfter(0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +342,7 @@ func FuzzApplyReplicated(f *testing.F) {
 	for _, op := range script(r, 3) {
 		applyOp(f, primary, op)
 	}
-	tail, err := primary.TailAfter(0, 0)
+	tail, err := primary.TailAfter(0, nil, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

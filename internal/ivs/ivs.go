@@ -86,8 +86,10 @@ type Options struct {
 	// files; this file's own copies are registered into it as scheduling
 	// proceeds, so on return the ledger reflects the produced schedule.
 	// A rejective run builds its result in a file of its video handed
-	// back with Recycle, when there is one.
+	// back with Workspace.Recycle, when there is one.
 	Ledger *occupancy.Ledger
+	// Workspace supplies the run's scratch and dead file; nil takes one.
+	Workspace *Workspace
 	// Banned lists (interval, storage) pairs the file must not occupy,
 	// the constraint imposed on the overflow victim (paper §4.2).
 	Banned []occupancy.Banned
@@ -141,9 +143,9 @@ func compareKeys(a, b copyKey) int {
 
 // scratch is the working state of one ScheduleFile run: everything the
 // greedy needs while it decides and nothing its result keeps. Runs take one
-// from scratchPool and hand it back, so the arrays grow to the largest run
-// they have served and stop allocating there; the result is copied out of
-// them at its exact size (prune).
+// from their workspace and hand it back, so the arrays grow to the largest
+// run they have served and stop allocating there; the result is copied out
+// of them at its exact size (prune).
 type scratch struct {
 	// res holds the file's residencies while the greedy runs: the frozen
 	// prefix, the seeds, then every tentative it opens, most of which
@@ -177,88 +179,95 @@ type lastTentative struct {
 	ok   bool
 }
 
-// scratchPool recycles scratches across runs: a mutex and a LIFO free list,
-// so what a run allocates repeats exactly (a sync.Pool's reuse would depend
-// on GC timing). Bounded by count, enough for every worker of a parallel
-// phase; a scratch handed back beyond the bound is left to the collector.
-var scratchPool struct {
+// Workspace is the storage a solve reuses from run to run: its views' and
+// logs' (Occupancy), the greedy's scratches and dead result files per video
+// (Recycle), in LIFO lists bounded by count. The zero value is empty.
+type Workspace struct {
+	occ       occupancy.Workspace
+	mu        sync.Mutex
+	scratches []*scratch
+	files     map[media.VideoID][]*schedule.FileSchedule
+	nfiles    int
+}
+
+const (
+	maxPooledScratch = 32 // enough for every worker of a parallel phase
+	maxPooledFiles   = 1024
+	maxIdle          = 8 // above the solves a process runs at once
+)
+
+// idle holds the workspaces solves handed back, the last on top.
+var idle struct {
 	sync.Mutex
-	free []*scratch
+	ws []*Workspace
 }
 
-const maxPooledScratch = 32
-
-func takeScratch() *scratch {
-	scratchPool.Lock()
-	defer scratchPool.Unlock()
-	k := len(scratchPool.free)
-	if k == 0 {
-		return new(scratch)
+// TakeWorkspace returns the workspace handed back last, or a new one.
+func TakeWorkspace() *Workspace {
+	idle.Lock()
+	defer idle.Unlock()
+	if k := len(idle.ws); k > 0 {
+		w := idle.ws[k-1]
+		idle.ws = idle.ws[:k-1]
+		return w
 	}
-	sc := scratchPool.free[k-1]
-	scratchPool.free = scratchPool.free[:k-1]
-	return sc
+	return new(Workspace)
 }
 
-// release hands the scratch back, its residencies dropped for the next run
-// to start from. The scratch holds no pointers, so nothing needs clearing.
-func (sc *scratch) release() {
+// Release hands the workspace back; nothing it handed out may be in use.
+func (w *Workspace) Release() {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.ws) < maxIdle {
+		idle.ws = append(idle.ws, w)
+	}
+}
+
+// Occupancy is what views and logs draw from (occupancy.Ledger.UseWorkspace).
+func (w *Workspace) Occupancy() *occupancy.Workspace { return &w.occ }
+
+// take returns a scratch and, for a rejective run, the video's last dead file.
+func (w *Workspace) take(video media.VideoID, rejective bool) (sc *scratch, dead *schedule.FileSchedule) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if k := len(w.scratches); k > 0 {
+		sc, w.scratches = w.scratches[k-1], w.scratches[:k-1]
+	} else {
+		sc = new(scratch)
+	}
+	if fss := w.files[video]; rejective && len(fss) > 0 {
+		k := len(fss) - 1
+		dead, fss[k], w.files[video] = fss[k], nil, fss[:k]
+		w.nfiles--
+	}
+	return sc, dead
+}
+
+// putScratch hands back the scratch (pointer-free) with its residencies dropped.
+func (w *Workspace) putScratch(sc *scratch) {
 	sc.res = sc.res[:0]
-	scratchPool.Lock()
-	if len(scratchPool.free) < maxPooledScratch {
-		scratchPool.free = append(scratchPool.free, sc)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.scratches) < maxPooledScratch {
+		w.scratches = append(w.scratches, sc)
 	}
-	scratchPool.Unlock()
 }
 
-// filePool holds the files of dead results, per video, for rejective runs to
-// build their results in (Recycle). Like scratchPool it is a mutex and a LIFO
-// list, not a sync.Pool, and it is bounded by count: a file handed back
-// beyond the bound is left to the collector.
-var filePool struct {
-	sync.Mutex
-	free map[media.VideoID][]*schedule.FileSchedule
-	n    int
-}
-
-const maxPooledFiles = 1024
-
-// Recycle hands back a file schedule nobody reads any more: not its owner,
-// not a schedule that holds it, not a caller that kept one of its slices. A
-// later rejective run of the same video (Options.Ledger set) builds its
-// result in the file's storage, overwriting it. Only the record arrays are
-// reused; what their records point to (routes) is not written.
-// A nil file is ignored.
-func Recycle(fs *schedule.FileSchedule) {
-	if fs == nil {
+// Recycle hands back a file schedule nobody reads any more — not its owner,
+// a schedule holding it, nor a caller that kept one of its slices — for a
+// later rejective run of the video to build its result in the record arrays
+// (never in what they point to). A nil file is ignored.
+func (w *Workspace) Recycle(fs *schedule.FileSchedule) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if fs == nil || w.nfiles >= maxPooledFiles {
 		return
 	}
-	filePool.Lock()
-	defer filePool.Unlock()
-	if filePool.n >= maxPooledFiles {
-		return
+	if w.files == nil {
+		w.files = make(map[media.VideoID][]*schedule.FileSchedule)
 	}
-	if filePool.free == nil {
-		filePool.free = make(map[media.VideoID][]*schedule.FileSchedule)
-	}
-	filePool.free[fs.Video] = append(filePool.free[fs.Video], fs)
-	filePool.n++
-}
-
-// takeFile returns the file of the video handed back last, or nil.
-func takeFile(video media.VideoID) *schedule.FileSchedule {
-	filePool.Lock()
-	defer filePool.Unlock()
-	fss := filePool.free[video]
-	k := len(fss)
-	if k == 0 {
-		return nil
-	}
-	fs := fss[k-1]
-	fss[k-1] = nil
-	filePool.free[video] = fss[:k-1]
-	filePool.n--
-	return fs
+	w.files[fs.Video] = append(w.files[fs.Video], fs)
+	w.nfiles++
 }
 
 // index builds the key set, the span-cost cache and the zeroed reader
@@ -304,21 +313,23 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		workload.SortChronological(ordered)
 	}
 
-	sc := takeScratch()
-	defer sc.release()
-	fs := &schedule.FileSchedule{Video: video}
+	ws := opts.Workspace
+	if ws == nil {
+		ws = TakeWorkspace()
+		defer ws.Release()
+	}
 	// A rejective run's result is usually scored and thrown away (sorp
 	// evaluates every candidate victim with one), so it is built in the
 	// storage of a dead result of the video when one was handed back. Phase
 	// 1's results are all kept, and take nothing.
+	sc, f := ws.take(video, opts.Ledger != nil)
+	defer ws.putScratch(sc)
+	fs := &schedule.FileSchedule{Video: video}
 	var dead schedule.FileSchedule
-	recycled := false
-	if opts.Ledger != nil {
-		if f := takeFile(video); f != nil {
-			dead, recycled = *f, true
-			*f = schedule.FileSchedule{Video: video}
-			fs = f
-		}
+	recycled := f != nil
+	if recycled {
+		dead, fs = *f, f
+		*f = schedule.FileSchedule{Video: video}
 	}
 	if pre := opts.Frozen; pre != nil {
 		if len(opts.Seeds) > 0 {

@@ -23,9 +23,10 @@ import (
 // frozen, seeded, plain and NoCaching, short and long request lists, with a
 // ledger and without — must each return the bytes the same run returns
 // alone, and every earlier result must keep its bytes however many runs
-// reuse the scratch after it. Before a run with a ledger the goroutine hands
-// its previous result of the video back (Recycle), and the run may be built
-// in that file or in any other goroutine's, so only a run without a ledger,
+// reuse the scratch after it. Every run works on one shared workspace. Before
+// a run with a ledger the goroutine hands its previous result of the video
+// back (Workspace.Recycle), and the run may be built in that file or in any
+// other goroutine's, so only a run without a ledger,
 // which never takes one, must have record arrays of exactly its size. Run
 // under -race in CI: a result that aliased a scratch, or a file handed back
 // while still read, would be read here while another run writes it.
@@ -76,8 +77,10 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 		}
 		return b
 	}
+	ws := new(Workspace)
 	run := func(c call) *schedule.FileSchedule {
 		opts := c.opts
+		opts.Workspace = ws
 		if c.rejective {
 			opts.Ledger = occupancy.NewLedger(rig.Topo, rig.Catalog)
 		}
@@ -122,7 +125,7 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 					name := fmt.Sprintf("%s run %d of video %d (%d requests)", c.name, i, c.video, len(c.reqs))
 					if k, ok := last[c.video]; ok && c.rejective && results[k].fs != nil {
 						handedBack.Store(results[k].fs, true)
-						Recycle(results[k].fs)
+						ws.Recycle(results[k].fs)
 						results[k].fs = nil // given away
 					}
 					fs := run(c)
@@ -158,5 +161,57 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 	wg.Wait()
 	if rebuilt.Load() == 0 {
 		t.Fatal("fixture bug: no run was built in a handed-back file")
+	}
+}
+
+// A workspace belongs to one solve from TakeWorkspace to Release: solves
+// running at once, each taking a workspace, running a phase-1 file on it
+// from two workers and handing it back, must never hold the same one, and
+// the idle list keeps at most maxIdle of them. Run under -race in CI.
+func TestConcurrentSolvesNeverShareAWorkspace(t *testing.T) {
+	rig, err := testutil.NewPaperRig(7, 6, 20, 6*units.GB, pricing.PerGBHour(2), testutil.CentsPerMbit(0.15), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.2, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byVideo := reqs.ByVideo()
+	videos := reqs.Videos()
+	var held sync.Map
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				ws := TakeWorkspace()
+				if _, dup := held.LoadOrStore(ws, g); dup {
+					t.Errorf("goroutine %d took a workspace another solve holds", g)
+					return
+				}
+				vid := videos[(g+i)%len(videos)]
+				var run sync.WaitGroup
+				for w := 0; w < 2; w++ {
+					run.Add(1)
+					go func() {
+						defer run.Done()
+						if _, err := ScheduleFile(rig.Model, vid, byVideo[vid], Options{Workspace: ws}); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				run.Wait()
+				held.Delete(ws)
+				ws.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	idle.Lock()
+	defer idle.Unlock()
+	if n := len(idle.ws); n == 0 || n > maxIdle {
+		t.Errorf("%d idle workspaces after the solves, want 1 to %d", n, maxIdle)
 	}
 }

@@ -52,8 +52,8 @@
 // own pooled storage when it records against a delta that changed since its
 // last copy, so the view writes its delta in place. Nothing else of an
 // evaluation outlives its round: the view, event slices included, goes back
-// to a process-wide free list for a later evaluation on any ledger to reuse
-// (Release), and a winner is committed from its file schedule
+// to the solve's Workspace for a later evaluation on any ledger using it to
+// reuse (Release), and a winner is committed from its file schedule
 // (CommitFile).
 package occupancy
 
@@ -140,6 +140,7 @@ type Ledger struct {
 	// log, when non-nil, receives every base-dependent capacity query this
 	// overlay view answers (Record, ProbeLog).
 	log *ProbeLog
+	ws  *Workspace // where views and their logs come from; a view shares its base's
 	// caps caches every node's capacity in float bytes and isWh its
 	// warehouse-kind flag, so the capacity check — the greedy's hottest
 	// query — skips the topology lookups. Shared read-only with views.

@@ -1,12 +1,11 @@
 // The overlay a candidate reschedule runs on (the base's state shared, the
-// view's own delta on top), the process-wide free list views return to, and
-// the commit that takes a result to the base.
+// view's own delta on top), the workspace views return to, and the commit
+// that takes a result to the base.
 
 package occupancy
 
 import (
 	"slices"
-	"sync"
 
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -38,12 +37,11 @@ import (
 // concurrently with each other and with base reads, provided the base is
 // not mutated while views are live. Committing a result mutates the base,
 // so it invalidates every live view of the base: drop them and take fresh
-// ones. A view serves one evaluation: once nothing will query
-// it again its owner hands it back (Release), and a later OverlayWithout of
-// any base in the process reuses its storage, so nothing may hold on to a
-// view past that. What may be kept is the evaluation's result and, to tell
-// later whether it would repeat, the view's probe log (Record), which owns
-// copies of the deltas it was asked against and holds nothing of the view.
+// ones. A view serves one evaluation: its owner then hands it back (Release)
+// to the base's workspace (UseWorkspace; a base without one makes its own
+// here) for a later OverlayWithout to reuse. What may be kept is the
+// evaluation's result and its probe log (Record), which owns copies of the
+// deltas it was asked against and holds nothing of the view.
 func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	if l.base != nil {
 		panic("occupancy: OverlayWithout of an overlay view")
@@ -51,9 +49,10 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	for n := range l.nodes {
 		l.snapshot(topology.NodeID(n))
 	}
-	viewPool.Lock()
-	o := pop(&viewPool.views)
-	viewPool.Unlock()
+	if l.ws == nil {
+		l.ws = new(Workspace)
+	}
+	o := take(l.ws, &l.ws.views)
 	if o == nil {
 		o = new(Ledger)
 	}
@@ -66,7 +65,7 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	}
 	o.nodes = o.nodes[:n]
 	o.topo, o.catalog, o.caps, o.isWh = l.topo, l.catalog, l.caps, l.isWh
-	o.base, o.masked = l, vid
+	o.base, o.masked, o.ws = l, vid, l.ws
 	for _, node := range l.vidNodes[vid] {
 		es := l.nodes[node].entries
 		st := &o.nodes[node]
@@ -84,26 +83,14 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	return o
 }
 
-// viewPool holds the overlay views handed back (Release) for any later
-// OverlayWithout in the process to reuse: a mutex and a LIFO free list, like
-// logPool, shared by concurrent solves and by topologies of any size.
-var viewPool struct {
-	sync.Mutex
-	views []*Ledger
-}
+// UseWorkspace makes the ledger's views, and the logs recorded on them, take
+// their storage from ws and hand it back there.
+func (l *Ledger) UseWorkspace(ws *Workspace) { l.ws = ws }
 
-// maxPooledViews bounds the views the process keeps for reuse: more than
-// the cold first round of a paper-scale batch solve hands back (≈ 600), and
-// than three shards' concurrent closes hold at once (≈ 250). Views handed
-// back beyond it are the collector's.
-const maxPooledViews = 1024
-
-// Release hands an overlay view nothing will query again to the process's
-// free list, where the next OverlayWithout of any base reuses its Ledger,
-// its per-node array and the backing arrays of its entries and event
-// slices: a probe log recorded on the view owns copies of what it needs. On
-// a base, or a view already released, Release does nothing. It touches
-// neither the base nor any other view.
+// Release hands an overlay view nothing will query again to its workspace,
+// where the next OverlayWithout reuses its Ledger, node array and entry and
+// event arrays (a probe log on the view owns copies of what it needs). It
+// touches no other ledger, and does nothing on a base or a released view.
 func (l *Ledger) Release() {
 	if l.base == nil {
 		return
@@ -112,12 +99,10 @@ func (l *Ledger) Release() {
 		st := &l.nodes[n]
 		*st = nodeState{entries: st.entries[:0], events: st.events[:0]}
 	}
-	*l = Ledger{nodes: l.nodes}
-	viewPool.Lock()
-	if len(viewPool.views) < maxPooledViews {
-		viewPool.views = append(viewPool.views, l)
-	}
-	viewPool.Unlock()
+	*l = Ledger{nodes: l.nodes, ws: l.ws}
+	l.ws.mu.Lock()
+	l.ws.views = push(l.ws.views, maxPooledViews, l)
+	l.ws.mu.Unlock()
 }
 
 // CommitFile replaces the video's residencies in the ledger with the file

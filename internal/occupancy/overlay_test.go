@@ -12,12 +12,10 @@ import (
 // per-node delta holds the masked video's own records, so its capacity and
 // the bytes OverlayWithout allocates must not grow with the number of
 // other videos' residencies on the node. The views are built new, not
-// taken from the free list, whose arrays keep the capacity of whatever
-// they served before.
+// taken from a workspace's free list, whose arrays keep the capacity of
+// whatever they served before: each ledger makes its own empty workspace,
+// and no view is handed back to it.
 func TestOverlayDeltaSizedByMaskedVideo(t *testing.T) {
-	viewPool.Lock()
-	viewPool.views = nil
-	viewPool.Unlock()
 	topo, cat := fixture(t)
 	is1 := topology.NodeID(1)
 	build := func(others int) *Ledger {

@@ -52,8 +52,10 @@ type windowBox struct {
 	startLo, startHi, endLo, endHi simtime.Time
 }
 
-// anyWindow is the box before the first answer.
-var anyWindow = windowBox{math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64}
+// anyWindow returns the box before the first answer.
+func anyWindow() windowBox {
+	return windowBox{math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64}
+}
 
 func (b *windowBox) contains(w simtime.Interval) bool {
 	return b.startLo <= w.Start && w.Start <= b.startHi && b.endLo <= w.End && w.End <= b.endHi
@@ -105,6 +107,7 @@ func (b *windowBox) narrow(w, sup simtime.Interval, violates bool) {
 // view mutates its delta in place and nothing of the view is retained. Not
 // safe for concurrent use.
 type ProbeLog struct {
+	ws     *Workspace
 	masked media.VideoID
 	chunks []*probeChunk
 	n      int
@@ -123,25 +126,28 @@ type ProbeLog struct {
 	broken bool
 }
 
-// logPool recycles probe and delta storage across evaluations and runs: a
-// mutex and three LIFO free lists, so what a run allocates repeats exactly
-// (a sync.Pool's reuse would depend on GC timing). Bounded; storage beyond
-// the bounds is left to the collector.
-var logPool struct {
-	sync.Mutex
+// Workspace is the storage one solve's evaluations reuse — views, probe logs
+// and their chunks — in LIFO lists bounded by count, not a sync.Pool, so what
+// a solve allocates does not depend on GC timing. The zero value is empty.
+type Workspace struct {
+	mu     sync.Mutex
 	chunks []*probeChunk
 	events []*eventChunk
 	logs   []*ProbeLog
+	views  []*Ledger
 }
 
 const (
 	maxPooledChunks      = 8192 // 8 MB
 	maxPooledEventChunks = 4096 // 6 MB
 	maxPooledLogs        = 1024
+	maxPooledViews       = 1024
 )
 
-// pop takes the last element off a free list, nil when it is empty.
-func pop[T any](free *[]*T) *T {
+// take pops the last element off one of w's lists, nil when it is empty.
+func take[T any](w *Workspace, free *[]*T) *T {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	k := len(*free)
 	if k == 0 {
 		return nil
@@ -151,20 +157,22 @@ func pop[T any](free *[]*T) *T {
 	return x
 }
 
+// push appends as many of xs as fit under max; callers hold w.mu.
+func push[T any](free []*T, max int, xs ...*T) []*T {
+	return append(free, xs[:min(len(xs), max-len(free))]...)
+}
+
 // Record attaches a fresh probe log to an overlay view and returns it;
 // call it before the view answers its first query.
 func (l *Ledger) Record() *ProbeLog {
 	if l.base == nil {
 		panic("occupancy: Record on a ledger that is not an overlay view")
 	}
-	logPool.Lock()
-	g := pop(&logPool.logs)
-	logPool.Unlock()
+	g := take(l.ws, &l.ws.logs)
 	if g == nil {
 		g = &ProbeLog{}
 	}
-	g.masked = l.masked
-	g.box = anyWindow
+	g.ws, g.masked, g.box = l.ws, l.masked, anyWindow()
 	if cap(g.vers) < len(l.base.nodes) {
 		g.vers = make([]uint64, len(l.base.nodes))
 	}
@@ -176,28 +184,19 @@ func (l *Ledger) Record() *ProbeLog {
 	return g
 }
 
-// Release returns the log's storage for reuse. The log, and the recording
-// view if it is still in use, must not be used afterwards.
+// Release returns the log's storage to its workspace. The log, and the
+// recording view if it is still in use, must not be used afterwards.
 func (g *ProbeLog) Release() {
+	w := g.ws
 	clear(g.deltas)
-	logPool.Lock()
-	for _, c := range g.chunks {
-		if len(logPool.chunks) < maxPooledChunks {
-			logPool.chunks = append(logPool.chunks, c)
-		}
-	}
-	for _, c := range g.events {
-		if len(logPool.events) < maxPooledEventChunks {
-			logPool.events = append(logPool.events, c)
-		}
-	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.chunks = push(w.chunks, maxPooledChunks, g.chunks...)
+	w.events = push(w.events, maxPooledEventChunks, g.events...)
 	clear(g.chunks)
 	clear(g.events)
 	*g = ProbeLog{chunks: g.chunks[:0], deltas: g.deltas[:0], events: g.events[:0], vers: g.vers[:0]}
-	if len(logPool.logs) < maxPooledLogs {
-		logPool.logs = append(logPool.logs, g)
-	}
-	logPool.Unlock()
+	w.logs = push(w.logs, maxPooledLogs, g)
 }
 
 func (g *ProbeLog) at(i int) *probe { return &g.chunks[i/chunkProbes][i%chunkProbes] }
@@ -211,9 +210,7 @@ func (g *ProbeLog) copyDelta(evs []event) []event {
 	case n > chunkEvents:
 		return append([]event(nil), evs...)
 	case n > len(g.free):
-		logPool.Lock()
-		ch := pop(&logPool.events)
-		logPool.Unlock()
+		ch := take(g.ws, &g.ws.events)
 		if ch == nil {
 			ch = new(eventChunk)
 		}
@@ -240,9 +237,7 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, excluded *entry, fits
 		st.pin = uint32(len(g.deltas))
 	}
 	if g.n == len(g.chunks)*chunkProbes {
-		logPool.Lock()
-		ch := pop(&logPool.chunks)
-		logPool.Unlock()
+		ch := take(g.ws, &g.ws.chunks)
 		if ch == nil {
 			ch = new(probeChunk)
 		}

@@ -408,7 +408,7 @@ func TestWindowBoxSound(t *testing.T) {
 		}
 	}
 	for _, w := range windows {
-		check(w, anyWindow, nil)
+		check(w, anyWindow(), nil)
 	}
 	if covered == 0 || outside == 0 {
 		t.Fatalf("fixture bug: %d windows inside a box and %d outside; need both", covered, outside)
@@ -432,7 +432,7 @@ func TestViolatesNarrowsTheLog(t *testing.T) {
 	log := view.Record()
 	defer log.Release()
 	elsewhere := res(1, is2, 220, 230)
-	if view.Violates(bn, elsewhere, playback) || log.box != anyWindow {
+	if view.Violates(bn, elsewhere, playback) || log.box != anyWindow() {
 		t.Fatalf("a copy at another node violated the ban or narrowed the box to %+v", log.box)
 	}
 	before := res(1, is1, 0, 0) // support [0, playback), wholly before the window
@@ -487,8 +487,8 @@ func TestProbeLogFootprint(t *testing.T) {
 	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 200))
 	base.Add(Ref{Video: 1, Index: 0}, res(1, is1, 50, 120))
 
-	// cost is the bytes one 200-probe log allocates, on an emptied free
-	// list when cold. The runtime's own bookkeeping can land in the window
+	// cost is the bytes one 200-probe log allocates, on an empty workspace
+	// when cold. The runtime's own bookkeeping can land in the window
 	// and only ever adds — restarting the world after ReadMemStats
 	// sometimes has to start a thread, 5 KB once per process — so the least
 	// of three attempts is the log's.
@@ -496,9 +496,7 @@ func TestProbeLogFootprint(t *testing.T) {
 		least := ^uint64(0)
 		for attempt := 0; attempt < 3; attempt++ {
 			if cold {
-				logPool.Lock()
-				logPool.chunks, logPool.events, logPool.logs = nil, nil, nil
-				logPool.Unlock()
+				base.UseWorkspace(new(Workspace))
 			}
 			view := base.OverlayWithout(1)
 			var before, after runtime.MemStats

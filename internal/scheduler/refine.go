@@ -35,10 +35,11 @@ const refinePasses = 10
 // residual capacity can undercut its phase-1 plan. Cost strictly
 // decreases every accepted move, so the sweep terminates.
 func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[media.VideoID][]workload.Request,
-	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config) (refineResult, error) {
+	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config, ws *ivs.Workspace) (refineResult, error) {
 
 	topo := m.Book().Topology()
 	ledger := occupancy.FromSchedule(topo, m.Catalog(), s)
+	ledger.UseWorkspace(ws.Occupancy())
 	var res refineResult
 	const eps = 1e-9
 
@@ -52,10 +53,11 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 			curCost := m.FileCost(cur)
 			tmp := ledger.OverlayWithout(vid)
 			cand, err := ivs.ScheduleFile(m, vid, parts[vid], ivs.Options{
-				Policy: cfg.Policy,
-				Ledger: tmp,
-				Seeds:  cfg.Seeds[vid],
-				Frozen: frozen[vid],
+				Policy:    cfg.Policy,
+				Ledger:    tmp,
+				Seeds:     cfg.Seeds[vid],
+				Frozen:    frozen[vid],
+				Workspace: ws,
 			})
 			if err != nil {
 				return res, fmt.Errorf("scheduler: refine video %d: %w", vid, err)
@@ -68,7 +70,7 @@ func refine(ctx context.Context, m *cost.Model, s *schedule.Schedule, parts map[
 				res.savings += curCost - candCost
 				improved = true
 			} else {
-				ivs.Recycle(cand)
+				ws.Recycle(cand)
 			}
 			tmp.Release()
 		}

@@ -158,13 +158,15 @@ func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload
 	slices.Sort(videos)
 	videos = slices.Compact(videos)
 
+	ws := ivs.TakeWorkspace() // phase 1's, phase 2's and refine's storage
+	defer ws.Release()
 	s := schedule.New()
 	fss := make([]*schedule.FileSchedule, len(videos))
 	errs := make([]error, len(videos))
 	if err := parallel.Do(ctx, cfg.Workers, len(videos), func(i int) {
 		vid := videos[i]
 		fss[i], errs[i] = ivs.ScheduleFile(m, vid, reqs[vid],
-			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[vid], Frozen: frozen[vid]})
+			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[vid], Frozen: frozen[vid], Workspace: ws})
 	}); err != nil {
 		return nil, fmt.Errorf("scheduler: phase 1 aborted: %w", err)
 	}
@@ -174,25 +176,23 @@ func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload
 		}
 		s.Put(fss[i])
 	}
-	out := &Outcome{Schedule: s, Phase1Cost: m.ScheduleCost(s)}
-	out.Overflows = len(Overflows(m.Book().Topology(), m.Catalog(), s))
 
-	if cfg.SkipResolution || out.Overflows == 0 {
+	out := &Outcome{Schedule: s}
+	if cfg.SkipResolution {
+		out.Phase1Cost, out.Overflows = m.ScheduleCost(s), len(Overflows(m.Book().Topology(), m.Catalog(), s))
 		out.FinalCost = out.Phase1Cost
-	} else {
+	} else { // SORP integrates and prices s once, for itself and for the outcome
 		res, err := sorp.ResolveContext(ctx, m, s, reqs, sorp.Options{Metric: cfg.Metric,
-			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workers: cfg.Workers})
+			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workers: cfg.Workers, Workspace: ws})
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: phase 2: %w", err)
 		}
-		out.Schedule = res.Schedule
-		out.FinalCost = res.CostAfter
-		out.Victims = res.Victims
-		out.Resolution = res.Work
+		out.Schedule, out.Phase1Cost, out.FinalCost = res.Schedule, res.CostBefore, res.CostAfter
+		out.Overflows, out.Victims, out.Resolution = res.InitialOverflows, res.Victims, res.Work
 	}
 
 	if cfg.Refine && !cfg.SkipResolution {
-		rr, err := refine(ctx, m, out.Schedule, reqs, frozen, cfg)
+		rr, err := refine(ctx, m, out.Schedule, reqs, frozen, cfg, ws)
 		if err != nil {
 			return nil, err
 		}

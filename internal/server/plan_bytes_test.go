@@ -221,7 +221,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 	// Two epochs on the primary end in a snapshot and an emptied journal,
 	// so a follower at sequence 0 is sent the state whole.
 	submitThenAdvance(t, primary, reqs[:10], func(*api.EpochResult) {})
-	tail, err := primary.horizon.TailAfter(follower.horizon.AppliedSeq(), 0)
+	tail, err := primary.horizon.TailAfter(follower.horizon.AppliedSeq(), nil, 0)
 	if err != nil || tail.Snapshot == nil {
 		t.Fatalf("fixture bug: TailAfter = %+v, %v; want a snapshot", tail, err)
 	}
@@ -235,7 +235,7 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 
 	// A third epoch reaches the follower record by record.
 	submitThenAdvance(t, primary, reqs[10:15], func(*api.EpochResult) {})
-	tail, err = primary.horizon.TailAfter(follower.horizon.AppliedSeq(), 0)
+	tail, err = primary.horizon.TailAfter(follower.horizon.AppliedSeq(), nil, 0)
 	if err != nil || len(tail.Records) != 6 {
 		t.Fatalf("fixture bug: TailAfter = %+v, %v; want five submits and an advance", tail, err)
 	}

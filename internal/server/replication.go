@@ -27,7 +27,7 @@ import (
 // all further intake.
 //
 //	GET  /readyz                    200 while serviceable, else 503 + reason
-//	GET  /v1/replication/wal        ?after=N&epoch=E&max=M -> api.Batch
+//	GET  /v1/replication/wal        ?after=N&epoch=E&max=M[&crc=C] -> api.Batch
 //	GET  /v1/replication/status     node's replication status
 //	POST /v1/replication/fence      {"epoch": E} -> demote under E
 //	POST /v1/replication/promote    {"force": bool, "fence_source": bool}
@@ -37,7 +37,10 @@ import (
 // demotes itself before refusing it; a node that is not primary refuses
 // with the stale-leadership error and its current epoch, which the
 // follower observes. Records travel with their WAL CRCs, so transport
-// corruption is caught by the checksum that guards the disk format.
+// corruption is caught by the checksum that guards the disk format. A poll
+// also carries the CRC of the follower's own record at its resume point; a
+// primary whose record there differs, or whose last sequence is behind it,
+// answers 409 api.Diverged, and the follower stops reporting itself synced.
 //
 // Split-brain is out of scope by design: fencing is cooperative (the old
 // primary must be reachable to learn it was deposed). An unreachable old
@@ -225,13 +228,27 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
+	var crc *uint32
+	if r.URL.Query().Has("crc") {
+		c, err := strconv.ParseUint(r.URL.Query().Get("crc"), 10, 32)
+		if err != nil {
+			httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad crc: %w", err))
+			return
+		}
+		crc = new(uint32)
+		*crc = uint32(c)
+	}
 	s.lead.Observe(reqEpoch) // a newer epoch fences this node
 	if err := s.lead.CheckPrimary(); err != nil {
 		httpkit.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	batch, err := s.horizon.TailAfter(after, int(max))
+	batch, err := s.horizon.TailAfter(after, crc, int(max))
 	if err != nil {
+		if errors.Is(err, horizon.ErrDiverged) {
+			httpkit.WriteErr(w, http.StatusConflict, err)
+			return
+		}
 		if errors.Is(err, horizon.ErrNotDurable) {
 			httpkit.WriteErr(w, http.StatusNotImplemented,
 				fmt.Errorf("replication requires a durable primary (start it with -data-dir): %w", err))

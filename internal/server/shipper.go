@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,8 +21,10 @@ const shipBatchMax = 1024
 
 // Shipper ships the primary's WAL into a local follower service. It is
 // the client half of the replication protocol: it resumes from the
-// service's applied sequence, verifies every shipped record's CRC, and
-// applies records through the service's idempotent replay entry point.
+// service's applied sequence, proving with its CRC there that it shares the
+// primary's history up to it, decodes each batch strictly, verifies every
+// shipped record's CRC, and applies records through the service's
+// idempotent replay entry point.
 // Safe for concurrent use; Run is the long-lived driver and Poll a
 // single deterministic round (the fault-injection harness drives Poll
 // directly).
@@ -61,11 +67,22 @@ func (sh *Shipper) Poll(ctx context.Context) (applied int, err error) {
 	if sh.lead.IsPrimary() {
 		return 0, fmt.Errorf("server: node is primary; shipping from %s stopped", sh.source)
 	}
-	after := sh.svc.AppliedSeq()
+	after, crc, ok := sh.svc.ResumePoint()
 	u := fmt.Sprintf("%s/v1/replication/wal?after=%d&epoch=%d&max=%d",
 		sh.source, after, sh.lead.Epoch(), shipBatchMax)
+	if ok {
+		u += "&crc=" + strconv.FormatUint(uint64(crc), 10)
+	}
 	var batch api.Batch
-	if err := retryhttp.GetJSON(ctx, sh.retry, u, &batch); err != nil {
+	if err := retryhttp.GetBody(ctx, sh.retry, u, func(body []byte) error { return api.DecodeStrict(body, &batch) }); err != nil {
+		var se *retryhttp.StatusError
+		if errors.As(err, &se) && se.Code == http.StatusConflict && strings.Contains(se.Message, api.Diverged) {
+			// The primary's history is not this node's: it is not a standby
+			// any failover may promote, whatever an earlier poll found.
+			sh.mu.Lock()
+			sh.synced, sh.caughtUp = false, false
+			sh.mu.Unlock()
+		}
 		return 0, fmt.Errorf("server: fetch tail from %s: %w", sh.source, err)
 	}
 	return sh.ApplyBatch(ctx, batch)

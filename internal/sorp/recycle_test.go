@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -237,9 +238,19 @@ type sharedRig struct {
 	want []byte
 }
 
-// resolveJSON resolves the rig's phase-1 schedule and returns the whole
-// result as JSON; views, when non-nil, receives the last round's views.
-func (r *sharedRig) resolveJSON(t *testing.T, views *[]*occupancy.Ledger) []byte {
+// resolveJSON solves the rig on ws (nil: one taken per call), phase 1 and
+// then the resolution, and returns the whole result as JSON; views, when
+// non-nil, receives the last round's views.
+func (r *sharedRig) resolveJSON(t *testing.T, ws *ivs.Workspace, views *[]*occupancy.Ledger) []byte {
+	s := schedule.New()
+	for _, vid := range r.rig.Requests.Videos() {
+		fs, err := ivs.ScheduleFile(r.rig.Model, vid, r.reqs[vid], ivs.Options{Workspace: ws})
+		if err != nil {
+			t.Errorf("%s: phase 1: %v", r.name, err)
+			return nil
+		}
+		s.Put(fs)
+	}
 	var hook func(*schedule.Schedule, *pairTable)
 	if views != nil {
 		hook = func(_ *schedule.Schedule, tab *pairTable) {
@@ -251,7 +262,7 @@ func (r *sharedRig) resolveJSON(t *testing.T, views *[]*occupancy.Ledger) []byte
 			}
 		}
 	}
-	res, err := resolve(context.Background(), r.rig.Model, r.s, r.reqs, Options{Workers: 2}, hook)
+	res, err := resolve(context.Background(), r.rig.Model, s, r.reqs, Options{Workers: 2, Workspace: ws}, hook)
 	if err != nil {
 		t.Errorf("%s: %v", r.name, err)
 		return nil
@@ -263,14 +274,14 @@ func (r *sharedRig) resolveJSON(t *testing.T, views *[]*occupancy.Ledger) []byte
 	return blob
 }
 
-// Overlay views, greedy scratch and probe and delta chunks come from free
-// lists the whole process shares, so a view one solve handed back serves
-// the next solve on any ledger, of any topology, on any goroutine. Two
-// resolutions on topologies of different node counts, run concurrently and
-// then interleaved (the large one after the small one and back), must each
-// give the bytes the same rig gives resolved alone; and a finished
-// resolution must have handed back the views of its last round, which no
-// later round released.
+// Overlay views, greedy scratch, dead files and probe and delta chunks come
+// from a workspace whose lists serve any ledger, of any topology: a view one
+// solve handed back serves the next solve on another rig. Each rig is first
+// solved (phase 1, then the resolution) alone on a fresh workspace. Run concurrently, each on a
+// workspace taken for the call, and then interleaved on one workspace (the
+// large one after the small one and back), the two must each give the bytes
+// of the fresh run; and a finished resolution must have handed back the
+// views of its last round, which no later round released.
 func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 	rigs := []*sharedRig{{name: "6 storages"}, {name: "14 storages"}}
 	for i, storages := range []int{6, 14} {
@@ -281,7 +292,8 @@ func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 		}
 		r.rig, r.s, r.reqs = rig, phase1(t, rig.Model, rig.Requests), rig.Requests.ByVideo()
 		var last []*occupancy.Ledger
-		r.want = r.resolveJSON(t, &last)
+		ws := new(ivs.Workspace)
+		r.want = r.resolveJSON(t, ws, &last)
 		if len(last) == 0 {
 			t.Fatalf("fixture bug: %s resolved without a round of fresh evaluations", r.name)
 		}
@@ -289,6 +301,7 @@ func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 		// The free lists are LIFO, so the views handed back last come out
 		// first: the next OverlayWithout calls must return exactly those.
 		ledger := occupancy.FromSchedule(rig.Topo, rig.Catalog, r.s)
+		ledger.UseWorkspace(ws.Occupancy())
 		handed := make(map[*occupancy.Ledger]bool, len(last))
 		for _, v := range last {
 			handed[v] = true
@@ -317,7 +330,7 @@ func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i] = r.resolveJSON(t, nil)
+				got[i] = r.resolveJSON(t, nil, nil)
 			}()
 		}
 		wg.Wait()
@@ -327,9 +340,10 @@ func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
 			}
 		}
 	}
+	ws := new(ivs.Workspace)
 	for _, i := range []int{0, 1, 0, 1, 1, 0} {
-		if r := rigs[i]; !bytes.Equal(r.resolveJSON(t, nil), r.want) {
-			t.Errorf("%s resolved after the other differs from it resolved alone", r.name)
+		if r := rigs[i]; !bytes.Equal(r.resolveJSON(t, ws, nil), r.want) {
+			t.Errorf("%s resolved on a workspace the other used differs from it resolved on a fresh one", r.name)
 		}
 	}
 }

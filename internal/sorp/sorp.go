@@ -23,20 +23,17 @@
 // log replays to the same answers on the current ledger — which makes the
 // reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
-// views the evaluations ran on are not kept — each goes back to the
-// process's free list when the next round starts or the run ends
-// (Ledger.Release), for a fresh evaluation of any run to reuse — and every
-// winner, evaluated this round or reused, is committed from its file
-// schedule (Ledger.CommitFile).
+// views the evaluations ran on are not kept — each goes back to the run's
+// workspace when the next round starts or the run ends (Ledger.Release), for
+// a later fresh evaluation to reuse — and every winner, evaluated this round
+// or reused, is committed from its file schedule (Ledger.CommitFile).
 //
 // Almost every evaluation's result is thrown away, and an evaluation of the
 // same file needs the same room — on a rolling horizon, a copy of its frozen
-// prefix (ivs.ScheduleFile, the one place an epoch close copies history). An
-// entry that leaves the table, or is still in it when the run ends, therefore
-// hands its file back to ivs's process-wide free list (pairTable.retire,
-// ivs.Recycle), where the next evaluation of the video, in this run or a
-// later one, builds its result — except the file a commit hands to the
-// working schedule, which is never recycled.
+// prefix. An entry that leaves the table, or is still in it when the run
+// ends, therefore hands its file back to the workspace (pairTable.retire)
+// for the video's next evaluation to be built in — except the file a commit
+// hands to the working schedule, which is never recycled.
 package sorp
 
 import (
@@ -125,6 +122,8 @@ type Options struct {
 	// un-frozen requests on top of the prefix. The reqs map handed to
 	// Resolve must then hold only the un-frozen requests of each file.
 	Frozen map[media.VideoID]*schedule.FileSchedule
+	// Workspace holds what the evaluations reuse; nil takes one.
+	Workspace *ivs.Workspace
 }
 
 // Result summarizes a resolution run.
@@ -145,7 +144,7 @@ func (r *Result) Delta() units.Money { return r.CostAfter - r.CostBefore }
 // partition must be the one the schedule was built from (rescheduling a
 // victim re-serves its whole request list R_i). The input schedule is not
 // modified; the resolved schedule is returned in the Result, and shares with
-// it every file no victim's reschedule replaced.
+// it every file no victim's reschedule replaced (it is s when none overflows).
 func Resolve(m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request, opts Options) (*Result, error) {
 	return ResolveContext(context.Background(), m, s, reqs, opts)
 }
@@ -166,7 +165,12 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 	if opts.Metric == 0 {
 		opts.Metric = SpacePerCost
 	}
-	topo := m.Book().Topology()
+	ledger := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), s)
+	psi := m.ScheduleCost(s)
+	res := &Result{Schedule: s, InitialOverflows: len(ledger.AllOverflows()), CostBefore: psi, CostAfter: psi}
+	if res.InitialOverflows == 0 {
+		return res, nil // nothing is rescheduled, so no request list is read
+	}
 	nreq := 0
 	for _, vid := range s.VideoIDs() {
 		want := len(s.Files[vid].Deliveries)
@@ -178,21 +182,21 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		}
 		nreq += len(reqs[vid])
 	}
+	if opts.Workspace == nil {
+		opts.Workspace = ivs.TakeWorkspace()
+		defer opts.Workspace.Release()
+	}
+	ledger.UseWorkspace(opts.Workspace.Occupancy())
 	// Files are replaced (Put), never written in place, so the working
 	// schedule shares every file it does not reschedule with s.
 	work := &schedule.Schedule{Files: maps.Clone(s.Files)}
-	ledger := occupancy.FromSchedule(topo, m.Catalog(), work)
-
-	res := &Result{
-		Schedule:         work,
-		InitialOverflows: len(ledger.AllOverflows()),
-		CostBefore:       m.ScheduleCost(s),
-	}
+	res.Schedule = work
 
 	// fileCost holds each touched file's current Ψ contribution, so a
 	// candidate's overhead is a Ψ delta instead of a full re-costing.
 	fileCost := make(map[media.VideoID]units.Money)
 	table := pairTable{
+		ws:      opts.Workspace,
 		entries: make(map[pairKey][]pairEntry),
 		jobOf:   make(map[media.VideoID]int),
 	}
@@ -271,6 +275,7 @@ type reschedJob struct {
 // longer replays, or when no overflow used it for a round; the log's
 // storage is recycled each time, and so is the file's (retire).
 type pairTable struct {
+	ws      *ivs.Workspace
 	entries map[pairKey][]pairEntry
 
 	jobs   []reschedJob
@@ -346,7 +351,7 @@ func (t *pairTable) dropVideo(vid media.VideoID, committed *schedule.FileSchedul
 // and its file, for the video's next fresh evaluation to be built in.
 func (t *pairTable) retire(e pairEntry) {
 	e.log.Release()
-	ivs.Recycle(e.fs)
+	t.ws.Recycle(e.fs)
 }
 
 // release hands back what the run still holds when it ends: every entry's
@@ -554,11 +559,12 @@ func rescheduleFile(m *cost.Model, tmp *occupancy.Ledger,
 	vid media.VideoID, of occupancy.Overflow, rs []workload.Request, opts Options,
 	baseCost units.Money) (out reschedResult) {
 	fs, err := ivs.ScheduleFile(m, vid, rs, ivs.Options{
-		Policy: opts.Policy,
-		Ledger: tmp,
-		Banned: []occupancy.Banned{{Node: of.Node, Interval: of.Interval}},
-		Seeds:  opts.Seeds[vid],
-		Frozen: opts.Frozen[vid],
+		Policy:    opts.Policy,
+		Ledger:    tmp,
+		Banned:    []occupancy.Banned{{Node: of.Node, Interval: of.Interval}},
+		Seeds:     opts.Seeds[vid],
+		Frozen:    opts.Frozen[vid],
+		Workspace: opts.Workspace,
 	})
 	if err != nil {
 		return out // unreschedulable candidate; skip (ok=false)

@@ -1,6 +1,7 @@
 package vsp_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -260,8 +261,40 @@ func TestLayers(t *testing.T) {
 		}
 	})
 
+	t.Run("d: solver: one workspace per solve, no other package state", func(t *testing.T) {
+		for pkg, want := range solverState {
+			var got []string
+			for _, f := range files {
+				if f.test() || f.dir() != "internal/"+pkg {
+					continue
+				}
+				parsed, err := parser.ParseFile(token.NewFileSet(), f.path, strings.Join(f.lines, "\n"), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range parsed.Decls {
+					if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.VAR {
+						for _, spec := range g.Specs {
+							for _, n := range spec.(*ast.ValueSpec).Names {
+								got = append(got, n.Name)
+							}
+						}
+					}
+				}
+			}
+			if got = sorted(got); !slices.Equal(got, want) {
+				t.Errorf("internal/%s declares package-level vars %v, want %v: what a solve reuses lives in the workspace it holds (ivs.Workspace), and the one list of idle workspaces in ivs is the solver's only package state", pkg, got, want)
+			}
+		}
+	})
+
 	standingRules(t, files)
 }
+
+// solverState is the package-level variables each solver package may declare:
+// ivs's list of idle workspaces, through which one solve hands its storage to
+// the next, and nothing else.
+var solverState = map[string][]string{"occupancy": nil, "ivs": {"idle"}, "sorp": nil, "scheduler": nil}
 
 // A depRule forbids import paths to a set of packages: directly (imports of
 // the non-test files in from) or transitively (everything they reach).
