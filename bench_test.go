@@ -367,31 +367,6 @@ func BenchmarkOptimalityGap(b *testing.B) {
 	b.ReportMetric(100*mean, "mean_gap_%")
 }
 
-// BenchmarkRefineAblation compares the scheduler with and without the
-// post-resolution improvement sweep, reporting each variant's final cost.
-func BenchmarkRefineAblation(b *testing.B) {
-	p := benchBase()
-	p.CapacityGB = 4
-	r := buildRig(b, p)
-	for _, refine := range []bool{false, true} {
-		name := "two-phase"
-		if refine {
-			name = "two-phase+refine"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{Refine: refine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = float64(out.FinalCost)
-			}
-			b.ReportMetric(last, "final_cost")
-		})
-	}
-}
-
 // BenchmarkReplicationAblation compares caching architectures (direct /
 // static-only / dynamic / dynamic+static) on final cost at a 25% off-peak
 // preload tariff.

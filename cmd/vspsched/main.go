@@ -50,7 +50,6 @@ type options struct {
 	metricName, policyName     string
 	outPath                    string
 	quiet, analyze, bill       bool
-	workers                    int
 
 	// Rolling replay; any non-zero epoch trigger selects it.
 	leadHours      float64
@@ -77,7 +76,6 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress the human-readable report")
 	flag.BoolVar(&o.analyze, "analyze", false, "print cache-effectiveness analysis")
 	flag.BoolVar(&o.bill, "bill", false, "print the per-reservation invoice")
-	flag.IntVar(&o.workers, "workers", 0, "scheduling worker pool size (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 	flag.Float64Var(&o.leadHours, "lead-hours", 2, "rolling replay: how long before its start each reservation arrives")
 	flag.IntVar(&o.epochRequests, "epoch-requests", 0, "rolling replay: close the epoch after this many pending reservations (0 = off)")
 	flag.Float64Var(&o.epochBytesGB, "epoch-bytes-gb", 0, "rolling replay: close the epoch after this many GB of pending stream volume (0 = off)")
@@ -118,7 +116,7 @@ func run(o options) error {
 		return err
 	}
 	model := cost.NewUniformModel(topo, cat, o.srate, o.nrate)
-	cfg := scheduler.Config{Metric: metric, Policy: policy, Workers: o.workers}
+	cfg := scheduler.Config{Metric: metric, Policy: policy}
 
 	var sched *schedule.Schedule
 	if o.rolling() {
@@ -215,7 +213,6 @@ func replay(model *cost.Model, reqs workload.Set, cfg scheduler.Config, o option
 		EpochRequests: o.epochRequests,
 		EpochBytes:    o.epochBytesGB * 1e9,
 		EpochTick:     simtime.Duration(o.epochTickHours * float64(simtime.Hour)),
-		Workers:       cfg.Workers,
 	})
 
 	ctx := context.Background()

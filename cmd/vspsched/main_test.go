@@ -81,7 +81,7 @@ func TestRunSchedulesAndSaves(t *testing.T) {
 func TestRunWithReportAndAnalysis(t *testing.T) {
 	o := opts(fixtures(t))
 	o.metricName, o.policyName = "period", "cache-at-destination"
-	o.quiet, o.analyze, o.bill, o.workers = false, true, true, 2
+	o.quiet, o.analyze, o.bill = false, true, true
 	if err := run(o); err != nil {
 		t.Fatalf("run: %v", err)
 	}

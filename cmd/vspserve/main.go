@@ -66,7 +66,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
 		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "handling budget of the requests that can be stopped (/v1/schedule, /v1/advance, a promotion's drain), set as the deadline on their request context: the handler itself notices it and answers 503 + Retry-After, and nothing is cut off and left running, so a reply always says what happened")
-		workers     = flag.Int("workers", 0, "scheduling worker pool size per request (0 = GOMAXPROCS, 1 = sequential; schedules are identical for any value)")
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
 		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost) or never (flushing is left to the OS)")
 		snapEvery   = flag.Int("snapshot-every", horizon.DefaultSnapshotEvery, "journal compaction period in committed epochs (negative disables snapshots)")
@@ -123,7 +122,6 @@ func main() {
 		ReplicateEvery: *replEvery,
 		AdvanceLag:     simtime.Duration(lagSeconds),
 		Horizon: horizon.Config{
-			Workers:       *workers,
 			Fsync:         fsyncPolicy,
 			SnapshotEvery: *snapEvery,
 			EpochRequests: *epochReqs,

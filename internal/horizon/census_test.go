@@ -52,9 +52,10 @@ func censusRig(t *testing.T) (*testutil.Rig, workload.Set) {
 // takeCensus drives the trace through a service, closing an epoch after every
 // twentieth reservation an hour behind intake, and compares every video's
 // file across every close.
-func takeCensus(t *testing.T, r *testutil.Rig, reqs workload.Set, workers int) census {
+func takeCensus(t *testing.T, r *testutil.Rig, reqs workload.Set, procs int) census {
 	t.Helper()
-	svc := New(r.Model, Config{Workers: workers})
+	testutil.SetProcs(t, procs)
+	svc := New(r.Model, Config{})
 	var c census
 	victimized := make(map[media.VideoID]bool)
 	for i, q := range reqs {
@@ -117,7 +118,7 @@ func takeCensus(t *testing.T, r *testutil.Rig, reqs workload.Set, workers int) c
 // received nothing re-plan to the bytes they had, and how many frozen copies
 // that served their last reader before the horizon are extended anyway —
 // which a sealed, drained copy could not be. The counts are the solver's, so
-// they repeat at every worker count.
+// they repeat at every GOMAXPROCS.
 func TestCensusOfUntouchedHistory(t *testing.T) {
 	r, reqs := censusRig(t)
 	want := takeCensus(t, r, reqs, 1)
@@ -129,9 +130,9 @@ func TestCensusOfUntouchedHistory(t *testing.T) {
 	if want.victims == 0 || want.idle == 0 || want.extended == 0 {
 		t.Fatalf("fixture bug: %+v; want SORP at work, videos with nothing pending and frozen copies extended", want)
 	}
-	for _, workers := range []int{2, 4} {
-		if got := takeCensus(t, r, reqs, workers); got != want {
-			t.Errorf("Workers=%d: census %+v, with one worker %+v", workers, got, want)
+	for _, procs := range []int{2, 4} {
+		if got := takeCensus(t, r, reqs, procs); got != want {
+			t.Errorf("GOMAXPROCS=%d: census %+v, at GOMAXPROCS=1 %+v", procs, got, want)
 		}
 	}
 }

@@ -60,7 +60,8 @@ type inconsistentSnapshot struct {
 // reached. The first five are the ones that used to panic inside the gate
 // that was there to distrust them; the rest decode into a schedule, service
 // lists or cached sums that disagree with what the state accepted, and the
-// last carries a field no version of the state declares.
+// last two carry a field no version of the state declares, in the state and
+// inside a committed file.
 func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 	t.Helper()
 	edit := func(fn func(st map[string]any)) []byte {
@@ -161,6 +162,11 @@ func inconsistentSnapshots(t testing.TB, good []byte) []inconsistentSnapshot {
 		{"field this version does not declare", edit(func(st map[string]any) {
 			st["id"] = "k"
 		}), `unknown field "id"`},
+		{"field a committed file does not declare", edit(func(st map[string]any) {
+			for _, f := range files(st) {
+				f.(map[string]any)["cut"] = 7
+			}
+		}), `unknown field "cut"`},
 	}
 }
 

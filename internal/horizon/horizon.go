@@ -60,6 +60,10 @@ import (
 // the requesting user as a "too late, pick a later start" condition.
 var ErrLateArrival = errors.New("horizon: reservation starts inside the frozen window")
 
+// ErrBackwards is returned by Advance for a target before the commit
+// horizon: the request is wrong whatever the service does next.
+var ErrBackwards = errors.New("horizon: cannot move horizon backwards")
+
 // Config parameterizes the service. The three epoch triggers are
 // independent; any non-zero one arms, and the epoch is due as soon as the
 // first fires. With all three zero the service never signals an epoch
@@ -77,10 +81,6 @@ type Config struct {
 	// EpochTick closes the epoch when the arrival clock has progressed this
 	// far since the last Advance.
 	EpochTick simtime.Duration
-	// Workers bounds the per-file IVS fan-out and the SORP candidate
-	// evaluation inside Advance; 0 means GOMAXPROCS. The committed
-	// schedule is byte-identical for every worker count.
-	Workers int
 
 	// The remaining fields only apply to durable services (opened with
 	// Recover); an in-memory Service from New ignores them.
@@ -307,7 +307,7 @@ func (s *Service) AdvanceBehind(ctx context.Context, lag simtime.Duration) (*api
 // the next: nothing in between writes the service.
 func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*api.EpochResult, error) {
 	if to < s.st.Horizon {
-		return nil, fmt.Errorf("horizon: cannot move horizon backwards from %v to %v", s.st.Horizon, to)
+		return nil, fmt.Errorf("%w from %v to %v", ErrBackwards, s.st.Horizon, to)
 	}
 	next, res, err := s.extend(ctx, s.st, to)
 	if err != nil {
@@ -339,7 +339,7 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 		return state{}, nil, err
 	}
 	out, err := scheduler.Solve(ctx, s.m, reqs, frozen,
-		scheduler.Config{Policy: s.cfg.Policy, Metric: s.cfg.Metric, Workers: s.cfg.Workers})
+		scheduler.Config{Policy: s.cfg.Policy, Metric: s.cfg.Metric})
 	if err != nil {
 		return state{}, nil, err
 	}

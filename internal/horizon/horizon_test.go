@@ -191,7 +191,8 @@ func checkFrozenPreserved(t *testing.T, snap frozenSnapshot, s *schedule.Schedul
 // accepted reservation.
 func TestMultiEpochFrozenInvariant(t *testing.T) {
 	r := rig(t, smallParams())
-	svc := horizon.New(r.Model, horizon.Config{Workers: 4})
+	testutil.SetProcs(t, 4)
+	svc := horizon.New(r.Model, horizon.Config{})
 	ctx := context.Background()
 
 	window := simtime.Duration(r.Params.WindowHours) * simtime.Hour
@@ -322,16 +323,17 @@ func TestEpochTriggers(t *testing.T) {
 }
 
 // The worker-pool fan-out must not affect the result: phase 1 is
-// deterministic per file, so 1 worker and many workers must produce the
-// same committed schedule.
+// deterministic per file, so GOMAXPROCS 1, 2 and 4 must produce the same
+// committed schedule.
 func TestWorkerPoolDeterminism(t *testing.T) {
 	for _, seed := range []int64{5, 42, 99} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			p := smallParams()
 			p.Seed = seed
 			r := rig(t, p)
-			run := func(workers int) string {
-				svc := horizon.New(r.Model, horizon.Config{Workers: workers})
+			run := func(procs int) string {
+				testutil.SetProcs(t, procs)
+				svc := horizon.New(r.Model, horizon.Config{})
 				for _, req := range r.Requests {
 					if _, err := svc.Submit(0, req); err != nil {
 						t.Fatal(err)
@@ -349,11 +351,11 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 			// Byte-identical, not merely structurally equal: both the
 			// phase-1 fan-out and the SORP candidate evaluation now run on
 			// the shared pool, and the committed schedule must not betray
-			// the worker count.
+			// its size.
 			want := run(1)
-			for _, workers := range []int{0, 2, 8} {
-				if got := run(workers); got != want {
-					t.Errorf("Workers=%d committed schedule differs from sequential run", workers)
+			for _, procs := range []int{2, 4} {
+				if got := run(procs); got != want {
+					t.Errorf("GOMAXPROCS=%d committed schedule differs from sequential run", procs)
 				}
 			}
 		})

@@ -157,7 +157,8 @@ func TestSplitSharesTheFrozenPrefix(t *testing.T) {
 // their reads.
 func TestPlansStayByteStableWhileEpochsAdvance(t *testing.T) {
 	r, reqs := sharingRig(t)
-	svc := New(r.Model, Config{Workers: 2})
+	testutil.SetProcs(t, 2)
+	svc := New(r.Model, Config{})
 
 	type reading struct {
 		plan api.PlanResponse

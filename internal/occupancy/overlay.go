@@ -32,10 +32,13 @@ import (
 // the greedy's contract: it only places copies of the file being
 // rescheduled.
 //
-// OverlayWithout itself must be called sequentially (it builds the base's
-// snapshots in place), but the returned views may then be used
-// concurrently with each other and with base reads, provided the base is
-// not mutated while views are live. Committing a result mutates the base,
+// OverlayWithout itself must be called sequentially: it builds every base
+// snapshot not built at the base's current versions, and it takes the view
+// from the workspace. Once AllOverflows and one OverlayWithout have run since
+// the base last mutated, every snapshot is built and a further call writes
+// only the workspace. The returned views may be used concurrently with each
+// other and with base reads, provided the base is not mutated while views
+// are live. Committing a result mutates the base,
 // so it invalidates every live view of the base: drop them and take fresh
 // ones. A view serves one evaluation: its owner then hands it back (Release)
 // to the base's workspace (UseWorkspace; a base without one makes its own

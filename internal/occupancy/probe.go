@@ -271,8 +271,12 @@ func (g *ProbeLog) Covers(w simtime.Interval) bool { return g.box.contains(w) }
 // The caller must separately know that the masked video's own copies in
 // base are unchanged: they are the view's initial delta.
 //
-// Like OverlayWithout, Replay builds the base's snapshots in place and
-// must not run concurrently with other uses of base.
+// Replay reads the snapshots of the storages its probes are at and builds
+// any of them not built at the node's current version; it then writes only
+// the log's own versions. After AllOverflows, which builds every storage's
+// snapshot, it writes nothing of base until base next mutates. A log is
+// written by its replay, so one log must not be replayed concurrently with
+// itself.
 func (g *ProbeLog) Replay(base *Ledger) bool {
 	if g.broken {
 		return false

@@ -524,3 +524,100 @@ func TestProbeLogFootprint(t *testing.T) {
 		t.Errorf("a 200-probe log on recycled storage allocated %d bytes, want 0", warm)
 	}
 }
+
+// baseState is what a selection round could write on its base ledger: every
+// node's version and its prefix snapshot (build stamp and backing array).
+type baseState struct {
+	ver     []uint64
+	builtAt []uint64
+	pts     []*sweepPt
+}
+
+func stateOf(l *Ledger) baseState {
+	var s baseState
+	for n := range l.nodes {
+		s.ver = append(s.ver, l.nodes[n].ver)
+		var b uint64
+		var p *sweepPt
+		if l.snap != nil {
+			b, p = l.snap[n].builtAt, unsafe.SliceData(l.snap[n].pts)
+		}
+		s.builtAt, s.pts = append(s.builtAt, b), append(s.pts, p)
+	}
+	return s
+}
+
+func (s baseState) equal(o baseState) bool {
+	return slices.Equal(s.ver, o.ver) && slices.Equal(s.builtAt, o.builtAt) && slices.Equal(s.pts, o.pts)
+}
+
+// When a selection round writes its base ledger, which is what decides what
+// of it may leave SORP's sequential dispatch loop. The round opens with
+// AllOverflows, which builds every storage's snapshot, and its first
+// OverlayWithout builds the rest of the nodes'. From then on until the next
+// commit, OverlayWithout writes only the workspace and Replay only its own
+// log's versions: neither moves a node version or rebuilds a snapshot,
+// whether the replay holds or breaks. Replay reads storages only (a probe at
+// a warehouse is never logged), so it writes nothing even ahead of the
+// round's first OverlayWithout.
+func TestSelectionRoundWritesTheBaseOnlyAtItsStart(t *testing.T) {
+	replayed := map[bool]int{}
+	for seed := int64(0); seed < 12; seed++ {
+		_, base, _, topo := randomLedgers(t, seed, 6, 60)
+		rng := rand.New(rand.NewSource(seed ^ 0x5bd1))
+		stores := topo.Storages()
+		// Last round's evaluations, recorded on views of the base, and the
+		// commit that ended it: another video's copy added at a storage.
+		logs := make([]*ProbeLog, 3)
+		for i := range logs {
+			vid := media.VideoID(i)
+			view := base.OverlayWithout(vid)
+			logs[i] = view.Record()
+			runScript(view, randomScript(rng, vid, stores, 40), nil)
+			view.Release()
+		}
+		load := simtime.Time(rng.Intn(600)) * simtime.Time(simtime.Second)
+		base.Add(Ref{Video: 5, Index: 1000}, res(5, stores[rng.Intn(len(stores))], load, load.Add(200*simtime.Second)))
+
+		before := stateOf(base)
+		base.AllOverflows()
+		opened := stateOf(base)
+		if opened.equal(before) {
+			t.Fatalf("seed %d: fixture bug: AllOverflows after a commit rebuilt nothing", seed)
+		}
+		for _, n := range stores {
+			if opened.builtAt[n] != opened.ver[n]+1 {
+				t.Fatalf("seed %d: AllOverflows left storage %d's snapshot unbuilt", seed, n)
+			}
+		}
+		replayed[logs[0].Replay(base)]++
+		if got := stateOf(base); !got.equal(opened) {
+			t.Fatalf("seed %d: Replay ahead of the round's first OverlayWithout wrote the base", seed)
+		}
+
+		first := base.OverlayWithout(3)
+		round := stateOf(base)
+		for n := range base.nodes {
+			if round.builtAt[n] != round.ver[n]+1 {
+				t.Fatalf("seed %d: the round's first OverlayWithout left node %d's snapshot unbuilt", seed, n)
+			}
+		}
+		views := []*Ledger{first}
+		for _, g := range logs[1:] {
+			views = append(views, base.OverlayWithout(media.VideoID(4)))
+			replayed[g.Replay(base)]++
+			if got := stateOf(base); !got.equal(round) {
+				t.Fatalf("seed %d: OverlayWithout or Replay after the round's first OverlayWithout wrote the base", seed)
+			}
+		}
+		for _, v := range views {
+			v.Release()
+		}
+		for _, g := range logs {
+			g.Release()
+		}
+	}
+	if replayed[true] == 0 || replayed[false] == 0 {
+		t.Fatalf("fixture bug: replays held %d times and broke %d times; need both", replayed[true], replayed[false])
+	}
+}

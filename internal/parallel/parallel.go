@@ -6,7 +6,9 @@
 // own ledger view, §4.4) — and the pool is how both fan that work across
 // cores without giving up determinism: callers dispatch work by index and
 // merge results in index order, so the outcome is byte-identical to a
-// sequential run regardless of worker count or completion order.
+// sequential run regardless of pool size or completion order. The pool is
+// the runtime's: min(GOMAXPROCS, n) goroutines, so a run is sized with
+// GOMAXPROCS (or go test -cpu), not with an option.
 package parallel
 
 import (
@@ -15,33 +17,17 @@ import (
 	"sync"
 )
 
-// Workers normalizes a worker-count knob: values <= 0 mean GOMAXPROCS,
-// and the count never exceeds the number of jobs n (never below 1).
-func Workers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// Do runs fn(i) for every i in [0, n) across a pool of bounded size
-// (see Workers for how the count is normalized). Dispatch stops as soon as
-// ctx is cancelled — jobs already started run to completion, un-dispatched
-// indices are never invoked — and the cancellation is reported as ctx.Err().
-// fn must handle its own synchronization for any state shared between
-// indices; writing only to the i-th slot of a pre-sized results slice needs
-// none.
-func Do(ctx context.Context, workers, n int, fn func(i int)) error {
+// Do runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n) goroutines.
+// Dispatch stops as soon as ctx is cancelled — jobs already started run to
+// completion, un-dispatched indices are never invoked — and the cancellation
+// is reported as ctx.Err(). fn must handle its own synchronization for any
+// state shared between indices; writing only to the i-th slot of a
+// pre-sized results slice needs none.
+func Do(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil // no work: not even a cancellation check, like a 0-iteration loop
 	}
-	workers = Workers(workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup

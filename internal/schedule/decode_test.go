@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/testutil"
 )
@@ -34,10 +35,10 @@ func listsAreReaders(w *testutil.WireFile) bool {
 }
 
 // FuzzFileScheduleDecode holds a file's decoder to its mirror: whatever
-// decodes as a testutil.WireFile, the decoder accepts exactly when its
-// service lists pass listsAreReaders, and what it accepts encodes as the
-// mirror of the same file, its lists found again by scanning the deliveries.
-// Nothing else decodes.
+// decodes as a testutil.WireFile with unknown fields refused, the decoder
+// accepts exactly when its service lists pass listsAreReaders, and what it
+// accepts encodes as the mirror of the same file, its lists found again by
+// scanning the deliveries. Nothing else decodes.
 func FuzzFileScheduleDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"video":0,"deliveries":[{"video":0,"user":0,"start":0,"route":[0,1],"source_residency":-1},` +
@@ -53,6 +54,9 @@ func FuzzFileScheduleDecode(f *testing.F) {
 		`{"video":3,"Residencies":[{"Services":[0]}],"Deliveries":[{"Source_Residency":0}]}`,
 		`{"video":3,"residencies":[{"services":[0],"services":[]}],"deliveries":[{"source_residency":-1}]}`,
 		`{"video":3,"residencies":{}}`,
+		`{"video":1,"cut":7}`,
+		`{"video":3,"deliveries":[{"source_residency":0,"hop":1}],"residencies":[{"services":[0]}]}`,
+		`{"video":3,"deliveries":[{"source_residency":0}],"residencies":[{"services":[0],"pinned":true}]}`,
 		`{}`, `null`, `[]`, `5`, `{"video":"0"}`,
 	} {
 		f.Add([]byte(seed))
@@ -61,7 +65,7 @@ func FuzzFileScheduleDecode(f *testing.F) {
 		var w *testutil.WireFile
 		var fs *schedule.FileSchedule
 		err := json.Unmarshal(b, &fs)
-		if json.Unmarshal(b, &w) != nil {
+		if api.DecodeStrict(b, &w) != nil {
 			if err == nil {
 				t.Fatalf("%q decodes, but not as a mirror", b)
 			}

@@ -50,10 +50,12 @@ func (s *Schedule) AppendJSON(dst []byte) []byte {
 // writes a schedule as AppendJSON does.
 func (fs FileSchedule) MarshalJSON() ([]byte, error) { return fs.appendJSON(nil, nil), nil }
 
-// UnmarshalJSON decodes a file as AppendJSON writes it. A residency's
-// service list is the encoding's claim about who reads the copy: it is
-// refused unless it names, in any order and once each, exactly the deliveries
-// drawing from the copy, and then dropped.
+// UnmarshalJSON decodes a file as AppendJSON writes it. A key the format
+// does not declare, in the file or in any of its records, is refused by name:
+// a decoder's DisallowUnknownFields does not reach inside this method. A
+// residency's service list is the encoding's claim about who reads the copy:
+// it is refused unless it names, in any order and once each, exactly the
+// deliveries drawing from the copy, and then dropped.
 func (fs *FileSchedule) UnmarshalJSON(b []byte) error {
 	var w struct {
 		Video       media.VideoID `json:"video"`
@@ -63,7 +65,9 @@ func (fs *FileSchedule) UnmarshalJSON(b []byte) error {
 			Services []int `json:"services"`
 		} `json:"residencies"`
 	}
-	if err := json.Unmarshal(b, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return err
 	}
 	*fs = FileSchedule{Video: w.Video, Deliveries: w.Deliveries}

@@ -55,7 +55,7 @@ func BenchmarkSchedule10k(b *testing.B) {
 }
 
 // BenchmarkSchedulePhase1 isolates the phase-1 per-file fan-out on the same
-// rig as BenchmarkSchedule. Workers is left at 0 (GOMAXPROCS), so running
+// rig as BenchmarkSchedule. The pool is GOMAXPROCS goroutines, so running
 // it with `-cpu 1,4` compares the sequential path against a 4-worker pool
 // on identical input; benchjson turns the pair into phase1_parallel_speedup.
 // The output is byte-identical either way — only the wall clock moves, and

@@ -12,7 +12,7 @@ import (
 
 // TestScheduleNaiveIndexedByteIdentical is the rewrite-safety property for
 // the occupancy hot path: the full two-phase scheduler output — schedule,
-// costs and victim sequence — must serialize, at every worker count, to the
+// costs and victim sequence — must serialize, at GOMAXPROCS 1, 2 and 4, to the
 // bytes recorded in testdata/reference-seed*.json. Those were written by a
 // run on the reference ledger, which answered every query by re-summing
 // Eq. 6 per entry and took SORP's evaluations table-free, and which matched
@@ -38,13 +38,14 @@ func TestScheduleNaiveIndexedByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{0, 1, 4, 8} {
-				out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{Workers: workers})
+			for _, procs := range []int{1, 2, 4} {
+				testutil.SetProcs(t, procs)
+				out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{})
 				if err != nil {
-					t.Fatalf("Workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if got := fingerprint(t, out); got != want {
-					t.Errorf("Workers=%d differs from the reference output recorded in testdata", workers)
+					t.Errorf("GOMAXPROCS=%d differs from the reference output recorded in testdata", procs)
 				}
 			}
 		})

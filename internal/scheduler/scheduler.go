@@ -49,23 +49,11 @@ type Config struct {
 	// the commit predicate (the predicate is cheap; this exists for
 	// benchmarks isolating pure scheduling time).
 	SkipValidation bool
-	// Refine enables the post-resolution improvement sweep: each file is
-	// rescheduled against the other files' actual disk usage and kept when
-	// strictly cheaper, repeating to a fixpoint. An extension beyond the
-	// paper's two phases; never increases cost and never re-introduces
-	// overflows (the sweep is capacity-aware).
-	Refine bool
 	// Seeds installs pre-placed standing copies per video (strategic
 	// replication; see internal/placement). The greedy serves from them at
 	// zero marginal storage cost, resolution treats them as immovable, and
 	// their committed cost appears in every reported total.
 	Seeds map[media.VideoID][]schedule.Residency
-	// Workers bounds the worker pool for phase-1 per-file scheduling and
-	// phase-2 candidate evaluation. Phase-1 results are merged in video-ID
-	// order and phase-2 victims are picked by a total order over the
-	// candidate set, so the produced schedule is byte-identical for every
-	// worker count. 0 means GOMAXPROCS, 1 forces the sequential path.
-	Workers int
 }
 
 // Outcome reports a full scheduling run.
@@ -85,10 +73,6 @@ type Outcome struct {
 	// Resolution counts phase 2's work: iterations, pairs rescheduled
 	// afresh and pairs reused from an earlier iteration.
 	Resolution api.Work
-	// RefinedFiles counts files improved by the refinement sweep and
-	// RefineSavings the total cost it recovered (zero unless Config.Refine).
-	RefinedFiles  int
-	RefineSavings units.Money
 }
 
 // ResolutionDelta returns Ψ(S_SORP) − Ψ(S_good), the cost increase caused
@@ -131,12 +115,12 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 // so history and standing copies nobody asks for this round still occupy
 // their space and money.
 //
-// Phase 1 fans the per-file individual scheduling out over the bounded
-// worker pool selected by Config.Workers. File schedules are independent
+// Phase 1 fans the per-file individual scheduling out over the runtime's
+// pool (parallel.Do: GOMAXPROCS goroutines). File schedules are independent
 // in phase 1 (unbounded-storage assumption, paper §3.2), so this is safe;
 // results are merged in video-ID order, keeping the outcome byte-identical
 // to a sequential run. The context is checked before every phase-1 file
-// dispatch, every phase-2 victim iteration and every refinement pass.
+// dispatch and every phase-2 victim iteration.
 //
 // Solve does not judge its own result: callers commit only what Check
 // accepts against the full set of requests the schedule must serve.
@@ -158,12 +142,12 @@ func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload
 	slices.Sort(videos)
 	videos = slices.Compact(videos)
 
-	ws := ivs.TakeWorkspace() // phase 1's, phase 2's and refine's storage
+	ws := ivs.TakeWorkspace() // phase 1's and phase 2's storage
 	defer ws.Release()
 	s := schedule.New()
 	fss := make([]*schedule.FileSchedule, len(videos))
 	errs := make([]error, len(videos))
-	if err := parallel.Do(ctx, cfg.Workers, len(videos), func(i int) {
+	if err := parallel.Do(ctx, len(videos), func(i int) {
 		vid := videos[i]
 		fss[i], errs[i] = ivs.ScheduleFile(m, vid, reqs[vid],
 			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[vid], Frozen: frozen[vid], Workspace: ws})
@@ -183,22 +167,12 @@ func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload
 		out.FinalCost = out.Phase1Cost
 	} else { // SORP integrates and prices s once, for itself and for the outcome
 		res, err := sorp.ResolveContext(ctx, m, s, reqs, sorp.Options{Metric: cfg.Metric,
-			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workers: cfg.Workers, Workspace: ws})
+			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workspace: ws})
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: phase 2: %w", err)
 		}
 		out.Schedule, out.Phase1Cost, out.FinalCost = res.Schedule, res.CostBefore, res.CostAfter
 		out.Overflows, out.Victims, out.Resolution = res.InitialOverflows, res.Victims, res.Work
-	}
-
-	if cfg.Refine && !cfg.SkipResolution {
-		rr, err := refine(ctx, m, out.Schedule, reqs, frozen, cfg, ws)
-		if err != nil {
-			return nil, err
-		}
-		out.RefinedFiles = rr.moved
-		out.RefineSavings = rr.savings
-		out.FinalCost = m.ScheduleCost(out.Schedule)
 	}
 	return out, nil
 }

@@ -242,70 +242,6 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRefineNeverHurts(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rig, err := testutil.NewPaperRig(8, 7, 16, 4*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed+80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.1, Window: 8 * simtime.Hour, Seed: seed + 90})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := Run(rig.Model, reqs, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refined, err := Run(rig.Model, reqs, Config{Refine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if float64(refined.FinalCost) > float64(plain.FinalCost)+1e-6 {
-			t.Errorf("seed %d: refine increased cost %v -> %v", seed, plain.FinalCost, refined.FinalCost)
-		}
-		// Savings accounting is consistent.
-		want := float64(plain.FinalCost - refined.FinalCost)
-		if got := float64(refined.RefineSavings); got < want-1e-6 {
-			t.Errorf("seed %d: claimed savings %g < realized %g", seed, got, want)
-		}
-		if refined.RefinedFiles == 0 && refined.RefineSavings != 0 {
-			t.Error("savings without moved files")
-		}
-		// Refined schedule stays valid and overflow-free (Run checks both
-		// internally; double-check overflow-freeness explicitly).
-		ledger := occupancy.FromSchedule(rig.Topo, rig.Catalog, refined.Schedule)
-		if ovs := ledger.AllOverflows(); len(ovs) != 0 {
-			t.Errorf("seed %d: refine introduced overflows: %v", seed, ovs)
-		}
-	}
-}
-
-func TestRefineFindsImprovementOnTightRig(t *testing.T) {
-	// On a rig with many victims, phase-2 rescheduling decisions leave
-	// slack that the sweep should recover at least sometimes across seeds.
-	improvedSomewhere := false
-	for seed := int64(0); seed < 6; seed++ {
-		rig, err := testutil.NewPaperRig(8, 7, 12, 4*units.GB, pricing.PerGBHour(3), pricing.PerGB(500), seed+70)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{Alpha: 0.1, Window: 6 * simtime.Hour, Seed: seed + 71})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Run(rig.Model, reqs, Config{Refine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.RefinedFiles > 0 {
-			improvedSomewhere = true
-		}
-	}
-	if !improvedSomewhere {
-		t.Log("note: refinement found no improvement on any seed (schedules already locally optimal)")
-	}
-}
-
 // TestZeroCapacityDegeneratesToDirect is a failure-injection case: with no
 // usable disk anywhere, phase 1 still caches (it is capacity-blind), and
 // resolution must strip every residency, landing on the all-direct

@@ -30,10 +30,11 @@ func fingerprint(t *testing.T, out *scheduler.Outcome) string {
 
 // TestScheduleWorkersByteIdentical is the determinism property for the
 // parallel two-phase scheduler: for seeded random workloads tight enough to
-// force SORP activity, the outcome with any worker count must serialize to
-// the same bytes as the sequential (Workers: 1) run — same schedule, same
-// costs, same victim sequence. Run under -race in CI, this also shakes out
-// data races in the phase-1 fan-out and the concurrent candidate evaluation.
+// force SORP activity, the outcome at any GOMAXPROCS — the size of both
+// fan-outs' pool — must serialize to the same bytes as the sequential
+// (GOMAXPROCS 1) run: same schedule, same costs, same victim sequence. Run
+// under -race in CI, this also shakes out data races in the phase-1 fan-out
+// and the concurrent candidate evaluation.
 func TestScheduleWorkersByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1997} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -48,10 +49,11 @@ func TestScheduleWorkersByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(workers int) string {
-				out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{Workers: workers})
+			run := func(procs int) string {
+				testutil.SetProcs(t, procs)
+				out, err := scheduler.Run(r.Model, r.Requests, scheduler.Config{})
 				if err != nil {
-					t.Fatalf("Workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				return fingerprint(t, out)
 			}
@@ -59,9 +61,9 @@ func TestScheduleWorkersByteIdentical(t *testing.T) {
 			if want == "" {
 				t.Fatal("empty fingerprint")
 			}
-			for _, workers := range []int{0, 2, 4, 16} {
-				if got := run(workers); got != want {
-					t.Errorf("Workers=%d outcome differs from sequential run", workers)
+			for _, procs := range []int{2, 4} {
+				if got := run(procs); got != want {
+					t.Errorf("GOMAXPROCS=%d outcome differs from sequential run", procs)
 				}
 			}
 		})

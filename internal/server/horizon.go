@@ -125,11 +125,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	res, err := s.horizon.Advance(r.Context(), req.To)
 	if err != nil {
-		status := schedulingStatus(err)
-		if s.horizon.Horizon() > req.To {
-			status = http.StatusBadRequest
-		}
-		httpkit.WriteErr(w, status, err)
+		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
 	s.committed(res, t0)

@@ -23,7 +23,6 @@ type Options struct {
 	// Horizon configures the rolling-horizon intake service behind
 	// /v1/reservations, /v1/plan and /v1/advance. The zero value is usable:
 	// no epoch trigger ever fires on its own and clients advance explicitly.
-	// Horizon.Workers is also the worker pool /v1/schedule solves on.
 	Horizon horizon.Config
 	// AdvanceLag holds the target of the epoch closes a primary runs itself,
 	// when one of Horizon's triggers fires, this far behind the newest

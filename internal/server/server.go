@@ -67,7 +67,6 @@ import (
 type Server struct {
 	model    *cost.Model
 	horizon  *horizon.Service
-	workers  int // Options.Horizon.Workers: /v1/schedule solves on the pool an epoch close does
 	shardID  string
 	limiter  *httpkit.Limiter
 	timeout  time.Duration              // the timed routes' budget; 0 when Options.RequestTimeout is negative
@@ -147,7 +146,6 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s := &Server{
 		model:      model,
 		horizon:    hz,
-		workers:    opts.Horizon.Workers,
 		shardID:    opts.ShardID,
 		timeout:    opts.RequestTimeout,
 		mux:        http.NewServeMux(),
@@ -298,7 +296,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	// An empty metric or policy keeps the scheduler's default, which is
 	// the zero value of either field.
-	cfg := scheduler.Config{Workers: s.workers}
+	var cfg scheduler.Config
 	var err error
 	if req.Metric != "" {
 		if cfg.Metric, err = sorp.ParseMetric(req.Metric); err != nil {
@@ -329,7 +327,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
 	}
-	direct, err := scheduler.Schedule(r.Context(), s.model, req.Requests, scheduler.Config{Policy: ivs.NoCaching, Workers: s.workers})
+	direct, err := scheduler.Schedule(r.Context(), s.model, req.Requests, scheduler.Config{Policy: ivs.NoCaching})
 	if err != nil {
 		httpkit.WriteErr(w, schedulingStatus(err), err)
 		return
@@ -344,10 +342,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// schedulingStatus maps a scheduling failure to an HTTP status: context
-// expiry (client went away or the request timed out) is 503, anything else
-// is an internal error.
+// schedulingStatus maps a scheduling failure to an HTTP status by what the
+// error wraps, never by a second read of the state: a target behind the
+// commit horizon is 400, context expiry (client went away or the request
+// timed out) is 503, anything else is an internal error.
 func schedulingStatus(err error) int {
+	if errors.Is(err, horizon.ErrBackwards) {
+		return http.StatusBadRequest
+	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}

@@ -262,7 +262,7 @@ func (r *sharedRig) resolveJSON(t *testing.T, ws *ivs.Workspace, views *[]*occup
 			}
 		}
 	}
-	res, err := resolve(context.Background(), r.rig.Model, s, r.reqs, Options{Workers: 2, Workspace: ws}, hook)
+	res, err := resolve(context.Background(), r.rig.Model, s, r.reqs, Options{Workspace: ws}, hook)
 	if err != nil {
 		t.Errorf("%s: %v", r.name, err)
 		return nil
@@ -283,6 +283,7 @@ func (r *sharedRig) resolveJSON(t *testing.T, ws *ivs.Workspace, views *[]*occup
 // of the fresh run; and a finished resolution must have handed back the
 // views of its last round, which no later round released.
 func TestFreeListsAreSharedAcrossLedgers(t *testing.T) {
+	testutil.SetProcs(t, 2) // two evaluations of one round at once
 	rigs := []*sharedRig{{name: "6 storages"}, {name: "14 storages"}}
 	for i, storages := range []int{6, 14} {
 		r := rigs[i]

@@ -120,8 +120,9 @@ func buildReuseCase(t *testing.T, seed int64, kind int) *reuseCase {
 // schedule bytes. A table-free run is the reference: after every commit it
 // releases every entry's log and empties the table, so no round finds an
 // evaluation to reuse and every pair is rescheduled afresh.
-func (c *reuseCase) run(t *testing.T, tableFree bool, workers int) (string, *Result, error) {
+func (c *reuseCase) run(t *testing.T, tableFree bool, procs int) (string, *Result, error) {
 	t.Helper()
+	testutil.SetProcs(t, procs)
 	var committed func(*schedule.Schedule, *pairTable)
 	if tableFree {
 		committed = func(_ *schedule.Schedule, tab *pairTable) {
@@ -133,9 +134,7 @@ func (c *reuseCase) run(t *testing.T, tableFree bool, workers int) (string, *Res
 			clear(tab.entries)
 		}
 	}
-	opts := c.opts
-	opts.Workers = workers
-	res, err := resolve(context.Background(), c.m, c.s, c.reqs, opts, committed)
+	res, err := resolve(context.Background(), c.m, c.s, c.reqs, c.opts, committed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -149,7 +148,7 @@ func (c *reuseCase) run(t *testing.T, tableFree bool, workers int) (string, *Res
 }
 
 // matchReference resolves the case table-free and then with the table at
-// every worker count, and fails unless the table's runs decide the same,
+// GOMAXPROCS 1, 2 and 4, and fails unless the table's runs decide the same,
 // their work adds up to the reference's and — given a second iteration to do
 // it in — they reuse something. It returns the reference's result, nil when
 // the reference cannot resolve the case, and the table's work.
@@ -164,23 +163,23 @@ func (c *reuseCase) matchReference(t *testing.T) (*Result, api.Work) {
 		t.Fatalf("the reference reused %d evaluations; it must stay table-free", ref.Reused)
 	}
 	var reusing api.Work
-	for _, workers := range []int{0, 1, 4, 8} {
-		got, res, err := c.run(t, false, workers)
+	for i, procs := range []int{1, 2, 4} {
+		got, res, err := c.run(t, false, procs)
 		if err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		work := res.Work
 		if got != want {
-			t.Errorf("Workers=%d: victims or schedule differ from the table-free reference", workers)
+			t.Errorf("GOMAXPROCS=%d: victims or schedule differ from the table-free reference", procs)
 		}
 		if work.Reused == 0 && ref.Iterations >= 2 {
-			t.Errorf("Workers=%d: nothing reused over %d iterations; the comparison is vacuous", workers, work.Iterations)
+			t.Errorf("GOMAXPROCS=%d: nothing reused over %d iterations; the comparison is vacuous", procs, work.Iterations)
 		}
 		if work.Iterations != ref.Iterations || work.Evaluated+work.Reused != ref.Evaluated || work.Rewindowed > work.Reused {
-			t.Errorf("Workers=%d: work %+v does not add up to the reference's %+v", workers, work, ref.Work)
+			t.Errorf("GOMAXPROCS=%d: work %+v does not add up to the reference's %+v", procs, work, ref.Work)
 		}
-		if workers > 0 && work != reusing {
-			t.Errorf("Workers=%d: work %+v, but %+v at Workers=0", workers, work, reusing)
+		if i > 0 && work != reusing {
+			t.Errorf("GOMAXPROCS=%d: work %+v, but %+v at GOMAXPROCS=1", procs, work, reusing)
 		}
 		reusing = work
 	}
@@ -195,7 +194,7 @@ func (c *reuseCase) matchReference(t *testing.T) (*Result, api.Work) {
 // its logged capacity answers replay must select the same victims with the
 // same heat and overhead and produce the same schedule bytes as the
 // table-free reference, which re-evaluates every pair every iteration, at
-// every worker count. The reusing run must actually have reused something
+// GOMAXPROCS 1, 2 and 4. The reusing run must actually have reused something
 // — and, for each kind of rig, somewhere around a window other than the one
 // evaluated under — or the comparison would pass vacuously. Run under -race in CI: replay runs
 // between the worker pool's fan-outs on the ledger the workers read.

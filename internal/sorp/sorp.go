@@ -103,13 +103,6 @@ type Options struct {
 	Metric HeatMetric
 	// Policy is the caching policy handed to the rejective greedy.
 	Policy ivs.Policy
-	// Workers bounds the concurrent evaluation of candidate reschedules
-	// during victim selection: each candidate works on its own overlay
-	// view of the one ledger, and the winner is picked by the same total
-	// order as a sequential run, so the victim sequence is byte-identical
-	// for any worker count. 0 means GOMAXPROCS, 1 forces the sequential
-	// path.
-	Workers int
 	// Seeds are the pre-placed standing copies per video (strategic
 	// replication). Rescheduling a victim re-seeds them: they are placed
 	// infrastructure the resolver can neither move nor strip, so they are
@@ -430,12 +423,14 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // differs. A pair with a table entry that still holds (pairTable.lookup)
 // takes its result from the entry; the others are independent —
 // each works on its own overlay view of the ledger — so they are evaluated
-// across the worker pool. Replays and views are taken sequentially up front
-// (both build the base's snapshots in place) and the winner is then picked
-// by a sequential walk in overflow/ref order with the better() total order.
-// The walk is independent of worker count, completion order and of which
-// results were reused, so the selected victim sequence stays
-// byte-identical for any Workers setting.
+// across the worker pool. Replays and views are taken sequentially up front:
+// the round's AllOverflows and first OverlayWithout build every snapshot of
+// the ledger, after which a view writes only the workspace and a replay only
+// its log, but two jobs of one round can share a pairKey (an overflow split
+// in two) and so one log. The winner is then picked by a sequential walk in
+// overflow/ref order with the better() total order. The walk is independent
+// of pool size, completion order and of which results were reused, so the
+// selected victim sequence stays byte-identical at any GOMAXPROCS.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
 	fileCost map[media.VideoID]units.Money, t *pairTable, res *Result) (candidate, bool, error) {
@@ -482,7 +477,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 		}
 	}
 
-	if err := parallel.Do(ctx, opts.Workers, len(t.fresh), func(i int) {
+	if err := parallel.Do(ctx, len(t.fresh), func(i int) {
 		j := &t.jobs[t.fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
 			fileCost[j.video])

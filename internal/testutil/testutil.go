@@ -1,7 +1,9 @@
 package testutil
 
 import (
+	"runtime"
 	"runtime/debug"
+	"testing"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
@@ -87,4 +89,12 @@ func RaceBuild() bool {
 		}
 	}
 	return false
+}
+
+// SetProcs sets GOMAXPROCS, and with it the size of the solver's worker pool
+// (internal/parallel), to n for the rest of the test, and restores the value
+// it found when the test ends.
+func SetProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -36,7 +36,7 @@ func TestSoakRandomScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		out, err := scheduler.Run(rig.Model, rig.Requests, scheduler.Config{Refine: seed%2 == 0})
+		out, err := scheduler.Run(rig.Model, rig.Requests, scheduler.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
