@@ -58,6 +58,9 @@ chaos-bench:
 # FuzzFileScheduleDecode holds a file's decoder to accept exactly the service
 # lists that name a copy's readers, and to encode what it accepts as the
 # mirror does.
+# FuzzCoverageExtension holds the commit bar's coverage extension (a schedule
+# checked against the one it replaces plus the epoch's requests) to the full
+# check of everything served, on arbitrary decoded schedules.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
 # -shard parser to what gateway.New accepts. FuzzReservationRequest holds
@@ -68,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzFileScheduleDecode -fuzztime=10s ./internal/schedule
+	$(GO) test -fuzz=FuzzCoverageExtension -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon

@@ -14,7 +14,9 @@ import (
 
 	"github.com/vodsim/vsp/internal/audit"
 	"github.com/vodsim/vsp/internal/horizon"
+	"github.com/vodsim/vsp/internal/media"
 	"github.com/vodsim/vsp/internal/pricing"
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -403,4 +405,91 @@ func TestRecoverAcceptsTheBatchSchedule(t *testing.T) {
 	if rep := audit.Run(pr.Model, re.Committed(), reqs); !rep.OK() {
 		t.Fatalf("the oracle objects: %v", rep.Findings)
 	}
+}
+
+// An epoch whose solve came out broken is refused at the commit, where the bar
+// checks only what the epoch changed, and the snapshot door refuses the same
+// state in the same words, checking it whole: once with a frozen delivery's
+// start shifted, which the extension must find by comparing the schedules
+// rather than by trusting the split, and once with a delivery of the re-planned
+// tail duplicated. The unbroken solve passes both, and commits.
+func TestCommitBarRefusesWhatTheDoorRefuses(t *testing.T) {
+	r := rig(t, durableParams())
+	svc := horizon.New(r.Model, horizon.Config{})
+	// The second of three closes: the first froze some history, and the
+	// intake of the window's last third is pending.
+	var last walTestOp
+	for _, op := range script(r, 3) {
+		if !op.submit && svc.Epoch() == 1 {
+			last = op
+			break
+		}
+		applyOp(t, svc, op)
+	}
+	to := last.to
+	// warehouseOnly reports whether delivery i is supplied by the warehouse
+	// and feeds no copy, so that moving it leaves the structure standing.
+	warehouseOnly := func(fs *schedule.FileSchedule, i int) bool {
+		if fs.Deliveries[i].SourceResidency != schedule.NoResidency {
+			return false
+		}
+		for _, c := range fs.Residencies {
+			if c.FedBy == i {
+				return false
+			}
+		}
+		return true
+	}
+	// frozen is, per video, how many deliveries of the held schedule the
+	// close freezes: the prefix every solve of it starts with.
+	held, frozen := svc.Committed(), map[media.VideoID]int{}
+	for vid, fs := range held.Files {
+		for _, d := range fs.Deliveries {
+			if d.Start < to {
+				frozen[vid]++
+			}
+		}
+	}
+	// find returns the first delivery, in video-ID then record order, in the
+	// frozen prefix or after it, as asked; a frozen one warehouseOnly. A copy
+	// of any delivery leaves the structure standing.
+	find := func(t *testing.T, s *schedule.Schedule, inPrefix bool) (*schedule.FileSchedule, int) {
+		for _, vid := range s.VideoIDs() {
+			fs := s.File(vid)
+			for i := range fs.Deliveries {
+				if (i < frozen[vid]) == inPrefix && (!inPrefix || warehouseOnly(fs, i)) {
+					return fs, i
+				}
+			}
+		}
+		t.Fatalf("fixture bug: no delivery to break with inPrefix=%v at the close to %v", inPrefix, to)
+		return nil, 0
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*testing.T, *schedule.Schedule)
+	}{
+		{"a frozen delivery's start shifted", func(t *testing.T, s *schedule.Schedule) {
+			fs, i := find(t, s, true)
+			fs.Deliveries[i].Start++
+		}},
+		{"a tail delivery duplicated", func(t *testing.T, s *schedule.Schedule) {
+			fs, i := find(t, s, false)
+			fs.Deliveries = append(fs.Deliveries, fs.Deliveries[i])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			commit, door := svc.CorruptClose(context.Background(), to, func(s *schedule.Schedule) { tc.corrupt(t, s) })
+			if commit == nil || door == nil {
+				t.Fatalf("commit bar says %v, door says %v: both must refuse", commit, door)
+			}
+			if commit.Error() != door.Error() || !strings.Contains(commit.Error(), "matches no request") {
+				t.Fatalf("commit bar says %v, door says %v: want the same coverage refusal", commit, door)
+			}
+		})
+	}
+	if commit, door := svc.CorruptClose(context.Background(), to, func(*schedule.Schedule) {}); commit != nil || door != nil {
+		t.Fatalf("the unbroken solve: commit bar says %v, door says %v", commit, door)
+	}
+	applyOp(t, svc, last)
 }

@@ -183,13 +183,13 @@ func (s *Service) applyPayloadLocked(ctx context.Context, payload []byte) (walOp
 }
 
 // VerifyCommitted re-applies the commit predicate to the live committed
-// schedule. Failover promotion calls it before a caught-up follower starts
-// accepting traffic; every state a service holds has already passed the same
-// check on its way in, so this is a cheap re-check, not a second bar.
+// schedule, whole. Failover promotion calls it before a caught-up follower
+// starts accepting traffic; every state a service holds has already passed
+// the same predicate on its way in, so this is a re-check, not a second bar.
 func (s *Service) VerifyCommitted() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.check(&s.st)
+	return s.check(nil, &s.st)
 }
 
 // journalOp appends one operation record; callers hold s.mu, which is what
@@ -349,7 +349,7 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 	if pendingBytes != st.PendingBytes {
 		return state{}, fmt.Errorf("pending_bytes %v is not the %v the %d pending reservations stream", st.PendingBytes, pendingBytes, len(st.Pending))
 	}
-	if err := s.check(&st.state); err != nil {
+	if err := s.check(nil, &st.state); err != nil {
 		return state{}, err
 	}
 	// scheduler.Solve stores Ψ as this very sum, so the comparison is exact.

@@ -1,8 +1,10 @@
 package horizon
 
 import (
+	"context"
 	"encoding/json"
 
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/units"
@@ -67,4 +69,26 @@ func (s *Service) AdmitSnapshot(blob []byte) (appended, marshalled []byte, err e
 		return nil, nil, err
 	}
 	return appended, marshalled, nil
+}
+
+// CorruptClose plans the epoch to the given time as Advance does, lets corrupt
+// break a copy of the solved schedule, and returns what the commit bar says of
+// the broken state as the extension of the held one, and what the snapshot
+// door says of its payload. The service keeps the state it had.
+func (s *Service) CorruptClose(ctx context.Context, to simtime.Time, corrupt func(*schedule.Schedule)) (commit, door error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next, _, err := s.solve(ctx, s.st, to)
+	if err != nil {
+		return err, err
+	}
+	next.Committed = next.Committed.Clone() // the frozen prefix is history's
+	corrupt(next.Committed)
+	commit = s.check(&s.st, &next)
+	blob, err := next.appendJSON(nil)
+	if err != nil {
+		return commit, err
+	}
+	_, door = s.decodeState(blob)
+	return commit, door
 }

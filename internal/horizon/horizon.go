@@ -26,7 +26,8 @@
 // The last two steps are not this package's code: an epoch close is one call
 // to scheduler.Solve — the same two-phase pipeline the batch scheduler runs —
 // with the frozen prefixes as its extra argument, followed by the same commit
-// predicate (scheduler.Check) against every reservation accepted so far. What
+// predicate (scheduler.Check's verdict) against every reservation accepted so
+// far, counted as what the epoch changed in the schedule it replaces. What
 // this package owns is the state around that call: the split, the journal
 // and the commit. A reservation whose start time already lies inside the
 // frozen window is rejected with ErrLateArrival.
@@ -129,7 +130,8 @@ type Service struct {
 
 	// checker is the bar's working memory, kept from one commit to the next
 	// (see check); guarded by mu. A field, not a sync.Pool: a collection
-	// empties a pool, and the map is the size of the whole history.
+	// empties a pool, and the coverage map, the size of an epoch, would be
+	// grown again at every close.
 	checker scheduler.Checker
 
 	// Durability (nil/zero for in-memory services; see durable.go).
@@ -329,11 +331,24 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*api.Epoc
 
 // extend plans the epoch that moves st's horizon to the given time and
 // returns the state to commit. It reads st, the model and the config and
-// writes nothing: split the committed schedule, solve the un-frozen
-// requests plus the pending intake on top of the frozen prefixes, and keep
-// the result only if the next state passes check — the commit predicate
-// against every reservation accepted so far.
+// writes nothing: solve the epoch, and keep the result only if the next state
+// passes check — the commit predicate, extended from st by the epoch's
+// intake.
 func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *api.EpochResult, error) {
+	next, res, err := s.solve(ctx, st, to)
+	if err != nil {
+		return state{}, nil, err
+	}
+	if err := s.check(&st, &next); err != nil {
+		return state{}, nil, err
+	}
+	return next, res, nil
+}
+
+// solve is extend before the bar: split the committed schedule, and solve
+// the un-frozen requests plus the pending intake on top of the frozen
+// prefixes.
+func (s *Service) solve(ctx context.Context, st state, to simtime.Time) (state, *api.EpochResult, error) {
 	frozen, reqs, res, err := st.split(to)
 	if err != nil {
 		return state{}, nil, err
@@ -343,7 +358,11 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 	if err != nil {
 		return state{}, nil, err
 	}
-	next := state{
+	res.Overflows = out.Overflows
+	res.Victims = out.Victims
+	res.Resolution = out.Resolution
+	res.Cost = out.FinalCost
+	return state{
 		Horizon:    to,
 		Epoch:      st.Epoch + 1,
 		Clock:      st.Clock,
@@ -352,27 +371,36 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 		Committed:  out.Schedule,
 		Accepted:   st.Accepted,
 		planned:    len(st.Accepted),
-	}
-	if err := s.check(&next); err != nil {
-		return state{}, nil, err
-	}
-	res.Overflows = out.Overflows
-	res.Victims = out.Victims
-	res.Resolution = out.Resolution
-	res.Cost = out.FinalCost
-	return next, res, nil
+	}, res, nil
 }
 
 // check is the bar: the one predicate that decides whether a service may hold
 // a state's committed schedule. It is scheduler.Check against what the
 // schedule must serve, Accepted[:planned]: the pending intake is planned only
-// at the next Advance. An epoch commit (extend), a decoded snapshot
-// (decodeState) and promotion (VerifyCommitted) all ask here, so whatever a
-// commit accepted, recovery and failover accept: it is the same call on the
-// same arguments. Callers hold s.mu, or own s outright (Recover before it
+// at the next Advance. Callers hold s.mu, or own s outright (Recover before it
 // returns), which is what makes s.checker theirs.
-func (s *Service) check(st *state) error {
-	return s.checker.Check(s.m.Book().Topology(), s.m.Catalog(), st.Committed, st.Accepted[:st.planned]).Err()
+//
+// An epoch commit (extend: live, replayed or replicated) passes the state it
+// extends as prev and checks the extension from it, so coverage costs the
+// epoch, not the history. That is Check's verdict by induction on what s.st
+// holds. New installs an empty schedule serving nothing, which passes. Every
+// later s.st is either the next of a commit (advanceLocked), checked here
+// against the held state it replaces, or a decoded snapshot (Recover,
+// InstallSnapshot: decodeState), checked here whole with prev nil; a submit
+// only appends to the unplanned tail. So prev's schedule serves exactly
+// Accepted[:prev.planned], and next must serve that plus the epoch's
+// Accepted[prev.planned:next.planned]. The doors keep the whole form because a
+// payload has no held state behind it, and promotion (VerifyCommitted) because
+// it re-proves what memory holds without trusting the induction; each counts
+// the history once, in a map of its own, so the kept one stays the size of an
+// epoch. Whatever a commit accepted, recovery and failover accept: it is the
+// same predicate on the same schedule and request set.
+func (s *Service) check(prev, st *state) error {
+	c, from, added := new(scheduler.Checker), (*schedule.Schedule)(nil), st.Accepted[:st.planned]
+	if prev != nil {
+		c, from, added = &s.checker, prev.Committed, st.Accepted[prev.planned:st.planned]
+	}
+	return c.Extend(s.m.Book().Topology(), s.m.Catalog(), from, st.Committed, added).Err()
 }
 
 // split divides the committed schedule at the new horizon: per video, the

@@ -279,16 +279,17 @@ func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Cat
 // multiset of (user, video, start): none unserved, none served twice, none
 // that nobody asked for.
 func (s *Schedule) Serves(requests workload.Set) error {
-	return new(Coverage).Serves(s, requests)
+	return new(Coverage).Extends(nil, s, requests)
 }
 
-// Coverage is the multiset Serves counts requests in. A caller that checks
-// coverage at every commit keeps one, so the map it fills — one entry per
-// request, the size of the whole history — is allocated once and emptied with
-// clear instead of built afresh each time. The zero value is ready to use; a
-// Coverage is not safe for concurrent use.
+// Coverage is the multiset Serves and Extends count requests in. A caller
+// that checks coverage at every commit keeps one and asks Extends, whose map
+// holds only what the commit changed, so it is allocated at the size of an
+// epoch and emptied with clear. The zero value is ready to use; a Coverage is
+// not safe for concurrent use.
 type Coverage struct {
 	want map[coverKey]int
+	same map[media.VideoID]int // per video of prev, the deliveries prev and next agree on
 }
 
 type coverKey struct {
@@ -297,31 +298,113 @@ type coverKey struct {
 	t simtime.Time
 }
 
-// Serves is Schedule.Serves, counting in c.
-func (c *Coverage) Serves(s *Schedule, requests workload.Set) error {
+func keyOf(d Delivery) coverKey { return coverKey{d.User, d.Video, d.Start} }
+
+// before orders keys by video, then start, then user.
+func (k coverKey) before(o coverKey) bool {
+	if k.v != o.v {
+		return k.v < o.v
+	}
+	if k.t != o.t {
+		return k.t < o.t
+	}
+	return k.u < o.u
+}
+
+// Extends checks that next serves exactly what prev serves plus added: when
+// prev passed Serves against a request set R, Extends passes exactly when
+// Serves(next, R + added) does. Per video, the deliveries prev and next agree
+// on, as (user, video, start) and in record order from the first, count on
+// both sides and cancel; what is left must balance: next's tails are prev's
+// tails plus added. The work is a walk for the common prefixes and a map of the
+// tails and added, not a map of everything served. A nil prev is the
+// empty schedule, and then Extends is Serves.
+//
+// A refusal names the first delivery that matches no request, in video-ID and
+// then record order, or else the least request not served, by video, start
+// and user: the same record for any map order and, when every delivery sits
+// in its own video's file as ValidateStructure demands, for either form.
+func (c *Coverage) Extends(prev, next *Schedule, added workload.Set) error {
 	if c.want == nil {
-		c.want = make(map[coverKey]int, len(requests))
+		c.want = make(map[coverKey]int, len(added))
 	}
 	want := c.want
 	clear(want)
-	for _, r := range requests {
+	clear(c.same)
+	in := len(added)
+	for _, r := range added {
 		want[coverKey{r.User, r.Video, r.Start}]++
 	}
-	for _, fs := range s.Files {
-		for _, d := range fs.Deliveries {
-			k := coverKey{d.User, d.Video, d.Start}
+	if prev != nil {
+		if c.same == nil {
+			c.same = make(map[media.VideoID]int, len(prev.Files))
+		}
+		for vid, fs := range prev.Files {
+			p := fs.deliveries()
+			k := common(p, next.Files[vid].deliveries())
+			c.same[vid] = k
+			for _, d := range p[k:] {
+				want[keyOf(d)]++
+				in++
+			}
+		}
+	}
+
+	// A key names its video, so each file's count runs apart from the others'
+	// and its first stray is the same in any order of files: the lowest
+	// video's is named.
+	var stray Delivery
+	var strayIn media.VideoID
+	found, out := false, 0
+	for vid, fs := range next.Files {
+		if found && vid > strayIn {
+			continue
+		}
+		for _, d := range fs.deliveries()[c.same[vid]:] {
+			k := keyOf(d)
 			if want[k] == 0 {
-				return fmt.Errorf("schedule: delivery for (%d,%d,%v) matches no request", d.User, d.Video, d.Start)
+				stray, strayIn, found = d, vid, true
+				break
 			}
 			want[k]--
+			out++
 		}
 	}
+	if found {
+		return fmt.Errorf("schedule: delivery for (%d,%d,%v) matches no request", stray.User, stray.Video, stray.Start)
+	}
+	// Every count went in as one of in and came out as one of out.
+	if out == in {
+		return nil
+	}
+	var least coverKey
+	found = false
 	for k, n := range want {
-		if n > 0 {
-			return fmt.Errorf("schedule: request (user %d, video %d, %v) not served", k.u, k.v, k.t)
+		if n > 0 && (!found || k.before(least)) {
+			least, found = k, true
 		}
 	}
-	return nil
+	return fmt.Errorf("schedule: request (user %d, video %d, %v) not served", least.u, least.v, least.t)
+}
+
+// common returns how many deliveries p and n agree on from the first, as
+// (user, video, start).
+func common(p, n []Delivery) int {
+	n = n[:min(len(p), len(n))]
+	for k := range n {
+		if p[k].Start != n[k].Start || p[k].User != n[k].User || p[k].Video != n[k].Video {
+			return k
+		}
+	}
+	return len(n)
+}
+
+// deliveries returns the file's deliveries, none for a nil file.
+func (fs *FileSchedule) deliveries() []Delivery {
+	if fs == nil {
+		return nil
+	}
+	return fs.Deliveries
 }
 
 func hasNode(topo *topology.Topology, n topology.NodeID) bool {

@@ -49,22 +49,34 @@ func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule
 	return new(Checker).Check(topo, catalog, s, served)
 }
 
-// Checker is Check for a caller that applies the predicate at every commit:
-// it keeps the coverage multiset from one call to the next, so the half that
-// counts every request served is not a fresh history-sized map each time. The
+// Checker is Check for a caller that applies the predicate at every commit.
+// Its Extend checks a schedule that replaces one which already passed, and
+// counts in coverage only what the replacement changed: the multiset it keeps
+// from one call to the next holds an epoch's requests, not the history's. The
 // zero value is ready to use; a Checker is not safe for concurrent use.
 type Checker struct {
 	cov schedule.Coverage
 }
 
-// Check is the commit predicate; see the function Check.
+// Check is the commit predicate; see the function Check. It is Extend from the
+// empty schedule.
 func (c *Checker) Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule, served workload.Set) Verdict {
-	if err := s.ValidateStructure(topo, catalog); err != nil {
+	return c.Extend(topo, catalog, nil, s, served)
+}
+
+// Extend is the commit predicate for a schedule next that replaces prev, when
+// prev passed it against a request set R and next must serve R + added. Its
+// verdict is Check(next, R + added)'s: the structural and capacity halves run
+// on next whole, and coverage is schedule.Coverage.Extends, which finds what
+// prev and next share by comparing them, never by trusting whatever produced
+// next. A nil prev is the empty schedule, R is empty, and Extend is Check.
+func (c *Checker) Extend(topo *topology.Topology, catalog *media.Catalog, prev, next *schedule.Schedule, added workload.Set) Verdict {
+	if err := next.ValidateStructure(topo, catalog); err != nil {
 		return Verdict{Invalid: err, Malformed: true}
 	}
 	return Verdict{
-		Invalid:   c.cov.Serves(s, served),
-		Overflows: Overflows(topo, catalog, s),
+		Invalid:   c.cov.Extends(prev, next, added),
+		Overflows: Overflows(topo, catalog, next),
 	}
 }
 
