@@ -60,7 +60,10 @@ chaos-bench:
 # mirror does.
 # FuzzCoverageExtension holds the commit bar's coverage extension (a schedule
 # checked against the one it replaces plus the epoch's requests) to the full
-# check of everything served, on arbitrary decoded schedules.
+# check of everything served, on arbitrary decoded schedules, and
+# FuzzCapacityExtension holds the bar's kept ledger, moved from one decoded
+# schedule to the next, to a fresh build of the next: the same overflows and
+# the same profile, bit for bit.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
 # -shard parser to what gateway.New accepts. FuzzReservationRequest holds
@@ -72,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzFileScheduleDecode -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzCoverageExtension -fuzztime=10s ./internal/schedule
+	$(GO) test -fuzz=FuzzCapacityExtension -fuzztime=10s ./internal/occupancy
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon

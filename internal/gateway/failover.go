@@ -37,13 +37,15 @@ func (g *Gateway) forward(ctx context.Context, sh *shard, call func(base string)
 // primary is indistinguishable from a partition here, which is exactly
 // when the standby must be consulted). A late-arrival 409, or any other
 // status, is a protocol answer from a live primary and must reach the
-// caller untouched.
+// caller untouched. A reservation whose outcome is unknown is not re-sent
+// anywhere: the primary may have journaled it.
 func failoverWorthy(err error) bool {
 	var se *retryhttp.StatusError
 	if errors.As(err, &se) {
 		return se.Code == http.StatusConflict && strings.Contains(se.Message, api.StaleLeadership)
 	}
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) &&
+		!errors.Is(err, retryhttp.ErrOutcomeUnknown)
 }
 
 // failover swaps sh to its standby. Concurrent callers coalesce on the

@@ -290,12 +290,21 @@ func (g *Gateway) handleReservation(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var ack api.ReservationResponse
 	t0 := time.Now()
+	// A reservation is not idempotent: one the shard journaled but whose
+	// reply was lost would be accepted again if re-sent. So it is sent at
+	// most once unless the failure proves the shard did not act (see
+	// retryhttp.PostJSONAtMostOnce; forward re-sends after a stale-leadership
+	// 409 or a failed dial, on the promoted standby).
 	err := g.forward(ctx, sh, func(base string) error {
-		return retryhttp.PostJSON(ctx, g.retry, base+"/v1/reservations", req, &ack)
+		return retryhttp.PostJSONAtMostOnce(ctx, g.retry, base+"/v1/reservations", req, &ack)
 	})
 	recordOutcome(sh, time.Since(t0), err)
 	if err != nil {
-		writeUpstreamErr(w, sh, err)
+		note := ""
+		if outcomeUnknown(err) {
+			note = "outcome unknown, the reservation may or may not have been accepted"
+		}
+		writeUpstreamErr(w, sh, err, note)
 		return
 	}
 	httpkit.WriteJSON(w, http.StatusAccepted, ReservationResponse{ReservationResponse: ack, Shard: sh.id})
@@ -412,7 +421,7 @@ func (g *Gateway) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	res, sh, err := g.advanceAll(r.Context(), req.To)
 	if err != nil {
-		writeUpstreamErr(w, sh, err)
+		writeUpstreamErr(w, sh, err, "")
 		return
 	}
 	httpkit.WriteJSON(w, http.StatusOK, res)
@@ -630,22 +639,35 @@ func (g *Gateway) Stats() StatsResponse {
 	return resp
 }
 
+// outcomeUnknown reports whether a reservation's failed forward leaves open
+// whether the shard accepted it: the connection failed, or the deadline ran
+// out, after the request could have been written, or the shard answered a
+// 5xx. A 4xx is the shard's answer, and a failed dial sent nothing.
+func outcomeUnknown(err error) bool {
+	var se *retryhttp.StatusError
+	if errors.As(err, &se) {
+		return se.Code >= 500
+	}
+	return errors.Is(err, retryhttp.ErrOutcomeUnknown)
+}
+
 // writeUpstreamErr relays a shard failure: protocol answers keep their
 // status and message (a late-arrival 409 must reach the client intact);
 // transport-level failures become 502, which retrying clients treat as
-// transient.
-func writeUpstreamErr(w http.ResponseWriter, sh *shard, err error) {
+// transient. A non-empty note says what the failure leaves open; the message
+// then leads with it and carries the whole error, under the same status.
+func writeUpstreamErr(w http.ResponseWriter, sh *shard, err error, note string) {
 	id := ""
 	if sh != nil {
 		id = sh.id
 	}
+	code, msg := http.StatusBadGateway, fmt.Sprintf("shard %s: %v", id, err)
 	var se *retryhttp.StatusError
 	if errors.As(err, &se) {
-		httpkit.WriteJSON(w, se.Code, map[string]string{"error": se.Message, "shard": id})
-		return
+		code, msg = se.Code, se.Message
 	}
-	httpkit.WriteJSON(w, http.StatusBadGateway, map[string]string{
-		"error": fmt.Sprintf("shard %s: %v", id, err),
-		"shard": id,
-	})
+	if note != "" {
+		msg = fmt.Sprintf("shard %s: %s: %v", id, note, err)
+	}
+	httpkit.WriteJSON(w, code, map[string]string{"error": msg, "shard": id})
 }

@@ -77,7 +77,7 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	g.planReads.Add(1)
 	from, rest, sh, err := g.fetchPlans(r.Context())
 	if err != nil {
-		writeUpstreamErr(w, sh, err)
+		writeUpstreamErr(w, sh, err, "")
 		return
 	}
 	sched := g.mergedSchedule(from)

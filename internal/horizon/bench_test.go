@@ -135,9 +135,9 @@ func BenchmarkHorizonAdvanceHistory(b *testing.B) {
 }
 
 // A durable close allocates for its epoch, not its history: the snapshot is
-// appended into a buffer the service keeps, the bar's coverage map holds only
-// what the epoch changed and is kept from one close to the next, and the
-// ledgers are built at their final size.
+// appended into a buffer the service keeps, the bar's coverage map and its
+// ledger hold only what the epoch changed, or grow by it, and are kept from
+// one close to the next, and the solver's ledger is built at its final size.
 // On BenchmarkHorizonAdvanceHistory's rig at 20 000 committed requests a warm
 // durable close (snapshot due, no fsync) allocated 1.85 MB against 1.84 MB in
 // memory; when the snapshot went through json.Marshal's pooled buffer and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 
+	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -91,4 +92,14 @@ func (s *Service) CorruptClose(ctx context.Context, to simtime.Time, corrupt fun
 	}
 	_, door = s.decodeState(blob)
 	return commit, door
+}
+
+// KeptLedgerDiff reports where the bar's kept ledger first answers otherwise
+// than a fresh build of the committed schedule, "" where it is one. It needs
+// a commit behind it.
+func (s *Service) KeptLedgerDiff() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	topo := s.m.Book().Topology()
+	return occupancy.Diff(topo, s.checker.Ledger(), occupancy.FromSchedule(topo, s.m.Catalog(), s.st.Committed))
 }

@@ -7,6 +7,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -24,8 +25,9 @@ import (
 //
 // The walk is memoized per node: a repeat call at an unchanged mutation
 // version returns the previous result, so SORP's per-iteration AllOverflows
-// only re-walks the nodes the last committed reschedule touched. Callers
-// must treat the returned slice as read-only.
+// only re-walks the nodes the last committed reschedule touched, and those
+// only from where the mutations began (rewalkFrom). Callers must treat the
+// returned slice as read-only.
 func (l *Ledger) Overflows(node topology.NodeID) []Overflow {
 	if l.base != nil {
 		panic("occupancy: Overflows on an overlay view")
@@ -37,21 +39,56 @@ func (l *Ledger) Overflows(node topology.NodeID) []Overflow {
 	if st.ovValid && st.ovVer == st.ver {
 		return st.ovs
 	}
-	ovs := l.walkOverflows(node)
-	st.ovValid, st.ovVer, st.ovs = true, st.ver, ovs
+	pts := l.snapshot(node)
+	sn := &l.snap[node]
+	var ovs []Overflow
+	if st.ovValid {
+		// The walk appends to a copy: a caller may still hold the old one.
+		k, keep := rewalkFrom(pts, st.ovs, sn.ovFrom)
+		ovs = l.walkOverflows(node, pts, k, append(make([]Overflow, 0, len(st.ovs)), st.ovs[:keep]...))
+	} else {
+		ovs = l.walkOverflows(node, pts, 0, nil)
+	}
+	st.ovValid, st.ovVer, st.ovs, sn.ovFrom = true, st.ver, ovs, never
 	return ovs
 }
 
-// walkOverflows is Overflows' walk over the node's prefix sweep.
-func (l *Ledger) walkOverflows(node topology.NodeID) []Overflow {
-	pts := l.snapshot(node)
+// rewalkFrom returns where a walk of the node's new sweep pts may resume when
+// every record before from is as it was at the walk that found ovs: the first
+// segment to walk, and how many of ovs stand as they are ahead of it. The
+// segments before the stop preceding from are unchanged, and so is the walk
+// over them; it resumes at that stop unless an overflow is open across it,
+// and then at the segment where that overflow opened, with the walk closed —
+// the segment holding its start, since an overflow opens inside its segment.
+// The overflows kept are those ending before the resumed walk begins, which
+// the walk's merge would not reach back into differently.
+func rewalkFrom(pts []sweepPt, ovs []Overflow, from simtime.Time) (k, keep int) {
+	i0 := sort.Search(len(pts), func(i int) bool { return pts[i].t >= from })
+	if i0 == 0 {
+		return 0, 0
+	}
+	at := pts[i0-1].t
+	keep = sort.Search(len(ovs), func(i int) bool { return ovs[i].Interval.End >= at })
+	if keep == len(ovs) || ovs[keep].Interval.Start > at {
+		return i0 - 1, keep
+	}
+	start := ovs[keep].Interval.Start
+	if k = sort.Search(i0, func(i int) bool { return pts[i].t > start }) - 1; k < 0 {
+		return 0, 0 // not an overflow this sweep opened: walk it all
+	}
+	return k, keep
+}
+
+// walkOverflows is Overflows' walk over the node's prefix sweep pts from
+// segment k on, the walk closed there, appending to out the overflows of the
+// segments before k; it returns them all, merged.
+func (l *Ledger) walkOverflows(node topology.NodeID, pts []sweepPt, k int, out []Overflow) []Overflow {
 	if len(pts) == 0 {
 		return nil
 	}
 	capacity := l.caps[node]
 	over := func(s float64) bool { return s > capacity+eps }
 
-	var out []Overflow
 	open := false
 	var start simtime.Time
 	peak := 0.0
@@ -66,7 +103,7 @@ func (l *Ledger) walkOverflows(node topology.NodeID) []Overflow {
 		peak = 0
 	}
 
-	for i := range pts {
+	for i := k; i < len(pts); i++ {
 		a, sa := pts[i].t, pts[i].val
 		var b simtime.Time
 		var sb float64 // left limit approaching b
@@ -170,6 +207,7 @@ func (l *Ledger) OverflowSet(dst []Ref, node topology.NodeID, iv simtime.Interva
 	if l.base != nil {
 		panic("occupancy: OverflowSet on an overlay view")
 	}
+	l.mustRegister("OverflowSet")
 	start := len(dst)
 	es := l.nodes[node].entries
 	for i := range es {

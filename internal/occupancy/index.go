@@ -5,6 +5,7 @@ package occupancy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/vodsim/vsp/internal/schedule"
@@ -125,19 +126,37 @@ type sweepPt struct {
 type nodeSnap struct {
 	builtAt uint64 // ver+1 at build time; 0 = never built
 	pts     []sweepPt
+	// from and ovFrom are the earliest time at which the node's records
+	// changed since pts was built, and since the node's overflow walk was
+	// memoized: the profile before it is as it was, and a rebuild resumes
+	// there. Each is reset to the end of time by its rebuild.
+	from, ovFrom simtime.Time
 }
 
-// dirty records a mutation of the node: the version counter advances and
-// the memoized overflow walk is dropped.
+// never is later than any record: a rebuild's from when nothing changed.
+const never = simtime.Time(math.MaxInt64)
+
+// touch notes that the node's records changed at t and later. Only a ledger
+// that has built a snapshot has anything to rebuild.
+func (l *Ledger) touch(node topology.NodeID, t simtime.Time) {
+	if l.snap != nil {
+		sn := &l.snap[node]
+		sn.from, sn.ovFrom = min(sn.from, t), min(sn.ovFrom, t)
+	}
+}
+
+// dirty records a mutation of the node: the version counter advances, so
+// the prefix snapshot and the memoized overflow walk are rebuilt, from the
+// time the mutation touched, on their next read.
 func (l *Ledger) dirty(node topology.NodeID) {
-	st := &l.nodes[node]
-	st.ver++
-	st.ovValid = false
-	st.ovs = nil
+	l.nodes[node].ver++
 }
 
 // snapshot returns the node's prefix sweep, rebuilding it if the node has
-// mutated since the last build.
+// mutated since the last build. A rebuild keeps the stops before the earliest
+// time a mutation touched and resumes the sweep from the last of them, which
+// is the arithmetic a sweep from the start performs on the same records, so
+// the stops come out bit-identical.
 func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 	if l.base != nil {
 		panic("occupancy: snapshot of an overlay view")
@@ -146,16 +165,28 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 		l.snap = make([]nodeSnap, len(l.nodes))
 	}
 	sn := &l.snap[node]
-	ver := l.nodes[node].ver
-	if sn.builtAt == ver+1 {
+	st := &l.nodes[node]
+	if sn.builtAt == st.ver+1 {
 		return sn.pts
 	}
-	evs := l.nodes[node].events
+	evs := st.events
 	pts := sn.pts[:0]
 	val, slope := 0.0, 0.0
 	var last simtime.Time
 	started := false
-	for i := 0; i < len(evs); {
+	i := 0
+	if sn.builtAt != 0 {
+		from := sn.from
+		k := sort.Search(len(sn.pts), func(j int) bool { return sn.pts[j].t >= from })
+		pts = sn.pts[:k]
+		if k > 0 {
+			p := pts[k-1]
+			val, slope, last, started = p.val, p.slope, p.t, true
+		}
+		i = sort.Search(len(evs), func(j int) bool { return evs[j].t >= from })
+	}
+	sn.from = never
+	for i < len(evs) {
 		t := evs[i].t
 		if started {
 			val += slope * t.Sub(last).Seconds()
@@ -168,7 +199,7 @@ func (l *Ledger) snapshot(node topology.NodeID) []sweepPt {
 		pts = append(pts, sweepPt{t: t, val: val, slope: slope})
 	}
 	sn.pts = pts
-	sn.builtAt = ver + 1
+	sn.builtAt = st.ver + 1
 
 	return pts
 }
@@ -185,6 +216,7 @@ func (l *Ledger) addEntryEvents(node topology.NodeID, e *entry) bool {
 	}
 	st := &l.nodes[node]
 	st.pin = 0 // a probe log's copy of the delta is stale from here on
+	l.touch(node, evs[0].t)
 	for i := 0; i < n; i++ {
 		st.events = insertEvent(st.events, evs[i])
 	}
@@ -201,6 +233,7 @@ func (l *Ledger) removeEntryEvents(node topology.NodeID, e *entry) bool {
 	}
 	st := &l.nodes[node]
 	st.pin = 0
+	l.touch(node, evs[0].t)
 	for i := 0; i < n; i++ {
 		st.events = removeEvent(st.events, evs[i])
 	}

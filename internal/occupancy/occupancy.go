@@ -152,6 +152,14 @@ type Ledger struct {
 	// empty scan, never a wrong answer. Overlay views never maintain it
 	// (they mask through the base's).
 	vidNodes map[media.VideoID][]topology.NodeID
+	// kept marks a kept ledger (NewKept). keys holds, per node, each
+	// record's place in the order FromSchedule makes: keys[n][i] is
+	// nodes[n].events[i]'s (recordKey). adds, dels and tail are Follow's
+	// working lists, per node and for the merge, kept for the next.
+	kept       bool
+	keys       [][]uint64
+	adds, dels [][]change
+	tail       []change
 }
 
 // NewLedger returns an empty ledger for the topology.
@@ -172,6 +180,13 @@ func NewLedger(topo *topology.Topology, catalog *media.Catalog) *Ledger {
 	return l
 }
 
+// mustRegister panics on a kept ledger, which registers no residencies.
+func (l *Ledger) mustRegister(op string) {
+	if l.kept {
+		panic("occupancy: " + op + " on a kept ledger")
+	}
+}
+
 // noteVideoNode records that the video may hold a copy at the node.
 func (l *Ledger) noteVideoNode(vid media.VideoID, node topology.NodeID) {
 	if l.vidNodes == nil {
@@ -189,8 +204,10 @@ func (l *Ledger) noteVideoNode(vid media.VideoID, node topology.NodeID) {
 // FromSchedule builds a ledger holding every residency of the schedule,
 // the integration step of paper §3.3. Every node's entries and events are
 // allocated once, at their final size — three records per residency — rather
-// than grown by append: an epoch close builds two such ledgers over the
-// shard's whole history, one for the solve and one for the bar.
+// than grown by append: an epoch close builds one over the shard's whole
+// history, for the solve. It adds the residencies video by video, in index
+// order, so records at one time sit in (video, residency index, record)
+// order, the order a kept ledger (NewKept) keeps too.
 func FromSchedule(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule) *Ledger {
 	l := NewLedger(topo, catalog)
 	count := make([]int, len(l.nodes))
@@ -216,6 +233,7 @@ func FromSchedule(topo *topology.Topology, catalog *media.Catalog, s *schedule.S
 
 // Add registers a residency under the given reference.
 func (l *Ledger) Add(ref Ref, c schedule.Residency) {
+	l.mustRegister("Add")
 	v := l.catalog.Video(c.Video)
 	e := newEntry(ref, c, v.Size.Float(), v.Playback)
 	st := &l.nodes[c.Loc]
@@ -231,6 +249,7 @@ func (l *Ledger) Add(ref Ref, c schedule.Residency) {
 // — extending a copy in place — is found at the new residency's own node
 // without scanning the rest of the ledger.
 func (l *Ledger) Update(ref Ref, c schedule.Residency) bool {
+	l.mustRegister("Update")
 	if l.updateAt(c.Loc, ref, c) {
 		return true
 	}
@@ -278,6 +297,7 @@ func (l *Ledger) updateAt(node topology.NodeID, ref Ref, c schedule.Residency) b
 // view it drops the copies the view itself has added; the base's copies are
 // already masked.
 func (l *Ledger) RemoveVideo(vid media.VideoID) {
+	l.mustRegister("RemoveVideo")
 	for n := range l.nodes {
 		node := topology.NodeID(n)
 		st := &l.nodes[n]

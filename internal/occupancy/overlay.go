@@ -49,6 +49,7 @@ func (l *Ledger) OverlayWithout(vid media.VideoID) *Ledger {
 	if l.base != nil {
 		panic("occupancy: OverlayWithout of an overlay view")
 	}
+	l.mustRegister("OverlayWithout")
 	for n := range l.nodes {
 		l.snapshot(topology.NodeID(n))
 	}

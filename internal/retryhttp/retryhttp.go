@@ -9,6 +9,11 @@
 // protocol answer (a stale leadership epoch, a late arrival), not a
 // transient fault, and the caller must see it.
 //
+// PostJSONAtMostOnce is PostJSON for a request the server must not apply
+// twice. It re-sends only after a failure that proves the server did not
+// act — the dial failed, or a 429 shed the request — and reports any other
+// transport failure as ErrOutcomeUnknown at once, and a 5xx as the status.
+//
 // GetJSON and PostJSON read a 2xx reply whole into a pooled buffer and
 // json.Unmarshal it from there, so a reply obeys the rule
 // httpkit.DecodeBody has for requests: the body is exactly one JSON value,
@@ -20,9 +25,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -91,6 +98,19 @@ func retryableStatus(code int) bool {
 // obtained at all (every attempt failed at the transport layer, or the
 // context expired).
 func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error)) (*http.Response, error) {
+	return do(ctx, opts, newReq, false)
+}
+
+// ErrOutcomeUnknown marks a failure of an at-most-once request after which
+// the server may or may not have acted on it: the connection failed once the
+// request could have been written.
+var ErrOutcomeUnknown = errors.New("outcome unknown")
+
+// do is Do; with once set it re-sends only what the server provably did not
+// act on. A dial failure sent nothing, and a 429 is the shed of an admission
+// limiter that runs before any handler; every other retryable status is
+// returned at once, and every other transport failure is ErrOutcomeUnknown.
+func do(ctx context.Context, opts Options, newReq func() (*http.Request, error), once bool) (*http.Response, error) {
 	opts = opts.withDefaults()
 	delay := opts.BaseDelay
 	var lastErr error
@@ -110,13 +130,17 @@ func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error))
 		resp, err := opts.Client.Do(req)
 		switch {
 		case err != nil:
+			if once && !dialFailed(err) {
+				return nil, fmt.Errorf("retryhttp: %w: %w", ErrOutcomeUnknown, err)
+			}
 			// A failure caused by the context is terminal, not transient:
 			// retrying a cancelled call only burns attempts and backoff.
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
 			}
 			lastErr = err
-		case !retryableStatus(resp.StatusCode) || attempt == opts.MaxAttempts:
+		case !retryableStatus(resp.StatusCode) || attempt == opts.MaxAttempts,
+			once && resp.StatusCode != http.StatusTooManyRequests:
 			return resp, nil
 		default:
 			// Retryable status: honor Retry-After if present, then retry.
@@ -136,6 +160,13 @@ func Do(ctx context.Context, opts Options, newReq func() (*http.Request, error))
 		}
 		delay = nextDelay(delay, opts.MaxDelay)
 	}
+}
+
+// dialFailed reports whether a transport failure happened while connecting,
+// before any byte of the request was written.
+func dialFailed(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
 }
 
 // jitter spreads a delay uniformly over [d/2, d) so synchronized clients
@@ -223,7 +254,7 @@ const maxPooledReply = 4 << 20
 // nil to discard). Non-2xx replies become a *StatusError carrying the
 // body's "error" field when present.
 func GetJSON(ctx context.Context, opts Options, url string, out any) error {
-	return doJSON(ctx, opts, http.MethodGet, url, nil, out)
+	return doJSON(ctx, opts, http.MethodGet, url, nil, false, out)
 }
 
 // GetBody GETs url and hands a 2xx reply's whole body to decode, for a
@@ -232,7 +263,7 @@ func GetJSON(ctx context.Context, opts Options, url string, out any) error {
 // reported as a decode error naming the call; non-2xx replies are as for
 // GetJSON.
 func GetBody(ctx context.Context, opts Options, url string, decode func(body []byte) error) error {
-	return call(ctx, opts, http.MethodGet, url, nil, decode)
+	return call(ctx, opts, http.MethodGet, url, nil, false, decode)
 }
 
 // PostJSON POSTs in (JSON-encoded; nil for an empty body) to url and
@@ -245,20 +276,32 @@ func PostJSON(ctx context.Context, opts Options, url string, in, out any) error 
 			return fmt.Errorf("retryhttp: encode body: %w", err)
 		}
 	}
-	return doJSON(ctx, opts, http.MethodPost, url, body, out)
+	return doJSON(ctx, opts, http.MethodPost, url, body, false, out)
 }
 
-func doJSON(ctx context.Context, opts Options, method, url string, body []byte, out any) error {
-	if out == nil {
-		return call(ctx, opts, method, url, body, nil)
+// PostJSONAtMostOnce is PostJSON for a request that must not be applied
+// twice, such as a reservation: it is re-sent only when the dial failed or a
+// 429 shed it. A transport failure after the dial is returned at once,
+// wrapping ErrOutcomeUnknown, and so is a 5xx, as a *StatusError.
+func PostJSONAtMostOnce(ctx context.Context, opts Options, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("retryhttp: encode body: %w", err)
 	}
-	return call(ctx, opts, method, url, body, func(reply []byte) error { return json.Unmarshal(reply, out) })
+	return doJSON(ctx, opts, http.MethodPost, url, body, true, out)
 }
 
-// call is the one exchange under the JSON helpers. A nil decode discards
-// the 2xx body unread.
-func call(ctx context.Context, opts Options, method, url string, body []byte, decode func([]byte) error) error {
-	resp, err := Do(ctx, opts, func() (*http.Request, error) {
+func doJSON(ctx context.Context, opts Options, method, url string, body []byte, once bool, out any) error {
+	if out == nil {
+		return call(ctx, opts, method, url, body, once, nil)
+	}
+	return call(ctx, opts, method, url, body, once, func(reply []byte) error { return json.Unmarshal(reply, out) })
+}
+
+// call is the one exchange under the JSON helpers; once is do's. A nil
+// decode discards the 2xx body unread.
+func call(ctx context.Context, opts Options, method, url string, body []byte, once bool, decode func([]byte) error) error {
+	resp, err := do(ctx, opts, func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
@@ -271,7 +314,7 @@ func call(ctx context.Context, opts Options, method, url string, body []byte, de
 			req.Header.Set("Content-Type", "application/json")
 		}
 		return req, nil
-	})
+	}, once)
 	if err != nil {
 		return err
 	}

@@ -255,10 +255,30 @@ func (s *Schedule) Validate(topo *topology.Topology, catalog *media.Catalog, req
 // indices, caching windows — resolve and agree with one another. It is total
 // on anything a decoder can produce (a nil file, an ID outside the topology),
 // and a schedule that passes may be indexed by the IDs it holds; one that
-// fails must not be handed to the ledger, the simulator or billing.
+// fails must not be handed to the ledger, the simulator or billing. The files
+// are checked in video-ID order, and the violation named is the first one of
+// the first file that has one.
 func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Catalog) error {
-	var last []simtime.Time
-	for vid, fs := range s.Files {
+	return s.ValidateExtension(topo, catalog, nil)
+}
+
+// ValidateExtension is ValidateStructure for a schedule that replaces prev,
+// when prev passed ValidateStructure against the same topology and catalog:
+// it returns what s.ValidateStructure returns, the same record in the same
+// words, but checks of each file only what prev's file does not vouch for.
+// The deliveries the two files share from the first, record for record, and
+// the residencies equal at the same index passed in prev; what is checked is
+// the rest, and every reference a shared record makes to a record that
+// changed — a delivery drawing from a copy that moved, loads later or is
+// held shorter, a copy fed by a changed delivery, and each copy's
+// LastService against its readers. Finding what
+// the files share is a comparison, never a question to whatever produced s.
+// A nil prev is the empty schedule, and then ValidateExtension is
+// ValidateStructure.
+func (s *Schedule) ValidateExtension(topo *topology.Topology, catalog *media.Catalog, prev *Schedule) error {
+	var w fileWork
+	for _, vid := range s.VideoIDs() {
+		fs := s.Files[vid]
 		if fs == nil {
 			return fmt.Errorf("schedule: file map key %d holds no schedule", vid)
 		}
@@ -268,7 +288,14 @@ func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Cat
 		if int(vid) < 0 || int(vid) >= catalog.Len() {
 			return fmt.Errorf("schedule: unknown video %d", vid)
 		}
-		if err := validateFile(topo, fs, &last); err != nil {
+		var held *FileSchedule
+		if prev != nil {
+			held = prev.Files[vid]
+		}
+		if held == fs {
+			continue // the very file that passed
+		}
+		if err := validateFile(topo, fs, held, &w); err != nil {
 			return err
 		}
 	}
@@ -411,101 +438,197 @@ func hasNode(topo *topology.Topology, n topology.NodeID) bool {
 	return int(n) >= 0 && int(n) < topo.NumNodes()
 }
 
-// validateFile checks one file. last, refilled from file to file, holds each
-// residency's latest reader start, its Load when it has none.
-func validateFile(topo *topology.Topology, fs *FileSchedule, last *[]simtime.Time) error {
-	*last = (*last)[:0]
-	for _, c := range fs.Residencies {
-		*last = append(*last, c.Load)
+// sameDelivery reports whether two deliveries are the same record. Routes
+// are immutable and a carried-over delivery shares its predecessor's, so the
+// route comparison is usually one of identity.
+func sameDelivery(a, b *Delivery) bool {
+	if a.Video != b.Video || a.User != b.User || a.Start != b.Start || a.SourceResidency != b.SourceResidency ||
+		len(a.Route) != len(b.Route) {
+		return false
 	}
-	for i, d := range fs.Deliveries {
-		if d.Video != fs.Video {
-			return fmt.Errorf("schedule: delivery %d of file %d names video %d", i, fs.Video, d.Video)
+	return len(a.Route) == 0 || &a.Route[0] == &b.Route[0] || slices.Equal(a.Route, b.Route)
+}
+
+// fileWork is validateFile's working storage, refilled from file to file.
+type fileWork struct {
+	// last holds each residency's latest reader start, its Load when it has
+	// none.
+	last []simtime.Time
+	// narrowed marks each residency whose readers in held must be checked
+	// against it again: it is new, moved, loads later or is held shorter.
+	narrowed []bool
+}
+
+// validateFile checks one file, in record order: deliveries, then
+// residencies, and names the first violation. held, when not nil, is the file
+// of the same video in a schedule that passed, and what it vouches for is not
+// checked again (ValidateExtension): of a delivery it shares (held's, from
+// the first) only what it draws from, when that copy no longer spans held's
+// window at held's node, and of a residency unchanged at its index only its
+// feed, when that delivery is not shared, and its LastService.
+func validateFile(topo *topology.Topology, fs, held *FileSchedule, w *fileWork) error {
+	var hd []Delivery
+	var hr []Residency
+	if held != nil {
+		hd, hr = held.Deliveries, held.Residencies
+	}
+	last, narrowed := w.last[:0], w.narrowed[:0]
+	for j, c := range fs.Residencies {
+		last = append(last, c.Load)
+		if held != nil { // with no held file no delivery is shared
+			narrowed = append(narrowed, j >= len(hr) || c.Loc != hr[j].Loc || c.Load > hr[j].Load || c.LastService < hr[j].LastService)
 		}
-		if len(d.Route) == 0 {
-			return fmt.Errorf("schedule: delivery %d has empty route", i)
-		}
-		if d.Start < 0 {
-			return fmt.Errorf("schedule: delivery %d starts at negative time %v", i, d.Start)
-		}
-		// Each hop must be a link out of the node before it, so a route whose
-		// first node exists names existing nodes throughout.
-		if !hasNode(topo, d.Src()) {
-			return fmt.Errorf("schedule: delivery %d route starts at unknown node %d", i, d.Src())
-		}
-		for h := 1; h < len(d.Route); h++ {
-			if _, ok := topo.EdgeBetween(d.Route[h-1], d.Route[h]); !ok {
-				return fmt.Errorf("schedule: delivery %d route hop %v-%v is not a link", i, d.Route[h-1], d.Route[h])
+	}
+	w.last, w.narrowed = last, narrowed
+	shared := 0 // deliveries [0, shared) are held's own
+	for i := range fs.Deliveries {
+		d := &fs.Deliveries[i]
+		if i == shared && i < len(hd) && sameDelivery(&hd[i], d) {
+			shared++
+			// The record passed, inside held's copy at index sr; a copy at
+			// the same node over a window no narrower still holds it.
+			if sr := d.SourceResidency; sr != NoResidency {
+				if sr >= len(fs.Residencies) {
+					return fmt.Errorf("schedule: delivery %d references residency %d of %d", i, sr, len(fs.Residencies))
+				}
+				if narrowed[sr] {
+					if err := checkSource(fs, i); err != nil {
+						return err
+					}
+				}
+				last[sr] = simtime.Max(last[sr], d.Start)
 			}
+			continue
 		}
-		if int(d.User) < 0 || int(d.User) >= topo.NumUsers() {
-			return fmt.Errorf("schedule: delivery %d serves unknown user %d", i, d.User)
+		if err := checkDelivery(topo, fs, i); err != nil {
+			return err
 		}
-		if local := topo.User(d.User).Local; d.Dst() != local {
-			return fmt.Errorf("schedule: delivery %d ends at %d, but user %d is local to %d", i, d.Dst(), d.User, local)
-		}
-		switch {
-		case d.SourceResidency == NoResidency:
-			if d.Src() != topo.Warehouse() {
-				return fmt.Errorf("schedule: delivery %d claims warehouse supply but starts at node %d", i, d.Src())
-			}
-		case d.SourceResidency < 0 || d.SourceResidency >= len(fs.Residencies):
-			return fmt.Errorf("schedule: delivery %d references residency %d of %d", i, d.SourceResidency, len(fs.Residencies))
-		default:
-			c := fs.Residencies[d.SourceResidency]
-			if c.Loc != d.Src() {
-				return fmt.Errorf("schedule: delivery %d starts at %d but its residency lives at %d", i, d.Src(), c.Loc)
-			}
-			if d.Start < c.Load || d.Start > c.LastService {
-				return fmt.Errorf("schedule: delivery %d at %v outside residency window [%v, %v]",
-					i, d.Start, c.Load, c.LastService)
-			}
-			(*last)[d.SourceResidency] = simtime.Max((*last)[d.SourceResidency], d.Start)
+		if sr := d.SourceResidency; sr != NoResidency {
+			last[sr] = simtime.Max(last[sr], d.Start)
 		}
 	}
 	for j, c := range fs.Residencies {
-		if c.Video != fs.Video {
-			return fmt.Errorf("schedule: residency %d of file %d names video %d", j, fs.Video, c.Video)
-		}
-		if !hasNode(topo, c.Loc) || topo.Node(c.Loc).Kind != topology.KindStorage {
-			return fmt.Errorf("schedule: residency %d caches at non-storage node %d", j, c.Loc)
-		}
-		if c.Load > c.LastService {
-			return fmt.Errorf("schedule: residency %d has Load %v after LastService %v", j, c.Load, c.LastService)
+		changed := j >= len(hr) || hr[j] != c
+		if changed {
+			if err := checkResidency(topo, fs, j); err != nil {
+				return err
+			}
 		}
 		if c.FedBy == PrePlacedFeed {
-			// Its span is planned; its readers were checked to start inside it.
-			if c.Src != topo.Warehouse() {
-				return fmt.Errorf("schedule: pre-placed residency %d must be sourced at the warehouse", j)
-			}
-			if c.Load < 0 {
-				return fmt.Errorf("schedule: pre-placed residency %d loads at negative time %v", j, c.Load)
-			}
-		} else {
-			if c.FedBy < 0 || c.FedBy >= len(fs.Deliveries) {
-				return fmt.Errorf("schedule: residency %d fed by delivery %d of %d", j, c.FedBy, len(fs.Deliveries))
-			}
-			feed := fs.Deliveries[c.FedBy]
-			if feed.Start != c.Load {
-				return fmt.Errorf("schedule: residency %d loads at %v but its feed starts at %v", j, c.Load, feed.Start)
-			}
-			if feed.Src() != c.Src {
-				return fmt.Errorf("schedule: residency %d claims source %d but its feed originates at %d", j, c.Src, feed.Src())
-			}
-			onRoute := false
-			for _, n := range feed.Route {
-				if n == c.Loc {
-					onRoute = true
-					break
-				}
-			}
-			if !onRoute {
-				return fmt.Errorf("schedule: residency %d at node %d is not on its feed's route %v", j, c.Loc, feed.Route)
-			}
-			if (*last)[j] != c.LastService {
-				return fmt.Errorf("schedule: residency %d LastService %v, but latest service starts at %v", j, c.LastService, (*last)[j])
+			continue
+		}
+		if c.FedBy >= shared || changed {
+			if err := checkFeed(fs, j); err != nil {
+				return err
 			}
 		}
+		if last[j] != c.LastService {
+			return fmt.Errorf("schedule: residency %d LastService %v, but latest service starts at %v", j, c.LastService, last[j])
+		}
+	}
+	return nil
+}
+
+// checkDelivery checks delivery i of fs on its own and against the residency
+// it draws from.
+func checkDelivery(topo *topology.Topology, fs *FileSchedule, i int) error {
+	d := &fs.Deliveries[i]
+	if d.Video != fs.Video {
+		return fmt.Errorf("schedule: delivery %d of file %d names video %d", i, fs.Video, d.Video)
+	}
+	if len(d.Route) == 0 {
+		return fmt.Errorf("schedule: delivery %d has empty route", i)
+	}
+	if d.Start < 0 {
+		return fmt.Errorf("schedule: delivery %d starts at negative time %v", i, d.Start)
+	}
+	// Each hop must be a link out of the node before it, so a route whose
+	// first node exists names existing nodes throughout.
+	if !hasNode(topo, d.Src()) {
+		return fmt.Errorf("schedule: delivery %d route starts at unknown node %d", i, d.Src())
+	}
+	for h := 1; h < len(d.Route); h++ {
+		if _, ok := topo.EdgeBetween(d.Route[h-1], d.Route[h]); !ok {
+			return fmt.Errorf("schedule: delivery %d route hop %v-%v is not a link", i, d.Route[h-1], d.Route[h])
+		}
+	}
+	if int(d.User) < 0 || int(d.User) >= topo.NumUsers() {
+		return fmt.Errorf("schedule: delivery %d serves unknown user %d", i, d.User)
+	}
+	if local := topo.User(d.User).Local; d.Dst() != local {
+		return fmt.Errorf("schedule: delivery %d ends at %d, but user %d is local to %d", i, d.Dst(), d.User, local)
+	}
+	switch {
+	case d.SourceResidency == NoResidency:
+		if d.Src() != topo.Warehouse() {
+			return fmt.Errorf("schedule: delivery %d claims warehouse supply but starts at node %d", i, d.Src())
+		}
+	case d.SourceResidency < 0 || d.SourceResidency >= len(fs.Residencies):
+		return fmt.Errorf("schedule: delivery %d references residency %d of %d", i, d.SourceResidency, len(fs.Residencies))
+	default:
+		return checkSource(fs, i)
+	}
+	return nil
+}
+
+// checkSource checks delivery i, which draws from a residency in range,
+// against that copy: it starts where the copy lives, inside the copy's
+// window.
+func checkSource(fs *FileSchedule, i int) error {
+	d := &fs.Deliveries[i]
+	c := &fs.Residencies[d.SourceResidency]
+	if c.Loc != d.Src() {
+		return fmt.Errorf("schedule: delivery %d starts at %d but its residency lives at %d", i, d.Src(), c.Loc)
+	}
+	if d.Start < c.Load || d.Start > c.LastService {
+		return fmt.Errorf("schedule: delivery %d at %v outside residency window [%v, %v]",
+			i, d.Start, c.Load, c.LastService)
+	}
+	return nil
+}
+
+// checkResidency checks residency j of fs on its own: its video, its node,
+// its window and, for a pre-placed copy, its source and load.
+func checkResidency(topo *topology.Topology, fs *FileSchedule, j int) error {
+	c := &fs.Residencies[j]
+	if c.Video != fs.Video {
+		return fmt.Errorf("schedule: residency %d of file %d names video %d", j, fs.Video, c.Video)
+	}
+	if !hasNode(topo, c.Loc) || topo.Node(c.Loc).Kind != topology.KindStorage {
+		return fmt.Errorf("schedule: residency %d caches at non-storage node %d", j, c.Loc)
+	}
+	if c.Load > c.LastService {
+		return fmt.Errorf("schedule: residency %d has Load %v after LastService %v", j, c.Load, c.LastService)
+	}
+	if c.FedBy == PrePlacedFeed {
+		// Its span is planned; its readers were checked to start inside it.
+		if c.Src != topo.Warehouse() {
+			return fmt.Errorf("schedule: pre-placed residency %d must be sourced at the warehouse", j)
+		}
+		if c.Load < 0 {
+			return fmt.Errorf("schedule: pre-placed residency %d loads at negative time %v", j, c.Load)
+		}
+	}
+	return nil
+}
+
+// checkFeed checks residency j of fs, not pre-placed, against the delivery
+// writing it: it exists, starts at the copy's Load, at the copy's source, on
+// a route through the copy's node.
+func checkFeed(fs *FileSchedule, j int) error {
+	c := &fs.Residencies[j]
+	if c.FedBy < 0 || c.FedBy >= len(fs.Deliveries) {
+		return fmt.Errorf("schedule: residency %d fed by delivery %d of %d", j, c.FedBy, len(fs.Deliveries))
+	}
+	feed := &fs.Deliveries[c.FedBy]
+	if feed.Start != c.Load {
+		return fmt.Errorf("schedule: residency %d loads at %v but its feed starts at %v", j, c.Load, feed.Start)
+	}
+	if feed.Src() != c.Src {
+		return fmt.Errorf("schedule: residency %d claims source %d but its feed originates at %d", j, c.Src, feed.Src())
+	}
+	if !slices.Contains(feed.Route, c.Loc) {
+		return fmt.Errorf("schedule: residency %d at node %d is not on its feed's route %v", j, c.Loc, feed.Route)
 	}
 	return nil
 }

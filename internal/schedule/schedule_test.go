@@ -433,3 +433,29 @@ func TestReaders(t *testing.T) {
 		t.Fatalf("Readers = %v, want [[1 2] []]", got)
 	}
 }
+
+// A schedule with violations in several files is refused for the first file
+// in video-ID order, whatever order the file map iterates in, in the words
+// that file's own check has.
+func TestValidateStructureNamesTheLowestVideo(t *testing.T) {
+	topo, cat := fixture(t)
+	s, _ := validSchedule(topo)
+	low := s.File(0)
+	high := low.Clone()
+	high.Video = 1
+	for i := range high.Deliveries {
+		high.Deliveries[i].Video = 1
+	}
+	for j := range high.Residencies {
+		high.Residencies[j].Video = 1
+	}
+	s.Put(high)
+	low.Deliveries[2].Start = -1 // file 0: a negative start
+	high.Residencies[0].Loc = 0  // file 1: a copy at the warehouse
+	const want = "schedule: delivery 2 starts at negative time"
+	for run := 0; run < 200; run++ {
+		if err := s.ValidateStructure(topo, cat); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("run %d: ValidateStructure = %v, want %s…", run, err, want)
+		}
+	}
+}

@@ -51,11 +51,22 @@ func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule
 
 // Checker is Check for a caller that applies the predicate at every commit.
 // Its Extend checks a schedule that replaces one which already passed, and
-// counts in coverage only what the replacement changed: the multiset it keeps
-// from one call to the next holds an epoch's requests, not the history's. The
-// zero value is ready to use; a Checker is not safe for concurrent use.
+// examines only what the replacement changed. It keeps two things from one
+// call to the next: the coverage multiset, which holds an epoch's requests,
+// and a kept ledger (occupancy.NewKept) of the schedule it last held, whose
+// records it swaps for what changed rather than building a ledger of the
+// whole schedule. Both are found by comparing schedules, never by trusting
+// whatever produced them. The zero value is ready to use; a Checker is not
+// safe for concurrent use, and a schedule it accepted must not be modified
+// afterwards, as a committed one never is.
 type Checker struct {
 	cov schedule.Coverage
+	// led holds held's residencies: the last schedule Extend accepted, or
+	// the prev of the last one it refused; nil until the first call.
+	led  *occupancy.Ledger
+	held *schedule.Schedule
+	topo *topology.Topology // led's model
+	cat  *media.Catalog
 }
 
 // Check is the commit predicate; see the function Check. It is Extend from the
@@ -66,19 +77,38 @@ func (c *Checker) Check(topo *topology.Topology, catalog *media.Catalog, s *sche
 
 // Extend is the commit predicate for a schedule next that replaces prev, when
 // prev passed it against a request set R and next must serve R + added. Its
-// verdict is Check(next, R + added)'s: the structural and capacity halves run
-// on next whole, and coverage is schedule.Coverage.Extends, which finds what
-// prev and next share by comparing them, never by trusting whatever produced
-// next. A nil prev is the empty schedule, R is empty, and Extend is Check.
+// verdict is Check(next, R + added)'s, the same records in the same words,
+// and each half costs what changed: the structural half is
+// schedule.ValidateExtension from prev, coverage is
+// schedule.Coverage.Extends, and the capacity half reads the kept ledger,
+// moved from the schedule it held to next by occupancy.Ledger.Follow, which
+// compares the two. A refused next is swapped out again, so the ledger then
+// holds prev. A nil prev is the empty schedule, R is empty, and Extend is
+// Check.
 func (c *Checker) Extend(topo *topology.Topology, catalog *media.Catalog, prev, next *schedule.Schedule, added workload.Set) Verdict {
-	if err := next.ValidateStructure(topo, catalog); err != nil {
+	if err := next.ValidateExtension(topo, catalog, prev); err != nil {
 		return Verdict{Invalid: err, Malformed: true}
 	}
-	return Verdict{
-		Invalid:   c.cov.Extends(prev, next, added),
-		Overflows: Overflows(topo, catalog, next),
+	if c.led == nil || c.topo != topo || c.cat != catalog {
+		c.led, c.held, c.topo, c.cat = occupancy.NewKept(topo, catalog), nil, topo, catalog
 	}
+	c.led.Follow(c.held, next)
+	c.held = next
+	v := Verdict{
+		Invalid:   c.cov.Extends(prev, next, added),
+		Overflows: c.led.AllOverflows(),
+	}
+	if v.Err() != nil {
+		c.led.Follow(next, prev)
+		c.held = prev
+	}
+	return v
 }
+
+// Ledger returns the kept ledger, which holds the last schedule Extend
+// accepted (or the prev of the last one it refused), nil before the first
+// call. It must only be read.
+func (c *Checker) Ledger() *occupancy.Ledger { return c.led }
 
 // Overflows is the capacity half of the predicate on its own. The ledger is
 // rebuilt from the schedule's residencies alone rather than taken from

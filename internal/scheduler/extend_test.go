@@ -3,11 +3,14 @@ package scheduler_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -143,6 +146,42 @@ func TestExtendIsTheFullCheck(t *testing.T) {
 	}
 	inTail := func(c epochClose) func(media.VideoID) int { return func(v media.VideoID) int { return c.common[v] } }
 	end := func(fs *schedule.FileSchedule) int { return len(fs.Deliveries) }
+	// reroute has delivery i of fs draw from residency j, or from the
+	// warehouse for NoResidency, along the cheapest route.
+	reroute := func(fs *schedule.FileSchedule, i, j int) bool {
+		d := &fs.Deliveries[i]
+		src := r.Topo.Warehouse()
+		if j != schedule.NoResidency {
+			src = fs.Residencies[j].Loc
+		}
+		route, err := r.Model.Table().Route(src, r.Topo.User(d.User).Local)
+		if err != nil {
+			return false
+		}
+		d.Route, d.SourceResidency = route, j
+		return true
+	}
+	// grow extends a copy chosen by which, in video-ID then index order, to
+	// the latest plain delivery of its file that starts after it, which it
+	// then supplies: coverage and structure stand, and the copy holds its
+	// space longer.
+	grow := func(n *schedule.Schedule, which func(vid media.VideoID, j int, c schedule.Residency) bool) bool {
+		for _, vid := range n.VideoIDs() {
+			fs := n.File(vid)
+			for j, c := range fs.Residencies {
+				if c.FedBy == schedule.PrePlacedFeed || !which(vid, j, c) {
+					continue
+				}
+				for i := len(fs.Deliveries) - 1; i >= 0; i-- {
+					if d := fs.Deliveries[i]; d.Start > c.LastService && plain(fs, i) && reroute(fs, i, j) {
+						fs.Residencies[j].LastService = d.Start
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
 
 	corruptions := []corruption{
 		{"a prefix record's user changed", func(c epochClose, n *schedule.Schedule) bool {
@@ -260,10 +299,78 @@ func TestExtendIsTheFullCheck(t *testing.T) {
 			return false
 		}},
 	}
+	// The capacity classes keep structure and coverage and move space: the
+	// full check may pass one, and one marked overflow must over-commit a
+	// storage at some close.
+	capacityClasses := []struct {
+		corruption
+		overflow bool
+	}{
+		{corruption{"a tail residency grown past capacity", func(c epochClose, n *schedule.Schedule) bool {
+			return grow(n, func(vid media.VideoID, j int, res schedule.Residency) bool {
+				pf := c.prev.File(vid)
+				return pf == nil || j >= len(pf.Residencies) || pf.Residencies[j] != res
+			})
+		}}, true},
+		{corruption{"a frozen residency extended into an overflow", func(c epochClose, n *schedule.Schedule) bool {
+			return grow(n, func(_ media.VideoID, _ int, res schedule.Residency) bool { return res.Load < c.horizon })
+		}}, true},
+		{corruption{"a residency moved to another storage", func(c epochClose, n *schedule.Schedule) bool {
+			for _, vid := range n.VideoIDs() {
+				fs := n.File(vid)
+				for j, res := range fs.Residencies {
+					if res.FedBy == schedule.PrePlacedFeed {
+						continue
+					}
+					for _, m := range fs.Deliveries[res.FedBy].Route {
+						if m == res.Loc || r.Topo.Node(m).Kind != topology.KindStorage {
+							continue
+						}
+						fs.Residencies[j].Loc = m
+						for i := range fs.Deliveries {
+							if fs.Deliveries[i].SourceResidency == j && !reroute(fs, i, j) {
+								return false
+							}
+						}
+						return true
+					}
+				}
+			}
+			return false
+		}}, false},
+		{corruption{"a residency dropped", func(c epochClose, n *schedule.Schedule) bool {
+			for _, vid := range n.VideoIDs() {
+				fs := n.File(vid)
+				if len(fs.Residencies) == 0 {
+					continue
+				}
+				j := len(fs.Residencies) / 2
+				for i := range fs.Deliveries {
+					switch sr := fs.Deliveries[i].SourceResidency; {
+					case sr == j:
+						if !reroute(fs, i, schedule.NoResidency) {
+							return false
+						}
+					case sr > j:
+						fs.Deliveries[i].SourceResidency--
+					}
+				}
+				fs.Residencies = slices.Delete(fs.Residencies, j, j+1)
+				return true
+			}
+			return false
+		}}, false},
+	}
+	coverageClasses := len(corruptions)
+	for _, cc := range capacityClasses {
+		corruptions = append(corruptions, cc.corruption)
+	}
 
 	// applied counts, per corruption, the broken schedules that passed the
-	// structural half, so that the coverage half judged them.
+	// structural half, so that the coverage half judged them, and overflowed
+	// those the capacity half refused.
 	applied := make([]int, len(corruptions))
+	overflowed := make([]int, len(corruptions))
 	for _, seed := range []int64{1, 2} {
 		var err error
 		r, err = testutil.Build(testutil.Params{
@@ -279,12 +386,22 @@ func TestExtendIsTheFullCheck(t *testing.T) {
 		}
 		for _, size := range []int{1, 7, 25} {
 			var kept scheduler.Checker
+			// holds checks that the kept ledger is a fresh build of s, the
+			// schedule it must hold after the call just made.
+			holds := func(at string, s *schedule.Schedule) {
+				t.Helper()
+				if d := occupancy.Diff(r.Topo, kept.Ledger(), occupancy.FromSchedule(r.Topo, r.Catalog, s)); d != "" {
+					t.Fatalf("%s: the kept ledger differs from a fresh build of the schedule it holds: %s", at, d)
+				}
+			}
 			for _, c := range rollingCloses(t, r, size) {
 				at := fmt.Sprintf("seed %d, epochs of %d, close %d", seed, size, c.epoch)
 				all := append(append(workload.Set(nil), c.served...), c.added...)
 				if v := kept.Extend(r.Topo, r.Catalog, c.prev, c.next, c.added); v.Err() != nil {
 					t.Fatalf("%s: the installed extension fails the bar: %v", at, v.Err())
 				}
+				holds(at, c.next)
+				held := c.next
 				if v := scheduler.Check(r.Topo, r.Catalog, c.next, all); v.Err() != nil {
 					t.Fatalf("%s: the installed schedule fails the full check: %v", at, v.Err())
 				}
@@ -295,24 +412,102 @@ func TestExtendIsTheFullCheck(t *testing.T) {
 					}
 					ext := kept.Extend(r.Topo, r.Catalog, c.prev, n, c.added)
 					full := scheduler.Check(r.Topo, r.Catalog, n, all)
-					if full.Invalid == nil {
+					if full.Invalid == nil && k < coverageClasses {
 						t.Fatalf("%s: %s: the full check let it pass", at, cr.name)
 					}
 					if !full.Malformed {
 						applied[k]++
 					}
-					if fmt.Sprint(ext.Invalid) != fmt.Sprint(full.Invalid) || ext.Malformed != full.Malformed ||
-						len(ext.Overflows) != len(full.Overflows) {
-						t.Fatalf("%s: %s: the extension says %v (malformed=%v, %d overflows), the full check %v (malformed=%v, %d overflows)",
-							at, cr.name, ext.Invalid, ext.Malformed, len(ext.Overflows), full.Invalid, full.Malformed, len(full.Overflows))
+					if len(full.Overflows) > 0 {
+						overflowed[k]++
 					}
+					if fmt.Sprint(ext.Err()) != fmt.Sprint(full.Err()) || ext.Malformed != full.Malformed ||
+						!reflect.DeepEqual(ext.Overflows, full.Overflows) {
+						t.Fatalf("%s: %s: the extension says %v (malformed=%v, %d overflows), the full check %v (malformed=%v, %d overflows)",
+							at, cr.name, ext.Err(), ext.Malformed, len(ext.Overflows), full.Err(), full.Malformed, len(full.Overflows))
+					}
+					switch {
+					case full.Malformed:
+					case full.Err() == nil:
+						held = n
+					default:
+						held = c.prev
+					}
+					holds(at+": "+cr.name, held)
 				}
 			}
 		}
 	}
 	for k, cr := range corruptions {
+		t.Logf("%s: %d judged past the structural half, %d over-committing", cr.name, applied[k], overflowed[k])
 		if applied[k] == 0 {
 			t.Errorf("%s: no close had anything to break without breaking its structure", cr.name)
 		}
+		if k >= coverageClasses && capacityClasses[k-coverageClasses].overflow && overflowed[k] == 0 {
+			t.Errorf("%s: no close over-committed a storage", cr.name)
+		}
+	}
+}
+
+// ValidateExtension from the schedule a close replaced is ValidateStructure:
+// on seeded rolling runs at several epoch sizes, every installed schedule
+// with one of its records changed at random — a field of a delivery or a
+// residency, or a record dropped or repeated — gets the same verdict, nil or
+// the same words, from both.
+func TestValidateExtensionIsTheWholeCheck(t *testing.T) {
+	var refused, passed int
+	for _, seed := range []int64{1, 2} {
+		r, err := testutil.Build(testutil.Params{Storages: 4, UsersPerStorage: 3, RequestsPerUser: 5, Titles: 30,
+			CapacityGB: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		nodes := r.Topo.NumNodes()
+		for _, size := range []int{1, 7, 25} {
+			for _, c := range rollingCloses(t, r, size) {
+				vids := c.next.VideoIDs()
+				for trial := 0; trial < 40; trial++ {
+					n := c.next.Clone()
+					fs := n.File(vids[rng.Intn(len(vids))])
+					nd, nr := len(fs.Deliveries), len(fs.Residencies)
+					switch op := rng.Intn(8); {
+					case op == 0 && nd > 0:
+						fs.Deliveries[rng.Intn(nd)].Start += simtime.Time(rng.Intn(3) - 1)
+					case op == 1 && nd > 0:
+						fs.Deliveries[rng.Intn(nd)].SourceResidency += rng.Intn(3) - 1
+					case op == 2 && nd > 0:
+						d := &fs.Deliveries[rng.Intn(nd)]
+						d.Route = append(d.Route.Clone(), topology.NodeID(rng.Intn(nodes)))
+					case op == 3 && nr > 0:
+						fs.Residencies[rng.Intn(nr)].Loc = topology.NodeID(rng.Intn(nodes))
+					case op == 4 && nr > 0:
+						fs.Residencies[rng.Intn(nr)].LastService += simtime.Time(rng.Intn(3) - 1)
+					case op == 5 && nr > 0:
+						fs.Residencies[rng.Intn(nr)].FedBy += rng.Intn(3) - 1
+					case op == 6 && nr > 0:
+						j := rng.Intn(nr)
+						fs.Residencies = slices.Delete(fs.Residencies, j, j+1)
+					case nd > 0:
+						i := rng.Intn(nd)
+						fs.Deliveries = slices.Insert(fs.Deliveries, rng.Intn(nd+1), fs.Deliveries[i])
+					}
+					whole := n.ValidateStructure(r.Topo, r.Catalog)
+					if ext := n.ValidateExtension(r.Topo, r.Catalog, c.prev); fmt.Sprint(ext) != fmt.Sprint(whole) {
+						t.Fatalf("seed %d, epochs of %d, close %d: the extension says %v, the whole check %v",
+							seed, size, c.epoch, ext, whole)
+					}
+					if whole != nil {
+						refused++
+					} else {
+						passed++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d changed schedules refused, %d passed", refused, passed)
+	if refused == 0 || passed == 0 {
+		t.Fatal("the changes were all refused or all passed: the test does not tell the forms apart")
 	}
 }
