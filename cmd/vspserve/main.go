@@ -75,7 +75,6 @@ func main() {
 		role        = flag.String("role", "primary", "serving role: primary or follower (forced to follower by -replicate-from)")
 		shardID     = flag.String("shard-id", "", "shard label reported in the /v1/stats shard block when this node serves behind a vspgateway tier")
 		replFrom    = flag.String("replicate-from", "", "primary base URL to ship the WAL from; makes this node a warm standby")
-		replEvery   = flag.Duration("replicate-every", 0, "idle poll period of the WAL shipper (0 = default; a backlog drains continuously)")
 		chaosSpec   = flag.String("chaos", "", "fault-injection spec wrapped around the HTTP surface, e.g. 'latency=20ms..80ms;err=0.2:503' (see internal/chaos.ParseSpec; testing only)")
 		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for -chaos fault decisions (same seed + same traffic = same faults)")
 	)
@@ -119,7 +118,6 @@ func main() {
 		Role:           nodeRole,
 		ShardID:        *shardID,
 		ReplicateFrom:  *replFrom,
-		ReplicateEvery: *replEvery,
 		AdvanceLag:     simtime.Duration(lagSeconds),
 		Horizon: horizon.Config{
 			Fsync:         fsyncPolicy,

@@ -87,9 +87,8 @@ func main() {
 	defer stopPrimary()
 
 	standby, err := server.NewWithOptions(model, server.Options{
-		DataDir:        standbyDir,
-		ReplicateFrom:  primaryURL,
-		ReplicateEvery: 20 * time.Millisecond,
+		DataDir:       standbyDir,
+		ReplicateFrom: primaryURL,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -97,7 +97,7 @@ func main() {
 	s1URL, stop1 := serve(s1)
 	s1standby, err := server.NewWithOptions(model, server.Options{
 		ShardID: "s1", DataDir: standbyDir,
-		ReplicateFrom: s1URL, ReplicateEvery: 20 * time.Millisecond,
+		ReplicateFrom: s1URL,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -193,7 +193,7 @@ func runGatewayFailover(t *testing.T, r *testutil.Rig, ops []op, boundary int, w
 		primaries[i] = startNode(t, r, server.Options{DataDir: t.TempDir(), Horizon: cfg})
 		standbys[i] = startNode(t, r, server.Options{
 			DataDir: t.TempDir(), Horizon: cfg,
-			ReplicateFrom: primaries[i].url, ReplicateEvery: 2 * time.Millisecond,
+			ReplicateFrom: primaries[i].url,
 		})
 		standbys[i].srv.StartReplication(ctx)
 		shards = append(shards, gateway.ShardConfig{

@@ -421,7 +421,7 @@ func TestFencedPrimaryAutoFailover(t *testing.T) {
 	primaryURL, _, _ := startShard(t, r, server.Options{DataDir: t.TempDir(), Horizon: cfg})
 	standbyURL, standby, _ := startShard(t, r, server.Options{
 		DataDir: t.TempDir(), Horizon: cfg,
-		ReplicateFrom: primaryURL, ReplicateEvery: 2 * time.Millisecond,
+		ReplicateFrom: primaryURL,
 	})
 	ctx := context.Background()
 	standby.StartReplication(ctx)

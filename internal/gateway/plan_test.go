@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/gateway"
@@ -280,7 +279,7 @@ func TestGatewayPlanHitAcrossFailover(t *testing.T) {
 	primaryURL, _, _ := startShard(t, r, server.Options{DataDir: t.TempDir(), Horizon: cfg})
 	standbyURL, standby, _ := startShard(t, r, server.Options{
 		DataDir: t.TempDir(), Horizon: cfg,
-		ReplicateFrom: primaryURL, ReplicateEvery: 2 * time.Millisecond,
+		ReplicateFrom: primaryURL,
 	})
 	ctx := context.Background()
 	standby.StartReplication(ctx)

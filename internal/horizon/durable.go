@@ -201,6 +201,10 @@ func (s *Service) journalOp(op walOp) error {
 		return err
 	}
 	s.lastSeq, s.lastCRC, s.haveCRC = seq, wal.Checksum(seq, s.rec), true
+	if s.appended != nil {
+		close(s.appended) // wake the polls held for this record
+		s.appended = nil
+	}
 	return nil
 }
 

@@ -141,8 +141,9 @@ type Service struct {
 	lastCRC  uint32 // the checksum of the record at lastSeq, when haveCRC
 	haveCRC  bool   // false after a snapshot install, or a recovery with no record after the snapshot
 	recovery api.RecoveryStats
-	snap     []byte // the last snapshot's encoding; its array is the next one's buffer
-	rec      []byte // the journal record being appended, reused from one to the next
+	snap     []byte        // the last snapshot's encoding; its array is the next one's buffer
+	rec      []byte        // the journal record being appended, reused from one to the next
+	appended chan struct{} // closed at the next journal append; nil until Journaled asks (replicate.go)
 }
 
 // state is the full mutable state of a Service, declared once: the live

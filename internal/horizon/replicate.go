@@ -53,6 +53,28 @@ func (s *Service) ResumePoint() (seq uint64, crc uint32, ok bool) {
 	return s.lastSeq, s.lastCRC, s.haveCRC
 }
 
+// closedCh is the channel Journaled hands out when the record it would wait
+// for is already journaled.
+var closedCh = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Journaled returns a channel that is closed once a record past seq is
+// journaled: at once, if one already is. A primary holding a caught-up
+// follower's poll waits on it after a TailAfter that found nothing past
+// seq; the check and the channel are taken under one lock, so no record
+// slips between that read and the wait. The channel is made on demand, so
+// an append nobody waits for allocates nothing.
+func (s *Service) Journaled(seq uint64) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lastSeq > seq {
+		return closedCh
+	}
+	if s.appended == nil {
+		s.appended = make(chan struct{})
+	}
+	return s.appended
+}
+
 // TailAfter assembles the replication batch following the given sequence,
 // reading the journal back from disk under the service lock (appends are
 // serialized under the same lock, so the read observes whole records only):

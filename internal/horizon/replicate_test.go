@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -393,4 +395,52 @@ func FuzzApplyReplicated(f *testing.F) {
 			t.Fatalf("payload %q applied into a state promotion would refuse: %v", payload, err)
 		}
 	})
+}
+
+// Journaled loses no wake-up: a waiter on the channel for the last seq it
+// read is woken by the next record, whether that record is journaled before
+// or after it asks, with several waiters and the appends racing them.
+func TestJournaledWakesEveryWaiter(t *testing.T) {
+	r := rig(t, durableParams())
+	svc, err := horizon.Recover(t.TempDir(), r.Model, horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ops := script(r, 2)
+	last := uint64(len(ops)) // every op journals one record
+	var ready, done sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for seen := uint64(0); seen < last; {
+				wake := svc.Journaled(seen)
+				if seen == 0 {
+					ready.Done() // the first wait is on the channel of seq 0
+				}
+				select {
+				case <-wake:
+				case <-time.After(10 * time.Second):
+					t.Errorf("a waiter past seq %d was not woken (last seq %d)", seen, svc.AppliedSeq())
+					return
+				}
+				next := svc.AppliedSeq()
+				if next <= seen {
+					t.Errorf("woken past seq %d with the last seq still %d", seen, next)
+					return
+				}
+				seen = next
+			}
+		}()
+	}
+	ready.Wait()
+	for _, op := range ops {
+		applyOp(t, svc, op)
+	}
+	done.Wait()
+	if got := svc.AppliedSeq(); got != last {
+		t.Fatalf("applied seq %d after %d ops", got, last)
+	}
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -69,5 +71,54 @@ func BenchmarkReservationPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post()
+	}
+}
+
+// BenchmarkStandbyApplyLag is how long an acknowledged reservation sits on
+// a durable primary alone: the time from its 202 until a warm standby,
+// shipping over loopback HTTP, has applied its seq. Only that wait is timed.
+// Run it with a fixed count, e.g. `-bench StandbyApplyLag -benchtime 20x`.
+func BenchmarkStandbyApplyLag(b *testing.B) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := horizon.Config{SnapshotEvery: -1, Fsync: wal.FsyncNever}
+	primary, err := NewWithOptions(f.Model, Options{DataDir: b.TempDir(), Horizon: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer primary.Close()
+	pts := httptest.NewServer(primary)
+	defer pts.Close()
+	standby, err := NewWithOptions(f.Model, Options{DataDir: b.TempDir(), Horizon: cfg, ReplicateFrom: pts.URL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer standby.Close()
+	standby.StartReplication(context.Background())
+
+	payload := []byte(`{"user":1,"video":0,"start":86400}`)
+	lag := func() {
+		w := httptest.NewRecorder()
+		primary.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/reservations", bytes.NewReader(payload)))
+		if w.Code != http.StatusAccepted {
+			b.Fatalf("status %d, want 202: %s", w.Code, w.Body)
+		}
+		seq := primary.horizon.AppliedSeq()
+		b.StartTimer()
+		for standby.horizon.AppliedSeq() < seq {
+			time.Sleep(100 * time.Microsecond)
+		}
+		b.StopTimer()
+	}
+	b.StopTimer()
+	for i := 0; i < 3; i++ { // the standby's first rounds
+		lag()
+	}
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		lag()
 	}
 }

@@ -208,7 +208,7 @@ func newFollower(t *testing.T, r *testutil.Rig, cfg horizon.Config, base string,
 	}
 	lead := NewLeadership(RoleFollower, 0)
 	client := &http.Client{Transport: &faultRT{base: http.DefaultTransport, mode: mode}}
-	sh := NewShipper(svc, lead, base, 0)
+	sh := NewShipper(svc, lead, base)
 	sh.retry = retryhttp.Options{Client: client, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	return svc, sh, lead
 }
@@ -330,7 +330,7 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	lead := NewLeadership(RoleFollower, 0)
-	sh := NewShipper(fsvc, lead, ts.URL, 0)
+	sh := NewShipper(fsvc, lead, ts.URL)
 
 	// First half of the stream, then the follower process "restarts".
 	half := len(ops) / 2
@@ -360,7 +360,7 @@ func TestFollowerRestartResumesMidStream(t *testing.T) {
 		t.Fatalf("restart lost applied seq: %d, want %d", re.AppliedSeq(), applied)
 	}
 	rec := &recordingRT{base: http.DefaultTransport}
-	sh2 := NewShipper(re, NewLeadership(RoleFollower, 0), ts.URL, 0)
+	sh2 := NewShipper(re, NewLeadership(RoleFollower, 0), ts.URL)
 	sh2.retry = retryhttp.Options{Client: &http.Client{Transport: rec}}
 	for _, o := range ops[half:] {
 		driveHTTP(t, ts.URL, o)

@@ -56,10 +56,6 @@ type Options struct {
 	// once StartReplication is called. Combine with DataDir so the
 	// applied position survives a follower restart.
 	ReplicateFrom string
-	// ReplicateEvery is the shipper's poll period when idle (0 =
-	// DefaultReplicateEvery); a backlogged follower drains continuously
-	// regardless.
-	ReplicateEvery time.Duration
 	// ShardID labels this node's shard in a sharded intake tier; it is
 	// echoed in the /v1/stats shard block so a routing gateway can match
 	// polled load to its configured shards. Empty for unsharded nodes.
@@ -77,8 +73,6 @@ const (
 	DefaultMaxQueue = 256
 	// DefaultQueueWait is how long a queued request may wait for a slot.
 	DefaultQueueWait = time.Second
-	// DefaultReplicateEvery is a follower's idle poll period.
-	DefaultReplicateEvery = 250 * time.Millisecond
 )
 
 func (o Options) withDefaults() Options {
@@ -99,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueWait <= 0 {
 		o.QueueWait = DefaultQueueWait
-	}
-	if o.ReplicateEvery <= 0 {
-		o.ReplicateEvery = DefaultReplicateEvery
 	}
 	return o
 }

@@ -17,10 +17,13 @@ import (
 // Replication & failover: WAL shipping from a serving primary to a warm
 // standby, and the epoch-numbered leadership (leadership.go) that fences a
 // demoted primary so two nodes never both accept submits. A primary serves
-// its WAL tail; a follower's Shipper (shipper.go) polls it in the
+// its WAL tail; a follower's Shipper (shipper.go) long-polls it in the
 // background (StartReplication), resuming from the follower's applied
 // sequence, checks each record's CRC and applies it, idempotently by
-// sequence, through the horizon service's replay path. Every stateful
+// sequence, through the horizon service's replay path. A poll from a
+// follower that is caught up is held until the primary journals its next
+// record or replHold passes, so an acknowledged reservation reaches the
+// standby one round trip after it is journaled. Every stateful
 // intake handler refuses on a non-primary with the stale-leadership error.
 // Promotion re-applies the commit predicate to the replicated schedule and
 // bumps the epoch; the old primary, fenced under the new epoch, rejects
@@ -41,6 +44,8 @@ import (
 // also carries the CRC of the follower's own record at its resume point; a
 // primary whose record there differs, or whose last sequence is behind it,
 // answers 409 api.Diverged, and the follower stops reporting itself synced.
+// Only a poll that is caught up and agrees is held; every other answer
+// (behind, diverged, not primary, not durable) is given at once.
 //
 // Split-brain is out of scope by design: fencing is cooperative (the old
 // primary must be reachable to learn it was deposed). An unreachable old
@@ -206,12 +211,19 @@ func queryUint(r *http.Request, name string) (uint64, error) {
 	return n, nil
 }
 
+// replHold is how long a primary holds a caught-up follower's WAL poll
+// waiting for the next record. An idle standby therefore sends one poll a
+// hold, and a held poll keeps one admission slot on its primary.
+const replHold = 250 * time.Millisecond
+
 // handleReplWAL serves one replication batch: the journal records after
 // the requested sequence, or a full-state snapshot when those records
 // were compacted away. The request's epoch parameter is the fencing
 // token: a higher epoch proves this node was superseded and demotes it
 // on the spot; a node that is not primary answers with the
-// stale-leadership error.
+// stale-leadership error. A held poll is answered whole again when the
+// hold ends, leadership included: a primary fenced during the hold refuses
+// it. The hold waits on horizon.Service.Journaled, never under its lock.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	after, err := queryUint(r, "after")
 	if err != nil {
@@ -239,26 +251,45 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		*crc = uint32(c)
 	}
 	s.lead.Observe(reqEpoch) // a newer epoch fences this node
-	if err := s.lead.CheckPrimary(); err != nil {
-		httpkit.WriteErr(w, http.StatusConflict, err)
+	batch, code, err := s.tailAfter(after, crc, int(max))
+	if err == nil && batch.LastSeq == after {
+		// Caught up: hold the poll until the next record is journaled, then
+		// answer it as if it had just arrived.
+		t := time.NewTimer(replHold)
+		select {
+		case <-s.horizon.Journaled(after):
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
+		batch, code, err = s.tailAfter(after, crc, int(max))
+	}
+	if err != nil {
+		httpkit.WriteErr(w, code, err)
 		return
 	}
-	batch, err := s.horizon.TailAfter(after, crc, int(max))
-	if err != nil {
-		if errors.Is(err, horizon.ErrDiverged) {
-			httpkit.WriteErr(w, http.StatusConflict, err)
-			return
-		}
-		if errors.Is(err, horizon.ErrNotDurable) {
-			httpkit.WriteErr(w, http.StatusNotImplemented,
-				fmt.Errorf("replication requires a durable primary (start it with -data-dir): %w", err))
-			return
-		}
-		httpkit.WriteErr(w, http.StatusInternalServerError, err)
-		return
+	httpkit.WriteJSON(w, http.StatusOK, batch)
+}
+
+// tailAfter is one answer to a WAL poll, checked against the node's
+// leadership when it is read: the batch after the follower's resume point,
+// or the refusal and its status.
+func (s *Server) tailAfter(after uint64, crc *uint32, max int) (*api.Batch, int, error) {
+	if err := s.lead.CheckPrimary(); err != nil {
+		return nil, http.StatusConflict, err
+	}
+	batch, err := s.horizon.TailAfter(after, crc, max)
+	switch {
+	case errors.Is(err, horizon.ErrDiverged):
+		return nil, http.StatusConflict, err
+	case errors.Is(err, horizon.ErrNotDurable):
+		return nil, http.StatusNotImplemented,
+			fmt.Errorf("replication requires a durable primary (start it with -data-dir): %w", err)
+	case err != nil:
+		return nil, http.StatusInternalServerError, err
 	}
 	batch.LeaderEpoch = s.lead.Epoch()
-	httpkit.WriteJSON(w, http.StatusOK, batch)
+	return batch, http.StatusOK, nil
 }
 
 // handleFence demotes this node under a newer leadership epoch: its

@@ -117,10 +117,9 @@ func TestReplicationBodiesUnchanged(t *testing.T) {
 	}))
 	t.Cleanup(relay.Close)
 	standby := mustNew(t, f, Options{
-		DataDir:        t.TempDir(),
-		Horizon:        replCfg(),
-		ReplicateFrom:  relay.URL,
-		ReplicateEvery: 2 * time.Millisecond,
+		DataDir:       t.TempDir(),
+		Horizon:       replCfg(),
+		ReplicateFrom: relay.URL,
 	})
 	sts := httptest.NewServer(standby)
 	t.Cleanup(sts.Close)

@@ -43,10 +43,9 @@ func TestServerFailoverEndToEnd(t *testing.T) {
 	pts := httptest.NewServer(primary)
 	t.Cleanup(pts.Close)
 	standby := mustNew(t, f, Options{
-		DataDir:        t.TempDir(),
-		Horizon:        replCfg(),
-		ReplicateFrom:  pts.URL,
-		ReplicateEvery: 2 * time.Millisecond,
+		DataDir:       t.TempDir(),
+		Horizon:       replCfg(),
+		ReplicateFrom: pts.URL,
 	})
 	sts := httptest.NewServer(standby)
 	t.Cleanup(sts.Close)
@@ -250,10 +249,9 @@ func TestOnlyThePrimaryClosesOnATrigger(t *testing.T) {
 	pts := httptest.NewServer(primary)
 	t.Cleanup(pts.Close)
 	follower := mustNew(t, f, Options{
-		DataDir:        t.TempDir(),
-		Horizon:        triggered,
-		ReplicateFrom:  pts.URL,
-		ReplicateEvery: 2 * time.Millisecond,
+		DataDir:       t.TempDir(),
+		Horizon:       triggered,
+		ReplicateFrom: pts.URL,
 	})
 	fts := httptest.NewServer(follower)
 	t.Cleanup(fts.Close)

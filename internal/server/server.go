@@ -25,7 +25,10 @@
 //	   GET  /v1/plan                  the committed plan, from one horizon reading
 //	T  POST /v1/advance               epoch close; horizon.Advance stops on expiry
 //	                                  and commits nothing
-//	   GET  /v1/replication/wal       journal tail or snapshot; a file read, no context
+//	   GET  /v1/replication/wal       journal tail or snapshot; a caught-up poll is held
+//	                                  up to replHold, ended early by the next append or
+//	                                  by the client going away (untimed: the hold is
+//	                                  its own bound)
 //	   GET  /v1/replication/status    the node's replication status
 //	   POST /v1/replication/fence     demote under a newer epoch
 //	T  POST /v1/replication/promote   the catch-up drain and the source fence are
@@ -154,7 +157,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	}
 	s.closeCtx, s.stopClosing = context.WithCancel(context.Background())
 	if opts.ReplicateFrom != "" {
-		s.shipper = NewShipper(hz, s.lead, opts.ReplicateFrom, opts.ReplicateEvery)
+		s.shipper = NewShipper(hz, s.lead, opts.ReplicateFrom)
 	}
 	if opts.MaxInFlight > 0 {
 		s.limiter = httpkit.NewLimiter(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait)

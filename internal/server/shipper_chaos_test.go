@@ -66,7 +66,7 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	}
 	defer fsvc.Close()
 	lead := NewLeadership(RoleFollower, 0)
-	sh1 := NewShipper(fsvc, lead, ts.URL, 2*time.Millisecond)
+	sh1 := NewShipper(fsvc, lead, ts.URL)
 	sh1.retry = retry
 	ctx := context.Background()
 	runCtx, cancel := context.WithCancel(ctx)
@@ -95,7 +95,7 @@ func TestShipperSurvivesFlappingChaosAndResumes(t *testing.T) {
 	// the applied sequence, not refetch from zero.
 	resumeSeq := fsvc.AppliedSeq()
 	rec := &recordingRT{base: &chaos.Transport{Injector: inj}}
-	sh2 := NewShipper(fsvc, lead, ts.URL, 2*time.Millisecond)
+	sh2 := NewShipper(fsvc, lead, ts.URL)
 	sh2.retry = retryhttp.Options{
 		Client:      &http.Client{Transport: rec},
 		MaxAttempts: 2,
