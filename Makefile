@@ -42,13 +42,12 @@ chaos-bench:
 		-run TestGrayFailureBreakerBenefit -v -timeout 20m ./internal/gateway
 
 # Short fuzz passes over the parsers that face untrusted bytes: the WAL
-# decoder (crash/corruption trichotomy), the schedule API decoder, vspsim's
-# -schedule file (the simulator, the repairer and billing behind it), the
-# door every snapshot payload takes, a follower's replication payload
-# applier (a refused record changes nothing, an applied one leaves a state
-# promotion accepts), and vspserve's -chaos spec (every spec
-# ParseSpec accepts must drive the middleware and the transport without a
-# panic). The snapshot door and vspsim's file start from whole schedules,
+# decoder (crash/corruption trichotomy), the schedule decoder and the
+# reservation intake behind it, vspsim's -schedule file (the simulator, the
+# repairer and billing behind it), the door every snapshot payload takes,
+# and a follower's replication payload applier (a refused record changes
+# nothing, an applied one leaves a state promotion accepts). The snapshot
+# door and vspsim's file start from whole schedules,
 # which the fuzzer would otherwise spend the whole pass minimizing. Three of
 # them also hold the hand-written schedule encoder and decoder to
 # encoding/json on a mirror that stores every service list
@@ -79,7 +78,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
-	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzMergeEncodings -fuzztime=10s -fuzzminimizetime=1s ./internal/gateway
 	$(GO) test -fuzz=FuzzParseShard -fuzztime=10s ./cmd/vspgateway
 	$(GO) test -fuzz=FuzzReservationRequest -fuzztime=10s ./internal/api

@@ -1,11 +1,12 @@
-// Command vspserve runs the Video-On-Reservation scheduling service over
-// HTTP for a fixed infrastructure: it takes reservations and answers with a
-// priced schedule (internal/server's package comment is the route table). It
-// shuts down gracefully on SIGINT or SIGTERM, draining in-flight requests for
-// up to 10 seconds.
+// Command vspserve runs the Video-On-Reservation reservation intake over
+// HTTP for a fixed infrastructure: it takes reservations, plans them when an
+// epoch closes and serves the committed, priced plan (internal/server's
+// package comment is the route table). It shuts down gracefully on SIGINT or
+// SIGTERM, draining in-flight requests for up to 10 seconds.
 //
-// It serves no simulation or billing: to execute a schedule it returned,
-// inject faults into it, repair it or audit its bill, run vspsim on it.
+// It solves no stateless batch and serves no simulation or billing: an
+// offline batch is vspsched's, and to execute a plan, inject faults into it,
+// repair it or audit its bill, run vspsim on it.
 //
 // With -data-dir the rolling-horizon reservation intake is durable: every
 // accepted reservation and committed epoch is journaled to a write-ahead
@@ -26,9 +27,9 @@
 //
 // then:
 //
-//	curl -s localhost:8080/v1/topology
-//	curl -s -X POST localhost:8080/v1/schedule \
-//	     -d '{"requests":[{"user":0,"video":3,"start":3600}]}'
+//	curl -s -X POST localhost:8080/v1/reservations -d '{"user":0,"video":3,"start":3600}'
+//	curl -s -X POST localhost:8080/v1/advance -d '{"to":7200}'
+//	curl -s localhost:8080/v1/plan
 //
 // Standby for the node above (same topology and catalog):
 //
@@ -43,11 +44,9 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"time"
 
-	"github.com/vodsim/vsp/internal/chaos"
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
@@ -65,7 +64,7 @@ func main() {
 		nrate       = flag.Float64("nrate", 500, "network charging rate ($/GB)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
-		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "handling budget of the requests that can be stopped (/v1/schedule, /v1/advance, a promotion's drain), set as the deadline on their request context: the handler itself notices it and answers 503 + Retry-After, and nothing is cut off and left running, so a reply always says what happened")
+		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "handling budget of the requests that can be stopped (/v1/advance, a promotion's drain), set as the deadline on their request context: the handler itself notices it and answers 503 + Retry-After, and nothing is cut off and left running, so a reply always says what happened")
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
 		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost) or never (flushing is left to the OS)")
 		snapEvery   = flag.Int("snapshot-every", horizon.DefaultSnapshotEvery, "journal compaction period in committed epochs (negative disables snapshots)")
@@ -75,8 +74,6 @@ func main() {
 		role        = flag.String("role", "primary", "serving role: primary or follower (forced to follower by -replicate-from)")
 		shardID     = flag.String("shard-id", "", "shard label reported in the /v1/stats shard block when this node serves behind a vspgateway tier")
 		replFrom    = flag.String("replicate-from", "", "primary base URL to ship the WAL from; makes this node a warm standby")
-		chaosSpec   = flag.String("chaos", "", "fault-injection spec wrapped around the HTTP surface, e.g. 'latency=20ms..80ms;err=0.2:503' (see internal/chaos.ParseSpec; testing only)")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for -chaos fault decisions (same seed + same traffic = same faults)")
 	)
 	flag.Parse()
 	if *topoPath == "" || *catPath == "" {
@@ -145,23 +142,13 @@ func main() {
 				st.TailTruncations)
 		}
 	}
-	var handler http.Handler = api
-	if *chaosSpec != "" {
-		rules, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
-			log.Fatalf("vspserve: -chaos: %v", err)
-		}
-		inj := chaos.New(*chaosSeed, rules...)
-		handler = inj.Middleware(handler)
-		log.Printf("vspserve: CHAOS ENABLED — %d fault rule(s), seed %d; this node will misbehave on purpose", len(rules), *chaosSeed)
-	}
 	if *replFrom != "" {
 		// Shipping stops at promotion, or when Serve closes the API.
 		api.StartReplication(context.Background())
 		log.Printf("vspserve: shipping WAL from %s (GET /readyz reports catch-up; promote with POST /v1/replication/promote)", *replFrom)
 	}
 	log.Printf("vspserve: %d storages, %d users, %d titles", topo.NumStorages(), topo.NumUsers(), cat.Len())
-	if err := httpkit.Serve(context.Background(), "vspserve", *addr, handler, *idleTimeout, api.Close); err != nil {
+	if err := httpkit.Serve(context.Background(), "vspserve", *addr, api, *idleTimeout, api.Close); err != nil {
 		log.Fatalf("vspserve: %v", err)
 	}
 }

@@ -158,6 +158,16 @@ type Batch struct {
 	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
 }
 
+// StaleRefusal is the 409 body a node that does not lead answers a GET
+// /v1/replication/wal poll with: the stale-leadership error and the highest
+// leadership epoch the node has observed. The polling follower adopts
+// LeaderEpoch, as it adopts a Batch's, so its own promotion supersedes the
+// epoch that fenced its source.
+type StaleRefusal struct {
+	Error       string `json:"error"`
+	LeaderEpoch uint64 `json:"leader_epoch"`
+}
+
 // Record is one shipped journal record.
 type Record struct {
 	Seq uint64 `json:"seq"`

@@ -71,6 +71,8 @@ func TestWireBytesUnchanged(t *testing.T) {
 		{"batch with a snapshot", Batch{LeaderEpoch: 2, LastSeq: 9, Snapshot: []byte(`{}`), SnapshotSeq: 9},
 			`{"leader_epoch":2,"last_seq":9,"snapshot":"e30=","snapshot_seq":9}`},
 		{"caught-up batch", Batch{LeaderEpoch: 1, LastSeq: 3}, `{"leader_epoch":1,"last_seq":3}`},
+		{"stale refusal", StaleRefusal{Error: StaleLeadership + ": this node is a follower (observed leader epoch 3)", LeaderEpoch: 3},
+			`{"error":"replica: stale leadership epoch: this node is a follower (observed leader epoch 3)","leader_epoch":3}`},
 		{"ready response", ReadyResponse{Ready: false, Reason: "replaying journal: 2 records behind",
 			Status: ReplicationStatus{Role: "follower", Epoch: 1, AppliedSeq: 1, Source: "http://a", PrimaryLastSeq: 3, Lag: 2, Synced: true, RecordsApplied: 1}},
 			`{"ready":false,"reason":"replaying journal: 2 records behind","status":{"role":"follower","epoch":1,"applied_seq":1,"source":"http://a","primary_last_seq":3,"lag":2,"synced":true,"caught_up":false,"records_applied":1,"snapshots_installed":0}}`},

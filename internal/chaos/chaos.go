@@ -4,14 +4,13 @@
 // (optionally flapping with a duty cycle) scoped to a host/path and
 // carrying a Fault — against every call. Faults compose added latency,
 // hard connection drops, synthesized 5xx answers, and mid-body response
-// cuts. The same Injector drives both sides of a connection:
+// cuts. Transport applies them on the client side: it wraps an
+// http.RoundTripper, so a *client's* view of a peer degrades. Because each
+// client owns its transport, asymmetric partitions (A→B dead while B→A is
+// fine) fall out naturally: give only A's client a drop rule for B's host.
 //
-//   - Transport wraps an http.RoundTripper, so a *client's* view of a
-//     peer degrades. Because each client owns its transport, asymmetric
-//     partitions (A→B dead while B→A is fine) fall out naturally: give
-//     only A's client a drop rule for B's host.
-//   - Middleware wraps an http.Handler, so a *server* misbehaves for
-//     everyone who calls it.
+// The package is a test harness: the tier's tests and the chaos soak link
+// it, and no serving binary does.
 //
 // All randomness flows from a single seeded source, and time flows
 // through a Clock, so a given (seed, rules, request sequence) replays
@@ -46,8 +45,7 @@ type Fault struct {
 	LatencyMax time.Duration
 
 	// Drop is the probability the connection is severed: the transport
-	// returns a transport-level error, the middleware aborts the
-	// connection. The request is never forwarded.
+	// returns a transport-level error and never forwards the request.
 	Drop float64
 
 	// ErrProb is the probability a synthesized HTTP error (status
@@ -123,7 +121,7 @@ type Stats struct {
 
 // Injector owns the rule set, the seeded randomness and the clock. It
 // is safe for concurrent use; one injector typically backs many
-// transports and middlewares so one seed governs a whole scenario.
+// transports so one seed governs a whole scenario.
 type Injector struct {
 	mu    sync.Mutex
 	rnd   *rand.Rand

@@ -1,10 +1,7 @@
 package chaos
 
 import (
-	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -58,135 +55,4 @@ func RandomRules(seed int64, hosts []string, dur time.Duration) []Rule {
 		}
 	}
 	return rules
-}
-
-// ParseSpec parses a compact rule grammar for command-line use, e.g.
-// with vspserve -chaos. Rules are ';'-separated; each rule is a
-// ','-separated list of key=value fields:
-//
-//	host=H          exact target host (default: any)
-//	path=P          path prefix (default: any)
-//	from=DUR        window start (Go duration, default 0)
-//	until=DUR       window end (default: forever)
-//	period=DUR      flap period (default: no flapping)
-//	duty=F          active fraction of each period
-//	phase=DUR       offset into the flap period
-//	latency=A..B    added delay drawn from [A, B] (or latency=A fixed)
-//	drop=P          connection-drop probability
-//	err=P[:CODE]    synthesized error probability (default code 503)
-//	cut=P[:BYTES]   response-cut probability, keeping BYTES bytes
-//
-// Probabilities and the duty fraction lie in [0, 1], a flapping rule's duty
-// in (0, 1]; durations, the cut length and B - A are not negative, and an
-// error code is a 4xx or 5xx. A spec outside that is refused rather than
-// run: it would panic the handler it wraps or never fire.
-//
-// Example: "latency=50ms..200ms,from=10s,until=30s;err=0.3:502,period=2s,duty=0.5".
-func ParseSpec(spec string) ([]Rule, error) {
-	var rules []Rule
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		r, err := parseRule(part)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: rule %q: %w", part, err)
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("chaos: empty spec")
-	}
-	return rules, nil
-}
-
-func parseRule(s string) (Rule, error) {
-	var r Rule
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return r, fmt.Errorf("field %q: want key=value", field)
-		}
-		var err error
-		switch key {
-		case "host":
-			r.Host = val
-		case "path":
-			r.Path = val
-		case "from":
-			r.From, err = parseDuration(val)
-		case "until":
-			r.Until, err = parseDuration(val)
-		case "period":
-			r.Period, err = parseDuration(val)
-		case "duty":
-			r.Duty, err = parseFraction(val)
-		case "phase":
-			r.Phase, err = parseDuration(val)
-		case "latency":
-			lo, hi, ranged := strings.Cut(val, "..")
-			r.Fault.LatencyMin, err = parseDuration(lo)
-			r.Fault.LatencyMax = r.Fault.LatencyMin
-			if err == nil && ranged {
-				r.Fault.LatencyMax, err = parseDuration(hi)
-				if err == nil && r.Fault.LatencyMax < r.Fault.LatencyMin {
-					err = fmt.Errorf("range ends before it starts")
-				}
-			}
-		case "drop":
-			r.Fault.Drop, err = parseFraction(val)
-		case "err":
-			p, code, hasCode := strings.Cut(val, ":")
-			r.Fault.ErrProb, err = parseFraction(p)
-			if err == nil && hasCode {
-				r.Fault.Code, err = strconv.Atoi(code)
-				if err == nil && (r.Fault.Code < 400 || r.Fault.Code > 599) {
-					err = fmt.Errorf("status %d is not a 4xx or 5xx", r.Fault.Code)
-				}
-			}
-		case "cut":
-			p, bytes, hasBytes := strings.Cut(val, ":")
-			r.Fault.CutProb, err = parseFraction(p)
-			if err == nil && hasBytes {
-				r.Fault.CutAfter, err = strconv.Atoi(bytes)
-				if err == nil && r.Fault.CutAfter < 0 {
-					err = fmt.Errorf("negative byte count")
-				}
-			}
-		default:
-			return r, fmt.Errorf("unknown field %q", key)
-		}
-		if err != nil {
-			return r, fmt.Errorf("field %q: %w", field, err)
-		}
-	}
-	if r.Period > 0 && r.Duty == 0 {
-		return r, fmt.Errorf("flapping rule needs duty in (0, 1]")
-	}
-	return r, nil
-}
-
-// parseDuration is time.ParseDuration for the spec's durations, none of
-// which may be negative.
-func parseDuration(s string) (time.Duration, error) {
-	d, err := time.ParseDuration(s)
-	if err == nil && d < 0 {
-		err = fmt.Errorf("negative duration")
-	}
-	return d, err
-}
-
-// parseFraction parses a probability or duty fraction: a number in [0, 1],
-// which NaN is not.
-func parseFraction(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err == nil && !(f >= 0 && f <= 1) {
-		err = fmt.Errorf("%v is outside [0, 1]", f)
-	}
-	return f, err
 }

@@ -232,6 +232,9 @@ func drain(resp *http.Response) {
 type StatusError struct {
 	Code    int
 	Message string
+	// Body is the reply as read, up to 1 MiB, for a caller that decodes
+	// more of a refusal than its error text.
+	Body []byte
 }
 
 func (e *StatusError) Error() string {
@@ -324,10 +327,11 @@ func call(ctx context.Context, opts Options, method, url string, body []byte, on
 			Error string `json:"error"`
 		}
 		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&e) == nil && e.Error != "" {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&e) == nil && e.Error != "" {
 			msg = e.Error
 		}
-		return &StatusError{Code: resp.StatusCode, Message: msg}
+		return &StatusError{Code: resp.StatusCode, Message: msg, Body: body}
 	}
 	if decode == nil {
 		drain(resp)

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -21,7 +20,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := mustNew(t, f, Options{MaxInFlight: 1, MaxQueue: -1, QueueWait: 10 * time.Millisecond})
+	srv := mustNew(t, f, Options{MaxInFlight: 1, MaxQueue: -1})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	srv.mux.HandleFunc("GET /slow", func(w http.ResponseWriter, r *http.Request) {
@@ -47,12 +46,13 @@ func TestServerOverloadSheds(t *testing.T) {
 	}()
 	<-entered // the only slot is now provably held
 
-	resp := postJSON(t, ts.URL+"/v1/schedule", ScheduleRequest{Requests: f.Requests})
+	q := f.Requests[0]
+	resp := postJSON(t, ts.URL+"/v1/reservations", api.ReservationRequest{User: q.User, Video: q.Video, Start: q.Start})
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated schedule request: status %d, want 429", resp.StatusCode)
+		t.Fatalf("saturated reservation: status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed schedule request missing Retry-After")
+		t.Error("shed reservation missing Retry-After")
 	}
 
 	// Liveness must bypass admission control at saturation.

@@ -493,3 +493,50 @@ func TestShippingFromInMemoryPrimaryFails(t *testing.T) {
 		t.Fatalf("in-memory primary shipped: %v", err)
 	}
 }
+
+// A standby whose primary was fenced under a newer epoch learns that epoch
+// from the refusal of its next WAL poll, so a forced promotion takes an epoch
+// above the fence and fences the old primary. A standby that stayed at the
+// source's old epoch would promote to one the source refuses as stale, and
+// leave it unfenced.
+func TestFailoverForcedPromotionSupersedesTheFence(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := mustNew(t, f, Options{DataDir: t.TempDir(), Horizon: replCfg()})
+	pts := httptest.NewServer(primary)
+	t.Cleanup(pts.Close)
+	standby := mustNew(t, f, Options{DataDir: t.TempDir(), Horizon: replCfg(), ReplicateFrom: pts.URL})
+	sts := httptest.NewServer(standby)
+	t.Cleanup(sts.Close)
+
+	ctx := context.Background()
+	if _, err := standby.shipper.Poll(ctx); err != nil {
+		t.Fatalf("poll of the serving primary: %v", err)
+	}
+	if got := standby.lead.Epoch(); got != 1 {
+		t.Fatalf("standby at epoch %d after polling the primary, want 1", got)
+	}
+	if resp := postJSON(t, pts.URL+"/v1/replication/fence", api.FenceRequest{Epoch: 3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fence of the primary at 3: status %d", resp.StatusCode)
+	}
+	if _, err := standby.shipper.Poll(ctx); err == nil || !strings.Contains(err.Error(), api.StaleLeadership) {
+		t.Fatalf("poll of the fenced primary: %v, want the stale-leadership refusal", err)
+	}
+	if got := standby.lead.Epoch(); got != 3 {
+		t.Fatalf("standby at epoch %d after the fenced primary's refusal, want 3", got)
+	}
+
+	resp := postJSON(t, sts.URL+"/v1/replication/promote", api.PromoteRequest{Force: true, FenceSource: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forced promotion: status %d", resp.StatusCode)
+	}
+	prom := decode[api.PromoteResponse](t, resp)
+	if !prom.Promoted || prom.Epoch <= 3 || !prom.SourceFenced {
+		t.Fatalf("forced promotion reply %+v, want an epoch above 3 and the source fenced", prom)
+	}
+	if got := primary.lead.Epoch(); got != prom.Epoch {
+		t.Fatalf("old primary at epoch %d, want the promoted epoch %d", got, prom.Epoch)
+	}
+}

@@ -68,8 +68,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 	// A valid JSON prefix, so the decoder keeps reading until the cap
 	// stops it (garbage would fail at byte 0 with 400).
-	big := `{"requests": [{"user":0,"video":0,"start":0}], "pad":"` + strings.Repeat("x", api.DefaultMaxRequestBytes) + `"}`
-	resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(big))
+	big := `{"user":0,"video":0,"start":0,"pad":"` + strings.Repeat("x", api.DefaultMaxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/reservations", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,6 @@ func TestDeadlineIsOnTheRoutesThatCanStop(t *testing.T) {
 		{http.MethodGet, "/v1/topology", false},
 		{http.MethodGet, "/v1/catalog", false},
 		{http.MethodGet, "/v1/stats", false},
-		{http.MethodPost, "/v1/schedule", true},
 		{http.MethodPost, "/v1/reservations", false},
 		{http.MethodGet, "/v1/plan", false},
 		{http.MethodPost, "/v1/advance", true},
@@ -266,13 +265,13 @@ func TestDeadlineIsOnTheRoutesThatCanStop(t *testing.T) {
 	}
 }
 
-// FuzzScheduleDecode feeds arbitrary bodies to the busiest POST endpoint:
-// whatever arrives, the server must answer with a well-formed JSON reply
-// and never panic (the recovery middleware turns a panic into a 500, which
-// the fuzz target also treats as a failure — handlers should reject, not
-// blow up). Every schedule the input or the reply decodes to must encode by
-// Schedule.AppendJSON, the writer of plans and snapshots, exactly as
-// json.Marshal encodes its mirror, testutil.Wire.
+// FuzzScheduleDecode feeds arbitrary bodies to the busiest POST endpoint,
+// the reservation intake: whatever arrives, the server must answer with a
+// well-formed JSON reply and never panic (the recovery middleware turns a
+// panic into a 500, which the fuzz target also treats as a failure —
+// handlers should reject, not blow up). Every schedule the input decodes to
+// must encode by Schedule.AppendJSON, the writer of plans and snapshots,
+// exactly as json.Marshal encodes its mirror, testutil.Wire.
 func FuzzScheduleDecode(f *testing.F) {
 	fig, err := testutil.NewFig2()
 	if err != nil {
@@ -302,7 +301,7 @@ func FuzzScheduleDecode(f *testing.F) {
 			sameBytes(t, "the body", sched)
 		}
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reservations", bytes.NewReader(body)))
 		if rec.Code == http.StatusInternalServerError {
 			t.Fatalf("body %q produced a 500: %s", body, rec.Body.Bytes())
 		}
@@ -310,12 +309,11 @@ func FuzzScheduleDecode(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 			t.Fatalf("body %q produced non-JSON reply %q (status %d)", body, rec.Body.Bytes(), rec.Code)
 		}
-		if rec.Code == http.StatusOK {
-			var ok ScheduleResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &ok); err != nil {
-				t.Fatalf("body %q: the 200 reply does not decode: %v", body, err)
+		if rec.Code == http.StatusAccepted {
+			var ack api.ReservationResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || !ack.Accepted {
+				t.Fatalf("body %q: the 202 reply %q is not an acceptance (%v)", body, rec.Body.Bytes(), err)
 			}
-			sameBytes(t, "the reply", ok.Schedule)
 		}
 	})
 }

@@ -15,9 +15,9 @@ import (
 	"github.com/vodsim/vsp/internal/schedule"
 )
 
-// Rolling-horizon intake endpoints. Unlike the batch /v1/schedule handler,
-// these are stateful: the server owns one horizon.Service and the three
-// endpoints drive its reservation stream.
+// Rolling-horizon intake endpoints: the server owns one horizon.Service and
+// the three endpoints drive its reservation stream. They are the server's
+// only way to plan: a reservation is solved when the epoch holding it closes.
 //
 //	POST /v1/reservations    {"user": U, "video": V, "start": s, "at": a}
 //	                          -> 202 intake ack (409 for late arrivals)
@@ -130,6 +130,20 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	s.committed(res, t0)
 	httpkit.WriteJSON(w, http.StatusOK, res)
+}
+
+// schedulingStatus maps a scheduling failure to an HTTP status by what the
+// error wraps, never by a second read of the state: a target behind the
+// commit horizon is 400, context expiry (client went away or the request
+// timed out) is 503, anything else is an internal error.
+func schedulingStatus(err error) int {
+	if errors.Is(err, horizon.ErrBackwards) {
+		return http.StatusBadRequest
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // committed counts an epoch that began at t0 in /v1/stats.

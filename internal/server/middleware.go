@@ -13,7 +13,7 @@ import (
 // Options tunes the hardening middleware around the API handlers.
 type Options struct {
 	// RequestTimeout bounds the handling time of the requests whose work can
-	// be stopped — /v1/schedule, /v1/advance and a promotion's drain: it is
+	// be stopped — /v1/advance and a promotion's drain: it is
 	// the deadline on their request context, which those handlers notice and
 	// answer with 503; one that returns past it with nothing written gets a
 	// 503 JSON body written for it (httpkit.Deadline). The other routes do
@@ -42,11 +42,9 @@ type Options struct {
 	// admission control.
 	MaxInFlight int
 	// MaxQueue bounds the overload wait queue (0 = DefaultMaxQueue;
-	// negative = no queue, shed immediately at saturation).
+	// negative = no queue, shed immediately at saturation). A queued
+	// request waits up to DefaultQueueWait for a slot before it is shed.
 	MaxQueue int
-	// QueueWait bounds how long a queued request waits for a slot before
-	// being shed (0 = DefaultQueueWait).
-	QueueWait time.Duration
 	// Role is the node's serving role (default RolePrimary). Followers
 	// reject stateful intake with the stale-leadership error until
 	// promoted via POST /v1/replication/promote.
@@ -90,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxQueue < 0 {
 		o.MaxQueue = 0
-	}
-	if o.QueueWait <= 0 {
-		o.QueueWait = DefaultQueueWait
 	}
 	return o
 }

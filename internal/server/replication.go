@@ -38,8 +38,8 @@ import (
 // The epoch parameter of a WAL poll is the fencing token: a primary that
 // sees a request carrying a higher epoch has provably been superseded and
 // demotes itself before refusing it; a node that is not primary refuses
-// with the stale-leadership error and its current epoch, which the
-// follower observes. Records travel with their WAL CRCs, so transport
+// with the stale-leadership error and its current epoch as a field,
+// api.StaleRefusal, which the follower observes. Records travel with their WAL CRCs, so transport
 // corruption is caught by the checksum that guards the disk format. A poll
 // also carries the CRC of the follower's own record at its resume point; a
 // primary whose record there differs, or whose last sequence is behind it,
@@ -264,11 +264,17 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		t.Stop()
 		batch, code, err = s.tailAfter(after, crc, int(max))
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrStaleLeadership):
+		// The epoch goes as a field, which the follower adopts (Shipper.poll):
+		// a standby of a fenced primary then promotes past the fence. Epochs
+		// only grow, so one read after the refusal is at least the one it saw.
+		httpkit.WriteJSON(w, code, api.StaleRefusal{Error: err.Error(), LeaderEpoch: s.lead.Epoch()})
+	case err != nil:
 		httpkit.WriteErr(w, code, err)
-		return
+	default:
+		httpkit.WriteJSON(w, http.StatusOK, batch)
 	}
-	httpkit.WriteJSON(w, http.StatusOK, batch)
 }
 
 // tailAfter is one answer to a WAL poll, checked against the node's

@@ -212,9 +212,9 @@ func TestReplicationWALObservesEpoch(t *testing.T) {
 		t.Fatalf("poll at current epoch: status %d", code)
 	}
 	// A poll announcing epoch 5 supersedes it.
-	code, e := getAs[map[string]string](t, pts.URL+"/v1/replication/wal?after=0&epoch=5")
-	if code != http.StatusConflict || !strings.Contains(e["error"], "stale leadership") {
-		t.Fatalf("superseded poll: status %d body %v", code, e)
+	code, e := getAs[api.StaleRefusal](t, pts.URL+"/v1/replication/wal?after=0&epoch=5")
+	if code != http.StatusConflict || !strings.Contains(e.Error, "stale leadership") || e.LeaderEpoch != 5 {
+		t.Fatalf("superseded poll: status %d body %+v, want 409 naming stale leadership at leader epoch 5", code, e)
 	}
 	if resp := postJSON(t, pts.URL+"/v1/reservations", api.ReservationRequest{
 		User: f.Requests[0].User, Video: f.Requests[0].Video, Start: f.Requests[0].Start,

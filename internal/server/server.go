@@ -1,8 +1,10 @@
 // Package server exposes the scheduler as a JSON-over-HTTP service: the
 // form a Video-On-Reservation operator would actually deploy. A server is
-// bound to one priced infrastructure (topology + catalog + rates); it
-// schedules reservation batches on demand and runs the rolling-horizon
-// reservation intake, durable and replicated when asked to be.
+// bound to one priced infrastructure (topology + catalog + rates) and runs
+// the rolling-horizon reservation intake, durable and replicated when asked
+// to be. A reservation enters through one door, POST /v1/reservations, and
+// is planned only when an epoch closes (horizon.go); an offline batch is
+// solved by cmd/vspsched or the library's System.Schedule, not here.
 //
 // Every route is behind the four layers harden (middleware.go) wraps the
 // router in: panic recovery, Retry-After on 503s, admission control and the
@@ -18,8 +20,6 @@
 //	   GET  /v1/topology              the service network (topology.Spec JSON)
 //	   GET  /v1/catalog               the title list
 //	   GET  /v1/stats                 shape, horizon, overload, recovery, replication
-//	T  POST /v1/schedule              batch -> schedule + costs; both
-//	                                  scheduler.Schedule calls stop on expiry
 //	   POST /v1/reservations          intake ack; Submit takes no context, on purpose:
 //	                                  a journaled reservation is never cut off
 //	   GET  /v1/plan                  the committed plan, from one horizon reading
@@ -44,7 +44,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -55,13 +54,7 @@ import (
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/httpkit"
-	"github.com/vodsim/vsp/internal/ivs"
-	"github.com/vodsim/vsp/internal/schedule"
-	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
-	"github.com/vodsim/vsp/internal/sorp"
-	"github.com/vodsim/vsp/internal/units"
-	"github.com/vodsim/vsp/internal/workload"
 )
 
 // Server serves scheduling requests for one fixed infrastructure. It is
@@ -160,7 +153,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 		s.shipper = NewShipper(hz, s.lead, opts.ReplicateFrom)
 	}
 	if opts.MaxInFlight > 0 {
-		s.limiter = httpkit.NewLimiter(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait)
+		s.limiter = httpkit.NewLimiter(opts.MaxInFlight, opts.MaxQueue, DefaultQueueWait)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -171,7 +164,6 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/topology", s.handleTopology)
 	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.Handle("POST /v1/schedule", s.timed(s.handleSchedule))
 	s.mux.HandleFunc("POST /v1/reservations", s.handleReservation)
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
 	s.mux.Handle("POST /v1/advance", s.timed(s.handleAdvance))
@@ -269,92 +261,4 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ReplicationLag:  repl.Lag,
 		},
 	})
-}
-
-// ScheduleRequest is the POST /v1/schedule body.
-type ScheduleRequest struct {
-	Requests workload.Set `json:"requests"`
-	Metric   string       `json:"metric,omitempty"` // default space-per-cost
-	Policy   string       `json:"policy,omitempty"` // default cache-on-route
-}
-
-// ScheduleResponse is the POST /v1/schedule reply.
-type ScheduleResponse struct {
-	Schedule   *schedule.Schedule `json:"schedule"`
-	Phase1Cost units.Money        `json:"phase1_cost"`
-	FinalCost  units.Money        `json:"final_cost"`
-	DirectCost units.Money        `json:"direct_cost"`
-	Overflows  int                `json:"overflows"`
-	Victims    int                `json:"victims"`
-}
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req ScheduleRequest
-	if !httpkit.DecodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Requests) == 0 {
-		httpkit.WriteErr(w, http.StatusBadRequest, fmt.Errorf("empty request batch"))
-		return
-	}
-	// An empty metric or policy keeps the scheduler's default, which is
-	// the zero value of either field.
-	var cfg scheduler.Config
-	var err error
-	if req.Metric != "" {
-		if cfg.Metric, err = sorp.ParseMetric(req.Metric); err != nil {
-			httpkit.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if req.Policy != "" {
-		if cfg.Policy, err = ivs.ParsePolicy(req.Policy); err != nil {
-			httpkit.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	// Reject malformed reservations up front (unknown user/title/time):
-	// the scheduler validates its own output, so pre-validate inputs for a
-	// 4xx rather than a 5xx.
-	topo := s.model.Book().Topology()
-	for _, q := range req.Requests {
-		if err := q.Validate(topo, s.model.Catalog()); err != nil {
-			httpkit.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	// Scheduling respects the request context, so an abandoned connection
-	// or an expired request deadline stops the computation too.
-	out, err := scheduler.Schedule(r.Context(), s.model, req.Requests, cfg)
-	if err != nil {
-		httpkit.WriteErr(w, schedulingStatus(err), err)
-		return
-	}
-	direct, err := scheduler.Schedule(r.Context(), s.model, req.Requests, scheduler.Config{Policy: ivs.NoCaching})
-	if err != nil {
-		httpkit.WriteErr(w, schedulingStatus(err), err)
-		return
-	}
-	httpkit.WriteJSON(w, http.StatusOK, ScheduleResponse{
-		Schedule:   out.Schedule,
-		Phase1Cost: out.Phase1Cost,
-		FinalCost:  out.FinalCost,
-		DirectCost: direct.FinalCost,
-		Overflows:  out.Overflows,
-		Victims:    len(out.Victims),
-	})
-}
-
-// schedulingStatus maps a scheduling failure to an HTTP status by what the
-// error wraps, never by a second read of the state: a target behind the
-// commit horizon is 400, context expiry (client went away or the request
-// timed out) is 503, anything else is an internal error.
-func schedulingStatus(err error) int {
-	if errors.Is(err, horizon.ErrBackwards) {
-		return http.StatusBadRequest
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
 }

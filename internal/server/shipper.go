@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -123,12 +124,21 @@ func (sh *Shipper) poll(ctx context.Context) (applied int, caughtUp bool, err er
 	cancel(nil)
 	if err != nil {
 		var se *retryhttp.StatusError
-		if errors.As(err, &se) && se.Code == http.StatusConflict && strings.Contains(se.Message, api.Diverged) {
-			// The primary's history is not this node's: it is not a standby
-			// any failover may promote, whatever an earlier poll found.
-			sh.mu.Lock()
-			sh.synced, sh.caughtUp = false, false
-			sh.mu.Unlock()
+		if errors.As(err, &se) && se.Code == http.StatusConflict {
+			// A source that no longer leads names the epoch it was fenced
+			// under; adopting it makes this node's promotion supersede it.
+			var ref api.StaleRefusal
+			if json.Unmarshal(se.Body, &ref) == nil {
+				sh.lead.Observe(ref.LeaderEpoch)
+			}
+			if strings.Contains(se.Message, api.Diverged) {
+				// The primary's history is not this node's: it is not a
+				// standby any failover may promote, whatever an earlier poll
+				// found.
+				sh.mu.Lock()
+				sh.synced, sh.caughtUp = false, false
+				sh.mu.Unlock()
+			}
 		}
 		return 0, false, fmt.Errorf("server: fetch tail from %s: %w", sh.source, err)
 	}

@@ -134,10 +134,11 @@ func (t *csvTraceReader) Next() (Request, error) {
 
 // Validate checks that the reservation names a user of the topology and a
 // video of the catalog and starts at a non-negative time: the screening the
-// trace readers, the horizon's intake and snapshot door, and /v1/schedule
-// all apply. A nil topology or catalog skips the respective bounds check
-// (the load harness replays traces against a remote service that enforces
-// them itself); negative IDs and start times are always rejected.
+// trace readers and the horizon's intake and snapshot door apply. A nil
+// topology or catalog skips the respective bounds check (a request body is
+// screened so before its shard is known, and the load harness replays traces
+// against a remote service that enforces them itself); negative IDs and start
+// times are always rejected.
 func (r Request) Validate(topo *topology.Topology, catalog *media.Catalog) error {
 	if int(r.User) < 0 || (topo != nil && int(r.User) >= topo.NumUsers()) {
 		return fmt.Errorf("unknown user %d", r.User)

@@ -32,10 +32,10 @@ const module = "github.com/vodsim/vsp"
 // corePackages is `go list -deps ./cmd/vspserve ./cmd/vspgateway`, internal
 // packages only, by name.
 var corePackages = []string{
-	"api", "chaos", "cli", "cost", "gateway", "horizon", "httpkit", "ivs",
-	"media", "occupancy", "parallel", "pricing", "retryhttp", "routing",
-	"schedule", "scheduler", "server", "simtime", "sorp", "topology", "units",
-	"wal", "workload",
+	"api", "cli", "cost", "gateway", "horizon", "httpkit", "ivs", "media",
+	"occupancy", "parallel", "pricing", "retryhttp", "routing", "schedule",
+	"scheduler", "server", "simtime", "sorp", "topology", "units", "wal",
+	"workload",
 }
 
 // apiVocabulary is what internal/api's bodies are made of, and so all it
@@ -45,17 +45,19 @@ var apiVocabulary = []string{"media", "schedule", "simtime", "topology", "units"
 // labPackages is the rest of internal/. testutil is the rig package. The
 // oracle — analysis, audit, billing, des, faults, repair, vodsim — is here,
 // so rows (a) and (b) also keep it from the horizon: what a horizon.Service
-// may hold is decided by scheduler.Check and nothing else.
+// may hold is decided by scheduler.Check and nothing else. chaos, the fault
+// injector, is here too: the tests inject faults through its Transport, and
+// no serving binary links a fault injector.
 var labPackages = []string{
-	"analysis", "audit", "bandwidth", "billing", "des", "experiment", "faults",
-	"loadgen", "online", "optimal", "placement", "plot", "repair", "report",
-	"stats", "testutil", "vodsim",
+	"analysis", "audit", "bandwidth", "billing", "chaos", "des", "experiment",
+	"faults", "loadgen", "online", "optimal", "placement", "plot", "repair",
+	"report", "stats", "testutil", "vodsim",
 }
 
 // coreTestLab is every lab package a core _test.go imports, under any build
-// tag: the rigs, the oracle the commit predicate is compared against, and the
-// gray-failure harness of the chaos soak.
-var coreTestLab = []string{"audit", "loadgen", "testutil"}
+// tag: the rigs, the oracle the commit predicate is compared against, the
+// fault injector, and the gray-failure harness of the chaos soak.
+var coreTestLab = []string{"audit", "chaos", "loadgen", "testutil"}
 
 // goFile is one scanned source file: slash path from the repository root,
 // import paths, and text by line.
@@ -337,6 +339,13 @@ var depRules = []depRule{
 		why: "internal/horizon imports a solver phase: the two-phase pipeline (phase-1 fan-out, integrate, SORP) lives once, in internal/scheduler, and an epoch close is a call to it",
 	},
 	{
+		name:      "intake: the shard solves only by closing an epoch",
+		from:      []string{"internal/server"},
+		forbidden: regexp.MustCompile(`^internal/(scheduler|ivs|sorp|occupancy|parallel)$`),
+		hit:       "internal/scheduler", miss: "internal/horizon",
+		why: "internal/server imports a solver package: the shard solves only by closing an epoch (horizon), and a batch solved beside the intake skips the journal and the bar; an offline batch is cmd/vspsched's",
+	},
+	{
 		name:       "façade: the library does not link the tier",
 		from:       []string{"."},
 		transitive: true,
@@ -348,7 +357,7 @@ var depRules = []depRule{
 		name:       "wire: the gateway links no solver, journal or server",
 		from:       []string{"internal/gateway", "cmd/vspgateway"},
 		transitive: true,
-		forbidden:  regexp.MustCompile(`^internal/(cost|ivs|occupancy|parallel|sorp|scheduler|horizon|wal|server|chaos)$`),
+		forbidden:  regexp.MustCompile(`^internal/(cost|ivs|occupancy|parallel|sorp|scheduler|horizon|wal|server)$`),
 		hit:        "internal/server", miss: "internal/api",
 		why: "the gateway reaches a package behind the shard protocol: it routes reservations and merges plans, so what it decodes is declared in internal/api and nothing it links solves, journals or serves a shard",
 	},
