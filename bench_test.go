@@ -35,7 +35,7 @@ func benchBase() testutil.Params {
 // several storage rates, with the no-storage baseline) per iteration.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig5(benchBase(), 1, 0)
+		fig, err := experiment.Fig5(benchBase(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkFig5(b *testing.B) {
 // access patterns).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig6(benchBase(), 1, 0); err != nil {
+		if _, err := experiment.Fig6(benchBase(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkFig6(b *testing.B) {
 // network-only system).
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Fig7(benchBase(), 1, 0)
+		fig, err := experiment.Fig7(benchBase(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig7(b *testing.B) {
 // network rates).
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig8(benchBase(), 1, 0); err != nil {
+		if _, err := experiment.Fig8(benchBase(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkFig8(b *testing.B) {
 // storage sizes).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig9(benchBase(), 1, 0); err != nil {
+		if _, err := experiment.Fig9(benchBase(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func mustCatalog(b *testing.B) *vsp.Catalog {
 // cost ratio on the final (least skewed) sweep point.
 func BenchmarkOnlineVsOffline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.FigOnline(benchBase(), 1, 0)
+		fig, err := experiment.FigOnline(benchBase(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func BenchmarkOptimalityGap(b *testing.B) {
 // preload tariff.
 func BenchmarkReplicationAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.FigReplication(benchBase(), 0.25, 1, 0)
+		fig, err := experiment.FigReplication(benchBase(), 0.25, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

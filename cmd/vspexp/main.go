@@ -24,23 +24,22 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig5 | fig6 | fig7 | fig8 | fig9 | fig-online | fig-replication | fig-locality | table5 | grid | all")
-		format   = flag.String("format", "table", "output format for figures: table | csv | svg | markdown")
-		repeats  = flag.Int("repeats", 3, "workload draws averaged per figure point")
-		parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-		scale    = flag.String("scale", "paper", "system scale: paper (19 IS, 500 titles) | small (9 IS, 60 titles)")
-		seed     = flag.Int64("seed", 1997, "master seed")
-		rpu      = flag.Int("rpu", 1, "reservations per user (workload density)")
-		outDir   = flag.String("out", ".", "directory for -format svg output files")
+		exp     = flag.String("exp", "all", "experiment: fig5 | fig6 | fig7 | fig8 | fig9 | fig-online | fig-replication | fig-locality | table5 | grid | all")
+		format  = flag.String("format", "table", "output format for figures: table | csv | svg | markdown")
+		repeats = flag.Int("repeats", 3, "workload draws averaged per figure point")
+		scale   = flag.String("scale", "paper", "system scale: paper (19 IS, 500 titles) | small (9 IS, 60 titles)")
+		seed    = flag.Int64("seed", 1997, "master seed")
+		rpu     = flag.Int("rpu", 1, "reservations per user (workload density)")
+		outDir  = flag.String("out", ".", "directory for -format svg output files")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *exp, *format, *repeats, *parallel, *scale, *seed, *rpu, *outDir); err != nil {
+	if err := run(os.Stdout, *exp, *format, *repeats, *scale, *seed, *rpu, *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "vspexp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, exp, format string, repeats, parallel int, scale string, seed int64, rpu int, outDir string) error {
+func run(w io.Writer, exp, format string, repeats int, scale string, seed int64, rpu int, outDir string) error {
 	var base testutil.Params
 	switch scale {
 	case "paper":
@@ -54,7 +53,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 		base.RequestsPerUser = rpu
 	}
 
-	figures := map[string]func(testutil.Params, int, int) (*experiment.Figure, error){
+	figures := map[string]func(testutil.Params, int) (*experiment.Figure, error){
 		"fig5":         experiment.Fig5,
 		"fig6":         experiment.Fig6,
 		"fig7":         experiment.Fig7,
@@ -62,15 +61,15 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 		"fig9":         experiment.Fig9,
 		"fig-online":   experiment.FigOnline,
 		"fig-locality": experiment.FigLocality,
-		"fig-replication": func(b testutil.Params, r, p int) (*experiment.Figure, error) {
-			return experiment.FigReplication(b, 0.25, r, p)
+		"fig-replication": func(b testutil.Params, r int) (*experiment.Figure, error) {
+			return experiment.FigReplication(b, 0.25, r)
 		},
 	}
 	order := []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig-online", "fig-replication", "fig-locality"}
 
 	emitFigure := func(name string) error {
 		start := time.Now()
-		fig, err := figures[name](base, repeats, parallel)
+		fig, err := figures[name](base, repeats)
 		if err != nil {
 			return err
 		}
@@ -109,7 +108,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 
 	emitTable5 := func() error {
 		start := time.Now()
-		res, err := experiment.RunTable5(experiment.Table5Config{Base: base, Parallelism: parallel})
+		res, err := experiment.RunTable5(experiment.Table5Config{Base: base})
 		if err != nil {
 			return err
 		}
@@ -134,7 +133,7 @@ func run(w io.Writer, exp, format string, repeats, parallel int, scale string, s
 				}
 			}
 		}
-		results, err := experiment.RunMany(ps, parallel)
+		results, err := experiment.RunMany(ps)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,7 @@ import (
 
 func TestRunFig7CSV(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig7", "csv", 1, 0, "small", 3, 1, "."); err != nil {
+	if err := run(&sb, "fig7", "csv", 1, "small", 3, 1, "."); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := sb.String()
@@ -25,7 +25,7 @@ func TestRunFig7CSV(t *testing.T) {
 
 func TestRunFig9Table(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig9", "table", 1, 0, "small", 3, 1, "."); err != nil {
+	if err := run(&sb, "fig9", "table", 1, "small", 3, 1, "."); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(sb.String(), "FIG9") {
@@ -35,7 +35,7 @@ func TestRunFig9Table(t *testing.T) {
 
 func TestRunTable5Small(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "table5", "table", 1, 0, "small", 3, 1, "."); err != nil {
+	if err := run(&sb, "table5", "table", 1, "small", 3, 1, "."); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := sb.String()
@@ -48,10 +48,10 @@ func TestRunTable5Small(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig99", "table", 1, 0, "small", 1, 1, "."); err == nil {
+	if err := run(&sb, "fig99", "table", 1, "small", 1, 1, "."); err == nil {
 		t.Error("expected unknown-experiment error")
 	}
-	if err := run(&sb, "fig5", "table", 1, 0, "galactic", 1, 1, "."); err == nil {
+	if err := run(&sb, "fig5", "table", 1, "galactic", 1, 1, "."); err == nil {
 		t.Error("expected unknown-scale error")
 	}
 }
@@ -59,7 +59,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunSVGOutput(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
-	if err := run(&sb, "fig7", "svg", 1, 0, "small", 3, 1, dir); err != nil {
+	if err := run(&sb, "fig7", "svg", 1, "small", 3, 1, dir); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	blob, err := os.ReadFile(filepath.Join(dir, "fig7.svg"))
@@ -69,14 +69,14 @@ func TestRunSVGOutput(t *testing.T) {
 	if !strings.Contains(string(blob), "<svg") || !strings.Contains(string(blob), "polyline") {
 		t.Error("svg content unexpected")
 	}
-	if err := run(&sb, "fig7", "bogus", 1, 0, "small", 3, 1, dir); err == nil {
+	if err := run(&sb, "fig7", "bogus", 1, "small", 3, 1, dir); err == nil {
 		t.Error("expected unknown-format error")
 	}
 }
 
 func TestRunGridCSV(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "grid", "csv", 1, 0, "small", 3, 1, "."); err != nil {
+	if err := run(&sb, "grid", "csv", 1, "small", 3, 1, "."); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -91,7 +91,7 @@ func TestRunGridCSV(t *testing.T) {
 
 func TestRunMarkdown(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig7", "markdown", 1, 0, "small", 3, 1, "."); err != nil {
+	if err := run(&sb, "fig7", "markdown", 1, "small", 3, 1, "."); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(sb.String(), "### FIG7") || !strings.Contains(sb.String(), "|---|") {

@@ -31,7 +31,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/gateway"
@@ -61,10 +60,9 @@ func parseShard(v string) (gateway.ShardConfig, error) {
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8070", "listen address")
-		policyName  = flag.String("policy", "round-robin", "placement policy: round-robin, least-loaded, locality, or hash")
-		topoPath    = flag.String("topo", "", "topology JSON; required by -policy locality, optional otherwise")
-		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
+		addr       = flag.String("addr", ":8070", "listen address")
+		policyName = flag.String("policy", "round-robin", "placement policy: round-robin, least-loaded, locality, or hash")
+		topoPath   = flag.String("topo", "", "topology JSON; required by -policy locality, optional otherwise")
 
 		breakerOn    = flag.Bool("breaker", true, "eject gray-failing shards with per-shard circuit breakers")
 		breakerOpen  = flag.Duration("breaker-open-for", gateway.DefaultBreakerOpenFor, "cool-off before an ejected shard is probed again")
@@ -121,7 +119,7 @@ func main() {
 	}
 	log.Printf("vspgateway: routing %d shard(s) by %s", len(shards), policy.Name())
 	closeFn := func() error { gw.Close(); return nil }
-	if err := httpkit.Serve(context.Background(), "vspgateway", *addr, gw, *idleTimeout, closeFn); err != nil {
+	if err := httpkit.Serve(context.Background(), "vspgateway", *addr, gw, closeFn); err != nil {
 		log.Fatalf("vspgateway: %v", err)
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"time"
 
 	"github.com/vodsim/vsp/internal/cli"
 	"github.com/vodsim/vsp/internal/cost"
@@ -63,7 +62,6 @@ func main() {
 		srate       = flag.Float64("srate", 5, "storage charging rate ($/GB·hour)")
 		nrate       = flag.Float64("nrate", 500, "network charging rate ($/GB)")
 		addr        = flag.String("addr", ":8080", "listen address")
-		idleTimeout = flag.Duration("idle-timeout", 120*time.Second, "keep-alive connection idle timeout")
 		reqTimeout  = flag.Duration("request-timeout", server.DefaultRequestTimeout, "handling budget of the requests that can be stopped (/v1/advance, a promotion's drain), set as the deadline on their request context: the handler itself notices it and answers 503 + Retry-After, and nothing is cut off and left running, so a reply always says what happened")
 		dataDir     = flag.String("data-dir", "", "durable state directory for the reservation intake (empty = in-memory, state lost on restart)")
 		fsync       = flag.String("fsync", "always", "journal fsync policy: always (no acknowledged reservation ever lost) or never (flushing is left to the OS)")
@@ -71,7 +69,6 @@ func main() {
 		epochReqs   = flag.Int("epoch-requests", 0, "close an epoch after this many pending reservations (0 = no intake trigger: epochs close only on POST /v1/advance); the close targets the newest arrival less -advance-lag-hours, and the intake ack reports the trigger as epoch_due")
 		advanceLagH = flag.Float64("advance-lag-hours", 1, "hold the target of a triggered epoch close this many hours behind the newest accepted arrival, so stragglers never land inside the frozen window")
 		maxInFlight = flag.Int("max-in-flight", server.DefaultMaxInFlight, "admission-control bound on concurrent requests; excess load is shed with 429 + Retry-After (negative disables)")
-		role        = flag.String("role", "primary", "serving role: primary or follower (forced to follower by -replicate-from)")
 		shardID     = flag.String("shard-id", "", "shard label reported in the /v1/stats shard block when this node serves behind a vspgateway tier")
 		replFrom    = flag.String("replicate-from", "", "primary base URL to ship the WAL from; makes this node a warm standby")
 	)
@@ -79,16 +76,6 @@ func main() {
 	if *topoPath == "" || *catPath == "" {
 		fmt.Fprintln(os.Stderr, "vspserve: -topo and -catalog are required")
 		os.Exit(1)
-	}
-	nodeRole, err := server.ParseRole(*role)
-	if err != nil {
-		log.Fatalf("vspserve: %v", err)
-	}
-	if nodeRole == server.RolePrimary && *replFrom != "" {
-		// Not an error worth dying over, but worth being explicit about:
-		// shipping another node's WAL makes this node a follower.
-		nodeRole = server.RoleFollower
-		log.Printf("vspserve: -replicate-from set; running as follower of %s", *replFrom)
 	}
 	fsyncPolicy, err := wal.ParseFsyncPolicy(*fsync)
 	if err != nil {
@@ -112,7 +99,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		DataDir:        *dataDir,
 		MaxInFlight:    *maxInFlight,
-		Role:           nodeRole,
 		ShardID:        *shardID,
 		ReplicateFrom:  *replFrom,
 		AdvanceLag:     simtime.Duration(lagSeconds),
@@ -148,7 +134,7 @@ func main() {
 		log.Printf("vspserve: shipping WAL from %s (GET /readyz reports catch-up; promote with POST /v1/replication/promote)", *replFrom)
 	}
 	log.Printf("vspserve: %d storages, %d users, %d titles", topo.NumStorages(), topo.NumUsers(), cat.Len())
-	if err := httpkit.Serve(context.Background(), "vspserve", *addr, api, *idleTimeout, api.Close); err != nil {
+	if err := httpkit.Serve(context.Background(), "vspserve", *addr, api, api.Close); err != nil {
 		log.Fatalf("vspserve: %v", err)
 	}
 }

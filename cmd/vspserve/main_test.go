@@ -62,7 +62,7 @@ func writeFixtures(t *testing.T) (topoP, catP string) {
 func TestGracefulShutdown(t *testing.T) {
 	topoP, catP := writeFixtures(t)
 	cmd := exec.Command(os.Args[0],
-		"-topo", topoP, "-catalog", catP, "-addr", "127.0.0.1:0", "-idle-timeout", "5s")
+		"-topo", topoP, "-catalog", catP, "-addr", "127.0.0.1:0")
 	cmd.Env = append(os.Environ(), "VSPSERVE_MAIN=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

@@ -10,10 +10,10 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
+	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/testutil"
 	"github.com/vodsim/vsp/internal/units"
@@ -77,9 +77,9 @@ func RunOne(p testutil.Params) (Result, error) {
 // input order. The paper's curves are single draws of a 190-request
 // workload; averaging removes the sampling jitter so the reported shapes
 // are the distributional ones.
-func RunAveraged(ps []testutil.Params, repeats, parallelism int) ([]Result, error) {
+func RunAveraged(ps []testutil.Params, repeats int) ([]Result, error) {
 	if repeats <= 1 {
-		return RunMany(ps, parallelism)
+		return RunMany(ps)
 	}
 	all := make([]testutil.Params, 0, len(ps)*repeats)
 	for r := 0; r < repeats; r++ {
@@ -89,7 +89,7 @@ func RunAveraged(ps []testutil.Params, repeats, parallelism int) ([]Result, erro
 			all = append(all, q)
 		}
 	}
-	raw, err := RunMany(all, parallelism)
+	raw, err := RunMany(all)
 	if err != nil {
 		return nil, err
 	}
@@ -117,26 +117,15 @@ func RunAveraged(ps []testutil.Params, repeats, parallelism int) ([]Result, erro
 	return out, nil
 }
 
-// RunMany schedules the configurations concurrently (bounded by
-// parallelism; <= 0 means GOMAXPROCS) and returns results in input order.
-func RunMany(ps []testutil.Params, parallelism int) ([]Result, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
+// RunMany schedules the configurations on the shared pool (internal/parallel:
+// GOMAXPROCS goroutines, one job per configuration) and returns results in
+// input order. Every job runs; the first error in input order is returned.
+func RunMany(ps []testutil.Params) ([]Result, error) {
 	results := make([]Result, len(ps))
 	errs := make([]error, len(ps))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i := range ps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = RunOne(ps[i])
-		}(i)
-	}
-	wg.Wait()
+	parallel.Do(context.Background(), len(ps), func(i int) {
+		results[i], errs[i] = RunOne(ps[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

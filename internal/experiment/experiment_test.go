@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/sorp"
@@ -82,7 +83,8 @@ func TestRunOne(t *testing.T) {
 
 func TestRunManyMatchesRunOne(t *testing.T) {
 	ps := []testutil.Params{small(), func() testutil.Params { p := small(); p.Alpha = 0.7; return p }()}
-	many, err := RunMany(ps, 2)
+	testutil.SetProcs(t, 2)
+	many, err := RunMany(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestRunManyMatchesRunOne(t *testing.T) {
 
 func TestRunAveraged(t *testing.T) {
 	ps := []testutil.Params{small()}
-	avg, err := RunAveraged(ps, 3, 0)
+	avg, err := RunAveraged(ps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestRunAveraged(t *testing.T) {
 		t.Errorf("averaged = %g, want %g", got, want)
 	}
 	// repeats <= 1 falls through to RunMany.
-	single, err := RunAveraged(ps, 1, 0)
+	single, err := RunAveraged(ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestRunAveraged(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	fig, err := Fig5(small(), 1, 0)
+	fig, err := Fig5(small(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	fig, err := Fig6(small(), 1, 0)
+	fig, err := Fig6(small(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	fig, err := Fig7(small(), 2, 0)
+	fig, err := Fig7(small(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	fig, err := Fig9(small(), 3, 0)
+	fig, err := Fig9(small(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestTable5Study(t *testing.T) {
 }
 
 func TestFigOnlineShape(t *testing.T) {
-	fig, err := FigOnline(small(), 2, 0)
+	fig, err := FigOnline(small(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,7 @@ func TestFigOnlineShape(t *testing.T) {
 }
 
 func TestFigReplicationShape(t *testing.T) {
-	fig, err := FigReplication(small(), 0.25, 1, 0)
+	fig, err := FigReplication(small(), 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +341,7 @@ func TestFigReplicationShape(t *testing.T) {
 }
 
 func TestFigLocalityShape(t *testing.T) {
-	fig, err := FigLocality(small(), 3, 0)
+	fig, err := FigLocality(small(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,5 +362,52 @@ func TestFigLocalityShape(t *testing.T) {
 	if with.Points[len(with.Points)-1].Y < with.Points[0].Y*0.98 {
 		t.Errorf("full locality %g cheaper than shared ranking %g",
 			with.Points[len(with.Points)-1].Y, with.Points[0].Y)
+	}
+}
+
+// Every sweep fans out on the shared pool, one job per index, and merges in
+// index order: the figures and the table are the same at any GOMAXPROCS.
+func TestFiguresDoNotDependOnProcs(t *testing.T) {
+	type outputs struct {
+		fig7, online, replication *Figure
+		table5                    *Table5Result
+	}
+	at := func(procs int) outputs {
+		testutil.SetProcs(t, procs)
+		var o outputs
+		var err error
+		if o.fig7, err = Fig7(small(), 2); err != nil {
+			t.Fatal(err)
+		}
+		if o.online, err = FigOnline(small(), 2); err != nil {
+			t.Fatal(err)
+		}
+		if o.replication, err = FigReplication(small(), 0.25, 2); err != nil {
+			t.Fatal(err)
+		}
+		if o.table5, err = RunTable5(Table5Config{
+			Base:       small(),
+			SRates:     []float64{3, 6},
+			Capacities: []float64{4, 8},
+			NRates:     []float64{300, 700},
+			Alphas:     []float64{0.1, 0.5},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	one, two := at(1), at(2)
+	for _, c := range []struct {
+		name     string
+		one, two any
+	}{
+		{"Fig7", one.fig7, two.fig7},
+		{"FigOnline", one.online, two.online},
+		{"FigReplication", one.replication, two.replication},
+		{"RunTable5", one.table5, two.table5},
+	} {
+		if !reflect.DeepEqual(c.one, c.two) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 2:\n%+v\n%+v", c.name, c.one, c.two)
+		}
 	}
 }

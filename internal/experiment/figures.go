@@ -29,7 +29,7 @@ var (
 // Fig5 regenerates Figure 5: total service cost vs network charging rate,
 // one curve per storage charging rate, plus the system without
 // intermediate storage. (α = 0.271, storage size 5 GB.)
-func Fig5(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func Fig5(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig5",
@@ -46,7 +46,7 @@ func Fig5(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 			ps = append(ps, p)
 		}
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func Fig5(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig6 regenerates Figure 6: total service cost vs network charging rate
 // under different access patterns (Zipf α), fixed storage rate and size.
-func Fig6(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func Fig6(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig6",
@@ -86,7 +86,7 @@ func Fig6(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 			ps = append(ps, p)
 		}
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func Fig6(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig7 regenerates Figure 7: total service cost vs storage charging rate,
 // against the network-only system (α = 0.271, 5 GB storages, nrate 300).
-func Fig7(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func Fig7(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	base.NRateGB = 300
 	fig := &Figure{
@@ -122,7 +122,7 @@ func Fig7(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 		}
 		ps = append(ps, p)
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func Fig7(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig8 regenerates Figure 8: total service cost vs storage charging rate
 // under different network charging rates.
-func Fig8(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func Fig8(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig8",
@@ -159,7 +159,7 @@ func Fig8(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 			ps = append(ps, p)
 		}
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func Fig8(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 
 // Fig9 regenerates Figure 9: total service cost vs access pattern skew for
 // several intermediate storage sizes.
-func Fig9(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func Fig9(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	base.NRateGB = 300
 	fig := &Figure{
@@ -195,7 +195,7 @@ func Fig9(base testutil.Params, repeats, parallelism int) (*Figure, error) {
 			ps = append(ps, p)
 		}
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ var LocalitySweep = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 // Shared rankings let one cached copy at a hub serve several neighborhoods;
 // decorrelated tastes fragment that sharing, so total cost rises with
 // locality while the no-cache baseline stays flat.
-func FigLocality(base testutil.Params, repeats, parallelism int) (*Figure, error) {
+func FigLocality(base testutil.Params, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
 	fig := &Figure{
 		ID:     "fig-locality",
@@ -30,7 +30,7 @@ func FigLocality(base testutil.Params, repeats, parallelism int) (*Figure, error
 		p.Locality = loc
 		ps = append(ps, p)
 	}
-	results, err := RunAveraged(ps, repeats, parallelism)
+	results, err := RunAveraged(ps, repeats)
 	if err != nil {
 		return nil, err
 	}

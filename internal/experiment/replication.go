@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/vodsim/vsp/internal/ivs"
+	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/placement"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/stats"
@@ -26,11 +26,9 @@ import (
 // and combining them adds the standing copies' committed cost without
 // recovering it. PreloadFactor sets the off-peak bulk tariff for the
 // static legs.
-func FigReplication(base testutil.Params, preloadFactor float64, repeats, parallelism int) (*Figure, error) {
+func FigReplication(base testutil.Params, preloadFactor float64, repeats int) (*Figure, error) {
 	base = base.WithDefaults()
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
+	repeats = max(1, repeats)
 	if preloadFactor <= 0 {
 		preloadFactor = 0.25
 	}
@@ -44,68 +42,60 @@ func FigReplication(base testutil.Params, preloadFactor float64, repeats, parall
 	type point struct{ direct, static, dynamic, both float64 }
 	pts := make([]point, len(AlphaWide))
 	errs := make([]error, len(AlphaWide))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i, a := range AlphaWide {
-		wg.Add(1)
-		go func(i int, alpha float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			for rpt := 0; rpt < maxInt(1, repeats); rpt++ {
-				p := base
-				p.Alpha = alpha
-				p.Seed = base.Seed + int64(rpt)*104729
-				env, err := testutil.Build(p)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if err := env.Book.SetPreloadFactor(preloadFactor); err != nil {
-					errs[i] = err
-					return
-				}
-				plan, err := placement.Build(env.Model, placement.Config{
-					Alpha:           alpha,
-					RequestsPerUser: p.RequestsPerUser,
-					// At the paper's 5 GB storages the default 50% budget
-					// cannot hold one ~3.3 GB title; let the static legs
-					// use most of the disk (dynamic legs keep their own
-					// capacity checks).
-					CapacityFraction: 0.8,
-				})
-				if err != nil {
-					errs[i] = fmt.Errorf("experiment: replication plan: %w", err)
-					return
-				}
-				seeds := plan.Seeds()
-
-				runs := []struct {
-					out *float64
-					cfg scheduler.Config
-				}{
-					{&pts[i].direct, scheduler.Config{Policy: ivs.NoCaching}},
-					{&pts[i].static, scheduler.Config{Policy: ivs.NoCaching, Seeds: seeds}},
-					{&pts[i].dynamic, scheduler.Config{}},
-					{&pts[i].both, scheduler.Config{Seeds: seeds}},
-				}
-				for _, rn := range runs {
-					out, err := scheduler.Run(env.Model, env.Requests, rn.cfg)
-					if err != nil {
-						errs[i] = fmt.Errorf("experiment: replication leg: %w", err)
-						return
-					}
-					*rn.out += float64(out.FinalCost)
-				}
+	parallel.Do(context.Background(), len(AlphaWide), func(i int) {
+		alpha := AlphaWide[i]
+		for rpt := 0; rpt < repeats; rpt++ {
+			p := base
+			p.Alpha = alpha
+			p.Seed = base.Seed + int64(rpt)*104729
+			env, err := testutil.Build(p)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			k := float64(maxInt(1, repeats))
-			pts[i].direct /= k
-			pts[i].static /= k
-			pts[i].dynamic /= k
-			pts[i].both /= k
-		}(i, a)
-	}
-	wg.Wait()
+			if err := env.Book.SetPreloadFactor(preloadFactor); err != nil {
+				errs[i] = err
+				return
+			}
+			plan, err := placement.Build(env.Model, placement.Config{
+				Alpha:           alpha,
+				RequestsPerUser: p.RequestsPerUser,
+				// At the paper's 5 GB storages the default 50% budget
+				// cannot hold one ~3.3 GB title; let the static legs
+				// use most of the disk (dynamic legs keep their own
+				// capacity checks).
+				CapacityFraction: 0.8,
+			})
+			if err != nil {
+				errs[i] = fmt.Errorf("experiment: replication plan: %w", err)
+				return
+			}
+			seeds := plan.Seeds()
+
+			runs := []struct {
+				out *float64
+				cfg scheduler.Config
+			}{
+				{&pts[i].direct, scheduler.Config{Policy: ivs.NoCaching}},
+				{&pts[i].static, scheduler.Config{Policy: ivs.NoCaching, Seeds: seeds}},
+				{&pts[i].dynamic, scheduler.Config{}},
+				{&pts[i].both, scheduler.Config{Seeds: seeds}},
+			}
+			for _, rn := range runs {
+				out, err := scheduler.Run(env.Model, env.Requests, rn.cfg)
+				if err != nil {
+					errs[i] = fmt.Errorf("experiment: replication leg: %w", err)
+					return
+				}
+				*rn.out += float64(out.FinalCost)
+			}
+		}
+		k := float64(repeats)
+		pts[i].direct /= k
+		pts[i].static /= k
+		pts[i].dynamic /= k
+		pts[i].both /= k
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
+	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/stats"
@@ -16,12 +16,11 @@ import (
 // full cross product of the Table 4 parameter values. Empty slices take
 // the paper's values.
 type Table5Config struct {
-	Base        testutil.Params
-	SRates      []float64 // default {3..8} $/GB·h
-	Capacities  []float64 // default {5, 8, 11, 14} GB
-	NRates      []float64 // default {300..1000} $/GB
-	Alphas      []float64 // default {0.1, 0.271, 0.5, 0.7}
-	Parallelism int
+	Base       testutil.Params
+	SRates     []float64 // default {3..8} $/GB·h
+	Capacities []float64 // default {5, 8, 11, 14} GB
+	NRates     []float64 // default {300..1000} $/GB
+	Alphas     []float64 // default {0.1, 0.271, 0.5, 0.7}
 }
 
 // CaseResult is the outcome of one configuration under all four metrics.
@@ -81,9 +80,6 @@ func (c Table5Config) withDefaults() Table5Config {
 	if len(c.Alphas) == 0 {
 		c.Alphas = AlphaSweep
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -92,7 +88,9 @@ var allMetrics = []sorp.HeatMetric{sorp.Period, sorp.PeriodPerCost, sorp.Space, 
 
 // RunTable5 executes the heat-metric study. Phase 1 runs once per
 // configuration; each of the four metrics then resolves the same
-// integrated schedule.
+// integrated schedule. The cases run on the shared pool (internal/parallel),
+// one job each, and are aggregated in cross-product order, so the table is
+// the same at any GOMAXPROCS.
 func RunTable5(cfg Table5Config) (*Table5Result, error) {
 	cfg = cfg.withDefaults()
 	var ps []testutil.Params
@@ -110,18 +108,9 @@ func RunTable5(cfg Table5Config) (*Table5Result, error) {
 
 	cases := make([]CaseResult, len(ps))
 	errs := make([]error, len(ps))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for i := range ps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cases[i], errs[i] = runCase(ps[i])
-		}(i)
-	}
-	wg.Wait()
+	parallel.Do(context.Background(), len(ps), func(i int) {
+		cases[i], errs[i] = runCase(ps[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -373,7 +373,9 @@ func TestAdvanceBroadcastAndPlanMerge(t *testing.T) {
 func TestLateArrivalPassesThroughWithoutFailover(t *testing.T) {
 	r := testRig(t)
 	primaryURL, _, _ := startShard(t, r, server.Options{})
-	standbyURL, _, _ := startShard(t, r, server.Options{Role: server.RoleFollower})
+	// The standby's shipper is never started: it stays a follower that no
+	// failover may promote.
+	standbyURL, _, _ := startShard(t, r, server.Options{ReplicateFrom: primaryURL})
 	_, base := startGateway(t, gateway.Config{
 		Shards: []gateway.ShardConfig{{ID: "s0", Primary: primaryURL, Standby: standbyURL}},
 		Retry:  fastRetry,

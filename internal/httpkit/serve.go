@@ -21,14 +21,16 @@ const drainTimeout = 10 * time.Second
 // still in use by a request. "listening on" is logged only once the
 // signal handler is in place. Serve returns nil after a clean stop, the
 // listen error when the server could not start, and an error without
-// calling closeFn when the drain ran out of time.
-func Serve(ctx context.Context, name, addr string, handler http.Handler, idleTimeout time.Duration, closeFn func() error) error {
+// calling closeFn when the drain ran out of time. Its connection timeouts
+// are constants: 30 s to read a request, 120 s to write a reply, and 120 s
+// for a keep-alive connection to sit idle.
+func Serve(ctx context.Context, name, addr string, handler http.Handler, closeFn func() error) error {
 	srv := &http.Server{
 		Addr:         addr,
 		Handler:      handler,
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 120 * time.Second,
-		IdleTimeout:  idleTimeout,
+		IdleTimeout:  120 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -40,7 +40,7 @@ func TestServeDrainsThenCloses(t *testing.T) {
 	defer cancel()
 	served := make(chan error, 1)
 	go func() {
-		served <- Serve(ctx, "test", addr, mux, time.Second, func() error {
+		served <- Serve(ctx, "test", addr, mux, func() error {
 			closedAfterHandler.Store(handlerDone.Load())
 			return nil
 		})
@@ -92,7 +92,7 @@ func TestServeReturnsListenError(t *testing.T) {
 	}
 	defer ln.Close()
 	closed := false
-	err = Serve(context.Background(), "test", ln.Addr().String(), http.NotFoundHandler(), time.Second,
+	err = Serve(context.Background(), "test", ln.Addr().String(), http.NotFoundHandler(),
 		func() error { closed = true; return nil })
 	if err == nil || closed {
 		t.Fatalf("Serve on a taken port: err %v, closeFn called %v; want an error and no close", err, closed)

@@ -1,14 +1,16 @@
 // Package parallel provides the bounded worker pool shared by the
-// scheduling core. The paper's two-phase heuristic is embarrassingly
-// parallel at two points — phase-1 individual file scheduling (every file
-// is planned against an unbounded-storage assumption, §3.2) and phase-2
-// per-candidate victim evaluation (every candidate reschedule works on its
-// own ledger view, §4.4) — and the pool is how both fan that work across
-// cores without giving up determinism: callers dispatch work by index and
-// merge results in index order, so the outcome is byte-identical to a
-// sequential run regardless of pool size or completion order. The pool is
-// the runtime's: min(GOMAXPROCS, n) goroutines, so a run is sized with
-// GOMAXPROCS (or go test -cpu), not with an option.
+// scheduling core and the lab's sweeps (internal/experiment: one job per
+// configuration, per α or per Table 5 case). The paper's two-phase
+// heuristic is embarrassingly parallel at two points — phase-1 individual
+// file scheduling (every file is planned against an unbounded-storage
+// assumption, §3.2) and phase-2 per-candidate victim evaluation (every
+// candidate reschedule works on its own ledger view, §4.4) — and the pool
+// is how both fan that work across cores without giving up determinism:
+// callers dispatch work by index and merge results in index order, so the
+// outcome is byte-identical to a sequential run regardless of pool size or
+// completion order. The pool is the runtime's: min(GOMAXPROCS, n)
+// goroutines, so a run is sized with GOMAXPROCS (or go test -cpu), not with
+// an option.
 package parallel
 
 import (

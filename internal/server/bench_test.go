@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,8 +78,18 @@ func BenchmarkReservationPath(b *testing.B) {
 // BenchmarkStandbyApplyLag is how long an acknowledged reservation sits on
 // a durable primary alone: the time from its 202 until a warm standby,
 // shipping over loopback HTTP, has applied its seq. Only that wait is timed.
-// Run it with a fixed count, e.g. `-bench StandbyApplyLag -benchtime 20x`.
+// Each rung first journals that many reservations on the primary, with
+// snapshots off, so the rungs show what the journal's length costs a woken
+// poll. Run it with a fixed count, e.g. `-bench StandbyApplyLag -benchtime 20x`.
 func BenchmarkStandbyApplyLag(b *testing.B) {
+	for _, journaled := range []int{0, 20000} {
+		b.Run(fmt.Sprintf("journal=%d", journaled), func(b *testing.B) {
+			benchmarkStandbyApplyLag(b, journaled)
+		})
+	}
+}
+
+func benchmarkStandbyApplyLag(b *testing.B, journaled int) {
 	f, err := testutil.NewFig2()
 	if err != nil {
 		b.Fatal(err)
@@ -91,6 +102,19 @@ func BenchmarkStandbyApplyLag(b *testing.B) {
 	defer primary.Close()
 	pts := httptest.NewServer(primary)
 	defer pts.Close()
+
+	payload := []byte(`{"user":1,"video":0,"start":86400}`)
+	reserve := func() {
+		w := httptest.NewRecorder()
+		primary.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/reservations", bytes.NewReader(payload)))
+		if w.Code != http.StatusAccepted {
+			b.Fatalf("status %d, want 202: %s", w.Code, w.Body)
+		}
+	}
+	b.StopTimer()
+	for i := 0; i < journaled; i++ {
+		reserve()
+	}
 	standby, err := NewWithOptions(f.Model, Options{DataDir: b.TempDir(), Horizon: cfg, ReplicateFrom: pts.URL})
 	if err != nil {
 		b.Fatal(err)
@@ -98,13 +122,8 @@ func BenchmarkStandbyApplyLag(b *testing.B) {
 	defer standby.Close()
 	standby.StartReplication(context.Background())
 
-	payload := []byte(`{"user":1,"video":0,"start":86400}`)
 	lag := func() {
-		w := httptest.NewRecorder()
-		primary.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/reservations", bytes.NewReader(payload)))
-		if w.Code != http.StatusAccepted {
-			b.Fatalf("status %d, want 202: %s", w.Code, w.Body)
-		}
+		reserve()
 		seq := primary.horizon.AppliedSeq()
 		b.StartTimer()
 		for standby.horizon.AppliedSeq() < seq {
@@ -112,8 +131,7 @@ func BenchmarkStandbyApplyLag(b *testing.B) {
 		}
 		b.StopTimer()
 	}
-	b.StopTimer()
-	for i := 0; i < 3; i++ { // the standby's first rounds
+	for i := 0; i < 3; i++ { // the standby's first rounds: it catches up the journal
 		lag()
 	}
 	b.ResetTimer()

@@ -540,3 +540,55 @@ func TestFailoverForcedPromotionSupersedesTheFence(t *testing.T) {
 		t.Fatalf("old primary at epoch %d, want the promoted epoch %d", got, prom.Epoch)
 	}
 }
+
+// A standby whose source was fenced ships nothing more: every round fails
+// with the stale-leadership refusal. From the first failed round it answers
+// /readyz 503, naming the failure, until a round succeeds again; it stays
+// synced, so a forced failover may still promote it.
+func TestFailoverStandbyOfAFencedSourceIsNotReady(t *testing.T) {
+	f, err := testutil.NewFig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := mustNew(t, f, Options{DataDir: t.TempDir(), Horizon: replCfg()})
+	pts := httptest.NewServer(primary)
+	t.Cleanup(pts.Close)
+	standby := mustNew(t, f, Options{DataDir: t.TempDir(), Horizon: replCfg(), ReplicateFrom: pts.URL})
+	sts := httptest.NewServer(standby)
+	t.Cleanup(sts.Close)
+	standby.StartReplication(context.Background())
+
+	// await polls the standby's /readyz until done accepts a reply.
+	await := func(what string, done func(int, api.ReadyResponse) bool) (int, api.ReadyResponse) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			code, ready := getAs[api.ReadyResponse](t, sts.URL+"/readyz")
+			if done(code, ready) {
+				return code, ready
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("standby never %s: %d %+v", what, code, ready)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	await("became ready", func(code int, _ api.ReadyResponse) bool { return code == http.StatusOK })
+
+	if resp := postJSON(t, pts.URL+"/v1/replication/fence", api.FenceRequest{Epoch: 3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fence of the primary at 3: status %d", resp.StatusCode)
+	}
+	code, ready := await("recorded a failed round", func(_ int, r api.ReadyResponse) bool { return r.Status.LastError != "" })
+	if !strings.Contains(ready.Status.LastError, api.StaleLeadership) {
+		t.Fatalf("last error %q, want the stale-leadership refusal", ready.Status.LastError)
+	}
+	if code != http.StatusServiceUnavailable || ready.Ready || ready.Status.CaughtUp {
+		t.Fatalf("standby of a fenced source: readyz %d %+v, want 503 and not caught up", code, ready)
+	}
+	if !strings.HasPrefix(ready.Reason, "replication failing: ") {
+		t.Fatalf("readyz reason %q, want the failing replication named", ready.Reason)
+	}
+	if !ready.Status.Synced {
+		t.Fatalf("a failed round unsynced the standby: %+v", ready.Status)
+	}
+}

@@ -20,7 +20,7 @@ const (
 	RoleFollower
 )
 
-// String returns the flag spelling of the role.
+// String returns the role as the replication status spells it.
 func (r Role) String() string {
 	switch r {
 	case RolePrimary:
@@ -29,16 +29,6 @@ func (r Role) String() string {
 		return "follower"
 	}
 	return fmt.Sprintf("Role(%d)", int(r))
-}
-
-// ParseRole parses the flag spelling ("primary", "follower").
-func ParseRole(s string) (Role, error) {
-	for _, r := range []Role{RolePrimary, RoleFollower} {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown role %q (want primary or follower)", s)
 }
 
 // ErrStaleLeadership rejects an operation made under a superseded

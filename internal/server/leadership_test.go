@@ -9,19 +9,7 @@ import (
 	"github.com/vodsim/vsp/internal/wal"
 )
 
-func TestParseRole(t *testing.T) {
-	for in, want := range map[string]Role{"primary": RolePrimary, "follower": RoleFollower} {
-		got, err := ParseRole(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseRole(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseRole("king"); err == nil {
-		t.Fatal("unknown role accepted")
-	}
-}
-
-// The zero Role must be primary: a zero server.Options builds a normal
+// The zero Role must be primary: a node without ReplicateFrom is a normal
 // single-node primary, not a follower that rejects all intake.
 func TestZeroRoleIsPrimary(t *testing.T) {
 	var r Role

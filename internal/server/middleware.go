@@ -45,14 +45,12 @@ type Options struct {
 	// negative = no queue, shed immediately at saturation). A queued
 	// request waits up to DefaultQueueWait for a slot before it is shed.
 	MaxQueue int
-	// Role is the node's serving role (default RolePrimary). Followers
-	// reject stateful intake with the stale-leadership error until
-	// promoted via POST /v1/replication/promote.
-	Role Role
 	// ReplicateFrom is a primary's base URL; setting it makes the node a
 	// follower that ships the primary's WAL into its own horizon service
-	// once StartReplication is called. Combine with DataDir so the
-	// applied position survives a follower restart.
+	// once StartReplication is called, and without it the node is a
+	// primary. A follower rejects stateful intake with the stale-leadership
+	// error until promoted via POST /v1/replication/promote. Combine with
+	// DataDir so the applied position survives a follower restart.
 	ReplicateFrom string
 	// ShardID labels this node's shard in a sharded intake tier; it is
 	// echoed in the /v1/stats shard block so a routing gateway can match

@@ -210,7 +210,9 @@ func TestFollowerPlanFollowsItsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	follower, err := NewWithOptions(r.Model, Options{Role: RoleFollower})
+	// A source makes the node a follower; its shipper is never started, so
+	// the test ships by hand.
+	follower, err := NewWithOptions(r.Model, Options{ReplicateFrom: "http://primary.invalid"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func NewWithOptions(model *cost.Model, opts Options) (*Server, error) {
 	} else {
 		hz = horizon.New(model, opts.Horizon)
 	}
-	role := opts.Role
+	role := RolePrimary
 	if opts.ReplicateFrom != "" {
 		// A node shipping another's WAL is a follower by definition.
 		role = RoleFollower

@@ -94,7 +94,11 @@ func (sh *Shipper) poll(ctx context.Context) (applied int, caughtUp bool, err er
 	defer func() {
 		sh.mu.Lock()
 		if err != nil {
+			// A failed round proves nothing about the tail: the follower is
+			// not caught up until a round succeeds and says so. Synced
+			// stands, so a failover may still promote it.
 			sh.lastErr = err.Error()
+			sh.caughtUp = false
 		} else {
 			sh.lastErr = ""
 		}

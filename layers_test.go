@@ -430,6 +430,15 @@ var grepRules = []grepRule{
 		why: "a phase is called outside internal/scheduler: scheduler.Solve owns the pipeline, and only the solver's own packages and the experiments call a phase directly",
 	},
 	{
+		name:    "pool: GOMAXPROCS sizes every CPU fan-out",
+		pattern: regexp.MustCompile(`runtime\.GOMAXPROCS\(`),
+		in:      wholeProgram,
+		except:  regexp.MustCompile(`^internal/(parallel|testutil)/`),
+		want:    0,
+		hit:     "parallelism = runtime.GOMAXPROCS(0)", miss: "parallel.Do(ctx, len(ps), run)",
+		why: "runtime.GOMAXPROCS is read or set outside internal/parallel and the tests' SetProcs: a private pool or a sizing knob is growing back; fan work out with parallel.Do, whose pool is GOMAXPROCS goroutines, and size a run with GOMAXPROCS",
+	},
+	{
 		name:    "bar: audit.Run is an oracle, not a gate",
 		pattern: regexp.MustCompile(`audit\.Run\(`),
 		in:      wholeProgram,
