@@ -94,8 +94,10 @@ bench:
 # Machine-readable scheduler benchmark record (ns/op, allocs/op for the
 # one-shot solver and the rolling-horizon incremental extension, plus
 # their speedup ratio, and one epoch close over 2 000 and 20 000 requests
-# of committed history, in memory and durable, and what one reservation
-# allocates between Server.ServeHTTP and its ack). The later runs exercise
+# of committed history, in memory and durable, what one reservation
+# allocates between Server.ServeHTTP and its ack, and how long an acked
+# reservation takes to reach a standby over a journal of 0 and 20 000
+# records). The later runs exercise
 # the parallel fan-out at -cpu 1,4 — both the isolated phase 1 and the
 # full 10k-request solve — so benchjson can derive
 # phase1_parallel_speedup from the matched pair, and the gateway submit
@@ -107,6 +109,8 @@ bench-json:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' \
 		-benchmem ./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=20000x \
+		-benchmem ./internal/server ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x \
 		-benchmem ./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
@@ -135,11 +139,18 @@ bench-json:
 # decoding, merging and encoding per read again allocates a hundred times
 # its B/op, and /after_commit with all three replaced before every read,
 # where decoding the shard schedules into structs and cloning them to merge
-# allocates three times its B/op.
+# allocates three times its B/op. BenchmarkStandbyApplyLag rides along at
+# 20 reservations a run: a standby's poll reads only the records it ships, so
+# the rung over a journal of 20 000 records reads what the empty one does, and
+# a poll that goes back to reading the whole journal allocates 500 times its
+# B/op there (5.6 MB) and is 50 times slower; the B/op is the steadier of the
+# two, as the lag's ns/op moves by 2x between runs of the same code.
 bench-smoke:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
+		./internal/server ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x -count=3 -benchmem \
 		./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$/^(unchanged|after_commit)$$' -benchtime=200x -count=3 -benchmem \
 		./internal/gateway ) \

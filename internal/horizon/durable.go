@@ -29,6 +29,9 @@ import (
 //
 //	<dir>/wal.log    append-only operation journal
 //	<dir>/snapshot   atomically-replaced full state (may be absent)
+//
+// and, while one is being written, the next snapshot or the next journal
+// under a .tmp suffix, which recovery never reads.
 
 // LogName is the journal's file name inside a data directory.
 const LogName = "wal.log"
@@ -143,15 +146,19 @@ func (s *Service) Durable() bool {
 }
 
 // Close flushes and closes the journal. The service must not be used
-// afterwards. Closing an in-memory service is a no-op.
+// afterwards. Closing an in-memory service is a no-op. A snapshot being
+// written is finished first, and one captured but not begun is dropped: the
+// journal still holds every record it would have covered.
 func (s *Service) Close() error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return nil
 	}
 	err := s.journal.Close()
-	s.journal = nil
+	s.journal, s.due = nil, nil
 	return err
 }
 
@@ -234,9 +241,15 @@ func (op walOp) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// maybeSnapshotLocked compacts the journal after an epoch commit when the
-// snapshot period has elapsed. A snapshot failure is recorded but not
-// fatal: the un-compacted journal still reaches the same state by replay.
+// maybeSnapshotLocked marks a snapshot due after an epoch commit when the
+// snapshot period has elapsed. Under s.mu it only captures what to write: the
+// committed state and the seq it covers. That is a consistent reading after
+// the lock is released, because Committed is never modified and Accepted only
+// grows, so the caller writes it then (unlock, writeSnapshot), and submits,
+// plan reads and polls do not wait behind the encode and the write. A state
+// the writer could not encode, a NaN or infinite float, is a failed snapshot
+// here and now. A snapshot failure is recorded but not fatal: the
+// un-compacted journal still reaches the same state by replay.
 func (s *Service) maybeSnapshotLocked() {
 	if s.journal == nil {
 		return
@@ -248,21 +261,87 @@ func (s *Service) maybeSnapshotLocked() {
 	if every < 0 || s.st.Epoch%every != 0 {
 		return
 	}
-	// The payload is appended to the last one's buffer, which doubles only
-	// when a state no longer fits in it: a shard whose history grows a
-	// little per epoch reallocates it once per doubling, not at every
-	// snapshot.
-	blob, err := s.st.appendJSON(s.snap[:0])
-	if err == nil {
-		s.snap = blob
-		err = wal.WriteSnapshot(s.dir, s.lastSeq, blob)
+	for _, f := range [...]float64{float64(s.st.Cost), s.st.PendingBytes} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			s.recovery.SnapshotFailures++
+			return
+		}
 	}
+	s.due = &capture{st: s.st, seq: s.lastSeq}
+}
+
+// capture is a snapshot due: the state to write and the seq it covers.
+type capture struct {
+	st  state
+	seq uint64
+}
+
+// unlock releases s.mu and then, if a commit captured a snapshot, writes it,
+// so that the caller returns only once the snapshot its commit made due is
+// durable. Advance, AdvanceBehind and ApplyReplicated release the lock by it.
+func (s *Service) unlock() {
+	due := s.due != nil
+	s.mu.Unlock()
+	if due {
+		s.writeSnapshot()
+	}
+}
+
+// snapshotChunk is the size of the buffer a snapshot streams through.
+const snapshotChunk = 64 << 10
+
+// writeSnapshot writes the captured snapshot and compacts the journal through
+// the seq it covers; callers do not hold s.mu. Writers hold snapMu, so they
+// run one at a time, and each takes the newest capture, so snapshots are
+// published in commit order; a capture that a later one replaced before its
+// write began is not written, since the later snapshot covers it. The encode
+// and the write run without s.mu. The journal is compacted under it, keeping
+// the records appended meanwhile, which is all that compaction costs the lock.
+func (s *Service) writeSnapshot() {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	s.mu.Lock()
+	c := s.due
+	s.due = nil
+	s.mu.Unlock()
+	if c == nil {
+		return // a writer before this one took it
+	}
+	if s.parkSnapshot != nil {
+		s.parkSnapshot()
+	}
+	err := s.streamSnapshot(c)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err == nil {
-		err = s.journal.Reset()
+		err = s.journal.CompactThrough(c.seq)
 	}
 	if err != nil {
 		s.recovery.SnapshotFailures++
 	}
+}
+
+// streamSnapshot encodes the captured state straight into the snapshot file,
+// through a chunk buffer the service keeps (guarded by snapMu).
+func (s *Service) streamSnapshot(c *capture) error {
+	w, err := wal.CreateSnapshot(s.dir, c.seq)
+	if err != nil {
+		return err
+	}
+	flush := func(b []byte) []byte {
+		w.Write(b) // a failure sticks, and Publish returns it
+		return b[:0]
+	}
+	if s.chunk == nil {
+		s.chunk = make([]byte, 0, snapshotChunk)
+	}
+	last, err := c.st.encodeJSON(s.chunk[:0], flush)
+	if err != nil {
+		w.Abort()
+		return err
+	}
+	s.chunk = flush(last)
+	return w.Publish()
 }
 
 // appendJSON appends the snapshot payload to dst: json.Marshal of the tagged
@@ -270,7 +349,12 @@ func (s *Service) maybeSnapshotLocked() {
 // infinite Cost or PendingBytes is an error, as it is to json.Marshal, and
 // returns dst unextended. Recover and InstallSnapshot decode the payload with
 // encoding/json, so the struct tags remain the format's definition.
-func (st *state) appendJSON(dst []byte) ([]byte, error) {
+func (st *state) appendJSON(dst []byte) ([]byte, error) { return st.encodeJSON(dst, nil) }
+
+// encodeJSON is appendJSON's encoder, writing through flush when it is not nil
+// (schedule.Schedule.EncodeJSON): the result is then the payload's last chunk,
+// and after an error what was flushed is to be discarded.
+func (st *state) encodeJSON(dst []byte, flush func([]byte) []byte) ([]byte, error) {
 	out := strconv.AppendInt(append(dst, `{"horizon":`...), int64(st.Horizon), 10)
 	out = strconv.AppendInt(append(out, `,"epoch":`...), int64(st.Epoch), 10)
 	out = strconv.AppendInt(append(out, `,"clock":`...), int64(st.Clock), 10)
@@ -279,13 +363,13 @@ func (st *state) appendJSON(dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	out = st.Committed.AppendJSON(append(out, `,"committed":`...))
-	out = st.Accepted.AppendJSON(append(out, `,"accepted":`...))
+	out = st.Committed.EncodeJSON(append(out, `,"committed":`...), flush)
+	out = st.Accepted.EncodeJSON(append(out, `,"accepted":`...), flush)
 	pending := st.Accepted[st.planned:]
 	if len(pending) == 0 {
 		pending = nil // an emptied buffer has always been written null
 	}
-	out = pending.AppendJSON(append(out, `,"pending":`...))
+	out = pending.EncodeJSON(append(out, `,"pending":`...), flush)
 	if out, err = appendFloat(append(out, `,"pending_bytes":`...), "pending_bytes", st.PendingBytes); err != nil {
 		return dst, err
 	}

@@ -1,13 +1,17 @@
 package horizon_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -493,5 +497,380 @@ func recoverAfterOverflowResolvingEpochs(t *testing.T, snapEvery int) {
 	defer re.Close()
 	if got := fingerprint(t, re); got != want {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// advanceIndices returns the positions of a script's advances.
+func advanceIndices(ops []walTestOp) []int {
+	var adv []int
+	for i, op := range ops {
+		if !op.submit {
+			adv = append(adv, i)
+		}
+	}
+	return adv
+}
+
+// parkedClose starts the close to the given horizon with its snapshot writer
+// parked (ParkSnapshot), and returns once the writer waits: the close is
+// committed and the lock released. finish lets the writer go on and waits for
+// the close to return.
+func parkedClose(t *testing.T, svc *horizon.Service, to simtime.Time) (finish func()) {
+	t.Helper()
+	parked, release := svc.ParkSnapshot()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Advance(context.Background(), to)
+		done <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("the close to %v returned (%v) without writing a snapshot", to, err)
+	}
+	return func() {
+		t.Helper()
+		release()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// returnsWhileParked fails the test unless call returns, without an error,
+// while a snapshot writer is parked.
+func returnsWhileParked(t *testing.T, what string, call func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s while the snapshot is written: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s waits for the snapshot to be written", what)
+	}
+}
+
+// planBytes is the /v1/plan body's encoding of the service's plan.
+func planBytes(t *testing.T, svc *horizon.Service) []byte {
+	t.Helper()
+	b, err := json.Marshal(svc.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// A close holds the intake lock for its epoch, not its history: the snapshot
+// it makes due is written after the lock is released. While the writer is
+// parked, submits, plan reads and polls return; once it goes on, the snapshot
+// covers the seq the close captured, the journal holds exactly the records
+// journaled meanwhile, and a recovery serves the same plan, byte for byte.
+func TestSubmitsProceedWhileTheSnapshotIsWritten(t *testing.T) {
+	r := rig(t, durableParams())
+	cfg := horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever}
+	dir := t.TempDir()
+	svc, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := script(r, 3)
+	adv := advanceIndices(ops)
+	for _, op := range ops[:adv[0]] {
+		applyOp(t, svc, op)
+	}
+	finish := parkedClose(t, svc, ops[adv[0]].to)
+	captured := svc.AppliedSeq()
+	meanwhile := ops[adv[0]+1 : adv[1]]
+	for _, op := range meanwhile {
+		returnsWhileParked(t, "a submit", func() error {
+			_, err := svc.Submit(op.at, op.req)
+			return err
+		})
+	}
+	returnsWhileParked(t, "a plan read", func() error {
+		if p := svc.Plan(); p.Epoch != 1 || p.Pending != len(meanwhile) {
+			return fmt.Errorf("epoch %d with %d pending, want 1 with %d", p.Epoch, p.Pending, len(meanwhile))
+		}
+		return nil
+	})
+	var shipped []wal.Record
+	returnsWhileParked(t, "a poll", func() error {
+		b, err := svc.TailAfter(captured, nil, 0)
+		for _, rec := range b.Records {
+			shipped = append(shipped, wal.Record{Seq: rec.Seq, Payload: rec.Payload})
+		}
+		return err
+	})
+	finish()
+
+	if seq, _, ok, err := wal.ReadSnapshot(dir); err != nil || !ok || seq != captured {
+		t.Fatalf("the snapshot: seq %d, present %v, %v; want the captured seq %d", seq, ok, err, captured)
+	}
+	recs, _, err := wal.ReadLogAfter(filepath.Join(dir, horizon.LogName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shipped) != len(meanwhile) || fmt.Sprint(recs) != fmt.Sprint(shipped) {
+		t.Fatalf("the journal holds %d records, want the %d journaled while the snapshot was written", len(recs), len(meanwhile))
+	}
+	want, wantPlan := fingerprint(t, svc), planBytes(t, svc)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := planBytes(t, re); !bytes.Equal(got, wantPlan) {
+		t.Fatalf("the recovered plan differs:\n got %.300s\nwant %.300s", got, wantPlan)
+	}
+	if fingerprint(t, re) != want {
+		t.Fatal("the recovered state differs")
+	}
+}
+
+// Close during a snapshot waits for the writer, and leaves the published
+// snapshot and a journal that holds every acked record it does not cover.
+func TestCloseDuringASnapshot(t *testing.T) {
+	r := rig(t, durableParams())
+	cfg := horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever}
+	dir := t.TempDir()
+	svc, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := script(r, 3)
+	adv := advanceIndices(ops)
+	for _, op := range ops[:adv[0]] {
+		applyOp(t, svc, op)
+	}
+	finish := parkedClose(t, svc, ops[adv[0]].to)
+	for _, op := range ops[adv[0]+1 : adv[1]] {
+		applyOp(t, svc, op)
+	}
+	want := fingerprint(t, svc)
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the snapshot was being written", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	finish()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	re, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !re.Recovery().SnapshotLoaded || fingerprint(t, re) != want {
+		t.Fatalf("recovery after a close during a snapshot: %+v, state equal %v", re.Recovery(), fingerprint(t, re) == want)
+	}
+}
+
+// The crash windows of a compaction that keeps records: the snapshot is
+// published and the journal not yet compacted; the new journal was being
+// written and never renamed into place (a torn tmp file beside the old one);
+// and the new journal renamed into place. Each recovers every acked record
+// and the same plan, byte for byte, and then reaches the uninterrupted run's
+// state; the torn rewrite is removed.
+func TestCrashRecoverAroundKeptCompaction(t *testing.T) {
+	r := rig(t, durableParams())
+	cfg := horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever}
+	refDir := t.TempDir()
+	svc, err := horizon.Recover(refDir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := script(r, 3)
+	adv := advanceIndices(ops)
+	for _, op := range ops[:adv[0]] {
+		applyOp(t, svc, op)
+	}
+	finish := parkedClose(t, svc, ops[adv[0]].to)
+	cut := adv[1]
+	for _, op := range ops[adv[0]+1 : cut] { // acked while the snapshot is written
+		applyOp(t, svc, op)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(refDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	oldLog := read(horizon.LogName)
+	finish()
+	mid, midPlan := fingerprint(t, svc), planBytes(t, svc)
+	snap, newLog := read(wal.SnapshotName), read(horizon.LogName)
+	if len(newLog) < 64 || len(newLog) >= len(oldLog) {
+		t.Fatalf("fixture bug: the journal went from %d to %d bytes; the compaction must keep records and drop some", len(oldLog), len(newLog))
+	}
+	for _, op := range ops[cut:] {
+		applyOp(t, svc, op)
+	}
+	want := fingerprint(t, svc)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, img := range []struct {
+		name     string
+		log, tmp []byte
+	}{
+		{"published-before-compaction", oldLog, nil},
+		{"torn-rewrite", oldLog, newLog[:len(newLog)-5]},
+		{"after-rename", newLog, nil},
+	} {
+		t.Run(img.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string][]byte{wal.SnapshotName: snap, horizon.LogName: img.log}
+			if img.tmp != nil {
+				files[horizon.LogName+".tmp"] = img.tmp
+			}
+			for name, b := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re, err := horizon.Recover(dir, r.Model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := planBytes(t, re); !bytes.Equal(got, midPlan) {
+				t.Fatalf("the recovered plan differs:\n got %.300s\nwant %.300s", got, midPlan)
+			}
+			if fingerprint(t, re) != mid {
+				t.Fatal("the recovered state differs: an acked record is missing or extra")
+			}
+			if _, err := os.Stat(filepath.Join(dir, horizon.LogName+".tmp")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the torn rewrite survived recovery: %v", err)
+			}
+			for _, op := range ops[cut:] {
+				applyOp(t, re, op)
+			}
+			if fingerprint(t, re) != want {
+				t.Fatal("the resumed run diverged from the uninterrupted one")
+			}
+		})
+	}
+}
+
+// Closes, submits and polls from several goroutines at once, with a snapshot
+// due at every close: the snapshot writers take turns, the journal is
+// compacted under appends, a standby shipping all the while converges, and a
+// recovery reaches the live state.
+func TestConcurrentClosesAndPolls(t *testing.T) {
+	r := rig(t, testutil.Params{
+		Storages: 6, UsersPerStorage: 4, Titles: 15, WindowHours: 8,
+		CapacityGB: 20, RequestsPerUser: 5, Seed: 1,
+	})
+	cfg := horizon.Config{SnapshotEvery: 1, Fsync: wal.FsyncNever}
+	dir := t.TempDir()
+	svc, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := append(workload.Set(nil), r.Requests...)
+	workload.SortChronological(reqs)
+	ctx := context.Background()
+	follower := horizon.New(r.Model, horizon.Config{})
+	var wg sync.WaitGroup
+	submitted := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(submitted)
+		for i, q := range reqs {
+			if _, err := svc.Submit(q.Start, q); err != nil && !errors.Is(err, horizon.ErrLateArrival) {
+				t.Error(err)
+				return
+			}
+			if i%12 == 11 { // as a shard closes its own epochs, besides the closers below
+				if _, err := svc.AdvanceBehind(ctx, 20*simtime.Minute); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-submitted:
+					return
+				default:
+				}
+				if _, err := svc.AdvanceBehind(ctx, 20*simtime.Minute); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-submitted:
+				return
+			default:
+			}
+			after, crc, ok := follower.ResumePoint()
+			var check *uint32
+			if ok {
+				check = &crc
+			}
+			b, err := svc.TailAfter(after, check, 4)
+			if err == nil && b.Snapshot != nil {
+				err = follower.InstallSnapshot(b.SnapshotSeq, b.Snapshot)
+			}
+			for _, rec := range b.Records {
+				if err == nil {
+					_, err = follower.ApplyReplicated(ctx, wal.Record{Seq: rec.Seq, Payload: rec.Payload})
+				}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if _, err := svc.AdvanceBehind(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, svc, follower)
+	want := fingerprint(t, svc)
+	if svc.Epoch() < 5 {
+		t.Fatalf("fixture bug: %d epochs closed", svc.Epoch())
+	}
+	if fingerprint(t, follower) != want {
+		t.Fatal("the standby's state differs from the primary's")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := horizon.Recover(dir, r.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if fingerprint(t, re) != want {
+		t.Fatal("the recovered state differs from the live one")
 	}
 }

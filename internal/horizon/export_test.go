@@ -103,3 +103,18 @@ func (s *Service) KeptLedgerDiff() string {
 	topo := s.m.Book().Topology()
 	return occupancy.Diff(topo, s.checker.Ledger(), occupancy.FromSchedule(topo, s.m.Catalog(), s.st.Committed))
 }
+
+// ParkSnapshot makes the next snapshot writer wait before it writes: parked
+// is closed once it waits, and release lets it go on. The commit that made
+// the snapshot due is journaled and installed by then, and the lock released.
+func (s *Service) ParkSnapshot() (parked <-chan struct{}, release func()) {
+	p, r := make(chan struct{}), make(chan struct{})
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	s.parkSnapshot = func() {
+		s.parkSnapshot = nil // runs under snapMu
+		close(p)
+		<-r
+	}
+	return p, func() { close(r) }
+}

@@ -141,9 +141,16 @@ type Service struct {
 	lastCRC  uint32 // the checksum of the record at lastSeq, when haveCRC
 	haveCRC  bool   // false after a snapshot install, or a recovery with no record after the snapshot
 	recovery api.RecoveryStats
-	snap     []byte        // the last snapshot's encoding; its array is the next one's buffer
 	rec      []byte        // the journal record being appended, reused from one to the next
 	appended chan struct{} // closed at the next journal append; nil until Journaled asks (replicate.go)
+	due      *capture      // a snapshot a commit made due, not yet written; guarded by mu
+
+	// snapMu is held while a snapshot is written and the journal compacted
+	// after it (writeSnapshot), and by whatever must not overlap that
+	// (InstallSnapshot, Close). It is taken before mu, never while holding it.
+	snapMu       sync.Mutex
+	chunk        []byte // the buffer a snapshot streams through; guarded by snapMu
+	parkSnapshot func() // called before each snapshot write, when set; tests park the writer with it
 }
 
 // state is the full mutable state of a Service, declared once: the live
@@ -286,7 +293,7 @@ func (s *Service) known(r workload.Request) error {
 // left untouched.
 func (s *Service) Advance(ctx context.Context, to simtime.Time) (*api.EpochResult, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.advanceLocked(ctx, to)
 }
 
@@ -296,7 +303,7 @@ func (s *Service) Advance(ctx context.Context, to simtime.Time) (*api.EpochResul
 // is nil.
 func (s *Service) AdvanceBehind(ctx context.Context, lag simtime.Duration) (*api.EpochResult, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	to := s.st.Clock.Add(-lag)
 	if to <= s.st.Horizon {
 		return nil, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"github.com/vodsim/vsp/internal/api"
 	"github.com/vodsim/vsp/internal/wal"
@@ -75,15 +74,19 @@ func (s *Service) Journaled(seq uint64) <-chan struct{} {
 	return s.appended
 }
 
-// TailAfter assembles the replication batch following the given sequence,
-// reading the journal back from disk under the service lock (appends are
-// serialized under the same lock, so the read observes whole records only):
+// TailAfter assembles the replication batch following the given sequence:
 // either the records directly after it, each with its WAL checksum, or —
 // when compaction has already folded those records into a snapshot — the
 // full live state at the last sequence, byte-identical to what a crash
-// recovery at this instant would reload. maxRecords caps the records; 0
-// means no cap. LastSeq is the latest journaled sequence, which lets the
-// follower compute its lag; the caller sets LeaderEpoch.
+// recovery at this instant would reload. The records are read back from the
+// journal under the service lock (appends and compactions are serialized
+// under the same lock, so the read observes whole records only), by the
+// offsets the journal keeps: one read of just the records shipped, so a poll
+// costs what it ships, not the journal's length. A state is encoded after
+// the lock is released; a captured state is a consistent reading.
+// maxRecords caps the records; 0 means no cap. LastSeq is the latest
+// journaled sequence, which lets the follower compute its lag; the caller
+// sets LeaderEpoch.
 //
 // crc, when non-nil, is the checksum of the follower's own record at after
 // (ResumePoint). A follower whose record there differs from this service's,
@@ -92,10 +95,25 @@ func (s *Service) Journaled(seq uint64) <-chan struct{} {
 // comparison is skipped when this service no longer holds the record (it
 // was compacted into a snapshot, or arrived in one).
 func (s *Service) TailAfter(after uint64, crc *uint32, maxRecords int) (*api.Batch, error) {
+	batch, st, err := s.tail(after, crc, maxRecords)
+	if err != nil || st == nil {
+		return batch, err
+	}
+	if batch.Snapshot, err = st.appendJSON(nil); err != nil {
+		return nil, fmt.Errorf("horizon: snapshot state: %w", err)
+	}
+	batch.SnapshotSeq = batch.LastSeq
+	return batch, nil
+}
+
+// tail is TailAfter under the lock. When the records right after the resume
+// point were compacted into a snapshot, it returns the live state to ship
+// instead, for TailAfter to encode.
+func (s *Service) tail(after uint64, crc *uint32, maxRecords int) (*api.Batch, *state, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
-		return nil, ErrNotDurable
+		return nil, nil, ErrNotDurable
 	}
 	diverged := func(mine uint32) error {
 		return fmt.Errorf("horizon: follower's record seq %d has crc %08x, this node's %08x (last seq %d): %w",
@@ -103,47 +121,45 @@ func (s *Service) TailAfter(after uint64, crc *uint32, maxRecords int) (*api.Bat
 	}
 	switch {
 	case after > s.lastSeq:
-		return nil, fmt.Errorf("horizon: follower at seq %d is past this node's last seq %d: %w", after, s.lastSeq, ErrDiverged)
+		return nil, nil, fmt.Errorf("horizon: follower at seq %d is past this node's last seq %d: %w", after, s.lastSeq, ErrDiverged)
 	case crc != nil && after == s.lastSeq && s.haveCRC && *crc != s.lastCRC:
-		return nil, diverged(s.lastCRC)
+		return nil, nil, diverged(s.lastCRC)
 	}
 	batch := &api.Batch{LastSeq: s.lastSeq}
 	if after == s.lastSeq {
-		return batch, nil // follower is caught up
+		return batch, nil, nil // follower is caught up
 	}
-	from := after
+	from, limit := after, maxRecords
 	if crc != nil && after > 0 {
 		from = after - 1 // read the record at after too, to compare
+		if limit > 0 {
+			limit++
+		}
 	}
-	recs, _, err := wal.ReadLogAfter(filepath.Join(s.dir, LogName), from)
+	recs, err := s.journal.ReadAfter(from, limit)
 	if err != nil {
-		return nil, fmt.Errorf("horizon: read journal tail: %w", err)
+		return nil, nil, fmt.Errorf("horizon: read journal tail: %w", err)
 	}
 	if from < after && len(recs) > 0 && recs[0].Seq == after {
 		if mine := wal.Checksum(after, recs[0].Payload); mine != *crc {
-			return nil, diverged(mine)
+			return nil, nil, diverged(mine)
 		}
 		recs = recs[1:]
 	}
 	if len(recs) == 0 || recs[0].Seq != after+1 {
 		// The records right after the resume point were compacted into a
 		// snapshot. Ship the live state instead of the unreachable diff.
-		blob, err := s.st.appendJSON(nil)
-		if err != nil {
-			return nil, fmt.Errorf("horizon: snapshot state: %w", err)
-		}
-		batch.Snapshot = blob
-		batch.SnapshotSeq = s.lastSeq
-		return batch, nil
+		st := s.st
+		return batch, &st, nil
 	}
 	if maxRecords > 0 && len(recs) > maxRecords {
-		recs = recs[:maxRecords]
+		recs = recs[:maxRecords] // the record at after was not there to compare
 	}
 	batch.Records = make([]api.Record, len(recs))
 	for i, rec := range recs {
 		batch.Records[i] = api.Record{Seq: rec.Seq, CRC: wal.Checksum(rec.Seq, rec.Payload), Payload: rec.Payload}
 	}
-	return batch, nil
+	return batch, nil, nil
 }
 
 // ApplyReplicated applies one shipped journal record. It returns
@@ -156,7 +172,7 @@ func (s *Service) TailAfter(after uint64, crc *uint32, maxRecords int) (*api.Bat
 // immediately rather than at the next failover.
 func (s *Service) ApplyReplicated(ctx context.Context, rec wal.Record) (bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if rec.Seq <= s.lastSeq {
 		return false, nil // duplicate delivery; already applied
 	}
@@ -186,6 +202,8 @@ func (s *Service) ApplyReplicated(ctx context.Context, rec wal.Record) (bool, er
 // same sequence. A snapshot that does not advance past the applied
 // sequence is rejected.
 func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
+	s.snapMu.Lock() // no snapshot of the state it replaces is written over it
+	defer s.snapMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq <= s.lastSeq {
@@ -210,7 +228,7 @@ func (s *Service) InstallSnapshot(seq uint64, blob []byte) error {
 		}
 		s.journal.EnsureSeqAbove(seq)
 	}
-	s.st = st
+	s.st, s.due = st, nil
 	s.lastSeq, s.haveCRC = seq, false
 	s.recovery.SnapshotLoaded = true
 	return nil

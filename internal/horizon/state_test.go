@@ -260,3 +260,38 @@ func TestSnapshotOfAnUnencodableStateFails(t *testing.T) {
 		t.Errorf("the journal holds %d records (err %v), want the 12 it was given", len(recs), err)
 	}
 }
+
+// A snapshot streams through a chunk buffer: the encoder hands it over
+// whenever a record might not fit, mid-schedule, mid-list and mid-record, and
+// the chunks it hands over, then the last, are the bytes appendJSON writes,
+// whatever the buffer's size, down to none. A buffer with room for a record
+// is handed over as often as it fills, not grown to the payload's size.
+func TestStreamedStateBytesEqualAppended(t *testing.T) {
+	r, reqs := sharingRig(t)
+	svc := New(r.Model, Config{})
+	driveEpochs(t, svc, reqs[:len(reqs)-3], nil) // three left pending
+	st := svc.st
+	want, err := st.appendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, 1, 97, 300, 4096, 1 << 20} {
+		var got []byte
+		flushes := 0
+		flush := func(b []byte) []byte {
+			got = append(got, b...)
+			flushes++
+			return b[:0]
+		}
+		last, err := st.encodeJSON(make([]byte, 0, size), flush)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, last...); !bytes.Equal(got, want) {
+			t.Fatalf("streamed through %d bytes (%d flushes): %d bytes, not the %d appended", size, flushes, len(got), len(want))
+		}
+		if size >= 300 && size < len(want)/4 && flushes < len(want)/size/2 {
+			t.Fatalf("streamed through %d bytes, %d-byte payload: only %d flushes", size, len(want), flushes)
+		}
+	}
+}

@@ -20,7 +20,15 @@ import (
 // A residency's "services", which the types do not store, are the deliveries
 // drawing from it in ascending order, built in one buffer sized by the largest
 // file; an empty list is null for a pre-placed copy.
-func (s *Schedule) AppendJSON(dst []byte) []byte {
+func (s *Schedule) AppendJSON(dst []byte) []byte { return s.EncodeJSON(dst, nil) }
+
+// EncodeJSON is AppendJSON's encoder, writing through flush when it is not
+// nil: whenever dst has less than a record's room left, flush is handed it and
+// returns the buffer to go on in, typically dst[:0] once its bytes are written
+// out. The result is then the encoding's last chunk, not the whole of it, and a
+// snapshot of any size streams through a buffer of the caller's size. With a
+// nil flush dst grows instead, doubling, and the result is the whole encoding.
+func (s *Schedule) EncodeJSON(dst []byte, flush func([]byte) []byte) []byte {
 	if s == nil {
 		return append(dst, "null"...)
 	}
@@ -41,14 +49,14 @@ func (s *Schedule) AppendJSON(dst []byte) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(strconv.AppendInt(append(dst, '"'), int64(vid), 10), `":`...)
-		dst = s.Files[vid].appendJSON(dst, buf)
+		dst = s.Files[vid].appendJSON(dst, buf, flush)
 	}
 	return append(dst, "}}"...)
 }
 
 // MarshalJSON is AppendJSON's encoding of one file, so that encoding/json
 // writes a schedule as AppendJSON does.
-func (fs FileSchedule) MarshalJSON() ([]byte, error) { return fs.appendJSON(nil, nil), nil }
+func (fs FileSchedule) MarshalJSON() ([]byte, error) { return fs.appendJSON(nil, nil, nil), nil }
 
 // UnmarshalJSON decodes a file as AppendJSON writes it. A key the format
 // does not declare, in the file or in any of its records, is refused by name:
@@ -99,30 +107,32 @@ func keyOrder(files map[media.VideoID]*FileSchedule) []media.VideoID {
 	return keys
 }
 
-func (fs *FileSchedule) appendJSON(dst []byte, buf []int) []byte {
+func (fs *FileSchedule) appendJSON(dst []byte, buf []int, flush func([]byte) []byte) []byte {
 	if fs == nil {
 		return append(dst, "null"...)
 	}
 	dst = strconv.AppendInt(append(dst, `{"video":`...), int64(fs.Video), 10)
-	dst = appendList(append(dst, `,"deliveries":`...), fs.Deliveries, (*Delivery).appendJSON)
+	dst = appendList(append(dst, `,"deliveries":`...), fs.Deliveries, flush, func(d *Delivery, dst []byte) []byte {
+		return d.appendJSON(dst, flush)
+	})
 	at, idx := fs.readers(buf)
 	j := 0
-	return append(appendList(append(dst, `,"residencies":`...), fs.Residencies, func(c *Residency, dst []byte) []byte {
+	return append(appendList(append(dst, `,"residencies":`...), fs.Residencies, flush, func(c *Residency, dst []byte) []byte {
 		j++
-		return c.appendJSON(dst, idx[at[j-1]:at[j]])
+		return c.appendJSON(dst, idx[at[j-1]:at[j]], flush)
 	}), '}')
 }
 
-func (d *Delivery) appendJSON(dst []byte) []byte {
+func (d *Delivery) appendJSON(dst []byte, flush func([]byte) []byte) []byte {
 	dst = strconv.AppendInt(append(dst, `{"video":`...), int64(d.Video), 10)
 	dst = strconv.AppendInt(append(dst, `,"user":`...), int64(d.User), 10)
 	dst = strconv.AppendInt(append(dst, `,"start":`...), int64(d.Start), 10)
-	dst = appendList(append(dst, `,"route":`...), d.Route, appendInt)
+	dst = appendList(append(dst, `,"route":`...), d.Route, flush, appendInt)
 	dst = strconv.AppendInt(append(dst, `,"source_residency":`...), int64(d.SourceResidency), 10)
 	return append(dst, '}')
 }
 
-func (c *Residency) appendJSON(dst []byte, services []int) []byte {
+func (c *Residency) appendJSON(dst []byte, services []int, flush func([]byte) []byte) []byte {
 	if len(services) == 0 && c.FedBy == PrePlacedFeed {
 		services = nil
 	}
@@ -132,7 +142,7 @@ func (c *Residency) appendJSON(dst []byte, services []int) []byte {
 	dst = strconv.AppendInt(append(dst, `,"load":`...), int64(c.Load), 10)
 	dst = strconv.AppendInt(append(dst, `,"last_service":`...), int64(c.LastService), 10)
 	dst = strconv.AppendInt(append(dst, `,"fed_by":`...), int64(c.FedBy), 10)
-	dst = appendList(append(dst, `,"services":`...), services, appendInt)
+	dst = appendList(append(dst, `,"services":`...), services, flush, appendInt)
 	return append(dst, '}')
 }
 
@@ -140,11 +150,12 @@ func appendInt[T ~int](x *T, dst []byte) []byte { return strconv.AppendInt(dst, 
 
 // appendList appends a slice as encoding/json writes one — null when nil, []
 // when empty — each element by enc. Before each element it makes room for a
-// record, doubling dst's capacity when it has to reallocate, as bytes.Buffer
-// does: append alone grows a large slice by a quarter at a time, so an
-// encoding that starts in an empty or outgrown buffer would be reallocated
-// and copied a dozen times on its way to the size of a long history.
-func appendList[T any](dst []byte, xs []T, enc func(*T, []byte) []byte) []byte {
+// record: through flush, when there is one, and otherwise by doubling dst's
+// capacity when it has to reallocate, as bytes.Buffer does: append alone grows
+// a large slice by a quarter at a time, so an encoding that starts in an empty
+// or outgrown buffer would be reallocated and copied a dozen times on its way
+// to the size of a long history.
+func appendList[T any](dst []byte, xs []T, flush func([]byte) []byte, enc func(*T, []byte) []byte) []byte {
 	if xs == nil {
 		return append(dst, "null"...)
 	}
@@ -154,7 +165,12 @@ func appendList[T any](dst []byte, xs []T, enc func(*T, []byte) []byte) []byte {
 			dst = append(dst, ',')
 		}
 		if cap(dst)-len(dst) < recordBytes {
-			dst = slices.Grow(dst, len(dst)+recordBytes)
+			if flush != nil {
+				dst = flush(dst)
+			}
+			if cap(dst)-len(dst) < recordBytes {
+				dst = slices.Grow(dst, len(dst)+recordBytes)
+			}
 		}
 		dst = enc(&xs[i], dst)
 	}

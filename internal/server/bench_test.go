@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/vodsim/vsp/internal/horizon"
 	"github.com/vodsim/vsp/internal/testutil"
@@ -126,8 +125,8 @@ func benchmarkStandbyApplyLag(b *testing.B, journaled int) {
 		reserve()
 		seq := primary.horizon.AppliedSeq()
 		b.StartTimer()
-		for standby.horizon.AppliedSeq() < seq {
-			time.Sleep(100 * time.Microsecond)
+		for at := standby.horizon.AppliedSeq(); at < seq; at = standby.horizon.AppliedSeq() {
+			<-standby.horizon.Journaled(at) // closed at the standby's next append
 		}
 		b.StopTimer()
 	}

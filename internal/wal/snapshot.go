@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,45 +24,115 @@ const SnapshotName = "snapshot"
 // so a reader only ever observes no snapshot or a complete one; a torn
 // snapshot cannot exist, and any checksum failure in one is corruption.
 
-// WriteSnapshot atomically publishes a snapshot covering every record
-// with sequence <= seq.
-func WriteSnapshot(dir string, seq uint64, payload []byte) error {
-	if int64(len(payload)) > MaxRecordBytes {
-		return fmt.Errorf("wal: %d-byte snapshot exceeds record cap %d", len(payload), int64(MaxRecordBytes))
-	}
+// snapHeaderSize is the magic and the record header that precede the payload.
+const snapHeaderSize = len(snapMagic) + recordHeaderSize
+
+// SnapshotWriter streams one snapshot to disk. The payload arrives in chunks,
+// each written as it comes and added to the record's checksum; the magic and
+// the record header, which carry the payload's length and checksum, go in
+// last, into the room left for them at the front of the file. The file is the
+// magic plus the record Append would frame, whatever the chunks were.
+type SnapshotWriter struct {
+	f   *os.File
+	dir string
+	seq uint64
+	crc uint32
+	n   int64 // payload bytes written
+	err error // the first failure; every later call returns it
+}
+
+// CreateSnapshot starts a snapshot covering every record with sequence <= seq.
+// Nothing is published until Publish.
+func CreateSnapshot(dir string, seq uint64) (*SnapshotWriter, error) {
 	if seq == 0 {
-		return fmt.Errorf("wal: snapshot must cover at least one record (seq >= 1)")
+		return nil, fmt.Errorf("wal: snapshot must cover at least one record (seq >= 1)")
 	}
-	tmp := filepath.Join(dir, SnapshotName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, SnapshotName+".tmp"), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+		return nil, fmt.Errorf("wal: snapshot: %w", err)
 	}
-	// Magic and record header go out ahead of the payload, which is written
-	// from the caller's slice: the file is snapMagic + the record Append
-	// would frame, without the framed copy.
-	var head [len(snapMagic) + recordHeaderSize]byte
+	w := &SnapshotWriter{f: f, dir: dir, seq: seq, crc: checksum(seq, nil)}
+	if _, err := f.Seek(int64(snapHeaderSize), io.SeekStart); err != nil {
+		w.fail(err)
+		return nil, w.err
+	}
+	return w, nil
+}
+
+// Write appends p to the payload. A payload past MaxRecordBytes, or a failed
+// write, fails the snapshot: the temporary file is removed, and this and every
+// later call return the error.
+func (w *SnapshotWriter) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	if w.n += int64(len(p)); w.n > MaxRecordBytes {
+		w.fail(fmt.Errorf("%d-byte snapshot exceeds record cap %d", w.n, int64(MaxRecordBytes)))
+		return 0, w.err
+	}
+	if _, err := w.f.Write(p); err != nil {
+		w.fail(err)
+		return 0, w.err
+	}
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	return len(p), nil
+}
+
+// Publish writes the header, syncs the file and renames it over the published
+// snapshot, then syncs the directory. On failure nothing is published.
+func (w *SnapshotWriter) Publish() error {
+	if w.err != nil {
+		return w.err
+	}
+	var head [snapHeaderSize]byte
 	copy(head[:], snapMagic)
-	putRecordHeader(head[len(snapMagic):], seq, payload)
-	_, werr := f.Write(head[:])
-	if werr == nil {
-		_, werr = f.Write(payload)
+	putRecordHeader(head[len(snapMagic):], w.seq, w.n, w.crc)
+	_, err := w.f.WriteAt(head[:], 0)
+	if err == nil {
+		err = w.f.Sync()
 	}
-	if werr == nil {
-		werr = f.Sync()
+	if err != nil {
+		w.fail(err)
+		return w.err
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	err = w.f.Close()
+	if err == nil {
+		err = os.Rename(w.f.Name(), filepath.Join(w.dir, SnapshotName))
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", werr)
+	if err != nil {
+		os.Remove(w.f.Name())
+		w.err = fmt.Errorf("wal: snapshot publish: %w", err)
+		return w.err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, SnapshotName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot publish: %w", err)
+	w.err = errors.New("wal: snapshot already published")
+	return syncDir(w.dir)
+}
+
+// Abort discards the snapshot being written, if it is not yet published.
+func (w *SnapshotWriter) Abort() {
+	if w.err == nil {
+		w.fail(errors.New("aborted"))
 	}
-	return syncDir(dir)
+}
+
+// fail records the snapshot's first failure and removes its temporary file.
+func (w *SnapshotWriter) fail(err error) {
+	w.err = fmt.Errorf("wal: snapshot: %w", err)
+	w.f.Close()
+	os.Remove(w.f.Name())
+}
+
+// WriteSnapshot atomically publishes a snapshot covering every record
+// with sequence <= seq: the streaming writer, handed the payload as one chunk.
+func WriteSnapshot(dir string, seq uint64, payload []byte) error {
+	w, err := CreateSnapshot(dir, seq)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	return w.Publish()
 }
 
 // ReadSnapshot loads the published snapshot. ok is false when none

@@ -35,6 +35,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"sort"
 )
 
 // logMagic begins every log file; a file that starts differently was not
@@ -216,18 +218,18 @@ func checksum(seq uint64, payload []byte) uint32 {
 	return crc32.Update(^crc, crc32.IEEETable, payload)
 }
 
-// putRecordHeader fills the recordHeaderSize bytes that precede payload in
-// its record.
-func putRecordHeader(head []byte, seq uint64, payload []byte) {
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:8], checksum(seq, payload))
+// putRecordHeader fills the recordHeaderSize bytes that precede a record's
+// n-byte payload, whose checksum is crc.
+func putRecordHeader(head []byte, seq uint64, n int64, crc uint32) {
+	binary.LittleEndian.PutUint32(head[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(head[4:8], crc)
 	binary.LittleEndian.PutUint64(head[8:16], seq)
 }
 
 // appendRecord frames one record onto dst.
 func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
 	var head [recordHeaderSize]byte
-	putRecordHeader(head[:], seq, payload)
+	putRecordHeader(head[:], seq, int64(len(payload)), checksum(seq, payload))
 	return append(append(dst, head[:]...), payload...)
 }
 
@@ -239,13 +241,28 @@ type Log struct {
 	opts    Options
 	nextSeq uint64
 	frame   []byte // the record being appended, header and payload; reused from one Append to the next
+	end     int64  // the file's length: where the next record goes
+	index   []at   // where each record in the file starts, in sequence order; reused across compactions
 }
+
+// at is where one record starts in the log file.
+type at struct {
+	seq uint64
+	off int64
+}
+
+// tmpSuffix names the file a compaction that keeps records writes the new
+// log to before renaming it over the old one.
+const tmpSuffix = ".tmp"
 
 // Open opens (creating if absent) the log at path, decodes and returns
 // every complete record for replay, and truncates a torn tail in place so
 // the log is append-ready. A corrupt log fails the open with an error
 // wrapping ErrCorrupt.
 func Open(path string, opts Options) (*Log, []Record, Tail, error) {
+	// A compaction's new log that was never renamed into place is a torn
+	// rewrite: the log at path holds every record it would have.
+	os.Remove(path + tmpSuffix)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, TailClean, fmt.Errorf("wal: open %s: %w", path, err)
@@ -260,9 +277,13 @@ func Open(path string, opts Options) (*Log, []Record, Tail, error) {
 		f.Close()
 		return nil, recs, tail, fmt.Errorf("wal: %s: %w", path, derr)
 	}
-	l := &Log{f: f, path: path, opts: opts, nextSeq: 1}
+	l := &Log{f: f, path: path, opts: opts, nextSeq: 1, end: max(validLen, int64(len(logMagic)))}
 	if len(recs) > 0 {
 		l.nextSeq = recs[len(recs)-1].Seq + 1
+	}
+	for i, off := 0, int64(len(logMagic)); i < len(recs); i++ {
+		l.index = append(l.index, at{recs[i].Seq, off})
+		off += int64(recordHeaderSize + len(recs[i].Payload))
 	}
 	if len(data) == 0 {
 		// Brand-new log: publish the header before any record.
@@ -313,9 +334,13 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	seq := l.nextSeq
 	l.frame = appendRecord(l.frame[:0], seq, payload)
-	if _, err := l.f.Write(l.frame); err != nil {
+	n, err := l.f.Write(l.frame)
+	off := l.end
+	l.end += int64(n)
+	if err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
+	l.index = append(l.index, at{seq, off})
 	l.nextSeq++
 	if l.opts.Fsync == FsyncAlways {
 		if err := l.Sync(); err != nil {
@@ -343,7 +368,109 @@ func (l *Log) Reset() error {
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("wal: reset seek: %w", err)
 	}
+	l.end, l.index = int64(len(logMagic)), l.index[:0]
 	return l.Sync()
+}
+
+// CompactThrough drops the records with sequence <= seq, which a published
+// snapshot covers, and keeps the later ones. With none later it is Reset.
+// Otherwise the kept records' bytes are read in one piece and written, after
+// the magic, to a new file, which is synced and renamed over the log before
+// the directory is synced: a crash at any point leaves the old log or the
+// new one, and each holds every record the snapshot does not cover. The work
+// is the kept records', not the dropped ones'. On failure before the rename
+// the old log stays in use, whole.
+func (l *Log) CompactThrough(seq uint64) error {
+	i := l.indexAfter(seq)
+	switch {
+	case i == len(l.index):
+		return l.Reset()
+	case i == 0:
+		return nil
+	}
+	from := l.index[i].off
+	buf := make([]byte, int64(len(logMagic))+l.end-from)
+	copy(buf, logMagic)
+	if _, err := l.f.ReadAt(buf[len(logMagic):], from); err != nil {
+		return fmt.Errorf("wal: compact: read %s: %w", l.path, err)
+	}
+	tmp := l.path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: compact: %w", err)
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("wal: compact: %w", err)
+	}
+	// The new file is the log now; its offset is at its end, ready to append.
+	l.f.Close()
+	l.f = f
+	shift := from - int64(len(logMagic))
+	n := copy(l.index, l.index[i:])
+	l.index = l.index[:n]
+	for k := range l.index {
+		l.index[k].off -= shift
+	}
+	l.end -= shift
+	return syncDir(filepath.Dir(l.path))
+}
+
+// ReadAfter returns the records with sequence above after, at most limit of
+// them (0: no cap), in sequence order. Their bytes are found by the offsets
+// the log keeps and read in one piece, so the read costs the records
+// returned, not the log; their payloads share that one buffer. Records a
+// compaction dropped are not there: the first one returned may be past
+// after+1. Each record is checked as Open checks it, and a record that does
+// not decode where the log put it is an error wrapping ErrCorrupt.
+func (l *Log) ReadAfter(after uint64, limit int) ([]Record, error) {
+	i, j := l.indexAfter(after), len(l.index)
+	if limit > 0 && j-i > limit {
+		j = i + limit
+	}
+	if i == j {
+		return nil, nil
+	}
+	from, to := l.index[i].off, l.end
+	if j < len(l.index) {
+		to = l.index[j].off
+	}
+	buf := make([]byte, to-from)
+	if _, err := l.f.ReadAt(buf, from); err != nil {
+		return nil, fmt.Errorf("wal: read %s: %w", l.path, err)
+	}
+	recs := make([]Record, 0, j-i)
+	var prev uint64
+	for k, off := i, 0; k < j; k++ {
+		rec, n, tail, err := decodeFrame(buf[off:], prev)
+		switch want := l.index[k].seq; {
+		case tail == TailTruncated:
+			err = fmt.Errorf("record seq %d ends past the bytes appended", want)
+		case tail == TailClean && rec.Seq != want:
+			tail, err = TailCorrupt, fmt.Errorf("seq %d where seq %d was appended", rec.Seq, want)
+		}
+		if tail != TailClean {
+			return nil, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, l.path, from+int64(off), err)
+		}
+		recs = append(recs, rec)
+		prev = rec.Seq
+		off += n
+	}
+	return recs, nil
+}
+
+// indexAfter returns the position in the index of the first record with
+// sequence above seq.
+func (l *Log) indexAfter(seq uint64) int {
+	return sort.Search(len(l.index), func(k int) bool { return l.index[k].seq > seq })
 }
 
 // NextSeq returns the sequence number the next Append will use.

@@ -339,3 +339,59 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// A snapshot streamed in chunks of any size is the file WriteSnapshot writes
+// of their concatenation. A payload past the record cap, or an aborted one,
+// publishes nothing and leaves no temporary file.
+func TestSnapshotWriterStreamsChunks(t *testing.T) {
+	payload := bytes.Repeat([]byte("history, chunked "), 5000)
+	want := append([]byte(snapMagic), appendRecord(nil, 41, payload)...)
+	for _, chunk := range []int{1, 7, 4096, len(payload)} {
+		dir := t.TempDir()
+		w, err := CreateSnapshot(dir, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest := payload; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+			if _, err := w.Write(rest[:min(chunk, len(rest))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, SnapshotName)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte chunks: %d bytes on disk (%v), want the %d of magic + record", chunk, len(got), err, len(want))
+		}
+	}
+
+	for name, fail := range map[string]func(*SnapshotWriter) error{
+		"over the cap": func(w *SnapshotWriter) error {
+			if _, err := w.Write([]byte("state")); err != nil {
+				return err
+			}
+			_, err := w.Write(make([]byte, MaxRecordBytes))
+			return err
+		},
+		"aborted": func(w *SnapshotWriter) error {
+			w.Write([]byte("state"))
+			w.Abort()
+			return errors.New("aborted")
+		},
+	} {
+		dir := t.TempDir()
+		w, err := CreateSnapshot(dir, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fail(w); err == nil {
+			t.Fatalf("%s: the write succeeded", name)
+		}
+		if err := w.Publish(); err == nil {
+			t.Fatalf("%s: published", name)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("%s: the directory holds %v (%v), want nothing", name, entries, err)
+		}
+	}
+}

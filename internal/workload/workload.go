@@ -41,7 +41,13 @@ type Set []Request
 // set, [] for an empty one. It is the writer of the accepted and pending sets
 // in a horizon snapshot, which grow with the service's history; encoding/json
 // stays their decoder.
-func (s Set) AppendJSON(dst []byte) []byte {
+func (s Set) AppendJSON(dst []byte) []byte { return s.EncodeJSON(dst, nil) }
+
+// EncodeJSON is AppendJSON's encoder, writing through flush when it is not
+// nil, as schedule.Schedule.EncodeJSON does: flush is handed dst whenever it
+// has too little room left for a request and returns the buffer to go on in,
+// and the result is then the encoding's last chunk.
+func (s Set) EncodeJSON(dst []byte, flush func([]byte) []byte) []byte {
 	if s == nil {
 		return append(dst, "null"...)
 	}
@@ -50,10 +56,16 @@ func (s Set) AppendJSON(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		// Room for the longest request, doubling the buffer when it has to
-		// grow: append alone would grow a large one a quarter at a time.
+		// Room for the longest request: flushed, or else doubling the buffer
+		// when it has to grow, since append alone would grow a large one a
+		// quarter at a time.
 		if cap(dst)-len(dst) < 96 {
-			dst = slices.Grow(dst, len(dst)+96)
+			if flush != nil {
+				dst = flush(dst)
+			}
+			if cap(dst)-len(dst) < 96 {
+				dst = slices.Grow(dst, len(dst)+96)
+			}
 		}
 		dst = strconv.AppendInt(append(dst, `{"user":`...), int64(r.User), 10)
 		dst = strconv.AppendInt(append(dst, `,"video":`...), int64(r.Video), 10)
