@@ -106,7 +106,7 @@ func main() {
 	reference := horizon.New(model, horizon.Config{})
 	submit := func(base string, r workload.Request) {
 		var ack api.ReservationResponse
-		err := retryhttp.PostJSON(ctx, retry, base+"/v1/reservations",
+		err := retryhttp.PostJSONAtMostOnce(ctx, retry, base+"/v1/reservations",
 			api.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, &ack)
 		if err != nil {
 			log.Fatalf("submit: %v", err)
@@ -158,7 +158,7 @@ func main() {
 	// The fenced ex-primary now refuses intake: any client still pointed
 	// at it gets the stale-leadership error instead of a silent fork.
 	r0 := reqs[split]
-	err = retryhttp.PostJSON(ctx, retry, primaryURL+"/v1/reservations",
+	err = retryhttp.PostJSONAtMostOnce(ctx, retry, primaryURL+"/v1/reservations",
 		api.ReservationRequest{User: r0.User, Video: r0.Video, Start: r0.Start}, nil)
 	fmt.Printf("  old primary rejects intake: %v\n", err)
 

@@ -21,12 +21,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	vsp "github.com/vodsim/vsp"
@@ -130,10 +132,25 @@ func main() {
 	defer stopGW()
 	fmt.Printf("gateway %s routing 3 shards by locality\n", gwURL)
 
+	// A reservation is posted at most once. One whose reply was lost — the
+	// gateway's 502 "outcome unknown" — may or may not have been accepted,
+	// and a blind re-send could commit it twice, so the client counts
+	// instead: every reservation since the last advance is pending on some
+	// shard, and the shards' pending total less the acks it holds is how
+	// many of the unknown ones landed (resolve).
+	acked := 0 // acks since the last advance
+	var unknown []vsp.Request
 	submit := func(r vsp.Request) {
-		err := retryhttp.PostJSON(ctx, retry, gwURL+"/v1/reservations",
+		err := retryhttp.PostJSONAtMostOnce(ctx, retry, gwURL+"/v1/reservations",
 			api.ReservationRequest{User: r.User, Video: r.Video, Start: r.Start}, nil)
-		if err != nil {
+		var se *retryhttp.StatusError
+		switch {
+		case err == nil:
+			acked++
+		case errors.As(err, &se) && se.Code == http.StatusBadGateway && strings.Contains(se.Message, "outcome unknown"):
+			fmt.Printf("  outcome unknown: %s\n", se.Message)
+			unknown = append(unknown, r)
+		default:
 			log.Fatalf("submit: %v", err)
 		}
 	}
@@ -142,6 +159,7 @@ func main() {
 		if err := retryhttp.PostJSON(ctx, retry, gwURL+"/v1/advance", api.AdvanceRequest{To: to}, &res); err != nil {
 			log.Fatalf("advance: %v", err)
 		}
+		acked = 0
 		return res
 	}
 	stats := func() gateway.StatsResponse {
@@ -150,6 +168,36 @@ func main() {
 			log.Fatalf("stats: %v", err)
 		}
 		return st
+	}
+	resolve := func() {
+		if len(unknown) == 0 {
+			return
+		}
+		pending := 0
+		for _, sh := range stats().Shards {
+			if sh.StatsError != "" {
+				log.Fatalf("shard %s cannot be counted: %s", sh.ID, sh.StatsError)
+			}
+			pending += sh.Pending
+		}
+		switch landed := pending - acked; landed {
+		case len(unknown):
+			fmt.Printf("  the shards hold %d pending for %d acks: the %d unknown landed\n", pending, acked, landed)
+		case 0:
+			fmt.Printf("  the shards hold %d pending for %d acks: the %d unknown did not land, and are sent again\n",
+				pending, acked, len(unknown))
+			again := unknown
+			unknown = nil
+			for _, r := range again {
+				submit(r)
+			}
+			if len(unknown) > 0 {
+				log.Fatalf("%d reservations' outcome is unknown twice", len(unknown))
+			}
+		default:
+			log.Fatalf("%d of %d unknown reservations landed, and which cannot be told", landed, len(unknown))
+		}
+		unknown = nil
 	}
 
 	split := 2 * len(reqs) / 3
@@ -190,6 +238,7 @@ func main() {
 	for _, r := range reqs[split:] {
 		submit(r)
 	}
+	resolve()
 	end := reqs[len(reqs)-1].Start.Add(vsp.Hour)
 	res = advance(end)
 	fmt.Printf("final advance: epoch %d, %d admitted, merged cost %v\n",

@@ -149,10 +149,34 @@ func (m *Model) PrePlacementCost(c schedule.Residency) units.Money {
 // FileCost returns Ψ(S_i) for one file schedule, pre-placement transfers
 // included.
 func (m *Model) FileCost(fs *schedule.FileSchedule) units.Money {
-	var total units.Money
-	for _, d := range fs.Deliveries {
-		total += m.DeliveryCost(d)
+	return m.FileCostFrom(fs, Fold{})
+}
+
+// Fold is where FileCost's sum stands once it has priced a file's first N
+// deliveries: Sum is the left fold of DeliveryCost over them, from zero. A
+// caller that prices the same file prefix at every commit — the frozen
+// history of a rolling horizon — keeps the fold and prices only what follows
+// it.
+type Fold struct {
+	N   int
+	Sum units.Money
+}
+
+// FoldOn extends f, a fold of the first f.N deliveries of ds, over the rest
+// of ds.
+func (m *Model) FoldOn(f Fold, ds []schedule.Delivery) Fold {
+	for _, d := range ds[f.N:] {
+		f.Sum += m.DeliveryCost(d)
 	}
+	f.N = len(ds)
+	return f
+}
+
+// FileCostFrom is FileCost of a file whose first f.N deliveries f folds: it
+// goes on from the fold over the remaining deliveries, then adds the
+// residencies, in FileCost's order, so its result is FileCost's bit for bit.
+func (m *Model) FileCostFrom(fs *schedule.FileSchedule, f Fold) units.Money {
+	total := m.FoldOn(f, fs.Deliveries).Sum
 	for _, c := range fs.Residencies {
 		total += m.ResidencyCost(c)
 		if c.FedBy == schedule.PrePlacedFeed {
@@ -164,9 +188,16 @@ func (m *Model) FileCost(fs *schedule.FileSchedule) units.Money {
 
 // ScheduleCost returns Ψ(S) for the global schedule.
 func (m *Model) ScheduleCost(s *schedule.Schedule) units.Money {
+	return m.ScheduleCostFrom(s, nil)
+}
+
+// ScheduleCostFrom is ScheduleCost with each file priced from its video's
+// fold in folds (FileCostFrom; a video without one from zero), bit for bit
+// ScheduleCost's.
+func (m *Model) ScheduleCostFrom(s *schedule.Schedule, folds map[media.VideoID]Fold) units.Money {
 	var total units.Money
 	for _, id := range s.VideoIDs() {
-		total += m.FileCost(s.Files[id])
+		total += m.FileCostFrom(s.Files[id], folds[id])
 	}
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/horizon"
@@ -177,6 +178,62 @@ func TestDurableCloseAllocationBudget(t *testing.T) {
 	if durable > 1.25*memory {
 		t.Errorf("a durable close allocates %.0f B, over 1.25 × the in-memory close's %.0f B", durable, memory)
 	}
+}
+
+// A close with nothing to resolve builds no ledger of the whole schedule: the
+// bar's kept ledger, moved to the phase-1 schedule, answers whether anything
+// overflows, and SORP is not entered. On BenchmarkHorizonAdvanceHistory's rig
+// at 20 000 committed requests, where nothing overflows, not one allocation
+// of a close is made under occupancy.FromSchedule or sorp's resolution,
+// while phase 1's are seen. When SORP built its base ledger at every close,
+// the close allocated under both.
+func TestCleanCloseBuildsNoLedger(t *testing.T) {
+	trace := newHistoryTrace(t)
+	closeEpoch := trace.service(t, 20000, false)
+	const (
+		build   = "github.com/vodsim/vsp/internal/occupancy.FromSchedule"
+		resolve = "github.com/vodsim/vsp/internal/sorp.resolve"
+		phase1  = "github.com/vodsim/vsp/internal/ivs.ScheduleFile"
+	)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1 // every allocation is a sample
+	before := allocsUnder(build, resolve, phase1)
+	closeEpoch()
+	after := allocsUnder(build, resolve, phase1)
+	if after[phase1] == before[phase1] {
+		t.Fatal("the allocation profile saw nothing of the close's phase 1")
+	}
+	for _, fn := range []string{build, resolve} {
+		if n := after[fn] - before[fn]; n > 0 {
+			t.Errorf("a clean close made %d allocations under %s", n, fn)
+		}
+	}
+}
+
+// allocsUnder counts, per function named, the objects allocated so far on a
+// stack that passes through it, as the allocation profile records them. It
+// collects twice first, for the profile to include what was allocated last.
+func allocsUnder(fns ...string) map[string]int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:n]
+	}
+	count := make(map[string]int64)
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if slices.Contains(fns, f.Function) {
+				count[f.Function] += r.AllocObjects
+			}
+		}
+	}
+	return count
 }
 
 // historyTrace is BenchmarkHorizonAdvanceHistory's trace: one density

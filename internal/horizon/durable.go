@@ -440,7 +440,9 @@ func (s *Service) decodeState(blob []byte) (state, error) {
 	if err := s.check(nil, &st.state); err != nil {
 		return state{}, err
 	}
-	// scheduler.Solve stores Ψ as this very sum, so the comparison is exact.
+	// scheduler.Solve stores Ψ as this very sum, bit for bit (its files are
+	// priced on from folds in ScheduleCost's order), so the comparison is
+	// exact.
 	if c := s.m.ScheduleCost(st.Committed); st.Cost != c {
 		return state{}, fmt.Errorf("cost %v is not %v, what the committed schedule costs", float64(st.Cost), float64(c))
 	}

@@ -3,6 +3,7 @@ package horizon
 import (
 	"context"
 	"encoding/json"
+	"maps"
 
 	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
@@ -14,16 +15,19 @@ import (
 
 // Rewind returns a function that puts the service's state back to what it is
 // now, so a benchmark can close the same epoch again and again. Only the
-// in-memory state rewinds: a durable service's journal keeps what was
-// appended, and its sequence numbers keep growing.
+// in-memory state rewinds, with the folds of its committed schedule: a
+// durable service's journal keeps what was appended, and its sequence
+// numbers keep growing.
 func (s *Service) Rewind() func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	saved := s.st
+	saved, folds, foldsOf := s.st, maps.Clone(s.folds), s.foldsOf
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.st = saved
+		// A close builds its folds in the map the one before it read, so the
+		// service gets a copy of the saved folds, never the saved map itself.
+		s.st, s.folds, s.foldsOf = saved, maps.Clone(folds), foldsOf
 	}
 }
 

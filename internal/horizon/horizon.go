@@ -129,10 +129,23 @@ type Service struct {
 	st state // everything that changes; guarded by mu
 
 	// checker is the bar's working memory, kept from one commit to the next
-	// (see check); guarded by mu. A field, not a sync.Pool: a collection
-	// empties a pool, and the coverage map, the size of an epoch, would be
-	// grown again at every close.
+	// (see check), whose ledger a close's solve also asks whether the phase-1
+	// schedule overflows; guarded by mu. A field, not a sync.Pool: a
+	// collection empties a pool, and the coverage map, the size of an epoch,
+	// would be grown again at every close.
 	checker scheduler.Checker
+	// folds holds, per video, Ψ's fold over the first deliveries of
+	// foldsOf's file (cost.Fold): those the split that solved foldsOf froze,
+	// which no later close can change. A close of foldsOf extends the folds
+	// over what its split newly freezes and prices every file on from them
+	// (scheduler.Rolling), so pricing costs the epoch; a close of any other
+	// schedule — on a new, recovered or installed state, or after a close
+	// that did not commit — folds from the first delivery. Keyed by the
+	// schedule it describes, it is never wrong, only absent. A close builds
+	// its folds in spare, the map the close before it read, so the two are
+	// allocated once; guarded by mu.
+	folds, spare map[media.VideoID]cost.Fold
+	foldsOf      *schedule.Schedule
 
 	// Durability (nil/zero for in-memory services; see durable.go).
 	journal  *wal.Log
@@ -339,9 +352,9 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*api.Epoc
 
 // extend plans the epoch that moves st's horizon to the given time and
 // returns the state to commit. It reads st, the model and the config and
-// writes nothing: solve the epoch, and keep the result only if the next state
-// passes check — the commit predicate, extended from st by the epoch's
-// intake.
+// writes nothing but a close's working memory (the checker and the folds):
+// solve the epoch, and keep the result only if the next state passes check —
+// the commit predicate, extended from st by the epoch's intake.
 func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state, *api.EpochResult, error) {
 	next, res, err := s.solve(ctx, st, to)
 	if err != nil {
@@ -355,17 +368,34 @@ func (s *Service) extend(ctx context.Context, st state, to simtime.Time) (state,
 
 // solve is extend before the bar: split the committed schedule, and solve
 // the un-frozen requests plus the pending intake on top of the frozen
-// prefixes.
+// prefixes, the bar's kept ledger answering whether the phase-1 schedule
+// overflows and Ψ priced on from the folds the split extends.
 func (s *Service) solve(ctx context.Context, st state, to simtime.Time) (state, *api.EpochResult, error) {
 	frozen, reqs, res, err := st.split(to)
 	if err != nil {
 		return state{}, nil, err
 	}
-	out, err := scheduler.Solve(ctx, s.m, reqs, frozen,
+	var held map[media.VideoID]cost.Fold // nil: fold from the first delivery
+	if s.foldsOf == st.Committed {
+		held = s.folds
+	}
+	folds := s.spare
+	if folds == nil {
+		folds = make(map[media.VideoID]cost.Fold, len(frozen))
+	}
+	clear(folds)
+	for vid, pre := range frozen {
+		if len(pre.Deliveries) > 0 {
+			folds[vid] = s.m.FoldOn(held[vid], pre.Deliveries)
+		}
+	}
+	out, err := scheduler.Solve(ctx, s.m, reqs,
+		&scheduler.Rolling{Held: st.Committed, Frozen: frozen, Folds: folds, Bar: &s.checker},
 		scheduler.Config{Policy: s.cfg.Policy, Metric: s.cfg.Metric})
 	if err != nil {
 		return state{}, nil, err
 	}
+	s.folds, s.spare, s.foldsOf = folds, s.folds, out.Schedule
 	res.Overflows = out.Overflows
 	res.Victims = out.Victims
 	res.Resolution = out.Resolution

@@ -56,17 +56,24 @@ func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule
 // and a kept ledger (occupancy.NewKept) of the schedule it last held, whose
 // records it swaps for what changed rather than building a ledger of the
 // whole schedule. Both are found by comparing schedules, never by trusting
-// whatever produced them. The zero value is ready to use; a Checker is not
-// safe for concurrent use, and a schedule it accepted must not be modified
-// afterwards, as a committed one never is.
+// whatever produced them. A rolling close's Solve moves the ledger ahead of
+// Extend, to the phase-1 schedule, to ask it for overflows (follow), and
+// Extend then finds it there. The zero value is ready to use; a Checker is
+// not safe for concurrent use, and a schedule it accepted must not be
+// modified afterwards, as a committed one never is.
 type Checker struct {
 	cov schedule.Coverage
-	// led holds held's residencies: the last schedule Extend accepted, or
-	// the prev of the last one it refused; nil until the first call.
+	// led holds held's residencies: the schedule the last follow moved it to,
+	// or the prev of the last close that Extend refused or Solve failed;
+	// nil until the first call. Either way held passed
+	// schedule.ValidateStructure.
 	led  *occupancy.Ledger
 	held *schedule.Schedule
 	topo *topology.Topology // led's model
 	cat  *media.Catalog
+	// overflowed is whether the last phase-1 schedule a rolling Solve
+	// resolved overflowed; while it did, Solve does not ask led first.
+	overflowed bool
 }
 
 // Check is the commit predicate; see the function Check. It is Extend from the
@@ -82,32 +89,55 @@ func (c *Checker) Check(topo *topology.Topology, catalog *media.Catalog, s *sche
 // schedule.ValidateExtension from prev, coverage is
 // schedule.Coverage.Extends, and the capacity half reads the kept ledger,
 // moved from the schedule it held to next by occupancy.Ledger.Follow, which
-// compares the two. A refused next is swapped out again, so the ledger then
-// holds prev. A nil prev is the empty schedule, R is empty, and Extend is
-// Check.
+// compares the two (follow). When Solve has already moved it to next from
+// prev, neither is done again. Whatever refuses next, the ledger then holds
+// prev. A nil prev is the empty schedule, R is empty, and Extend is Check.
 func (c *Checker) Extend(topo *topology.Topology, catalog *media.Catalog, prev, next *schedule.Schedule, added workload.Set) Verdict {
-	if err := next.ValidateExtension(topo, catalog, prev); err != nil {
-		return Verdict{Invalid: err, Malformed: true}
+	ovs, err := c.follow(topo, catalog, prev, next)
+	v := Verdict{Invalid: err, Malformed: err != nil}
+	if err == nil {
+		v = Verdict{Invalid: c.cov.Extends(prev, next, added), Overflows: ovs}
 	}
-	if c.led == nil || c.topo != topo || c.cat != catalog {
-		c.led, c.held, c.topo, c.cat = occupancy.NewKept(topo, catalog), nil, topo, catalog
-	}
-	c.led.Follow(c.held, next)
-	c.held = next
-	v := Verdict{
-		Invalid:   c.cov.Extends(prev, next, added),
-		Overflows: c.led.AllOverflows(),
-	}
-	if v.Err() != nil {
-		c.led.Follow(next, prev)
-		c.held = prev
+	if v.Err() != nil && c.held != prev {
+		c.back(prev)
 	}
 	return v
 }
 
+// follow is Extend's structural and capacity halves: it checks next's
+// structure, moves the kept ledger to next, and returns next's overflows. The
+// structure is checked as an extension of the schedule the ledger holds,
+// which passed it — prev, unless Solve has moved the ledger on — or of prev
+// when the ledger is new, so it costs what differs from that one, and its
+// verdict is ValidateStructure's either way. The schedule the ledger holds is
+// neither checked nor followed again, only asked. A malformed next is refused
+// before the ledger reads it, and the ledger stays where it was.
+func (c *Checker) follow(topo *topology.Topology, catalog *media.Catalog, prev, next *schedule.Schedule) ([]occupancy.Overflow, error) {
+	base := c.held
+	if c.led == nil || c.topo != topo || c.cat != catalog {
+		c.led, c.held, c.topo, c.cat = occupancy.NewKept(topo, catalog), nil, topo, catalog
+		base = prev
+	}
+	if next != c.held {
+		if err := next.ValidateExtension(topo, catalog, base); err != nil {
+			return nil, err
+		}
+		c.led.Follow(c.held, next)
+		c.held = next
+	}
+	return c.led.AllOverflows(), nil
+}
+
+// back moves the kept ledger to prev, the committed schedule a close that
+// did not commit was to replace.
+func (c *Checker) back(prev *schedule.Schedule) {
+	c.led.Follow(c.held, prev)
+	c.held = prev
+}
+
 // Ledger returns the kept ledger, which holds the last schedule Extend
-// accepted (or the prev of the last one it refused), nil before the first
-// call. It must only be read.
+// accepted (or the prev of the last close that did not commit), nil before
+// the first call. It must only be read.
 func (c *Checker) Ledger() *occupancy.Ledger { return c.led }
 
 // Overflows is the capacity half of the predicate on its own. The ledger is

@@ -106,14 +106,30 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 	return out, nil
 }
 
+// Rolling is what an epoch close of a rolling horizon hands Solve besides
+// the requests to plan: the schedule the close extends, what of it stays, and
+// the bar that will judge the outcome. A batch passes nil.
+type Rolling struct {
+	// Held is the committed schedule the close replaces.
+	Held *schedule.Schedule
+	// Frozen holds, per video, the immutable prefix of Held that the close
+	// keeps, which phase 1 extends and phase 2 never selects a victim from.
+	Frozen map[media.VideoID]*schedule.FileSchedule
+	// Folds holds, per video, Ψ's fold over the first deliveries of its
+	// frozen prefix (cost.Fold), from which each file is priced.
+	Folds map[media.VideoID]cost.Fold
+	// Bar is the Checker the outcome will be offered to (Checker.Extend from
+	// Held). Its kept ledger is moved to the phase-1 schedule and answers
+	// phase 2's first question, whether anything overflows.
+	Bar *Checker
+}
+
 // Solve is the two-phase pipeline, the only one in the repository: the batch
 // scheduler and the rolling horizon's epoch close (internal/horizon) are
-// both this function. reqs holds, per video, the requests to plan; frozen
-// holds, per video, an immutable prefix committed by earlier epochs (nil for
-// a batch), which phase 1 extends and phase 2 never selects a victim from.
-// A file is scheduled for every video that is requested, frozen or seeded,
-// so history and standing copies nobody asks for this round still occupy
-// their space and money.
+// both this function. reqs holds, per video, the requests to plan; r is the
+// close's Rolling, nil for a batch. A file is scheduled for every video that
+// is requested, frozen or seeded, so history and standing copies nobody asks
+// for this round still occupy their space and money.
 //
 // Phase 1 fans the per-file individual scheduling out over the runtime's
 // pool (parallel.Do: GOMAXPROCS goroutines). File schedules are independent
@@ -122,11 +138,31 @@ func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config)
 // to a sequential run. The context is checked before every phase-1 file
 // dispatch and every phase-2 victim iteration.
 //
+// A rolling close asks its bar, not a ledger of its own, whether the phase-1
+// schedule overflows: it checks the schedule's structure as an extension of
+// Held, and moves the bar's kept ledger to it (Checker.follow), which costs
+// what the epoch changed. With nothing overflowing, phase 2 has nothing to
+// do and is not entered, the phase-1 schedule is the outcome, and the bar
+// finds its ledger already there. Otherwise SORP runs as in a batch, and the
+// bar follows on from the phase-1 schedule to SORP's. The bar is not asked
+// when it holds no ledger yet — the first close of a new, recovered or
+// promoted service — nor when the last close's phase-1 schedule overflowed,
+// since the next one most likely will too, and following the bar twice
+// would cost more than SORP's own ledger: SORP's ledger answers, as in a
+// batch, and the first close it finds clean makes the bar asked again. The
+// outcome is the same either way. Ψ is priced on from the folds. A close
+// that fails after its bar moved moves it back to Held.
+//
 // Solve does not judge its own result: callers commit only what Check
 // accepts against the full set of requests the schedule must serve.
 func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload.Request,
-	frozen map[media.VideoID]*schedule.FileSchedule, cfg Config) (*Outcome, error) {
+	r *Rolling, cfg Config) (*Outcome, error) {
 
+	var frozen map[media.VideoID]*schedule.FileSchedule
+	var folds map[media.VideoID]cost.Fold
+	if r != nil {
+		frozen, folds = r.Frozen, r.Folds
+	}
 	videos := make([]media.VideoID, 0, len(reqs)+len(frozen))
 	for vid := range reqs {
 		videos = append(videos, vid)
@@ -163,17 +199,35 @@ func Solve(ctx context.Context, m *cost.Model, reqs map[media.VideoID][]workload
 
 	out := &Outcome{Schedule: s}
 	if cfg.SkipResolution {
-		out.Phase1Cost, out.Overflows = m.ScheduleCost(s), len(Overflows(m.Book().Topology(), m.Catalog(), s))
+		out.Phase1Cost, out.Overflows = m.ScheduleCostFrom(s, folds), len(Overflows(m.Book().Topology(), m.Catalog(), s))
 		out.FinalCost = out.Phase1Cost
-	} else { // SORP integrates and prices s once, for itself and for the outcome
-		res, err := sorp.ResolveContext(ctx, m, s, reqs, sorp.Options{Metric: cfg.Metric,
-			Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Workspace: ws})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: phase 2: %w", err)
-		}
-		out.Schedule, out.Phase1Cost, out.FinalCost = res.Schedule, res.CostBefore, res.CostAfter
-		out.Overflows, out.Victims, out.Resolution = res.InitialOverflows, res.Victims, res.Work
+		return out, nil
 	}
+	if r != nil && r.Bar.led != nil && !r.Bar.overflowed {
+		ovs, err := r.Bar.follow(m.Book().Topology(), m.Catalog(), r.Held, s)
+		if err != nil {
+			return nil, fmt.Errorf("scheduler: phase 1: %w", Verdict{Invalid: err}.Err())
+		}
+		if len(ovs) == 0 {
+			out.Phase1Cost = m.ScheduleCostFrom(s, folds)
+			out.FinalCost = out.Phase1Cost
+			return out, nil
+		}
+	}
+	// SORP integrates and prices s once, for itself and for the outcome.
+	res, err := sorp.ResolveContext(ctx, m, s, reqs, sorp.Options{Metric: cfg.Metric,
+		Policy: cfg.Policy, Seeds: cfg.Seeds, Frozen: frozen, Folds: folds, Workspace: ws})
+	if err != nil {
+		if r != nil && r.Bar.held == s {
+			r.Bar.back(r.Held)
+		}
+		return nil, fmt.Errorf("scheduler: phase 2: %w", err)
+	}
+	if r != nil {
+		r.Bar.overflowed = res.InitialOverflows > 0
+	}
+	out.Schedule, out.Phase1Cost, out.FinalCost = res.Schedule, res.CostBefore, res.CostAfter
+	out.Overflows, out.Victims, out.Resolution = res.InitialOverflows, res.Victims, res.Work
 	return out, nil
 }
 

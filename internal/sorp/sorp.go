@@ -115,6 +115,11 @@ type Options struct {
 	// un-frozen requests on top of the prefix. The reqs map handed to
 	// Resolve must then hold only the un-frozen requests of each file.
 	Frozen map[media.VideoID]*schedule.FileSchedule
+	// Folds holds, per video, the fold of Ψ's delivery costs over the first
+	// deliveries of its frozen prefix (cost.Fold), which every file of the
+	// input and of the result begins with; a file is priced on from it. A
+	// video without one is priced from its first delivery.
+	Folds map[media.VideoID]cost.Fold
 	// Workspace holds what the evaluations reuse; nil takes one.
 	Workspace *ivs.Workspace
 }
@@ -152,14 +157,18 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 
 // resolve is ResolveContext; committed, when non-nil, is shown the working
 // schedule and the table after every commit, which is how the tests check
-// what the two may share.
+// what the two may share. It integrates s into a ledger of its own
+// (FromSchedule) and prices each file once, on from its fold; a rolling
+// close asks the bar's kept ledger first and calls it only when something
+// overflows (scheduler.Solve).
 func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request,
 	opts Options, committed func(work *schedule.Schedule, t *pairTable)) (*Result, error) {
 	if opts.Metric == 0 {
 		opts.Metric = SpacePerCost
 	}
 	ledger := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), s)
-	psi := m.ScheduleCost(s)
+	fileCost := priceFiles(m, s, opts.Folds)
+	psi := fileCost.sum()
 	res := &Result{Schedule: s, InitialOverflows: len(ledger.AllOverflows()), CostBefore: psi, CostAfter: psi}
 	if res.InitialOverflows == 0 {
 		return res, nil // nothing is rescheduled, so no request list is read
@@ -185,9 +194,6 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 	work := &schedule.Schedule{Files: maps.Clone(s.Files)}
 	res.Schedule = work
 
-	// fileCost holds each touched file's current Ψ contribution, so a
-	// candidate's overhead is a Ψ delta instead of a full re-costing.
-	fileCost := make(map[media.VideoID]units.Money)
 	table := pairTable{
 		ws:      opts.Workspace,
 		entries: make(map[pairKey][]pairEntry),
@@ -207,7 +213,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 				iter, len(overflows))
 		}
 		res.Iterations++
-		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, fileCost, &table, res)
+		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, &fileCost, &table, res)
 		if err != nil {
 			return nil, err
 		}
@@ -221,14 +227,49 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		work.Put(best.fs)
 		ledger.CommitFile(best.fs)
 		table.dropVideo(best.record.Video, best.fs)
-		fileCost[best.record.Video] = best.newCost
+		fileCost.set(best.record.Video, best.newCost)
 		res.Victims = append(res.Victims, best.record)
 		if committed != nil {
 			committed(work, &table)
 		}
 	}
-	res.CostAfter = m.ScheduleCost(work)
+	res.CostAfter = fileCost.sum()
 	return res, nil
+}
+
+// prices holds each file's current Ψ contribution, by video in ID order: the
+// input's, priced once on from its fold, until a victim's commit replaces it.
+// A victim replaces a file, so the working schedule holds the input's
+// videos, and a candidate's overhead is a Ψ delta. Ψ before and after are
+// sums of it in ScheduleCost's order, bit for bit ScheduleCost's.
+type prices struct {
+	ids  []media.VideoID
+	cost []units.Money
+}
+
+func priceFiles(m *cost.Model, s *schedule.Schedule, folds map[media.VideoID]cost.Fold) prices {
+	p := prices{ids: s.VideoIDs()}
+	p.cost = make([]units.Money, len(p.ids))
+	for i, vid := range p.ids {
+		p.cost[i] = m.FileCostFrom(s.Files[vid], folds[vid])
+	}
+	return p
+}
+
+func (p *prices) at(vid media.VideoID) *units.Money {
+	i, _ := slices.BinarySearch(p.ids, vid)
+	return &p.cost[i]
+}
+
+func (p *prices) of(vid media.VideoID) units.Money     { return *p.at(vid) }
+func (p *prices) set(vid media.VideoID, c units.Money) { *p.at(vid) = c }
+
+func (p *prices) sum() units.Money {
+	var total units.Money
+	for _, c := range p.cost {
+		total += c
+	}
+	return total
 }
 
 // pairKey names the evaluations of one file around one storage. The banned
@@ -433,7 +474,7 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // selected victim sequence stays byte-identical at any GOMAXPROCS.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
-	fileCost map[media.VideoID]units.Money, t *pairTable, res *Result) (candidate, bool, error) {
+	fileCost *prices, t *pairTable, res *Result) (candidate, bool, error) {
 
 	t.releaseViews() // last round's views and logs are dead
 	clear(t.jobs)
@@ -455,15 +496,12 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 				t.jobAt = append(t.jobAt, ji)
 				continue
 			}
-			if _, ok := fileCost[ref.Video]; !ok {
-				fileCost[ref.Video] = m.FileCost(work.File(ref.Video))
-			}
 			t.jobOf[ref.Video] = len(t.jobs)
 			t.jobAt = append(t.jobAt, len(t.jobs))
 			job := reschedJob{overflow: oi, video: ref.Video}
 			if e := t.lookup(pairKey{of.Node, ref.Video}, of.Interval, ledger, res.Iterations); e != nil {
 				job.result = reschedResult{fs: e.fs, newCost: e.newCost,
-					overhead: e.newCost - fileCost[ref.Video], ok: e.ok}
+					overhead: e.newCost - fileCost.of(ref.Video), ok: e.ok}
 				res.Reused++
 				if e.window != of.Interval {
 					res.Rewindowed++
@@ -480,7 +518,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 	if err := parallel.Do(ctx, len(t.fresh), func(i int) {
 		j := &t.jobs[t.fresh[i]]
 		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
-			fileCost[j.video])
+			fileCost.of(j.video))
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}

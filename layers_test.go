@@ -430,6 +430,13 @@ var grepRules = []grepRule{
 		why: "a phase is called outside internal/scheduler: scheduler.Solve owns the pipeline, and only the solver's own packages and the experiments call a phase directly",
 	},
 	{
+		name:    "client: a reservation is posted at most once",
+		pattern: regexp.MustCompile(`retryhttp\.(PostJSON|GetJSON|GetBody)\(.*/v1/reservations`),
+		in:      wholeProgram, want: 0,
+		hit: `err := retryhttp.PostJSON(ctx, retry, base+"/v1/reservations",`, miss: `err := retryhttp.PostJSONAtMostOnce(ctx, retry, gwURL+"/v1/reservations",`,
+		why: "a reservation is posted through a retrying retryhttp call: PostJSON re-sends after a reply is lost or a 5xx — the gateway's \"outcome unknown\" 502 among them — and a reservation has no identity, so the re-send can commit it twice (ROADMAP 17); post it with retryhttp.PostJSONAtMostOnce, which re-sends only what provably did not act (loadgen's own post sends once)",
+	},
+	{
 		name:    "pool: GOMAXPROCS sizes every CPU fan-out",
 		pattern: regexp.MustCompile(`runtime\.GOMAXPROCS\(`),
 		in:      wholeProgram,
