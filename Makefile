@@ -95,19 +95,27 @@ bench:
 # one-shot solver and the rolling-horizon incremental extension, plus
 # their speedup ratio, and one epoch close over 2 000 and 20 000 requests
 # of committed history, in memory and durable, what one reservation
-# allocates between Server.ServeHTTP and its ack, and how long an acked
+# allocates between Server.ServeHTTP and its ack, how long an acked
 # reservation takes to reach a standby over a journal of 0 and 20 000
-# records). The later runs exercise
-# the parallel fan-out at -cpu 1,4 — both the isolated phase 1 and the
-# full 10k-request solve — so benchjson can derive
-# phase1_parallel_speedup from the matched pair, and the gateway submit
-# pair at -cpu 4 so it can derive gateway_submit_speedup_3shards; the
-# gateway's plan read (unchanged, and after a commit on every shard) runs at
-# the default -cpu, where bench-smoke finds it.
+# records, and what replaying six probe logs costs). The solves whose
+# overflow resolution does most of the work — BenchmarkSchedule,
+# BenchmarkFullResolve and the 10k-request BenchmarkSchedule10k — run at
+# -cpu 1,2: the 1-CPU rows show what a round costs on one worker, the
+# 2-CPU rows what the worker pool's replay and evaluation fan-outs save
+# (BenchmarkHorizonAdvance runs at both too, so the horizon speedup has a
+# matched pair on any host). Phase 1 runs at -cpu 1,4 so benchjson can
+# derive phase1_parallel_speedup from the matched pair, and the gateway
+# submit pair at -cpu 4 so it can derive gateway_submit_speedup_3shards;
+# the gateway's plan read (unchanged, and after a commit on every shard)
+# runs at the default -cpu, where bench-smoke finds it.
 # Committed as BENCH_scheduler.json.
 bench-json:
-	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' \
+	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$' -cpu 1,2 \
 		-benchmem ./internal/scheduler ./internal/horizon ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkHorizonAdvanceHistory$$' \
+		-benchmem ./internal/horizon ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkProbeLogReplay$$' \
+		-benchmem ./internal/occupancy ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=20000x \
 		-benchmem ./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x \
@@ -118,7 +126,7 @@ bench-json:
 		-benchmem ./internal/gateway ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewayPlanRead$$' \
 		-benchmem ./internal/gateway ; \
-	  $(GO) test -run='^$$' -bench='BenchmarkSchedule10k$$' -cpu 1,4 -benchtime=1x \
+	  $(GO) test -run='^$$' -bench='BenchmarkSchedule10k$$' -cpu 1,2 -benchtime=1x \
 		-timeout=60m -benchmem ./internal/scheduler ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_scheduler.json
 
@@ -145,9 +153,14 @@ bench-json:
 # a poll that goes back to reading the whole journal allocates 500 times its
 # B/op there (5.6 MB) and is 50 times slower; the B/op is the steadier of the
 # two, as the lag's ns/op moves by 2x between runs of the same code.
+# BenchmarkProbeLogReplay rides along at 2000 replays of its six logs a run:
+# it allocates nothing, so its guard is the time a replay takes per probe,
+# which is most of what an overflowing solve spends.
 bench-smoke:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkProbeLogReplay$$' -benchtime=2000x -count=3 -benchmem \
+		./internal/occupancy ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
 		./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x -count=3 -benchmem \

@@ -184,12 +184,16 @@ func mergeOverflows(ovs []Overflow) []Overflow {
 
 // AllOverflows returns every overflow at every storage, ordered by node ID
 // then time.
-func (l *Ledger) AllOverflows() []Overflow {
-	var out []Overflow
+func (l *Ledger) AllOverflows() []Overflow { return l.AppendOverflows(nil) }
+
+// AppendOverflows appends AllOverflows' list to dst and returns the extended
+// slice; a caller that asks at every iteration passes the last list back as
+// dst[:0], so the list is allocated once per run, not once per iteration.
+func (l *Ledger) AppendOverflows(dst []Overflow) []Overflow {
 	for _, node := range l.topo.Storages() {
-		out = append(out, l.Overflows(node)...)
+		dst = append(dst, l.Overflows(node)...)
 	}
-	return out
+	return dst
 }
 
 // OverflowSet appends to dst the references of the residencies at the node
@@ -275,7 +279,8 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	// the excluded entry's, negated. A fixed array, filled in place, keeps
 	// this allocation-free (the call sits on the greedy's innermost loop).
 	var extra [6]event
-	ne := spanEvents(&extra, 0, c.Load, c.LastService, size, playback, false)
+	peak := spanValue(c.Load, c.LastService, size, playback)
+	ne := peakEvents(&extra, 0, c.Load, c.LastService, peak, playback, false)
 	var excluded *entry
 	if exclude != nil {
 		es := l.nodes[node].entries
@@ -293,7 +298,7 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	}
 	fits := sweepFits(basel.snapshot(node), ovs, &extra, ne, sup, l.caps[node])
 	if l.log != nil {
-		l.log.record(l, c, excluded, fits)
+		l.log.record(l, c, peak, excluded, fits)
 	}
 	return fits
 }

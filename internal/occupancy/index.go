@@ -21,20 +21,24 @@ type event struct {
 	dslope float64
 }
 
-// spanEvents appends to extra[ne:] the breakpoint records of a copy of a
-// video (size, playback) cached over [load, last] — negated when negate is
-// set, the form an excluded copy takes in a capacity sweep — and returns
-// the new count. A copy that occupies nothing (zero span, or no playback)
-// contributes none. The live capacity check builds its candidate's records
-// with it and probe replay rebuilds a logged query's; the arithmetic is
-// newEntry's, operand for operand, so an excluded copy's records come out
-// bit-identical whether read back from its registered entry or rebuilt.
-func spanEvents(extra *[6]event, ne int, load, last simtime.Time, size float64, playback simtime.Duration, negate bool) int {
+// spanValue returns the peak space v = γ·size of a copy of a video (size,
+// playback) cached over [load, last]; 0 for a copy that occupies nothing
+// (zero span, or no playback). The arithmetic is newEntry's, operand for
+// operand.
+func spanValue(load, last simtime.Time, size float64, playback simtime.Duration) float64 {
 	if playback <= 0 {
-		return ne
+		return 0
 	}
-	c := schedule.Residency{Load: load, LastService: last}
-	v := c.Gamma(playback) * size
+	return schedule.Residency{Load: load, LastService: last}.Gamma(playback) * size
+}
+
+// peakEvents appends to extra[ne:] the breakpoint records of a copy cached
+// over [load, last] whose peak space is v (spanValue) — negated when negate
+// is set, the form an excluded copy takes in a capacity sweep — and returns
+// the new count. A copy with v = 0 contributes none. The decay slope is
+// k = v/P, computed as newEntry computes it, so records built from a stored v
+// are bit-identical to those built from the copy's span.
+func peakEvents(extra *[6]event, ne int, load, last simtime.Time, v float64, playback simtime.Duration, negate bool) int {
 	if v == 0 {
 		return ne
 	}
@@ -49,6 +53,13 @@ func spanEvents(extra *[6]event, ne int, load, last simtime.Time, size float64, 
 		}
 	}
 	return ne + 3
+}
+
+// spanEvents is peakEvents for a copy given by its span: probe replay
+// rebuilds an excluded copy's records with it, bit-identical to the
+// registered entry's (newEntry).
+func spanEvents(extra *[6]event, ne int, load, last simtime.Time, size float64, playback simtime.Duration, negate bool) int {
+	return peakEvents(extra, ne, load, last, spanValue(load, last, size, playback), playback, negate)
 }
 
 // entryEvents returns a registered entry's breakpoint records, reading the

@@ -31,7 +31,7 @@ type slot struct {
 // relocations and whole-video removals, with spans from zero (γ=0
 // tentatives) through short to long residencies. It also returns what is
 // left registered.
-func randomLedgers(t *testing.T, seed int64, nvideos, muts int) (*refLedger, *Ledger, []slot, *topology.Topology) {
+func randomLedgers(t testing.TB, seed int64, nvideos, muts int) (*refLedger, *Ledger, []slot, *topology.Topology) {
 	t.Helper()
 	b := topology.NewBuilder()
 	vw := b.Warehouse("VW")

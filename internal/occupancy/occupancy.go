@@ -106,8 +106,9 @@ type entry struct {
 }
 
 // newEntry builds the registered form of a residency; v and k are
-// computed exactly as spanEvents computes them for replayed probes, so
-// records built from either source are bit-identical.
+// computed exactly as spanValue and peakEvents compute them for a capacity
+// query and its replay, so records built from either source are
+// bit-identical.
 func newEntry(ref Ref, c schedule.Residency, size float64, playback simtime.Duration) entry {
 	e := entry{ref: ref, res: c, size: size, playback: playback}
 	if playback > 0 {

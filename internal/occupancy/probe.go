@@ -13,14 +13,20 @@ import (
 // probe is one logged capacity query: a candidate copy [load, last] of the
 // log's video at node, optionally disregarding the same copy's registered
 // span [load, exclLast], asked while the view's delta at the node was the
-// log's copy number delta. 32 bytes: an evaluation logs a few hundred of
-// these against a few kilobytes of its own allocations, so the layout — not
-// the replay — decides whether reuse is a net saving (DESIGN.md §8).
+// log's copy number delta. v is the candidate's peak space γ·size as the
+// live query computed it (spanValue), so a replay builds the candidate's
+// records without evaluating γ again; last and exclLast are kept as offsets
+// from load, which is what makes room for it. 32 bytes: an evaluation logs a
+// few hundred of these against a few kilobytes of its own allocations, so the
+// layout — not the replay — decides whether reuse is a net saving (DESIGN.md
+// §8).
 type probe struct {
-	load, last, exclLast simtime.Time
-	delta                uint32
-	node                 uint16
-	flags                uint16
+	load           simtime.Time
+	v              float64
+	last, exclLast int32 // seconds after load
+	delta          uint32
+	node           uint16
+	flags          uint16
 }
 
 const (
@@ -223,10 +229,21 @@ func (g *ProbeLog) copyDelta(evs []event) []event {
 	return d
 }
 
-// record logs one answered query of view l. excluded is the registered
-// copy the query disregarded, if any.
-func (g *ProbeLog) record(l *Ledger, c schedule.Residency, excluded *entry, fits bool) {
-	if c.Video != g.masked || c.Loc > math.MaxUint16 || len(g.deltas) == math.MaxUint32 ||
+// offset returns t - load as a probe stores it, and whether it fits.
+func offset(load, t simtime.Time) (int32, bool) {
+	d := t.Sub(load)
+	return int32(d), d == simtime.Duration(int32(d))
+}
+
+// record logs one answered query of view l: candidate c, whose peak space is
+// v, and excluded, the registered copy the query disregarded, if any.
+func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *entry, fits bool) {
+	last, ok := offset(c.Load, c.LastService)
+	exclLast := int32(0)
+	if excluded != nil && ok {
+		exclLast, ok = offset(c.Load, excluded.res.LastService)
+	}
+	if !ok || c.Video != g.masked || c.Loc > math.MaxUint16 || len(g.deltas) == math.MaxUint32 ||
 		(excluded != nil && (excluded.res.Video != c.Video || excluded.res.Load != c.Load)) {
 		g.broken = true
 		return
@@ -245,13 +262,12 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, excluded *entry, fits
 	}
 	p := g.at(g.n)
 	g.n++
-	*p = probe{load: c.Load, last: c.LastService, delta: st.pin - 1, node: uint16(c.Loc)}
+	*p = probe{load: c.Load, v: v, last: last, exclLast: exclLast, delta: st.pin - 1, node: uint16(c.Loc)}
 	if fits {
 		p.flags |= probeFits
 	}
 	if excluded != nil {
 		p.flags |= probeExcl
-		p.exclLast = excluded.res.LastService
 	}
 }
 
@@ -266,8 +282,10 @@ func (g *ProbeLog) Covers(w simtime.Interval) bool { return g.box.contains(w) }
 // Probes on nodes whose version has not moved since the log was recorded
 // or last replayed hold trivially; the others are re-asked against the
 // node's current prefix sweep through sweepFits, with the view's delta as
-// it stood at the time and the extra records rebuilt from the probe by
-// spanEvents (bit-identical to the registered entry's, see newEntry).
+// it stood at the time and the extra records rebuilt from the probe: the
+// candidate's from its stored peak by peakEvents, the excluded copy's from
+// its span by spanEvents (bit-identical to the registered entry's, see
+// newEntry).
 // The caller must separately know that the masked video's own copies in
 // base are unchanged: they are the view's initial delta.
 //
@@ -293,11 +311,12 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 			}
 			moved = true
 			var extra [6]event
-			ne := spanEvents(&extra, 0, p.load, p.last, size, playback, false)
+			last := p.load.Add(simtime.Duration(p.last))
+			ne := peakEvents(&extra, 0, p.load, last, p.v, playback, false)
 			if p.flags&probeExcl != 0 {
-				ne = spanEvents(&extra, ne, p.load, p.exclLast, size, playback, true)
+				ne = spanEvents(&extra, ne, p.load, p.load.Add(simtime.Duration(p.exclLast)), size, playback, true)
 			}
-			sup := simtime.NewInterval(p.load, p.last.Add(playback))
+			sup := simtime.NewInterval(p.load, last.Add(playback))
 			fits := sweepFits(base.snapshot(node), g.deltas[p.delta], &extra, ne, sup, base.caps[node])
 			if fits != (p.flags&probeFits != 0) {
 				return false

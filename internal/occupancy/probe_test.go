@@ -621,3 +621,43 @@ func TestSelectionRoundWritesTheBaseOnlyAtItsStart(t *testing.T) {
 		t.Fatalf("fixture bug: replays held %d times and broke %d times; need both", replayed[true], replayed[false])
 	}
 }
+
+// BenchmarkProbeLogReplay is the cost a SORP round pays to reuse an
+// evaluation: six logs, each recorded on a view of a seeded random ledger
+// over a 200-step script of the greedy's access pattern (a quarter of its
+// queries extension checks), replayed against the base after every storage
+// moved. A copy of a seventh title far past every probed span is extended at
+// each storage before each op, which moves every storage's version and
+// leaves every answer as it was, so each replay re-asks every probe and holds.
+func BenchmarkProbeLogReplay(b *testing.B) {
+	_, base, _, topo := randomLedgers(b, 1, 7, 60)
+	stores := topo.Storages()
+	rng := rand.New(rand.NewSource(7))
+	var logs []*ProbeLog
+	probes := 0
+	for vid := media.VideoID(0); vid < 6; vid++ {
+		view := base.OverlayWithout(vid)
+		g := view.Record()
+		runScript(view, randomScript(rng, vid, stores, 200), nil)
+		view.Release()
+		logs, probes = append(logs, g), probes+g.n
+	}
+	far := simtime.Time(100 * simtime.Hour)
+	refs := make([]Ref, len(stores))
+	for i, n := range stores {
+		refs[i] = Ref{Video: 6, Index: 1000 + i}
+		base.Add(refs[i], res(6, n, far, far.Add(simtime.Hour)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, n := range stores {
+			base.Update(refs[k], res(6, n, far, far.Add(simtime.Hour+simtime.Duration(i%2))))
+		}
+		for _, g := range logs {
+			if !g.Replay(base) {
+				b.Fatal("a replay broke; the moves must leave every answer as it was")
+			}
+		}
+	}
+	b.ReportMetric(float64(probes), "probes/op")
+}

@@ -17,43 +17,64 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Do runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n) goroutines.
-// Dispatch stops as soon as ctx is cancelled — jobs already started run to
-// completion, un-dispatched indices are never invoked — and the cancellation
-// is reported as ctx.Err(). fn must handle its own synchronization for any
-// state shared between indices; writing only to the i-th slot of a
-// pre-sized results slice needs none.
+// Do runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n) goroutines
+// and waits for them. Each takes the next index from a shared counter when
+// it finishes the last, so a job costs one atomic add, not a channel
+// handoff: a SORP round dispatches a few hundred jobs of a few microseconds
+// each. The caller only waits: a caller that worked too would keep its
+// processor, and the goroutine it started would sit queued behind it until
+// another processor stole it, most of a short round. Dispatch stops as soon as ctx is cancelled — jobs already started
+// run to completion, un-dispatched indices are never invoked — and the
+// cancellation is reported as ctx.Err(), exactly when some index was not
+// run. fn must handle its own synchronization for any state shared between
+// indices; writing only to the i-th slot of a pre-sized results slice needs
+// none.
 func Do(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil // no work: not even a cancellation check, like a 0-iteration loop
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	p := &pool{n: n, fn: fn, done: ctx.Done()}
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-	aborted := false
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			aborted = true
-			break
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if aborted {
+	p.wg.Wait()
+	if p.aborted.Load() {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// pool is one Do call: the jobs, the next index to hand out, and whether a
+// goroutine found ctx cancelled with an index left.
+type pool struct {
+	n       int
+	fn      func(int)
+	done    <-chan struct{}
+	next    atomic.Int64
+	aborted atomic.Bool
+	wg      sync.WaitGroup
+}
+
+// work runs jobs until none is left or ctx is cancelled.
+func (p *pool) work() {
+	for {
+		i := int(p.next.Add(1) - 1)
+		if i >= p.n {
+			return
+		}
+		select {
+		case <-p.done:
+			p.aborted.Store(true)
+			return
+		default:
+		}
+		p.fn(i)
+	}
 }

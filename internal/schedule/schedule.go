@@ -276,6 +276,14 @@ func (s *Schedule) ValidateStructure(topo *topology.Topology, catalog *media.Cat
 // A nil prev is the empty schedule, and then ValidateExtension is
 // ValidateStructure.
 func (s *Schedule) ValidateExtension(topo *topology.Topology, catalog *media.Catalog, prev *Schedule) error {
+	return s.ValidateSharing(topo, catalog, prev, new(Shared))
+}
+
+// ValidateSharing is ValidateExtension reading how far each file of prev and
+// s agree from sh, which walks the two unless it already holds that pair
+// (Shared).
+func (s *Schedule) ValidateSharing(topo *topology.Topology, catalog *media.Catalog, prev *Schedule, sh *Shared) error {
+	shared := sh.between(prev, s)
 	var w fileWork
 	for _, vid := range s.VideoIDs() {
 		fs := s.Files[vid]
@@ -295,7 +303,7 @@ func (s *Schedule) ValidateExtension(topo *topology.Topology, catalog *media.Cat
 		if held == fs {
 			continue // the very file that passed
 		}
-		if err := validateFile(topo, fs, held, &w); err != nil {
+		if err := validateFile(topo, fs, held, shared[vid].records, &w); err != nil {
 			return err
 		}
 	}
@@ -309,6 +317,65 @@ func (s *Schedule) Serves(requests workload.Set) error {
 	return new(Coverage).Extends(nil, s, requests)
 }
 
+// Shared holds, per video of one schedule prev, how far its file and the file
+// of another schedule next agree from their first delivery: how many
+// deliveries are the same record, which ValidateSharing does not check again,
+// and how many serve the same request (user, video, start), which
+// ExtendsSharing does not count. A caller that asks both about one pair —
+// the commit bar, whose structural and coverage halves compare the same two
+// schedules on a clean close — keeps one and hands it to both, and the files
+// are walked once: a walk answers the next question about the same pair, by
+// identity, once, so neither schedule may be modified between the two. The
+// zero value is ready to use; a Shared is not safe for concurrent use.
+type Shared struct {
+	prev, next *Schedule // the pair of the walk not yet reused
+	of         map[media.VideoID]prefix
+}
+
+// prefix is how far two files agree from the first delivery: as records,
+// and as requests, which is never less.
+type prefix struct{ records, requests int }
+
+// between returns the prefixes of prev's and next's files, per video of
+// prev, walking them unless the last walk was of that pair and has not been
+// reused; none for a nil prev.
+func (sh *Shared) between(prev, next *Schedule) map[media.VideoID]prefix {
+	if prev == nil {
+		return nil
+	}
+	if sh.prev == prev && sh.next == next {
+		sh.prev, sh.next = nil, nil
+		return sh.of
+	}
+	if sh.of == nil {
+		sh.of = make(map[media.VideoID]prefix, len(prev.Files))
+	}
+	clear(sh.of)
+	for vid, fs := range prev.Files {
+		sh.of[vid] = sharedPrefix(fs.deliveries(), next.Files[vid].deliveries())
+	}
+	sh.prev, sh.next = prev, next
+	return sh.of
+}
+
+// sharedPrefix returns how far p and n agree from the first delivery. Two
+// slices of one array agree wherever both reach, without a comparison.
+func sharedPrefix(p, n []Delivery) prefix {
+	n = n[:min(len(p), len(n))]
+	if len(n) > 0 && &p[0] == &n[0] {
+		return prefix{records: len(n), requests: len(n)}
+	}
+	var k prefix
+	for k.records < len(n) && sameDelivery(&p[k.records], &n[k.records]) {
+		k.records++
+	}
+	k.requests = k.records
+	for k.requests < len(n) && keyOf(p[k.requests]) == keyOf(n[k.requests]) {
+		k.requests++
+	}
+	return k
+}
+
 // Coverage is the multiset Serves and Extends count requests in. A caller
 // that checks coverage at every commit keeps one and asks Extends, whose map
 // holds only what the commit changed, so it is allocated at the size of an
@@ -316,7 +383,6 @@ func (s *Schedule) Serves(requests workload.Set) error {
 // not safe for concurrent use.
 type Coverage struct {
 	want map[coverKey]int
-	same map[media.VideoID]int // per video of prev, the deliveries prev and next agree on
 }
 
 type coverKey struct {
@@ -352,25 +418,25 @@ func (k coverKey) before(o coverKey) bool {
 // and user: the same record for any map order and, when every delivery sits
 // in its own video's file as ValidateStructure demands, for either form.
 func (c *Coverage) Extends(prev, next *Schedule, added workload.Set) error {
+	return c.ExtendsSharing(prev, next, added, new(Shared))
+}
+
+// ExtendsSharing is Extends reading how far each file of prev and next agree
+// from sh, which walks the two unless it already holds that pair (Shared).
+func (c *Coverage) ExtendsSharing(prev, next *Schedule, added workload.Set, sh *Shared) error {
 	if c.want == nil {
 		c.want = make(map[coverKey]int, len(added))
 	}
 	want := c.want
 	clear(want)
-	clear(c.same)
+	same := sh.between(prev, next)
 	in := len(added)
 	for _, r := range added {
 		want[coverKey{r.User, r.Video, r.Start}]++
 	}
 	if prev != nil {
-		if c.same == nil {
-			c.same = make(map[media.VideoID]int, len(prev.Files))
-		}
 		for vid, fs := range prev.Files {
-			p := fs.deliveries()
-			k := common(p, next.Files[vid].deliveries())
-			c.same[vid] = k
-			for _, d := range p[k:] {
+			for _, d := range fs.deliveries()[same[vid].requests:] {
 				want[keyOf(d)]++
 				in++
 			}
@@ -387,7 +453,7 @@ func (c *Coverage) Extends(prev, next *Schedule, added workload.Set) error {
 		if found && vid > strayIn {
 			continue
 		}
-		for _, d := range fs.deliveries()[c.same[vid]:] {
+		for _, d := range fs.deliveries()[same[vid].requests:] {
 			k := keyOf(d)
 			if want[k] == 0 {
 				stray, strayIn, found = d, vid, true
@@ -412,18 +478,6 @@ func (c *Coverage) Extends(prev, next *Schedule, added workload.Set) error {
 		}
 	}
 	return fmt.Errorf("schedule: request (user %d, video %d, %v) not served", least.u, least.v, least.t)
-}
-
-// common returns how many deliveries p and n agree on from the first, as
-// (user, video, start).
-func common(p, n []Delivery) int {
-	n = n[:min(len(p), len(n))]
-	for k := range n {
-		if p[k].Start != n[k].Start || p[k].User != n[k].User || p[k].Video != n[k].Video {
-			return k
-		}
-	}
-	return len(n)
 }
 
 // deliveries returns the file's deliveries, none for a nil file.
@@ -461,16 +515,16 @@ type fileWork struct {
 
 // validateFile checks one file, in record order: deliveries, then
 // residencies, and names the first violation. held, when not nil, is the file
-// of the same video in a schedule that passed, and what it vouches for is not
-// checked again (ValidateExtension): of a delivery it shares (held's, from
-// the first) only what it draws from, when that copy no longer spans held's
-// window at held's node, and of a residency unchanged at its index only its
-// feed, when that delivery is not shared, and its LastService.
-func validateFile(topo *topology.Topology, fs, held *FileSchedule, w *fileWork) error {
-	var hd []Delivery
+// of the same video in a schedule that passed, whose first shared deliveries
+// are fs's record for record, and what it vouches for is not checked again
+// (ValidateExtension): of a delivery it shares only what it draws from, when
+// that copy no longer spans held's window at held's node, and of a residency
+// unchanged at its index only its feed, when that delivery is not shared,
+// and its LastService.
+func validateFile(topo *topology.Topology, fs, held *FileSchedule, shared int, w *fileWork) error {
 	var hr []Residency
 	if held != nil {
-		hd, hr = held.Deliveries, held.Residencies
+		hr = held.Residencies
 	}
 	last, narrowed := w.last[:0], w.narrowed[:0]
 	for j, c := range fs.Residencies {
@@ -480,11 +534,9 @@ func validateFile(topo *topology.Topology, fs, held *FileSchedule, w *fileWork) 
 		}
 	}
 	w.last, w.narrowed = last, narrowed
-	shared := 0 // deliveries [0, shared) are held's own
 	for i := range fs.Deliveries {
 		d := &fs.Deliveries[i]
-		if i == shared && i < len(hd) && sameDelivery(&hd[i], d) {
-			shared++
+		if i < shared { // held's own record
 			// The record passed, inside held's copy at index sr; a copy at
 			// the same node over a window no narrower still holds it.
 			if sr := d.SourceResidency; sr != NoResidency {

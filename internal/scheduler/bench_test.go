@@ -39,8 +39,8 @@ func BenchmarkSchedule(b *testing.B) {
 // the same two-phase solve on a 10,000-request rig (25 storages × 20
 // users × 20 requests, 200 titles). It exists to keep the hot-path data
 // structures honest at a scale where any superlinear behavior in the
-// occupancy ledger or SORP would dominate; run it with `-cpu 1,4` (the
-// bench-json target does) to also track the multi-core win.
+// occupancy ledger or SORP would dominate; run it with `-cpu 1,2` (the
+// bench-json target does) to also track what the worker pool saves.
 func BenchmarkSchedule10k(b *testing.B) {
 	r, err := testutil.Build(testutil.Params{
 		Storages:        25,

@@ -63,6 +63,10 @@ func Check(topo *topology.Topology, catalog *media.Catalog, s *schedule.Schedule
 // modified afterwards, as a committed one never is.
 type Checker struct {
 	cov schedule.Coverage
+	// shared hands the structural half's walk of the deliveries two
+	// schedules share to the coverage half: on a clean close both compare
+	// the same pair, the one in Solve and the other in Extend.
+	shared schedule.Shared
 	// led holds held's residencies: the schedule the last follow moved it to,
 	// or the prev of the last close that Extend refused or Solve failed;
 	// nil until the first call. Either way held passed
@@ -87,16 +91,17 @@ func (c *Checker) Check(topo *topology.Topology, catalog *media.Catalog, s *sche
 // verdict is Check(next, R + added)'s, the same records in the same words,
 // and each half costs what changed: the structural half is
 // schedule.ValidateExtension from prev, coverage is
-// schedule.Coverage.Extends, and the capacity half reads the kept ledger,
-// moved from the schedule it held to next by occupancy.Ledger.Follow, which
-// compares the two (follow). When Solve has already moved it to next from
+// schedule.Coverage.Extends, the two reading one walk of the deliveries
+// prev and next share (schedule.Shared), and the capacity half reads the
+// kept ledger, moved from the schedule it held to next by
+// occupancy.Ledger.Follow, which compares the two (follow). When Solve has already moved it to next from
 // prev, neither is done again. Whatever refuses next, the ledger then holds
 // prev. A nil prev is the empty schedule, R is empty, and Extend is Check.
 func (c *Checker) Extend(topo *topology.Topology, catalog *media.Catalog, prev, next *schedule.Schedule, added workload.Set) Verdict {
 	ovs, err := c.follow(topo, catalog, prev, next)
 	v := Verdict{Invalid: err, Malformed: err != nil}
 	if err == nil {
-		v = Verdict{Invalid: c.cov.Extends(prev, next, added), Overflows: ovs}
+		v = Verdict{Invalid: c.cov.ExtendsSharing(prev, next, added, &c.shared), Overflows: ovs}
 	}
 	if v.Err() != nil && c.held != prev {
 		c.back(prev)
@@ -119,7 +124,7 @@ func (c *Checker) follow(topo *topology.Topology, catalog *media.Catalog, prev, 
 		base = prev
 	}
 	if next != c.held {
-		if err := next.ValidateExtension(topo, catalog, base); err != nil {
+		if err := next.ValidateSharing(topo, catalog, base, &c.shared); err != nil {
 			return nil, err
 		}
 		c.led.Follow(c.held, next)

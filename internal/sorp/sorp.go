@@ -23,10 +23,16 @@
 // log replays to the same answers on the current ledger — which makes the
 // reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
-// views the evaluations ran on are not kept — each goes back to the run's
-// workspace when the next round starts or the run ends (Ledger.Release), for
-// a later fresh evaluation to reuse — and every winner, evaluated this round
-// or reused, is committed from its file schedule (Ledger.CommitFile).
+// replays are most of a round's work, and they run on the worker pool, one
+// key's entries and logs to one worker: two jobs of a round share a key
+// only where an overflow split at one storage, and that worker replays each
+// log once for both (pairTable.replay). What must happen in order — taking
+// a hit's result, retiring a broken entry, taking a miss's view — follows in
+// one sequential pass in job order. The views the evaluations ran on are
+// not kept — each goes back to the run's workspace when the next round
+// starts or the run ends (Ledger.Release), for a later fresh evaluation to
+// reuse — and every winner, evaluated this round or reused, is committed
+// from its file schedule (Ledger.CommitFile).
 //
 // Almost every evaluation's result is thrown away, and an evaluation of the
 // same file needs the same room — on a rolling horizon, a copy of its frozen
@@ -37,6 +43,7 @@
 package sorp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -169,7 +176,9 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 	ledger := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), s)
 	fileCost := priceFiles(m, s, opts.Folds)
 	psi := fileCost.sum()
-	res := &Result{Schedule: s, InitialOverflows: len(ledger.AllOverflows()), CostBefore: psi, CostAfter: psi}
+	// The run's overflow list, refilled in place at every iteration.
+	overflows := ledger.AllOverflows()
+	res := &Result{Schedule: s, InitialOverflows: len(overflows), CostBefore: psi, CostAfter: psi}
 	if res.InitialOverflows == 0 {
 		return res, nil // nothing is rescheduled, so no request list is read
 	}
@@ -204,7 +213,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sorp: resolution aborted: %w", err)
 		}
-		overflows := ledger.AllOverflows()
+		overflows = ledger.AppendOverflows(overflows[:0])
 		if len(overflows) == 0 {
 			break
 		}
@@ -283,20 +292,23 @@ type pairKey struct {
 // pairEntry is a finished evaluation kept for reuse: its result, and in log
 // the capacity answers it rested on and the box of windows its ban answers
 // hold over. window is the one it ran under, round the iteration that last
-// used it.
+// used it; brokenBy is 1 + the job of this round whose walk found that its log
+// no longer replays, 0 while none has.
 type pairEntry struct {
-	fs      *schedule.FileSchedule
-	newCost units.Money
-	ok      bool
-	log     *occupancy.ProbeLog
-	window  simtime.Interval
-	round   int
+	fs       *schedule.FileSchedule
+	newCost  units.Money
+	ok       bool
+	log      *occupancy.ProbeLog
+	window   simtime.Interval
+	round    int
+	brokenBy int
 }
 
 // reschedJob is one (overflow, file) pair of a round.
 type reschedJob struct {
 	overflow int
-	video    media.VideoID
+	key      pairKey
+	entry    int                 // the entry under key it reuses, -1 for none
 	tmp      *occupancy.Ledger   // nil for a reused result
 	log      *occupancy.ProbeLog // tmp's log; nil for a reused result
 	result   reschedResult
@@ -317,31 +329,74 @@ type pairTable struct {
 	refsOf [][]occupancy.Ref     // per overflow, each refilled in place every round
 	jobAt  []int                 // per ref in overflow/ref order: its job, -1 if not victimizable
 	jobOf  map[media.VideoID]int // the current overflow's jobs
+	// byKey holds the round's jobs grouped by key, each group in job order,
+	// and keyAt where each group starts, then len(byKey): the replay
+	// fan-out's unit, one key's entries and logs to one worker.
+	byKey, keyAt []int
 }
 
-// lookup returns the oldest entry under k whose evaluation would repeat
-// itself around window w on the ledger — its box covers w and its log
-// replays — stamped with the round, or nil. Order of insertion, never of a
-// map, decides between several, so a run's allocations repeat. Replay does
-// not depend on the window: an entry that fails it is dropped whichever
-// window matched it.
-func (t *pairTable) lookup(k pairKey, w simtime.Interval, ledger *occupancy.Ledger, round int) *pairEntry {
-	es := t.entries[k]
-	for i := 0; i < len(es); {
-		e := &es[i]
-		if !e.log.Covers(w) {
-			i++
-			continue
-		}
-		if e.log.Replay(ledger) {
-			e.round = round
-			return e
-		}
-		t.retire(*e)
-		es = slices.Delete(es, i, i+1)
-		t.entries[k] = es
+// group fills byKey and keyAt from the round's jobs.
+func (t *pairTable) group() {
+	t.byKey, t.keyAt = t.byKey[:0], t.keyAt[:0]
+	for i := range t.jobs {
+		t.byKey = append(t.byKey, i)
 	}
-	return nil
+	slices.SortFunc(t.byKey, func(a, b int) int {
+		ka, kb := t.jobs[a].key, t.jobs[b].key
+		return cmp.Or(cmp.Compare(ka.node, kb.node), cmp.Compare(ka.video, kb.video), cmp.Compare(a, b))
+	})
+	for i, ji := range t.byKey {
+		if i == 0 || t.jobs[ji].key != t.jobs[t.byKey[i-1]].key {
+			t.keyAt = append(t.keyAt, i)
+		}
+	}
+	t.keyAt = append(t.keyAt, len(t.byKey))
+}
+
+// replay finds, for each of one key's jobs in job order, the oldest entry
+// under the key whose evaluation would repeat itself around the job's window
+// on the ledger — its box covers the window and its log replays — and
+// records it in the job (entry). Order of insertion, never of a map, decides
+// between several. Each log is replayed at most once: one that holds is
+// stamped with the round, which is how a later job of the key knows it holds,
+// and one that does not is marked with the job that found it broken, which
+// skips it from then on; replay does not depend on the window, so it is
+// broken whichever window matched it. It writes only the key's entries, their
+// logs and its own jobs, so the round's keys replay concurrently.
+func (t *pairTable) replay(jobs []int, overflows []occupancy.Overflow, ledger *occupancy.Ledger, round int) {
+	es := t.entries[t.jobs[jobs[0]].key]
+	for _, ji := range jobs {
+		j := &t.jobs[ji]
+		w := overflows[j.overflow].Interval
+		for i := range es {
+			e := &es[i]
+			if e.brokenBy != 0 || !e.log.Covers(w) {
+				continue
+			}
+			if e.round == round || e.log.Replay(ledger) {
+				e.round = round
+				j.entry = i
+				break
+			}
+			e.brokenBy = ji + 1
+		}
+	}
+}
+
+// dropBroken removes the key's entries a replay found broken, which the round
+// has already retired, keeping the others in order.
+func (t *pairTable) dropBroken(k pairKey) {
+	es := t.entries[k]
+	kept := es[:0]
+	for _, e := range es {
+		if e.brokenBy == 0 {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) < len(es) {
+		clear(es[len(kept):])
+		t.entries[k] = kept
+	}
 }
 
 // evictUnused drops every entry no overflow used in the round.
@@ -461,17 +516,23 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // evaluated for its heat but the expensive reschedule is deduped by
 // (overflow, video) — the paper's loop is per c_i, yet for a given pair
 // the reschedule result is identical and only the improvement term
-// differs. A pair with a table entry that still holds (pairTable.lookup)
-// takes its result from the entry; the others are independent —
-// each works on its own overlay view of the ledger — so they are evaluated
-// across the worker pool. Replays and views are taken sequentially up front:
-// the round's AllOverflows and first OverlayWithout build every snapshot of
-// the ledger, after which a view writes only the workspace and a replay only
-// its log, but two jobs of one round can share a pairKey (an overflow split
-// in two) and so one log. The winner is then picked by a sequential walk in
-// overflow/ref order with the better() total order. The walk is independent
-// of pool size, completion order and of which results were reused, so the
-// selected victim sequence stays byte-identical at any GOMAXPROCS.
+// differs. The round runs in four steps. The jobs are listed, in
+// overflow/ref order, without a look at the table. The table's replays then
+// fan out over the worker pool by pairKey (pairTable.replay): one worker owns
+// a key's entries and logs, so two jobs of one round that share a key — an
+// overflow split in two — never replay one log at once; the round's
+// AllOverflows has built every storage snapshot a replay reads, after which a
+// replay writes only its log. A sequential pass in job order then does what
+// must happen in order: a job whose entry holds takes its result from it,
+// the entries its walk found broken are retired, and a job with no entry
+// takes its view and log from the workspace, so what a run allocates repeats.
+// The fresh evaluations fan out next, each on its own overlay view of the
+// ledger (Ledger.OverlayWithout); the working schedule and ledger are
+// read-only for the whole round. The winner is then picked by a sequential
+// walk in overflow/ref order with the better() total order. The walk is
+// independent of pool size, completion order and of which results were
+// reused, so the selected victim sequence stays byte-identical at any
+// GOMAXPROCS.
 func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, ledger *occupancy.Ledger,
 	overflows []occupancy.Overflow, reqs map[media.VideoID][]workload.Request, opts Options,
 	fileCost *prices, t *pairTable, res *Result) (candidate, bool, error) {
@@ -498,39 +559,57 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 			}
 			t.jobOf[ref.Video] = len(t.jobs)
 			t.jobAt = append(t.jobAt, len(t.jobs))
-			job := reschedJob{overflow: oi, video: ref.Video}
-			if e := t.lookup(pairKey{of.Node, ref.Video}, of.Interval, ledger, res.Iterations); e != nil {
-				job.result = reschedResult{fs: e.fs, newCost: e.newCost,
-					overhead: e.newCost - fileCost.of(ref.Video), ok: e.ok}
-				res.Reused++
-				if e.window != of.Interval {
-					res.Rewindowed++
-				}
-			} else {
-				job.tmp = ledger.OverlayWithout(ref.Video)
-				job.log = job.tmp.Record()
-				t.fresh = append(t.fresh, len(t.jobs))
-			}
-			t.jobs = append(t.jobs, job)
+			t.jobs = append(t.jobs, reschedJob{overflow: oi, key: pairKey{of.Node, ref.Video}, entry: -1})
 		}
+	}
+
+	round := res.Iterations
+	t.group()
+	if err := parallel.Do(ctx, len(t.keyAt)-1, func(g int) {
+		t.replay(t.byKey[t.keyAt[g]:t.keyAt[g+1]], overflows, ledger, round)
+	}); err != nil {
+		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
+	}
+	for ji := range t.jobs {
+		j := &t.jobs[ji]
+		es := t.entries[j.key]
+		for i := range es {
+			if es[i].brokenBy == ji+1 {
+				t.retire(es[i])
+			}
+		}
+		if j.entry >= 0 {
+			e := &es[j.entry]
+			j.result = reschedResult{fs: e.fs, newCost: e.newCost,
+				overhead: e.newCost - fileCost.of(j.key.video), ok: e.ok}
+			res.Reused++
+			if e.window != overflows[j.overflow].Interval {
+				res.Rewindowed++
+			}
+		} else {
+			j.tmp = ledger.OverlayWithout(j.key.video)
+			j.log = j.tmp.Record()
+			t.fresh = append(t.fresh, ji)
+		}
+	}
+	for _, at := range t.keyAt[:len(t.keyAt)-1] {
+		t.dropBroken(t.jobs[t.byKey[at]].key)
 	}
 
 	if err := parallel.Do(ctx, len(t.fresh), func(i int) {
 		j := &t.jobs[t.fresh[i]]
-		j.result = rescheduleFile(m, j.tmp, j.video, overflows[j.overflow], reqs[j.video], opts,
-			fileCost.of(j.video))
+		vid := j.key.video
+		j.result = rescheduleFile(m, j.tmp, vid, overflows[j.overflow], reqs[vid], opts, fileCost.of(vid))
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}
 	res.Evaluated += len(t.fresh)
 	for _, i := range t.fresh {
 		j := &t.jobs[i]
-		of := overflows[j.overflow]
-		key := pairKey{of.Node, j.video}
-		t.entries[key] = append(t.entries[key], pairEntry{fs: j.result.fs, newCost: j.result.newCost,
-			ok: j.result.ok, log: j.log, window: of.Interval, round: res.Iterations})
+		t.entries[j.key] = append(t.entries[j.key], pairEntry{fs: j.result.fs, newCost: j.result.newCost,
+			ok: j.result.ok, log: j.log, window: overflows[j.overflow].Interval, round: round})
 	}
-	t.evictUnused(res.Iterations)
+	t.evictUnused(round)
 
 	var best candidate
 	found := false

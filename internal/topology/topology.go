@@ -78,6 +78,7 @@ type Topology struct {
 	edges     []Edge
 	users     []User
 	adj       [][]adjEntry // node -> incident edges
+	storages  []NodeID     // the intermediate storages, in ID order
 	warehouse NodeID
 	byName    map[string]NodeID
 }
@@ -108,16 +109,9 @@ func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 // Nodes returns all nodes in ID order. The slice is shared; do not modify.
 func (t *Topology) Nodes() []Node { return t.nodes }
 
-// Storages returns the IDs of all intermediate storages in ID order.
-func (t *Topology) Storages() []NodeID {
-	out := make([]NodeID, 0, t.NumStorages())
-	for _, n := range t.nodes {
-		if n.Kind == KindStorage {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+// Storages returns the IDs of all intermediate storages in ID order. The
+// slice is shared; do not modify.
+func (t *Topology) Storages() []NodeID { return t.storages }
 
 // Edges returns all links. The slice is shared; do not modify.
 func (t *Topology) Edges() []Edge { return t.edges }
@@ -318,8 +312,11 @@ func (b *Builder) Build() (*Topology, error) {
 		t.byName[name] = id
 	}
 	for _, n := range t.nodes {
-		if n.Kind == KindWarehouse {
+		switch n.Kind {
+		case KindWarehouse:
 			t.warehouse = n.ID
+		case KindStorage:
+			t.storages = append(t.storages, n.ID)
 		}
 	}
 	t.adj = make([][]adjEntry, len(t.nodes))
