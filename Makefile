@@ -62,7 +62,9 @@ chaos-bench:
 # check of everything served, on arbitrary decoded schedules, and
 # FuzzCapacityExtension holds the bar's kept ledger, moved from one decoded
 # schedule to the next, to a fresh build of the next: the same overflows and
-# the same profile, bit for bit.
+# the same profile, bit for bit. FuzzGroupedReplay holds SORP's grouped
+# probe-log replay to re-asking every logged probe through the capacity
+# sweep, on arbitrary moves of the base.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
 # -shard parser to what gateway.New accepts. FuzzReservationRequest holds
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFileScheduleDecode -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzCoverageExtension -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzCapacityExtension -fuzztime=10s ./internal/occupancy
+	$(GO) test -fuzz=FuzzGroupedReplay -fuzztime=10s ./internal/occupancy
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon

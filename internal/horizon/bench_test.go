@@ -122,7 +122,7 @@ func BenchmarkHorizonAdvanceHistory(b *testing.B) {
 				kind = "durable"
 			}
 			b.Run(fmt.Sprintf("history=%d/%s", history, kind), func(b *testing.B) {
-				closeEpoch := trace.service(b, history, durable)
+				rewind, closeEpoch := trace.service(b, history, durable)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -132,6 +132,7 @@ func BenchmarkHorizonAdvanceHistory(b *testing.B) {
 					// depend on when the collector last ran; a close that went
 					// back to pooled buffers would pay for them here, every time.
 					b.StopTimer()
+					rewind()
 					runtime.GC()
 					runtime.GC()
 					b.StartTimer()
@@ -158,11 +159,12 @@ func TestDurableCloseAllocationBudget(t *testing.T) {
 	}
 	trace := newHistoryTrace(t)
 	perClose := func(durable bool) float64 {
-		closeEpoch := trace.service(t, 20000, durable)
+		rewind, closeEpoch := trace.service(t, 20000, durable)
 		closeEpoch() // kept buffers reach their size
 		const runs = 3
 		var total uint64
 		for i := 0; i < runs; i++ {
+			rewind()
 			runtime.GC()
 			runtime.GC()
 			var before, after runtime.MemStats
@@ -189,7 +191,7 @@ func TestDurableCloseAllocationBudget(t *testing.T) {
 // the close allocated under both.
 func TestCleanCloseBuildsNoLedger(t *testing.T) {
 	trace := newHistoryTrace(t)
-	closeEpoch := trace.service(t, 20000, false)
+	_, closeEpoch := trace.service(t, 20000, false)
 	const (
 		build   = "github.com/vodsim/vsp/internal/occupancy.FromSchedule"
 		resolve = "github.com/vodsim/vsp/internal/sorp.resolve"
@@ -260,9 +262,10 @@ func newHistoryTrace(tb testing.TB) historyTrace {
 // service commits the trace's first history requests, in epochs of 1 000
 // with the horizon lagging 15 minutes behind intake, to a service in memory
 // or durable with a snapshot due at every close. It returns a function that
-// closes the next 100-request epoch on top of that history, the same epoch at
-// every call.
-func (h historyTrace) service(tb testing.TB, history int, durable bool) func() {
+// closes the next 100-request epoch on top of that history, and one that puts
+// the service back on the history (Service.Rewind), its bar included, for the
+// first to close the same epoch again.
+func (h historyTrace) service(tb testing.TB, history int, durable bool) (rewind, closeEpoch func()) {
 	tb.Helper()
 	const lag = 15 * simtime.Minute
 	svc := horizon.New(h.r.Model, horizon.Config{})
@@ -289,9 +292,5 @@ func (h historyTrace) service(tb testing.TB, history int, durable bool) func() {
 	for at := 0; at < history; at += 1000 {
 		epoch(h.reqs[at : at+1000])
 	}
-	rewind := svc.Rewind()
-	return func() {
-		rewind()
-		epoch(h.reqs[history : history+100])
-	}
+	return svc.Rewind(), func() { epoch(h.reqs[history : history+100]) }
 }

@@ -15,19 +15,21 @@ import (
 
 // Rewind returns a function that puts the service's state back to what it is
 // now, so a benchmark can close the same epoch again and again. Only the
-// in-memory state rewinds, with the folds of its committed schedule: a
-// durable service's journal keeps what was appended, and its sequence
+// in-memory state rewinds, with the folds of its committed schedule and the
+// bar's kept ledger, moved back to that schedule (scheduler.Checker.Rewind):
+// a durable service's journal keeps what was appended, and its sequence
 // numbers keep growing.
 func (s *Service) Rewind() func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	saved, folds, foldsOf := s.st, maps.Clone(s.folds), s.foldsOf
+	saved, folds, foldsOf, bar := s.st, maps.Clone(s.folds), s.foldsOf, s.checker.Rewind()
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		// A close builds its folds in the map the one before it read, so the
 		// service gets a copy of the saved folds, never the saved map itself.
 		s.st, s.folds, s.foldsOf = saved, maps.Clone(folds), foldsOf
+		bar()
 	}
 }
 

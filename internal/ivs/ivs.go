@@ -181,13 +181,15 @@ type lastTentative struct {
 
 // Workspace is the storage a solve reuses from run to run: its views' and
 // logs' (Occupancy), the greedy's scratches and dead result files per video
-// (Recycle), in LIFO lists bounded by count. The zero value is empty.
+// (Recycle), in LIFO lists bounded by count, and what phase 2 keeps of its
+// own (KeepResolverState). The zero value is empty.
 type Workspace struct {
 	occ       occupancy.Workspace
 	mu        sync.Mutex
 	scratches []*scratch
 	files     map[media.VideoID][]*schedule.FileSchedule
 	nfiles    int
+	resolver  any
 }
 
 const (
@@ -221,6 +223,25 @@ func (w *Workspace) Release() {
 	if len(idle.ws) < maxIdle {
 		idle.ws = append(idle.ws, w)
 	}
+}
+
+// KeepResolverState leaves x, the state phase 2 keeps from one solve to the
+// next (sorp's pair table), in the workspace for the next solve on it; ivs
+// never looks inside it.
+func (w *Workspace) KeepResolverState(x any) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.resolver = x
+}
+
+// TakeResolverState returns what KeepResolverState left, nil if nothing, and
+// takes it out of the workspace.
+func (w *Workspace) TakeResolverState() any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	x := w.resolver
+	w.resolver = nil
+	return x
 }
 
 // Occupancy is what views and logs draw from (occupancy.Ledger.UseWorkspace).

@@ -296,9 +296,9 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 			}
 		}
 	}
-	fits := sweepFits(basel.snapshot(node), ovs, &extra, ne, sup, l.caps[node])
+	fits, d := sweepFits(basel.snapshot(node), ovs, &extra, ne, sup, l.caps[node])
 	if l.log != nil {
-		l.log.record(l, c, peak, excluded, fits)
+		l.log.record(l, c, peak, excluded, fits, d)
 	}
 	return fits
 }
@@ -309,109 +309,167 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 // the query afresh. pts is the base node's prefix sweep, ovs an overlay
 // view's per-node delta (nil on a plain ledger), extra[:ne] the candidate's
 // breakpoint records plus the negated excluded entry's, sup the candidate's
-// support.
-func sweepFits(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) bool {
-	// Manual binary search for the last breakpoint at or before sup.Start
-	// (sort.Search's indirect predicate call is measurable at this call
-	// rate).
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].t > sup.Start {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// support. It returns the answer and d, the extra records' part of the
+// profile at sup.Start (runSum.at): a probe log keeps the least d of the
+// "no"s of each group.
+//
+// The check runs in three steps: enter the sweep at sup.Start
+// (sweep.enter), check the profile there (sweep.over), walk the rest
+// (sweep.walk). A replay that asks many candidates of one start at one
+// storage against one delta enters once and checks each at the first
+// instant through the same over, walking on only from there.
+func sweepFits(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) (fits bool, d float64) {
+	evs, x := firstRecords(extra, ne, sup.Start)
+	var s sweep
+	s.enter(pts, ovs, sup.Start)
+	d = x.at(sup.Start)
+	if s.over(d, sup.Start, capacity) {
+		return false, d
 	}
-	bk := lo - 1
+	return s.walk(x, evs, sup, capacity), d
+}
 
+// The sweep walks the check times — sup.Start, every breakpoint (node,
+// overlay or extra) inside the support, then sup.End — evaluating the
+// combined profile as base (from the prefix snapshot, entered by binary
+// search) plus deltas: the ≤6 extra records and, on an overlay view, the
+// view's own per-node delta records. The combined profile is piecewise
+// linear, and every local maximum inside the support sits at a post-jump
+// breakpoint value or at the support's endpoints: ascending segments exist
+// only inside a negated copy's decay window and always end at an evaluated
+// breakpoint, and every negated Load jump coincides with the base's positive
+// one, so the merged profile never jumps downward (left limits equal
+// evaluated post-jump values). Its state is passed and returned by value, in
+// structs of at most four fields, which the compiler keeps in registers.
+
+// firstRecords puts extra[:ne] in time order and takes in its records up to
+// the sweep's first check time T: the extra records' part of the sweep there.
+func firstRecords(extra *[6]event, ne int, T simtime.Time) ([]event, runSum) {
 	for i := 1; i < ne; i++ {
 		for j := i; j > 0 && extra[j].t < extra[j-1].t; j-- {
 			extra[j], extra[j-1] = extra[j-1], extra[j]
 		}
 	}
+	evs := extra[:ne]
+	return evs, runSum{}.advance(evs, T)
+}
 
-	// Walk the check times — sup.Start, every breakpoint (node, overlay or
-	// extra) inside the support, then sup.End — evaluating the combined
-	// profile as base (from the prefix snapshot, entered by binary search)
-	// plus deltas: the ≤6 extra records and, on an overlay view, the
-	// view's own per-node delta records. The combined profile is piecewise
-	// linear, and every local maximum inside the support sits at a
-	// post-jump breakpoint value or at the support's endpoints: ascending
-	// segments exist only inside a negated copy's decay window and always
-	// end at an evaluated breakpoint, and every negated Load jump
-	// coincides with the base's positive one, so the merged profile never
-	// jumps downward (left limits equal evaluated post-jump values).
-	bval, bslope := 0.0, 0.0
-	var bt simtime.Time
-	bactive := bk >= 0
-	if bactive {
-		bval, bslope, bt = pts[bk].val, pts[bk].slope, pts[bk].t
+// runSum is the sweep's running sum over one chronological list of
+// breakpoint records — the extra records, or an overlay view's delta: the
+// profile's value at the last record taken in and its slope after it. j > 0
+// once a record was taken in.
+type runSum struct {
+	j          int // the next record to take in
+	val, slope float64
+	last       simtime.Time
+}
+
+// advance returns r with every record of evs at or before T taken in.
+func (r runSum) advance(evs []event, T simtime.Time) runSum {
+	for r.j < len(evs) && evs[r.j].t <= T {
+		if r.j > 0 {
+			r.val += r.slope * evs[r.j].t.Sub(r.last).Seconds()
+		}
+		r.last = evs[r.j].t
+		r.val += evs[r.j].jump
+		r.slope += evs[r.j].dslope
+		r.j++
 	}
-	bi := bk + 1
-	dj := 0
-	dval, dslope := 0.0, 0.0
-	var dlast simtime.Time
-	dstarted := false
-	oj := 0
-	oval, oslope := 0.0, 0.0
-	var olast simtime.Time
-	ostarted := false
-	for T := sup.Start; ; {
-		for bi < len(pts) && pts[bi].t <= T {
-			bval, bslope, bt = pts[bi].val, pts[bi].slope, pts[bi].t
-			bactive = true
-			bi++
+	return r
+}
+
+// at is the list's part of the profile at T, once advanced to T.
+func (r runSum) at(T simtime.Time) float64 {
+	v := r.val
+	if r.j > 0 && T > r.last {
+		v += r.slope * T.Sub(r.last).Seconds()
+	}
+	return v
+}
+
+// sweep is a capacity sweep's position at one node: in the base's prefix
+// sweep pts, bi is the next stop to take in and b the last one taken in
+// (bi > 0), and o the position in the view's delta ovs.
+type sweep struct {
+	pts []sweepPt
+	bi  int
+	b   sweepPt
+	ovs []event
+	o   runSum
+}
+
+// enter positions the sweep at T: the last stop of pts at or before T,
+// found by binary search, and the records of ovs up to T.
+func (s *sweep) enter(pts []sweepPt, ovs []event, T simtime.Time) {
+	// Manual binary search (sort.Search's indirect predicate call is
+	// measurable at this call rate).
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pts[mid].t > T {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		for dj < ne && extra[dj].t <= T {
-			if dstarted {
-				dval += dslope * extra[dj].t.Sub(dlast).Seconds()
-			}
-			dlast, dstarted = extra[dj].t, true
-			dval += extra[dj].jump
-			dslope += extra[dj].dslope
-			dj++
+	}
+	s.pts, s.bi, s.ovs, s.o = pts, lo, ovs, runSum{}.advance(ovs, T)
+	s.b = sweepPt{}
+	if lo > 0 {
+		s.b = pts[lo-1]
+	}
+}
+
+// over is the check at T, where the sweep stands: whether the combined
+// profile there — d, the extra records' part (runSum.at), plus the delta's
+// and the base's — exceeds the capacity (overAt).
+func (s *sweep) over(d float64, T simtime.Time, capacity float64) bool {
+	return overAt(d, s.o, s.b, s.bi > 0, T, capacity)
+}
+
+// overAt adds the delta's part o and the base's b, if active, to d in turn.
+// Rounded addition is monotone, so a d that overflows here makes every
+// larger one overflow.
+func overAt(d float64, o runSum, b sweepPt, bactive bool, T simtime.Time, capacity float64) bool {
+	total := d
+	if o.j > 0 {
+		total += o.val
+		if T > o.last {
+			total += o.slope * T.Sub(o.last).Seconds()
 		}
-		for oj < len(ovs) && ovs[oj].t <= T {
-			if ostarted {
-				oval += oslope * ovs[oj].t.Sub(olast).Seconds()
-			}
-			olast, ostarted = ovs[oj].t, true
-			oval += ovs[oj].jump
-			oslope += ovs[oj].dslope
-			oj++
-		}
-		total := dval
-		if dstarted && T > dlast {
-			total += dslope * T.Sub(dlast).Seconds()
-		}
-		if ostarted {
-			total += oval
-			if T > olast {
-				total += oslope * T.Sub(olast).Seconds()
-			}
-		}
-		if bactive {
-			total += bval + bslope*T.Sub(bt).Seconds()
-		}
-		if total > capacity+eps {
-			return false
-		}
-		if T == sup.End {
-			return true
-		}
+	}
+	if bactive {
+		total += b.val + b.slope*T.Sub(b.t).Seconds()
+	}
+	return total > capacity+eps
+}
+
+// walk is the sweep after its first check: from sup.Start, where it stands
+// with x taken in up to there, to sup.End, checking at every breakpoint.
+func (s *sweep) walk(x runSum, extra []event, sup simtime.Interval, capacity float64) bool {
+	pts, bi, b, ovs, o := s.pts, s.bi, s.b, s.ovs, s.o
+	for T := sup.Start; T != sup.End; {
 		next := sup.End
 		if bi < len(pts) && pts[bi].t < next {
 			next = pts[bi].t
 		}
-		if dj < ne && extra[dj].t < next {
-			next = extra[dj].t
+		if x.j < len(extra) && extra[x.j].t < next {
+			next = extra[x.j].t
 		}
-		if oj < len(ovs) && ovs[oj].t < next {
-			next = ovs[oj].t
+		if o.j < len(ovs) && ovs[o.j].t < next {
+			next = ovs[o.j].t
 		}
 		T = next
+		for bi < len(pts) && pts[bi].t <= T {
+			b = pts[bi]
+			bi++
+		}
+		x = x.advance(extra, T)
+		o = o.advance(ovs, T)
+		if overAt(x.at(T), o, b, bi > 0, T, capacity) {
+			return false
+		}
 	}
+	return true
 }
 
 // Banned describes a forbidden (interval, storage) pair the rejective

@@ -10,36 +10,52 @@ import (
 	"github.com/vodsim/vsp/internal/topology"
 )
 
-// probe is one logged capacity query: a candidate copy [load, last] of the
-// log's video at node, optionally disregarding the same copy's registered
-// span [load, exclLast], asked while the view's delta at the node was the
-// log's copy number delta. v is the candidate's peak space γ·size as the
-// live query computed it (spanValue), so a replay builds the candidate's
-// records without evaluating γ again; last and exclLast are kept as offsets
-// from load, which is what makes room for it. 32 bytes: an evaluation logs a
-// few hundred of these against a few kilobytes of its own allocations, so the
-// layout — not the replay — decides whether reuse is a net saving (DESIGN.md
-// §8).
+// probe is one logged capacity query: a candidate copy [start, last] of the
+// log's video, optionally disregarding the same copy's registered span
+// [start, exclLast], asked at the storage, against the delta copy and from
+// the start its group names (group). v is the candidate's peak space γ·size
+// as the live query computed it (spanValue), so a replay builds the
+// candidate's records without evaluating γ again; last and exclLast are kept
+// as offsets from the start. next links the probe into its group's chain of
+// "no" answers, or into the log's list of "yes" ones. 24 bytes: an evaluation
+// logs a few hundred of these against a few kilobytes of its own
+// allocations, so the layout — not the replay — decides whether reuse is a
+// net saving (DESIGN.md §8).
 type probe struct {
-	load           simtime.Time
 	v              float64
-	last, exclLast int32 // seconds after load
-	delta          uint32
-	node           uint16
-	flags          uint16
+	last, exclLast int32  // seconds after the start; exclLast -1: nothing excluded
+	group          uint32 // the probe's group, by number
+	next           uint32 // 1 + the next probe of its chain or list; 0 ends it
 }
 
-const (
-	probeFits = 1 << iota // the recorded answer
-	probeExcl             // exclLast is set: an excluded copy was found
-)
+// group is what the probes asked at one storage, against one delta copy and
+// from one start have in common, and the chain of its "no" answers: head is 1
+// + the first probe of it, 0 while the group has none, and minD the least of
+// their first-instant values d — the candidate's jump at its start less the
+// excluded copy's, summed as the sweep sums them (sweepFits). A replay enters
+// the sweep once per group and checks minD at the start: rounded addition is
+// monotone, so if minD overflows there, every member's d does, bit for bit,
+// and every "no" of the chain stands.
+type group struct {
+	start simtime.Time
+	minD  float64
+	head  uint32
+	delta uint32
+	node  uint16
+}
 
 // chunkProbes sizes the unit of probe storage: logs grow and recycle in
-// 1 KB chunks, so a log never holds more than one partly used chunk and
-// recycled storage fits any log.
-const chunkProbes = 32
+// chunks of 32 probes (768 B), so a log never holds more than one partly used
+// chunk and recycled storage fits any log. Groups are stored and recycled
+// alike, 32 (1 KB) to a chunk.
+const (
+	chunkProbes = 32
+	chunkGroups = 32
+)
 
 type probeChunk [chunkProbes]probe
+
+type groupChunk [chunkGroups]group
 
 // chunkEvents sizes the unit of a log's delta storage: the copies of the
 // view's per-node deltas are packed into 1.5 KB chunks, recycled like the
@@ -86,14 +102,15 @@ func (b *windowBox) narrow(w, sup simtime.Interval, violates bool) {
 }
 
 // ProbeLog is the record of every base-dependent capacity query one
-// overlay view answered, in order. The rejective greedy reads the base
+// overlay view answered, indexed by group: the queries asked at one storage,
+// against one delta copy, from one start. The rejective greedy reads the base
 // ledger only through those yes/no answers, so a reschedule evaluated on
 // the view comes out identical on any later state of the base that gives
 // every logged query the same answer: by induction the first query is the
 // same query (everything before it is base-independent), an equal answer
 // takes the greedy down the same branch to the same second query against
 // the same view delta, and so on. Replay checks exactly that, through the
-// sweep routine the live query used.
+// sweep routine the live query used, one group at a time.
 //
 // The greedy's second door to the outside is the banned (storage, window)
 // pair, asked through Ledger.Violates. Those answers do not depend on the
@@ -110,13 +127,21 @@ func (b *windowBox) narrow(w, sup simtime.Interval, violates bool) {
 //
 // A log owns copies of the view's per-node deltas, taken when it records
 // against a delta that changed since its last copy (nodeState.pin), so the
-// view mutates its delta in place and nothing of the view is retained. Not
-// safe for concurrent use.
+// view mutates its delta in place and nothing of the view is retained once
+// it is released. Not safe for concurrent use.
 type ProbeLog struct {
 	ws     *Workspace
 	masked media.VideoID
 	chunks []*probeChunk
 	n      int
+	// groups holds the group records, in the order of their first probe;
+	// index finds one by (delta, start) while the log records, and goes back
+	// to the workspace when the evaluation ends (Seal).
+	groups  []*groupChunk
+	ngroups int
+	index   *groupIndex
+	// yes is 1 + the first probe of the list of "yes" answers, 0 for none.
+	yes uint32
 	// deltas holds the distinct per-node delta states probes were asked
 	// against: the log's own copies, packed into events.
 	deltas [][]event
@@ -130,22 +155,36 @@ type ProbeLog struct {
 	// box is narrowed by every ban answer given at the banned node.
 	box    windowBox
 	broken bool
+	// entered counts the groups the log's replays entered the sweep for,
+	// swept the full sweeps they ran: a "no" whose own first check passed,
+	// and a "yes".
+	entered, swept int
 }
 
-// Workspace is the storage one solve's evaluations reuse — views, probe logs
-// and their chunks — in LIFO lists bounded by count, not a sync.Pool, so what
-// a solve allocates does not depend on GC timing. The zero value is empty.
+// groupIndex is a recording log's index of its groups: an open-addressed
+// table of 1 + a group's number, 0 for an empty slot, whose length is a power
+// of two at least twice the groups'.
+type groupIndex struct{ slots []uint32 }
+
+// Workspace is the storage one solve's evaluations reuse — views, probe logs,
+// their chunks and their group indexes — in LIFO lists bounded by count, not
+// a sync.Pool, so what a solve allocates does not depend on GC timing. The
+// zero value is empty.
 type Workspace struct {
-	mu     sync.Mutex
-	chunks []*probeChunk
-	events []*eventChunk
-	logs   []*ProbeLog
-	views  []*Ledger
+	mu      sync.Mutex
+	chunks  []*probeChunk
+	groups  []*groupChunk
+	events  []*eventChunk
+	indexes []*groupIndex
+	logs    []*ProbeLog
+	views   []*Ledger
 }
 
 const (
 	maxPooledChunks      = 8192 // 8 MB
+	maxPooledGroupChunks = 4096 // 4 MB
 	maxPooledEventChunks = 4096 // 6 MB
+	maxPooledIndexes     = 1024
 	maxPooledLogs        = 1024
 	maxPooledViews       = 1024
 )
@@ -195,17 +234,97 @@ func (l *Ledger) Record() *ProbeLog {
 func (g *ProbeLog) Release() {
 	w := g.ws
 	clear(g.deltas)
+	g.Seal()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.chunks = push(w.chunks, maxPooledChunks, g.chunks...)
+	w.groups = push(w.groups, maxPooledGroupChunks, g.groups...)
 	w.events = push(w.events, maxPooledEventChunks, g.events...)
 	clear(g.chunks)
+	clear(g.groups)
 	clear(g.events)
-	*g = ProbeLog{chunks: g.chunks[:0], deltas: g.deltas[:0], events: g.events[:0], vers: g.vers[:0]}
+	*g = ProbeLog{chunks: g.chunks[:0], groups: g.groups[:0], deltas: g.deltas[:0], events: g.events[:0], vers: g.vers[:0]}
 	w.logs = push(w.logs, maxPooledLogs, g)
 }
 
 func (g *ProbeLog) at(i int) *probe { return &g.chunks[i/chunkProbes][i%chunkProbes] }
+
+func (g *ProbeLog) groupAt(i uint32) *group { return &g.groups[i/chunkGroups][i%chunkGroups] }
+
+// Seal ends the recording: the evaluation the log belongs to is over, and
+// the log hands the index it found its groups by back to the workspace, for
+// the next evaluation to record with. A query the view answers afterwards is
+// still logged, in a group of its own.
+func (g *ProbeLog) Seal() {
+	x := g.index
+	if x == nil {
+		return
+	}
+	g.index = nil
+	clear(x.slots)
+	g.ws.mu.Lock()
+	g.ws.indexes = push(g.ws.indexes, maxPooledIndexes, x)
+	g.ws.mu.Unlock()
+}
+
+// groupOf returns the number of the group of probes at node against delta
+// copy delta from start, adding it if the log has none.
+func (g *ProbeLog) groupOf(node uint16, delta uint32, start simtime.Time) uint32 {
+	if g.index == nil {
+		if g.index = take(g.ws, &g.ws.indexes); g.index == nil {
+			g.index = new(groupIndex)
+		}
+	}
+	slots := g.index.slots
+	if 2*(g.ngroups+1) > len(slots) {
+		slots = g.grow()
+	}
+	mask := uint64(len(slots) - 1)
+	for i := slotHash(delta, start) & mask; ; i = (i + 1) & mask {
+		k := slots[i]
+		if k == 0 {
+			gi := uint32(g.ngroups)
+			if g.ngroups == len(g.groups)*chunkGroups {
+				ch := take(g.ws, &g.ws.groups)
+				if ch == nil {
+					ch = new(groupChunk)
+				}
+				g.groups = append(g.groups, ch)
+			}
+			g.ngroups++
+			*g.groupAt(gi) = group{start: start, delta: delta, node: node}
+			slots[i] = gi + 1
+			return gi
+		}
+		if gr := g.groupAt(k - 1); gr.start == start && gr.delta == delta {
+			return k - 1
+		}
+	}
+}
+
+// grow doubles the index (64 slots the first time), re-slots every group and
+// returns the new slots.
+func (g *ProbeLog) grow() []uint32 {
+	n := max(64, 2*len(g.index.slots))
+	slots := make([]uint32, n)
+	mask := uint64(n - 1)
+	for gi := 0; gi < g.ngroups; gi++ {
+		gr := g.groupAt(uint32(gi))
+		i := slotHash(gr.delta, gr.start) & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = uint32(gi) + 1
+	}
+	g.index.slots = slots
+	return slots
+}
+
+// slotHash mixes a group's key into the index's slot numbers.
+func slotHash(delta uint32, start simtime.Time) uint64 {
+	h := (uint64(start) ^ uint64(delta)<<40) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
 
 // copyDelta returns a copy of a view's per-node delta in storage the log
 // owns: the free tail of its last event chunk, a fresh chunk when the tail
@@ -236,15 +355,17 @@ func offset(load, t simtime.Time) (int32, bool) {
 }
 
 // record logs one answered query of view l: candidate c, whose peak space is
-// v, and excluded, the registered copy the query disregarded, if any.
-func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *entry, fits bool) {
+// v, and excluded, the registered copy the query disregarded, if any; d is
+// the sweep's value of the candidate's records at its start (sweepFits).
+func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *entry, fits bool, d float64) {
 	last, ok := offset(c.Load, c.LastService)
-	exclLast := int32(0)
+	exclLast := int32(-1)
 	if excluded != nil && ok {
 		exclLast, ok = offset(c.Load, excluded.res.LastService)
+		ok = ok && exclLast >= 0
 	}
 	if !ok || c.Video != g.masked || c.Loc > math.MaxUint16 || len(g.deltas) == math.MaxUint32 ||
-		(excluded != nil && (excluded.res.Video != c.Video || excluded.res.Load != c.Load)) {
+		g.n == math.MaxUint32-1 || (excluded != nil && (excluded.res.Video != c.Video || excluded.res.Load != c.Load)) {
 		g.broken = true
 		return
 	}
@@ -253,6 +374,7 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *
 		g.deltas = append(g.deltas, g.copyDelta(st.events))
 		st.pin = uint32(len(g.deltas))
 	}
+	gi := g.groupOf(uint16(c.Loc), st.pin-1, c.Load)
 	if g.n == len(g.chunks)*chunkProbes {
 		ch := take(g.ws, &g.ws.chunks)
 		if ch == nil {
@@ -262,13 +384,16 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *
 	}
 	p := g.at(g.n)
 	g.n++
-	*p = probe{load: c.Load, v: v, last: last, exclLast: exclLast, delta: st.pin - 1, node: uint16(c.Loc)}
+	*p = probe{v: v, last: last, exclLast: exclLast, group: gi}
 	if fits {
-		p.flags |= probeFits
+		p.next, g.yes = g.yes, uint32(g.n)
+		return
 	}
-	if excluded != nil {
-		p.flags |= probeExcl
+	gr := g.groupAt(gi)
+	if gr.head == 0 || d < gr.minD {
+		gr.minD = d
 	}
+	p.next, gr.head = gr.head, uint32(g.n)
 }
 
 // Covers reports whether every ban answer the recording view gave would
@@ -279,22 +404,29 @@ func (g *ProbeLog) Covers(w simtime.Interval) bool { return g.box.contains(w) }
 // Replay reports whether every logged answer still holds on base — the
 // ledger the recording view was taken from, in any later state — and so
 // whether the evaluation the log belongs to would repeat itself exactly.
-// Probes on nodes whose version has not moved since the log was recorded
-// or last replayed hold trivially; the others are re-asked against the
-// node's current prefix sweep through sweepFits, with the view's delta as
-// it stood at the time and the extra records rebuilt from the probe: the
-// candidate's from its stored peak by peakEvents, the excluded copy's from
-// its span by spanEvents (bit-identical to the registered entry's, see
+// Answers at nodes whose version has not moved since the log was recorded or
+// last replayed hold trivially. The others are re-asked against the node's
+// current prefix sweep through the sweep's own steps (sweepFits), with the
+// view's delta as it stood at the time and the candidate's records rebuilt
+// from the probe: from its stored peak by peakEvents, the excluded copy's
+// from its span by spanEvents (bit-identical to the registered entry's, see
 // newEntry).
+//
+// A replay walks groups, not probes. For a group with "no" answers at a
+// moved node it enters the sweep once, at the group's start, and checks the
+// group's least d there (sweep.over): if that overflows, every "no" of the
+// chain stands, bit for bit, and the group is done. Otherwise each member
+// gets its own first check at its own d, and a member that passes it the
+// rest of the sweep (sweep.walk). Every "yes" is re-asked by the full sweep.
 // The caller must separately know that the masked video's own copies in
 // base are unchanged: they are the view's initial delta.
 //
 // Replay reads the snapshots of the storages its probes are at and builds
 // any of them not built at the node's current version; it then writes only
-// the log's own versions. After AllOverflows, which builds every storage's
-// snapshot, it writes nothing of base until base next mutates. A log is
-// written by its replay, so one log must not be replayed concurrently with
-// itself.
+// the log's own versions and counters. After AllOverflows, which builds every
+// storage's snapshot, it writes nothing of base until base next mutates. A
+// log is written by its replay, so one log must not be replayed concurrently
+// with itself.
 func (g *ProbeLog) Replay(base *Ledger) bool {
 	if g.broken {
 		return false
@@ -302,25 +434,50 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 	v := base.catalog.Video(g.masked)
 	size, playback := v.Size.Float(), v.Playback
 	moved := false
-	for ci, left := 0, g.n; left > 0; ci, left = ci+1, left-chunkProbes {
-		for j := range g.chunks[ci][:min(left, chunkProbes)] {
-			p := &g.chunks[ci][j]
-			node := topology.NodeID(p.node)
-			if base.nodes[node].ver == g.vers[node] {
+	var extra [6]event
+	for ci, left := 0, g.ngroups; left > 0; ci, left = ci+1, left-chunkGroups {
+		for j := range g.groups[ci][:min(left, chunkGroups)] {
+			gr := &g.groups[ci][j]
+			node := topology.NodeID(gr.node)
+			if gr.head == 0 || base.nodes[node].ver == g.vers[node] {
 				continue
 			}
 			moved = true
-			var extra [6]event
-			last := p.load.Add(simtime.Duration(p.last))
-			ne := peakEvents(&extra, 0, p.load, last, p.v, playback, false)
-			if p.flags&probeExcl != 0 {
-				ne = spanEvents(&extra, ne, p.load, p.load.Add(simtime.Duration(p.exclLast)), size, playback, true)
+			g.entered++
+			capacity := base.caps[node]
+			var s sweep
+			s.enter(base.snapshot(node), g.deltas[gr.delta], gr.start)
+			if s.over(gr.minD, gr.start, capacity) {
+				continue
 			}
-			sup := simtime.NewInterval(p.load, last.Add(playback))
-			fits := sweepFits(base.snapshot(node), g.deltas[p.delta], &extra, ne, sup, base.caps[node])
-			if fits != (p.flags&probeFits != 0) {
-				return false
+			for k := gr.head; k != 0; {
+				p := g.at(int(k - 1))
+				k = p.next
+				ne, sup := g.records(&extra, gr, p, size, playback)
+				evs, x := firstRecords(&extra, ne, gr.start)
+				if s.over(x.at(gr.start), gr.start, capacity) {
+					continue
+				}
+				g.swept++
+				if s.walk(x, evs, sup, capacity) {
+					return false
+				}
 			}
+		}
+	}
+	for k := g.yes; k != 0; {
+		p := g.at(int(k - 1))
+		k = p.next
+		gr := g.groupAt(p.group)
+		node := topology.NodeID(gr.node)
+		if base.nodes[node].ver == g.vers[node] {
+			continue
+		}
+		moved = true
+		g.swept++
+		ne, sup := g.records(&extra, gr, p, size, playback)
+		if fits, _ := sweepFits(base.snapshot(node), g.deltas[gr.delta], &extra, ne, sup, base.caps[node]); !fits {
+			return false
 		}
 	}
 	if moved {
@@ -329,4 +486,15 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 		}
 	}
 	return true
+}
+
+// records rebuilds a probe of the group's sweep records into extra, as the
+// live query built them, and returns their count and the candidate's support.
+func (g *ProbeLog) records(extra *[6]event, gr *group, p *probe, size float64, playback simtime.Duration) (int, simtime.Interval) {
+	last := gr.start.Add(simtime.Duration(p.last))
+	ne := peakEvents(extra, 0, gr.start, last, p.v, playback, false)
+	if p.exclLast >= 0 {
+		ne = spanEvents(extra, ne, gr.start, gr.start.Add(simtime.Duration(p.exclLast)), size, playback, true)
+	}
+	return ne, simtime.NewInterval(gr.start, last.Add(playback))
 }

@@ -59,6 +59,10 @@ func randomScript(rng *rand.Rand, vid media.VideoID, stores []topology.NodeID, n
 	return ops
 }
 
+// deltaIndex is the delta copy probe i was asked against, deltaOf the copy.
+func (g *ProbeLog) deltaIndex(i int) uint32 { return g.groupAt(g.at(i).group).delta }
+func (g *ProbeLog) deltaOf(i int) []event   { return g.deltas[g.deltaIndex(i)] }
+
 // scripted is what a script asks of a view, and of the reference copy it is
 // compared with.
 type scripted interface {
@@ -118,10 +122,10 @@ func TestPropertyReplayMatchesReasking(t *testing.T) {
 			if log.n != q+1 {
 				t.Fatalf("seed %d: query %d logged %d probes", seed, q, log.n)
 			}
-			pinned = append(pinned, append([]event(nil), log.deltas[log.at(q).delta]...))
+			pinned = append(pinned, append([]event(nil), log.deltaOf(q)...))
 		})
 		for q, snap := range pinned {
-			got := log.deltas[log.at(q).delta]
+			got := log.deltaOf(q)
 			if len(got) != len(snap) {
 				t.Fatalf("seed %d: probe %d's delta snapshot changed length after the fact", seed, q)
 			}
@@ -199,7 +203,7 @@ func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
 		log := view.Record()
 		var pinned [][]event
 		want := runScript(view, scriptA, func(q int) {
-			pinned = append(pinned, append([]event(nil), log.deltas[log.at(q).delta]...))
+			pinned = append(pinned, append([]event(nil), log.deltaOf(q)...))
 		})
 		arrays := make([][]event, len(view.nodes))
 		for n := range view.nodes {
@@ -238,7 +242,7 @@ func TestRecycledViewKeepsLogsAndAnswers(t *testing.T) {
 			}
 		}
 		for q, snap := range pinned {
-			if !slices.Equal(log.deltas[log.at(q).delta], snap) {
+			if !slices.Equal(log.deltaOf(q), snap) {
 				t.Fatalf("seed %d: probe %d's delta snapshot changed while its view served video %d", seed, q, vidB)
 			}
 		}
@@ -297,7 +301,7 @@ func TestProbeLogOwnsItsDeltas(t *testing.T) {
 	log := view.Record()
 	view.CanFitExcluding(res(1, is1, 500, 600), nil)
 	evs := view.nodes[is1].events
-	got := log.deltas[log.at(0).delta]
+	got := log.deltaOf(0)
 	before := slices.Clone(got)
 	if len(got) == 0 || !slices.Equal(got, evs) {
 		t.Fatalf("fixture bug: the probe's delta %v is not the view's %v", got, evs)
@@ -323,12 +327,12 @@ func TestProbeLogOwnsItsDeltas(t *testing.T) {
 	// The next probe copies the new state, and the one after shares it.
 	view.CanFitExcluding(res(1, is1, 700, 800), nil)
 	view.CanFitExcluding(res(1, is1, 900, 1000), nil)
-	if log.at(1).delta == log.at(0).delta || log.at(2).delta != log.at(1).delta {
+	if log.deltaIndex(1) == log.deltaIndex(0) || log.deltaIndex(2) != log.deltaIndex(1) {
 		t.Fatalf("delta indices %d %d %d: want a new copy after the mutation, shared until the next",
-			log.at(0).delta, log.at(1).delta, log.at(2).delta)
+			log.deltaIndex(0), log.deltaIndex(1), log.deltaIndex(2))
 	}
-	if !slices.Equal(log.deltas[log.at(1).delta], after) {
-		t.Fatalf("the second copy %v is not the view's delta %v", log.deltas[log.at(1).delta], after)
+	if !slices.Equal(log.deltaOf(1), after) {
+		t.Fatalf("the second copy %v is not the view's delta %v", log.deltaOf(1), after)
 	}
 
 	// Released storage serves the next log: the same chunk, and a whole
@@ -469,14 +473,22 @@ func TestViolatesNarrowsTheLog(t *testing.T) {
 // TestProbeLogFootprint pins what a log costs, in the style of
 // TestOverlayDeltaSizedByMaskedVideo: the layout decides whether reuse is
 // a net saving (a paced-epoch evaluation logs ~230 probes against ~14 KB
-// of its own allocations), so a probe stays within 32 bytes, the window box
-// costs 32 bytes per log and nothing per probe, and a cold 200-probe log
-// asked against one unchanged delta stays within 8 KB of probes and
-// bookkeeping plus the one event chunk its copy of that delta takes;
-// released storage serves the next log without allocating.
+// of its own allocations), so a probe stays within 24 bytes and a group
+// within 32, the window box costs 32 bytes per log and nothing per probe,
+// and a cold 200-probe log asked against one unchanged delta stays within
+// 8 KB of probes and bookkeeping plus the one event chunk its copy of that
+// delta takes and what its groups take. Each of its probes starts at a
+// second of its own, so each is a group of one: the worst case, 200 group
+// records in 1 KB chunks and an index grown to 512 slots, 4 KB with the
+// tables it outgrew (a greedy's log has about 10 to 18 times fewer groups
+// than "no" answers). Released storage serves the next log without
+// allocating.
 func TestProbeLogFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(probe{}); got > 32 {
-		t.Fatalf("probe is %d bytes, want <= 32", got)
+	if got := unsafe.Sizeof(probe{}); got > 24 {
+		t.Fatalf("probe is %d bytes, want <= 24", got)
+	}
+	if got := unsafe.Sizeof(group{}); got > 32 {
+		t.Fatalf("group is %d bytes, want <= 32", got)
 	}
 	if got := unsafe.Sizeof(windowBox{}); got != 32 {
 		t.Fatalf("the window box is %d bytes, want 32", got)
@@ -506,9 +518,9 @@ func TestProbeLogFootprint(t *testing.T) {
 				view.CanFitExcluding(res(1, is1, simtime.Time(i), simtime.Time(i+40)), nil)
 			}
 			runtime.ReadMemStats(&after)
-			if log.n != 200 || len(log.deltas) != 1 || len(log.events) != 1 {
-				t.Fatalf("%d probes logged against %d copies in %d chunks, want 200 against 1 in 1",
-					log.n, len(log.deltas), len(log.events))
+			if log.n != 200 || log.ngroups != 200 || len(log.deltas) != 1 || len(log.events) != 1 {
+				t.Fatalf("%d probes in %d groups logged against %d copies in %d chunks, want 200 in 200 against 1 in 1",
+					log.n, log.ngroups, len(log.deltas), len(log.events))
 			}
 			log.Release()
 			view.Release()
@@ -516,9 +528,10 @@ func TestProbeLogFootprint(t *testing.T) {
 		}
 		return least
 	}
-	const budget = 8<<10 + uint64(unsafe.Sizeof(eventChunk{}))
+	groups := (200+chunkGroups-1)/chunkGroups*uint64(unsafe.Sizeof(groupChunk{})) + 4<<10
+	budget := 8<<10 + uint64(unsafe.Sizeof(eventChunk{})) + groups
 	if cold := cost(true); cold >= budget {
-		t.Errorf("a cold 200-probe log allocated %d bytes, want < %d (8 KB and one event chunk)", cold, budget)
+		t.Errorf("a cold 200-probe log allocated %d bytes, want < %d (8 KB, one event chunk and %d B of groups)", cold, budget, groups)
 	}
 	if warm := cost(false); warm != 0 {
 		t.Errorf("a 200-probe log on recycled storage allocated %d bytes, want 0", warm)

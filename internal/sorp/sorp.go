@@ -23,16 +23,23 @@
 // log replays to the same answers on the current ledger — which makes the
 // reschedule identical by induction over both kinds of question, so
 // victims, schedule and cost are the ones a table-free run produces. The
-// replays are most of a round's work, and they run on the worker pool, one
-// key's entries and logs to one worker: two jobs of a round share a key
-// only where an overflow split at one storage, and that worker replays each
-// log once for both (pairTable.replay). What must happen in order — taking
+// replays are most of a round's work. Most answers a replay re-asks are a
+// "no" decided at the candidate's first instant, at a storage the overflow
+// holds full, and many candidates share a storage, a delta and a start: a
+// log answers those by group, one sweep entry and one check per group
+// (ProbeLog.Replay). The replays run on the worker pool, one key's entries
+// and logs to one worker: two jobs of a round share a key only where an
+// overflow split at one storage, and that worker replays each log once for
+// both (pairTable.replay). What must happen in order — taking
 // a hit's result, retiring a broken entry, taking a miss's view — follows in
 // one sequential pass in job order. The views the evaluations ran on are
 // not kept — each goes back to the run's workspace when the next round
 // starts or the run ends (Ledger.Release), for a later fresh evaluation to
 // reuse — and every winner, evaluated this round or reused, is committed
-// from its file schedule (Ledger.CommitFile).
+// from its file schedule (Ledger.CommitFile). The table outlives its run: it
+// is left, empty, in the run's workspace, and the next run on it takes it
+// with its map, its per-key slices and its per-round scaffolding as grown
+// (takeTable), so a solve does not rebuild the table its logs live in.
 //
 // Almost every evaluation's result is thrown away, and an evaluation of the
 // same file needs the same room — on a rolling horizon, a copy of its frozen
@@ -203,11 +210,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 	work := &schedule.Schedule{Files: maps.Clone(s.Files)}
 	res.Schedule = work
 
-	table := pairTable{
-		ws:      opts.Workspace,
-		entries: make(map[pairKey][]pairEntry),
-		jobOf:   make(map[media.VideoID]int),
-	}
+	table := takeTable(opts.Workspace)
 	defer table.release()
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -222,7 +225,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 				iter, len(overflows))
 		}
 		res.Iterations++
-		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, &fileCost, &table, res)
+		best, found, err := selectVictim(ctx, m, work, ledger, overflows, reqs, opts, &fileCost, table, res)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +242,7 @@ func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[
 		fileCost.set(best.record.Video, best.newCost)
 		res.Victims = append(res.Victims, best.record)
 		if committed != nil {
-			committed(work, &table)
+			committed(work, table)
 		}
 	}
 	res.CostAfter = fileCost.sum()
@@ -319,10 +322,16 @@ type reschedJob struct {
 // several — and selectVictim's per-round scaffolding, reset instead of
 // reallocated. An entry leaves when its file is committed, when its log no
 // longer replays, or when no overflow used it for a round; the log's
-// storage is recycled each time, and so is the file's (retire).
+// storage is recycled each time, and so is the file's (retire). The table
+// itself is kept in the run's workspace when the run ends, and the next run
+// on that workspace takes it (takeTable), so the map, the per-key slices and
+// the scaffolding are grown once per workspace, not once per solve.
 type pairTable struct {
 	ws      *ivs.Workspace
 	entries map[pairKey][]pairEntry
+	// spare holds the emptied slices of keys that left the table, for new
+	// keys to take.
+	spare [][]pairEntry
 
 	jobs   []reschedJob
 	fresh  []int                 // indices into jobs
@@ -333,6 +342,39 @@ type pairTable struct {
 	// and keyAt where each group starts, then len(byKey): the replay
 	// fan-out's unit, one key's entries and logs to one worker.
 	byKey, keyAt []int
+}
+
+// maxSpareKeys bounds the emptied per-key slices a table keeps.
+const maxSpareKeys = 4096
+
+// takeTable returns the table the last run on the workspace kept there
+// (ivs.Workspace.TakeResolverState), or a new one, drawing its views, logs
+// and files from ws.
+func takeTable(ws *ivs.Workspace) *pairTable {
+	t, _ := ws.TakeResolverState().(*pairTable)
+	if t == nil {
+		t = &pairTable{entries: make(map[pairKey][]pairEntry), jobOf: make(map[media.VideoID]int)}
+	}
+	t.ws = ws
+	return t
+}
+
+// add appends an entry under the key, in a spare slice if the key is new.
+func (t *pairTable) add(k pairKey, e pairEntry) {
+	es, ok := t.entries[k]
+	if n := len(t.spare); !ok && n > 0 {
+		es, t.spare = t.spare[n-1], t.spare[:n-1]
+	}
+	t.entries[k] = append(es, e)
+}
+
+// drop removes the key, whose entries have been retired, keeping its slice.
+func (t *pairTable) drop(k pairKey, es []pairEntry) {
+	delete(t.entries, k)
+	clear(es)
+	if len(t.spare) < maxSpareKeys {
+		t.spare = append(t.spare, es[:0])
+	}
 }
 
 // group fills byKey and keyAt from the round's jobs.
@@ -410,10 +452,10 @@ func (t *pairTable) evictUnused(round int) {
 				t.retire(e)
 			}
 		}
-		clear(es[len(kept):])
 		if len(kept) == 0 {
-			delete(t.entries, k)
+			t.drop(k, es)
 		} else {
+			clear(es[len(kept):])
 			t.entries[k] = kept
 		}
 	}
@@ -431,7 +473,7 @@ func (t *pairTable) dropVideo(vid media.VideoID, committed *schedule.FileSchedul
 					t.retire(e)
 				}
 			}
-			delete(t.entries, k)
+			t.drop(k, es)
 		}
 	}
 }
@@ -443,17 +485,22 @@ func (t *pairTable) retire(e pairEntry) {
 	t.ws.Recycle(e.fs)
 }
 
-// release hands back what the run still holds when it ends: every entry's
-// log and file — a commit has already taken its winner's entries out — and
-// the views of the last round, which no later round will.
+// release hands back what the run still holds when it ends — every entry's
+// log and file (a commit has already taken its winner's entries out) and the
+// views of the last round, which no later round will — and then the table,
+// empty, to the workspace, for the next run on it to take (takeTable).
 func (t *pairTable) release() {
-	for _, es := range t.entries {
+	for k, es := range t.entries {
 		for _, e := range es {
 			t.retire(e)
 		}
+		t.drop(k, es)
 	}
-	t.entries = nil
 	t.releaseViews()
+	clear(t.jobs)
+	ws := t.ws
+	t.jobs, t.ws = t.jobs[:0], nil
+	ws.KeepResolverState(t)
 }
 
 // releaseViews hands every view of the round's jobs back (Ledger.Release).
@@ -600,13 +647,14 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 		j := &t.jobs[t.fresh[i]]
 		vid := j.key.video
 		j.result = rescheduleFile(m, j.tmp, vid, overflows[j.overflow], reqs[vid], opts, fileCost.of(vid))
+		j.log.Seal()
 	}); err != nil {
 		return candidate{}, false, fmt.Errorf("sorp: victim selection aborted: %w", err)
 	}
 	res.Evaluated += len(t.fresh)
 	for _, i := range t.fresh {
 		j := &t.jobs[i]
-		t.entries[j.key] = append(t.entries[j.key], pairEntry{fs: j.result.fs, newCost: j.result.newCost,
+		t.add(j.key, pairEntry{fs: j.result.fs, newCost: j.result.newCost,
 			ok: j.result.ok, log: j.log, window: overflows[j.overflow].Interval, round: round})
 	}
 	t.evictUnused(round)
