@@ -122,7 +122,7 @@ func BenchmarkHorizonAdvanceHistory(b *testing.B) {
 				kind = "durable"
 			}
 			b.Run(fmt.Sprintf("history=%d/%s", history, kind), func(b *testing.B) {
-				rewind, closeEpoch := trace.service(b, history, durable)
+				_, rewind, closeEpoch := trace.service(b, history, durable)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -159,7 +159,7 @@ func TestDurableCloseAllocationBudget(t *testing.T) {
 	}
 	trace := newHistoryTrace(t)
 	perClose := func(durable bool) float64 {
-		rewind, closeEpoch := trace.service(t, 20000, durable)
+		_, rewind, closeEpoch := trace.service(t, 20000, durable)
 		closeEpoch() // kept buffers reach their size
 		const runs = 3
 		var total uint64
@@ -191,7 +191,7 @@ func TestDurableCloseAllocationBudget(t *testing.T) {
 // the close allocated under both.
 func TestCleanCloseBuildsNoLedger(t *testing.T) {
 	trace := newHistoryTrace(t)
-	_, closeEpoch := trace.service(t, 20000, false)
+	_, _, closeEpoch := trace.service(t, 20000, false)
 	const (
 		build   = "github.com/vodsim/vsp/internal/occupancy.FromSchedule"
 		resolve = "github.com/vodsim/vsp/internal/sorp.resolve"
@@ -261,14 +261,14 @@ func newHistoryTrace(tb testing.TB) historyTrace {
 
 // service commits the trace's first history requests, in epochs of 1 000
 // with the horizon lagging 15 minutes behind intake, to a service in memory
-// or durable with a snapshot due at every close. It returns a function that
-// closes the next 100-request epoch on top of that history, and one that puts
-// the service back on the history (Service.Rewind), its bar included, for the
-// first to close the same epoch again.
-func (h historyTrace) service(tb testing.TB, history int, durable bool) (rewind, closeEpoch func()) {
+// or durable with a snapshot due at every close. It returns the service, a
+// function that puts it back on the history (Service.Rewind), its bar
+// included, and one that closes the next 100-request epoch on top of that
+// history, as often as it is rewound.
+func (h historyTrace) service(tb testing.TB, history int, durable bool) (svc *horizon.Service, rewind, closeEpoch func()) {
 	tb.Helper()
 	const lag = 15 * simtime.Minute
-	svc := horizon.New(h.r.Model, horizon.Config{})
+	svc = horizon.New(h.r.Model, horizon.Config{})
 	if durable {
 		// No flush per append while the history is built; the snapshot
 		// flushes itself.
@@ -292,5 +292,20 @@ func (h historyTrace) service(tb testing.TB, history int, durable bool) (rewind,
 	for at := 0; at < history; at += 1000 {
 		epoch(h.reqs[at : at+1000])
 	}
-	return svc.Rewind(), func() { epoch(h.reqs[history : history+100]) }
+	return svc, svc.Rewind(), func() { epoch(h.reqs[history : history+100]) }
+}
+
+// A rewound service's bar holds the saved history, not the outcome of the
+// close before the rewind: its kept ledger answers as a fresh build of the
+// committed schedule does, so each of BenchmarkHorizonAdvanceHistory's
+// closes examines what changed from the history, as a live close does.
+func TestRewindPutsTheBarBack(t *testing.T) {
+	svc, rewind, closeEpoch := newHistoryTrace(t).service(t, 2000, false)
+	for i := 0; i < 2; i++ {
+		closeEpoch()
+		rewind()
+		if d := svc.KeptLedgerDiff(); d != "" {
+			t.Fatalf("after close %d and a rewind, the bar's kept ledger is not the history's: %s", i, d)
+		}
+	}
 }

@@ -477,12 +477,14 @@ func TestViolatesNarrowsTheLog(t *testing.T) {
 // within 32, the window box costs 32 bytes per log and nothing per probe,
 // and a cold 200-probe log asked against one unchanged delta stays within
 // 8 KB of probes and bookkeeping plus the one event chunk its copy of that
-// delta takes and what its groups take. Each of its probes starts at a
-// second of its own, so each is a group of one: the worst case, 200 group
-// records in 1 KB chunks and an index grown to 512 slots, 4 KB with the
-// tables it outgrew (a greedy's log has about 10 to 18 times fewer groups
-// than "no" answers). Released storage serves the next log without
-// allocating.
+// delta takes. That holds whole for a log whose probes share a start, as a
+// greedy's "no" answers mostly do (about 10 to 18 of them to a group): all
+// 200 are one group. A log whose every probe starts at a second of its own
+// is the worst case, 200 groups; its probes and bookkeeping, measured on a
+// workspace that already holds the group storage, keep the same bound, and
+// the group storage itself costs no more than its records' seven 1 KB
+// chunks and an index grown to 512 slots. Released storage serves the next
+// log without allocating.
 func TestProbeLogFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(probe{}); got > 24 {
 		t.Fatalf("probe is %d bytes, want <= 24", got)
@@ -499,28 +501,32 @@ func TestProbeLogFootprint(t *testing.T) {
 	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 200))
 	base.Add(Ref{Video: 1, Index: 0}, res(1, is1, 50, 120))
 
-	// cost is the bytes one 200-probe log allocates, on an empty workspace
-	// when cold. The runtime's own bookkeeping can land in the window
-	// and only ever adds — restarting the world after ReadMemStats
+	const probes = 200
+	shared := func(int) simtime.Time { return 0 }
+	own := func(i int) simtime.Time { return simtime.Time(i) }
+	// cost is the bytes one 200-probe log allocates, its i-th probe starting
+	// at start(i), on the workspace ws returns (nil: the one the last log
+	// released its storage to). The runtime's own bookkeeping can land in the
+	// window and only ever adds — restarting the world after ReadMemStats
 	// sometimes has to start a thread, 5 KB once per process — so the least
 	// of three attempts is the log's.
-	cost := func(cold bool) uint64 {
+	cost := func(ws func() *Workspace, start func(int) simtime.Time, groups int) uint64 {
 		least := ^uint64(0)
 		for attempt := 0; attempt < 3; attempt++ {
-			if cold {
-				base.UseWorkspace(new(Workspace))
+			if w := ws(); w != nil {
+				base.UseWorkspace(w)
 			}
 			view := base.OverlayWithout(1)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			log := view.Record()
-			for i := 0; i < 200; i++ {
-				view.CanFitExcluding(res(1, is1, simtime.Time(i), simtime.Time(i+40)), nil)
+			for i := 0; i < probes; i++ {
+				view.CanFitExcluding(res(1, is1, start(i), simtime.Time(i+40)), nil)
 			}
 			runtime.ReadMemStats(&after)
-			if log.n != 200 || log.ngroups != 200 || len(log.deltas) != 1 || len(log.events) != 1 {
-				t.Fatalf("%d probes in %d groups logged against %d copies in %d chunks, want 200 in 200 against 1 in 1",
-					log.n, log.ngroups, len(log.deltas), len(log.events))
+			if log.n != probes || log.ngroups != groups || len(log.deltas) != 1 || len(log.events) != 1 {
+				t.Fatalf("%d probes in %d groups logged against %d copies in %d chunks, want %d in %d against 1 in 1",
+					log.n, log.ngroups, len(log.deltas), len(log.events), probes, groups)
 			}
 			log.Release()
 			view.Release()
@@ -528,12 +534,35 @@ func TestProbeLogFootprint(t *testing.T) {
 		}
 		return least
 	}
-	groups := (200+chunkGroups-1)/chunkGroups*uint64(unsafe.Sizeof(groupChunk{})) + 4<<10
-	budget := 8<<10 + uint64(unsafe.Sizeof(eventChunk{})) + groups
-	if cold := cost(true); cold >= budget {
-		t.Errorf("a cold 200-probe log allocated %d bytes, want < %d (8 KB, one event chunk and %d B of groups)", cold, budget, groups)
+	empty := func() *Workspace { return new(Workspace) }
+	recycled := func() *Workspace { return nil }
+	// slots is the index a log of 200 groups ends with; it grew from 64.
+	const slots = 512
+	stocked := func() *Workspace {
+		w := new(Workspace)
+		for range (probes + chunkGroups - 1) / chunkGroups {
+			w.groups = append(w.groups, new(groupChunk))
+		}
+		w.indexes = append(w.indexes, &groupIndex{slots: make([]uint32, slots)})
+		return w
 	}
-	if warm := cost(false); warm != 0 {
+
+	const budget = 8<<10 + uint64(unsafe.Sizeof(eventChunk{}))
+	if cold := cost(empty, shared, 1); cold >= budget {
+		t.Errorf("a cold 200-probe log of one group allocated %d bytes, want < %d (8 KB and one event chunk)", cold, budget)
+	}
+	bookkeeping := cost(stocked, own, probes)
+	if bookkeeping >= budget {
+		t.Errorf("the probes and bookkeeping of a cold 200-probe log of 200 groups allocated %d bytes, want < %d (8 KB and one event chunk)",
+			bookkeeping, budget)
+	}
+	groupStorage := uint64((probes+chunkGroups-1)/chunkGroups*unsafe.Sizeof(groupChunk{}) + unsafe.Sizeof(groupIndex{}) +
+		(slots/8+slots/4+slots/2+slots)*unsafe.Sizeof(uint32(0)))
+	if groups := cost(empty, own, probes) - bookkeeping; groups > groupStorage {
+		t.Errorf("the groups of a cold 200-probe log of 200 groups allocated %d bytes, want <= %d (7 chunks and a 512-slot index grown from 64)",
+			groups, groupStorage)
+	}
+	if warm := cost(recycled, own, probes); warm != 0 {
 		t.Errorf("a 200-probe log on recycled storage allocated %d bytes, want 0", warm)
 	}
 }

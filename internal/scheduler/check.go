@@ -140,22 +140,6 @@ func (c *Checker) back(prev *schedule.Schedule) {
 	c.held = prev
 }
 
-// Rewind returns a function that puts the checker back where it stands now:
-// the kept ledger moved back to the schedule it holds, and Solve's choice of
-// asking it first. A caller that puts its own state back to an earlier one —
-// a benchmark closing one epoch again and again — puts the checker back with
-// it, so that the next close examines what changed from that state, as a
-// close from that state always does.
-func (c *Checker) Rewind() func() {
-	held, overflowed := c.held, c.overflowed
-	return func() {
-		if c.led != nil && c.held != held {
-			c.back(held)
-		}
-		c.overflowed = overflowed
-	}
-}
-
 // Ledger returns the kept ledger, which holds the last schedule Extend
 // accepted (or the prev of the last close that did not commit), nil before
 // the first call. It must only be read.

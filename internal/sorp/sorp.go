@@ -330,7 +330,9 @@ type pairTable struct {
 	ws      *ivs.Workspace
 	entries map[pairKey][]pairEntry
 	// spare holds the emptied slices of keys that left the table, for new
-	// keys to take.
+	// keys to take: keys come and go every round, and without it the
+	// benchmark's batch_solve allocated 1.23 MB a solve against 1.19 MB
+	// (medians of six alternating runs each, 2-CPU Xeon).
 	spare [][]pairEntry
 
 	jobs   []reschedJob
