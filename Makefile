@@ -64,7 +64,9 @@ chaos-bench:
 # schedule to the next, to a fresh build of the next: the same overflows and
 # the same profile, bit for bit. FuzzGroupedReplay holds SORP's grouped
 # probe-log replay to re-asking every logged probe through the capacity
-# sweep, on arbitrary moves of the base.
+# sweep, on arbitrary moves of the base, and FuzzRefusalMemo the rejective
+# greedy's refusal memo to a run that asks every question, on arbitrary
+# near-full ledgers.
 # FuzzMergeEncodings holds the gateway's byte merge of shard plans to the
 # decode–merge–encode it replaced, and FuzzParseShard holds vspgateway's
 # -shard parser to what gateway.New accepts. FuzzReservationRequest holds
@@ -78,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCoverageExtension -fuzztime=10s ./internal/schedule
 	$(GO) test -fuzz=FuzzCapacityExtension -fuzztime=10s ./internal/occupancy
 	$(GO) test -fuzz=FuzzGroupedReplay -fuzztime=10s ./internal/occupancy
+	$(GO) test -fuzz=FuzzRefusalMemo -fuzztime=10s ./internal/ivs
 	$(GO) test -fuzz=FuzzScheduleFile -fuzztime=10s -fuzzminimizetime=1s ./cmd/vspsim
 	$(GO) test -fuzz=FuzzSnapshotDoor -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon
 	$(GO) test -fuzz=FuzzApplyReplicated -fuzztime=10s -fuzzminimizetime=1s ./internal/horizon

@@ -16,7 +16,9 @@
 // reproduces the paper's Fig. 2 example (schedule S2) to the cent.
 //
 // The same greedy, parameterized with capacity constraints and a banned
-// (interval, storage) pair, is the Rejective Greedy of phase 2 (§4.4).
+// (interval, storage) pair, is the Rejective Greedy of phase 2 (§4.4). A
+// rejective run asks about a copy it has refused for good only once: the
+// questions it could ask again only grow, so their answers stand.
 package ivs
 
 import (
@@ -172,6 +174,13 @@ type scratch struct {
 	// one at the current start exists.
 	pre  []copyKey
 	last []lastTentative
+	// refused[j] is set once a rejective run's candidate loop refused res[j]
+	// for good — by a ban, or by a firm capacity refusal (FitExcluding) —
+	// and the loop passes the copy over, unpriced, for every later request
+	// of the run (serveOne). A run without a ledger keeps it empty.
+	refused []bool
+	// hooks is the workspace's (Workspace.hooks), nil outside the tests.
+	hooks *hooks
 }
 
 type lastTentative struct {
@@ -190,6 +199,18 @@ type Workspace struct {
 	files     map[media.VideoID][]*schedule.FileSchedule
 	nfiles    int
 	resolver  any
+	hooks     *hooks // set only by the package's tests (export_test.go)
+}
+
+// hooks let the package's tests watch the refusal memo of the runs on one
+// workspace (export_test.go): asked sees every capacity query a rejective
+// candidate loop asks and its answer, and skipped every candidate it passes
+// over as refused — the question it would have asked, on the live ledger —
+// and may have it asked after all, which makes the run the memo-free
+// reference. Both may be called from several runs at once.
+type hooks struct {
+	asked   func(c schedule.Residency, fits bool)
+	skipped func(opts Options, c schedule.Residency, ref occupancy.Ref) (ask bool)
 }
 
 const (
@@ -264,9 +285,9 @@ func (w *Workspace) take(video media.VideoID, rejective bool) (sc *scratch, dead
 	return sc, dead
 }
 
-// putScratch hands back the scratch (pointer-free) with its residencies dropped.
+// putScratch hands back the scratch with its residencies and hooks dropped.
 func (w *Workspace) putScratch(sc *scratch) {
-	sc.res = sc.res[:0]
+	sc.res, sc.hooks = sc.res[:0], nil
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.scratches) < maxPooledScratch {
@@ -291,11 +312,17 @@ func (w *Workspace) Recycle(fs *schedule.FileSchedule) {
 	w.nfiles++
 }
 
-// index builds the key set, the span-cost cache and the zeroed reader
-// counts of the residencies the run starts with.
-func (sc *scratch) index(m *cost.Model, v media.Video, nodes int) {
+// index builds the key set, the span-cost cache, the zeroed reader counts
+// and, for a rejective run, the cleared refusal memo of the residencies the
+// run starts with.
+func (sc *scratch) index(m *cost.Model, v media.Video, nodes int, rejective bool) {
 	sc.readers = slices.Grow(sc.readers[:0], len(sc.res))[:len(sc.res)]
 	clear(sc.readers)
+	sc.refused = sc.refused[:0]
+	if rejective {
+		sc.refused = slices.Grow(sc.refused, len(sc.res))[:len(sc.res)]
+		clear(sc.refused)
+	}
 	sc.pre, sc.oldCosts = sc.pre[:0], sc.oldCosts[:0]
 	for j := range sc.res {
 		c := &sc.res[j]
@@ -345,6 +372,7 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	// 1's results are all kept, and take nothing.
 	sc, f := ws.take(video, opts.Ledger != nil)
 	defer ws.putScratch(sc)
+	sc.hooks = ws.hooks
 	fs := &schedule.FileSchedule{Video: video}
 	var dead schedule.FileSchedule
 	recycled := f != nil
@@ -386,7 +414,7 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 			opts.Ledger.Add(occupancy.Ref{Video: video, Index: len(sc.res) - 1}, seed)
 		}
 	}
-	sc.index(m, v, topo.NumNodes())
+	sc.index(m, v, topo.NumNodes(), opts.Ledger != nil)
 	for _, r := range ordered {
 		if r.Video != video {
 			return nil, fmt.Errorf("ivs: request for video %d in batch for video %d", r.Video, video)
@@ -460,24 +488,39 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		if opts.Policy == NoCaching {
 			continue // dynamic copies disabled
 		}
+		newLast := simtime.Max(c.LastService, r.Start)
+		if opts.Ledger != nil && sc.refused[j] && !sc.askAnyway(opts, *c, newLast, v.ID, j) {
+			continue
+		}
 		// Price first: the capacity and ban checks are the expensive
 		// part, and only candidates that would win need them. A request
 		// falling inside the copy's committed span (possible when the
 		// copy is a frozen-prefix record from an earlier epoch) extends
 		// nothing and pays zero marginal storage.
-		newLast := simtime.Max(c.LastService, r.Start)
 		candCost := m.CandidateCost(&v, stream, sc.oldCosts[j], c, newLast, dst)
 		if candCost >= bestCost-moneyEps {
 			continue
 		}
 		extended := *c
 		extended.LastService = newLast
+		// A rejective run remembers a copy refused for good: asked again,
+		// at a later request, the question only grows — the same copy with
+		// a later end, on a view that has only grown — so the answer stands
+		// (DESIGN.md §5, "A refusal holds for the rest of its greedy").
 		if violatesAny(opts, extended, v.Playback) {
+			if opts.Ledger != nil {
+				sc.refused[j] = true
+			}
 			continue
 		}
 		if opts.Ledger != nil {
 			ref := occupancy.Ref{Video: v.ID, Index: j}
-			if !opts.Ledger.CanFitExcluding(extended, &ref) {
+			fits, firm := opts.Ledger.FitExcluding(extended, &ref)
+			if h := sc.hooks; h != nil && h.asked != nil {
+				h.asked(extended, fits)
+			}
+			if !fits {
+				sc.refused[j] = firm
 				continue
 			}
 		}
@@ -518,6 +561,18 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 	return nil
 }
 
+// askAnyway is the tests' way past the refusal memo (hooks.skipped): whether
+// a run should ask about res[j], refused for good, as a run without the memo
+// would, extended to newLast.
+func (sc *scratch) askAnyway(opts Options, c schedule.Residency, newLast simtime.Time, video media.VideoID, j int) bool {
+	h := sc.hooks
+	if h == nil || h.skipped == nil {
+		return false
+	}
+	c.LastService = newLast
+	return h.skipped(opts, c, occupancy.Ref{Video: video, Index: j})
+}
+
 // openTentative opens zero-span residencies along the new delivery's route
 // per the caching policy. Zero-span copies cost nothing and occupy nothing,
 // so they are free options for later requests; unused ones are pruned.
@@ -550,6 +605,9 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 		sc.res = append(sc.res, cand)
 		sc.oldCosts = append(sc.oldCosts, 0) // zero span: SpanCost is exactly 0
 		sc.readers = append(sc.readers, 0)
+		if opts.Ledger != nil {
+			sc.refused = append(sc.refused, false)
+		}
 		sc.last[node] = lastTentative{load: d.Start, ok: true}
 		// The ledger is deliberately NOT told about the tentative: a
 		// zero-span copy peaks at γ=0 and occupies nothing, so registering

@@ -249,7 +249,7 @@ func overlapsOverflow(sup, iv simtime.Interval) bool {
 // breakpoint inside the candidate's support.
 //
 // This sits on the greedy's innermost path: a single chronological sweep
-// (sweepFits) merges the node's event index with the candidate's (and the
+// (sweepCheck) merges the node's event index with the candidate's (and the
 // negated excluded entry's) breakpoint records and tests the running total
 // at every breakpoint inside the candidate's support — O(E) per call.
 //
@@ -257,16 +257,30 @@ func overlapsOverflow(sup, iv simtime.Interval) bool {
 // reaches the sweep — the only point where the base's state enters an
 // answer — is logged with its answer.
 func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
+	fits, _ := l.FitExcluding(c, exclude)
+	return fits
+}
+
+// FitExcluding is CanFitExcluding that also says how a refusal was given:
+// firm is set when the total at the check time that refused the candidate
+// exceeds the capacity by more than the margin δ (firmRefusal). A firm
+// refusal stands for every later question the rejective greedy could ask of
+// the same copy: the greedy only ever asks it again with a later end, on a
+// view that has only grown, and δ exceeds twice the sweep's rounding error
+// (DESIGN.md §5, "A refusal holds for the rest of its greedy"). A probe log
+// keeps firm refusals in groups of their own, and its replay holds one only
+// while it is still firm (ProbeLog.Replay).
+func (l *Ledger) FitExcluding(c schedule.Residency, exclude *Ref) (fits, firm bool) {
 	node := c.Loc
 	if l.isWh[node] {
-		return true
+		return true, false
 	}
 	v := l.catalog.Video(c.Video)
 	size, playback := v.Size.Float(), v.Playback
 	sup := c.Support(playback)
 	if sup.Empty() {
 		// Zero-span tentative cache: peaks at γ=0, occupies nothing.
-		return true
+		return true, false
 	}
 	basel := l
 	var ovs []event
@@ -296,37 +310,63 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 			}
 		}
 	}
-	fits, d := sweepFits(basel.snapshot(node), ovs, &extra, ne, sup, l.caps[node])
+	capacity := l.caps[node]
+	fits, d, total := sweepCheck(basel.snapshot(node), ovs, &extra, ne, sup, capacity)
+	firm = !fits && firmRefusal(total, capacity)
 	if l.log != nil {
-		l.log.record(l, c, peak, excluded, fits, d)
+		l.log.record(l, c, peak, excluded, fits, firm, d)
 	}
-	return fits
+	return fits, firm
 }
 
-// sweepFits is the capacity check's core, shared by the live query
-// (CanFitExcluding) and by the replay of a logged one (ProbeLog.Replay), so
+// overCapacity is the capacity check at one check time: whether the combined
+// profile there, total, exceeds the capacity.
+func overCapacity(total, capacity float64) bool { return total > capacity+eps }
+
+// firmRefusal reports whether a total that refused a candidate exceeds the
+// capacity by more than the margin δ = capacity·2⁻²⁰. A check's rounding
+// error is local — the base's stops are stored, so its running sum's error
+// is the same in every sweep that reads them — and δ exceeds twice it many
+// times over (DESIGN.md §5): a refusal past δ is a refusal in real
+// arithmetic with room to spare, and a later question about the same copy,
+// whose real total is no smaller, is refused by its own sweep too.
+func firmRefusal(total, capacity float64) bool {
+	return total > capacity+eps+capacity*0x1p-20
+}
+
+// sweepFits is sweepCheck's answer and d alone, for the replay of a logged
+// "yes", which needs neither the margin nor the total.
+func sweepFits(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) (fits bool, d float64) {
+	fits, d, _ = sweepCheck(pts, ovs, extra, ne, sup, capacity)
+	return fits, d
+}
+
+// sweepCheck is the capacity check's core, shared by the live query
+// (FitExcluding) and by the replay of a logged one (ProbeLog.Replay), so
 // a replayed probe runs the same arithmetic on the same operands as asking
 // the query afresh. pts is the base node's prefix sweep, ovs an overlay
 // view's per-node delta (nil on a plain ledger), extra[:ne] the candidate's
 // breakpoint records plus the negated excluded entry's, sup the candidate's
-// support. It returns the answer and d, the extra records' part of the
-// profile at sup.Start (runSum.at): a probe log keeps the least d of the
-// "no"s of each group.
+// support. It returns the answer; d, the extra records' part of the profile
+// at sup.Start (runSum.at), of which a probe log keeps the least per group
+// of "no"s; and for a "no" the total at the check time that refused it,
+// which decides whether the refusal is firm (firmRefusal).
 //
 // The check runs in three steps: enter the sweep at sup.Start
-// (sweep.enter), check the profile there (sweep.over), walk the rest
+// (sweep.enter), check the profile there (sweep.total), walk the rest
 // (sweep.walk). A replay that asks many candidates of one start at one
 // storage against one delta enters once and checks each at the first
-// instant through the same over, walking on only from there.
-func sweepFits(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) (fits bool, d float64) {
+// instant through the same total, walking on only from there.
+func sweepCheck(pts []sweepPt, ovs []event, extra *[6]event, ne int, sup simtime.Interval, capacity float64) (fits bool, d, total float64) {
 	evs, x := firstRecords(extra, ne, sup.Start)
 	var s sweep
 	s.enter(pts, ovs, sup.Start)
 	d = x.at(sup.Start)
-	if s.over(d, sup.Start, capacity) {
-		return false, d
+	if total = s.total(d, sup.Start); overCapacity(total, capacity) {
+		return false, d, total
 	}
-	return s.walk(x, evs, sup, capacity), d
+	fits, total = s.walk(x, evs, sup, capacity)
+	return fits, d, total
 }
 
 // The sweep walks the check times — sup.Start, every breakpoint (node,
@@ -419,17 +459,22 @@ func (s *sweep) enter(pts []sweepPt, ovs []event, T simtime.Time) {
 	}
 }
 
-// over is the check at T, where the sweep stands: whether the combined
-// profile there — d, the extra records' part (runSum.at), plus the delta's
-// and the base's — exceeds the capacity (overAt).
-func (s *sweep) over(d float64, T simtime.Time, capacity float64) bool {
-	return overAt(d, s.o, s.b, s.bi > 0, T, capacity)
+// total is the combined profile at T, where the sweep stands: d, the extra
+// records' part (runSum.at), plus the delta's and the base's (totalAt).
+func (s *sweep) total(d float64, T simtime.Time) float64 {
+	return totalAt(d, s.o, s.b, s.bi > 0, T)
 }
 
-// overAt adds the delta's part o and the base's b, if active, to d in turn.
-// Rounded addition is monotone, so a d that overflows here makes every
-// larger one overflow.
-func overAt(d float64, o runSum, b sweepPt, bactive bool, T simtime.Time, capacity float64) bool {
+// over is the check at T, where the sweep stands: whether the combined
+// profile there exceeds the capacity.
+func (s *sweep) over(d float64, T simtime.Time, capacity float64) bool {
+	return overCapacity(s.total(d, T), capacity)
+}
+
+// totalAt adds the delta's part o and the base's b, if active, to d in turn.
+// Rounded addition is monotone, so a larger d gives a total no smaller: a d
+// that overflows, or overflows firmly, here makes every larger one do so.
+func totalAt(d float64, o runSum, b sweepPt, bactive bool, T simtime.Time) float64 {
 	total := d
 	if o.j > 0 {
 		total += o.val
@@ -440,12 +485,14 @@ func overAt(d float64, o runSum, b sweepPt, bactive bool, T simtime.Time, capaci
 	if bactive {
 		total += b.val + b.slope*T.Sub(b.t).Seconds()
 	}
-	return total > capacity+eps
+	return total
 }
 
 // walk is the sweep after its first check: from sup.Start, where it stands
-// with x taken in up to there, to sup.End, checking at every breakpoint.
-func (s *sweep) walk(x runSum, extra []event, sup simtime.Interval, capacity float64) bool {
+// with x taken in up to there, to sup.End, checking at every breakpoint. It
+// returns whether the candidate fits and, when it does not, the total at the
+// check time that refused it.
+func (s *sweep) walk(x runSum, extra []event, sup simtime.Interval, capacity float64) (fits bool, total float64) {
 	pts, bi, b, ovs, o := s.pts, s.bi, s.b, s.ovs, s.o
 	for T := sup.Start; T != sup.End; {
 		next := sup.End
@@ -465,11 +512,11 @@ func (s *sweep) walk(x runSum, extra []event, sup simtime.Interval, capacity flo
 		}
 		x = x.advance(extra, T)
 		o = o.advance(ovs, T)
-		if overAt(x.at(T), o, b, bi > 0, T, capacity) {
-			return false
+		if total := totalAt(x.at(T), o, b, bi > 0, T); overCapacity(total, capacity) {
+			return false, total
 		}
 	}
-	return true
+	return true, 0
 }
 
 // Banned describes a forbidden (interval, storage) pair the rejective

@@ -32,16 +32,20 @@ type probe struct {
 // from one start have in common, and the chain of its "no" answers: head is 1
 // + the first probe of it, 0 while the group has none, and minD the least of
 // their first-instant values d — the candidate's jump at its start less the
-// excluded copy's, summed as the sweep sums them (sweepFits). A replay enters
+// excluded copy's, summed as the sweep sums them (sweepCheck). A replay enters
 // the sweep once per group and checks minD at the start: rounded addition is
 // monotone, so if minD overflows there, every member's d does, bit for bit,
-// and every "no" of the chain stands.
+// and every "no" of the chain stands. A group's "no"s are all firm refusals
+// (firmRefusal) or none are, as firm says: the rejective greedy asks no more
+// about a copy it refused firmly, so a firm group's "no"s stand only while
+// they are still firm.
 type group struct {
 	start simtime.Time
 	minD  float64
 	head  uint32
 	delta uint32
 	node  uint16
+	firm  bool
 }
 
 // chunkProbes sizes the unit of probe storage: logs grow and recycle in
@@ -267,9 +271,12 @@ func (g *ProbeLog) Seal() {
 	g.ws.mu.Unlock()
 }
 
-// groupOf returns the number of the group of probes at node against delta
-// copy delta from start, adding it if the log has none.
-func (g *ProbeLog) groupOf(node uint16, delta uint32, start simtime.Time) uint32 {
+// groupOf returns the number of a group of probes at node against delta copy
+// delta from start, adding one if the log has none that fits: for a "yes",
+// any; for a "no", one whose "no"s are as firm as it is, or one that has none
+// yet and takes its firmness. A (storage, delta, start) thus has at most two
+// groups, one of firm "no"s and one of others, and one when its "no"s agree.
+func (g *ProbeLog) groupOf(node uint16, delta uint32, start simtime.Time, fits, firm bool) uint32 {
 	if g.index == nil {
 		if g.index = take(g.ws, &g.ws.indexes); g.index == nil {
 			g.index = new(groupIndex)
@@ -292,11 +299,14 @@ func (g *ProbeLog) groupOf(node uint16, delta uint32, start simtime.Time) uint32
 				g.groups = append(g.groups, ch)
 			}
 			g.ngroups++
-			*g.groupAt(gi) = group{start: start, delta: delta, node: node}
+			*g.groupAt(gi) = group{start: start, delta: delta, node: node, firm: firm}
 			slots[i] = gi + 1
 			return gi
 		}
-		if gr := g.groupAt(k - 1); gr.start == start && gr.delta == delta {
+		if gr := g.groupAt(k - 1); gr.start == start && gr.delta == delta && (fits || gr.firm == firm || gr.head == 0) {
+			if !fits {
+				gr.firm = firm
+			}
 			return k - 1
 		}
 	}
@@ -355,9 +365,10 @@ func offset(load, t simtime.Time) (int32, bool) {
 }
 
 // record logs one answered query of view l: candidate c, whose peak space is
-// v, and excluded, the registered copy the query disregarded, if any; d is
-// the sweep's value of the candidate's records at its start (sweepFits).
-func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *entry, fits bool, d float64) {
+// v, and excluded, the registered copy the query disregarded, if any; firm
+// tells a firm refusal (firmRefusal), and d is the sweep's value of the
+// candidate's records at its start (sweepCheck).
+func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *entry, fits, firm bool, d float64) {
 	last, ok := offset(c.Load, c.LastService)
 	exclLast := int32(-1)
 	if excluded != nil && ok {
@@ -374,7 +385,7 @@ func (g *ProbeLog) record(l *Ledger, c schedule.Residency, v float64, excluded *
 		g.deltas = append(g.deltas, g.copyDelta(st.events))
 		st.pin = uint32(len(g.deltas))
 	}
-	gi := g.groupOf(uint16(c.Loc), st.pin-1, c.Load)
+	gi := g.groupOf(uint16(c.Loc), st.pin-1, c.Load, fits, firm)
 	if g.n == len(g.chunks)*chunkProbes {
 		ch := take(g.ws, &g.ws.chunks)
 		if ch == nil {
@@ -406,20 +417,27 @@ func (g *ProbeLog) Covers(w simtime.Interval) bool { return g.box.contains(w) }
 // whether the evaluation the log belongs to would repeat itself exactly.
 // Answers at nodes whose version has not moved since the log was recorded or
 // last replayed hold trivially. The others are re-asked against the node's
-// current prefix sweep through the sweep's own steps (sweepFits), with the
+// current prefix sweep through the sweep's own steps (sweepCheck), with the
 // view's delta as it stood at the time and the candidate's records rebuilt
 // from the probe: from its stored peak by peakEvents, the excluded copy's
 // from its span by spanEvents (bit-identical to the registered entry's, see
 // newEntry).
 //
+// A firm refusal holds only while it is still firm. The rejective greedy
+// asked nothing more about a copy once it was firmly refused (the log has no
+// record of those questions), so an evaluation on base repeats itself only
+// if base refuses the copy firmly again; a refusal within the margin would
+// send it on to ask them, and the log breaks.
+//
 // A replay walks groups, not probes. For a group with "no" answers at a
 // moved node it enters the sweep once, at the group's start, and checks the
-// group's least d there (sweep.over): if that overflows, every "no" of the
-// chain stands, bit for bit, and the group is done. Otherwise each member
-// gets its own first check at its own d, and a member that passes it the
-// rest of the sweep (sweep.walk). Every "yes" is re-asked by the full sweep.
-// The caller must separately know that the masked video's own copies in
-// base are unchanged: they are the view's initial delta.
+// group's least d there (sweep.total): if that overflows — firmly, in a firm
+// group — every "no" of the chain stands, bit for bit, and the group is
+// done. Otherwise each member gets its own first check at its own d, and a
+// member that passes it the rest of the sweep (sweep.walk). Every "yes" is
+// re-asked by the full sweep. The caller must separately know that the
+// masked video's own copies in base are unchanged: they are the view's
+// initial delta.
 //
 // Replay reads the snapshots of the storages its probes are at and builds
 // any of them not built at the node's current version; it then writes only
@@ -447,7 +465,7 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 			capacity := base.caps[node]
 			var s sweep
 			s.enter(base.snapshot(node), g.deltas[gr.delta], gr.start)
-			if s.over(gr.minD, gr.start, capacity) {
+			if stands(gr.firm, s.total(gr.minD, gr.start), capacity) {
 				continue
 			}
 			for k := gr.head; k != 0; {
@@ -455,11 +473,14 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 				k = p.next
 				ne, sup := g.records(&extra, gr, p, size, playback)
 				evs, x := firstRecords(&extra, ne, gr.start)
-				if s.over(x.at(gr.start), gr.start, capacity) {
+				if total := s.total(x.at(gr.start), gr.start); overCapacity(total, capacity) {
+					if !stands(gr.firm, total, capacity) {
+						return false
+					}
 					continue
 				}
 				g.swept++
-				if s.walk(x, evs, sup, capacity) {
+				if fits, total := s.walk(x, evs, sup, capacity); fits || !stands(gr.firm, total, capacity) {
 					return false
 				}
 			}
@@ -486,6 +507,15 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 		}
 	}
 	return true
+}
+
+// stands reports whether a logged refusal of a group, firm or not, stands
+// where the replay's sweep refuses with the total given.
+func stands(firm bool, total, capacity float64) bool {
+	if firm {
+		return firmRefusal(total, capacity)
+	}
+	return overCapacity(total, capacity)
 }
 
 // records rebuilds a probe of the group's sweep records into extra, as the
