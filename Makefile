@@ -103,7 +103,8 @@ bench:
 # of committed history, in memory and durable, what one reservation
 # allocates between Server.ServeHTTP and its ack, how long an acked
 # reservation takes to reach a standby over a journal of 0 and 20 000
-# records, and what replaying six probe logs costs). The solves whose
+# records, what replaying six probe logs costs, and what one rejective
+# re-plan of a popular title costs on an overflowing ledger). The solves whose
 # overflow resolution does most of the work — BenchmarkSchedule,
 # BenchmarkFullResolve and the 10k-request BenchmarkSchedule10k — run at
 # -cpu 1,2: the 1-CPU rows show what a round costs on one worker, the
@@ -122,6 +123,8 @@ bench-json:
 		-benchmem ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkProbeLogReplay$$' \
 		-benchmem ./internal/occupancy ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkScheduleFileRejective$$' \
+		-benchmem ./internal/ivs ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=20000x \
 		-benchmem ./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x \
@@ -161,12 +164,20 @@ bench-json:
 # two, as the lag's ns/op moves by 2x between runs of the same code.
 # BenchmarkProbeLogReplay rides along at 2000 replays of its six logs a run:
 # it allocates nothing, so its guard is the time a replay takes per probe,
-# which is most of what an overflowing solve spends.
+# which is most of what an overflowing solve spends. So does
+# BenchmarkScheduleFileRejective, at 2000 re-plans a run of batch_solve's most
+# requested title under a ban, on a view of its overflowing phase-1 ledger:
+# the rejective greedy's walk over its candidates, the rest of that spend,
+# which phase 1's BenchmarkScheduleFileChain (no ledger) never reaches. It
+# allocates nothing either; the walk that still visited every copy refused
+# for good, passing each over in turn, took 2.2-2.9 times as long.
 bench-smoke:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkFullResolve$$|BenchmarkHorizonAdvanceHistory$$' -short -benchtime=1x -count=3 -benchmem \
 		./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkProbeLogReplay$$' -benchtime=2000x -count=3 -benchmem \
 		./internal/occupancy ; \
+	  $(GO) test -run='^$$' -bench='BenchmarkScheduleFileRejective$$' -benchtime=2000x -count=3 -benchmem \
+		./internal/ivs ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkReservationPath$$' -benchtime=2000x -count=3 -benchmem \
 		./internal/server ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkStandbyApplyLag$$' -benchtime=20x -count=3 -benchmem \

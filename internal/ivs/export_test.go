@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/schedule"
 )
 
@@ -21,9 +20,7 @@ func CountQueries(reask bool, solve func()) (asked, refused int64) {
 			r.Add(1)
 		}
 	}}
-	if reask {
-		h.skipped = func(Options, schedule.Residency, occupancy.Ref) bool { return true }
-	}
+	h.reask = reask
 	ws := watched(h)
 	idle.Lock()
 	idle.ws = append(idle.ws, ws)
@@ -42,6 +39,4 @@ func watched(h *hooks) *Workspace { return &Workspace{hooks: h} }
 
 // reasking returns a workspace whose rejective runs ask every question a run
 // without the refusal memo asks.
-func reasking() *Workspace {
-	return watched(&hooks{skipped: func(Options, schedule.Residency, occupancy.Ref) bool { return true }})
-}
+func reasking() *Workspace { return watched(&hooks{reask: true}) }

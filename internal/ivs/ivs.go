@@ -179,6 +179,11 @@ type scratch struct {
 	// and the loop passes the copy over, unpriced, for every later request
 	// of the run (serveOne). A run without a ledger keeps it empty.
 	refused []bool
+	// live lists, ascending, the indices of res the candidate loop walks:
+	// every copy the run starts with, and each tentative as it opens. A
+	// rejective run drops a copy refused for good at the end of the request
+	// that refused it.
+	live []int
 	// hooks is the workspace's (Workspace.hooks), nil outside the tests.
 	hooks *hooks
 }
@@ -204,13 +209,15 @@ type Workspace struct {
 
 // hooks let the package's tests watch the refusal memo of the runs on one
 // workspace (export_test.go): asked sees every capacity query a rejective
-// candidate loop asks and its answer, and skipped every candidate it passes
-// over as refused — the question it would have asked, on the live ledger —
-// and may have it asked after all, which makes the run the memo-free
-// reference. Both may be called from several runs at once.
+// candidate loop asks and its answer, and skipped every copy a request passes
+// over as refused for good — the question a run without the memo would ask,
+// on the live ledger. Both may be called from several runs at once. reask
+// makes the runs the memo-free reference: they keep every copy live, and so
+// ask every question a run without the memo asks.
 type hooks struct {
 	asked   func(c schedule.Residency, fits bool)
-	skipped func(opts Options, c schedule.Residency, ref occupancy.Ref) (ask bool)
+	skipped func(opts Options, c schedule.Residency, ref occupancy.Ref)
+	reask   bool
 }
 
 const (
@@ -312,12 +319,16 @@ func (w *Workspace) Recycle(fs *schedule.FileSchedule) {
 	w.nfiles++
 }
 
-// index builds the key set, the span-cost cache, the zeroed reader counts
-// and, for a rejective run, the cleared refusal memo of the residencies the
-// run starts with.
+// index builds the key set, the span-cost cache, the zeroed reader counts,
+// the live list of the residencies the run starts with and, for a rejective
+// run, their cleared refusal memo.
 func (sc *scratch) index(m *cost.Model, v media.Video, nodes int, rejective bool) {
 	sc.readers = slices.Grow(sc.readers[:0], len(sc.res))[:len(sc.res)]
 	clear(sc.readers)
+	sc.live = sc.live[:0]
+	for j := range sc.res {
+		sc.live = append(sc.live, j)
+	}
 	sc.refused = sc.refused[:0]
 	if rejective {
 		sc.refused = slices.Grow(sc.refused, len(sc.res))[:len(sc.res)]
@@ -373,12 +384,13 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	sc, f := ws.take(video, opts.Ledger != nil)
 	defer ws.putScratch(sc)
 	sc.hooks = ws.hooks
-	fs := &schedule.FileSchedule{Video: video}
+	fs := f
 	var dead schedule.FileSchedule
 	recycled := f != nil
 	if recycled {
-		dead, fs = *f, f
-		*f = schedule.FileSchedule{Video: video}
+		dead, *f = *f, schedule.FileSchedule{Video: video}
+	} else {
+		fs = &schedule.FileSchedule{Video: video}
 	}
 	if pre := opts.Frozen; pre != nil {
 		if len(opts.Seeds) > 0 {
@@ -464,7 +476,15 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 	bestRes := schedule.NoResidency
 	bestCost := m.StreamCost(stream, topo.Warehouse(), dst)
 
-	for j := range sc.res {
+	// The loop walks the live list, from which a rejective run has dropped
+	// every copy refused for good: the copy is passed over, unpriced, for
+	// the rest of the run.
+	h := sc.hooks
+	if h != nil && h.skipped != nil && !h.reask {
+		sc.watchSkips(opts, v.ID, r.Start)
+	}
+	dropped := false
+	for _, j := range sc.live {
 		c := &sc.res[j]
 		if c.Load > r.Start {
 			continue // copy does not exist yet at service time
@@ -489,9 +509,6 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 			continue // dynamic copies disabled
 		}
 		newLast := simtime.Max(c.LastService, r.Start)
-		if opts.Ledger != nil && sc.refused[j] && !sc.askAnyway(opts, *c, newLast, v.ID, j) {
-			continue
-		}
 		// Price first: the capacity and ban checks are the expensive
 		// part, and only candidates that would win need them. A request
 		// falling inside the copy's committed span (possible when the
@@ -509,24 +526,27 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		// (DESIGN.md §5, "A refusal holds for the rest of its greedy").
 		if violatesAny(opts, extended, v.Playback) {
 			if opts.Ledger != nil {
-				sc.refused[j] = true
+				sc.refused[j], dropped = true, true
 			}
 			continue
 		}
 		if opts.Ledger != nil {
 			ref := occupancy.Ref{Video: v.ID, Index: j}
 			fits, firm := opts.Ledger.FitExcluding(extended, &ref)
-			if h := sc.hooks; h != nil && h.asked != nil {
+			if h != nil && h.asked != nil {
 				h.asked(extended, fits)
 			}
 			if !fits {
-				sc.refused[j] = firm
+				sc.refused[j], dropped = firm, dropped || firm
 				continue
 			}
 		}
 		bestCost = candCost
 		bestSrc = c.Loc
 		bestRes = j
+	}
+	if dropped && (h == nil || !h.reask) {
+		sc.live = slices.DeleteFunc(sc.live, func(j int) bool { return sc.refused[j] })
 	}
 
 	route, err := m.Table().Route(bestSrc, dst)
@@ -561,16 +581,19 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 	return nil
 }
 
-// askAnyway is the tests' way past the refusal memo (hooks.skipped): whether
-// a run should ask about res[j], refused for good, as a run without the memo
-// would, extended to newLast.
-func (sc *scratch) askAnyway(opts Options, c schedule.Residency, newLast simtime.Time, video media.VideoID, j int) bool {
-	h := sc.hooks
-	if h == nil || h.skipped == nil {
-		return false
+// watchSkips shows the tests' skipped hook each copy the request starting at
+// start passes over because an earlier one refused it for good, extended to
+// start as a run without the memo would ask about it. A refused copy is
+// capacity-checked, so it is neither standing nor under NoCaching, and it
+// was loaded by an earlier request: every later one would have asked.
+func (sc *scratch) watchSkips(opts Options, video media.VideoID, start simtime.Time) {
+	for j, gone := range sc.refused {
+		if gone {
+			c := sc.res[j]
+			c.LastService = simtime.Max(c.LastService, start)
+			sc.hooks.skipped(opts, c, occupancy.Ref{Video: video, Index: j})
+		}
 	}
-	c.LastService = newLast
-	return h.skipped(opts, c, occupancy.Ref{Video: video, Index: j})
 }
 
 // openTentative opens zero-span residencies along the new delivery's route
@@ -605,6 +628,7 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 		sc.res = append(sc.res, cand)
 		sc.oldCosts = append(sc.oldCosts, 0) // zero span: SpanCost is exactly 0
 		sc.readers = append(sc.readers, 0)
+		sc.live = append(sc.live, len(sc.res)-1)
 		if opts.Ledger != nil {
 			sc.refused = append(sc.refused, false)
 		}

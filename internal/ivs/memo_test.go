@@ -136,8 +136,9 @@ type memoCases struct {
 // every copy the memo passes over is asked about on the live view at that
 // moment: the ban or the capacity must refuse it. Each run's bytes must be
 // those of the reference run, which asks every question a run without the
-// memo asks. The run must skip copies first refused by a ban, by capacity,
-// and frozen-prefix copies.
+// memo asks, whether the run is watched or runs with no hooks at all. The run
+// must skip copies first refused by a ban, by capacity, and frozen-prefix
+// copies.
 func TestRefusalStaysRefused(t *testing.T) {
 	t.Run("margin", testRefusalWithinMargin)
 	var cs memoCases
@@ -145,7 +146,7 @@ func TestRefusalStaysRefused(t *testing.T) {
 		r := newMemoRig(t, seed, units.GBf(2.5))
 		for _, e := range r.evaluations(t) {
 			playback := r.m.Catalog().Video(e.vid).Playback
-			ws := watched(&hooks{skipped: func(opts Options, c schedule.Residency, ref occupancy.Ref) bool {
+			ws := watched(&hooks{skipped: func(opts Options, c schedule.Residency, ref occupancy.Ref) {
 				cs.skips++
 				if ref.Index < opts.frozenRes {
 					cs.frozen++
@@ -158,11 +159,15 @@ func TestRefusalStaysRefused(t *testing.T) {
 				} else {
 					cs.capacity++
 				}
-				return false
 			}})
-			got, want := r.run(t, e, ws), r.run(t, e, reasking())
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d, %s video %d: with the memo\n%s\nasking every question\n%s", seed, e.name, e.vid, got, want)
+			want := r.run(t, e, reasking())
+			for _, run := range []struct {
+				name string
+				ws   *Workspace
+			}{{"watched", ws}, {"unhooked", nil}} {
+				if got := r.run(t, e, run.ws); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d, %s video %d: with the memo (%s)\n%s\nasking every question\n%s", seed, e.name, e.vid, run.name, got, want)
+				}
 			}
 		}
 	}
@@ -213,10 +218,7 @@ func testRefusalWithinMargin(t *testing.T) {
 					}
 				}
 			},
-			skipped: func(_ Options, c schedule.Residency, _ occupancy.Ref) bool {
-				skipped++
-				return false
-			},
+			skipped: func(Options, schedule.Residency, occupancy.Ref) { skipped++ },
 		})
 		if _, err := ScheduleFile(m, 0, reqs, Options{Ledger: ledger, Workspace: ws}); err != nil {
 			t.Fatal(err)

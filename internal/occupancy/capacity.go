@@ -441,9 +441,37 @@ type sweep struct {
 // enter positions the sweep at T: the last stop of pts at or before T,
 // found by binary search, and the records of ovs up to T.
 func (s *sweep) enter(pts []sweepPt, ovs []event, T simtime.Time) {
-	// Manual binary search (sort.Search's indirect predicate call is
-	// measurable at this call rate).
-	lo, hi := 0, len(pts)
+	lo := after(pts, 0, len(pts), T)
+	s.pts, s.bi, s.ovs, s.o = pts, lo, ovs, runSum{}.advance(ovs, T)
+	s.b = sweepPt{}
+	if lo > 0 {
+		s.b = pts[lo-1]
+	}
+}
+
+// forward moves a sweep that stands at or before T on to T, where enter
+// would put it: it gallops ahead from its stop to the first one after T —
+// the stop the binary search finds — and takes in the records of ovs up to
+// T. A runSum that has taken in the same records holds the same floats
+// however many advances took them in, so the sweep is enter's, bit for bit.
+func (s *sweep) forward(T simtime.Time) {
+	pts := s.pts
+	lo, hi, step := s.bi, s.bi, 1
+	for hi < len(pts) && pts[hi].t <= T {
+		lo, hi, step = hi+1, hi+1+step, 2*step
+	}
+	s.bi = after(pts, lo, min(hi, len(pts)), T)
+	if s.bi > 0 {
+		s.b = pts[s.bi-1]
+	}
+	s.o = s.o.advance(s.ovs, T)
+}
+
+// after returns the first stop of pts[lo:hi] later than T, hi if there is
+// none, where every stop before lo is at or before T and pts[hi], if any, is
+// later. A manual binary search: sort.Search's indirect predicate call is
+// measurable at this call rate.
+func after(pts []sweepPt, lo, hi int, T simtime.Time) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if pts[mid].t > T {
@@ -452,11 +480,7 @@ func (s *sweep) enter(pts []sweepPt, ovs []event, T simtime.Time) {
 			lo = mid + 1
 		}
 	}
-	s.pts, s.bi, s.ovs, s.o = pts, lo, ovs, runSum{}.advance(ovs, T)
-	s.b = sweepPt{}
-	if lo > 0 {
-		s.b = pts[lo-1]
-	}
+	return lo
 }
 
 // total is the combined profile at T, where the sweep stands: d, the extra

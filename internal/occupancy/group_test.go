@@ -2,9 +2,11 @@ package occupancy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/topology"
 )
@@ -182,6 +184,7 @@ func TestGroupedReplayIsTheSweep(t *testing.T) {
 		log := view.Record()
 		want := runScript(view, groupedScript(rng, vid, stores, 120), nil)
 		view.Release()
+		log.Seal()
 		next := 1000
 		for round := 0; round < 6; round++ {
 			ops := make([]byte, 4*(1+rng.Intn(3)))
@@ -225,6 +228,7 @@ func testGroupedReplayPinned(t *testing.T) {
 		view.CanFitExcluding(res(1, is2, 100, 120), nil),
 	}
 	view.Release()
+	log.Seal()
 	defer log.Release()
 	if want[0] || want[1] || !want[2] || log.ngroups != 2 || log.groupAt(0).minD != 200 || firstD(log, base, int(log.groupAt(0).head-1)) != 800 {
 		t.Fatalf("fixture bug: answers %v in %d groups, the first's least d %v", want, log.ngroups, log.groupAt(0).minD)
@@ -263,6 +267,7 @@ func FuzzGroupedReplay(f *testing.F) {
 		log := view.Record()
 		want := runScript(view, groupedScript(rng, vid, stores, 60), nil)
 		view.Release()
+		log.Seal()
 		defer log.Release()
 		var cs groupCases
 		next := 1000
@@ -300,6 +305,7 @@ func TestReplayAsksEachGroupOnce(t *testing.T) {
 		}
 	}
 	view.Release()
+	log.Seal()
 	defer log.Release()
 	if want := len(stores) * 3; log.ngroups != want || log.n != probes || log.yes != 0 {
 		t.Fatalf("%d probes in %d groups, %d of them yes; want %d in %d, none", log.n, log.ngroups, log.yes, probes, want)
@@ -314,5 +320,113 @@ func TestReplayAsksEachGroupOnce(t *testing.T) {
 	if log.entered != log.ngroups || log.swept != 0 {
 		t.Fatalf("the replay entered the sweep %d times and ran %d full sweeps over %d groups of %d probes; want %d and 0",
 			log.entered, log.swept, log.ngroups, log.n, log.ngroups)
+	}
+}
+
+// TestSealedReplayIsTheLogsReplay holds the order Seal puts a log's groups in
+// to the order they were made: two views of one base run the same queries,
+// one log is sealed after the ninth and both take a tenth, and the two logs
+// must replay alike — on a move that leaves every answer, the same verdict,
+// groups entered and full sweeps; on one that breaks the log, the same
+// verdict. The queries meet the three shapes a sealed replay has to get
+// right. IS1's groups are made in falling start order, 700 then 400, so
+// Seal turns them round and the replay walks forward from 400 to 700, past
+// stops the move put between and the view's own copy of 200 B from 650.
+// IS2's groups are made between IS1's and IS2 does not move, so its groups
+// are passed over between IS1's; a second copy of the view's own makes IS1 a
+// second delta, entered afresh. The tenth query's group, at 50 after the
+// second delta's group at 100, is logged after Seal, out of order, and
+// entered afresh too. The base holds a copy of 1 000 B at each storage over
+// the queries, and one of 400 B at IS1 from 750. At 700 a candidate of 30 s
+// fits at its start and is refused at 750, and one of 37 s is refused at its
+// start only with the view's copy, 140 B there, counted.
+func TestSealedReplayIsTheLogsReplay(t *testing.T) {
+	topo, cat := fixture(t)
+	is1, is2 := topology.NodeID(1), topology.NodeID(2)
+	base := NewLedger(topo, cat)
+	base.Add(Ref{Video: 0, Index: 0}, res(0, is1, 0, 1000))
+	base.Add(Ref{Video: 0, Index: 1}, res(0, is2, 0, 1000))
+	base.Add(Ref{Video: 0, Index: 2}, res(0, is1, 750, 790))
+	type query struct {
+		at         topology.NodeID
+		start, end simtime.Time
+	}
+	ask := func(view *Ledger, q query) bool { return view.CanFitExcluding(res(1, q.at, q.start, q.end), nil) }
+	queries := []query{{is1, 700, 730}, {is1, 700, 737}, {is2, 700, 760}, {is1, 400, 460}, {is1, 400, 420}, {is2, 400, 460}}
+	later := []query{{is1, 100, 160}, {is2, 100, 160}, {is1, 100, 170}}
+	afterSeal := query{is1, 50, 110}
+	want := []bool{false, false, false, false, true, false, false, false, false}
+
+	var logs [2]*ProbeLog
+	var views [2]*Ledger
+	for i := range logs {
+		views[i] = base.OverlayWithout(1)
+		logs[i] = views[i].Record()
+		views[i].Add(Ref{Video: 1, Index: 0}, res(1, is1, 650, 670))
+		var got []bool
+		for _, q := range queries {
+			got = append(got, ask(views[i], q))
+		}
+		views[i].Add(Ref{Video: 1, Index: 1}, res(1, is1, 1200, 1210))
+		for _, q := range later {
+			got = append(got, ask(views[i], q))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("fixture bug: answers %v, want %v", got, want)
+		}
+	}
+	sealed, unsealed := logs[0], logs[1]
+	sealed.Seal()
+	for i, view := range views {
+		if ask(view, afterSeal) {
+			t.Fatal("fixture bug: the query after Seal fits")
+		}
+		view.Release()
+		defer logs[i].Release()
+	}
+
+	inOrder := func(g *ProbeLog, n int) bool {
+		for gi := 1; gi < n; gi++ {
+			a, b := g.groupAt(uint32(gi-1)), g.groupAt(uint32(gi))
+			if a.delta > b.delta || a.delta == b.delta && a.start > b.start {
+				return false
+			}
+		}
+		return true
+	}
+	n := sealed.ngroups
+	if n != 7 || unsealed.ngroups != n || len(sealed.deltas) != 3 || !inOrder(sealed, n-1) || inOrder(unsealed, n-1) ||
+		sealed.groupAt(uint32(n-1)).start != afterSeal.start || inOrder(sealed, n) {
+		t.Fatalf("fixture bug: %d groups over %d deltas; the sealed log's are not in (delta, start) order but its last, or the unsealed log's are", n, len(sealed.deltas))
+	}
+	for i := 0; i < sealed.n; i++ {
+		a, b := sealed.groupAt(sealed.at(i).group), unsealed.groupAt(unsealed.at(i).group)
+		if a.node != b.node || a.delta != b.delta || a.start != b.start {
+			t.Fatalf("probe %d is in group %+v of the sealed log and %+v of the unsealed one", i, *a, *b)
+		}
+	}
+
+	for k, move := range []struct {
+		name  string
+		c     schedule.Residency
+		holds bool
+	}{
+		{"stops between IS1's groups", res(0, is1, 500, 505), true},
+		{"IS1 before its groups", res(0, is1, 200, 205), true},
+		{"IS1 fills under the yes", res(0, is1, 380, 480), false},
+	} {
+		base.Add(Ref{Video: 0, Index: 10 + k}, move.c)
+		before := [2]int{sealed.entered, unsealed.entered}
+		got, ref := sealed.Replay(base), unsealed.Replay(base)
+		if got != ref || got != move.holds {
+			t.Fatalf("%s: the sealed log replays %v, the unsealed one %v; want %v", move.name, got, ref, move.holds)
+		}
+		if !move.holds {
+			continue
+		}
+		if sealed.entered != unsealed.entered || sealed.swept != unsealed.swept || sealed.entered-before[0] != 4 || sealed.swept == 0 {
+			t.Fatalf("%s: the sealed log entered %d groups and swept %d times, the unsealed one %d and %d; want equal, 4 groups a replay and a sweep",
+				move.name, sealed.entered, sealed.swept, unsealed.entered, unsealed.swept)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package occupancy
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/vodsim/vsp/internal/media"
@@ -138,9 +140,11 @@ type ProbeLog struct {
 	masked media.VideoID
 	chunks []*probeChunk
 	n      int
-	// groups holds the group records, in the order of their first probe;
-	// index finds one by (delta, start) while the log records, and goes back
-	// to the workspace when the evaluation ends (Seal).
+	// groups holds the group records: in the order they were made while the
+	// log records, in sortGroups' (delta, start) order once it is sealed,
+	// with any group made after Seal appended behind them. index finds one
+	// by (delta, start) while the log records, and goes back to the
+	// workspace when the evaluation ends (Seal).
 	groups  []*groupChunk
 	ngroups int
 	index   *groupIndex
@@ -255,20 +259,65 @@ func (g *ProbeLog) at(i int) *probe { return &g.chunks[i/chunkProbes][i%chunkPro
 
 func (g *ProbeLog) groupAt(i uint32) *group { return &g.groups[i/chunkGroups][i%chunkGroups] }
 
-// Seal ends the recording: the evaluation the log belongs to is over, and
-// the log hands the index it found its groups by back to the workspace, for
-// the next evaluation to record with. A query the view answers afterwards is
-// still logged, in a group of its own.
+// Seal ends the recording: the evaluation the log belongs to is over. The
+// log puts its groups in the order its replays enter them (sortGroups) and
+// hands the index it found them by back to the workspace, for the next
+// evaluation to record with. A query the view answers afterwards is still
+// logged, in a group out of that order.
 func (g *ProbeLog) Seal() {
 	x := g.index
 	if x == nil {
 		return
 	}
 	g.index = nil
+	g.sortGroups(x.slots)
 	clear(x.slots)
 	g.ws.mu.Lock()
 	g.ws.indexes = push(g.ws.indexes, maxPooledIndexes, x)
 	g.ws.mu.Unlock()
+}
+
+// sortGroups sorts the groups in place by (delta, start), ties in the order
+// they were made, and renumbers the probes' groups to match. room, the index's
+// slots, holds at least 2·ngroups numbers: the sorted order and its inverse.
+// Replay enters the groups of one delta in rising start order, each from
+// where the last left the sweep (sweep.forward).
+func (g *ProbeLog) sortGroups(room []uint32) {
+	n := g.ngroups
+	order, rank := room[:n], room[n:2*n]
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		ga, gb := g.groupAt(a), g.groupAt(b)
+		if ga.delta != gb.delta {
+			return cmp.Compare(ga.delta, gb.delta)
+		}
+		if ga.start != gb.start {
+			return cmp.Compare(ga.start, gb.start)
+		}
+		return cmp.Compare(a, b)
+	})
+	inPlace := true
+	for i, gi := range order {
+		rank[gi] = uint32(i)
+		inPlace = inPlace && gi == uint32(i)
+	}
+	if inPlace {
+		return
+	}
+	for i := 0; i < g.n; i++ {
+		p := g.at(i)
+		p.group = rank[p.group]
+	}
+	// Each swap puts one group where it belongs.
+	for i := range rank {
+		for j := rank[i]; j != uint32(i); j = rank[i] {
+			gi, gj := g.groupAt(uint32(i)), g.groupAt(j)
+			*gi, *gj = *gj, *gi
+			rank[i], rank[j] = rank[j], rank[i]
+		}
+	}
 }
 
 // groupOf returns the number of a group of probes at node against delta copy
@@ -453,6 +502,8 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 	size, playback := v.Size.Float(), v.Playback
 	moved := false
 	var extra [6]event
+	var s sweep
+	var at *group // the group s stands at, nil before the first
 	for ci, left := 0, g.ngroups; left > 0; ci, left = ci+1, left-chunkGroups {
 		for j := range g.groups[ci][:min(left, chunkGroups)] {
 			gr := &g.groups[ci][j]
@@ -463,8 +514,12 @@ func (g *ProbeLog) Replay(base *Ledger) bool {
 			moved = true
 			g.entered++
 			capacity := base.caps[node]
-			var s sweep
-			s.enter(base.snapshot(node), g.deltas[gr.delta], gr.start)
+			if at != nil && at.delta == gr.delta && at.start <= gr.start {
+				s.forward(gr.start)
+			} else {
+				s.enter(base.snapshot(node), g.deltas[gr.delta], gr.start)
+			}
+			at = gr
 			if stands(gr.firm, s.total(gr.minD, gr.start), capacity) {
 				continue
 			}

@@ -682,6 +682,7 @@ func BenchmarkProbeLogReplay(b *testing.B) {
 		g := view.Record()
 		runScript(view, randomScript(rng, vid, stores, 200), nil)
 		view.Release()
+		g.Seal()
 		logs, probes = append(logs, g), probes+g.n
 	}
 	far := simtime.Time(100 * simtime.Hour)

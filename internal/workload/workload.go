@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,13 +79,30 @@ func (s Set) EncodeJSON(dst []byte, flush func([]byte) []byte) []byte {
 // ByVideo partitions the set into per-title request lists R_i, each sorted
 // chronologically (ties broken by user ID for determinism). This is the
 // partition the individual video scheduling phase works on (paper §3.2).
+// The lists are capped windows of one array sorted by (video, start, user),
+// so appending to one copies it instead of writing into the next.
 func (s Set) ByVideo() map[media.VideoID][]Request {
-	out := make(map[media.VideoID][]Request)
-	for _, r := range s {
-		out[r.Video] = append(out[r.Video], r)
+	all := slices.Clone(s)
+	slices.SortFunc(all, func(a, b Request) int {
+		if a.Video != b.Video {
+			return cmp.Compare(a.Video, b.Video)
+		}
+		return compareChronological(a, b)
+	})
+	titles := 0
+	for i := range all {
+		if i == 0 || all[i].Video != all[i-1].Video {
+			titles++
+		}
 	}
-	for _, rs := range out {
-		SortChronological(rs)
+	out := make(map[media.VideoID][]Request, titles)
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j].Video == all[i].Video {
+			j++
+		}
+		out[all[i].Video] = all[i:j:j]
+		i = j
 	}
 	return out
 }
@@ -120,23 +138,24 @@ func (s Set) Window() (simtime.Time, simtime.Time) {
 	return lo, hi
 }
 
-// before is the chronological order: by start time, ties by user ID.
-func before(a, b Request) bool {
+// compareChronological is the chronological order: by start time, ties by
+// user ID.
+func compareChronological(a, b Request) int {
 	if a.Start != b.Start {
-		return a.Start < b.Start
+		return cmp.Compare(a.Start, b.Start)
 	}
-	return a.User < b.User
+	return cmp.Compare(a.User, b.User)
 }
 
 // SortChronological sorts requests by start time, breaking ties by user ID.
 func SortChronological(rs []Request) {
-	sort.Slice(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
+	slices.SortFunc(rs, compareChronological)
 }
 
 // IsChronological reports whether the requests are already in
 // SortChronological's order.
 func IsChronological(rs []Request) bool {
-	return sort.SliceIsSorted(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
+	return slices.IsSortedFunc(rs, compareChronological)
 }
 
 // Zipf draws title ranks with P(rank r) ∝ 1/(r+1)^(1-α).
